@@ -1,744 +1,15 @@
 //! Consolidates every result JSON under `target/nob-results/` into one
 //! markdown report (`target/nob-results/REPORT.md`): the tables of all
-//! figures, Table 1, the ablations, and any chaos sweeps (written by
-//! `chaos sweep --out target/nob-results/<name>.json`).
+//! figures and sweeps, Table 1, the ablations, and any chaos sweeps
+//! (written by `chaos sweep --out target/nob-results/<name>.json`).
 //!
-//! Usage: run any of the figure binaries first, then `report`.
-
-use std::fmt::Write as _;
-
-use nob_bench::json::Json;
-
-/// Formats an integer nanosecond quantity with a human unit.
-fn fmt_ns(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.2}s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.2}ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.2}us", ns / 1e3)
-    } else {
-        format!("{ns:.0}ns")
-    }
-}
-
-/// Renders one stall's causal chain (`<- class #seq [t=…, dur]`).
-fn stall_cause(s: &Json, key: &str) -> String {
-    match s.get(key) {
-        Some(c) if c.get("class").is_some() => {
-            let class = c.get("class").and_then(Json::as_str).unwrap_or("?");
-            let seq = c.get("seq").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let start = c.get("start_ns").and_then(Json::as_f64).unwrap_or(0.0);
-            let end = c.get("end_ns").and_then(Json::as_f64).unwrap_or(0.0);
-            format!(" ← {class} #{seq} [t={}, {}]", fmt_ns(start), fmt_ns(end - start))
-        }
-        _ => String::new(),
-    }
-}
-
-/// Renders an embedded nob-trace summary: the per-class latency
-/// percentile table and the top stalls with their causal chain.
-fn render_trace(trace: &Json, out: &mut String) -> Option<()> {
-    let classes = trace.get("classes")?;
-    let Json::Object(classes) = classes else { return None };
-    let events = trace.get("events")?.as_f64()? as u64;
-    let _ = writeln!(out, "*trace: {events} events*\n");
-    if !classes.is_empty() {
-        let _ = writeln!(out, "| class | count | p50 | p95 | p99 | p999 | max |");
-        let _ = writeln!(out, "|---|---|---|---|---|---|---|");
-        for (name, c) in classes {
-            let f = |k: &str| c.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-            let _ = writeln!(
-                out,
-                "| {name} | {} | {} | {} | {} | {} | {} |",
-                f("count") as u64,
-                fmt_ns(f("p50_ns")),
-                fmt_ns(f("p95_ns")),
-                fmt_ns(f("p99_ns")),
-                fmt_ns(f("p999_ns")),
-                fmt_ns(f("max_ns")),
-            );
-        }
-        let _ = writeln!(out);
-    }
-    let stalls = trace.get("stalls")?;
-    let count = stalls.get("count").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-    let total = stalls.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
-    let top = stalls.get("top").and_then(Json::as_array).unwrap_or(&[]);
-    if count == 0 {
-        let _ = writeln!(out, "no write stalls recorded\n");
-        return Some(());
-    }
-    let _ = writeln!(
-        out,
-        "**{count} write stalls totalling {}; top {} (longest first):**\n",
-        fmt_ns(total),
-        top.len()
-    );
-    for (i, s) in top.iter().enumerate() {
-        let kind = s.get("kind").and_then(Json::as_str).unwrap_or("?");
-        let start = s.get("start_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let dur = s.get("dur_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "{}. {kind} {} at t={}{}{}",
-            i + 1,
-            fmt_ns(dur),
-            fmt_ns(start),
-            stall_cause(s, "cause_commit"),
-            stall_cause(s, "cause_flush"),
-        );
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Renders a `bench_smoke.json` document (the CI regression-gate run):
-/// per-scenario throughput + p99 plus each scenario's trace section.
-fn render_smoke(doc: &Json, out: &mut String) -> Option<()> {
-    let scenarios = doc.get("scenarios")?;
-    let Json::Object(scenarios) = scenarios else { return None };
-    let _ = writeln!(out, "## bench-smoke — CI regression gate run\n");
-    let _ = writeln!(out, "| scenario | throughput | unit | p99 | class |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for (name, s) in scenarios.iter() {
-        let _ = writeln!(
-            out,
-            "| {name} | {:.2} | {} | {} | {} |",
-            s.get("throughput").and_then(Json::as_f64).unwrap_or(0.0),
-            s.get("unit").and_then(Json::as_str).unwrap_or("?"),
-            fmt_ns(s.get("p99_ns").and_then(Json::as_f64).unwrap_or(0.0)),
-            s.get("p99_class").and_then(Json::as_str).unwrap_or("?"),
-        );
-    }
-    let _ = writeln!(out);
-    for (name, s) in scenarios.iter() {
-        if let Some(trace) = s.get("trace") {
-            let _ = writeln!(out, "### {name} trace\n");
-            let _ = render_trace(trace, out);
-        }
-    }
-    Some(())
-}
-
-/// Renders a `fig_timeline` document: each variant's gauge timeline as
-/// sparklines plus its stalls cross-referenced onto the sampling grid.
-fn render_timelines(doc: &Json, out: &mut String) -> Option<()> {
-    let runs = doc.get("timeline_runs")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_timeline — cross-layer gauge timelines\n");
-    let _ = writeln!(out, "*scale 1/{scale:.0}; one row per gauge, bucket maxima*\n");
-    for run in runs {
-        let name = run.get("name").and_then(Json::as_str).unwrap_or("?");
-        let tl = run.get("timeline")?;
-        let samples = tl.get("samples").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let period = tl.get("period_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let _ = writeln!(out, "### {name} — {samples} samples, period {}\n", fmt_ns(period));
-        let series = tl.get("series")?.as_array()?;
-        let name_w = series
-            .iter()
-            .filter_map(|s| s.get("name").and_then(Json::as_str))
-            .map(str::len)
-            .max()
-            .unwrap_or(0);
-        let _ = writeln!(out, "```");
-        for s in series {
-            let sname = s.get("name").and_then(Json::as_str).unwrap_or("?");
-            let values: Vec<f64> = s
-                .get("values")
-                .and_then(Json::as_array)
-                .map(|vs| vs.iter().filter_map(Json::as_f64).collect())
-                .unwrap_or_default();
-            let peak = values.iter().copied().fold(0.0f64, f64::max);
-            let _ = writeln!(
-                out,
-                "{sname:name_w$}  {}  peak {peak}",
-                nob_metrics::sparkline(&values, 64)
-            );
-        }
-        let _ = writeln!(out, "```");
-        let stalls = run.get("stalls").and_then(Json::as_array).unwrap_or(&[]);
-        if stalls.is_empty() {
-            let _ = writeln!(out, "\nno write stalls recorded\n");
-            continue;
-        }
-        let _ = writeln!(out, "\nstalls on this grid:\n");
-        for s in stalls {
-            let kind = s.get("kind").and_then(Json::as_str).unwrap_or("?");
-            let start = s.get("start_ns").and_then(Json::as_f64).unwrap_or(0.0);
-            let end = s.get("end_ns").and_then(Json::as_f64).unwrap_or(0.0);
-            let idx = s.get("grid_index").and_then(Json::as_f64).unwrap_or(-1.0) as i64;
-            let _ = writeln!(
-                out,
-                "- {kind} {} at t={} (grid index {idx})",
-                fmt_ns(end - start),
-                fmt_ns(start)
-            );
-        }
-        let _ = writeln!(out);
-    }
-    Some(())
-}
-
-/// Renders a `fig_shards` document: one throughput grid per write
-/// discipline (shards down, writers across) plus the amortization ratio
-/// the group-commit queue achieved.
-fn render_shards(doc: &Json, out: &mut String) -> Option<()> {
-    let cells = doc.get("shard_cells")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let ops = doc.get("ops").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_shards — sharded group commit\n");
-    let _ = writeln!(
-        out,
-        "*scale 1/{scale:.0}; {ops:.0} fillrandom ops per cell; throughput in ops/s, \
-         `batches/groups` is the coalescing factor*\n"
-    );
-    let mut names: Vec<&str> = Vec::new();
-    let mut grid: Vec<(usize, usize)> = Vec::new();
-    for c in cells {
-        let name = c.get("name")?.as_str()?;
-        let shards = c.get("shards")?.as_f64()? as usize;
-        let writers = c.get("writers")?.as_f64()? as usize;
-        if !names.contains(&name) {
-            names.push(name);
-        }
-        if !grid.contains(&(shards, writers)) {
-            grid.push((shards, writers));
-        }
-    }
-    let _ = write!(out, "| shards × writers |");
-    for n in &names {
-        let _ = write!(out, " {n} |");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|");
-    for _ in &names {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
-    for (shards, writers) in &grid {
-        let _ = write!(out, "| {shards} × {writers} |");
-        for n in &names {
-            let cell = cells.iter().find(|c| {
-                c.get("name").and_then(Json::as_str) == Some(n)
-                    && c.get("shards").and_then(Json::as_f64) == Some(*shards as f64)
-                    && c.get("writers").and_then(Json::as_f64) == Some(*writers as f64)
-            });
-            match cell {
-                Some(c) => {
-                    let t = c.get("throughput_ops_s").and_then(Json::as_f64).unwrap_or(0.0);
-                    let groups = c.get("groups").and_then(Json::as_f64).unwrap_or(0.0);
-                    let batches = c.get("batches").and_then(Json::as_f64).unwrap_or(0.0);
-                    let factor = if groups > 0.0 { batches / groups } else { 0.0 };
-                    let _ = write!(out, " {t:.0} ({factor:.1}×) |");
-                }
-                None => {
-                    let _ = write!(out, " – |");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Renders a `fig_compact` document: one grid per write discipline
-/// (shards down, compaction lanes across), each cell showing foreground
-/// stall-time share and p99 write latency — the lane scheduler's
-/// acceptance pair. A trailing note reports whether final contents
-/// hashed identically across lane counts.
-fn render_compact(doc: &Json, out: &mut String) -> Option<()> {
-    let cells = doc.get("compact_cells")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let ops = doc.get("ops").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_compact — staged compaction lanes\n");
-    let _ = writeln!(
-        out,
-        "*scale 1/{scale:.0}; {ops:.0} bursty fillrandom ops per cell; \
-         each cell is `stall share / p99 write ns`*\n"
-    );
-    let mut names: Vec<&str> = Vec::new();
-    let mut shards: Vec<usize> = Vec::new();
-    let mut lanes: Vec<usize> = Vec::new();
-    for c in cells {
-        let name = c.get("name")?.as_str()?;
-        let s = c.get("shards")?.as_f64()? as usize;
-        let l = c.get("lanes")?.as_f64()? as usize;
-        if !names.contains(&name) {
-            names.push(name);
-        }
-        if !shards.contains(&s) {
-            shards.push(s);
-        }
-        if !lanes.contains(&l) {
-            lanes.push(l);
-        }
-    }
-    for n in &names {
-        let _ = writeln!(out, "**{n}**\n");
-        let _ = write!(out, "| shards |");
-        for l in &lanes {
-            let _ = write!(out, " {l} lane(s) |");
-        }
-        let _ = writeln!(out);
-        let _ = write!(out, "|---|");
-        for _ in &lanes {
-            let _ = write!(out, "---|");
-        }
-        let _ = writeln!(out);
-        for s in &shards {
-            let _ = write!(out, "| {s} |");
-            for l in &lanes {
-                let cell = cells.iter().find(|c| {
-                    c.get("name").and_then(Json::as_str) == Some(n)
-                        && c.get("shards").and_then(Json::as_f64) == Some(*s as f64)
-                        && c.get("lanes").and_then(Json::as_f64) == Some(*l as f64)
-                });
-                match cell {
-                    Some(c) => {
-                        let stall = c.get("stall_share").and_then(Json::as_f64).unwrap_or(0.0);
-                        let p99 = c.get("p99_write_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                        let _ = write!(out, " {stall:.4} / {p99:.0} |");
-                    }
-                    None => {
-                        let _ = write!(out, " – |");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = writeln!(out);
-    }
-    let mut hashes: Vec<&str> = Vec::new();
-    for c in cells {
-        if let Some(h) = c.get("content_hash").and_then(Json::as_str) {
-            if !hashes.contains(&h) {
-                hashes.push(h);
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "*final LSM contents: {} distinct hash(es) across the grid — lane \
-         count never changes what the tree holds*\n",
-        hashes.len()
-    );
-    Some(())
-}
-
-/// Renders a `fig_scan` document: one scan-throughput grid per write
-/// discipline (range length down, shard count across) — rows/s through
-/// the store's snapshot-pinned cross-shard merge.
-fn render_scan(doc: &Json, out: &mut String) -> Option<()> {
-    let cells = doc.get("scan_cells")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let keys = doc.get("keys").and_then(Json::as_f64).unwrap_or(0.0);
-    let scans = doc.get("scans").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_scan — snapshot-pinned cross-shard scans\n");
-    let _ = writeln!(
-        out,
-        "*scale 1/{scale:.0}; {scans:.0} range scans per cell over a dense {keys:.0}-key space; \
-         throughput in rows/s through the store's k-way shard merge*\n"
-    );
-    let mut names: Vec<&str> = Vec::new();
-    let mut grid: Vec<(f64, f64)> = Vec::new();
-    for c in cells {
-        let name = c.get("name")?.as_str()?;
-        let shards = c.get("shards")?.as_f64()?;
-        let range = c.get("range")?.as_f64()?;
-        if !names.contains(&name) {
-            names.push(name);
-        }
-        if !grid.contains(&(range, shards)) {
-            grid.push((range, shards));
-        }
-    }
-    let _ = write!(out, "| range × shards |");
-    for n in &names {
-        let _ = write!(out, " {n} |");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|");
-    for _ in &names {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
-    for (range, shards) in &grid {
-        let _ = write!(out, "| {range:.0} × {shards:.0} |");
-        for n in &names {
-            let cell = cells.iter().find(|c| {
-                c.get("name").and_then(Json::as_str) == Some(n)
-                    && c.get("shards").and_then(Json::as_f64) == Some(*shards)
-                    && c.get("range").and_then(Json::as_f64) == Some(*range)
-            });
-            match cell.and_then(|c| c.get("throughput_rows_s")).and_then(Json::as_f64) {
-                Some(t) => {
-                    let _ = write!(out, " {t:.0} |");
-                }
-                None => {
-                    let _ = write!(out, " – |");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Renders a `fig_breakdown` document: per-discipline critical-path
-/// segment shares (each request's send→durable window partitioned into
-/// named segments that sum exactly), plus each cell's slowest request.
-fn render_breakdown(doc: &Json, out: &mut String) -> Option<()> {
-    const SEGMENTS: [&str; 10] = [
-        "admission",
-        "group_wait",
-        "wal_write",
-        "stall",
-        "journal_wait",
-        "flush",
-        "ship",
-        "apply",
-        "ack",
-        "other",
-    ];
-    let cells = doc.get("breakdown_cells")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let ops = doc.get("ops").and_then(Json::as_f64).unwrap_or(0.0);
-    let writers = doc.get("writers").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_breakdown — commit critical-path decomposition\n");
-    let _ = writeln!(
-        out,
-        "*scale 1/{scale:.0}; {ops:.0} traced requests per cell, {writers:.0} writers per shard; \
-         each request's send→durable window is partitioned into segments that sum exactly — \
-         shares are segment time over total request time*\n"
-    );
-    // Only segments some cell actually recorded become columns.
-    let active: Vec<&str> = SEGMENTS
-        .iter()
-        .copied()
-        .filter(|s| {
-            cells.iter().any(|c| {
-                c.get("critical").and_then(|k| k.get("segments")).and_then(|k| k.get(s)).is_some()
-            })
-        })
-        .collect();
-    let _ = write!(out, "| discipline × shards | mean latency |");
-    for s in &active {
-        let _ = write!(out, " {s} |");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|---|");
-    for _ in &active {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
-    for c in cells {
-        let name = c.get("name")?.as_str()?;
-        let shards = c.get("shards")?.as_f64()? as usize;
-        let crit = c.get("critical")?;
-        let paths = crit.get("paths").and_then(Json::as_f64).unwrap_or(0.0);
-        let total = crit.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let mean = if paths > 0.0 { total / paths } else { 0.0 };
-        let _ = write!(out, "| {name} × {shards} | {} |", fmt_ns(mean));
-        for s in &active {
-            match crit.get("segments").and_then(|k| k.get(s)) {
-                Some(seg) => {
-                    let t = seg.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
-                    let share = if total > 0.0 { t * 100.0 / total } else { 0.0 };
-                    let _ = write!(out, " {share:.1}% |");
-                }
-                None => {
-                    let _ = write!(out, " – |");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    for c in cells {
-        let name = c.get("name").and_then(Json::as_str).unwrap_or("?");
-        let shards = c.get("shards").and_then(Json::as_f64).unwrap_or(0.0) as usize;
-        let slowest = c.get("critical").and_then(|k| k.get("slowest")).and_then(Json::as_array);
-        let Some([first, ..]) = slowest else { continue };
-        let trace = first.get("trace").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        let total = first.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "- slowest request in {name} × {shards}: trace {trace} at {}",
-            fmt_ns(total)
-        );
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Renders a `fig_server` document: the serving sweep as one
-/// clients-by-discipline grid of throughput, tail latency and the
-/// group-commit coalescing factor measured through the wire protocol.
-fn render_server(doc: &Json, out: &mut String) -> Option<()> {
-    let cells = doc.get("server_cells")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let ops = doc.get("ops").and_then(Json::as_f64).unwrap_or(0.0);
-    let shards = doc.get("shards").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_server — pipelined network serving\n");
-    let _ = writeln!(
-        out,
-        "*scale 1/{scale:.0}; {ops:.0} SET requests per cell over {shards:.0} shards via the \
-         loopback wire protocol; throughput in requests/s, latency is send → durable reply, \
-         `batches/groups` is the coalescing factor*\n"
-    );
-    let mut names: Vec<&str> = Vec::new();
-    let mut client_counts: Vec<usize> = Vec::new();
-    for c in cells {
-        let name = c.get("name")?.as_str()?;
-        let clients = c.get("clients")?.as_f64()? as usize;
-        if !names.contains(&name) {
-            names.push(name);
-        }
-        if !client_counts.contains(&clients) {
-            client_counts.push(clients);
-        }
-    }
-    let _ = write!(out, "| clients |");
-    for n in &names {
-        let _ = write!(out, " {n} ops/s (p99) |");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|");
-    for _ in &names {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
-    for clients in &client_counts {
-        let _ = write!(out, "| {clients} |");
-        for n in &names {
-            let cell = cells.iter().find(|c| {
-                c.get("name").and_then(Json::as_str) == Some(n)
-                    && c.get("clients").and_then(Json::as_f64) == Some(*clients as f64)
-            });
-            match cell {
-                Some(c) => {
-                    let t = c.get("throughput_ops_s").and_then(Json::as_f64).unwrap_or(0.0);
-                    let p99 = c.get("p99_us").and_then(Json::as_f64).unwrap_or(0.0);
-                    let groups = c.get("groups").and_then(Json::as_f64).unwrap_or(0.0);
-                    let batches = c.get("batches").and_then(Json::as_f64).unwrap_or(0.0);
-                    let factor = if groups > 0.0 { batches / groups } else { 0.0 };
-                    let _ = write!(out, " {t:.0} ({p99:.0}us, {factor:.1}×) |");
-                }
-                None => {
-                    let _ = write!(out, " – |");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Renders a `fig_repl` document: the replication sweep as one
-/// shards-by-burst grid of commit→ack lag and follower-read throughput.
-fn render_repl(doc: &Json, out: &mut String) -> Option<()> {
-    let cells = doc.get("repl_cells")?.as_array()?;
-    let scale = doc.get("scale").and_then(Json::as_f64).unwrap_or(0.0);
-    let ops = doc.get("ops").and_then(Json::as_f64).unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_repl — WAL-shipping replication\n");
-    let _ = writeln!(
-        out,
-        "*scale 1/{scale:.0}; {ops:.0} leader writes per cell, shipped to a loopback follower \
-         in bursts; lag is commit → follower ack on the leader clock, reads are follower point \
-         lookups after catch-up*\n"
-    );
-    let _ =
-        writeln!(out, "| shards × burst | mean lag | max lag | max staleness | follower reads/s |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for c in cells {
-        let shards = c.get("shards")?.as_f64()? as usize;
-        let burst = c.get("burst")?.as_f64()? as usize;
-        let mean = c.get("mean_lag_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let max = c.get("max_lag_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let stale = c.get("max_staleness_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        let reads = c.get("read_throughput_ops_s").and_then(Json::as_f64).unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "| {shards} × {burst} | {} | {} | {} | {reads:.0} |",
-            fmt_ns(mean),
-            fmt_ns(max),
-            fmt_ns(stale),
-        );
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Sums an integer field over the sweep's per-case results.
-fn sum_field(results: &[Json], key: &str) -> u64 {
-    results.iter().filter_map(|r| r.get(key).and_then(Json::as_f64)).sum::<f64>() as u64
-}
-
-/// Counts cases whose boolean field is set.
-fn count_true(results: &[Json], key: &str) -> usize {
-    results.iter().filter(|r| r.get(key).and_then(Json::as_bool) == Some(true)).count()
-}
-
-/// Renders a failover-campaign document (the `nob-chaos` leader-kill
-/// schema): promotion outcomes and replication-loss accounting.
-fn render_failover(exp: &Json, out: &mut String) -> Option<()> {
-    let cases = exp.get("cases")?.as_f64()? as u64;
-    let passed = exp.get("passed")?.as_f64()? as u64;
-    let failed = exp.get("failed")?.as_f64()? as u64;
-    let results = exp.get("results")?.as_array()?;
-    let _ = writeln!(out, "## chaos failover — leader-kill replication sweep\n");
-    let _ = writeln!(
-        out,
-        "**{cases} cases, {passed} passed, {failed} failed** — {} acked records verified, \
-         {} keys recovered byte-for-byte, {} unacked in-flight writes lost (explained), \
-         {} changefeed records delivered exactly once across promotion\n",
-        sum_field(results, "acked_records"),
-        sum_field(results, "recovered_keys"),
-        sum_field(results, "lost_unacked"),
-        sum_field(results, "feed_records"),
-    );
-    let bad: Vec<&Json> =
-        results.iter().filter(|r| r.get("pass").and_then(Json::as_bool) == Some(false)).collect();
-    if !bad.is_empty() {
-        let _ = writeln!(out, "failing cases:\n");
-        for r in bad {
-            let seed = r.get("seed").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let kill = r.get("kill_pm").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let _ = writeln!(out, "- seed {seed}, kill {kill}‰");
-        }
-        let _ = writeln!(out);
-    }
-    Some(())
-}
-
-/// Renders a chaos-sweep document (the `nob-chaos` campaign schema):
-/// fault-injection and recovery counters as one summary table.
-fn render_chaos(exp: &Json, out: &mut String) -> Option<()> {
-    let profile = exp.get("profile")?.as_str()?;
-    let cases = exp.get("cases")?.as_f64()? as u64;
-    let passed = exp.get("passed")?.as_f64()? as u64;
-    let failed = exp.get("failed")?.as_f64()? as u64;
-    let undetected = exp.get("undetected_values")?.as_f64()? as u64;
-    let unexplained = exp.get("unexplained_losses")?.as_f64()? as u64;
-    let results = exp.get("results")?.as_array()?;
-    let injections: usize = results
-        .iter()
-        .filter_map(|r| r.get("injections").and_then(Json::as_array))
-        .map(<[Json]>::len)
-        .sum();
-    let _ = writeln!(out, "## chaos — fault injection & recovery ({profile})\n");
-    let _ = writeln!(out, "| counter | value |");
-    let _ = writeln!(out, "|---|---|");
-    let _ = writeln!(out, "| cases | {cases} |");
-    let _ = writeln!(out, "| passed | {passed} |");
-    let _ = writeln!(out, "| failed | {failed} |");
-    let _ = writeln!(out, "| faults injected | {injections} |");
-    let _ = writeln!(out, "| undetected (fabricated) values | {undetected} |");
-    let _ = writeln!(out, "| unexplained acked losses | {unexplained} |");
-    let _ = writeln!(out, "| acked pairs checked | {} |", sum_field(results, "acked_pairs"));
-    let _ = writeln!(out, "| acked losses (explained) | {} |", sum_field(results, "lost_acked"));
-    let _ = writeln!(
-        out,
-        "| WAL corruptions detected | {} |",
-        sum_field(results, "wal_corruptions_detected")
-    );
-    let _ = writeln!(out, "| WAL bytes dropped | {} |", sum_field(results, "wal_bytes_dropped"));
-    let _ =
-        writeln!(out, "| ordered-mode violations | {} |", sum_field(results, "ordered_violations"));
-    let _ = writeln!(out, "| repairs engaged | {} |", count_true(results, "repaired"));
-    let _ = writeln!(out, "| journal chains broken | {} |", count_true(results, "journal_broken"));
-    let _ = writeln!(out);
-    if let Some(groups) = exp.get("latency_histograms") {
-        for group in ["clean", "faulted"] {
-            let Some(Json::Object(classes)) = groups.get(group) else { continue };
-            if classes.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "### {group} runs — per-class latency\n");
-            let _ = writeln!(out, "| class | count | p50 | p95 | p99 | p999 | max |");
-            let _ = writeln!(out, "|---|---|---|---|---|---|---|");
-            for (name, c) in classes {
-                let f = |k: &str| c.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-                let _ = writeln!(
-                    out,
-                    "| {name} | {} | {} | {} | {} | {} | {} |",
-                    f("count") as u64,
-                    fmt_ns(f("p50_ns")),
-                    fmt_ns(f("p95_ns")),
-                    fmt_ns(f("p99_ns")),
-                    fmt_ns(f("p999_ns")),
-                    fmt_ns(f("max_ns")),
-                );
-            }
-            let _ = writeln!(out);
-        }
-    }
-    Some(())
-}
-
-fn render(exp: &Json, out: &mut String) -> Option<()> {
-    let id = exp.get("id")?.as_str()?;
-    let title = exp.get("title")?.as_str()?;
-    let scale = exp.get("scale")?.as_f64()?;
-    let cells = exp.get("cells")?.as_array()?;
-    let _ = writeln!(out, "## {id} — {title}\n");
-    let _ = writeln!(out, "*scale 1/{scale}*\n");
-
-    let mut xs: Vec<&str> = Vec::new();
-    let mut series: Vec<&str> = Vec::new();
-    for c in cells {
-        let x = c.get("x")?.as_str()?;
-        let s = c.get("series")?.as_str()?;
-        if !xs.contains(&x) {
-            xs.push(x);
-        }
-        if !series.contains(&s) {
-            series.push(s);
-        }
-    }
-    let unit = cells.first()?.get("unit")?.as_str()?;
-    let _ = write!(out, "| [{unit}] |");
-    for x in &xs {
-        let _ = write!(out, " {x} |");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "|---|");
-    for _ in &xs {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
-    for s in &series {
-        let _ = write!(out, "| {s} |");
-        for x in &xs {
-            let cell = cells.iter().find(|c| {
-                c.get("series").and_then(Json::as_str) == Some(s)
-                    && c.get("x").and_then(Json::as_str) == Some(x)
-            });
-            match cell.and_then(|c| c.get("value")).and_then(Json::as_f64) {
-                Some(v) => {
-                    let _ = write!(out, " {v:.2} |");
-                }
-                None => {
-                    let _ = write!(out, " – |");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out);
-    if let Some(trace) = exp.get("trace") {
-        let _ = render_trace(trace, out);
-    }
-    Some(())
-}
+//! Usage: run any of the figure binaries first, then `report`. Exits 1
+//! if any file could not be rendered — a renderer that fell behind a
+//! schema must fail CI, not shrink the report.
 
 fn main() {
     let dir = std::path::Path::new("target/nob-results");
-    let mut names: Vec<_> = std::fs::read_dir(dir)
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
         .map(|rd| {
             rd.filter_map(|e| e.ok())
                 .map(|e| e.path())
@@ -746,50 +17,34 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|_| Vec::new());
-    names.sort();
-    if names.is_empty() {
+    paths.sort();
+    if paths.is_empty() {
         eprintln!("no results in {}; run the figure binaries first", dir.display());
         std::process::exit(1);
     }
     let mut out = String::from("# NobLSM reproduction — consolidated results\n\n");
-    let mut rendered = 0;
-    for path in &names {
-        let Ok(text) = std::fs::read_to_string(path) else { continue };
-        match Json::parse(&text) {
-            Some(exp) => {
-                let ok = if exp.get("profile").is_some() {
-                    render_chaos(&exp, &mut out).is_some()
-                } else if exp.get("scenarios").is_some() {
-                    render_smoke(&exp, &mut out).is_some()
-                } else if exp.get("timeline_runs").is_some() {
-                    render_timelines(&exp, &mut out).is_some()
-                } else if exp.get("shard_cells").is_some() {
-                    render_shards(&exp, &mut out).is_some()
-                } else if exp.get("compact_cells").is_some() {
-                    render_compact(&exp, &mut out).is_some()
-                } else if exp.get("scan_cells").is_some() {
-                    render_scan(&exp, &mut out).is_some()
-                } else if exp.get("breakdown_cells").is_some() {
-                    render_breakdown(&exp, &mut out).is_some()
-                } else if exp.get("server_cells").is_some() {
-                    render_server(&exp, &mut out).is_some()
-                } else if exp.get("repl_cells").is_some() {
-                    render_repl(&exp, &mut out).is_some()
-                } else if exp.get("campaign").and_then(Json::as_str) == Some("failover") {
-                    render_failover(&exp, &mut out).is_some()
-                } else {
-                    render(&exp, &mut out).is_some()
-                };
-                if ok {
-                    rendered += 1;
-                } else {
-                    eprintln!("skipping {} (unexpected schema)", path.display());
-                }
+    let mut skipped = 0;
+    for path in &paths {
+        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("?");
+        let section = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| nob_bench::json::Json::parse(&text).ok_or("unparseable".to_string()))
+            .and_then(|doc| {
+                nob_bench::report::render(stem, &doc).ok_or("unexpected schema".into())
+            });
+        match section {
+            Ok(section) => out.push_str(&section),
+            Err(why) => {
+                skipped += 1;
+                eprintln!("cannot render {} ({why})", path.display());
             }
-            None => eprintln!("skipping {} (unparseable)", path.display()),
         }
     }
     let target = dir.join("REPORT.md");
     std::fs::write(&target, &out).expect("write report");
-    println!("wrote {} ({rendered} experiments)", target.display());
+    println!("wrote {} ({} experiments)", target.display(), paths.len() - skipped);
+    if skipped > 0 {
+        eprintln!("report: {skipped} file(s) could not be rendered");
+        std::process::exit(1);
+    }
 }

@@ -6,7 +6,7 @@
 //! context per enqueue (standing in for the server's per-request root),
 //! the group-commit leader parents its span under it, and the engine /
 //! journal / FLUSH work nests beneath — so each cell's
-//! [`CriticalSummary`] partitions every request's send→durable window
+//! [`nob_trace::CriticalSummary`] partitions every request's send→durable window
 //! into the named segments (admission, group_wait, wal_write,
 //! journal_wait, flush, …) that sum to its latency exactly.
 //!
@@ -20,83 +20,75 @@
 
 use nob_sim::Nanos;
 use nob_store::{Store, StoreOptions, Ticket};
-use nob_trace::{CriticalSummary, EventClass, TraceCtx, TraceSink};
-use noblsm::{WriteBatch, WriteOptions};
+use nob_trace::{EventClass, TraceCtx, TraceSink, SEGMENTS};
+use noblsm::WriteBatch;
 
-use crate::shards::disciplines;
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::report::fmt_ns;
+use crate::shards::{disciplines, store_options};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value, DISCIPLINES, NOBLSM, SYNC};
 use crate::Scale;
 
 /// Fixed workload shape: every cell writes the same `OPS` keys from the
 /// same seed-42 LCG stream. Divisible by every lane count in the sweep
 /// (4, 8, 16) so no cell rounds its op count.
-pub const OPS: u64 = 480;
+const OPS: u64 = 480;
 const VALUE: usize = 256;
-const SEED: u64 = 42;
 const KEYSPACE: u64 = 100_000;
 /// Logical writers per shard: enough that group commit coalesces and
 /// follower requests spend real time in `group_wait`.
-pub const WRITERS: usize = 4;
-/// Shard counts on the sweep's x-axis.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+const WRITERS: u64 = 4;
 /// Slowest requests kept per cell in the JSON document.
 const TOP_N: usize = 1;
 /// Ring capacity comfortably above the sweep's span count, so no tree
 /// loses spans to eviction.
 const RING: usize = 1 << 15;
 
-/// One cell of the sweep: a (discipline, shards) configuration and the
-/// critical-path decomposition of every request it committed.
-#[derive(Debug, Clone)]
-pub struct BreakdownCell {
-    /// Write discipline (`Sync`, `Async`, `NobLSM`).
-    pub name: String,
-    /// Number of hash-partitioned shards.
-    pub shards: usize,
-    /// Traced operations (identical across cells by construction).
-    pub ops: u64,
-    /// Per-segment decomposition across all `ops` requests.
-    pub critical: CriticalSummary,
-}
+/// The sweep: discipline × shard count, every request causally traced.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_breakdown",
+    title: "commit critical-path decomposition",
+    cells_key: "breakdown_cells",
+    header: &[("ops", OPS), ("writers", WRITERS)],
+    axes: &[DISCIPLINES, Axis { name: "shards", values: &[1, 2, 4] }],
+    run_cell,
+    note: "{ops} traced requests per cell, {writers} writers per shard; each request's \
+           send→durable window is partitioned into segments that sum exactly — shares are segment \
+           time over total request time",
+    tables,
+    footer,
+    invariants,
+};
 
 /// Runs one cell: `shards × WRITERS` logical writers each enqueue one
 /// traced single-record batch per round, the round-robin pump commits
 /// one coalesced group per shard, and each request's `server_write`
 /// root span closes when its ticket resolves durable.
-pub fn run_cell(
-    name: &str,
-    variant: nob_baselines::Variant,
-    wopts: WriteOptions,
-    shards: usize,
-    scale: Scale,
-) -> BreakdownCell {
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let [discipline, shards] = *point else { unreachable!("two axes") };
+    let (name, variant, wopts) = disciplines()[discipline as usize];
     let opts = StoreOptions {
-        shards,
-        fs: scale.fs_config(),
-        db: variant.options(&scale.base_options(crate::PAPER_TABLE_LARGE)),
         // Cap the group size below the writer count so a round needs
         // more than one group per shard: requests in later groups wait
         // in the queue while earlier groups commit, which is exactly
         // the admission time the decomposition is meant to expose.
-        group_budget_count: WRITERS / 2,
-        ..StoreOptions::default()
+        group_budget_count: WRITERS as usize / 2,
+        ..store_options(variant, shards as usize, scale)
     };
     let mut store = Store::open(opts).expect("open store");
     let sink = TraceSink::with_ring_capacity(RING);
     store.set_trace_sink(sink.clone());
-    let lanes = (shards * WRITERS) as u64;
+    let lanes = shards * WRITERS;
     let rounds = OPS / lanes;
     assert_eq!(rounds * lanes, OPS, "sweep shape must divide the op count");
-    let mut state = SEED;
+    let mut keys = KeyStream::new(KEYSPACE);
     let mut inflight: Vec<(Ticket, TraceCtx, Nanos, u64)> = Vec::new();
     for _ in 0..rounds {
         for _ in 0..lanes {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = state % KEYSPACE;
-            let key = format!("key{k:08}");
-            let mut value = format!("val{k}-").into_bytes();
-            value.resize(VALUE, b'x');
+            let (key, value) = sweep::record(keys.draw(), 8, VALUE);
             let mut batch = WriteBatch::new();
-            batch.put(key.as_bytes(), &value);
+            batch.put(&key, &value);
             let ctx = sink.mint_root();
             let start = store.clock().now();
             let bytes = (key.len() + VALUE) as u64;
@@ -108,12 +100,13 @@ pub fn run_cell(
     store.drain().expect("drain");
     resolve(&store, &sink, &mut inflight);
     assert!(inflight.is_empty(), "every ticket must resolve after drain");
-    BreakdownCell {
-        name: name.to_string(),
-        shards,
-        ops: OPS,
-        critical: sink.critical_summary(TOP_N),
-    }
+    vec![
+        ("name", Value::Str(name)),
+        ("shards", Value::Int(shards)),
+        ("ops", Value::Int(OPS)),
+        // Per-segment decomposition across all `OPS` requests.
+        ("critical", Value::Json(sink.critical_summary(TOP_N).to_json_indented(2))),
+    ]
 }
 
 /// Emits the `server_write` root span (enqueue → durable) for every
@@ -128,109 +121,74 @@ fn resolve(store: &Store, sink: &TraceSink, inflight: &mut Vec<(Ticket, TraceCtx
     });
 }
 
-/// The full sweep, discipline-major then shards — the order the JSON
-/// document and the report table use.
-pub fn fig_breakdown(scale: Scale) -> Vec<BreakdownCell> {
-    let mut cells = Vec::new();
-    for (name, variant, wopts) in disciplines() {
-        for &shards in &SHARD_COUNTS {
-            cells.push(run_cell(name, variant, wopts, shards, scale));
-        }
-    }
-    cells
+/// The total time of segment `name` in a cell, if the cell recorded it.
+fn segment_ns(cell: &Json, name: &str) -> Option<f64> {
+    cell.get("critical")?.get("segments")?.get(name)?.num("total_ns")
 }
 
-/// Serialises the sweep; the `"breakdown_cells"` key is the schema
-/// marker. Deterministic under the fixed seed — the golden test pins
-/// these bytes.
-pub fn fig_breakdown_json(cells: &[BreakdownCell], scale: Scale) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig_breakdown\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", scale.factor));
-    out.push_str(&format!("  \"ops\": {OPS},\n"));
-    out.push_str(&format!("  \"writers\": {WRITERS},\n"));
-    out.push_str("  \"breakdown_cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, \"ops\": {}, \"critical\": {}}}",
-            c.name,
-            c.shards,
-            c.ops,
-            c.critical.to_json_indented(2)
-        ));
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+/// Per-cell critical-path segment shares (each request's send→durable
+/// window partitioned into named segments that sum exactly).
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    // Only segments some cell actually recorded become columns; a cell
+    // that never entered one shows a dash there.
+    let recorded = |s: &&&str| cells.iter().any(|c| segment_ns(c, s).is_some());
+    let active: Vec<&str> = SEGMENTS.iter().filter(recorded).copied().collect();
+    let mut table = Pivot::new("discipline × shards");
+    for c in cells {
+        let label = format!("{} × {}", c.text("name")?, c.num("shards")?);
+        let crit = c.get("critical")?;
+        let (paths, total) = (crit.num("paths")?, crit.num("total_ns")?);
+        table.push(&label, "mean latency", fmt_ns(if paths > 0.0 { total / paths } else { 0.0 }));
+        for s in &active {
+            let share = segment_ns(c, s).map(|t| if total > 0.0 { t * 100.0 / total } else { 0.0 });
+            table.push(&label, s, share.map_or("–".to_string(), |p| format!("{p:.1}%")));
+        }
     }
-    out.push_str("  ]\n}\n");
-    out
+    Some(vec![table])
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cell<'a>(cells: &'a [BreakdownCell], name: &str, shards: usize) -> &'a BreakdownCell {
-        cells.iter().find(|c| c.name == name && c.shards == shards).expect("cell present")
-    }
-
-    /// One sweep per scale, memoised (each cell is a full fill; the
-    /// assertions below interrogate many cells).
-    fn sweep(scale: Scale) -> Vec<BreakdownCell> {
-        use std::sync::OnceLock;
-        static SWEEP: OnceLock<Vec<BreakdownCell>> = OnceLock::new();
-        SWEEP.get_or_init(|| fig_breakdown(scale)).clone()
-    }
-
-    #[test]
-    fn every_request_is_decomposed_and_segments_sum_exactly() {
-        let cells = sweep(Scale::new(512));
-        for c in &cells {
-            assert_eq!(c.critical.paths, OPS, "{}x{}: every op must be traced", c.name, c.shards);
-            let seg_total: u64 = c.critical.segments.iter().map(|s| s.total_ns).sum();
-            assert_eq!(
-                seg_total, c.critical.total_ns,
-                "{}x{}: segments must partition the request windows",
-                c.name, c.shards
-            );
+/// Each cell's slowest request.
+fn footer(cells: &[Json]) -> Option<String> {
+    let mut out = String::new();
+    for c in cells {
+        if let Some(slowest) = c.get("critical")?.get("slowest")?.as_array()?.first() {
+            out.push_str(&format!(
+                "- slowest request in {} × {}: trace {} at {}\n",
+                c.text("name")?,
+                c.num("shards")?,
+                slowest.num("trace")?,
+                fmt_ns(slowest.num("total_ns")?)
+            ));
         }
     }
+    Some(out + "\n")
+}
 
-    #[test]
-    fn sync_pays_the_flush_barrier_and_nob_does_not() {
-        let cells = sweep(Scale::new(512));
-        for &shards in &SHARD_COUNTS {
-            let sync = cell(&cells, "Sync", shards);
-            let nob = cell(&cells, "NobLSM", shards);
-            let flush = |c: &BreakdownCell| c.critical.segment("flush").map_or(0, |s| s.total_ns);
-            assert!(
-                flush(sync) > 0,
-                "Sync at {shards} shards must spend critical-path time in FLUSH"
-            );
-            assert!(
-                sync.critical.total_ns > nob.critical.total_ns,
-                "Sync commits must be slower end-to-end than NobLSM at {shards} shards"
-            );
-        }
+fn invariants(g: &Grid<'_>) {
+    for c in g.cells() {
+        // Every request is decomposed and its segments sum exactly.
+        let crit = c.get("critical").expect("cell carries its decomposition");
+        assert_eq!(crit.num("paths"), Some(OPS as f64), "every op must be traced: {c:?}");
+        let Some(Json::Object(segments)) = crit.get("segments") else { panic!("segments: {c:?}") };
+        let sum: f64 = segments.values().filter_map(|s| s.num("total_ns")).sum();
+        assert_eq!(Some(sum), crit.num("total_ns"), "segments must partition the windows: {c:?}");
     }
-
-    #[test]
-    fn coalesced_writers_wait_before_their_group_commits() {
-        let cells = sweep(Scale::new(512));
-        // With 4 writers per shard, follower requests spend time between
-        // enqueue and their group's engine write; that queue wait is the
-        // request's own self-time (admission). The engine write itself
-        // must be attributed separately.
-        let c = cell(&cells, "Sync", 1);
-        let adm = c.critical.segment("admission").expect("queued requests accrue admission time");
-        assert!(adm.total_ns > 0);
-        assert!(c.critical.segment("wal_write").is_some(), "engine writes must be attributed");
+    let total = |p: &[u64]| g.at(p).get("critical").and_then(|k| k.num("total_ns"));
+    for &shards in g.axis(1) {
+        assert!(
+            segment_ns(g.at(&[SYNC, shards]), "flush") > Some(0.0),
+            "Sync at {shards} shards must spend critical-path time in FLUSH"
+        );
+        assert!(
+            total(&[SYNC, shards]) > total(&[NOBLSM, shards]),
+            "Sync commits must be slower end-to-end than NobLSM at {shards} shards"
+        );
     }
-
-    #[test]
-    fn fixed_seed_document_is_deterministic() {
-        let scale = Scale::new(512);
-        let a = fig_breakdown_json(&sweep(scale), scale);
-        let b = fig_breakdown_json(&sweep(scale), scale);
-        assert_eq!(a, b);
-        assert!(crate::json::Json::parse(&a).is_some(), "document must parse");
-    }
+    // With 4 writers per shard, follower requests spend time between
+    // enqueue and their group's engine write; that queue wait is the
+    // request's own self-time (admission). The engine write itself
+    // must be attributed separately.
+    let c = g.at(&[SYNC, 1]);
+    assert!(segment_ns(c, "admission") > Some(0.0), "queued requests accrue admission time");
+    assert!(segment_ns(c, "wal_write").is_some(), "engine writes must be attributed");
 }

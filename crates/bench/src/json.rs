@@ -45,6 +45,16 @@ impl Json {
         }
     }
 
+    /// The number under `key` of an object.
+    pub fn num(&self, key: &str) -> Option<f64> {
+        self.get(key)?.as_f64()
+    }
+
+    /// The string under `key` of an object.
+    pub fn text(&self, key: &str) -> Option<&str> {
+        self.get(key)?.as_str()
+    }
+
     /// String content, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -4,11 +4,11 @@
 //!
 //! The paper's evaluation uses 10 M (micro) / 50 M (YCSB) requests over a
 //! 960 GB SSD. The reproduction shrinks every size-like parameter by a
-//! single scale factor `S` (default 64, override with `--scale N` or the
-//! `NOB_SCALE` environment variable): request counts, SSTable sizes and
-//! level budgets all divide by `S`, so the *tree shape* (number of levels,
-//! compactions per operation, sync counts per byte) is preserved while
-//! runtime and memory stay laptop-sized. Absolute µs/op numbers shift, but
+//! single scale factor `S` (default 64, override with `--scale N`):
+//! request counts, SSTable sizes and level budgets all divide by `S`, so
+//! the *tree shape* (number of levels, compactions per operation, sync
+//! counts per byte) is preserved while runtime and memory stay
+//! laptop-sized. Absolute µs/op numbers shift, but
 //! the ratios between the seven systems — the paper's actual claims — are
 //! preserved, and EXPERIMENTS.md records paper-vs-measured side by side.
 
@@ -21,11 +21,13 @@ pub mod compact;
 pub mod json;
 pub mod output;
 pub mod repl;
+pub mod report;
 pub mod scan;
 pub mod scenarios;
 pub mod server;
 pub mod shards;
 pub mod smoke;
+pub mod sweep;
 pub mod timeline;
 
 /// The paper's fixed workload parameters, before scaling.
@@ -54,20 +56,26 @@ impl Scale {
         Scale { factor }
     }
 
-    /// Reads the scale from the command line (`--scale N`) or the
-    /// `NOB_SCALE` environment variable, defaulting to `default`.
+    /// Reads the scale from the command line (`--scale N`), defaulting
+    /// to `default`. A missing, non-numeric or zero value is a usage
+    /// error: the message goes to stderr and the process exits 2.
     pub fn from_args(default: u64) -> Self {
-        let mut factor =
-            std::env::var("NOB_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
         let args: Vec<String> = std::env::args().collect();
-        for pair in args.windows(2) {
-            if pair[0] == "--scale" {
-                if let Ok(v) = pair[1].parse() {
-                    factor = v;
-                }
-            }
+        Scale::parse_args(&args, default).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
+    }
+
+    fn parse_args(args: &[String], default: u64) -> Result<Self, String> {
+        let Some(at) = args.iter().position(|a| a == "--scale") else {
+            return Ok(Scale::new(default));
+        };
+        match args.get(at + 1).map(|v| v.parse::<u64>()) {
+            Some(Ok(factor)) if factor >= 1 => Ok(Scale::new(factor)),
+            Some(_) => Err(format!("--scale takes an integer >= 1, got `{}`", args[at + 1])),
+            None => Err("--scale takes a value: --scale N".to_string()),
         }
-        Scale::new(factor)
     }
 
     /// Scaled micro-benchmark request count.
@@ -197,6 +205,18 @@ mod tests {
         assert!((us_per_op(Nanos::from_millis(10), 1000) - 10.0).abs() < 1e-9);
         assert!((gb(61_550_000_000) - 61.55).abs() < 1e-9);
         assert_eq!(us_per_op(Nanos::ZERO, 0), 0.0);
+    }
+
+    #[test]
+    fn scale_flag_is_parsed_strictly() {
+        let args = |rest: &[&str]| -> Vec<String> {
+            std::iter::once("fig").chain(rest.iter().copied()).map(String::from).collect()
+        };
+        assert_eq!(Scale::parse_args(&args(&[]), 64), Ok(Scale::new(64)));
+        assert_eq!(Scale::parse_args(&args(&["all", "--scale", "8"]), 64), Ok(Scale::new(8)));
+        for bad in [&["--scale", "abc"][..], &["--scale", "0"], &["--scale"], &["--scale", "-3"]] {
+            assert!(Scale::parse_args(&args(bad), 64).is_err(), "{bad:?} must be a usage error");
+        }
     }
 
     #[test]

@@ -17,38 +17,51 @@
 //! the loopback transport), so the grid is bit-for-bit deterministic and
 //! golden-pinned.
 
+use nob_baselines::Variant;
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback};
 use nob_sim::SharedClock;
 use nob_store::{Store, StoreOptions};
-use noblsm::{ReadOptions, WriteBatch, WriteOptions};
+use nob_trace::TraceSink;
+use noblsm::{ReadOptions, WriteOptions};
 
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::report::fmt_ns;
+use crate::shards::store_options;
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value};
 use crate::Scale;
 
 /// Fixed workload shape: every cell replicates the same `OPS` keys from
 /// the same seed-42 LCG stream; only shards × burst differ. `OPS` is
 /// divisible by every burst in the sweep so no cell rounds a cycle.
-pub const OPS: u64 = 1_600;
+const OPS: u64 = 1_600;
 /// Follower point reads in the measured read phase.
-pub const READS: u64 = 800;
+const READS: u64 = 800;
 const VALUE: usize = 128;
-const SEED: u64 = 42;
 const KEYSPACE: u64 = 50_000;
 
-/// Shard counts on the sweep's x-axis.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-/// Leader writes between follower poll rounds, the series axis.
-pub const BURSTS: [usize; 3] = [1, 4, 16];
+/// The sweep: shard count × leader writes between follower poll rounds.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_repl",
+    title: "WAL-shipping replication",
+    cells_key: "repl_cells",
+    header: &[("ops", OPS)],
+    axes: &[
+        Axis { name: "shards", values: &[1, 2, 4] },
+        Axis { name: "burst", values: &[1, 4, 16] },
+    ],
+    run_cell,
+    note: "{ops} leader writes per cell, shipped to a loopback follower in bursts; lag is \
+           commit → follower ack on the leader clock, reads are follower point lookups after \
+           catch-up",
+    tables,
+    footer: sweep::no_footer,
+    invariants,
+};
 
-/// One cell of the sweep: a (shards, burst) configuration and what the
-/// replication pair did under it.
-#[derive(Debug, Clone)]
-pub struct ReplCell {
-    /// Number of hash-partitioned shards on both sides.
-    pub shards: usize,
-    /// Leader writes between follower poll rounds.
-    pub burst: usize,
-    /// Operations written (identical across cells by construction).
-    pub ops: u64,
+/// What one replication run measured.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplRun {
     /// Change-log records the follower applied and acked.
     pub records: u64,
     /// Mean commit→ack replication lag over poll rounds, integer ns.
@@ -57,43 +70,43 @@ pub struct ReplCell {
     pub max_lag_ns: u64,
     /// Worst follower staleness observed right before a poll round.
     pub max_staleness_ns: u64,
-    /// Point reads served by the follower in the read phase.
-    pub reads: u64,
     /// Follower read throughput in ops per virtual second.
     pub read_throughput: f64,
 }
 
-/// Runs one cell: the leader commits `burst` single-record batches, the
-/// follower polls to idle (apply + ack) and the round's lag is sampled;
-/// repeat until `OPS` writes are in, then time `READS` follower reads.
-pub fn run_cell(shards: usize, burst: usize, scale: Scale) -> ReplCell {
-    let opts = StoreOptions {
-        shards,
-        fs: scale.fs_config(),
-        db: scale.base_options(crate::PAPER_TABLE_LARGE),
-        ..StoreOptions::default()
-    };
+/// The replication workload (also the `repl_follower` smoke scenario,
+/// which passes a trace sink): the leader commits `burst` single-record
+/// batches, the follower polls to idle (apply + ack) and the round's
+/// lag is sampled; repeat until `ops` writes are in, then time `reads`
+/// follower reads.
+pub fn replicate(
+    opts: StoreOptions,
+    burst: u64,
+    ops: u64,
+    reads: u64,
+    sink: Option<&TraceSink>,
+) -> ReplRun {
+    let shards = opts.shards;
     let clock = SharedClock::new();
     let leader_store = Store::open_with_clock(opts.clone(), clock.clone()).expect("open leader");
     let follower_store = Store::open_with_clock(opts, clock.clone()).expect("open follower");
-    let core = shared(ReplCore::new(Leader::new(leader_store, 1)));
-    let mut link =
-        FollowerLink::new(ReplLoopback::connect(&core), Follower::new(follower_store, 1));
+    let mut leader = Leader::new(leader_store, 1);
+    let mut follower = Follower::new(follower_store, 1);
+    if let Some(sink) = sink {
+        leader.set_trace_sink(sink.clone());
+        follower.set_trace_sink(sink.clone());
+    }
+    let core = shared(ReplCore::new(leader));
+    let mut link = FollowerLink::new(ReplLoopback::connect(&core), follower);
     link.subscribe().expect("subscribe");
 
-    let mut state = SEED;
-    let rounds = OPS / burst as u64;
-    assert_eq!(rounds * burst as u64, OPS, "sweep shape must divide the op count");
+    let mut keys = KeyStream::new(KEYSPACE);
+    let rounds = ops / burst;
+    assert_eq!(rounds * burst, ops, "sweep shape must divide the op count");
     let (mut lag_sum, mut lag_max, mut stale_max) = (0u64, 0u64, 0u64);
     for _ in 0..rounds {
         for _ in 0..burst {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = state % KEYSPACE;
-            let key = format!("key{k:08}");
-            let mut value = format!("val{k}-").into_bytes();
-            value.resize(VALUE, b'x');
-            let mut batch = WriteBatch::new();
-            batch.put(key.as_bytes(), &value);
+            let batch = sweep::put_batch(keys.draw(), 8, VALUE);
             core.borrow_mut()
                 .leader_mut()
                 .write(&WriteOptions::default(), batch)
@@ -106,120 +119,72 @@ pub fn run_cell(shards: usize, burst: usize, scale: Scale) -> ReplCell {
         lag_sum += lag;
         lag_max = lag_max.max(lag);
     }
-    let records = {
-        let c = core.borrow();
-        c.leader().acked_seqs().iter().sum::<u64>()
-    };
+    let records = core.borrow().leader().acked_seqs().iter().sum::<u64>();
 
     // The measured read phase: the follower serves point lookups against
     // its own engines on the shared clock.
     let started = clock.now();
-    let mut state = SEED;
-    for _ in 0..READS {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let k = state % KEYSPACE;
-        let key = format!("key{k:08}");
-        link.get(&ReadOptions::default(), key.as_bytes()).expect("follower read");
+    let mut keys = KeyStream::new(KEYSPACE);
+    for _ in 0..reads {
+        link.get(&ReadOptions::default(), &sweep::key(keys.draw(), 8)).expect("follower read");
     }
     let elapsed = clock.now() - started;
-    ReplCell {
-        shards,
-        burst,
-        ops: OPS,
+    ReplRun {
         records,
         mean_lag_ns: lag_sum / rounds,
         max_lag_ns: lag_max,
         max_staleness_ns: stale_max,
-        reads: READS,
-        read_throughput: READS as f64 / elapsed.as_secs_f64(),
+        read_throughput: reads as f64 / elapsed.as_secs_f64(),
     }
 }
 
-/// The full sweep, shards-major then burst — the order the JSON document
-/// and the report table use.
-pub fn fig_repl(scale: Scale) -> Vec<ReplCell> {
-    let mut cells = Vec::new();
-    for &shards in &SHARD_COUNTS {
-        for &burst in &BURSTS {
-            cells.push(run_cell(shards, burst, scale));
-        }
-    }
-    cells
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let [shards, burst] = *point else { unreachable!("two axes") };
+    // Both sides run the stock engine (LevelDB's sync discipline).
+    let opts = store_options(Variant::LevelDb, shards as usize, scale);
+    let run = replicate(opts, burst, OPS, READS, None);
+    vec![
+        ("shards", Value::Int(shards)),
+        ("burst", Value::Int(burst)),
+        ("ops", Value::Int(OPS)),
+        ("records", Value::Int(run.records)),
+        ("mean_lag_ns", Value::Int(run.mean_lag_ns)),
+        ("max_lag_ns", Value::Int(run.max_lag_ns)),
+        ("max_staleness_ns", Value::Int(run.max_staleness_ns)),
+        ("reads", Value::Int(READS)),
+        ("read_throughput_ops_s", Value::Float(run.read_throughput, 3)),
+    ]
 }
 
-/// Serialises the sweep; the `"repl_cells"` key is the schema marker.
-/// Deterministic under the fixed seed — the golden test pins these bytes.
-pub fn fig_repl_json(cells: &[ReplCell], scale: Scale) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig_repl\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", scale.factor));
-    out.push_str(&format!("  \"ops\": {OPS},\n"));
-    out.push_str("  \"repl_cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"burst\": {}, \"ops\": {}, \"records\": {}, \
-             \"mean_lag_ns\": {}, \"max_lag_ns\": {}, \"max_staleness_ns\": {}, \
-             \"reads\": {}, \"read_throughput_ops_s\": {:.3}}}",
-            c.shards,
-            c.burst,
-            c.ops,
-            c.records,
-            c.mean_lag_ns,
-            c.max_lag_ns,
-            c.max_staleness_ns,
-            c.reads,
-            c.read_throughput,
-        ));
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+/// One shards-by-burst table of commit→ack lag and follower-read
+/// throughput.
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    let mut table = Pivot::new("shards × burst");
+    for c in cells {
+        let row = format!("{} × {}", c.num("shards")?, c.num("burst")?);
+        for (col, key) in [
+            ("mean lag", "mean_lag_ns"),
+            ("max lag", "max_lag_ns"),
+            ("max staleness", "max_staleness_ns"),
+        ] {
+            table.push(&row, col, fmt_ns(c.num(key)?));
+        }
+        table.push(&row, "follower reads/s", format!("{:.0}", c.num("read_throughput_ops_s")?));
     }
-    out.push_str("  ]\n}\n");
-    out
+    Some(vec![table])
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cell(cells: &[ReplCell], shards: usize, burst: usize) -> &ReplCell {
-        cells.iter().find(|c| c.shards == shards && c.burst == burst).expect("cell present")
+fn invariants(g: &Grid<'_>) {
+    for c in g.cells() {
+        assert_eq!(c.num("records"), Some(OPS as f64), "every cell must ack all writes: {c:?}");
+        assert!(c.num("read_throughput_ops_s") > Some(0.0));
     }
-
-    /// One sweep per scale, memoised (each cell replicates 1 600 writes
-    /// through two full store stacks).
-    fn sweep(scale: Scale) -> Vec<ReplCell> {
-        use std::sync::OnceLock;
-        static SWEEP: OnceLock<Vec<ReplCell>> = OnceLock::new();
-        SWEEP.get_or_init(|| fig_repl(scale)).clone()
-    }
-
-    #[test]
-    fn every_cell_replicates_every_write() {
-        let cells = sweep(Scale::new(512));
-        for c in &cells {
-            assert_eq!(c.records, OPS, "{}x{} must ack all writes", c.shards, c.burst);
-            assert!(c.read_throughput > 0.0);
-        }
-    }
-
-    #[test]
-    fn lag_grows_with_the_burst() {
-        let cells = sweep(Scale::new(512));
-        for &shards in &SHARD_COUNTS {
-            let tight = cell(&cells, shards, 1).max_lag_ns;
-            let coarse = cell(&cells, shards, 16).max_lag_ns;
-            assert!(
-                coarse > tight,
-                "burst 16 must lag more than burst 1 at {shards} shards: {coarse} vs {tight}"
-            );
-        }
-    }
-
-    #[test]
-    fn fixed_seed_document_is_deterministic() {
-        let scale = Scale::new(512);
-        let a = fig_repl_json(&fig_repl(scale), scale);
-        let b = fig_repl_json(&fig_repl(scale), scale);
-        assert_eq!(a, b);
-        assert!(crate::json::Json::parse(&a).is_some(), "document must parse");
+    for &shards in g.axis(0) {
+        let (tight, coarse) =
+            (g.num(&[shards, 1], "max_lag_ns"), g.num(&[shards, 16], "max_lag_ns"));
+        assert!(
+            coarse > tight,
+            "burst 16 must lag more than burst 1 at {shards} shards: {coarse} vs {tight}"
+        );
     }
 }

@@ -1,0 +1,319 @@
+//! Renders result documents as `REPORT.md` sections: the one renderer
+//! behind the `report` binary. Sweep documents go through the sweep
+//! harness's table definitions ([`crate::sweep::render`]); the paper
+//! figures share the [`crate::output::Experiment`] schema; the chaos
+//! campaigns, the bench-smoke run, the gauge timelines and bare trace
+//! summaries each have their own shape.
+
+use std::fmt::Write as _;
+
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::sweep;
+
+/// Formats an integer nanosecond quantity with a human unit.
+pub fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.2}s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2}ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2}us", ns / 1e3)
+    } else {
+        format!("{ns:.0}ns")
+    }
+}
+
+/// Renders one stall's causal chain (`<- class #seq [t=…, dur]`).
+fn stall_cause(s: &Json, key: &str) -> String {
+    match s.get(key) {
+        Some(c) if c.get("class").is_some() => {
+            let class = c.text("class").unwrap_or("?");
+            let seq = c.num("seq").unwrap_or(0.0) as u64;
+            let start = c.num("start_ns").unwrap_or(0.0);
+            let end = c.num("end_ns").unwrap_or(0.0);
+            format!(" ← {class} #{seq} [t={}, {}]", fmt_ns(start), fmt_ns(end - start))
+        }
+        _ => String::new(),
+    }
+}
+
+/// The per-class latency percentile table (nothing for no classes).
+fn class_table(classes: &std::collections::BTreeMap<String, Json>, out: &mut String) {
+    if classes.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "| class | count | p50 | p95 | p99 | p999 | max |");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
+    for (name, c) in classes {
+        let ns = |k: &str| fmt_ns(c.num(k).unwrap_or(0.0));
+        let _ = writeln!(
+            out,
+            "| {name} | {} | {} | {} | {} | {} | {} |",
+            c.num("count").unwrap_or(0.0) as u64,
+            ns("p50_ns"),
+            ns("p95_ns"),
+            ns("p99_ns"),
+            ns("p999_ns"),
+            ns("max_ns"),
+        );
+    }
+    let _ = writeln!(out);
+}
+
+/// Renders an embedded nob-trace summary: the per-class latency
+/// percentile table and the top stalls with their causal chain.
+fn render_trace(trace: &Json, out: &mut String) -> Option<()> {
+    let classes = trace.get("classes")?;
+    let Json::Object(classes) = classes else { return None };
+    let events = trace.num("events")? as u64;
+    let _ = writeln!(out, "*trace: {events} events*\n");
+    class_table(classes, out);
+    let stalls = trace.get("stalls")?;
+    let count = stalls.num("count").unwrap_or(0.0) as u64;
+    let total = stalls.num("total_ns").unwrap_or(0.0);
+    let top = stalls.get("top").and_then(Json::as_array).unwrap_or(&[]);
+    if count == 0 {
+        let _ = writeln!(out, "no write stalls recorded\n");
+        return Some(());
+    }
+    let _ = writeln!(
+        out,
+        "**{count} write stalls totalling {}; top {} (longest first):**\n",
+        fmt_ns(total),
+        top.len()
+    );
+    for (i, s) in top.iter().enumerate() {
+        let kind = s.text("kind").unwrap_or("?");
+        let start = s.num("start_ns").unwrap_or(0.0);
+        let dur = s.num("dur_ns").unwrap_or(0.0);
+        let _ = writeln!(
+            out,
+            "{}. {kind} {} at t={}{}{}",
+            i + 1,
+            fmt_ns(dur),
+            fmt_ns(start),
+            stall_cause(s, "cause_commit"),
+            stall_cause(s, "cause_flush"),
+        );
+    }
+    let _ = writeln!(out);
+    Some(())
+}
+
+/// Renders a `bench_smoke.json` document (the CI regression-gate run):
+/// per-scenario throughput + p99 plus each scenario's trace section.
+fn render_smoke(doc: &Json, out: &mut String) -> Option<()> {
+    let scenarios = doc.get("scenarios")?;
+    let Json::Object(scenarios) = scenarios else { return None };
+    let _ = writeln!(out, "## bench-smoke — CI regression gate run\n");
+    let _ = writeln!(out, "| scenario | throughput | unit | p99 | class |");
+    let _ = writeln!(out, "|---|---|---|---|---|");
+    for (name, s) in scenarios.iter() {
+        let _ = writeln!(
+            out,
+            "| {name} | {:.2} | {} | {} | {} |",
+            s.num("throughput").unwrap_or(0.0),
+            s.text("unit").unwrap_or("?"),
+            fmt_ns(s.num("p99_ns").unwrap_or(0.0)),
+            s.text("p99_class").unwrap_or("?"),
+        );
+    }
+    let _ = writeln!(out);
+    for (name, s) in scenarios.iter() {
+        if let Some(trace) = s.get("trace") {
+            let _ = writeln!(out, "### {name} trace\n");
+            let _ = render_trace(trace, out);
+        }
+    }
+    Some(())
+}
+
+/// Renders a `fig_timeline` document: each variant's gauge timeline as
+/// sparklines plus its stalls cross-referenced onto the sampling grid.
+fn render_timelines(doc: &Json, out: &mut String) -> Option<()> {
+    let runs = doc.get("timeline_runs")?.as_array()?;
+    let scale = doc.num("scale").unwrap_or(0.0);
+    let _ = writeln!(out, "## fig_timeline — cross-layer gauge timelines\n");
+    let _ = writeln!(out, "*scale 1/{scale:.0}; one row per gauge, bucket maxima*\n");
+    for run in runs {
+        let name = run.text("name").unwrap_or("?");
+        let tl = run.get("timeline")?;
+        let samples = tl.num("samples").unwrap_or(0.0) as u64;
+        let period = tl.num("period_ns").unwrap_or(0.0);
+        let _ = writeln!(out, "### {name} — {samples} samples, period {}\n", fmt_ns(period));
+        let series = tl.get("series")?.as_array()?;
+        let name_w = series.iter().filter_map(|s| s.text("name")).map(str::len).max().unwrap_or(0);
+        let _ = writeln!(out, "```");
+        for s in series {
+            let sname = s.text("name").unwrap_or("?");
+            let values: Vec<f64> = s
+                .get("values")
+                .and_then(Json::as_array)
+                .map(|vs| vs.iter().filter_map(Json::as_f64).collect())
+                .unwrap_or_default();
+            let peak = values.iter().copied().fold(0.0f64, f64::max);
+            let _ = writeln!(
+                out,
+                "{sname:name_w$}  {}  peak {peak}",
+                nob_metrics::sparkline(&values, 64)
+            );
+        }
+        let _ = writeln!(out, "```");
+        let stalls = run.get("stalls").and_then(Json::as_array).unwrap_or(&[]);
+        if stalls.is_empty() {
+            let _ = writeln!(out, "\nno write stalls recorded\n");
+            continue;
+        }
+        let _ = writeln!(out, "\nstalls on this grid:\n");
+        for s in stalls {
+            let kind = s.text("kind").unwrap_or("?");
+            let start = s.num("start_ns").unwrap_or(0.0);
+            let end = s.num("end_ns").unwrap_or(0.0);
+            let idx = s.num("grid_index").unwrap_or(-1.0) as i64;
+            let _ = writeln!(
+                out,
+                "- {kind} {} at t={} (grid index {idx})",
+                fmt_ns(end - start),
+                fmt_ns(start)
+            );
+        }
+        let _ = writeln!(out);
+    }
+    Some(())
+}
+
+/// Sums an integer field over the sweep's per-case results.
+fn sum_field(results: &[Json], key: &str) -> u64 {
+    results.iter().filter_map(|r| r.num(key)).sum::<f64>() as u64
+}
+
+/// Counts cases whose boolean field is set.
+fn count_true(results: &[Json], key: &str) -> usize {
+    results.iter().filter(|r| r.get(key).and_then(Json::as_bool) == Some(true)).count()
+}
+
+/// Renders a failover-campaign document (the `nob-chaos` leader-kill
+/// schema): promotion outcomes and replication-loss accounting.
+fn render_failover(exp: &Json, out: &mut String) -> Option<()> {
+    let cases = exp.num("cases")? as u64;
+    let passed = exp.num("passed")? as u64;
+    let failed = exp.num("failed")? as u64;
+    let results = exp.get("results")?.as_array()?;
+    let _ = writeln!(out, "## chaos failover — leader-kill replication sweep\n");
+    let _ = writeln!(
+        out,
+        "**{cases} cases, {passed} passed, {failed} failed** — {} acked records verified, \
+         {} keys recovered byte-for-byte, {} unacked in-flight writes lost (explained), \
+         {} changefeed records delivered exactly once across promotion\n",
+        sum_field(results, "acked_records"),
+        sum_field(results, "recovered_keys"),
+        sum_field(results, "lost_unacked"),
+        sum_field(results, "feed_records"),
+    );
+    let bad: Vec<&Json> =
+        results.iter().filter(|r| r.get("pass").and_then(Json::as_bool) == Some(false)).collect();
+    if !bad.is_empty() {
+        let _ = writeln!(out, "failing cases:\n");
+        for r in bad {
+            let seed = r.num("seed").unwrap_or(0.0) as u64;
+            let kill = r.num("kill_pm").unwrap_or(0.0) as u64;
+            let _ = writeln!(out, "- seed {seed}, kill {kill}‰");
+        }
+        let _ = writeln!(out);
+    }
+    Some(())
+}
+
+/// Renders a chaos-sweep document (the `nob-chaos` campaign schema):
+/// fault-injection and recovery counters as one summary table.
+fn render_chaos(exp: &Json, out: &mut String) -> Option<()> {
+    let profile = exp.text("profile")?;
+    let cases = exp.num("cases")? as u64;
+    let passed = exp.num("passed")? as u64;
+    let failed = exp.num("failed")? as u64;
+    let undetected = exp.num("undetected_values")? as u64;
+    let unexplained = exp.num("unexplained_losses")? as u64;
+    let results = exp.get("results")?.as_array()?;
+    let injections: usize = results
+        .iter()
+        .filter_map(|r| r.get("injections").and_then(Json::as_array))
+        .map(<[Json]>::len)
+        .sum();
+    let _ = writeln!(out, "## chaos — fault injection & recovery ({profile})\n");
+    let _ = writeln!(out, "| counter | value |");
+    let _ = writeln!(out, "|---|---|");
+    let _ = writeln!(out, "| cases | {cases} |");
+    let _ = writeln!(out, "| passed | {passed} |");
+    let _ = writeln!(out, "| failed | {failed} |");
+    let _ = writeln!(out, "| faults injected | {injections} |");
+    let _ = writeln!(out, "| undetected (fabricated) values | {undetected} |");
+    let _ = writeln!(out, "| unexplained acked losses | {unexplained} |");
+    let _ = writeln!(out, "| acked pairs checked | {} |", sum_field(results, "acked_pairs"));
+    let _ = writeln!(out, "| acked losses (explained) | {} |", sum_field(results, "lost_acked"));
+    let _ = writeln!(
+        out,
+        "| WAL corruptions detected | {} |",
+        sum_field(results, "wal_corruptions_detected")
+    );
+    let _ = writeln!(out, "| WAL bytes dropped | {} |", sum_field(results, "wal_bytes_dropped"));
+    let _ =
+        writeln!(out, "| ordered-mode violations | {} |", sum_field(results, "ordered_violations"));
+    let _ = writeln!(out, "| repairs engaged | {} |", count_true(results, "repaired"));
+    let _ = writeln!(out, "| journal chains broken | {} |", count_true(results, "journal_broken"));
+    let _ = writeln!(out);
+    if let Some(groups) = exp.get("latency_histograms") {
+        for group in ["clean", "faulted"] {
+            let Some(Json::Object(classes)) = groups.get(group) else { continue };
+            if !classes.is_empty() {
+                let _ = writeln!(out, "### {group} runs — per-class latency\n");
+                class_table(classes, out);
+            }
+        }
+    }
+    Some(())
+}
+
+/// Renders a paper-figure document (the [`crate::output::Experiment`]
+/// schema): one series × x table plus the embedded trace, if any.
+fn render_experiment(exp: &Json, out: &mut String) -> Option<()> {
+    let cells = exp.get("cells")?.as_array()?;
+    let _ = writeln!(out, "## {} — {}\n", exp.text("id")?, exp.text("title")?);
+    let _ = writeln!(out, "*scale 1/{}*\n", exp.num("scale")?);
+    let mut table = Pivot::new(format!("[{}]", cells.first()?.text("unit")?));
+    for c in cells {
+        table.push(c.text("series")?, c.text("x")?, format!("{:.2}", c.num("value")?));
+    }
+    out.push_str(&table.markdown());
+    if let Some(trace) = exp.get("trace") {
+        let _ = render_trace(trace, out);
+    }
+    Some(())
+}
+
+/// Renders one result document as a markdown section. `stem` is the
+/// file's name without `.json` (the heading of a bare trace summary,
+/// which carries no id of its own). `None` means the document matches
+/// no known schema — or claims a schema and lacks one of its fields —
+/// and the caller must not pass over that silently.
+pub fn render(stem: &str, doc: &Json) -> Option<String> {
+    if let Some(s) = sweep::SWEEPS.iter().find(|s| doc.text("figure") == Some(s.figure)) {
+        return sweep::render(s, doc, true);
+    }
+    let mut out = String::new();
+    if doc.get("profile").is_some() {
+        render_chaos(doc, &mut out)?;
+    } else if doc.get("scenarios").is_some() {
+        render_smoke(doc, &mut out)?;
+    } else if doc.get("timeline_runs").is_some() {
+        render_timelines(doc, &mut out)?;
+    } else if doc.text("campaign") == Some("failover") {
+        render_failover(doc, &mut out)?;
+    } else if doc.get("classes").is_some() && doc.get("events").is_some() {
+        let _ = writeln!(out, "## {stem} — trace summary\n");
+        render_trace(doc, &mut out)?;
+    } else {
+        render_experiment(doc, &mut out)?;
+    }
+    Some(out)
+}

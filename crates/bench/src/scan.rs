@@ -14,190 +14,144 @@
 //! Everything runs on one shared virtual clock per store, so the grid is
 //! bit-for-bit deterministic and golden-pinned.
 
-use nob_store::{Store, StoreOptions};
-use noblsm::{ReadOptions, ScanOptions, WriteBatch, WriteOptions};
+use nob_sim::{Nanos, SharedClock};
+use nob_store::Store;
+use noblsm::{ReadOptions, ScanOptions, WriteBatch};
 
-use crate::shards::disciplines;
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::shards::{disciplines, store_options};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value, DISCIPLINES};
 use crate::Scale;
 
 /// Fixed keyspace: every cell loads the same `KEYS` dense sequential
 /// keys with `VALUE`-byte values, flushes them table-resident, then
 /// scans the same seed-42 LCG start positions — only the partitioning
 /// (shard count) and the range length differ.
-pub const KEYS: u64 = 2_048;
+const KEYS: u64 = 2_048;
 const VALUE: usize = 1_024;
-const SEED: u64 = 42;
 /// Scans per cell; throughput averages over all of them.
-pub const SCANS: usize = 32;
+const SCANS: u64 = 32;
 
-/// Range lengths (rows per scan) on the sweep's series axis.
-pub const RANGE_LENS: [u64; 3] = [16, 128, 512];
-/// Shard counts on the sweep's x-axis.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+/// The sweep: discipline × range length (rows per scan) × shard count.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_scan",
+    title: "snapshot-pinned cross-shard scans",
+    cells_key: "scan_cells",
+    header: &[("keys", KEYS), ("scans", SCANS)],
+    axes: &[
+        DISCIPLINES,
+        Axis { name: "range", values: &[16, 128, 512] },
+        Axis { name: "shards", values: &[1, 2, 4] },
+    ],
+    run_cell,
+    note: "{scans} range scans per cell over a dense {keys}-key space; throughput in rows/s \
+           through the store's k-way shard merge",
+    tables,
+    footer: sweep::no_footer,
+    invariants,
+};
 
-/// One cell of the sweep: a (discipline, shards, range length)
-/// configuration and the scan rate the store sustained under it.
-#[derive(Debug, Clone)]
-pub struct ScanCell {
-    /// Write discipline the keyspace was loaded under (`Sync`, `Async`,
-    /// `NobLSM`) — it shapes the tree the scans then read.
-    pub name: String,
-    /// Number of hash-partitioned shards merged per scan.
-    pub shards: usize,
-    /// Rows per scan (the range length).
-    pub range: u64,
-    /// Scans issued (identical across cells by construction).
-    pub scans: u64,
-    /// Total rows returned across all scans.
-    pub rows: u64,
-    /// Aggregate scan throughput in rows per virtual second.
-    pub throughput: f64,
+/// Record `i` of the dense keyspace the scan workloads load.
+pub fn dense_record(i: u64, value_len: usize) -> (Vec<u8>, Vec<u8>) {
+    sweep::record(i, 6, value_len)
+}
+
+/// Flushes every shard's memtable so scans pay real block reads.
+pub fn flush_shards(store: &mut Store) {
+    for i in 0..store.shards() {
+        let now = store.clock().now();
+        store.shard_db_mut(i).flush(now).expect("flush shard");
+    }
+}
+
+/// Times `scans` range scans of `range` rows each, from LCG start
+/// positions over a dense `keys`-record space, through `scan(start,
+/// end)` (which returns the rows it saw). Returns total rows and the
+/// virtual time they took. The store sweep scans the store directly;
+/// the `scan` smoke scenario drives the same ranges over the wire.
+pub fn timed_scans(
+    clock: &SharedClock,
+    keys: u64,
+    range: u64,
+    scans: u64,
+    mut scan: impl FnMut(&[u8], &[u8]) -> u64,
+) -> (u64, Nanos) {
+    let started = clock.now();
+    let mut rows = 0u64;
+    let mut starts = KeyStream::new(keys - range);
+    for _ in 0..scans {
+        let idx = starts.draw();
+        rows += scan(&sweep::key(idx, 6), &sweep::key(idx + range, 6));
+    }
+    (rows, clock.now() - started)
 }
 
 /// Runs one cell: load the dense keyspace, flush every shard's memtable
 /// so scans pay real block reads, then time `SCANS` snapshot-pinned
 /// range scans of `range` rows each from LCG start positions.
-pub fn run_cell(
-    name: &str,
-    variant: nob_baselines::Variant,
-    wopts: WriteOptions,
-    shards: usize,
-    range: u64,
-    scale: Scale,
-) -> ScanCell {
-    let opts = StoreOptions {
-        shards,
-        fs: scale.fs_config(),
-        db: variant.options(&scale.base_options(crate::PAPER_TABLE_LARGE)),
-        ..StoreOptions::default()
-    };
-    let mut store = Store::open(opts).expect("open store");
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let [discipline, range, shards] = *point else { unreachable!("three axes") };
+    let (name, variant, wopts) = disciplines()[discipline as usize];
+    let mut store =
+        Store::open(store_options(variant, shards as usize, scale)).expect("open store");
     for i in 0..KEYS {
-        let key = format!("key{i:06}");
-        let mut value = format!("val{i}-").into_bytes();
-        value.resize(VALUE, b'x');
+        let (key, value) = dense_record(i, VALUE);
         let mut batch = WriteBatch::new();
-        batch.put(key.as_bytes(), &value);
+        batch.put(&key, &value);
         store.enqueue(&wopts, &batch);
         if i % 32 == 31 {
             store.pump().expect("pump");
         }
     }
     store.drain().expect("drain");
-    for i in 0..store.shards() {
-        let now = store.clock().now();
-        store.shard_db_mut(i).flush(now).expect("flush shard");
-    }
-    let started = store.clock().now();
-    let mut rows = 0u64;
-    let mut state = SEED;
-    for _ in 0..SCANS {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let idx = state % (KEYS - range);
-        let start = format!("key{idx:06}").into_bytes();
-        let end = format!("key{:06}", idx + range).into_bytes();
+    flush_shards(&mut store);
+    let clock = store.clock().clone();
+    let (rows, elapsed) = timed_scans(&clock, KEYS, range, SCANS, |start, end| {
         let r = store
-            .scan(&ReadOptions::default(), &ScanOptions::range(&start, &end))
+            .scan(&ReadOptions::default(), &ScanOptions::range(start, end))
             .expect("store scan");
         assert_eq!(r.count, range, "dense keyspace: every range is fully populated");
-        rows += r.count;
-    }
-    let elapsed = store.clock().now() - started;
-    ScanCell {
-        name: name.to_string(),
-        shards,
-        range,
-        scans: SCANS as u64,
-        rows,
-        throughput: rows as f64 / elapsed.as_secs_f64(),
-    }
+        r.count
+    });
+    vec![
+        // The discipline the keyspace was loaded under shapes the tree
+        // the scans then read.
+        ("name", Value::Str(name)),
+        ("shards", Value::Int(shards)),
+        ("range", Value::Int(range)),
+        ("scans", Value::Int(SCANS)),
+        ("rows", Value::Int(rows)),
+        ("throughput_rows_s", Value::Float(rows as f64 / elapsed.as_secs_f64(), 3)),
+    ]
 }
 
-/// The full sweep, discipline-major then range length then shards — the
-/// order the JSON document and the report table use.
-pub fn fig_scan(scale: Scale) -> Vec<ScanCell> {
-    let mut cells = Vec::new();
-    for (name, variant, wopts) in disciplines() {
-        for &range in &RANGE_LENS {
-            for &shards in &SHARD_COUNTS {
-                cells.push(run_cell(name, variant, wopts, shards, range, scale));
-            }
-        }
-    }
-    cells
+/// One scan-throughput grid (range × shards down, disciplines across):
+/// rows/s through the store's snapshot-pinned cross-shard merge.
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    sweep::pivot(cells, "range × shards", |c| {
+        Some((
+            format!("{} × {}", c.num("range")?, c.num("shards")?),
+            c.text("name")?.to_string(),
+            format!("{:.0}", c.num("throughput_rows_s")?),
+        ))
+    })
 }
 
-/// Serialises the sweep; the `"scan_cells"` key is the schema marker.
-/// Deterministic under the fixed seed — the golden test pins these bytes.
-pub fn fig_scan_json(cells: &[ScanCell], scale: Scale) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig_scan\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", scale.factor));
-    out.push_str(&format!("  \"keys\": {KEYS},\n"));
-    out.push_str(&format!("  \"scans\": {SCANS},\n"));
-    out.push_str("  \"scan_cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, \"range\": {}, \"scans\": {}, \
-             \"rows\": {}, \"throughput_rows_s\": {:.3}}}",
-            c.name, c.shards, c.range, c.scans, c.rows, c.throughput,
-        ));
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+fn invariants(g: &Grid<'_>) {
+    let short = g.axis(1)[0];
+    for &d in g.axis(0) {
+        // Short ranges are where scatter/merge pays most visibly.
+        let by_shards: Vec<f64> =
+            g.axis(2).iter().map(|&s| g.num(&[d, short, s], "throughput_rows_s")).collect();
+        assert!(
+            by_shards.windows(2).all(|w| w[0] <= w[1]),
+            "discipline {d}: short-range scan throughput must be monotone in shards: {by_shards:?}"
+        );
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cell<'a>(cells: &'a [ScanCell], name: &str, shards: usize, range: u64) -> &'a ScanCell {
-        cells
-            .iter()
-            .find(|c| c.name == name && c.shards == shards && c.range == range)
-            .expect("cell present")
-    }
-
-    #[test]
-    fn short_range_scan_throughput_climbs_with_shard_count() {
-        let cells = sweep(Scale::new(512));
-        for (name, _, _) in disciplines() {
-            let t1 = cell(&cells, name, 1, RANGE_LENS[0]).throughput;
-            let t2 = cell(&cells, name, 2, RANGE_LENS[0]).throughput;
-            let t4 = cell(&cells, name, 4, RANGE_LENS[0]).throughput;
-            assert!(
-                t1 <= t2 && t2 <= t4,
-                "{name}: short-range scan throughput must be monotone in shards: \
-                 {t1:.0} {t2:.0} {t4:.0}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_cell_returns_the_full_ranges() {
-        let cells = sweep(Scale::new(512));
-        for c in &cells {
-            assert_eq!(c.rows, c.scans * c.range, "{}: no torn or truncated scans", c.name);
-            assert!(c.throughput.is_finite() && c.throughput > 0.0, "{}", c.name);
-        }
-    }
-
-    #[test]
-    fn fixed_seed_document_is_deterministic() {
-        let scale = Scale::new(512);
-        let a = fig_scan_json(&fig_scan(scale), scale);
-        let b = fig_scan_json(&fig_scan(scale), scale);
-        assert_eq!(a, b);
-        assert!(crate::json::Json::parse(&a).is_some(), "document must parse");
-    }
-
-    /// One sweep per run, memoised across the assertions above (the
-    /// tests interrogate many cells; rerunning 27 loads per assertion
-    /// would dominate the suite).
-    fn sweep(scale: Scale) -> Vec<ScanCell> {
-        use std::sync::OnceLock;
-        static SWEEP: OnceLock<Vec<ScanCell>> = OnceLock::new();
-        SWEEP.get_or_init(|| fig_scan(scale)).clone()
+    for c in g.cells() {
+        let full = c.num("scans").zip(c.num("range")).map(|(s, r)| s * r);
+        assert_eq!(c.num("rows"), full, "no torn or truncated scans: {c:?}");
+        assert!(c.num("throughput_rows_s").is_some_and(|t| t.is_finite() && t > 0.0), "{c:?}");
     }
 }

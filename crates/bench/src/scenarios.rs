@@ -12,6 +12,7 @@ use nob_sim::Nanos;
 use nob_trace::{EventClass, TraceSink, TraceSummary};
 use nob_workloads::dbbench;
 
+use crate::shards::store_options;
 use crate::Scale;
 
 /// Runs one fig2a write strategy: `total` bytes in `file_size` files.
@@ -50,18 +51,18 @@ pub fn fig2a_strategy(fs: &Ext4Fs, strategy: &str, total: u64, file_size: u64) -
 /// latency) exists to *demonstrate* the CI regression gate: a run with
 /// it enabled must trip both the throughput and the p99 thresholds.
 pub fn raw_fs(slow_ssd: bool) -> Ext4Fs {
-    let mut cfg = Ext4Config::default().with_page_cache(64 << 30);
-    if slow_ssd {
-        degrade(&mut cfg);
-    }
-    Ext4Fs::new(cfg)
+    Ext4Fs::new(degraded(Ext4Config::default().with_page_cache(64 << 30), slow_ssd))
 }
 
-fn degrade(cfg: &mut Ext4Config) {
-    cfg.ssd.seq_write_bw /= 2;
-    cfg.ssd.seq_read_bw /= 2;
-    cfg.ssd.cmd_latency = cfg.ssd.cmd_latency + cfg.ssd.cmd_latency;
-    cfg.ssd.flush_latency = cfg.ssd.flush_latency + cfg.ssd.flush_latency;
+/// `cfg`, with the SSD uniformly degraded if the gate demo asks for it.
+fn degraded(mut cfg: Ext4Config, slow_ssd: bool) -> Ext4Config {
+    if slow_ssd {
+        cfg.ssd.seq_write_bw /= 2;
+        cfg.ssd.seq_read_bw /= 2;
+        cfg.ssd.cmd_latency = cfg.ssd.cmd_latency + cfg.ssd.cmd_latency;
+        cfg.ssd.flush_latency = cfg.ssd.flush_latency + cfg.ssd.flush_latency;
+    }
+    cfg
 }
 
 /// One smoke measurement: a throughput figure, the tail latency of the
@@ -94,198 +95,94 @@ pub fn smoke_fig2a(slow_ssd: bool) -> SmokeResult {
     let sink = TraceSink::new();
     fs.set_trace_sink(sink.clone());
     let elapsed = fig2a_strategy(&fs, "Sync", total, file_size);
-    let summary = sink.summary();
-    let p99_ns = summary.class(EventClass::JournalCommit).map_or(0, |c| c.p99_ns);
-    SmokeResult {
-        name: "fig2a_sync".to_string(),
-        throughput: total as f64 / (1 << 20) as f64 / elapsed.as_secs_f64(),
-        unit: "MiB/s".to_string(),
-        p99_ns,
-        p99_class: EventClass::JournalCommit,
-        summary,
-    }
+    let throughput = total as f64 / (1 << 20) as f64 / elapsed.as_secs_f64();
+    smoke_result("fig2a_sync", throughput, "MiB/s", EventClass::JournalCommit, &sink)
+}
+
+/// Operations in the fig4-style fill.
+pub const FIG4_OPS: u64 = 6_000;
+
+/// The fig4-style fill shared by the `fig4_fillrandom` smoke, the
+/// trace-overhead guard and `fig_timeline`: [`FIG4_OPS`] of 256 B
+/// fillrandom at seed 42 on paper-shaped options, with `instrument`
+/// attaching whatever sinks the caller wants before the first write.
+/// Returns the fill's virtual wall time.
+pub fn fig4_fill(
+    variant: Variant,
+    fs: Ext4Fs,
+    scale: Scale,
+    instrument: impl FnOnce(&mut noblsm::Db),
+) -> Nanos {
+    let opts = scale.base_options(crate::PAPER_TABLE_LARGE);
+    let mut db = variant.open(fs, "db", &opts, Nanos::ZERO).expect("open db");
+    instrument(&mut db);
+    let fill = dbbench::fillrandom(&mut db, FIG4_OPS, 256, 42, Nanos::ZERO).expect("fillrandom");
+    let t = db.wait_idle(fill.finished).expect("drain");
+    // Fire the journal timer so asynchronous checkpoints reach the trace
+    // and the timeline before they are cut. The 6 s paper-scale settle
+    // window scales like every other time-like constant (an unscaled
+    // window would fire hundreds of scaled commit intervals and skew the
+    // trace relative to the run it belongs to).
+    db.tick(t + scale.duration(Nanos::from_secs(6))).expect("tick");
+    fill.wall()
 }
 
 /// Fixed-seed fig4-style fillrandom smoke: NobLSM, 256 B values,
 /// seed 42, paper-shaped options at 1/512 scale.
 pub fn smoke_fig4(slow_ssd: bool) -> SmokeResult {
     let scale = Scale::new(512);
-    let ops = 6_000u64;
-    let mut fs_cfg = Ext4Config::default();
-    fs_cfg.ssd.cmd_latency = scale.duration(fs_cfg.ssd.cmd_latency);
-    fs_cfg.ssd.flush_latency = scale.duration(fs_cfg.ssd.flush_latency);
-    fs_cfg.commit_interval = scale.duration(fs_cfg.commit_interval);
-    fs_cfg.writeback_chunk = (fs_cfg.writeback_chunk / scale.factor).max(4 << 10);
-    fs_cfg.page_cache_capacity = 64 << 30;
-    if slow_ssd {
-        degrade(&mut fs_cfg);
-    }
-    let fs = Ext4Fs::new(fs_cfg);
-    let opts = scale.base_options(crate::PAPER_TABLE_LARGE);
-    let mut db = Variant::NobLsm.open(fs, "db", &opts, Nanos::ZERO).expect("open db");
+    let fs = Ext4Fs::new(degraded(scale.fs_config(), slow_ssd));
     let sink = TraceSink::new();
-    db.set_trace_sink(sink.clone());
-    let fill = dbbench::fillrandom(&mut db, ops, 256, 42, Nanos::ZERO).expect("fillrandom");
-    let t = db.wait_idle(fill.finished).expect("drain");
-    // Fire the journal timer so asynchronous checkpoints reach the trace.
-    // The 6 s paper-scale settle window scales like every other time-like
-    // constant (an unscaled window would fire hundreds of scaled commit
-    // intervals and skew the trace relative to the run it belongs to).
-    db.tick(t + scale.duration(Nanos::from_secs(6))).expect("tick");
-    let summary = sink.summary();
-    let p99_ns = summary.class(EventClass::EnginePut).map_or(0, |c| c.p99_ns);
-    SmokeResult {
-        name: "fig4_fillrandom".to_string(),
-        throughput: ops as f64 / fill.wall().as_secs_f64(),
-        unit: "ops/s".to_string(),
-        p99_ns,
-        p99_class: EventClass::EnginePut,
-        summary,
-    }
+    let wall = fig4_fill(Variant::NobLsm, fs, scale, |db| db.set_trace_sink(sink.clone()));
+    let throughput = FIG4_OPS as f64 / wall.as_secs_f64();
+    smoke_result("fig4_fillrandom", throughput, "ops/s", EventClass::EnginePut, &sink)
 }
 
-/// Fixed-seed replication smoke: a 2-shard leader/follower pair on one
-/// virtual clock, WAL-shipped over the loopback transport in bursts of
-/// 4, then a timed follower-read phase. Throughput is the follower-read
-/// rate; the tail signal is the `repl_apply` p99, so a regression in
-/// either the engine read path or the shipping/apply path trips the
-/// gate.
+/// Fixed-seed replication smoke: the `fig_repl` workload on a 2-shard
+/// leader/follower pair, WAL-shipped over the loopback transport in
+/// bursts of 4, then a timed follower-read phase — traced. Throughput
+/// is the follower-read rate; the tail signal is the `repl_apply` p99,
+/// so a regression in either the engine read path or the shipping/apply
+/// path trips the gate.
 pub fn smoke_repl(slow_ssd: bool) -> SmokeResult {
-    use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback};
-    use nob_sim::SharedClock;
-    use nob_store::{Store, StoreOptions};
-    use noblsm::{ReadOptions, WriteBatch, WriteOptions};
-
     let scale = Scale::new(512);
-    let ops = 1_200u64;
-    let reads = 600u64;
-    let burst = 4u64;
-    let mut fs_cfg = scale.fs_config();
-    if slow_ssd {
-        degrade(&mut fs_cfg);
-    }
-    let opts = StoreOptions {
-        shards: 2,
-        fs: fs_cfg,
-        db: scale.base_options(crate::PAPER_TABLE_LARGE),
-        ..StoreOptions::default()
-    };
-    let clock = SharedClock::new();
-    let leader_store = Store::open_with_clock(opts.clone(), clock.clone()).expect("open leader");
-    let follower_store = Store::open_with_clock(opts, clock.clone()).expect("open follower");
+    let mut opts = store_options(Variant::LevelDb, 2, scale);
+    opts.fs = degraded(scale.fs_config(), slow_ssd);
     let sink = TraceSink::new();
-    let mut leader = Leader::new(leader_store, 1);
-    leader.set_trace_sink(sink.clone());
-    let mut follower = Follower::new(follower_store, 1);
-    follower.set_trace_sink(sink.clone());
-    let core = shared(ReplCore::new(leader));
-    let mut link = FollowerLink::new(ReplLoopback::connect(&core), follower);
-    link.subscribe().expect("subscribe");
-
-    let mut state = 42u64;
-    for round in 0..ops / burst {
-        for _ in 0..burst {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let key = format!("key{:08}", state % 50_000);
-            let mut value = format!("val{round}-").into_bytes();
-            value.resize(128, b'x');
-            let mut batch = WriteBatch::new();
-            batch.put(key.as_bytes(), &value);
-            core.borrow_mut()
-                .leader_mut()
-                .write(&WriteOptions::default(), batch)
-                .expect("leader write");
-        }
-        link.poll_until_idle().expect("poll");
-    }
-    let started = clock.now();
-    let mut state = 42u64;
-    for _ in 0..reads {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let key = format!("key{:08}", state % 50_000);
-        link.get(&ReadOptions::default(), key.as_bytes()).expect("follower read");
-    }
-    let elapsed = clock.now() - started;
-    let summary = sink.summary();
-    let p99_ns = summary.class(EventClass::ReplApply).map_or(0, |c| c.p99_ns);
-    SmokeResult {
-        name: "repl_follower".to_string(),
-        throughput: reads as f64 / elapsed.as_secs_f64(),
-        unit: "reads/s".to_string(),
-        p99_ns,
-        p99_class: EventClass::ReplApply,
-        summary,
-    }
+    let run = crate::repl::replicate(opts, 4, 1_200, 600, Some(&sink));
+    smoke_result("repl_follower", run.read_throughput, "reads/s", EventClass::ReplApply, &sink)
 }
 
-/// Fixed-seed scan smoke: cursor-paged range scans through the whole
-/// serving stack (wire protocol → cursor leases → the store's
-/// snapshot-pinned shard merge) over a table-resident keyspace.
+/// Fixed-seed scan smoke: the `fig_scan` ranges as cursor-paged scans
+/// through the whole serving stack (wire protocol → cursor leases → the
+/// store's snapshot-pinned shard merge) over a table-resident keyspace.
 /// Throughput is rows streamed per virtual second; the tail signal is
 /// the `server_scan` p99, so a regression in the iterator read path, the
 /// k-way merge or the cursor machinery trips the gate.
 pub fn smoke_scan(slow_ssd: bool) -> SmokeResult {
     use nob_server::{shared, Client, LoopbackTransport, ServerCore, ServerOptions};
-    use nob_store::StoreOptions;
 
     let scale = Scale::new(512);
-    let keys = 1_024u64;
-    let scans = 48u64;
-    let range = 64u64;
-    let mut fs_cfg = scale.fs_config();
-    if slow_ssd {
-        degrade(&mut fs_cfg);
-    }
-    let opts = ServerOptions {
-        store: StoreOptions {
-            shards: 2,
-            fs: fs_cfg,
-            db: scale.base_options(crate::PAPER_TABLE_LARGE),
-            ..StoreOptions::default()
-        },
-        ..ServerOptions::default()
-    };
-    let mut core = ServerCore::open(opts).expect("open server core");
+    let (keys, scans, range) = (1_024u64, 48u64, 64u64);
+    let mut store = store_options(Variant::LevelDb, 2, scale);
+    store.fs = degraded(scale.fs_config(), slow_ssd);
+    let mut core =
+        ServerCore::open(ServerOptions { store, ..ServerOptions::default() }).expect("open core");
     let sink = TraceSink::new();
     core.set_trace_sink(sink.clone());
     let core = shared(core);
     let clock = core.borrow().clock().clone();
     let mut client = Client::new(LoopbackTransport::connect(&core));
     for i in 0..keys {
-        let key = format!("key{i:06}").into_bytes();
-        let mut value = format!("val{i}-").into_bytes();
-        value.resize(256, b'x');
+        let (key, value) = crate::scan::dense_record(i, 256);
         client.set(&key, &value).expect("SET");
     }
-    // Flush every shard's memtable so the scans pay real block reads.
-    {
-        let mut b = core.borrow_mut();
-        for i in 0..b.store().shards() {
-            let now = b.clock().now();
-            b.store_mut().shard_db_mut(i).flush(now).expect("flush shard");
-        }
-    }
-    let started = clock.now();
-    let mut rows = 0u64;
-    let mut state = 42u64;
-    for _ in 0..scans {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let idx = state % (keys - range);
-        let start = format!("key{idx:06}").into_bytes();
-        let end = format!("key{:06}", idx + range).into_bytes();
-        rows += client.scan_all(&start, &end, range).expect("SCAN").len() as u64;
-    }
-    let elapsed = clock.now() - started;
-    let summary = sink.summary();
-    let p99_ns = summary.class(EventClass::ServerScan).map_or(0, |c| c.p99_ns);
-    SmokeResult {
-        name: "scan".to_string(),
-        throughput: rows as f64 / elapsed.as_secs_f64(),
-        unit: "rows/s".to_string(),
-        p99_ns,
-        p99_class: EventClass::ServerScan,
-        summary,
-    }
+    crate::scan::flush_shards(core.borrow_mut().store_mut());
+    let (rows, elapsed) = crate::scan::timed_scans(&clock, keys, range, scans, |start, end| {
+        client.scan_all(start, end, range).expect("SCAN").len() as u64
+    });
+    let throughput = rows as f64 / elapsed.as_secs_f64();
+    smoke_result("scan", throughput, "rows/s", EventClass::ServerScan, &sink)
 }
 
 /// Fixed-seed staged-lane compaction smoke: the `fig_compact` workload's
@@ -293,56 +190,35 @@ pub fn smoke_scan(slow_ssd: bool) -> SmokeResult {
 /// bursty-fill throughput and the major-compaction tail under the lane
 /// scheduler.
 pub fn smoke_compact(slow_ssd: bool) -> SmokeResult {
-    use nob_baselines::Variant;
-    use nob_store::{Store, StoreOptions};
-    use noblsm::WriteBatch;
-
     let scale = Scale::new(512);
     let ops = 2_000u64;
-    let burst = crate::compact::BURST_OPS;
-    let mut fs_cfg = scale.fs_config();
-    if slow_ssd {
-        degrade(&mut fs_cfg);
-    }
-    // The fig_compact cell shape: large paper table, quarter-table write
-    // buffer, tight L0 triggers, four lanes over two shards.
-    let mut db = Variant::NobLsm.options(&scale.base_options(crate::PAPER_TABLE_LARGE));
-    db.write_buffer_size = (db.table_size / 4).max(16 << 10);
-    db.l0_compaction_trigger = 4;
-    db.l0_slowdown_trigger = 6;
-    db.l0_stop_trigger = 8;
-    db.compaction_lanes = 4;
-    let opts = StoreOptions { shards: 2, fs: fs_cfg, db, ..StoreOptions::default() };
-    let mut store = Store::open(opts).expect("open store");
+    let mut opts = crate::compact::lane_store_options(Variant::NobLsm, 2, 4, scale);
+    opts.fs = degraded(scale.fs_config(), slow_ssd);
+    let mut store = nob_store::Store::open(opts).expect("open store");
     let sink = TraceSink::new();
     store.set_trace_sink(sink.clone());
-    let wopts = noblsm::WriteOptions::buffered();
-    let started = store.clock().now();
-    let mut state = 42u64;
-    for op in 0..ops {
-        if op > 0 && op % burst == 0 {
-            store.clock().advance(crate::compact::IDLE_GAP);
-            store.tick().expect("tick");
-        }
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let key = format!("key{:08}", state % 100_000);
-        let mut value = format!("val{state}-").into_bytes();
-        value.resize(1_024, b'x');
-        let mut batch = WriteBatch::new();
-        batch.put(key.as_bytes(), &value);
-        store.enqueue(&wopts, &batch);
-        store.pump().expect("pump");
-    }
-    let elapsed = store.drain().expect("drain") - started;
-    store.wait_idle().expect("wait idle");
+    let (elapsed, _) =
+        crate::compact::bursty_fill(&mut store, &noblsm::WriteOptions::buffered(), ops);
+    let throughput = ops as f64 / elapsed.as_secs_f64();
+    smoke_result("compact", throughput, "ops/s", EventClass::MajorCompaction, &sink)
+}
+
+/// Packs a scenario's throughput with the p99 of its dominant event
+/// class and the full trace behind both.
+fn smoke_result(
+    name: &str,
+    throughput: f64,
+    unit: &str,
+    p99_class: EventClass,
+    sink: &TraceSink,
+) -> SmokeResult {
     let summary = sink.summary();
-    let p99_ns = summary.class(EventClass::MajorCompaction).map_or(0, |c| c.p99_ns);
     SmokeResult {
-        name: "compact".to_string(),
-        throughput: ops as f64 / elapsed.as_secs_f64(),
-        unit: "ops/s".to_string(),
-        p99_ns,
-        p99_class: EventClass::MajorCompaction,
+        name: name.to_string(),
+        throughput,
+        unit: unit.to_string(),
+        p99_ns: summary.class(p99_class).map_or(0, |c| c.p99_ns),
+        p99_class,
         summary,
     }
 }
@@ -365,17 +241,13 @@ pub fn smoke_all(slow_ssd: bool) -> Vec<SmokeResult> {
 /// span recording.
 fn overhead_run(traced: bool) -> u64 {
     let scale = Scale::new(512);
-    let ops = 6_000u64;
-    let fs = Ext4Fs::new(scale.fs_config());
-    let opts = scale.base_options(crate::PAPER_TABLE_LARGE);
+    let fs = scale.fresh_fs();
     let wall = std::time::Instant::now();
-    let mut db = Variant::NobLsm.open(fs, "db", &opts, Nanos::ZERO).expect("open db");
-    if traced {
-        db.set_trace_sink(TraceSink::new());
-    }
-    let fill = dbbench::fillrandom(&mut db, ops, 256, 42, Nanos::ZERO).expect("fillrandom");
-    let t = db.wait_idle(fill.finished).expect("drain");
-    db.tick(t + scale.duration(Nanos::from_secs(6))).expect("tick");
+    fig4_fill(Variant::NobLsm, fs, scale, |db| {
+        if traced {
+            db.set_trace_sink(TraceSink::new());
+        }
+    });
     wall.elapsed().as_nanos() as u64
 }
 

@@ -18,73 +18,57 @@
 //!    count, NobLSM ≥ Async ≥ Sync aggregate throughput, same as the
 //!    paper's single-process runs.
 
-use nob_baselines::Variant;
 use nob_server::{shared, Client, LoopbackTransport, Request, ServerCore, ServerOptions};
-use nob_store::StoreOptions;
 use nob_workloads::LatencyHistogram;
-use noblsm::WriteOptions;
 
-use crate::shards::disciplines;
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::shards::{disciplines, store_options};
+use crate::sweep::{
+    self, Axis, Grid, KeyStream, Row, Sweep, Value, ASYNC, DISCIPLINES, NOBLSM, SYNC,
+};
 use crate::Scale;
 
 /// Fixed workload shape: every cell issues the same `OPS` SET requests
 /// from the same seed-42 LCG stream (plus a read round every
 /// `READ_EVERY` rounds); only the client count differs. `OPS` is
 /// divisible by every client count in the sweep.
-pub const OPS: u64 = 2_400;
+const OPS: u64 = 2_400;
 const VALUE: usize = 256;
-const SEED: u64 = 42;
 const KEYSPACE: u64 = 100_000;
 /// Every this-many rounds, each client chases its SET with a pipelined
 /// GET of the key it just wrote (and checks the value round-trips).
 const READ_EVERY: u64 = 8;
-
-/// Client counts on the sweep's x-axis.
-pub const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Hash-partitioned shards behind the server in every cell.
-pub const SHARDS: usize = 2;
+const SHARDS: usize = 2;
 
-/// One cell of the sweep: a (discipline, clients) configuration and what
-/// the serving stack did under it.
-#[derive(Debug, Clone)]
-pub struct ServerCell {
-    /// Write discipline (`Sync`, `Async`, `NobLSM`).
-    pub name: String,
-    /// Concurrent pipelining clients.
-    pub clients: usize,
-    /// SET requests served (identical across cells by construction).
-    pub ops: u64,
-    /// Aggregate write throughput in requests per virtual second.
-    pub throughput: f64,
-    /// Median SET latency (send → durable reply), microseconds.
-    pub p50_us: f64,
-    /// Tail SET latency, microseconds.
-    pub p99_us: f64,
-    /// Coalesced groups the store committed (engine writes issued).
-    pub groups: u64,
-    /// Writer batches retired; `batches / groups` is the amortization.
-    pub batches: u64,
-}
+/// The sweep: discipline × concurrent pipelining clients. Reuses the
+/// store sweep's discipline triple so the two figures stay comparable.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_server",
+    title: "pipelined network serving",
+    cells_key: "server_cells",
+    header: &[("ops", OPS), ("shards", SHARDS as u64)],
+    axes: &[DISCIPLINES, Axis { name: "clients", values: &[1, 2, 4, 8] }],
+    run_cell,
+    note: "{ops} SET requests per cell over {shards} shards via the loopback wire protocol; \
+           throughput in requests/s, latency is send → durable reply, `batches/groups` is the \
+           coalescing factor",
+    tables,
+    footer: sweep::no_footer,
+    invariants,
+};
 
 /// Runs one cell: `clients` loopback connections each pipeline one SET
 /// per round; the first reply pull flushes the round's writes as one
 /// group-commit drain, so every client's write in a round shares the
 /// sync cost. A GET round every `READ_EVERY` rounds exercises the
 /// read barrier under the same clock.
-pub fn run_cell(
-    name: &str,
-    variant: Variant,
-    wopts: WriteOptions,
-    clients: usize,
-    scale: Scale,
-) -> ServerCell {
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let [discipline, clients] = *point else { unreachable!("two axes") };
+    let (name, variant, wopts) = disciplines()[discipline as usize];
     let opts = ServerOptions {
-        store: StoreOptions {
-            shards: SHARDS,
-            fs: scale.fs_config(),
-            db: variant.options(&scale.base_options(crate::PAPER_TABLE_LARGE)),
-            ..StoreOptions::default()
-        },
+        store: store_options(variant, SHARDS, scale),
         write: wopts,
         ..ServerOptions::default()
     };
@@ -93,20 +77,16 @@ pub fn run_cell(
     let mut conns: Vec<Client<LoopbackTransport>> =
         (0..clients).map(|_| Client::new(LoopbackTransport::connect(&core))).collect();
 
-    let rounds = OPS / clients as u64;
-    assert_eq!(rounds * clients as u64, OPS, "sweep shape must divide the op count");
+    let rounds = OPS / clients;
+    assert_eq!(rounds * clients, OPS, "sweep shape must divide the op count");
     let started = clock.now();
     let mut latencies = LatencyHistogram::new();
-    let mut state = SEED;
+    let mut stream = KeyStream::new(KEYSPACE);
     for round in 0..rounds {
         let sent_at = clock.now();
-        let mut keys = Vec::with_capacity(clients);
+        let mut keys = Vec::with_capacity(conns.len());
         for c in conns.iter_mut() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = state % KEYSPACE;
-            let key = format!("key{k:08}").into_bytes();
-            let mut value = format!("val{k}-").into_bytes();
-            value.resize(VALUE, b'x');
+            let (key, value) = sweep::record(stream.draw(), 8, VALUE);
             c.send(&Request::Set(key.clone(), value)).expect("pipeline SET");
             if round % READ_EVERY == READ_EVERY - 1 {
                 c.send(&Request::Get(key.clone())).expect("pipeline GET");
@@ -134,117 +114,57 @@ pub fn run_cell(
     }
     let elapsed = clock.now() - started;
     let stats = core.borrow().store().stats();
-    ServerCell {
-        name: name.to_string(),
-        clients,
-        ops: OPS,
-        throughput: OPS as f64 / elapsed.as_secs_f64(),
-        p50_us: latencies.quantile(0.50).as_micros_f64(),
-        p99_us: latencies.quantile(0.99).as_micros_f64(),
-        groups: stats.groups,
-        batches: stats.batches,
-    }
+    vec![
+        ("name", Value::Str(name)),
+        ("clients", Value::Int(clients)),
+        ("ops", Value::Int(OPS)),
+        ("throughput_ops_s", Value::Float(OPS as f64 / elapsed.as_secs_f64(), 3)),
+        // SET latency, send → durable reply, from the power-of-two
+        // histogram (so p50/p99 sit on bucket bounds).
+        ("p50_us", Value::Float(latencies.quantile(0.50).as_micros_f64(), 3)),
+        ("p99_us", Value::Float(latencies.quantile(0.99).as_micros_f64(), 3)),
+        ("groups", Value::Int(stats.groups)),
+        ("batches", Value::Int(stats.batches)),
+    ]
 }
 
-/// The full sweep, discipline-major then clients — the order the JSON
-/// document and the report table use. Reuses the store sweep's
-/// discipline triple so the two figures stay comparable.
-pub fn fig_server(scale: Scale) -> Vec<ServerCell> {
-    let mut cells = Vec::new();
-    for (name, variant, wopts) in disciplines() {
-        for &clients in &CLIENT_COUNTS {
-            cells.push(run_cell(name, variant, wopts, clients, scale));
-        }
-    }
-    cells
+/// One clients-by-discipline grid of throughput, tail latency and the
+/// group-commit coalescing factor measured through the wire protocol.
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    sweep::pivot(cells, "clients", |c| {
+        Some((
+            c.num("clients")?.to_string(),
+            format!("{} ops/s (p99)", c.text("name")?),
+            format!(
+                "{:.0} ({:.0}us, {:.1}×)",
+                c.num("throughput_ops_s")?,
+                c.num("p99_us")?,
+                sweep::coalescing(c)?
+            ),
+        ))
+    })
 }
 
-/// Serialises the sweep; the `"server_cells"` key is the schema marker.
-/// Deterministic under the fixed seed — the golden test pins these bytes.
-pub fn fig_server_json(cells: &[ServerCell], scale: Scale) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig_server\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", scale.factor));
-    out.push_str(&format!("  \"ops\": {OPS},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str("  \"server_cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"clients\": {}, \"ops\": {}, \
-             \"throughput_ops_s\": {:.3}, \"p50_us\": {:.3}, \"p99_us\": {:.3}, \
-             \"groups\": {}, \"batches\": {}}}",
-            c.name, c.clients, c.ops, c.throughput, c.p50_us, c.p99_us, c.groups, c.batches,
-        ));
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cell<'a>(cells: &'a [ServerCell], name: &str, clients: usize) -> &'a ServerCell {
-        cells.iter().find(|c| c.name == name && c.clients == clients).expect("cell present")
-    }
-
-    #[test]
-    fn ordering_holds_at_every_client_count() {
-        let cells = sweep(Scale::new(512));
-        for &clients in &CLIENT_COUNTS {
-            let sync = cell(&cells, "Sync", clients).throughput;
-            let async_ = cell(&cells, "Async", clients).throughput;
-            let nob = cell(&cells, "NobLSM", clients).throughput;
-            assert!(
-                nob >= async_ && async_ >= sync,
-                "NobLSM >= Async >= Sync must hold at {clients} clients: \
-                 {nob:.0} {async_:.0} {sync:.0}"
-            );
-        }
-    }
-
-    #[test]
-    fn sync_throughput_climbs_with_clients() {
-        let cells = sweep(Scale::new(512));
-        let t1 = cell(&cells, "Sync", 1).throughput;
-        let t8 = cell(&cells, "Sync", 8).throughput;
-        assert!(t8 > t1, "pipelined clients must amortize Sync's flush cost: {t1:.0} -> {t8:.0}");
-    }
-
-    #[test]
-    fn pipelined_clients_coalesce() {
-        let scale = Scale::new(512);
-        let (name, variant, wopts) = disciplines()[0];
-        let lone = run_cell(name, variant, wopts, 1, scale);
-        let eight = run_cell(name, variant, wopts, 8, scale);
-        assert_eq!(lone.batches, eight.batches, "same SET count either way");
-        // Two shards and a read-barrier flush every READ_EVERY rounds cap
-        // the factor below the store-only sweep's; ≥2× still demonstrates
-        // group commit working through the wire.
+fn invariants(g: &Grid<'_>) {
+    for &clients in g.axis(1) {
+        let t = [SYNC, ASYNC, NOBLSM].map(|d| g.num(&[d, clients], "throughput_ops_s"));
         assert!(
-            eight.groups * 2 <= eight.batches,
-            "eight pipelining clients must coalesce substantially: \
-             {} groups for {} batches",
-            eight.groups,
-            eight.batches
+            t[2] >= t[1] && t[1] >= t[0],
+            "NobLSM >= Async >= Sync must hold at {clients} clients: {t:?}"
         );
-        assert!(eight.groups < lone.groups, "more clients, fewer engine writes");
     }
-
-    #[test]
-    fn fixed_seed_document_is_deterministic() {
-        let scale = Scale::new(512);
-        let a = fig_server_json(&fig_server(scale), scale);
-        let b = fig_server_json(&fig_server(scale), scale);
-        assert_eq!(a, b);
-        assert!(crate::json::Json::parse(&a).is_some(), "document must parse");
-    }
-
-    /// One sweep per scale, memoised across the assertions above.
-    fn sweep(scale: Scale) -> Vec<ServerCell> {
-        use std::sync::OnceLock;
-        static SWEEP: OnceLock<Vec<ServerCell>> = OnceLock::new();
-        SWEEP.get_or_init(|| fig_server(scale)).clone()
-    }
+    let (lone, eight) = ([SYNC, 1], [SYNC, 8]);
+    assert!(
+        g.num(&eight, "throughput_ops_s") > g.num(&lone, "throughput_ops_s"),
+        "pipelined clients must amortize Sync's flush cost"
+    );
+    assert_eq!(g.num(&lone, "batches"), g.num(&eight, "batches"), "same SET count either way");
+    // Two shards and a read-barrier flush every READ_EVERY rounds cap
+    // the factor below the store-only sweep's; ≥2× still demonstrates
+    // group commit working through the wire.
+    assert!(
+        g.num(&eight, "groups") * 2.0 <= g.num(&eight, "batches"),
+        "eight pipelining clients must coalesce substantially"
+    );
+    assert!(g.num(&eight, "groups") < g.num(&lone, "groups"), "more clients, fewer engine writes");
 }

@@ -20,43 +20,41 @@
 
 use nob_baselines::Variant;
 use nob_store::{Store, StoreOptions};
-use noblsm::{WriteBatch, WriteOptions};
+use noblsm::WriteOptions;
 
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::sweep::{
+    self, Axis, Grid, KeyStream, Row, Sweep, Value, ASYNC, DISCIPLINES, NOBLSM, SYNC,
+};
 use crate::Scale;
 
 /// Fixed workload shape: every cell writes the same `OPS` keys from the
 /// same seed-42 LCG stream, in the same order — only the queueing
 /// (shards × writers) differs. `OPS` is divisible by every lane count in
 /// the sweep (1·1 … 4·4) so no cell rounds its op count.
-pub const OPS: u64 = 2_400;
+const OPS: u64 = 2_400;
 const VALUE: usize = 256;
-const SEED: u64 = 42;
 const KEYSPACE: u64 = 100_000;
 
-/// Shard counts on the sweep's x-axis.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-/// Logical writers per shard on the sweep's series axis.
-pub const WRITER_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// One cell of the sweep: a (discipline, shards, writers) configuration
-/// and what the store did under it.
-#[derive(Debug, Clone)]
-pub struct ShardCell {
-    /// Write discipline (`Sync`, `Async`, `NobLSM`).
-    pub name: String,
-    /// Number of hash-partitioned shards.
-    pub shards: usize,
-    /// Logical writers feeding each shard per scheduler round.
-    pub writers: usize,
-    /// Operations written (identical across cells by construction).
-    pub ops: u64,
-    /// Aggregate fillrandom throughput in ops per virtual second.
-    pub throughput: f64,
-    /// Coalesced groups the store committed (engine writes issued).
-    pub groups: u64,
-    /// Writer batches retired; `batches / groups` is the amortization.
-    pub batches: u64,
-}
+/// The sweep: discipline × shard count × logical writers per shard.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_shards",
+    title: "sharded group commit",
+    cells_key: "shard_cells",
+    header: &[("ops", OPS)],
+    axes: &[
+        DISCIPLINES,
+        Axis { name: "shards", values: &[1, 2, 4] },
+        Axis { name: "writers", values: &[1, 2, 4] },
+    ],
+    run_cell,
+    note: "{ops} fillrandom ops per cell; throughput in ops/s, `batches/groups` is the \
+           coalescing factor",
+    tables,
+    footer: sweep::no_footer,
+    invariants,
+};
 
 /// The three write disciplines of the sweep, as (label, engine variant,
 /// per-batch options):
@@ -76,169 +74,89 @@ pub fn disciplines() -> [(&'static str, Variant, WriteOptions); 3] {
     ]
 }
 
-/// Runs one cell: `shards × writers` logical writers each enqueue one
-/// single-record batch per round, then the round-robin pump commits one
-/// coalesced group per shard; repeat until `OPS` operations are in.
-pub fn run_cell(
-    name: &str,
-    variant: Variant,
-    wopts: WriteOptions,
-    shards: usize,
-    writers: usize,
-    scale: Scale,
-) -> ShardCell {
-    let opts = StoreOptions {
+/// The store every discipline sweep opens: `shards` hash partitions of
+/// the discipline's engine at the paper's large table size.
+pub fn store_options(variant: Variant, shards: usize, scale: Scale) -> StoreOptions {
+    StoreOptions {
         shards,
         fs: scale.fs_config(),
         db: variant.options(&scale.base_options(crate::PAPER_TABLE_LARGE)),
         ..StoreOptions::default()
-    };
-    let mut store = Store::open(opts).expect("open store");
-    let lanes = (shards * writers) as u64;
+    }
+}
+
+/// Runs one cell: `shards × writers` logical writers each enqueue one
+/// single-record batch per round, then the round-robin pump commits one
+/// coalesced group per shard; repeat until `OPS` operations are in.
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let [discipline, shards, writers] = *point else { unreachable!("three axes") };
+    let (name, variant, wopts) = disciplines()[discipline as usize];
+    let mut store =
+        Store::open(store_options(variant, shards as usize, scale)).expect("open store");
+    let lanes = shards * writers;
     let rounds = OPS / lanes;
     assert_eq!(rounds * lanes, OPS, "sweep shape must divide the op count");
     // Exclude the per-shard open/recovery cost from the fill measurement.
     let started = store.clock().now();
-    let mut state = SEED;
+    let mut keys = KeyStream::new(KEYSPACE);
     for _ in 0..rounds {
         for _ in 0..lanes {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let k = state % KEYSPACE;
-            let key = format!("key{k:08}");
-            let mut value = format!("val{k}-").into_bytes();
-            value.resize(VALUE, b'x');
-            let mut batch = WriteBatch::new();
-            batch.put(key.as_bytes(), &value);
-            store.enqueue(&wopts, &batch);
+            store.enqueue(&wopts, &sweep::put_batch(keys.draw(), 8, VALUE));
         }
         store.pump().expect("pump");
     }
-    let finished = store.drain().expect("drain");
-    let elapsed = finished - started;
+    let elapsed = store.drain().expect("drain") - started;
     let stats = store.stats();
-    ShardCell {
-        name: name.to_string(),
-        shards,
-        writers,
-        ops: OPS,
-        throughput: OPS as f64 / elapsed.as_secs_f64(),
-        groups: stats.groups,
-        batches: stats.batches,
-    }
+    vec![
+        ("name", Value::Str(name)),
+        ("shards", Value::Int(shards)),
+        ("writers", Value::Int(writers)),
+        ("ops", Value::Int(OPS)),
+        ("throughput_ops_s", Value::Float(OPS as f64 / elapsed.as_secs_f64(), 3)),
+        // Coalesced groups committed (engine writes issued) and writer
+        // batches retired; `batches / groups` is the amortization.
+        ("groups", Value::Int(stats.groups)),
+        ("batches", Value::Int(stats.batches)),
+    ]
 }
 
-/// The full sweep, discipline-major then shards then writers — the order
-/// the JSON document and the report table use.
-pub fn fig_shards(scale: Scale) -> Vec<ShardCell> {
-    let mut cells = Vec::new();
-    for (name, variant, wopts) in disciplines() {
-        for &shards in &SHARD_COUNTS {
-            for &writers in &WRITER_COUNTS {
-                cells.push(run_cell(name, variant, wopts, shards, writers, scale));
-            }
-        }
-    }
-    cells
+/// One throughput grid (shards × writers down, disciplines across) with
+/// the amortization ratio the group-commit queue achieved.
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    sweep::pivot(cells, "shards × writers", |c| {
+        Some((
+            format!("{} × {}", c.num("shards")?, c.num("writers")?),
+            c.text("name")?.to_string(),
+            format!("{:.0} ({:.1}×)", c.num("throughput_ops_s")?, sweep::coalescing(c)?),
+        ))
+    })
 }
 
-/// Serialises the sweep; the `"shard_cells"` key is the schema marker.
-/// Deterministic under the fixed seed — the golden test pins these bytes.
-pub fn fig_shards_json(cells: &[ShardCell], scale: Scale) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig_shards\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", scale.factor));
-    out.push_str(&format!("  \"ops\": {OPS},\n"));
-    out.push_str("  \"shard_cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, \"writers\": {}, \"ops\": {}, \
-             \"throughput_ops_s\": {:.3}, \"groups\": {}, \"batches\": {}}}",
-            c.name, c.shards, c.writers, c.ops, c.throughput, c.groups, c.batches,
-        ));
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn cell<'a>(
-        cells: &'a [ShardCell],
-        name: &str,
-        shards: usize,
-        writers: usize,
-    ) -> &'a ShardCell {
-        cells
-            .iter()
-            .find(|c| c.name == name && c.shards == shards && c.writers == writers)
-            .expect("cell present")
-    }
-
-    #[test]
-    fn sync_group_commit_amortizes_monotonically() {
-        let scale = Scale::new(512);
-        for &shards in &SHARD_COUNTS {
-            let t1 = cell(&sweep(scale), "Sync", shards, 1).throughput;
-            let t2 = cell(&sweep(scale), "Sync", shards, 2).throughput;
-            let t4 = cell(&sweep(scale), "Sync", shards, 4).throughput;
+fn invariants(g: &Grid<'_>) {
+    let throughput = |p: &[u64]| g.num(p, "throughput_ops_s");
+    for &shards in g.axis(1) {
+        // Group commit amortizes Sync's per-group FLUSH monotonically.
+        let by_writers: Vec<f64> =
+            g.axis(2).iter().map(|&w| throughput(&[SYNC, shards, w])).collect();
+        assert!(
+            by_writers.windows(2).all(|w| w[0] < w[1]),
+            "Sync throughput must climb with writers at {shards} shards: {by_writers:?}"
+        );
+        for &writers in g.axis(2) {
+            let t = [SYNC, ASYNC, NOBLSM].map(|d| throughput(&[d, shards, writers]));
             assert!(
-                t1 < t2 && t2 < t4,
-                "Sync throughput must climb with writers at {shards} shards: {t1:.0} {t2:.0} {t4:.0}"
+                t[2] >= t[1] && t[1] >= t[0],
+                "NobLSM >= Async >= Sync must hold at {shards}x{writers}: {t:?}"
             );
         }
     }
-
-    #[test]
-    fn ordering_holds_at_every_shard_and_writer_count() {
-        let scale = Scale::new(512);
-        let cells = sweep(scale);
-        for &shards in &SHARD_COUNTS {
-            for &writers in &WRITER_COUNTS {
-                let sync = cell(&cells, "Sync", shards, writers).throughput;
-                let async_ = cell(&cells, "Async", shards, writers).throughput;
-                let nob = cell(&cells, "NobLSM", shards, writers).throughput;
-                assert!(
-                    nob >= async_ && async_ >= sync,
-                    "NobLSM >= Async >= Sync must hold at {shards}x{writers}: \
-                     {nob:.0} {async_:.0} {sync:.0}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn coalescing_matches_the_writer_count() {
-        let scale = Scale::new(512);
-        let lone = run_cell("Sync", Variant::LevelDb, WriteOptions::synced(), 1, 1, scale);
-        assert_eq!(lone.groups, lone.batches, "one writer cannot coalesce");
-        let four = run_cell("Sync", Variant::LevelDb, WriteOptions::synced(), 1, 4, scale);
-        assert!(
-            four.groups * 3 <= four.batches,
-            "four writers must coalesce substantially: {} groups for {} batches",
-            four.groups,
-            four.batches
-        );
-        assert_eq!(lone.batches, four.batches, "same workload either way");
-    }
-
-    #[test]
-    fn fixed_seed_document_is_deterministic() {
-        let scale = Scale::new(512);
-        let a = fig_shards_json(&fig_shards(scale), scale);
-        let b = fig_shards_json(&fig_shards(scale), scale);
-        assert_eq!(a, b);
-        assert!(crate::json::Json::parse(&a).is_some(), "document must parse");
-    }
-
-    /// One sweep per scale, memoised across the assertions above (the
-    /// tests interrogate many cells; rerunning 27 fills per assertion
-    /// would dominate the suite).
-    fn sweep(scale: Scale) -> Vec<ShardCell> {
-        use std::sync::OnceLock;
-        static SWEEP: OnceLock<Vec<ShardCell>> = OnceLock::new();
-        SWEEP.get_or_init(|| fig_shards(scale)).clone()
-    }
+    // Coalescing matches the writer count: one writer cannot coalesce,
+    // four must, and the workload is the same either way.
+    let (lone, four) = ([SYNC, 1, 1], [SYNC, 1, 4]);
+    assert_eq!(g.num(&lone, "groups"), g.num(&lone, "batches"), "one writer cannot coalesce");
+    assert!(
+        g.num(&four, "groups") * 3.0 <= g.num(&four, "batches"),
+        "four writers must coalesce substantially"
+    );
+    assert_eq!(g.num(&lone, "batches"), g.num(&four, "batches"), "same workload either way");
 }

@@ -7,31 +7,22 @@
 //! foreground stalled here" line up visually in the report.
 
 use nob_baselines::Variant;
-use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_metrics::{MetricsHub, Timeline};
 use nob_sim::Nanos;
 use nob_trace::{StallRecord, TraceSink};
-use nob_workloads::dbbench;
 
 use crate::Scale;
 
 /// One variant's metered run: its gauge timeline plus the trace's top
 /// stalls for cross-referencing.
-#[derive(Debug, Clone)]
-pub struct TimelineRun {
+struct TimelineRun {
     /// Paper-facing series name (`Sync`, `Async`, `NobLSM`).
-    pub name: String,
+    name: &'static str,
     /// Every layer's gauges on the shared grid.
-    pub timeline: Timeline,
+    timeline: Timeline,
     /// The run's top stalls, longest first (nob-trace's top-10 ring).
-    pub stalls: Vec<StallRecord>,
+    stalls: Vec<StallRecord>,
 }
-
-/// The fixed experiment shape, mirroring `smoke_fig4`: 6 000 ops of
-/// 256 B fillrandom at seed 42, paper-shaped options at 1/512 scale.
-const OPS: u64 = 6_000;
-const VALUE: usize = 256;
-const SEED: u64 = 42;
 
 /// Sampling period: 100 ms of virtual time at paper scale, divided like
 /// every other time-like constant, so a scaled run crosses the same
@@ -40,49 +31,40 @@ pub fn sample_period(scale: Scale) -> Nanos {
     scale.duration(nob_metrics::DEFAULT_PERIOD)
 }
 
+/// One metered run of the bench-smoke fill shape
+/// ([`crate::scenarios::fig4_fill`]: 6 000 ops of 256 B fillrandom at
+/// seed 42, paper-shaped options).
 fn metered_fill(variant: Variant, scale: Scale) -> TimelineRun {
-    let mut fs_cfg = Ext4Config::default();
-    fs_cfg.ssd.cmd_latency = scale.duration(fs_cfg.ssd.cmd_latency);
-    fs_cfg.ssd.flush_latency = scale.duration(fs_cfg.ssd.flush_latency);
-    fs_cfg.commit_interval = scale.duration(fs_cfg.commit_interval);
-    fs_cfg.writeback_chunk = (fs_cfg.writeback_chunk / scale.factor).max(4 << 10);
-    fs_cfg.page_cache_capacity = 64 << 30;
-    let fs = Ext4Fs::new(fs_cfg);
-    let opts = scale.base_options(crate::PAPER_TABLE_LARGE);
-    let mut db = variant.open(fs, "db", &opts, Nanos::ZERO).expect("open db");
     let hub = MetricsHub::new().with_period(sample_period(scale));
-    db.set_metrics_hub(hub.clone());
     let sink = TraceSink::new();
-    db.set_trace_sink(sink.clone());
-    let fill = dbbench::fillrandom(&mut db, OPS, VALUE, SEED, Nanos::ZERO).expect("fillrandom");
-    let t = db.wait_idle(fill.finished).expect("drain");
-    // Fire the journal timer so trailing asynchronous commits land on the
-    // timeline before it is cut.
-    db.tick(t + scale.duration(Nanos::from_secs(6))).expect("tick");
-    let label = match variant {
+    crate::scenarios::fig4_fill(variant, scale.fresh_fs(), scale, |db| {
+        db.set_metrics_hub(hub.clone());
+        db.set_trace_sink(sink.clone());
+    });
+    let name = match variant {
         Variant::LevelDb => "Sync",
         Variant::VolatileLevelDb => "Async",
         other => other.name(),
     };
-    TimelineRun {
-        name: label.to_string(),
-        timeline: hub.timeline(),
-        stalls: sink.summary().top_stalls,
-    }
+    TimelineRun { name, timeline: hub.timeline(), stalls: sink.summary().top_stalls }
 }
 
 /// Runs the three strategies side by side at a fixed scale.
-pub fn fig_timeline(scale: Scale) -> Vec<TimelineRun> {
+fn runs(scale: Scale) -> Vec<TimelineRun> {
     [Variant::LevelDb, Variant::VolatileLevelDb, Variant::NobLsm]
         .into_iter()
         .map(|v| metered_fill(v, scale))
         .collect()
 }
 
-/// Serialises the runs: the `"timeline_runs"` key is the schema marker
-/// `report` dispatches on. Deterministic under the fixed seed — the
-/// golden test pins these exact bytes.
-pub fn fig_timeline_json(runs: &[TimelineRun], scale: Scale) -> String {
+/// The `fig_timeline` document: the `"timeline_runs"` key is the schema
+/// marker `report` dispatches on. Deterministic under the fixed seed —
+/// the golden test pins these exact bytes.
+pub fn document(scale: Scale) -> String {
+    to_json(&runs(scale), scale)
+}
+
+fn to_json(runs: &[TimelineRun], scale: Scale) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"figure\": \"fig_timeline\",\n");
     out.push_str(&format!("  \"scale\": {},\n", scale.factor));
@@ -116,7 +98,7 @@ mod tests {
     #[test]
     fn three_runs_share_one_grid_and_schema() {
         let scale = Scale::new(512);
-        let runs = fig_timeline(scale);
+        let runs = runs(scale);
         assert_eq!(runs.len(), 3);
         assert_eq!(runs[0].name, "Sync");
         assert_eq!(runs[1].name, "Async");
@@ -131,17 +113,9 @@ mod tests {
         }
         // Stalls cross-reference onto the grid; a stall mid-run maps to a
         // mid-run index, and the JSON embeds it.
-        let doc = fig_timeline_json(&runs, scale);
+        let doc = to_json(&runs, scale);
         assert!(doc.contains("\"timeline_runs\""));
         assert!(doc.contains("\"grid_index\""));
         assert!(crate::json::Json::parse(&doc).is_some(), "document must parse");
-    }
-
-    #[test]
-    fn fixed_seed_document_is_deterministic() {
-        let scale = Scale::new(512);
-        let a = fig_timeline_json(&fig_timeline(scale), scale);
-        let b = fig_timeline_json(&fig_timeline(scale), scale);
-        assert_eq!(a, b);
     }
 }
