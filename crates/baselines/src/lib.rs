@@ -33,6 +33,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use nob_ext4::Ext4Fs;
 use nob_sim::{Nanos, SharedClock};
 use noblsm::{CompactionStyle, Db, Options, Result, SyncMode};

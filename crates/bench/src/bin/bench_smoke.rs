@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Exit codes: 0 = gate passed (or `--write-baseline`/`--no-gate`),
-//! 1 = regression detected or baseline unreadable.
+//! 1 = regression detected or baseline unreadable, 2 = usage error
+//! (`--max-overhead-pct` without a number).
 //!
 //! `--inject-slow-ssd` runs with a synthetically degraded device (half
 //! bandwidth, double command/FLUSH latency) — the documented dry run
@@ -28,6 +29,21 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
 }
 
+/// The trace-overhead budget in percent: `--max-overhead-pct N`, 10 when
+/// the flag is absent. A missing or non-numeric value must not fall back
+/// to the default (the gate would silently run with a budget nobody
+/// asked for), and NaN would pass every comparison: both are usage errors.
+fn parse_overhead_limit(args: &[String]) -> Result<f64, String> {
+    let Some(at) = args.iter().position(|a| a == "--max-overhead-pct") else {
+        return Ok(10.0);
+    };
+    match args.get(at + 1).map(|v| v.parse::<f64>()) {
+        Some(Ok(limit)) if limit.is_finite() && limit >= 0.0 => Ok(limit),
+        Some(_) => Err(format!("--max-overhead-pct takes a number >= 0, got `{}`", args[at + 1])),
+        None => Err("--max-overhead-pct takes a value: --max-overhead-pct N".to_string()),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let baseline_path =
@@ -39,8 +55,10 @@ fn main() {
     let no_gate = args.iter().any(|a| a == "--no-gate");
 
     if args.iter().any(|a| a == "--trace-overhead") {
-        let limit: f64 =
-            arg_value(&args, "--max-overhead-pct").and_then(|v| v.parse().ok()).unwrap_or(10.0);
+        let limit = parse_overhead_limit(&args).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        });
         let (traced, untraced) = nob_bench::scenarios::trace_overhead(5);
         let pct = if untraced > 0 { (traced as f64 / untraced as f64 - 1.0) * 100.0 } else { 0.0 };
         println!(
@@ -114,4 +132,31 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench_smoke: all scenarios within thresholds");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_overhead_limit;
+
+    #[test]
+    fn overhead_limit_is_parsed_strictly() {
+        let args = |rest: &[&str]| -> Vec<String> {
+            std::iter::once("bench_smoke").chain(rest.iter().copied()).map(String::from).collect()
+        };
+        assert_eq!(parse_overhead_limit(&args(&["--trace-overhead"])), Ok(10.0));
+        assert_eq!(
+            parse_overhead_limit(&args(&["--trace-overhead", "--max-overhead-pct", "7.5"])),
+            Ok(7.5)
+        );
+        for bad in [
+            &["--max-overhead-pct", "abc"][..],
+            &["--max-overhead-pct"],
+            &["--max-overhead-pct", "--trace-overhead"],
+            &["--max-overhead-pct", "NaN"],
+            &["--max-overhead-pct", "inf"],
+            &["--max-overhead-pct", "-1"],
+        ] {
+            assert!(parse_overhead_limit(&args(bad)).is_err(), "{bad:?} must be a usage error");
+        }
+    }
 }

@@ -12,6 +12,8 @@
 //! the ratios between the seven systems — the paper's actual claims — are
 //! preserved, and EXPERIMENTS.md records paper-vs-measured side by side.
 
+#![forbid(unsafe_code)]
+
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
 use noblsm::Options;

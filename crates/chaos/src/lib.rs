@@ -34,6 +34,8 @@
 //! assert!(result.pass);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod failover;
 pub mod harness;

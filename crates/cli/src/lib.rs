@@ -62,6 +62,8 @@
 //! assert!(out.contains("hello"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod net;
 
 use std::fmt::Write as _;

@@ -36,6 +36,8 @@
 //! assert_eq!(lanes.pick(Nanos::ZERO).0, 1 - lane);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod debt;
 mod lanes;
 mod pipeline;

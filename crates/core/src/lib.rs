@@ -48,6 +48,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod db;
 pub mod iterator;
 pub mod memtable;

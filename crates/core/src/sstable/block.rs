@@ -493,6 +493,28 @@ mod tests {
     }
 
     #[test]
+    fn every_single_bit_flip_in_a_4k_block_fails_the_checksum() {
+        let mut b = BlockBuilder::new(16);
+        let mut i = 0u32;
+        while b.size_estimate() < 4096 {
+            b.add(&ik(&format!("key{i:06}"), 1), &i.to_le_bytes().repeat(16));
+            i += 1;
+        }
+        let block = b.finish();
+        assert!(strip_trailer(block.clone()).is_ok());
+        // Payload, type byte and stored CRC alike: a CRC detects every
+        // single-bit error.
+        for bit in 0..block.len() * 8 {
+            let mut flipped = block.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(strip_trailer(flipped), Err(DbError::Corruption(_))),
+                "flip of bit {bit} passed verification"
+            );
+        }
+    }
+
+    #[test]
     fn size_estimate_tracks_growth() {
         let mut b = BlockBuilder::new(16);
         let empty = b.size_estimate();

@@ -5,4 +5,5 @@ pub mod rle;
 pub mod varint;
 
 pub use crc32c::{crc32c, crc32c_masked, crc32c_unmask};
+pub(crate) use crc32c::{crc32c_extend, crc32c_mask};
 pub use varint::{decode_bytes, decode_u32, decode_u64, encode_bytes, encode_u32, encode_u64};

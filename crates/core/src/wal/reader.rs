@@ -1,6 +1,6 @@
 //! Log record decoder.
 
-use crate::util::{crc32c, crc32c_unmask};
+use crate::util::{crc32c, crc32c_extend, crc32c_unmask};
 
 use super::{RecordType, BLOCK_SIZE, HEADER_SIZE};
 
@@ -100,10 +100,7 @@ impl LogReader {
                 return None; // torn fragment
             }
             let frag = &self.data[start..start + len];
-            let mut crc_input = Vec::with_capacity(1 + len);
-            crc_input.push(type_byte);
-            crc_input.extend_from_slice(frag);
-            if crc32c(&crc_input) != crc32c_unmask(stored_crc) {
+            if crc32c_extend(crc32c(&[type_byte]), frag) != crc32c_unmask(stored_crc) {
                 self.corruption = true;
                 return None;
             }

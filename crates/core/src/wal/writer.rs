@@ -1,6 +1,6 @@
 //! Log record encoder.
 
-use crate::util::crc32c_masked;
+use crate::util::{crc32c, crc32c_extend, crc32c_mask};
 
 use super::{RecordType, BLOCK_SIZE, HEADER_SIZE};
 
@@ -59,11 +59,9 @@ impl LogWriter {
             };
             let frag = &left[..frag_len];
             // Header: masked crc of (type byte ++ payload), little endian;
-            // then length; then type.
-            let mut crc_input = Vec::with_capacity(1 + frag.len());
-            crc_input.push(rt as u8);
-            crc_input.extend_from_slice(frag);
-            let crc = crc32c_masked(&crc_input);
+            // then length; then type. The crc is streamed from the type
+            // byte into the fragment, so the fragment is never copied.
+            let crc = crc32c_mask(crc32c_extend(crc32c(&[rt as u8]), frag));
             out.extend_from_slice(&crc.to_le_bytes());
             out.extend_from_slice(&(frag_len as u16).to_le_bytes());
             out.push(rt as u8);

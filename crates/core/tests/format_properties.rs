@@ -110,3 +110,42 @@ proptest! {
         prop_assert!(!reader.corruption_detected(), "truncation is not corruption");
     }
 }
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Checksummed bytes generated at commit 46b9fa2 (the byte-at-a-time CRC)
+/// and pinned: whichever checksum tier runs, the WAL and block formats on
+/// disk must not move.
+#[test]
+fn checksummed_formats_are_pinned() {
+    use noblsm::sstable::BlockBuilder;
+    use noblsm::wal::{BLOCK_SIZE, HEADER_SIZE};
+
+    // One Full record.
+    let full = LogWriter::new().encode_record(b"noblsm format pin");
+    assert_eq!(hex(&full), "2ff0595b1100016e6f626c736d20666f726d61742070696e");
+
+    // One record starting 20 bytes before a 32 KiB block boundary: a
+    // 13-byte First fragment, then a 17-byte Last fragment in the next block.
+    let mut w = LogWriter::new();
+    let mut file = w.encode_record(&vec![7u8; BLOCK_SIZE - 20 - HEADER_SIZE]);
+    let split = w.encode_record(b"split across a 32 KiB boundary");
+    assert_eq!(
+        hex(&split),
+        "1e099be00d000273706c6974206163726f737320c2a309ea11000461203332204b694220626f756e64617279"
+    );
+    file.extend_from_slice(&split);
+    let mut reader = LogReader::new(file);
+    assert_eq!(reader.next_record().map(|r| r.len()), Some(BLOCK_SIZE - 20 - HEADER_SIZE));
+    assert_eq!(reader.next_record().as_deref(), Some(&b"split across a 32 KiB boundary"[..]));
+
+    // The 5-byte trailer (type 0 + masked CRC) of a two-entry block.
+    let mut b = BlockBuilder::new(16);
+    b.add(InternalKey::new(b"apple", 1, ValueType::Value).as_bytes(), b"red");
+    b.add(InternalKey::new(b"apricot", 2, ValueType::Value).as_bytes(), b"orange");
+    let block = b.finish();
+    assert_eq!(block.len(), 54);
+    assert_eq!(hex(&block[block.len() - 5..]), "00f1db5aab");
+}

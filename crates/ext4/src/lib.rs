@@ -44,6 +44,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod error;
 mod fs;

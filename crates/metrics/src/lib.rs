@@ -27,6 +27,8 @@
 //! assert!(tl.to_json().contains("\"demo.queue_ns\""));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 

@@ -65,6 +65,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod changelog;
 pub mod core;
 pub mod follower;

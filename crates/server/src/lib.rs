@@ -36,6 +36,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod core;
 pub mod proto;

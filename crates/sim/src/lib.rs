@@ -27,6 +27,8 @@
 //! assert_eq!(clock.now(), Nanos::from_millis(2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod clock;
 mod events;
 mod time;

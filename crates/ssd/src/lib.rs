@@ -31,6 +31,8 @@
 //! assert_eq!(ssd.stats().bytes_written, 2 << 20);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod device;
 pub mod fault;

@@ -48,6 +48,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use nob_ext4::{Ext4Config, Ext4Fs};

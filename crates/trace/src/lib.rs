@@ -31,6 +31,8 @@
 //! runs therefore produce bit-identical summaries, which is what makes
 //! golden-file tests and exact CI baselines possible.
 
+#![forbid(unsafe_code)]
+
 pub mod critical;
 pub mod event;
 pub mod hist;

@@ -32,6 +32,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dbbench;
 pub mod keys;
 pub mod report;

@@ -8,6 +8,8 @@
 //! Virtual-time benches report through `iter_custom`, so the numbers
 //! printed here are exactly the simulator's own measurements.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Re-exported for convenience parity with criterion.

@@ -5,6 +5,8 @@
 //! parking_lot's poison-free semantics). Performance characteristics are
 //! std's, which is irrelevant for a virtual-time simulator.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{PoisonError, TryLockError};
 
 /// Guard for [`Mutex`].

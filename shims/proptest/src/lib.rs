@@ -18,6 +18,8 @@
 //! [`Strategy`]: strategy::Strategy
 //! [`Just`]: strategy::Just
 
+#![forbid(unsafe_code)]
+
 pub mod collection;
 pub mod prelude;
 pub mod strategy;

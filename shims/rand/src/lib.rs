@@ -9,6 +9,8 @@
 //! which is exactly what the simulation's reproducibility story needs;
 //! nothing here is cryptographic.
 
+#![forbid(unsafe_code)]
+
 pub mod rngs;
 pub mod seq;
 
