@@ -18,12 +18,19 @@
 //! proving the gate actually fails on a ≥2× tail-latency regression.
 //!
 //! `--trace-overhead` skips the scenarios and instead measures the
-//! *wall-clock* cost of span recording: interleaved traced/untraced
-//! fillrandom runs, compared by median. Exits 1 if tracing costs more
+//! *wall-clock* cost of span recording: seven interleaved traced/untraced
+//! rounds of twenty fillrandom fills, compared by median. Exits 1 if tracing costs more
 //! than `--max-overhead-pct` (default 10) over the untraced run.
 
 use nob_bench::json::Json;
 use nob_bench::smoke::{baseline_json, gate_run, run_json};
+
+/// The trace-overhead guard's run: seven interleaved traced/untraced
+/// rounds of twenty fills each, so the untraced interval the percentage
+/// is taken against is at least 150 ms (it was ≈ 20 ms as one fill, and a
+/// few milliseconds of runner noise read as +17 % or +24 %).
+const OVERHEAD_ROUNDS: usize = 7;
+const OVERHEAD_FILLS: usize = 20;
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
@@ -59,11 +66,13 @@ fn main() {
             eprintln!("{message}");
             std::process::exit(2);
         });
-        let (traced, untraced) = nob_bench::scenarios::trace_overhead(5);
+        let (traced, untraced) =
+            nob_bench::scenarios::trace_overhead(OVERHEAD_ROUNDS, OVERHEAD_FILLS);
         let pct = if untraced > 0 { (traced as f64 / untraced as f64 - 1.0) * 100.0 } else { 0.0 };
         println!(
             "trace overhead: traced {traced} ns vs untraced {untraced} ns \
-             (median of 5) = {pct:+.1}% (limit +{limit:.0}%)"
+             (median of {OVERHEAD_ROUNDS}, {OVERHEAD_FILLS} fills each) = {pct:+.1}% \
+             (limit +{limit:.0}%)"
         );
         if pct > limit {
             eprintln!("bench_smoke: tracing overhead {pct:+.1}% exceeds the +{limit:.0}% budget");

@@ -52,17 +52,17 @@ pub(crate) trait HotnessOracle {
 /// Writes `entries` (sorted internal keys) as one new table file and
 /// returns its metadata. Used by minor compactions and recovery flushes.
 /// The caller decides whether to fsync.
-pub(crate) fn write_table(
+pub(crate) fn write_table<'a>(
     fs: &Ext4Fs,
     dir: &str,
     opts: &Options,
     number: u64,
-    entries: impl Iterator<Item = (Vec<u8>, Vec<u8>)>,
+    entries: impl Iterator<Item = (&'a [u8], &'a [u8])>,
     now: &mut Nanos,
 ) -> Result<Option<CompactionOutput>> {
     let mut builder = TableBuilder::new(opts);
     for (k, v) in entries {
-        builder.add(&k, &v);
+        builder.add(k, v);
     }
     if builder.is_empty() {
         return Ok(None);
@@ -146,30 +146,40 @@ pub(crate) fn run_major(
     };
     let mut cold = OutputStream::new(false);
     let mut hot_stream = OutputStream::new(true);
+    // The entry is copied out before the merge steps past it (the step's
+    // device time comes first on the clock, the entry's own work after),
+    // into buffers that live as long as the compaction.
+    let mut ikey: Vec<u8> = Vec::new();
+    let mut value: Vec<u8> = Vec::new();
     let mut last_user_key: Option<Vec<u8>> = None;
     let mut last_seq_for_key: SequenceNumber = u64::MAX;
+    let mut largest_kept: Vec<u8> = Vec::new();
 
     while merged.valid() {
-        let ikey = merged.key().to_vec();
-        let value = merged.value().to_vec();
+        ikey.clear();
+        ikey.extend_from_slice(merged.key());
+        value.clear();
+        value.extend_from_slice(merged.value());
         let rmark = *now;
         merged.next(now)?;
         acc_read += *now - rmark;
         *now += opts.cpu.next;
         acc_merge += opts.cpu.next;
 
-        let uk = user_key(&ikey).to_vec();
+        let uk = user_key(&ikey);
         let seq = sequence_of(&ikey);
-        let is_first_occurrence = last_user_key.as_deref() != Some(uk.as_slice());
+        let is_first_occurrence = last_user_key.as_deref() != Some(uk);
         if is_first_occurrence {
             last_seq_for_key = u64::MAX;
+            let last = last_user_key.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(uk);
         }
         // LevelDB's rule: this entry is dead iff a NEWER entry for the
         // same user key is itself visible to the oldest snapshot — then
         // no reader can ever see this one.
         let shadowed = last_seq_for_key <= snapshot;
         last_seq_for_key = seq;
-        last_user_key = Some(uk.clone());
         if shadowed {
             continue;
         }
@@ -180,14 +190,15 @@ pub(crate) fn run_major(
         {
             let deeper_has_key = !is_last_level
                 && (target_level + 1..version.levels())
-                    .any(|l| version.files[l].iter().any(|f| f.contains_user_key(&uk)));
+                    .any(|l| version.files[l].iter().any(|f| f.contains_user_key(uk)));
             if is_last_level || !deeper_has_key {
                 continue;
             }
         }
-        outcome.largest_compacted = Some(InternalKey::from_encoded(&ikey));
+        largest_kept.clear();
+        largest_kept.extend_from_slice(&ikey);
 
-        let stream = if allow_hot && hot.is_hot(&uk) { &mut hot_stream } else { &mut cold };
+        let stream = if allow_hot && hot.is_hot(uk) { &mut hot_stream } else { &mut cold };
         stream.add(&ikey, &value, opts);
         if stream.builder.as_ref().is_some_and(|b| b.size_estimate() >= opts.table_size) {
             let wmark = *now;
@@ -222,6 +233,9 @@ pub(crate) fn run_major(
         // Input-side work that produced no output (everything dropped):
         // keep it on the plan so the pipelined end never undercounts.
         outcome.stages.push(Granule::new(acc_read, acc_merge, Nanos::ZERO, 0));
+    }
+    if !largest_kept.is_empty() {
+        outcome.largest_compacted = Some(InternalKey::from_encoded(&largest_kept));
     }
     Ok(outcome)
 }
@@ -392,15 +406,12 @@ mod tests {
         let fs = Ext4Fs::new(Ext4Config::default());
         let opts = Options::default();
         let mut now = Nanos::ZERO;
-        let entries = (0..100u64).map(|i| {
-            (
-                InternalKey::new(format!("k{i:04}").as_bytes(), i + 1, ValueType::Value)
-                    .as_bytes()
-                    .to_vec(),
-                vec![0u8; 64],
-            )
-        });
-        let out = write_table(&fs, "db", &opts, 9, entries, &mut now).unwrap().unwrap();
+        let entries: Vec<InternalKey> = (0..100u64)
+            .map(|i| InternalKey::new(format!("k{i:04}").as_bytes(), i + 1, ValueType::Value))
+            .collect();
+        let value = [0u8; 64];
+        let borrowed = entries.iter().map(|k| (k.as_bytes(), &value[..]));
+        let out = write_table(&fs, "db", &opts, 9, borrowed, &mut now).unwrap().unwrap();
         assert_eq!(out.meta.number, 9);
         assert_eq!(out.meta.physical, 9);
         assert_eq!(user_key(out.meta.smallest.as_bytes()), b"k0000");

@@ -15,7 +15,11 @@ use crate::{DbError, Result, SequenceNumber, ValueType};
 
 /// Encodes a batch of writes starting at sequence `seq`.
 pub fn encode_batch(seq: SequenceNumber, entries: &[(ValueType, &[u8], &[u8])]) -> Vec<u8> {
-    let mut out = Vec::new();
+    // One allocation in place of a run of doublings: header, then per entry
+    // a type byte, two length varints (five bytes each cover any length
+    // under 4 GiB; a longer one just grows the buffer) and the bytes.
+    let body: usize = entries.iter().map(|(_, k, v)| 1 + 5 + k.len() + 5 + v.len()).sum();
+    let mut out = Vec::with_capacity(12 + body);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (vt, key, value) in entries {

@@ -502,8 +502,7 @@ impl Db {
         t: &mut Nanos,
     ) -> Result<()> {
         let number = versions.new_file_number();
-        let entries = mem.iter().map(|(k, v)| (k.to_vec(), v.to_vec()));
-        if let Some(output) = write_table(fs, dir, opts, number, entries, t)? {
+        if let Some(output) = write_table(fs, dir, opts, number, mem.iter(), t)? {
             if opts.sync_mode != SyncMode::Never {
                 let h = fs.open(&output.physical_path, *t)?;
                 *t = fs.fsync(h, *t)?;
@@ -1715,14 +1714,11 @@ bytes_written={}",
 
     fn schedule_minor(&mut self, now: Nanos, old_wal: (u64, String), new_log_number: u64) {
         debug_assert!(!self.minor_inflight);
-        let imm = self.imm.as_ref().expect("imm set before scheduling minor");
-        let entries: Vec<(Vec<u8>, Vec<u8>)> =
-            imm.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
         let number = self.versions.new_file_number();
         let (lane, start) = self.pick_lane(now);
         let mut t = start;
-        let result =
-            write_table(&self.fs, &self.dir, &self.opts, number, entries.into_iter(), &mut t);
+        let imm = self.imm.as_ref().expect("imm set before scheduling minor");
+        let result = write_table(&self.fs, &self.dir, &self.opts, number, imm.iter(), &mut t);
         let output = result.unwrap_or_default();
         // NobLSM §4.1: the minor compaction is the *only* occasion KV
         // pairs are synced (modes other than Never sync here too).

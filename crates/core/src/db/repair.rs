@@ -131,8 +131,7 @@ pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nan
         if !mem.is_empty() {
             let number = next_number;
             next_number += 1;
-            let entries = mem.iter().map(|(k, v)| (k.to_vec(), v.to_vec()));
-            if let Some(out) = write_table(fs, dir, opts, number, entries, &mut t)? {
+            if let Some(out) = write_table(fs, dir, opts, number, mem.iter(), &mut t)? {
                 if opts.sync_mode != SyncMode::Never {
                     let h = fs.open(&out.physical_path, t)?;
                     t = fs.fsync(h, t)?;

@@ -8,8 +8,8 @@ use nob_sim::Nanos;
 
 use crate::iterator::InternalIterator;
 
-use crate::types::{lookup_key, sequence_of, user_key, value_type_of};
-use crate::{InternalKey, SequenceNumber, ValueType};
+use crate::types::{pack_trailer, sequence_of, user_key, value_type_of};
+use crate::{SequenceNumber, ValueType};
 
 /// Result of probing a memtable for a user key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,15 +50,14 @@ impl MemTable {
 
     /// Inserts one entry.
     pub fn add(&mut self, seq: SequenceNumber, vt: ValueType, key: &[u8], value: &[u8]) {
-        let ikey = InternalKey::new(key, seq, vt);
-        self.bytes += (ikey.as_bytes().len() + value.len() + 16) as u64;
-        self.list.insert(ikey.as_bytes().to_vec(), value.to_vec());
+        self.bytes += (key.len() + 8 + value.len() + 16) as u64;
+        self.list.insert_parts(key, &pack_trailer(seq, vt).to_le_bytes(), value);
     }
 
     /// Looks up the newest entry for `key` visible at snapshot `seq`.
     pub fn get(&self, key: &[u8], seq: SequenceNumber) -> MemLookup {
-        let probe = lookup_key(key, seq);
-        match self.list.seek(probe.as_bytes()) {
+        // The lookup key of `types::lookup_key`, in its two parts.
+        match self.list.seek_parts(key, pack_trailer(seq, ValueType::Value)) {
             Some((ikey, value)) if user_key(ikey) == key => {
                 debug_assert!(sequence_of(ikey) <= seq);
                 match value_type_of(ikey) {
@@ -208,6 +207,23 @@ mod tests {
         // "a"@3 comes before "a"@2 (sequence descending).
         assert_eq!(sequence_of(&keys[0]), 3);
         assert_eq!(sequence_of(&keys[1]), 2);
+    }
+
+    #[test]
+    fn approximate_bytes_follows_the_flush_formula_entry_by_entry() {
+        // Flush instants hang on this number: internal key (user key + 8)
+        // plus value plus 16 per entry, whatever the arena really holds.
+        let mut mem = MemTable::new();
+        let mut want = 0u64;
+        for i in 0..3_000u64 {
+            let key = vec![b'k'; (i % 37) as usize];
+            let value = vec![b'v'; (i * 7 % 211) as usize];
+            let vt = if i % 5 == 0 { ValueType::Deletion } else { ValueType::Value };
+            mem.add(i + 1, vt, &key, &value);
+            want += (crate::InternalKey::new(&key, i + 1, vt).as_bytes().len() + value.len() + 16)
+                as u64;
+            assert_eq!(mem.approximate_bytes(), want, "after entry {i}");
+        }
     }
 
     #[test]

@@ -1,23 +1,29 @@
 //! A deterministic skiplist over encoded internal keys.
 //!
-//! Nodes live in a `Vec` arena and link by index, avoiding unsafe code.
-//! Heights are drawn from a seeded RNG so runs are reproducible.
+//! Everything lives in two flat arenas, so an insert copies its bytes once
+//! and allocates nothing of its own: `bytes` holds every entry's key and
+//! value back to back, and `nodes` holds every node as a run of `u32`
+//! words — where its bytes are, then its tower of forward links. A node is
+//! named by the index of its first word; the head sentinel is node 0, so 0
+//! doubles as "no successor". Heights are drawn from a seeded RNG so runs
+//! are reproducible.
+
+use std::cmp::Ordering;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::types::compare_internal;
+use crate::types::{compare_internal, compare_internal_to_parts};
 
 const MAX_HEIGHT: usize = 12;
 const BRANCHING: u32 = 4;
 
-#[derive(Debug)]
-struct Node {
-    key: Vec<u8>,
-    value: Vec<u8>,
-    /// next[i] = arena index of the next node at level i (0 = head slot).
-    next: Vec<usize>,
-}
+/// Words of a node before its tower: key offset in `bytes`, key length,
+/// value length (the value follows the key).
+const KEY_OFFSET: usize = 0;
+const KEY_LEN: usize = 1;
+const VALUE_LEN: usize = 2;
+const TOWER: usize = 3;
 
 /// An ordered map from encoded internal keys to values.
 ///
@@ -27,8 +33,9 @@ struct Node {
 /// a second node adjacent to the first.
 #[derive(Debug)]
 pub struct SkipList {
-    /// arena[0] is the head sentinel.
-    arena: Vec<Node>,
+    bytes: Vec<u8>,
+    /// `nodes[..TOWER + MAX_HEIGHT]` is the head sentinel.
+    nodes: Vec<u32>,
     height: usize,
     len: usize,
     rng: SmallRng,
@@ -38,7 +45,8 @@ impl SkipList {
     /// Creates an empty list.
     pub fn new() -> Self {
         SkipList {
-            arena: vec![Node { key: Vec::new(), value: Vec::new(), next: vec![0; MAX_HEIGHT] }],
+            bytes: Vec::new(),
+            nodes: vec![0; TOWER + MAX_HEIGHT],
             height: 1,
             len: 0,
             rng: SmallRng::seed_from_u64(0x5eed_1357),
@@ -63,14 +71,35 @@ impl SkipList {
         h
     }
 
-    /// Finds, per level, the last node with key < `key`.
-    fn find_prevs(&self, key: &[u8]) -> [usize; MAX_HEIGHT] {
-        let mut prevs = [0usize; MAX_HEIGHT];
-        let mut x = 0usize; // head
+    fn next(&self, node: u32, level: usize) -> u32 {
+        self.nodes[node as usize + TOWER + level]
+    }
+
+    fn key(&self, node: u32) -> &[u8] {
+        let n = node as usize;
+        let start = self.nodes[n + KEY_OFFSET] as usize;
+        &self.bytes[start..start + self.nodes[n + KEY_LEN] as usize]
+    }
+
+    fn value(&self, node: u32) -> &[u8] {
+        let n = node as usize;
+        let start = (self.nodes[n + KEY_OFFSET] + self.nodes[n + KEY_LEN]) as usize;
+        &self.bytes[start..start + self.nodes[n + VALUE_LEN] as usize]
+    }
+
+    fn entry(&self, node: u32) -> Option<(&[u8], &[u8])> {
+        (node != 0).then(|| (self.key(node), self.value(node)))
+    }
+
+    /// Finds, per level, the last node whose key `target_cmp` orders
+    /// before the target (`Less`).
+    fn find_prevs(&self, target_cmp: impl Fn(&[u8]) -> Ordering) -> [u32; MAX_HEIGHT] {
+        let mut prevs = [0u32; MAX_HEIGHT];
+        let mut x = 0u32; // head
         for level in (0..self.height).rev() {
             loop {
-                let nxt = self.arena[x].next[level];
-                if nxt != 0 && compare_internal(&self.arena[nxt].key, key).is_lt() {
+                let nxt = self.next(x, level);
+                if nxt != 0 && target_cmp(self.key(nxt)).is_lt() {
                     x = nxt;
                 } else {
                     break;
@@ -83,52 +112,75 @@ impl SkipList {
 
     /// Inserts an entry.
     pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let prevs = self.find_prevs(&key);
+        self.insert_parts(&key, &[], &value);
+    }
+
+    /// Inserts the entry whose key is `key_head ++ key_tail`, copying the
+    /// three slices straight into the arena (the memtable hands over a user
+    /// key and its trailer without joining them first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either arena would outgrow `u32` addressing (4 GiB) — a
+    /// memtable is sealed at a few MiB.
+    pub(crate) fn insert_parts(&mut self, key_head: &[u8], key_tail: &[u8], value: &[u8]) {
+        let key_start = self.bytes.len();
+        self.bytes.extend_from_slice(key_head);
+        self.bytes.extend_from_slice(key_tail);
+        let key_len = self.bytes.len() - key_start;
+        self.bytes.extend_from_slice(value);
+        // Every offset and node name stored below is at most one of these.
+        assert!(
+            self.bytes.len().max(self.nodes.len()) <= u32::MAX as usize,
+            "memtable arena exceeds u32 addressing"
+        );
+        let key = &self.bytes[key_start..key_start + key_len];
+        let prevs = self.find_prevs(|k| compare_internal(k, key));
         let h = self.random_height();
         if h > self.height {
             self.height = h;
         }
-        let idx = self.arena.len();
-        let mut next = vec![0usize; h];
-        for (level, slot) in next.iter_mut().enumerate() {
-            let p = prevs[level];
-            *slot = self.arena[p].next[level];
-        }
-        self.arena.push(Node { key, value, next });
-        for (level, &p) in prevs.iter().enumerate().take(h) {
-            self.arena[p].next[level] = idx;
+        let node = self.nodes.len() as u32;
+        self.nodes.extend_from_slice(&[key_start as u32, key_len as u32, value.len() as u32]);
+        for (level, &p) in prevs[..h].iter().enumerate() {
+            let link = p as usize + TOWER + level;
+            self.nodes.push(self.nodes[link]);
+            self.nodes[link] = node;
         }
         self.len += 1;
     }
 
     /// The first entry with key >= `target`, if any.
     pub fn seek(&self, target: &[u8]) -> Option<(&[u8], &[u8])> {
-        let prevs = self.find_prevs(target);
-        let idx = self.arena[prevs[0]].next[0];
-        if idx == 0 {
-            None
-        } else {
-            let n = &self.arena[idx];
-            Some((&n.key, &n.value))
-        }
+        self.entry(self.first_at_or_after(|k| compare_internal(k, target)))
+    }
+
+    /// The first entry with key >= `user_key ++ trailer`, found without
+    /// building that key.
+    pub(crate) fn seek_parts(&self, user_key: &[u8], trailer: u64) -> Option<(&[u8], &[u8])> {
+        self.entry(self.first_at_or_after(|k| compare_internal_to_parts(k, user_key, trailer)))
+    }
+
+    fn first_at_or_after(&self, target_cmp: impl Fn(&[u8]) -> Ordering) -> u32 {
+        self.next(self.find_prevs(target_cmp)[0], 0)
     }
 
     /// Iterates entries in key order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { list: self, idx: self.arena[0].next[0] }
+        Iter { list: self, node: self.next(0, 0) }
     }
 
     /// Creates a positionable cursor (initially invalid).
     pub fn cursor(&self) -> Cursor<'_> {
-        Cursor { list: self, idx: 0 }
+        Cursor { list: self, node: 0 }
     }
 
-    /// Index of the last node (0 when empty).
-    fn find_last(&self) -> usize {
-        let mut x = 0usize;
+    /// The last node (0 when empty).
+    fn find_last(&self) -> u32 {
+        let mut x = 0u32;
         for level in (0..self.height).rev() {
             loop {
-                let nxt = self.arena[x].next[level];
+                let nxt = self.next(x, level);
                 if nxt != 0 {
                     x = nxt;
                 } else {
@@ -140,53 +192,51 @@ impl SkipList {
     }
 }
 
-/// A positionable cursor over a [`SkipList`]; index 0 (the head sentinel)
+/// A positionable cursor over a [`SkipList`]; node 0 (the head sentinel)
 /// means "invalid".
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     list: &'a SkipList,
-    idx: usize,
+    node: u32,
 }
 
 impl<'a> Cursor<'a> {
     /// Whether the cursor points at an entry.
     pub fn valid(&self) -> bool {
-        self.idx != 0
+        self.node != 0
     }
 
     /// Positions at the first entry.
     pub fn seek_to_first(&mut self) {
-        self.idx = self.list.arena[0].next[0];
+        self.node = self.list.next(0, 0);
     }
 
     /// Positions at the first entry with key ≥ `target`.
     pub fn seek(&mut self, target: &[u8]) {
-        let prevs = self.list.find_prevs(target);
-        self.idx = self.list.arena[prevs[0]].next[0];
+        self.node = self.list.first_at_or_after(|k| compare_internal(k, target));
     }
 
     /// Advances one entry (no-op when invalid).
     pub fn next(&mut self) {
-        if self.idx != 0 {
-            self.idx = self.list.arena[self.idx].next[0];
+        if self.node != 0 {
+            self.node = self.list.next(self.node, 0);
         }
     }
 
     /// Positions at the last entry.
     pub fn seek_to_last(&mut self) {
-        self.idx = self.list.find_last();
+        self.node = self.list.find_last();
     }
 
     /// Steps back to the previous entry (invalid before the first).
     pub fn prev(&mut self) {
-        if self.idx == 0 {
+        if self.node == 0 {
             return;
         }
-        let key = &self.list.arena[self.idx].key;
-        let prevs = self.list.find_prevs(key);
+        let key = self.list.key(self.node);
         // find_prevs yields the last node with key < current at level 0;
         // equal keys cannot occur (sequence numbers are unique).
-        self.idx = prevs[0];
+        self.node = self.list.find_prevs(|k| compare_internal(k, key))[0];
     }
 
     /// The current key.
@@ -196,7 +246,7 @@ impl<'a> Cursor<'a> {
     /// Panics if the cursor is not [`valid`](Cursor::valid).
     pub fn key(&self) -> &'a [u8] {
         assert!(self.valid(), "cursor not valid");
-        &self.list.arena[self.idx].key
+        self.list.key(self.node)
     }
 
     /// The current value.
@@ -206,7 +256,7 @@ impl<'a> Cursor<'a> {
     /// Panics if the cursor is not [`valid`](Cursor::valid).
     pub fn value(&self) -> &'a [u8] {
         assert!(self.valid(), "cursor not valid");
-        &self.list.arena[self.idx].value
+        self.list.value(self.node)
     }
 }
 
@@ -220,19 +270,16 @@ impl Default for SkipList {
 #[derive(Debug)]
 pub struct Iter<'a> {
     list: &'a SkipList,
-    idx: usize,
+    node: u32,
 }
 
 impl<'a> Iterator for Iter<'a> {
     type Item = (&'a [u8], &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.idx == 0 {
-            return None;
-        }
-        let n = &self.list.arena[self.idx];
-        self.idx = n.next[0];
-        Some((&n.key, &n.value))
+        let entry = self.list.entry(self.node)?;
+        self.node = self.list.next(self.node, 0);
+        Some(entry)
     }
 }
 
@@ -321,8 +368,76 @@ mod tests {
             for i in 0..100u64 {
                 l.insert(ik(&format!("{i:03}"), i), vec![]);
             }
-            l.arena.iter().map(|n| n.next.len()).collect::<Vec<_>>()
+            l.nodes
         };
-        assert_eq!(build(), build(), "heights must be reproducible");
+        assert_eq!(build(), build(), "heights and links must be reproducible");
+    }
+
+    #[test]
+    fn twenty_thousand_random_inserts_match_the_btree_model_in_both_directions() {
+        use std::collections::BTreeMap;
+        // The model orders as the comparator does: user key ascending,
+        // sequence descending.
+        let mut model: BTreeMap<(Vec<u8>, std::cmp::Reverse<u64>), Vec<u8>> = BTreeMap::new();
+        let mut l = SkipList::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for seq in 1..=20_000u64 {
+            // Keys of varying length over a space small enough to repeat,
+            // values of varying length including empty.
+            let key = format!("k{:0width$}", draw() % 6_000, width = 1 + (draw() % 9) as usize);
+            let value = vec![seq as u8; (draw() % 40) as usize];
+            // Alternate the two ways in: a joined key, and the memtable's
+            // split user key and trailer.
+            let joined = ik(&key, seq);
+            if seq % 2 == 0 {
+                l.insert(joined, value.clone());
+            } else {
+                l.insert_parts(key.as_bytes(), &joined[joined.len() - 8..], &value);
+            }
+            model.insert((key.into_bytes(), std::cmp::Reverse(seq)), value);
+        }
+        assert_eq!(l.len(), model.len());
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model
+            .iter()
+            .map(|((k, s), v)| (ik(std::str::from_utf8(k).unwrap(), s.0), v.clone()))
+            .collect();
+
+        let forward: Vec<(Vec<u8>, Vec<u8>)> =
+            l.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        assert_eq!(forward, want);
+
+        let mut c = l.cursor();
+        c.seek_to_last();
+        for (k, v) in want.iter().rev() {
+            assert!(c.valid());
+            assert_eq!((c.key(), c.value()), (k.as_slice(), v.as_slice()));
+            c.prev();
+        }
+        assert!(!c.valid());
+
+        // Seeks — by joined key and by parts — land where the model's
+        // range does; stepping back from there brackets the target.
+        for probe in 0..2_000u64 {
+            let key = format!("k{:0width$}", draw() % 6_500, width = 1 + (draw() % 9) as usize);
+            let seq = draw() % 21_000;
+            let target = ik(&key, seq);
+            let expect = want.partition_point(|(k, _)| compare_internal(k, &target).is_lt());
+            let expect_entry = want.get(expect).map(|(k, v)| (k.as_slice(), v.as_slice()));
+            assert_eq!(l.seek(&target), expect_entry, "probe {probe}");
+            let trailer = u64::from_le_bytes(target[target.len() - 8..].try_into().unwrap());
+            assert_eq!(l.seek_parts(key.as_bytes(), trailer), expect_entry, "probe {probe}");
+            let mut c = l.cursor();
+            c.seek(&target);
+            assert_eq!(c.valid().then(|| c.key()), expect_entry.map(|(k, _)| k));
+            if c.valid() {
+                c.prev();
+                let before = expect.checked_sub(1).map(|i| want[i].0.as_slice());
+                assert_eq!(c.valid().then(|| c.key()), before);
+            }
+        }
     }
 }

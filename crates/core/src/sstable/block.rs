@@ -76,7 +76,8 @@ impl BlockBuilder {
         encode_u32(&mut self.buf, value.len() as u32);
         self.buf.extend_from_slice(&key[shared..]);
         self.buf.extend_from_slice(value);
-        self.last_key = key.to_vec();
+        self.last_key.truncate(shared);
+        self.last_key.extend_from_slice(&key[shared..]);
         self.counter += 1;
         self.entries += 1;
     }
@@ -99,11 +100,30 @@ impl BlockBuilder {
     /// Finishes the block payload (no trailer): entries ++ restart array ++
     /// restart count.
     pub fn finish_without_trailer(mut self) -> Vec<u8> {
+        self.finish_in_place();
+        self.buf
+    }
+
+    /// Completes the payload inside the builder and lends it out. The
+    /// builder takes no further entries until [`reset`](Self::reset), which
+    /// keeps its buffers: a table builder reuses one data-block builder for
+    /// every block it writes.
+    pub(crate) fn finish_in_place(&mut self) -> &[u8] {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
         self.buf.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        self.buf
+        &self.buf
+    }
+
+    /// Empties the builder for the next block, keeping its allocations.
+    pub(crate) fn reset(&mut self) {
+        self.buf.clear();
+        self.restarts.clear();
+        self.restarts.push(0);
+        self.counter = 0;
+        self.last_key.clear();
+        self.entries = 0;
     }
 
     /// Finishes the block with its `type + masked CRC` trailer appended.
@@ -120,15 +140,16 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 
 /// Appends the 5-byte trailer (compression type 0 + masked CRC) in place.
 pub(crate) fn append_trailer(payload: &mut Vec<u8>) {
-    append_trailer_typed(payload, 0);
+    append_trailer_typed(payload, 0, 0);
 }
 
-/// Appends the trailer with an explicit compression-type byte
-/// (0 = raw, 1 = RLE).
-pub(crate) fn append_trailer_typed(payload: &mut Vec<u8>, compression: u8) {
-    payload.push(compression);
-    let crc = crc32c_masked(payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
+/// Appends the trailer of the block occupying `out[start..]`, with an
+/// explicit compression-type byte (0 = raw, 1 = RLE): a table builder
+/// writes each block straight into the table image.
+pub(crate) fn append_trailer_typed(out: &mut Vec<u8>, start: usize, compression: u8) {
+    out.push(compression);
+    let crc = crc32c_masked(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Verifies and strips a block trailer, decompressing if the type byte
@@ -511,6 +532,40 @@ mod tests {
                 matches!(strip_trailer(flipped), Err(DbError::Corruption(_))),
                 "flip of bit {bit} passed verification"
             );
+        }
+    }
+
+    #[test]
+    fn a_reused_builder_produces_the_payload_of_a_fresh_one() {
+        // Blocks of different sizes and key shapes, so state left over
+        // from a longer block (restarts, the shared-prefix key, the entry
+        // counter) would show in a shorter one after it.
+        let blocks: Vec<Vec<(Vec<u8>, Vec<u8>)>> = [40usize, 3, 17, 1, 25]
+            .iter()
+            .enumerate()
+            .map(|(b, &n)| {
+                (0..n)
+                    .map(|i| {
+                        (
+                            ik(&format!("blk{b}/key{i:04}"), (b * 100 + i) as u64),
+                            vec![b as u8; i % 9],
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut reused = BlockBuilder::new(4);
+        for entries in &blocks {
+            let mut fresh = BlockBuilder::new(4);
+            for (k, v) in entries {
+                fresh.add(k, v);
+                reused.add(k, v);
+            }
+            assert_eq!(reused.size_estimate(), fresh.size_estimate());
+            assert_eq!(reused.entries(), fresh.entries());
+            assert_eq!(reused.finish_in_place(), fresh.finish_without_trailer().as_slice());
+            reused.reset();
+            assert!(reused.is_empty());
         }
     }
 

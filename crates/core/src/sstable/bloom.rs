@@ -18,7 +18,7 @@ pub struct BloomFilter {
     k: u8,
 }
 
-fn bloom_hash(key: &[u8]) -> u32 {
+pub(crate) fn bloom_hash(key: &[u8]) -> u32 {
     // LevelDB's Hash() — a Murmur-like mix.
     const SEED: u32 = 0xbc9f_1d34;
     const M: u32 = 0xc6a4_a793;
@@ -54,14 +54,21 @@ fn bloom_hash(key: &[u8]) -> u32 {
 impl BloomFilter {
     /// Builds a filter for `keys` at `bits_per_key`.
     pub fn build<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
+        let hashes: Vec<u32> = keys.iter().map(|k| bloom_hash(k.as_ref())).collect();
+        BloomFilter::from_hashes(&hashes, bits_per_key)
+    }
+
+    /// Builds a filter from the keys' [`bloom_hash`]es, one per key: all a
+    /// table builder has to keep of each key it is handed.
+    pub(crate) fn from_hashes(hashes: &[u32], bits_per_key: usize) -> Self {
         // k = bits_per_key * ln(2), clamped like LevelDB.
         let k = ((bits_per_key as f64 * 0.69) as usize).clamp(1, 30) as u8;
-        let bits = (keys.len() * bits_per_key).max(64);
+        let bits = (hashes.len() * bits_per_key).max(64);
         let bytes = bits.div_ceil(8);
         let bits = bytes * 8;
         let mut array = vec![0u8; bytes];
-        for key in keys {
-            let mut h = bloom_hash(key.as_ref());
+        for &hash in hashes {
+            let mut h = hash;
             let delta = h.rotate_right(17);
             for _ in 0..k {
                 let pos = (h as usize) % bits;
@@ -141,6 +148,21 @@ mod tests {
         let g = BloomFilter::decode(&enc).unwrap();
         assert_eq!(f, g);
         assert!(BloomFilter::decode(&[]).is_none());
+    }
+
+    #[test]
+    fn built_from_hashes_encodes_byte_equal_to_built_from_keys() {
+        for n in [0usize, 1, 7, 1000] {
+            let keys: Vec<Vec<u8>> = (0..n).map(|i| format!("user{i:07}").into_bytes()).collect();
+            let hashes: Vec<u32> = keys.iter().map(|k| bloom_hash(k)).collect();
+            for bits in [1, 10, 16] {
+                assert_eq!(
+                    BloomFilter::from_hashes(&hashes, bits).encode(),
+                    BloomFilter::build(&keys, bits).encode(),
+                    "{n} keys at {bits} bits per key"
+                );
+            }
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::options::{CompressionType, Options};
 use crate::types::compare_internal;
 
 use super::block::{append_trailer, append_trailer_typed, BlockBuilder};
+use super::bloom::bloom_hash;
 use super::{BlockHandle, BloomFilter, Footer};
 
 /// Builds the bytes of one SSTable.
@@ -27,13 +28,13 @@ use super::{BlockHandle, BloomFilter, Footer};
 #[derive(Debug)]
 pub struct TableBuilder {
     block_size: usize,
-    restart_interval: usize,
     bloom_bits: usize,
     compression: CompressionType,
     buf: Vec<u8>,
     data: BlockBuilder,
     index: BlockBuilder,
-    user_keys: Vec<Vec<u8>>,
+    /// Bloom hash of every user key added: all the filter needs of them.
+    key_hashes: Vec<u32>,
     last_key: Vec<u8>,
     entries: u64,
     smallest: Option<Vec<u8>>,
@@ -44,13 +45,12 @@ impl TableBuilder {
     pub fn new(opts: &Options) -> Self {
         TableBuilder {
             block_size: opts.block_size,
-            restart_interval: opts.block_restart_interval,
             bloom_bits: opts.bloom_bits_per_key,
             compression: opts.compression,
             buf: Vec::new(),
             data: BlockBuilder::new(opts.block_restart_interval),
             index: BlockBuilder::new(1),
-            user_keys: Vec::new(),
+            key_hashes: Vec::new(),
             last_key: Vec::new(),
             entries: 0,
             smallest: None,
@@ -72,9 +72,10 @@ impl TableBuilder {
         }
         self.data.add(ikey, value);
         if self.bloom_bits > 0 {
-            self.user_keys.push(crate::types::user_key(ikey).to_vec());
+            self.key_hashes.push(bloom_hash(crate::types::user_key(ikey)));
         }
-        self.last_key = ikey.to_vec();
+        self.last_key.clear();
+        self.last_key.extend_from_slice(ikey);
         self.entries += 1;
         if self.data.size_estimate() >= self.block_size {
             self.flush_data_block();
@@ -85,24 +86,24 @@ impl TableBuilder {
         if self.data.is_empty() {
             return;
         }
-        let builder = std::mem::replace(&mut self.data, BlockBuilder::new(self.restart_interval));
-        let offset = self.buf.len() as u64;
-        let raw = builder.finish_without_trailer();
+        let offset = self.buf.len();
+        let raw = self.data.finish_in_place();
         // Compress when configured and profitable (snappy-style fallback
         // to raw for incompressible blocks).
-        let (mut payload, ctype) = match self.compression {
-            CompressionType::Rle => match crate::util::rle::compress(&raw) {
-                Some(c) => (c, 1u8),
-                None => (raw, 0u8),
-            },
-            CompressionType::None => (raw, 0u8),
+        let compressed = match self.compression {
+            CompressionType::Rle => crate::util::rle::compress(raw),
+            CompressionType::None => None,
         };
-        let size = payload.len() as u64;
-        append_trailer_typed(&mut payload, ctype);
-        self.buf.extend_from_slice(&payload);
-        let mut handle_enc = Vec::new();
-        BlockHandle::new(offset, size).encode_to(&mut handle_enc);
-        self.index.add(&self.last_key, &handle_enc);
+        let (payload, ctype) = match &compressed {
+            Some(c) => (c.as_slice(), 1u8),
+            None => (raw, 0u8),
+        };
+        self.buf.extend_from_slice(payload);
+        self.data.reset();
+        let size = self.buf.len() - offset;
+        append_trailer_typed(&mut self.buf, offset, ctype);
+        let (handle, handle_len) = BlockHandle::new(offset as u64, size as u64).encoded();
+        self.index.add(&self.last_key, &handle[..handle_len]);
     }
 
     /// Estimated current size of the finished table.
@@ -139,7 +140,7 @@ impl TableBuilder {
         self.flush_data_block();
         // Bloom filter area.
         let filter_handle = if self.bloom_bits > 0 {
-            let filter = BloomFilter::build(&self.user_keys, self.bloom_bits);
+            let filter = BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits);
             let offset = self.buf.len() as u64;
             let mut payload = filter.encode();
             let size = payload.len() as u64;

@@ -1,6 +1,7 @@
 //! Block handles and the table footer.
 
-use crate::util::{decode_u64, encode_u64};
+use crate::util::decode_u64;
+use crate::util::varint::{write_u64, MAX_VARINT_LEN};
 use crate::{DbError, Result};
 
 /// Magic number terminating every table (shared with no real format).
@@ -27,8 +28,17 @@ impl BlockHandle {
 
     /// Appends the varint encoding.
     pub fn encode_to(&self, out: &mut Vec<u8>) {
-        encode_u64(out, self.offset);
-        encode_u64(out, self.size);
+        let (bytes, len) = self.encoded();
+        out.extend_from_slice(&bytes[..len]);
+    }
+
+    /// The varint encoding on the stack and its length: the index entry
+    /// written for every data block.
+    pub(crate) fn encoded(&self) -> ([u8; 2 * MAX_VARINT_LEN], usize) {
+        let mut bytes = [0u8; 2 * MAX_VARINT_LEN];
+        let len = write_u64(&mut bytes, self.offset);
+        let len = len + write_u64(&mut bytes[len..], self.size);
+        (bytes, len)
     }
 
     /// Decodes a handle, advancing `pos`.
@@ -100,6 +110,17 @@ mod tests {
         let mut pos = 0;
         assert_eq!(BlockHandle::decode_from(&buf, &mut pos).unwrap(), h);
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn stack_encoding_is_the_varint_pair() {
+        for (offset, size) in [(0, 0), (127, 128), (123_456_789, 4096), (u64::MAX, u64::MAX)] {
+            let mut want = Vec::new();
+            crate::util::encode_u64(&mut want, offset);
+            crate::util::encode_u64(&mut want, size);
+            let (bytes, len) = BlockHandle::new(offset, size).encoded();
+            assert_eq!(&bytes[..len], want.as_slice());
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl fmt::Display for InternalKey {
     }
 }
 
-fn pack_trailer(seq: SequenceNumber, vt: ValueType) -> u64 {
+pub(crate) fn pack_trailer(seq: SequenceNumber, vt: ValueType) -> u64 {
     debug_assert!(seq <= MAX_SEQUENCE);
     (seq << 8) | vt as u64
 }
@@ -124,8 +124,14 @@ pub fn value_type_of(ikey: &[u8]) -> Option<ValueType> {
 /// Compares two encoded internal keys: user key ascending, then sequence
 /// descending, then type descending (LevelDB's `InternalKeyComparator`).
 pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
-    match user_key(a).cmp(user_key(b)) {
-        Ordering::Equal => trailer(b).cmp(&trailer(a)),
+    compare_internal_to_parts(a, user_key(b), trailer(b))
+}
+
+/// [`compare_internal`] against the key `b_user_key ++ b_trailer`, for a
+/// caller that has the two parts and no reason to join them.
+pub(crate) fn compare_internal_to_parts(a: &[u8], b_user_key: &[u8], b_trailer: u64) -> Ordering {
+    match user_key(a).cmp(b_user_key) {
+        Ordering::Equal => b_trailer.cmp(&trailer(a)),
         ord => ord,
     }
 }

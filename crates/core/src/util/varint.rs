@@ -5,6 +5,9 @@ pub fn encode_u32(out: &mut Vec<u8>, v: u32) {
     encode_u64(out, v as u64);
 }
 
+/// The longest varint: ten groups of seven bits cover a `u64`.
+pub(crate) const MAX_VARINT_LEN: usize = 10;
+
 /// Appends `v` to `out` as a varint (1–10 bytes).
 pub fn encode_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -12,6 +15,23 @@ pub fn encode_u64(out: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     out.push(v as u8);
+}
+
+/// [`encode_u64`] into a caller's buffer, for encoding on the stack:
+/// writes the varint at the start of `out` and returns its length.
+///
+/// # Panics
+///
+/// Panics if `out` is too short ([`MAX_VARINT_LEN`] bytes always suffice).
+pub(crate) fn write_u64(out: &mut [u8], mut v: u64) -> usize {
+    let mut len = 0;
+    while v >= 0x80 {
+        out[len] = (v as u8 & 0x7f) | 0x80;
+        len += 1;
+        v >>= 7;
+    }
+    out[len] = v as u8;
+    len + 1
 }
 
 /// Decodes a varint `u64` from `data[*pos..]`, advancing `pos`.

@@ -149,3 +149,40 @@ fn checksummed_formats_are_pinned() {
     assert_eq!(block.len(), 54);
     assert_eq!(hex(&block[block.len() - 5..]), "00f1db5aab");
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The whole image of a fixed 5 000-entry table — data blocks, bloom
+/// filter, index, footer — pinned by hashes taken from the builder as it
+/// stood before it reused its buffers and hashed keys as they arrive, raw
+/// and with block compression (values alternate between runs, which
+/// compress, and counters, which do not, so both block types appear).
+#[test]
+fn table_image_is_pinned() {
+    use noblsm::sstable::TableBuilder;
+    use noblsm::CompressionType;
+
+    let image = |compression| {
+        let opts = Options { compression, ..Options::default() };
+        let mut b = TableBuilder::new(&opts);
+        for i in 0..5_000u64 {
+            let key =
+                InternalKey::new(format!("user{:09}", i * 7).as_bytes(), i + 1, ValueType::Value);
+            let value: Vec<u8> = if i % 64 < 32 {
+                vec![(i % 251) as u8; 100 + (i % 29) as usize]
+            } else {
+                (0..100 + i % 29).map(|j| (i * 31 + j * 17) as u8).collect()
+            };
+            b.add(key.as_bytes(), &value);
+        }
+        b.finish()
+    };
+    let raw = image(CompressionType::None);
+    assert_eq!((raw.len(), fnv1a(&raw)), (652_548, 15_715_471_886_533_784_599));
+    let rle = image(CompressionType::Rle);
+    assert_eq!((rle.len(), fnv1a(&rle)), (374_903, 10_391_758_309_576_846_011));
+}

@@ -732,7 +732,7 @@ impl Ext4Fs {
                 inode.metadata_dirty = false;
                 inode.committed_epoch = inode.epoch;
                 inode.committed_at = Some(at);
-                inode.persist_events.push(PersistEvent { len: len as u64, at });
+                inode.persisted.record(PersistEvent { len: len as u64, at });
                 inode.commit_events.push(CommitEvent {
                     at,
                     durable_at: Some(at),
@@ -794,11 +794,11 @@ impl Inner {
         let inode = self.inodes.get_mut(&id).expect("caller verified the inode is live");
         match fault {
             WriteFault::None => {
-                inode.persist_events.push(PersistEvent { len: target, at: res.end });
+                inode.persisted.record(PersistEvent { len: target, at: res.end });
             }
             WriteFault::Torn { keep } => {
                 let keep = keep.min(bytes);
-                inode.persist_events.push(PersistEvent { len: base + keep, at: res.end });
+                inode.persisted.record(PersistEvent { len: base + keep, at: res.end });
                 if base + keep < target {
                     // The kernel believes write-back reached `target`, so
                     // the torn tail is never reissued: record it as a
@@ -814,7 +814,7 @@ impl Inner {
                 self.stats.data_writebacks_torn += 1;
             }
             WriteFault::Corrupt => {
-                inode.persist_events.push(PersistEvent { len: target, at: res.end });
+                inode.persisted.record(PersistEvent { len: target, at: res.end });
                 inode.damage_events.push(DamageEvent { start: base, end: target, at: res.end });
                 self.stats.data_writebacks_corrupted += 1;
             }
@@ -915,8 +915,8 @@ impl Inner {
             sink.begin_span();
         }
         let mut data_done = at;
-        if let Some(last) = inode.persist_events.last() {
-            data_done = data_done.max(last.at);
+        if let Some(last) = inode.persisted.last_at() {
+            data_done = data_done.max(last);
         }
         let dirty = inode.dirty_bytes();
         let base = inode.written_back;
@@ -1035,8 +1035,8 @@ impl Inner {
                     let end = self.data_write(id, p_now, written_back, at, true, true);
                     data_done = data_done.max(end);
                 }
-            } else if let Some(last) = inode.persist_events.last() {
-                data_done = data_done.max(last.at);
+            } else if let Some(last) = inode.persisted.last_at() {
+                data_done = data_done.max(last);
             }
             if dirty > 0 {
                 let end = self.data_write(id, written_back, target, at, sync, false);

@@ -15,6 +15,53 @@ pub(crate) struct PersistEvent {
     pub at: Nanos,
 }
 
+/// The durable-data history of one inode, kept as a Pareto staircase.
+///
+/// Only the longest prefix durable by an instant matters, so a completion
+/// that some other completion beats on both counts (no later, no shorter)
+/// can never be the answer and is not kept. What remains is strictly
+/// increasing in both `at` and `len`, which makes the lookup a binary
+/// search however many write-backs the inode has seen. Completions arrive
+/// out of order (a foreground write overtakes the flusher's queue; a torn
+/// write persists less than an earlier one), so a record may land in the
+/// middle and may retire steps after it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PersistHistory {
+    steps: Vec<PersistEvent>,
+    /// Completion instant of the write-back recorded last, kept or not:
+    /// the in-flight tail an ordered commit waits for.
+    last_at: Option<Nanos>,
+}
+
+impl PersistHistory {
+    /// Records one write-back completion.
+    pub fn record(&mut self, ev: PersistEvent) {
+        self.last_at = Some(ev.at);
+        let pos = self.steps.partition_point(|s| s.at < ev.at);
+        if pos > 0 && self.steps[pos - 1].len >= ev.len {
+            return; // an earlier completion already covers it
+        }
+        // Steps from `pos` on completed no earlier; the leading ones that
+        // are no longer are now beaten.
+        let beaten = self.steps[pos..].iter().take_while(|s| s.len <= ev.len).count();
+        if beaten == 0 && self.steps.get(pos).is_some_and(|s| s.at == ev.at) {
+            return; // a longer completion at the same instant
+        }
+        self.steps.splice(pos..pos + beaten, [ev]);
+    }
+
+    /// The longest prefix durable as of `at`.
+    pub fn len_at(&self, at: Nanos) -> u64 {
+        let after = self.steps.partition_point(|s| s.at <= at);
+        after.checked_sub(1).map_or(0, |i| self.steps[i].len)
+    }
+
+    /// Completion instant of the most recently recorded write-back.
+    pub fn last_at(&self) -> Option<Nanos> {
+        self.last_at
+    }
+}
+
 /// One journal-commit record for this inode: at instant `at` the kernel
 /// observed the commit complete, recording the inode with size `len` under
 /// `path` (`None` when the commit recorded the deletion).
@@ -64,7 +111,7 @@ pub(crate) struct Inode {
     /// Completion instant of the most recent commit covering this inode.
     pub committed_at: Option<Nanos>,
     /// Durable-data history (monotone prefix lengths).
-    pub persist_events: Vec<PersistEvent>,
+    pub persisted: PersistHistory,
     /// Journal history for this inode.
     pub commit_events: Vec<CommitEvent>,
     /// On-media ranges silently damaged by injected faults.
@@ -86,7 +133,7 @@ impl Inode {
             epoch: 1,
             committed_epoch: 0,
             committed_at: None,
-            persist_events: Vec::new(),
+            persisted: PersistHistory::default(),
             commit_events: Vec::new(),
             damage_events: Vec::new(),
             cached: false,
@@ -112,7 +159,7 @@ impl Inode {
 
     /// The durable prefix length as of `at`.
     pub fn persisted_len_at(&self, at: Nanos) -> u64 {
-        self.persist_events.iter().filter(|e| e.at <= at).map(|e| e.len).max().unwrap_or(0)
+        self.persisted.len_at(at)
     }
 
     /// The last commit event *recoverable* at `at`, if any: its record
@@ -157,11 +204,61 @@ mod tests {
     #[test]
     fn persisted_len_is_monotone_prefix_max() {
         let mut i = inode();
-        i.persist_events.push(PersistEvent { len: 10, at: Nanos::from_secs(1) });
-        i.persist_events.push(PersistEvent { len: 30, at: Nanos::from_secs(3) });
+        i.persisted.record(PersistEvent { len: 10, at: Nanos::from_secs(1) });
+        i.persisted.record(PersistEvent { len: 30, at: Nanos::from_secs(3) });
         assert_eq!(i.persisted_len_at(Nanos::ZERO), 0);
         assert_eq!(i.persisted_len_at(Nanos::from_secs(2)), 10);
         assert_eq!(i.persisted_len_at(Nanos::from_secs(3)), 30);
+    }
+
+    /// The definition the staircase must reproduce: a scan of every
+    /// completion ever recorded.
+    fn linear_len_at(events: &[PersistEvent], at: Nanos) -> u64 {
+        events.iter().filter(|e| e.at <= at).map(|e| e.len).max().unwrap_or(0)
+    }
+
+    proptest::proptest! {
+        /// Completions in any order — late, early, torn short, repeated
+        /// instants — answer every instant as the full scan does, stay a
+        /// strict staircase, and remember the last recorded instant.
+        #[test]
+        fn staircase_matches_the_linear_scan(
+            pushes in proptest::collection::vec((0u64..64, 0u64..64), 0..80),
+        ) {
+            let mut history = PersistHistory::default();
+            let mut events = Vec::new();
+            for (at, len) in pushes {
+                let ev = PersistEvent { len, at: Nanos::from_nanos(at) };
+                history.record(ev);
+                events.push(ev);
+                proptest::prop_assert_eq!(history.last_at(), Some(ev.at));
+                proptest::prop_assert!(
+                    history.steps.windows(2).all(|w| w[0].at < w[1].at && w[0].len < w[1].len),
+                    "not a strict staircase: {:?}", history.steps
+                );
+                for t in 0..66 {
+                    let t = Nanos::from_nanos(t);
+                    proptest::prop_assert_eq!(history.len_at(t), linear_len_at(&events, t));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_beaten_completion_is_not_kept_but_is_remembered_as_last() {
+        let mut h = PersistHistory::default();
+        h.record(PersistEvent { len: 300, at: Nanos::from_nanos(50) });
+        // A foreground rewrite of the same range overtakes the flusher.
+        h.record(PersistEvent { len: 300, at: Nanos::from_nanos(30) });
+        assert_eq!(h.steps, vec![PersistEvent { len: 300, at: Nanos::from_nanos(30) }]);
+        // A torn write lands in the middle and retires nothing.
+        h.record(PersistEvent { len: 400, at: Nanos::from_nanos(60) });
+        h.record(PersistEvent { len: 350, at: Nanos::from_nanos(40) });
+        assert_eq!(h.steps.len(), 3);
+        h.record(PersistEvent { len: 100, at: Nanos::from_nanos(70) });
+        assert_eq!(h.steps.len(), 3, "covered by an earlier, longer completion");
+        assert_eq!(h.last_at(), Some(Nanos::from_nanos(70)));
+        assert_eq!(h.len_at(Nanos::from_nanos(45)), 350);
     }
 
     fn committed(at: Nanos, len: u64, path: &str) -> CommitEvent {

@@ -6,8 +6,15 @@
 # length, and per end-to-end metric both medians, both quartile pairs and
 # how many pairs the change won.
 #
-#     scripts/ledger-pairs.sh <parent-rev> <workload> [pairs=10]
+#     scripts/ledger-pairs.sh <parent-rev> <workload>|all [pairs=10]
 #     scripts/ledger-pairs.sh HEAD~1 read
+#     scripts/ledger-pairs.sh HEAD~1 all
+#
+# `all` measures every workload BENCHMARK.json lists, one after the other.
+# The output ends with one verdict line per workload — which metrics earned
+# `claim`, which are worse than their bound, which virtual metrics differ
+# inside a same-seed pair — because a change is rejected on any of the
+# metric x workload cells, not only on the one it claims.
 #
 # "Change" is the working tree as it stands; "parent" is <parent-rev>,
 # exported with `git archive` into target/ledger-pairs/<sha>/ (git-ignored,
@@ -23,11 +30,14 @@
 # at least ten pairs were run,
 # the change won at least nine tenths of the pairs (ties count for
 # neither) and the medians differ by more than the parent's own
-# interquartile distance. Nothing else should run on the box meanwhile.
+# interquartile distance. A metric is `WORSE` when the change's median is
+# worse than the parent's by more than the metric's `bound`, and a virtual
+# metric (every one but `setup_s` and `host_*`) is `DIFFERS` when any pair
+# disagrees on it. Nothing else should run on the box meanwhile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/ledger-pairs.sh <parent-rev> <workload> [pairs=10]"
+usage="usage: scripts/ledger-pairs.sh <parent-rev> <workload>|all [pairs=10]"
 if [[ $# -lt 2 || $# -gt 3 ]]; then
     echo "$usage" >&2
     exit 2
@@ -39,8 +49,13 @@ if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
     echo "$usage" >&2
     exit 2
 fi
-if ! grep -q "{\"name\": \"$workload\", \"why\"" BENCHMARK.json; then
-    echo "unknown workload \`$workload\` (BENCHMARK.json lists: $(sed -n 's/.*{"name": "\([a-z]*\)", "why".*/\1/p' BENCHMARK.json | tr '\n' ' '))" >&2
+listed=$(sed -n 's/.*{"name": "\([a-z]*\)", "why".*/\1/p' BENCHMARK.json | tr '\n' ' ')
+if [[ $workload == all ]]; then
+    workloads=$listed
+elif [[ " $listed" == *" $workload "* ]]; then
+    workloads=$workload
+else
+    echo "unknown workload \`$workload\` (BENCHMARK.json lists: ${listed}or \`all\`)" >&2
     exit 2
 fi
 sha=$(git rev-parse --verify --quiet "$1^{commit}") || {
@@ -58,69 +73,102 @@ fi
 cargo build --release --quiet --manifest-path "$parent/bench/ledger/Cargo.toml"
 cargo build --release --quiet --manifest-path bench/ledger/Cargo.toml
 
-out=target/ledger-pairs/out/$workload
-rm -rf "$out"
-mkdir -p "$out"
-run() { # side binary seed
-    "$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1 \
-        > "$out/$1_$3.json"
-}
 parent_bin=$parent/bench/ledger/target/release/bench_ledger
 change_bin=bench/ledger/target/release/bench_ledger
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2 == 1)); then
-        run parent "$parent_bin" "$i"
-        run change "$change_bin" "$i"
-    else
-        run change "$change_bin" "$i"
-        run parent "$parent_bin" "$i"
-    fi
-    echo "pair $i/$pairs done" >&2
-done
 
-echo "workload $workload: parent ${sha:0:7} vs working tree, $pairs pairs, seeds 1..$pairs, ${seconds} s per run"
-for side in parent change; do
-    echo "$side failed operations: $(cat "$out/$side"_*.json | sed -n 's/.*"failed": \([0-9]*\),.*/\1/p' | awk '{ n += $1 } END { print n + 0 }')"
-done
-# One line per end-to-end metric of BENCHMARK.json: name and direction
-# come from there, the values from the result lines.
-sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound".*/\1 \2/p' BENCHMARK.json |
-    while read -r metric better; do
-        for side in parent change; do
-            for ((i = 1; i <= pairs; i++)); do
-                sed -n "s/.*\"$metric\": {\"value\": \([-0-9.e+]*\),.*/$side $i \1/p" "$out/${side}_$i.json"
-            done
-        done | awk -v metric="$metric" -v better="$better" -v pairs="$pairs" '
-            { v[$1, $2] = $3; n[$1]++ }
-            function sorted(side,    i, j, t) {
-                for (i = 1; i <= pairs; i++) s[i] = v[side, i]
-                for (i = 2; i <= pairs; i++)
-                    for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
-            }
-            # Quartiles by the exclusive method, as bench_ledger and the driver compute them.
-            function quantile(q,    p, j) {
-                if (pairs == 1) return s[1]
-                p = q * (pairs + 1) / 4; j = int(p)
-                if (j < 1) j = 1
-                if (j > pairs - 1) j = pairs - 1
-                return s[j] + (p - j) * (s[j + 1] - s[j])
-            }
-            END {
-                if (n["parent"] != pairs || n["change"] != pairs) {
-                    printf "%-17s missing from a result line (a run failed?)\n", metric
-                    exit 1
-                }
-                sorted("parent"); pm = quantile(2); p1 = quantile(1); p3 = quantile(3)
-                sorted("change"); cm = quantile(2); c1 = quantile(1); c3 = quantile(3)
-                for (i = 1; i <= pairs; i++) {
-                    d = v["change", i] - v["parent", i]
-                    if (better == "higher") d = -d
-                    if (d < 0) wins++; else if (d > 0) losses++
-                }
-                gain = (better == "higher") ? cm - pm : pm - cm
-                verdict = (pairs >= 10 && wins * 10 >= pairs * 9 && gain > p3 - p1) ? "claim" : \
-                          (wins + losses == 0) ? "equal" : "-"
-                printf "%-17s %-6s parent %.6g [%.6g .. %.6g]  change %.6g [%.6g .. %.6g]  %+.1f%%  wins %d/%d losses %d  %s\n", \
-                    metric, better, pm, p1, p3, cm, c1, c3, (pm != 0) ? (cm - pm) / pm * 100 : 0, wins, pairs, losses, verdict
-            }'
+# Runs the pairs of one workload and prints its table: one line per
+# end-to-end metric of BENCHMARK.json (name, direction and bound come from
+# there, the values from the result lines).
+measure() { # workload
+    local workload=$1 out=target/ledger-pairs/out/$1 i side
+    rm -rf "$out"
+    mkdir -p "$out"
+    run() { # side binary seed
+        "$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1 \
+            > "$out/$1_$3.json"
+    }
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2 == 1)); then
+            run parent "$parent_bin" "$i"
+            run change "$change_bin" "$i"
+        else
+            run change "$change_bin" "$i"
+            run parent "$parent_bin" "$i"
+        fi
+        echo "$workload: pair $i/$pairs done" >&2
     done
+
+    echo "workload $workload: parent ${sha:0:7} vs working tree, $pairs pairs, seeds 1..$pairs, ${seconds} s per run"
+    for side in parent change; do
+        echo "$side failed operations: $(cat "$out/$side"_*.json | sed -n 's/.*"failed": \([0-9]*\),.*/\1/p' | awk '{ n += $1 } END { print n + 0 }')"
+    done
+    sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\).*/\1 \2 \3/p' BENCHMARK.json |
+        while read -r metric better bound; do
+            for side in parent change; do
+                for ((i = 1; i <= pairs; i++)); do
+                    sed -n "s/.*\"$metric\": {\"value\": \([-0-9.e+]*\),.*/$side $i \1/p" "$out/${side}_$i.json"
+                done
+            done | awk -v metric="$metric" -v better="$better" -v bound="$bound" -v pairs="$pairs" '
+                { v[$1, $2] = $3; n[$1]++ }
+                function sorted(side,    i, j, t) {
+                    for (i = 1; i <= pairs; i++) s[i] = v[side, i]
+                    for (i = 2; i <= pairs; i++)
+                        for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+                }
+                # Quartiles by the exclusive method, as bench_ledger and the driver compute them.
+                function quantile(q,    p, j) {
+                    if (pairs == 1) return s[1]
+                    p = q * (pairs + 1) / 4; j = int(p)
+                    if (j < 1) j = 1
+                    if (j > pairs - 1) j = pairs - 1
+                    return s[j] + (p - j) * (s[j + 1] - s[j])
+                }
+                END {
+                    if (n["parent"] != pairs || n["change"] != pairs) {
+                        printf "%-17s missing from a result line (a run failed?)\n", metric
+                        exit 1
+                    }
+                    sorted("parent"); pm = quantile(2); p1 = quantile(1); p3 = quantile(3)
+                    sorted("change"); cm = quantile(2); c1 = quantile(1); c3 = quantile(3)
+                    for (i = 1; i <= pairs; i++) {
+                        d = v["change", i] - v["parent", i]
+                        if (better == "higher") d = -d
+                        if (d < 0) wins++; else if (d > 0) losses++
+                    }
+                    gain = (better == "higher") ? cm - pm : pm - cm
+                    verdict = (pairs >= 10 && wins * 10 >= pairs * 9 && gain > p3 - p1) ? "claim" : \
+                              (wins + losses == 0) ? "equal" : "-"
+                    if (pm != 0 && -gain / (pm < 0 ? -pm : pm) > bound) verdict = verdict " WORSE"
+                    virtual = metric != "setup_s" && metric !~ /^host_/
+                    if (virtual && wins + losses > 0) verdict = verdict " DIFFERS"
+                    printf "%-17s %-6s parent %.6g [%.6g .. %.6g]  change %.6g [%.6g .. %.6g]  %+.1f%%  wins %d/%d losses %d  %s\n", \
+                        metric, better, pm, p1, p3, cm, c1, c3, (pm != 0) ? (cm - pm) / pm * 100 : 0, wins, pairs, losses, verdict
+                }'
+        done
+}
+
+# One line saying what a table amounts to: the last column's words, each
+# with the metrics that earned it.
+verdict() { # workload table-file
+    awk -v workload="$1" '
+        $2 == "higher" || $2 == "lower" {
+            for (i = NF; i > 0 && $i ~ /^(claim|equal|-|WORSE|DIFFERS)$/; i--) seen[$i] = seen[$i] " " $1
+            next
+        }
+        / failed operations: / { failed[$1] = $4 }
+        /missing from a result line/ { seen["WORSE"] = seen["WORSE"] " " $1 "(missing)" }
+        END {
+            printf "verdict %-6s claim:%s | worse than bound:%s | virtual metric differs in a pair:%s | failed operations: parent %d change %d\n", \
+                workload, (seen["claim"] == "") ? " no claim" : seen["claim"], \
+                (seen["WORSE"] == "") ? " none" : seen["WORSE"], \
+                (seen["DIFFERS"] == "") ? " none" : seen["DIFFERS"], failed["parent"], failed["change"]
+        }' "$2"
+}
+
+mkdir -p target/ledger-pairs/out
+for workload in $workloads; do
+    measure "$workload" | tee "target/ledger-pairs/out/$workload.table"
+done
+for workload in $workloads; do
+    verdict "$workload" "target/ledger-pairs/out/$workload.table"
+done
