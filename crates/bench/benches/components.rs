@@ -75,7 +75,7 @@ fn bench_sstable(c: &mut Criterion) {
     let h = fs.create("t", Nanos::ZERO).expect("fresh file");
     let mut now = fs.append(h, &bytes, Nanos::ZERO).expect("write");
     let table =
-        noblsm::sstable::open_for_test(fs, h, bytes.len() as u64, &Options::default(), &mut now)
+        noblsm::sstable::Table::open_file(fs, h, bytes.len() as u64, &Options::default(), &mut now)
             .expect("open");
     g.bench_function("point_get", |b| {
         let mut i = 0u64;
@@ -83,7 +83,7 @@ fn bench_sstable(c: &mut Criterion) {
             i = (i + 2711) % 5000;
             let probe =
                 InternalKey::new(format!("key{i:08}").as_bytes(), u64::MAX >> 9, ValueType::Value);
-            table.get_for_test(probe.as_bytes(), &mut now).expect("read")
+            table.get(probe.as_bytes(), &mut now, true).expect("read")
         })
     });
     g.finish();

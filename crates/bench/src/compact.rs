@@ -130,20 +130,12 @@ fn content_hash(store: &mut Store) -> u64 {
     let result = store
         .scan(&noblsm::ReadOptions::default(), &ScanOptions::all())
         .expect("full content scan");
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for chunk in [&(bytes.len() as u64).to_le_bytes()[..], bytes] {
-            for &b in chunk {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        }
-    };
-    for (k, v) in &result.rows {
-        eat(k);
-        eat(v);
+    let mut image = Vec::new();
+    for field in result.rows.iter().flat_map(|(k, v)| [k, v]) {
+        image.extend_from_slice(&(field.len() as u64).to_le_bytes());
+        image.extend_from_slice(field);
     }
-    h
+    nob_sim::fnv1a(&image)
 }
 
 fn run_cell(point: &[u64], scale: Scale) -> Row {

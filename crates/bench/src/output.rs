@@ -1,6 +1,7 @@
 //! Result tables: aligned stdout printing plus JSON files under
 //! `target/nob-results/` for EXPERIMENTS.md bookkeeping.
 
+use nob_sim::json_escape;
 use nob_trace::TraceSummary;
 
 /// One measured cell of a figure or table.
@@ -199,17 +200,17 @@ fn to_json(e: &Experiment) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"scale\": {},\n  \"cells\": [\n",
-        escape(&e.id),
-        escape(&e.title),
+        json_escape(&e.id),
+        json_escape(&e.title),
         e.scale
     ));
     for (i, c) in e.cells.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"series\": \"{}\", \"x\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            escape(&c.series),
-            escape(&c.x),
+            json_escape(&c.series),
+            json_escape(&c.x),
             c.value,
-            escape(&c.unit),
+            json_escape(&c.unit),
             if i + 1 == e.cells.len() { "" } else { "," }
         ));
     }
@@ -220,10 +221,6 @@ fn to_json(e: &Experiment) -> String {
     }
     out.push_str("\n}\n");
     out
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -327,23 +327,9 @@ pub fn case_json(r: &CaseResult, indent: &str) -> String {
     s
 }
 
-/// Escapes a string for JSON.
+/// `s` as a quoted JSON string.
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", nob_sim::json_escape(s))
 }
 
 /// Serializes a slice of integers as a JSON array.

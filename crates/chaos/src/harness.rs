@@ -356,7 +356,7 @@ pub fn validate_crash(run: &PreparedRun, crash_pm: u32, snap: bool) -> CaseResul
         Err(first) => {
             open_error = Some(first.to_string());
             repaired = true;
-            match Db::repair_with_report(&view, DB_DIR, &run.opts, crash_at) {
+            match Db::repair(&view, DB_DIR, &run.opts, crash_at) {
                 Ok((t, report)) => {
                     tables_skipped = report.tables_skipped;
                     wal_corruptions = report.wal_corruptions_detected;

@@ -54,11 +54,6 @@ impl DebtLedger {
         self.claims.iter().filter(|(_, l, _)| *l == level).map(|(_, _, b)| *b).sum()
     }
 
-    /// Number of live claims.
-    pub fn len(&self) -> usize {
-        self.claims.len()
-    }
-
     /// True when no claims are live.
     pub fn is_empty(&self) -> bool {
         self.claims.is_empty()

@@ -16,6 +16,10 @@
 //!   lane when write pressure is low.
 //! * [`DebtLedger`] — per-level claims of in-flight compaction input bytes,
 //!   so concurrent lanes never double-count compaction debt.
+//! * [`Scheduler`] — the one owner of the four above plus the busy-level
+//!   set and in-flight count: the engine asks it whether a major is
+//!   admitted and where it runs, and hands each job's books back exactly
+//!   once.
 //!
 //! # Examples
 //!
@@ -42,8 +46,10 @@ mod debt;
 mod lanes;
 mod pipeline;
 mod policy;
+mod scheduler;
 
 pub use debt::{DebtClaim, DebtLedger};
 pub use lanes::{LaneSet, LaneStats};
 pub use pipeline::{Granule, Stage, StageInterval, StagePlan};
 pub use policy::PriorityPolicy;
+pub use scheduler::{MajorJob, Scheduler};

@@ -29,17 +29,6 @@ pub enum Stage {
     Write,
 }
 
-impl Stage {
-    /// Stable lowercase name (`read` / `merge` / `write`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::Read => "read",
-            Stage::Merge => "merge",
-            Stage::Write => "write",
-        }
-    }
-}
-
 /// One output granule's stage durations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Granule {
@@ -110,11 +99,6 @@ impl StagePlan {
         self.granules.is_empty()
     }
 
-    /// The recorded granules.
-    pub fn granules(&self) -> &[Granule] {
-        &self.granules
-    }
-
     /// Serial (unpipelined) duration: every stage back to back.
     pub fn serial_duration(&self) -> Nanos {
         self.granules.iter().map(|g| g.read + g.merge + g.write).sum()
@@ -143,11 +127,6 @@ impl StagePlan {
         self.granules.iter().fold((Nanos::ZERO, Nanos::ZERO, Nanos::ZERO), |(r, m, w), g| {
             (r + g.read, m + g.merge, w + g.write)
         })
-    }
-
-    /// Total output bytes across all granules.
-    pub fn total_bytes(&self) -> u64 {
-        self.granules.iter().map(|g| g.bytes).sum()
     }
 
     /// The pipelined stage occupancy intervals for a compaction started at

@@ -49,9 +49,10 @@ pub(crate) trait HotnessOracle {
     fn is_hot(&self, user_key: &[u8]) -> bool;
 }
 
-/// Writes `entries` (sorted internal keys) as one new table file and
-/// returns its metadata. Used by minor compactions and recovery flushes.
-/// The caller decides whether to fsync.
+/// Writes `entries` (sorted internal keys) as one new table file, synced
+/// unless the discipline is [`SyncMode::Never`], and returns its
+/// metadata. Used by minor compactions, recovery flushes and repair — for
+/// NobLSM (§4.1) the *only* occasions KV pairs are synced.
 pub(crate) fn write_table<'a>(
     fs: &Ext4Fs,
     dir: &str,
@@ -74,6 +75,9 @@ pub(crate) fn write_table<'a>(
     let path = file_path(dir, FileKind::Table, number);
     let handle = fs.create(&path, *now)?;
     *now = fs.append(handle, &bytes, *now)?;
+    if opts.sync_mode != SyncMode::Never {
+        *now = fs.fsync(handle, *now)?;
+    }
     let inode = fs
         .inode_of(&path)
         .ok_or_else(|| DbError::InvalidDb(format!("table {path} vanished during creation")))?;
@@ -116,7 +120,7 @@ pub(crate) fn run_major(
     }
     let mut children: Vec<Box<dyn InternalIterator + '_>> = Vec::new();
     for t in &openers {
-        children.push(Box::new(t.iter()));
+        children.push(Box::new(t.iter(true)));
     }
     let mut merged = MergingIterator::new(children);
     merged.seek_to_first(now)?;
@@ -352,10 +356,6 @@ pub(crate) struct PhysicalRefs {
 }
 
 impl PhysicalRefs {
-    pub fn new() -> Self {
-        PhysicalRefs::default()
-    }
-
     /// Registers one more logical table living in `physical`.
     pub fn acquire(&mut self, physical: u64, path: &str) {
         let entry = self.refs.entry(physical).or_insert_with(|| (0, path.to_string()));
@@ -376,7 +376,7 @@ impl PhysicalRefs {
     }
 
     /// Number of tracked physical files.
-    #[allow(dead_code)] // exercised from unit tests
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.refs.len()
     }
@@ -389,7 +389,7 @@ mod tests {
 
     #[test]
     fn physical_refs_count_correctly() {
-        let mut r = PhysicalRefs::new();
+        let mut r = PhysicalRefs::default();
         r.acquire(5, "db/000005.ldb");
         r.acquire(5, "db/000005.ldb");
         r.acquire(6, "db/000006.ldb");

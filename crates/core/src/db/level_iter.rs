@@ -34,7 +34,7 @@ impl<'a> std::fmt::Debug for LevelIter<'a> {
 impl<'a> LevelIter<'a> {
     /// Creates an iterator over `files` (must be sorted by smallest key
     /// and non-overlapping), with explicit block-cache population.
-    pub fn new_opt(
+    pub(crate) fn new(
         tables: &'a TableCache,
         files: Vec<Arc<FileMetaData>>,
         fill_cache: bool,
@@ -48,7 +48,7 @@ impl<'a> LevelIter<'a> {
             return Ok(());
         }
         let table = self.tables.table(&self.files[self.index], now)?;
-        self.cur = Some(table.iter_opt(self.fill_cache));
+        self.cur = Some(table.iter(self.fill_cache));
         Ok(())
     }
 

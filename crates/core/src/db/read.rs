@@ -1,0 +1,403 @@
+//! The read path: point gets, iterators, range scans and size estimates.
+
+use std::sync::Arc;
+
+use nob_sim::Nanos;
+use nob_trace::EventClass;
+
+use crate::iterator::{DbIterator, InternalIterator, MergingIterator};
+use crate::memtable::MemLookup;
+use crate::options::{CompactionStyle, ReadOptions, ScanOptions};
+use crate::types::{compare_internal, user_key};
+use crate::version::{FileMetaData, GetResult};
+use crate::{Result, SequenceNumber};
+
+use super::level_iter::LevelIter;
+use super::{Db, ScanCollector, ScanResult, Snapshot};
+
+impl Db {
+    /// Reads `key` under [`ReadOptions`] — the canonical read entry
+    /// point.
+    ///
+    /// The read is timed on the engine's [`SharedClock`](nob_sim::SharedClock) (see
+    /// [`Db::clock`]). `ropts.snapshot` pins the view; `ropts.fill_cache`
+    /// controls block-cache population.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn get(&mut self, ropts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let now = self.clock.now();
+        let seq = ropts.snapshot.map_or(self.versions.last_sequence, Snapshot::sequence);
+        let (value, _end) = self.get_internal(now, key, seq, ropts.fill_cache)?;
+        Ok(value)
+    }
+
+    /// Reads the newest visible value of `key` at an explicit instant.
+    ///
+    /// Deprecated since 0.3.0: call [`Db::get`], which reads the shared
+    /// clock instead of a caller-threaded `now`; this shim survives one
+    /// release.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn get_at_time(&mut self, now: Nanos, key: &[u8]) -> Result<(Option<Vec<u8>>, Nanos)> {
+        let seq = self.versions.last_sequence;
+        self.get_internal(now, key, seq, true)
+    }
+
+    fn get_internal(
+        &mut self,
+        now: Nanos,
+        key: &[u8],
+        seq: SequenceNumber,
+        fill_cache: bool,
+    ) -> Result<(Option<Vec<u8>>, Nanos)> {
+        // Device commands the read issues (table reads) nest under the
+        // engine_get span.
+        self.traced(
+            EventClass::EngineGet,
+            now,
+            |db| {
+                let found = db.get_untraced(now, key, seq, fill_cache)?;
+                db.clock.advance_to(found.1);
+                Ok(found)
+            },
+            |(value, end)| (*end, value.as_ref().map_or(0, |v| v.len() as u64)),
+        )
+    }
+
+    fn get_untraced(
+        &mut self,
+        now: Nanos,
+        key: &[u8],
+        seq: SequenceNumber,
+        fill_cache: bool,
+    ) -> Result<(Option<Vec<u8>>, Nanos)> {
+        self.pump(now)?;
+        let mut now = now + self.opts.cpu.get + self.opts.extra_op_cpu;
+        self.stats.gets += 1;
+        for mem in std::iter::once(&self.mem).chain(&self.imm) {
+            match mem.get(key, seq) {
+                MemLookup::Found(v) => {
+                    self.stats.hits += 1;
+                    return Ok((Some(v), now));
+                }
+                MemLookup::Deleted => return Ok((None, now)),
+                MemLookup::NotFound => {}
+            }
+        }
+        let version = self.versions.current();
+        let (result, probes, seek) =
+            version.get(key, seq, self.opts.style, &self.tables, &mut now, fill_cache)?;
+        self.stats.files_read_per_get += probes as u64;
+        if let Some(sf) = seek {
+            if self.opts.seek_compaction {
+                self.pending_seek = Some(sf);
+                self.maybe_schedule(now);
+            }
+        }
+        match result {
+            GetResult::Found(v) => {
+                self.stats.hits += 1;
+                Ok((Some(v), now))
+            }
+            _ => Ok((None, now)),
+        }
+    }
+
+    /// Reads several keys at one consistent sequence number, returning
+    /// results in input order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn multi_get(
+        &mut self,
+        now: Nanos,
+        keys: &[&[u8]],
+    ) -> Result<(Vec<Option<Vec<u8>>>, Nanos)> {
+        let seq = self.versions.last_sequence;
+        let mut out = Vec::with_capacity(keys.len());
+        let mut now = now;
+        for key in keys {
+            let (got, t) = self.get_internal(now, key, seq, true)?;
+            now = t;
+            out.push(got);
+        }
+        Ok((out, now))
+    }
+
+    /// Creates an iterator under [`ReadOptions`] — the canonical
+    /// iteration entry point, starting at the shared clock's instant.
+    ///
+    /// The iterator owns its virtual clock (see [`DbIterator::now`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn iter(&mut self, ropts: &ReadOptions<'_>) -> Result<DbIterator<'_>> {
+        let now = self.clock.now();
+        let seq = ropts.snapshot.map_or(self.versions.last_sequence, Snapshot::sequence);
+        self.iter_internal(now, seq, ropts.fill_cache)
+    }
+
+    /// Creates an iterator over the live database at `now`.
+    ///
+    /// Deprecated since 0.3.0: prefer [`Db::iter`]; this shim survives
+    /// one release.
+    ///
+    /// The iterator owns its virtual clock (see [`DbIterator::now`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn iter_at(&mut self, now: Nanos) -> Result<DbIterator<'_>> {
+        let seq = self.versions.last_sequence;
+        self.iter_internal(now, seq, true)
+    }
+
+    fn iter_internal(
+        &mut self,
+        now: Nanos,
+        snapshot: SequenceNumber,
+        fill_cache: bool,
+    ) -> Result<DbIterator<'_>> {
+        self.pump(now)?;
+        let version = self.versions.current();
+        let mut now = now;
+        let mut children: Vec<Box<dyn InternalIterator + '_>> = Vec::new();
+        children.push(Box::new(self.mem.internal_iter()));
+        if let Some(imm) = &self.imm {
+            children.push(Box::new(imm.internal_iter()));
+        }
+        for level in 0..version.levels() {
+            let files = version.files[level].clone();
+            if files.is_empty() {
+                continue;
+            }
+            if level == 0 {
+                for f in files {
+                    let t = self.tables.table(&f, &mut now)?;
+                    children.push(Box::new(t.iter(fill_cache)));
+                }
+            } else if self.opts.style == CompactionStyle::Fragmented {
+                // A fragmented level is a stack of sorted runs (each
+                // compaction generation's outputs are disjoint); one
+                // concatenating iterator per run bounds scan cost by the
+                // generation count — the same effect PebblesDB's guards
+                // have on reads.
+                for run in sorted_runs(files) {
+                    children.push(Box::new(LevelIter::new(&self.tables, run, fill_cache)));
+                }
+            } else {
+                // Hot (overlapping) files form their own runs; the sorted
+                // cold remainder uses one concatenating iterator.
+                let (hot, cold): (Vec<_>, Vec<_>) = files.into_iter().partition(|f| f.hot);
+                for run in sorted_runs(hot) {
+                    children.push(Box::new(LevelIter::new(&self.tables, run, fill_cache)));
+                }
+                if !cold.is_empty() {
+                    children.push(Box::new(LevelIter::new(&self.tables, cold, fill_cache)));
+                }
+            }
+        }
+        Ok(DbIterator::new(MergingIterator::new(children), snapshot, now, self.opts.cpu.next))
+    }
+
+    /// Range scan under [`ReadOptions`] + [`ScanOptions`] — the canonical
+    /// scan entry point, matching the `write`/`get` options-driven
+    /// surface. Visits live (tombstone-suppressed) entries inside the
+    /// options' effective bounds, ascending or descending, starting at
+    /// the shared clock's instant and advancing it past the scan's I/O.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn scan(&mut self, ropts: &ReadOptions<'_>, sopts: &ScanOptions<'_>) -> Result<ScanResult> {
+        let now = self.clock.now();
+        let seq = ropts.snapshot.map_or(self.versions.last_sequence, Snapshot::sequence);
+        let start = sopts.effective_start().map(<[u8]>::to_vec);
+        let end = sopts.effective_end();
+        let fill = sopts.fill_cache && ropts.fill_cache;
+        let mut collector = ScanCollector::new(sopts);
+        let mut it = self.iter_internal(now, seq, fill)?;
+        if sopts.reverse {
+            match end.as_deref() {
+                // `seek` lands on the first key >= end (out of range), so
+                // one `prev` yields the largest in-range key; an invalid
+                // seek means nothing >= end exists and the last key is it.
+                Some(e) => {
+                    it.seek(e)?;
+                    if it.valid() {
+                        it.prev()?;
+                    } else {
+                        it.seek_to_last()?;
+                    }
+                }
+                None => it.seek_to_last()?,
+            }
+            while it.valid() {
+                if start.as_deref().is_some_and(|s| it.key() < s) {
+                    break;
+                }
+                if !collector.offer(it.key(), it.value()) {
+                    break;
+                }
+                it.prev()?;
+            }
+        } else {
+            match start.as_deref() {
+                Some(s) => it.seek(s)?,
+                None => it.seek_to_first()?,
+            }
+            while it.valid() {
+                if end.as_deref().is_some_and(|e| it.key() >= e) {
+                    break;
+                }
+                if !collector.offer(it.key(), it.value()) {
+                    break;
+                }
+                it.next()?;
+            }
+        }
+        let end_t = it.now();
+        drop(it);
+        self.clock.advance_to(end_t);
+        Ok(collector.finish())
+    }
+
+    /// Estimates the on-disk bytes holding keys in `[begin, end]`
+    /// (LevelDB's `GetApproximateSizes`): each overlapping table
+    /// contributes its size scaled by the key-range fraction it overlaps
+    /// (byte-lexicographic interpolation).
+    pub fn approximate_size(&self, begin: &[u8], end: &[u8]) -> u64 {
+        let v = self.versions.current();
+        let mut total = 0u64;
+        for files in &v.files {
+            for f in files {
+                let lo = user_key(f.smallest.as_bytes());
+                let hi = user_key(f.largest.as_bytes());
+                if hi < begin || lo > end {
+                    continue;
+                }
+                total += (f.size as f64 * overlap_fraction(lo, hi, begin, end)) as u64;
+            }
+        }
+        total
+    }
+}
+
+/// Partitions possibly-overlapping files into sorted non-overlapping runs
+/// (greedy by smallest key): the iterator-facing equivalent of PebblesDB's
+/// guards and L2SM's hot-log generations.
+fn sorted_runs(mut files: Vec<Arc<FileMetaData>>) -> Vec<Vec<Arc<FileMetaData>>> {
+    files.sort_by(|a, b| {
+        compare_internal(a.smallest.as_bytes(), b.smallest.as_bytes()).then(a.number.cmp(&b.number))
+    });
+    let mut runs: Vec<Vec<Arc<FileMetaData>>> = Vec::new();
+    for f in files {
+        let slot = runs.iter_mut().find(|run| {
+            let last = run.last().expect("runs are non-empty");
+            user_key(last.largest.as_bytes()) < user_key(f.smallest.as_bytes())
+        });
+        match slot {
+            Some(run) => run.push(f),
+            None => runs.push(vec![f]),
+        }
+    }
+    runs
+}
+
+#[cfg(test)]
+mod run_tests {
+    use super::*;
+    use crate::{InternalKey, ValueType};
+
+    fn meta(n: u64, lo: &str, hi: &str) -> Arc<FileMetaData> {
+        Arc::new(FileMetaData::new(
+            n,
+            n,
+            0,
+            1,
+            InternalKey::new(lo.as_bytes(), 1, ValueType::Value),
+            InternalKey::new(hi.as_bytes(), 1, ValueType::Value),
+        ))
+    }
+
+    #[test]
+    fn disjoint_files_form_one_run() {
+        let runs = sorted_runs(vec![meta(3, "g", "i"), meta(1, "a", "c"), meta(2, "d", "f")]);
+        assert_eq!(runs.len(), 1);
+        let nums: Vec<u64> = runs[0].iter().map(|f| f.number).collect();
+        assert_eq!(nums, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn overlapping_files_split_into_runs() {
+        let runs = sorted_runs(vec![
+            meta(1, "a", "m"),
+            meta(2, "b", "k"),
+            meta(3, "n", "z"),
+            meta(4, "p", "q"),
+        ]);
+        assert_eq!(runs.len(), 2);
+        // Every run is internally non-overlapping.
+        for run in &runs {
+            for w in run.windows(2) {
+                assert!(user_key(w[0].largest.as_bytes()) < user_key(w[1].smallest.as_bytes()));
+            }
+        }
+        // All four files are covered exactly once.
+        let total: usize = runs.iter().map(Vec::len).sum();
+        assert_eq!(total, 4);
+    }
+
+    #[test]
+    fn empty_input_yields_no_runs() {
+        assert!(sorted_runs(Vec::new()).is_empty());
+    }
+}
+
+/// Fraction of `[lo, hi]` covered by `[begin, end]`, interpolating keys
+/// as big-endian fractions of their first 8 bytes.
+fn overlap_fraction(lo: &[u8], hi: &[u8], begin: &[u8], end: &[u8]) -> f64 {
+    fn frac(key: &[u8]) -> f64 {
+        let mut buf = [0u8; 8];
+        for (i, b) in key.iter().take(8).enumerate() {
+            buf[i] = *b;
+        }
+        u64::from_be_bytes(buf) as f64 / u64::MAX as f64
+    }
+    let (l, h) = (frac(lo), frac(hi));
+    if h <= l {
+        return 1.0; // degenerate single-point range: all or nothing
+    }
+    let b = frac(begin).max(l);
+    let e = frac(end).min(h);
+    ((e - b) / (h - l)).clamp(0.0, 1.0)
+}
+
+#[cfg(test)]
+mod overlap_tests {
+    use super::overlap_fraction;
+
+    #[test]
+    fn full_containment_is_one() {
+        assert!((overlap_fraction(b"b", b"c", b"a", b"z") - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn half_overlap_is_half() {
+        // file spans [0x20, 0x40]; query [0x30, 0xff] covers the top half.
+        let f = overlap_fraction(&[0x20], &[0x40], &[0x30], &[0xff]);
+        assert!((f - 0.5).abs() < 0.01, "{f}");
+    }
+
+    #[test]
+    fn disjoint_is_zero() {
+        let f = overlap_fraction(&[0x20], &[0x40], &[0x50], &[0x60]);
+        assert!(f.abs() < 1e-9);
+    }
+}

@@ -10,11 +10,9 @@ use crate::compaction::write_table;
 use crate::memtable::MemTable;
 use crate::options::{Options, SyncMode};
 use crate::types::sequence_of;
-use crate::version::{file_path, parse_file_name, FileKind, FileMetaData, VersionEdit, VersionSet};
-use crate::wal::LogReader;
-use crate::{DbError, InternalKey, Result};
-
-use super::batch::decode_batch;
+use crate::version::{file_path, list_dir, FileKind, FileMetaData, VersionEdit, VersionSet};
+use crate::wal::ReplayCursor;
+use crate::{InternalKey, Result};
 
 /// Everything salvaged about one surviving table file.
 struct SalvagedTable {
@@ -25,8 +23,9 @@ struct SalvagedTable {
     max_seq: u64,
 }
 
-/// What a [`Db::repair`](super::Db::repair) run found and did, for recovery-validation harnesses
-/// that must distinguish *detected* loss from silent loss.
+/// What a [`Db::repair`](super::Db::repair) run found and did, for
+/// recovery-validation harnesses that must distinguish *detected* loss
+/// from silent loss.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RepairReport {
     /// Table files scanned end to end and re-registered at `L0`.
@@ -61,16 +60,15 @@ pub struct RepairReport {
 pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nanos, RepairReport)> {
     let mut t = now;
     let mut report = RepairReport::default();
-    let prefix = format!("{dir}/");
     let mut tables: Vec<SalvagedTable> = Vec::new();
     let mut logs: Vec<u64> = Vec::new();
     let mut stale: Vec<String> = Vec::new();
     let mut max_number = 1u64;
 
     let scratch = TableCache::new(fs.clone(), dir.to_string(), opts.block_cache_bytes, opts.cpu);
-    for p in fs.list(&prefix) {
-        let Some(name) = p.strip_prefix(&prefix) else { continue };
-        match parse_file_name(name) {
+    let current_tmp = format!("{dir}/CURRENT.tmp");
+    for (p, parsed) in list_dir(fs, dir) {
+        match parsed {
             Some((FileKind::Table, n)) => {
                 max_number = max_number.max(n);
                 match salvage_table(fs, &scratch, dir, n, &mut t) {
@@ -80,7 +78,7 @@ pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nan
                     }
                     None => {
                         report.tables_skipped += 1;
-                        stale.push(p.clone());
+                        stale.push(p);
                     }
                 }
             }
@@ -90,14 +88,11 @@ pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nan
             }
             Some((FileKind::Manifest, n)) => {
                 max_number = max_number.max(n);
-                stale.push(p.clone());
+                stale.push(p);
             }
-            Some((FileKind::Current, _)) => stale.push(p.clone()),
-            None => {
-                if name == "CURRENT.tmp" {
-                    stale.push(p.clone());
-                }
-            }
+            Some((FileKind::Current, _)) => stale.push(p),
+            None if p == current_tmp => stale.push(p),
+            None => {}
         }
     }
 
@@ -112,30 +107,21 @@ pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nan
         let (data, t2) = fs.read_at(h, 0, size, t)?;
         t = t2;
         let mut mem = MemTable::new();
-        let mut reader = LogReader::new(data);
-        while let Some(record) = reader.next_record() {
-            let Ok(batch) = decode_batch(&record) else {
-                report.wal_corruptions_detected += 1;
-                break;
-            };
+        let mut cursor = ReplayCursor::new(data);
+        while let Some(batch) = cursor.next_batch() {
             report.wal_records_recovered += 1;
             for (seq, (vt, key, value)) in (batch.seq..).zip(batch.entries) {
                 mem.add(seq, vt, &key, &value);
                 max_seq = max_seq.max(seq);
             }
         }
-        if reader.corruption_detected() {
-            report.wal_corruptions_detected += 1;
-        }
-        report.wal_bytes_dropped += reader.bytes_total() - reader.bytes_consumed();
+        report.wal_corruptions_detected += u64::from(cursor.payload_corruption_detected())
+            + u64::from(cursor.record_corruption_detected());
+        report.wal_bytes_dropped += cursor.bytes_dropped();
         if !mem.is_empty() {
             let number = next_number;
             next_number += 1;
             if let Some(out) = write_table(fs, dir, opts, number, mem.iter(), &mut t)? {
-                if opts.sync_mode != SyncMode::Never {
-                    let h = fs.open(&out.physical_path, t)?;
-                    t = fs.fsync(h, t)?;
-                }
                 let seq_hi = out.meta.smallest.sequence().max(out.meta.largest.sequence());
                 tables.push(SalvagedTable {
                     physical: number,
@@ -190,7 +176,7 @@ fn salvage_table(
         InternalKey::new(b"", 0, crate::ValueType::Value),
     );
     let table = scratch.table(&meta, t).ok()?;
-    let mut it = table.iter_for_test();
+    let mut it = table.iter(true);
     it.seek_to_first(t).ok()?;
     use crate::iterator::InternalIterator;
     let mut smallest: Option<Vec<u8>> = None;
@@ -214,10 +200,4 @@ fn salvage_table(
         largest: InternalKey::from_encoded(&largest),
         max_seq,
     })
-}
-
-/// Errors the repair itself cannot produce but callers may want to map.
-#[allow(dead_code)]
-fn _assert_error_type(e: DbError) -> DbError {
-    e
 }

@@ -28,4 +28,4 @@ pub use block::{Block, BlockBuilder, BlockIter};
 pub use bloom::BloomFilter;
 pub use builder::TableBuilder;
 pub use format::{BlockHandle, Footer, FOOTER_SIZE, TABLE_MAGIC};
-pub use reader::{open_for_test, Table, TableIter};
+pub use reader::{Table, TableIter};

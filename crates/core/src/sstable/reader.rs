@@ -8,7 +8,7 @@ use nob_sim::Nanos;
 use crate::cache::BlockCache;
 use crate::iterator::InternalIterator;
 use crate::options::CpuCosts;
-use crate::types::{compare_internal, user_key};
+use crate::types::user_key;
 use crate::{DbError, Result};
 
 use super::block::{strip_trailer, BLOCK_TRAILER_SIZE};
@@ -87,12 +87,25 @@ impl Table {
         Ok(Table { fs, handle, physical_number, base_offset, index, bloom, cache, cpu })
     }
 
-    fn read_block_opt(
-        &self,
-        h: BlockHandle,
+    /// Opens a table spanning the whole file behind `handle` with a
+    /// private block cache (format tests and component benches, which
+    /// have no engine around the table).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Table::get`].
+    pub fn open_file(
+        fs: Ext4Fs,
+        handle: FileHandle,
+        size: u64,
+        opts: &crate::Options,
         now: &mut Nanos,
-        fill_cache: bool,
-    ) -> Result<Arc<Block>> {
+    ) -> Result<Arc<Table>> {
+        let cache = BlockCache::new(opts.block_cache_bytes);
+        Ok(Arc::new(Table::open(fs, handle, 1, 0, size, cache, opts.cpu, now)?))
+    }
+
+    fn read_block(&self, h: BlockHandle, now: &mut Nanos, fill_cache: bool) -> Result<Arc<Block>> {
         let key = (self.physical_number, self.base_offset + h.offset);
         if let Some(b) = self.cache.get(key) {
             return Ok(b);
@@ -112,22 +125,14 @@ impl Table {
     }
 
     /// Point lookup: the first entry at or after the probe internal key
-    /// whose user key equals the probe's, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::Corruption`] or [`DbError::Fs`] on read failures.
-    pub(crate) fn get(&self, probe: &[u8], now: &mut Nanos) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        self.get_opt(probe, now, true)
-    }
-
-    /// [`Table::get`] with explicit block-cache fill behaviour
+    /// whose user key equals the probe's, if any. `fill_cache` says
+    /// whether a block read from the device enters the block cache
     /// (`ReadOptions::fill_cache`).
     ///
     /// # Errors
     ///
     /// Returns [`DbError::Corruption`] or [`DbError::Fs`] on read failures.
-    pub(crate) fn get_opt(
+    pub fn get(
         &self,
         probe: &[u8],
         now: &mut Nanos,
@@ -146,7 +151,7 @@ impl Table {
         }
         let mut pos = 0;
         let handle = BlockHandle::decode_from(index_iter.value(), &mut pos)?;
-        let block = self.read_block_opt(handle, now, fill_cache)?;
+        let block = self.read_block(handle, now, fill_cache)?;
         let mut it = block.iter();
         it.seek(probe);
         if it.valid() && user_key(it.key()) == user_key(probe) {
@@ -156,14 +161,9 @@ impl Table {
         }
     }
 
-    /// Creates an iterator over this table (filling the block cache).
-    pub(crate) fn iter(self: &Arc<Self>) -> TableIter {
-        self.iter_opt(true)
-    }
-
-    /// Creates an iterator over this table with explicit block-cache
-    /// population (`ReadOptions::fill_cache` / `ScanOptions::fill_cache`).
-    pub(crate) fn iter_opt(self: &Arc<Self>, fill_cache: bool) -> TableIter {
+    /// Creates an iterator over this table; `fill_cache` as for
+    /// [`Table::get`] (`ReadOptions::fill_cache` / `ScanOptions::fill_cache`).
+    pub fn iter(self: &Arc<Self>, fill_cache: bool) -> TableIter {
         TableIter {
             table: Arc::clone(self),
             index_iter: self.index.iter(),
@@ -190,7 +190,7 @@ impl TableIter {
         }
         let mut pos = 0;
         let handle = BlockHandle::decode_from(self.index_iter.value(), &mut pos)?;
-        let block = self.table.read_block_opt(handle, now, self.fill_cache)?;
+        let block = self.table.read_block(handle, now, self.fill_cache)?;
         self.data_iter = Some(block.iter());
         Ok(())
     }
@@ -275,64 +275,11 @@ impl InternalIterator for TableIter {
     }
 }
 
-impl Table {
-    /// Test-support: point lookup (see [`Table::get`]).
-    #[doc(hidden)]
-    pub fn get_for_test(
-        &self,
-        probe: &[u8],
-        now: &mut Nanos,
-    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        self.get(probe, now)
-    }
-
-    /// Test-support: iterator (see [`Table::iter`]).
-    #[doc(hidden)]
-    pub fn iter_for_test(self: &Arc<Self>) -> TableIter {
-        self.iter()
-    }
-}
-
-/// Test-support: opens a table spanning a whole file with a private block
-/// cache.
-#[doc(hidden)]
-pub fn open_for_test(
-    fs: Ext4Fs,
-    handle: FileHandle,
-    size: u64,
-    opts: &crate::Options,
-    now: &mut Nanos,
-) -> Result<Arc<Table>> {
-    let cache = crate::cache::BlockCache::new(opts.block_cache_bytes);
-    Ok(Arc::new(Table::open(fs, handle, 1, 0, size, cache, opts.cpu, now)?))
-}
-
-/// Verifies a whole-table image round-trips (used by tests and the
-/// builder's own checks). Exposed for integration testing.
-#[doc(hidden)]
-#[allow(dead_code)] // exercised from unit tests
-pub fn verify_table_ordering(table: &Arc<Table>, now: &mut Nanos) -> Result<u64> {
-    let mut it = table.iter();
-    it.seek_to_first(now)?;
-    let mut n = 0u64;
-    let mut last: Option<Vec<u8>> = None;
-    while it.valid() {
-        if let Some(prev) = &last {
-            if compare_internal(prev, it.key()).is_ge() {
-                return Err(DbError::Corruption("table keys out of order".into()));
-            }
-        }
-        last = Some(it.key().to_vec());
-        n += 1;
-        it.next(now)?;
-    }
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sstable::TableBuilder;
+    use crate::types::compare_internal;
     use crate::{InternalKey, Options, ValueType};
     use nob_ext4::{Ext4Config, Ext4Fs};
 
@@ -365,6 +312,25 @@ mod tests {
         (Arc::new(table), now)
     }
 
+    /// Walks the whole table checking key order; returns the entry count.
+    fn verify_table_ordering(table: &Arc<Table>, now: &mut Nanos) -> Result<u64> {
+        let mut it = table.iter(true);
+        it.seek_to_first(now)?;
+        let mut n = 0u64;
+        let mut last: Option<Vec<u8>> = None;
+        while it.valid() {
+            if let Some(prev) = &last {
+                if compare_internal(prev, it.key()).is_ge() {
+                    return Err(DbError::Corruption("table keys out of order".into()));
+                }
+            }
+            last = Some(it.key().to_vec());
+            n += 1;
+            it.next(now)?;
+        }
+        Ok(n)
+    }
+
     fn sample(n: usize) -> Vec<(String, u64, String)> {
         (0..n).map(|i| (format!("key{i:05}"), 1u64, format!("value{i}"))).collect()
     }
@@ -376,7 +342,7 @@ mod tests {
         let (table, mut now) = build_and_open(&entries, &opts);
         for (k, _, v) in entries.iter().step_by(37) {
             let probe = ik(k, u64::MAX >> 9);
-            let got = table.get(&probe, &mut now).unwrap().expect("present");
+            let got = table.get(&probe, &mut now, true).unwrap().expect("present");
             assert_eq!(got.1, v.as_bytes());
         }
     }
@@ -385,8 +351,8 @@ mod tests {
     fn get_misses_absent_keys() {
         let entries = sample(200);
         let (table, mut now) = build_and_open(&entries, &Options::default());
-        assert!(table.get(&ik("missing", u64::MAX >> 9), &mut now).unwrap().is_none());
-        assert!(table.get(&ik("key99999", u64::MAX >> 9), &mut now).unwrap().is_none());
+        assert!(table.get(&ik("missing", u64::MAX >> 9), &mut now, true).unwrap().is_none());
+        assert!(table.get(&ik("key99999", u64::MAX >> 9), &mut now, true).unwrap().is_none());
     }
 
     #[test]
@@ -403,7 +369,7 @@ mod tests {
         let entries = sample(100);
         let opts = Options { block_size: 256, ..Options::default() };
         let (table, mut now) = build_and_open(&entries, &opts);
-        let mut it = table.iter();
+        let mut it = table.iter(true);
         it.seek(&ik("key00050", u64::MAX >> 9), &mut now).unwrap();
         assert!(it.valid());
         assert_eq!(user_key(it.key()), b"key00050");
@@ -420,10 +386,10 @@ mod tests {
         table.fs.drop_caches();
         let mut now = now0;
         let probe = ik("key01000", u64::MAX >> 9);
-        table.get(&probe, &mut now).unwrap().expect("present");
+        table.get(&probe, &mut now, true).unwrap().expect("present");
         let cold_cost = now - now0;
         let warm0 = now;
-        table.get(&probe, &mut now).unwrap().expect("present");
+        table.get(&probe, &mut now, true).unwrap().expect("present");
         let warm_cost = now - warm0;
         assert!(warm_cost < cold_cost, "cache hit must be cheaper: {warm_cost} vs {cold_cost}");
     }
@@ -459,9 +425,9 @@ mod tests {
             )
             .unwrap(),
         );
-        let got = table2.get(&ik("key00075", u64::MAX >> 9), &mut now).unwrap();
+        let got = table2.get(&ik("key00075", u64::MAX >> 9), &mut now, true).unwrap();
         assert!(got.is_some());
-        assert!(table2.get(&ik("key00010", u64::MAX >> 9), &mut now).unwrap().is_none());
+        assert!(table2.get(&ik("key00010", u64::MAX >> 9), &mut now, true).unwrap().is_none());
         assert_eq!(verify_table_ordering(&table2, &mut now).unwrap(), 50);
     }
 

@@ -55,6 +55,19 @@ pub fn parse_file_name(name: &str) -> Option<(FileKind, u64)> {
     None
 }
 
+/// Every file under `dir/` in name order, each with the kind and number
+/// its name parses to (`None` for names the engine does not own).
+pub(crate) fn list_dir(fs: &nob_ext4::Ext4Fs, dir: &str) -> Vec<(String, Option<(FileKind, u64)>)> {
+    let prefix = format!("{dir}/");
+    fs.list(&prefix)
+        .into_iter()
+        .filter_map(|p| {
+            let parsed = parse_file_name(p.strip_prefix(&prefix)?);
+            Some((p, parsed))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

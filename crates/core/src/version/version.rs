@@ -247,7 +247,7 @@ impl Version {
                     first_probed = Some((level, Arc::clone(&f)));
                 }
                 let table = tables.table(&f, now)?;
-                if let Some((ikey, value)) = table.get_opt(probe.as_bytes(), now, fill_cache)? {
+                if let Some((ikey, value)) = table.get(probe.as_bytes(), now, fill_cache)? {
                     debug_assert_eq!(user_key(&ikey), key);
                     let result = match value_type_of(&ikey) {
                         Some(ValueType::Value) => GetResult::Found(value),

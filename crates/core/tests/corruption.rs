@@ -67,7 +67,7 @@ fn repair_reports_detected_wal_corruption() {
     let (view, at) = crashed_fs_with_corrupt_wal();
     // Wipe the metadata so repair has to work from surviving files.
     view.delete("db/CURRENT", at).unwrap();
-    let (t, report) = Db::repair_with_report(&view, "db", &opts(), at).unwrap();
+    let (t, report) = Db::repair(&view, "db", &opts(), at).unwrap();
     assert!(report.wal_corruptions_detected >= 1, "repair must report damage: {report:?}");
     assert!(report.wal_bytes_dropped > 0);
     // The repaired database opens cleanly afterwards.
@@ -92,4 +92,71 @@ fn clean_crash_recovery_reports_no_corruption() {
     assert!(s.wal_records_recovered >= 1, "committed WAL replays: {s:?}");
     let (got, _) = db.get_at_time(crash_at, b"k0000").unwrap();
     assert_eq!(got.as_deref(), Some(&b"v"[..]));
+}
+
+/// Corrupts exactly one data-class write: the first one after arming.
+struct CorruptOneDataWrite {
+    fired: bool,
+}
+impl FaultInjector for CorruptOneDataWrite {
+    fn on_write(&mut self, cmd: &WriteCmd) -> WriteFault {
+        if cmd.class == WriteClass::Data && !self.fired {
+            self.fired = true;
+            WriteFault::Corrupt
+        } else {
+            WriteFault::None
+        }
+    }
+}
+
+#[test]
+fn compaction_over_a_corrupt_input_fails_loudly_and_applies_nothing() {
+    use noblsm::{ReadOptions, WriteOptions};
+
+    // Synced puts keep the WAL clean on the device, so at each flush the
+    // new table is the only file with dirty data.
+    let synced = WriteOptions::synced();
+    let fs = Ext4Fs::new(Ext4Config::default());
+    let mut db = Db::open(fs.clone(), "db", opts(), Nanos::ZERO).unwrap();
+    let mut now = Nanos::ZERO;
+    for i in 0..40 {
+        now = common::put_with(&mut db, now, format!("a{i:04}").as_bytes(), b"clean", &synced)
+            .unwrap();
+    }
+    now = db.flush(now).unwrap();
+    for i in 0..40 {
+        now = common::put_with(&mut db, now, format!("b{i:04}").as_bytes(), b"doomed", &synced)
+            .unwrap();
+    }
+    // The second L0 table's write-back is damaged on media.
+    fs.set_fault_injector(InjectorHandle::new(CorruptOneDataWrite { fired: false }));
+    now = db.flush(now).unwrap();
+    assert_eq!(fs.stats().data_writebacks_corrupted, 1);
+    assert_eq!(db.level_file_counts()[0], 2);
+    drop(db);
+
+    // Media damage shows once the page cache is gone: power-cycle.
+    let at = now + Nanos::from_secs(6);
+    fs.tick(at);
+    let mut db = Db::open(fs.crashed_view(at), "db", opts(), at).unwrap();
+    let files_before = db.level_file_counts();
+    assert_eq!(files_before[0], 2, "both tables were committed: {files_before:?}");
+
+    let err = db.compact_range(at, None, None).unwrap_err();
+    assert!(matches!(err, DbError::Corruption(_)), "got {err:?}");
+    assert_eq!(db.level_file_counts(), files_before, "a failed merge edits nothing");
+    // Reads keep working, and the uncorrupted input lost nothing.
+    for i in 0..40 {
+        let got = db.get(&ReadOptions::default(), format!("a{i:04}").as_bytes()).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"clean"[..]), "a{i:04}");
+    }
+    // The failure is sticky for everything that changes the version.
+    let mut batch = noblsm::WriteBatch::new();
+    batch.put(b"c", b"late");
+    assert_eq!(db.write(&WriteOptions::default(), batch).unwrap_err(), err);
+    let t = db.clock().now();
+    assert_eq!(db.flush(t).unwrap_err(), err);
+    assert_eq!(db.wait_idle(t).unwrap_err(), err);
+    assert_eq!(db.active_majors(), 0, "the failed job's lane and claim were released");
+    assert_eq!(db.compaction_debt_bytes(), 0);
 }

@@ -2,7 +2,7 @@
 //! and WAL encode/decode under truncation — for arbitrary generated data.
 
 use nob_ext4::{Ext4Config, Ext4Fs};
-use nob_sim::Nanos;
+use nob_sim::{fnv1a, Nanos};
 use noblsm::iterator::InternalIterator;
 use noblsm::wal::{LogReader, LogWriter};
 use noblsm::{InternalKey, Options, ValueType};
@@ -45,7 +45,7 @@ proptest! {
         let fs = Ext4Fs::new(Ext4Config::default());
         let h = fs.create("t", Nanos::ZERO).unwrap();
         let mut now = fs.append(h, &bytes, Nanos::ZERO).unwrap();
-        let table = noblsm::sstable::open_for_test(
+        let table = noblsm::sstable::Table::open_file(
             fs,
             h,
             bytes.len() as u64,
@@ -54,7 +54,7 @@ proptest! {
         ).unwrap();
 
         // Full iteration returns every entry in order.
-        let mut it = table.iter_for_test();
+        let mut it = table.iter(true);
         it.seek_to_first(&mut now).unwrap();
         for (k, v) in &entries {
             prop_assert!(it.valid());
@@ -67,7 +67,7 @@ proptest! {
         // Point lookups find a sample of the keys.
         for (k, v) in entries.iter().step_by(13) {
             let probe = InternalKey::new(k.user_key(), u64::MAX >> 9, ValueType::Value);
-            let got = table.get_for_test(probe.as_bytes(), &mut now).unwrap();
+            let got = table.get(probe.as_bytes(), &mut now, true).unwrap();
             prop_assert_eq!(got.map(|(_, val)| val), Some(v.clone()));
         }
     }
@@ -148,12 +148,6 @@ fn checksummed_formats_are_pinned() {
     let block = b.finish();
     assert_eq!(block.len(), 54);
     assert_eq!(hex(&block[block.len() - 5..]), "00f1db5aab");
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// The whole image of a fixed 5 000-entry table — data blocks, bloom

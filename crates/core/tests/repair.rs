@@ -53,7 +53,7 @@ fn repair_recovers_after_metadata_loss() {
     }
     // A normal open would create an EMPTY database (no CURRENT means
     // "fresh"), clobbering the tables — repair instead salvages them.
-    now = Db::repair(&fs, "db", &opts(), now).unwrap();
+    now = Db::repair(&fs, "db", &opts(), now).unwrap().0;
     let mut db = Db::open(fs, "db", opts(), now).unwrap();
     db.check_invariants().unwrap();
     // Every key present; overwritten keys must show the NEWER round.
@@ -80,7 +80,7 @@ fn repair_replays_surviving_wals() {
             fs.delete(&p, now).unwrap();
         }
     }
-    now = Db::repair(&fs, "db", &opts(), now).unwrap();
+    now = Db::repair(&fs, "db", &opts(), now).unwrap().0;
     let mut rdb = Db::open(fs, "db", opts(), now).unwrap();
     for i in 0..20u64 {
         let (got, t) = rdb.get_at_time(now, &key(i)).unwrap();
@@ -101,7 +101,7 @@ fn repair_skips_garbage_tables() {
     // Drop a garbage .ldb file into the directory.
     let h = fs.create("db/999999.ldb", now).unwrap();
     now = fs.append(h, b"this is not a table", now).unwrap();
-    now = Db::repair(&fs, "db", &opts(), now).unwrap();
+    now = Db::repair(&fs, "db", &opts(), now).unwrap().0;
     assert!(!fs.exists("db/999999.ldb"), "garbage file must be discarded");
     let mut db = Db::open(fs, "db", opts(), now).unwrap();
     let (got, _) = db.get_at_time(now, &key(42)).unwrap();
@@ -127,7 +127,7 @@ fn open_without_current_would_lose_the_tables() {
 #[test]
 fn repair_on_healthy_empty_dir_yields_empty_db() {
     let fs = fs();
-    let now = Db::repair(&fs, "db", &opts(), Nanos::ZERO).unwrap();
+    let now = Db::repair(&fs, "db", &opts(), Nanos::ZERO).unwrap().0;
     let mut db = Db::open(fs, "db", opts(), now).unwrap();
     let (got, _) = db.get_at_time(now, b"anything").unwrap();
     assert_eq!(got, None);
@@ -143,7 +143,7 @@ fn corrupt_current_is_reported_then_repairable() {
     now = fs.append(h, b"MANIFEST-424242", now).unwrap();
     let err = Db::open(fs.clone(), "db", opts(), now).unwrap_err();
     assert!(matches!(err, DbError::InvalidDb(_)), "{err}");
-    now = Db::repair(&fs, "db", &opts(), now).unwrap();
+    now = Db::repair(&fs, "db", &opts(), now).unwrap().0;
     let mut db = Db::open(fs, "db", opts(), now).unwrap();
     let (got, _) = db.get_at_time(now, &key(7)).unwrap();
     assert!(got.is_some());

@@ -14,7 +14,7 @@
 //!
 //! ```
 //! use nob_metrics::{MetricKind, MetricsHub};
-//! use nob_sim::Nanos;
+//! use nob_sim::{json_escape, Nanos};
 //!
 //! let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
 //! hub.register(MetricKind::Gauge, "demo.queue_ns", "queue backlog", |t| {
@@ -32,7 +32,7 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use nob_sim::Nanos;
+use nob_sim::{json_escape, Nanos};
 
 /// Default sampling period: 100 ms of virtual time.
 pub const DEFAULT_PERIOD: Nanos = Nanos::from_millis(100);
@@ -139,9 +139,9 @@ impl Timeline {
             let _ = write!(
                 out,
                 "{pad}    {{\"name\": \"{}\", \"kind\": \"{}\", \"help\": \"{}\", \"values\": [",
-                escape(&s.name),
+                json_escape(&s.name),
                 s.kind.name(),
-                escape(&s.help)
+                json_escape(&s.help)
             );
             for (j, v) in s.values.iter().enumerate() {
                 if j > 0 {
@@ -224,22 +224,6 @@ pub fn prom_name(name: &str) -> String {
             out.push(c);
         } else if c == '.' || c == '-' {
             out.push('_');
-        }
-    }
-    out
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
     out
@@ -704,17 +688,17 @@ mod tests {
     }
 }
 
-/// Property tests for the two text formats a hostile metric name or help
-/// string could corrupt: the JSON document (quote/backslash/control
-/// escaping) and the Prometheus exposition (line structure, metric-name
-/// validity, `# HELP` escaping).
+/// Property tests for the Prometheus exposition a hostile metric name or
+/// help string could corrupt (line structure, metric-name validity,
+/// `# HELP` escaping); the JSON document's string escaping is
+/// `nob_sim::json_escape`, tested there.
 #[cfg(test)]
 mod format_properties {
     use super::*;
     use proptest::prelude::*;
 
     /// Maps raw bytes onto a charset chosen to stress every escaping
-    /// path: JSON escapes, exposition escapes, name sanitisation,
+    /// path: exposition escapes, name sanitisation,
     /// controls and multi-byte unicode.
     fn hostile(bytes: Vec<u8>) -> String {
         const CHARSET: [char; 22] = [
@@ -744,51 +728,7 @@ mod format_properties {
         bytes.into_iter().map(|b| CHARSET[b as usize % CHARSET.len()]).collect()
     }
 
-    /// Inverse of [`escape`], strict: rejects anything but the exact
-    /// escape forms the encoder emits.
-    fn unescape(e: &str) -> Option<String> {
-        let chars: Vec<char> = e.chars().collect();
-        let mut out = String::new();
-        let mut i = 0;
-        while i < chars.len() {
-            let c = chars[i];
-            if (c as u32) < 0x20 || c == '"' {
-                return None; // raw control or quote: not a clean string
-            }
-            if c == '\\' {
-                i += 1;
-                match chars.get(i)? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    'n' => out.push('\n'),
-                    'u' => {
-                        let hex: String = chars.get(i + 1..i + 5)?.iter().collect();
-                        out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-            } else {
-                out.push(c);
-            }
-            i += 1;
-        }
-        Some(out)
-    }
-
     proptest! {
-        /// JSON string escaping is clean (no raw quotes or controls, no
-        /// dangling or unknown escapes) and lossless.
-        #[test]
-        fn json_escape_round_trips_and_stays_clean(
-            bytes in proptest::collection::vec(any::<u8>(), 0..64),
-        ) {
-            let s = hostile(bytes);
-            let e = escape(&s);
-            let decoded = unescape(&e);
-            prop_assert_eq!(decoded, Some(s), "escape output was not clean: {:?}", e);
-        }
-
         /// Sanitised metric names are always valid Prometheus names, no
         /// matter what the layer called its metric.
         #[test]

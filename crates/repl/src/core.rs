@@ -1,17 +1,19 @@
-//! The leader-side replication endpoint: connection state, frame
-//! dispatch, and the deterministic in-process loopback transport.
+//! The leader-side replication endpoint: connection state and frame
+//! dispatch.
 //!
-//! [`ReplCore`] mirrors the serving crate's `ServerCore` shape — `feed`
-//! request bytes in, `take_output` reply bytes out, no I/O of its own —
-//! so the same core serves both the loopback transport (deterministic
-//! tests, virtual time) and the TCP front-end (real runs), byte for
-//! byte.
+//! [`ReplCore`] implements the serving crate's [`Endpoint`] — request
+//! bytes in through `feed`, record and heartbeat bytes out through
+//! `drain`, no I/O of its own — so the serving crate's two front-ends
+//! drive it unchanged: the loopback ([`ReplLoopback`], deterministic
+//! tests on virtual time) and the TCP thread set
+//! ([`ReplTcpServer`](crate::ReplTcpServer), real runs), byte for byte.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::time::Duration;
 
-use nob_server::Transport;
+use nob_server::{Endpoint, Loopback};
 use noblsm::{Error, Result};
 
 use crate::leader::Leader;
@@ -27,8 +29,9 @@ struct Conn {
     /// Per-shard subscription cursor: the next sequence to stream, `None`
     /// while not subscribed to that shard.
     cursors: Vec<Option<u64>>,
-    /// A protocol error was observed; the connection only drains.
-    poisoned: bool,
+    /// The protocol error that ended this connection: further input is
+    /// ignored, every later `drain` reports it, the front-end reaps it.
+    poisoned: Option<Error>,
 }
 
 /// The leader-side endpoint: owns the [`Leader`] and serves any number of
@@ -62,66 +65,9 @@ impl ReplCore {
         self.leader
     }
 
-    /// Registers a new subscriber connection.
-    pub fn connect(&mut self) -> ReplConnId {
-        let id = self.next_conn;
-        self.next_conn += 1;
-        let shards = self.leader.store().shards();
-        self.conns.insert(
-            id,
-            Conn {
-                reader: FrameReader::new(),
-                outbox: Vec::new(),
-                cursors: vec![None; shards],
-                poisoned: false,
-            },
-        );
-        ReplConnId(id)
-    }
-
-    /// Drops `conn`'s state. Safe to call twice.
-    pub fn disconnect(&mut self, conn: ReplConnId) {
-        self.conns.remove(&conn.0);
-    }
-
     /// Open connections.
     pub fn connections(&self) -> usize {
         self.conns.len()
-    }
-
-    /// Whether `conn` hit a protocol error.
-    pub fn is_poisoned(&self, conn: ReplConnId) -> bool {
-        self.conns.get(&conn.0).is_some_and(|c| c.poisoned)
-    }
-
-    /// Feeds raw bytes from `conn`'s peer: complete frames are decoded
-    /// and dispatched (SUBSCRIBE moves the cursor, ACK records progress,
-    /// FENCE fences the leader).
-    ///
-    /// # Errors
-    ///
-    /// Frame decode errors poison the connection and surface as
-    /// [`noblsm::Error::Replication`].
-    pub fn feed(&mut self, conn: ReplConnId, bytes: &[u8]) -> Result<()> {
-        let Some(c) = self.conns.get_mut(&conn.0) else {
-            return Err(Error::Usage("feed on an unknown replication connection".into()));
-        };
-        if c.poisoned {
-            return Ok(()); // drain-only: ignore further input
-        }
-        c.reader.feed(bytes);
-        loop {
-            let frame =
-                match self.conns.get_mut(&conn.0).expect("checked above").reader.next_frame() {
-                    Ok(Some(f)) => f,
-                    Ok(None) => return Ok(()),
-                    Err(e) => {
-                        self.conns.get_mut(&conn.0).expect("checked above").poisoned = true;
-                        return Err(e);
-                    }
-                };
-            self.dispatch(conn, frame)?;
-        }
     }
 
     fn dispatch(&mut self, conn: ReplConnId, frame: Frame) -> Result<()> {
@@ -130,7 +76,6 @@ impl ReplCore {
                 let shard = shard as usize;
                 let c = self.conns.get_mut(&conn.0).expect("dispatch on a live conn");
                 if shard >= c.cursors.len() {
-                    c.poisoned = true;
                     return Err(Error::Replication(format!(
                         "subscribe to shard {shard} but the leader has {} shards",
                         c.cursors.len()
@@ -148,29 +93,23 @@ impl ReplCore {
                 Ok(())
             }
             Frame::Record { .. } | Frame::Heartbeat { .. } => {
-                let c = self.conns.get_mut(&conn.0).expect("dispatch on a live conn");
-                c.poisoned = true;
                 Err(Error::Replication("client sent a server-side frame".into()))
             }
         }
     }
 
     /// Streams what `conn` is due — new records past each subscribed
-    /// cursor, then one heartbeat — into its outbox. Call after feeding
-    /// input or committing writes, then [`take_output`](ReplCore::take_output).
-    ///
-    /// # Errors
-    ///
-    /// A cursor below the log's retained base surfaces as
-    /// [`noblsm::Error::Replication`] (the subscriber must re-seed).
-    pub fn pump(&mut self, conn: ReplConnId) -> Result<()> {
+    /// cursor, then one heartbeat — into its outbox. A cursor below the
+    /// log's retained base surfaces as [`noblsm::Error::Replication`]
+    /// (the subscriber must re-seed).
+    fn pump(&mut self, conn: ReplConnId) -> Result<()> {
         // Pick up anything the leader committed since the last pump.
         self.leader.absorb()?;
         let Some(c) = self.conns.get_mut(&conn.0) else {
             return Err(Error::Usage("pump on an unknown replication connection".into()));
         };
-        if c.poisoned {
-            return Ok(());
+        if let Some(e) = &c.poisoned {
+            return Err(e.clone());
         }
         let epoch = self.leader.epoch();
         for shard in 0..c.cursors.len() {
@@ -202,10 +141,77 @@ impl ReplCore {
         );
         Ok(())
     }
+}
 
-    /// Takes `conn`'s accumulated output bytes (empty if nothing is due).
-    pub fn take_output(&mut self, conn: ReplConnId) -> Vec<u8> {
-        self.conns.get_mut(&conn.0).map(|c| std::mem::take(&mut c.outbox)).unwrap_or_default()
+/// How often the TCP engine wakes without input, so heartbeats and
+/// records committed by the embedding application ship while the
+/// subscribers are silent.
+const HEARTBEAT_TICK: Duration = Duration::from_millis(25);
+
+impl Endpoint for ReplCore {
+    type Conn = ReplConnId;
+
+    const IDLE_TICK: Option<Duration> = Some(HEARTBEAT_TICK);
+
+    /// Registers a new subscriber connection.
+    fn connect(&mut self) -> ReplConnId {
+        let id = self.next_conn;
+        self.next_conn += 1;
+        let shards = self.leader.store().shards();
+        self.conns.insert(
+            id,
+            Conn {
+                reader: FrameReader::new(),
+                outbox: Vec::new(),
+                cursors: vec![None; shards],
+                poisoned: None,
+            },
+        );
+        ReplConnId(id)
+    }
+
+    /// Decodes and dispatches complete frames (SUBSCRIBE moves the
+    /// cursor, ACK records progress, FENCE fences the leader). A frame
+    /// that fails to decode or dispatch poisons the connection — a bad
+    /// peer is dropped, never fatal to the endpoint.
+    fn feed(&mut self, conn: ReplConnId, bytes: &[u8]) -> Result<()> {
+        let Some(c) = self.conns.get_mut(&conn.0) else {
+            return Err(Error::Usage("feed on an unknown replication connection".into()));
+        };
+        if c.poisoned.is_some() {
+            return Ok(()); // drain-only: ignore further input
+        }
+        c.reader.feed(bytes);
+        loop {
+            let c = self.conns.get_mut(&conn.0).expect("checked above");
+            let served = match c.reader.next_frame() {
+                Ok(Some(frame)) => self.dispatch(conn, frame),
+                Ok(None) => return Ok(()),
+                Err(e) => Err(e),
+            };
+            if let Err(e) = served {
+                self.conns.get_mut(&conn.0).expect("checked above").poisoned = Some(e);
+                return Ok(());
+            }
+        }
+    }
+
+    /// Pumps `conn`, then takes its outbox. A poisoned connection reports
+    /// the error that poisoned it; a stream gap is an error too, but the
+    /// subscriber may re-subscribe past it on the same connection.
+    fn drain(&mut self, conn: ReplConnId) -> Result<Vec<u8>> {
+        self.pump(conn)?;
+        Ok(self.conns.get_mut(&conn.0).map(|c| std::mem::take(&mut c.outbox)).unwrap_or_default())
+    }
+
+    /// A subscriber's stream never ends by itself, so a closed peer is
+    /// dropped at once.
+    fn finished(&self, conn: ReplConnId, peer_closed: bool) -> bool {
+        peer_closed || self.conns.get(&conn.0).is_none_or(|c| c.poisoned.is_some())
+    }
+
+    fn disconnect(&mut self, conn: ReplConnId) {
+        self.conns.remove(&conn.0);
     }
 }
 
@@ -213,48 +219,6 @@ impl ReplCore {
 /// multiplex onto.
 pub type SharedRepl = Rc<RefCell<ReplCore>>;
 
-/// Wraps a core for loopback use.
-pub fn shared(core: ReplCore) -> SharedRepl {
-    Rc::new(RefCell::new(core))
-}
-
 /// In-process replication transport on virtual time: `send` feeds the
-/// core, `recv` pumps it and takes the connection's output — the
-/// replication twin of the serving crate's `LoopbackTransport`.
-pub struct ReplLoopback {
-    core: SharedRepl,
-    conn: ReplConnId,
-}
-
-impl ReplLoopback {
-    /// Opens a new subscriber connection on `core`.
-    pub fn connect(core: &SharedRepl) -> ReplLoopback {
-        let conn = core.borrow_mut().connect();
-        ReplLoopback { core: Rc::clone(core), conn }
-    }
-
-    /// The server-side connection handle.
-    pub fn conn_id(&self) -> ReplConnId {
-        self.conn
-    }
-}
-
-impl Transport for ReplLoopback {
-    fn send(&mut self, bytes: &[u8]) -> Result<()> {
-        self.core.borrow_mut().feed(self.conn, bytes)
-    }
-
-    fn recv(&mut self, out: &mut Vec<u8>) -> Result<usize> {
-        let mut core = self.core.borrow_mut();
-        core.pump(self.conn)?;
-        let chunk = core.take_output(self.conn);
-        out.extend_from_slice(&chunk);
-        Ok(chunk.len())
-    }
-}
-
-impl Drop for ReplLoopback {
-    fn drop(&mut self) {
-        self.core.borrow_mut().disconnect(self.conn);
-    }
-}
+/// core, `recv` pumps it and takes the connection's output.
+pub type ReplLoopback = Loopback<ReplCore>;

@@ -76,9 +76,10 @@ pub mod tcp;
 pub mod wire;
 
 pub use changelog::{ChangeLog, LogRecord};
-pub use core::{shared, ReplConnId, ReplCore, ReplLoopback, SharedRepl};
+pub use core::{ReplConnId, ReplCore, ReplLoopback, SharedRepl};
 pub use follower::Follower;
 pub use leader::Leader;
+pub use nob_server::{shared, Endpoint};
 pub use noblsm::{Error, Result};
 pub use subscriber::{FollowerLink, Subscription};
 pub use tcp::ReplTcpServer;

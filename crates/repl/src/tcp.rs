@@ -1,239 +1,23 @@
-//! `std::net` TCP front-end over [`ReplCore`].
-//!
-//! Same thread layout as the serving crate's `TcpServer`: an accept
-//! thread spawns per-connection reader/writer threads, and a single
-//! engine thread owns the core — so the replication logic on the wire is
-//! exactly the single-threaded logic the loopback transport exercises
-//! deterministically. The engine additionally wakes on a timer so
+//! `std::net` TCP front-end over [`ReplCore`]: the serving crate's
+//! accept / reader / writer / engine thread set, instantiated for the
+//! replication endpoint — so the replication logic on the wire is exactly
+//! the single-threaded logic the loopback transport exercises
+//! deterministically. `ReplCore`'s idle tick wakes the engine so
 //! heartbeats and freshly committed records flow even while the
 //! subscribers are silent.
 
-use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use nob_server::TcpServer;
 
-use noblsm::{Error, Result};
+use crate::core::ReplCore;
 
-use crate::core::{ReplConnId, ReplCore};
-
-/// Reader poll interval (bounds shutdown latency) and the engine's
-/// heartbeat/pump cadence.
-const TICK: Duration = Duration::from_millis(25);
-
-enum Msg {
-    Open(u64, mpsc::Sender<Vec<u8>>),
-    Data(u64, Vec<u8>),
-    Closed(u64),
-}
-
-/// A running replication TCP endpoint; dropping it without
-/// [`shutdown`](ReplTcpServer::shutdown) aborts non-gracefully.
-pub struct ReplTcpServer {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    engine: Option<JoinHandle<Result<ReplCore>>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl ReplTcpServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves `core`.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures as [`noblsm::Error::Io`].
-    pub fn serve(addr: &str, core: ReplCore) -> Result<ReplTcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let engine = std::thread::spawn(move || engine_loop(core, rx));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let conn_threads = Arc::clone(&conn_threads);
-            std::thread::spawn(move || accept_loop(listener, tx, stop, conn_threads))
-        };
-        Ok(ReplTcpServer {
-            addr: local,
-            stop,
-            accept: Some(accept),
-            engine: Some(engine),
-            conn_threads,
-        })
-    }
-
-    /// The bound address (use port 0 to discover the ephemeral port).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Graceful shutdown: stop accepting, push what is already due,
-    /// close every connection, join all threads, return the core.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine-side failure, if any.
-    pub fn shutdown(mut self) -> Result<ReplCore> {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        let engine = self.engine.take().expect("shutdown runs once");
-        let core =
-            engine.join().map_err(|_| Error::Usage("replication engine panicked".into()))??;
-        let handles = std::mem::take(&mut *self.conn_threads.lock().expect("no poisoned lock"));
-        for h in handles {
-            let _ = h.join();
-        }
-        Ok(core)
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    tx: mpsc::Sender<Msg>,
-    stop: Arc<AtomicBool>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut next_token: u64 = 0;
-    while !stop.load(Ordering::SeqCst) {
-        let Ok((stream, _)) = listener.accept() else { continue };
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let token = next_token;
-        next_token += 1;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(TICK));
-        let Ok(write_half) = stream.try_clone() else { continue };
-        let (out_tx, out_rx) = mpsc::channel::<Vec<u8>>();
-        if tx.send(Msg::Open(token, out_tx)).is_err() {
-            break;
-        }
-        let reader = {
-            let tx = tx.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || reader_loop(token, stream, tx, stop))
-        };
-        let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
-        let mut guard = conn_threads.lock().expect("no poisoned lock");
-        guard.push(reader);
-        guard.push(writer);
-    }
-}
-
-fn reader_loop(token: u64, mut stream: TcpStream, tx: mpsc::Sender<Msg>, stop: Arc<AtomicBool>) {
-    use std::io::Read;
-    let mut buf = vec![0u8; 64 << 10];
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                if tx.send(Msg::Data(token, buf[..n].to_vec())).is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        }
-    }
-    let _ = tx.send(Msg::Closed(token));
-}
-
-fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
-    use std::io::Write;
-    while let Ok(chunk) = rx.recv() {
-        if stream.write_all(&chunk).is_err() {
-            return;
-        }
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-}
-
-struct Registered {
-    conn: ReplConnId,
-    out: mpsc::Sender<Vec<u8>>,
-    closed: bool,
-}
-
-fn engine_loop(mut core: ReplCore, rx: mpsc::Receiver<Msg>) -> Result<ReplCore> {
-    let mut conns: HashMap<u64, Registered> = HashMap::new();
-    'serve: loop {
-        // Wake on input or on the tick, so records committed by the
-        // embedding application and heartbeats ship without traffic.
-        let first = match rx.recv_timeout(TICK) {
-            Ok(m) => Some(m),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => break 'serve,
-        };
-        let mut inbox: Vec<Msg> = first.into_iter().collect();
-        while let Ok(m) = rx.try_recv() {
-            inbox.push(m);
-        }
-        for msg in inbox {
-            match msg {
-                Msg::Open(token, out) => {
-                    let conn = core.connect();
-                    conns.insert(token, Registered { conn, out, closed: false });
-                }
-                Msg::Data(token, bytes) => {
-                    if let Some(reg) = conns.get(&token) {
-                        // A poisoned peer is dropped, not fatal to the
-                        // endpoint.
-                        let _ = core.feed(reg.conn, &bytes);
-                    }
-                }
-                Msg::Closed(token) => {
-                    if let Some(reg) = conns.get_mut(&token) {
-                        reg.closed = true;
-                    }
-                }
-            }
-        }
-        pump_outputs(&mut core, &mut conns);
-    }
-    pump_outputs(&mut core, &mut conns);
-    for (_, reg) in conns.drain() {
-        core.disconnect(reg.conn);
-    }
-    Ok(core)
-}
-
-fn pump_outputs(core: &mut ReplCore, conns: &mut HashMap<u64, Registered>) {
-    let mut reap = Vec::new();
-    for (&token, reg) in conns.iter_mut() {
-        let pumped = core.pump(reg.conn);
-        let out = core.take_output(reg.conn);
-        if !out.is_empty() && reg.out.send(out).is_err() {
-            reg.closed = true;
-        }
-        if reg.closed || core.is_poisoned(reg.conn) || pumped.is_err() {
-            reap.push(token);
-        }
-    }
-    for token in reap {
-        if let Some(reg) = conns.remove(&token) {
-            core.disconnect(reg.conn);
-        }
-    }
-}
+/// A running replication TCP endpoint: `serve(addr, core)`, `local_addr()`
+/// and a graceful `shutdown()` that hands the core back.
+pub type ReplTcpServer = TcpServer<ReplCore>;
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use nob_server::TcpTransport;
     use nob_store::{Store, StoreOptions};
     use noblsm::{ReadOptions, WriteBatch, WriteOptions};

@@ -17,6 +17,9 @@
 //!   two implementations: a real TCP socket and a deterministic
 //!   in-process loopback on virtual time (the golden-pinnable one).
 //! * [`client`] — a pipelining client generic over the transport.
+//! * [`Endpoint`] — the trait a serving core implements
+//!   (connect / feed / settle / drain / finished / disconnect), which is
+//!   all the two front-ends know about it.
 //! * [`tcp`] — [`TcpServer`]: accept / per-connection
 //!   reader & writer / single engine thread over `std::net`.
 //!
@@ -40,13 +43,15 @@
 
 pub mod client;
 pub mod core;
+mod endpoint;
 pub mod proto;
 pub mod tcp;
 pub mod transport;
 
 pub use client::{is_busy_error, Client};
 pub use core::{ConnId, ReplRole, ReplStatus, ServerCore, ServerOptions};
+pub use endpoint::Endpoint;
 pub use noblsm::{Error, Result};
 pub use proto::{BatchOp, Decoder, Frame, ProtoError, Request, RequestClass};
 pub use tcp::TcpServer;
-pub use transport::{shared, LoopbackTransport, SharedCore, TcpTransport, Transport};
+pub use transport::{shared, Loopback, LoopbackTransport, SharedCore, TcpTransport, Transport};

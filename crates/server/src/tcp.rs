@@ -1,11 +1,12 @@
-//! `std::net` TCP front-end over [`ServerCore`].
+//! `std::net` TCP front-end over any [`Endpoint`]: [`ServerCore`] here,
+//! `nob-repl`'s `ReplCore` for replication.
 //!
 //! Thread layout (no async runtime, no external deps):
 //!
 //! ```text
 //! accept thread ──spawns──► per-conn reader ──Msg──►┐
 //!                           per-conn writer ◄─bytes─┤ engine thread
-//!                                                   │ (owns ServerCore)
+//!                                                   │ (owns the core)
 //! ```
 //!
 //! The engine thread is the only one touching the core, so the serving
@@ -15,7 +16,9 @@
 //! flushes the group-commit queue and pushes each connection's resolved
 //! replies to its writer. Batching falls out naturally: bytes from many
 //! connections pile up while a group commits, and the next flush
-//! coalesces their writes.
+//! coalesces their writes. An endpoint with an [`Endpoint::IDLE_TICK`]
+//! additionally wakes the engine on that timer, so what it produces on
+//! its own ships while the peers are silent.
 //!
 //! Shutdown is graceful: stop accepting, let readers wind down, answer
 //! every request already received, then close. In-flight tickets are
@@ -31,7 +34,8 @@ use std::time::Duration;
 
 use noblsm::{Error, Result};
 
-use crate::core::{ConnId, ServerCore, ServerOptions};
+use crate::core::{ServerCore, ServerOptions};
+use crate::endpoint::Endpoint;
 
 /// How long a reader blocks in `read()` before re-checking the shutdown
 /// flag. Bounds shutdown latency, not request latency.
@@ -48,13 +52,14 @@ enum Msg {
     Closed(u64),
 }
 
-/// A running TCP server; dropping it without [`shutdown`](TcpServer::shutdown)
-/// aborts non-gracefully (threads are detached).
-pub struct TcpServer {
+/// A running TCP server over the endpoint `E`; dropping it without
+/// [`shutdown`](TcpServer::shutdown) aborts non-gracefully (threads are
+/// detached).
+pub struct TcpServer<E = ServerCore> {
     addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    engine: Option<JoinHandle<Result<ServerCore>>>,
+    engine: Option<JoinHandle<Result<E>>>,
     conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -69,14 +74,16 @@ impl TcpServer {
         let core = ServerCore::open(opts)?;
         Self::serve(addr, core)
     }
+}
 
-    /// Like [`bind`](TcpServer::bind) but serving an already-open core
-    /// (pre-loaded data, custom trace/metrics wiring).
+impl<E: Endpoint + Send + 'static> TcpServer<E> {
+    /// Binds `addr` and serves an already-open core (pre-loaded data,
+    /// custom trace/metrics wiring, a replication leader).
     ///
     /// # Errors
     ///
     /// Bind failures as [`Error::Io`].
-    pub fn serve(addr: &str, core: ServerCore) -> Result<TcpServer> {
+    pub fn serve(addr: &str, core: E) -> Result<TcpServer<E>> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -109,8 +116,8 @@ impl TcpServer {
     ///
     /// # Errors
     ///
-    /// Propagates the first engine-side store failure, if any.
-    pub fn shutdown(mut self) -> Result<ServerCore> {
+    /// Propagates the first engine-side failure, if any.
+    pub fn shutdown(mut self) -> Result<E> {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock accept(): it is parked waiting for a connection.
         let _ = TcpStream::connect(self.addr);
@@ -121,7 +128,7 @@ impl TcpServer {
         // engine senders; the engine then drains, replies and returns;
         // writers exit once the engine drops their channels.
         let engine = self.engine.take().expect("shutdown runs once");
-        let core = engine.join().map_err(|_| Error::Usage("server engine panicked".into()))??;
+        let core = engine.join().map_err(|_| Error::Usage("engine thread panicked".into()))??;
         let handles = std::mem::take(&mut *self.conn_threads.lock().expect("no poisoned lock"));
         for h in handles {
             let _ = h.join();
@@ -202,24 +209,32 @@ fn writer_loop(mut stream: TcpStream, rx: mpsc::Receiver<Vec<u8>>) {
 }
 
 /// One registered connection on the engine side.
-struct Registered {
-    conn: ConnId,
+struct Registered<C> {
+    conn: C,
     out: mpsc::Sender<Vec<u8>>,
     /// Reader reported EOF; close once remaining replies are pushed.
     closed: bool,
 }
 
-fn engine_loop(mut core: ServerCore, rx: mpsc::Receiver<Msg>) -> Result<ServerCore> {
-    let mut conns: HashMap<u64, Registered> = HashMap::new();
+fn engine_loop<E: Endpoint>(mut core: E, rx: mpsc::Receiver<Msg>) -> Result<E> {
+    let mut conns: HashMap<u64, Registered<E::Conn>> = HashMap::new();
     'serve: loop {
-        // Block for one message, then opportunistically batch whatever
-        // else is already queued: the flush below then group-commits
-        // writes from every connection that arrived in the window.
-        let first = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => break 'serve,
+        // Block for one message (or the endpoint's idle tick), then
+        // opportunistically batch whatever else is already queued: the
+        // flush below then group-commits writes from every connection
+        // that arrived in the window.
+        let first = match E::IDLE_TICK {
+            None => match rx.recv() {
+                Ok(m) => Some(m),
+                Err(_) => break 'serve,
+            },
+            Some(tick) => match rx.recv_timeout(tick) {
+                Ok(m) => Some(m),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                Err(mpsc::RecvTimeoutError::Disconnected) => break 'serve,
+            },
         };
-        let mut inbox = vec![first];
+        let mut inbox: Vec<Msg> = first.into_iter().collect();
         while let Ok(m) = rx.try_recv() {
             inbox.push(m);
         }
@@ -252,23 +267,27 @@ fn engine_loop(mut core: ServerCore, rx: mpsc::Receiver<Msg>) -> Result<ServerCo
     Ok(core)
 }
 
-/// Flushes the store and pushes each connection's resolved replies to its
-/// writer; reaps connections that are closed or poisoned with nothing
-/// left to say.
-fn pump_outputs(core: &mut ServerCore, conns: &mut HashMap<u64, Registered>) -> Result<()> {
-    core.flush()?;
+/// Settles the endpoint and pushes each connection's due bytes to its
+/// writer; reaps connections that are finished (closed or poisoned with
+/// nothing left to say) or that the endpoint can no longer serve.
+fn pump_outputs<E: Endpoint>(
+    core: &mut E,
+    conns: &mut HashMap<u64, Registered<E::Conn>>,
+) -> Result<()> {
+    core.settle()?;
     let mut reap = Vec::new();
     for (&token, reg) in conns.iter_mut() {
-        let out = core.take_output(reg.conn);
-        if !out.is_empty() {
-            // A send failure means the writer died (peer gone): treat as
-            // closed, replies are undeliverable.
-            if reg.out.send(out).is_err() {
-                reg.closed = true;
-            }
+        // A send failure means the writer died (peer gone), a drain
+        // failure that the endpoint gave up on the peer: treat either as
+        // closed, replies are undeliverable.
+        let delivered = match core.drain(reg.conn) {
+            Ok(out) => out.is_empty() || reg.out.send(out).is_ok(),
+            Err(_) => false,
+        };
+        if !delivered {
+            reg.closed = true;
         }
-        let drained = !core.output_blocked(reg.conn) && core.pending_replies(reg.conn) == 0;
-        if (reg.closed || core.is_poisoned(reg.conn)) && drained {
+        if core.finished(reg.conn, reg.closed) {
             reap.push(token);
         }
     }

@@ -15,7 +15,8 @@ use std::rc::Rc;
 
 use noblsm::Result;
 
-use crate::core::{ConnId, ServerCore};
+use crate::core::ServerCore;
+use crate::endpoint::Endpoint;
 
 /// A bidirectional byte pipe a [`Client`](crate::client::Client) drives.
 pub trait Transport {
@@ -42,51 +43,54 @@ pub trait Transport {
 pub type SharedCore = Rc<RefCell<ServerCore>>;
 
 /// Wraps a core for loopback use.
-pub fn shared(core: ServerCore) -> SharedCore {
+pub fn shared<E>(core: E) -> Rc<RefCell<E>> {
     Rc::new(RefCell::new(core))
 }
 
-/// In-process transport: one server connection driven by direct calls
-/// into the shared [`ServerCore`] on virtual time.
-pub struct LoopbackTransport {
-    core: SharedCore,
-    conn: ConnId,
+/// In-process transport: one connection driven by direct calls into a
+/// shared [`Endpoint`] on virtual time.
+pub struct Loopback<E: Endpoint> {
+    core: Rc<RefCell<E>>,
+    conn: E::Conn,
 }
 
-impl LoopbackTransport {
-    /// Opens a new server connection on `core`.
-    pub fn connect(core: &SharedCore) -> LoopbackTransport {
+/// The serving crate's loopback: a client of a shared [`ServerCore`].
+pub type LoopbackTransport = Loopback<ServerCore>;
+
+impl<E: Endpoint> Loopback<E> {
+    /// Opens a new connection on `core`.
+    pub fn connect(core: &Rc<RefCell<E>>) -> Self {
         let conn = core.borrow_mut().connect();
-        LoopbackTransport { core: Rc::clone(core), conn }
+        Loopback { core: Rc::clone(core), conn }
     }
 
-    /// The server-side connection handle (tests asserting on core state).
-    pub fn conn_id(&self) -> ConnId {
+    /// The endpoint-side connection handle (tests asserting on core state).
+    pub fn conn_id(&self) -> E::Conn {
         self.conn
     }
 }
 
-impl Transport for LoopbackTransport {
+impl<E: Endpoint> Transport for Loopback<E> {
     fn send(&mut self, bytes: &[u8]) -> Result<()> {
         self.core.borrow_mut().feed(self.conn, bytes)
     }
 
     fn recv(&mut self, out: &mut Vec<u8>) -> Result<usize> {
         let mut core = self.core.borrow_mut();
-        let mut chunk = core.take_output(self.conn);
+        let mut chunk = core.drain(self.conn)?;
         if chunk.is_empty() {
             // Nothing resolved yet: settle the group-commit queue, which
             // is exactly what the TCP engine thread does when its inbox
             // goes quiet.
-            core.flush()?;
-            chunk = core.take_output(self.conn);
+            core.settle()?;
+            chunk = core.drain(self.conn)?;
         }
         out.extend_from_slice(&chunk);
         Ok(chunk.len())
     }
 }
 
-impl Drop for LoopbackTransport {
+impl<E: Endpoint> Drop for Loopback<E> {
     fn drop(&mut self) {
         self.core.borrow_mut().disconnect(self.conn);
     }

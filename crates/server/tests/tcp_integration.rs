@@ -133,7 +133,7 @@ fn graceful_shutdown_drains_in_flight_requests() {
 }
 
 #[test]
-fn malformed_bytes_get_an_error_reply_then_the_connection_closes() {
+fn malformed_bytes_get_an_error_reply_then_only_that_connection_closes() {
     use std::io::{Read, Write};
 
     let server = server(4096, 256);
@@ -145,5 +145,11 @@ fn malformed_bytes_get_an_error_reply_then_the_connection_closes() {
     raw.read_to_end(&mut reply).expect("server replies then closes");
     let text = String::from_utf8_lossy(&reply);
     assert!(text.starts_with("-ERR"), "protocol error reply, got {text:?}");
-    server.shutdown().expect("graceful shutdown");
+
+    // The poisoned peer was reaped without stopping the endpoint.
+    let mut good = Client::new(TcpTransport::connect(&addr.to_string()).expect("connect"));
+    good.ping().expect("the server keeps serving");
+    drop((raw, good));
+    let core = server.shutdown().expect("graceful shutdown");
+    assert_eq!(core.conn_count(), 0, "every connection was reaped");
 }

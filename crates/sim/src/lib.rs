@@ -31,10 +31,12 @@
 
 mod clock;
 mod events;
+mod text;
 mod time;
 mod timeline;
 
 pub use clock::{Clock, SharedClock};
 pub use events::EventQueue;
+pub use text::{fnv1a, json_escape};
 pub use time::Nanos;
 pub use timeline::{Reservation, Timeline};

@@ -54,7 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_metrics::MetricsHub;
-use nob_sim::{Nanos, SharedClock};
+use nob_sim::{fnv1a, Nanos, SharedClock};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
 use noblsm::{
     encode_batch, Db, Options, ReadOptions, ScanCollector, ScanOptions, ScanResult, Snapshot,
@@ -175,18 +175,6 @@ pub struct Store {
     /// [`ShippedRecord`] for a replication leader to drain.
     shipping: bool,
     shipped: Vec<ShippedRecord>,
-}
-
-/// Stable 64-bit FNV-1a, the store's routing hash. Deterministic across
-/// runs and platforms — part of the store's on-disk contract, since it
-/// decides which shard directory holds a key.
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Store {
