@@ -1,5 +1,6 @@
 //! A concatenating iterator over one sorted, non-overlapping level.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use nob_sim::Nanos;
@@ -16,7 +17,9 @@ use crate::Result;
 /// are sorted and non-overlapping (leveled `L1+`).
 pub(crate) struct LevelIter<'a> {
     tables: &'a TableCache,
-    files: Vec<Arc<FileMetaData>>,
+    /// A whole level, borrowed from the version the iterator reads, or an
+    /// owned run picked out of one (hot files, a fragmented level).
+    files: Cow<'a, [Arc<FileMetaData>]>,
     index: usize,
     cur: Option<TableIter>,
     fill_cache: bool,
@@ -36,10 +39,10 @@ impl<'a> LevelIter<'a> {
     /// and non-overlapping), with explicit block-cache population.
     pub(crate) fn new(
         tables: &'a TableCache,
-        files: Vec<Arc<FileMetaData>>,
+        files: impl Into<Cow<'a, [Arc<FileMetaData>]>>,
         fill_cache: bool,
     ) -> Self {
-        LevelIter { tables, files, index: 0, cur: None, fill_cache }
+        LevelIter { tables, files: files.into(), index: 0, cur: None, fill_cache }
     }
 
     fn open_index(&mut self, now: &mut Nanos) -> Result<()> {

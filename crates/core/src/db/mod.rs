@@ -106,6 +106,8 @@ pub struct Db {
     refs: PhysicalRefs,
     hot: HotTracker,
     pending_seek: Option<(usize, Arc<FileMetaData>)>,
+    /// Scratch for the lookup key of a point read, reused across gets.
+    lookup_buf: Vec<u8>,
     reclaim_armed: bool,
     writer_free: Nanos,
     snapshots: BTreeMap<u64, crate::SequenceNumber>,
@@ -149,9 +151,11 @@ impl Snapshot {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScanResult {
     /// The matching rows in scan order (empty under
-    /// [`ScanOptions::count_only`]).
+    /// [`ScanOptions::count_only`], and when the rows went to a caller's
+    /// sink instead: [`Db::scan_with`]).
     pub rows: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Rows matched; equals `rows.len()` unless `count_only`.
+    /// Rows matched; equals `rows.len()` unless `count_only` or a sink
+    /// took them.
     pub count: u64,
     /// When the scan stopped at [`ScanOptions::limit`] with more matching
     /// rows beyond it, the user key of the next row in scan direction;
@@ -162,24 +166,27 @@ pub struct ScanResult {
     pub resume: Option<Vec<u8>>,
 }
 
-/// Accumulates scan rows under a [`ScanOptions`] limit / `count_only`
-/// policy, recording the resume key when the limit truncates. Shared by
-/// [`Db::scan`] and the store's cross-shard merge so both report
-/// identical pagination semantics.
+/// The one pagination rule of a scan: counts rows against
+/// [`ScanOptions::limit`], hands each admitted row to a sink unless
+/// [`ScanOptions::count_only`], and records the resume key when the limit
+/// truncates. Shared by [`Db::scan_with`] and the store's cross-shard merge
+/// so both report identical pagination semantics; the rows themselves go
+/// wherever the sink puts them.
 #[derive(Debug)]
-pub struct ScanCollector {
-    rows: Vec<(Vec<u8>, Vec<u8>)>,
+pub struct ScanCollector<S> {
+    sink: S,
     count: u64,
     limit: usize,
     count_only: bool,
     resume: Option<Vec<u8>>,
 }
 
-impl ScanCollector {
-    /// A collector honouring `sopts.limit` / `sopts.count_only`.
-    pub fn new(sopts: &ScanOptions<'_>) -> Self {
+impl<S: FnMut(&[u8], &[u8])> ScanCollector<S> {
+    /// A collector honouring `sopts.limit` / `sopts.count_only`, passing
+    /// rows to `sink`.
+    pub fn new(sopts: &ScanOptions<'_>, sink: S) -> Self {
         ScanCollector {
-            rows: Vec::new(),
+            sink,
             count: 0,
             limit: sopts.limit,
             count_only: sopts.count_only,
@@ -197,14 +204,15 @@ impl ScanCollector {
         }
         self.count += 1;
         if !self.count_only {
-            self.rows.push((key.to_vec(), value.to_vec()));
+            (self.sink)(key, value);
         }
         true
     }
 
-    /// The finished result.
+    /// The finished result: `count` and `resume` (the sink has the rows,
+    /// so `rows` is empty).
     pub fn finish(self) -> ScanResult {
-        ScanResult { rows: self.rows, count: self.count, resume: self.resume }
+        ScanResult { rows: Vec::new(), count: self.count, resume: self.resume }
     }
 }
 

@@ -101,6 +101,7 @@ impl Db {
             refs,
             hot: HotTracker::new(hot_window),
             pending_seek: None,
+            lookup_buf: Vec::new(),
             reclaim_armed: false,
             writer_free: Nanos::ZERO,
             snapshots: BTreeMap::new(),

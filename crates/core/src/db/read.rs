@@ -8,7 +8,7 @@ use nob_trace::EventClass;
 use crate::iterator::{DbIterator, InternalIterator, MergingIterator};
 use crate::memtable::MemLookup;
 use crate::options::{CompactionStyle, ReadOptions, ScanOptions};
-use crate::types::{compare_internal, user_key};
+use crate::types::{compare_internal, lookup_key, user_key};
 use crate::version::{FileMetaData, GetResult};
 use crate::{Result, SequenceNumber};
 
@@ -88,9 +88,15 @@ impl Db {
                 MemLookup::NotFound => {}
             }
         }
-        let version = self.versions.current();
-        let (result, probes, seek) =
-            version.get(key, seq, self.opts.style, &self.tables, &mut now, fill_cache)?;
+        // The lookup key is built in a buffer the engine keeps.
+        lookup_key(&mut self.lookup_buf, key, seq);
+        let (result, probes, seek) = self.versions.current_ref().get(
+            &self.lookup_buf,
+            self.opts.style,
+            &self.tables,
+            &mut now,
+            fill_cache,
+        )?;
         self.stats.files_read_per_get += probes as u64;
         if let Some(sf) = seek {
             if self.opts.seek_compaction {
@@ -165,21 +171,22 @@ impl Db {
         fill_cache: bool,
     ) -> Result<DbIterator<'_>> {
         self.pump(now)?;
-        let version = self.versions.current();
+        // The version cannot change while the iterator borrows the engine,
+        // so whole levels are walked in place.
+        let version = self.versions.current_ref();
         let mut now = now;
         let mut children: Vec<Box<dyn InternalIterator + '_>> = Vec::new();
         children.push(Box::new(self.mem.internal_iter()));
         if let Some(imm) = &self.imm {
             children.push(Box::new(imm.internal_iter()));
         }
-        for level in 0..version.levels() {
-            let files = version.files[level].clone();
+        for (level, files) in version.files.iter().enumerate() {
             if files.is_empty() {
                 continue;
             }
             if level == 0 {
                 for f in files {
-                    let t = self.tables.table(&f, &mut now)?;
+                    let t = self.tables.table(f, &mut now)?;
                     children.push(Box::new(t.iter(fill_cache)));
                 }
             } else if self.opts.style == CompactionStyle::Fragmented {
@@ -188,19 +195,21 @@ impl Db {
                 // concatenating iterator per run bounds scan cost by the
                 // generation count — the same effect PebblesDB's guards
                 // have on reads.
-                for run in sorted_runs(files) {
+                for run in sorted_runs(files.clone()) {
                     children.push(Box::new(LevelIter::new(&self.tables, run, fill_cache)));
                 }
-            } else {
+            } else if files.iter().any(|f| f.hot) {
                 // Hot (overlapping) files form their own runs; the sorted
                 // cold remainder uses one concatenating iterator.
-                let (hot, cold): (Vec<_>, Vec<_>) = files.into_iter().partition(|f| f.hot);
+                let (hot, cold): (Vec<_>, Vec<_>) = files.iter().cloned().partition(|f| f.hot);
                 for run in sorted_runs(hot) {
                     children.push(Box::new(LevelIter::new(&self.tables, run, fill_cache)));
                 }
                 if !cold.is_empty() {
                     children.push(Box::new(LevelIter::new(&self.tables, cold, fill_cache)));
                 }
+            } else {
+                children.push(Box::new(LevelIter::new(&self.tables, &files[..], fill_cache)));
             }
         }
         Ok(DbIterator::new(MergingIterator::new(children), snapshot, now, self.opts.cpu.next))
@@ -216,12 +225,32 @@ impl Db {
     ///
     /// Propagates filesystem/corruption errors.
     pub fn scan(&mut self, ropts: &ReadOptions<'_>, sopts: &ScanOptions<'_>) -> Result<ScanResult> {
+        let mut rows = Vec::new();
+        let page = self.scan_with(ropts, sopts, |k, v| rows.push((k.to_vec(), v.to_vec())))?;
+        Ok(ScanResult { rows, ..page })
+    }
+
+    /// [`Db::scan`] handing each row to `sink` as it is found, borrowed
+    /// from the block or memtable that holds it — for a caller that copies
+    /// rows somewhere of its own (a reply buffer) or not at all. The
+    /// returned [`ScanResult`] carries `count` and `resume`; its `rows`
+    /// stay empty.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn scan_with(
+        &mut self,
+        ropts: &ReadOptions<'_>,
+        sopts: &ScanOptions<'_>,
+        sink: impl FnMut(&[u8], &[u8]),
+    ) -> Result<ScanResult> {
         let now = self.clock.now();
         let seq = ropts.snapshot.map_or(self.versions.last_sequence, Snapshot::sequence);
-        let start = sopts.effective_start().map(<[u8]>::to_vec);
+        let start = sopts.effective_start();
         let end = sopts.effective_end();
         let fill = sopts.fill_cache && ropts.fill_cache;
-        let mut collector = ScanCollector::new(sopts);
+        let mut collector = ScanCollector::new(sopts, sink);
         let mut it = self.iter_internal(now, seq, fill)?;
         if sopts.reverse {
             match end.as_deref() {
@@ -239,7 +268,7 @@ impl Db {
                 None => it.seek_to_last()?,
             }
             while it.valid() {
-                if start.as_deref().is_some_and(|s| it.key() < s) {
+                if start.is_some_and(|s| it.key() < s) {
                     break;
                 }
                 if !collector.offer(it.key(), it.value()) {
@@ -248,7 +277,7 @@ impl Db {
                 it.prev()?;
             }
         } else {
-            match start.as_deref() {
+            match start {
                 Some(s) => it.seek(s)?,
                 None => it.seek_to_first()?,
             }

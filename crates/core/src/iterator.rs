@@ -5,7 +5,9 @@ use std::cmp::Ordering;
 
 use nob_sim::Nanos;
 
-use crate::types::{compare_internal, sequence_of, user_key, value_type_of};
+use crate::types::{
+    compare_internal, lookup_key, pack_trailer, sequence_of, user_key, value_type_of,
+};
 use crate::{Result, SequenceNumber, ValueType};
 
 /// An iterator over encoded internal keys, charging I/O to a virtual
@@ -274,15 +276,25 @@ impl<'a> InternalIterator for MergingIterator<'a> {
 /// The user-facing iterator: walks live user keys in ascending order,
 /// hiding tombstones and entries newer than the read snapshot.
 ///
+/// Moving forward, the inner iterator rests on the surfaced entry and
+/// [`key`](DbIterator::key) / [`value`](DbIterator::value) borrow from it;
+/// only reverse motion, which has to walk past an entry to know it was the
+/// newest visible one, keeps a saved copy of the pair (LevelDB's rule).
+///
 /// `DbIterator` owns its virtual clock; read the accumulated time with
 /// [`now`](DbIterator::now) when done.
 pub struct DbIterator<'a> {
     inner: MergingIterator<'a>,
     snapshot: SequenceNumber,
     now: Nanos,
-    current: Option<(Vec<u8>, Vec<u8>)>,
+    valid: bool,
     per_entry_cpu: Nanos,
     direction: Direction,
+    /// Backward: the current user key. Forward: scratch — the user key
+    /// whose older versions are being skipped, or a seek probe.
+    saved_key: Vec<u8>,
+    /// Backward: the current value.
+    saved_value: Vec<u8>,
 }
 
 impl<'a> std::fmt::Debug for DbIterator<'a> {
@@ -305,9 +317,11 @@ impl<'a> DbIterator<'a> {
             inner,
             snapshot,
             now,
-            current: None,
+            valid: false,
             per_entry_cpu,
             direction: Direction::Forward,
+            saved_key: Vec::new(),
+            saved_value: Vec::new(),
         }
     }
 
@@ -318,7 +332,7 @@ impl<'a> DbIterator<'a> {
 
     /// Whether the iterator points at an entry.
     pub fn valid(&self) -> bool {
-        self.current.is_some()
+        self.valid
     }
 
     /// The current user key.
@@ -327,7 +341,11 @@ impl<'a> DbIterator<'a> {
     ///
     /// Panics if not [`valid`](DbIterator::valid).
     pub fn key(&self) -> &[u8] {
-        &self.current.as_ref().expect("iterator not valid").0
+        assert!(self.valid, "iterator not valid");
+        match self.direction {
+            Direction::Forward => user_key(self.inner.key()),
+            Direction::Backward => &self.saved_key,
+        }
     }
 
     /// The current value.
@@ -336,7 +354,11 @@ impl<'a> DbIterator<'a> {
     ///
     /// Panics if not [`valid`](DbIterator::valid).
     pub fn value(&self) -> &[u8] {
-        &self.current.as_ref().expect("iterator not valid").1
+        assert!(self.valid, "iterator not valid");
+        match self.direction {
+            Direction::Forward => self.inner.value(),
+            Direction::Backward => &self.saved_value,
+        }
     }
 
     /// Positions at the first live user key.
@@ -345,11 +367,12 @@ impl<'a> DbIterator<'a> {
     ///
     /// Propagates storage read failures.
     pub fn seek_to_first(&mut self) -> Result<()> {
+        self.valid = false;
         let mut now = self.now;
         self.inner.seek_to_first(&mut now)?;
         self.now = now;
         self.direction = Direction::Forward;
-        self.advance_to_visible(None)
+        self.advance_to_visible(false)
     }
 
     /// Positions at the last live user key.
@@ -358,6 +381,7 @@ impl<'a> DbIterator<'a> {
     ///
     /// Propagates storage read failures.
     pub fn seek_to_last(&mut self) -> Result<()> {
+        self.valid = false;
         let mut now = self.now;
         self.inner.seek_to_last(&mut now)?;
         self.now = now;
@@ -371,12 +395,13 @@ impl<'a> DbIterator<'a> {
     ///
     /// Propagates storage read failures.
     pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        let probe = crate::types::lookup_key(target, self.snapshot);
+        self.valid = false;
+        lookup_key(&mut self.saved_key, target, self.snapshot);
         let mut now = self.now;
-        self.inner.seek(probe.as_bytes(), &mut now)?;
+        self.inner.seek(&self.saved_key, &mut now)?;
         self.now = now;
         self.direction = Direction::Forward;
-        self.advance_to_visible(None)
+        self.advance_to_visible(false)
     }
 
     /// Advances to the next live user key.
@@ -386,23 +411,35 @@ impl<'a> DbIterator<'a> {
     /// Propagates storage read failures.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<()> {
-        let skip = self.current.take().map(|(k, _)| k);
-        let mut now = self.now;
-        match (&skip, self.direction) {
-            (Some(cur), Direction::Backward) => {
-                // After backward motion the inner iterator sits before the
-                // current group; jump to the first entry after it.
-                let probe = crate::InternalKey::new(cur, 0, ValueType::Deletion);
-                self.inner.seek(probe.as_bytes(), &mut now)?;
-                self.direction = Direction::Forward;
+        let skipping = std::mem::take(&mut self.valid);
+        if skipping {
+            match self.direction {
+                Direction::Backward => {
+                    // After backward motion the inner iterator sits before
+                    // the current group; jump to the first entry after it
+                    // (the group's last possible internal key), keeping
+                    // `saved_key` to skip by.
+                    let len = self.saved_key.len();
+                    let last = pack_trailer(0, ValueType::Deletion);
+                    self.saved_key.extend_from_slice(&last.to_le_bytes());
+                    let mut now = self.now;
+                    let sought = self.inner.seek(&self.saved_key, &mut now);
+                    self.saved_key.truncate(len);
+                    sought?;
+                    self.now = now;
+                    self.direction = Direction::Forward;
+                }
+                Direction::Forward => {
+                    // The entry about to be left lends out the current
+                    // key; keep a copy to skip its older versions by.
+                    replace(&mut self.saved_key, user_key(self.inner.key()));
+                    let mut now = self.now;
+                    self.inner.next(&mut now)?;
+                    self.now = now;
+                }
             }
-            (Some(_), Direction::Forward) => {
-                self.inner.next(&mut now)?;
-            }
-            (None, _) => {}
         }
-        self.now = now;
-        self.advance_to_visible(skip)
+        self.advance_to_visible(skipping)
     }
 
     /// Retreats to the previous live user key.
@@ -411,12 +448,15 @@ impl<'a> DbIterator<'a> {
     ///
     /// Propagates storage read failures.
     pub fn prev(&mut self) -> Result<()> {
-        let Some((cur, _)) = self.current.take() else { return Ok(()) };
+        if !std::mem::take(&mut self.valid) {
+            return Ok(());
+        }
         let mut now = self.now;
         if self.direction == Direction::Forward {
-            // The inner iterator sits on the surfaced entry of `cur`; walk
-            // backward past the rest of its group.
-            while self.inner.valid() && user_key(self.inner.key()) == cur.as_slice() {
+            // The inner iterator sits on the surfaced entry; walk backward
+            // past the rest of its group.
+            replace(&mut self.saved_key, user_key(self.inner.key()));
+            while self.inner.valid() && user_key(self.inner.key()) == self.saved_key.as_slice() {
                 now += self.per_entry_cpu;
                 self.inner.prev(&mut now)?;
             }
@@ -426,34 +466,26 @@ impl<'a> DbIterator<'a> {
         self.retreat_to_visible()
     }
 
-    /// Skips entries invisible at the snapshot, tombstoned keys, and any
-    /// older versions of `skip_key`.
-    fn advance_to_visible(&mut self, mut skip_key: Option<Vec<u8>>) -> Result<()> {
+    /// Skips entries invisible at the snapshot, tombstoned keys, and —
+    /// when `skipping` — any older versions of `saved_key`; stops with the
+    /// inner iterator resting on the entry to surface.
+    fn advance_to_visible(&mut self, mut skipping: bool) -> Result<()> {
         let mut now = self.now;
-        loop {
-            if !self.inner.valid() {
-                self.current = None;
-                break;
-            }
+        while self.inner.valid() {
             now += self.per_entry_cpu;
             let ikey = self.inner.key();
-            let seq = sequence_of(ikey);
             let uk = user_key(ikey);
-            if seq > self.snapshot || skip_key.as_deref() == Some(uk) {
-                self.inner.next(&mut now)?;
-                continue;
-            }
-            match value_type_of(ikey) {
-                Some(ValueType::Value) => {
-                    self.current = Some((uk.to_vec(), self.inner.value().to_vec()));
+            if sequence_of(ikey) <= self.snapshot && !(skipping && uk == self.saved_key.as_slice())
+            {
+                if value_type_of(ikey) == Some(ValueType::Value) {
+                    self.valid = true;
                     break;
                 }
-                _ => {
-                    // Tombstone: hide every older version of this key.
-                    skip_key = Some(uk.to_vec());
-                    self.inner.next(&mut now)?;
-                }
+                // Tombstone: hide every older version of this key.
+                replace(&mut self.saved_key, uk);
+                skipping = true;
             }
+            self.inner.next(&mut now)?;
         }
         self.now = now;
         Ok(())
@@ -462,37 +494,36 @@ impl<'a> DbIterator<'a> {
     /// Backward counterpart of `advance_to_visible`: the inner iterator
     /// moves through each user-key group in ascending sequence order, so
     /// the newest entry visible at the snapshot is the last one accepted
-    /// before the group ends.
+    /// before the group ends. It is saved, because by then the inner
+    /// iterator has moved past it.
     fn retreat_to_visible(&mut self) -> Result<()> {
         let mut now = self.now;
-        loop {
-            if !self.inner.valid() {
-                self.current = None;
-                break;
-            }
-            let uk = user_key(self.inner.key()).to_vec();
-            let mut newest_visible: Option<(Option<ValueType>, Vec<u8>)> = None;
-            while self.inner.valid() && user_key(self.inner.key()) == uk.as_slice() {
+        while self.inner.valid() {
+            replace(&mut self.saved_key, user_key(self.inner.key()));
+            let mut newest_visible = None;
+            while self.inner.valid() && user_key(self.inner.key()) == self.saved_key.as_slice() {
                 now += self.per_entry_cpu;
-                let seq = sequence_of(self.inner.key());
-                if seq <= self.snapshot {
-                    newest_visible =
-                        Some((value_type_of(self.inner.key()), self.inner.value().to_vec()));
+                if sequence_of(self.inner.key()) <= self.snapshot {
+                    newest_visible = value_type_of(self.inner.key());
+                    replace(&mut self.saved_value, self.inner.value());
                 }
                 self.inner.prev(&mut now)?;
             }
-            match newest_visible {
-                Some((Some(ValueType::Value), v)) => {
-                    self.current = Some((uk, v));
-                    break;
-                }
-                // Tombstoned or fully invisible: keep retreating.
-                _ => continue,
+            // Tombstoned or fully invisible: keep retreating.
+            if newest_visible == Some(ValueType::Value) {
+                self.valid = true;
+                break;
             }
         }
         self.now = now;
         Ok(())
     }
+}
+
+/// Overwrites `buf` with `bytes`, keeping its allocation.
+fn replace(buf: &mut Vec<u8>, bytes: &[u8]) {
+    buf.clear();
+    buf.extend_from_slice(bytes);
 }
 
 #[cfg(test)]

@@ -180,10 +180,15 @@ pub(crate) fn strip_trailer(mut data: Vec<u8>) -> Result<Vec<u8>> {
 }
 
 /// A parsed, immutable block.
+///
+/// The payload stays as it was read: entries, then the restart array,
+/// then the restart count. Restart offsets are decoded where they lie.
 #[derive(Debug)]
 pub struct Block {
     data: Vec<u8>,
-    restarts: Vec<u32>,
+    /// Where the entries end and the restart array begins.
+    entries_end: usize,
+    n_restarts: usize,
 }
 
 impl Block {
@@ -205,20 +210,14 @@ impl Block {
         if restart_bytes > data.len() {
             return Err(DbError::Corruption("restart array exceeds block".into()));
         }
-        let restart_start = data.len() - restart_bytes;
-        let mut restarts = Vec::with_capacity(n_restarts);
-        for i in 0..n_restarts {
-            let off = restart_start + i * 4;
-            restarts.push(u32::from_le_bytes(data[off..off + 4].try_into().expect("4 bytes")));
-        }
-        let mut data = data;
-        data.truncate(restart_start);
-        Ok(Arc::new(Block { data, restarts }))
+        let entries_end = data.len() - restart_bytes;
+        Ok(Arc::new(Block { data, entries_end, n_restarts }))
     }
 
-    /// In-memory footprint, for cache accounting.
+    /// In-memory footprint, for cache accounting: the entries and the
+    /// restart array (the count word is not charged).
     pub fn bytes(&self) -> usize {
-        self.data.len() + self.restarts.len() * 4
+        self.entries_end + self.n_restarts * 4
     }
 
     /// Creates an iterator positioned before the first entry.
@@ -226,13 +225,21 @@ impl Block {
         BlockIter { block: Arc::clone(self), pos: usize::MAX, key: Vec::new(), value_range: (0, 0) }
     }
 
+    /// Byte offset of the entry restart point `i` names (`i < n_restarts`).
+    fn restart(&self, i: usize) -> usize {
+        let at = self.entries_end + i * 4;
+        u32::from_le_bytes(self.data[at..at + 4].try_into().expect("4 bytes")) as usize
+    }
+
     /// Decodes the entry at byte offset `pos`; returns
     /// `(next_pos, shared, non_shared_range, value_range)`.
     #[allow(clippy::type_complexity)]
     fn decode_entry(&self, pos: usize) -> Option<(usize, usize, (usize, usize), (usize, usize))> {
-        if pos >= self.data.len() {
+        if pos >= self.entries_end {
             return None;
         }
+        // A header that strays into the restart array decodes to an entry
+        // that ends past `entries_end`, and is refused there.
         let mut p = pos;
         let shared = decode_u32(&self.data, &mut p)? as usize;
         let non_shared = decode_u32(&self.data, &mut p)? as usize;
@@ -240,7 +247,7 @@ impl Block {
         let key_start = p;
         let value_start = key_start.checked_add(non_shared)?;
         let next = value_start.checked_add(value_len)?;
-        if next > self.data.len() {
+        if next > self.entries_end {
             return None;
         }
         Some((next, shared, (key_start, value_start), (value_start, next)))
@@ -258,6 +265,14 @@ pub struct BlockIter {
 }
 
 impl BlockIter {
+    /// Re-points the iterator at `block`, positioned before its first
+    /// entry, keeping the key buffer: a table iterator walks every data
+    /// block of its table through one `BlockIter`.
+    pub(crate) fn reset(&mut self, block: Arc<Block>) {
+        self.block = block;
+        self.pos = usize::MAX;
+    }
+
     /// Whether the iterator points at an entry.
     pub fn valid(&self) -> bool {
         self.pos != usize::MAX
@@ -290,11 +305,11 @@ impl BlockIter {
 
     fn seek_to_restart(&mut self, r: usize) {
         self.key.clear();
-        if r >= self.block.restarts.len() {
+        if r >= self.block.n_restarts {
             self.pos = usize::MAX;
             return;
         }
-        self.advance_from(self.block.restarts[r] as usize);
+        self.advance_from(self.block.restart(r));
     }
 
     /// Moves to the entry starting at byte `pos` (key prefix must already
@@ -316,28 +331,29 @@ impl BlockIter {
         if !self.valid() {
             return;
         }
-        let (next, ..) = self.block.decode_entry(self.pos).expect("valid position decodes");
-        self.advance_from(next);
+        // The current entry's value is the last thing before the next one.
+        self.advance_from(self.value_range.1);
     }
 
     /// Positions at the last entry of the block.
     pub fn seek_to_last(&mut self) {
-        if self.block.restarts.is_empty() {
+        let n = self.block.n_restarts;
+        if n == 0 {
             self.pos = usize::MAX;
             return;
         }
-        self.seek_to_restart(self.block.restarts.len() - 1);
+        self.seek_to_restart(n - 1);
         if !self.valid() {
             // The final restart may point at the block end (no entries).
-            if self.block.restarts.len() >= 2 {
-                self.seek_to_restart(self.block.restarts.len() - 2);
+            if n >= 2 {
+                self.seek_to_restart(n - 2);
             }
             if !self.valid() {
                 return;
             }
         }
         loop {
-            let (next, ..) = self.block.decode_entry(self.pos).expect("valid position");
+            let next = self.value_range.1;
             if self.block.decode_entry(next).is_none() {
                 return; // current is the last entry
             }
@@ -352,14 +368,23 @@ impl BlockIter {
         }
         let target = self.pos;
         // The last restart strictly before the current entry.
-        let idx = self.block.restarts.partition_point(|&off| (off as usize) < target);
-        if idx == 0 {
+        let (mut lo, mut hi) = (0usize, self.block.n_restarts);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.block.restart(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo == 0 {
             self.pos = usize::MAX;
             return;
         }
-        self.seek_to_restart(idx - 1);
-        loop {
-            let (next, ..) = self.block.decode_entry(self.pos).expect("valid position");
+        self.seek_to_restart(lo - 1);
+        // A malformed block can leave the iterator invalid at any step.
+        while self.valid() {
+            let next = self.value_range.1;
             if next >= target {
                 return; // current is the entry just before `target`
             }
@@ -371,10 +396,10 @@ impl BlockIter {
     pub fn seek(&mut self, target: &[u8]) {
         // Binary search the restart array for the last restart whose key
         // is < target.
-        let (mut lo, mut hi) = (0usize, self.block.restarts.len());
+        let (mut lo, mut hi) = (0usize, self.block.n_restarts);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
-            let pos = self.block.restarts[mid] as usize;
+            let pos = self.block.restart(mid);
             // Restart entries have shared == 0, so the stored key is full.
             let Some((_, _, key_r, _)) = self.block.decode_entry(pos) else {
                 hi = mid;

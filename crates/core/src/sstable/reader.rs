@@ -8,8 +8,8 @@ use nob_sim::Nanos;
 use crate::cache::BlockCache;
 use crate::iterator::InternalIterator;
 use crate::options::CpuCosts;
-use crate::types::user_key;
-use crate::{DbError, Result};
+use crate::types::{user_key, value_type_of};
+use crate::{DbError, Result, ValueType};
 
 use super::block::{strip_trailer, BLOCK_TRAILER_SIZE};
 use super::{Block, BlockHandle, BlockIter, BloomFilter, Footer, FOOTER_SIZE};
@@ -26,6 +26,9 @@ pub struct Table {
     handle: FileHandle,
     physical_number: u64,
     base_offset: u64,
+    /// Bytes of the logical table that blocks may occupy (its size less
+    /// the footer); every handle is checked against it.
+    blocks_end: u64,
     index: Arc<Block>,
     bloom: Option<BloomFilter>,
     cache: Arc<BlockCache>,
@@ -54,37 +57,32 @@ impl Table {
         if size < FOOTER_SIZE as u64 {
             return Err(DbError::Corruption("table smaller than footer".into()));
         }
-        let (footer_bytes, t) = fs.read_exact_at(
-            handle,
-            base_offset + size - FOOTER_SIZE as u64,
-            FOOTER_SIZE as u64,
-            *now,
-        )?;
+        let blocks_end = size - FOOTER_SIZE as u64;
+        let footer_at = base_offset
+            .checked_add(blocks_end)
+            .ok_or_else(|| DbError::Corruption("table extent overflows".into()))?;
+        let (footer_bytes, t) = fs.read_exact_at(handle, footer_at, FOOTER_SIZE as u64, *now)?;
         *now = t;
+        // The footer is the one part of a table no checksum covers, so its
+        // handles are checked against the table's extent before any read.
         let footer = Footer::decode(&footer_bytes)?;
         let index = {
-            let (bytes, t) = fs.read_exact_at(
-                handle,
-                base_offset + footer.index.offset,
-                footer.index.size + BLOCK_TRAILER_SIZE as u64,
-                *now,
-            )?;
+            let len = block_extent(footer.index, blocks_end)?;
+            let (bytes, t) =
+                fs.read_exact_at(handle, base_offset + footer.index.offset, len, *now)?;
             *now = t + cpu.block_per_kib * (footer.index.size >> 10).max(1);
             Block::parse(strip_trailer(bytes)?)?
         };
         let bloom = if footer.filter.size > 0 {
-            let (bytes, t) = fs.read_exact_at(
-                handle,
-                base_offset + footer.filter.offset,
-                footer.filter.size + BLOCK_TRAILER_SIZE as u64,
-                *now,
-            )?;
+            let len = block_extent(footer.filter, blocks_end)?;
+            let (bytes, t) =
+                fs.read_exact_at(handle, base_offset + footer.filter.offset, len, *now)?;
             *now = t;
             BloomFilter::decode(&strip_trailer(bytes)?)
         } else {
             None
         };
-        Ok(Table { fs, handle, physical_number, base_offset, index, bloom, cache, cpu })
+        Ok(Table { fs, handle, physical_number, base_offset, blocks_end, index, bloom, cache, cpu })
     }
 
     /// Opens a table spanning the whole file behind `handle` with a
@@ -106,16 +104,13 @@ impl Table {
     }
 
     fn read_block(&self, h: BlockHandle, now: &mut Nanos, fill_cache: bool) -> Result<Arc<Block>> {
-        let key = (self.physical_number, self.base_offset + h.offset);
+        let len = block_extent(h, self.blocks_end)?;
+        let at = self.base_offset + h.offset;
+        let key = (self.physical_number, at);
         if let Some(b) = self.cache.get(key) {
             return Ok(b);
         }
-        let (bytes, t) = self.fs.read_exact_at(
-            self.handle,
-            self.base_offset + h.offset,
-            h.size + BLOCK_TRAILER_SIZE as u64,
-            *now,
-        )?;
+        let (bytes, t) = self.fs.read_exact_at(self.handle, at, len, *now)?;
         *now = t + self.cpu.block_per_kib * (h.size >> 10).max(1);
         let block = Block::parse(strip_trailer(bytes)?)?;
         if fill_cache {
@@ -124,9 +119,10 @@ impl Table {
         Ok(block)
     }
 
-    /// Point lookup: the first entry at or after the probe internal key
-    /// whose user key equals the probe's, if any. `fill_cache` says
-    /// whether a block read from the device enters the block cache
+    /// Point lookup: the type and value of the first entry at or after
+    /// the probe internal key whose user key equals the probe's, if any
+    /// (a type byte that names neither reads as a tombstone). `fill_cache`
+    /// says whether a block read from the device enters the block cache
     /// (`ReadOptions::fill_cache`).
     ///
     /// # Errors
@@ -137,7 +133,7 @@ impl Table {
         probe: &[u8],
         now: &mut Nanos,
         fill_cache: bool,
-    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    ) -> Result<Option<(ValueType, Vec<u8>)>> {
         *now += self.cpu.table_probe;
         if let Some(bloom) = &self.bloom {
             if !bloom.may_contain(user_key(probe)) {
@@ -155,7 +151,8 @@ impl Table {
         let mut it = block.iter();
         it.seek(probe);
         if it.valid() && user_key(it.key()) == user_key(probe) {
-            Ok(Some((it.key().to_vec(), it.value().to_vec())))
+            let vt = value_type_of(it.key()).unwrap_or(ValueType::Deletion);
+            Ok(Some((vt, it.value().to_vec())))
         } else {
             Ok(None)
         }
@@ -171,6 +168,15 @@ impl Table {
             fill_cache,
         }
     }
+}
+
+/// The bytes to read for the block `h` names — payload and trailer — once
+/// it is known to lie inside the `blocks_end` bytes a table's blocks occupy.
+fn block_extent(h: BlockHandle, blocks_end: u64) -> Result<u64> {
+    h.size
+        .checked_add(BLOCK_TRAILER_SIZE as u64)
+        .filter(|len| h.offset.checked_add(*len).is_some_and(|end| end <= blocks_end))
+        .ok_or_else(|| DbError::Corruption("block handle points outside the table".into()))
 }
 
 /// A two-level iterator over one [`Table`].
@@ -191,7 +197,12 @@ impl TableIter {
         let mut pos = 0;
         let handle = BlockHandle::decode_from(self.index_iter.value(), &mut pos)?;
         let block = self.table.read_block(handle, now, self.fill_cache)?;
-        self.data_iter = Some(block.iter());
+        // One block iterator serves the whole table, so its key buffer is
+        // allocated once.
+        match self.data_iter.as_mut() {
+            Some(d) => d.reset(block),
+            None => self.data_iter = Some(block.iter()),
+        }
         Ok(())
     }
 

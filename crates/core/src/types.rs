@@ -136,11 +136,15 @@ pub(crate) fn compare_internal_to_parts(a: &[u8], b_user_key: &[u8], b_trailer: 
     }
 }
 
-/// Builds the lookup key for a `Get` at a snapshot: the internal key that
-/// sorts *before* every entry of `user_key` newer than `seq` and *at or
-/// after* the newest visible entry.
-pub fn lookup_key(user_key: &[u8], seq: SequenceNumber) -> InternalKey {
-    InternalKey::new(user_key, seq, ValueType::Value)
+/// Builds the lookup key for a `Get` at a snapshot in `buf`, replacing
+/// what it held: the internal key that sorts *before* every entry of
+/// `user_key` newer than `seq` and *at or after* the newest visible entry.
+/// Readers keep one buffer and look up through it again and again.
+pub fn lookup_key(buf: &mut Vec<u8>, user_key: &[u8], seq: SequenceNumber) {
+    buf.clear();
+    buf.reserve(user_key.len() + 8);
+    buf.extend_from_slice(user_key);
+    buf.extend_from_slice(&pack_trailer(seq, ValueType::Value).to_le_bytes());
 }
 
 #[cfg(test)]
@@ -185,9 +189,10 @@ mod tests {
         // before the seq-5 entry and after the seq-15 entry.
         let e5 = InternalKey::new(b"k", 5, ValueType::Value);
         let e15 = InternalKey::new(b"k", 15, ValueType::Value);
-        let probe = lookup_key(b"k", 10);
-        assert_eq!(compare_internal(e15.as_bytes(), probe.as_bytes()), Ordering::Less);
-        assert!(compare_internal(probe.as_bytes(), e5.as_bytes()) != Ordering::Greater);
+        let mut probe = b"left over from the last lookup".to_vec();
+        lookup_key(&mut probe, b"k", 10);
+        assert_eq!(compare_internal(e15.as_bytes(), &probe), Ordering::Less);
+        assert!(compare_internal(&probe, e5.as_bytes()) != Ordering::Greater);
     }
 
     #[test]

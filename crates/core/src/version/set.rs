@@ -169,6 +169,11 @@ impl VersionSet {
         Arc::clone(&self.current)
     }
 
+    /// The current version, borrowed for as long as the set is.
+    pub(crate) fn current_ref(&self) -> &Version {
+        &self.current
+    }
+
     /// Allocates a file number.
     pub fn new_file_number(&mut self) -> u64 {
         let n = self.next_file_number;

@@ -7,8 +7,8 @@ use nob_sim::Nanos;
 
 use crate::cache::TableCache;
 use crate::options::CompactionStyle;
-use crate::types::{lookup_key, user_key, value_type_of};
-use crate::{InternalKey, Result, SequenceNumber, ValueType};
+use crate::types::user_key;
+use crate::{InternalKey, Result, ValueType};
 
 /// Metadata of one (logical) SSTable.
 #[derive(Debug)]
@@ -131,6 +131,59 @@ pub struct Version {
     pub files: Vec<Vec<Arc<FileMetaData>>>,
 }
 
+/// The state one point lookup carries from file to file: how many it
+/// probed and which one pays for the extra seeks (LevelDB charges the first
+/// file of a lookup that had to consult a second).
+struct Lookup<'a> {
+    probe: &'a [u8],
+    tables: &'a TableCache,
+    fill_cache: bool,
+    probes: usize,
+    first_probed: Option<(usize, &'a Arc<FileMetaData>)>,
+    seek: Option<(usize, Arc<FileMetaData>)>,
+}
+
+impl<'a> Lookup<'a> {
+    /// Probes `level`'s `candidates` in order; `Some` ends the lookup.
+    fn probe_files(
+        &mut self,
+        level: usize,
+        candidates: impl IntoIterator<Item = &'a Arc<FileMetaData>>,
+        now: &mut Nanos,
+    ) -> Result<Option<GetResult>> {
+        for f in candidates {
+            if let Some(result) = self.probe_file(level, f, now)? {
+                return Ok(Some(result));
+            }
+        }
+        Ok(None)
+    }
+
+    fn probe_file(
+        &mut self,
+        level: usize,
+        f: &'a Arc<FileMetaData>,
+        now: &mut Nanos,
+    ) -> Result<Option<GetResult>> {
+        self.probes += 1;
+        if self.probes == 2 {
+            if let Some((lvl, first)) = self.first_probed {
+                if first.consume_seek() {
+                    self.seek = Some((lvl, Arc::clone(first)));
+                }
+            }
+        }
+        if self.first_probed.is_none() {
+            self.first_probed = Some((level, f));
+        }
+        let table = self.tables.table(f, now)?;
+        Ok(table.get(self.probe, now, self.fill_cache)?.map(|(vt, value)| match vt {
+            ValueType::Value => GetResult::Found(value),
+            ValueType::Deletion => GetResult::Deleted,
+        }))
+    }
+}
+
 impl Version {
     /// Creates an empty version with `levels` levels.
     pub fn new(levels: usize) -> Self {
@@ -178,7 +231,8 @@ impl Version {
         files.iter().filter(|f| f.overlaps(lo, hi)).cloned().collect()
     }
 
-    /// Point lookup at snapshot `seq`.
+    /// Point lookup of `probe`, the [`lookup_key`](crate::types::lookup_key)
+    /// of a user key at a snapshot.
     ///
     /// Returns the result, the number of SSTable files probed (the
     /// read-amplification numerator) and, if some file consumed its last
@@ -188,76 +242,49 @@ impl Version {
     /// # Errors
     ///
     /// Propagates table read failures.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    #[allow(clippy::type_complexity)]
     pub(crate) fn get(
         &self,
-        key: &[u8],
-        seq: SequenceNumber,
+        probe: &[u8],
         style: CompactionStyle,
         tables: &TableCache,
         now: &mut Nanos,
         fill_cache: bool,
     ) -> Result<(GetResult, usize, Option<(usize, Arc<FileMetaData>)>)> {
-        let probe = lookup_key(key, seq);
-        let mut first_probed: Option<(usize, Arc<FileMetaData>)> = None;
-        let mut probes = 0usize;
-        let mut seek_candidate = None;
-
-        for level in 0..self.levels() {
-            let candidates: Vec<Arc<FileMetaData>> = if level == 0
-                || style == CompactionStyle::Fragmented
-            {
-                // Overlap possible: all containing files, newest first.
-                let mut v: Vec<Arc<FileMetaData>> = self.files[level]
-                    .iter()
-                    .filter(|f| f.contains_user_key(key))
-                    .cloned()
-                    .collect();
-                v.sort_by_key(|f| std::cmp::Reverse(f.number));
-                v
+        let key = user_key(probe);
+        let mut lookup =
+            Lookup { probe, tables, fill_cache, probes: 0, first_probed: None, seek: None };
+        for (level, files) in self.files.iter().enumerate() {
+            let containing = |f: &&Arc<FileMetaData>| f.contains_user_key(key);
+            let found = if level == 0 {
+                // Overlap possible: every containing file. `L0` is kept
+                // newest-first, so the walk needs no sorting.
+                lookup.probe_files(level, files.iter().filter(containing), now)?
+            } else if style == CompactionStyle::Fragmented || files.iter().any(|f| f.hot) {
+                // Fragmented levels and hot (log-structured) files may
+                // overlap: every containing one is probed, newest first,
+                // then the single cold candidate.
+                let fragmented = style == CompactionStyle::Fragmented;
+                let mut candidates: Vec<&Arc<FileMetaData>> =
+                    files.iter().filter(|f| fragmented || f.hot).filter(containing).collect();
+                candidates.sort_by_key(|f| std::cmp::Reverse(f.number));
+                if !fragmented {
+                    let cold: Vec<&Arc<FileMetaData>> = files.iter().filter(|f| !f.hot).collect();
+                    let idx = cold.partition_point(|f| user_key(f.largest.as_bytes()) < key);
+                    candidates.extend(cold.get(idx).copied().filter(containing));
+                }
+                lookup.probe_files(level, candidates, now)?
             } else {
-                // Non-overlapping cold files: binary search for the single
-                // candidate. Hot (log-structured) files may overlap and are
-                // all probed, newest first.
-                let files = &self.files[level];
-                let mut v: Vec<Arc<FileMetaData>> =
-                    files.iter().filter(|f| f.hot && f.contains_user_key(key)).cloned().collect();
-                v.sort_by_key(|f| std::cmp::Reverse(f.number));
-                let cold: Vec<&Arc<FileMetaData>> = files.iter().filter(|f| !f.hot).collect();
-                let idx = cold.partition_point(|f| (user_key(f.largest.as_bytes())) < key);
-                if let Some(f) = cold.get(idx) {
-                    if f.contains_user_key(key) {
-                        v.push(Arc::clone(f));
-                    }
-                }
-                v
+                // Sorted and non-overlapping: binary search for the single
+                // candidate.
+                let idx = files.partition_point(|f| user_key(f.largest.as_bytes()) < key);
+                lookup.probe_files(level, files.get(idx).filter(containing), now)?
             };
-            for f in candidates {
-                probes += 1;
-                if probes == 2 {
-                    // LevelDB: charge the first file when a lookup had to
-                    // consult more than one.
-                    if let Some((lvl, first)) = &first_probed {
-                        if first.consume_seek() {
-                            seek_candidate = Some((*lvl, Arc::clone(first)));
-                        }
-                    }
-                }
-                if first_probed.is_none() {
-                    first_probed = Some((level, Arc::clone(&f)));
-                }
-                let table = tables.table(&f, now)?;
-                if let Some((ikey, value)) = table.get(probe.as_bytes(), now, fill_cache)? {
-                    debug_assert_eq!(user_key(&ikey), key);
-                    let result = match value_type_of(&ikey) {
-                        Some(ValueType::Value) => GetResult::Found(value),
-                        _ => GetResult::Deleted,
-                    };
-                    return Ok((result, probes, seek_candidate));
-                }
+            if let Some(result) = found {
+                return Ok((result, lookup.probes, lookup.seek));
             }
         }
-        Ok((GetResult::NotFound, probes, seek_candidate))
+        Ok((GetResult::NotFound, lookup.probes, lookup.seek))
     }
 
     /// Checks structural invariants (used by tests): `L0` sorted

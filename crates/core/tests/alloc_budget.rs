@@ -1,16 +1,33 @@
-//! An allocation budget for the write pipeline, so per-entry heap traffic
-//! cannot creep back unnoticed: a one-entry `Db::write`, a memtable flush
-//! and an L0→L1 major compaction over 10 000 × 128 B entries must each stay
-//! under a stated number of allocations *per entry*.
+//! An allocation budget for the write pipeline and the read path, so
+//! per-entry heap traffic cannot creep back unnoticed: a one-entry
+//! `Db::write`, a memtable flush and an L0→L1 major compaction over 10 000 ×
+//! 128 B entries must each stay under a stated number of allocations *per
+//! entry*, and so must a `Db::get` that hits, one the bloom filter rejects,
+//! a forward-scanned row and an iterator's construction plus seek, all
+//! against the one-level tree the major leaves, with its blocks cached.
 //!
-//! The budgets are the counts measured when this test was written plus a
-//! quarter: 3.01 per one-entry write (the batch's entry list, its WAL
+//! The write budgets are the counts measured when they were written (PR 15)
+//! plus a quarter: 3.01 per one-entry write (the batch's entry list, its WAL
 //! payload, its WAL record, and now and then an arena doubling), 0.011 per
 //! flushed entry (the table image and the builder's buffers growing) and
 //! 0.158 per merged entry (reading and parsing one 4 KiB input block per 28
-//! entries). One `to_vec` per entry in the flush or merge loop adds 1.0 to
-//! the last two and fails the test; the counts are exact, so the same
-//! binary gives the same numbers on every run.
+//! entries; 0.086 since blocks keep their restart array in place and a
+//! table iterator keeps one block iterator). One `to_vec` per entry in the
+//! flush or merge loop adds 1.0 to the last two and fails the test.
+//!
+//! The read budgets are likewise measured plus a quarter. Measured here /
+//! at the parent of the change that added them (PR 17): 3.00 / 7.00 per GET
+//! hit (the value, and the key buffers of the index and data block
+//! iterators; before, also a heap lookup key, two per-level candidate
+//! vectors and a copy of the found key), 0.017 / 3.02 per bloom-rejected
+//! GET (what is left is the filter's false positives), 0.0006 / 2.04 per
+//! scanned row through a sink that copies nothing (at the parent: a
+//! counting `Db::scan`, which copied key and value out of the block only to
+//! count them) and 6 / 10 per iterator construction + seek (the child
+//! list, two boxed children, the seek probe and the key buffers of the
+//! index and data block iterators; before, also the cloned level, its cold
+//! remainder and a copy each of the surfaced key and value). The counts are
+//! exact, so the same binary gives the same numbers on every run.
 //!
 //! The counter is this test binary's own `#[global_allocator]`, and the one
 //! test function keeps the harness from running anything beside it.
@@ -20,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
-use noblsm::{Db, Options, SyncMode, WriteBatch, WriteOptions};
+use noblsm::{Db, Options, ReadOptions, ScanOptions, SyncMode, WriteBatch, WriteOptions};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -61,6 +78,10 @@ fn allocs_per_entry(f: impl FnOnce()) -> f64 {
     (ALLOCS.load(Ordering::Relaxed) - before) as f64 / ENTRIES as f64
 }
 
+fn user_key(i: u64) -> Vec<u8> {
+    format!("user{:012}", i.wrapping_mul(0x9e37_79b9) % 1_000_000_007).into_bytes()
+}
+
 #[test]
 fn write_flush_and_major_stay_inside_their_allocation_budgets() {
     // One memtable holds all the entries, so the flush and the major each
@@ -77,10 +98,7 @@ fn write_flush_and_major_stay_inside_their_allocation_budgets() {
     let mut batches: Vec<WriteBatch> = (0..ENTRIES)
         .map(|i| {
             let mut b = WriteBatch::new();
-            b.put(
-                format!("user{:012}", i.wrapping_mul(0x9e37_79b9) % 1_000_000_007).as_bytes(),
-                &value,
-            );
+            b.put(&user_key(i), &value);
             b
         })
         .collect();
@@ -102,4 +120,54 @@ fn write_flush_and_major_stay_inside_their_allocation_budgets() {
     assert!(write <= 3.8, "Db::write: {write:.4} allocations per entry");
     assert!(flush <= 0.014, "memtable flush: {flush:.4} allocations per entry");
     assert!(major <= 0.2, "L0→L1 major: {major:.4} allocations per entry");
+
+    // Reads, against the one-level tree the major left. The keys are the
+    // caller's; one pass over everything first, so every block the timed
+    // passes touch is in the block cache and a block load is not counted
+    // as a read's own allocation.
+    let ropts = ReadOptions::default();
+    let present: Vec<Vec<u8>> = (0..ENTRIES).map(user_key).collect();
+    // Same length, same range, in no table: the bloom filter's business.
+    let absent: Vec<Vec<u8>> = present.iter().map(|k| [&k[..15], b"x"].concat()).collect();
+    db.scan_with(&ropts, &ScanOptions::all(), |_, _| {}).expect("warm the block cache");
+
+    let mut hits = 0;
+    let get_hit = allocs_per_entry(|| {
+        for key in &present {
+            hits += u64::from(db.get(&ropts, key).expect("get").is_some());
+        }
+    });
+    assert_eq!(hits, ENTRIES);
+    let get_absent = allocs_per_entry(|| {
+        for key in &absent {
+            hits += u64::from(db.get(&ropts, key).expect("get").is_some());
+        }
+    });
+    assert_eq!(hits, ENTRIES, "no absent key may be found");
+
+    let mut bytes = 0;
+    let scan_row = allocs_per_entry(|| {
+        let page = db
+            .scan_with(&ropts, &ScanOptions::all(), |k, v| bytes += k.len() + v.len())
+            .expect("scan");
+        assert_eq!(page.count, ENTRIES);
+    });
+    assert_eq!(bytes as u64, ENTRIES * (16 + 128));
+
+    let seek = allocs_per_entry(|| {
+        for key in &present {
+            let mut it = db.iter(&ropts).expect("iterator");
+            it.seek(key).expect("seek");
+            assert_eq!(it.key(), key.as_slice());
+        }
+    });
+
+    eprintln!(
+        "allocations: GET hit {get_hit:.4}, GET absent {get_absent:.4}, \
+         scanned row {scan_row:.4}, iterator + seek {seek:.4}"
+    );
+    assert!(get_hit <= 3.75, "Db::get, hit: {get_hit:.4} allocations");
+    assert!(get_absent <= 0.022, "Db::get, bloom-rejected: {get_absent:.4} allocations");
+    assert!(scan_row <= 0.0008, "Db::scan_with: {scan_row:.4} allocations per row");
+    assert!(seek <= 7.5, "Db::iter + seek: {seek:.4} allocations");
 }

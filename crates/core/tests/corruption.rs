@@ -160,3 +160,55 @@ fn compaction_over_a_corrupt_input_fails_loudly_and_applies_nothing() {
     assert_eq!(db.active_majors(), 0, "the failed job's lane and claim were released");
     assert_eq!(db.compaction_debt_bytes(), 0);
 }
+
+/// A small valid table image with its footer's index handle overwritten by
+/// `index(image length)`, written to a fresh filesystem and opened.
+fn open_with_index_handle(
+    index: impl FnOnce(u64) -> noblsm::sstable::BlockHandle,
+) -> noblsm::Result<std::sync::Arc<noblsm::sstable::Table>> {
+    use noblsm::sstable::{Footer, Table, TableBuilder, FOOTER_SIZE};
+    use noblsm::{InternalKey, ValueType};
+
+    let mut builder = TableBuilder::new(&opts());
+    for i in 0..200u64 {
+        let key = InternalKey::new(format!("k{i:04}").as_bytes(), i + 1, ValueType::Value);
+        builder.add(key.as_bytes(), b"value");
+    }
+    let mut image = builder.finish();
+    let footer_at = image.len() - FOOTER_SIZE;
+    let footer = Footer::decode(&image[footer_at..]).unwrap();
+    let index = index(image.len() as u64);
+    image.truncate(footer_at);
+    image.extend_from_slice(&Footer { index, ..footer }.encode());
+
+    let fs = Ext4Fs::new(Ext4Config::default());
+    let h = fs.create("t.sst", Nanos::ZERO).unwrap();
+    let mut now = fs.append(h, &image, Nanos::ZERO).unwrap();
+    Table::open_file(fs, h, image.len() as u64, &opts(), &mut now)
+}
+
+#[test]
+fn a_footer_handle_outside_the_table_is_an_error_not_a_panic() {
+    use noblsm::sstable::BlockHandle;
+
+    // The footer is the one part of a table no checksum covers: a flipped
+    // bit lands in a handle unnoticed. Offsets and sizes that overflow
+    // `offset + size + trailer`, or merely point past the file, must all
+    // come back as errors.
+    let handles: [fn(u64) -> BlockHandle; 4] = [
+        |_| BlockHandle::new(u64::MAX - 3, 100),
+        |_| BlockHandle::new(u64::MAX / 2, u64::MAX / 2 + 10),
+        |_| BlockHandle::new(10, u64::MAX - 2),
+        |len| BlockHandle::new(2 * len, 10),
+    ];
+    for (i, handle) in handles.into_iter().enumerate() {
+        let err = open_with_index_handle(handle).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DbError::Corruption(_) | DbError::Fs(nob_ext4::FsError::ShortRead { .. })
+            ),
+            "index handle {i}: {err:?}"
+        );
+    }
+}

@@ -3,9 +3,12 @@
 //! and bit-rotted files flow through these paths during recovery, so this
 //! is part of the crash-safety story.
 
-use noblsm::sstable::{Block, Footer};
+use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_sim::Nanos;
+use noblsm::sstable::{Block, BlockHandle, Footer, Table, TABLE_MAGIC};
 use noblsm::version::VersionEdit;
 use noblsm::wal::LogReader;
+use noblsm::Options;
 use proptest::prelude::*;
 
 proptest! {
@@ -21,6 +24,33 @@ proptest! {
     #[test]
     fn footer_decode_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = Footer::decode(&bytes);
+    }
+
+    /// The footer is the one part of a table no checksum covers: whatever
+    /// its 40 handle bytes say — raw noise, or well-formed handles with
+    /// arbitrary (mostly huge) offsets and sizes — opening the table
+    /// returns a table or an error and never unwinds.
+    #[test]
+    fn table_open_is_total_over_footer_bytes(
+        body in proptest::collection::vec(any::<u8>(), 0..600),
+        noise in proptest::collection::vec(any::<u8>(), 40..41),
+        filter in (any::<u64>(), any::<u64>()),
+        index in (any::<u64>(), any::<u64>()),
+    ) {
+        let handles = Footer {
+            filter: BlockHandle::new(filter.0, filter.1),
+            index: BlockHandle::new(index.0, index.1),
+        }
+        .encode();
+        for footer in [&noise[..], &handles[..40]] {
+            let mut image = body.clone();
+            image.extend_from_slice(footer);
+            image.extend_from_slice(&TABLE_MAGIC.to_le_bytes());
+            let fs = Ext4Fs::new(Ext4Config::default());
+            let h = fs.create("t.sst", Nanos::ZERO).unwrap();
+            let mut now = fs.append(h, &image, Nanos::ZERO).unwrap();
+            let _ = Table::open_file(fs, h, image.len() as u64, &Options::default(), &mut now);
+        }
     }
 
     /// Block::parse never panics, and a parsed block's iterator never

@@ -339,7 +339,8 @@ impl Ext4Fs {
         let inode = g.live_inode(h)?;
         let total = inode.content.len() as u64;
         let start = offset.min(total);
-        let end = (offset + len).min(total);
+        // Saturating: no `offset`/`len` pair may wrap `end` below `start`.
+        let end = offset.saturating_add(len).min(total);
         let data = inode.content[start as usize..end as usize].to_vec();
         let got = end - start;
         let done = if cached { now + g.cfg.ssd.mem_cost(got) } else { g.ssd.read(now, got).end };
@@ -1219,6 +1220,9 @@ mod tests {
         let now = fs.append(h, b"abc", Nanos::ZERO).unwrap();
         let err = fs.read_exact_at(h, 1, 10, now).unwrap_err();
         assert_eq!(err, FsError::ShortRead { wanted: 10, available: 2 });
+        // An `offset + len` past `u64::MAX` is a short read too, not a wrap.
+        let err = fs.read_exact_at(h, u64::MAX - 3, 100, now).unwrap_err();
+        assert_eq!(err, FsError::ShortRead { wanted: 100, available: 0 });
     }
 
     #[test]

@@ -27,13 +27,15 @@ pub fn is_busy_error(e: &Error) -> bool {
 pub struct Client<T> {
     transport: T,
     decoder: Decoder,
+    /// The last request's wire bytes; every send encodes into it.
+    outbox: Vec<u8>,
     outstanding: usize,
 }
 
 impl<T: Transport> Client<T> {
     /// Wraps a connected transport.
     pub fn new(transport: T) -> Client<T> {
-        Client { transport, decoder: Decoder::new(), outstanding: 0 }
+        Client { transport, decoder: Decoder::new(), outbox: Vec::new(), outstanding: 0 }
     }
 
     /// Requests sent whose replies have not been received yet.
@@ -52,7 +54,9 @@ impl<T: Transport> Client<T> {
     ///
     /// Transport failures.
     pub fn send(&mut self, req: &Request) -> Result<()> {
-        self.transport.send(&req.to_frame().to_bytes())?;
+        self.outbox.clear();
+        req.encode(&mut self.outbox);
+        self.transport.send(&self.outbox)?;
         self.outstanding += 1;
         Ok(())
     }
@@ -77,11 +81,9 @@ impl<T: Transport> Client<T> {
                 Ok(None) => {}
                 Err(e) => return Err(Error::Usage(format!("reply stream desynced: {e}"))),
             }
-            let mut chunk = Vec::new();
-            if self.transport.recv(&mut chunk)? == 0 {
+            if self.transport.recv(self.decoder.inbox())? == 0 {
                 return Err(Error::Usage("connection closed with replies outstanding".into()));
             }
-            self.decoder.push(&chunk);
         }
     }
 

@@ -12,8 +12,9 @@
 //! 2. [`flush`](ServerCore::flush) — drains the store's group-commit
 //!    queue and resolves every parked write reply with its durable
 //!    outcome.
-//! 3. [`take_output`](ServerCore::take_output) — encodes the resolved
-//!    prefix of a connection's reply queue. Replies never overtake each
+//! 3. [`take_output`](ServerCore::take_output) — hands out the resolved
+//!    prefix of a connection's reply queue, whose ready replies are held
+//!    as the bytes that go on the wire. Replies never overtake each
 //!    other: a BUSY rejection or read reply queued behind a parked write
 //!    stays behind it until the write resolves.
 //!
@@ -33,7 +34,13 @@ use nob_store::{Store, StoreOptions, Ticket};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
 use noblsm::{ReadOptions, Result, ScanOptions, Snapshot, WriteBatch, WriteOptions};
 
-use crate::proto::{BatchOp, Decoder, Frame, Request, RequestClass};
+use crate::proto::{
+    number_line_ending_at, put_array_header, put_bulk, put_number_line, BatchOp, Decoder, Frame,
+    Request, RequestClass, NIL_WIRE, NUMBER_LINE_MAX, OK_WIRE,
+};
+
+/// The longest header of a scan page carrying rows: `*2`, `:cursor`, `*2n`.
+const PAGE_HEADER_MAX: usize = 4 + 2 * NUMBER_LINE_MAX;
 
 /// Configuration for [`ServerCore::open`].
 #[derive(Debug, Clone)]
@@ -135,8 +142,9 @@ enum WriteReply {
 /// One slot in a connection's ordered reply queue.
 #[derive(Debug)]
 enum PendingReply {
-    /// Fully formed; may be encoded as soon as it reaches the front.
-    Ready(Frame),
+    /// Fully formed — the reply's wire bytes; may leave as soon as it
+    /// reaches the front.
+    Ready(Vec<u8>),
     /// Waiting on a group-commit ticket.
     Await { ticket: Ticket, start: Nanos, bytes: u64, reply: WriteReply, ctx: TraceCtx },
 }
@@ -170,6 +178,29 @@ struct Cursor {
     count_only: bool,
     /// Lease expiry on the virtual clock; renewed by every resume.
     deadline: Nanos,
+}
+
+/// One scan page as the store hands it back: the rows already in wire
+/// form, the reply's header still to come.
+struct ScannedPage {
+    /// [`PAGE_HEADER_MAX`] bytes of room, then every row as two bulks
+    /// (empty for a counting scan).
+    wire: Vec<u8>,
+    /// Key and value bytes of the rows (the trace span's byte count).
+    payload: u64,
+    count: u64,
+    resume: Option<Vec<u8>>,
+}
+
+/// Appends a GET result: the value as a bulk, or the nil bulk.
+fn put_value(out: &mut Vec<u8>, value: Option<&[u8]>) {
+    match value {
+        Some(v) => {
+            out.reserve(v.len() + NUMBER_LINE_MAX + 2);
+            put_bulk(out, v);
+        }
+        None => out.extend_from_slice(NIL_WIRE),
+    }
 }
 
 /// Shared monotone counters surfaced as `server.*` metrics.
@@ -220,6 +251,9 @@ pub struct ServerCore {
     /// Open scan cursors; ids start at 1 (0 on the wire = exhausted).
     cursors: BTreeMap<u64, Cursor>,
     next_cursor: u64,
+    /// Length of the last scan page encoded: the capacity the next one
+    /// starts with.
+    scan_reply_hint: usize,
     trace: Option<TraceSink>,
     counters: Counters,
     repl: ReplStatus,
@@ -256,6 +290,7 @@ impl ServerCore {
             cursor_ttl: opts.cursor_ttl,
             cursors: BTreeMap::new(),
             next_cursor: 1,
+            scan_reply_hint: 0,
             trace: None,
             counters: Counters::default(),
             repl: ReplStatus::default(),
@@ -433,13 +468,13 @@ impl ServerCore {
                     Ok(req) => self.execute(id, req)?,
                     // A malformed *request* in a well-formed frame is
                     // recoverable: the stream stays in sync.
-                    Err(e) => self.push_ready(id, Frame::Error(format!("ERR {e}"))),
+                    Err(e) => self.push_frame(id, &Frame::Error(format!("ERR {e}"))),
                 },
                 Ok(None) => break,
                 Err(e) => {
                     self.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     conn.poisoned = true;
-                    self.push_ready(id, Frame::Error(format!("ERR {e}")));
+                    self.push_frame(id, &Frame::Error(format!("ERR {e}")));
                     break;
                 }
             }
@@ -467,11 +502,11 @@ impl ServerCore {
                 if let Some(t) = &self.trace {
                     t.emit_ctx(EventClass::ServerWrite, start, durable, bytes, ctx);
                 }
-                let frame = match reply {
-                    WriteReply::Ok => Frame::ok(),
-                    WriteReply::Count(n) => Frame::Integer(n),
+                let wire = match reply {
+                    WriteReply::Ok => OK_WIRE.to_vec(),
+                    WriteReply::Count(n) => Frame::Integer(n).to_bytes(),
                 };
-                *slot = PendingReply::Ready(frame);
+                *slot = PendingReply::Ready(wire);
                 conn.inflight -= 1;
                 self.inflight -= 1;
             }
@@ -480,17 +515,22 @@ impl ServerCore {
         Ok(())
     }
 
-    /// Encodes and removes the resolved prefix of `id`'s reply queue.
+    /// Removes the resolved prefix of `id`'s reply queue and returns its
+    /// wire bytes: a lone reply's own buffer, several replies joined.
     /// Returns an empty buffer when the front reply is still awaiting its
     /// ticket (call [`flush`](ServerCore::flush) first).
     pub fn take_output(&mut self, id: ConnId) -> Vec<u8> {
         let Some(conn) = self.conns.get_mut(&id) else { return Vec::new() };
         let mut out = Vec::new();
         while let Some(PendingReply::Ready(_)) = conn.replies.front() {
-            let Some(PendingReply::Ready(frame)) = conn.replies.pop_front() else {
+            let Some(PendingReply::Ready(wire)) = conn.replies.pop_front() else {
                 unreachable!("front() was Ready")
             };
-            frame.encode(&mut out);
+            if out.is_empty() {
+                out = wire;
+            } else {
+                out.extend_from_slice(&wire);
+            }
         }
         self.counters.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
         out
@@ -569,10 +609,16 @@ impl ServerCore {
         out
     }
 
-    fn push_ready(&mut self, id: ConnId, frame: Frame) {
+    /// Queues a reply's wire bytes behind whatever `id` is already owed.
+    fn push_ready(&mut self, id: ConnId, wire: Vec<u8>) {
         if let Some(conn) = self.conns.get_mut(&id) {
-            conn.replies.push_back(PendingReply::Ready(frame));
+            conn.replies.push_back(PendingReply::Ready(wire));
         }
+    }
+
+    /// Queues a reply that exists as a frame (errors, pushback, PONG).
+    fn push_frame(&mut self, id: ConnId, frame: &Frame) {
+        self.push_ready(id, frame.to_bytes());
     }
 
     /// Admission + execution of one parsed request.
@@ -583,14 +629,14 @@ impl ServerCore {
         let over_budget = class == RequestClass::Write && self.inflight >= self.max_inflight;
         if over_pipeline || over_budget {
             self.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            self.push_ready(id, Frame::busy());
+            self.push_frame(id, &Frame::busy());
             return Ok(());
         }
         if class == RequestClass::Write && self.repl.role == ReplRole::Follower {
             self.counters.readonly_rejections.fetch_add(1, Ordering::Relaxed);
-            self.push_ready(
+            self.push_frame(
                 id,
-                Frame::Error("READONLY replica; route writes to the leader".into()),
+                &Frame::Error("READONLY replica; route writes to the leader".into()),
             );
             return Ok(());
         }
@@ -602,22 +648,20 @@ impl ServerCore {
                 let root = self.begin_request();
                 let got = self.store.get(&ReadOptions::default(), &key);
                 self.end_request();
-                let reply = match got? {
-                    Some(v) => Frame::Bulk(v),
-                    None => Frame::Nil,
-                };
+                let mut reply = Vec::new();
+                put_value(&mut reply, got?.as_deref());
                 self.emit(EventClass::ServerRead, start, bytes, root);
                 self.push_ready(id, reply);
             }
             Request::MGet(keys) => {
                 let start = self.read_barrier()?;
                 let root = self.begin_request();
-                let mut items = Vec::with_capacity(keys.len());
+                let mut reply = Vec::new();
+                put_array_header(&mut reply, keys.len());
                 let mut failed = None;
                 for key in &keys {
                     match self.store.get(&ReadOptions::default(), key) {
-                        Ok(Some(v)) => items.push(Frame::Bulk(v)),
-                        Ok(None) => items.push(Frame::Nil),
+                        Ok(got) => put_value(&mut reply, got.as_deref()),
                         Err(e) => {
                             failed = Some(e);
                             break;
@@ -629,7 +673,7 @@ impl ServerCore {
                     return Err(e);
                 }
                 self.emit(EventClass::ServerRead, start, bytes, root);
-                self.push_ready(id, Frame::Array(items));
+                self.push_ready(id, reply);
             }
             Request::Set(key, value) => {
                 let mut batch = WriteBatch::new();
@@ -656,14 +700,16 @@ impl ServerCore {
                 let now = self.clock().now();
                 let root = self.mint_root();
                 self.emit_span(EventClass::ServerControl, now, now, 0, root);
-                self.push_ready(id, Frame::Simple("PONG".into()));
+                self.push_frame(id, &Frame::Simple("PONG".into()));
             }
             Request::Info => {
                 let start = self.read_barrier()?;
                 let root = self.mint_root();
                 let text = self.info_text();
                 self.emit(EventClass::ServerControl, start, text.len() as u64, root);
-                self.push_ready(id, Frame::Bulk(text.into_bytes()));
+                let mut reply = Vec::with_capacity(text.len() + NUMBER_LINE_MAX + 2);
+                put_bulk(&mut reply, text.as_bytes());
+                self.push_ready(id, reply);
             }
             Request::Scan { start, end, limit, prefix, count_only } => {
                 self.open_scan(id, start, end, limit, prefix, count_only)?
@@ -708,7 +754,7 @@ impl ServerCore {
         self.sweep_cursors();
         if self.cursors.len() >= self.max_cursors {
             self.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            self.push_ready(id, Frame::busy());
+            self.push_frame(id, &Frame::busy());
             return Ok(());
         }
         let page = (limit.min(self.max_scan_page as u64)) as usize;
@@ -716,17 +762,17 @@ impl ServerCore {
         let t0 = self.read_barrier()?;
         let root = self.begin_request();
         let snaps = self.store.pin_snapshots();
-        let result =
+        let scanned =
             self.scan_one_page(&snaps, &start, end.as_deref(), page, prefix.as_deref(), count_only);
         self.end_request();
-        let result = match result {
-            Ok(r) => r,
+        let mut scanned = match scanned {
+            Ok(p) => p,
             Err(e) => {
                 self.store.release_snapshots(snaps);
                 return Err(e);
             }
         };
-        let cursor = match result.resume.clone() {
+        let cursor = match scanned.resume.take() {
             Some(resume) => {
                 let cid = self.next_cursor;
                 self.next_cursor += 1;
@@ -742,7 +788,7 @@ impl ServerCore {
             }
         };
         self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
-        self.finish_scan_reply(id, cursor, result, count_only, t0, root);
+        self.finish_scan_reply(id, cursor, scanned, count_only, t0, root);
         Ok(())
     }
 
@@ -753,11 +799,11 @@ impl ServerCore {
         self.sweep_cursors();
         let t0 = self.clock().now();
         let Some(mut cur) = self.cursors.remove(&cid) else {
-            self.push_ready(id, Frame::Error(format!("ERR cursor {cid} not found or expired")));
+            self.push_frame(id, &Frame::Error(format!("ERR cursor {cid} not found or expired")));
             return Ok(());
         };
         let root = self.begin_request();
-        let result = self.scan_one_page(
+        let scanned = self.scan_one_page(
             &cur.snaps,
             &cur.resume,
             cur.end.as_deref(),
@@ -766,8 +812,8 @@ impl ServerCore {
             cur.count_only,
         );
         self.end_request();
-        let result = match result {
-            Ok(r) => r,
+        let mut scanned = match scanned {
+            Ok(p) => p,
             Err(e) => {
                 self.store.release_snapshots(cur.snaps);
                 self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
@@ -775,7 +821,7 @@ impl ServerCore {
             }
         };
         let count_only = cur.count_only;
-        let cursor = match result.resume.clone() {
+        let cursor = match scanned.resume.take() {
             Some(resume) => {
                 cur.resume = resume;
                 cur.deadline = self.clock().now() + self.cursor_ttl;
@@ -788,13 +834,14 @@ impl ServerCore {
             }
         };
         self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
-        self.finish_scan_reply(id, cursor, result, count_only, t0, root);
+        self.finish_scan_reply(id, cursor, scanned, count_only, t0, root);
         Ok(())
     }
 
-    /// One scan page against pinned snapshots. Server scans never fill
-    /// the block cache: a client streaming a large range must not evict
-    /// the point-read hot set.
+    /// One scan page against pinned snapshots, each row encoded into the
+    /// reply as the merge surfaces it. Server scans never fill the block
+    /// cache: a client streaming a large range must not evict the
+    /// point-read hot set.
     fn scan_one_page(
         &mut self,
         snaps: &[Snapshot],
@@ -803,7 +850,7 @@ impl ServerCore {
         page: usize,
         prefix: Option<&[u8]>,
         count_only: bool,
-    ) -> Result<noblsm::ScanResult> {
+    ) -> Result<ScannedPage> {
         let sopts = ScanOptions {
             start: Some(start),
             end,
@@ -813,7 +860,20 @@ impl ServerCore {
             fill_cache: false,
             ..ScanOptions::default()
         };
-        self.store.scan_at(snaps, &sopts)
+        let mut wire = Vec::new();
+        if !count_only {
+            // Rows follow a header that cannot be written before the scan
+            // ends; leave room for the longest one.
+            wire.reserve(self.scan_reply_hint.max(PAGE_HEADER_MAX));
+            wire.resize(PAGE_HEADER_MAX, 0);
+        }
+        let mut payload = 0u64;
+        let result = self.store.scan_at_with(snaps, &sopts, |k, v| {
+            payload += (k.len() + v.len()) as u64;
+            put_bulk(&mut wire, k);
+            put_bulk(&mut wire, v);
+        })?;
+        Ok(ScannedPage { wire, payload, count: result.count, resume: result.resume })
     }
 
     /// Counts, traces and queues one scan page reply:
@@ -823,26 +883,29 @@ impl ServerCore {
         &mut self,
         id: ConnId,
         cursor: u64,
-        result: noblsm::ScanResult,
+        page: ScannedPage,
         count_only: bool,
         start: Nanos,
         root: TraceCtx,
     ) {
-        let bytes: u64 = result.rows.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
-        self.counters.scan_rows.fetch_add(result.count, Ordering::Relaxed);
-        self.emit(EventClass::ServerScan, start, bytes, root);
-        let body = if count_only {
-            Frame::Integer(result.count as i64)
+        self.counters.scan_rows.fetch_add(page.count, Ordering::Relaxed);
+        self.emit(EventClass::ServerScan, start, page.payload, root);
+        let mut wire = page.wire;
+        if count_only {
+            put_array_header(&mut wire, 2);
+            put_number_line(&mut wire, b':', cursor as i64);
+            put_number_line(&mut wire, b':', page.count as i64);
         } else {
-            let mut flat = Vec::with_capacity(result.rows.len() * 2);
-            for (k, v) in result.rows {
-                flat.push(Frame::Bulk(k));
-                flat.push(Frame::Bulk(v));
-            }
-            Frame::Array(flat)
-        };
-        let reply = Frame::Array(vec![Frame::Integer(cursor as i64), body]);
-        self.push_ready(id, reply);
+            // The header is laid down backwards so that it ends where the
+            // rows begin; the slack in front of it is then closed up.
+            let rows = 2 * page.count as i64;
+            let at = number_line_ending_at(&mut wire, PAGE_HEADER_MAX, b'*', rows);
+            let at = number_line_ending_at(&mut wire, at, b':', cursor as i64);
+            let at = number_line_ending_at(&mut wire, at, b'*', 2);
+            wire.drain(..at);
+            self.scan_reply_hint = wire.len() + at;
+        }
+        self.push_ready(id, wire);
     }
 
     /// Read-your-writes: settle the group-commit queue before serving a
@@ -914,6 +977,8 @@ impl ServerCore {
 mod tests {
     use nob_ext4::Ext4Config;
     use noblsm::Options;
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
     use super::*;
 
@@ -1279,5 +1344,61 @@ mod tests {
         feed_req(&mut core, c2, &Request::Get(b"a".to_vec()));
         core.flush().unwrap();
         assert_eq!(decode_all(&core.take_output(c2)), vec![Frame::Bulk(b"1".to_vec())]);
+    }
+
+    /// The frame a scan page was before pages were encoded row by row:
+    /// `*2 [:cursor, *2n k/v bulks]`, or `*2 [:cursor, :count]`.
+    fn page_frame(cursor: u64, rows: &[(Vec<u8>, Vec<u8>)], count_only: bool) -> Frame {
+        let body = if count_only {
+            Frame::Integer(rows.len() as i64)
+        } else {
+            let flat =
+                rows.iter().flat_map(|(k, v)| [Frame::Bulk(k.clone()), Frame::Bulk(v.clone())]);
+            Frame::Array(flat.collect())
+        };
+        Frame::Array(vec![Frame::Integer(cursor as i64), body])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every page of a scan — rows or a count, a live cursor or the
+        /// final 0, no rows at all — leaves the server as exactly the
+        /// bytes `Frame::encode` gives the frame tree it used to build.
+        #[test]
+        fn scan_pages_are_the_bytes_of_their_frame_tree(
+            rows in pvec((pvec(any::<u8>(), 1..24), pvec(any::<u8>(), 0..200)), 0..40),
+            limit in 1u64..50,
+            count_only in any::<bool>(),
+            from in pvec(any::<u8>(), 0..3),
+        ) {
+            let mut core = small_core(4096, 4096);
+            let c = core.connect();
+            let mut model = std::collections::BTreeMap::new();
+            for (k, v) in rows {
+                feed_req(&mut core, c, &Request::Set(k.clone(), v.clone()));
+                model.insert(k, v);
+            }
+            core.flush().unwrap();
+            core.take_output(c);
+            let mut expected: Vec<(Vec<u8>, Vec<u8>)> =
+                model.range(from.clone()..).map(|(k, v)| (k.clone(), v.clone())).collect();
+
+            let (start, end) = (from, Vec::new());
+            feed_req(&mut core, c, &Request::Scan { start, end, limit, prefix: None, count_only });
+            loop {
+                let wire = core.take_output(c);
+                let page: Vec<_> = expected.drain(..expected.len().min(limit as usize)).collect();
+                // A page that filled up leaves a cursor behind exactly when
+                // a row is left for it; cursor ids count up from 1.
+                let cursor = u64::from(!expected.is_empty());
+                prop_assert_eq!(&wire, &page_frame(cursor, &page, count_only).to_bytes());
+                prop_assert_eq!(core.open_cursors() as u64, cursor);
+                if cursor == 0 {
+                    break;
+                }
+                feed_req(&mut core, c, &Request::ScanNext(cursor));
+            }
+        }
     }
 }

@@ -69,33 +69,13 @@ impl Frame {
     /// Appends this frame's wire encoding to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Frame::Simple(s) => {
-                out.push(b'+');
-                out.extend_from_slice(s.as_bytes());
-                out.extend_from_slice(b"\r\n");
-            }
-            Frame::Error(s) => {
-                out.push(b'-');
-                out.extend_from_slice(s.as_bytes());
-                out.extend_from_slice(b"\r\n");
-            }
-            Frame::Integer(n) => {
-                out.push(b':');
-                out.extend_from_slice(n.to_string().as_bytes());
-                out.extend_from_slice(b"\r\n");
-            }
-            Frame::Bulk(b) => {
-                out.push(b'$');
-                out.extend_from_slice(b.len().to_string().as_bytes());
-                out.extend_from_slice(b"\r\n");
-                out.extend_from_slice(b);
-                out.extend_from_slice(b"\r\n");
-            }
-            Frame::Nil => out.extend_from_slice(b"$-1\r\n"),
+            Frame::Simple(s) => put_text_line(out, b'+', s),
+            Frame::Error(s) => put_text_line(out, b'-', s),
+            Frame::Integer(n) => put_number_line(out, b':', *n),
+            Frame::Bulk(b) => put_bulk(out, b),
+            Frame::Nil => out.extend_from_slice(NIL_WIRE),
             Frame::Array(items) => {
-                out.push(b'*');
-                out.extend_from_slice(items.len().to_string().as_bytes());
-                out.extend_from_slice(b"\r\n");
+                put_array_header(out, items.len());
                 for it in items {
                     it.encode(out);
                 }
@@ -109,6 +89,73 @@ impl Frame {
         self.encode(&mut out);
         out
     }
+}
+
+/// The wire form of [`Frame::ok`].
+pub(crate) const OK_WIRE: &[u8] = b"+OK\r\n";
+/// The wire form of [`Frame::Nil`].
+pub(crate) const NIL_WIRE: &[u8] = b"$-1\r\n";
+
+/// The longest `<tag><decimal i64>\r\n` line: tag, sign, 19 digits, CRLF.
+pub(crate) const NUMBER_LINE_MAX: usize = 23;
+
+/// Writes the line `<tag><n in decimal>\r\n` — every length and integer
+/// line of the protocol — so that it ends at `buf[end]`, and returns where
+/// it starts. Digits come out last-first, so the line is laid down
+/// backwards with no heap formatting.
+///
+/// # Panics
+///
+/// Panics if fewer than [`NUMBER_LINE_MAX`] bytes precede `end`.
+pub(crate) fn number_line_ending_at(buf: &mut [u8], end: usize, tag: u8, n: i64) -> usize {
+    buf[end - 2..end].copy_from_slice(b"\r\n");
+    let mut at = decimal_ending_at(buf, end - 2, n.unsigned_abs());
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    at -= 1;
+    buf[at] = tag;
+    at
+}
+
+/// Writes `n` in decimal so that it ends at `buf[end]`; returns where it
+/// starts (at most 20 bytes earlier).
+fn decimal_ending_at(buf: &mut [u8], end: usize, mut n: u64) -> usize {
+    let mut at = end;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return at;
+        }
+    }
+}
+
+/// Appends the line `<tag><n in decimal>\r\n`.
+pub(crate) fn put_number_line(out: &mut Vec<u8>, tag: u8, n: i64) {
+    let mut line = [0u8; NUMBER_LINE_MAX];
+    let at = number_line_ending_at(&mut line, NUMBER_LINE_MAX, tag, n);
+    out.extend_from_slice(&line[at..]);
+}
+
+fn put_text_line(out: &mut Vec<u8>, tag: u8, text: &str) {
+    out.push(tag);
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Appends the bulk string `$<len>\r\n<bytes>\r\n`.
+pub(crate) fn put_bulk(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_number_line(out, b'$', bytes.len() as i64);
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Appends the array header `*<len>\r\n`; the elements follow.
+pub(crate) fn put_array_header(out: &mut Vec<u8>, len: usize) {
+    put_number_line(out, b'*', len as i64);
 }
 
 /// Why a byte stream failed to parse as a frame (or a frame as a request).
@@ -169,6 +216,12 @@ impl Decoder {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The buffer [`push`](Decoder::push) appends to, for a transport that
+    /// can receive straight into it.
+    pub(crate) fn inbox(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Bytes buffered but not yet consumed by a returned frame.
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.pos
@@ -183,8 +236,12 @@ impl Decoder {
         match parse_frame(&self.buf[self.pos..], 0) {
             Ok(Some((frame, used))) => {
                 self.pos += used;
-                // Compact once the consumed prefix dominates the buffer.
-                if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+                if self.pos == self.buf.len() {
+                    // Everything consumed: rewind for free.
+                    self.buf.clear();
+                    self.pos = 0;
+                } else if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+                    // Compact once the consumed prefix dominates the buffer.
                     self.buf.drain(..self.pos);
                     self.pos = 0;
                 }
@@ -433,56 +490,84 @@ impl Request {
         }
     }
 
-    /// Encodes the request as its wire frame (array of bulk strings).
-    pub fn to_frame(&self) -> Frame {
-        fn bulk(b: &[u8]) -> Frame {
-            Frame::Bulk(b.to_vec())
-        }
-        let items = match self {
-            Request::Get(k) => vec![bulk(b"GET"), bulk(k)],
-            Request::Set(k, v) => vec![bulk(b"SET"), bulk(k), bulk(v)],
-            Request::Del(k) => vec![bulk(b"DEL"), bulk(k)],
+    /// Calls `arg` with each bulk string of the request's wire form, in
+    /// order, the command word first: the one walk of the vocabulary that
+    /// [`to_frame`](Request::to_frame) and [`encode`](Request::encode) share.
+    fn for_each_arg(&self, mut arg: impl FnMut(&[u8])) {
+        let mut digits = [0u8; 20];
+        match self {
+            Request::Get(k) => {
+                arg(b"GET");
+                arg(k);
+            }
+            Request::Set(k, v) => {
+                arg(b"SET");
+                arg(k);
+                arg(v);
+            }
+            Request::Del(k) => {
+                arg(b"DEL");
+                arg(k);
+            }
             Request::MGet(keys) => {
-                let mut v = vec![bulk(b"MGET")];
-                v.extend(keys.iter().map(|k| bulk(k)));
-                v
+                arg(b"MGET");
+                keys.iter().for_each(|k| arg(k));
             }
             Request::Batch(ops) => {
-                let mut v = vec![bulk(b"BATCH")];
+                arg(b"BATCH");
                 for op in ops {
                     match op {
-                        BatchOp::Put(k, val) => {
-                            v.push(bulk(b"SET"));
-                            v.push(bulk(k));
-                            v.push(bulk(val));
+                        BatchOp::Put(k, v) => {
+                            arg(b"SET");
+                            arg(k);
+                            arg(v);
                         }
                         BatchOp::Del(k) => {
-                            v.push(bulk(b"DEL"));
-                            v.push(bulk(k));
+                            arg(b"DEL");
+                            arg(k);
                         }
                     }
                 }
-                v
             }
-            Request::Ping => vec![bulk(b"PING")],
-            Request::Info => vec![bulk(b"INFO")],
+            Request::Ping => arg(b"PING"),
+            Request::Info => arg(b"INFO"),
             Request::Scan { start, end, limit, prefix, count_only } => {
-                let mut v =
-                    vec![bulk(b"SCAN"), bulk(start), bulk(end), bulk(limit.to_string().as_bytes())];
+                arg(b"SCAN");
+                arg(start);
+                arg(end);
+                let at = decimal_ending_at(&mut digits, 20, *limit);
+                arg(&digits[at..]);
                 if let Some(p) = prefix {
-                    v.push(bulk(b"PREFIX"));
-                    v.push(bulk(p));
+                    arg(b"PREFIX");
+                    arg(p);
                 }
                 if *count_only {
-                    v.push(bulk(b"COUNT"));
+                    arg(b"COUNT");
                 }
-                v
             }
             Request::ScanNext(cursor) => {
-                vec![bulk(b"SCAN"), bulk(b"NEXT"), bulk(cursor.to_string().as_bytes())]
+                arg(b"SCAN");
+                arg(b"NEXT");
+                let at = decimal_ending_at(&mut digits, 20, *cursor);
+                arg(&digits[at..]);
             }
-        };
+        }
+    }
+
+    /// Encodes the request as its wire frame (array of bulk strings).
+    pub fn to_frame(&self) -> Frame {
+        let mut items = Vec::new();
+        self.for_each_arg(|a| items.push(Frame::Bulk(a.to_vec())));
         Frame::Array(items)
+    }
+
+    /// Appends the request's wire encoding — that of
+    /// [`to_frame`](Request::to_frame) — to `out` without building the frame.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        let mut arity = 0;
+        self.for_each_arg(|_| arity += 1);
+        put_array_header(out, arity);
+        self.for_each_arg(|a| put_bulk(out, a));
     }
 
     /// Parses a decoded frame as a request.
@@ -592,6 +677,29 @@ mod tests {
         let mut d = Decoder::new();
         d.push(bytes);
         d.next_frame()
+    }
+
+    /// A decoder with a past: `whole` frames fed and decoded, after which
+    /// its buffer has rewound to offset 0, then — if `pending` — one more
+    /// frame pushed together with the first byte of the stream to come, so
+    /// that decoding it leaves a consumed prefix in front of live bytes.
+    /// The properties below must hold from any of these states.
+    fn seasoned(whole: usize, pending: bool, stream: &[u8]) -> (Decoder, usize) {
+        let mut d = Decoder::new();
+        let past = Request::Set(b"earlier".to_vec(), vec![7; 300]).to_frame();
+        for _ in 0..whole {
+            d.push(&past.to_bytes());
+            assert_eq!(d.next_frame().unwrap(), Some(past.clone()));
+            assert_eq!(d.buffered(), 0);
+        }
+        let fed = usize::from(pending).min(stream.len());
+        if pending {
+            d.push(&past.to_bytes());
+            d.push(&stream[..fed]);
+            assert_eq!(d.next_frame().unwrap(), Some(past));
+            assert_eq!(d.buffered(), fed);
+        }
+        (d, fed)
     }
 
     #[test]
@@ -717,11 +825,30 @@ mod tests {
             ),
             (Request::ScanNext(7), RequestClass::Scan),
         ];
+        // One buffer across all of them, as a client's sends reuse one.
+        let mut wire = Vec::new();
         for (req, class) in cases {
             assert_eq!(req.class(), class);
             let round = Request::parse(&req.to_frame()).unwrap();
             assert_eq!(round, req);
+            wire.clear();
+            req.encode(&mut wire);
+            assert_eq!(wire, req.to_frame().to_bytes(), "{req:?} encoded without its frame");
         }
+    }
+
+    #[test]
+    fn number_lines_and_fixed_replies_are_what_display_would_write() {
+        for n in [0, 1, 9, 10, 99, 100, 4096, -1, -10, i64::from(u32::MAX), i64::MAX, i64::MIN] {
+            for tag in [b':', b'$', b'*'] {
+                let mut line = Vec::new();
+                put_number_line(&mut line, tag, n);
+                assert_eq!(line, format!("{}{n}\r\n", tag as char).into_bytes());
+                assert!(line.len() <= NUMBER_LINE_MAX);
+            }
+        }
+        assert_eq!(Frame::ok().to_bytes(), OK_WIRE);
+        assert_eq!(Frame::Nil.to_bytes(), NIL_WIRE);
     }
 
     #[test]
@@ -835,12 +962,14 @@ mod tests {
         fn split_feeding_never_changes_the_result(
             keys in pvec(pvec(any::<u8>(), 1..32), 1..8),
             split in any::<usize>(),
+            whole in 0usize..3,
+            pending in any::<bool>(),
         ) {
             let req = Request::MGet(keys);
             let bytes = req.to_frame().to_bytes();
-            let cut = split % bytes.len();
-            let mut d = Decoder::new();
-            d.push(&bytes[..cut]);
+            let (mut d, fed) = seasoned(whole, pending, &bytes);
+            let cut = fed.max(split % bytes.len());
+            d.push(&bytes[fed..cut]);
             let early = d.next_frame().unwrap();
             d.push(&bytes[cut..]);
             let frame = match early {
@@ -848,19 +977,35 @@ mod tests {
                 None => d.next_frame().unwrap().expect("complete after full feed"),
             };
             prop_assert_eq!(Request::parse(&frame).unwrap(), req);
+            prop_assert_eq!(d.buffered(), 0);
+            prop_assert_eq!(d.next_frame(), Ok(None));
         }
 
         #[test]
-        fn garbage_never_panics_the_decoder(bytes in pvec(any::<u8>(), 0..128)) {
-            let mut d = Decoder::new();
-            d.push(&bytes);
+        fn garbage_never_panics_the_decoder(
+            bytes in pvec(any::<u8>(), 0..128),
+            whole in 0usize..3,
+            pending in any::<bool>(),
+        ) {
+            let (mut d, fed) = seasoned(whole, pending, &bytes);
+            d.push(&bytes[fed..]);
             // Drain until incomplete or error; the only failure mode under
             // test is a panic / infinite loop, bounded by the byte count.
+            let mut poisoned = None;
             for _ in 0..=bytes.len() {
                 match d.next_frame() {
                     Ok(Some(_)) => continue,
-                    Ok(None) | Err(_) => break,
+                    Ok(None) => break,
+                    Err(e) => {
+                        poisoned = Some(e);
+                        break;
+                    }
                 }
+            }
+            // Poison outlives anything the buffer does afterwards.
+            if let Some(e) = poisoned {
+                d.push(&Frame::ok().to_bytes());
+                prop_assert_eq!(d.next_frame(), Err(e));
             }
         }
     }

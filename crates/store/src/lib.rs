@@ -571,15 +571,34 @@ impl Store {
     /// [`Error::Usage`] when `snaps` was not pinned on this store (length
     /// mismatch); otherwise propagates engine errors.
     pub fn scan_at(&mut self, snaps: &[Snapshot], sopts: &ScanOptions<'_>) -> Result<ScanResult> {
+        let mut rows = Vec::new();
+        let page = self.scan_at_with(snaps, sopts, |k, v| rows.push((k.to_vec(), v.to_vec())))?;
+        Ok(ScanResult { rows, ..page })
+    }
+
+    /// [`scan_at`](Store::scan_at) handing each merged row to `sink` as it
+    /// is found, borrowed from the shard iterator that holds it — the
+    /// server encodes rows straight into its reply this way. The returned
+    /// [`ScanResult`] carries `count` and `resume`; its `rows` stay empty.
+    ///
+    /// # Errors
+    ///
+    /// As for [`scan_at`](Store::scan_at).
+    pub fn scan_at_with(
+        &mut self,
+        snaps: &[Snapshot],
+        sopts: &ScanOptions<'_>,
+        sink: impl FnMut(&[u8], &[u8]),
+    ) -> Result<ScanResult> {
         if snaps.len() != self.shards.len() {
             return Err(Error::Usage(
                 "snapshot vector does not match the store's shard count".into(),
             ));
         }
-        let start = sopts.effective_start().map(<[u8]>::to_vec);
+        let start = sopts.effective_start();
         let end = sopts.effective_end();
         let fallback = self.clock.now();
-        let mut collector = ScanCollector::new(sopts);
+        let mut collector = ScanCollector::new(sopts, sink);
         let mut iters = Vec::with_capacity(self.shards.len());
         for (shard, snap) in self.shards.iter_mut().zip(snaps) {
             let ropts = if sopts.fill_cache {
@@ -601,7 +620,7 @@ impl Store {
                     None => it.seek_to_last()?,
                 }
             } else {
-                match start.as_deref() {
+                match start {
                     Some(s) => it.seek(s)?,
                     None => it.seek_to_first()?,
                 }
@@ -618,7 +637,7 @@ impl Store {
                 // forward motion only moves it further past `end`, reverse
                 // motion further below `start`.
                 let in_bounds = if sopts.reverse {
-                    start.as_deref().is_none_or(|s| it.key() >= s)
+                    start.is_none_or(|s| it.key() >= s)
                 } else {
                     end.as_deref().is_none_or(|e| it.key() < e)
                 };

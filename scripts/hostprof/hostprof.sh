@@ -1,0 +1,45 @@
+#!/usr/bin/env bash
+# Samples where a command spends its CPU time and prints the result as a
+# top-down tree of this repository's functions — the profiler for a sandbox
+# that has `cc` and `addr2line` but no perf.
+#
+#     scripts/hostprof/hostprof.sh [--min-pct P] <command> [args...]
+#     scripts/hostprof/hostprof.sh bench/ledger/target/release/bench_ledger \
+#         --workload scan --seed 7 --seconds 10 --trace 0
+#
+# Builds the LD_PRELOAD shim (hostprof.c) into target/hostprof/, runs the
+# command under it — its output goes to stderr, so stdout is the tree alone —
+# and feeds the samples to report.py. Name the program itself, not `cargo
+# run`: the shim profiles the process it is loaded into and nothing that
+# process spawns. Sampling is on CPU time (ITIMER_PROF), and the kernel here
+# ticks at 250 Hz: a sample every 4 ms, about 250 per busy second, so ten
+# seconds of the ledger give a tree whose 1 % lines rest on ~25 samples.
+# Lines below --min-pct (default 1) are hidden. Function names come from the
+# symbol table; build with CARGO_PROFILE_RELEASE_DEBUG=line-tables-only to
+# see inlined frames as well. The raw samples stay in target/hostprof/.
+set -euo pipefail
+here=$(cd "$(dirname "$0")" && pwd)
+cd "$here/../.."
+
+min_pct=1
+if [[ ${1:-} == --min-pct ]]; then
+    min_pct=${2:?--min-pct needs a value}
+    shift 2
+fi
+if [[ $# -eq 0 ]]; then
+    sed -n '2,/^set -euo/{/^set -euo/!s/^# \{0,1\}//p}' "$0" >&2
+    exit 2
+fi
+for tool in cc addr2line python3; do
+    if ! command -v "$tool" > /dev/null; then
+        echo "hostprof: \`$tool\` is not installed; it needs cc, addr2line and python3" >&2
+        exit 2
+    fi
+done
+
+out=target/hostprof
+mkdir -p "$out"
+cc -O2 -fPIC -shared -o "$out/hostprof.so" "$here/hostprof.c" -ldl
+samples=$out/samples.$$
+HOSTPROF_OUT=$samples LD_PRELOAD=$PWD/$out/hostprof.so "$@" >&2
+python3 "$here/report.py" "$samples" --min-pct "$min_pct"

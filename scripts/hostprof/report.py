@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Turns a hostprof sample file into a top-down tree.
+
+    report.py SAMPLES [--min-pct P]
+
+SAMPLES is what the hostprof shim wrote: the process's memory map (`M`
+lines), where memcpy and memmove resolved to (`C`) and one raw stack per
+SIGPROF (`S` lines, innermost frame first). Addresses are resolved with
+`addr2line -f -C -i`, return addresses at `pc - 1` so that a call in the last
+instruction of a function is not charged to the next one. The tree keeps this repository's frames (`nob_*::` and
+`noblsm::` paths) and hangs one synthetic leaf under them when the sample
+was taken inside the allocator or a memory copy: `[malloc]`, `[free]`,
+`[realloc]`, `[memcpy]`. A distribution's libc has no symbol table, so its
+frames are named by the nearest exported symbol: right for the allocator's
+entry points, which is all the leaves need, and wrong for its internals —
+hence the copy routines are recognised by address instead. Every line is
+inclusive: the share of all samples taken in that function or anything it
+called. Inlined frames only show when the binary carries line tables
+(`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`).
+"""
+
+import argparse
+import bisect
+import collections
+import re
+import subprocess
+import sys
+
+OURS = re.compile(r"\b(nob_\w+|noblsm)::")
+COPY_SPAN = 0x800  # the vector memmove implementations are under 1 KiB
+HASH = re.compile(r"::h[0-9a-f]{16}$")
+LEAVES = (
+    ("[realloc]", re.compile(r"realloc")),
+    ("[malloc]", re.compile(r"malloc|calloc|memalign")),
+    ("[free]", re.compile(r"^(cfree|free|__libc_free|_int_free)")),
+    ("[memcpy]", re.compile(r"memcpy|memmove")),
+)
+
+
+def load(path):
+    """-> executable mappings, each object's load address, stacks, copy routines"""
+    maps, bases, stacks, copies = [], {}, [], set()
+    with open(path) as f:
+        for line in f:
+            kind, *fields = line.split()
+            if kind == "C":
+                copies = {int(x, 16) for x in fields}
+            elif kind == "S":
+                stacks.append([int(x, 16) for x in fields])
+            elif kind == "M" and len(fields) >= 6:
+                lo, hi = (int(x, 16) for x in fields[0].split("-"))
+                obj = fields[5]
+                # An object is loaded at its lowest mapping, executable or not.
+                bases[obj] = min(lo, bases.get(obj, lo))
+                if "x" in fields[1]:
+                    maps.append((lo, hi, obj))
+    return sorted(maps), bases, stacks, copies
+
+
+def is_pie(path):
+    with open(path, "rb") as f:
+        return f.read(18)[16] == 3  # e_type == ET_DYN
+
+
+def resolve(by_object):
+    """{object: {vaddr}} -> {(object, vaddr): [outermost .. innermost function]}"""
+    names = {}
+    for obj, vaddrs in by_object.items():
+        vaddrs = sorted(vaddrs)
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-C", "-i", "-e", obj],
+            input="".join(f"{v:#x}\n" for v in vaddrs),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.splitlines()
+        current = None
+        # `-a` prints the address, then a (function, file:line) pair per
+        # inlining level, innermost first.
+        for i, line in enumerate(out):
+            if line.startswith("0x"):
+                current = names.setdefault((obj, int(line, 16)), [])
+                start = i + 1
+            elif (i - start) % 2 == 0:
+                current.insert(0, HASH.sub("", line))
+    return names
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("samples")
+    ap.add_argument("--min-pct", type=float, default=1.0, help="hide lines below this share")
+    args = ap.parse_args()
+
+    maps, bases, stacks, copies = load(args.samples)
+    starts = [m[0] for m in maps]
+    pie = {}
+
+    def locate(addr):
+        i = bisect.bisect_right(starts, addr) - 1
+        if i < 0 or addr >= maps[i][1] or not maps[i][2].startswith("/"):
+            return None
+        obj = maps[i][2]
+        if obj not in pie:
+            pie[obj] = is_pie(obj)
+        return obj, addr - bases[obj] if pie[obj] else addr
+
+    # Frames of one sample: the handler, the signal trampoline, the
+    # interrupted pc, then return addresses.
+    located, by_object = [], collections.defaultdict(set)
+    for stack in stacks:
+        frames = []
+        for depth, addr in enumerate(stack[2:]):
+            at = locate(addr - (1 if depth else 0))
+            if any(0 <= addr - c < COPY_SPAN for c in copies):
+                frames.append("memcpy")
+            elif at:
+                frames.append(at)
+                by_object[at[0]].add(at[1])
+        located.append(frames)
+    names = resolve(by_object)
+
+    tree = lambda: [0, collections.defaultdict(tree)]  # noqa: E731
+    root = tree()
+    for frames in located:
+        path, leaf = [], None
+        for at in frames:  # innermost first
+            funcs = [at] if at == "memcpy" else names.get(at, ["??"])
+            ours = [f for f in funcs if OURS.search(f)]
+            if not ours and not path:
+                # Still above our code: an allocator or copy frame names the leaf;
+                # the outermost such frame wins (malloc called by realloc is realloc).
+                for label, pattern in LEAVES:
+                    if any(pattern.search(f) for f in funcs):
+                        leaf = label
+                        break
+            path[:0] = ours
+        node = root
+        node[0] += 1
+        for name in path + ([leaf] if leaf and path else []):
+            node = node[1][name]
+            node[0] += 1
+
+    total = root[0]
+    print(f"{total} samples; inclusive share of all of them, lines under {args.min_pct} % hidden")
+
+    def show(node, depth):
+        for name, child in sorted(node[1].items(), key=lambda kv: -kv[1][0]):
+            pct = 100.0 * child[0] / total
+            if pct >= args.min_pct:
+                print(f"{pct:6.1f} %  {'  ' * depth}{name}")
+                show(child, depth + 1)
+
+    if total:
+        show(root, 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
