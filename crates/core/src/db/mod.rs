@@ -5,7 +5,8 @@
 //! One `impl Db` block per concern: this file holds the struct, its
 //! value types and plain accessors; `open` creates or recovers; `write`
 //! and `read` are the foreground paths; `background` applies and
-//! schedules compactions; `property` formats introspection.
+//! schedules compactions; `property` formats introspection; `batch` is
+//! the write batch, held as the WAL payload it becomes.
 //!
 //! # Concurrency model
 //!
@@ -23,9 +24,8 @@
 //! (LevelDB's `bg_error_`) and returned by every later write, flush and
 //! wait, while reads keep serving the unchanged version.
 
-pub mod batch;
-
 mod background;
+mod batch;
 mod hot;
 mod level_iter;
 mod open;
@@ -34,6 +34,7 @@ mod read;
 mod repair;
 mod write;
 
+pub use batch::WriteBatch;
 pub use repair::RepairReport;
 
 use std::collections::BTreeMap;
@@ -52,7 +53,7 @@ use crate::noblsm::DependencyTracker;
 use crate::options::{Options, ScanOptions};
 use crate::version::{CompactionInputs, FileMetaData, Version, VersionSet};
 use crate::wal::LogWriter;
-use crate::{DbError, DbStats, Result, ValueType};
+use crate::{DbError, DbStats, Result};
 
 use hot::HotTracker;
 
@@ -121,8 +122,9 @@ pub struct Db {
     /// The engine's virtual clock, shared with whoever schedules it (a
     /// `nob-store` shard pump, the CLI session, a bench driver). The
     /// canonical [`Db::write`]/[`Db::get`] entry points read and advance
-    /// it so callers no longer thread `now: Nanos` by hand; the legacy
-    /// now-threading methods keep it in sync as they go.
+    /// it so callers need not thread `now: Nanos` by hand; the methods
+    /// that do take a `now` (per-thread reads, lifecycle calls at a
+    /// harness's instant) keep it in step as they go.
     clock: SharedClock,
 }
 
@@ -213,66 +215,6 @@ impl<S: FnMut(&[u8], &[u8])> ScanCollector<S> {
     /// so `rows` is empty).
     pub fn finish(self) -> ScanResult {
         ScanResult { rows: Vec::new(), count: self.count, resume: self.resume }
-    }
-}
-
-/// An atomic batch of writes, applied through [`Db::write`] with a
-/// single WAL record: after a crash, either every operation in the batch
-/// is recovered or none is.
-#[derive(Debug, Default, Clone)]
-pub struct WriteBatch {
-    entries: Vec<(ValueType, Vec<u8>, Vec<u8>)>,
-}
-
-impl WriteBatch {
-    /// Creates an empty batch.
-    pub fn new() -> Self {
-        WriteBatch::default()
-    }
-
-    /// Queues an insert/overwrite.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        self.entries.push((ValueType::Value, key.to_vec(), value.to_vec()));
-    }
-
-    /// Queues a deletion.
-    pub fn delete(&mut self, key: &[u8]) {
-        self.entries.push((ValueType::Deletion, key.to_vec(), Vec::new()));
-    }
-
-    /// Appends every operation of `other` after the existing ones (the
-    /// group-commit leader's coalescing primitive: follower batches are
-    /// folded into the leader's in arrival order).
-    pub fn extend(&mut self, other: &WriteBatch) {
-        self.entries.extend(other.entries.iter().cloned());
-    }
-
-    /// Approximate payload bytes (keys + values) queued in this batch,
-    /// used against the group-commit byte budget.
-    pub fn byte_size(&self) -> u64 {
-        self.entries.iter().map(|(_, k, v)| (k.len() + v.len()) as u64).sum()
-    }
-
-    /// Iterates the queued operations in insertion order as
-    /// `(type, key, value)` triples. The `nob-store` front-end uses this
-    /// to split a batch across shards by key hash.
-    pub fn ops(&self) -> impl Iterator<Item = (ValueType, &[u8], &[u8])> + '_ {
-        self.entries.iter().map(|(vt, k, v)| (*vt, k.as_slice(), v.as_slice()))
-    }
-
-    /// Number of queued operations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Removes all queued operations.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 

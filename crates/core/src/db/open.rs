@@ -197,20 +197,14 @@ fn replay_logs(
         let size = fs.file_size(&path)?;
         let (data, t2) = fs.read_at(h, 0, size, *t)?;
         *t = t2;
-        // Full-log replay is the seq-0 case of the shared replay cursor;
-        // `nob-repl` drives the same cursor from a follower's resume
-        // sequence.
         let mut cursor = ReplayCursor::new(data);
         while let Some(batch) = cursor.next_batch() {
-            recovery.wal_records_recovered += 1;
-            for (seq, (vt, key, value)) in (batch.seq..).zip(batch.entries) {
-                mem.add(seq, vt, &key, &value);
-                max_seq = max_seq.max(seq);
-            }
+            max_seq = max_seq.max(batch.insert_into(&mut mem));
             if mem.approximate_bytes() >= opts.write_buffer_size {
                 flush(std::mem::take(&mut mem), versions, t)?;
             }
         }
+        recovery.wal_records_recovered += cursor.records_replayed();
         recovery.wal_corruptions_detected += u64::from(cursor.payload_corruption_detected())
             + u64::from(cursor.record_corruption_detected());
         recovery.wal_bytes_dropped += cursor.bytes_dropped();

@@ -33,11 +33,15 @@ impl Db {
         Ok(value)
     }
 
-    /// Reads the newest visible value of `key` at an explicit instant.
+    /// Reads the newest visible value of `key` starting at the caller's
+    /// instant `now`, not the shared clock's, and returns it with the
+    /// instant the read finished.
     ///
-    /// Deprecated since 0.3.0: call [`Db::get`], which reads the shared
-    /// clock instead of a caller-threaded `now`; this shim survives one
-    /// release.
+    /// This is what [`Db::get`] cannot say, so it stays: the multi-threaded
+    /// YCSB and `db_bench` drivers model N client threads over one engine,
+    /// each on its own timeline, and a thread that lags the shared clock
+    /// (another thread's write advanced it) must still start its read at
+    /// its own instant. The shared clock is moved up to the read's end.
     ///
     /// # Errors
     ///
@@ -113,28 +117,6 @@ impl Db {
         }
     }
 
-    /// Reads several keys at one consistent sequence number, returning
-    /// results in input order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem/corruption errors.
-    pub fn multi_get(
-        &mut self,
-        now: Nanos,
-        keys: &[&[u8]],
-    ) -> Result<(Vec<Option<Vec<u8>>>, Nanos)> {
-        let seq = self.versions.last_sequence;
-        let mut out = Vec::with_capacity(keys.len());
-        let mut now = now;
-        for key in keys {
-            let (got, t) = self.get_internal(now, key, seq, true)?;
-            now = t;
-            out.push(got);
-        }
-        Ok((out, now))
-    }
-
     /// Creates an iterator under [`ReadOptions`] — the canonical
     /// iteration entry point, starting at the shared clock's instant.
     ///
@@ -149,10 +131,11 @@ impl Db {
         self.iter_internal(now, seq, ropts.fill_cache)
     }
 
-    /// Creates an iterator over the live database at `now`.
-    ///
-    /// Deprecated since 0.3.0: prefer [`Db::iter`]; this shim survives
-    /// one release.
+    /// Creates an iterator over the live database starting at the caller's
+    /// instant `now`, not the shared clock's: the iteration twin of
+    /// [`Db::get_at_time`], for a driver thread or a recovery check that
+    /// carries its own timeline (`db_bench` `readseq`, the chaos harness's
+    /// verification scan). [`Db::iter`] starts at the shared clock.
     ///
     /// The iterator owns its virtual clock (see [`DbIterator::now`]).
     ///

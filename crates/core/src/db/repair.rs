@@ -109,12 +109,9 @@ pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nan
         let mut mem = MemTable::new();
         let mut cursor = ReplayCursor::new(data);
         while let Some(batch) = cursor.next_batch() {
-            report.wal_records_recovered += 1;
-            for (seq, (vt, key, value)) in (batch.seq..).zip(batch.entries) {
-                mem.add(seq, vt, &key, &value);
-                max_seq = max_seq.max(seq);
-            }
+            max_seq = max_seq.max(batch.insert_into(&mut mem));
         }
+        report.wal_records_recovered += cursor.records_replayed();
         report.wal_corruptions_detected += u64::from(cursor.payload_corruption_detected())
             + u64::from(cursor.record_corruption_detected());
         report.wal_bytes_dropped += cursor.bytes_dropped();

@@ -7,10 +7,9 @@ use nob_trace::{EventClass, StallKind};
 use crate::options::WriteOptions;
 use crate::version::{file_path, FileKind};
 use crate::wal::LogWriter;
-use crate::{DbError, Result, SequenceNumber, ValueType};
+use crate::{DbError, Result, SequenceNumber};
 
 use super::background::stage_class;
-use super::batch::encode_batch;
 use super::{Db, Snapshot, WriteBatch};
 
 impl Db {
@@ -31,61 +30,61 @@ impl Db {
         if batch.is_empty() {
             return Ok(now);
         }
-        let entries: Vec<(ValueType, &[u8], &[u8])> = batch.ops().collect();
-        self.write_entries(now, &entries, *wopts)
+        self.write_batch(now, batch, *wopts)
     }
 
-    /// Deletes `key` (writes a tombstone).
+    /// Deletes `key`: a one-tombstone [`WriteBatch`] through the write path
+    /// of [`Db::write`], started at the caller's instant `now` instead of
+    /// the shared clock's.
     ///
-    /// Deprecated since 0.3.0: build a [`WriteBatch`] and call
-    /// [`Db::write`]; this shim survives one release.
+    /// A convenience, not a capability: its callers are the chaos harness
+    /// and tests that thread time by hand, and each could advance the
+    /// clock and call [`Db::write`] instead.
     ///
     /// # Errors
     ///
     /// Same as [`Db::write`].
     pub fn delete(&mut self, now: Nanos, key: &[u8]) -> Result<Nanos> {
-        self.write_entries(now, &[(ValueType::Deletion, key, b"")], WriteOptions::default())
+        let mut batch = WriteBatch::new();
+        batch.delete(key);
+        self.write_batch(now, batch, WriteOptions::default())
     }
 
-    fn write_entries(
-        &mut self,
-        now: Nanos,
-        entries: &[(ValueType, &[u8], &[u8])],
-        wopts: WriteOptions,
-    ) -> Result<Nanos> {
+    fn write_batch(&mut self, now: Nanos, batch: WriteBatch, wopts: WriteOptions) -> Result<Nanos> {
+        let bytes = batch.byte_size();
         // Stalls, WAL appends and journal commits nest under the
         // engine_put span.
         self.traced(
             EventClass::EnginePut,
             now,
-            |db| db.write_entries_inner(now, entries, wopts),
-            |end| (*end, entries.iter().map(|(_, k, v)| (k.len() + v.len()) as u64).sum()),
+            |db| db.write_batch_inner(now, batch, wopts),
+            |end| (*end, bytes),
         )
     }
 
-    fn write_entries_inner(
+    fn write_batch_inner(
         &mut self,
         now: Nanos,
-        entries: &[(ValueType, &[u8], &[u8])],
+        mut batch: WriteBatch,
         wopts: WriteOptions,
     ) -> Result<Nanos> {
         // LevelDB serializes writers on a mutex.
         let mut now = now.max(self.writer_free);
         now = self.make_room(now)?;
-        let seq = self.versions.last_sequence + 1;
-        self.versions.last_sequence += entries.len() as u64;
-        let payload = encode_batch(seq, entries);
-        let record = self.wal_writer.encode_record(&payload);
+        batch.set_sequence(self.versions.last_sequence + 1);
+        self.versions.last_sequence += batch.len() as u64;
+        // The batch is the record's payload: framed, never re-encoded.
+        let record = self.wal_writer.encode_record(batch.payload());
         now = self.fs.append(self.wal_handle, &record, now)?;
         if wopts.wants_sync() {
             now = self.fs.fsync(self.wal_handle, now)?;
         }
-        for (i, (vt, key, value)) in entries.iter().enumerate() {
-            self.mem.add(seq + i as u64, *vt, key, value);
+        batch.insert_into(&mut self.mem);
+        for (_, key, _) in batch.ops() {
             self.hot.record(key);
         }
         now = now + self.opts.cpu.put + self.opts.extra_op_cpu;
-        self.stats.writes += entries.len() as u64;
+        self.stats.writes += batch.len() as u64;
         self.writer_free = now;
         self.clock.advance_to(now);
         Ok(now)

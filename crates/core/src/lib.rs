@@ -25,8 +25,14 @@
 //! time. Every operation is timed on the engine's shared
 //! [`nob_sim::SharedClock`]; the canonical entry points are
 //! [`Db::write`]`(&WriteOptions, WriteBatch)` and
-//! [`Db::get`]`(&ReadOptions, key)` (the older `now`-threading methods
-//! survive one release as thin shims).
+//! [`Db::get`]`(&ReadOptions, key)`. The methods that take an explicit
+//! `now` are not leftovers of an older API: [`Db::get_at_time`] and
+//! [`Db::iter_at`] let a multi-threaded driver read at one thread's
+//! instant *behind* the shared clock, and the lifecycle calls ([`Db::open`],
+//! [`Db::flush`], [`Db::wait_idle`], [`Db::settle`], [`Db::compact_range`],
+//! [`Db::tick`], [`Db::repair`]) run at an instant their harness chooses —
+//! a crash instant, the end of a load phase. Those that return an instant
+//! leave the shared clock at or past it.
 //!
 //! # Examples
 //!
@@ -66,7 +72,6 @@ mod stats;
 mod types;
 pub mod util;
 
-pub use db::batch::{decode_batch, encode_batch, DecodedBatch};
 pub use db::{Db, RepairReport, ScanCollector, ScanResult, Snapshot, WriteBatch};
 pub use error::{DbError, Error};
 pub use iterator::DbIterator;

@@ -1,106 +1,73 @@
-//! Sequence-addressed WAL replay: iterate a log's batches from an
-//! arbitrary sequence number instead of only from the beginning.
+//! WAL replay: a log image's batches, front to back.
 //!
-//! Recovery always replayed a log front to back; replication needs to
-//! *resume* — a follower that has applied entries through sequence `s`
-//! wants exactly the entries from `s + 1` on, even when `s + 1` lands in
-//! the middle of a multi-entry batch. [`ReplayCursor`] wraps a
-//! [`LogReader`] and a batch decoder behind one iterator that skips whole
-//! batches below the cursor and trims the first straddling batch, so the
-//! caller sees a contiguous, gap-free entry stream starting at its seq.
+//! [`ReplayCursor`] wraps a [`LogReader`] and the batch check behind one
+//! iterator, so recovery and repair share the rule for where a log's
+//! replayable part ends and why.
 //!
-//! Like the rest of this module it is pure (bytes in, decoded batches
-//! out): the engine's recovery path drives it over a WAL file image, and
-//! `nob-repl` drives it when rebuilding a changelog tail.
+//! Like the rest of this module it is pure (bytes in, batches out): the
+//! engine's recovery and repair paths drive it over a WAL file image.
 
-use crate::db::batch::{decode_batch, DecodedBatch};
+use crate::db::WriteBatch;
 use crate::wal::LogReader;
-use crate::SequenceNumber;
 
-/// An iterator over a WAL image's decoded batches, starting at an
-/// arbitrary sequence number.
+/// An iterator over a WAL image's batches.
 ///
 /// A torn tail is a clean end of iteration (as in recovery); a CRC-valid
-/// record whose payload does not decode as a batch stops iteration with
+/// record whose payload is not a batch stops iteration with
 /// [`ReplayCursor::payload_corruption_detected`] set.
 ///
 /// # Examples
 ///
 /// ```
 /// use noblsm::wal::{LogWriter, ReplayCursor};
-/// use noblsm::{encode_batch, ValueType};
+/// use noblsm::WriteBatch;
 ///
 /// let mut w = LogWriter::new();
 /// let mut file = Vec::new();
-/// file.extend_from_slice(&w.encode_record(&encode_batch(
-///     1,
-///     &[(ValueType::Value, b"a", b"1"), (ValueType::Value, b"b", b"2")],
-/// )));
-/// file.extend_from_slice(&w.encode_record(&encode_batch(
-///     3,
-///     &[(ValueType::Value, b"c", b"3")],
-/// )));
-/// // Resume from sequence 2: the first batch is trimmed, not skipped.
-/// let mut cursor = ReplayCursor::from_seq(file, 2);
+/// let mut batch = WriteBatch::new();
+/// batch.put(b"a", b"1");
+/// batch.put(b"b", b"2");
+/// batch.set_sequence(1);
+/// file.extend_from_slice(&w.encode_record(batch.payload()));
+/// batch.clear();
+/// batch.delete(b"a");
+/// batch.set_sequence(3);
+/// file.extend_from_slice(&w.encode_record(batch.payload()));
+///
+/// let mut cursor = ReplayCursor::new(file);
 /// let first = cursor.next_batch().unwrap();
-/// assert_eq!((first.seq, first.entries.len()), (2, 1));
-/// assert_eq!(cursor.next_batch().unwrap().seq, 3);
+/// assert_eq!((first.sequence(), first.len()), (1, 2));
+/// assert_eq!(cursor.next_batch().unwrap().sequence(), 3);
 /// assert!(cursor.next_batch().is_none());
 /// ```
 pub struct ReplayCursor {
     reader: LogReader,
-    from_seq: SequenceNumber,
     payload_corrupt: bool,
     records_replayed: u64,
-    records_skipped: u64,
 }
 
 impl ReplayCursor {
-    /// A cursor over the whole log (full recovery replay).
+    /// A cursor over the whole log.
     pub fn new(data: Vec<u8>) -> ReplayCursor {
-        ReplayCursor::from_seq(data, 0)
+        ReplayCursor { reader: LogReader::new(data), payload_corrupt: false, records_replayed: 0 }
     }
 
-    /// A cursor yielding only entries with sequence `>= from_seq`. Whole
-    /// batches below the cursor are skipped; a batch straddling it is
-    /// trimmed so its first yielded entry carries exactly `from_seq`. A
-    /// cursor past the log's end yields nothing and reports no
-    /// corruption.
-    pub fn from_seq(data: Vec<u8>, from_seq: SequenceNumber) -> ReplayCursor {
-        ReplayCursor {
-            reader: LogReader::new(data),
-            from_seq,
-            payload_corrupt: false,
-            records_replayed: 0,
-            records_skipped: 0,
-        }
-    }
-
-    /// The next batch at or beyond the cursor, or `None` at the end of
-    /// the replayable log (torn tail, corruption, or genuine EOF).
-    pub fn next_batch(&mut self) -> Option<DecodedBatch> {
-        while let Some(record) = self.reader.next_record() {
-            let Ok(mut batch) = decode_batch(&record) else {
-                // A CRC-valid record that does not decode as a batch is
-                // real corruption, not a torn tail (tearing is caught by
-                // the record checksum).
+    /// The next batch, or `None` at the end of the replayable log (torn
+    /// tail, corruption, or genuine EOF).
+    pub fn next_batch(&mut self) -> Option<WriteBatch> {
+        let record = self.reader.next_record()?;
+        match WriteBatch::from_payload(record) {
+            Ok(batch) => {
+                self.records_replayed += 1;
+                Some(batch)
+            }
+            // A CRC-valid record that is not a batch is real corruption,
+            // not a torn tail (tearing is caught by the record checksum).
+            Err(_) => {
                 self.payload_corrupt = true;
-                return None;
-            };
-            let one_past_end = batch.seq + batch.entries.len() as u64;
-            if one_past_end <= self.from_seq {
-                self.records_skipped += 1;
-                continue;
+                None
             }
-            if batch.seq < self.from_seq {
-                let trim = (self.from_seq - batch.seq) as usize;
-                batch.entries.drain(..trim);
-                batch.seq = self.from_seq;
-            }
-            self.records_replayed += 1;
-            return Some(batch);
         }
-        None
     }
 
     /// Whether a CRC-valid record failed to decode as a batch.
@@ -122,39 +89,34 @@ impl ReplayCursor {
     pub fn records_replayed(&self) -> u64 {
         self.records_replayed
     }
-
-    /// Batches skipped entirely below the cursor.
-    pub fn records_skipped(&self) -> u64 {
-        self.records_skipped
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::batch::encode_batch;
     use crate::wal::LogWriter;
-    use crate::ValueType;
+
+    /// The record of the batch `fill` builds, stamped to start at `seq`.
+    fn record(w: &mut LogWriter, seq: u64, fill: impl FnOnce(&mut WriteBatch)) -> Vec<u8> {
+        let mut batch = WriteBatch::new();
+        fill(&mut batch);
+        batch.set_sequence(seq);
+        w.encode_record(batch.payload())
+    }
 
     /// Three batches: seqs 1-2, 3-5, 6.
     fn sample_log() -> Vec<u8> {
         let mut w = LogWriter::new();
-        let mut file = Vec::new();
-        type Entries<'a> = &'a [(ValueType, &'a [u8], &'a [u8])];
-        let batches: [Entries; 3] = [
-            &[(ValueType::Value, b"a", b"1"), (ValueType::Value, b"b", b"2")],
-            &[
-                (ValueType::Value, b"c", b"3"),
-                (ValueType::Deletion, b"a", b""),
-                (ValueType::Value, b"d", b"5"),
-            ],
-            &[(ValueType::Value, b"e", b"6")],
-        ];
-        let mut seq = 1;
-        for entries in batches {
-            file.extend_from_slice(&w.encode_record(&encode_batch(seq, entries)));
-            seq += entries.len() as u64;
-        }
+        let mut file = record(&mut w, 1, |b| {
+            b.put(b"a", b"1");
+            b.put(b"b", b"2");
+        });
+        file.extend(record(&mut w, 3, |b| {
+            b.put(b"c", b"3");
+            b.delete(b"a");
+            b.put(b"d", b"5");
+        }));
+        file.extend(record(&mut w, 6, |b| b.put(b"e", b"6")));
         file
     }
 
@@ -162,77 +124,31 @@ mod tests {
     fn full_replay_yields_every_batch() {
         let mut c = ReplayCursor::new(sample_log());
         let seqs: Vec<(u64, usize)> =
-            std::iter::from_fn(|| c.next_batch().map(|b| (b.seq, b.entries.len()))).collect();
+            std::iter::from_fn(|| c.next_batch().map(|b| (b.sequence(), b.len()))).collect();
         assert_eq!(seqs, vec![(1, 2), (3, 3), (6, 1)]);
         assert_eq!(c.records_replayed(), 3);
-        assert_eq!(c.records_skipped(), 0);
         assert!(!c.payload_corruption_detected() && !c.record_corruption_detected());
     }
 
     #[test]
-    fn mid_log_cursor_skips_whole_batches_below() {
-        let mut c = ReplayCursor::from_seq(sample_log(), 3);
-        let first = c.next_batch().unwrap();
-        assert_eq!((first.seq, first.entries.len()), (3, 3));
-        assert_eq!(c.next_batch().unwrap().seq, 6);
-        assert!(c.next_batch().is_none());
-        assert_eq!(c.records_skipped(), 1);
-        assert_eq!(c.records_replayed(), 2);
-    }
-
-    #[test]
-    fn mid_batch_cursor_trims_the_straddling_batch() {
-        let mut c = ReplayCursor::from_seq(sample_log(), 4);
-        let first = c.next_batch().unwrap();
-        assert_eq!(first.seq, 4);
-        // Seqs 4 and 5 of the 3-5 batch survive; seq 3 is trimmed.
-        assert_eq!(first.entries.len(), 2);
-        assert_eq!(first.entries[0].0, ValueType::Deletion);
-        assert_eq!(first.entries[0].1, b"a");
-        assert_eq!(c.next_batch().unwrap().seq, 6);
-        assert!(c.next_batch().is_none());
-    }
-
-    #[test]
     fn past_end_cursor_is_empty_and_clean() {
-        let mut c = ReplayCursor::from_seq(sample_log(), 7);
-        assert!(c.next_batch().is_none());
-        assert_eq!(c.records_skipped(), 3);
-        assert_eq!(c.records_replayed(), 0);
+        let mut c = ReplayCursor::new(sample_log());
+        while c.next_batch().is_some() {}
+        assert!(c.next_batch().is_none(), "the end of the log stays the end");
+        assert_eq!(c.records_replayed(), 3);
         assert_eq!(c.bytes_dropped(), 0);
         assert!(!c.payload_corruption_detected() && !c.record_corruption_detected());
     }
 
     #[test]
-    fn cursor_at_resume_point_yields_only_the_new_tail() {
-        // A subscriber caught up through seq 1 resumes at 2: only the
-        // second batch appears, exactly once.
-        let mut w = LogWriter::new();
-        let mut file = Vec::new();
-        file.extend_from_slice(
-            &w.encode_record(&encode_batch(1, &[(ValueType::Value, b"a", b"1")])),
-        );
-        file.extend_from_slice(
-            &w.encode_record(&encode_batch(2, &[(ValueType::Value, b"b", b"2")])),
-        );
-        let mut c = ReplayCursor::from_seq(file, 2);
-        let only = c.next_batch().unwrap();
-        assert_eq!((only.seq, only.entries.len()), (2, 1));
-        assert!(c.next_batch().is_none());
-    }
-
-    #[test]
     fn torn_tail_is_clean_eof_for_the_cursor() {
         let mut w = LogWriter::new();
-        let mut file = Vec::new();
-        file.extend_from_slice(
-            &w.encode_record(&encode_batch(1, &[(ValueType::Value, b"a", b"1")])),
-        );
-        let second = w.encode_record(&encode_batch(2, &[(ValueType::Value, b"b", b"2")]));
+        let mut file = record(&mut w, 1, |b| b.put(b"a", b"1"));
+        let second = record(&mut w, 2, |b| b.put(b"b", b"2"));
         // A crash mid-append: only half the second record hit disk.
         file.extend_from_slice(&second[..second.len() / 2]);
         let mut c = ReplayCursor::new(file);
-        assert_eq!(c.next_batch().unwrap().seq, 1);
+        assert_eq!(c.next_batch().unwrap().sequence(), 1);
         assert!(c.next_batch().is_none());
         assert!(!c.payload_corruption_detected(), "a torn tail is not corruption");
         assert!(c.bytes_dropped() > 0);
@@ -241,14 +157,11 @@ mod tests {
     #[test]
     fn undecodable_payload_stops_with_corruption_flag() {
         let mut w = LogWriter::new();
-        let mut file = Vec::new();
-        file.extend_from_slice(
-            &w.encode_record(&encode_batch(1, &[(ValueType::Value, b"a", b"1")])),
-        );
+        let mut file = record(&mut w, 1, |b| b.put(b"a", b"1"));
         // A CRC-valid record that is not a batch.
         file.extend_from_slice(&w.encode_record(b"not a batch"));
         let mut c = ReplayCursor::new(file);
-        assert_eq!(c.next_batch().unwrap().seq, 1);
+        assert_eq!(c.next_batch().unwrap().sequence(), 1);
         assert!(c.next_batch().is_none());
         assert!(c.payload_corruption_detected());
     }

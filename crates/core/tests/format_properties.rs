@@ -1,11 +1,12 @@
-//! Property tests for the on-disk formats: SSTable build/read round-trips
-//! and WAL encode/decode under truncation — for arbitrary generated data.
+//! Property tests for the on-disk formats: SSTable build/read round-trips,
+//! WAL encode/decode under truncation, and the write batch that is the WAL
+//! record's payload — for arbitrary generated data.
 
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::{fnv1a, Nanos};
 use noblsm::iterator::InternalIterator;
 use noblsm::wal::{LogReader, LogWriter};
-use noblsm::{InternalKey, Options, ValueType};
+use noblsm::{DbError, InternalKey, Options, ValueType, WriteBatch};
 use proptest::prelude::*;
 
 /// Sorted, deduplicated internal keys from arbitrary user keys.
@@ -111,6 +112,120 @@ proptest! {
     }
 }
 
+/// A generated batch operation: a deletion of the key when the tag is 0,
+/// else a put of the key and value.
+type Op = (u8, Vec<u8>, Vec<u8>);
+
+fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    // Values past 127 bytes take a two-byte length varint.
+    let key = proptest::collection::vec(any::<u8>(), 0..24);
+    let value = proptest::collection::vec(any::<u8>(), 0..200);
+    proptest::collection::vec((0u8..4, key, value), 0..24)
+}
+
+fn append(batch: &mut WriteBatch, (tag, key, value): &Op) {
+    match tag {
+        0 => batch.delete(key),
+        _ => batch.put(key, value),
+    }
+}
+
+fn batch_of(ops: &[Op]) -> WriteBatch {
+    let mut batch = WriteBatch::new();
+    ops.iter().for_each(|op| append(&mut batch, op));
+    batch
+}
+
+fn is_corruption(payload: Vec<u8>) -> bool {
+    matches!(WriteBatch::from_payload(payload), Err(DbError::Corruption(_)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A batch is its payload: what went in reads back through `ops()` in
+    /// order, the payload alone rebuilds the batch, folding one batch into
+    /// another is the same as building the whole in one go, and the byte
+    /// counter is the sum of key and value lengths however the batch came
+    /// to be.
+    #[test]
+    fn write_batch_is_its_payload(
+        ops in ops_strategy(),
+        cut_frac in 0.0f64..1.0,
+        seq in any::<u64>(),
+    ) {
+        let mut batch = batch_of(&ops);
+        let expected: Vec<(ValueType, &[u8], &[u8])> = ops
+            .iter()
+            .map(|(tag, k, v)| match tag {
+                0 => (ValueType::Deletion, k.as_slice(), &[][..]),
+                _ => (ValueType::Value, k.as_slice(), v.as_slice()),
+            })
+            .collect();
+        let bytes: u64 = expected.iter().map(|(_, k, v)| (k.len() + v.len()) as u64).sum();
+        prop_assert_eq!(batch.ops().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!((batch.len(), batch.is_empty()), (ops.len(), ops.is_empty()));
+        prop_assert_eq!(batch.byte_size(), bytes);
+
+        // Stamping the sequence touches nothing but the sequence.
+        let unstamped = batch.payload()[8..].to_vec();
+        batch.set_sequence(seq);
+        prop_assert_eq!(batch.sequence(), seq);
+        prop_assert_eq!(&batch.payload()[8..], unstamped.as_slice());
+
+        let parsed = WriteBatch::from_payload(batch.payload().to_vec()).expect("own payload");
+        prop_assert_eq!(parsed.payload(), batch.payload());
+        prop_assert_eq!(parsed.ops().collect::<Vec<_>>(), expected);
+        prop_assert_eq!((parsed.sequence(), parsed.len()), (seq, ops.len()));
+        prop_assert_eq!(parsed.byte_size(), bytes);
+
+        let cut = (ops.len() as f64 * cut_frac) as usize;
+        let mut folded = batch_of(&ops[..cut]);
+        folded.set_sequence(seq);
+        folded.extend(&batch_of(&ops[cut..]));
+        prop_assert_eq!(folded.payload(), batch.payload());
+        prop_assert_eq!(folded.byte_size(), bytes);
+
+        batch.clear();
+        prop_assert!(batch.is_empty() && batch.byte_size() == 0 && batch.ops().next().is_none());
+    }
+
+    /// Damage to a valid payload is `Corruption`, never a panic and never a
+    /// different batch: every strict prefix, any appended byte, an unknown
+    /// type byte on any entry, and any entry count but the right one.
+    #[test]
+    fn damaged_batch_payloads_are_corruption(
+        ops in ops_strategy(),
+        junk in any::<u8>(),
+        bad_type in 2u8..=255,
+    ) {
+        // Where each entry starts: the payload's length before it went in.
+        let mut batch = WriteBatch::new();
+        let mut starts = Vec::new();
+        for op in &ops {
+            starts.push(batch.payload().len());
+            append(&mut batch, op);
+        }
+        let payload = batch.payload().to_vec();
+
+        for cut in 0..payload.len() {
+            prop_assert!(is_corruption(payload[..cut].to_vec()), "prefix of {cut} bytes");
+        }
+        prop_assert!(is_corruption([payload.as_slice(), &[junk]].concat()), "appended byte");
+        for &at in &starts {
+            let mut damaged = payload.clone();
+            damaged[at] = bad_type;
+            prop_assert!(is_corruption(damaged), "type byte {bad_type} at {at}");
+        }
+        let count = ops.len() as u32;
+        for wrong in [count.wrapping_sub(1), count + 1, u32::MAX] {
+            let mut damaged = payload.clone();
+            damaged[8..12].copy_from_slice(&wrong.to_le_bytes());
+            prop_assert!(is_corruption(damaged), "count {wrong} for {count} entries");
+        }
+    }
+}
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
@@ -148,6 +263,30 @@ fn checksummed_formats_are_pinned() {
     let block = b.finish();
     assert_eq!(block.len(), 54);
     assert_eq!(hex(&block[block.len() - 5..]), "00f1db5aab");
+}
+
+/// A batch's payload and the WAL record framing it, generated at commit
+/// e62e8a3 (by the separate encoder a batch went through before it held
+/// its own payload) and pinned: the bytes a `Db::write` logs and a leader
+/// ships must not move.
+#[test]
+fn batch_payload_is_pinned() {
+    let long = [0xabu8; 300];
+    let mut batch = WriteBatch::new();
+    batch.put(b"k1", b"v1");
+    batch.delete(b"k2");
+    batch.put(b"", b"empty key ok");
+    batch.put(b"long", &long);
+    batch.set_sequence(0x0102_0304_0506_0708);
+    let payload = batch.payload();
+    assert_eq!(payload.len(), 346);
+    assert_eq!(
+        hex(&payload[..46]),
+        "08070605040302010400000001026b3102763100026b3201000c656d707479206b6579206f6b01046c6f6e67ac02"
+    );
+    assert_eq!(payload[46..], long);
+    let record = LogWriter::new().encode_record(payload);
+    assert_eq!((record.len(), hex(&record[..7])), (353, "190aa9215a0101".to_string()));
 }
 
 /// The whole image of a fixed 5 000-entry table — data blocks, bloom

@@ -204,16 +204,3 @@ fn batched_and_single_writes_interleave_correctly() {
     assert_eq!(a.as_deref(), Some(&b"3"[..]));
     assert_eq!(b.as_deref(), Some(&b"4"[..]));
 }
-
-#[test]
-fn multi_get_reads_one_consistent_view() {
-    let (mut db, _fs) = small_db(SyncMode::NobLsm);
-    let mut batch = WriteBatch::new();
-    batch.put(b"a", b"1");
-    batch.put(b"b", b"2");
-    let now =
-        common::write_batch_at(&mut db, Nanos::ZERO, &batch, &WriteOptions::default()).unwrap();
-    let (got, t) = db.multi_get(now, &[b"a", b"missing", b"b"]).unwrap();
-    assert_eq!(got, vec![Some(b"1".to_vec()), None, Some(b"2".to_vec())], "results in input order");
-    assert!(t > now);
-}

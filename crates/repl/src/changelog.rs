@@ -25,7 +25,7 @@ pub struct LogRecord {
     pub first_seq: u64,
     /// Sequence of the group's last entry.
     pub last_seq: u64,
-    /// The WAL batch payload (`noblsm::encode_batch` format).
+    /// The group's batch as logged (`noblsm::WriteBatch::payload`).
     pub payload: Vec<u8>,
     /// The group's durable instant on the leader clock.
     pub committed_at: Nanos,

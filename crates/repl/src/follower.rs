@@ -8,7 +8,7 @@ use nob_metrics::{MetricKind, MetricsHub};
 use nob_sim::Nanos;
 use nob_store::{Store, StoreOptions};
 use nob_trace::{EventClass, TraceSink};
-use noblsm::{decode_batch, Error, ReadOptions, Result, ValueType, WriteBatch, WriteOptions};
+use noblsm::{Error, ReadOptions, Result, WriteBatch, WriteOptions};
 
 use crate::changelog::{ChangeLog, LogRecord};
 use crate::leader::Leader;
@@ -158,20 +158,16 @@ impl Follower {
                 rec.shard, rec.first_seq
             )));
         }
-        let decoded = decode_batch(&rec.payload)
+        // The shipped payload is the batch: checked once, then written as
+        // it stands, so the follower's WAL record is the leader's.
+        let batch = WriteBatch::from_payload(rec.payload.clone())
             .map_err(|e| Error::Replication(format!("undecodable shipped payload: {e}")))?;
-        if decoded.seq != rec.first_seq {
+        if batch.sequence() != rec.first_seq {
             return Err(Error::Replication(format!(
                 "payload seq {} disagrees with record tag {}",
-                decoded.seq, rec.first_seq
+                batch.sequence(),
+                rec.first_seq
             )));
-        }
-        let mut batch = WriteBatch::new();
-        for (vt, k, v) in &decoded.entries {
-            match vt {
-                ValueType::Deletion => batch.delete(k),
-                _ => batch.put(k, v),
-            }
         }
         let start = self.store.clock().now();
         // The apply span parents under the record's ship span (the wire

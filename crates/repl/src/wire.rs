@@ -40,7 +40,7 @@ pub enum Frame {
         trace: u64,
         /// Span id of the record's `repl_ship` span (0 when untraced).
         span: u64,
-        /// The WAL batch payload (`noblsm::encode_batch` format).
+        /// The group's batch as logged (`noblsm::WriteBatch::payload`).
         payload: Vec<u8>,
     },
     /// Client → leader: everything up to `last_seq` on `shard` is applied

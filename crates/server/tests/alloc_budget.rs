@@ -1,7 +1,8 @@
 //! An allocation budget for one SCAN page over the loopback, so the rows
 //! of a page cannot go back to being owned several times on their way out:
 //! 32 rows of 16 B key + 128 B value (144 B) per page, from a two-shard
-//! store whose tables are one level deep.
+//! store whose tables are one level deep. And one for a wire SET of such a
+//! row, so a write cannot go back to being one either.
 //!
 //! Over the loopback `Client::send` runs the server's whole share of a
 //! request — decode, scan, encode, queue — and `Client::recv_reply` runs the
@@ -26,6 +27,15 @@
 //! resume key, the reply buffer. The budgets are the measured counts plus a
 //! quarter; the per-row budget is 0.5. The counts are exact, so the same
 //! binary gives the same numbers on every run.
+//!
+//! A wire SET, both ends together (the client's encode and its parse of
+//! `+OK`; the server's decode, batch, shard split, group commit with up to
+//! seven followers folded in, buffered engine write and reply), measured when
+//! its budget was added (PR 18) / at its parent: 15.86 / 21.36 per SET. The
+//! 5.5 are the owned key and value of every entry, which the server's
+//! batch, the shard split and the group's `extend` each allocated again
+//! while a batch was a list of entries. The budget is the measured count
+//! plus a quarter, so it fails at the parent.
 //!
 //! The counter is this test binary's own `#[global_allocator]`, and the one
 //! test function keeps the harness from running anything beside it.
@@ -147,4 +157,24 @@ fn a_scan_page_stays_inside_its_allocation_budget() {
     // most 64 elements up front, so 128 of them double it once.
     assert!(parse32 <= 2 * 32 + 2, "client, page of 32 rows: {parse32} allocations");
     assert!(parse64 <= 2 * 64 + 3, "client, page of 64 rows: {parse64} allocations");
+
+    // Wire SETs, eight in the pipeline per round as the ledger's `serve`
+    // clients keep them, so group commit has followers to fold in.
+    const SETS: u64 = 1_000;
+    let value = vec![0xa5u8; 128];
+    let sets: Vec<Request> =
+        (0..SETS).map(|i| Request::Set(key(ROWS + i), value.clone())).collect();
+    let ((), set) = counted(|| {
+        for round in sets.chunks(8) {
+            for req in round {
+                client.send(req).expect("send");
+            }
+            for _ in round {
+                assert_eq!(client.recv_reply().expect("reply"), Frame::ok());
+            }
+        }
+    });
+    let per_set = set as f64 / SETS as f64;
+    eprintln!("allocations per wire SET, both ends: {per_set:.3}");
+    assert!(per_set <= 19.8, "wire SET: {per_set:.3} allocations");
 }

@@ -57,8 +57,8 @@ use nob_metrics::MetricsHub;
 use nob_sim::{fnv1a, Nanos, SharedClock};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
 use noblsm::{
-    encode_batch, Db, Options, ReadOptions, ScanCollector, ScanOptions, ScanResult, Snapshot,
-    ValueType, WriteBatch, WriteOptions,
+    Db, Options, ReadOptions, ScanCollector, ScanOptions, ScanResult, Snapshot, ValueType,
+    WriteBatch, WriteOptions,
 };
 
 pub use noblsm::{Error, Result};
@@ -130,8 +130,8 @@ pub struct ShippedRecord {
     pub first_seq: u64,
     /// Sequence of the group's last entry.
     pub last_seq: u64,
-    /// The WAL batch payload (`noblsm::encode_batch` format, decodable
-    /// with `noblsm::decode_batch`).
+    /// The group's [`WriteBatch::payload`] as the engine logged it
+    /// ([`WriteBatch::from_payload`] takes it back).
     pub payload: Vec<u8>,
     /// The group's durable instant on the deployment clock.
     pub committed_at: Nanos,
@@ -445,13 +445,14 @@ impl Store {
             }
         }
         let start = self.clock.now();
-        // Capture the payload before the write consumes the batch; the
-        // engine assigns the group the next contiguous sequence range, so
-        // the shipped record's seq tags are exact.
+        // The engine assigns the group the next contiguous sequence range.
+        // Stamp it here as the engine is about to and copy the payload
+        // before the write consumes the batch: the shipped bytes are the
+        // logged bytes, and the record's seq tags are exact.
         let first_seq = shard.db.last_sequence() + 1;
         let payload = if self.shipping {
-            let entries: Vec<(ValueType, &[u8], &[u8])> = merged.ops().collect();
-            encode_batch(first_seq, &entries)
+            merged.set_sequence(first_seq);
+            merged.payload().to_vec()
         } else {
             Vec::new()
         };
@@ -1233,11 +1234,11 @@ mod tests {
         let mut applied = 0u64;
         for rec in &shipped {
             assert_eq!(rec.first_seq, next[rec.shard], "gap on shard {}", rec.shard);
-            let batch = noblsm::decode_batch(&rec.payload).unwrap();
-            assert_eq!(batch.seq, rec.first_seq);
-            assert_eq!(rec.last_seq, rec.first_seq + batch.entries.len() as u64 - 1);
+            let batch = WriteBatch::from_payload(rec.payload.clone()).unwrap();
+            assert_eq!(batch.sequence(), rec.first_seq);
+            assert_eq!(rec.last_seq, rec.first_seq + batch.len() as u64 - 1);
             next[rec.shard] = rec.last_seq + 1;
-            applied += batch.entries.len() as u64;
+            applied += batch.len() as u64;
         }
         assert_eq!(applied, 40, "every write shipped exactly once");
         // shard_seqs reports exactly where each chain stopped.

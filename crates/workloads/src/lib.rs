@@ -37,11 +37,9 @@
 pub mod dbbench;
 pub mod keys;
 pub mod report;
-pub mod trace;
 pub mod ycsb;
 
 pub use report::{LatencyHistogram, Report};
-pub use trace::{Trace, TraceOp};
 
 /// Canonical-API single-key write shared by the drivers: advance the
 /// engine's clock to `now` (writer threads carry their own timelines),

@@ -4,8 +4,12 @@
 //! * Every `[dependencies]` entry of a workspace crate must be named by
 //!   some non-comment line under that crate's `src/` — an edge no source
 //!   file uses is a lie about the architecture and a needless rebuild
-//!   trigger. (`[dev-dependencies]` are out of scope: tests, benches and
-//!   examples live outside `src/`.)
+//!   trigger. (`[dev-dependencies]` are out of scope: tests and examples
+//!   live outside `src/`.)
+//! * Every root `[workspace.dependencies]` entry must be depended on by some
+//!   member's manifest, and every `shims/*` stand-in by some *other*
+//!   member's: an entry or a vendored crate nobody depends on is dead
+//!   weight that still builds, still tests and still reads as architecture.
 //! * No `crates/*/src/**/*.rs` may exceed [`MAX_SOURCE_LINES`].
 
 use std::path::{Path, PathBuf};
@@ -15,17 +19,30 @@ use std::path::{Path, PathBuf};
 /// `db/mod.rs` is what this keeps from coming back unnoticed.
 const MAX_SOURCE_LINES: usize = 1_700;
 
-fn crate_dirs() -> Vec<PathBuf> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut dirs: Vec<PathBuf> = std::fs::read_dir(&root)
-        .expect("crates/ exists")
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The package directories under `<root>/<sub>`, sorted.
+fn package_dirs(sub: &str) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root().join(sub))
+        .unwrap_or_else(|e| panic!("{sub}/ exists: {e}"))
         .flatten()
         .map(|e| e.path())
         .filter(|p| p.join("Cargo.toml").is_file())
         .collect();
     dirs.sort();
+    dirs
+}
+
+fn crate_dirs() -> Vec<PathBuf> {
+    let dirs = package_dirs("crates");
     assert!(dirs.len() >= 10, "the scan must see the workspace crates, saw {}", dirs.len());
     dirs
+}
+
+fn manifest_of(dir: &Path) -> String {
+    std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest reads")
 }
 
 /// All `.rs` files under `dir`, sorted.
@@ -46,17 +63,31 @@ fn rust_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The package names listed under `[dependencies]` in a manifest.
-fn dependencies(manifest: &str) -> Vec<String> {
+/// The keys listed under the table `header` (`[dependencies]`, …) in a
+/// manifest.
+fn table_keys(manifest: &str, header: &str) -> Vec<String> {
     manifest
         .lines()
         .map(str::trim)
-        .skip_while(|l| *l != "[dependencies]")
+        .skip_while(|l| *l != header)
         .skip(1)
         .take_while(|l| !l.starts_with('['))
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .filter_map(|l| l.split(['.', '=', ' ']).next())
         .map(str::to_string)
+        .collect()
+}
+
+/// The package names listed under `[dependencies]` in a manifest.
+fn dependencies(manifest: &str) -> Vec<String> {
+    table_keys(manifest, "[dependencies]")
+}
+
+/// Every package a manifest depends on, whatever for.
+fn all_dependencies(manifest: &str) -> Vec<String> {
+    ["[dependencies]", "[dev-dependencies]", "[build-dependencies]"]
+        .iter()
+        .flat_map(|header| table_keys(manifest, header))
         .collect()
 }
 
@@ -73,7 +104,7 @@ fn names(line: &str, ident: &str) -> bool {
 fn every_dependency_edge_is_named_by_the_source() {
     let mut unused = Vec::new();
     for dir in crate_dirs() {
-        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest reads");
+        let manifest = manifest_of(&dir);
         let code: String = rust_files(&dir.join("src"))
             .iter()
             .map(|f| std::fs::read_to_string(f).expect("source reads"))
@@ -95,11 +126,49 @@ fn every_dependency_edge_is_named_by_the_source() {
 }
 
 #[test]
+fn every_workspace_dependency_and_shim_has_a_dependent() {
+    // Every member — the root package too — with what its manifest depends on.
+    let shims = package_dirs("shims");
+    assert!(!shims.is_empty(), "the scan must see the vendored stand-ins");
+    let members: Vec<(PathBuf, Vec<String>)> = crate_dirs()
+        .into_iter()
+        .chain(shims.iter().cloned())
+        .chain([root().to_path_buf()])
+        .map(|dir| {
+            let deps = all_dependencies(&manifest_of(&dir));
+            (dir, deps)
+        })
+        .collect();
+    let mut orphans = Vec::new();
+    for dep in table_keys(&manifest_of(root()), "[workspace.dependencies]") {
+        if !members.iter().any(|(_, deps)| deps.contains(&dep)) {
+            orphans.push(format!("[workspace.dependencies] `{dep}`: no member depends on it"));
+        }
+    }
+    for shim in &shims {
+        // A stand-in is published under its directory's name.
+        let name = shim.file_name().and_then(|n| n.to_str()).expect("utf-8 directory name");
+        if !members.iter().any(|(dir, deps)| dir != shim && deps.iter().any(|d| d == name)) {
+            orphans.push(format!("{}: no other member depends on it", shim.display()));
+        }
+    }
+    assert!(
+        orphans.is_empty(),
+        "dead weight in the workspace — delete it:\n  {}",
+        orphans.join("\n  ")
+    );
+}
+
+#[test]
 fn dependency_scan_reads_manifests_and_identifiers() {
     // Self-check, so the lint cannot go blind silently.
-    let manifest = "[package]\nname = \"x\"\n\n[dependencies]\nnob-sim.workspace = true\n# note\n\
+    let manifest =
+        "[workspace.dependencies]\nnob-sim = { path = \"s\" }\n\n[package]\nname = \"x\"\n\n\
+                    [dependencies]\nnob-sim.workspace = true\n# note\n\
                     rand = { path = \"r\" }\n\n[dev-dependencies]\nproptest.workspace = true\n";
     assert_eq!(dependencies(manifest), ["nob-sim", "rand"]);
+    assert_eq!(all_dependencies(manifest), ["nob-sim", "rand", "proptest"]);
+    assert_eq!(table_keys(manifest, "[workspace.dependencies]"), ["nob-sim"]);
     assert!(names("use nob_sim::Nanos;", "nob_sim"));
     assert!(!names("use nob_simulator::Nanos;", "nob_sim"));
     assert!(!names("let my_rand = 1;", "rand"));
