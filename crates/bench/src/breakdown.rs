@@ -95,10 +95,10 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
             inflight.push((store.enqueue_ctx(&wopts, &batch, ctx), ctx, start, bytes));
         }
         store.pump().expect("pump");
-        resolve(&store, &sink, &mut inflight);
+        resolve(&mut store, &sink, &mut inflight);
     }
     store.drain().expect("drain");
-    resolve(&store, &sink, &mut inflight);
+    resolve(&mut store, &sink, &mut inflight);
     assert!(inflight.is_empty(), "every ticket must resolve after drain");
     vec![
         ("name", Value::Str(name)),
@@ -111,8 +111,12 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
 
 /// Emits the `server_write` root span (enqueue → durable) for every
 /// ticket that resolved since the last call.
-fn resolve(store: &Store, sink: &TraceSink, inflight: &mut Vec<(Ticket, TraceCtx, Nanos, u64)>) {
-    inflight.retain(|&(ticket, ctx, start, bytes)| match store.outcome(ticket) {
+fn resolve(
+    store: &mut Store,
+    sink: &TraceSink,
+    inflight: &mut Vec<(Ticket, TraceCtx, Nanos, u64)>,
+) {
+    inflight.retain(|&(ticket, ctx, start, bytes)| match store.take_outcome(ticket) {
         Some(durable) => {
             sink.emit_ctx(EventClass::ServerWrite, start, durable, bytes, ctx);
             false

@@ -192,7 +192,11 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
             8 | 9 => {
                 let key = kname(k);
                 let started = now;
-                now = db.delete(now, &key).expect("live delete cannot fail");
+                let mut batch = noblsm::WriteBatch::new();
+                batch.delete(&key);
+                now = db
+                    .write_at(now, &noblsm::WriteOptions::default(), batch)
+                    .expect("live delete cannot fail");
                 deletes.entry(key.clone()).or_default().push(started);
                 model.insert(key, None);
             }

@@ -26,38 +26,39 @@ impl Db {
     /// Propagates filesystem errors, and returns the recorded error of a
     /// failed background job (see [`Db::wait_idle`]).
     pub fn write(&mut self, wopts: &WriteOptions, batch: WriteBatch) -> Result<Nanos> {
-        let now = self.clock.now();
-        if batch.is_empty() {
-            return Ok(now);
-        }
-        self.write_batch(now, batch, *wopts)
+        self.write_at(self.clock.now(), wopts, batch)
     }
 
-    /// Deletes `key`: a one-tombstone [`WriteBatch`] through the write path
-    /// of [`Db::write`], started at the caller's instant `now` instead of
-    /// the shared clock's.
+    /// [`Db::write`] started at the caller's instant `now`, not the shared
+    /// clock's; the write begins once this engine's writer is free
+    /// (`max(now, writer_free)`) and the shared clock is moved up to its end.
     ///
-    /// A convenience, not a capability: its callers are the chaos harness
-    /// and tests that thread time by hand, and each could advance the
-    /// clock and call [`Db::write`] instead.
+    /// With [`Db::get_at_time`] and [`Db::iter_at`] this is the third — and
+    /// last — "an actor's instant behind the shared clock" entry: an actor
+    /// with a timeline of its own issues work at *its* instant even when
+    /// another actor has already pushed the shared clock past it.
+    /// `nob-store` is the caller: each shard is such an actor, and one
+    /// scheduler round starts every shard's group at the round's start.
     ///
     /// # Errors
     ///
     /// Same as [`Db::write`].
-    pub fn delete(&mut self, now: Nanos, key: &[u8]) -> Result<Nanos> {
-        let mut batch = WriteBatch::new();
-        batch.delete(key);
-        self.write_batch(now, batch, WriteOptions::default())
-    }
-
-    fn write_batch(&mut self, now: Nanos, batch: WriteBatch, wopts: WriteOptions) -> Result<Nanos> {
+    pub fn write_at(
+        &mut self,
+        now: Nanos,
+        wopts: &WriteOptions,
+        batch: WriteBatch,
+    ) -> Result<Nanos> {
+        if batch.is_empty() {
+            return Ok(now);
+        }
         let bytes = batch.byte_size();
         // Stalls, WAL appends and journal commits nest under the
         // engine_put span.
         self.traced(
             EventClass::EnginePut,
             now,
-            |db| db.write_batch_inner(now, batch, wopts),
+            |db| db.write_batch_inner(now, batch, *wopts),
             |end| (*end, bytes),
         )
     }

@@ -1,9 +1,11 @@
 //! Shared helpers for the engine integration tests: canonical-API
 //! equivalents of the removed positional write shims (`Db::put`,
-//! `Db::put_opt`, `Db::write_batch`), preserving the explicit
-//! `now`-threading style the timing assertions rely on. Each helper
-//! advances the engine's shared clock to the caller's instant, then goes
-//! through [`Db::write`] — the same path production callers use.
+//! `Db::put_opt`, `Db::write_batch`, `Db::delete`), preserving the
+//! explicit `now`-threading style the timing assertions rely on. The put
+//! helpers advance the engine's shared clock to the caller's instant, then
+//! go through [`Db::write`] — the same path production callers use;
+//! `delete` starts at the caller's instant through [`Db::write_at`], as
+//! `Db::delete` did.
 
 #![allow(dead_code)]
 
@@ -41,4 +43,11 @@ pub fn write_batch_at(
     }
     db.clock().advance_to(now);
     db.write(wopts, batch.clone())
+}
+
+/// Deletes `key` at `now`: a one-tombstone batch through [`Db::write_at`].
+pub fn delete(db: &mut Db, now: Nanos, key: &[u8]) -> Result<Nanos> {
+    let mut batch = WriteBatch::new();
+    batch.delete(key);
+    db.write_at(now, &WriteOptions::default(), batch)
 }

@@ -76,7 +76,7 @@ fn apply_ops(
             }
             Op::Delete(k) => {
                 let key = kname(*k);
-                now = db.delete(now, &key).unwrap();
+                now = common::delete(db, now, &key).unwrap();
                 model.insert(key, None);
             }
             Op::Flush => {

@@ -98,7 +98,7 @@ fn deletes_hide_values_through_compaction() {
     let mut db = Db::open(fs, "db", small_opts(SyncMode::Always), Nanos::ZERO).unwrap();
     let mut now = load(&mut db, 1000, 100, Nanos::ZERO);
     for i in (0..1000).step_by(3) {
-        now = db.delete(now, &key(i)).unwrap();
+        now = common::delete(&mut db, now, &key(i)).unwrap();
     }
     now = db.wait_idle(now).unwrap();
     for i in 0..1000 {
@@ -118,7 +118,7 @@ fn iterator_sees_sorted_live_view() {
     let mut db = Db::open(fs, "db", small_opts(SyncMode::NobLsm), Nanos::ZERO).unwrap();
     let n = 2000u64;
     let mut now = load(&mut db, n, 64, Nanos::ZERO);
-    now = db.delete(now, &key(100)).unwrap();
+    now = common::delete(&mut db, now, &key(100)).unwrap();
     now = db.wait_idle(now).unwrap();
     let mut it = db.iter_at(now).unwrap();
     it.seek_to_first().unwrap();

@@ -33,7 +33,7 @@ fn backward_equals_reversed_forward() {
         now = common::put(&mut db, now, &key(i * 7919 % 1500), &[1u8; 64]).unwrap();
     }
     for i in (0..1500).step_by(5) {
-        now = db.delete(now, &key(i)).unwrap();
+        now = common::delete(&mut db, now, &key(i)).unwrap();
     }
     now = db.wait_idle(now).unwrap();
 
@@ -156,7 +156,7 @@ proptest! {
         for (k, action) in ops {
             let kb = key(k as u64);
             if action == 0 {
-                now = db.delete(now, &kb).unwrap();
+                now = common::delete(&mut db, now, &kb).unwrap();
                 model.remove(&kb);
             } else {
                 let v = format!("val{k}-{action}").into_bytes();
@@ -200,7 +200,7 @@ proptest! {
         for (i, (k, action)) in writes.iter().enumerate() {
             let kb = key(*k as u64);
             if *action == 0 {
-                now = db.delete(now, &kb).unwrap();
+                now = common::delete(&mut db, now, &kb).unwrap();
                 model.remove(&kb);
             } else {
                 let v = format!("val{k}-{i}").into_bytes();
@@ -219,7 +219,7 @@ proptest! {
         for (k, action) in late {
             let kb = key(k as u64);
             now = if action == 0 {
-                db.delete(now, &kb).unwrap()
+                common::delete(&mut db, now, &kb).unwrap()
             } else {
                 common::put(&mut db, now, &kb, b"written after the snapshot").unwrap()
             };

@@ -25,7 +25,7 @@ fn snapshot_pins_point_reads() {
     let now = common::put(&mut db, Nanos::ZERO, b"k", b"v1").unwrap();
     let snap = db.snapshot();
     let now = common::put(&mut db, now, b"k", b"v2").unwrap();
-    let now = db.delete(now, b"other").unwrap();
+    let now = common::delete(&mut db, now, b"other").unwrap();
     let (live, t) = db.get_at_time(now, b"k").unwrap();
     assert_eq!(live.as_deref(), Some(&b"v2"[..]));
     db.clock().advance_to(t);

@@ -498,7 +498,7 @@ impl ServerCore {
                 let PendingReply::Await { ticket, start, bytes, reply, ctx } = *slot else {
                     continue;
                 };
-                let Some(durable) = self.store.outcome(ticket) else { continue };
+                let Some(durable) = self.store.take_outcome(ticket) else { continue };
                 if let Some(t) = &self.trace {
                     t.emit_ctx(EventClass::ServerWrite, start, durable, bytes, ctx);
                 }

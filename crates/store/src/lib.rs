@@ -22,6 +22,17 @@
 //! instead of once per writer, so `Sync`-mode throughput rises
 //! monotonically with the number of writers sharing a shard.
 //!
+//! A shard is an actor: its own writer, engine, file system and device.
+//! The shared clock orders actors, it does not serialise them — one
+//! scheduler round starts every shard's group at the round's start
+//! instant ([`Db::write_at`]) and leaves the clock at the latest group
+//! end, so a round costs its slowest shard, not the sum of them (the rule
+//! [`Store::scan_at`] applies to reads). Only instants depend on this:
+//! per-shard order, group membership, sequence numbers, WAL bytes and
+//! shipped payloads are those of committing the shards one by one. A
+//! ticket with parts on several shards completes at the latest of its
+//! parts' group ends.
+//!
 //! A synced follower never rides a buffered leader (that would silently
 //! downgrade its durability); buffered followers ride a synced leader for
 //! free.
@@ -97,8 +108,8 @@ impl Default for StoreOptions {
     }
 }
 
-/// Handle for an enqueued write; redeem with [`Store::outcome`] after the
-/// queue has been pumped.
+/// Handle for an enqueued write; redeem it — once — with
+/// [`Store::take_outcome`] after the queue has been pumped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ticket(u64);
 
@@ -167,8 +178,8 @@ pub struct Store {
     next_ticket: u64,
     /// Remaining per-shard parts of each still-incomplete ticket.
     parts: BTreeMap<u64, usize>,
-    /// Latest durable instant observed per ticket (final once the ticket
-    /// leaves `parts`).
+    /// Latest durable instant observed per unredeemed ticket (final once
+    /// the ticket leaves `parts`; removed by `take_outcome`).
     outcomes: BTreeMap<u64, Nanos>,
     stats: StoreStats,
     /// When set, every committed group is also captured as a
@@ -372,27 +383,34 @@ impl Store {
         Ticket(id)
     }
 
-    /// The instant `ticket`'s write became durable, once every per-shard
-    /// part has committed; `None` while any part is still queued.
-    pub fn outcome(&self, ticket: Ticket) -> Option<Nanos> {
+    /// Redeems `ticket`: the instant its write became durable — the latest
+    /// of its per-shard parts' group ends — once every part has committed;
+    /// `None` while any part is still queued. Redemption consumes: the
+    /// store forgets the ticket when it returns `Some`, so a second call
+    /// for it returns `None`.
+    pub fn take_outcome(&mut self, ticket: Ticket) -> Option<Nanos> {
         if self.parts.contains_key(&ticket.0) {
             return None;
         }
-        self.outcomes.get(&ticket.0).copied()
+        self.outcomes.remove(&ticket.0)
     }
 
-    /// One deterministic scheduler round: visits shards in index order and
-    /// commits at most one coalesced group per shard. Returns the number
-    /// of groups committed (0 when every queue is empty).
+    /// One deterministic scheduler round: commits at most one coalesced
+    /// group per shard, visiting shards in index order. Every group starts
+    /// at the round's start instant and the clock is left at the latest
+    /// group end — shards are actors (see the crate docs), so the round
+    /// costs its slowest shard, not the sum of them. Returns the number of
+    /// groups committed (0 when every queue is empty).
     ///
     /// # Errors
     ///
     /// Propagates engine errors; the failing group's tickets stay
     /// incomplete.
     pub fn pump(&mut self) -> Result<usize> {
+        let start = self.clock.now();
         let mut committed = 0;
         for i in 0..self.shards.len() {
-            if self.commit_group(i)? {
+            if self.commit_group(i, start)? {
                 committed += 1;
             }
         }
@@ -413,9 +431,10 @@ impl Store {
     /// Commits one group on shard `idx`: pops the leader, folds queued
     /// followers into it within the byte/count budgets (never pairing a
     /// synced follower with a buffered leader), issues one engine write
-    /// and completes every carried ticket with the group's durable
-    /// instant.
-    fn commit_group(&mut self, idx: usize) -> Result<bool> {
+    /// at `start` — the round's instant, which the shared clock may
+    /// already have left behind on a sibling shard's commit — and
+    /// completes every carried ticket with the group's durable instant.
+    fn commit_group(&mut self, idx: usize, start: Nanos) -> Result<bool> {
         let budget_bytes = self.budget_bytes;
         let budget_count = self.budget_count;
         let shard = &mut self.shards[idx];
@@ -444,7 +463,6 @@ impl Store {
                 follower_ctxs.push(next.ctx);
             }
         }
-        let start = self.clock.now();
         // The engine assigns the group the next contiguous sequence range.
         // Stamp it here as the engine is about to and copy the payload
         // before the write consumes the batch: the shipped bytes are the
@@ -464,7 +482,7 @@ impl Store {
             Some(sink) => sink.begin_span_with_parent(Some(leader_ctx)),
             None => TraceCtx::NONE,
         };
-        let end = match shard.db.write(&wopts, merged) {
+        let end = match shard.db.write_at(start, &wopts, merged) {
             Ok(end) => end,
             Err(e) => {
                 if let Some(sink) = &self.trace {
@@ -519,7 +537,7 @@ impl Store {
     pub fn write(&mut self, wopts: &WriteOptions, batch: WriteBatch) -> Result<Nanos> {
         let t = self.enqueue(wopts, &batch);
         self.drain()?;
-        Ok(self.outcome(t).expect("drained store completed the ticket"))
+        Ok(self.take_outcome(t).expect("drained store completed the ticket"))
     }
 
     /// Point read, routed to the owning shard.
@@ -698,25 +716,12 @@ impl Store {
     ///
     /// Propagates engine errors.
     pub fn tick(&mut self) -> Result<()> {
+        // Waits on no commit, so there is nothing here for shards to overlap.
         for shard in &mut self.shards {
             let now = self.clock.now();
             shard.db.tick(now)?;
         }
         Ok(())
-    }
-
-    /// Drains the queue, then flushes every shard's memtable.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn flush(&mut self) -> Result<Nanos> {
-        self.drain()?;
-        for shard in &mut self.shards {
-            let now = self.clock.now();
-            shard.db.flush(now)?;
-        }
-        Ok(self.clock.now())
     }
 
     /// Drains the queue, then waits for every shard's background work to
@@ -729,6 +734,7 @@ impl Store {
     /// Propagates engine errors.
     pub fn wait_idle(&mut self) -> Result<Nanos> {
         self.drain()?;
+        // Waits on no commit either, and already iterates to a fixpoint.
         loop {
             let before = self.clock.now();
             for shard in &mut self.shards {
@@ -837,15 +843,16 @@ mod tests {
         }
         assert_eq!(store.pending(), 8);
         for t in &tickets {
-            assert!(store.outcome(*t).is_none(), "nothing committed before pump");
+            assert!(store.take_outcome(*t).is_none(), "nothing committed before pump");
         }
         let groups = store.pump().unwrap();
         assert_eq!(groups, 1, "one leader carries all 8 batches");
         assert_eq!(store.pending(), 0);
-        let end = store.outcome(tickets[0]).unwrap();
-        for t in &tickets {
-            assert_eq!(store.outcome(*t), Some(end), "followers inherit the leader's outcome");
+        let end = store.take_outcome(tickets[0]).unwrap();
+        for t in &tickets[1..] {
+            assert_eq!(store.take_outcome(*t), Some(end), "followers inherit the leader's outcome");
         }
+        assert_eq!(store.take_outcome(tickets[0]), None, "a ticket redeems once");
         assert_eq!(store.stats().groups, 1);
         assert_eq!(store.stats().batches, 8);
     }
@@ -890,9 +897,9 @@ mod tests {
         let t2 = store.enqueue(&WriteOptions::synced(), &b2);
         let groups = store.pump().unwrap();
         assert_eq!(groups, 1, "the synced batch must not join the buffered leader");
-        assert!(store.outcome(t2).is_none());
+        assert!(store.take_outcome(t2).is_none());
         store.drain().unwrap();
-        assert!(store.outcome(t2).is_some());
+        assert!(store.take_outcome(t2).is_some());
         assert_eq!(store.stats().groups, 2);
     }
 
@@ -920,12 +927,34 @@ mod tests {
         // One pump commits one group per shard — with 64 keys over 4
         // shards every shard holds exactly one part, so the ticket lands.
         store.pump().unwrap();
-        let end = store.outcome(t).expect("every shard committed its part");
+        let end = store.take_outcome(t).expect("every shard committed its part");
         assert!(end > Nanos::ZERO);
         for i in 0..64u64 {
             let got = store.get(&ReadOptions::default(), format!("key{i}").as_bytes()).unwrap();
             assert_eq!(got.as_deref(), Some(&b"v"[..]));
         }
+    }
+
+    #[test]
+    fn redeemed_tickets_are_forgotten() {
+        let mut store = Store::open(small_opts(2)).unwrap();
+        let empty = WriteBatch::new();
+        for i in 0..10_000u64 {
+            // Single-shard, two-shard and (every 100th) empty batches: the
+            // three ways a ticket's entries are created.
+            let mut b = WriteBatch::new();
+            b.put(format!("key{:03}", i % 500).as_bytes(), b"v");
+            if i % 3 == 0 {
+                b.put(format!("also{:03}", i % 499).as_bytes(), b"w");
+            }
+            let batch = if i % 100 == 99 { &empty } else { &b };
+            let t = store.enqueue(&WriteOptions::buffered(), batch);
+            store.drain().unwrap();
+            assert!(store.take_outcome(t).is_some(), "ticket {i} completed");
+            assert!(store.take_outcome(t).is_none(), "ticket {i} redeems once");
+        }
+        assert!(store.outcomes.is_empty(), "{} outcomes kept", store.outcomes.len());
+        assert!(store.parts.is_empty(), "{} part counts kept", store.parts.len());
     }
 
     #[test]
@@ -948,7 +977,7 @@ mod tests {
     fn empty_batch_is_durable_immediately() {
         let mut store = Store::open(small_opts(2)).unwrap();
         let t = store.enqueue(&WriteOptions::default(), &WriteBatch::new());
-        assert!(store.outcome(t).is_some());
+        assert!(store.take_outcome(t).is_some());
         assert_eq!(store.pending(), 0);
     }
 

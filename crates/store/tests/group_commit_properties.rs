@@ -1,12 +1,17 @@
 //! Group-commit correctness: coalescing must never change what a batch
 //! means. A coalesced batch stays atomic, per-shard application order is
 //! enqueue order, and a crash mid-group-commit can never surface a
-//! follower's write without its leader's.
+//! follower's write without its leader's. Shards commit side by side —
+//! one scheduler round starts every shard's group at the same instant —
+//! and that moves instants only: the bytes every shard logs, the
+//! sequence numbers it assigns and what a crash recovers are those of
+//! committing the same groups one after the other.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use nob_sim::Nanos;
-use nob_store::{Store, StoreOptions};
+use nob_store::{Store, StoreOptions, Ticket};
+use nob_trace::{EventClass, TraceSink};
 use noblsm::{Db, Options, ReadOptions, SyncMode, WriteBatch, WriteOptions};
 use proptest::prelude::*;
 
@@ -80,7 +85,7 @@ proptest! {
         }
         store.drain().unwrap();
         for t in &tickets {
-            prop_assert!(store.outcome(*t).is_some(), "ticket left incomplete after drain");
+            prop_assert!(store.take_outcome(*t).is_some(), "ticket left incomplete after drain");
         }
         prop_assert_eq!(store.pending(), 0);
         for (k, want) in &model {
@@ -98,6 +103,185 @@ proptest! {
         let s = store.stats();
         prop_assert!(s.groups <= s.batches);
         prop_assert_eq!(s.batches, expected_parts);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Instants move, bytes do not. A store commits random multi-key
+    /// batches, synced and buffered mixed, with every shard's group of a
+    /// round started at the round's instant; a reference store is then fed
+    /// the very same groups one at a time through its shards' engines, the
+    /// way a serial scheduler would. Shard for shard both log the same WAL
+    /// bytes, assign the same sequence ranges and recover the same map.
+    /// On the overlapped store a round costs its slowest group — not the
+    /// sum of its groups — and a ticket completes at the latest group end
+    /// among its parts.
+    #[test]
+    fn overlapped_rounds_move_instants_not_bytes(
+        batches in proptest::collection::vec(
+            (proptest::collection::vec((0u16..64, 0u16..1000), 1..6), any::<bool>()),
+            1..30,
+        ),
+        shards in 1usize..5,
+        budget_count in 1usize..9,
+        pump_every in 1usize..6,
+    ) {
+        let opts = StoreOptions {
+            shards,
+            group_budget_count: budget_count,
+            db: small_db(),
+            ..StoreOptions::default()
+        };
+        let mut store = Store::open(opts.clone()).unwrap();
+        let sink = TraceSink::with_ring_capacity(1 << 16);
+        store.set_trace_sink(sink.clone());
+        store.enable_shipping();
+
+        // One scheduler round: (clock before, clock after, groups committed).
+        let mut rounds: Vec<(Nanos, Nanos, usize)> = Vec::new();
+        let mut round = |store: &mut Store| {
+            let before = store.clock().now();
+            let groups = store.pump().unwrap();
+            rounds.push((before, store.clock().now(), groups));
+            groups
+        };
+        let mut model: HashMap<Vec<u8>, Option<Vec<u8>>> = HashMap::new();
+        // Per ticket: the ticket, its request's trace root and its sync flag.
+        let mut tickets = Vec::new();
+        for (bi, (ops, synced)) in batches.iter().enumerate() {
+            let mut wb = WriteBatch::new();
+            for (k, v) in ops {
+                let key = kname(*k);
+                if *v % 7 == 0 {
+                    wb.delete(&key);
+                    model.insert(key, None);
+                } else {
+                    let value = vname(*k, *v);
+                    wb.put(&key, &value);
+                    model.insert(key, Some(value));
+                }
+            }
+            let wopts = if *synced { WriteOptions::synced() } else { WriteOptions::buffered() };
+            let root = sink.mint_root();
+            tickets.push((store.enqueue_ctx(&wopts, &wb, root), root, *synced));
+            if bi % pump_every == 0 {
+                round(&mut store);
+            }
+        }
+        while round(&mut store) > 0 {}
+        let end = store.drain().unwrap();
+
+        // Every group is one shipped record and one group-commit span; the
+        // span's parent names the leader's request, links name followers.
+        let shipped = store.take_shipped();
+        let (events, links) = sink.snapshot();
+        prop_assert_eq!(sink.dropped(), 0);
+        prop_assert_eq!(shipped.len(), rounds.iter().map(|r| r.2).sum::<usize>());
+        let ticket_of = |span: u64| tickets.iter().position(|(_, root, _)| root.span == span);
+        let mut ticket_end = vec![Nanos::ZERO; tickets.len()];
+        let mut shard_end = vec![Nanos::ZERO; shards];
+        let mut spans = Vec::new();
+        for rec in &shipped {
+            let span = events
+                .iter()
+                .find(|e| e.class == EventClass::GroupCommit && e.span == rec.ctx.span)
+                .expect("every record carries its group span");
+            prop_assert_eq!(span.end, rec.committed_at);
+            let leader = ticket_of(span.parent).expect("the leader's request parents the group");
+            let followers =
+                links.iter().filter(|l| l.to == span.span).map(|l| ticket_of(l.from).unwrap());
+            for t in followers.chain([leader]) {
+                ticket_end[t] = ticket_end[t].max(rec.committed_at);
+            }
+            prop_assert!(
+                rec.committed_at > shard_end[rec.shard],
+                "shard {} committed at {:?} after {:?}",
+                rec.shard, rec.committed_at, shard_end[rec.shard]
+            );
+            shard_end[rec.shard] = rec.committed_at;
+            spans.push((span.start, span.end, tickets[leader].2));
+        }
+        for (i, (ticket, _, _)) in tickets.iter().enumerate() {
+            let outcome = store.take_outcome(*ticket).expect("drained");
+            prop_assert_eq!(outcome, ticket_end[i], "ticket {} is not its latest part", i);
+            prop_assert!(outcome <= end);
+        }
+
+        // A round costs its slowest group.
+        let mut next = 0;
+        for &(before, after, groups) in &rounds {
+            let cost: Vec<(Nanos, bool)> =
+                spans[next..next + groups].iter().map(|&(s, e, synced)| (e - s, synced)).collect();
+            next += groups;
+            let longest = cost.iter().map(|c| c.0).max().unwrap_or(Nanos::ZERO);
+            let sum = cost.iter().fold(Nanos::ZERO, |acc, c| acc + c.0);
+            prop_assert_eq!(after - before, longest, "a round advances the clock by its slowest group");
+            prop_assert!(longest <= sum);
+            if cost.iter().filter(|c| c.1).count() >= 2 {
+                prop_assert!(longest < sum, "two synced groups side by side cost less than in series");
+            }
+        }
+
+        // The reference: the same groups, one engine write after the other.
+        let mut serial = Store::open(opts).unwrap();
+        for (rec, &(_, _, synced)) in shipped.iter().zip(&spans) {
+            let wopts = if synced { WriteOptions::synced() } else { WriteOptions::buffered() };
+            let group = WriteBatch::from_payload(rec.payload.clone()).unwrap();
+            let db = serial.shard_db_mut(rec.shard);
+            prop_assert_eq!(rec.first_seq, db.last_sequence() + 1);
+            prop_assert_eq!(group.sequence(), rec.first_seq, "shipped bytes carry the logged tag");
+            db.write(&wopts, group).unwrap();
+            prop_assert_eq!(rec.last_seq, db.last_sequence());
+        }
+        let mut files = Vec::new();
+        for shard in 0..shards {
+            prop_assert_eq!(wal_bytes(&store, shard), wal_bytes(&serial, shard), "shard {}", shard);
+            prop_assert_eq!(store.shard_seqs()[shard], serial.shard_seqs()[shard]);
+            files.push((store.shard_db(shard).fs().clone(), serial.shard_db(shard).fs().clone()));
+        }
+        // A second engine recovers each shard from the files as they stand
+        // (no crash: buffered tails are still in the page cache).
+        let now = serial.clock().now();
+        drop((store, serial));
+        let mut recovered: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+        for (shard, (ours, theirs)) in files.into_iter().enumerate() {
+            let dir = format!("shard{shard}");
+            let ours = dump(&mut Db::open(ours, &dir, small_db(), now).unwrap(), now);
+            let theirs = dump(&mut Db::open(theirs, &dir, small_db(), now).unwrap(), now);
+            prop_assert_eq!(&ours, &theirs, "shard {}", shard);
+            recovered.extend(ours);
+        }
+        let live: HashMap<Vec<u8>, Vec<u8>> =
+            model.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect();
+        prop_assert_eq!(recovered, live, "recovery diverged from sequential application");
+    }
+}
+
+/// Every WAL byte `shard`'s engine has appended, in file order.
+fn wal_bytes(store: &Store, shard: usize) -> Vec<u8> {
+    let fs = store.shard_db(shard).fs();
+    let now = store.clock().now();
+    let mut bytes = Vec::new();
+    for path in fs.list(&format!("shard{shard}/")) {
+        if path.ends_with(".log") {
+            let size = fs.file_size(&path).expect("listed");
+            let handle = fs.open(&path, now).expect("listed");
+            bytes.extend(fs.read_at(handle, 0, size, now).expect("read").0);
+        }
+    }
+    bytes
+}
+
+/// A key that routes to `shard`, fresh on every call with the same `probe`.
+fn routed_key(store: &Store, shard: usize, probe: &mut u32) -> Vec<u8> {
+    loop {
+        let k = format!("gk{probe:06}").into_bytes();
+        *probe += 1;
+        if store.shard_of(&k) == shard {
+            return k;
+        }
     }
 }
 
@@ -130,15 +314,8 @@ fn crash_never_surfaces_follower_without_leader() {
 
     // Pick keys that all route to shard 0 so every group is coalesced
     // there and the crash analysis has one WAL to reason about.
-    let mut shard0_keys = Vec::new();
-    let mut probe = 0u32;
-    while shard0_keys.len() < 16 {
-        let k = format!("gk{probe:06}").into_bytes();
-        if store.shard_of(&k) == 0 {
-            shard0_keys.push(k);
-        }
-        probe += 1;
-    }
+    let mut probe = 0;
+    let shard0_keys: Vec<Vec<u8>> = (0..16).map(|_| routed_key(&store, 0, &mut probe)).collect();
 
     // 4 groups × (1 leader + 3 followers), each batch one distinct key.
     // Within a group, index 0 is the leader (enqueued first).
@@ -194,4 +371,156 @@ fn crash_never_surfaces_follower_without_leader() {
             assert_eq!(got.get(key).map(Vec::as_slice), Some(value.as_slice()));
         }
     }
+}
+
+/// One key/value pair a ticket wrote.
+type Write = (Vec<u8>, Vec<u8>);
+
+/// The crash contract across overlapped shards. Two shards commit synced
+/// groups side by side, some tickets spanning both; the cut goes at every
+/// group's end instant, one nanosecond either side of it, and on an even
+/// grid, and *both* shards are recovered from the same instant. A ticket
+/// acknowledged by then — its outcome is the later of its two groups — is
+/// wholly there on every shard it touched; nothing that was never enqueued
+/// appears; and no coalesced follower survives without its leader.
+#[test]
+fn crash_across_overlapped_shards_keeps_every_acked_ticket_whole() {
+    let mut store = Store::open(StoreOptions {
+        shards: 2,
+        group_budget_count: 4,
+        db: small_db(),
+        ..StoreOptions::default()
+    })
+    .unwrap();
+    store.enable_shipping();
+
+    // Fresh keys per shard, each written exactly once, so "present" and
+    // "whose write is this" are both unambiguous.
+    let mut probe = 0;
+    // Per ticket: the key/value pairs it wrote.
+    let mut tickets: Vec<(Ticket, Vec<Write>)> = Vec::new();
+    let mut owner: HashMap<Vec<u8>, usize> = HashMap::new();
+    for round in 0..8usize {
+        // Four arrivals a round, alternating shards. One of them — a later
+        // slot each round, so it leads on some shards and follows on
+        // others — spans both. Every other round a full group's worth of
+        // writes to shard 1 arrives first, so from then on the two parts
+        // of a ticket commit in different rounds, a whole group apart.
+        let backlog = if round % 2 == 1 { 4 } else { 0 };
+        for slot in 0..backlog + 4 {
+            let parts: &[(usize, usize)] = if slot < backlog {
+                &[(1, 1)]
+            } else if slot - backlog == round % 4 {
+                &[(0, 1 + round % 2), (1, 3 - round % 2)]
+            } else {
+                &[(slot % 2, 1)]
+            };
+            let mut writes = Vec::new();
+            for &(shard, n) in parts {
+                for _ in 0..n {
+                    let value = vec![b'v'; 40 + 200 * ((round + shard) % 3)];
+                    writes.push((routed_key(&store, shard, &mut probe), value));
+                }
+            }
+            let mut b = WriteBatch::new();
+            for (k, v) in &writes {
+                b.put(k, v);
+                owner.insert(k.clone(), tickets.len());
+            }
+            tickets.push((store.enqueue(&WriteOptions::synced(), &b), writes));
+        }
+        // One round: one group per shard, started at the same instant.
+        assert_eq!(store.pump().unwrap(), 2, "round {round} commits on both shards");
+    }
+    let end = store.drain().unwrap();
+    let acked: Vec<Nanos> =
+        tickets.iter().map(|(t, _)| store.take_outcome(*t).expect("drained")).collect();
+
+    // Every group as (shard, tickets in commit order — the leader first).
+    let shipped = store.take_shipped();
+    let groups: Vec<(usize, Vec<usize>)> = shipped
+        .iter()
+        .map(|rec| {
+            let batch = WriteBatch::from_payload(rec.payload.clone()).unwrap();
+            let mut members: Vec<usize> = batch.ops().map(|(_, k, _)| owner[k]).collect();
+            members.dedup();
+            (rec.shard, members)
+        })
+        .collect();
+    assert!(groups.iter().any(|(_, m)| m.len() > 1), "some groups must coalesce");
+    let wide = |t: &usize| {
+        tickets[*t].1.iter().any(|(k, _)| store.shard_of(k) == 0)
+            && tickets[*t].1.iter().any(|(k, _)| store.shard_of(k) == 1)
+    };
+    assert!(groups.iter().any(|(_, m)| wide(&m[0])), "a two-shard ticket must lead somewhere");
+    assert!(groups.iter().any(|(_, m)| m[1..].iter().any(wide)), "and follow somewhere");
+    // An acknowledgement at the earlier part's instant must be wrong where
+    // the cuts can see it: some ticket's later part is not even begun (its
+    // shard's previous group has not ended) when its earlier part ends.
+    let mut first_end = vec![end; tickets.len()];
+    for (rec, (_, members)) in shipped.iter().zip(&groups) {
+        for t in members {
+            first_end[*t] = first_end[*t].min(rec.committed_at);
+        }
+    }
+    let mut shard_free = [Nanos::ZERO; 2];
+    let mut staggered = false;
+    for (rec, (shard, members)) in shipped.iter().zip(&groups) {
+        staggered |= members.iter().any(|t| shard_free[*shard] >= first_end[*t]);
+        shard_free[*shard] = rec.committed_at;
+    }
+    assert!(staggered, "some ticket's parts must commit in different rounds");
+
+    let mut cuts: BTreeSet<Nanos> =
+        (0..=64u64).map(|i| Nanos::from_nanos(end.as_nanos() * i / 64)).collect();
+    for rec in &shipped {
+        let at = rec.committed_at;
+        cuts.extend([at - Nanos::from_nanos(1), at, at + Nanos::from_nanos(1)]);
+    }
+    let files = [store.shard_db(0).fs().clone(), store.shard_db(1).fs().clone()];
+    let mut partly_acked = false;
+    for at in cuts {
+        let got: Vec<HashMap<Vec<u8>, Vec<u8>>> = (0..2)
+            .map(|shard| {
+                let dir = format!("shard{shard}");
+                let mut db = Db::open(files[shard].crashed_view(at), &dir, small_db(), at).unwrap();
+                dump(&mut db, at)
+            })
+            .collect();
+        let present =
+            |k: &Vec<u8>, v: &Vec<u8>| got[store.shard_of(k)].get(k).map(Vec::as_slice) == Some(v);
+        for (t, (_, writes)) in tickets.iter().enumerate() {
+            if acked[t] <= at {
+                assert!(
+                    writes.iter().all(|(k, v)| present(k, v)),
+                    "crash at {at:?}: ticket {t}, acknowledged at {:?}, is not whole",
+                    acked[t]
+                );
+            }
+        }
+        for (shard, map) in got.iter().enumerate() {
+            for (k, v) in map {
+                let t =
+                    *owner.get(k).unwrap_or_else(|| panic!("crash at {at:?}: key from nowhere"));
+                assert!(tickets[t].1.contains(&(k.clone(), v.clone())), "crash at {at:?}: value");
+                assert_eq!(store.shard_of(k), shard, "crash at {at:?}: key on a foreign shard");
+            }
+        }
+        for (g, (shard, members)) in groups.iter().enumerate() {
+            // A ticket's part on this shard, whole.
+            let part_ok = |t: &usize| {
+                let mut part = tickets[*t].1.iter().filter(|(k, _)| store.shard_of(k) == *shard);
+                part.all(|(k, v)| present(k, v))
+            };
+            let leader_ok = part_ok(&members[0]);
+            for follower in &members[1..] {
+                assert!(
+                    !part_ok(follower) || leader_ok,
+                    "crash at {at:?}: group {g} follower {follower} survived without its leader"
+                );
+            }
+        }
+        partly_acked |= acked.iter().any(|a| *a <= at) && acked.iter().any(|a| *a > at);
+    }
+    assert!(partly_acked, "the sweep must cut between acknowledgements");
 }

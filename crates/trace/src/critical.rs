@@ -245,9 +245,11 @@ impl CriticalPath {
         for w in cuts.windows(2) {
             let (a, b) = (w[0], w[1]);
             // Deepest span covering the slice; ties (overlapping spans
-            // at one depth, e.g. a repl ack round-trip overlapping the
-            // ship span beside it) go to the first in DFS order, so the
-            // enclosing span keeps only what nothing else claims.
+            // at one depth — a repl ack round-trip overlapping the ship
+            // span beside it, or the sibling groups a multi-shard write
+            // waits on, which commit side by side) go to the first in DFS
+            // order, so a slice is charged once and the enclosing span
+            // keeps only what nothing else claims.
             let mut seg = SEG_OTHER;
             let mut best = None;
             for &(depth, s_seg, s, e) in &covers {
@@ -632,6 +634,29 @@ mod tests {
         assert_eq!(p.total_ns, 53);
         assert_eq!(p.segment("group_wait"), 40);
         assert_eq!(p.segment("admission"), 13);
+    }
+
+    #[test]
+    fn sibling_groups_that_overlap_are_charged_once() {
+        // A two-shard write: both shards' groups start with the round at
+        // t=10 and run side by side, shard 0 to t=60, shard 1 to t=80.
+        let sink = TraceSink::new();
+        let root = sink.mint_root();
+        for (end, put_end) in [(60, 50), (80, 75)] {
+            sink.begin_span_with_parent(Some(root));
+            sink.begin_span();
+            sink.end_span(EventClass::EnginePut, ns(10), ns(put_end), 512);
+            sink.end_span(EventClass::GroupCommit, ns(10), ns(end), 512);
+        }
+        sink.emit_ctx(EventClass::ServerWrite, ns(0), ns(100), 64, root);
+        let p = CriticalPath::from_tree(&sink.tree(root.trace).unwrap());
+        assert_eq!(p.total_ns, 100);
+        assert_eq!(p.segments.iter().sum::<u64>(), 100, "overlap must not be counted twice");
+        // The union of the two puts is [10,75); the groups' own tails are
+        // [75,80) — shard 0's [50,60) lies under shard 1's deeper put.
+        assert_eq!(p.segment("wal_write"), 65);
+        assert_eq!(p.segment("group_wait"), 5);
+        assert_eq!(p.segment("admission"), 30, "queueing ends when the round begins");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 # `all` measures every workload BENCHMARK.json lists, one after the other.
 # The output ends with one verdict line per workload — which metrics earned
 # `claim`, which are worse than their bound, which virtual metrics differ
-# inside a same-seed pair — because a change is rejected on any of the
-# metric x workload cells, not only on the one it claims.
+# inside a same-seed pair (and whether the worst pair stays inside the
+# bound) — because a change is rejected on any of the metric x workload
+# cells, not only on the one it claims.
 #
 # "Change" is the working tree as it stands; "parent" is <parent-rev>,
 # exported with `git archive` into target/ledger-pairs/<sha>/ (git-ignored,
@@ -31,9 +32,12 @@
 # the change won at least nine tenths of the pairs (ties count for
 # neither) and the medians differ by more than the parent's own
 # interquartile distance. A metric is `WORSE` when the change's median is
-# worse than the parent's by more than the metric's `bound`, and a virtual
-# metric (every one but `setup_s` and `host_*`) is `DIFFERS` when any pair
-# disagrees on it. Nothing else should run on the box meanwhile.
+# worse than the parent's by more than the metric's `bound`. A virtual
+# metric (every one but `setup_s` and `host_*`) that any pair disagrees on
+# also shows, beside the median's delta, the worst pair's delta signed in
+# the metric's own "worse" direction (positive = the change is worse), and
+# is `DIFFERS` when even that pair is inside the bound, `DIFFERS>BOUND`
+# when a pair is beyond it. Nothing else should run on the box meanwhile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -130,19 +134,25 @@ measure() { # workload
                     }
                     sorted("parent"); pm = quantile(2); p1 = quantile(1); p3 = quantile(3)
                     sorted("change"); cm = quantile(2); c1 = quantile(1); c3 = quantile(3)
+                    # d is signed so that positive means the change is worse.
                     for (i = 1; i <= pairs; i++) {
                         d = v["change", i] - v["parent", i]
                         if (better == "higher") d = -d
                         if (d < 0) wins++; else if (d > 0) losses++
+                        base = v["parent", i] < 0 ? -v["parent", i] : v["parent", i]
+                        rel = (base != 0) ? d / base : (d != 0) ? 1e300 : 0
+                        if (i == 1 || rel > worst) worst = rel
                     }
                     gain = (better == "higher") ? cm - pm : pm - cm
                     verdict = (pairs >= 10 && wins * 10 >= pairs * 9 && gain > p3 - p1) ? "claim" : \
                               (wins + losses == 0) ? "equal" : "-"
                     if (pm != 0 && -gain / (pm < 0 ? -pm : pm) > bound) verdict = verdict " WORSE"
                     virtual = metric != "setup_s" && metric !~ /^host_/
-                    if (virtual && wins + losses > 0) verdict = verdict " DIFFERS"
-                    printf "%-17s %-6s parent %.6g [%.6g .. %.6g]  change %.6g [%.6g .. %.6g]  %+.1f%%  wins %d/%d losses %d  %s\n", \
-                        metric, better, pm, p1, p3, cm, c1, c3, (pm != 0) ? (cm - pm) / pm * 100 : 0, wins, pairs, losses, verdict
+                    differs = virtual && wins + losses > 0
+                    if (differs) verdict = verdict ((worst > bound) ? " DIFFERS>BOUND" : " DIFFERS")
+                    printf "%-17s %-6s parent %.6g [%.6g .. %.6g]  change %.6g [%.6g .. %.6g]  %+.1f%%%s  wins %d/%d losses %d  %s\n", \
+                        metric, better, pm, p1, p3, cm, c1, c3, (pm != 0) ? (cm - pm) / pm * 100 : 0, \
+                        differs ? sprintf(" (worst pair %+.1f%% worse)", worst * 100) : "", wins, pairs, losses, verdict
                 }'
         done
 }
@@ -152,16 +162,17 @@ measure() { # workload
 verdict() { # workload table-file
     awk -v workload="$1" '
         $2 == "higher" || $2 == "lower" {
-            for (i = NF; i > 0 && $i ~ /^(claim|equal|-|WORSE|DIFFERS)$/; i--) seen[$i] = seen[$i] " " $1
+            for (i = NF; i > 0 && $i ~ /^(claim|equal|-|WORSE|DIFFERS|DIFFERS>BOUND)$/; i--) seen[$i] = seen[$i] " " $1
             next
         }
         / failed operations: / { failed[$1] = $4 }
         /missing from a result line/ { seen["WORSE"] = seen["WORSE"] " " $1 "(missing)" }
         END {
-            printf "verdict %-6s claim:%s | worse than bound:%s | virtual metric differs in a pair:%s | failed operations: parent %d change %d\n", \
+            printf "verdict %-6s claim:%s | worse than bound:%s | virtual metric differs, worst pair inside bound:%s | differs, a pair beyond bound:%s | failed operations: parent %d change %d\n", \
                 workload, (seen["claim"] == "") ? " no claim" : seen["claim"], \
                 (seen["WORSE"] == "") ? " none" : seen["WORSE"], \
-                (seen["DIFFERS"] == "") ? " none" : seen["DIFFERS"], failed["parent"], failed["change"]
+                (seen["DIFFERS"] == "") ? " none" : seen["DIFFERS"], \
+                (seen["DIFFERS>BOUND"] == "") ? " none" : seen["DIFFERS>BOUND"], failed["parent"], failed["change"]
         }' "$2"
 }
 

@@ -24,10 +24,12 @@
 //! bridge for server-fronted replication.
 
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback};
-use nob_server::{shared as shared_server, Client, LoopbackTransport, ServerCore, ServerOptions};
+use nob_server::{
+    shared as shared_server, Client, LoopbackTransport, Request, ServerCore, ServerOptions,
+};
 use nob_sim::Nanos;
 use nob_store::{Store, StoreOptions};
-use nob_trace::{EventClass, TraceNode, TraceSink};
+use nob_trace::{CriticalPath, EventClass, TraceNode, TraceSink};
 use noblsm::WriteOptions;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/causal_tree.txt");
@@ -171,6 +173,66 @@ fn fixed_seed_golden_pins_the_rendered_chain() {
         "causal chain diverged from tests/golden/causal_tree.txt; \
          if intentional, rebless with NOB_BLESS=1"
     );
+}
+
+/// Two shards commit side by side in one drain: every request's segments
+/// still sum to its latency exactly, and a request on the second shard
+/// does not queue — in `admission` — behind the first shard's commit.
+#[test]
+fn side_by_side_shard_commits_keep_the_exact_sum_and_stay_out_of_admission() {
+    let sink = TraceSink::new();
+    let mut core = ServerCore::open(ServerOptions {
+        store: StoreOptions { shards: 2, ..StoreOptions::default() },
+        write: WriteOptions { sync: true, ..WriteOptions::default() },
+        ..ServerOptions::default()
+    })
+    .expect("open server");
+    core.set_trace_sink(sink.clone());
+    // Two pipelined SETs per shard, all parked on one drain.
+    let conn = core.connect();
+    let mut on_shard = [0usize; 2];
+    for i in 0u32.. {
+        let key = format!("key{i}").into_bytes();
+        let shard = core.store().shard_of(&key);
+        if on_shard[shard] < 2 {
+            on_shard[shard] += 1;
+            let set = Request::Set(key, vec![b'v'; 100 * (1 + shard)]);
+            core.feed(conn, &set.to_frame().to_bytes()).expect("feed");
+        }
+        if on_shard == [2, 2] {
+            break;
+        }
+    }
+    core.flush().expect("drain");
+    assert_eq!(core.store().stats().groups, 2, "one group per shard");
+
+    let roots = sink.trace_roots();
+    assert_eq!(roots.len(), 4, "four requests, four traces");
+    // Each request with the group it waited on (owned or grafted).
+    let mut waited = Vec::new();
+    for root in &roots {
+        let tree = sink.tree(root.trace).expect("tree");
+        let path = CriticalPath::from_tree(&tree);
+        let latency = (root.end - root.start).as_nanos();
+        assert_eq!(path.total_ns, latency, "nothing outlives the reply here");
+        assert_eq!(path.segments.iter().sum::<u64>(), latency, "exact sum:\n{}", tree.render());
+        let group = find(&tree, EventClass::GroupCommit).expect("group span").event;
+        assert_eq!(root.end, group.end, "durable when its own group is");
+        waited.push((path, group));
+    }
+    let first = waited.iter().map(|(_, g)| *g).min_by_key(|g| g.seq).expect("groups");
+    let second = waited.iter().map(|(_, g)| *g).max_by_key(|g| g.seq).expect("groups");
+    assert_ne!(first.span, second.span);
+    assert_eq!(second.start, first.start, "both shards' groups begin with the round");
+    assert!(second.end > first.end, "the larger group on its own device ends later");
+    for (path, group) in &waited {
+        if group.span == second.span {
+            assert!(
+                path.segment("admission") < first.duration().as_nanos(),
+                "a second-shard request queued behind the first shard's commit: {path:?}"
+            );
+        }
+    }
 }
 
 #[test]
