@@ -1,6 +1,6 @@
-//! A concatenating iterator over one sorted, non-overlapping level.
+//! The table-side children of an engine iterator: a table, or a
+//! concatenating iterator over one sorted, non-overlapping level.
 
-use std::borrow::Cow;
 use std::sync::Arc;
 
 use nob_sim::Nanos;
@@ -9,48 +9,88 @@ use crate::cache::TableCache;
 use crate::iterator::InternalIterator;
 use crate::sstable::TableIter;
 use crate::types::compare_internal;
-use crate::version::FileMetaData;
+use crate::version::{FileMetaData, Version};
 use crate::Result;
+
+/// A table-side child of an engine iterator: one `L0` table or one sorted
+/// run. Both own what they read — a table reader, or the table cache and
+/// the version or file list — so they can outlive the iterator that built
+/// them and be continued by a later one
+/// ([`DbIterator::detach`](crate::DbIterator::detach)).
+#[derive(Debug)]
+pub(crate) enum TableChild {
+    Table(TableIter),
+    Level(LevelIter),
+}
+
+impl TableChild {
+    pub(crate) fn as_dyn(&self) -> &dyn InternalIterator {
+        match self {
+            TableChild::Table(t) => t,
+            TableChild::Level(l) => l,
+        }
+    }
+
+    pub(crate) fn as_dyn_mut(&mut self) -> &mut (dyn InternalIterator + 'static) {
+        match self {
+            TableChild::Table(t) => t,
+            TableChild::Level(l) => l,
+        }
+    }
+}
+
+/// The sorted, non-overlapping files a [`LevelIter`] walks. Either way the
+/// iterator owns what it reads, so it can outlive the call that built it.
+pub(crate) enum Run {
+    /// A whole level of a version, walked in place: sharing the version
+    /// costs no allocation, cloning the level's file list would.
+    Level(Arc<Version>, usize),
+    /// A run picked out of a level (hot files, a fragmented level).
+    Files(Vec<Arc<FileMetaData>>),
+}
+
+impl Run {
+    fn files(&self) -> &[Arc<FileMetaData>] {
+        match self {
+            Run::Level(version, level) => &version.files[*level],
+            Run::Files(files) => files,
+        }
+    }
+}
 
 /// Iterates a level's files in order, holding at most one table open —
 /// LevelDB's "concatenating" iterator. Only valid for levels whose files
 /// are sorted and non-overlapping (leveled `L1+`).
-pub(crate) struct LevelIter<'a> {
-    tables: &'a TableCache,
-    /// A whole level, borrowed from the version the iterator reads, or an
-    /// owned run picked out of one (hot files, a fragmented level).
-    files: Cow<'a, [Arc<FileMetaData>]>,
+pub(crate) struct LevelIter {
+    tables: Arc<TableCache>,
+    run: Run,
     index: usize,
     cur: Option<TableIter>,
     fill_cache: bool,
 }
 
-impl<'a> std::fmt::Debug for LevelIter<'a> {
+impl std::fmt::Debug for LevelIter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LevelIter")
-            .field("files", &self.files.len())
+            .field("files", &self.run.files().len())
             .field("index", &self.index)
             .finish()
     }
 }
 
-impl<'a> LevelIter<'a> {
-    /// Creates an iterator over `files` (must be sorted by smallest key
-    /// and non-overlapping), with explicit block-cache population.
-    pub(crate) fn new(
-        tables: &'a TableCache,
-        files: impl Into<Cow<'a, [Arc<FileMetaData>]>>,
-        fill_cache: bool,
-    ) -> Self {
-        LevelIter { tables, files: files.into(), index: 0, cur: None, fill_cache }
+impl LevelIter {
+    /// Creates an iterator over `run` (must be sorted by smallest key and
+    /// non-overlapping), with explicit block-cache population.
+    pub(crate) fn new(tables: Arc<TableCache>, run: Run, fill_cache: bool) -> Self {
+        LevelIter { tables, run, index: 0, cur: None, fill_cache }
     }
 
     fn open_index(&mut self, now: &mut Nanos) -> Result<()> {
-        if self.index >= self.files.len() {
+        let Some(file) = self.run.files().get(self.index) else {
             self.cur = None;
             return Ok(());
-        }
-        let table = self.tables.table(&self.files[self.index], now)?;
+        };
+        let table = self.tables.table(file, now)?;
         self.cur = Some(table.iter(self.fill_cache));
         Ok(())
     }
@@ -82,7 +122,7 @@ impl<'a> LevelIter<'a> {
     }
 }
 
-impl<'a> InternalIterator for LevelIter<'a> {
+impl InternalIterator for LevelIter {
     fn valid(&self) -> bool {
         self.cur.as_ref().is_some_and(|c| c.valid())
     }
@@ -98,8 +138,10 @@ impl<'a> InternalIterator for LevelIter<'a> {
 
     fn seek(&mut self, target: &[u8], now: &mut Nanos) -> Result<()> {
         // Binary search: the first file whose largest key is >= target.
-        self.index =
-            self.files.partition_point(|f| compare_internal(f.largest.as_bytes(), target).is_lt());
+        self.index = self
+            .run
+            .files()
+            .partition_point(|f| compare_internal(f.largest.as_bytes(), target).is_lt());
         self.open_index(now)?;
         if let Some(c) = self.cur.as_mut() {
             c.seek(target, now)?;
@@ -115,11 +157,11 @@ impl<'a> InternalIterator for LevelIter<'a> {
     }
 
     fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
-        if self.files.is_empty() {
+        let Some(last) = self.run.files().len().checked_sub(1) else {
             self.cur = None;
             return Ok(());
-        }
-        self.index = self.files.len() - 1;
+        };
+        self.index = last;
         self.open_index(now)?;
         if let Some(c) = self.cur.as_mut() {
             c.seek_to_last(now)?;

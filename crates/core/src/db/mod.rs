@@ -35,6 +35,7 @@ mod repair;
 mod write;
 
 pub use batch::WriteBatch;
+pub(crate) use level_iter::TableChild;
 pub use repair::RepairReport;
 
 use std::collections::BTreeMap;
@@ -96,7 +97,9 @@ pub struct Db {
     wal_number: u64,
     wal_writer: LogWriter,
     versions: VersionSet,
-    tables: TableCache,
+    /// Shared with the level iterators a detached
+    /// [`IterState`](crate::iterator::IterState) keeps.
+    tables: Arc<TableCache>,
     events: EventQueue<DbEvent>,
     /// Compaction lanes, admission policy and the books of in-flight
     /// majors: *whether* and *where* a job runs (the engine only picks

@@ -2,6 +2,7 @@
 //! WAL replay.
 
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use nob_compact::{PriorityPolicy, Scheduler};
 use nob_ext4::Ext4Fs;
@@ -93,7 +94,7 @@ impl Db {
             wal_number,
             wal_writer: LogWriter::new(),
             versions,
-            tables,
+            tables: Arc::new(tables),
             events: EventQueue::new(),
             sched,
             minor_inflight: false,

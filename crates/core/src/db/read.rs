@@ -5,14 +5,14 @@ use std::sync::Arc;
 use nob_sim::Nanos;
 use nob_trace::EventClass;
 
-use crate::iterator::{DbIterator, InternalIterator, MergingIterator};
+use crate::iterator::{DbIterator, InternalIterator, IterState, MergingIterator};
 use crate::memtable::MemLookup;
 use crate::options::{CompactionStyle, ReadOptions, ScanOptions};
 use crate::types::{compare_internal, lookup_key, user_key};
 use crate::version::{FileMetaData, GetResult};
 use crate::{Result, SequenceNumber};
 
-use super::level_iter::LevelIter;
+use super::level_iter::{LevelIter, Run, TableChild};
 use super::{Db, ScanCollector, ScanResult, Snapshot};
 
 impl Db {
@@ -147,6 +147,55 @@ impl Db {
         self.iter_internal(now, seq, true)
     }
 
+    /// Continues the iterator `state` was [detached](DbIterator::detach)
+    /// from, positioned at the first live user key ≥ `resume_key`. That
+    /// iterator must have been at rest there (or exhausted, with no live
+    /// key at or after `resume_key`) — the key a truncated scan hands back
+    /// as its `resume`.
+    ///
+    /// The rule is *validate, don't pin*: once the completions due by now
+    /// have applied, the state's table and level iterators carry on from
+    /// the blocks they hold only if the version they read is still the
+    /// current one and `ropts` names the same snapshot and `fill_cache`;
+    /// only the memtable children are built and sought afresh. Any other
+    /// state is dropped and the iterator is built and sought the way
+    /// [`Db::iter`] + [`DbIterator::seek`] would — same rows, one block
+    /// read per child dearer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem/corruption errors.
+    pub fn iter_resume(
+        &mut self,
+        ropts: &ReadOptions<'_>,
+        state: IterState,
+        resume_key: &[u8],
+    ) -> Result<DbIterator<'_>> {
+        let now = self.clock.now();
+        let seq = ropts.snapshot.map_or(self.versions.last_sequence, Snapshot::sequence);
+        self.pump(now)?;
+        let held = state.forward
+            && Arc::ptr_eq(&state.version, self.versions.current_ref())
+            && state.snapshot == seq
+            && state.fill_cache == ropts.fill_cache;
+        if !held {
+            let mut it = self.build_iter(now, seq, ropts.fill_cache)?;
+            it.seek(resume_key)?;
+            return Ok(it);
+        }
+        self.stats.iters_resumed += 1;
+        let mut it = DbIterator::new(
+            MergingIterator::with_tail(self.mem_children(), state.tables),
+            state.version,
+            seq,
+            ropts.fill_cache,
+            now,
+            self.opts.cpu.next,
+        );
+        it.resume(resume_key)?;
+        Ok(it)
+    }
+
     fn iter_internal(
         &mut self,
         now: Nanos,
@@ -154,15 +203,34 @@ impl Db {
         fill_cache: bool,
     ) -> Result<DbIterator<'_>> {
         self.pump(now)?;
-        // The version cannot change while the iterator borrows the engine,
-        // so whole levels are walked in place.
-        let version = self.versions.current_ref();
-        let mut now = now;
-        let mut children: Vec<Box<dyn InternalIterator + '_>> = Vec::new();
-        children.push(Box::new(self.mem.internal_iter()));
+        self.build_iter(now, snapshot, fill_cache)
+    }
+
+    /// The memtable children of an iterator: they borrow the engine, so
+    /// every iterator builds its own.
+    fn mem_children(&self) -> Vec<Box<dyn InternalIterator + '_>> {
+        let mut front: Vec<Box<dyn InternalIterator + '_>> = Vec::with_capacity(2);
+        front.push(Box::new(self.mem.internal_iter()));
         if let Some(imm) = &self.imm {
-            children.push(Box::new(imm.internal_iter()));
+            front.push(Box::new(imm.internal_iter()));
         }
+        front
+    }
+
+    /// An unpositioned iterator over the memtables and the current version.
+    fn build_iter(
+        &self,
+        mut now: Nanos,
+        snapshot: SequenceNumber,
+        fill_cache: bool,
+    ) -> Result<DbIterator<'_>> {
+        // The table-side children share the version and the table cache, so
+        // whole levels are walked in place and the children can outlive
+        // this borrow of the engine (`DbIterator::detach`).
+        let version = self.versions.current_ref();
+        let level_iter =
+            |run| TableChild::Level(LevelIter::new(Arc::clone(&self.tables), run, fill_cache));
+        let mut tail: Vec<TableChild> = Vec::new();
         for (level, files) in version.files.iter().enumerate() {
             if files.is_empty() {
                 continue;
@@ -170,7 +238,7 @@ impl Db {
             if level == 0 {
                 for f in files {
                     let t = self.tables.table(f, &mut now)?;
-                    children.push(Box::new(t.iter(fill_cache)));
+                    tail.push(TableChild::Table(t.iter(fill_cache)));
                 }
             } else if self.opts.style == CompactionStyle::Fragmented {
                 // A fragmented level is a stack of sorted runs (each
@@ -178,24 +246,27 @@ impl Db {
                 // concatenating iterator per run bounds scan cost by the
                 // generation count — the same effect PebblesDB's guards
                 // have on reads.
-                for run in sorted_runs(files.clone()) {
-                    children.push(Box::new(LevelIter::new(&self.tables, run, fill_cache)));
-                }
+                tail.extend(sorted_runs(files.clone()).into_iter().map(Run::Files).map(level_iter));
             } else if files.iter().any(|f| f.hot) {
                 // Hot (overlapping) files form their own runs; the sorted
                 // cold remainder uses one concatenating iterator.
                 let (hot, cold): (Vec<_>, Vec<_>) = files.iter().cloned().partition(|f| f.hot);
-                for run in sorted_runs(hot) {
-                    children.push(Box::new(LevelIter::new(&self.tables, run, fill_cache)));
-                }
+                tail.extend(sorted_runs(hot).into_iter().map(Run::Files).map(level_iter));
                 if !cold.is_empty() {
-                    children.push(Box::new(LevelIter::new(&self.tables, cold, fill_cache)));
+                    tail.push(level_iter(Run::Files(cold)));
                 }
             } else {
-                children.push(Box::new(LevelIter::new(&self.tables, &files[..], fill_cache)));
+                tail.push(level_iter(Run::Level(Arc::clone(version), level)));
             }
         }
-        Ok(DbIterator::new(MergingIterator::new(children), snapshot, now, self.opts.cpu.next))
+        Ok(DbIterator::new(
+            MergingIterator::with_tail(self.mem_children(), tail),
+            Arc::clone(version),
+            snapshot,
+            fill_cache,
+            now,
+            self.opts.cpu.next,
+        ))
     }
 
     /// Range scan under [`ReadOptions`] + [`ScanOptions`] — the canonical

@@ -2,12 +2,15 @@
 //! iterator, and the user-facing [`DbIterator`].
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use nob_sim::Nanos;
 
+use crate::db::TableChild;
 use crate::types::{
     compare_internal, lookup_key, pack_trailer, sequence_of, user_key, value_type_of,
 };
+use crate::version::Version;
 use crate::{Result, SequenceNumber, ValueType};
 
 /// An iterator over encoded internal keys, charging I/O to a virtual
@@ -125,8 +128,15 @@ enum Direction {
 /// Merges several internal iterators into one sorted stream (both
 /// directions; switching direction repositions the non-current children,
 /// as in LevelDB).
+///
+/// The children come in two lists, merged as one: a *front* that may
+/// borrow (an engine's memtables) and a *tail* that owns what it reads
+/// (tables and levels), so the tail can leave the iterator where it stands
+/// and be continued by a later one ([`DbIterator::detach`]).
 pub struct MergingIterator<'a> {
-    children: Vec<Box<dyn InternalIterator + 'a>>,
+    front: Vec<Box<dyn InternalIterator + 'a>>,
+    tail: Vec<TableChild>,
+    /// Index into `front` followed by `tail`.
     current: Option<usize>,
     direction: Direction,
 }
@@ -134,7 +144,7 @@ pub struct MergingIterator<'a> {
 impl<'a> std::fmt::Debug for MergingIterator<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MergingIterator")
-            .field("children", &self.children.len())
+            .field("children", &self.len())
             .field("current", &self.current)
             .finish()
     }
@@ -143,45 +153,64 @@ impl<'a> std::fmt::Debug for MergingIterator<'a> {
 impl<'a> MergingIterator<'a> {
     /// Creates a merging iterator over `children`.
     pub fn new(children: Vec<Box<dyn InternalIterator + 'a>>) -> Self {
-        MergingIterator { children, current: None, direction: Direction::Forward }
+        MergingIterator::with_tail(children, Vec::new())
     }
 
-    fn find_largest(&mut self) {
-        let mut best: Option<usize> = None;
-        for (i, c) in self.children.iter().enumerate() {
-            if !c.valid() {
-                continue;
-            }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    if compare_internal(c.key(), self.children[b].key()) == Ordering::Greater {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+    /// Creates a merging iterator over `front` followed by `tail`.
+    pub(crate) fn with_tail(
+        front: Vec<Box<dyn InternalIterator + 'a>>,
+        tail: Vec<TableChild>,
+    ) -> Self {
+        MergingIterator { front, tail, current: None, direction: Direction::Forward }
+    }
+
+    /// The tail children, each where the merge left it.
+    pub(crate) fn into_tail(self) -> Vec<TableChild> {
+        self.tail
+    }
+
+    /// Seeks the front children only and merges them with a tail that
+    /// already rests at or after `target`, moving forward.
+    pub(crate) fn seek_front(&mut self, target: &[u8], now: &mut Nanos) -> Result<()> {
+        for c in &mut self.front {
+            c.seek(target, now)?;
         }
-        self.current = best;
+        self.direction = Direction::Forward;
+        self.find(Ordering::Less);
+        Ok(())
     }
 
-    fn find_smallest(&mut self) {
+    fn len(&self) -> usize {
+        self.front.len() + self.tail.len()
+    }
+
+    fn child(&self, i: usize) -> &dyn InternalIterator {
+        match i.checked_sub(self.front.len()) {
+            None => &*self.front[i],
+            Some(t) => self.tail[t].as_dyn(),
+        }
+    }
+
+    fn child_mut(&mut self, i: usize) -> &mut (dyn InternalIterator + 'a) {
+        match i.checked_sub(self.front.len()) {
+            None => &mut *self.front[i],
+            Some(t) => self.tail[t].as_dyn_mut(),
+        }
+    }
+
+    /// Makes the valid child whose key compares `want` to every other's
+    /// current: `Less` finds the smallest, `Greater` the largest; the
+    /// earliest child wins a tie.
+    fn find(&mut self, want: Ordering) {
         let mut best: Option<usize> = None;
-        for (i, c) in self.children.iter().enumerate() {
+        for i in 0..self.len() {
+            let c = self.child(i);
             if !c.valid() {
                 continue;
             }
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    if compare_internal(c.key(), self.children[b].key()) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+            if best.is_none_or(|b| compare_internal(c.key(), self.child(b).key()) == want) {
+                best = Some(i);
+            }
         }
         self.current = best;
     }
@@ -193,20 +222,20 @@ impl<'a> InternalIterator for MergingIterator<'a> {
     }
 
     fn seek_to_first(&mut self, now: &mut Nanos) -> Result<()> {
-        for c in &mut self.children {
-            c.seek_to_first(now)?;
+        for i in 0..self.len() {
+            self.child_mut(i).seek_to_first(now)?;
         }
         self.direction = Direction::Forward;
-        self.find_smallest();
+        self.find(Ordering::Less);
         Ok(())
     }
 
     fn seek(&mut self, target: &[u8], now: &mut Nanos) -> Result<()> {
-        for c in &mut self.children {
-            c.seek(target, now)?;
+        for i in 0..self.len() {
+            self.child_mut(i).seek(target, now)?;
         }
         self.direction = Direction::Forward;
-        self.find_smallest();
+        self.find(Ordering::Less);
         Ok(())
     }
 
@@ -215,28 +244,25 @@ impl<'a> InternalIterator for MergingIterator<'a> {
         if self.direction == Direction::Backward {
             // Non-current children sit at entries <= key(); move each to
             // the first entry after it.
-            let key = self.children[i].key().to_vec();
-            for (j, c) in self.children.iter_mut().enumerate() {
-                if j == i {
-                    continue;
-                }
-                c.seek(&key, now)?;
+            let key = self.child(i).key().to_vec();
+            for j in (0..self.len()).filter(|&j| j != i) {
                 // Internal keys are unique, so a child positioned exactly
                 // at `key` cannot occur; `seek` already lands after it.
+                self.child_mut(j).seek(&key, now)?;
             }
             self.direction = Direction::Forward;
         }
-        self.children[i].next(now)?;
-        self.find_smallest();
+        self.child_mut(i).next(now)?;
+        self.find(Ordering::Less);
         Ok(())
     }
 
     fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
-        for c in &mut self.children {
-            c.seek_to_last(now)?;
+        for i in 0..self.len() {
+            self.child_mut(i).seek_to_last(now)?;
         }
         self.direction = Direction::Backward;
-        self.find_largest();
+        self.find(Ordering::Greater);
         Ok(())
     }
 
@@ -245,11 +271,9 @@ impl<'a> InternalIterator for MergingIterator<'a> {
         if self.direction == Direction::Forward {
             // Non-current children sit at entries >= key(); move each to
             // the last entry before it.
-            let key = self.children[i].key().to_vec();
-            for (j, c) in self.children.iter_mut().enumerate() {
-                if j == i {
-                    continue;
-                }
+            let key = self.child(i).key().to_vec();
+            for j in (0..self.len()).filter(|&j| j != i) {
+                let c = self.child_mut(j);
                 c.seek(&key, now)?;
                 if c.valid() {
                     c.prev(now)?;
@@ -259,17 +283,17 @@ impl<'a> InternalIterator for MergingIterator<'a> {
             }
             self.direction = Direction::Backward;
         }
-        self.children[i].prev(now)?;
-        self.find_largest();
+        self.child_mut(i).prev(now)?;
+        self.find(Ordering::Greater);
         Ok(())
     }
 
     fn key(&self) -> &[u8] {
-        self.children[self.current.expect("valid")].key()
+        self.child(self.current.expect("valid")).key()
     }
 
     fn value(&self) -> &[u8] {
-        self.children[self.current.expect("valid")].value()
+        self.child(self.current.expect("valid")).value()
     }
 }
 
@@ -285,7 +309,10 @@ impl<'a> InternalIterator for MergingIterator<'a> {
 /// [`now`](DbIterator::now) when done.
 pub struct DbIterator<'a> {
     inner: MergingIterator<'a>,
+    /// The version the table-side children read.
+    version: Arc<Version>,
     snapshot: SequenceNumber,
+    fill_cache: bool,
     now: Nanos,
     valid: bool,
     per_entry_cpu: Nanos,
@@ -309,20 +336,52 @@ impl<'a> std::fmt::Debug for DbIterator<'a> {
 impl<'a> DbIterator<'a> {
     pub(crate) fn new(
         inner: MergingIterator<'a>,
+        version: Arc<Version>,
         snapshot: SequenceNumber,
+        fill_cache: bool,
         now: Nanos,
         per_entry_cpu: Nanos,
     ) -> Self {
         DbIterator {
             inner,
+            version,
             snapshot,
+            fill_cache,
             now,
             valid: false,
             per_entry_cpu,
-            direction: Direction::Forward,
+            // Nothing reads the direction of an iterator that is not valid,
+            // so until a seek positions it, it reads as "not at rest moving
+            // forward" — the one thing `detach` asks.
+            direction: Direction::Backward,
             saved_key: Vec::new(),
             saved_value: Vec::new(),
         }
+    }
+
+    /// Takes the iterator apart, keeping its table-side children exactly
+    /// where they stand so that [`Db::iter_resume`](crate::Db::iter_resume)
+    /// can continue them instead of re-seeking. The memtable children,
+    /// which borrow the engine, are dropped.
+    pub fn detach(self) -> IterState {
+        IterState {
+            forward: self.direction == Direction::Forward,
+            tables: self.inner.into_tail(),
+            version: self.version,
+            snapshot: self.snapshot,
+            fill_cache: self.fill_cache,
+        }
+    }
+
+    /// Continues a detached iterator's table-side children: only the
+    /// memtable children, built anew, are sought to `target`.
+    pub(crate) fn resume(&mut self, target: &[u8]) -> Result<()> {
+        lookup_key(&mut self.saved_key, target, self.snapshot);
+        let mut now = self.now;
+        self.inner.seek_front(&self.saved_key, &mut now)?;
+        self.now = now;
+        self.direction = Direction::Forward;
+        self.advance_to_visible(false)
     }
 
     /// The iterator's virtual clock.
@@ -520,6 +579,32 @@ impl<'a> DbIterator<'a> {
     }
 }
 
+/// What is left of a [`DbIterator`] after [`detach`](DbIterator::detach):
+/// the version it read and its table and level iterators, each still on the
+/// block it had loaded. It holds memory — at most one data block per child
+/// — and no file: a state whose version is no longer the engine's current
+/// one is dropped by [`Db::iter_resume`](crate::Db::iter_resume), never
+/// waited for, so it delays neither a compaction nor the reclamation of a
+/// shadow file.
+pub struct IterState {
+    pub(crate) version: Arc<Version>,
+    pub(crate) tables: Vec<TableChild>,
+    pub(crate) snapshot: SequenceNumber,
+    pub(crate) fill_cache: bool,
+    /// The iterator was at rest moving forward, the only position
+    /// `iter_resume` can continue from.
+    pub(crate) forward: bool,
+}
+
+impl std::fmt::Debug for IterState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IterState")
+            .field("tables", &self.tables.len())
+            .field("snapshot", &self.snapshot)
+            .finish()
+    }
+}
+
 /// Overwrites `buf` with `bytes`, keeping its allocation.
 fn replace(buf: &mut Vec<u8>, bytes: &[u8]) {
     buf.clear();
@@ -533,6 +618,10 @@ mod tests {
 
     fn entry(key: &str, seq: u64, vt: ValueType, value: &str) -> (Vec<u8>, Vec<u8>) {
         (InternalKey::new(key.as_bytes(), seq, vt).as_bytes().to_vec(), value.as_bytes().to_vec())
+    }
+
+    fn db_iter(m: MergingIterator<'_>, snapshot: u64, per_entry_cpu: Nanos) -> DbIterator<'_> {
+        DbIterator::new(m, Arc::new(Version::new(1)), snapshot, true, Nanos::ZERO, per_entry_cpu)
     }
 
     fn sorted(mut v: Vec<(Vec<u8>, Vec<u8>)>) -> Vec<(Vec<u8>, Vec<u8>)> {
@@ -599,7 +688,7 @@ mod tests {
         let m = MergingIterator::new(vec![
             Box::new(VecIterator::new(data)) as Box<dyn InternalIterator>
         ]);
-        let mut it = DbIterator::new(m, 100, Nanos::ZERO, Nanos::from_nanos(100));
+        let mut it = db_iter(m, 100, Nanos::from_nanos(100));
         it.seek_to_first().unwrap();
         let mut out = Vec::new();
         while it.valid() {
@@ -620,7 +709,7 @@ mod tests {
         let m = MergingIterator::new(vec![
             Box::new(VecIterator::new(data)) as Box<dyn InternalIterator>
         ]);
-        let mut it = DbIterator::new(m, 5, Nanos::ZERO, Nanos::ZERO);
+        let mut it = db_iter(m, 5, Nanos::ZERO);
         it.seek_to_first().unwrap();
         assert_eq!(it.value(), b"old");
         it.next().unwrap();
@@ -637,7 +726,7 @@ mod tests {
         let m = MergingIterator::new(vec![
             Box::new(VecIterator::new(data)) as Box<dyn InternalIterator>
         ]);
-        let mut it = DbIterator::new(m, 100, Nanos::ZERO, Nanos::ZERO);
+        let mut it = db_iter(m, 100, Nanos::ZERO);
         it.seek(b"b").unwrap();
         assert_eq!(it.key(), b"banana");
     }

@@ -74,7 +74,7 @@ pub mod util;
 
 pub use db::{Db, RepairReport, ScanCollector, ScanResult, Snapshot, WriteBatch};
 pub use error::{DbError, Error};
-pub use iterator::DbIterator;
+pub use iterator::{DbIterator, IterState};
 pub use options::{
     prefix_successor, CompactionStyle, CompressionType, CpuCosts, Durability, Options, ReadOptions,
     ScanOptions, SyncMode, WriteOptions,

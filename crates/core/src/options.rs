@@ -1,6 +1,8 @@
 //! Engine configuration: sync discipline, compaction style, sizes, CPU
 //! cost model.
 
+use std::borrow::Cow;
+
 use nob_sim::Nanos;
 
 /// When the engine calls `fsync`/`fdatasync`.
@@ -273,15 +275,16 @@ impl<'a> ScanOptions<'a> {
         }
     }
 
-    /// The effective exclusive upper bound after folding in `prefix`.
-    /// `None` means unbounded (possible even with a prefix of all-0xff
-    /// bytes, which has no byte-string successor).
-    pub fn effective_end(&self) -> Option<Vec<u8>> {
+    /// The effective exclusive upper bound after folding in `prefix`
+    /// (borrowed when it is `end` itself). `None` means unbounded
+    /// (possible even with a prefix of all-0xff bytes, which has no
+    /// byte-string successor).
+    pub fn effective_end(&self) -> Option<Cow<'a, [u8]>> {
         let from_prefix = self.prefix.and_then(prefix_successor);
         match (self.end, from_prefix) {
-            (Some(e), Some(p)) => Some(if e.to_vec() <= p { e.to_vec() } else { p }),
-            (Some(e), None) => Some(e.to_vec()),
-            (None, p) => p,
+            (Some(e), Some(p)) => Some(if e <= p.as_slice() { e.into() } else { p.into() }),
+            (Some(e), None) => Some(e.into()),
+            (None, p) => p.map(Cow::Owned),
         }
     }
 }
@@ -499,16 +502,16 @@ mod tests {
 
         let s = ScanOptions::range(b"b", b"d");
         assert_eq!(s.effective_start(), Some(&b"b"[..]));
-        assert_eq!(s.effective_end(), Some(b"d".to_vec()));
+        assert_eq!(s.effective_end().as_deref(), Some(&b"d"[..]));
 
         // Prefix tightens both bounds.
         let s = ScanOptions::range(b"a", b"z").with_prefix(b"key1");
         assert_eq!(s.effective_start(), Some(&b"key1"[..]));
-        assert_eq!(s.effective_end(), Some(b"key2".to_vec()));
+        assert_eq!(s.effective_end().as_deref(), Some(&b"key2"[..]));
         // A tighter explicit bound survives the prefix.
         let s = ScanOptions::range(b"key12", b"key15").with_prefix(b"key1");
         assert_eq!(s.effective_start(), Some(&b"key12"[..]));
-        assert_eq!(s.effective_end(), Some(b"key15".to_vec()));
+        assert_eq!(s.effective_end().as_deref(), Some(&b"key15"[..]));
     }
 
     #[test]

@@ -58,6 +58,9 @@ pub struct DbStats {
     pub wal_bytes_dropped: u64,
     /// SSTable files probed across all gets (read-amplification numerator).
     pub files_read_per_get: u64,
+    /// Iterators [`Db::iter_resume`](crate::Db::iter_resume) continued
+    /// from a detached state (a stale state is rebuilt and not counted).
+    pub iters_resumed: u64,
     /// Major-compaction time spent in the read (input I/O) stage.
     pub compact_read_time: Nanos,
     /// Major-compaction time spent in the merge (CPU) stage.

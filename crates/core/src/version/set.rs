@@ -170,7 +170,7 @@ impl VersionSet {
     }
 
     /// The current version, borrowed for as long as the set is.
-    pub(crate) fn current_ref(&self) -> &Version {
+    pub(crate) fn current_ref(&self) -> &Arc<Version> {
         &self.current
     }
 

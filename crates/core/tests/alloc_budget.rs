@@ -26,10 +26,12 @@
 //! GET (what is left is the filter's false positives), 0.0006 / 2.04 per
 //! scanned row through a sink that copies nothing (at the parent: a
 //! counting `Db::scan`, which copied key and value out of the block only to
-//! count them) and 6 / 10 per iterator construction + seek (the child
-//! list, two boxed children, the seek probe and the key buffers of the
-//! index and data block iterators; before, also the cloned level, its cold
-//! remainder and a copy each of the surfaced key and value). The counts are
+//! count them) and 6 / 10 per iterator construction + seek (two child lists
+//! — the memtable children, and since PR 22 the table-side ones a cursor
+//! can keep, apart — the boxed memtable child, the seek probe and the key
+//! buffers of the index and data block iterators; before, also the cloned
+//! level, its cold remainder and a copy each of the surfaced key and
+//! value). The counts are
 //! exact, so the same binary gives the same numbers on every run.
 //!
 //! The counter is this test binary's own `#[global_allocator]`, and the one

@@ -302,3 +302,55 @@ fn compressed_and_uncompressed_dbs_hold_same_data() {
     };
     assert_eq!(dump(noblsm::CompressionType::None), dump(noblsm::CompressionType::Rle));
 }
+
+#[test]
+fn only_an_iterator_at_rest_moving_forward_on_the_same_view_is_continued() {
+    let mut db = Db::open(fs(), "db", opts(SyncMode::NobLsm), Nanos::ZERO).unwrap();
+    let mut now = Nanos::ZERO;
+    for i in 0..300 {
+        now = common::put(&mut db, now, &key(i), &[b'v'; 100]).unwrap();
+    }
+    db.compact_range(now, None, None).unwrap();
+    let ropts = ReadOptions::default();
+    // What `iter_resume` surfaces from `key(10)` on, and how many states it
+    // has continued so far.
+    fn rest(db: &mut Db, ropts: &ReadOptions<'_>, state: noblsm::IterState) -> (Vec<Vec<u8>>, u64) {
+        let mut it = db.iter_resume(ropts, state, &key(10)).unwrap();
+        let mut keys = Vec::new();
+        while it.valid() {
+            keys.push(it.key().to_vec());
+            it.next().unwrap();
+        }
+        drop(it);
+        (keys, db.stats().iters_resumed)
+    }
+    let from_10: Vec<Vec<u8>> = (10..300).map(key).collect();
+
+    // Never positioned, and at rest moving backward: built and sought anew.
+    let unpositioned = db.iter(&ropts).unwrap().detach();
+    assert_eq!(rest(&mut db, &ropts, unpositioned), (from_10.clone(), 0));
+    let mut it = db.iter(&ropts).unwrap();
+    it.seek_to_last().unwrap();
+    it.prev().unwrap();
+    let backward = it.detach();
+    assert_eq!(rest(&mut db, &ropts, backward), (from_10.clone(), 0));
+
+    // At rest on the resume key: continued — unless the read options name
+    // another view than the one the state read. A write moves the latest
+    // view on; a pinned one stays.
+    let at_10 = |db: &mut Db, ropts: &ReadOptions<'_>| {
+        let mut it = db.iter(ropts).unwrap();
+        it.seek(&key(10)).unwrap();
+        it.detach()
+    };
+    let state = at_10(&mut db, &ropts);
+    assert_eq!(rest(&mut db, &ropts, state), (from_10.clone(), 1));
+    let state = at_10(&mut db, &ropts);
+    assert_eq!(rest(&mut db, &ropts.without_fill_cache(), state), (from_10.clone(), 1));
+    let snap = db.snapshot();
+    let (latest, pinned) = (at_10(&mut db, &ropts), at_10(&mut db, &ReadOptions::at(&snap)));
+    common::put(&mut db, now, &key(11), b"after the snapshot").unwrap();
+    assert_eq!(rest(&mut db, &ropts, latest), (from_10.clone(), 1));
+    assert_eq!(rest(&mut db, &ReadOptions::at(&snap), pinned), (from_10, 2));
+    db.release_snapshot(snap);
+}

@@ -32,7 +32,7 @@ use nob_metrics::{MetricKind, MetricsHub};
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions, Ticket};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
-use noblsm::{ReadOptions, Result, ScanOptions, Snapshot, WriteBatch, WriteOptions};
+use noblsm::{IterState, ReadOptions, Result, ScanOptions, Snapshot, WriteBatch, WriteOptions};
 
 use crate::proto::{
     number_line_ending_at, put_array_header, put_bulk, put_number_line, BatchOp, Decoder, Frame,
@@ -168,6 +168,10 @@ struct Cursor {
     snaps: Vec<Snapshot>,
     /// Inclusive start key of the next page.
     resume: Vec<u8>,
+    /// Every shard's iterator as the last page left it, resting at
+    /// `resume`: the next page continues the ones whose shard has not
+    /// changed version since. Memory only, freed with the lease.
+    held: Vec<IterState>,
     /// Exclusive end bound (`None` = to the last key).
     end: Option<Vec<u8>>,
     /// Rows per page (already clamped to `max_scan_page`).
@@ -214,6 +218,8 @@ struct Counters {
     cursors_opened: Arc<AtomicU64>,
     cursors_expired: Arc<AtomicU64>,
     cursors_open: Arc<AtomicU64>,
+    scan_resumes_held: Arc<AtomicU64>,
+    scan_resumes_rebuilt: Arc<AtomicU64>,
     busy_rejections: Arc<AtomicU64>,
     readonly_rejections: Arc<AtomicU64>,
     protocol_errors: Arc<AtomicU64>,
@@ -221,6 +227,8 @@ struct Counters {
     bytes_out: Arc<AtomicU64>,
     conns: Arc<AtomicU64>,
     inflight: Arc<AtomicU64>,
+    /// `StoreStats::unredeemed` as of the last flush.
+    unredeemed: Arc<AtomicU64>,
 }
 
 impl Counters {
@@ -245,6 +253,11 @@ pub struct ServerCore {
     next_conn: u64,
     /// Unresolved write tickets across all connections.
     inflight: usize,
+    /// Tickets of writes whose connection left before they resolved. The
+    /// writes still commit; nobody waits for the reply, so the next
+    /// [`flush`](ServerCore::flush) redeems them only for the store to
+    /// forget them.
+    orphans: Vec<Ticket>,
     max_scan_page: usize,
     max_cursors: usize,
     cursor_ttl: Nanos,
@@ -285,6 +298,7 @@ impl ServerCore {
             conns: BTreeMap::new(),
             next_conn: 0,
             inflight: 0,
+            orphans: Vec::new(),
             max_scan_page: opts.max_scan_page,
             max_cursors: opts.max_cursors,
             cursor_ttl: opts.cursor_ttl,
@@ -339,6 +353,10 @@ impl ServerCore {
         if let Some(conn) = self.conns.remove(&id) {
             self.inflight -= conn.inflight;
             self.counters.inflight.store(self.inflight as u64, Ordering::Relaxed);
+            self.orphans.extend(conn.replies.iter().filter_map(|slot| match slot {
+                PendingReply::Await { ticket, .. } => Some(*ticket),
+                PendingReply::Ready(_) => None,
+            }));
         }
         self.counters.conns.store(self.conns.len() as u64, Ordering::Relaxed);
     }
@@ -405,6 +423,16 @@ impl ServerCore {
                 &self.counters.cursors_expired,
             ),
             (
+                "scan_resumes_held",
+                "SCAN NEXT pages that continued every shard's held iterator",
+                &self.counters.scan_resumes_held,
+            ),
+            (
+                "scan_resumes_rebuilt",
+                "SCAN NEXT pages that rebuilt and re-sought an iterator (a shard changed version)",
+                &self.counters.scan_resumes_rebuilt,
+            ),
+            (
                 "busy_rejections",
                 "Requests rejected with -BUSY by admission control",
                 &self.counters.busy_rejections,
@@ -443,6 +471,13 @@ impl ServerCore {
                 cell.load(Ordering::Relaxed) as f64
             });
         }
+        let cell = Arc::clone(&self.counters.unredeemed);
+        hub.scoped("store.").register(
+            MetricKind::Gauge,
+            "unredeemed",
+            "Committed write tickets nobody has redeemed, as of the last flush",
+            move |_| cell.load(Ordering::Relaxed) as f64,
+        );
     }
 
     /// Feeds raw transport bytes into `id`'s decoder and executes every
@@ -512,6 +547,9 @@ impl ServerCore {
             }
         }
         self.counters.inflight.store(self.inflight as u64, Ordering::Relaxed);
+        let store = &mut self.store;
+        self.orphans.retain(|ticket| store.take_outcome(*ticket).is_none());
+        self.counters.unredeemed.store(store.stats().unredeemed, Ordering::Relaxed);
         Ok(())
     }
 
@@ -563,6 +601,14 @@ impl ServerCore {
         out.push_str(&format!("cursors_open:{}\n", self.cursors.len()));
         out.push_str(&format!("cursors_opened:{}\n", c.cursors_opened.load(Ordering::Relaxed)));
         out.push_str(&format!("cursors_expired:{}\n", c.cursors_expired.load(Ordering::Relaxed)));
+        out.push_str(&format!(
+            "scan_resumes_held:{}\n",
+            c.scan_resumes_held.load(Ordering::Relaxed)
+        ));
+        out.push_str(&format!(
+            "scan_resumes_rebuilt:{}\n",
+            c.scan_resumes_rebuilt.load(Ordering::Relaxed)
+        ));
         out.push_str(&format!("busy_rejections:{}\n", c.busy_rejections.load(Ordering::Relaxed)));
         out.push_str(&format!(
             "readonly_rejections:{}\n",
@@ -586,6 +632,7 @@ impl ServerCore {
         out.push_str(&format!("batches:{}\n", stats.batches));
         out.push_str(&format!("merged_bytes:{}\n", stats.merged_bytes));
         out.push_str(&format!("shipped_records:{}\n", stats.shipped_records));
+        out.push_str(&format!("unredeemed:{}\n", stats.unredeemed));
         out.push_str("# compaction\n");
         let lanes: Vec<String> =
             self.store.compaction_lanes().iter().map(|n| n.to_string()).collect();
@@ -757,39 +804,18 @@ impl ServerCore {
             self.push_frame(id, &Frame::busy());
             return Ok(());
         }
-        let page = (limit.min(self.max_scan_page as u64)) as usize;
-        let end = if end.is_empty() { None } else { Some(end) };
         let t0 = self.read_barrier()?;
-        let root = self.begin_request();
-        let snaps = self.store.pin_snapshots();
-        let scanned =
-            self.scan_one_page(&snaps, &start, end.as_deref(), page, prefix.as_deref(), count_only);
-        self.end_request();
-        let mut scanned = match scanned {
-            Ok(p) => p,
-            Err(e) => {
-                self.store.release_snapshots(snaps);
-                return Err(e);
-            }
+        let cur = Cursor {
+            snaps: self.store.pin_snapshots(),
+            resume: start,
+            held: Vec::new(),
+            end: if end.is_empty() { None } else { Some(end) },
+            page: (limit.min(self.max_scan_page as u64)) as usize,
+            prefix,
+            count_only,
+            deadline: t0,
         };
-        let cursor = match scanned.resume.take() {
-            Some(resume) => {
-                let cid = self.next_cursor;
-                self.next_cursor += 1;
-                let deadline = self.clock().now() + self.cursor_ttl;
-                self.cursors
-                    .insert(cid, Cursor { snaps, resume, end, page, prefix, count_only, deadline });
-                self.counters.cursors_opened.fetch_add(1, Ordering::Relaxed);
-                cid
-            }
-            None => {
-                self.store.release_snapshots(snaps);
-                0
-            }
-        };
-        self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
-        self.finish_scan_reply(id, cursor, scanned, count_only, t0, root);
-        Ok(())
+        self.serve_page(id, None, cur, t0)
     }
 
     /// `SCAN NEXT cursor`: serve the next page at the cursor's pinned
@@ -798,19 +824,26 @@ impl ServerCore {
     fn resume_scan(&mut self, id: ConnId, cid: u64) -> Result<()> {
         self.sweep_cursors();
         let t0 = self.clock().now();
-        let Some(mut cur) = self.cursors.remove(&cid) else {
+        let Some(cur) = self.cursors.remove(&cid) else {
             self.push_frame(id, &Frame::Error(format!("ERR cursor {cid} not found or expired")));
             return Ok(());
         };
+        self.serve_page(id, Some(cid), cur, t0)
+    }
+
+    /// Serves one page of `cur` — under the lease `cid` when it has one —
+    /// and parks the cursor again (minting the lease after a first page)
+    /// if the page stopped at its limit, or releases its snapshots.
+    fn serve_page(
+        &mut self,
+        id: ConnId,
+        cid: Option<u64>,
+        mut cur: Cursor,
+        t0: Nanos,
+    ) -> Result<()> {
         let root = self.begin_request();
-        let scanned = self.scan_one_page(
-            &cur.snaps,
-            &cur.resume,
-            cur.end.as_deref(),
-            cur.page,
-            cur.prefix.as_deref(),
-            cur.count_only,
-        );
+        let resumed_before = self.iters_resumed();
+        let scanned = self.scan_one_page(&mut cur);
         self.end_request();
         let mut scanned = match scanned {
             Ok(p) => p,
@@ -820,9 +853,25 @@ impl ServerCore {
                 return Err(e);
             }
         };
+        if cid.is_some() {
+            // A page kept its place only if every shard continued the
+            // iterator the last page left it.
+            let continued = self.iters_resumed() - resumed_before;
+            let cell = if continued == self.store.shards() as u64 {
+                &self.counters.scan_resumes_held
+            } else {
+                &self.counters.scan_resumes_rebuilt
+            };
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
         let count_only = cur.count_only;
         let cursor = match scanned.resume.take() {
             Some(resume) => {
+                let cid = cid.unwrap_or_else(|| {
+                    self.counters.cursors_opened.fetch_add(1, Ordering::Relaxed);
+                    self.next_cursor += 1;
+                    self.next_cursor - 1
+                });
                 cur.resume = resume;
                 cur.deadline = self.clock().now() + self.cursor_ttl;
                 self.cursors.insert(cid, cur);
@@ -838,37 +887,35 @@ impl ServerCore {
         Ok(())
     }
 
-    /// One scan page against pinned snapshots, each row encoded into the
-    /// reply as the merge surfaces it. Server scans never fill the block
-    /// cache: a client streaming a large range must not evict the
-    /// point-read hot set.
-    fn scan_one_page(
-        &mut self,
-        snaps: &[Snapshot],
-        start: &[u8],
-        end: Option<&[u8]>,
-        page: usize,
-        prefix: Option<&[u8]>,
-        count_only: bool,
-    ) -> Result<ScannedPage> {
+    /// Iterators the shards' engines have continued from a held state.
+    fn iters_resumed(&self) -> u64 {
+        (0..self.store.shards()).map(|i| self.store.shard_db(i).stats().iters_resumed).sum()
+    }
+
+    /// One scan page against the cursor's pinned snapshots, each row
+    /// encoded into the reply as the merge surfaces it; the shards'
+    /// iterators change hands through `cur.held`. Server scans never fill
+    /// the block cache: a client streaming a large range must not evict
+    /// the point-read hot set.
+    fn scan_one_page(&mut self, cur: &mut Cursor) -> Result<ScannedPage> {
         let sopts = ScanOptions {
-            start: Some(start),
-            end,
-            prefix,
-            limit: page,
-            count_only,
+            start: Some(&cur.resume),
+            end: cur.end.as_deref(),
+            prefix: cur.prefix.as_deref(),
+            limit: cur.page,
+            count_only: cur.count_only,
             fill_cache: false,
             ..ScanOptions::default()
         };
         let mut wire = Vec::new();
-        if !count_only {
+        if !cur.count_only {
             // Rows follow a header that cannot be written before the scan
             // ends; leave room for the longest one.
             wire.reserve(self.scan_reply_hint.max(PAGE_HEADER_MAX));
             wire.resize(PAGE_HEADER_MAX, 0);
         }
         let mut payload = 0u64;
-        let result = self.store.scan_at_with(snaps, &sopts, |k, v| {
+        let result = self.store.scan_at_with(&cur.snaps, &sopts, &mut cur.held, |k, v| {
             payload += (k.len() + v.len()) as u64;
             put_bulk(&mut wire, k);
             put_bulk(&mut wire, v);
@@ -1346,6 +1393,40 @@ mod tests {
         assert_eq!(decode_all(&core.take_output(c2)), vec![Frame::Bulk(b"1".to_vec())]);
     }
 
+    #[test]
+    fn tickets_orphaned_by_a_disconnect_are_redeemed_and_forgotten() {
+        let mut core = small_core(4096, 64);
+        let key = |conn: u32, i: u32| format!("c{conn:04}-{i}").into_bytes();
+        for conn in 0..1000 {
+            let c = core.connect();
+            for i in 0..3 {
+                feed_req(&mut core, c, &Request::Set(key(conn, i), b"v".to_vec()));
+            }
+            core.disconnect(c);
+        }
+        assert_eq!(core.inflight(), 0, "a disconnect hands its budget back at once");
+        core.flush().unwrap();
+        assert_eq!(core.store().stats().unredeemed, 0, "one entry leaked per orphaned write");
+        assert_eq!(info_counter(&core, "unredeemed"), 0);
+        assert!(core.orphans.is_empty());
+        // The writes nobody waited for still committed.
+        let c = core.connect();
+        let keys: Vec<Vec<u8>> =
+            (0..1000).flat_map(|conn| (0..3).map(move |i| key(conn, i))).collect();
+        for chunk in keys.chunks(50) {
+            feed_req(&mut core, c, &Request::MGet(chunk.to_vec()));
+            let replies = decode_all(&core.take_output(c));
+            assert_eq!(replies, vec![Frame::Array(vec![Frame::Bulk(b"v".to_vec()); chunk.len()])]);
+        }
+    }
+
+    /// A monotone counter of the `# server` or `# store` INFO section.
+    fn info_counter(core: &ServerCore, name: &str) -> u64 {
+        let info = core.info_text();
+        let value = info.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(':'));
+        value.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("INFO has no `{name}`: {info}"))
+    }
+
     /// The frame a scan page was before pages were encoded row by row:
     /// `*2 [:cursor, *2n k/v bulks]`, or `*2 [:cursor, :count]`.
     fn page_frame(cursor: u64, rows: &[(Vec<u8>, Vec<u8>)], count_only: bool) -> Frame {
@@ -1399,6 +1480,69 @@ mod tests {
                 }
                 feed_req(&mut core, c, &Request::ScanNext(cursor));
             }
+        }
+
+        /// Every `SCAN NEXT` page is counted once: `held` when both shards
+        /// continued the iterators the last page left them, `rebuilt` when
+        /// a shard moved to a new version in between — and the pages are
+        /// the pinned rows either way.
+        #[test]
+        fn every_resumed_page_is_counted_held_or_rebuilt(
+            limit in 1u64..24,
+            churn in pvec(any::<bool>(), 1..8),
+        ) {
+            let mut core = small_core(4096, 4096);
+            let c = core.connect();
+            let key = |i: u32| format!("key{i:03}").into_bytes();
+            for i in 0..120 {
+                feed_req(&mut core, c, &Request::Set(key(i), vec![7u8; 100]));
+            }
+            core.flush().unwrap();
+            let flush_shard = |core: &mut ServerCore, shard: usize| {
+                let now = core.clock().now();
+                core.store_mut().shard_db_mut(shard).flush(now).unwrap();
+            };
+            flush_shard(&mut core, 0);
+            flush_shard(&mut core, 1);
+            core.take_output(c);
+
+            feed_req(&mut core, c, &Request::scan(Vec::new(), Vec::new(), limit));
+            let (mut rows, mut held, mut rebuilt) = (Vec::new(), 0, 0);
+            for page in 0.. {
+                let replies = decode_all(&core.take_output(c));
+                let [Frame::Array(reply)] = replies.as_slice() else { panic!("{replies:?}") };
+                let [Frame::Integer(cursor), Frame::Array(flat)] = reply.as_slice() else {
+                    panic!("{reply:?}")
+                };
+                rows.extend(flat.chunks_exact(2).map(|kv| kv[0].clone()));
+                if *cursor == 0 {
+                    break;
+                }
+                // An overwrite after the pin reaches L0 on its shard: that
+                // shard's version is no longer the one the cursor read.
+                // (120 rows are at least six pages: both kinds occur.)
+                let churned = match page {
+                    0 => true,
+                    1 => false,
+                    _ => churn[page % churn.len()],
+                };
+                if churned {
+                    feed_req(&mut core, c, &Request::Set(key(page as u32), b"late".to_vec()));
+                    core.flush().unwrap();
+                    core.take_output(c);
+                    let shard = core.store().shard_of(&key(page as u32));
+                    flush_shard(&mut core, shard);
+                    rebuilt += 1;
+                } else {
+                    held += 1;
+                }
+                feed_req(&mut core, c, &Request::ScanNext(*cursor as u64));
+            }
+            let pinned: Vec<Frame> = (0..120).map(|i| Frame::Bulk(key(i))).collect();
+            prop_assert_eq!(rows, pinned);
+            prop_assert!(held > 0 && rebuilt > 0);
+            prop_assert_eq!(info_counter(&core, "scan_resumes_held"), held);
+            prop_assert_eq!(info_counter(&core, "scan_resumes_rebuilt"), rebuilt);
         }
     }
 }

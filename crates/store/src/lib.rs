@@ -68,8 +68,8 @@ use nob_metrics::MetricsHub;
 use nob_sim::{fnv1a, Nanos, SharedClock};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
 use noblsm::{
-    Db, Options, ReadOptions, ScanCollector, ScanOptions, ScanResult, Snapshot, ValueType,
-    WriteBatch, WriteOptions,
+    Db, DbIterator, IterState, Options, ReadOptions, ScanCollector, ScanOptions, ScanResult,
+    Snapshot, ValueType, WriteBatch, WriteOptions,
 };
 
 pub use noblsm::{Error, Result};
@@ -126,6 +126,11 @@ pub struct StoreStats {
     /// disabled); equals `groups` committed since
     /// [`Store::enable_shipping`].
     pub shipped_records: u64,
+    /// Tickets holding a durable instant nobody has redeemed yet with
+    /// [`Store::take_outcome`] — a gauge, not a counter. It returns to 0
+    /// whenever every writer has collected; one that only grows is a
+    /// writer that went away with its tickets.
+    pub unredeemed: u64,
 }
 
 /// One committed group captured for WAL shipping: the exact batch payload
@@ -266,7 +271,7 @@ impl Store {
 
     /// Aggregate group-commit counters.
     pub fn stats(&self) -> StoreStats {
-        self.stats
+        StoreStats { unredeemed: self.outcomes.len() as u64, ..self.stats }
     }
 
     /// Borrow shard `i`'s engine (stats, filesystem, crash injection).
@@ -591,7 +596,9 @@ impl Store {
     /// mismatch); otherwise propagates engine errors.
     pub fn scan_at(&mut self, snaps: &[Snapshot], sopts: &ScanOptions<'_>) -> Result<ScanResult> {
         let mut rows = Vec::new();
-        let page = self.scan_at_with(snaps, sopts, |k, v| rows.push((k.to_vec(), v.to_vec())))?;
+        let page = self.scan_at_with(snaps, sopts, &mut Vec::new(), |k, v| {
+            rows.push((k.to_vec(), v.to_vec()));
+        })?;
         Ok(ScanResult { rows, ..page })
     }
 
@@ -600,6 +607,17 @@ impl Store {
     /// server encodes rows straight into its reply this way. The returned
     /// [`ScanResult`] carries `count` and `resume`; its `rows` stay empty.
     ///
+    /// `held` lets a paged scan keep its place. When a forward page stops
+    /// at its limit, every shard's iterator is [detached] into it, in shard
+    /// order; handed back with the next page — the same snapshots and
+    /// options, `start` the `resume` key — each shard [continues] its own
+    /// instead of building and seeking a new one. It is left empty when the
+    /// range was exhausted (and by a reverse scan); a first page passes it
+    /// empty.
+    ///
+    /// [detached]: noblsm::DbIterator::detach
+    /// [continues]: Db::iter_resume
+    ///
     /// # Errors
     ///
     /// As for [`scan_at`](Store::scan_at).
@@ -607,6 +625,7 @@ impl Store {
         &mut self,
         snaps: &[Snapshot],
         sopts: &ScanOptions<'_>,
+        held: &mut Vec<IterState>,
         sink: impl FnMut(&[u8], &[u8]),
     ) -> Result<ScanResult> {
         if snaps.len() != self.shards.len() {
@@ -618,6 +637,11 @@ impl Store {
         let end = sopts.effective_end();
         let fallback = self.clock.now();
         let mut collector = ScanCollector::new(sopts, sink);
+        // States continue a forward scan from its resume key, one per shard.
+        if sopts.reverse || held.len() != self.shards.len() {
+            held.clear();
+        }
+        let mut states = held.drain(..);
         let mut iters = Vec::with_capacity(self.shards.len());
         for (shard, snap) in self.shards.iter_mut().zip(snaps) {
             let ropts = if sopts.fill_cache {
@@ -625,6 +649,10 @@ impl Store {
             } else {
                 ReadOptions::at(snap).without_fill_cache()
             };
+            if let Some((state, resume_key)) = states.next().zip(start) {
+                iters.push(shard.db.iter_resume(&ropts, state, resume_key)?);
+                continue;
+            }
             let mut it = shard.db.iter(&ropts)?;
             if sopts.reverse {
                 match end.as_deref() {
@@ -646,6 +674,7 @@ impl Store {
             }
             iters.push(it);
         }
+        drop(states);
         loop {
             let mut best: Option<usize> = None;
             for (i, it) in iters.iter().enumerate() {
@@ -682,9 +711,12 @@ impl Store {
             }
         }
         let end_t = iters.iter().map(|it| it.now()).max().unwrap_or(fallback);
-        drop(iters);
+        let result = collector.finish();
+        if result.resume.is_some() && !sopts.reverse {
+            held.extend(iters.into_iter().map(DbIterator::detach));
+        }
         self.clock.advance_to(end_t);
-        Ok(collector.finish())
+        Ok(result)
     }
 
     /// Range scan at the latest state: pins a cross-shard snapshot,

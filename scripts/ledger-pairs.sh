@@ -7,8 +7,10 @@
 # how many pairs the change won.
 #
 #     scripts/ledger-pairs.sh <parent-rev> <workload>|all [pairs=10]
+#     scripts/ledger-pairs.sh <parent-rev> <workload>|all --counters a,b,c
 #     scripts/ledger-pairs.sh HEAD~1 read
 #     scripts/ledger-pairs.sh HEAD~1 all
+#     scripts/ledger-pairs.sh HEAD~1 scan --counters core.cache_misses,store.groups
 #
 # `all` measures every workload BENCHMARK.json lists, one after the other.
 # The output ends with one verdict line per workload — which metrics earned
@@ -38,16 +40,36 @@
 # the metric's own "worse" direction (positive = the change is worse), and
 # is `DIFFERS` when even that pair is inside the bound, `DIFFERS>BOUND`
 # when a pair is beyond it. Nothing else should run on the box meanwhile.
+#
+# `--counters` answers the other question a perf change is asked — is the
+# saving where it was claimed? — and runs no pairs: one `--trace 1` run per
+# side at seed 1, then the named per-layer rows of BENCHMARK.json side by
+# side, `=` where they repeat exactly and the change's delta where they do
+# not. A name neither result line carries is an error, not an equal.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/ledger-pairs.sh <parent-rev> <workload>|all [pairs=10]"
-if [[ $# -lt 2 || $# -gt 3 ]]; then
+usage="usage: scripts/ledger-pairs.sh <parent-rev> <workload>|all [pairs=10 | --counters a,b,c]"
+if [[ $# -lt 2 || $# -gt 4 ]]; then
     echo "$usage" >&2
     exit 2
 fi
 workload=$2
-pairs=${3:-10}
+pairs=10
+counters=
+if [[ ${3:-} == --counters ]]; then
+    counters=${4:-}
+    if ! [[ $counters =~ ^[a-z0-9_.]+(,[a-z0-9_.]+)*$ ]]; then
+        echo "--counters takes a comma-separated list of per-layer metric names, got \`$counters\`" >&2
+        echo "$usage" >&2
+        exit 2
+    fi
+elif [[ $# -eq 4 ]]; then
+    echo "$usage" >&2
+    exit 2
+else
+    pairs=${3:-10}
+fi
 if ! [[ $pairs =~ ^[1-9][0-9]*$ ]]; then
     echo "pairs must be an integer >= 1, got \`$pairs\`" >&2
     echo "$usage" >&2
@@ -157,6 +179,32 @@ measure() { # workload
         done
 }
 
+# One traced run per side at seed 1 and the named per-layer rows side by
+# side. Fails when a name is on neither result line.
+trace_counters() { # workload
+    local workload=$1 out=target/ledger-pairs/out/$1 side bin name missing=0
+    mkdir -p "$out"
+    for side in parent change; do
+        bin=${side}_bin
+        "${!bin}" --workload "$workload" --seed 1 --seconds "$seconds" --trace 1 | tail -n 1 \
+            > "$out/${side}_trace.json"
+    done
+    echo "workload $workload: parent ${sha:0:7} vs working tree, --trace 1, seed 1"
+    for name in ${counters//,/ }; do
+        for side in parent change; do
+            sed -n "s/.*\"${name//./\\.}\": {\"value\": \([-0-9.e+]*\),.*/$side \1/p" "$out/${side}_trace.json"
+        done | awk -v name="$name" '
+            { v[$1] = $2; n++ }
+            END {
+                if (n != 2) { printf "%-32s missing from a traced result line\n", name; exit 1 }
+                delta = (v["parent"] == v["change"]) ? "=" : \
+                        (v["parent"] != 0) ? sprintf("%+.1f%%", (v["change"] - v["parent"]) / v["parent"] * 100) : "from 0"
+                printf "%-32s parent %-14.10g change %-14.10g %s\n", name, v["parent"], v["change"], delta
+            }' || missing=1
+    done
+    return $missing
+}
+
 # One line saying what a table amounts to: the last column's words, each
 # with the metrics that earned it.
 verdict() { # workload table-file
@@ -177,6 +225,13 @@ verdict() { # workload table-file
 }
 
 mkdir -p target/ledger-pairs/out
+if [[ -n $counters ]]; then
+    status=0
+    for workload in $workloads; do
+        trace_counters "$workload" || status=1
+    done
+    exit $status
+fi
 for workload in $workloads; do
     measure "$workload" | tee "target/ledger-pairs/out/$workload.table"
 done

@@ -165,10 +165,113 @@ fn tcp_scan_cursor_resumes_and_cursor_cap_pushes_back_busy() {
     }
     assert_eq!(rows.len(), 50, "every seeded row, once");
     assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "sorted across shards");
+    // 50 rows by 16: three SCAN NEXT pages, and no shard changed version
+    // under them, so each continued the iterators the cursor held.
+    let info = b.info().expect("INFO");
+    assert_eq!(info_counter(&info, "scan_resumes_held"), 3, "{info}");
+    assert_eq!(info_counter(&info, "scan_resumes_rebuilt"), 0, "{info}");
     // Exhaustion released the lease: new scans are admitted again.
     let all = b.scan_all(b"", b"", 7).expect("scan after release");
     assert_eq!(all.len(), 50);
     server.shutdown().expect("graceful shutdown");
+}
+
+/// A counter of the INFO text.
+fn info_counter(info: &str, name: &str) -> u64 {
+    let value = info.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(':'));
+    value.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("INFO has no `{name}`: {info}"))
+}
+
+#[test]
+fn a_cursor_carries_its_iterators_across_connections_and_frees_them_with_its_lease() {
+    let core = shared(
+        ServerCore::open(ServerOptions {
+            store: StoreOptions { shards: 2, ..StoreOptions::default() },
+            max_scan_page: 8,
+            max_cursors: 1,
+            ..ServerOptions::default()
+        })
+        .expect("open server core"),
+    );
+    let hub = nob_metrics::MetricsHub::new();
+    core.borrow_mut().set_metrics_hub(&hub);
+    let mut a = Client::new(LoopbackTransport::connect(&core));
+    let mut b = Client::new(LoopbackTransport::connect(&core));
+    for i in 0..80u32 {
+        a.set(format!("key{i:02}").as_bytes(), b"seed").expect("seed");
+    }
+    let flush = |shard: usize| {
+        let mut core = core.borrow_mut();
+        let now = core.clock().now();
+        core.store_mut().shard_db_mut(shard).flush(now).expect("flush");
+    };
+    flush(0);
+    flush(1);
+    // What holds the shards' current versions: a parked cursor's iterators
+    // do, and nothing else comes and goes in this test.
+    let version_refs = || -> Vec<usize> {
+        let core = core.borrow();
+        let refs = |i| std::sync::Arc::strong_count(&core.store().shard_db(i).current_version());
+        (0..2).map(refs).collect()
+    };
+    let counters = || {
+        let info = core.borrow().info_text();
+        (info_counter(&info, "scan_resumes_held"), info_counter(&info, "scan_resumes_rebuilt"))
+    };
+    let unheld = version_refs();
+
+    let (cursor, mut rows) = a.scan_page(b"", b"", 1_000).expect("open cursor");
+    assert_ne!(cursor, 0);
+    assert!(version_refs().iter().zip(&unheld).all(|(held, free)| held > free));
+    // The cursor table is full: pushback, and the parked cursor is intact.
+    let err = b.scan_page(b"", b"", 1_000).expect_err("cursor cap must push back");
+    assert!(is_busy_error(&err), "{err}");
+    // The other connection continues the iterators the first one left.
+    let (next, page) = b.scan_next(cursor).expect("resume from the other connection");
+    assert_eq!(next, cursor);
+    rows.extend(page);
+    assert_eq!(counters(), (1, 0));
+    // A shard that moves to a new version under the cursor costs the next
+    // page a rebuild, not a row.
+    b.set(b"key00", b"late").expect("overwrite after the pin");
+    let shard = core.borrow().store().shard_of(b"key00");
+    flush(shard);
+    let (next, page) = a.scan_next(cursor).expect("resume on a new version");
+    assert_eq!(next, cursor);
+    rows.extend(page);
+    assert_eq!(counters(), (1, 1));
+    assert_eq!(rows.len(), 24);
+    assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "globally sorted across shards");
+    assert!(rows.iter().all(|(_, v)| v == b"seed"), "post-pin write leaked into the cursor");
+
+    // The lease lapses: the cursor goes, and with it everything it held.
+    let deadline = core.borrow().clock().now() + nob_sim::Nanos::from_secs(61);
+    core.borrow().clock().advance_to(deadline);
+    core.borrow_mut().flush().expect("sweep");
+    assert_eq!(core.borrow().open_cursors(), 0);
+    // The flush above replaced one shard's version; the other's is the one
+    // the cursor read, and nothing holds it any more.
+    let after = version_refs();
+    assert_eq!(after[1 - shard], unheld[1 - shard]);
+    let err = a.scan_next(cursor).expect_err("an expired cursor is gone");
+    assert!(err.to_string().contains("not found or expired"), "{err}");
+    assert_eq!(counters(), (1, 1), "a page that was not served is not counted");
+    assert_eq!(b.scan_all(b"", b"", 8).expect("scan after expiry").len(), 80);
+    // The registry reads what INFO reads, at the next grid instant an
+    // engine crosses.
+    let later = core.borrow().clock().now() + nob_sim::Nanos::from_secs(1);
+    core.borrow().clock().advance_to(later);
+    assert_eq!(b.get(b"key00").expect("GET"), Some(b"late".to_vec()));
+    let (timeline, info) = (hub.timeline(), core.borrow().info_text());
+    for (series, counter) in [
+        ("server.scan_resumes_held", "scan_resumes_held"),
+        ("server.scan_resumes_rebuilt", "scan_resumes_rebuilt"),
+        ("store.unredeemed", "unredeemed"),
+    ] {
+        let last = timeline.series(series).map(|s| s.last());
+        assert_eq!(last, Some(info_counter(&info, counter) as f64), "{series}");
+    }
+    assert_eq!(info_counter(&info, "scan_resumes_held"), 1 + 9, "the scan after expiry: 9 pages");
 }
 
 #[test]
