@@ -51,6 +51,7 @@ pub const SWEEP: Sweep = Sweep {
     title: "commit critical-path decomposition",
     cells_key: "breakdown_cells",
     header: &[("ops", OPS), ("writers", WRITERS)],
+    golden_scale: 512,
     axes: &[DISCIPLINES, Axis { name: "shards", values: &[1, 2, 4] }],
     run_cell,
     note: "{ops} traced requests per cell, {writers} writers per shard; each request's \

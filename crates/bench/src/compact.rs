@@ -60,6 +60,7 @@ pub const SWEEP: Sweep = Sweep {
     title: "staged compaction lanes",
     cells_key: "compact_cells",
     header: &[("ops", OPS)],
+    golden_scale: 512,
     axes: &[
         DISCIPLINES,
         Axis { name: "shards", values: &[1, 2, 4] },

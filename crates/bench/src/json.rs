@@ -164,34 +164,36 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Option<String> {
         return None;
     }
     *pos += 1;
-    let mut out = String::new();
+    // Bytes, not chars: a multi-byte character passes through whole.
+    let mut out = Vec::new();
     loop {
         match b.get(*pos)? {
             b'"' => {
                 *pos += 1;
-                return Some(out);
+                return String::from_utf8(out).ok();
             }
             b'\\' => {
                 *pos += 1;
-                match b.get(*pos)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
+                let unescaped = match b.get(*pos)? {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'/' => '/',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
                     b'u' => {
                         let hex = b.get(*pos + 1..*pos + 5)?;
                         let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
                         *pos += 4;
+                        char::from_u32(code)?
                     }
                     _ => return None,
-                }
+                };
+                out.extend_from_slice(unescaped.encode_utf8(&mut [0; 4]).as_bytes());
                 *pos += 1;
             }
             &c => {
-                out.push(c as char);
+                out.push(c);
                 *pos += 1;
             }
         }
@@ -259,6 +261,7 @@ mod tests {
         assert_eq!(v.get("err"), Some(&Json::Null));
         assert_eq!(Json::parse(r#""A\r\/b""#), Some(Json::String("A\r/b".into())));
         assert_eq!(Json::parse("\"\\u0041Z\""), Some(Json::String("AZ".into())));
+        assert_eq!(Json::parse("\"×16 µs\""), Some(Json::String("×16 µs".into())));
     }
 
     #[test]

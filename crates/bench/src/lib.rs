@@ -4,7 +4,8 @@
 //!
 //! The paper's evaluation uses 10 M (micro) / 50 M (YCSB) requests over a
 //! 960 GB SSD. The reproduction shrinks every size-like parameter by a
-//! single scale factor `S` (default 64, override with `--scale N`):
+//! single scale factor `S` (each sweep's pinned scale, override with
+//! `fig … --scale N`):
 //! request counts, SSTable sizes and level budgets all divide by `S`, so
 //! the *tree shape* (number of levels, compactions per operation, sync
 //! counts per byte) is preserved while runtime and memory stay
@@ -22,6 +23,7 @@ pub mod breakdown;
 pub mod compact;
 pub mod json;
 pub mod output;
+pub mod paper;
 pub mod repl;
 pub mod report;
 pub mod scan;
@@ -58,23 +60,24 @@ impl Scale {
         Scale { factor }
     }
 
-    /// Reads the scale from the command line (`--scale N`), defaulting
-    /// to `default`. A missing, non-numeric or zero value is a usage
-    /// error: the message goes to stderr and the process exits 2.
-    pub fn from_args(default: u64) -> Self {
+    /// Reads the scale from the command line (`--scale N`); `None`
+    /// without the flag (every sweep then runs at its own pinned scale).
+    /// A missing, non-numeric or zero value is a usage error: the
+    /// message goes to stderr and the process exits 2.
+    pub fn from_args() -> Option<Self> {
         let args: Vec<String> = std::env::args().collect();
-        Scale::parse_args(&args, default).unwrap_or_else(|message| {
+        Scale::parse_args(&args).unwrap_or_else(|message| {
             eprintln!("{message}");
             std::process::exit(2);
         })
     }
 
-    fn parse_args(args: &[String], default: u64) -> Result<Self, String> {
+    fn parse_args(args: &[String]) -> Result<Option<Self>, String> {
         let Some(at) = args.iter().position(|a| a == "--scale") else {
-            return Ok(Scale::new(default));
+            return Ok(None);
         };
         match args.get(at + 1).map(|v| v.parse::<u64>()) {
-            Some(Ok(factor)) if factor >= 1 => Ok(Scale::new(factor)),
+            Some(Ok(factor)) if factor >= 1 => Ok(Some(Scale::new(factor))),
             Some(_) => Err(format!("--scale takes an integer >= 1, got `{}`", args[at + 1])),
             None => Err("--scale takes a value: --scale N".to_string()),
         }
@@ -153,12 +156,6 @@ impl Scale {
     }
 }
 
-impl Default for Scale {
-    fn default() -> Self {
-        Scale::new(64)
-    }
-}
-
 /// Formats nanoseconds-per-op as the paper's µs/op metric.
 pub fn us_per_op(total: Nanos, ops: u64) -> f64 {
     if ops == 0 {
@@ -214,10 +211,10 @@ mod tests {
         let args = |rest: &[&str]| -> Vec<String> {
             std::iter::once("fig").chain(rest.iter().copied()).map(String::from).collect()
         };
-        assert_eq!(Scale::parse_args(&args(&[]), 64), Ok(Scale::new(64)));
-        assert_eq!(Scale::parse_args(&args(&["all", "--scale", "8"]), 64), Ok(Scale::new(8)));
+        assert_eq!(Scale::parse_args(&args(&["paper"])), Ok(None));
+        assert_eq!(Scale::parse_args(&args(&["all", "--scale", "8"])), Ok(Some(Scale::new(8))));
         for bad in [&["--scale", "abc"][..], &["--scale", "0"], &["--scale"], &["--scale", "-3"]] {
-            assert!(Scale::parse_args(&args(bad), 64).is_err(), "{bad:?} must be a usage error");
+            assert!(Scale::parse_args(&args(bad)).is_err(), "{bad:?} must be a usage error");
         }
     }
 

@@ -1,84 +1,5 @@
-//! Result tables: aligned stdout printing plus JSON files under
-//! `target/nob-results/` for EXPERIMENTS.md bookkeeping.
-
-use nob_sim::json_escape;
-use nob_trace::TraceSummary;
-
-/// One measured cell of a figure or table.
-#[derive(Debug, Clone)]
-pub struct Cell {
-    /// Series label (usually the system name).
-    pub series: String,
-    /// X-axis label (value size, workload name, …).
-    pub x: String,
-    /// Measured value.
-    pub value: f64,
-    /// Unit of `value`.
-    pub unit: String,
-}
-
-/// A whole experiment's results.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    /// Experiment id, e.g. `"fig4a"`.
-    pub id: String,
-    /// Human title.
-    pub title: String,
-    /// Scale factor used.
-    pub scale: u64,
-    /// All measured cells.
-    pub cells: Vec<Cell>,
-    /// Optional whole-run trace summary, embedded in the JSON output.
-    pub trace: Option<TraceSummary>,
-}
-
-impl Experiment {
-    /// Creates an empty experiment record.
-    pub fn new(id: &str, title: &str, scale: u64) -> Self {
-        Experiment {
-            id: id.to_string(),
-            title: title.to_string(),
-            scale,
-            cells: Vec::new(),
-            trace: None,
-        }
-    }
-
-    /// Attaches the run's trace summary for the JSON output.
-    pub fn set_trace(&mut self, summary: TraceSummary) {
-        self.trace = Some(summary);
-    }
-
-    /// Records one cell.
-    pub fn push(&mut self, series: &str, x: &str, value: f64, unit: &str) {
-        self.cells.push(Cell {
-            series: series.to_string(),
-            x: x.to_string(),
-            value,
-            unit: unit.to_string(),
-        });
-    }
-
-    /// Prints an aligned series × x table to stdout.
-    pub fn print(&self) {
-        println!("== {} ({}) — scale 1/{} ==", self.id, self.title, self.scale);
-        let unit = self.cells.first().map_or("", |c| c.unit.as_str());
-        let mut pivot = Pivot::new(format!("[{unit}]"));
-        for c in &self.cells {
-            pivot.push(&c.series, &c.x, format!("{:.2}", c.value));
-        }
-        println!("{}", pivot.text());
-    }
-
-    /// Writes the experiment as JSON under `target/nob-results/<id>.json`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from the host.
-    pub fn save(&self) -> std::io::Result<()> {
-        save(&self.id, &to_json(self)).map(|_| ())
-    }
-}
+//! Result tables ([`Pivot`]: aligned stdout text and markdown from one
+//! definition) and the result files under `target/nob-results/`.
 
 /// Writes a result document to `target/nob-results/<name>.json`.
 ///
@@ -195,75 +116,9 @@ impl Pivot {
     }
 }
 
-/// Minimal JSON serialization (avoids a serde_json dependency).
-fn to_json(e: &Experiment) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\n  \"id\": \"{}\",\n  \"title\": \"{}\",\n  \"scale\": {},\n  \"cells\": [\n",
-        json_escape(&e.id),
-        json_escape(&e.title),
-        e.scale
-    ));
-    for (i, c) in e.cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"series\": \"{}\", \"x\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}{}\n",
-            json_escape(&c.series),
-            json_escape(&c.x),
-            c.value,
-            json_escape(&c.unit),
-            if i + 1 == e.cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]");
-    if let Some(t) = &e.trace {
-        out.push_str(",\n  \"trace\": ");
-        out.push_str(&t.to_json_indented(1));
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_shape_is_valid_enough() {
-        let mut e = Experiment::new("figX", "test \"title\"", 64);
-        e.push("NobLSM", "1024", 12.5, "us/op");
-        e.push("LevelDB", "1024", 22.0, "us/op");
-        let j = to_json(&e);
-        assert!(j.contains("\"id\": \"figX\""));
-        assert!(j.contains("\\\"title\\\""));
-        assert!(j.contains("\"value\": 12.5"));
-        assert_eq!(j.matches("series").count(), 2);
-    }
-
-    #[test]
-    fn embedded_trace_appears_in_json() {
-        let mut e = Experiment::new("figY", "traced", 1);
-        e.push("A", "1", 1.0, "u");
-        let sink = nob_trace::TraceSink::new();
-        sink.emit(
-            nob_trace::EventClass::SsdWrite,
-            nob_sim::Nanos::ZERO,
-            nob_sim::Nanos::from_micros(3),
-            4096,
-        );
-        e.set_trace(sink.summary());
-        let j = to_json(&e);
-        assert!(j.contains("\"trace\": {"));
-        assert!(j.contains("\"ssd_write\""));
-        assert!(crate::json::Json::parse(&j).is_some(), "document must stay parseable:\n{j}");
-    }
-
-    #[test]
-    fn print_does_not_panic_on_sparse_cells() {
-        let mut e = Experiment::new("x", "t", 1);
-        e.push("A", "1", 1.0, "u");
-        e.push("B", "2", 2.0, "u");
-        e.print();
-    }
 
     #[test]
     fn pivot_renders_both_forms_and_flags_holes() {

@@ -46,6 +46,7 @@ pub const SWEEP: Sweep = Sweep {
     title: "WAL-shipping replication",
     cells_key: "repl_cells",
     header: &[("ops", OPS)],
+    golden_scale: 512,
     axes: &[
         Axis { name: "shards", values: &[1, 2, 4] },
         Axis { name: "burst", values: &[1, 4, 16] },

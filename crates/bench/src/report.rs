@@ -1,14 +1,13 @@
 //! Renders result documents as `REPORT.md` sections: the one renderer
-//! behind the `report` binary. Sweep documents go through the sweep
-//! harness's table definitions ([`crate::sweep::render`]); the paper
-//! figures share the [`crate::output::Experiment`] schema; the chaos
-//! campaigns, the bench-smoke run, the gauge timelines and bare trace
-//! summaries each have their own shape.
+//! behind the `report` binary. Sweep documents — the paper's figures
+//! among them — go through the sweep harness's table definitions
+//! ([`crate::sweep::render`]); the chaos campaigns, the bench-smoke run,
+//! the gauge timelines and bare trace summaries each have their own
+//! shape. A document that matches none of them is an error.
 
 use std::fmt::Write as _;
 
 use crate::json::Json;
-use crate::output::Pivot;
 use crate::sweep;
 
 /// Formats an integer nanosecond quantity with a human unit.
@@ -274,23 +273,6 @@ fn render_chaos(exp: &Json, out: &mut String) -> Option<()> {
     Some(())
 }
 
-/// Renders a paper-figure document (the [`crate::output::Experiment`]
-/// schema): one series × x table plus the embedded trace, if any.
-fn render_experiment(exp: &Json, out: &mut String) -> Option<()> {
-    let cells = exp.get("cells")?.as_array()?;
-    let _ = writeln!(out, "## {} — {}\n", exp.text("id")?, exp.text("title")?);
-    let _ = writeln!(out, "*scale 1/{}*\n", exp.num("scale")?);
-    let mut table = Pivot::new(format!("[{}]", cells.first()?.text("unit")?));
-    for c in cells {
-        table.push(c.text("series")?, c.text("x")?, format!("{:.2}", c.num("value")?));
-    }
-    out.push_str(&table.markdown());
-    if let Some(trace) = exp.get("trace") {
-        let _ = render_trace(trace, out);
-    }
-    Some(())
-}
-
 /// Renders one result document as a markdown section. `stem` is the
 /// file's name without `.json` (the heading of a bare trace summary,
 /// which carries no id of its own). `None` means the document matches
@@ -313,7 +295,7 @@ pub fn render(stem: &str, doc: &Json) -> Option<String> {
         let _ = writeln!(out, "## {stem} — trace summary\n");
         render_trace(doc, &mut out)?;
     } else {
-        render_experiment(doc, &mut out)?;
+        return None;
     }
     Some(out)
 }

@@ -39,6 +39,7 @@ pub const SWEEP: Sweep = Sweep {
     title: "snapshot-pinned cross-shard scans",
     cells_key: "scan_cells",
     header: &[("keys", KEYS), ("scans", SCANS)],
+    golden_scale: 512,
     axes: &[
         DISCIPLINES,
         Axis { name: "range", values: &[16, 128, 512] },

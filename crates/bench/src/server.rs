@@ -49,6 +49,7 @@ pub const SWEEP: Sweep = Sweep {
     title: "pipelined network serving",
     cells_key: "server_cells",
     header: &[("ops", OPS), ("shards", SHARDS as u64)],
+    golden_scale: 512,
     axes: &[DISCIPLINES, Axis { name: "clients", values: &[1, 2, 4, 8] }],
     run_cell,
     note: "{ops} SET requests per cell over {shards} shards via the loopback wire protocol; \

@@ -51,6 +51,7 @@ pub const SWEEP: Sweep = Sweep {
     title: "sharded group commit",
     cells_key: "shard_cells",
     header: &[("ops", OPS)],
+    golden_scale: 512,
     axes: &[
         DISCIPLINES,
         Axis { name: "shards", values: &[1, 2, 4] },

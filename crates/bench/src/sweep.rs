@@ -4,11 +4,13 @@
 //! stdout/markdown rendering and the golden compare/bless.
 //!
 //! A sweep module (`shards`, `server`, `repl`, `breakdown`, `scan`,
-//! `compact`) keeps only what is particular to it: why it exists, its
-//! workload (`run_cell`), how its cells read as tables (`tables`) and
-//! the properties its grid must show (`invariants`). Adding a sweep is
-//! adding one entry to [`SWEEPS`]: the `fig` binary, the golden test,
-//! `report`, CI and the artifact list pick it up from there.
+//! `compact`, and `paper` for the paper's own figures) keeps only what
+//! is particular to it: why it exists, its workload (`run_cell`), how
+//! its cells read as tables (`tables`) and the properties its grid must
+//! show (`invariants`). Adding a sweep is adding one entry to
+//! [`SWEEPS`]: the `fig` binary, the golden test, `report`,
+//! EXPERIMENTS.md's generated blocks, CI and the artifact list pick it
+//! up from there.
 //!
 //! Readers of a sweep — the renderer and the invariants — work on the
 //! *parsed document*, never on in-memory rows, so what is asserted and
@@ -20,9 +22,6 @@ use std::path::Path;
 use crate::json::Json;
 use crate::output::Pivot;
 use crate::Scale;
-
-/// The scale every golden document is pinned at (and the `fig` default).
-pub const GOLDEN_SCALE: u64 = 512;
 
 /// One typed value of a cell; the variant fixes its JSON bytes.
 #[derive(Debug, Clone)]
@@ -73,6 +72,9 @@ pub struct Sweep {
     pub cells_key: &'static str,
     /// Fixed integer fields written between `scale` and the cells.
     pub header: &'static [(&'static str, u64)],
+    /// The scale the golden document is pinned at (and the `fig`
+    /// default): the largest whose dev-profile run Tier-1 can afford.
+    pub golden_scale: u64,
     /// The grid, first axis outermost.
     pub axes: &'static [Axis],
     /// Runs one grid point (one value per axis, in axis order).
@@ -89,13 +91,22 @@ pub struct Sweep {
     pub invariants: fn(&Grid<'_>),
 }
 
-/// Every grid sweep, in `fig all` and report order.
-pub const SWEEPS: [&Sweep; 6] = [
+/// Every grid sweep, in `fig all` and report order: the paper's figures
+/// (`fig paper`), then the extensions.
+pub const SWEEPS: [&Sweep; 14] = [
+    &crate::paper::FIG2A,
+    &crate::paper::FIG2B,
+    &crate::paper::FIG4,
+    &crate::paper::TABLE1,
+    &crate::paper::CONSISTENCY,
+    &crate::paper::FIG5,
+    &crate::paper::ABLATE,
     &crate::shards::SWEEP,
     &crate::server::SWEEP,
     &crate::repl::SWEEP,
     &crate::breakdown::SWEEP,
     &crate::scan::SWEEP,
+    &crate::paper::YCSB_E_STORE,
     &crate::compact::SWEEP,
 ];
 
@@ -106,10 +117,10 @@ fn fig2a_trace(_: Scale) -> String {
 /// Produces a whole document at a scale.
 pub type Producer = fn(Scale) -> String;
 
-/// The golden-pinned documents that are not grids, as `name →
-/// producer`: the gauge timelines and the fig2a trace summary.
-pub const PLAIN_DOCUMENTS: [(&str, Producer); 2] =
-    [("fig_timeline", crate::timeline::document), ("fig2a_trace", fig2a_trace)];
+/// The golden-pinned documents that are not grids, as `(name, pinned
+/// scale, producer)`: the gauge timelines and the fig2a trace summary.
+pub const PLAIN_DOCUMENTS: [(&str, u64, Producer); 2] =
+    [("fig_timeline", 512, crate::timeline::document), ("fig2a_trace", 512, fig2a_trace)];
 
 impl Sweep {
     /// The grid points in document order (first axis outermost).

@@ -1,41 +1,106 @@
-//! The golden test: every pinned document — the six grid sweeps, the
-//! gauge timelines and the fig2a trace summary — must reproduce its
-//! checked-in fixture under `tests/golden/` byte for byte, and every
-//! sweep's grid must hold that sweep's invariants (monotonicity,
-//! ordering, content-hash equality, segment summation, determinism).
-//! A second test renders the checked-in fixtures through `report`'s
-//! renderer without running anything.
+//! The golden test: every pinned document — the paper's figures, the
+//! extension sweeps, the gauge timelines and the fig2a trace summary —
+//! must reproduce its checked-in fixture under `tests/golden/` byte for
+//! byte at its pinned scale, and every sweep's grid must hold that
+//! sweep's invariants (the paper's shape claims, monotonicity, ordering,
+//! content-hash equality, segment summation, determinism). Two more
+//! tests read only the checked-in fixtures: `report`'s renderer must
+//! render every cell of each, and the generated blocks of
+//! `EXPERIMENTS.md` must be exactly those renderings.
 //!
 //! If a change *intentionally* alters timing or a schema, regenerate
-//! the fixtures and review the diff like any other golden update:
+//! the fixtures and the EXPERIMENTS.md blocks together, and review the
+//! diff like any other golden update:
 //!
 //! ```sh
 //! NOB_BLESS=1 cargo test -p nob-bench --test golden
 //! ```
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use nob_bench::json::Json;
-use nob_bench::sweep::{compare_or_bless, GOLDEN_SCALE, PLAIN_DOCUMENTS, SWEEPS};
+use nob_bench::sweep::{self, compare_or_bless, PLAIN_DOCUMENTS, SWEEPS};
 use nob_bench::Scale;
 
 fn golden(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.json"))
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.json"))
+}
+
+/// Compares (or, blessing, rewrites) `EXPERIMENTS.md` against itself
+/// with the inside of every `<!-- BEGIN <figure> … -->` / `<!-- END … -->`
+/// pair replaced by the one renderer's markdown for that figure's
+/// checked-in golden. Every paper sweep must have a block.
+fn experiments_md_from_goldens() -> Result<(), String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let current = std::fs::read_to_string(&path).expect("EXPERIMENTS.md");
+    let mut out = String::new();
+    let mut inside_block = false;
+    for line in current.split_inclusive('\n') {
+        if let Some(rest) = line.strip_prefix("<!-- BEGIN ") {
+            let figure = rest.split_whitespace().next().unwrap_or_default();
+            let sweep = SWEEPS.iter().find(|s| s.figure == figure);
+            let sweep = sweep.unwrap_or_else(|| panic!("EXPERIMENTS.md marks unknown `{figure}`"));
+            let text = std::fs::read_to_string(golden(figure)).expect("golden file");
+            let doc = Json::parse(&text).expect("golden file parses");
+            out.push_str(line);
+            out.push_str(&sweep::render(sweep, &doc, true).expect("golden renders"));
+            inside_block = true;
+        } else if line.starts_with("<!-- END ") {
+            out.push_str(line);
+            inside_block = false;
+        } else if !inside_block {
+            out.push_str(line);
+        }
+    }
+    for sweep in SWEEPS.iter().filter(|s| s.figure.starts_with("paper_")) {
+        let marker = format!("<!-- BEGIN {} ", sweep.figure);
+        assert!(out.contains(&marker), "EXPERIMENTS.md lost its {} block", sweep.figure);
+    }
+    compare_or_bless(&path, &out)
 }
 
 #[test]
 fn every_document_matches_its_golden_file_and_holds_its_invariants() {
-    let scale = Scale::new(GOLDEN_SCALE);
-    let mut diverged = Vec::new();
-    for sweep in SWEEPS {
-        let text = sweep.document(scale);
-        sweep.check(&text, scale);
-        diverged.extend(compare_or_bless(&golden(sweep.figure), &text).err());
-    }
-    for (name, produce) in PLAIN_DOCUMENTS {
-        diverged.extend(compare_or_bless(&golden(name), &produce(scale)).err());
-    }
+    // One thread per document (named after it, for the panic message),
+    // so the two long ones (`paper_fig4`, `paper_fig5`) overlap on a
+    // two-core box instead of adding up.
+    type Document = (&'static str, Box<dyn FnOnce() -> String + Send>);
+    let sweeps = SWEEPS.into_iter().map(|sweep| -> Document {
+        let checked = move || {
+            let scale = Scale::new(sweep.golden_scale);
+            let text = sweep.document(scale);
+            sweep.check(&text, scale);
+            text
+        };
+        (sweep.figure, Box::new(checked))
+    });
+    let plain = PLAIN_DOCUMENTS.into_iter().map(|(name, scale, produce)| -> Document {
+        (name, Box::new(move || produce(Scale::new(scale))))
+    });
+    let mut diverged: Vec<String> = std::thread::scope(|threads| {
+        let spawn = |(name, document): Document| {
+            let job = move || compare_or_bless(&golden(name), &document());
+            std::thread::Builder::new().name(name.into()).spawn_scoped(threads, job).expect("spawn")
+        };
+        let handles: Vec<_> = sweeps.chain(plain).map(spawn).collect();
+        let done =
+            handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        done.filter_map(Result::err).collect()
+    });
+    // Only now, so that a bless rewrites the blocks from the new goldens.
+    diverged.extend(experiments_md_from_goldens().err());
     assert!(diverged.is_empty(), "stale golden files:\n{}", diverged.join("\n"));
+}
+
+/// The paper tables in EXPERIMENTS.md are generated, never typed: each
+/// marked block equals the rendering of the checked-in golden, so the
+/// prose cannot disagree with the tree. (A bless rewrites them in the
+/// test above, after the goldens.)
+#[test]
+fn experiments_md_blocks_are_rendered_from_the_goldens() {
+    if std::env::var_os("NOB_BLESS").is_none() {
+        experiments_md_from_goldens().unwrap_or_else(|stale| panic!("{stale}"));
+    }
 }
 
 /// `report` must render every cell of every checked-in document: a
@@ -66,7 +131,7 @@ fn report_renders_every_cell_of_every_golden_document() {
         let short = Json::Object(fields);
         assert!(nob_bench::report::render(sweep.figure, &short).is_none(), "a cell short");
     }
-    for (name, _) in PLAIN_DOCUMENTS {
+    for (name, ..) in PLAIN_DOCUMENTS {
         let text = std::fs::read_to_string(golden(name)).expect("golden file");
         let doc = Json::parse(&text).expect("golden file parses");
         let markdown = nob_bench::report::render(name, &doc).expect("renders");

@@ -1,21 +1,17 @@
 //! Workspace-level integration tests: every crate working together —
 //! variants from `nob-baselines`, workloads from `nob-workloads`, crash
-//! injection from `nob-ext4`, all over the `noblsm` engine.
+//! injection from `nob-ext4`, all over the `noblsm` engine. The paper's
+//! orderings (NobLSM against LevelDB and the volatile build, Table 1's
+//! sync ratios, §5.2's zero-corruption crash) are invariants of the
+//! golden-pinned `paper_*` sweeps in `crates/bench`, not tests here.
 
 use nob_baselines::Variant;
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
-use nob_workloads::keys::{key, value};
+use nob_workloads::dbbench;
+use nob_workloads::keys::key;
 use nob_workloads::ycsb::{self, YcsbWorkload};
-use nob_workloads::{dbbench, Report};
 use noblsm::Options;
-
-fn put_at(db: &mut noblsm::Db, now: Nanos, key: &[u8], value: &[u8]) -> Nanos {
-    db.clock().advance_to(now);
-    let mut batch = noblsm::WriteBatch::new();
-    batch.put(key, value);
-    db.write(&noblsm::WriteOptions::default(), batch).expect("put")
-}
 
 fn base() -> Options {
     let mut o = Options::default().with_table_size(64 << 10);
@@ -46,39 +42,6 @@ fn all_variants_survive_the_full_dbbench_sequence() {
 }
 
 #[test]
-fn paper_headline_time_ordering_holds() {
-    // volatile <= NobLSM < LevelDB on write-heavy load.
-    let run = |v: Variant| -> Report {
-        let fs = fs();
-        let mut db = v.open(fs, "db", &base(), Nanos::ZERO).unwrap();
-        dbbench::fillrandom(&mut db, 6000, 512, 1, Nanos::ZERO).unwrap()
-    };
-    let leveldb = run(Variant::LevelDb).wall();
-    let noblsm = run(Variant::NobLsm).wall();
-    let volatile = run(Variant::VolatileLevelDb).wall();
-    assert!(noblsm < leveldb, "NobLSM {noblsm} must beat LevelDB {leveldb}");
-    assert!(volatile <= noblsm, "volatile {volatile} is the floor (NobLSM {noblsm})");
-}
-
-#[test]
-fn table1_ordering_holds_end_to_end() {
-    let syncs = |v: Variant| {
-        let fs = fs();
-        let mut db = v.open(fs.clone(), "db", &base(), Nanos::ZERO).unwrap();
-        fs.reset_stats();
-        let r = dbbench::fillrandom(&mut db, 6000, 512, 1, Nanos::ZERO).unwrap();
-        db.wait_idle(r.finished).unwrap();
-        fs.stats()
-    };
-    let leveldb = syncs(Variant::LevelDb);
-    let noblsm = syncs(Variant::NobLsm);
-    let hyper = syncs(Variant::HyperLevelDb);
-    assert!(noblsm.sync_calls * 2 < leveldb.sync_calls);
-    assert!(noblsm.bytes_synced * 2 < leveldb.bytes_synced);
-    assert!(hyper.sync_calls > leveldb.sync_calls);
-}
-
-#[test]
 fn ycsb_full_sequence_on_noblsm_with_crash_at_the_end() {
     let fs = fs();
     let mut db = Variant::NobLsm.open(fs.clone(), "db", &base(), Nanos::ZERO).unwrap();
@@ -105,36 +68,6 @@ fn ycsb_full_sequence_on_noblsm_with_crash_at_the_end() {
         }
     }
     assert_eq!(found, (0..records).step_by(59).count(), "all loaded records recoverable");
-}
-
-#[test]
-fn crash_consistency_matches_between_leveldb_and_noblsm() {
-    // The §5.2 experiment as a test: both systems lose only log tails.
-    for variant in [Variant::LevelDb, Variant::NobLsm] {
-        let fs = fs();
-        let mut db = variant.open(fs.clone(), "db", &base(), Nanos::ZERO).unwrap();
-        let n = 5000u64;
-        let mut now = Nanos::ZERO;
-        for i in 0..n {
-            now = put_at(&mut db, now, &key(i), &value(i, 0, 256));
-        }
-        let crash_at = Nanos::from_nanos(now.as_nanos() / 2);
-        let mut rdb = variant.open(fs.crashed_view(crash_at), "db", &base(), crash_at).unwrap();
-        let mut t = crash_at;
-        let mut corrupt = 0;
-        let mut intact = 0u64;
-        for i in 0..n {
-            let (got, t2) = rdb.get_at_time(t, &key(i)).unwrap();
-            t = t2;
-            match got {
-                Some(v) if v == value(i, 0, 256) => intact += 1,
-                Some(_) => corrupt += 1,
-                None => {}
-            }
-        }
-        assert_eq!(corrupt, 0, "{variant}: corrupt values after crash");
-        assert!(intact > 0, "{variant}: flushed data must survive");
-    }
 }
 
 #[test]
