@@ -3,7 +3,7 @@
 //! figures and sweeps, Table 1, the ablations, and any chaos sweeps
 //! (written by `chaos sweep --out target/nob-results/<name>.json`).
 //!
-//! Usage: run any of the figure binaries first, then `report`. Exits 1
+//! Usage: run `fig` (and any chaos sweep) first, then `report`. Exits 1
 //! if any file could not be rendered — a renderer that fell behind a
 //! schema must fail CI, not shrink the report.
 
@@ -25,13 +25,10 @@ fn main() {
     let mut out = String::from("# NobLSM reproduction — consolidated results\n\n");
     let mut skipped = 0;
     for path in &paths {
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("?");
         let section = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|text| nob_bench::json::Json::parse(&text).ok_or("unparseable".to_string()))
-            .and_then(|doc| {
-                nob_bench::report::render(stem, &doc).ok_or("unexpected schema".into())
-            });
+            .and_then(|doc| nob_bench::report::render(&doc).ok_or("unexpected schema".into()));
         match section {
             Ok(section) => out.push_str(&section),
             Err(why) => {

@@ -30,7 +30,6 @@ pub mod scan;
 pub mod scenarios;
 pub mod server;
 pub mod shards;
-pub mod smoke;
 pub mod sweep;
 pub mod timeline;
 

@@ -27,7 +27,7 @@ use crate::json::Json;
 use crate::output::Pivot;
 use crate::scenarios::{fig2a_strategy, raw_fs};
 use crate::shards::{disciplines, store_options};
-use crate::sweep::{self, Axis, Grid, Row, Sweep, Value, DISCIPLINES};
+use crate::sweep::{self, Axis, Grid, Row, Sweep, Value, ASYNC, DISCIPLINES, SYNC};
 use crate::{gb, us_per_op, Scale, PAPER_TABLE_LARGE, PAPER_TABLE_SMALL};
 
 /// The seven systems of Figs. 4–5 and Table 1, as positions in
@@ -87,7 +87,7 @@ fn fig2a_cell(point: &[u64], scale: Scale) -> Row {
     // Files keep the paper's real 2 MB size: the per-file flush/latency
     // ratio is what shapes this figure.
     let bytes = (volume_gb << 30) / scale.factor;
-    let elapsed = fig2a_strategy(&raw_fs(false), strategy, bytes, 2 << 20);
+    let elapsed = fig2a_strategy(&raw_fs(), strategy, bytes, 2 << 20);
     vec![
         ("strategy", Value::Str(strategy)),
         ("volume_gb", Value::Int(volume_gb)),
@@ -664,8 +664,6 @@ fn ablate_invariants(g: &Grid<'_>) {
 /// YCSB-E end to end against the sharded store (an extension, not a
 /// paper figure): Load-E, then the 95 % scan / 5 % insert mix with every
 /// scan going through `Store::scan`'s snapshot-pinned cross-shard merge.
-/// The YCSB store drivers issue buffered writes whatever the discipline,
-/// so the Sync and Async rows (both LevelDB) coincide.
 pub const YCSB_E_STORE: Sweep = Sweep {
     figure: "fig_ycsb_e_store",
     title: "YCSB-E through the store's snapshot-pinned cross-shard scan",
@@ -683,12 +681,12 @@ pub const YCSB_E_STORE: Sweep = Sweep {
 
 fn ycsb_e_store_cell(point: &[u64], scale: Scale) -> Row {
     let [discipline, shards] = *point else { unreachable!("two axes") };
-    let (name, variant, _) = disciplines()[discipline as usize];
+    let (name, variant, wopts) = disciplines()[discipline as usize];
     let (records, ops) = (scale.ycsb_records(), scale.ycsb_ops());
     let opts = store_options(variant, shards as usize, scale);
     let mut store = Store::open(opts).expect("open store");
-    let load = ycsb::load_store(&mut store, records, 1024, 2).expect("Load-E");
-    let e = ycsb::run_e_store(&mut store, ops, records, 1024, 8).expect("workload E");
+    let load = ycsb::load_store(&mut store, &wopts, records, 1024, 2).expect("Load-E");
+    let e = ycsb::run_e_store(&mut store, &wopts, ops, records, 1024, 8).expect("workload E");
     vec![
         ("name", Value::Str(name)),
         ("shards", Value::Int(shards)),
@@ -713,6 +711,12 @@ fn ycsb_e_store_invariants(g: &Grid<'_>) {
             let us: Vec<f64> = g.axis(1).iter().map(|&s| g.num(&[discipline, s], phase)).collect();
             let falls = us.windows(2).all(|w| w[0] > w[1]);
             assert!(falls, "{phase} must fall with shards under discipline {discipline}: {us:?}");
+        }
+    }
+    for &shards in g.axis(1) {
+        for phase in ["load_e_us", "e_us"] {
+            let (sync, unsynced) = (g.num(&[SYNC, shards], phase), g.num(&[ASYNC, shards], phase));
+            assert!(sync > unsynced, "{phase} at {shards} shards: Sync {sync} <= Async {unsynced}");
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Renders result documents as `REPORT.md` sections: the one renderer
 //! behind the `report` binary. Sweep documents — the paper's figures
 //! among them — go through the sweep harness's table definitions
-//! ([`crate::sweep::render`]); the chaos campaigns, the bench-smoke run,
-//! the gauge timelines and bare trace summaries each have their own
+//! ([`crate::sweep::render`]); the two chaos campaigns have their own
 //! shape. A document that matches none of them is an error.
 
 use std::fmt::Write as _;
@@ -23,22 +22,8 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Renders one stall's causal chain (`<- class #seq [t=…, dur]`).
-fn stall_cause(s: &Json, key: &str) -> String {
-    match s.get(key) {
-        Some(c) if c.get("class").is_some() => {
-            let class = c.text("class").unwrap_or("?");
-            let seq = c.num("seq").unwrap_or(0.0) as u64;
-            let start = c.num("start_ns").unwrap_or(0.0);
-            let end = c.num("end_ns").unwrap_or(0.0);
-            format!(" ← {class} #{seq} [t={}, {}]", fmt_ns(start), fmt_ns(end - start))
-        }
-        _ => String::new(),
-    }
-}
-
 /// The per-class latency percentile table (nothing for no classes).
-fn class_table(classes: &std::collections::BTreeMap<String, Json>, out: &mut String) {
+pub(crate) fn class_table(classes: &std::collections::BTreeMap<String, Json>, out: &mut String) {
     if classes.is_empty() {
         return;
     }
@@ -58,128 +43,6 @@ fn class_table(classes: &std::collections::BTreeMap<String, Json>, out: &mut Str
         );
     }
     let _ = writeln!(out);
-}
-
-/// Renders an embedded nob-trace summary: the per-class latency
-/// percentile table and the top stalls with their causal chain.
-fn render_trace(trace: &Json, out: &mut String) -> Option<()> {
-    let classes = trace.get("classes")?;
-    let Json::Object(classes) = classes else { return None };
-    let events = trace.num("events")? as u64;
-    let _ = writeln!(out, "*trace: {events} events*\n");
-    class_table(classes, out);
-    let stalls = trace.get("stalls")?;
-    let count = stalls.num("count").unwrap_or(0.0) as u64;
-    let total = stalls.num("total_ns").unwrap_or(0.0);
-    let top = stalls.get("top").and_then(Json::as_array).unwrap_or(&[]);
-    if count == 0 {
-        let _ = writeln!(out, "no write stalls recorded\n");
-        return Some(());
-    }
-    let _ = writeln!(
-        out,
-        "**{count} write stalls totalling {}; top {} (longest first):**\n",
-        fmt_ns(total),
-        top.len()
-    );
-    for (i, s) in top.iter().enumerate() {
-        let kind = s.text("kind").unwrap_or("?");
-        let start = s.num("start_ns").unwrap_or(0.0);
-        let dur = s.num("dur_ns").unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "{}. {kind} {} at t={}{}{}",
-            i + 1,
-            fmt_ns(dur),
-            fmt_ns(start),
-            stall_cause(s, "cause_commit"),
-            stall_cause(s, "cause_flush"),
-        );
-    }
-    let _ = writeln!(out);
-    Some(())
-}
-
-/// Renders a `bench_smoke.json` document (the CI regression-gate run):
-/// per-scenario throughput + p99 plus each scenario's trace section.
-fn render_smoke(doc: &Json, out: &mut String) -> Option<()> {
-    let scenarios = doc.get("scenarios")?;
-    let Json::Object(scenarios) = scenarios else { return None };
-    let _ = writeln!(out, "## bench-smoke — CI regression gate run\n");
-    let _ = writeln!(out, "| scenario | throughput | unit | p99 | class |");
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for (name, s) in scenarios.iter() {
-        let _ = writeln!(
-            out,
-            "| {name} | {:.2} | {} | {} | {} |",
-            s.num("throughput").unwrap_or(0.0),
-            s.text("unit").unwrap_or("?"),
-            fmt_ns(s.num("p99_ns").unwrap_or(0.0)),
-            s.text("p99_class").unwrap_or("?"),
-        );
-    }
-    let _ = writeln!(out);
-    for (name, s) in scenarios.iter() {
-        if let Some(trace) = s.get("trace") {
-            let _ = writeln!(out, "### {name} trace\n");
-            let _ = render_trace(trace, out);
-        }
-    }
-    Some(())
-}
-
-/// Renders a `fig_timeline` document: each variant's gauge timeline as
-/// sparklines plus its stalls cross-referenced onto the sampling grid.
-fn render_timelines(doc: &Json, out: &mut String) -> Option<()> {
-    let runs = doc.get("timeline_runs")?.as_array()?;
-    let scale = doc.num("scale").unwrap_or(0.0);
-    let _ = writeln!(out, "## fig_timeline — cross-layer gauge timelines\n");
-    let _ = writeln!(out, "*scale 1/{scale:.0}; one row per gauge, bucket maxima*\n");
-    for run in runs {
-        let name = run.text("name").unwrap_or("?");
-        let tl = run.get("timeline")?;
-        let samples = tl.num("samples").unwrap_or(0.0) as u64;
-        let period = tl.num("period_ns").unwrap_or(0.0);
-        let _ = writeln!(out, "### {name} — {samples} samples, period {}\n", fmt_ns(period));
-        let series = tl.get("series")?.as_array()?;
-        let name_w = series.iter().filter_map(|s| s.text("name")).map(str::len).max().unwrap_or(0);
-        let _ = writeln!(out, "```");
-        for s in series {
-            let sname = s.text("name").unwrap_or("?");
-            let values: Vec<f64> = s
-                .get("values")
-                .and_then(Json::as_array)
-                .map(|vs| vs.iter().filter_map(Json::as_f64).collect())
-                .unwrap_or_default();
-            let peak = values.iter().copied().fold(0.0f64, f64::max);
-            let _ = writeln!(
-                out,
-                "{sname:name_w$}  {}  peak {peak}",
-                nob_metrics::sparkline(&values, 64)
-            );
-        }
-        let _ = writeln!(out, "```");
-        let stalls = run.get("stalls").and_then(Json::as_array).unwrap_or(&[]);
-        if stalls.is_empty() {
-            let _ = writeln!(out, "\nno write stalls recorded\n");
-            continue;
-        }
-        let _ = writeln!(out, "\nstalls on this grid:\n");
-        for s in stalls {
-            let kind = s.text("kind").unwrap_or("?");
-            let start = s.num("start_ns").unwrap_or(0.0);
-            let end = s.num("end_ns").unwrap_or(0.0);
-            let idx = s.num("grid_index").unwrap_or(-1.0) as i64;
-            let _ = writeln!(
-                out,
-                "- {kind} {} at t={} (grid index {idx})",
-                fmt_ns(end - start),
-                fmt_ns(start)
-            );
-        }
-        let _ = writeln!(out);
-    }
-    Some(())
 }
 
 /// Sums an integer field over the sweep's per-case results.
@@ -273,27 +136,18 @@ fn render_chaos(exp: &Json, out: &mut String) -> Option<()> {
     Some(())
 }
 
-/// Renders one result document as a markdown section. `stem` is the
-/// file's name without `.json` (the heading of a bare trace summary,
-/// which carries no id of its own). `None` means the document matches
-/// no known schema — or claims a schema and lacks one of its fields —
-/// and the caller must not pass over that silently.
-pub fn render(stem: &str, doc: &Json) -> Option<String> {
+/// Renders one result document as a markdown section. `None` means the
+/// document matches no known schema — or claims a schema and lacks one
+/// of its fields — and the caller must not pass over that silently.
+pub fn render(doc: &Json) -> Option<String> {
     if let Some(s) = sweep::SWEEPS.iter().find(|s| doc.text("figure") == Some(s.figure)) {
         return sweep::render(s, doc, true);
     }
     let mut out = String::new();
     if doc.get("profile").is_some() {
         render_chaos(doc, &mut out)?;
-    } else if doc.get("scenarios").is_some() {
-        render_smoke(doc, &mut out)?;
-    } else if doc.get("timeline_runs").is_some() {
-        render_timelines(doc, &mut out)?;
     } else if doc.text("campaign") == Some("failover") {
         render_failover(doc, &mut out)?;
-    } else if doc.get("classes").is_some() && doc.get("events").is_some() {
-        let _ = writeln!(out, "## {stem} — trace summary\n");
-        render_trace(doc, &mut out)?;
     } else {
         return None;
     }

@@ -1,18 +1,27 @@
-//! Reusable workload scenarios shared by the figure binaries, the CI
-//! bench-smoke gate and the golden-file tests.
+//! The `fig_smoke` sweep: five fixed-seed scenarios, one per layer of
+//! the stack, each reporting a throughput, the p99 of its dominant trace
+//! class and the whole trace summary behind both — plus the raw-file
+//! strategies of Fig. 2a and the fig4-style fill that `paper_fig2a`,
+//! `fig_timeline` and the trace-overhead guard share.
 //!
-//! Everything here runs over virtual time, so a fixed configuration is
-//! bit-for-bit reproducible across machines — which is what lets CI
-//! compare throughput and tail latency against a checked-in baseline
-//! with tight thresholds.
+//! Everything here runs over virtual time, so a cell is bit-for-bit
+//! reproducible across machines and the golden pins it exactly: a
+//! change that moves one scenario's throughput, tail or trace by one
+//! digit fails Tier-1, not a tolerance band in CI.
+
+use std::fmt::Write as _;
 
 use nob_baselines::Variant;
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
-use nob_trace::{EventClass, TraceSink, TraceSummary};
+use nob_trace::{EventClass, TraceSink};
 use nob_workloads::dbbench;
 
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::report::{class_table, fmt_ns};
 use crate::shards::store_options;
+use crate::sweep::{Axis, Grid, Row, Sweep, Value};
 use crate::Scale;
 
 /// Runs one fig2a write strategy: `total` bytes in `file_size` files.
@@ -45,64 +54,15 @@ pub fn fig2a_strategy(fs: &Ext4Fs, strategy: &str, total: u64, file_size: u64) -
 }
 
 /// A paper-platform filesystem for raw-file scenarios (page cache large
-/// enough to never evict), optionally with a uniformly slower SSD.
-///
-/// The `slow_ssd` degradation (half bandwidth, double command and FLUSH
-/// latency) exists to *demonstrate* the CI regression gate: a run with
-/// it enabled must trip both the throughput and the p99 thresholds.
-pub fn raw_fs(slow_ssd: bool) -> Ext4Fs {
-    Ext4Fs::new(degraded(Ext4Config::default().with_page_cache(64 << 30), slow_ssd))
-}
-
-/// `cfg`, with the SSD uniformly degraded if the gate demo asks for it.
-fn degraded(mut cfg: Ext4Config, slow_ssd: bool) -> Ext4Config {
-    if slow_ssd {
-        cfg.ssd.seq_write_bw /= 2;
-        cfg.ssd.seq_read_bw /= 2;
-        cfg.ssd.cmd_latency = cfg.ssd.cmd_latency + cfg.ssd.cmd_latency;
-        cfg.ssd.flush_latency = cfg.ssd.flush_latency + cfg.ssd.flush_latency;
-    }
-    cfg
-}
-
-/// One smoke measurement: a throughput figure, the tail latency of the
-/// scenario's dominant event class, and the full trace behind both.
-#[derive(Debug, Clone)]
-pub struct SmokeResult {
-    /// Stable scenario name (JSON key in `bench_smoke.json`).
-    pub name: String,
-    /// Throughput in `unit` (higher is better).
-    pub throughput: f64,
-    /// Throughput unit.
-    pub unit: String,
-    /// p99 of the scenario's dominant event class, integer ns.
-    pub p99_ns: u64,
-    /// Event class the p99 is measured over.
-    pub p99_class: EventClass,
-    /// The run's full trace summary.
-    pub summary: TraceSummary,
-}
-
-/// Fixed-seed fig2a Sync smoke: 64 MiB in 2 MiB fsynced files.
-///
-/// Sync is the strategy the paper's figure 2a is about (and the one the
-/// FLUSH barrier dominates), so its throughput and per-file fsync tail
-/// are the regression signals.
-pub fn smoke_fig2a(slow_ssd: bool) -> SmokeResult {
-    let total: u64 = 64 << 20;
-    let file_size: u64 = 2 << 20;
-    let fs = raw_fs(slow_ssd);
-    let sink = TraceSink::new();
-    fs.set_trace_sink(sink.clone());
-    let elapsed = fig2a_strategy(&fs, "Sync", total, file_size);
-    let throughput = total as f64 / (1 << 20) as f64 / elapsed.as_secs_f64();
-    smoke_result("fig2a_sync", throughput, "MiB/s", EventClass::JournalCommit, &sink)
+/// enough to never evict).
+pub fn raw_fs() -> Ext4Fs {
+    Ext4Fs::new(Ext4Config::default().with_page_cache(64 << 30))
 }
 
 /// Operations in the fig4-style fill.
 pub const FIG4_OPS: u64 = 6_000;
 
-/// The fig4-style fill shared by the `fig4_fillrandom` smoke, the
+/// The fig4-style fill shared by the `fig4_fillrandom` scenario, the
 /// trace-overhead guard and `fig_timeline`: [`FIG4_OPS`] of 256 B
 /// fillrandom at seed 42 on paper-shaped options, with `instrument`
 /// attaching whatever sinks the caller wants before the first write.
@@ -127,48 +87,108 @@ pub fn fig4_fill(
     fill.wall()
 }
 
-/// Fixed-seed fig4-style fillrandom smoke: NobLSM, 256 B values,
-/// seed 42, paper-shaped options at 1/512 scale.
-pub fn smoke_fig4(slow_ssd: bool) -> SmokeResult {
-    let scale = Scale::new(512);
-    let fs = Ext4Fs::new(degraded(scale.fs_config(), slow_ssd));
-    let sink = TraceSink::new();
-    let wall = fig4_fill(Variant::NobLsm, fs, scale, |db| db.set_trace_sink(sink.clone()));
-    let throughput = FIG4_OPS as f64 / wall.as_secs_f64();
-    smoke_result("fig4_fillrandom", throughput, "ops/s", EventClass::EnginePut, &sink)
+/// One smoke scenario: what its throughput counts, the event class
+/// whose p99 is its tail signal, the classes its trace must contain
+/// (the layers it exists to exercise) and its body, which runs traced
+/// into the given sink and returns the throughput.
+struct Scenario {
+    name: &'static str,
+    unit: &'static str,
+    p99_class: EventClass,
+    traces: &'static [EventClass],
+    run: fn(Scale, &TraceSink) -> f64,
 }
 
-/// Fixed-seed replication smoke: the `fig_repl` workload on a 2-shard
-/// leader/follower pair, WAL-shipped over the loopback transport in
-/// bursts of 4, then a timed follower-read phase — traced. Throughput
-/// is the follower-read rate; the tail signal is the `repl_apply` p99,
-/// so a regression in either the engine read path or the shipping/apply
-/// path trips the gate.
-pub fn smoke_repl(slow_ssd: bool) -> SmokeResult {
-    let scale = Scale::new(512);
-    let mut opts = store_options(Variant::LevelDb, 2, scale);
-    opts.fs = degraded(scale.fs_config(), slow_ssd);
-    let sink = TraceSink::new();
-    let run = crate::repl::replicate(opts, 4, 1_200, 600, Some(&sink));
-    smoke_result("repl_follower", run.read_throughput, "reads/s", EventClass::ReplApply, &sink)
+/// The scenarios, in sweep order (the axis holds positions here).
+const SCENARIOS: [Scenario; 5] = [
+    Scenario {
+        name: "fig2a_sync",
+        unit: "MiB/s",
+        p99_class: EventClass::JournalCommit,
+        traces: &[EventClass::SsdFlush],
+        run: fig2a_sync,
+    },
+    Scenario {
+        name: "fig4_fillrandom",
+        unit: "ops/s",
+        p99_class: EventClass::EnginePut,
+        traces: &[EventClass::EnginePut, EventClass::MinorCompaction],
+        run: fig4_fillrandom,
+    },
+    Scenario {
+        name: "repl_follower",
+        unit: "reads/s",
+        p99_class: EventClass::ReplApply,
+        traces: &[EventClass::ReplShip, EventClass::ReplAck],
+        run: repl_follower,
+    },
+    Scenario {
+        name: "scan",
+        unit: "rows/s",
+        p99_class: EventClass::ServerScan,
+        traces: &[EventClass::ServerScan],
+        run: scan,
+    },
+    Scenario {
+        name: "compact",
+        unit: "ops/s",
+        p99_class: EventClass::MajorCompaction,
+        traces: &[EventClass::MajorCompaction],
+        run: compact,
+    },
+];
+
+/// The sweep: one axis over the five scenarios.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_smoke",
+    title: "fixed-seed smoke scenarios, traced",
+    cells_key: "smoke_cells",
+    header: &[],
+    golden_scale: 512,
+    axes: &[Axis { name: "scenario", values: &[0, 1, 2, 3, 4] }],
+    run_cell,
+    note: "throughput per virtual second; p99 of each scenario's dominant trace class",
+    tables,
+    footer,
+    invariants,
+};
+
+/// Fig. 2a's Sync strategy, 64 MiB in 2 MiB fsynced files: the strategy
+/// the figure is about and the one the FLUSH barrier dominates. MiB/s.
+fn fig2a_sync(_: Scale, sink: &TraceSink) -> f64 {
+    let total: u64 = 64 << 20;
+    let fs = raw_fs();
+    fs.set_trace_sink(sink.clone());
+    let elapsed = fig2a_strategy(&fs, "Sync", total, 2 << 20);
+    total as f64 / (1 << 20) as f64 / elapsed.as_secs_f64()
 }
 
-/// Fixed-seed scan smoke: the `fig_scan` ranges as cursor-paged scans
-/// through the whole serving stack (wire protocol → cursor leases → the
-/// store's snapshot-pinned shard merge) over a table-resident keyspace.
-/// Throughput is rows streamed per virtual second; the tail signal is
-/// the `server_scan` p99, so a regression in the iterator read path, the
-/// k-way merge or the cursor machinery trips the gate.
-pub fn smoke_scan(slow_ssd: bool) -> SmokeResult {
+/// The fig4-style fill under NobLSM. Operations per second.
+fn fig4_fillrandom(scale: Scale, sink: &TraceSink) -> f64 {
+    let wall = fig4_fill(Variant::NobLsm, scale.fresh_fs(), scale, |db| {
+        db.set_trace_sink(sink.clone());
+    });
+    FIG4_OPS as f64 / wall.as_secs_f64()
+}
+
+/// The `fig_repl` workload on a 2-shard leader/follower pair, shipped in
+/// bursts of 4, then a timed follower-read phase. Follower reads per
+/// second; the tail is the apply path's.
+fn repl_follower(scale: Scale, sink: &TraceSink) -> f64 {
+    let opts = store_options(Variant::LevelDb, 2, scale);
+    crate::repl::replicate(opts, 4, 1_200, 600, Some(sink)).read_throughput
+}
+
+/// The `fig_scan` ranges as cursor-paged scans through the whole serving
+/// stack (wire protocol → cursor leases → the store's snapshot-pinned
+/// shard merge) over a table-resident keyspace. Rows per second.
+fn scan(scale: Scale, sink: &TraceSink) -> f64 {
     use nob_server::{shared, Client, LoopbackTransport, ServerCore, ServerOptions};
 
-    let scale = Scale::new(512);
     let (keys, scans, range) = (1_024u64, 48u64, 64u64);
-    let mut store = store_options(Variant::LevelDb, 2, scale);
-    store.fs = degraded(scale.fs_config(), slow_ssd);
+    let store = store_options(Variant::LevelDb, 2, scale);
     let mut core =
         ServerCore::open(ServerOptions { store, ..ServerOptions::default() }).expect("open core");
-    let sink = TraceSink::new();
     core.set_trace_sink(sink.clone());
     let core = shared(core);
     let clock = core.borrow().clock().clone();
@@ -181,57 +201,132 @@ pub fn smoke_scan(slow_ssd: bool) -> SmokeResult {
     let (rows, elapsed) = crate::scan::timed_scans(&clock, keys, range, scans, |start, end| {
         client.scan_all(start, end, range).expect("SCAN").len() as u64
     });
-    let throughput = rows as f64 / elapsed.as_secs_f64();
-    smoke_result("scan", throughput, "rows/s", EventClass::ServerScan, &sink)
+    rows as f64 / elapsed.as_secs_f64()
 }
 
-/// Fixed-seed staged-lane compaction smoke: the `fig_compact` workload's
-/// NobLSM × 2 shards × 4 lanes cell, traced, so CI guards both the
-/// bursty-fill throughput and the major-compaction tail under the lane
-/// scheduler.
-pub fn smoke_compact(slow_ssd: bool) -> SmokeResult {
-    let scale = Scale::new(512);
+/// The `fig_compact` workload's NobLSM × 2 shards × 4 lanes cell:
+/// bursty-fill operations per second; the tail is the major
+/// compactions' under the lane scheduler.
+fn compact(scale: Scale, sink: &TraceSink) -> f64 {
     let ops = 2_000u64;
-    let mut opts = crate::compact::lane_store_options(Variant::NobLsm, 2, 4, scale);
-    opts.fs = degraded(scale.fs_config(), slow_ssd);
+    let opts = crate::compact::lane_store_options(Variant::NobLsm, 2, 4, scale);
     let mut store = nob_store::Store::open(opts).expect("open store");
-    let sink = TraceSink::new();
     store.set_trace_sink(sink.clone());
     let (elapsed, _) =
         crate::compact::bursty_fill(&mut store, &noblsm::WriteOptions::buffered(), ops);
-    let throughput = ops as f64 / elapsed.as_secs_f64();
-    smoke_result("compact", throughput, "ops/s", EventClass::MajorCompaction, &sink)
+    ops as f64 / elapsed.as_secs_f64()
 }
 
-/// Packs a scenario's throughput with the p99 of its dominant event
-/// class and the full trace behind both.
-fn smoke_result(
-    name: &str,
-    throughput: f64,
-    unit: &str,
-    p99_class: EventClass,
-    sink: &TraceSink,
-) -> SmokeResult {
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let s = &SCENARIOS[point[0] as usize];
+    let sink = TraceSink::new();
+    let throughput = (s.run)(scale, &sink);
     let summary = sink.summary();
-    SmokeResult {
-        name: name.to_string(),
-        throughput,
-        unit: unit.to_string(),
-        p99_ns: summary.class(p99_class).map_or(0, |c| c.p99_ns),
-        p99_class,
-        summary,
+    vec![
+        ("scenario", Value::Str(s.name)),
+        ("throughput", Value::Float(throughput, 3)),
+        ("unit", Value::Str(s.unit)),
+        ("p99_ns", Value::Int(summary.class(s.p99_class).map_or(0, |c| c.p99_ns))),
+        ("p99_class", Value::Str(s.p99_class.name())),
+        ("trace", Value::Json(summary.to_json_indented(2))),
+    ]
+}
+
+/// One row per scenario: throughput and the tail of its dominant class.
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    let mut table = Pivot::new("scenario");
+    for c in cells {
+        let row = c.text("scenario")?;
+        table.push(row, "throughput", format!("{:.2}", c.num("throughput")?));
+        table.push(row, "unit", c.text("unit")?.to_string());
+        table.push(row, "p99", fmt_ns(c.num("p99_ns")?));
+        table.push(row, "class", c.text("p99_class")?.to_string());
+    }
+    Some(vec![table])
+}
+
+/// Each scenario's trace: the per-class percentile table and its stalls.
+fn footer(cells: &[Json]) -> Option<String> {
+    let mut out = String::new();
+    for c in cells {
+        let _ = writeln!(out, "### {} trace\n", c.text("scenario")?);
+        render_trace(c.get("trace")?, &mut out)?;
+    }
+    Some(out)
+}
+
+/// Renders one stall's causal chain (`<- class #seq [t=…, dur]`).
+fn stall_cause(s: &Json, key: &str) -> String {
+    match s.get(key) {
+        Some(c) if c.get("class").is_some() => {
+            let class = c.text("class").unwrap_or("?");
+            let seq = c.num("seq").unwrap_or(0.0) as u64;
+            let start = c.num("start_ns").unwrap_or(0.0);
+            let end = c.num("end_ns").unwrap_or(0.0);
+            format!(" ← {class} #{seq} [t={}, {}]", fmt_ns(start), fmt_ns(end - start))
+        }
+        _ => String::new(),
     }
 }
 
-/// All CI smoke scenarios, in report order.
-pub fn smoke_all(slow_ssd: bool) -> Vec<SmokeResult> {
-    vec![
-        smoke_fig2a(slow_ssd),
-        smoke_fig4(slow_ssd),
-        smoke_repl(slow_ssd),
-        smoke_scan(slow_ssd),
-        smoke_compact(slow_ssd),
-    ]
+/// Renders an embedded nob-trace summary: the per-class latency
+/// percentile table and the top stalls with their causal chain.
+fn render_trace(trace: &Json, out: &mut String) -> Option<()> {
+    let classes = trace.get("classes")?;
+    let Json::Object(classes) = classes else { return None };
+    let events = trace.num("events")? as u64;
+    let _ = writeln!(out, "*trace: {events} events*\n");
+    class_table(classes, out);
+    let stalls = trace.get("stalls")?;
+    let count = stalls.num("count").unwrap_or(0.0) as u64;
+    let total = stalls.num("total_ns").unwrap_or(0.0);
+    let top = stalls.get("top").and_then(Json::as_array).unwrap_or(&[]);
+    if count == 0 {
+        let _ = writeln!(out, "no write stalls recorded\n");
+        return Some(());
+    }
+    let _ = writeln!(
+        out,
+        "**{count} write stalls totalling {}; top {} (longest first):**\n",
+        fmt_ns(total),
+        top.len()
+    );
+    for (i, s) in top.iter().enumerate() {
+        let kind = s.text("kind").unwrap_or("?");
+        let start = s.num("start_ns").unwrap_or(0.0);
+        let dur = s.num("dur_ns").unwrap_or(0.0);
+        let _ = writeln!(
+            out,
+            "{}. {kind} {} at t={}{}{}",
+            i + 1,
+            fmt_ns(dur),
+            fmt_ns(start),
+            stall_cause(s, "cause_commit"),
+            stall_cause(s, "cause_flush"),
+        );
+    }
+    let _ = writeln!(out);
+    Some(())
+}
+
+/// What one scenario's cell must show: a positive throughput, a traced
+/// tail, and every class the scenario exists to exercise in its trace.
+fn check_cell(s: &Scenario, cell: &Json) {
+    let throughput = cell.num("throughput").unwrap_or(0.0);
+    assert!(throughput.is_finite() && throughput > 0.0, "{}: throughput {throughput}", s.name);
+    let tail = s.p99_class.name();
+    assert!(cell.num("p99_ns") > Some(0.0), "{}: the {tail} tail must be traced", s.name);
+    let classes = cell.get("trace").and_then(|t| t.get("classes"));
+    for class in s.traces {
+        let traced = classes.and_then(|c| c.get(class.name())).is_some();
+        assert!(traced, "{}: the trace lacks `{}`", s.name, class.name());
+    }
+}
+
+fn invariants(g: &Grid<'_>) {
+    for (&i, cell) in g.axis(0).iter().zip(g.cells()) {
+        check_cell(&SCENARIOS[i as usize], cell);
+    }
 }
 
 /// One run for the trace-overhead guard: `fills` fig4-style fillrandom
@@ -256,12 +351,13 @@ fn overhead_run(traced: bool, fills: usize) -> u64 {
 /// traced/untraced runs of `fills` fig4-style fills each (plus one
 /// discarded warm-up), returning the median host nanoseconds of each
 /// mode as `(traced, untraced)`. Interleaving and the median keep the
-/// guard robust against machine noise; the CI gate compares the two.
+/// guard robust against machine noise; the `trace_overhead` binary
+/// compares the two.
 ///
 /// One fill is ≈ 10 ms of host time, and a scheduler hiccup on a shared
 /// runner is a few milliseconds: `fills` is what lifts the measured
-/// interval clear of that, without touching the fill the smoke scenario
-/// and `fig_timeline` pin.
+/// interval clear of that, without touching the fill `fig_smoke` and
+/// `fig_timeline` pin.
 pub fn trace_overhead(rounds: usize, fills: usize) -> (u64, u64) {
     let fills = fills.max(1);
     let _ = overhead_run(false, 1); // warm-up: page in the code and allocator
@@ -280,69 +376,42 @@ pub fn trace_overhead(rounds: usize, fills: usize) -> (u64, u64) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn fig2a_smoke_is_deterministic_and_traced() {
-        let a = smoke_fig2a(false);
-        let b = smoke_fig2a(false);
-        assert_eq!(a.summary.to_json(), b.summary.to_json());
-        assert!(a.throughput > 0.0);
-        assert!(a.p99_ns > 0, "per-file fsync must produce journal commits");
-        assert!(a.summary.class(EventClass::SsdFlush).is_some());
+    /// Scenario `i`'s cell, run twice: the runs must agree byte for byte
+    /// (the sweep's own check reruns only the last cell) and the cell
+    /// must hold the sweep's per-scenario invariant.
+    fn reproducible_cell(i: usize) {
+        let run = || crate::sweep::row_json(&run_cell(&[i as u64], Scale::new(SWEEP.golden_scale)));
+        let (a, b) = (run(), run());
+        assert_eq!(a, b, "{} must be deterministic", SCENARIOS[i].name);
+        check_cell(&SCENARIOS[i], &Json::parse(&a).expect("a cell parses"));
     }
 
     #[test]
-    fn slow_ssd_degrades_both_gate_signals() {
-        let fast = smoke_fig2a(false);
-        let slow = smoke_fig2a(true);
-        assert!(
-            slow.throughput < fast.throughput * 0.85,
-            "2x-latency SSD must trip the throughput gate ({} vs {})",
-            slow.throughput,
-            fast.throughput
-        );
-        assert!(
-            slow.p99_ns as f64 > fast.p99_ns as f64 * 1.25,
-            "2x-latency SSD must trip the p99 gate ({} vs {})",
-            slow.p99_ns,
-            fast.p99_ns
-        );
+    fn fig2a_smoke_is_deterministic_and_traced() {
+        reproducible_cell(0);
+    }
+
+    #[test]
+    fn fig4_smoke_traces_the_engine() {
+        reproducible_cell(1);
     }
 
     #[test]
     fn repl_smoke_is_deterministic_and_traces_the_apply_path() {
-        let a = smoke_repl(false);
-        let b = smoke_repl(false);
-        assert_eq!(a.summary.to_json(), b.summary.to_json());
-        assert!(a.throughput > 0.0);
-        assert!(a.p99_ns > 0, "the apply path must be traced");
-        assert!(a.summary.class(EventClass::ReplShip).is_some());
-        assert!(a.summary.class(EventClass::ReplAck).is_some());
+        reproducible_cell(2);
     }
 
     #[test]
     fn scan_smoke_is_deterministic_and_traces_the_scan_path() {
-        let a = smoke_scan(false);
-        let b = smoke_scan(false);
-        assert_eq!(a.summary.to_json(), b.summary.to_json());
-        assert!(a.throughput > 0.0 && a.throughput.is_finite());
-        assert!(a.p99_ns > 0, "the scan path must be traced");
-        assert!(a.summary.class(EventClass::ServerScan).is_some());
+        reproducible_cell(3);
     }
 
     #[test]
     fn trace_overhead_measures_both_modes() {
         // One round keeps the test cheap; the ratio itself is asserted
-        // only by the CI guard (wall-clock is too noisy for unit tests).
+        // only by the `trace_overhead` binary (wall-clock is too noisy
+        // for unit tests).
         let (traced, untraced) = trace_overhead(1, 1);
         assert!(traced > 0 && untraced > 0);
-    }
-
-    #[test]
-    fn fig4_smoke_traces_the_engine() {
-        let r = smoke_fig4(false);
-        assert!(r.throughput > 0.0);
-        assert_eq!(r.p99_class, EventClass::EnginePut);
-        assert!(r.summary.class(EventClass::EnginePut).is_some());
-        assert!(r.summary.class(EventClass::MinorCompaction).is_some());
     }
 }

@@ -4,10 +4,11 @@
 //! stdout/markdown rendering and the golden compare/bless.
 //!
 //! A sweep module (`shards`, `server`, `repl`, `breakdown`, `scan`,
-//! `compact`, and `paper` for the paper's own figures) keeps only what
-//! is particular to it: why it exists, its workload (`run_cell`), how
-//! its cells read as tables (`tables`) and the properties its grid must
-//! show (`invariants`). Adding a sweep is adding one entry to
+//! `compact`, `timeline`, `scenarios` for the smoke scenarios, and
+//! `paper` for the paper's own figures) keeps only what is particular
+//! to it: why it exists, its workload (`run_cell`), how its cells read
+//! as tables (`tables`) and the properties its grid must show
+//! (`invariants`). Adding a sweep is adding one entry to
 //! [`SWEEPS`]: the `fig` binary, the golden test, `report`,
 //! EXPERIMENTS.md's generated blocks, CI and the artifact list pick it
 //! up from there.
@@ -91,9 +92,9 @@ pub struct Sweep {
     pub invariants: fn(&Grid<'_>),
 }
 
-/// Every grid sweep, in `fig all` and report order: the paper's figures
-/// (`fig paper`), then the extensions.
-pub const SWEEPS: [&Sweep; 14] = [
+/// Every golden-pinned document, in `fig all` and report order: the
+/// paper's figures (`fig paper`), then the extensions.
+pub const SWEEPS: [&Sweep; 16] = [
     &crate::paper::FIG2A,
     &crate::paper::FIG2B,
     &crate::paper::FIG4,
@@ -108,19 +109,9 @@ pub const SWEEPS: [&Sweep; 14] = [
     &crate::scan::SWEEP,
     &crate::paper::YCSB_E_STORE,
     &crate::compact::SWEEP,
+    &crate::timeline::SWEEP,
+    &crate::scenarios::SWEEP,
 ];
-
-fn fig2a_trace(_: Scale) -> String {
-    format!("{}\n", crate::scenarios::smoke_fig2a(false).summary.to_json())
-}
-
-/// Produces a whole document at a scale.
-pub type Producer = fn(Scale) -> String;
-
-/// The golden-pinned documents that are not grids, as `(name, pinned
-/// scale, producer)`: the gauge timelines and the fig2a trace summary.
-pub const PLAIN_DOCUMENTS: [(&str, u64, Producer); 2] =
-    [("fig_timeline", 512, crate::timeline::document), ("fig2a_trace", 512, fig2a_trace)];
 
 impl Sweep {
     /// The grid points in document order (first axis outermost).
@@ -178,7 +169,7 @@ impl Sweep {
     }
 }
 
-fn row_json(row: &Row) -> String {
+pub(crate) fn row_json(row: &Row) -> String {
     let fields: Vec<String> = row
         .iter()
         .map(|(name, value)| match value {
@@ -292,7 +283,7 @@ pub fn coalescing(cell: &Json) -> Option<f64> {
 
 /// The fixed-seed key stream every sweep draws from: Knuth's MMIX LCG
 /// from seed 42, reduced modulo the keyspace. One definition, so every
-/// sweep (and the smoke scenarios built on them) writes the same keys.
+/// sweep (the smoke scenarios among them) writes the same keys.
 #[derive(Debug, Clone)]
 pub struct KeyStream {
     state: u64,

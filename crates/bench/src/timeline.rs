@@ -1,4 +1,4 @@
-//! The `fig_timeline` experiment: fixed-seed fillrandom under Sync
+//! The `fig_timeline` sweep: fixed-seed fillrandom under Sync
 //! (LevelDB), Async (LevelDB-nosync) and NobLSM, with a [`MetricsHub`]
 //! sampling every layer's gauges on one shared virtual-time grid and a
 //! [`TraceSink`] recording the same run's stalls. The three timelines are
@@ -6,116 +6,159 @@
 //! by timestamp — so "dirty pages crossed the threshold here" and "the
 //! foreground stalled here" line up visually in the report.
 
-use nob_baselines::Variant;
-use nob_metrics::{MetricsHub, Timeline};
-use nob_sim::Nanos;
-use nob_trace::{StallRecord, TraceSink};
+use std::fmt::Write as _;
 
+use nob_baselines::Variant;
+use nob_metrics::MetricsHub;
+use nob_sim::Nanos;
+use nob_trace::TraceSink;
+
+use crate::json::Json;
+use crate::output::Pivot;
+use crate::report::fmt_ns;
+use crate::sweep::{Axis, Grid, Row, Sweep, Value};
 use crate::Scale;
 
-/// One variant's metered run: its gauge timeline plus the trace's top
-/// stalls for cross-referencing.
-struct TimelineRun {
-    /// Paper-facing series name (`Sync`, `Async`, `NobLSM`).
-    name: &'static str,
-    /// Every layer's gauges on the shared grid.
-    timeline: Timeline,
-    /// The run's top stalls, longest first (nob-trace's top-10 ring).
-    stalls: Vec<StallRecord>,
-}
+/// The three strategies: paper-facing series name and engine.
+const VARIANTS: [(&str, Variant); 3] =
+    [("Sync", Variant::LevelDb), ("Async", Variant::VolatileLevelDb), ("NobLSM", Variant::NobLsm)];
+
+/// Series every run must sample: one gauge per layer.
+const LAYERS: [&str; 3] = ["engine.mem_bytes", "ext4.dirty_bytes", "ssd.flush_commands"];
+
+/// The sweep: one axis over the three strategies.
+pub const SWEEP: Sweep = Sweep {
+    figure: "fig_timeline",
+    title: "cross-layer gauge timelines",
+    cells_key: "timeline_runs",
+    header: &[],
+    golden_scale: 512,
+    axes: &[Axis { name: "variant", values: &[0, 1, 2] }],
+    run_cell,
+    note: "the fig4-style fill (6 000 ops of 256 B fillrandom, seed 42) per strategy; one row \
+           per gauge, bucket maxima",
+    tables,
+    footer,
+    invariants,
+};
 
 /// Sampling period: 100 ms of virtual time at paper scale, divided like
 /// every other time-like constant, so a scaled run crosses the same
 /// number of grid instants as a full-scale one would.
-pub fn sample_period(scale: Scale) -> Nanos {
+fn sample_period(scale: Scale) -> Nanos {
     scale.duration(nob_metrics::DEFAULT_PERIOD)
 }
 
-/// One metered run of the bench-smoke fill shape
-/// ([`crate::scenarios::fig4_fill`]: 6 000 ops of 256 B fillrandom at
-/// seed 42, paper-shaped options).
-fn metered_fill(variant: Variant, scale: Scale) -> TimelineRun {
+/// One metered run of the fig4-style fill
+/// ([`crate::scenarios::fig4_fill`]): its gauge timeline plus the
+/// trace's top stalls (longest first), each placed on the timeline's
+/// grid.
+fn run_cell(point: &[u64], scale: Scale) -> Row {
+    let (name, variant) = VARIANTS[point[0] as usize];
     let hub = MetricsHub::new().with_period(sample_period(scale));
     let sink = TraceSink::new();
     crate::scenarios::fig4_fill(variant, scale.fresh_fs(), scale, |db| {
         db.set_metrics_hub(hub.clone());
         db.set_trace_sink(sink.clone());
     });
-    let name = match variant {
-        Variant::LevelDb => "Sync",
-        Variant::VolatileLevelDb => "Async",
-        other => other.name(),
-    };
-    TimelineRun { name, timeline: hub.timeline(), stalls: sink.summary().top_stalls }
-}
-
-/// Runs the three strategies side by side at a fixed scale.
-fn runs(scale: Scale) -> Vec<TimelineRun> {
-    [Variant::LevelDb, Variant::VolatileLevelDb, Variant::NobLsm]
-        .into_iter()
-        .map(|v| metered_fill(v, scale))
-        .collect()
-}
-
-/// The `fig_timeline` document: the `"timeline_runs"` key is the schema
-/// marker `report` dispatches on. Deterministic under the fixed seed —
-/// the golden test pins these exact bytes.
-pub fn document(scale: Scale) -> String {
-    to_json(&runs(scale), scale)
-}
-
-fn to_json(runs: &[TimelineRun], scale: Scale) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"figure\": \"fig_timeline\",\n");
-    out.push_str(&format!("  \"scale\": {},\n", scale.factor));
-    out.push_str("  \"timeline_runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", r.name));
-        out.push_str("      \"stalls\": [\n");
-        for (j, s) in r.stalls.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"kind\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \"grid_index\": {}}}",
+    let timeline = hub.timeline();
+    let stalls: Vec<String> = sink
+        .summary()
+        .top_stalls
+        .iter()
+        .map(|s| {
+            format!(
+                "\n      {{\"kind\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \"grid_index\": {}}}",
                 s.kind.name(),
                 s.start.as_nanos(),
                 s.end.as_nanos(),
-                r.timeline.grid_index(s.start).map_or(-1, |g| g as i64),
-            ));
-            out.push_str(if j + 1 < r.stalls.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("      ],\n");
-        out.push_str(&format!("      \"timeline\": {}\n", r.timeline.to_json_indented(3)));
-        out.push_str(if i + 1 < runs.len() { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+                timeline.grid_index(s.start).map_or(-1, |g| g as i64),
+            )
+        })
+        .collect();
+    vec![
+        ("name", Value::Str(name)),
+        ("stalls", Value::Json(format!("[{}\n    ]", stalls.join(",")))),
+        ("timeline", Value::Json(timeline.to_json_indented(2))),
+    ]
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// One row per strategy: how long its grid is and how often it stalled.
+fn tables(cells: &[Json]) -> Option<Vec<Pivot>> {
+    let mut table = Pivot::new("strategy");
+    for c in cells {
+        let (name, timeline) = (c.text("name")?, c.get("timeline")?);
+        table.push(name, "samples", timeline.num("samples")?.to_string());
+        table.push(name, "period", fmt_ns(timeline.num("period_ns")?));
+        table.push(name, "stalls", c.get("stalls")?.as_array()?.len().to_string());
+    }
+    Some(vec![table])
+}
 
-    #[test]
-    fn three_runs_share_one_grid_and_schema() {
-        let scale = Scale::new(512);
-        let runs = runs(scale);
-        assert_eq!(runs.len(), 3);
-        assert_eq!(runs[0].name, "Sync");
-        assert_eq!(runs[1].name, "Async");
-        assert_eq!(runs[2].name, "NobLSM");
-        for r in &runs {
-            assert_eq!(r.timeline.period, sample_period(scale), "{} off-grid", r.name);
-            assert!(r.timeline.samples > 2, "{} sampled {} instants", r.name, r.timeline.samples);
-            // All three layers contribute to every run.
-            for series in ["engine.mem_bytes", "ext4.dirty_bytes", "ssd.flush_commands"] {
-                assert!(r.timeline.series(series).is_some(), "{} missing {series}", r.name);
-            }
+/// Each strategy's gauges as sparklines, then its stalls on the grid.
+fn footer(cells: &[Json]) -> Option<String> {
+    let mut out = String::new();
+    for run in cells {
+        let _ = writeln!(out, "### {}\n", run.text("name")?);
+        let series = run.get("timeline")?.get("series")?.as_array()?;
+        let name_w = series.iter().filter_map(|s| s.text("name")).map(str::len).max().unwrap_or(0);
+        let _ = writeln!(out, "```");
+        for s in series {
+            let sname = s.text("name").unwrap_or("?");
+            let values: Vec<f64> = s
+                .get("values")
+                .and_then(Json::as_array)
+                .map(|vs| vs.iter().filter_map(Json::as_f64).collect())
+                .unwrap_or_default();
+            let peak = values.iter().copied().fold(0.0f64, f64::max);
+            let _ = writeln!(
+                out,
+                "{sname:name_w$}  {}  peak {peak}",
+                nob_metrics::sparkline(&values, 64)
+            );
         }
-        // Stalls cross-reference onto the grid; a stall mid-run maps to a
-        // mid-run index, and the JSON embeds it.
-        let doc = to_json(&runs, scale);
-        assert!(doc.contains("\"timeline_runs\""));
-        assert!(doc.contains("\"grid_index\""));
-        assert!(crate::json::Json::parse(&doc).is_some(), "document must parse");
+        let _ = writeln!(out, "```");
+        let stalls = run.get("stalls")?.as_array()?;
+        if stalls.is_empty() {
+            let _ = writeln!(out, "\nno write stalls recorded\n");
+            continue;
+        }
+        let _ = writeln!(out, "\nstalls on this grid:\n");
+        for s in stalls {
+            let kind = s.text("kind").unwrap_or("?");
+            let start = s.num("start_ns").unwrap_or(0.0);
+            let end = s.num("end_ns").unwrap_or(0.0);
+            let idx = s.num("grid_index").unwrap_or(-1.0) as i64;
+            let _ = writeln!(
+                out,
+                "- {kind} {} at t={} (grid index {idx})",
+                fmt_ns(end - start),
+                fmt_ns(start)
+            );
+        }
+        let _ = writeln!(out);
+    }
+    Some(out)
+}
+
+/// The three runs share one sampling grid, each sampled every layer more
+/// than twice, and every stall lands on its run's grid.
+fn invariants(g: &Grid<'_>) {
+    let period = |c: &Json| c.get("timeline").and_then(|t| t.num("period_ns"));
+    for c in g.cells() {
+        let name = c.text("name").unwrap_or("?");
+        assert_eq!(period(c), period(&g.cells()[0]), "{name} is off the shared grid");
+        let timeline = c.get("timeline").expect("a run has a timeline");
+        let samples = timeline.num("samples").unwrap_or(0.0);
+        assert!(samples > 2.0, "{name} sampled {samples} instants");
+        let series = timeline.get("series").and_then(Json::as_array).unwrap_or(&[]);
+        for layer in LAYERS {
+            let sampled = series.iter().any(|s| s.text("name") == Some(layer));
+            assert!(sampled, "{name} lacks `{layer}`");
+        }
+        for s in c.get("stalls").and_then(Json::as_array).unwrap_or(&[]) {
+            let index = s.num("grid_index").unwrap_or(-1.0);
+            assert!((0.0..samples).contains(&index), "{name}: a stall off the grid: {s:?}");
+        }
     }
 }

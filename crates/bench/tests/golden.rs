@@ -1,8 +1,8 @@
 //! The golden test: every pinned document — the paper's figures, the
-//! extension sweeps, the gauge timelines and the fig2a trace summary —
-//! must reproduce its checked-in fixture under `tests/golden/` byte for
-//! byte at its pinned scale, and every sweep's grid must hold that
-//! sweep's invariants (the paper's shape claims, monotonicity, ordering,
+//! extension sweeps, the gauge timelines and the smoke scenarios — must
+//! reproduce its checked-in fixture under `tests/golden/` byte for byte
+//! at its pinned scale, and every sweep's grid must hold that sweep's
+//! invariants (the paper's shape claims, monotonicity, ordering,
 //! content-hash equality, segment summation, determinism). Two more
 //! tests read only the checked-in fixtures: `report`'s renderer must
 //! render every cell of each, and the generated blocks of
@@ -19,7 +19,7 @@
 use std::path::{Path, PathBuf};
 
 use nob_bench::json::Json;
-use nob_bench::sweep::{self, compare_or_bless, PLAIN_DOCUMENTS, SWEEPS};
+use nob_bench::sweep::{self, compare_or_bless, SWEEPS};
 use nob_bench::Scale;
 
 fn golden(name: &str) -> PathBuf {
@@ -64,25 +64,18 @@ fn every_document_matches_its_golden_file_and_holds_its_invariants() {
     // One thread per document (named after it, for the panic message),
     // so the two long ones (`paper_fig4`, `paper_fig5`) overlap on a
     // two-core box instead of adding up.
-    type Document = (&'static str, Box<dyn FnOnce() -> String + Send>);
-    let sweeps = SWEEPS.into_iter().map(|sweep| -> Document {
-        let checked = move || {
-            let scale = Scale::new(sweep.golden_scale);
-            let text = sweep.document(scale);
-            sweep.check(&text, scale);
-            text
-        };
-        (sweep.figure, Box::new(checked))
-    });
-    let plain = PLAIN_DOCUMENTS.into_iter().map(|(name, scale, produce)| -> Document {
-        (name, Box::new(move || produce(Scale::new(scale))))
-    });
     let mut diverged: Vec<String> = std::thread::scope(|threads| {
-        let spawn = |(name, document): Document| {
-            let job = move || compare_or_bless(&golden(name), &document());
-            std::thread::Builder::new().name(name.into()).spawn_scoped(threads, job).expect("spawn")
+        let spawn = |sweep: &'static sweep::Sweep| {
+            let job = move || {
+                let scale = Scale::new(sweep.golden_scale);
+                let text = sweep.document(scale);
+                sweep.check(&text, scale);
+                compare_or_bless(&golden(sweep.figure), &text)
+            };
+            let thread = std::thread::Builder::new().name(sweep.figure.into());
+            thread.spawn_scoped(threads, job).expect("spawn")
         };
-        let handles: Vec<_> = sweeps.chain(plain).map(spawn).collect();
+        let handles: Vec<_> = SWEEPS.into_iter().map(spawn).collect();
         let done =
             handles.into_iter().map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
         done.filter_map(Result::err).collect()
@@ -123,18 +116,12 @@ fn report_renders_every_cell_of_every_golden_document() {
         assert!(entries == cells || rows == cells, "{}: {sizes:?} vs {cells} cells", sweep.figure);
         // A hole would be the only source of a placeholder dash, and the
         // renderer refuses a table with a hole instead of printing one.
-        nob_bench::report::render(sweep.figure, &doc).expect("renders");
+        nob_bench::report::render(&doc).expect("renders");
         let Json::Object(mut fields) = doc else { panic!("{}: not an object", sweep.figure) };
         if let Some(Json::Array(cells)) = fields.get_mut(sweep.cells_key) {
             cells.pop();
         }
         let short = Json::Object(fields);
-        assert!(nob_bench::report::render(sweep.figure, &short).is_none(), "a cell short");
-    }
-    for (name, ..) in PLAIN_DOCUMENTS {
-        let text = std::fs::read_to_string(golden(name)).expect("golden file");
-        let doc = Json::parse(&text).expect("golden file parses");
-        let markdown = nob_bench::report::render(name, &doc).expect("renders");
-        assert!(markdown.starts_with(&format!("## {name} — ")), "{markdown}");
+        assert!(nob_bench::report::render(&short).is_none(), "a cell short");
     }
 }

@@ -115,18 +115,6 @@ impl FaultPlan {
             && self.dropped_flush_pm == 0
     }
 
-    /// Restricts write faults to one command class.
-    pub fn with_class(mut self, class: WriteClass) -> Self {
-        self.class = Some(class);
-        self
-    }
-
-    /// Restricts injection to a virtual-time window.
-    pub fn with_window(mut self, from: Nanos, to: Nanos) -> Self {
-        self.window = Some((from, to));
-        self
-    }
-
     /// Adds an explicitly scheduled fault.
     pub fn with_scheduled(mut self, nth: u64, kind: FaultKind) -> Self {
         self.scheduled.push(ScheduledFault { nth, kind });

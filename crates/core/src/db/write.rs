@@ -77,7 +77,7 @@ impl Db {
         // The batch is the record's payload: framed, never re-encoded.
         let record = self.wal_writer.encode_record(batch.payload());
         now = self.fs.append(self.wal_handle, &record, now)?;
-        if wopts.wants_sync() {
+        if wopts.sync {
             now = self.fs.fsync(self.wal_handle, now)?;
         }
         batch.insert_into(&mut self.mem);

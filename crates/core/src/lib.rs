@@ -76,7 +76,7 @@ pub use db::{Db, RepairReport, ScanCollector, ScanResult, Snapshot, WriteBatch};
 pub use error::{DbError, Error};
 pub use iterator::{DbIterator, IterState};
 pub use options::{
-    prefix_successor, CompactionStyle, CompressionType, CpuCosts, Durability, Options, ReadOptions,
+    prefix_successor, CompactionStyle, CompressionType, CpuCosts, Options, ReadOptions,
     ScanOptions, SyncMode, WriteOptions,
 };
 pub use stats::{DbStats, LevelCompactionStats};

@@ -78,20 +78,6 @@ impl Default for CpuCosts {
     }
 }
 
-/// How durable a write must be before it returns (the named form of
-/// [`WriteOptions::sync`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Durability {
-    /// Buffered WAL append; durability rides on the filesystem's journal
-    /// commit discipline (LevelDB's default, and the setting used
-    /// throughout the paper — which is why log tails can break on power
-    /// loss).
-    #[default]
-    Buffered,
-    /// The WAL record is fsynced before the write returns.
-    Synced,
-}
-
 /// Per-write options (mirrors LevelDB's `WriteOptions`), consumed by the
 /// canonical [`Db::write`](crate::Db::write) entry point.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -100,10 +86,6 @@ pub struct WriteOptions {
     /// the setting used throughout the paper — is `false`, which is why
     /// log tails can break on power loss.
     pub sync: bool,
-    /// Named durability requirement; [`Durability::Synced`] implies
-    /// `sync` regardless of the boolean (the two express one knob — the
-    /// boolean survives for LevelDB familiarity).
-    pub durability: Durability,
 }
 
 impl WriteOptions {
@@ -114,13 +96,7 @@ impl WriteOptions {
 
     /// Options for a synced write.
     pub fn synced() -> Self {
-        WriteOptions { sync: true, durability: Durability::Synced }
-    }
-
-    /// Whether this write must fsync the WAL, combining the legacy
-    /// boolean with the named [`Durability`].
-    pub fn wants_sync(&self) -> bool {
-        self.sync || self.durability == Durability::Synced
+        WriteOptions { sync: true }
     }
 }
 

@@ -33,11 +33,6 @@ impl CompactionInputs {
     pub fn input_bytes(&self) -> u64 {
         self.inputs0.iter().chain(&self.inputs1).map(|f| f.size).sum()
     }
-
-    /// All input table numbers.
-    pub fn input_numbers(&self) -> Vec<u64> {
-        self.inputs0.iter().chain(&self.inputs1).map(|f| f.number).collect()
-    }
 }
 
 /// Owns the current [`Version`], the MANIFEST, and allocation counters.

@@ -59,12 +59,6 @@ impl ReplCore {
         &mut self.leader
     }
 
-    /// Consumes the core, returning the leader (failover hand-off,
-    /// end-of-test inspection).
-    pub fn into_leader(self) -> Leader {
-        self.leader
-    }
-
     /// Open connections.
     pub fn connections(&self) -> usize {
         self.conns.len()

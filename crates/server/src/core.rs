@@ -311,11 +311,6 @@ impl ServerCore {
         })
     }
 
-    /// The replication posture last pushed by the embedding layer.
-    pub fn repl_status(&self) -> ReplStatus {
-        self.repl
-    }
-
     /// Updates the replication posture. A [`ReplRole::Follower`] role
     /// makes every write-class request answer `-READONLY` from the next
     /// request on; in-flight writes already enqueued still resolve.

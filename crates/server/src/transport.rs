@@ -120,11 +120,6 @@ impl TcpTransport {
         stream.set_nodelay(true)?;
         Ok(TcpTransport { stream, buf: vec![0u8; 64 << 10] })
     }
-
-    /// Wraps an already-connected stream.
-    pub fn from_stream(stream: TcpStream) -> TcpTransport {
-        TcpTransport { stream, buf: vec![0u8; 64 << 10] }
-    }
 }
 
 impl Transport for TcpTransport {

@@ -1,68 +1,14 @@
-//! Per-actor virtual clocks.
+//! The shared virtual clock.
 
 use crate::Nanos;
 
-/// A monotonically non-decreasing virtual clock owned by one simulated actor
-/// (a client thread, the background compaction thread, the journal timer…).
-///
-/// Clocks only ever move forward: [`Clock::advance_to`] with an earlier
-/// instant is a no-op, which makes "wait until X happened" idempotent.
-///
-/// # Examples
-///
-/// ```
-/// use nob_sim::{Clock, Nanos};
-///
-/// let mut c = Clock::new();
-/// c.advance(Nanos::from_micros(10));
-/// c.advance_to(Nanos::from_micros(5)); // earlier: ignored
-/// assert_eq!(c.now(), Nanos::from_micros(10));
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Clock {
-    now: Nanos,
-}
-
-impl Clock {
-    /// Creates a clock at the simulation origin (t = 0).
-    pub fn new() -> Self {
-        Clock::default()
-    }
-
-    /// Creates a clock already advanced to `start`.
-    pub fn at(start: Nanos) -> Self {
-        Clock { now: start }
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Advances the clock by a duration.
-    pub fn advance(&mut self, by: Nanos) {
-        self.now += by;
-    }
-
-    /// Advances the clock to an instant, if that instant is in the future.
-    /// Returns the stall duration (zero if `to` was not in the future).
-    pub fn advance_to(&mut self, to: Nanos) -> Nanos {
-        if to > self.now {
-            let stall = to - self.now;
-            self.now = to;
-            stall
-        } else {
-            Nanos::ZERO
-        }
-    }
-}
-
-/// A cloneable, shareable [`Clock`]: the scheduler owns one and hands the
-/// same handle to every component that needs "the current virtual time"
+/// The one virtual clock: the scheduler owns one and hands the same
+/// handle to every component that needs "the current virtual time"
 /// without threading `now: Nanos` through each call.
 ///
-/// All clones observe and advance the same instant. Like [`Clock`], the
-/// shared clock is monotone: advancing to an earlier instant is a no-op.
+/// All clones observe and advance the same instant. The clock only ever
+/// moves forward: [`SharedClock::advance_to`] with an earlier instant is
+/// a no-op, which makes "wait until X happened" idempotent.
 ///
 /// # Examples
 ///
@@ -76,7 +22,7 @@ impl Clock {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock {
-    inner: std::sync::Arc<std::sync::Mutex<Clock>>,
+    inner: std::sync::Arc<std::sync::Mutex<Nanos>>,
 }
 
 impl SharedClock {
@@ -87,10 +33,10 @@ impl SharedClock {
 
     /// Creates a shared clock already advanced to `start`.
     pub fn at(start: Nanos) -> Self {
-        SharedClock { inner: std::sync::Arc::new(std::sync::Mutex::new(Clock::at(start))) }
+        SharedClock { inner: std::sync::Arc::new(std::sync::Mutex::new(start)) }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Clock> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Nanos> {
         // A panic while holding the lock cannot corrupt a Copy instant;
         // recover instead of cascading the poison.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
@@ -98,18 +44,21 @@ impl SharedClock {
 
     /// The current virtual instant.
     pub fn now(&self) -> Nanos {
-        self.lock().now()
+        *self.lock()
     }
 
     /// Advances the clock by a duration.
     pub fn advance(&self, by: Nanos) {
-        self.lock().advance(by);
+        *self.lock() += by;
     }
 
     /// Advances the clock to an instant, if it is in the future. Returns
     /// the stall duration (zero if `to` was not in the future).
     pub fn advance_to(&self, to: Nanos) -> Nanos {
-        self.lock().advance_to(to)
+        let mut now = self.lock();
+        let stall = to.saturating_sub(*now);
+        *now = (*now).max(to);
+        stall
     }
 
     /// Whether two handles share one underlying clock.
@@ -124,7 +73,7 @@ mod tests {
 
     #[test]
     fn starts_at_zero() {
-        assert_eq!(Clock::new().now(), Nanos::ZERO);
+        assert_eq!(SharedClock::new().now(), Nanos::ZERO);
     }
 
     #[test]
@@ -144,12 +93,12 @@ mod tests {
 
     #[test]
     fn at_starts_elsewhere() {
-        assert_eq!(Clock::at(Nanos::from_secs(3)).now(), Nanos::from_secs(3));
+        assert_eq!(SharedClock::at(Nanos::from_secs(3)).now(), Nanos::from_secs(3));
     }
 
     #[test]
     fn advance_accumulates() {
-        let mut c = Clock::new();
+        let c = SharedClock::new();
         c.advance(Nanos::from_micros(2));
         c.advance(Nanos::from_micros(3));
         assert_eq!(c.now(), Nanos::from_micros(5));
@@ -157,7 +106,7 @@ mod tests {
 
     #[test]
     fn advance_to_reports_stall() {
-        let mut c = Clock::new();
+        let c = SharedClock::new();
         let stall = c.advance_to(Nanos::from_micros(7));
         assert_eq!(stall, Nanos::from_micros(7));
         // Going backwards is a no-op with zero stall.

@@ -2,11 +2,12 @@
 //!
 //! Everything in this workspace that "takes time" — SSD commands, journal
 //! commits, background compactions — is accounted against a *virtual* clock
-//! rather than the wall clock. This crate provides the three primitives the
+//! rather than the wall clock. This crate provides the four primitives the
 //! rest of the stack builds on:
 //!
 //! * [`Nanos`] — a virtual instant/duration in nanoseconds.
-//! * [`Clock`] — a per-actor clock (each simulated thread owns one).
+//! * [`SharedClock`] — the one clock, shared by every component of a
+//!   deployment (clones observe and advance the same instant).
 //! * [`Timeline`] — a FIFO resource (the SSD command queue) that hands out
 //!   `[start, end)` reservations in issue order.
 //! * [`EventQueue`] — a time-ordered queue for timer-style events (journal
@@ -15,9 +16,9 @@
 //! # Examples
 //!
 //! ```
-//! use nob_sim::{Clock, Nanos, Timeline};
+//! use nob_sim::{Nanos, SharedClock, Timeline};
 //!
-//! let mut clock = Clock::new();
+//! let clock = SharedClock::new();
 //! let mut device = Timeline::new();
 //! // Two back-to-back 1 ms commands issued at t=0 serialize on the device.
 //! let a = device.reserve(clock.now(), Nanos::from_millis(1));
@@ -35,7 +36,7 @@ mod text;
 mod time;
 mod timeline;
 
-pub use clock::{Clock, SharedClock};
+pub use clock::SharedClock;
 pub use events::EventQueue;
 pub use text::{fnv1a, json_escape};
 pub use time::Nanos;

@@ -90,11 +90,6 @@ impl Ssd {
         self.injector = None;
     }
 
-    /// Whether a fault injector is installed.
-    pub fn has_injector(&self) -> bool {
-        self.injector.is_some()
-    }
-
     /// Consults the injector about a write and accounts the verdict.
     fn write_verdict(
         &mut self,

@@ -454,7 +454,7 @@ impl Store {
         let mut bytes = merged.byte_size();
         while tickets.len() < budget_count {
             let Some(next) = shard.queue.front() else { break };
-            if next.wopts.wants_sync() && !wopts.wants_sync() {
+            if next.wopts.sync && !wopts.sync {
                 break;
             }
             if bytes.saturating_add(next.batch.byte_size()) > budget_bytes {

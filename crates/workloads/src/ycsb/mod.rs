@@ -69,11 +69,6 @@ impl YcsbWorkload {
             YcsbWorkload::F => "F",
         }
     }
-
-    /// Whether the mix writes at all (A, D, E, F) — used by tests.
-    pub fn has_writes(&self) -> bool {
-        !matches!(self, YcsbWorkload::C | YcsbWorkload::B) || *self == YcsbWorkload::B
-    }
 }
 
 impl std::fmt::Display for YcsbWorkload {
@@ -213,12 +208,19 @@ pub fn run(
 }
 
 /// Loads `records` fresh KV pairs into a sharded [`Store`] in shuffled
-/// order — the Load-E phase for the store-level workload E run.
+/// order, each written with `wopts` — the Load-E phase for the
+/// store-level workload E run.
 ///
 /// # Errors
 ///
 /// Propagates store and engine errors.
-pub fn load_store(store: &mut Store, records: u64, value_size: usize, seed: u64) -> Result<Report> {
+pub fn load_store(
+    store: &mut Store,
+    wopts: &WriteOptions,
+    records: u64,
+    value_size: usize,
+    seed: u64,
+) -> Result<Report> {
     let order = shuffled(records, seed);
     let start = store.clock().now();
     let mut latencies = LatencyHistogram::new();
@@ -226,7 +228,7 @@ pub fn load_store(store: &mut Store, records: u64, value_size: usize, seed: u64)
         let now = store.clock().now();
         let mut batch = WriteBatch::new();
         batch.put(&key(k), &value(k, 0, value_size));
-        store.write(&WriteOptions::default(), batch)?;
+        store.write(wopts, batch)?;
         latencies.record(store.clock().now() - now);
     }
     let finished = store.clock().now();
@@ -244,14 +246,15 @@ pub fn load_store(store: &mut Store, records: u64, value_size: usize, seed: u64)
 /// Runs workload E end to end against a sharded [`Store`]: every scan
 /// (95 %, length ~U(1,100)) goes through the store's snapshot-pinned
 /// cross-shard k-way merge ([`Store::scan`]), every insert (5 %) through
-/// its group-commit write path — the same request mix as the
-/// single-engine [`run`], but exercising the sharded range-query path.
+/// its group-commit write path with `wopts` — the same request mix as
+/// the single-engine [`run`], but exercising the sharded range-query path.
 ///
 /// # Errors
 ///
 /// Propagates store and engine errors.
 pub fn run_e_store(
     store: &mut Store,
+    wopts: &WriteOptions,
     ops: u64,
     records: u64,
     value_size: usize,
@@ -276,7 +279,7 @@ pub fn run_e_store(
             record_count += 1;
             let mut batch = WriteBatch::new();
             batch.put(&key(k), &value(k, 0, value_size));
-            store.write(&WriteOptions::default(), batch)?;
+            store.write(wopts, batch)?;
         }
         let end = store.clock().now();
         total_latency += end - now;
@@ -389,7 +392,7 @@ mod tests {
             db.level1_max_bytes = 128 << 10;
             let mut store =
                 Store::open(StoreOptions { shards: 4, db, ..StoreOptions::default() }).unwrap();
-            let loaded = load_store(&mut store, 1000, 100, 3).unwrap();
+            let loaded = load_store(&mut store, &WriteOptions::default(), 1000, 100, 3).unwrap();
             assert_eq!(loaded.ops, 1000);
             store
         };
@@ -401,11 +404,11 @@ mod tests {
             .unwrap();
         assert_eq!(r.rows.len(), 20, "dense keyspace over 4 shards");
         let mut store = open();
-        let a = run_e_store(&mut store, 300, 1000, 100, 7).unwrap();
+        let a = run_e_store(&mut store, &WriteOptions::default(), 300, 1000, 100, 7).unwrap();
         assert_eq!(a.ops, 300);
         assert!(a.finished > a.started, "E must advance virtual time");
         // Deterministic under the seed, including the store's clock.
-        let b = run_e_store(&mut open(), 300, 1000, 100, 7).unwrap();
+        let b = run_e_store(&mut open(), &WriteOptions::default(), 300, 1000, 100, 7).unwrap();
         assert_eq!(a.total_latency, b.total_latency, "same seed, same virtual time");
         // ~5 % inserts grow the keyspace past the loaded range.
         let probe = key(1000);

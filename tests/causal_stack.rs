@@ -43,7 +43,7 @@ fn traced_replicated_set() -> TraceSink {
     let server = shared_server(
         ServerCore::open(ServerOptions {
             store: sopts.clone(),
-            write: WriteOptions { sync: true, ..WriteOptions::default() },
+            write: WriteOptions::synced(),
             ..ServerOptions::default()
         })
         .expect("open server"),
@@ -183,7 +183,7 @@ fn side_by_side_shard_commits_keep_the_exact_sum_and_stay_out_of_admission() {
     let sink = TraceSink::new();
     let mut core = ServerCore::open(ServerOptions {
         store: StoreOptions { shards: 2, ..StoreOptions::default() },
-        write: WriteOptions { sync: true, ..WriteOptions::default() },
+        write: WriteOptions::synced(),
         ..ServerOptions::default()
     })
     .expect("open server");
