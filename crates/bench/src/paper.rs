@@ -397,6 +397,8 @@ fn consistency_cell(point: &[u64], scale: Scale) -> Row {
     let variant = system(sys);
     let ops = scale.micro_ops();
     let (fs, mut db) = open(variant, scale, PAPER_TABLE_LARGE);
+    // The cut lands mid-run, after the run: keep every instant.
+    fs.pin_crash_horizon();
     // Write in shuffled order, remembering it to classify losses.
     let order = shuffled(ops, rep);
     let mut now = Nanos::ZERO;

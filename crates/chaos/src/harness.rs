@@ -151,6 +151,8 @@ fn vname(k: u16, v: u16, size: usize) -> Vec<u8> {
 /// live on the device, recording history and durability acks.
 pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
     let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(4 << 20));
+    // Every crash point is probed after the run: keep every instant.
+    fs.pin_crash_horizon();
     let mut opts = config_options(case.config);
     opts.compaction_lanes = case.lanes.max(1);
     let mut db =

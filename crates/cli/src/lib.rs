@@ -126,10 +126,13 @@ fn base_options() -> Options {
 }
 
 impl Session {
-    /// Creates a session over a fresh simulated filesystem.
+    /// Creates a session over a fresh simulated filesystem. `crash <pct>`
+    /// rewinds, so the filesystem's crash horizon is pinned.
     pub fn new() -> Self {
+        let fs = Ext4Fs::new(nob_ext4::Ext4Config::default());
+        fs.pin_crash_horizon();
         Session {
-            fs: Ext4Fs::new(nob_ext4::Ext4Config::default()),
+            fs,
             db: None,
             variant: Variant::NobLsm,
             clock: SharedClock::new(),
@@ -352,6 +355,7 @@ impl Session {
                     .unwrap_or(100);
                 let at = Nanos::from_nanos(self.clock.now().as_nanos() * pct.min(100) / 100);
                 let crashed = self.fs.crashed_view(at);
+                crashed.pin_crash_horizon();
                 let variant = self.variant;
                 // A crash rewinds the session to `at`; the shared clock is
                 // monotone, so the recovered stack gets a fresh one.

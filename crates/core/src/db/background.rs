@@ -152,8 +152,14 @@ impl Db {
     /// Applies every background completion due by `now`. A completion
     /// that fails to apply is a background failure like a job that failed
     /// to run.
+    ///
+    /// Also raises the filesystem's crash horizon to the shared clock's
+    /// present: a power cut cannot happen in the past. Not to `now` or the
+    /// filesystem's tick instant, which stalls and compaction lanes run
+    /// ahead of the clock.
     pub(super) fn pump(&mut self, now: Nanos) -> Result<()> {
         self.fs.tick(now);
+        self.fs.advance_crash_horizon(self.clock.now());
         while let Some((t, ev)) = self.events.pop_due(now) {
             // Sample grid instants the event predates, so a gauge reads
             // its pre-completion value (e.g. L0 count before the merge

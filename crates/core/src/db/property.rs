@@ -23,7 +23,9 @@ impl Db {
     ///   `"noblsm.approximate-memory-usage"`) — memtable bytes;
     /// * `"noblsm.ext4.*"` — filesystem passthroughs: `dirty-bytes`,
     ///   `running-txn-inodes`, `pending-inodes`, `committed-inodes`,
-    ///   `journal-free-bytes`, `stats`;
+    ///   `journal-free-bytes`, `retained-bytes` (content of every inode the
+    ///   simulated disk still holds, deleted ones not yet past the crash
+    ///   horizon included), `stats`;
     /// * `"noblsm.ssd.*"` — device passthroughs: `free-at`, `busy-time`,
     ///   `stats`.
     pub fn property(&self, name: &str) -> Option<String> {
@@ -141,6 +143,7 @@ shadows={} reclaimed={} files_read={} read_amp={:.2}",
             "pending-inodes" => Some(self.fs.kernel_table_sizes().0.to_string()),
             "committed-inodes" => Some(self.fs.kernel_table_sizes().1.to_string()),
             "journal-free-bytes" => Some(self.fs.journal_free_bytes().to_string()),
+            "retained-bytes" => Some(self.fs.retained_bytes().to_string()),
             "stats" => {
                 let s = self.fs.stats();
                 Some(format!(

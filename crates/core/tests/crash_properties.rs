@@ -147,6 +147,7 @@ proptest! {
         mode_sel in 0usize..4,
     ) {
         let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(4 << 20));
+        fs.pin_crash_horizon();
         let mode = config(mode_sel);
         let mut db = Db::open(fs.clone(), "db", mode.clone(), Nanos::ZERO).unwrap();
         let mut model = HashMap::new();

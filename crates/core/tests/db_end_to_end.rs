@@ -303,6 +303,35 @@ fn noblsm_reclaims_shadows() {
     assert_eq!(db.stats().shadow_files, 0, "no shadows should remain after settling");
 }
 
+/// The simulated disk forgets a deleted file once its deletion is durable
+/// before the engine's present: after twenty overwrites of the key space,
+/// what the filesystem holds tracks the live files, not every byte the
+/// run ever wrote.
+#[test]
+fn overwriting_the_key_space_keeps_retained_bytes_near_the_live_files() {
+    let fs = fs();
+    let mut db = Db::open(fs.clone(), "db", small_opts(SyncMode::NobLsm), Nanos::ZERO).unwrap();
+    let (keys, rounds) = (1_000, 20);
+    let mut now = Nanos::ZERO;
+    for _ in 0..rounds {
+        now = load(&mut db, keys, 512, now);
+    }
+    now = db.settle(now).unwrap();
+    // Two commit intervals later every deletion is durable and behind
+    // the clock the next pump raises the horizon to.
+    now += Nanos::from_secs(11);
+    db.clock().advance_to(now);
+    db.tick(now).unwrap();
+    let live: u64 = fs.list("").iter().map(|p| fs.file_size(p).unwrap()).sum();
+    let retained: u64 = db.property("noblsm.ext4.retained-bytes").unwrap().parse().unwrap();
+    let written = fs.stats().bytes_buffered;
+    assert!(written > 20 * live, "the run must write far more than it keeps: {written} vs {live}");
+    assert!(
+        (live..=2 * live).contains(&retained),
+        "retained {retained} bytes for {live} live bytes after writing {written}"
+    );
+}
+
 #[test]
 fn fragmented_style_works_end_to_end() {
     let fs = fs();

@@ -1,45 +1,24 @@
-//! The simulated filesystem: namespace, page cache, JBD2 journal, the
-//! NobLSM syscalls, and crash reconstruction.
+//! The simulated filesystem: namespace, page cache, JBD2 journal and the
+//! NobLSM syscalls. Crash reconstruction and the crash horizon live in
+//! `crash`, the gauge registration in `metrics`.
 
-use std::collections::{HashMap, VecDeque};
+mod crash;
+mod metrics;
+
+pub use crash::CommitWindow;
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nob_metrics::MetricsHub;
 use nob_sim::Nanos;
 use nob_ssd::{FlushFault, InjectorHandle, IoStats, Ssd, WriteClass, WriteFault};
 use nob_trace::{EventClass, TraceSink};
 
 use crate::inode::{CommitEvent, DamageEvent, Inode, PersistEvent};
 use crate::{Ext4Config, FileHandle, FsError, FsStats, InodeId, Result};
-
-/// XOR mask applied to media bytes damaged by injected faults, so that a
-/// crash view returns detectably wrong data instead of zeroes (which a
-/// checksum of an all-zero page might accidentally accept).
-const DAMAGE_MASK: u8 = 0x5A;
-
-/// One journal commit's timing, recorded for the chaos harness: the
-/// interesting crash instants are precisely the phase boundaries of these
-/// windows (mid write-back, between data and journal, mid journal, right
-/// at the FLUSH).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitWindow {
-    /// Instant the commit started (ordered data write-back begins).
-    pub start: Nanos,
-    /// All ordered data handed to the device (journal write may begin).
-    pub data_done: Nanos,
-    /// Journal blocks written (the commit record's FLUSH may begin).
-    pub journal_done: Nanos,
-    /// FLUSH acknowledged — the kernel marks the transaction committed.
-    pub end: Nanos,
-    /// Synchronous (fsync/fast-commit) rather than timer/threshold commit.
-    pub sync: bool,
-    /// Number of inodes the transaction covered.
-    pub inodes: usize,
-    /// Whether an injected fault hit this commit's journal write or FLUSH.
-    pub faulted: bool,
-}
 
 /// A simulated Ext4 filesystem mounted in `data=ordered` mode.
 ///
@@ -88,6 +67,13 @@ struct Inner {
     unsettled: Vec<(InodeId, usize)>,
     /// Timing of every journal commit, for chaos crash-point targeting.
     commit_log: Vec<CommitWindow>,
+    /// The earliest instant a crash view may still be asked for, and
+    /// whether a rewinding driver froze it there.
+    horizon: Nanos,
+    horizon_pinned: bool,
+    /// Deleted inodes by the instant their deletion record became
+    /// durable, earliest first: forgotten once the horizon passes it.
+    forgettable: BinaryHeap<Reverse<(Nanos, InodeId)>>,
     stats: FsStats,
     trace: Option<TraceSink>,
 }
@@ -116,6 +102,9 @@ impl Ext4Fs {
                 journal_broken_at: None,
                 unsettled: Vec::new(),
                 commit_log: Vec::new(),
+                horizon: Nanos::ZERO,
+                horizon_pinned: false,
+                forgettable: BinaryHeap::new(),
                 stats: FsStats::new(),
                 trace: None,
             })),
@@ -175,18 +164,6 @@ impl Ext4Fs {
         let mut g = self.inner.lock();
         g.ssd.clear_trace_sink();
         g.trace = None;
-    }
-
-    /// Instant of the first torn/corrupted journal commit record, if any.
-    /// Recovery cannot see past this point in the journal.
-    pub fn journal_broken(&self) -> Option<Nanos> {
-        self.inner.lock().journal_broken_at
-    }
-
-    /// Timing of every journal commit so far, in completion order. The
-    /// chaos harness derives its crash instants from these windows.
-    pub fn commit_windows(&self) -> Vec<CommitWindow> {
-        self.inner.lock().commit_log.clone()
     }
 
     /// Creates a new empty file.
@@ -549,204 +526,6 @@ impl Ext4Fs {
     pub fn device_flush_frontier(&self) -> Nanos {
         self.inner.lock().ssd.flush_frontier()
     }
-
-    /// Registers the filesystem's and device's live gauges with a metrics
-    /// hub (the observability twin of [`Ext4Fs::set_trace_sink`]): dirty
-    /// pages vs. the commit threshold, running-transaction membership, the
-    /// NobLSM Pending/Committed kernel tables, journal free space,
-    /// checkpoint backlog, and the device's queue/busy/FLUSH state. The
-    /// closures capture a clone of this handle, so they observe all future
-    /// activity; re-registering after crash recovery replaces the closures
-    /// but keeps sampled history.
-    pub fn register_metrics(&self, hub: &MetricsHub) {
-        use nob_metrics::MetricKind::{Counter, Gauge};
-        let fs = self.clone();
-        hub.register(Gauge, "ext4.dirty_bytes", "dirty page-cache bytes in the running txn", {
-            let fs = fs.clone();
-            move |_| fs.dirty_bytes() as f64
-        });
-        hub.register(
-            Gauge,
-            "ext4.dirty_trigger_bytes",
-            "dirty bytes that force an early commit",
-            {
-                let fs = fs.clone();
-                move |_| fs.config().dirty_trigger_bytes() as f64
-            },
-        );
-        hub.register(Gauge, "ext4.running_txn_inodes", "inodes joined to the running txn", {
-            let fs = fs.clone();
-            move |_| fs.running_txn_inodes() as f64
-        });
-        hub.register(Gauge, "ext4.pending_inodes", "check_commit registrations awaiting commit", {
-            let fs = fs.clone();
-            move |_| fs.kernel_table_sizes().0 as f64
-        });
-        hub.register(Gauge, "ext4.committed_inodes", "inodes in the Committed kernel table", {
-            let fs = fs.clone();
-            move |_| fs.kernel_table_sizes().1 as f64
-        });
-        hub.register(Gauge, "ext4.journal_free_bytes", "journal headroom modulo wrap", {
-            let fs = fs.clone();
-            move |_| fs.journal_free_bytes() as f64
-        });
-        hub.register(
-            Gauge,
-            "ext4.checkpoint_backlog_ns",
-            "time until queued background write-back drains",
-            {
-                let fs = fs.clone();
-                move |t| fs.device_background_free_at().saturating_sub(t).as_nanos() as f64
-            },
-        );
-        hub.register(Counter, "ext4.journal_bytes", "bytes written through the journal", {
-            let fs = fs.clone();
-            move |_| fs.stats().journal_bytes as f64
-        });
-        hub.register(Gauge, "ssd.queue_ns", "foreground command-queue backlog", {
-            let fs = fs.clone();
-            move |t| fs.device_free_at().saturating_sub(t).as_nanos() as f64
-        });
-        hub.register(Gauge, "ssd.busy_permille", "foreground busy time per mille of elapsed", {
-            let fs = fs.clone();
-            move |t| {
-                if t == Nanos::ZERO {
-                    0.0
-                } else {
-                    (fs.device_busy_time().as_nanos().saturating_mul(1000) / t.as_nanos()) as f64
-                }
-            }
-        });
-        hub.register(
-            Gauge,
-            "ssd.flush_inflight",
-            "1 while a FLUSH is outstanding at the device",
-            {
-                let fs = fs.clone();
-                move |t| {
-                    if t < fs.device_flush_frontier() {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-            },
-        );
-        hub.register(Counter, "ssd.flush_commands", "FLUSH commands issued to the device", {
-            let fs = fs.clone();
-            move |_| fs.io_stats().flush_commands as f64
-        });
-    }
-
-    /// Removes every gauge [`Ext4Fs::register_metrics`] installed.
-    pub fn unregister_metrics(hub: &MetricsHub) {
-        for name in [
-            "ext4.dirty_bytes",
-            "ext4.dirty_trigger_bytes",
-            "ext4.running_txn_inodes",
-            "ext4.pending_inodes",
-            "ext4.committed_inodes",
-            "ext4.journal_free_bytes",
-            "ext4.checkpoint_backlog_ns",
-            "ext4.journal_bytes",
-            "ssd.queue_ns",
-            "ssd.busy_permille",
-            "ssd.flush_inflight",
-            "ssd.flush_commands",
-        ] {
-            hub.unregister(name);
-        }
-    }
-
-    /// Reconstructs the filesystem a power failure at `at` would leave,
-    /// without disturbing this one.
-    ///
-    /// The returned filesystem contains, for every inode whose metadata was
-    /// committed by `at` (and whose committed state is not "deleted"), a
-    /// clean file at its committed path holding its committed length of
-    /// data. The NobLSM kernel tables are empty — they live in kernel DRAM
-    /// and do not survive a reboot.
-    ///
-    /// Injected device faults shape the reconstruction:
-    ///
-    /// * Commit records that never reached media (torn journal write, or
-    ///   acked behind a dropped FLUSH that was never settled) do not
-    ///   count, and nothing journalled after a torn commit record counts
-    ///   (JBD2 replay stops at the first bad record).
-    /// * Byte ranges damaged on media (torn or corrupt data write-back)
-    ///   come back XOR-masked, so the layer above's checksums can catch
-    ///   them; the view's `ordered_violations` counter records committed
-    ///   inodes whose full data was not durable.
-    ///
-    /// The view itself runs on a perfect device — power is back on and
-    /// the fault schedule belonged to the crashed run.
-    pub fn crashed_view(&self, at: Nanos) -> Ext4Fs {
-        let g = self.inner.lock();
-        let fresh = Ext4Fs::new(g.cfg.clone());
-        {
-            let mut n = fresh.inner.lock();
-            n.next_commit_at = at + n.cfg.commit_interval;
-            n.next_ino = g.next_ino;
-            let broken = g.journal_broken_at;
-            let faulted = g.ssd.stats().faults_injected() > 0;
-            let mut violations = 0u64;
-            // Latest committed claim per path wins (defensive; with atomic
-            // same-transaction rename/delete pairs, conflicts cannot arise).
-            let mut claims: HashMap<String, (Nanos, InodeId)> = HashMap::new();
-            for inode in g.inodes.values() {
-                let Some(ev) = inode.commit_at(at, broken) else { continue };
-                let Some(path) = ev.path.clone() else { continue };
-                let claim = (ev.at, inode.id);
-                match claims.get(&path) {
-                    Some(&existing) if existing >= claim => {}
-                    _ => {
-                        claims.insert(path, claim);
-                    }
-                }
-            }
-            for (path, (_, id)) in claims {
-                let old = &g.inodes[&id];
-                let ev = old.commit_at(at, broken).expect("claimed inodes have a commit event");
-                let persisted = old.persisted_len_at(at);
-                if persisted < ev.len {
-                    // Without faults this would be an ordered-mode bug in
-                    // the model itself; with faults it is the expected
-                    // contract break the chaos harness probes for.
-                    debug_assert!(
-                        faulted,
-                        "ordered-mode contract violated: inode {} committed len {} but only {} persisted",
-                        id,
-                        ev.len,
-                        persisted
-                    );
-                    violations += 1;
-                }
-                let len = ev.len.min(persisted) as usize;
-                let mut inode = Inode::new(id, path.clone());
-                inode.content = old.content[..len].to_vec();
-                for (s, e) in old.damage_within(len as u64, at) {
-                    for b in &mut inode.content[s as usize..e as usize] {
-                        *b ^= DAMAGE_MASK;
-                    }
-                }
-                inode.written_back = len as u64;
-                inode.metadata_dirty = false;
-                inode.committed_epoch = inode.epoch;
-                inode.committed_at = Some(at);
-                inode.persisted.record(PersistEvent { len: len as u64, at });
-                inode.commit_events.push(CommitEvent {
-                    at,
-                    durable_at: Some(at),
-                    len: len as u64,
-                    path: Some(path.clone()),
-                });
-                n.inodes.insert(id, inode);
-                n.names.insert(path, id);
-            }
-            n.stats.ordered_violations = violations;
-        }
-        fresh
-    }
 }
 
 impl Inner {
@@ -831,6 +610,9 @@ impl Inner {
             let Some(ev) = inode.commit_events.get_mut(idx) else { continue };
             if ev.durable_at.is_none() {
                 ev.durable_at = Some(at);
+                if ev.path.is_none() {
+                    self.deletion_durable(id, at);
+                }
             }
         }
     }
@@ -1082,7 +864,8 @@ impl Inner {
         // lie the chaos harness probes NobLSM's shadow scheme against.
         for &id in &txn {
             let Some(inode) = self.inodes.get_mut(&id) else { continue };
-            let event = if inode.deleted {
+            let deleted = inode.deleted;
+            let event = if deleted {
                 CommitEvent { at: t_commit, durable_at, len: 0, path: None }
             } else {
                 CommitEvent {
@@ -1096,6 +879,9 @@ impl Inner {
             if !record_lost && flush_dropped {
                 let idx = inode.commit_events.len() - 1;
                 self.unsettled.push((id, idx));
+            }
+            if let Some(durable) = durable_at.filter(|_| deleted) {
+                self.deletion_durable(id, durable);
             }
             let inode = self.inodes.get_mut(&id).expect("looked up above");
             inode.committed_epoch = inode.epoch;
@@ -1511,6 +1297,7 @@ mod tests {
 
     mod faults {
         use super::*;
+        use crate::fs::crash::DAMAGE_MASK;
         use nob_ssd::{FaultInjector, FlushCmd, WriteCmd};
 
         /// Tears every journal-class write, leaving data and FLUSH alone.

@@ -22,7 +22,11 @@
 //! * **Crashes** — [`Ext4Fs::crashed_view`] reconstructs the state a real
 //!   power failure at any virtual instant would leave: files exist with the
 //!   size of their last committed inode, data is the persisted prefix, and
-//!   uncommitted creations/renames/deletions are rolled back.
+//!   uncommitted creations/renames/deletions are rolled back. Instants
+//!   before the *crash horizon* ([`Ext4Fs::advance_crash_horizon`]) are
+//!   off limits: a deleted file whose deletion was durable by then is
+//!   forgotten. A driver that cuts power in its own past pins the horizon
+//!   first ([`Ext4Fs::pin_crash_horizon`]).
 //!
 //! # Examples
 //!

@@ -311,6 +311,8 @@ fn crash_never_surfaces_follower_without_leader() {
         ..StoreOptions::default()
     })
     .unwrap();
+    // The sweep below cuts power across the whole run: keep every instant.
+    store.shard_db(0).fs().pin_crash_horizon();
 
     // Pick keys that all route to shard 0 so every group is coalesced
     // there and the crash analysis has one WAL to reason about.
@@ -393,6 +395,10 @@ fn crash_across_overlapped_shards_keeps_every_acked_ticket_whole() {
     })
     .unwrap();
     store.enable_shipping();
+    // The cuts below land across the whole run: keep every instant.
+    for shard in 0..2 {
+        store.shard_db(shard).fs().pin_crash_horizon();
+    }
 
     // Fresh keys per shard, each written exactly once, so "present" and
     // "whose write is this" are both unambiguous.

@@ -26,6 +26,8 @@ fn put_at(db: &mut noblsm::Db, now: Nanos, key: &[u8], value: &[u8]) -> Nanos {
 
 fn main() -> Result<(), noblsm::DbError> {
     let fs = Ext4Fs::new(Ext4Config::default());
+    // The power cut below lands in the past of the run: keep every instant.
+    fs.pin_crash_horizon();
     let opts = Options::default().with_sync_mode(SyncMode::NobLsm).with_table_size(128 << 10);
     let mut db = Db::open(fs.clone(), "db", opts.clone(), Nanos::ZERO)?;
 
