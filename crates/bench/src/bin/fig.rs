@@ -12,9 +12,9 @@
 //! The documents are the entries of `nob_bench::sweep::SWEEPS`; this
 //! binary knows nothing about any one of them.
 
-use nob_bench::json::Json;
 use nob_bench::sweep::{self, SWEEPS};
 use nob_bench::Scale;
+use nob_sim::json::Json;
 
 /// A document's command-line name: its id without the `fig_` of the
 /// extension sweeps (`fig_shards` → `shards`, `paper_fig4` as is).

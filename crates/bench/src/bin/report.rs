@@ -27,7 +27,7 @@ fn main() {
     for path in &paths {
         let section = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|text| nob_bench::json::Json::parse(&text).ok_or("unparseable".to_string()))
+            .and_then(|text| nob_sim::json::Json::parse(&text).ok_or("unparseable".to_string()))
             .and_then(|doc| nob_bench::report::render(&doc).ok_or("unexpected schema".into()));
         match section {
             Ok(section) => out.push_str(&section),

@@ -18,16 +18,16 @@
 //! per store, so the grid is bit-for-bit deterministic and
 //! golden-pinned.
 
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 use nob_store::{Store, StoreOptions, Ticket};
 use nob_trace::{EventClass, TraceCtx, TraceSink, SEGMENTS};
 use noblsm::WriteBatch;
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::report::fmt_ns;
 use crate::shards::{disciplines, store_options};
-use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value, DISCIPLINES, NOBLSM, SYNC};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, DISCIPLINES, NOBLSM, SYNC};
 use crate::Scale;
 
 /// Fixed workload shape: every cell writes the same `OPS` keys from the
@@ -102,11 +102,11 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     resolve(&mut store, &sink, &mut inflight);
     assert!(inflight.is_empty(), "every ticket must resolve after drain");
     vec![
-        ("name", Value::Str(name)),
-        ("shards", Value::Int(shards)),
-        ("ops", Value::Int(OPS)),
+        ("name", name.into()),
+        ("shards", shards.into()),
+        ("ops", OPS.into()),
         // Per-segment decomposition across all `OPS` requests.
-        ("critical", Value::Json(sink.critical_summary(TOP_N).to_json_indented(2))),
+        ("critical", sink.critical_summary(TOP_N).to_json()),
     ]
 }
 
@@ -175,7 +175,7 @@ fn invariants(g: &Grid<'_>) {
         let crit = c.get("critical").expect("cell carries its decomposition");
         assert_eq!(crit.num("paths"), Some(OPS as f64), "every op must be traced: {c:?}");
         let Some(Json::Object(segments)) = crit.get("segments") else { panic!("segments: {c:?}") };
-        let sum: f64 = segments.values().filter_map(|s| s.num("total_ns")).sum();
+        let sum: f64 = segments.iter().filter_map(|(_, s)| s.num("total_ns")).sum();
         assert_eq!(Some(sum), crit.num("total_ns"), "segments must partition the windows: {c:?}");
     }
     let total = |p: &[u64]| g.at(p).get("critical").and_then(|k| k.num("total_ns"));

@@ -27,14 +27,14 @@
 //! the grid is bit-for-bit deterministic and golden-pinned.
 
 use nob_baselines::Variant;
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 use nob_store::{Store, StoreOptions};
 use noblsm::{ScanOptions, WriteOptions};
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::shards::{disciplines, store_options};
-use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value, DISCIPLINES};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, DISCIPLINES};
 use crate::Scale;
 
 /// Fixed workload shape: every cell writes the same `OPS` keys from the
@@ -156,24 +156,24 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     }
     let shard_time = u128::from(elapsed.as_nanos()) * u128::from(shards);
     vec![
-        ("name", Value::Str(name)),
-        ("shards", Value::Int(shards)),
-        ("lanes", Value::Int(lanes)),
-        ("ops", Value::Int(OPS)),
-        ("throughput_ops_s", Value::Float(OPS as f64 / elapsed.as_secs_f64(), 3)),
-        ("p99_write_ns", Value::Int(sweep::quantile_ns(&mut latencies, 99))),
+        ("name", name.into()),
+        ("shards", shards.into()),
+        ("lanes", lanes.into()),
+        ("ops", OPS.into()),
+        ("throughput_ops_s", Json::fixed(OPS as f64 / elapsed.as_secs_f64(), 3)),
+        ("p99_write_ns", Json::from(sweep::quantile_ns(&mut latencies, 99))),
         // Foreground stall time as a share of shard-time
         // (`Σ stall_time / (elapsed × shards)`).
         (
             "stall_share",
-            Value::Float(if shard_time == 0 { 0.0 } else { stall as f64 / shard_time as f64 }, 6),
+            Json::fixed(if shard_time == 0 { 0.0 } else { stall as f64 / shard_time as f64 }, 6),
         ),
-        ("majors", Value::Int(majors)),
+        ("majors", majors.into()),
         // Lane-scheduler preemptions toward `L0`→`L1` work.
-        ("preempt_l0", Value::Int(preempt_l0)),
+        ("preempt_l0", preempt_l0.into()),
         // Hash of the final logical contents; must be identical across
         // lane counts within a (discipline, shards) pair.
-        ("content_hash", Value::Hex(content_hash(&mut store))),
+        ("content_hash", format!("{:016x}", content_hash(&mut store)).into()),
     ]
 }
 

@@ -21,7 +21,6 @@ use noblsm::Options;
 
 pub mod breakdown;
 pub mod compact;
-pub mod json;
 pub mod output;
 pub mod paper;
 pub mod repl;
@@ -32,6 +31,9 @@ pub mod server;
 pub mod shards;
 pub mod sweep;
 pub mod timeline;
+
+/// The benchmark package imports the JSON module by this path.
+pub use nob_sim::json;
 
 /// The paper's fixed workload parameters, before scaling.
 pub const PAPER_MICRO_OPS: u64 = 10_000_000;

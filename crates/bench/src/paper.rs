@@ -16,6 +16,7 @@
 
 use nob_baselines::Variant;
 use nob_ext4::Ext4Fs;
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 use nob_store::Store;
 use nob_workloads::keys::{key, shuffled, value};
@@ -23,11 +24,10 @@ use nob_workloads::ycsb::{self, YcsbWorkload};
 use nob_workloads::{dbbench, Report};
 use noblsm::{Db, SyncMode};
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::scenarios::{fig2a_strategy, raw_fs};
 use crate::shards::{disciplines, store_options};
-use crate::sweep::{self, Axis, Grid, Row, Sweep, Value, ASYNC, DISCIPLINES, SYNC};
+use crate::sweep::{self, Axis, Grid, Row, Sweep, ASYNC, DISCIPLINES, SYNC};
 use crate::{gb, us_per_op, Scale, PAPER_TABLE_LARGE, PAPER_TABLE_SMALL};
 
 /// The seven systems of Figs. 4–5 and Table 1, as positions in
@@ -89,9 +89,9 @@ fn fig2a_cell(point: &[u64], scale: Scale) -> Row {
     let bytes = (volume_gb << 30) / scale.factor;
     let elapsed = fig2a_strategy(&raw_fs(), strategy, bytes, 2 << 20);
     vec![
-        ("strategy", Value::Str(strategy)),
-        ("volume_gb", Value::Int(volume_gb)),
-        ("seconds", Value::Float(elapsed.as_secs_f64(), 6)),
+        ("strategy", strategy.into()),
+        ("volume_gb", volume_gb.into()),
+        ("seconds", Json::fixed(elapsed.as_secs_f64(), 6)),
     ]
 }
 
@@ -165,11 +165,11 @@ fn fig2b_cell(point: &[u64], scale: Scale) -> Row {
     let settled = db.wait_idle(fill.finished).expect("drain compactions");
     let over = dbbench::overwrite(&mut db, ops, 1024, 43, settled).expect("overwrite");
     vec![
-        ("paper_table_mb", Value::Int(paper_table >> 20)),
-        ("series", Value::Str(series)),
-        ("table_bytes", Value::Int(scale.base_options(paper_table).table_size)),
-        ("fillrandom_s", Value::Float(fill.wall().as_secs_f64(), 6)),
-        ("overwrite_s", Value::Float(over.wall().as_secs_f64(), 6)),
+        ("paper_table_mb", Json::from(paper_table >> 20)),
+        ("series", series.into()),
+        ("table_bytes", Json::from(scale.base_options(paper_table).table_size)),
+        ("fillrandom_s", Json::fixed(fill.wall().as_secs_f64(), 6)),
+        ("overwrite_s", Json::fixed(over.wall().as_secs_f64(), 6)),
     ]
 }
 
@@ -247,10 +247,10 @@ fn fig4_cell(point: &[u64], scale: Scale) -> Row {
         }
     };
     vec![
-        ("workload", Value::Str(workload)),
-        ("system", Value::Str(system(sys).name())),
-        ("value_size", Value::Int(value_size)),
-        ("us_per_op", Value::Float(us, 6)),
+        ("workload", workload.into()),
+        ("system", Json::from(system(sys).name())),
+        ("value_size", value_size.into()),
+        ("us_per_op", Json::fixed(us, 6)),
     ]
 }
 
@@ -323,11 +323,11 @@ fn table1_cell(point: &[u64], scale: Scale) -> Row {
     let t = db.wait_idle(fill.finished).expect("drain");
     dbbench::readrandom(&mut db, (ops / 10).max(100), ops, 44, t).expect("readrandom");
     vec![
-        ("system", Value::Str(variant.name())),
-        ("syncs", Value::Int(stats.sync_calls)),
-        ("bytes_synced", Value::Int(stats.bytes_synced)),
-        ("rescaled_synced_gb", Value::Float(gb(stats.bytes_synced * scale.factor), 2)),
-        ("read_amp", Value::Float(db.stats().read_amplification(), 2)),
+        ("system", variant.name().into()),
+        ("syncs", stats.sync_calls.into()),
+        ("bytes_synced", stats.bytes_synced.into()),
+        ("rescaled_synced_gb", Json::fixed(gb(stats.bytes_synced * scale.factor), 2)),
+        ("read_amp", Json::fixed(db.stats().read_amplification(), 2)),
     ]
 }
 
@@ -412,7 +412,7 @@ fn consistency_cell(point: &[u64], scale: Scale) -> Row {
     let crashed = fs.crashed_view(crash_at);
     let mut recovered = variant.open(crashed, "db", &base, crash_at).expect("recovery succeeds");
     recovered.check_invariants().expect("recovered tree is well formed");
-    let (mut intact, mut lost, mut corrupt) = (0, 0, 0);
+    let (mut intact, mut lost, mut corrupt) = (0u64, 0u64, 0u64);
     let mut t = crash_at;
     for &k in &order {
         let (got, t2) = recovered.get_at_time(t, &key(k)).expect("get");
@@ -424,12 +424,12 @@ fn consistency_cell(point: &[u64], scale: Scale) -> Row {
         }
     }
     vec![
-        ("system", Value::Str(variant.name())),
-        ("repetition", Value::Int(rep)),
-        ("wrote", Value::Int(ops)),
-        ("intact", Value::Int(intact)),
-        ("lost", Value::Int(lost)),
-        ("corrupt", Value::Int(corrupt)),
+        ("system", variant.name().into()),
+        ("repetition", rep.into()),
+        ("wrote", ops.into()),
+        ("intact", intact.into()),
+        ("lost", lost.into()),
+        ("corrupt", corrupt.into()),
     ]
 }
 
@@ -485,9 +485,9 @@ fn fig5_cell(point: &[u64], scale: Scale) -> Row {
     let [threads, sys] = *point else { unreachable!("two axes") };
     let variant = system(sys);
     let (records, ops) = (scale.ycsb_records(), scale.ycsb_ops());
-    let mut row = vec![("threads", Value::Int(threads)), ("system", Value::Str(variant.name()))];
+    let mut row = vec![("threads", threads.into()), ("system", variant.name().into())];
     let mut record = |phase: &'static str, r: &Report| {
-        row.push((phase, Value::Float(r.mean_us_per_op(), 6)));
+        row.push((phase, Json::fixed(r.mean_us_per_op(), 6)));
     };
     // Load-A: clear data set, fill with records (fresh DB ⇒ just fill).
     let (_, mut db) = open(variant, scale, PAPER_TABLE_LARGE);
@@ -633,11 +633,11 @@ fn ablate_cell(point: &[u64], scale: Scale) -> Row {
         peak = peak.max(db.stats().shadow_files);
     }
     vec![
-        ("study", Value::Str(study)),
-        ("arm", Value::Str(arm)),
-        ("us_per_op", Value::Float(us_per_op(now, ops), 6)),
-        ("peak_shadow_files", Value::Int(peak)),
-        ("syncs", Value::Int(fs.stats().sync_calls)),
+        ("study", study.into()),
+        ("arm", arm.into()),
+        ("us_per_op", Json::fixed(us_per_op(now, ops), 6)),
+        ("peak_shadow_files", peak.into()),
+        ("syncs", Json::from(fs.stats().sync_calls)),
     ]
 }
 
@@ -690,10 +690,10 @@ fn ycsb_e_store_cell(point: &[u64], scale: Scale) -> Row {
     let load = ycsb::load_store(&mut store, &wopts, records, 1024, 2).expect("Load-E");
     let e = ycsb::run_e_store(&mut store, &wopts, ops, records, 1024, 8).expect("workload E");
     vec![
-        ("name", Value::Str(name)),
-        ("shards", Value::Int(shards)),
-        ("load_e_us", Value::Float(load.mean_us_per_op(), 6)),
-        ("e_us", Value::Float(e.mean_us_per_op(), 6)),
+        ("name", name.into()),
+        ("shards", shards.into()),
+        ("load_e_us", Json::fixed(load.mean_us_per_op(), 6)),
+        ("e_us", Json::fixed(e.mean_us_per_op(), 6)),
     ]
 }
 

@@ -19,16 +19,16 @@
 
 use nob_baselines::Variant;
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback};
+use nob_sim::json::Json;
 use nob_sim::SharedClock;
 use nob_store::{Store, StoreOptions};
 use nob_trace::TraceSink;
 use noblsm::{ReadOptions, WriteOptions};
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::report::fmt_ns;
 use crate::shards::store_options;
-use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep};
 use crate::Scale;
 
 /// Fixed workload shape: every cell replicates the same `OPS` keys from
@@ -145,15 +145,15 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     let opts = store_options(Variant::LevelDb, shards as usize, scale);
     let run = replicate(opts, burst, OPS, READS, None);
     vec![
-        ("shards", Value::Int(shards)),
-        ("burst", Value::Int(burst)),
-        ("ops", Value::Int(OPS)),
-        ("records", Value::Int(run.records)),
-        ("mean_lag_ns", Value::Int(run.mean_lag_ns)),
-        ("max_lag_ns", Value::Int(run.max_lag_ns)),
-        ("max_staleness_ns", Value::Int(run.max_staleness_ns)),
-        ("reads", Value::Int(READS)),
-        ("read_throughput_ops_s", Value::Float(run.read_throughput, 3)),
+        ("shards", shards.into()),
+        ("burst", burst.into()),
+        ("ops", OPS.into()),
+        ("records", run.records.into()),
+        ("mean_lag_ns", run.mean_lag_ns.into()),
+        ("max_lag_ns", run.max_lag_ns.into()),
+        ("max_staleness_ns", run.max_staleness_ns.into()),
+        ("reads", READS.into()),
+        ("read_throughput_ops_s", Json::fixed(run.read_throughput, 3)),
     ]
 }
 

@@ -6,7 +6,8 @@
 
 use std::fmt::Write as _;
 
-use crate::json::Json;
+use nob_sim::json::Json;
+
 use crate::sweep;
 
 /// Formats an integer nanosecond quantity with a human unit.
@@ -23,7 +24,7 @@ pub fn fmt_ns(ns: f64) -> String {
 }
 
 /// The per-class latency percentile table (nothing for no classes).
-pub(crate) fn class_table(classes: &std::collections::BTreeMap<String, Json>, out: &mut String) {
+pub(crate) fn class_table(classes: &[(String, Json)], out: &mut String) {
     if classes.is_empty() {
         return;
     }
@@ -51,8 +52,8 @@ fn sum_field(results: &[Json], key: &str) -> u64 {
 }
 
 /// Counts cases whose boolean field is set.
-fn count_true(results: &[Json], key: &str) -> usize {
-    results.iter().filter(|r| r.get(key).and_then(Json::as_bool) == Some(true)).count()
+fn count_true(results: &[Json], key: &str) -> u64 {
+    results.iter().filter(|r| r.get(key).and_then(Json::as_bool) == Some(true)).count() as u64
 }
 
 /// Renders a failover-campaign document (the `nob-chaos` leader-kill
@@ -91,38 +92,29 @@ fn render_failover(exp: &Json, out: &mut String) -> Option<()> {
 /// fault-injection and recovery counters as one summary table.
 fn render_chaos(exp: &Json, out: &mut String) -> Option<()> {
     let profile = exp.text("profile")?;
-    let cases = exp.num("cases")? as u64;
-    let passed = exp.num("passed")? as u64;
-    let failed = exp.num("failed")? as u64;
-    let undetected = exp.num("undetected_values")? as u64;
-    let unexplained = exp.num("unexplained_losses")? as u64;
     let results = exp.get("results")?.as_array()?;
-    let injections: usize = results
-        .iter()
-        .filter_map(|r| r.get("injections").and_then(Json::as_array))
-        .map(<[Json]>::len)
-        .sum();
+    let field = |key: &str| exp.num(key).map(|v| v as u64);
+    let injections = results.iter().filter_map(|r| r.get("injections")?.as_array()).map(<[_]>::len);
+    let counters = [
+        ("cases", field("cases")?),
+        ("passed", field("passed")?),
+        ("failed", field("failed")?),
+        ("faults injected", injections.sum::<usize>() as u64),
+        ("undetected (fabricated) values", field("undetected_values")?),
+        ("unexplained acked losses", field("unexplained_losses")?),
+        ("acked pairs checked", sum_field(results, "acked_pairs")),
+        ("acked losses (explained)", sum_field(results, "lost_acked")),
+        ("WAL corruptions detected", sum_field(results, "wal_corruptions_detected")),
+        ("WAL bytes dropped", sum_field(results, "wal_bytes_dropped")),
+        ("ordered-mode violations", sum_field(results, "ordered_violations")),
+        ("repairs engaged", count_true(results, "repaired")),
+        ("journal chains broken", count_true(results, "journal_broken")),
+    ];
     let _ = writeln!(out, "## chaos — fault injection & recovery ({profile})\n");
-    let _ = writeln!(out, "| counter | value |");
-    let _ = writeln!(out, "|---|---|");
-    let _ = writeln!(out, "| cases | {cases} |");
-    let _ = writeln!(out, "| passed | {passed} |");
-    let _ = writeln!(out, "| failed | {failed} |");
-    let _ = writeln!(out, "| faults injected | {injections} |");
-    let _ = writeln!(out, "| undetected (fabricated) values | {undetected} |");
-    let _ = writeln!(out, "| unexplained acked losses | {unexplained} |");
-    let _ = writeln!(out, "| acked pairs checked | {} |", sum_field(results, "acked_pairs"));
-    let _ = writeln!(out, "| acked losses (explained) | {} |", sum_field(results, "lost_acked"));
-    let _ = writeln!(
-        out,
-        "| WAL corruptions detected | {} |",
-        sum_field(results, "wal_corruptions_detected")
-    );
-    let _ = writeln!(out, "| WAL bytes dropped | {} |", sum_field(results, "wal_bytes_dropped"));
-    let _ =
-        writeln!(out, "| ordered-mode violations | {} |", sum_field(results, "ordered_violations"));
-    let _ = writeln!(out, "| repairs engaged | {} |", count_true(results, "repaired"));
-    let _ = writeln!(out, "| journal chains broken | {} |", count_true(results, "journal_broken"));
+    let _ = writeln!(out, "| counter | value |\n|---|---|");
+    for (name, value) in counters {
+        let _ = writeln!(out, "| {name} | {value} |");
+    }
     let _ = writeln!(out);
     if let Some(groups) = exp.get("latency_histograms") {
         for group in ["clean", "faulted"] {
@@ -152,4 +144,28 @@ pub fn render(doc: &Json) -> Option<String> {
         return None;
     }
     Some(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use nob_chaos::{run_campaign, run_failover_campaign, CampaignSpec, FailoverSpec};
+
+    use super::*;
+
+    /// The two chaos schemas render through the one entry point, from
+    /// their printed documents, as the `report` binary reads them.
+    #[test]
+    fn renders_the_chaos_campaign_documents() {
+        let parse = |doc: Json| Json::parse(&doc.to_string()).expect("the document parses");
+        let render = |doc: Json| render(&parse(doc)).expect("it renders");
+        let chaos = render(run_campaign(&CampaignSpec::smoke()).to_json());
+        assert!(chaos.starts_with("## chaos — fault injection & recovery (mixed)\n"), "{chaos}");
+        assert!(chaos.contains("| cases | 24 |\n| passed | 24 |\n| failed | 0 |\n"), "{chaos}");
+        assert!(chaos.contains("### clean runs — per-class latency"), "{chaos}");
+        assert!(chaos.contains("### faulted runs — per-class latency"), "{chaos}");
+        let spec = FailoverSpec { seeds: vec![1, 2], ..FailoverSpec::smoke() };
+        let failover = render(run_failover_campaign(&spec).to_json());
+        assert!(failover.starts_with("## chaos failover — leader-kill replication sweep\n"));
+        assert!(failover.contains("**8 cases, 8 passed, 0 failed**"), "{failover}");
+    }
 }

@@ -14,14 +14,14 @@
 //! Everything runs on one shared virtual clock per store, so the grid is
 //! bit-for-bit deterministic and golden-pinned.
 
+use nob_sim::json::Json;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::Store;
 use noblsm::{ReadOptions, ScanOptions, WriteBatch};
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::shards::{disciplines, store_options};
-use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, Value, DISCIPLINES};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, DISCIPLINES};
 use crate::Scale;
 
 /// Fixed keyspace: every cell loads the same `KEYS` dense sequential
@@ -118,12 +118,12 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     vec![
         // The discipline the keyspace was loaded under shapes the tree
         // the scans then read.
-        ("name", Value::Str(name)),
-        ("shards", Value::Int(shards)),
-        ("range", Value::Int(range)),
-        ("scans", Value::Int(SCANS)),
-        ("rows", Value::Int(rows)),
-        ("throughput_rows_s", Value::Float(rows as f64 / elapsed.as_secs_f64(), 3)),
+        ("name", name.into()),
+        ("shards", shards.into()),
+        ("range", range.into()),
+        ("scans", SCANS.into()),
+        ("rows", rows.into()),
+        ("throughput_rows_s", Json::fixed(rows as f64 / elapsed.as_secs_f64(), 3)),
     ]
 }
 

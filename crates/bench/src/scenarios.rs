@@ -13,15 +13,15 @@ use std::fmt::Write as _;
 
 use nob_baselines::Variant;
 use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 use nob_trace::{EventClass, TraceSink};
 use nob_workloads::dbbench;
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::report::{class_table, fmt_ns};
 use crate::shards::store_options;
-use crate::sweep::{Axis, Grid, Row, Sweep, Value};
+use crate::sweep::{Axis, Grid, Row, Sweep};
 use crate::Scale;
 
 /// Runs one fig2a write strategy: `total` bytes in `file_size` files.
@@ -223,12 +223,12 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     let throughput = (s.run)(scale, &sink);
     let summary = sink.summary();
     vec![
-        ("scenario", Value::Str(s.name)),
-        ("throughput", Value::Float(throughput, 3)),
-        ("unit", Value::Str(s.unit)),
-        ("p99_ns", Value::Int(summary.class(s.p99_class).map_or(0, |c| c.p99_ns))),
-        ("p99_class", Value::Str(s.p99_class.name())),
-        ("trace", Value::Json(summary.to_json_indented(2))),
+        ("scenario", s.name.into()),
+        ("throughput", Json::fixed(throughput, 3)),
+        ("unit", s.unit.into()),
+        ("p99_ns", Json::from(summary.class(s.p99_class).map_or(0, |c| c.p99_ns))),
+        ("p99_class", s.p99_class.name().into()),
+        ("trace", summary.to_json()),
     ]
 }
 
@@ -272,8 +272,7 @@ fn stall_cause(s: &Json, key: &str) -> String {
 /// Renders an embedded nob-trace summary: the per-class latency
 /// percentile table and the top stalls with their causal chain.
 fn render_trace(trace: &Json, out: &mut String) -> Option<()> {
-    let classes = trace.get("classes")?;
-    let Json::Object(classes) = classes else { return None };
+    let Some(Json::Object(classes)) = trace.get("classes") else { return None };
     let events = trace.num("events")? as u64;
     let _ = writeln!(out, "*trace: {events} events*\n");
     class_table(classes, out);
@@ -380,10 +379,10 @@ mod tests {
     /// (the sweep's own check reruns only the last cell) and the cell
     /// must hold the sweep's per-scenario invariant.
     fn reproducible_cell(i: usize) {
-        let run = || crate::sweep::row_json(&run_cell(&[i as u64], Scale::new(SWEEP.golden_scale)));
+        let run = || Json::object(run_cell(&[i as u64], Scale::new(SWEEP.golden_scale)));
         let (a, b) = (run(), run());
         assert_eq!(a, b, "{} must be deterministic", SCENARIOS[i].name);
-        check_cell(&SCENARIOS[i], &Json::parse(&a).expect("a cell parses"));
+        check_cell(&SCENARIOS[i], &a);
     }
 
     #[test]

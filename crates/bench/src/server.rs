@@ -19,14 +19,12 @@
 //!    paper's single-process runs.
 
 use nob_server::{shared, Client, LoopbackTransport, Request, ServerCore, ServerOptions};
+use nob_sim::json::Json;
 use nob_workloads::LatencyHistogram;
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::shards::{disciplines, store_options};
-use crate::sweep::{
-    self, Axis, Grid, KeyStream, Row, Sweep, Value, ASYNC, DISCIPLINES, NOBLSM, SYNC,
-};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, ASYNC, DISCIPLINES, NOBLSM, SYNC};
 use crate::Scale;
 
 /// Fixed workload shape: every cell issues the same `OPS` SET requests
@@ -116,16 +114,16 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     let elapsed = clock.now() - started;
     let stats = core.borrow().store().stats();
     vec![
-        ("name", Value::Str(name)),
-        ("clients", Value::Int(clients)),
-        ("ops", Value::Int(OPS)),
-        ("throughput_ops_s", Value::Float(OPS as f64 / elapsed.as_secs_f64(), 3)),
+        ("name", name.into()),
+        ("clients", clients.into()),
+        ("ops", OPS.into()),
+        ("throughput_ops_s", Json::fixed(OPS as f64 / elapsed.as_secs_f64(), 3)),
         // SET latency, send → durable reply, from the power-of-two
         // histogram (so p50/p99 sit on bucket bounds).
-        ("p50_us", Value::Float(latencies.quantile(0.50).as_micros_f64(), 3)),
-        ("p99_us", Value::Float(latencies.quantile(0.99).as_micros_f64(), 3)),
-        ("groups", Value::Int(stats.groups)),
-        ("batches", Value::Int(stats.batches)),
+        ("p50_us", Json::fixed(latencies.quantile(0.50).as_micros_f64(), 3)),
+        ("p99_us", Json::fixed(latencies.quantile(0.99).as_micros_f64(), 3)),
+        ("groups", stats.groups.into()),
+        ("batches", stats.batches.into()),
     ]
 }
 

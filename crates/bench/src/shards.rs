@@ -27,14 +27,12 @@
 //! bit-for-bit deterministic and golden-pinned.
 
 use nob_baselines::Variant;
+use nob_sim::json::Json;
 use nob_store::{Store, StoreOptions};
 use noblsm::WriteOptions;
 
-use crate::json::Json;
 use crate::output::Pivot;
-use crate::sweep::{
-    self, Axis, Grid, KeyStream, Row, Sweep, Value, ASYNC, DISCIPLINES, NOBLSM, SYNC,
-};
+use crate::sweep::{self, Axis, Grid, KeyStream, Row, Sweep, ASYNC, DISCIPLINES, NOBLSM, SYNC};
 use crate::Scale;
 
 /// Fixed workload shape: every cell writes the same `OPS` keys from the
@@ -117,15 +115,15 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     let elapsed = store.drain().expect("drain") - started;
     let stats = store.stats();
     vec![
-        ("name", Value::Str(name)),
-        ("shards", Value::Int(shards)),
-        ("writers", Value::Int(writers)),
-        ("ops", Value::Int(OPS)),
-        ("throughput_ops_s", Value::Float(OPS as f64 / elapsed.as_secs_f64(), 3)),
+        ("name", name.into()),
+        ("shards", shards.into()),
+        ("writers", writers.into()),
+        ("ops", OPS.into()),
+        ("throughput_ops_s", Json::fixed(OPS as f64 / elapsed.as_secs_f64(), 3)),
         // Coalesced groups committed (engine writes issued) and writer
         // batches retired; `batches / groups` is the amortization.
-        ("groups", Value::Int(stats.groups)),
-        ("batches", Value::Int(stats.batches)),
+        ("groups", stats.groups.into()),
+        ("batches", stats.batches.into()),
     ]
 }
 

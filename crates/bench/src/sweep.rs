@@ -20,27 +20,13 @@
 
 use std::path::Path;
 
-use crate::json::Json;
+use nob_sim::json::Json;
+
 use crate::output::Pivot;
 use crate::Scale;
 
-/// One typed value of a cell; the variant fixes its JSON bytes.
-#[derive(Debug, Clone)]
-pub enum Value {
-    /// A quoted string (labels never need escaping).
-    Str(&'static str),
-    /// An integer.
-    Int(u64),
-    /// A float printed with this many decimals.
-    Float(f64, usize),
-    /// A 64-bit hash as a quoted 16-digit hex string.
-    Hex(u64),
-    /// An already-serialised JSON value, embedded verbatim.
-    Json(String),
-}
-
-/// One cell of a sweep: named typed values, in document order.
-pub type Row = Vec<(&'static str, Value)>;
+/// One cell of a sweep: named values, in document order.
+pub type Row = Vec<(&'static str, Json)>;
 
 /// One axis of a sweep's grid. Values are integers; a discipline axis
 /// holds indices into [`crate::shards::disciplines`].
@@ -129,17 +115,15 @@ impl Sweep {
     /// Runs the whole grid and serialises it. Deterministic under the
     /// fixed seed — the golden test pins these bytes.
     pub fn document(&self, scale: Scale) -> String {
-        let mut out =
-            format!("{{\n  \"figure\": \"{}\",\n  \"scale\": {},\n", self.figure, scale.factor);
-        for (key, value) in self.header {
-            out.push_str(&format!("  \"{key}\": {value},\n"));
-        }
-        out.push_str(&format!("  \"{}\": [\n", self.cells_key));
-        let rows: Vec<String> =
-            self.points().iter().map(|p| row_json(&(self.run_cell)(p, scale))).collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let cells = self.points().iter().map(|p| Json::object((self.run_cell)(p, scale))).collect();
+        let header = self.header.iter().map(|&(key, value)| (key, value.into()));
+        let doc = Json::object(
+            [("figure", self.figure.into()), ("scale", scale.factor.into())]
+                .into_iter()
+                .chain(header)
+                .chain([(self.cells_key, Json::Array(cells))]),
+        );
+        format!("{doc}\n")
     }
 
     /// Views a parsed document as this sweep's grid; `None` unless it
@@ -152,8 +136,8 @@ impl Sweep {
 
     /// Checks a freshly produced document: it parses, covers the grid,
     /// holds the sweep's invariants, and rerunning its last cell
-    /// reproduces that cell's bytes (determinism is per cell; a second
-    /// full sweep would double the suite's cost).
+    /// reproduces that cell (determinism is per cell; a second full
+    /// sweep would double the suite's cost).
     ///
     /// # Panics
     ///
@@ -164,23 +148,13 @@ impl Sweep {
         let grid = self.grid(&doc).unwrap_or_else(|| panic!("{}: grid incomplete", self.figure));
         (self.invariants)(&grid);
         let last = self.points().pop().expect("a sweep has at least one point");
-        let rerun = row_json(&(self.run_cell)(&last, scale));
-        assert!(text.contains(&rerun), "{}: rerunning cell {last:?} gave {rerun}", self.figure);
+        let rerun = Json::object((self.run_cell)(&last, scale));
+        assert!(
+            grid.cells.last() == Some(&rerun),
+            "{}: rerunning cell {last:?} gave {rerun}",
+            self.figure
+        );
     }
-}
-
-pub(crate) fn row_json(row: &Row) -> String {
-    let fields: Vec<String> = row
-        .iter()
-        .map(|(name, value)| match value {
-            Value::Str(s) => format!("\"{name}\": \"{s}\""),
-            Value::Int(n) => format!("\"{name}\": {n}"),
-            Value::Float(x, decimals) => format!("\"{name}\": {x:.decimals$}"),
-            Value::Hex(h) => format!("\"{name}\": \"{h:016x}\""),
-            Value::Json(j) => format!("\"{name}\": {j}"),
-        })
-        .collect();
-    format!("    {{{}}}", fields.join(", "))
 }
 
 /// A parsed sweep document addressed by grid point.

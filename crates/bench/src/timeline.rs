@@ -10,13 +10,13 @@ use std::fmt::Write as _;
 
 use nob_baselines::Variant;
 use nob_metrics::MetricsHub;
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 use nob_trace::TraceSink;
 
-use crate::json::Json;
 use crate::output::Pivot;
 use crate::report::fmt_ns;
-use crate::sweep::{Axis, Grid, Row, Sweep, Value};
+use crate::sweep::{Axis, Grid, Row, Sweep};
 use crate::Scale;
 
 /// The three strategies: paper-facing series name and engine.
@@ -62,25 +62,16 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
         db.set_trace_sink(sink.clone());
     });
     let timeline = hub.timeline();
-    let stalls: Vec<String> = sink
-        .summary()
-        .top_stalls
-        .iter()
-        .map(|s| {
-            format!(
-                "\n      {{\"kind\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \"grid_index\": {}}}",
-                s.kind.name(),
-                s.start.as_nanos(),
-                s.end.as_nanos(),
-                timeline.grid_index(s.start).map_or(-1, |g| g as i64),
-            )
-        })
-        .collect();
-    vec![
-        ("name", Value::Str(name)),
-        ("stalls", Value::Json(format!("[{}\n    ]", stalls.join(",")))),
-        ("timeline", Value::Json(timeline.to_json_indented(2))),
-    ]
+    let stall = |s: &nob_trace::StallRecord| {
+        Json::object([
+            ("kind", s.kind.name().into()),
+            ("start_ns", s.start.as_nanos().into()),
+            ("end_ns", s.end.as_nanos().into()),
+            ("grid_index", timeline.grid_index(s.start).map_or(-1, |g| g as i64).into()),
+        ])
+    };
+    let stalls = sink.summary().top_stalls.iter().map(stall).collect();
+    vec![("name", name.into()), ("stalls", Json::Array(stalls)), ("timeline", timeline.to_json())]
 }
 
 /// One row per strategy: how long its grid is and how often it stalled.
@@ -105,11 +96,8 @@ fn footer(cells: &[Json]) -> Option<String> {
         let _ = writeln!(out, "```");
         for s in series {
             let sname = s.text("name").unwrap_or("?");
-            let values: Vec<f64> = s
-                .get("values")
-                .and_then(Json::as_array)
-                .map(|vs| vs.iter().filter_map(Json::as_f64).collect())
-                .unwrap_or_default();
+            let values: Vec<f64> =
+                s.get("values")?.as_array()?.iter().filter_map(Json::as_f64).collect();
             let peak = values.iter().copied().fold(0.0f64, f64::max);
             let _ = writeln!(
                 out,

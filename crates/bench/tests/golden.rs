@@ -118,7 +118,8 @@ fn report_renders_every_cell_of_every_golden_document() {
         // renderer refuses a table with a hole instead of printing one.
         nob_bench::report::render(&doc).expect("renders");
         let Json::Object(mut fields) = doc else { panic!("{}: not an object", sweep.figure) };
-        if let Some(Json::Array(cells)) = fields.get_mut(sweep.cells_key) {
+        if let Some((_, Json::Array(cells))) = fields.iter_mut().find(|(k, _)| k == sweep.cells_key)
+        {
             cells.pop();
         }
         let short = Json::Object(fields);

@@ -16,8 +16,9 @@
 
 use std::process::ExitCode;
 
-use nob_chaos::campaign::{case_json, run_campaign, CampaignSpec, FaultProfile};
+use nob_chaos::campaign::{run_campaign, CampaignSpec, FaultProfile};
 use nob_chaos::{run_case, run_failover_campaign, ChaosCase, FailoverSpec, FaultPlan, CONFIGS};
+use nob_sim::json::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -49,6 +50,23 @@ fn parse_u64(args: &[String], name: &str, default: u64) -> Result<u64, ExitCode>
     }
 }
 
+/// Writes a report to `--out PATH`, or to stdout without the flag.
+fn emit(report: &Json, args: &[String]) -> Result<(), ExitCode> {
+    let Some(path) = flag_value(args, "--out") else {
+        println!("{report}");
+        return Ok(());
+    };
+    if let Some(dir) = std::path::Path::new(&path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    if let Err(e) = std::fs::write(&path, format!("{report}\n")) {
+        eprintln!("chaos: cannot write {path}: {e}");
+        return Err(ExitCode::FAILURE);
+    }
+    eprintln!("chaos: wrote {path}");
+    Ok(())
+}
+
 fn run_sweep(mut spec: CampaignSpec, args: &[String]) -> Result<ExitCode, ExitCode> {
     let seeds = parse_u64(args, "--seeds", spec.seeds.len() as u64)?;
     let points = parse_u64(args, "--crash-points", spec.crash_points_pm.len() as u64)?;
@@ -64,18 +82,7 @@ fn run_sweep(mut spec: CampaignSpec, args: &[String]) -> Result<ExitCode, ExitCo
         })?;
     }
     let result = run_campaign(&spec);
-    if let Some(path) = flag_value(args, "--out") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&path, result.to_json()) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("chaos: wrote {path}");
-    } else {
-        print!("{}", result.to_json());
-    }
+    emit(&result.to_json(), args)?;
     eprintln!(
         "chaos: {} cases, {} passed, {} failed, {} undetected values, {} unexplained losses",
         result.results.len(),
@@ -109,7 +116,7 @@ fn run_one(args: &[String]) -> Result<ExitCode, ExitCode> {
         case.plan = FaultPlan::seeded(f);
     }
     let r = run_case(&case);
-    println!("{}", case_json(&r, ""));
+    println!("{}", r.to_json());
     Ok(if r.pass { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
@@ -123,18 +130,7 @@ fn run_failover(args: &[String]) -> Result<ExitCode, ExitCode> {
     spec.kill_points_pm = (1..=m).map(|i| i * 1000 / m).collect();
     spec.ops = parse_u64(args, "--ops", spec.ops as u64)? as usize;
     let result = run_failover_campaign(&spec);
-    if let Some(path) = flag_value(args, "--out") {
-        if let Some(dir) = std::path::Path::new(&path).parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(&path, result.to_json()) {
-            eprintln!("chaos: cannot write {path}: {e}");
-            return Err(ExitCode::FAILURE);
-        }
-        eprintln!("chaos: wrote {path}");
-    } else {
-        print!("{}", result.to_json());
-    }
+    emit(&result.to_json(), args)?;
     eprintln!(
         "chaos failover: {} cases, {} passed, {} failed",
         result.results.len(),

@@ -5,7 +5,8 @@
 //! bit-for-bit.
 
 use crate::harness::{config_name, prepare_run, validate_crash, CaseResult, ChaosCase, CONFIGS};
-use crate::plan::FaultPlan;
+use crate::plan::{FaultPlan, Injection};
+use nob_sim::json::Json;
 use nob_trace::{EventClass, Histogram, TraceSink};
 
 /// Which fault schedules a campaign applies per case.
@@ -166,45 +167,51 @@ impl CampaignResult {
         self.results.iter().filter(|r| r.lost_acked > 0 && !r.explained).map(|r| r.lost_acked).sum()
     }
 
-    /// Serializes the sweep to JSON (stable field order, no timestamps,
-    /// so identical sweeps yield identical bytes).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096 + 512 * self.results.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"profile\": {},\n", json_str(self.spec.profile.name())));
-        out.push_str(&format!("  \"seeds\": {},\n", json_u64s(&self.spec.seeds)));
-        out.push_str(&format!(
-            "  \"crash_points_pm\": {},\n",
-            json_u64s(&self.spec.crash_points_pm.iter().map(|&c| c as u64).collect::<Vec<_>>())
-        ));
-        out.push_str(&format!(
-            "  \"configs\": [{}],\n",
-            self.spec
-                .configs
-                .iter()
-                .map(|&c| json_str(config_name(c)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str(&format!("  \"ops\": {},\n", self.spec.ops));
-        out.push_str(&format!("  \"value_size\": {},\n", self.spec.value_size));
-        out.push_str(&format!("  \"cases\": {},\n", self.results.len()));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        out.push_str(&format!("  \"undetected_values\": {},\n", self.undetected_total()));
-        out.push_str(&format!("  \"unexplained_losses\": {},\n", self.unexplained_losses()));
-        out.push_str("  \"latency_histograms\": {\n");
-        out.push_str(&hists_json("clean", &self.clean_hists, "    "));
-        out.push_str(",\n");
-        out.push_str(&hists_json("faulted", &self.faulted_hists, "    "));
-        out.push_str("\n  },\n");
-        out.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str(&case_json(r, "    "));
-            out.push_str(if i + 1 < self.results.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The sweep as JSON (stable field order, no timestamps, so
+    /// identical sweeps yield identical bytes).
+    pub fn to_json(&self) -> Json {
+        let spec = &self.spec;
+        let configs = spec.configs.iter().map(|&c| config_name(c).into());
+        // One histogram group: an object of per-class percentile entries.
+        let group = |hists: &ClassHists| {
+            Json::object(hists.iter().map(|(class, h)| {
+                let (p50, p95, p99, p999) = h.percentiles();
+                let stats = Json::object([
+                    ("count", h.count().into()),
+                    ("min_ns", h.min().into()),
+                    ("max_ns", h.max().into()),
+                    ("p50_ns", p50.into()),
+                    ("p95_ns", p95.into()),
+                    ("p99_ns", p99.into()),
+                    ("p999_ns", p999.into()),
+                ]);
+                (class.name(), stats)
+            }))
+        };
+        Json::object([
+            ("profile", spec.profile.name().into()),
+            ("seeds", Json::Array(spec.seeds.iter().map(|&s| s.into()).collect())),
+            (
+                "crash_points_pm",
+                Json::Array(spec.crash_points_pm.iter().map(|&c| c.into()).collect()),
+            ),
+            ("configs", Json::Array(configs.collect())),
+            ("ops", spec.ops.into()),
+            ("value_size", spec.value_size.into()),
+            ("cases", self.results.len().into()),
+            ("passed", self.passed().into()),
+            ("failed", self.failed().into()),
+            ("undetected_values", self.undetected_total().into()),
+            ("unexplained_losses", self.unexplained_losses().into()),
+            (
+                "latency_histograms",
+                Json::object([
+                    ("clean", group(&self.clean_hists)),
+                    ("faulted", group(&self.faulted_hists)),
+                ]),
+            ),
+            ("results", Json::Array(self.results.iter().map(CaseResult::to_json).collect())),
+        ])
     }
 }
 
@@ -241,101 +248,46 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignResult {
     CampaignResult { spec: spec.clone(), results, clean_hists, faulted_hists }
 }
 
-/// Serializes one histogram group as a named JSON object of per-class
-/// percentile entries.
-fn hists_json(name: &str, hists: &ClassHists, indent: &str) -> String {
-    let mut s = format!("{indent}\"{name}\": {{");
-    for (i, (class, h)) in hists.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let (p50, p95, p99, p999) = h.percentiles();
-        s.push_str(&format!(
-            "\n{indent}  \"{}\": {{\"count\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-             \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-            class.name(),
-            h.count(),
-            h.min(),
-            h.max(),
-            p50,
-            p95,
-            p99,
-            p999
-        ));
+impl CaseResult {
+    /// The case as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let injection = |i: &Injection| {
+            Json::object([
+                ("at_ns", i.at.as_nanos().into()),
+                ("kind", i.kind.name().into()),
+                ("bytes", i.bytes.into()),
+                ("keep", i.keep.into()),
+            ])
+        };
+        let error = |e: &Option<String>| e.as_deref().map_or(Json::Null, Json::from);
+        Json::object([
+            ("seed", self.seed.into()),
+            ("config", config_name(self.config).into()),
+            ("crash_pm", self.crash_pm.into()),
+            ("crash_at_ns", self.crash_at.as_nanos().into()),
+            ("run_end_ns", self.run_end.as_nanos().into()),
+            ("faulted_plan", self.faulted_plan.into()),
+            ("injections", Json::Array(self.injections.iter().map(injection).collect())),
+            ("acked_pairs", self.acked_pairs.into()),
+            ("lost_acked", self.lost_acked.into()),
+            ("undetected_values", self.undetected_values.into()),
+            ("recovered_keys", self.recovered_keys.into()),
+            ("repaired", self.repaired.into()),
+            ("open_error", error(&self.open_error)),
+            ("recovery_failed", error(&self.recovery_failed)),
+            ("invariant_error", error(&self.invariant_error)),
+            ("wal_corruptions_detected", self.wal_corruptions_detected.into()),
+            ("wal_bytes_dropped", self.wal_bytes_dropped.into()),
+            ("wal_records_recovered", self.wal_records_recovered.into()),
+            ("tables_skipped", self.tables_skipped.into()),
+            ("ordered_violations", self.ordered_violations.into()),
+            ("journal_broken", self.journal_broken.into()),
+            ("shadow_files", self.shadow_files.into()),
+            ("reclaimed_files", self.reclaimed_files.into()),
+            ("explained", self.explained.into()),
+            ("pass", self.pass.into()),
+        ])
     }
-    if !hists.is_empty() {
-        s.push('\n');
-        s.push_str(indent);
-    }
-    s.push('}');
-    s
-}
-
-/// Serializes one case result as a JSON object.
-pub fn case_json(r: &CaseResult, indent: &str) -> String {
-    let mut s = String::with_capacity(512);
-    s.push_str(indent);
-    s.push('{');
-    s.push_str(&format!("\"seed\": {}, ", r.seed));
-    s.push_str(&format!("\"config\": {}, ", json_str(config_name(r.config))));
-    s.push_str(&format!("\"crash_pm\": {}, ", r.crash_pm));
-    s.push_str(&format!("\"crash_at_ns\": {}, ", r.crash_at.as_nanos()));
-    s.push_str(&format!("\"run_end_ns\": {}, ", r.run_end.as_nanos()));
-    s.push_str(&format!("\"faulted_plan\": {}, ", r.faulted_plan));
-    s.push_str(&format!(
-        "\"injections\": [{}], ",
-        r.injections
-            .iter()
-            .map(|i| format!(
-                "{{\"at_ns\": {}, \"kind\": {}, \"bytes\": {}, \"keep\": {}}}",
-                i.at.as_nanos(),
-                json_str(i.kind.name()),
-                i.bytes,
-                i.keep
-            ))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    s.push_str(&format!("\"acked_pairs\": {}, ", r.acked_pairs));
-    s.push_str(&format!("\"lost_acked\": {}, ", r.lost_acked));
-    s.push_str(&format!("\"undetected_values\": {}, ", r.undetected_values));
-    s.push_str(&format!("\"recovered_keys\": {}, ", r.recovered_keys));
-    s.push_str(&format!("\"repaired\": {}, ", r.repaired));
-    s.push_str(&format!(
-        "\"open_error\": {}, ",
-        r.open_error.as_deref().map_or("null".to_string(), json_str)
-    ));
-    s.push_str(&format!(
-        "\"recovery_failed\": {}, ",
-        r.recovery_failed.as_deref().map_or("null".to_string(), json_str)
-    ));
-    s.push_str(&format!(
-        "\"invariant_error\": {}, ",
-        r.invariant_error.as_deref().map_or("null".to_string(), json_str)
-    ));
-    s.push_str(&format!("\"wal_corruptions_detected\": {}, ", r.wal_corruptions_detected));
-    s.push_str(&format!("\"wal_bytes_dropped\": {}, ", r.wal_bytes_dropped));
-    s.push_str(&format!("\"wal_records_recovered\": {}, ", r.wal_records_recovered));
-    s.push_str(&format!("\"tables_skipped\": {}, ", r.tables_skipped));
-    s.push_str(&format!("\"ordered_violations\": {}, ", r.ordered_violations));
-    s.push_str(&format!("\"journal_broken\": {}, ", r.journal_broken));
-    s.push_str(&format!("\"shadow_files\": {}, ", r.shadow_files));
-    s.push_str(&format!("\"reclaimed_files\": {}, ", r.reclaimed_files));
-    s.push_str(&format!("\"explained\": {}, ", r.explained));
-    s.push_str(&format!("\"pass\": {}", r.pass));
-    s.push('}');
-    s
-}
-
-/// `s` as a quoted JSON string.
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", nob_sim::json_escape(s))
-}
-
-/// Serializes a slice of integers as a JSON array.
-fn json_u64s(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(", "))
 }
 
 #[cfg(test)]
@@ -351,7 +303,8 @@ mod tests {
         assert_eq!(a.undetected_total(), 0);
         assert_eq!(a.unexplained_losses(), 0);
         let b = run_campaign(&spec);
-        assert_eq!(a.to_json(), b.to_json(), "fixed-seed sweep must be bit-for-bit stable");
+        let (a, b) = (a.to_json().to_string(), b.to_json().to_string());
+        assert_eq!(a, b, "fixed-seed sweep must be bit-for-bit stable");
     }
 
     #[test]
@@ -378,15 +331,8 @@ mod tests {
                 || has(&a.faulted_hists, EventClass::FaultDroppedFlush),
             "seeded fault plans must inject at least one device fault"
         );
-        let json = a.to_json();
-        assert!(json.contains("\"latency_histograms\""));
-        assert!(json.contains("\"clean\""));
-        assert!(json.contains("\"faulted\""));
-    }
-
-    #[test]
-    fn json_escaping_is_sound() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        let hists = a.to_json().get("latency_histograms").cloned().expect("histogram groups");
+        assert!(hists.get("clean").and_then(|g| g.get("engine_put")).is_some());
+        assert!(hists.get("faulted").and_then(|g| g.get("engine_put")).is_some());
     }
 }

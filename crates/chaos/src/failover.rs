@@ -27,11 +27,10 @@
 use std::collections::BTreeMap;
 
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, Subscription};
+use nob_sim::json::Json;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
 use noblsm::{Error, ReadOptions, Result, WriteBatch, WriteOptions};
-
-use crate::campaign::json_str;
 
 /// One leader-kill case: a seeded workload killed at a fixed point.
 #[derive(Debug, Clone)]
@@ -155,44 +154,36 @@ impl FailoverCampaignResult {
 
     /// Deterministic JSON: stable field order, no timestamps — a fixed
     /// spec renders bit-for-bit identically on every run.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"campaign\": \"failover\",\n");
-        s.push_str(&format!("  \"cases\": {},\n", self.results.len()));
-        s.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        s.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        s.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str(&outcome_json(r, "    "));
-            s.push_str(if i + 1 < self.results.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("campaign", "failover".into()),
+            ("cases", self.results.len().into()),
+            ("passed", self.passed().into()),
+            ("failed", self.failed().into()),
+            ("results", Json::Array(self.results.iter().map(FailoverOutcome::to_json).collect())),
+        ])
     }
 }
 
-/// One outcome as a JSON object at `indent`.
-pub fn outcome_json(r: &FailoverOutcome, indent: &str) -> String {
-    let failures: Vec<String> = r.failures.iter().map(|f| json_str(f)).collect();
-    format!(
-        "{indent}{{\"seed\": {}, \"kill_pm\": {}, \"shards\": {}, \"ops\": {}, \
-         \"pass\": {}, \"acked_records\": {}, \"applied_seq_total\": {}, \
-         \"lost_unacked\": {}, \"recovered_keys\": {}, \"feed_records\": {}, \
-         \"old_epoch\": {}, \"new_epoch\": {}, \"failures\": [{}]}}",
-        r.case.seed,
-        r.case.kill_pm,
-        r.case.shards,
-        r.case.ops,
-        r.pass(),
-        r.acked_records,
-        r.applied_seq_total,
-        r.lost_unacked,
-        r.recovered_keys,
-        r.feed_records,
-        r.old_epoch,
-        r.new_epoch,
-        failures.join(", ")
-    )
+impl FailoverOutcome {
+    /// The outcome as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("seed", self.case.seed.into()),
+            ("kill_pm", self.case.kill_pm.into()),
+            ("shards", self.case.shards.into()),
+            ("ops", self.case.ops.into()),
+            ("pass", self.pass().into()),
+            ("acked_records", self.acked_records.into()),
+            ("applied_seq_total", self.applied_seq_total.into()),
+            ("lost_unacked", self.lost_unacked.into()),
+            ("recovered_keys", self.recovered_keys.into()),
+            ("feed_records", self.feed_records.into()),
+            ("old_epoch", self.old_epoch.into()),
+            ("new_epoch", self.new_epoch.into()),
+            ("failures", Json::Array(self.failures.iter().map(|f| f.as_str().into()).collect())),
+        ])
+    }
 }
 
 /// Runs every case in `spec`, in order.
@@ -529,10 +520,11 @@ mod tests {
             ops: 48,
             value_size: 16,
         };
-        let a = run_failover_campaign(&spec).to_json();
-        let b = run_failover_campaign(&spec).to_json();
+        let a = run_failover_campaign(&spec).to_json().to_string();
+        let b = run_failover_campaign(&spec).to_json().to_string();
         assert_eq!(a, b, "fixed-spec failover sweep must be bit-for-bit stable");
-        assert!(a.contains("\"campaign\": \"failover\""));
-        assert!(a.contains("\"passed\": 4"));
+        let doc = Json::parse(&a).expect("the report parses");
+        assert_eq!(doc.text("campaign"), Some("failover"));
+        assert_eq!(doc.num("passed"), Some(4.0));
     }
 }

@@ -518,6 +518,10 @@ mod tests {
         let r = run_case(&case);
         assert!(!r.injections.is_empty(), "scheduled flush faults must fire");
         assert!(r.pass, "{r:?}");
+        // `chaos case` prints this document: it lists every injection.
+        let doc = nob_sim::json::Json::parse(&r.to_json().to_string()).expect("the case parses");
+        let logged = doc.get("injections").and_then(|i| i.as_array()).map(<[_]>::len);
+        assert_eq!(logged, Some(r.injections.len()));
     }
 
     #[test]

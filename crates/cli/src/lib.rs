@@ -578,8 +578,8 @@ impl Session {
                         return Err("usage: trace export <json|chrome> <path>".into());
                     };
                     let body = match format {
-                        "json" => sink.events_json(),
-                        "chrome" => sink.chrome_trace(),
+                        "json" => sink.events_json().to_string(),
+                        "chrome" => sink.chrome_trace().to_string(),
                         other => return Err(format!("unknown export format {other}").into()),
                     };
                     std::fs::write(path, &body).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -637,7 +637,7 @@ impl Session {
                     };
                     let body = match format {
                         "prom" => hub.timeline().prometheus(),
-                        "json" => hub.timeline().to_json(),
+                        "json" => hub.timeline().to_json().to_string(),
                         other => return Err(format!("unknown export format {other}").into()),
                     };
                     match path {
@@ -1053,6 +1053,8 @@ impl Default for Session {
 
 #[cfg(test)]
 mod tests {
+    use nob_sim::json::Json;
+
     use super::*;
 
     #[test]
@@ -1126,18 +1128,26 @@ mod tests {
         let mut s = Session::new();
         let out = s.run_script(&format!(
             "open leveldb\ntrace on\nfill 2000 100\nflush\ntrace summary\ntrace stalls\n\
-             trace export json {}\ntrace export chrome {}\ntrace off\n",
+             trace export json {}\ntrace export chrome {}\n",
             json.display(),
             chrome.display()
         ));
         assert!(out.contains("tracing on"), "{out}");
         assert!(out.contains("engine_put"), "summary must list engine spans: {out}");
         assert!(out.contains("p999"), "{out}");
-        assert!(out.contains("tracing off"));
-        let spans = std::fs::read_to_string(&json).unwrap();
-        assert!(spans.contains("\"class\""));
-        let ct = std::fs::read_to_string(&chrome).unwrap();
-        assert!(ct.contains("traceEvents"));
+        let retained = s.trace.as_ref().expect("tracing is on").snapshot().0.len();
+        assert!(s.run_line("trace off").contains("tracing off"));
+        let parse = |path: &std::path::Path| {
+            Json::parse(&std::fs::read_to_string(path).unwrap()).expect("the export parses")
+        };
+        let spans = parse(&json);
+        let listed = spans.get("events").and_then(Json::as_array).map(<[Json]>::len);
+        assert_eq!(listed, Some(retained), "one entry per span the ring retains");
+        let chrome = parse(&chrome);
+        let events = chrome.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+        let slices: Vec<&Json> = events.iter().filter(|e| e.text("ph") == Some("X")).collect();
+        assert_eq!(slices.len(), retained);
+        assert!(slices.iter().all(|e| e.num("ts").is_some() && e.num("dur").is_some()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1191,14 +1201,17 @@ mod tests {
         let mut s = Session::new();
         let out = s.run_script(&format!(
             "open noblsm\nmetrics on\nfill 3000 100\nflush\nmetrics\nmetrics timeline\n\
-             metrics export --format prom {}\nmetrics export json\nmetrics off\n",
+             metrics export --format prom {}\n",
             prom.display()
         ));
         assert!(out.contains("metrics on"), "{out}");
         assert!(out.contains("size(MB)"), "compaction table header: {out}");
         assert!(out.contains("engine.mem_bytes"), "timeline sparklines: {out}");
-        assert!(out.contains("\"series\""), "inline json export: {out}");
-        assert!(out.contains("metrics off"));
+        let inline = Json::parse(&s.run_line("metrics export json")).expect("inline export parses");
+        let series = inline.get("series").and_then(Json::as_array).map(<[Json]>::len);
+        let hub = s.metrics.as_ref().expect("metrics are on").timeline().series.len();
+        assert_eq!(series, Some(hub), "one entry per series the hub samples");
+        assert!(s.run_line("metrics off").contains("metrics off"));
         let text = std::fs::read_to_string(&prom).unwrap();
         assert!(text.contains("# TYPE noblsm_engine_mem_bytes gauge"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);

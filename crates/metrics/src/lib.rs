@@ -14,7 +14,7 @@
 //!
 //! ```
 //! use nob_metrics::{MetricKind, MetricsHub};
-//! use nob_sim::{json_escape, Nanos};
+//! use nob_sim::Nanos;
 //!
 //! let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
 //! hub.register(MetricKind::Gauge, "demo.queue_ns", "queue backlog", |t| {
@@ -24,7 +24,7 @@
 //! hub.sample_due(Nanos::from_millis(25), &[("demo.pushed", 9.0)]);
 //! let tl = hub.timeline();
 //! assert_eq!(tl.samples, 3); // grid instants 0ms, 10ms, 20ms
-//! assert!(tl.to_json().contains("\"demo.queue_ns\""));
+//! assert!(tl.to_json().to_string().contains("\"demo.queue_ns\""));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,7 +32,8 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use nob_sim::{json_escape, Nanos};
+use nob_sim::json::Json;
+use nob_sim::Nanos;
 
 /// Default sampling period: 100 ms of virtual time.
 pub const DEFAULT_PERIOD: Nanos = Nanos::from_millis(100);
@@ -121,40 +122,21 @@ impl Timeline {
     /// sample values print as integers when integral and via Rust's
     /// shortest-round-trip `f64` formatting otherwise, so byte equality
     /// across identical fixed-seed runs is meaningful.
-    pub fn to_json(&self) -> String {
-        self.to_json_indented(0)
-    }
-
-    /// [`Timeline::to_json`] indented by `level` two-space stops, for
-    /// embedding into a larger hand-rolled document.
-    pub fn to_json_indented(&self, level: usize) -> String {
-        let pad = "  ".repeat(level);
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "{pad}  \"start_ns\": {},", self.start.as_nanos());
-        let _ = writeln!(out, "{pad}  \"period_ns\": {},", self.period.as_nanos());
-        let _ = writeln!(out, "{pad}  \"samples\": {},", self.samples);
-        let _ = writeln!(out, "{pad}  \"series\": [");
-        for (i, s) in self.series.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{pad}    {{\"name\": \"{}\", \"kind\": \"{}\", \"help\": \"{}\", \"values\": [",
-                json_escape(&s.name),
-                s.kind.name(),
-                json_escape(&s.help)
-            );
-            for (j, v) in s.values.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&fmt_value(*v));
-            }
-            out.push_str("]}");
-            out.push_str(if i + 1 < self.series.len() { ",\n" } else { "\n" });
-        }
-        let _ = writeln!(out, "{pad}  ]");
-        let _ = write!(out, "{pad}}}");
-        out
+    pub fn to_json(&self) -> Json {
+        let series = |s: &Series| {
+            Json::object([
+                ("name", s.name.as_str().into()),
+                ("kind", s.kind.name().into()),
+                ("help", s.help.as_str().into()),
+                ("values", Json::Array(s.values.iter().map(|&v| value_json(v)).collect())),
+            ])
+        };
+        Json::object([
+            ("start_ns", self.start.as_nanos().into()),
+            ("period_ns", self.period.as_nanos().into()),
+            ("samples", self.samples.into()),
+            ("series", Json::Array(self.series.iter().map(series).collect())),
+        ])
     }
 
     /// Renders every series as an ASCII sparkline, one row per metric,
@@ -229,13 +211,23 @@ pub fn prom_name(name: &str) -> String {
     out
 }
 
-/// Deterministic value formatting: integers print without a fraction,
-/// everything else uses Rust's shortest-round-trip `f64` display.
-fn fmt_value(v: f64) -> String {
+/// A sample value as JSON: an integer when integral, else Rust's
+/// shortest-round-trip `f64` form (`null` unless finite).
+fn value_json(v: f64) -> Json {
     if v.is_finite() && v.fract() == 0.0 && v.abs() < 9.0e15 {
-        format!("{}", v as i64)
+        Json::from(v as i64)
     } else {
-        format!("{v}")
+        Json::shortest(v)
+    }
+}
+
+/// [`value_json`]'s text, for the text forms; a non-finite value prints
+/// as Rust does (`NaN`, `inf`), which Prometheus parses.
+fn fmt_value(v: f64) -> String {
+    if v.is_finite() {
+        value_json(v).to_string()
+    } else {
+        v.to_string()
     }
 }
 
@@ -576,7 +568,7 @@ mod tests {
             hub.register(MetricKind::Counter, "c", "", |_| 0.5);
             hub.sample_due(Nanos::from_millis(7), &[("p", 3.0)]);
             hub.sample_due(Nanos::from_millis(17), &[("p", 4.0)]);
-            hub.timeline().to_json()
+            hub.timeline().to_json().to_string()
         };
         let (j1, j2) = (mk(), mk());
         assert_eq!(j1, j2, "identical runs must serialize byte-identically");
@@ -691,7 +683,7 @@ mod tests {
 /// Property tests for the Prometheus exposition a hostile metric name or
 /// help string could corrupt (line structure, metric-name validity,
 /// `# HELP` escaping); the JSON document's string escaping is
-/// `nob_sim::json_escape`, tested there.
+/// `nob_sim::json`'s, tested there.
 #[cfg(test)]
 mod format_properties {
     use super::*;

@@ -13,6 +13,9 @@
 //! * [`EventQueue`] — a time-ordered queue for timer-style events (journal
 //!   commit ticks, reclamation polls).
 //!
+//! Beside them sit [`json`], the one JSON value type, parser and writer,
+//! and the [`fnv1a`] hash.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,12 +35,13 @@
 
 mod clock;
 mod events;
+pub mod json;
 mod text;
 mod time;
 mod timeline;
 
 pub use clock::SharedClock;
 pub use events::EventQueue;
-pub use text::{fnv1a, json_escape};
+pub use text::fnv1a;
 pub use time::Nanos;
 pub use timeline::{Reservation, Timeline};

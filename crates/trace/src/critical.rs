@@ -18,6 +18,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use crate::event::{EventClass, SpanEvent};
 use crate::hist::Histogram;
 use crate::sink::{SpanLink, TraceSink};
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 
 /// Number of critical-path segments.
@@ -387,69 +388,32 @@ impl CriticalSummary {
         self.segments.iter().find(|s| s.name == name)
     }
 
-    /// Deterministic, integer-only JSON (the `fig_breakdown` golden
-    /// format), indented `level` two-space stops for embedding.
-    pub fn to_json_indented(&self, level: usize) -> String {
-        let p = "  ".repeat(level);
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("{p}  \"paths\": {},\n", self.paths));
-        out.push_str(&format!("{p}  \"total_ns\": {},\n", self.total_ns));
-        out.push_str(&format!("{p}  \"segments\": {{"));
-        for (i, s) in self.segments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{p}    \"{}\": {{ \"count\": {}, \"total_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {} }}",
-                s.name, s.count, s.total_ns, s.p50_ns, s.p99_ns
-            ));
-        }
-        if !self.segments.is_empty() {
-            out.push('\n');
-            out.push_str(&p);
-            out.push_str("  ");
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("{p}  \"slowest\": ["));
-        for (i, (path, _)) in self.slowest.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{p}    {{ \"trace\": {}, \"root\": \"{}\", \"start_ns\": {}, \"total_ns\": {}, \"segments\": {{",
-                path.trace,
-                path.root_class.name(),
-                path.start.as_nanos(),
-                path.total_ns
-            ));
-            let mut first = true;
-            for (s, &v) in SEGMENTS.iter().zip(&path.segments) {
-                if v == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(" \"{s}\": {v}"));
-            }
-            out.push_str(" } }");
-        }
-        if !self.slowest.is_empty() {
-            out.push('\n');
-            out.push_str(&p);
-            out.push_str("  ");
-        }
-        out.push_str("]\n");
-        out.push_str(&p);
-        out.push('}');
-        out
-    }
-
-    /// Deterministic JSON, unindented.
-    pub fn to_json(&self) -> String {
-        self.to_json_indented(0)
+    /// Deterministic, integer-only JSON (the form `fig_breakdown` pins).
+    pub fn to_json(&self) -> Json {
+        let segment = |s: &SegmentStats| {
+            Json::object([
+                ("count", s.count.into()),
+                ("total_ns", s.total_ns.into()),
+                ("p50_ns", s.p50_ns.into()),
+                ("p99_ns", s.p99_ns.into()),
+            ])
+        };
+        let slowest = |(path, _): &(CriticalPath, String)| {
+            let segments = SEGMENTS.iter().zip(path.segments).filter(|&(_, v)| v > 0);
+            Json::object([
+                ("trace", path.trace.into()),
+                ("root", path.root_class.name().into()),
+                ("start_ns", path.start.as_nanos().into()),
+                ("total_ns", path.total_ns.into()),
+                ("segments", Json::object(segments.map(|(&s, v)| (s, v.into())))),
+            ])
+        };
+        Json::object([
+            ("paths", self.paths.into()),
+            ("total_ns", self.total_ns.into()),
+            ("segments", Json::object(self.segments.iter().map(|s| (s.name, segment(s))))),
+            ("slowest", Json::Array(self.slowest.iter().map(slowest).collect())),
+        ])
     }
 
     /// Human-readable report: segment shares, then the slowest requests
@@ -708,7 +672,8 @@ mod tests {
         assert_eq!(s.slowest[0].0.trace, b.trace);
         assert!(s.segment("admission").unwrap().count == 2);
         let json = s.to_json();
-        assert!(json.contains("\"paths\": 2"));
+        assert_eq!(json.num("paths"), Some(2.0));
+        let json = json.to_string();
         assert!(!json.contains('.'), "critical JSON must be integer-only:\n{json}");
         let text = s.render();
         assert!(text.contains("admission"));

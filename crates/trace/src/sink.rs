@@ -7,6 +7,7 @@ use crate::event::{EventClass, SpanEvent, StallKind, StallRecord, TraceCtx, N_CL
 use crate::hist::Histogram;
 use crate::ring::TraceRing;
 use crate::summary::{ClassStats, TraceSummary};
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 
 /// Default ring capacity (spans retained for export).
@@ -378,103 +379,91 @@ impl TraceSink {
         (st.ring.iter().copied().collect(), st.links.clone())
     }
 
-    /// The retained spans as a JSON document:
-    /// `{ "dropped": n, "events": [ {..}, ... ] }`, oldest first.
-    pub fn events_json(&self) -> String {
+    /// The retained spans as a JSON document, oldest first:
+    /// `{"dropped": n, "events": [{"seq": .., "class": .., ..}, ..]}`.
+    pub fn events_json(&self) -> Json {
         let st = self.lock();
-        let mut out = String::new();
-        out.push_str(&format!("{{\n  \"dropped\": {},\n  \"events\": [", st.ring.overwritten()));
-        for (i, ev) in st.ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{ \"seq\": {}, \"class\": \"{}\", \"layer\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \"bytes\": {}, \"trace\": {}, \"span\": {}, \"parent\": {} }}",
-                ev.seq,
-                ev.class.name(),
-                ev.class.layer(),
-                ev.start.as_nanos(),
-                ev.end.as_nanos(),
-                ev.bytes,
-                ev.trace,
-                ev.span,
-                ev.parent
-            ));
-        }
-        if !st.ring.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
+        let event = |ev: &SpanEvent| {
+            Json::object([
+                ("seq", ev.seq.into()),
+                ("class", ev.class.name().into()),
+                ("layer", ev.class.layer().into()),
+                ("start_ns", ev.start.as_nanos().into()),
+                ("end_ns", ev.end.as_nanos().into()),
+                ("bytes", ev.bytes.into()),
+                ("trace", ev.trace.into()),
+                ("span", ev.span.into()),
+                ("parent", ev.parent.into()),
+            ])
+        };
+        Json::object([
+            ("dropped", st.ring.overwritten().into()),
+            ("events", Json::Array(st.ring.iter().map(event).collect())),
+        ])
     }
 
     /// The retained spans as a Chrome-trace (`chrome://tracing` /
     /// Perfetto) document. Each layer renders as its own thread;
     /// timestamps are virtual-time microseconds.
-    pub fn chrome_trace(&self) -> String {
+    pub fn chrome_trace(&self) -> Json {
         let st = self.lock();
-        let mut out = String::new();
-        out.push_str("{ \"displayTimeUnit\": \"ms\", \"traceEvents\": [");
-        let mut first = true;
-        for tid in 0u32..5 {
-            let layer = match tid {
-                0 => "engine",
-                1 => "ext4",
-                2 => "ssd",
-                3 => "server",
-                _ => "repl",
-            };
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n  {{ \"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \"args\": {{ \"name\": \"{layer}\" }} }}"
-            ));
-        }
-        for ev in st.ring.iter() {
-            let ts = ev.start.as_nanos();
-            let dur = ev.duration().as_nanos();
-            out.push_str(&format!(
-                ",\n  {{ \"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}.{:03}, \"dur\": {}.{:03}, \"pid\": 0, \"tid\": {}, \"args\": {{ \"seq\": {}, \"bytes\": {}, \"trace\": {}, \"span\": {}, \"parent\": {} }} }}",
-                ev.class.name(),
-                ev.class.layer(),
-                ts / 1000,
-                ts % 1000,
-                dur / 1000,
-                dur % 1000,
-                ev.class.tid(),
-                ev.seq,
-                ev.bytes,
-                ev.trace,
-                ev.span,
-                ev.parent
-            ));
-        }
+        let micros = |t: Nanos| Json::fixed(t.as_nanos() as f64 / 1e3, 3);
+        let layers = ["engine", "ext4", "ssd", "server", "repl"];
+        let threads = (0u32..).zip(layers).map(|(tid, layer)| {
+            Json::object([
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 0u32.into()),
+                ("tid", tid.into()),
+                ("args", Json::object([("name", layer.into())])),
+            ])
+        });
+        let slices = st.ring.iter().map(|ev| {
+            Json::object([
+                ("name", ev.class.name().into()),
+                ("cat", ev.class.layer().into()),
+                ("ph", "X".into()),
+                ("ts", micros(ev.start)),
+                ("dur", micros(ev.duration())),
+                ("pid", 0u32.into()),
+                ("tid", ev.class.tid().into()),
+                (
+                    "args",
+                    Json::object([
+                        ("seq", ev.seq.into()),
+                        ("bytes", ev.bytes.into()),
+                        ("trace", ev.trace.into()),
+                        ("span", ev.span.into()),
+                        ("parent", ev.parent.into()),
+                    ]),
+                ),
+            ])
+        });
         // Flow arrows bind each traced child slice to its parent slice,
         // so chrome://tracing / Perfetto draws the causal tree across the
         // layer threads (slices alone only nest within one tid).
         let by_span: std::collections::HashMap<u64, &SpanEvent> =
             st.ring.iter().filter(|e| e.span != 0).map(|e| (e.span, e)).collect();
-        for ev in st.ring.iter() {
-            if ev.parent == 0 {
-                continue;
-            }
-            let Some(parent) = by_span.get(&ev.parent) else { continue };
-            for (ph, anchor, tid) in [("s", *parent, parent.class.tid()), ("f", ev, ev.class.tid())]
-            {
-                let ts = anchor.start.as_nanos();
-                out.push_str(&format!(
-                    ",\n  {{ \"name\": \"causal\", \"cat\": \"causal\", \"ph\": \"{ph}\", \"id\": {}, \"pid\": 0, \"tid\": {tid}, \"ts\": {}.{:03}{} }}",
-                    ev.span,
-                    ts / 1000,
-                    ts % 1000,
-                    if ph == "f" { ", \"bp\": \"e\"" } else { "" }
-                ));
-            }
-        }
-        out.push_str("\n] }");
-        out
+        let linked = st.ring.iter().filter_map(|ev| Some((ev, *by_span.get(&ev.parent)?)));
+        let flows = linked.flat_map(|(ev, parent)| {
+            // The arrow leaves the parent slice and binds to the child's.
+            [("s", parent, None), ("f", ev, Some(("bp", "e".into())))].map(|(ph, anchor, bp)| {
+                let fields = [
+                    ("name", "causal".into()),
+                    ("cat", "causal".into()),
+                    ("ph", ph.into()),
+                    ("id", ev.span.into()),
+                    ("pid", 0u32.into()),
+                    ("tid", anchor.class.tid().into()),
+                    ("ts", micros(anchor.start)),
+                ];
+                Json::object(fields.into_iter().chain(bp))
+            })
+        });
+        Json::object([
+            ("displayTimeUnit", "ms".into()),
+            ("traceEvents", Json::Array(threads.chain(slices).chain(flows).collect())),
+        ])
     }
 }
 
@@ -556,16 +545,29 @@ mod tests {
 
     #[test]
     fn exports_are_valid_shapes() {
-        let sink = TraceSink::new();
-        sink.emit(EventClass::JournalCommit, ns(1000), ns(3500), 8192);
-        let events = sink.events_json();
-        assert!(events.contains("\"class\": \"journal_commit\""));
-        assert!(events.contains("\"start_ns\": 1000"));
-        let chrome = sink.chrome_trace();
-        assert!(chrome.contains("\"ph\": \"X\""));
-        assert!(chrome.contains("\"ts\": 1.000"));
-        assert!(chrome.contains("\"dur\": 2.500"));
-        assert!(chrome.contains("\"traceEvents\""));
+        let sink = TraceSink::with_ring_capacity(4);
+        for i in 0..3 {
+            sink.emit(EventClass::SsdRead, ns(i), ns(i + 1), 512);
+        }
+        let root = sink.mint_root();
+        sink.emit_ctx(EventClass::JournalCommit, ns(1000), ns(3500), 8192, sink.child_ctx(root));
+        sink.emit_ctx(EventClass::ServerWrite, ns(900), ns(4000), 64, root);
+        let retained = sink.snapshot().0.len();
+        let parsed = |doc: Json| Json::parse(&doc.to_string()).expect("the export parses");
+        let events = parsed(sink.events_json());
+        assert_eq!(events.num("dropped"), Some(1.0));
+        let spans = events.get("events").and_then(Json::as_array).expect("an events array");
+        assert_eq!(spans.len(), retained, "one entry per retained span");
+        assert_eq!(spans[2].text("class"), Some("journal_commit"));
+        assert_eq!(spans[2].num("start_ns"), Some(1000.0));
+        let chrome = parsed(sink.chrome_trace());
+        let trace = chrome.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+        let slices: Vec<&Json> = trace.iter().filter(|e| e.text("ph") == Some("X")).collect();
+        assert_eq!(slices.len(), retained);
+        assert!(slices.iter().all(|e| e.num("ts").is_some() && e.num("dur").is_some()));
+        assert_eq!(slices[2].get("ts"), Some(&Json::fixed(1.0, 3)));
+        assert_eq!(slices[2].get("dur"), Some(&Json::fixed(2.5, 3)));
+        assert_eq!(trace.iter().filter(|e| e.text("name") == Some("causal")).count(), 2);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! with their causal chain, in a byte-stable JSON form.
 
 use crate::event::{EventClass, SpanEvent, StallRecord};
+use nob_sim::json::Json;
 use nob_sim::Nanos;
 
 /// Latency statistics for one event class. All durations are integer
@@ -52,19 +53,6 @@ pub struct TraceSummary {
     pub top_stalls: Vec<StallRecord>,
 }
 
-fn push_cause(out: &mut String, key: &str, cause: &Option<SpanEvent>, pad: &str) {
-    match cause {
-        None => out.push_str(&format!("{pad}\"{key}\": null")),
-        Some(c) => out.push_str(&format!(
-            "{pad}\"{key}\": {{ \"class\": \"{}\", \"seq\": {}, \"start_ns\": {}, \"end_ns\": {} }}",
-            c.class.name(),
-            c.seq,
-            c.start.as_nanos(),
-            c.end.as_nanos()
-        )),
-    }
-}
-
 impl TraceSummary {
     /// How many stalls a summary retains.
     pub const TOP_STALLS: usize = 10;
@@ -75,75 +63,56 @@ impl TraceSummary {
     }
 
     /// Deterministic JSON (integer nanoseconds only; classes in
-    /// discriminant order) — the golden-file / CI-baseline format.
-    pub fn to_json(&self) -> String {
-        self.to_json_indented(0)
-    }
-
-    /// [`TraceSummary::to_json`] with every line indented `level` extra
-    /// two-space steps, for embedding inside a larger document.
-    pub fn to_json_indented(&self, level: usize) -> String {
-        let p = "  ".repeat(level);
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("{p}  \"events\": {},\n", self.events));
-        out.push_str(&format!("{p}  \"dropped\": {},\n", self.dropped));
-        out.push_str(&format!("{p}  \"classes\": {{"));
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{p}    \"{}\": {{ \"count\": {}, \"bytes\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"exemplar_trace\": {} }}",
-                c.class.name(),
-                c.count,
-                c.bytes,
-                c.total_ns,
-                c.min_ns,
-                c.max_ns,
-                c.p50_ns,
-                c.p95_ns,
-                c.p99_ns,
-                c.p999_ns,
-                c.exemplar_trace
-            ));
-        }
-        if !self.classes.is_empty() {
-            out.push('\n');
-            out.push_str(&p);
-            out.push_str("  ");
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("{p}  \"stalls\": {{\n"));
-        out.push_str(&format!("{p}    \"count\": {},\n", self.stall_count));
-        out.push_str(&format!("{p}    \"total_ns\": {},\n", self.stall_total_ns));
-        out.push_str(&format!("{p}    \"top\": ["));
-        for (i, s) in self.top_stalls.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n{p}      {{ \"kind\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \"dur_ns\": {},\n",
-                s.kind.name(),
-                s.start.as_nanos(),
-                s.end.as_nanos(),
-                s.duration().as_nanos()
-            ));
-            push_cause(&mut out, "cause_commit", &s.cause_commit, &format!("{p}        "));
-            out.push_str(",\n");
-            push_cause(&mut out, "cause_flush", &s.cause_flush, &format!("{p}        "));
-            out.push_str(" }");
-        }
-        if !self.top_stalls.is_empty() {
-            out.push('\n');
-            out.push_str(&p);
-            out.push_str("    ");
-        }
-        out.push_str("]\n");
-        out.push_str(&format!("{p}  }}\n"));
-        out.push_str(&p);
-        out.push('}');
-        out
+    /// discriminant order) — the form `fig_smoke` pins.
+    pub fn to_json(&self) -> Json {
+        let class = |c: &ClassStats| {
+            Json::object([
+                ("count", c.count.into()),
+                ("bytes", c.bytes.into()),
+                ("total_ns", c.total_ns.into()),
+                ("min_ns", c.min_ns.into()),
+                ("max_ns", c.max_ns.into()),
+                ("p50_ns", c.p50_ns.into()),
+                ("p95_ns", c.p95_ns.into()),
+                ("p99_ns", c.p99_ns.into()),
+                ("p999_ns", c.p999_ns.into()),
+                ("exemplar_trace", c.exemplar_trace.into()),
+            ])
+        };
+        // A stall's cause, `null` when it had none.
+        let cause = |cause: Option<SpanEvent>| {
+            cause.map_or(Json::Null, |c| {
+                Json::object([
+                    ("class", c.class.name().into()),
+                    ("seq", c.seq.into()),
+                    ("start_ns", c.start.as_nanos().into()),
+                    ("end_ns", c.end.as_nanos().into()),
+                ])
+            })
+        };
+        let stall = |s: &StallRecord| {
+            Json::object([
+                ("kind", s.kind.name().into()),
+                ("start_ns", s.start.as_nanos().into()),
+                ("end_ns", s.end.as_nanos().into()),
+                ("dur_ns", s.duration().as_nanos().into()),
+                ("cause_commit", cause(s.cause_commit)),
+                ("cause_flush", cause(s.cause_flush)),
+            ])
+        };
+        Json::object([
+            ("events", self.events.into()),
+            ("dropped", self.dropped.into()),
+            ("classes", Json::object(self.classes.iter().map(|c| (c.class.name(), class(c))))),
+            (
+                "stalls",
+                Json::object([
+                    ("count", self.stall_count.into()),
+                    ("total_ns", self.stall_total_ns.into()),
+                    ("top", Json::Array(self.top_stalls.iter().map(stall).collect())),
+                ]),
+            ),
+        ])
     }
 
     /// Human-readable report: a per-class percentile table followed by
@@ -268,22 +237,14 @@ mod tests {
     fn json_is_deterministic_and_integer_only() {
         let s = sample();
         let a = s.to_json();
-        let b = s.to_json();
-        assert_eq!(a, b);
-        assert!(a.contains("\"ssd_write\""));
-        assert!(a.contains("\"p99_ns\": 2000"));
-        assert!(a.contains("\"kind\": \"memtable\""));
-        assert!(a.contains("\"cause_flush\": null"));
-        assert!(!a.contains('.'), "summary JSON must not contain floats:\n{a}");
-    }
-
-    #[test]
-    fn indented_json_shifts_every_line() {
-        let s = sample();
-        let nested = s.to_json_indented(2);
-        for line in nested.lines().skip(1) {
-            assert!(line.starts_with("    "), "line not indented: {line:?}");
-        }
+        assert_eq!(a, s.to_json());
+        let class = a.get("classes").and_then(|c| c.get("ssd_write")).expect("class keyed by name");
+        assert_eq!(class.num("p99_ns"), Some(2000.0));
+        let top = a.get("stalls").and_then(|s| s.get("top")).and_then(Json::as_array).unwrap();
+        assert_eq!(top[0].text("kind"), Some("memtable"));
+        assert_eq!(top[0].get("cause_flush"), Some(&Json::Null));
+        let text = a.to_string();
+        assert!(!text.contains('.'), "summary JSON must not contain floats:\n{text}");
     }
 
     #[test]
@@ -305,7 +266,7 @@ mod tests {
             stall_total_ns: 0,
             top_stalls: vec![],
         };
-        assert!(s.to_json().contains("\"classes\": {}"));
+        assert!(s.to_json().to_string().contains("\"classes\": {}"));
         assert!(s.render().contains("no write stalls"));
     }
 }

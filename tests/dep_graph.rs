@@ -11,6 +11,10 @@
 //!   member's: an entry or a vendored crate nobody depends on is dead
 //!   weight that still builds, still tests and still reads as architecture.
 //! * No `crates/*/src/**/*.rs` may exceed [`MAX_SOURCE_LINES`].
+//! * One JSON writer: outside `crates/sim/src/json.rs` and `#[cfg(test)]`
+//!   items, no `crates/*/src` line may hold a string literal with an
+//!   escaped JSON key (`\"name\": `) — a document is a `nob_sim::json`
+//!   value printed by its one layout rule, never hand-assembled text.
 
 use std::path::{Path, PathBuf};
 
@@ -191,5 +195,67 @@ fn no_source_file_outgrows_the_line_budget() {
         over.is_empty(),
         "source files over {MAX_SOURCE_LINES} lines — split them by concern:\n  {}",
         over.join("\n  ")
+    );
+}
+
+fn brace_delta(line: &str) -> i64 {
+    line.matches('{').count() as i64 - line.matches('}').count() as i64
+}
+
+/// The numbered lines of `source` outside `#[cfg(test)]` items and `//`
+/// comments: the attribute skips the item after it, to the `;` or the
+/// brace that closes it.
+fn non_test_lines(source: &str) -> Vec<(usize, &str)> {
+    let (mut out, mut skipping, mut depth) = (Vec::new(), false, 0);
+    for (n, line) in source.lines().enumerate() {
+        let trimmed = line.trim();
+        if skipping {
+            depth += brace_delta(trimmed);
+            skipping = depth > 0 || !(trimmed.ends_with(';') || trimmed.ends_with('}'));
+        } else if trimmed == "#[cfg(test)]" {
+            (skipping, depth) = (true, 0);
+        } else if !trimmed.starts_with("//") {
+            out.push((n + 1, line));
+        }
+    }
+    out
+}
+
+/// Whether `line` holds an escaped JSON key, `\"key\": `, as the text of a
+/// hand-assembled document does.
+fn escaped_json_key(line: &str) -> bool {
+    line.match_indices("\\\": ").any(|(end, _)| {
+        let before = &line[..end];
+        before.rfind("\\\"").is_some_and(|start| {
+            let key = &before[start + 2..];
+            !key.is_empty() && !key.contains(['"', '\\', ' '])
+        })
+    })
+}
+
+#[test]
+fn json_documents_have_one_writer() {
+    // Self-check, so the lint cannot go blind silently.
+    assert!(escaped_json_key(r#"out.push_str(&format!("  \"{key}\": {value},\n"));"#));
+    assert!(escaped_json_key(r#"s.push_str(&format!("\"seed\": {}, ", r.seed));"#));
+    assert!(!escaped_json_key(r#"assert!(text.contains("\"demo.queue_ns\""));"#));
+    let gated = "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn b() {\n    }\n}\nfn c() {}\n";
+    assert_eq!(non_test_lines(gated), [(1, "fn a() {}"), (7, "fn c() {}")]);
+    let writer = root().join("crates/sim/src/json.rs");
+    let mut emitters = Vec::new();
+    for dir in crate_dirs() {
+        for file in rust_files(&dir.join("src")).into_iter().filter(|f| *f != writer) {
+            let source = std::fs::read_to_string(&file).expect("source reads");
+            for (n, line) in non_test_lines(&source) {
+                if escaped_json_key(line) {
+                    emitters.push(format!("{}:{n}: {}", file.display(), line.trim()));
+                }
+            }
+        }
+    }
+    assert!(
+        emitters.is_empty(),
+        "hand-assembled JSON — build a `nob_sim::json::Json` value and print it instead:\n  {}",
+        emitters.join("\n  ")
     );
 }

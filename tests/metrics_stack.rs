@@ -53,10 +53,10 @@ fn all_three_layers_sample_onto_one_grid() {
 
 #[test]
 fn fixed_seed_timelines_serialize_byte_identically() {
-    let a = metered_fill(Variant::NobLsm, 1500, 42).timeline().to_json();
-    let b = metered_fill(Variant::NobLsm, 1500, 42).timeline().to_json();
+    let a = metered_fill(Variant::NobLsm, 1500, 42).timeline().to_json().to_string();
+    let b = metered_fill(Variant::NobLsm, 1500, 42).timeline().to_json().to_string();
     assert_eq!(a, b, "same seed must sample identically");
-    let c = metered_fill(Variant::NobLsm, 1500, 43).timeline().to_json();
+    let c = metered_fill(Variant::NobLsm, 1500, 43).timeline().to_json().to_string();
     assert_ne!(a, c, "different seed must differ");
 }
 

@@ -92,9 +92,13 @@ fn stalls_carry_causal_attribution() {
 fn fixed_seed_runs_summarise_byte_identically() {
     let a = traced_fill(Variant::LevelDb, 1500, 42);
     let b = traced_fill(Variant::LevelDb, 1500, 42);
-    assert_eq!(a.to_json(), b.to_json(), "same seed must summarise identically");
+    assert_eq!(
+        a.to_json().to_string(),
+        b.to_json().to_string(),
+        "same seed must summarise identically"
+    );
     let c = traced_fill(Variant::LevelDb, 1500, 43);
-    assert_ne!(a.to_json(), c.to_json(), "different seed must differ");
+    assert_ne!(a.to_json().to_string(), c.to_json().to_string(), "different seed must differ");
 }
 
 #[test]
