@@ -20,12 +20,12 @@
 //! use nob_baselines::Variant;
 //! use nob_ext4::{Ext4Config, Ext4Fs};
 //! use nob_sim::Nanos;
-//! use noblsm::Options;
+//! use noblsm::{Db, Options};
 //!
 //! # fn main() -> Result<(), noblsm::DbError> {
 //! let fs = Ext4Fs::new(Ext4Config::default());
 //! let base = Options::default().with_table_size(64 << 20);
-//! let mut db = Variant::NobLsm.open(fs, "db", &base, Nanos::ZERO)?;
+//! let mut db = Db::open(fs, "db", Variant::NobLsm.options(&base), Nanos::ZERO)?;
 //! let mut batch = noblsm::WriteBatch::new();
 //! batch.put(b"k", b"v");
 //! db.write(&noblsm::WriteOptions::default(), batch)?;
@@ -35,9 +35,8 @@
 
 #![forbid(unsafe_code)]
 
-use nob_ext4::Ext4Fs;
-use nob_sim::{Nanos, SharedClock};
-use noblsm::{CompactionStyle, Db, Options, Result, SyncMode};
+use nob_sim::Nanos;
+use noblsm::{CompactionStyle, Options, SyncMode};
 
 /// One of the systems compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,31 +153,6 @@ impl Variant {
         }
         o
     }
-
-    /// Opens a database configured as this variant.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine open errors.
-    pub fn open(&self, fs: Ext4Fs, dir: &str, base: &Options, now: Nanos) -> Result<Db> {
-        Db::open(fs, dir, self.options(base), now)
-    }
-
-    /// Opens a database configured as this variant on a caller-owned
-    /// [`SharedClock`] (see [`Db::open_with_clock`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine open errors.
-    pub fn open_with_clock(
-        &self,
-        fs: Ext4Fs,
-        dir: &str,
-        base: &Options,
-        clock: SharedClock,
-    ) -> Result<Db> {
-        Db::open_with_clock(fs, dir, self.options(base), clock)
-    }
 }
 
 impl std::fmt::Display for Variant {
@@ -190,8 +164,8 @@ impl std::fmt::Display for Variant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nob_ext4::Ext4Config;
-    use noblsm::{WriteBatch, WriteOptions};
+    use nob_ext4::{Ext4Config, Ext4Fs};
+    use noblsm::{Db, WriteBatch, WriteOptions};
 
     fn base() -> Options {
         let mut o = Options::default().with_table_size(32 << 10);
@@ -203,11 +177,14 @@ mod tests {
         Ext4Fs::new(Ext4Config::default().with_page_cache(8 << 20))
     }
 
+    fn open(v: Variant, fs: Ext4Fs) -> Db {
+        Db::open(fs, "db", v.options(&base()), Nanos::ZERO).unwrap()
+    }
+
     fn put_at(db: &mut Db, now: Nanos, key: &[u8], value: &[u8]) -> Nanos {
-        db.clock().advance_to(now);
         let mut batch = WriteBatch::new();
         batch.put(key, value);
-        db.write(&WriteOptions::default(), batch).unwrap()
+        db.write_at(now, &WriteOptions::default(), batch).unwrap()
     }
 
     fn key(i: u64) -> Vec<u8> {
@@ -215,7 +192,7 @@ mod tests {
     }
 
     fn load(db: &mut Db, n: u64, vlen: usize) -> Nanos {
-        let mut now = Nanos::ZERO;
+        let mut now = db.clock().now();
         for i in 0..n {
             let k = (i * 2654435761) % n;
             let mut v = format!("val{k}-").into_bytes();
@@ -231,7 +208,7 @@ mod tests {
         variants.push(Variant::VolatileLevelDb);
         for v in variants {
             let fs = fs();
-            let mut db = v.open(fs, "db", &base(), Nanos::ZERO).unwrap();
+            let mut db = open(v, fs);
             let mut now = load(&mut db, 2000, 128);
             db.check_invariants().unwrap();
             for i in (0..2000u64).step_by(43) {
@@ -246,7 +223,7 @@ mod tests {
     fn sync_counts_follow_the_papers_ordering() {
         let run = |v: Variant| {
             let fs = fs();
-            let mut db = v.open(fs.clone(), "db", &base(), Nanos::ZERO).unwrap();
+            let mut db = open(v, fs.clone());
             load(&mut db, 4000, 128);
             fs.stats().sync_calls
         };
@@ -264,7 +241,7 @@ mod tests {
     fn bolt_groups_outputs_into_fewer_physical_files() {
         let count_tables = |v: Variant| {
             let fs = fs();
-            let mut db = v.open(fs.clone(), "db", &base(), Nanos::ZERO).unwrap();
+            let mut db = open(v, fs.clone());
             load(&mut db, 3000, 128);
             let logical: usize = db.level_file_counts().iter().sum();
             let physical = fs.list("db/").iter().filter(|p| p.ends_with(".ldb")).count();
@@ -280,7 +257,7 @@ mod tests {
     fn pebbles_writes_less_than_leveldb() {
         let run = |v: Variant| {
             let fs = fs();
-            let mut db = v.open(fs, "db", &base(), Nanos::ZERO).unwrap();
+            let mut db = open(v, fs);
             load(&mut db, 4000, 128);
             db.stats().compaction_bytes_written
         };
@@ -301,8 +278,8 @@ mod tests {
         // actually active under skew.
         let run = |v: Variant| {
             let fs = fs();
-            let mut db = v.open(fs, "db", &base(), Nanos::ZERO).unwrap();
-            let mut now = Nanos::ZERO;
+            let mut db = open(v, fs);
+            let mut now = db.clock().now();
             // Heavy skew: 90 % of updates hit 5 % of the keyspace.
             let mut state = 99u64;
             for i in 0..6000u64 {

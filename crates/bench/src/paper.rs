@@ -47,8 +47,8 @@ fn system(position: u64) -> Variant {
 /// A fresh database of `variant` on a fresh paper-shaped filesystem.
 fn open(variant: Variant, scale: Scale, paper_table: u64) -> (Ext4Fs, Db) {
     let fs = scale.fresh_fs();
-    let db = variant.open(fs.clone(), "db", &scale.base_options(paper_table), Nanos::ZERO);
-    (fs, db.expect("open db"))
+    let opts = variant.options(&scale.base_options(paper_table));
+    (fs.clone(), Db::open(fs, "db", opts, Nanos::ZERO).expect("open db"))
 }
 
 /// The table headed `heading`, begun when the cells move on to it: the
@@ -385,13 +385,6 @@ pub const CONSISTENCY: Sweep = Sweep {
     invariants: consistency_invariants,
 };
 
-fn put_at(db: &mut Db, now: Nanos, key: &[u8], value: &[u8]) -> Nanos {
-    db.clock().advance_to(now);
-    let mut batch = noblsm::WriteBatch::new();
-    batch.put(key, value);
-    db.write(&noblsm::WriteOptions::default(), batch).expect("put")
-}
-
 fn consistency_cell(point: &[u64], scale: Scale) -> Row {
     let [sys, rep] = *point else { unreachable!("two axes") };
     let variant = system(sys);
@@ -399,18 +392,16 @@ fn consistency_cell(point: &[u64], scale: Scale) -> Row {
     let (fs, mut db) = open(variant, scale, PAPER_TABLE_LARGE);
     // The cut lands mid-run, after the run: keep every instant.
     fs.pin_crash_horizon();
-    // Write in shuffled order, remembering it to classify losses.
+    // fillrandom writes in the order `shuffled(ops, rep)`, which classifies
+    // the losses below.
+    let fill = dbbench::fillrandom(&mut db, ops, 1024, rep, Nanos::ZERO).expect("fillrandom");
     let order = shuffled(ops, rep);
-    let mut now = Nanos::ZERO;
-    for &k in &order {
-        now = put_at(&mut db, now, &key(k), &value(k, 0, 1024));
-    }
     // No flushing of dirty data: power goes at a repetition-specific
     // instant of the (virtual) run.
-    let crash_at = Nanos::from_nanos(now.as_nanos() * (4 + rep) / 8);
-    let base = scale.base_options(PAPER_TABLE_LARGE);
+    let crash_at = Nanos::from_nanos(fill.finished.as_nanos() * (4 + rep) / 8);
     let crashed = fs.crashed_view(crash_at);
-    let mut recovered = variant.open(crashed, "db", &base, crash_at).expect("recovery succeeds");
+    let recovered = Db::open(crashed, "db", db.options().clone(), crash_at);
+    let mut recovered = recovered.expect("recovery succeeds");
     recovered.check_invariants().expect("recovered tree is well formed");
     let (mut intact, mut lost, mut corrupt) = (0u64, 0u64, 0u64);
     let mut t = crash_at;

@@ -61,8 +61,7 @@ pub fn dense_record(i: u64, value_len: usize) -> (Vec<u8>, Vec<u8>) {
 /// Flushes every shard's memtable so scans pay real block reads.
 pub fn flush_shards(store: &mut Store) {
     for i in 0..store.shards() {
-        let now = store.clock().now();
-        store.shard_db_mut(i).flush(now).expect("flush shard");
+        store.shard_db_mut(i).flush().expect("flush shard");
     }
 }
 

@@ -74,7 +74,7 @@ pub fn fig4_fill(
     instrument: impl FnOnce(&mut noblsm::Db),
 ) -> Nanos {
     let opts = scale.base_options(crate::PAPER_TABLE_LARGE);
-    let mut db = variant.open(fs, "db", &opts, Nanos::ZERO).expect("open db");
+    let mut db = noblsm::Db::open(fs, "db", variant.options(&opts), Nanos::ZERO).expect("open db");
     instrument(&mut db);
     let fill = dbbench::fillrandom(&mut db, FIG4_OPS, 256, 42, Nanos::ZERO).expect("fillrandom");
     let t = db.wait_idle(fill.finished).expect("drain");
@@ -83,7 +83,8 @@ pub fn fig4_fill(
     // window scales like every other time-like constant (an unscaled
     // window would fire hundreds of scaled commit intervals and skew the
     // trace relative to the run it belongs to).
-    db.tick(t + scale.duration(Nanos::from_secs(6))).expect("tick");
+    db.clock().advance_to(t + scale.duration(Nanos::from_secs(6)));
+    db.tick().expect("tick");
     fill.wall()
 }
 

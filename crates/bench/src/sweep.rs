@@ -314,7 +314,10 @@ pub fn quantile_ns(samples: &mut [u64], pct: usize) -> u64 {
 ///
 /// # Errors
 ///
-/// Says which document diverged and how to rebless it.
+/// Says which document diverged and how to rebless it. When both sides
+/// are documents of one sweep on the same grid, it says so cell by cell:
+/// a markdown table of every field that moved, ready to paste into the
+/// change's explanation. Otherwise it names the first differing line.
 pub fn compare_or_bless(path: &Path, got: &str) -> Result<(), String> {
     if std::env::var_os("NOB_BLESS").is_some() {
         // Write-then-rename: a test reading the fixtures concurrently
@@ -328,13 +331,70 @@ pub fn compare_or_bless(path: &Path, got: &str) -> Result<(), String> {
     if got == want {
         return Ok(());
     }
-    let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
-    let line = line.unwrap_or_else(|| got.lines().count().min(want.lines().count())) + 1;
+    let how = cells_moved(&want, got).unwrap_or_else(|| {
+        let line = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+        let line = line.unwrap_or_else(|| got.lines().count().min(want.lines().count())) + 1;
+        format!(" at line {line}")
+    });
     Err(format!(
-        "{} diverged at line {line}; if intentional, rebless with \
+        "{} diverged{how}; if intentional, rebless with \
          NOB_BLESS=1 cargo test -p nob-bench --test golden",
         path.display()
     ))
+}
+
+/// The per-cell table of [`compare_or_bless`]: every field that differs
+/// between two texts of one [`SWEEPS`] document on the same grid, one
+/// markdown row each — the cell named by its grid point (`axis=value` per
+/// axis), the field's path in the cell, its old and new values and, for
+/// numbers, the change in percent. `None` unless both texts parse as
+/// complete documents of that sweep.
+fn cells_moved(old: &str, new: &str) -> Option<String> {
+    let (old, new) = (Json::parse(old)?, Json::parse(new)?);
+    let sweep = SWEEPS.iter().find(|s| Some(s.figure) == new.text("figure"))?;
+    let (old, new) = (sweep.grid(&old)?, sweep.grid(&new)?);
+    let mut table = String::from(" cell by cell:\n\n| cell | field | old | new | Δ % |\n");
+    table.push_str("|---|---|---|---|---|\n");
+    for ((point, a), b) in sweep.points().iter().zip(old.cells()).zip(new.cells()) {
+        let at: Vec<String> =
+            sweep.axes.iter().zip(point).map(|(axis, v)| format!("{}={v}", axis.name)).collect();
+        let mut moved = Vec::new();
+        moved_leaves(String::new(), a, b, &mut moved);
+        for (field, a, b) in moved {
+            let delta = match (a.as_f64(), b.as_f64()) {
+                (Some(x), Some(y)) if x != 0.0 => format!("{:+.1}", (y - x) / x * 100.0),
+                _ => "–".to_string(),
+            };
+            table.push_str(&format!("| {} | {field} | {a} | {b} | {delta} |\n", at.join(" ")));
+        }
+    }
+    Some(table + "\n")
+}
+
+/// Each value where `old` and `new` differ, under its path in the cell
+/// (`field`, `field.key`, `field[i]`), descending where both sides have
+/// the same keys or the same length.
+fn moved_leaves<'a>(
+    path: String,
+    old: &'a Json,
+    new: &'a Json,
+    out: &mut Vec<(String, &'a Json, &'a Json)>,
+) {
+    match (old, new) {
+        (Json::Object(a), Json::Object(b)) if a.iter().map(|f| &f.0).eq(b.iter().map(|f| &f.0)) => {
+            for ((key, x), (_, y)) in a.iter().zip(b) {
+                let path = if path.is_empty() { key.clone() } else { format!("{path}.{key}") };
+                moved_leaves(path, x, y, out);
+            }
+        }
+        (Json::Array(a), Json::Array(b)) if a.len() == b.len() => {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                moved_leaves(format!("{path}[{i}]"), x, y, out);
+            }
+        }
+        _ if old != new => out.push((path, old, new)),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
@@ -349,5 +409,16 @@ mod tests {
         assert_eq!(quantile_ns(&mut hundred, 50), 50);
         assert_eq!(quantile_ns(&mut [5, 3], 99), 5);
         assert_eq!(quantile_ns(&mut [5], 0), 5);
+    }
+
+    #[test]
+    fn a_moved_cell_is_one_row_named_by_its_grid_point() {
+        let golden = include_str!("../tests/golden/paper_consistency.json");
+        let moved = golden.replace("\"lost\": 1069", "\"lost\": 1282");
+        let table = cells_moved(golden, &moved).expect("both are the sweep's grid");
+        let row =
+            "|---|---|---|---|---|\n| system=6 repetition=2 | lost | 1069 | 1282 | +19.9 |\n\n";
+        assert!(table.ends_with(row), "{table}");
+        assert_eq!(cells_moved(golden, "{}"), None, "not a sweep document");
     }
 }

@@ -182,11 +182,10 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
         match roll {
             0..=7 => {
                 let (key, value) = (kname(k), vname(k, v, case.value_size));
-                db.clock().advance_to(now);
                 let mut batch = noblsm::WriteBatch::new();
                 batch.put(&key, &value);
                 now = db
-                    .write(&noblsm::WriteOptions::default(), batch)
+                    .write_at(now, &noblsm::WriteOptions::default(), batch)
                     .expect("live put cannot fail");
                 history.entry(key.clone()).or_default().push(value.clone());
                 model.insert(key, Some(value));
@@ -203,14 +202,15 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
                 model.insert(key, None);
             }
             10 => {
-                now = db.flush(now).expect("live flush cannot fail");
+                now = db.flush().expect("live flush cannot fail");
                 let snapshot: HashMap<Vec<u8>, Vec<u8>> =
                     model.iter().filter_map(|(k, v)| v.clone().map(|v| (k.clone(), v))).collect();
                 acks.push((now, snapshot));
             }
             _ => {
                 now += Nanos::from_micros(us);
-                db.tick(now).expect("live tick cannot fail");
+                db.clock().advance_to(now);
+                db.tick().expect("live tick cannot fail");
             }
         }
         applied += 1;

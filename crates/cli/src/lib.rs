@@ -197,12 +197,8 @@ impl Session {
             "open" => {
                 let mode = args.first().copied().unwrap_or("noblsm");
                 let variant = parse_variant(mode)?;
-                let mut db = variant.open_with_clock(
-                    self.fs.clone(),
-                    "db",
-                    &base_options(),
-                    self.clock.clone(),
-                )?;
+                let opts = variant.options(&base_options());
+                let mut db = Db::open_with_clock(self.fs.clone(), "db", opts, self.clock.clone())?;
                 if let Some(sink) = &self.trace {
                     db.set_trace_sink(sink.clone());
                 }
@@ -273,7 +269,6 @@ impl Session {
                 let vs: usize = vs.parse().map_err(|_| "value_size must be a number")?;
                 let now = self.clock.now();
                 let r = dbbench::fillrandom(self.db()?, n, vs, 42, now)?;
-                self.clock.advance_to(r.finished);
                 let _ = writeln!(
                     out,
                     "filled {} records in {} ({:.2} us/op)",
@@ -286,17 +281,15 @@ impl Session {
                 let [ms] = args[..] else { return Err("usage: advance <ms>".into()) };
                 let ms: u64 = ms.parse().map_err(|_| "ms must be a number")?;
                 self.clock.advance(Nanos::from_millis(ms));
-                let now = self.clock.now();
                 if let Ok(db) = self.db() {
-                    db.tick(now)?;
+                    db.tick()?;
                 } else {
-                    self.fs.tick(now);
+                    self.fs.tick(self.clock.now());
                 }
                 let _ = writeln!(out, "now {}", self.clock.now());
             }
             "flush" => {
-                let now = self.clock.now();
-                let t = self.db()?.flush(now)?;
+                let t = self.db()?.flush()?;
                 let _ = writeln!(out, "flushed ({t})");
             }
             "compact" => match args.first().copied() {
@@ -360,12 +353,8 @@ impl Session {
                 // A crash rewinds the session to `at`; the shared clock is
                 // monotone, so the recovered stack gets a fresh one.
                 self.clock = SharedClock::at(at);
-                let mut db = variant.open_with_clock(
-                    crashed.clone(),
-                    "db",
-                    &base_options(),
-                    self.clock.clone(),
-                )?;
+                let opts = variant.options(&base_options());
+                let mut db = Db::open_with_clock(crashed.clone(), "db", opts, self.clock.clone())?;
                 // The crash view is a new stack; the sink and hub survive
                 // it so recovery I/O lands in the same trace and the
                 // timeline keeps its pre-crash history.

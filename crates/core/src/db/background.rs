@@ -17,23 +17,27 @@ use crate::Result;
 use super::{Db, DbEvent, PhysicalFiles};
 
 impl Db {
-    /// Processes due background completions and journal timers.
+    /// Processes the background completions and journal timers due by the
+    /// shared clock's instant. A caller that lets time pass advances the
+    /// clock first.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from applying completions.
-    pub fn tick(&mut self, now: Nanos) -> Result<()> {
-        self.pump(now)
+    pub fn tick(&mut self) -> Result<()> {
+        self.pump(self.clock.now())
     }
 
-    /// Forces the current memtable to `L0` and waits for the flush.
+    /// Forces the current memtable to `L0` and waits for the flush,
+    /// starting at the shared clock's instant and leaving the clock at the
+    /// returned end.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors, and returns the recorded error of a
     /// failed background job (see [`Db::wait_idle`]).
-    pub fn flush(&mut self, now: Nanos) -> Result<Nanos> {
-        let mut now = now;
+    pub fn flush(&mut self) -> Result<Nanos> {
+        let mut now = self.clock.now();
         if !self.mem.is_empty() {
             // Wait out any in-flight flush first.
             now = self.wait_for_flush(now)?;
@@ -85,15 +89,16 @@ impl Db {
         Ok(end)
     }
 
-    /// Drains compactions *and* NobLSM reclamation: advances time across
-    /// commit intervals until no shadow files remain. Used by tests and
-    /// the consistency harness.
+    /// Drains compactions *and* NobLSM reclamation from the shared clock's
+    /// instant: advances time across commit intervals until no shadow
+    /// files remain, and leaves the clock at the returned end. Used by
+    /// tests and the crash harnesses.
     ///
     /// # Errors
     ///
     /// Same as [`Db::wait_idle`].
-    pub fn settle(&mut self, now: Nanos) -> Result<Nanos> {
-        let mut now = self.wait_idle(now)?;
+    pub fn settle(&mut self) -> Result<Nanos> {
+        let mut now = self.wait_idle(self.clock.now())?;
         let mut guard = 0;
         while self.deps.pending_dependencies() > 0 {
             let t = self.events.next_at().unwrap_or(now + self.opts.reclaim_interval);
@@ -120,7 +125,8 @@ impl Db {
         begin: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Result<Nanos> {
-        let mut now = self.flush(now)?;
+        self.clock.advance_to(now);
+        let mut now = self.flush()?;
         now = self.wait_idle(now)?;
         let overlaps = |db: &Db, level: usize| -> bool {
             db.versions.current().files[level].iter().any(|f| {

@@ -123,11 +123,13 @@ pub struct Db {
     /// flush and wait; reads keep working.
     bg_error: Option<DbError>,
     /// The engine's virtual clock, shared with whoever schedules it (a
-    /// `nob-store` shard pump, the CLI session, a bench driver). The
-    /// canonical [`Db::write`]/[`Db::get`] entry points read and advance
-    /// it so callers need not thread `now: Nanos` by hand; the methods
-    /// that do take a `now` (per-thread reads, lifecycle calls at a
-    /// harness's instant) keep it in step as they go.
+    /// `nob-store` shard pump, the CLI session, a bench driver). It is
+    /// one of the two ways to say *when*: [`Db::write`], [`Db::get`],
+    /// [`Db::scan`], [`Db::tick`], [`Db::flush`] and [`Db::settle`] start
+    /// at it and move it to their end. The other is an actor's own
+    /// instant, behind the clock: [`Db::write_at`], [`Db::get_at_time`]
+    /// and [`Db::iter_at`] start there and only ever raise the clock to
+    /// their end, never before.
     clock: SharedClock,
 }
 

@@ -104,7 +104,9 @@ impl Db {
             pending_seek: None,
             lookup_buf: Vec::new(),
             reclaim_armed: false,
-            writer_free: Nanos::ZERO,
+            // The writer exists from the open's end: a write issued at an
+            // earlier instant starts there.
+            writer_free: t,
             snapshots: BTreeMap::new(),
             next_snapshot_id: 0,
             stats: recovery,

@@ -134,8 +134,10 @@ impl Db {
     /// Creates an iterator over the live database starting at the caller's
     /// instant `now`, not the shared clock's: the iteration twin of
     /// [`Db::get_at_time`], for a driver thread or a recovery check that
-    /// carries its own timeline (`db_bench` `readseq`, the chaos harness's
-    /// verification scan). [`Db::iter`] starts at the shared clock.
+    /// carries its own timeline (`db_bench` `readseq`, a YCSB-E scan, the
+    /// chaos harness's verification scan). [`Db::iter`] starts at the
+    /// shared clock. The iterator leaves the shared clock alone; a caller
+    /// that is done with it raises the clock to [`DbIterator::now`].
     ///
     /// The iterator owns its virtual clock (see [`DbIterator::now`]).
     ///

@@ -36,9 +36,10 @@ impl Db {
     /// With [`Db::get_at_time`] and [`Db::iter_at`] this is the third — and
     /// last — "an actor's instant behind the shared clock" entry: an actor
     /// with a timeline of its own issues work at *its* instant even when
-    /// another actor has already pushed the shared clock past it.
-    /// `nob-store` is the caller: each shard is such an actor, and one
-    /// scheduler round starts every shard's group at the round's start.
+    /// another actor has already pushed the shared clock past it. Each
+    /// `nob-store` shard is such an actor (one scheduler round starts every
+    /// shard's group at the round's start), and so is each client thread
+    /// of the `nob-workloads` drivers.
     ///
     /// # Errors
     ///

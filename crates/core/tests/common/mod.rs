@@ -1,11 +1,9 @@
 //! Shared helpers for the engine integration tests: canonical-API
 //! equivalents of the removed positional write shims (`Db::put`,
 //! `Db::put_opt`, `Db::write_batch`, `Db::delete`), preserving the
-//! explicit `now`-threading style the timing assertions rely on. The put
-//! helpers advance the engine's shared clock to the caller's instant, then
-//! go through [`Db::write`] — the same path production callers use;
-//! `delete` starts at the caller's instant through [`Db::write_at`], as
-//! `Db::delete` did.
+//! explicit `now`-threading style the timing assertions rely on. Each
+//! starts at the caller's instant through [`Db::write_at`], as those shims
+//! did, and leaves the shared clock at the write's end.
 
 #![allow(dead_code)]
 
@@ -25,10 +23,9 @@ pub fn put_with(
     value: &[u8],
     wopts: &WriteOptions,
 ) -> Result<Nanos> {
-    db.clock().advance_to(now);
     let mut batch = WriteBatch::new();
     batch.put(key, value);
-    db.write(wopts, batch)
+    db.write_at(now, wopts, batch)
 }
 
 /// Applies an atomic [`WriteBatch`] at `now`.
@@ -38,14 +35,10 @@ pub fn write_batch_at(
     batch: &WriteBatch,
     wopts: &WriteOptions,
 ) -> Result<Nanos> {
-    if batch.is_empty() {
-        return Ok(now);
-    }
-    db.clock().advance_to(now);
-    db.write(wopts, batch.clone())
+    db.write_at(now, wopts, batch.clone())
 }
 
-/// Deletes `key` at `now`: a one-tombstone batch through [`Db::write_at`].
+/// Deletes `key` at `now`: a one-tombstone batch.
 pub fn delete(db: &mut Db, now: Nanos, key: &[u8]) -> Result<Nanos> {
     let mut batch = WriteBatch::new();
     batch.delete(key);

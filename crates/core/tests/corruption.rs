@@ -123,14 +123,14 @@ fn compaction_over_a_corrupt_input_fails_loudly_and_applies_nothing() {
         now = common::put_with(&mut db, now, format!("a{i:04}").as_bytes(), b"clean", &synced)
             .unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     for i in 0..40 {
         now = common::put_with(&mut db, now, format!("b{i:04}").as_bytes(), b"doomed", &synced)
             .unwrap();
     }
     // The second L0 table's write-back is damaged on media.
     fs.set_fault_injector(InjectorHandle::new(CorruptOneDataWrite { fired: false }));
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     assert_eq!(fs.stats().data_writebacks_corrupted, 1);
     assert_eq!(db.level_file_counts()[0], 2);
     drop(db);
@@ -154,9 +154,8 @@ fn compaction_over_a_corrupt_input_fails_loudly_and_applies_nothing() {
     let mut batch = noblsm::WriteBatch::new();
     batch.put(b"c", b"late");
     assert_eq!(db.write(&WriteOptions::default(), batch).unwrap_err(), err);
-    let t = db.clock().now();
-    assert_eq!(db.flush(t).unwrap_err(), err);
-    assert_eq!(db.wait_idle(t).unwrap_err(), err);
+    assert_eq!(db.flush().unwrap_err(), err);
+    assert_eq!(db.wait_idle(db.clock().now()).unwrap_err(), err);
     assert_eq!(db.active_majors(), 0, "the failed job's lane and claim were released");
     assert_eq!(db.compaction_debt_bytes(), 0);
 }

@@ -80,11 +80,12 @@ fn apply_ops(
                 model.insert(key, None);
             }
             Op::Flush => {
-                now = db.flush(now).unwrap();
+                now = db.flush().unwrap();
             }
             Op::Sleep(us) => {
                 now += Nanos::from_micros(*us as u64);
-                db.tick(now).unwrap();
+                db.clock().advance_to(now);
+                db.tick().unwrap();
             }
         }
     }
@@ -119,12 +120,12 @@ proptest! {
         let mut db = Db::open(fs.clone(), "db", mode.clone(), Nanos::ZERO).unwrap();
         let mut model = HashMap::new();
         let mut history = HashMap::new();
-        let mut now = apply_ops(&mut db, &ops, &mut model, &mut history, Nanos::ZERO);
-        now = db.flush(now).unwrap();
-        now = db.settle(now).unwrap();
+        apply_ops(&mut db, &ops, &mut model, &mut history, Nanos::ZERO);
+        db.flush().unwrap();
         // Two commit intervals make every metadata change durable.
-        now += Nanos::from_secs(11);
-        db.tick(now).unwrap();
+        let now = db.settle().unwrap() + Nanos::from_secs(11);
+        db.clock().advance_to(now);
+        db.tick().unwrap();
 
         let crashed = fs.crashed_view(now);
         let mut rdb = Db::open(crashed, "db", mode.clone(), now).unwrap();
@@ -192,7 +193,7 @@ proptest! {
             acked.insert(key, value);
         }
         // The flush syncs the L0 table: `acked` is now durable.
-        now = db.flush(now).unwrap();
+        now = db.flush().unwrap();
         // More writes + compactions, never synced again.
         for (k, v) in &second {
             let (key, value) = (kname(*k), vname(*k, *v));

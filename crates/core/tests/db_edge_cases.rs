@@ -81,7 +81,7 @@ fn double_open_same_directory_recovers_not_clobbers() {
         for i in 0..500 {
             now = common::put(&mut db, now, &key(i), b"v").unwrap();
         }
-        now = db.flush(now).unwrap();
+        now = db.flush().unwrap();
     }
     // Second open must recover, not fail or wipe.
     let mut db = Db::open(fs, "db", opts(SyncMode::Always), now).unwrap();
@@ -103,11 +103,11 @@ fn seek_compactions_fire_under_repeated_misses() {
     for i in (0..400u64).filter(|i| i % 2 == 0) {
         now = common::put(&mut db, now, &key(i), &[1u8; 64]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     for i in (0..400u64).filter(|i| i % 2 == 1) {
         now = common::put(&mut db, now, &key(i), &[2u8; 64]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     now = db.wait_idle(now).unwrap();
     // Hammer even-key lookups; allowed_seeks (min 100) eventually fires.
     for round in 0..600u64 {
@@ -142,11 +142,11 @@ fn seek_compactions_land_in_the_per_level_breakdown() {
     for i in (0..400u64).filter(|i| i % 2 == 0) {
         now = common::put(&mut db, now, &key(i), &[1u8; 64]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     for i in (0..400u64).filter(|i| i % 2 == 1) {
         now = common::put(&mut db, now, &key(i), &[2u8; 64]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     now = db.wait_idle(now).unwrap();
     let before_seek = db.stats().seek_compactions;
     for round in 0..600u64 {
@@ -186,11 +186,12 @@ fn file_space_is_clean_after_settling() {
         for i in 0..3000u64 {
             now = common::put(&mut db, now, &key(i * 7919 % 3000), &[3u8; 128]).unwrap();
         }
-        now = db.settle(now).unwrap();
+        now = db.settle().unwrap();
         // A couple of commit intervals so deferred deletions land.
         now += Nanos::from_secs(11);
-        db.tick(now).unwrap();
-        let _ = db.settle(now).unwrap();
+        db.clock().advance_to(now);
+        db.tick().unwrap();
+        let _ = db.settle().unwrap();
         let live: usize = db.level_file_counts().iter().sum();
         let on_disk = fs.list("db/").iter().filter(|p| p.ends_with(".ldb")).count();
         assert_eq!(on_disk, live, "{mode:?}: orphan table files left behind");
@@ -210,7 +211,7 @@ fn overwrite_heavy_load_converges_and_stays_small() {
             now = common::put(&mut db, now, &key(i), format!("r{round}").as_bytes()).unwrap();
         }
     }
-    now = db.settle(now).unwrap();
+    now = db.settle().unwrap();
     let mut it = db.iter_at(now).unwrap();
     it.seek_to_first().unwrap();
     let mut n = 0;
@@ -231,7 +232,7 @@ fn values_of_every_size_round_trip() {
     for (i, len) in sizes.iter().enumerate() {
         now = common::put(&mut db, now, &key(i as u64), &vec![i as u8; *len]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     for (i, len) in sizes.iter().enumerate() {
         let (got, t) = db.get_at_time(now, &key(i as u64)).unwrap();
         now = t;
@@ -254,7 +255,7 @@ fn compressed_tables_round_trip() {
         v[0] = (i % 251) as u8;
         now = common::put(&mut db, now, &key(i), &v).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     now = db.wait_idle(now).unwrap();
     for i in (0..2000).step_by(97) {
         let (got, t) = db.get_at_time(now, &key(i)).unwrap();

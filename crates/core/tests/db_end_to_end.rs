@@ -177,7 +177,8 @@ fn crash_recovery_preserves_synced_data_leveldb_mode() {
     now = db.wait_idle(now).unwrap();
     // Give the journal a couple of commit intervals to settle metadata.
     now += Nanos::from_secs(11);
-    db.tick(now).unwrap();
+    db.clock().advance_to(now);
+    db.tick().unwrap();
     // Power off and recover.
     let crashed = fs.crashed_view(now);
     let mut rdb = Db::open(crashed, "db", small_opts(SyncMode::Always), now).unwrap();
@@ -196,7 +197,8 @@ fn crash_recovery_noblsm_mode_loses_nothing_synced() {
     let mut now = load(&mut db, n, 100, Nanos::ZERO);
     now = db.wait_idle(now).unwrap();
     now += Nanos::from_secs(11);
-    db.tick(now).unwrap();
+    db.clock().advance_to(now);
+    db.tick().unwrap();
     let crashed = fs.crashed_view(now);
     let mut rdb = Db::open(crashed, "db", small_opts(SyncMode::NobLsm), now).unwrap();
     for i in (0..n).step_by(7) {
@@ -297,7 +299,8 @@ fn noblsm_reclaims_shadows() {
     // Let several commit intervals and reclamation polls pass.
     for _ in 0..6 {
         now += Nanos::from_secs(5);
-        db.tick(now).unwrap();
+        db.clock().advance_to(now);
+        db.tick().unwrap();
     }
     assert!(db.stats().reclaimed_files > 0, "shadow predecessors must eventually reclaim");
     assert_eq!(db.stats().shadow_files, 0, "no shadows should remain after settling");
@@ -316,12 +319,12 @@ fn overwriting_the_key_space_keeps_retained_bytes_near_the_live_files() {
     for _ in 0..rounds {
         now = load(&mut db, keys, 512, now);
     }
-    now = db.settle(now).unwrap();
+    now = db.settle().unwrap();
     // Two commit intervals later every deletion is durable and behind
     // the clock the next pump raises the horizon to.
     now += Nanos::from_secs(11);
     db.clock().advance_to(now);
-    db.tick(now).unwrap();
+    db.tick().unwrap();
     let live: u64 = fs.list("").iter().map(|p| fs.file_size(p).unwrap()).sum();
     let retained: u64 = db.property("noblsm.ext4.retained-bytes").unwrap().parse().unwrap();
     let written = fs.stats().bytes_buffered;
@@ -411,8 +414,52 @@ fn flush_forces_memtable_out() {
         now = common::put(&mut db, now, &key(i), &value(i, 50)).unwrap();
     }
     assert_eq!(db.level_file_counts()[0], 0);
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     assert_eq!(db.level_file_counts()[0], 1);
     let (got, _) = db.get_at_time(now, &key(5)).unwrap();
     assert_eq!(got, Some(value(5, 50)));
+}
+
+#[test]
+fn tick_flush_and_settle_run_at_the_shared_clock() {
+    let fs = fs();
+    let mut db = Db::open(fs, "db", small_opts(SyncMode::NobLsm), Nanos::ZERO).unwrap();
+    let loaded = load(&mut db, 4000, 128, Nanos::ZERO);
+    db.wait_idle(loaded).unwrap();
+    assert!(db.stats().shadow_files > 0, "majors left shadows to reclaim");
+
+    // Idle time passes on the shared clock; `tick` applies what is due by
+    // then and leaves the clock where it found it.
+    let at = db.clock().now() + Nanos::from_secs(11);
+    db.clock().advance_to(at);
+    db.tick().unwrap();
+    assert!(db.stats().reclaimed_files > 0, "the reclamation polls due by the clock ran");
+    assert_eq!(db.clock().now(), at);
+
+    // A flush starts at the clock, not at the last write's end.
+    let written = common::put(&mut db, loaded, &key(1), &value(1, 128)).unwrap();
+    assert!(written < at, "the put ran at its own instant, behind the clock");
+    let later = at + Nanos::from_secs(1);
+    db.clock().advance_to(later);
+    let flushed = db.flush().unwrap();
+    assert!(flushed > later, "the flush started at the clock: {flushed} vs {later}");
+    assert_eq!(db.clock().now(), flushed, "and left it at its end");
+
+    let later = flushed + Nanos::from_secs(1);
+    db.clock().advance_to(later);
+    let settled = db.settle().unwrap();
+    assert!(settled >= later);
+    assert_eq!(db.clock().now(), settled);
+    assert_eq!(db.stats().shadow_files, 0);
+}
+
+#[test]
+fn a_write_issued_before_the_open_ends_starts_at_the_open_end() {
+    let open = || Db::open(fs(), "db", small_opts(SyncMode::Always), Nanos::ZERO).unwrap();
+    let (mut db, mut twin) = (open(), open());
+    let opened = db.clock().now();
+    assert!(opened > Nanos::ZERO, "opening a database takes virtual time");
+    let early = common::put(&mut db, Nanos::ZERO, &key(1), &value(1, 100)).unwrap();
+    let on_time = common::put(&mut twin, opened, &key(1), &value(1, 100)).unwrap();
+    assert_eq!(early, on_time, "the writer exists from the open's end");
 }

@@ -36,8 +36,8 @@ fn build(fs: &Ext4Fs, n: u64) -> Nanos {
     for i in 0..n / 2 {
         now = common::put(&mut db, now, &key(i), &val(i, 1)).unwrap();
     }
-    now = db.flush(now).unwrap();
-    db.settle(now).unwrap()
+    db.flush().unwrap();
+    db.settle().unwrap()
 }
 
 #[test]
@@ -157,7 +157,7 @@ fn approximate_size_tracks_range_width() {
     for i in 0..2000u64 {
         now = common::put(&mut db, now, &key(i), &val(i, 0)).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     db.wait_idle(now).unwrap();
     let all = db.approximate_size(b"key00000000", b"key99999999");
     let half = db.approximate_size(b"key00000000", &key(1000));

@@ -67,7 +67,7 @@ fn direction_switches_mid_stream() {
     for i in 0..100u64 {
         now = common::put(&mut db, now, &key(i), format!("v{i}").as_bytes()).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     let mut it = db.iter_at(now).unwrap();
     it.seek(&key(50)).unwrap();
     assert_eq!(it.key(), key(50));
@@ -115,8 +115,7 @@ fn backward_respects_snapshots() {
         now = common::put(&mut db, now, &key(i), b"new").unwrap();
     }
     now = common::put(&mut db, now, &key(999), b"invisible").unwrap();
-    now = db.wait_idle(now).unwrap();
-    db.clock().advance_to(now);
+    db.wait_idle(now).unwrap();
     let mut it = db.iter(&noblsm::ReadOptions::at(&snap)).unwrap();
     it.seek_to_last().unwrap();
     assert_eq!(it.key(), key(49), "key 999 is invisible at the snapshot");
@@ -210,7 +209,7 @@ proptest! {
             if i + 1 == thirds.0 {
                 now = db.compact_range(now, None, None).unwrap();
             } else if i + 1 == thirds.1 {
-                now = db.flush(now).unwrap();
+                now = db.flush().unwrap();
             }
         }
         let levels = db.level_file_counts();
@@ -224,7 +223,6 @@ proptest! {
                 common::put(&mut db, now, &kb, b"written after the snapshot").unwrap()
             };
         }
-        db.clock().advance_to(now);
 
         let mut it = db.iter(&noblsm::ReadOptions::at(&snap)).unwrap();
         // The model's cursor: the key the iterator must be on, if any.

@@ -26,9 +26,8 @@ fn snapshot_pins_point_reads() {
     let snap = db.snapshot();
     let now = common::put(&mut db, now, b"k", b"v2").unwrap();
     let now = common::delete(&mut db, now, b"other").unwrap();
-    let (live, t) = db.get_at_time(now, b"k").unwrap();
+    let (live, _) = db.get_at_time(now, b"k").unwrap();
     assert_eq!(live.as_deref(), Some(&b"v2"[..]));
-    db.clock().advance_to(t);
     let pinned = db.get(&ReadOptions::at(&snap), b"k").unwrap();
     assert_eq!(pinned.as_deref(), Some(&b"v1"[..]), "snapshot must see the old value");
     db.release_snapshot(snap);
@@ -49,9 +48,8 @@ fn snapshot_survives_compactions() {
             now = common::put(&mut db, now, &key(i), format!("new{round}").as_bytes()).unwrap();
         }
     }
-    now = db.settle(now).unwrap();
+    db.settle().unwrap();
     assert!(db.stats().major_compactions > 0, "compactions must have happened");
-    db.clock().advance_to(now);
     let pinned = db.get(&ReadOptions::at(&snap), &key(42)).unwrap();
     assert_eq!(pinned.as_deref(), Some(&b"old"[..]), "compaction dropped a pinned version");
     // A snapshot iterator sees the whole old state.
@@ -80,7 +78,7 @@ fn released_snapshot_versions_get_compacted_away() {
         now = common::put(&mut db, now, &key(i), b"new").unwrap();
     }
     db.release_snapshot(snap);
-    now = db.settle(now).unwrap();
+    now = db.settle().unwrap();
     now = db.compact_range(now, None, None).unwrap();
     // After release + full compaction, only the newest versions remain:
     // iterate internal state via a fresh snapshot of everything.
@@ -152,7 +150,7 @@ fn compact_range_respects_bounds() {
     for i in 0..1000u64 {
         now = common::put(&mut db, now, &key(i), &[7u8; 64]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     // Compacting an empty range is a no-op beyond the flush.
     let before = db.stats().major_compactions;
     now = db.compact_range(now, Some(b"zzz"), Some(b"zzzz")).unwrap();
@@ -167,7 +165,7 @@ fn properties_report_engine_state() {
     for i in 0..500u64 {
         now = common::put(&mut db, now, &key(i), &[1u8; 64]).unwrap();
     }
-    now = db.flush(now).unwrap();
+    now = db.flush().unwrap();
     assert_eq!(
         db.property("noblsm.num-files-at-level0").unwrap(),
         db.level_file_counts()[0].to_string()

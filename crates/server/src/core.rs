@@ -1323,8 +1323,7 @@ mod tests {
         }
         core.flush().unwrap();
         for i in 0..core.store().shards() {
-            let now = core.clock().now();
-            core.store_mut().shard_db_mut(i).flush(now).unwrap();
+            core.store_mut().shard_db_mut(i).flush().unwrap();
         }
         core.take_output(c);
         let hot: Vec<Vec<u8>> = (0..40u32).map(|i| format!("k{i:03}").into_bytes()).collect();
@@ -1493,12 +1492,8 @@ mod tests {
                 feed_req(&mut core, c, &Request::Set(key(i), vec![7u8; 100]));
             }
             core.flush().unwrap();
-            let flush_shard = |core: &mut ServerCore, shard: usize| {
-                let now = core.clock().now();
-                core.store_mut().shard_db_mut(shard).flush(now).unwrap();
-            };
-            flush_shard(&mut core, 0);
-            flush_shard(&mut core, 1);
+            core.store_mut().shard_db_mut(0).flush().unwrap();
+            core.store_mut().shard_db_mut(1).flush().unwrap();
             core.take_output(c);
 
             feed_req(&mut core, c, &Request::scan(Vec::new(), Vec::new(), limit));
@@ -1526,7 +1521,7 @@ mod tests {
                     core.flush().unwrap();
                     core.take_output(c);
                     let shard = core.store().shard_of(&key(page as u32));
-                    flush_shard(&mut core, shard);
+                    core.store_mut().shard_db_mut(shard).flush().unwrap();
                     rebuilt += 1;
                 } else {
                     held += 1;

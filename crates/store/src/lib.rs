@@ -750,8 +750,7 @@ impl Store {
     pub fn tick(&mut self) -> Result<()> {
         // Waits on no commit, so there is nothing here for shards to overlap.
         for shard in &mut self.shards {
-            let now = self.clock.now();
-            shard.db.tick(now)?;
+            shard.db.tick()?;
         }
         Ok(())
     }

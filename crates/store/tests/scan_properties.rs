@@ -60,9 +60,7 @@ fn write(store: &mut Store, model: &mut Model, ops: &[(u16, u16)]) {
 }
 
 fn flush(store: &mut Store, shard: usize) {
-    let db = store.shard_db_mut(shard);
-    let now = db.clock().now();
-    db.flush(now).unwrap();
+    store.shard_db_mut(shard).flush().unwrap();
 }
 
 fn compact(store: &mut Store, shard: usize) {

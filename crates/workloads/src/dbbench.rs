@@ -4,7 +4,6 @@ use nob_sim::Nanos;
 use noblsm::{Db, Result};
 
 use crate::keys::{key, shuffled, value};
-use crate::report::LatencyHistogram;
 use crate::Report;
 
 /// Randomly puts `n` fresh KV pairs (`fillrandom`).
@@ -19,7 +18,7 @@ pub fn fillrandom(
     seed: u64,
     start: Nanos,
 ) -> Result<Report> {
-    write_shuffled(db, "fillrandom", n, value_size, 0, seed, start)
+    put_each(db, "fillrandom", shuffled(n, seed), value_size, 0, start)
 }
 
 /// Sequentially puts `n` fresh KV pairs in key order (`fillseq`).
@@ -28,22 +27,7 @@ pub fn fillrandom(
 ///
 /// Propagates engine errors.
 pub fn fillseq(db: &mut Db, n: u64, value_size: usize, start: Nanos) -> Result<Report> {
-    let mut now = start;
-    let mut latencies = LatencyHistogram::new();
-    for k in 0..n {
-        let end = crate::put_at(db, now, &key(k), &value(k, 0, value_size))?;
-        latencies.record(end - now);
-        now = end;
-    }
-    Ok(Report {
-        name: "fillseq".to_string(),
-        ops: n,
-        started: start,
-        finished: now,
-        total_latency: now - start,
-        threads: 1,
-        latencies,
-    })
+    put_each(db, "fillseq", 0..n, value_size, 0, start)
 }
 
 /// Randomly overwrites the `n` existing KV pairs (`overwrite`).
@@ -58,34 +42,34 @@ pub fn overwrite(
     seed: u64,
     start: Nanos,
 ) -> Result<Report> {
-    write_shuffled(db, "overwrite", n, value_size, 1, seed ^ 0xdead_beef, start)
+    put_each(db, "overwrite", shuffled(n, seed ^ 0xdead_beef), value_size, 1, start)
 }
 
-fn write_shuffled(
+/// The single-threaded write driver behind the fills, `overwrite` and
+/// YCSB's Load phases: puts `keys` one after another, each with its value
+/// of `round`. It starts no earlier than the engine's clock, so a run
+/// started at zero on a freshly opened engine writes first at the open's
+/// end.
+pub(crate) fn put_each(
     db: &mut Db,
     name: &str,
-    n: u64,
+    keys: impl IntoIterator<Item = u64>,
     value_size: usize,
     round: u64,
-    seed: u64,
     start: Nanos,
 ) -> Result<Report> {
-    let order = shuffled(n, seed);
-    let mut now = start;
-    let mut latencies = LatencyHistogram::new();
-    for k in order {
-        let end = crate::put_at(db, now, &key(k), &value(k, round, value_size))?;
-        latencies.record(end - now);
-        now = end;
+    let (mut ops, mut now) = (0, start.max(db.clock().now()));
+    for k in keys {
+        now = crate::put_at(db, now, &key(k), &value(k, round, value_size))?;
+        ops += 1;
     }
     Ok(Report {
         name: name.to_string(),
-        ops: n,
+        ops,
         started: start,
         finished: now,
         total_latency: now - start,
         threads: 1,
-        latencies,
     })
 }
 
@@ -111,7 +95,6 @@ pub fn readseq(db: &mut Db, start: Nanos) -> Result<Report> {
         finished,
         total_latency: finished - start,
         threads: 1,
-        latencies: LatencyHistogram::new(),
     })
 }
 
@@ -126,11 +109,9 @@ pub fn readrandom(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) ->
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut now = start;
     let mut found = 0u64;
-    let mut latencies = LatencyHistogram::new();
     for _ in 0..n {
         let k = rng.gen_range(0..records);
         let (got, t) = db.get_at_time(now, &key(k))?;
-        latencies.record(t - now);
         now = t;
         if got.is_some() {
             found += 1;
@@ -144,7 +125,6 @@ pub fn readrandom(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) ->
         finished: now,
         total_latency: now - start,
         threads: 1,
-        latencies,
     })
 }
 
@@ -158,11 +138,9 @@ pub fn readhot(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) -> Re
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let hot = (records / 100).max(1);
     let mut now = start;
-    let mut latencies = LatencyHistogram::new();
     for _ in 0..n {
         let k = rng.gen_range(0..hot);
         let (_, t) = db.get_at_time(now, &key(k))?;
-        latencies.record(t - now);
         now = t;
     }
     Ok(Report {
@@ -172,7 +150,6 @@ pub fn readhot(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) -> Re
         finished: now,
         total_latency: now - start,
         threads: 1,
-        latencies,
     })
 }
 
@@ -185,14 +162,12 @@ pub fn seekrandom(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) ->
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut now = start;
-    let mut latencies = LatencyHistogram::new();
     let mut found = 0u64;
     for _ in 0..n {
         let k = rng.gen_range(0..records);
         let (rows, t) = crate::scan_at(db, now, &key(k), 1)?;
-        latencies.record(t - now);
         now = t;
-        if !rows.is_empty() {
+        if rows > 0 {
             found += 1;
         }
     }
@@ -204,7 +179,6 @@ pub fn seekrandom(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) ->
         finished: now,
         total_latency: now - start,
         threads: 1,
-        latencies,
     })
 }
 
@@ -249,21 +223,24 @@ mod tests {
         // fillseq produces non-overlapping tables: stays cheap.
         let rh = readhot(&mut db, 300, 1000, 5, r.finished).unwrap();
         assert_eq!(rh.ops, 300);
-        assert!(rh.latency_quantile(0.5) > nob_sim::Nanos::ZERO);
+        assert!(rh.mean_us_per_op() > 0.0);
         let sr = seekrandom(&mut db, 100, 1000, 6, rh.finished).unwrap();
         assert_eq!(sr.ops, 100);
         assert!(sr.finished > sr.started);
     }
 
     #[test]
-    fn latency_histograms_populate() {
+    fn a_run_from_zero_on_a_fresh_engine_writes_first_at_the_open_end() {
         let mut db = small_db();
-        let r = fillrandom(&mut db, 1000, 256, 1, Nanos::ZERO).unwrap();
-        assert_eq!(r.latencies.count(), 1000);
-        let p50 = r.latency_quantile(0.5);
-        let p99 = r.latency_quantile(0.99);
-        assert!(p50 <= p99);
-        assert!(p99 > nob_sim::Nanos::ZERO);
+        let opened = db.clock().now();
+        assert!(opened > Nanos::ZERO, "opening a database takes virtual time");
+        let r = fillrandom(&mut db, 1, 100, 1, Nanos::ZERO).unwrap();
+        // The same write, issued at the open's end on a twin engine.
+        let mut twin = small_db();
+        let k = shuffled(1, 1)[0];
+        let end = crate::put_at(&mut twin, opened, &key(k), &value(k, 0, 100)).unwrap();
+        assert_eq!(r.finished, end, "the first write starts at the open's end, not at zero");
+        assert_eq!(r.started, Nanos::ZERO);
     }
 
     #[test]

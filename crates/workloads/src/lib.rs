@@ -41,35 +41,41 @@ pub mod ycsb;
 
 pub use report::{LatencyHistogram, Report};
 
-/// Canonical-API single-key write shared by the drivers: advance the
-/// engine's clock to `now` (writer threads carry their own timelines),
-/// then issue a one-entry batch through [`noblsm::Db::write`]. Returns
-/// the instant the write completed.
+/// A driver thread's single-key write, issued at the thread's own instant
+/// `now` through [`noblsm::Db::write_at`]: a thread that lags the shared
+/// clock (another thread's operation pushed it on) still starts here.
+/// Returns the instant the write completed.
 pub(crate) fn put_at(
     db: &mut noblsm::Db,
     now: nob_sim::Nanos,
     key: &[u8],
     value: &[u8],
 ) -> noblsm::Result<nob_sim::Nanos> {
-    db.clock().advance_to(now);
     let mut batch = noblsm::WriteBatch::new();
     batch.put(key, value);
-    db.write(&noblsm::WriteOptions::default(), batch)
+    db.write_at(now, &noblsm::WriteOptions::default(), batch)
 }
 
-/// Canonical-API range scan shared by the drivers: advance the engine's
-/// clock to `now`, then scan up to `limit` rows from `start` through
-/// [`noblsm::Db::scan`]. Returns the rows and the instant the scan
-/// completed.
-#[allow(clippy::type_complexity)]
+/// A driver thread's forward scan of up to `limit` rows from `start`,
+/// issued at the thread's own instant `now` through
+/// [`noblsm::Db::iter_at`] with the seek / next sequence of
+/// [`noblsm::Db::scan_with`]. The shared clock is raised to the scan's
+/// end afterwards, never before. Returns the rows found and that end.
 pub(crate) fn scan_at(
     db: &mut noblsm::Db,
     now: nob_sim::Nanos,
     start: &[u8],
     limit: usize,
-) -> noblsm::Result<(Vec<(Vec<u8>, Vec<u8>)>, nob_sim::Nanos)> {
-    db.clock().advance_to(now);
-    let sopts = noblsm::ScanOptions::starting_at(start).with_limit(limit);
-    let r = db.scan(&noblsm::ReadOptions::default(), &sopts)?;
-    Ok((r.rows, db.clock().now()))
+) -> noblsm::Result<(usize, nob_sim::Nanos)> {
+    let mut it = db.iter_at(now)?;
+    it.seek(start)?;
+    let mut rows = 0;
+    while it.valid() && rows < limit {
+        rows += 1;
+        it.next()?;
+    }
+    let end = it.now();
+    drop(it);
+    db.clock().advance_to(end);
+    Ok((rows, end))
 }

@@ -4,7 +4,7 @@ use nob_sim::Nanos;
 
 /// A log₂-bucketed latency histogram (64 buckets over nanoseconds):
 /// coarse but constant-space, good to ±50 % per bucket — plenty for the
-/// P50/P95/P99 shape the harness reports.
+/// P50/P99 shape `nob-bench`'s server sweep reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: [u64; 64],
@@ -31,11 +31,6 @@ impl LatencyHistogram {
         self.count += 1;
     }
 
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// The latency at quantile `q` (`0.0..=1.0`), as the upper bound of
     /// the containing bucket. Returns zero for an empty histogram.
     ///
@@ -56,14 +51,6 @@ impl LatencyHistogram {
             }
         }
         Nanos::from_nanos(u64::MAX)
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
     }
 }
 
@@ -87,8 +74,6 @@ pub struct Report {
     pub total_latency: Nanos,
     /// Number of client threads.
     pub threads: usize,
-    /// Per-operation latency distribution.
-    pub latencies: LatencyHistogram,
 }
 
 impl Report {
@@ -115,11 +100,6 @@ impl Report {
             self.ops as f64 / w
         }
     }
-
-    /// Tail latency at quantile `q` (bucketed; see [`LatencyHistogram`]).
-    pub fn latency_quantile(&self, q: f64) -> Nanos {
-        self.latencies.quantile(q)
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +115,6 @@ mod tests {
             finished: Nanos::from_secs(3),
             total_latency: Nanos::from_secs(2),
             threads: 1,
-            latencies: LatencyHistogram::new(),
         };
         assert!((r.mean_us_per_op() - 2000.0).abs() < 1e-9);
         assert_eq!(r.wall(), Nanos::from_secs(2));
@@ -150,7 +129,6 @@ mod tests {
                 h.record(Nanos::from_micros(us));
             }
         }
-        assert_eq!(h.count(), 600);
         let p50 = h.quantile(0.5);
         let p99 = h.quantile(0.99);
         assert!(p50 <= p99);
@@ -158,17 +136,6 @@ mod tests {
         assert!(p50 >= Nanos::from_micros(4) && p50 <= Nanos::from_micros(16), "{p50}");
         // P99 covers the 1 ms tail.
         assert!(p99 >= Nanos::from_micros(512), "{p99}");
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        a.record(Nanos::from_micros(10));
-        let mut b = LatencyHistogram::new();
-        b.record(Nanos::from_micros(1000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.quantile(1.0) >= Nanos::from_micros(1000));
     }
 
     #[test]
@@ -185,7 +152,6 @@ mod tests {
             finished: Nanos::ZERO,
             total_latency: Nanos::ZERO,
             threads: 1,
-            latencies: LatencyHistogram::new(),
         };
         assert_eq!(r.mean_us_per_op(), 0.0);
         assert_eq!(r.ops_per_sec(), 0.0);

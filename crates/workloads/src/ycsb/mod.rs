@@ -24,7 +24,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::keys::{key, shuffled, value};
-use crate::report::LatencyHistogram;
 use crate::Report;
 
 /// One of the YCSB core workloads.
@@ -90,23 +89,7 @@ pub fn load(
     seed: u64,
     start: Nanos,
 ) -> Result<Report> {
-    let order = shuffled(records, seed);
-    let mut now = start;
-    let mut latencies = LatencyHistogram::new();
-    for k in order {
-        let end = crate::put_at(db, now, &key(k), &value(k, 0, value_size))?;
-        latencies.record(end - now);
-        now = end;
-    }
-    Ok(Report {
-        name: "Load".to_string(),
-        ops: records,
-        started: start,
-        finished: now,
-        total_latency: now - start,
-        threads: 1,
-        latencies,
-    })
+    crate::dbbench::put_each(db, "Load", shuffled(records, seed), value_size, 0, start)
 }
 
 /// Runs `ops` requests of `workload` over a database loaded with
@@ -137,7 +120,6 @@ pub fn run(
     let mut record_count = records;
     let mut clocks = vec![start; threads];
     let mut total_latency = Nanos::ZERO;
-    let mut latencies = LatencyHistogram::new();
 
     for _ in 0..ops {
         // The earliest-clock thread issues the next request.
@@ -192,7 +174,6 @@ pub fn run(
             }
         };
         total_latency += end - now;
-        latencies.record(end - now);
         clocks[tid] = end;
     }
     let finished = clocks.into_iter().max().expect("threads >= 1");
@@ -203,7 +184,6 @@ pub fn run(
         finished,
         total_latency,
         threads,
-        latencies,
     })
 }
 
@@ -223,13 +203,10 @@ pub fn load_store(
 ) -> Result<Report> {
     let order = shuffled(records, seed);
     let start = store.clock().now();
-    let mut latencies = LatencyHistogram::new();
     for k in order {
-        let now = store.clock().now();
         let mut batch = WriteBatch::new();
         batch.put(&key(k), &value(k, 0, value_size));
         store.write(wopts, batch)?;
-        latencies.record(store.clock().now() - now);
     }
     let finished = store.clock().now();
     Ok(Report {
@@ -239,7 +216,6 @@ pub fn load_store(
         finished,
         total_latency: finished - start,
         threads: 1,
-        latencies,
     })
 }
 
@@ -265,7 +241,6 @@ pub fn run_e_store(
     let mut record_count = records;
     let start = store.clock().now();
     let mut total_latency = Nanos::ZERO;
-    let mut latencies = LatencyHistogram::new();
     for _ in 0..ops {
         let now = store.clock().now();
         if rng.gen_bool(0.95) {
@@ -283,7 +258,6 @@ pub fn run_e_store(
         }
         let end = store.clock().now();
         total_latency += end - now;
-        latencies.record(end - now);
     }
     let finished = store.clock().now();
     Ok(Report {
@@ -293,7 +267,6 @@ pub fn run_e_store(
         finished,
         total_latency,
         threads: 1,
-        latencies,
     })
 }
 
@@ -378,9 +351,35 @@ mod tests {
         let (mut db, t0) = db_with_records(1000);
         // Direct scan sanity besides the throughput run.
         let (rows, _) = crate::scan_at(&mut db, t0, &key(10), 20).unwrap();
-        assert_eq!(rows.len(), 20);
+        assert_eq!(rows, 20);
         let r = run(&mut db, YcsbWorkload::E, 200, 1000, 100, 1, 5, t0).unwrap();
         assert_eq!(r.ops, 200);
+    }
+
+    #[test]
+    fn a_lagging_thread_puts_and_scans_at_its_own_instant() {
+        let (mut db, t0) = db_with_records(1000);
+        // Another thread's operations pushed the shared clock far ahead.
+        let ahead = t0 + Nanos::from_secs(1);
+        db.clock().advance_to(ahead);
+        let put = crate::put_at(&mut db, t0, &key(7), &value(7, 1, 100)).unwrap();
+        assert!(put < ahead, "the put started at the thread's instant, ended {put}");
+        let (rows, scan) = crate::scan_at(&mut db, put, &key(10), 20).unwrap();
+        assert_eq!(rows, 20);
+        assert!(put < scan && scan < ahead, "the scan started at the thread's instant");
+        assert_eq!(db.clock().now(), ahead, "the shared clock never moves back");
+    }
+
+    #[test]
+    fn four_scanning_threads_cost_per_op_what_one_does() {
+        // 95 % scans: a thread that lags the shared clock must not wait for
+        // it, so four threads each pay about one thread's per-op cost.
+        let (mut one, t1) = db_with_records(2000);
+        let single = run(&mut one, YcsbWorkload::E, 400, 2000, 100, 1, 5, t1).unwrap();
+        let (mut four, t4) = db_with_records(2000);
+        let quad = run(&mut four, YcsbWorkload::E, 400, 2000, 100, 4, 5, t4).unwrap();
+        let ratio = quad.mean_us_per_op() / single.mean_us_per_op();
+        assert!(ratio < 1.5, "4-thread E costs {ratio:.2}× the 1-thread per-op time");
     }
 
     #[test]

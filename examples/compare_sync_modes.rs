@@ -8,7 +8,7 @@ use nob_baselines::Variant;
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
 use nob_workloads::dbbench;
-use noblsm::Options;
+use noblsm::{Db, Options};
 
 fn main() -> Result<(), noblsm::DbError> {
     let ops = 20_000u64;
@@ -24,7 +24,7 @@ fn main() -> Result<(), noblsm::DbError> {
     let mut leveldb_time = 0.0f64;
     for variant in [Variant::LevelDb, Variant::NobLsm, Variant::VolatileLevelDb] {
         let fs = Ext4Fs::new(Ext4Config::default());
-        let mut db = variant.open(fs.clone(), "db", &base, Nanos::ZERO)?;
+        let mut db = Db::open(fs.clone(), "db", variant.options(&base), Nanos::ZERO)?;
         fs.reset_stats();
         let report = dbbench::fillrandom(&mut db, ops, 1024, 7, Nanos::ZERO)?;
         let stats = fs.stats();

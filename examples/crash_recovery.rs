@@ -7,7 +7,7 @@
 
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
-use noblsm::{Db, Options, SyncMode};
+use noblsm::{Db, Options, SyncMode, WriteBatch, WriteOptions};
 
 fn key(i: u32) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
@@ -17,13 +17,6 @@ fn value(i: u32) -> Vec<u8> {
     format!("value-{i}-{}", "v".repeat(80)).into_bytes()
 }
 
-fn put_at(db: &mut noblsm::Db, now: Nanos, key: &[u8], value: &[u8]) -> Nanos {
-    db.clock().advance_to(now);
-    let mut batch = noblsm::WriteBatch::new();
-    batch.put(key, value);
-    db.write(&noblsm::WriteOptions::default(), batch).expect("put")
-}
-
 fn main() -> Result<(), noblsm::DbError> {
     let fs = Ext4Fs::new(Ext4Config::default());
     // The power cut below lands in the past of the run: keep every instant.
@@ -31,12 +24,14 @@ fn main() -> Result<(), noblsm::DbError> {
     let opts = Options::default().with_sync_mode(SyncMode::NobLsm).with_table_size(128 << 10);
     let mut db = Db::open(fs.clone(), "db", opts.clone(), Nanos::ZERO)?;
 
-    // Write 8000 pairs; remember when each put returned.
+    // Write 8000 pairs, one after another on the engine's clock.
     let n = 8000u32;
-    let mut now = Nanos::ZERO;
     for i in 0..n {
-        now = put_at(&mut db, now, &key(i), &value(i));
+        let mut batch = WriteBatch::new();
+        batch.put(&key(i), &value(i));
+        db.write(&WriteOptions::default(), batch)?;
     }
+    let now = db.clock().now();
     println!("wrote {n} pairs in {now} of virtual time");
     println!("files per level before crash: {:?}", db.level_file_counts());
 

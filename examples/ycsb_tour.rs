@@ -8,7 +8,7 @@ use nob_baselines::Variant;
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
 use nob_workloads::ycsb::{self, YcsbWorkload};
-use noblsm::Options;
+use noblsm::{Db, Options};
 
 fn main() -> Result<(), noblsm::DbError> {
     let records = 20_000u64;
@@ -19,7 +19,7 @@ fn main() -> Result<(), noblsm::DbError> {
         o
     };
     let fs = Ext4Fs::new(Ext4Config::default());
-    let mut db = Variant::NobLsm.open(fs, "db", &base, Nanos::ZERO)?;
+    let mut db = Db::open(fs, "db", Variant::NobLsm.options(&base), Nanos::ZERO)?;
 
     println!("loading {records} records of 1 KB…");
     let load = ycsb::load(&mut db, records, 1024, 1, Nanos::ZERO)?;

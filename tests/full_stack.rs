@@ -11,7 +11,7 @@ use nob_sim::Nanos;
 use nob_workloads::dbbench;
 use nob_workloads::keys::key;
 use nob_workloads::ycsb::{self, YcsbWorkload};
-use noblsm::Options;
+use noblsm::{Db, Options};
 
 fn base() -> Options {
     let mut o = Options::default().with_table_size(64 << 10);
@@ -23,11 +23,15 @@ fn fs() -> Ext4Fs {
     Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20))
 }
 
+fn open(variant: Variant, fs: Ext4Fs, now: Nanos) -> Db {
+    Db::open(fs, "db", variant.options(&base()), now).unwrap()
+}
+
 #[test]
 fn all_variants_survive_the_full_dbbench_sequence() {
     for variant in Variant::paper_seven() {
         let fs = fs();
-        let mut db = variant.open(fs, "db", &base(), Nanos::ZERO).unwrap();
+        let mut db = open(variant, fs, Nanos::ZERO);
         let n = 3000;
         let fill = dbbench::fillrandom(&mut db, n, 256, 1, Nanos::ZERO).unwrap();
         let t = db.wait_idle(fill.finished).unwrap();
@@ -44,7 +48,7 @@ fn all_variants_survive_the_full_dbbench_sequence() {
 #[test]
 fn ycsb_full_sequence_on_noblsm_with_crash_at_the_end() {
     let fs = fs();
-    let mut db = Variant::NobLsm.open(fs.clone(), "db", &base(), Nanos::ZERO).unwrap();
+    let mut db = open(Variant::NobLsm, fs.clone(), Nanos::ZERO);
     let records = 4000;
     let load = ycsb::load(&mut db, records, 256, 1, Nanos::ZERO).unwrap();
     let mut now = db.wait_idle(load.finished).unwrap();
@@ -53,11 +57,11 @@ fn ycsb_full_sequence_on_noblsm_with_crash_at_the_end() {
         now = db.wait_idle(r.finished).unwrap();
     }
     // Flush, settle, then crash: the recovered DB serves every record.
-    now = db.flush(now).unwrap();
-    now = db.settle(now).unwrap();
-    now += Nanos::from_secs(11);
-    db.tick(now).unwrap();
-    let mut recovered = Variant::NobLsm.open(fs.crashed_view(now), "db", &base(), now).unwrap();
+    db.flush().unwrap();
+    now = db.settle().unwrap() + Nanos::from_secs(11);
+    db.clock().advance_to(now);
+    db.tick().unwrap();
+    let mut recovered = open(Variant::NobLsm, fs.crashed_view(now), now);
     let mut t = now;
     let mut found = 0;
     for i in (0..records).step_by(59) {
@@ -73,7 +77,7 @@ fn ycsb_full_sequence_on_noblsm_with_crash_at_the_end() {
 #[test]
 fn multithreaded_ycsb_reads_scale_down_wall_time() {
     let fs = fs();
-    let mut db = Variant::NobLsm.open(fs, "db", &base(), Nanos::ZERO).unwrap();
+    let mut db = open(Variant::NobLsm, fs, Nanos::ZERO);
     let records = 3000;
     let load = ycsb::load(&mut db, records, 256, 1, Nanos::ZERO).unwrap();
     let t0 = db.wait_idle(load.finished).unwrap();

@@ -8,7 +8,7 @@ use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_metrics::MetricsHub;
 use nob_sim::Nanos;
 use nob_workloads::dbbench;
-use noblsm::Options;
+use noblsm::{Db, Options};
 
 fn small() -> Options {
     let mut o = Options::default().with_table_size(64 << 10);
@@ -16,15 +16,20 @@ fn small() -> Options {
     o
 }
 
-fn metered_fill(variant: Variant, n: u64, seed: u64) -> MetricsHub {
+fn open(variant: Variant, opts: &Options) -> Db {
     let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
-    let mut db = variant.open(fs, "db", &small(), Nanos::ZERO).unwrap();
+    Db::open(fs, "db", variant.options(opts), Nanos::ZERO).unwrap()
+}
+
+fn metered_fill(variant: Variant, n: u64, seed: u64) -> MetricsHub {
+    let mut db = open(variant, &small());
     let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
     db.set_metrics_hub(hub.clone());
     let fill = dbbench::fillrandom(&mut db, n, 256, seed, Nanos::ZERO).unwrap();
     let t = db.wait_idle(fill.finished).unwrap();
     // Drive past the 5 s JBD2 timer so pending asynchronous commits fire.
-    db.tick(t + Nanos::from_secs(6)).unwrap();
+    db.clock().advance_to(t + Nanos::from_secs(6));
+    db.tick().unwrap();
     hub
 }
 
@@ -63,8 +68,7 @@ fn fixed_seed_timelines_serialize_byte_identically() {
 #[test]
 fn sampling_never_changes_virtual_time() {
     let run = |meter: bool| {
-        let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
-        let mut db = Variant::LevelDb.open(fs, "db", &small(), Nanos::ZERO).unwrap();
+        let mut db = open(Variant::LevelDb, &small());
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         if meter {
             db.set_metrics_hub(hub.clone());
@@ -80,8 +84,7 @@ fn sampling_never_changes_virtual_time() {
 
 #[test]
 fn detaching_the_hub_stops_sampling_but_keeps_the_timeline() {
-    let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
-    let mut db = Variant::LevelDb.open(fs, "db", &small(), Nanos::ZERO).unwrap();
+    let mut db = open(Variant::LevelDb, &small());
     let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
     db.set_metrics_hub(hub.clone());
     let fill = dbbench::fillrandom(&mut db, 500, 256, 9, Nanos::ZERO).unwrap();
@@ -89,15 +92,15 @@ fn detaching_the_hub_stops_sampling_but_keeps_the_timeline() {
     let taken = hub.samples();
     assert!(taken > 0);
     db.clear_metrics_hub();
-    db.tick(t + Nanos::from_secs(10)).unwrap();
+    db.clock().advance_to(t + Nanos::from_secs(10));
+    db.tick().unwrap();
     assert_eq!(hub.samples(), taken, "no samples after detach");
     assert!(hub.timeline().series("engine.mem_bytes").is_some(), "history survives");
 }
 
 #[test]
 fn properties_pass_through_all_three_layers() {
-    let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
-    let mut db = Variant::NobLsm.open(fs, "db", &small(), Nanos::ZERO).unwrap();
+    let mut db = open(Variant::NobLsm, &small());
     let fill = dbbench::fillrandom(&mut db, 2000, 256, 5, Nanos::ZERO).unwrap();
     db.wait_idle(fill.finished).unwrap();
     // Engine.

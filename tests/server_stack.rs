@@ -201,9 +201,7 @@ fn a_cursor_carries_its_iterators_across_connections_and_frees_them_with_its_lea
         a.set(format!("key{i:02}").as_bytes(), b"seed").expect("seed");
     }
     let flush = |shard: usize| {
-        let mut core = core.borrow_mut();
-        let now = core.clock().now();
-        core.store_mut().shard_db_mut(shard).flush(now).expect("flush");
+        core.borrow_mut().store_mut().shard_db_mut(shard).flush().expect("flush");
     };
     flush(0);
     flush(1);

@@ -7,7 +7,7 @@ use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
 use nob_trace::{EventClass, TraceSink, TraceSummary};
 use nob_workloads::dbbench;
-use noblsm::Options;
+use noblsm::{Db, Options};
 
 fn small() -> Options {
     let mut o = Options::default().with_table_size(64 << 10);
@@ -15,15 +15,20 @@ fn small() -> Options {
     o
 }
 
-fn traced_fill(variant: Variant, n: u64, seed: u64) -> TraceSummary {
+fn open(variant: Variant, opts: &Options) -> Db {
     let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
-    let mut db = variant.open(fs, "db", &small(), Nanos::ZERO).unwrap();
+    Db::open(fs, "db", variant.options(opts), Nanos::ZERO).unwrap()
+}
+
+fn traced_fill(variant: Variant, n: u64, seed: u64) -> TraceSummary {
+    let mut db = open(variant, &small());
     let sink = TraceSink::new();
     db.set_trace_sink(sink.clone());
     let fill = dbbench::fillrandom(&mut db, n, 256, seed, Nanos::ZERO).unwrap();
     let t = db.wait_idle(fill.finished).unwrap();
     // Drive past the 5 s JBD2 timer so pending asynchronous commits fire.
-    db.tick(t + Nanos::from_secs(6)).unwrap();
+    db.clock().advance_to(t + Nanos::from_secs(6));
+    db.tick().unwrap();
     sink.summary()
 }
 
@@ -66,10 +71,9 @@ fn noblsm_variant_rides_asynchronous_checkpoints() {
 #[test]
 fn stalls_carry_causal_attribution() {
     // A tiny write buffer forces memtable switches and stalls.
-    let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
     let mut opts = small();
     opts.write_buffer_size = 16 << 10;
-    let mut db = Variant::LevelDb.open(fs, "db", &opts, Nanos::ZERO).unwrap();
+    let mut db = open(Variant::LevelDb, &opts);
     let sink = TraceSink::new();
     db.set_trace_sink(sink.clone());
     let fill = dbbench::fillrandom(&mut db, 2000, 256, 7, Nanos::ZERO).unwrap();
@@ -106,8 +110,7 @@ fn disabling_the_sink_restores_the_untraced_run() {
     // Timing must be identical with and without a sink (tracing is
     // observation, not behaviour), and clearing the sink stops emission.
     let run = |trace: bool| {
-        let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(16 << 20));
-        let mut db = Variant::LevelDb.open(fs, "db", &small(), Nanos::ZERO).unwrap();
+        let mut db = open(Variant::LevelDb, &small());
         let sink = TraceSink::new();
         if trace {
             db.set_trace_sink(sink.clone());
