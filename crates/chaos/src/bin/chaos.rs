@@ -40,14 +40,54 @@ fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn parse_u64(args: &[String], name: &str, default: u64) -> Result<u64, ExitCode> {
-    match flag_value(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| {
+/// The integer after `--name`, if the flag is given.
+fn parse_flag(args: &[String], name: &str) -> Result<Option<u64>, ExitCode> {
+    let parse = |v: String| {
+        v.parse().map_err(|_| {
             eprintln!("chaos: {name} expects an integer, got {v:?}");
             ExitCode::from(2)
-        }),
+        })
+    };
+    flag_value(args, name).map(parse).transpose()
+}
+
+/// Sets `field` from `--name N` when the flag is given, else leaves it.
+fn set<T>(args: &[String], name: &str, field: &mut T, f: fn(u64) -> T) -> Result<(), ExitCode> {
+    if let Some(n) = parse_flag(args, name)? {
+        *field = f(n);
     }
+    Ok(())
+}
+
+/// `m` points spread evenly over the run, ending at 1000 ‰.
+fn points(m: u64) -> Vec<u32> {
+    let m = m.max(1) as u32;
+    (1..=m).map(|i| i * 1000 / m).collect()
+}
+
+/// `spec` with each flag given applied to its field.
+fn sweep_spec(mut spec: CampaignSpec, args: &[String]) -> Result<CampaignSpec, ExitCode> {
+    set(args, "--seeds", &mut spec.seeds, |n| (1..=n.max(1)).collect())?;
+    set(args, "--crash-points", &mut spec.crash_points_pm, points)?;
+    set(args, "--ops", &mut spec.ops, |k| k as usize)?;
+    spec.snap_to_commit_phase |= flag_present(args, "--snap");
+    if let Some(p) = flag_value(args, "--profile") {
+        spec.profile = FaultProfile::parse(&p).ok_or_else(|| {
+            eprintln!("chaos: unknown profile {p:?}");
+            ExitCode::from(2)
+        })?;
+    }
+    Ok(spec)
+}
+
+/// The smoke (or `--full`) failover spec with each flag given applied.
+fn failover_spec(args: &[String]) -> Result<FailoverSpec, ExitCode> {
+    let mut spec =
+        if flag_present(args, "--full") { FailoverSpec::full() } else { FailoverSpec::smoke() };
+    set(args, "--seeds", &mut spec.seeds, |n| (1..=n.max(1)).collect())?;
+    set(args, "--kill-points", &mut spec.kill_points_pm, points)?;
+    set(args, "--ops", &mut spec.ops, |k| k as usize)?;
+    Ok(spec)
 }
 
 /// Writes a report to `--out PATH`, or to stdout without the flag.
@@ -67,21 +107,8 @@ fn emit(report: &Json, args: &[String]) -> Result<(), ExitCode> {
     Ok(())
 }
 
-fn run_sweep(mut spec: CampaignSpec, args: &[String]) -> Result<ExitCode, ExitCode> {
-    let seeds = parse_u64(args, "--seeds", spec.seeds.len() as u64)?;
-    let points = parse_u64(args, "--crash-points", spec.crash_points_pm.len() as u64)?;
-    spec.ops = parse_u64(args, "--ops", spec.ops as u64)? as usize;
-    spec.seeds = (1..=seeds.max(1)).collect();
-    let m = points.max(1) as u32;
-    spec.crash_points_pm = (1..=m).map(|i| i * 1000 / m).collect();
-    spec.snap_to_commit_phase = flag_present(args, "--snap");
-    if let Some(p) = flag_value(args, "--profile") {
-        spec.profile = FaultProfile::parse(&p).ok_or_else(|| {
-            eprintln!("chaos: unknown profile {p:?}");
-            ExitCode::from(2)
-        })?;
-    }
-    let result = run_campaign(&spec);
+fn run_sweep(spec: CampaignSpec, args: &[String]) -> Result<ExitCode, ExitCode> {
+    let result = run_campaign(&sweep_spec(spec, args)?);
     emit(&result.to_json(), args)?;
     eprintln!(
         "chaos: {} cases, {} passed, {} failed, {} undetected values, {} unexplained losses",
@@ -95,41 +122,23 @@ fn run_sweep(mut spec: CampaignSpec, args: &[String]) -> Result<ExitCode, ExitCo
 }
 
 fn run_one(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let Some(seed) = flag_value(args, "--seed") else {
+    let Some(seed) = parse_flag(args, "--seed")? else {
         eprintln!("chaos case: --seed is required");
         return Err(ExitCode::from(2));
     };
-    let seed: u64 = seed.parse().map_err(|_| {
-        eprintln!("chaos: --seed expects an integer");
-        ExitCode::from(2)
-    })?;
-    let config = parse_u64(args, "--config", 1)? as usize % CONFIGS;
-    let mut case = ChaosCase::new(seed, config);
-    case.crash_pm = parse_u64(args, "--crash-pm", 500)? as u32;
-    case.ops = parse_u64(args, "--ops", 120)? as usize;
+    let mut case =
+        ChaosCase::new(seed, parse_flag(args, "--config")?.unwrap_or(1) as usize % CONFIGS);
+    set(args, "--crash-pm", &mut case.crash_pm, |p| p as u32)?;
+    set(args, "--ops", &mut case.ops, |k| k as usize)?;
+    set(args, "--fault-seed", &mut case.plan, FaultPlan::seeded)?;
     case.snap_to_commit_phase = flag_present(args, "--snap");
-    if let Some(f) = flag_value(args, "--fault-seed") {
-        let f: u64 = f.parse().map_err(|_| {
-            eprintln!("chaos: --fault-seed expects an integer");
-            ExitCode::from(2)
-        })?;
-        case.plan = FaultPlan::seeded(f);
-    }
     let r = run_case(&case);
     println!("{}", r.to_json());
     Ok(if r.pass { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 fn run_failover(args: &[String]) -> Result<ExitCode, ExitCode> {
-    let mut spec =
-        if flag_present(args, "--full") { FailoverSpec::full() } else { FailoverSpec::smoke() };
-    let seeds = parse_u64(args, "--seeds", spec.seeds.len() as u64)?;
-    spec.seeds = (1..=seeds.max(1)).collect();
-    let points = parse_u64(args, "--kill-points", spec.kill_points_pm.len() as u64)?;
-    let m = points.max(1) as u32;
-    spec.kill_points_pm = (1..=m).map(|i| i * 1000 / m).collect();
-    spec.ops = parse_u64(args, "--ops", spec.ops as u64)? as usize;
-    let result = run_failover_campaign(&spec);
+    let result = run_failover_campaign(&failover_spec(args)?);
     emit(&result.to_json(), args)?;
     eprintln!(
         "chaos failover: {} cases, {} passed, {} failed",
@@ -153,5 +162,25 @@ fn main() -> ExitCode {
     };
     match out {
         Ok(code) | Err(code) => code,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_flag_sets_its_field_and_nothing_else() {
+        let same = |a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        };
+        same(&sweep_spec(CampaignSpec::smoke(), &[]).unwrap(), &CampaignSpec::smoke());
+        same(&sweep_spec(CampaignSpec::full(), &[]).unwrap(), &CampaignSpec::full());
+        same(&failover_spec(&[]).unwrap(), &FailoverSpec::smoke());
+        same(&failover_spec(&["--full".into()]).unwrap(), &FailoverSpec::full());
+        let args = ["--crash-points", "4", "--ops", "9"].map(String::from);
+        let spec = sweep_spec(CampaignSpec::smoke(), &args).unwrap();
+        assert_eq!((spec.crash_points_pm, spec.ops), (vec![250, 500, 750, 1000], 9));
+        same(&spec.seeds, &CampaignSpec::smoke().seeds);
     }
 }

@@ -294,17 +294,19 @@ impl CaseResult {
 mod tests {
     use super::*;
 
+    /// The smoke sweep and the 200-case acceptance sweep, each run twice.
     #[test]
     fn smoke_campaign_passes_and_reproduces() {
-        let spec = CampaignSpec::smoke();
-        let a = run_campaign(&spec);
-        assert_eq!(a.results.len(), spec.cases());
-        assert_eq!(a.failed(), 0, "smoke sweep must be green: {}", a.to_json());
-        assert_eq!(a.undetected_total(), 0);
-        assert_eq!(a.unexplained_losses(), 0);
-        let b = run_campaign(&spec);
-        let (a, b) = (a.to_json().to_string(), b.to_json().to_string());
-        assert_eq!(a, b, "fixed-seed sweep must be bit-for-bit stable");
+        for spec in [CampaignSpec::smoke(), CampaignSpec::full()] {
+            let a = run_campaign(&spec);
+            assert_eq!(a.results.len(), spec.cases());
+            assert_eq!(a.failed(), 0, "the sweep must be green: {}", a.to_json());
+            assert_eq!(a.undetected_total(), 0);
+            assert_eq!(a.unexplained_losses(), 0);
+            let b = run_campaign(&spec);
+            let (a, b) = (a.to_json().to_string(), b.to_json().to_string());
+            assert_eq!(a, b, "fixed-seed sweep must be bit-for-bit stable");
+        }
     }
 
     #[test]

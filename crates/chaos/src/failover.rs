@@ -7,9 +7,9 @@
 //! the failover contract:
 //!
 //! * **No acked write is lost** — every sequence the old leader saw an
-//!   acknowledgement for is present on the promoted follower, and every
-//!   key whose last surviving write is at or below the applied sequence
-//!   reads back with exactly that value on the new leader.
+//!   acknowledgement for is present on the promoted follower, and the
+//!   promoted follower holds exactly the writes a poll round acknowledged:
+//!   [`nob_sim::oracle`]'s rule, with every write acknowledged.
 //! * **Follower reads never go backwards** — a hot key rewritten with a
 //!   monotone version on every op is read throughout the run and across
 //!   the promotion; the observed version never decreases.
@@ -24,13 +24,12 @@
 //! Reports are JSON with a stable field order and no wall-clock
 //! timestamps, so a fixed spec is bit-for-bit reproducible.
 
-use std::collections::BTreeMap;
-
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, Subscription};
 use nob_sim::json::Json;
+use nob_sim::oracle::Oracle;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
-use noblsm::{Error, ReadOptions, Result, WriteBatch, WriteOptions};
+use noblsm::{Error, ReadOptions, Result, ScanOptions, WriteBatch, WriteOptions};
 
 /// One leader-kill case: a seeded workload killed at a fixed point.
 #[derive(Debug, Clone)]
@@ -209,9 +208,8 @@ fn hot_version(v: &[u8]) -> Option<u64> {
 }
 
 struct Tracker {
-    /// `(key, value, shard, seq)` per put, in issue order: the surviving
-    /// value of a key is the last entry whose seq survived the kill.
-    history: Vec<(Vec<u8>, Vec<u8>, usize, u64)>,
+    /// Every put, acknowledged when a poll round has shipped it.
+    oracle: Oracle,
     /// Highest hot-key version ever observed by a read.
     hot_seen: u64,
     failures: Vec<String>,
@@ -232,19 +230,23 @@ impl Tracker {
         }
     }
 
-    /// The expected key→value map given the surviving per-shard sequences.
-    fn surviving(&self, applied: &[u64]) -> BTreeMap<Vec<u8>, Vec<u8>> {
-        let mut map = BTreeMap::new();
-        for (k, v, shard, seq) in &self.history {
-            if *seq <= applied[*shard] {
-                map.insert(k.clone(), v.clone());
-            }
+    /// Scans `store` at the present and checks it against the oracle, a
+    /// failure per lost or fabricated key, then reads the hot key from the
+    /// same rows. Returns the acked keys that read back.
+    fn check(&mut self, store: &mut Store, site: &str) -> Result<u64> {
+        let rows = store.scan(&ReadOptions::default(), &ScanOptions::all())?.rows;
+        let verdict = self.oracle.check(&rows, store.clock().now());
+        let lost = verdict.lost.iter().map(|k| (k, "acked key lost"));
+        for (k, what) in lost.chain(verdict.fabricated.iter().map(|k| (k, "never written"))) {
+            self.failures.push(format!("{site}: {what}: {:?}", String::from_utf8_lossy(k)));
         }
-        map
+        let hot = rows.into_iter().find(|(k, _)| k == HOT).map(|(_, v)| v);
+        self.observe_hot(hot, site);
+        Ok(verdict.acked.iter().filter(|k| !verdict.lost.contains(k)).count() as u64)
     }
 }
 
-/// Writes op `i` through `leader`, recording each key's landed sequence.
+/// Writes op `i` through `leader`, logging both puts in the oracle.
 fn issue_op(
     leader: &mut Leader,
     t: &mut Tracker,
@@ -258,12 +260,10 @@ fn issue_op(
     let mut batch = WriteBatch::new();
     batch.put(&key, &val);
     batch.put(HOT, &hot);
+    let issued = leader.store().clock().now();
+    t.oracle.put(issued, &key, &val);
+    t.oracle.put(issued, HOT, &hot);
     leader.write(&WriteOptions::default(), batch)?;
-    let seqs = leader.store().shard_seqs();
-    for (k, v) in [(key, val), (HOT.to_vec(), hot)] {
-        let shard = leader.store().shard_of(&k);
-        t.history.push((k, v, shard, seqs[shard]));
-    }
     Ok(())
 }
 
@@ -338,7 +338,7 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
     let mut sub = Subscription::start(ReplLoopback::connect(&core), 0, 1)?;
 
     let mut rng = case.seed ^ 0x9e3779b97f4a7c15;
-    let mut t = Tracker { history: Vec::new(), hot_seen: 0, failures: Vec::new() };
+    let mut t = Tracker { oracle: Oracle::default(), hot_seen: 0, failures: Vec::new() };
     let mut feed_next = 1u64;
     let mut feed_records = 0u64;
 
@@ -356,6 +356,7 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
         // silent tail after it is committed on the leader but never ships.
         if i < last_poll_op && (i % 3 == 2 || i + 1 == last_poll_op) {
             link.poll_until_idle()?;
+            t.oracle.ack(.., clock.now());
             drain_feed(&mut sub, &mut feed_next, &mut feed_records, None, &mut t.failures);
             t.observe_hot(link.get(&loose, HOT)?, "follower");
         }
@@ -415,30 +416,11 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
     }
     drop(core);
 
-    // The old leader's tail writes died with it; the new timeline will
-    // reuse their sequence numbers, so drop them from the history before
-    // any further bookkeeping keys off sequences.
-    t.history.retain(|(_, _, shard, seq)| *seq <= applied[*shard]);
-
-    // No acked write lost: every surviving key reads back byte-for-byte.
-    let expected = t.surviving(&applied);
-    let mut recovered_keys = 0u64;
-    for (k, v) in &expected {
-        match new_leader.store_mut().get(&ReadOptions::default(), k)? {
-            Some(got) if got == *v => recovered_keys += 1,
-            Some(_) => t.failures.push(format!(
-                "key {:?} survived with the wrong value",
-                String::from_utf8_lossy(k)
-            )),
-            None => t
-                .failures
-                .push(format!("acked key {:?} lost across failover", String::from_utf8_lossy(k))),
-        }
-    }
-    // The promoted leader's read of the hot key must not go backwards
-    // either — it IS the surviving follower state.
-    let hot = new_leader.store_mut().get(&ReadOptions::default(), HOT)?;
-    t.observe_hot(hot, "promoted leader");
+    // The old leader's unshipped tail died with it: the promoted follower
+    // must hold exactly what the poll rounds acknowledged, and no later
+    // state may show the tail.
+    t.oracle.forget_unacked();
+    let recovered_keys = t.check(new_leader.store_mut(), "promoted leader")?;
 
     // ---- life after the failover -------------------------------------
     let new_core = shared(ReplCore::new(new_leader));
@@ -457,17 +439,9 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
                 final_seqs[0]
             ));
         }
-        // Every post-failover write is synchronous and must read back.
-        let post = t.surviving(&final_seqs);
-        for (k, v) in &post {
-            if nc.leader_mut().store_mut().get(&ReadOptions::default(), k)?.as_deref() != Some(v) {
-                t.failures.push(format!(
-                    "post-failover key {:?} does not read back",
-                    String::from_utf8_lossy(k)
-                ));
-            }
-        }
-        t.observe_hot(nc.leader_mut().store_mut().get(&ReadOptions::default(), HOT)?, "new leader");
+        // Every post-failover write has returned and must read back.
+        t.oracle.ack(.., clock.now());
+        t.check(nc.leader_mut().store_mut(), "new leader")?;
     }
 
     Ok(FailoverOutcome {
@@ -487,18 +461,21 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
 mod tests {
     use super::*;
 
+    /// The 12-case smoke sweep and the 80-case full one.
     #[test]
     fn smoke_sweep_is_green() {
-        let result = run_failover_campaign(&FailoverSpec::smoke());
-        let bad: Vec<_> = result.results.iter().filter(|r| !r.pass()).collect();
-        assert!(bad.is_empty(), "failing cases: {bad:?}");
-        assert_eq!(result.results.len(), 12);
-        // The sweep must actually exercise the machinery.
-        assert!(result.results.iter().all(|r| r.recovered_keys > 0));
-        assert!(result.results.iter().all(|r| r.feed_records > 0));
-        assert!(result.results.iter().all(|r| r.new_epoch == 2));
-        // At least one seed leaves in-flight writes behind (explained loss).
-        assert!(result.results.iter().any(|r| r.lost_unacked > 0));
+        for (spec, cases) in [(FailoverSpec::smoke(), 12), (FailoverSpec::full(), 80)] {
+            let result = run_failover_campaign(&spec);
+            let bad: Vec<_> = result.results.iter().filter(|r| !r.pass()).collect();
+            assert!(bad.is_empty(), "failing cases: {bad:?}");
+            assert_eq!(result.results.len(), cases);
+            // The sweep must actually exercise the machinery.
+            assert!(result.results.iter().all(|r| r.recovered_keys > 0));
+            assert!(result.results.iter().all(|r| r.feed_records > 0));
+            assert!(result.results.iter().all(|r| r.new_epoch == 2));
+            // At least one seed leaves in-flight writes behind (explained loss).
+            assert!(result.results.iter().any(|r| r.lost_unacked > 0));
+        }
     }
 
     #[test]

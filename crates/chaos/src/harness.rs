@@ -1,18 +1,17 @@
 //! The recovery-validation harness: replay a deterministic workload with
 //! faults live on the device, cut power at a chosen virtual instant,
 //! recover through the engine's normal open path (falling back to
-//! repair), and check the paper's §4.4 invariant — every KV pair
-//! acknowledged durable before the cut is still there afterwards — plus
-//! the stricter meta-invariant that *no* loss is ever silent: a missing
-//! acked pair must be explained by the injection log, and a recovered
-//! value must be one the application actually wrote.
-
-use std::collections::HashMap;
+//! repair), and check the recovered rows against the crash contract of
+//! [`nob_sim::oracle`] — the paper's §4.4 invariant — with the stricter
+//! meta-invariant that *no* loss is ever silent: a lost acked pair must
+//! be explained by the injection log, and a fabricated value fails the
+//! case unconditionally.
 
 use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_sim::oracle::Oracle;
 use nob_sim::Nanos;
 use nob_trace::TraceSink;
-use noblsm::{CompactionStyle, Db, DbStats, Options, SyncMode};
+use noblsm::{CompactionStyle, Db, DbStats, Options, ReadOptions, ScanOptions, SyncMode};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -27,13 +26,9 @@ const DB_DIR: &str = "db";
 /// 3 = NobLsm+grouped-output.
 pub const CONFIGS: usize = 4;
 
-/// One durability acknowledgement: the instant a `flush` returned and the
-/// full key → value state acknowledged durable at that instant.
-pub type AckSnapshot = (Nanos, HashMap<Vec<u8>, Vec<u8>>);
-
 /// What [`try_recover`] yields: post-recovery stats, any invariant-check
-/// error, and the full recovered key → value dump.
-type Recovered = (DbStats, Option<String>, HashMap<Vec<u8>, Vec<u8>>);
+/// error, and every recovered row.
+type Recovered = (DbStats, Option<String>, Vec<(Vec<u8>, Vec<u8>)>);
 
 /// Stable name for a configuration selector.
 pub fn config_name(sel: usize) -> &'static str {
@@ -110,13 +105,9 @@ pub struct PreparedRun {
     pub fs: Ext4Fs,
     /// Engine options used (recovery must reuse them).
     pub opts: Options,
-    /// Every value ever written per key.
-    pub history: HashMap<Vec<u8>, Vec<Vec<u8>>>,
-    /// Start instant of every delete issued per key.
-    pub deletes: HashMap<Vec<u8>, Vec<Nanos>>,
-    /// Durability acknowledgements: after each completed `flush`, the
-    /// instant it returned and the full acknowledged state.
-    pub acks: Vec<AckSnapshot>,
+    /// Every put and delete issued, each acknowledged at the end of the
+    /// first `flush` after it.
+    pub oracle: Oracle,
     /// Virtual end of the run.
     pub end: Nanos,
     /// Everything the injector did.
@@ -127,8 +118,6 @@ pub struct PreparedRun {
     pub windows: Vec<nob_ext4::CommitWindow>,
     /// First broken journal commit, if a fault severed the chain.
     pub journal_broken: Option<Nanos>,
-    /// Operations actually applied.
-    pub ops_applied: usize,
     /// Trace of the whole run (all three layers, fault classes
     /// included); campaigns merge these into per-class histograms.
     pub trace: TraceSink,
@@ -148,7 +137,7 @@ fn vname(k: u16, v: u16, size: usize) -> Vec<u8> {
 }
 
 /// Replays the case's workload against a fresh stack with the fault plan
-/// live on the device, recording history and durability acks.
+/// live on the device, logging every write and its acknowledgement.
 pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
     let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(4 << 20));
     // Every crash point is probed after the run: keep every instant.
@@ -168,44 +157,31 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
     }
 
     let mut rng = SmallRng::seed_from_u64(case.seed);
-    let mut model: HashMap<Vec<u8>, Option<Vec<u8>>> = HashMap::new();
-    let mut history: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-    let mut deletes: HashMap<Vec<u8>, Vec<Nanos>> = HashMap::new();
-    let mut acks: Vec<AckSnapshot> = Vec::new();
+    let mut oracle = Oracle::default();
     let mut now = Nanos::ZERO;
-    let mut applied = 0usize;
     for _ in 0..case.ops {
         let roll: u32 = rng.gen_range(0..12);
         let k: u16 = rng.gen_range(0..200);
         let v: u16 = rng.gen_range(0..1000);
         let us: u64 = rng.gen_range(1..3_000_000);
         match roll {
-            0..=7 => {
-                let (key, value) = (kname(k), vname(k, v, case.value_size));
-                let mut batch = noblsm::WriteBatch::new();
-                batch.put(&key, &value);
+            0..=9 => {
+                let (key, mut batch) = (kname(k), noblsm::WriteBatch::new());
+                if roll < 8 {
+                    let value = vname(k, v, case.value_size);
+                    batch.put(&key, &value);
+                    oracle.put(now, &key, &value);
+                } else {
+                    batch.delete(&key);
+                    oracle.delete(now, &key);
+                }
                 now = db
                     .write_at(now, &noblsm::WriteOptions::default(), batch)
-                    .expect("live put cannot fail");
-                history.entry(key.clone()).or_default().push(value.clone());
-                model.insert(key, Some(value));
-            }
-            8 | 9 => {
-                let key = kname(k);
-                let started = now;
-                let mut batch = noblsm::WriteBatch::new();
-                batch.delete(&key);
-                now = db
-                    .write_at(now, &noblsm::WriteOptions::default(), batch)
-                    .expect("live delete cannot fail");
-                deletes.entry(key.clone()).or_default().push(started);
-                model.insert(key, None);
+                    .expect("live write cannot fail");
             }
             10 => {
                 now = db.flush().expect("live flush cannot fail");
-                let snapshot: HashMap<Vec<u8>, Vec<u8>> =
-                    model.iter().filter_map(|(k, v)| v.clone().map(|v| (k.clone(), v))).collect();
-                acks.push((now, snapshot));
+                oracle.ack(.., now);
             }
             _ => {
                 now += Nanos::from_micros(us);
@@ -213,21 +189,17 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
                 db.tick().expect("live tick cannot fail");
             }
         }
-        applied += 1;
     }
     let final_stats = db.stats().clone();
     drop(db);
     PreparedRun {
         opts,
-        history,
-        deletes,
-        acks,
+        oracle,
         end: now,
         log,
         final_stats,
         windows: fs.commit_windows(),
         journal_broken: fs.journal_broken(),
-        ops_applied: applied,
         trace,
         fs,
     }
@@ -235,7 +207,7 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
 
 /// How a crash point was validated, with everything needed to audit the
 /// verdict.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CaseResult {
     /// Workload seed.
     pub seed: u64,
@@ -253,9 +225,9 @@ pub struct CaseResult {
     pub injections: Vec<Injection>,
     /// Durable-acked pairs expected to survive this crash point.
     pub acked_pairs: usize,
-    /// Acked pairs missing or rolled back after recovery.
+    /// Acked keys missing or rolled back after recovery.
     pub lost_acked: usize,
-    /// Recovered values never written by the application.
+    /// Recovered values never written to their key by the cut.
     pub undetected_values: usize,
     /// Keys recovered.
     pub recovered_keys: usize,
@@ -303,25 +275,13 @@ fn snap_to_phase(windows: &[nob_ext4::CommitWindow], raw: Nanos) -> Nanos {
     best.unwrap_or(raw)
 }
 
-/// Reads the full recovered state; an `Err` means the read path itself
-/// detected corruption.
-fn dump(db: &mut Db, now: Nanos) -> noblsm::Result<HashMap<Vec<u8>, Vec<u8>>> {
-    let mut out = HashMap::new();
-    let mut it = db.iter_at(now)?;
-    it.seek_to_first()?;
-    while it.valid() {
-        out.insert(it.key().to_vec(), it.value().to_vec());
-        it.next()?;
-    }
-    Ok(out)
-}
-
-/// Opens + sanity-checks + dumps a recovered database in one step.
+/// Opens, sanity-checks and scans a recovered database in one step; an
+/// `Err` from the scan means the read path itself detected corruption.
 fn try_recover(view: &Ext4Fs, opts: &Options, at: Nanos) -> noblsm::Result<Recovered> {
     let mut db = Db::open(view.clone(), DB_DIR, opts.clone(), at)?;
     let inv = db.check_invariants().err().map(|e| e.to_string());
-    let got = dump(&mut db, at)?;
-    Ok((db.stats().clone(), inv, got))
+    let rows = db.scan(&ReadOptions::default(), &ScanOptions::all())?.rows;
+    Ok((db.stats().clone(), inv, rows))
 }
 
 /// Cuts power at the case's crash point and validates recovery.
@@ -329,127 +289,65 @@ pub fn validate_crash(run: &PreparedRun, crash_pm: u32, snap: bool) -> CaseResul
     let raw = Nanos::from_nanos((run.end.as_nanos() as u128 * crash_pm as u128 / 1000) as u64);
     let crash_at = if snap { snap_to_phase(&run.windows, raw) } else { raw };
     let view = run.fs.crashed_view(crash_at);
-    let ordered_violations = view.stats().ordered_violations;
-    let injections: Vec<Injection> = run
-        .log
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .iter()
-        .filter(|i| i.at <= crash_at)
-        .copied()
-        .collect();
-    let journal_broken = run.journal_broken.is_some_and(|b| b <= crash_at);
+    let log = run.log.lock().unwrap_or_else(|p| p.into_inner());
+    let injections = log.iter().filter(|i| i.at <= crash_at).copied().collect();
+    drop(log);
+    let mut r = CaseResult {
+        crash_pm,
+        crash_at,
+        run_end: run.end,
+        injections,
+        ordered_violations: view.stats().ordered_violations,
+        journal_broken: run.journal_broken.is_some_and(|b| b <= crash_at),
+        shadow_files: run.final_stats.shadow_files,
+        reclaimed_files: run.final_stats.reclaimed_files,
+        ..CaseResult::default() // seed and config: stamped by the caller
+    };
 
     // Recovery: the normal open path first; any failure engages repair,
     // exactly as an operator would.
-    let mut repaired = false;
-    let mut open_error = None;
-    let mut recovery_failed = None;
-    let mut tables_skipped = 0u64;
-    let mut wal_corruptions = 0u64;
-    let mut wal_dropped = 0u64;
-    let mut wal_recovered = 0u64;
-    let mut invariant_error = None;
-    let mut got: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+    let mut rows = Vec::new();
     match try_recover(&view, &run.opts, crash_at) {
         Ok((stats, inv, state)) => {
-            wal_corruptions = stats.wal_corruptions_detected;
-            wal_dropped = stats.wal_bytes_dropped;
-            wal_recovered = stats.wal_records_recovered;
-            invariant_error = inv;
-            got = state;
+            r.wal_corruptions_detected = stats.wal_corruptions_detected;
+            r.wal_bytes_dropped = stats.wal_bytes_dropped;
+            r.wal_records_recovered = stats.wal_records_recovered;
+            r.invariant_error = inv;
+            rows = state;
         }
         Err(first) => {
-            open_error = Some(first.to_string());
-            repaired = true;
+            r.open_error = Some(first.to_string());
+            r.repaired = true;
             match Db::repair(&view, DB_DIR, &run.opts, crash_at) {
                 Ok((t, report)) => {
-                    tables_skipped = report.tables_skipped;
-                    wal_corruptions = report.wal_corruptions_detected;
-                    wal_dropped = report.wal_bytes_dropped;
-                    wal_recovered = report.wal_records_recovered;
+                    r.tables_skipped = report.tables_skipped;
+                    r.wal_corruptions_detected = report.wal_corruptions_detected;
+                    r.wal_bytes_dropped = report.wal_bytes_dropped;
+                    r.wal_records_recovered = report.wal_records_recovered;
                     match try_recover(&view, &run.opts, t) {
                         Ok((_, inv, state)) => {
-                            invariant_error = inv;
-                            got = state;
+                            r.invariant_error = inv;
+                            rows = state;
                         }
-                        Err(e) => recovery_failed = Some(e.to_string()),
+                        Err(e) => r.recovery_failed = Some(e.to_string()),
                     }
                 }
-                Err(e) => recovery_failed = Some(e.to_string()),
+                Err(e) => r.recovery_failed = Some(e.to_string()),
             }
         }
     }
 
-    // The acknowledged-durable state as of the cut: the last flush that
-    // completed before it.
-    let empty = HashMap::new();
-    let (ack_t, acked): (Nanos, &HashMap<Vec<u8>, Vec<u8>>) = run
-        .acks
-        .iter()
-        .rev()
-        .find(|(t, _)| *t <= crash_at)
-        .map_or((Nanos::ZERO, &empty), |(t, s)| (*t, s));
-
-    // Invariant A — no fabricated data, ever: each recovered value must
-    // have been written by the application for that key.
-    let mut undetected_values = 0usize;
-    for (k, v) in &got {
-        let written = run.history.get(k).is_some_and(|vs| vs.iter().any(|w| w == v));
-        if !written {
-            undetected_values += 1;
-        }
-    }
-
-    // Invariant B — durability: every acked pair survives, as itself or
-    // as a later legitimately written version. A pair the application
-    // itself deleted between the ack and the cut may legitimately be
-    // gone (its tombstone recovered).
-    let mut lost_acked = 0usize;
-    for (k, v) in acked {
-        let deleted_after_ack =
-            run.deletes.get(k).is_some_and(|ts| ts.iter().any(|&t| t >= ack_t && t <= crash_at));
-        match got.get(k) {
-            Some(r) if r == v => {}
-            Some(r) if run.history.get(k).is_some_and(|vs| vs.iter().any(|w| w == r)) => {}
-            None if deleted_after_ack => {}
-            _ => lost_acked += 1,
-        }
-    }
-
-    let explained = !injections.is_empty();
-    let pass = recovery_failed.is_none()
-        && invariant_error.is_none()
-        && undetected_values == 0
-        && (lost_acked == 0 || explained);
-
-    CaseResult {
-        seed: 0, // stamped by the caller, which knows the case identity
-        config: 0,
-        crash_pm,
-        crash_at,
-        run_end: run.end,
-        faulted_plan: false,
-        injections,
-        acked_pairs: acked.len(),
-        lost_acked,
-        undetected_values,
-        recovered_keys: got.len(),
-        repaired,
-        open_error,
-        recovery_failed,
-        invariant_error,
-        wal_corruptions_detected: wal_corruptions,
-        wal_bytes_dropped: wal_dropped,
-        wal_records_recovered: wal_recovered,
-        tables_skipped,
-        ordered_violations,
-        journal_broken,
-        shadow_files: run.final_stats.shadow_files,
-        reclaimed_files: run.final_stats.reclaimed_files,
-        explained,
-        pass,
-    }
+    let verdict = run.oracle.check(&rows, crash_at);
+    r.acked_pairs = verdict.acked.len();
+    r.lost_acked = verdict.lost.len();
+    r.undetected_values = verdict.fabricated.len();
+    r.recovered_keys = rows.len();
+    r.explained = !r.injections.is_empty();
+    r.pass = r.recovery_failed.is_none()
+        && r.invariant_error.is_none()
+        && r.undetected_values == 0
+        && (r.lost_acked == 0 || r.explained);
+    r
 }
 
 /// Runs one complete case end to end.

@@ -11,15 +11,16 @@
 //! * [`harness`] — replay a deterministic workload with faults live, cut
 //!   power at any virtual instant (optionally snapped to journal-commit
 //!   phase boundaries), recover through `Db::open` with fallback to
-//!   `Db::repair`, and classify the outcome: fabricated data is *never*
-//!   tolerated; lost acknowledged-durable data must be explained by the
-//!   injection log.
+//!   `Db::repair`, and check the recovered rows with [`nob_sim::oracle`]:
+//!   fabricated data is *never* tolerated; lost acknowledged-durable data
+//!   must be explained by the injection log.
 //! * [`campaign`] — sweeps (seeds × crash points × configurations) with
 //!   bit-for-bit reproducible JSON reports.
 //! * [`failover`] — leader-kill sweeps over the replication stack: kill
 //!   the leader at swept instants, promote the follower, and check that
-//!   no acked write is lost, follower reads never go backwards, and
-//!   changefeeds resume across the failover without gaps or duplicates.
+//!   it holds exactly the acked writes (the same oracle), follower reads
+//!   never go backwards, and changefeeds resume across the failover
+//!   without gaps or duplicates.
 //!
 //! # Example
 //!

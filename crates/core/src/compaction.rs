@@ -126,9 +126,6 @@ pub(crate) fn run_major(
     merged.seek_to_first(now)?;
     acc_read += *now - open_mark;
 
-    let target_level = inputs.level + 1;
-    let is_last_level = target_level + 1 >= version.levels();
-
     // Grouped (BoLT) outputs share one physical file.
     let mut group: Option<GroupWriter> = None;
     if opts.grouped_output {
@@ -187,15 +184,17 @@ pub(crate) fn run_major(
         if shadowed {
             continue;
         }
-        // Drop tombstones that cannot shadow anything deeper.
+        // Drop a tombstone only if no file at or below the target level
+        // holds its key, this merge's inputs apart: a fragmented merge (or
+        // a hot child) leaves target files in place.
         if is_first_occurrence
             && value_type_of(&ikey) == Some(ValueType::Deletion)
             && seq <= snapshot
         {
-            let deeper_has_key = !is_last_level
-                && (target_level + 1..version.levels())
-                    .any(|l| version.files[l].iter().any(|f| f.contains_user_key(uk)));
-            if is_last_level || !deeper_has_key {
+            let merged = |f: &FileMetaData| inputs.inputs1.iter().any(|i| i.number == f.number);
+            let deeper_has_key = (inputs.level + 1..version.levels())
+                .any(|l| version.files[l].iter().any(|f| f.contains_user_key(uk) && !merged(f)));
+            if !deeper_has_key {
                 continue;
             }
         }

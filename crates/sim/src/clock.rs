@@ -60,11 +60,6 @@ impl SharedClock {
         *now = (*now).max(to);
         stall
     }
-
-    /// Whether two handles share one underlying clock.
-    pub fn same_clock(&self, other: &SharedClock) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -87,8 +82,6 @@ mod tests {
         assert_eq!(a.advance_to(Nanos::from_micros(1)), Nanos::ZERO, "monotone");
         a.advance(Nanos::from_micros(1));
         assert_eq!(b.now(), Nanos::from_micros(10));
-        assert!(a.same_clock(&b));
-        assert!(!a.same_clock(&SharedClock::new()));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! * [`EventQueue`] — a time-ordered queue for timer-style events (journal
 //!   commit ticks, reclamation polls).
 //!
-//! Beside them sit [`json`], the one JSON value type, parser and writer,
-//! and the [`fnv1a`] hash.
+//! Beside them sit [`json`], the one JSON value type, parser and writer;
+//! [`oracle`], the one reference model every crash check asks; and the
+//! [`fnv1a`] hash.
 //!
 //! # Examples
 //!
@@ -36,6 +37,7 @@
 mod clock;
 mod events;
 pub mod json;
+pub mod oracle;
 mod text;
 mod time;
 mod timeline;

@@ -49,16 +49,6 @@ impl Nanos {
         Nanos(s.saturating_mul(1_000_000_000))
     }
 
-    /// Creates a `Nanos` from fractional seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is negative or not finite.
-    pub fn from_secs_f64(s: f64) -> Self {
-        assert!(s.is_finite() && s >= 0.0, "seconds must be finite and non-negative");
-        Nanos((s * 1e9).round() as u64)
-    }
-
     /// Raw nanosecond count.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -254,16 +244,5 @@ mod tests {
     fn sum_of_durations() {
         let total: Nanos = [Nanos::from_micros(1), Nanos::from_micros(2)].into_iter().sum();
         assert_eq!(total, Nanos::from_micros(3));
-    }
-
-    #[test]
-    fn from_secs_f64_rounds() {
-        assert_eq!(Nanos::from_secs_f64(0.5), Nanos::from_millis(500));
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn from_secs_f64_rejects_negative() {
-        let _ = Nanos::from_secs_f64(-1.0);
     }
 }

@@ -16,11 +16,6 @@ impl Reservation {
     pub fn duration(&self) -> Nanos {
         self.end - self.start
     }
-
-    /// Queueing delay experienced by a command issued at `issued`.
-    pub fn queue_delay(&self, issued: Nanos) -> Nanos {
-        self.start - issued
-    }
 }
 
 /// A single-server FIFO resource.
@@ -40,7 +35,6 @@ impl Reservation {
 /// // Issued later but while the device is still busy: queues behind `a`.
 /// let b = t.reserve(Nanos::from_millis(1), Nanos::from_millis(2));
 /// assert_eq!(b.start, a.end);
-/// assert_eq!(b.queue_delay(Nanos::from_millis(1)), Nanos::from_millis(1));
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct Timeline {
@@ -79,17 +73,6 @@ impl Timeline {
     pub fn commands(&self) -> u64 {
         self.commands
     }
-
-    /// Utilization of the resource over `[0, horizon]`, in `[0, 1]`.
-    ///
-    /// Returns 0.0 for a zero horizon.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            0.0
-        } else {
-            (self.busy.as_nanos() as f64 / horizon.as_nanos() as f64).min(1.0)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +85,6 @@ mod tests {
         let r = t.reserve(Nanos::from_micros(5), Nanos::from_micros(10));
         assert_eq!(r.start, Nanos::from_micros(5));
         assert_eq!(r.end, Nanos::from_micros(15));
-        assert_eq!(r.queue_delay(Nanos::from_micros(5)), Nanos::ZERO);
     }
 
     #[test]
@@ -124,9 +106,7 @@ mod tests {
         let r = t.reserve(Nanos::from_micros(100), Nanos::from_micros(10));
         assert_eq!(r.start, Nanos::from_micros(100));
         assert_eq!(t.free_at(), Nanos::from_micros(110));
-        // Busy 20us over a 110us horizon.
-        let u = t.utilization(Nanos::from_micros(110));
-        assert!((u - 20.0 / 110.0).abs() < 1e-9);
+        assert_eq!(t.busy_time(), Nanos::from_micros(20), "the gap is idle");
     }
 
     #[test]
@@ -135,11 +115,5 @@ mod tests {
         let r = t.reserve(Nanos::from_micros(3), Nanos::ZERO);
         assert_eq!(r.start, r.end);
         assert_eq!(r.duration(), Nanos::ZERO);
-    }
-
-    #[test]
-    fn utilization_of_empty_horizon_is_zero() {
-        let t = Timeline::new();
-        assert_eq!(t.utilization(Nanos::ZERO), 0.0);
     }
 }

@@ -30,11 +30,6 @@ impl IoStats {
         IoStats::default()
     }
 
-    /// Total commands of any kind.
-    pub fn total_commands(&self) -> u64 {
-        self.write_commands + self.read_commands + self.flush_commands
-    }
-
     /// Total faults of any kind the injector produced.
     pub fn faults_injected(&self) -> u64 {
         self.torn_writes + self.corrupt_writes + self.dropped_flushes
@@ -82,7 +77,7 @@ mod tests {
         assert_eq!(d.bytes_written, 15);
         assert_eq!(d.bytes_read, 5);
         assert_eq!(d.write_commands, 2);
-        assert_eq!(d.total_commands(), 5);
+        assert_eq!(d.flush_commands, 2);
     }
 
     #[test]

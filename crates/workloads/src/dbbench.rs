@@ -21,15 +21,6 @@ pub fn fillrandom(
     put_each(db, "fillrandom", shuffled(n, seed), value_size, 0, start)
 }
 
-/// Sequentially puts `n` fresh KV pairs in key order (`fillseq`).
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn fillseq(db: &mut Db, n: u64, value_size: usize, start: Nanos) -> Result<Report> {
-    put_each(db, "fillseq", 0..n, value_size, 0, start)
-}
-
 /// Randomly overwrites the `n` existing KV pairs (`overwrite`).
 ///
 /// # Errors
@@ -128,60 +119,6 @@ pub fn readrandom(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) ->
     })
 }
 
-/// Repeatedly reads from the hottest 1 % of the keyspace (`readhot`).
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn readhot(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) -> Result<Report> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let hot = (records / 100).max(1);
-    let mut now = start;
-    for _ in 0..n {
-        let k = rng.gen_range(0..hot);
-        let (_, t) = db.get_at_time(now, &key(k))?;
-        now = t;
-    }
-    Ok(Report {
-        name: "readhot".to_string(),
-        ops: n,
-        started: start,
-        finished: now,
-        total_latency: now - start,
-        threads: 1,
-    })
-}
-
-/// Randomly seeks and reads one entry per seek (`seekrandom`).
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn seekrandom(db: &mut Db, n: u64, records: u64, seed: u64, start: Nanos) -> Result<Report> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-    let mut now = start;
-    let mut found = 0u64;
-    for _ in 0..n {
-        let k = rng.gen_range(0..records);
-        let (rows, t) = crate::scan_at(db, now, &key(k), 1)?;
-        now = t;
-        if rows > 0 {
-            found += 1;
-        }
-    }
-    debug_assert!(found > 0 || n == 0);
-    Ok(Report {
-        name: "seekrandom".to_string(),
-        ops: n,
-        started: start,
-        finished: now,
-        total_latency: now - start,
-        threads: 1,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,20 +150,6 @@ mod tests {
         let r2 = overwrite(&mut db, 500, 64, 1, r1.finished).unwrap();
         let (got, _) = db.get_at_time(r2.finished, &key(42)).unwrap();
         assert_eq!(got, Some(value(42, 1, 64)), "overwrite round visible");
-    }
-
-    #[test]
-    fn fillseq_then_readhot_and_seekrandom() {
-        let mut db = small_db();
-        let r = fillseq(&mut db, 1000, 64, Nanos::ZERO).unwrap();
-        assert_eq!(r.ops, 1000);
-        // fillseq produces non-overlapping tables: stays cheap.
-        let rh = readhot(&mut db, 300, 1000, 5, r.finished).unwrap();
-        assert_eq!(rh.ops, 300);
-        assert!(rh.mean_us_per_op() > 0.0);
-        let sr = seekrandom(&mut db, 100, 1000, 6, rh.finished).unwrap();
-        assert_eq!(sr.ops, 100);
-        assert!(sr.finished > sr.started);
     }
 
     #[test]

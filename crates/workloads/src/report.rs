@@ -90,16 +90,6 @@ impl Report {
     pub fn wall(&self) -> Nanos {
         self.finished - self.started
     }
-
-    /// Throughput in operations per virtual second.
-    pub fn ops_per_sec(&self) -> f64 {
-        let w = self.wall().as_secs_f64();
-        if w == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / w
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +108,6 @@ mod tests {
         };
         assert!((r.mean_us_per_op() - 2000.0).abs() < 1e-9);
         assert_eq!(r.wall(), Nanos::from_secs(2));
-        assert!((r.ops_per_sec() - 500.0).abs() < 1e-9);
     }
 
     #[test]
@@ -154,6 +143,5 @@ mod tests {
             threads: 1,
         };
         assert_eq!(r.mean_us_per_op(), 0.0);
-        assert_eq!(r.ops_per_sec(), 0.0);
     }
 }

@@ -15,7 +15,6 @@ pub struct Zipfian {
     items: u64,
     theta: f64,
     zetan: f64,
-    zeta2theta: f64,
     alpha: f64,
     eta: f64,
 }
@@ -37,7 +36,7 @@ impl Zipfian {
         let zeta2theta = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
-        Zipfian { items, theta, zetan, zeta2theta, alpha, eta }
+        Zipfian { items, theta, zetan, alpha, eta }
     }
 
     /// Draws the next rank in `0..items` (0 is the most popular).
@@ -57,12 +56,6 @@ impl Zipfian {
     /// Number of ranks.
     pub fn items(&self) -> u64 {
         self.items
-    }
-
-    /// Internal zeta(2, θ) — exposed for tests.
-    #[doc(hidden)]
-    pub fn zeta2theta(&self) -> f64 {
-        self.zeta2theta
     }
 }
 
