@@ -12,7 +12,7 @@ use crate::cache::TableCache;
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::options::{Options, SyncMode};
 use crate::sstable::TableBuilder;
-use crate::types::{sequence_of, user_key, value_type_of};
+use crate::types::{compare_internal, sequence_of, user_key, value_type_of};
 use crate::version::{file_path, CompactionInputs, FileKind, FileMetaData, Version};
 use crate::{DbError, InternalKey, Result, SequenceNumber, ValueType};
 
@@ -71,17 +71,19 @@ pub(crate) fn write_table<'a>(
     let smallest = InternalKey::from_encoded(builder.smallest().expect("non-empty"));
     let largest = InternalKey::from_encoded(builder.largest().expect("non-empty"));
     let bytes = builder.finish();
-    *now += opts.cpu.block_per_kib * ((bytes.len() as u64) >> 10).max(1);
+    let size = bytes.len() as u64;
+    *now += opts.cpu.block_per_kib * (size >> 10).max(1);
     let path = file_path(dir, FileKind::Table, number);
     let handle = fs.create(&path, *now)?;
-    *now = fs.append(handle, &bytes, *now)?;
+    // The new file adopts the image instead of copying it.
+    *now = fs.append(handle, bytes, *now)?;
     if opts.sync_mode != SyncMode::Never {
         *now = fs.fsync(handle, *now)?;
     }
     let inode = fs
         .inode_of(&path)
         .ok_or_else(|| DbError::InvalidDb(format!("table {path} vanished during creation")))?;
-    let meta = FileMetaData::new(number, number, 0, bytes.len() as u64, smallest, largest);
+    let meta = FileMetaData::new(number, number, 0, size, smallest, largest);
     Ok(Some(CompactionOutput { meta, physical_path: path, inode }))
 }
 
@@ -147,28 +149,25 @@ pub(crate) fn run_major(
     };
     let mut cold = OutputStream::new(false);
     let mut hot_stream = OutputStream::new(true);
-    // The entry is copied out before the merge steps past it (the step's
-    // device time comes first on the clock, the entry's own work after),
-    // into buffers that live as long as the compaction.
-    let mut ikey: Vec<u8> = Vec::new();
-    let mut value: Vec<u8> = Vec::new();
     let mut last_user_key: Option<Vec<u8>> = None;
     let mut last_seq_for_key: SequenceNumber = u64::MAX;
-    let mut largest_kept: Vec<u8> = Vec::new();
+    // Whether a file at or below the target level holds `uk`, this merge's
+    // inputs apart: a fragmented merge (or a hot child) leaves target files
+    // in place.
+    let deeper_has_key = |uk: &[u8]| {
+        let merged = |f: &FileMetaData| inputs.inputs1.iter().any(|i| i.number == f.number);
+        (inputs.level + 1..version.levels())
+            .any(|l| version.files[l].iter().any(|f| f.contains_user_key(uk) && !merged(f)))
+    };
 
+    // Each entry is decided on and added to its table while it is still
+    // borrowed from the merge; then the merge steps past it, and only then
+    // is a full table flushed. Deciding and adding touch no clock, so the
+    // step's device time still lands before the flush's.
     while merged.valid() {
-        ikey.clear();
-        ikey.extend_from_slice(merged.key());
-        value.clear();
-        value.extend_from_slice(merged.value());
-        let rmark = *now;
-        merged.next(now)?;
-        acc_read += *now - rmark;
-        *now += opts.cpu.next;
-        acc_merge += opts.cpu.next;
-
-        let uk = user_key(&ikey);
-        let seq = sequence_of(&ikey);
+        let ikey = merged.key();
+        let uk = user_key(ikey);
+        let seq = sequence_of(ikey);
         let is_first_occurrence = last_user_key.as_deref() != Some(uk);
         if is_first_occurrence {
             last_seq_for_key = u64::MAX;
@@ -181,29 +180,28 @@ pub(crate) fn run_major(
         // no reader can ever see this one.
         let shadowed = last_seq_for_key <= snapshot;
         last_seq_for_key = seq;
-        if shadowed {
-            continue;
-        }
         // Drop a tombstone only if no file at or below the target level
-        // holds its key, this merge's inputs apart: a fragmented merge (or
-        // a hot child) leaves target files in place.
-        if is_first_occurrence
-            && value_type_of(&ikey) == Some(ValueType::Deletion)
+        // holds its key.
+        let dead_tombstone = is_first_occurrence
+            && value_type_of(ikey) == Some(ValueType::Deletion)
             && seq <= snapshot
-        {
-            let merged = |f: &FileMetaData| inputs.inputs1.iter().any(|i| i.number == f.number);
-            let deeper_has_key = (inputs.level + 1..version.levels())
-                .any(|l| version.files[l].iter().any(|f| f.contains_user_key(uk) && !merged(f)));
-            if !deeper_has_key {
-                continue;
+            && !deeper_has_key(uk);
+        let mut full = None;
+        if !shadowed && !dead_tombstone {
+            let stream = if allow_hot && hot.is_hot(uk) { &mut hot_stream } else { &mut cold };
+            stream.add(ikey, merged.value(), opts);
+            if stream.builder.as_ref().is_some_and(|b| b.size_estimate() >= opts.table_size) {
+                full = Some(stream);
             }
         }
-        largest_kept.clear();
-        largest_kept.extend_from_slice(&ikey);
 
-        let stream = if allow_hot && hot.is_hot(uk) { &mut hot_stream } else { &mut cold };
-        stream.add(&ikey, &value, opts);
-        if stream.builder.as_ref().is_some_and(|b| b.size_estimate() >= opts.table_size) {
+        let rmark = *now;
+        merged.next(now)?;
+        acc_read += *now - rmark;
+        *now += opts.cpu.next;
+        acc_merge += opts.cpu.next;
+
+        if let Some(stream) = full {
             let wmark = *now;
             let bmark = outcome.bytes_written;
             stream.flush(fs, dir, opts, alloc, group.as_mut(), now, &mut outcome)?;
@@ -237,9 +235,13 @@ pub(crate) fn run_major(
         // keep it on the plan so the pipelined end never undercounts.
         outcome.stages.push(Granule::new(acc_read, acc_merge, Nanos::ZERO, 0));
     }
-    if !largest_kept.is_empty() {
-        outcome.largest_compacted = Some(InternalKey::from_encoded(&largest_kept));
-    }
+    // The largest key kept ends the last table of one of the two streams.
+    outcome.largest_compacted = [outcome.outputs.last(), outcome.hot_outputs.last()]
+        .into_iter()
+        .flatten()
+        .map(|o| &o.meta.largest)
+        .max_by(|a, b| compare_internal(a.as_bytes(), b.as_bytes()))
+        .cloned();
     Ok(outcome)
 }
 
@@ -285,30 +287,26 @@ impl OutputStream {
         let smallest = InternalKey::from_encoded(builder.smallest().expect("non-empty"));
         let largest = InternalKey::from_encoded(builder.largest().expect("non-empty"));
         let bytes = builder.finish();
-        *now += opts.cpu.block_per_kib * ((bytes.len() as u64) >> 10).max(1);
+        let size = bytes.len() as u64;
+        *now += opts.cpu.block_per_kib * (size >> 10).max(1);
         let number = alloc();
+        // A new file adopts the image instead of copying it; a group file
+        // copies every table after its first.
         let output = if let Some(g) = group {
             // BoLT: bundle into the group file; the single sync happens
             // once per compaction, after the last logical table.
             let offset = g.written;
-            *now = fs.append(g.handle, &bytes, *now)?;
-            g.written += bytes.len() as u64;
+            *now = fs.append(g.handle, bytes, *now)?;
+            g.written += size;
             CompactionOutput {
-                meta: FileMetaData::new(
-                    number,
-                    g.physical,
-                    offset,
-                    bytes.len() as u64,
-                    smallest,
-                    largest,
-                ),
+                meta: FileMetaData::new(number, g.physical, offset, size, smallest, largest),
                 physical_path: g.path.clone(),
                 inode: g.inode,
             }
         } else {
             let path = file_path(dir, FileKind::Table, number);
             let handle = fs.create(&path, *now)?;
-            *now = fs.append(handle, &bytes, *now)?;
+            *now = fs.append(handle, bytes, *now)?;
             // LevelDB finishes and fdatasyncs each output file before
             // starting the next one — the blocking sync on the critical
             // path of major compaction that NobLSM eliminates.
@@ -318,7 +316,7 @@ impl OutputStream {
             let inode =
                 fs.inode_of(&path).ok_or_else(|| DbError::InvalidDb("output vanished".into()))?;
             CompactionOutput {
-                meta: FileMetaData::new(number, number, 0, bytes.len() as u64, smallest, largest),
+                meta: FileMetaData::new(number, number, 0, size, smallest, largest),
                 physical_path: path,
                 inode,
             }

@@ -3,9 +3,12 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use crate::options::CompressionType;
 use crate::types::compare_internal;
 use crate::util::{crc32c, crc32c_masked, crc32c_unmask, decode_u32, encode_u32};
 use crate::{DbError, Result};
+
+use super::BlockHandle;
 
 /// Size of a block trailer: compression type (1) + masked CRC (4).
 pub(crate) const BLOCK_TRAILER_SIZE: usize = 5;
@@ -32,7 +35,11 @@ pub(crate) const BLOCK_TRAILER_SIZE: usize = 5;
 /// ```
 #[derive(Debug)]
 pub struct BlockBuilder {
+    /// The block being built is `buf[start..]`. A standalone block starts
+    /// at 0; a table builder's data blocks are encoded one after another
+    /// at the end of the table image, which `buf` then is.
     buf: Vec<u8>,
+    start: usize,
     restarts: Vec<u32>,
     counter: usize,
     restart_interval: usize,
@@ -47,9 +54,17 @@ impl BlockBuilder {
     ///
     /// Panics if `restart_interval` is zero.
     pub fn new(restart_interval: usize) -> Self {
+        Self::in_image(restart_interval, Vec::new())
+    }
+
+    /// Creates a builder that encodes its blocks at the end of `image`:
+    /// a table builder's one data-block builder, writing every block of
+    /// the table straight into the table's bytes.
+    pub(crate) fn in_image(restart_interval: usize, image: Vec<u8>) -> Self {
         assert!(restart_interval >= 1, "restart interval must be positive");
         BlockBuilder {
-            buf: Vec::new(),
+            start: image.len(),
+            buf: image,
             restarts: vec![0],
             counter: 0,
             restart_interval,
@@ -67,7 +82,7 @@ impl BlockBuilder {
         let shared = if self.counter < self.restart_interval {
             common_prefix(&self.last_key, key)
         } else {
-            self.restarts.push(self.buf.len() as u32);
+            self.restarts.push((self.buf.len() - self.start) as u32);
             self.counter = 0;
             0
         };
@@ -84,7 +99,13 @@ impl BlockBuilder {
 
     /// Current encoded size estimate (including the restart array).
     pub fn size_estimate(&self) -> usize {
-        self.buf.len() + self.restarts.len() * 4 + 4
+        self.buf.len() - self.start + self.restarts.len() * 4 + 4
+    }
+
+    /// Where the block being built starts: the bytes of the image before
+    /// it.
+    pub(crate) fn offset(&self) -> usize {
+        self.start
     }
 
     /// Number of entries added.
@@ -100,30 +121,47 @@ impl BlockBuilder {
     /// Finishes the block payload (no trailer): entries ++ restart array ++
     /// restart count.
     pub fn finish_without_trailer(mut self) -> Vec<u8> {
-        self.finish_in_place();
+        self.append_restarts();
         self.buf
     }
 
-    /// Completes the payload inside the builder and lends it out. The
-    /// builder takes no further entries until [`reset`](Self::reset), which
-    /// keeps its buffers: a table builder reuses one data-block builder for
-    /// every block it writes.
-    pub(crate) fn finish_in_place(&mut self) -> &[u8] {
+    fn append_restarts(&mut self) {
         for r in &self.restarts {
             self.buf.extend_from_slice(&r.to_le_bytes());
         }
         self.buf.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        &self.buf
     }
 
-    /// Empties the builder for the next block, keeping its allocations.
-    pub(crate) fn reset(&mut self) {
-        self.buf.clear();
+    /// Completes the block where it lies: restart array, compression
+    /// when configured and profitable, then the `type + masked CRC`
+    /// trailer. Returns the block's handle and starts the next block right
+    /// after it, keeping every buffer.
+    pub(crate) fn finish_block(&mut self, compression: CompressionType) -> BlockHandle {
+        self.append_restarts();
+        let packed = match compression {
+            CompressionType::Rle => crate::util::rle::compress(&self.buf[self.start..]),
+            CompressionType::None => None,
+        };
+        if let Some(c) = &packed {
+            self.buf.truncate(self.start);
+            self.buf.extend_from_slice(c);
+        }
+        let handle = BlockHandle::new(self.start as u64, (self.buf.len() - self.start) as u64);
+        append_trailer_typed(&mut self.buf, self.start, u8::from(packed.is_some()));
+        self.start = self.buf.len();
         self.restarts.clear();
         self.restarts.push(0);
         self.counter = 0;
         self.last_key.clear();
         self.entries = 0;
+        handle
+    }
+
+    /// The image the blocks were encoded into, once the last one is
+    /// finished.
+    pub(crate) fn into_image(self) -> Vec<u8> {
+        debug_assert!(self.is_empty(), "an unfinished block would be dropped");
+        self.buf
     }
 
     /// Finishes the block with its `type + masked CRC` trailer appended.
@@ -579,18 +617,34 @@ mod tests {
                     .collect()
             })
             .collect();
-        let mut reused = BlockBuilder::new(4);
-        for entries in &blocks {
-            let mut fresh = BlockBuilder::new(4);
-            for (k, v) in entries {
-                fresh.add(k, v);
-                reused.add(k, v);
+        // One builder encodes every block into one image, after bytes that
+        // were there first; each block must be a fresh builder's, raw or
+        // compressed as `rle::compress` would, with its trailer.
+        for compression in [CompressionType::None, CompressionType::Rle] {
+            let mut reused = BlockBuilder::in_image(4, b"before".to_vec());
+            let mut image = b"before".to_vec();
+            for entries in &blocks {
+                let mut fresh = BlockBuilder::new(4);
+                for (k, v) in entries {
+                    fresh.add(k, v);
+                    reused.add(k, v);
+                }
+                assert_eq!(reused.size_estimate(), fresh.size_estimate());
+                assert_eq!(reused.entries(), fresh.entries());
+                assert_eq!(reused.offset(), image.len());
+                let handle = reused.finish_block(compression);
+                assert!(reused.is_empty());
+                let raw = fresh.finish_without_trailer();
+                let packed = match compression {
+                    CompressionType::Rle => crate::util::rle::compress(&raw),
+                    CompressionType::None => None,
+                };
+                let offset = image.len();
+                image.extend_from_slice(packed.as_deref().unwrap_or(&raw));
+                assert_eq!(handle, BlockHandle::new(offset as u64, (image.len() - offset) as u64));
+                append_trailer_typed(&mut image, offset, u8::from(packed.is_some()));
             }
-            assert_eq!(reused.size_estimate(), fresh.size_estimate());
-            assert_eq!(reused.entries(), fresh.entries());
-            assert_eq!(reused.finish_in_place(), fresh.finish_without_trailer().as_slice());
-            reused.reset();
-            assert!(reused.is_empty());
+            assert_eq!(reused.into_image(), image, "{compression:?}");
         }
     }
 

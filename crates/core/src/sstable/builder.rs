@@ -3,7 +3,7 @@
 use crate::options::{CompressionType, Options};
 use crate::types::compare_internal;
 
-use super::block::{append_trailer, append_trailer_typed, BlockBuilder};
+use super::block::{append_trailer_typed, BlockBuilder};
 use super::bloom::bloom_hash;
 use super::{BlockHandle, BloomFilter, Footer};
 
@@ -11,7 +11,9 @@ use super::{BlockHandle, BloomFilter, Footer};
 ///
 /// Entries must be added in strictly increasing internal-key order;
 /// [`finish`](TableBuilder::finish) returns the complete table image,
-/// which the engine appends to a file.
+/// which the engine appends to a file. The image is reserved once, at the
+/// size a table is expected to reach, and every data block is encoded
+/// straight into it.
 ///
 /// # Examples
 ///
@@ -30,7 +32,8 @@ pub struct TableBuilder {
     block_size: usize,
     bloom_bits: usize,
     compression: CompressionType,
-    buf: Vec<u8>,
+    /// The one data-block builder; it holds the table image and encodes
+    /// each block at its end.
     data: BlockBuilder,
     index: BlockBuilder,
     /// Bloom hash of every user key added: all the filter needs of them.
@@ -47,8 +50,10 @@ impl TableBuilder {
             block_size: opts.block_size,
             bloom_bits: opts.bloom_bits_per_key,
             compression: opts.compression,
-            buf: Vec::new(),
-            data: BlockBuilder::new(opts.block_restart_interval),
+            data: BlockBuilder::in_image(
+                opts.block_restart_interval,
+                Vec::with_capacity(image_capacity(opts)),
+            ),
             index: BlockBuilder::new(1),
             key_hashes: Vec::new(),
             last_key: Vec::new(),
@@ -86,29 +91,13 @@ impl TableBuilder {
         if self.data.is_empty() {
             return;
         }
-        let offset = self.buf.len();
-        let raw = self.data.finish_in_place();
-        // Compress when configured and profitable (snappy-style fallback
-        // to raw for incompressible blocks).
-        let compressed = match self.compression {
-            CompressionType::Rle => crate::util::rle::compress(raw),
-            CompressionType::None => None,
-        };
-        let (payload, ctype) = match &compressed {
-            Some(c) => (c.as_slice(), 1u8),
-            None => (raw, 0u8),
-        };
-        self.buf.extend_from_slice(payload);
-        self.data.reset();
-        let size = self.buf.len() - offset;
-        append_trailer_typed(&mut self.buf, offset, ctype);
-        let (handle, handle_len) = BlockHandle::new(offset as u64, size as u64).encoded();
+        let (handle, handle_len) = self.data.finish_block(self.compression).encoded();
         self.index.add(&self.last_key, &handle[..handle_len]);
     }
 
     /// Estimated current size of the finished table.
     pub fn size_estimate(&self) -> u64 {
-        (self.buf.len() + self.data.size_estimate()) as u64
+        (self.data.offset() + self.data.size_estimate()) as u64
     }
 
     /// Number of entries added so far.
@@ -138,30 +127,36 @@ impl TableBuilder {
     /// Finishes the table and returns its bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.flush_data_block();
+        let mut image = self.data.into_image();
         // Bloom filter area.
         let filter_handle = if self.bloom_bits > 0 {
             let filter = BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits);
-            let offset = self.buf.len() as u64;
-            let mut payload = filter.encode();
-            let size = payload.len() as u64;
-            append_trailer(&mut payload);
-            self.buf.extend_from_slice(&payload);
-            BlockHandle::new(offset, size)
+            append_block(&mut image, &filter.encode())
         } else {
             BlockHandle::default()
         };
-        // Index block.
-        let index_offset = self.buf.len() as u64;
-        let mut index_payload = self.index.finish_without_trailer();
-        let index_size = index_payload.len() as u64;
-        append_trailer(&mut index_payload);
-        self.buf.extend_from_slice(&index_payload);
-        // Footer.
-        let footer =
-            Footer { filter: filter_handle, index: BlockHandle::new(index_offset, index_size) };
-        self.buf.extend_from_slice(&footer.encode());
-        self.buf
+        let index = append_block(&mut image, &self.index.finish_without_trailer());
+        image.extend_from_slice(&Footer { filter: filter_handle, index }.encode());
+        image
     }
+}
+
+/// Appends a raw block and its trailer to the image; returns its handle.
+fn append_block(image: &mut Vec<u8>, payload: &[u8]) -> BlockHandle {
+    let offset = image.len();
+    image.extend_from_slice(payload);
+    append_trailer_typed(image, offset, 0);
+    BlockHandle::new(offset as u64, payload.len() as u64)
+}
+
+/// Bytes a table image is given up front, so that it never grows by
+/// doubling: the size a compaction cuts a table at, a sixteenth more for
+/// its filter and index, and a block for the entry that crosses the cut.
+/// The file that adopts the image keeps what it leaves unused. (A memtable
+/// flush bigger than a table grows it.)
+fn image_capacity(opts: &Options) -> usize {
+    let cut = opts.table_size as usize;
+    cut + cut / 16 + opts.block_size
 }
 
 #[cfg(test)]

@@ -2,21 +2,34 @@
 //! per-entry heap traffic cannot creep back unnoticed: a one-entry
 //! `Db::write`, a memtable flush and an L0→L1 major compaction over 10 000 ×
 //! 128 B entries must each stay under a stated number of allocations *per
-//! entry*, and so must a `Db::get` that hits, one the bloom filter rejects,
+//! entry* (the flush and the major under a number of bytes too), and so
+//! must a `Db::get` that hits, one the bloom filter rejects,
 //! a forward-scanned row and an iterator's construction plus seek, all
 //! against the one-level tree the major leaves, with its blocks cached.
 //!
-//! The write budgets are the counts measured when they were written (PR 15;
-//! PR 18 for `Db::write`) plus a quarter: 1.01 per one-entry write (its WAL
-//! record, and now and then an arena doubling; 3.01 while a batch was a list
-//! of owned entries that `Db::write` collected and encoded into a payload
-//! first — one `to_vec` per entry, or a second encode of the payload, adds
-//! 1.0 and fails the test), 0.011 per
-//! flushed entry (the table image and the builder's buffers growing) and
-//! 0.158 per merged entry (reading and parsing one 4 KiB input block per 28
-//! entries; 0.086 since blocks keep their restart array in place and a
-//! table iterator keeps one block iterator). One `to_vec` per entry in the
-//! flush or merge loop adds 1.0 to the last two and fails the test.
+//! The write budgets are the counts measured when they were written plus a
+//! quarter: 1.01 per one-entry write (its WAL record, and now and then an
+//! arena doubling; 3.01 while a batch was a list of owned entries that
+//! `Db::write` collected and encoded into a payload first — one `to_vec` per
+//! entry, or a second encode of the payload, adds 1.0 and fails the test),
+//! 0.011 per flushed entry (the table image and the builder's buffers
+//! growing; 0.009 since the image is reserved once) and 0.158 per merged
+//! entry (reading and parsing one 4 KiB input block per 28 entries; 0.086
+//! since blocks keep their restart array in place and a table iterator
+//! keeps one block iterator; 0.084 since the image is reserved once). One
+//! `to_vec` per entry in the flush or merge loop adds 1.0 to the last two
+//! and fails the test.
+//!
+//! The flush and the major also have a budget of bytes requested per entry
+//! (an allocation's size, or a growing realloc's new size; a shrinking one
+//! hands bytes back), measured plus a quarter. Measured here / at the
+//! parent of the change that added them: 245.1 / 593.4 per flushed entry
+//! and 403.7 / 752.0 per merged entry. Most of what is left is the table
+//! image, reserved once at the table size plus a sixteenth and a block
+//! (223 per entry), and for the major the input blocks read out of the file
+//! (≈ 155). At the parent the image grew by doubling and the file copied
+//! it; either alone fails both budgets (an image that doubles: 533.0 /
+//! 691.7; a file that copies: 394.7 / 553.4).
 //!
 //! The read budgets are likewise measured plus a quarter. Measured here /
 //! at the parent of the change that added them (PR 17): 3.00 / 7.00 per GET
@@ -34,7 +47,7 @@
 //! value). The counts are
 //! exact, so the same binary gives the same numbers on every run.
 //!
-//! The counter is this test binary's own `#[global_allocator]`, and the one
+//! The counters are this test binary's own `#[global_allocator]`, and the one
 //! test function keeps the harness from running anything beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -45,15 +58,17 @@ use nob_sim::Nanos;
 use noblsm::{Db, Options, ReadOptions, ScanOptions, SyncMode, WriteBatch, WriteOptions};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain statistic
-// (Relaxed) and publishes no other memory.
+// upholds the `GlobalAlloc` contract; the counters are plain statistics
+// (Relaxed) and publish no other memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through untouched.
         unsafe { System.alloc(layout) }
     }
@@ -65,6 +80,11 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A growing realloc requests its new size; a shrinking one is
+        // served in place and hands bytes back.
+        if new_size > layout.size() {
+            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        }
         // SAFETY: `ptr`/`layout` describe a live `System` block and the
         // caller guarantees `new_size` is valid for `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -78,9 +98,17 @@ const ENTRIES: u64 = 10_000;
 
 /// Allocations made while `f` runs, per entry.
 fn allocs_per_entry(f: impl FnOnce()) -> f64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    per_entry(f).0
+}
+
+/// Allocations made and bytes requested while `f` runs, per entry.
+fn per_entry(f: impl FnOnce()) -> (f64, f64) {
+    let (allocs, bytes) = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     f();
-    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / ENTRIES as f64
+    let per = |counter: &AtomicU64, before: u64| {
+        (counter.load(Ordering::Relaxed) - before) as f64 / ENTRIES as f64
+    };
+    (per(&ALLOCS, allocs), per(&BYTES, bytes))
 }
 
 fn user_key(i: u64) -> Vec<u8> {
@@ -113,22 +141,25 @@ fn write_flush_and_major_stay_inside_their_allocation_budgets() {
         }
     });
 
-    let flush = allocs_per_entry(|| {
+    let (flush, flush_bytes) = per_entry(|| {
         db.flush().expect("flush");
     });
     assert_eq!(db.level_file_counts()[0], 1, "the flush made one L0 table");
 
     let now = db.clock().now();
-    let major = allocs_per_entry(|| {
+    let (major, major_bytes) = per_entry(|| {
         db.compact_range(now, None, None).expect("compact");
     });
     assert_eq!(db.level_file_counts()[0], 0, "the major moved it down");
     assert_eq!(db.stats().major_compactions, 1);
 
     eprintln!("allocations per entry: write {write:.4}, flush {flush:.4}, major {major:.4}");
+    eprintln!("bytes requested per entry: flush {flush_bytes:.1}, major {major_bytes:.1}");
     assert!(write <= 1.26, "Db::write: {write:.4} allocations per entry");
     assert!(flush <= 0.014, "memtable flush: {flush:.4} allocations per entry");
     assert!(major <= 0.2, "L0→L1 major: {major:.4} allocations per entry");
+    assert!(flush_bytes <= 306.0, "memtable flush: {flush_bytes:.1} bytes per entry");
+    assert!(major_bytes <= 505.0, "L0→L1 major: {major_bytes:.1} bytes per entry");
 
     // Reads, against the one-level tree the major left. The keys are the
     // caller's; one pass over everything first, so every block the timed

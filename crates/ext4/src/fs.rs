@@ -7,6 +7,7 @@ mod metrics;
 
 pub use crash::CommitWindow;
 
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -231,30 +232,47 @@ impl Ext4Fs {
 
     /// Buffered (page-cache) append. Returns the caller's new `now`.
     ///
+    /// An owned buffer appended to an empty file becomes its content as
+    /// it is, spare capacity included; a slice, or any append to a
+    /// non-empty file, is copied. Nothing else depends on which happened.
+    ///
     /// May trigger an early asynchronous commit if the dirty-page threshold
     /// is crossed; the caller does not wait for that commit.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::StaleHandle`] if the file was deleted.
-    pub fn append(&self, h: FileHandle, data: &[u8], now: Nanos) -> Result<Nanos> {
+    pub fn append<'a>(
+        &self,
+        h: FileHandle,
+        data: impl Into<Cow<'a, [u8]>>,
+        now: Nanos,
+    ) -> Result<Nanos> {
+        let data = data.into();
+        let len = data.len() as u64;
         let mut g = self.inner.lock();
         g.tick(now);
-        let cost = g.cfg.ssd.mem_cost(data.len() as u64);
+        let cost = g.cfg.ssd.mem_cost(len);
         let resident = {
             let inode = g.live_inode_mut(h)?;
             // Re-caching an uncached inode makes its whole content
             // resident again, not just the appended bytes.
             let resident = if inode.cached { 0 } else { inode.content.len() as u64 };
-            inode.content.extend_from_slice(data);
+            match data {
+                // Spare capacity is kept: releasing it (`shrink_to_fit`)
+                // lowered peak RSS on a write-heavy load but raised it
+                // more on read-heavy ones, and cost page faults.
+                Cow::Owned(bytes) if inode.content.is_empty() => inode.content = bytes,
+                data => inode.content.extend_from_slice(&data),
+            }
             inode.metadata_dirty = true;
             inode.touch();
             inode.cached = true;
             resident
         };
-        g.dirty_bytes += data.len() as u64;
-        g.cache_used += data.len() as u64 + resident;
-        g.stats.bytes_buffered += data.len() as u64;
+        g.dirty_bytes += len;
+        g.cache_used += len + resident;
+        g.stats.bytes_buffered += len;
         g.join_txn(h.ino);
         g.lru_touch(h.ino);
         g.stream_writeback(h.ino, now);

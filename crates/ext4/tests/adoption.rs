@@ -1,0 +1,158 @@
+//! Adopting an appended buffer changes nothing anyone can observe.
+//!
+//! `Ext4Fs::append` given an owned buffer and an empty file makes the
+//! buffer the file's content instead of copying it. One script runs on two
+//! filesystems: one appends every payload as an owned `Vec`, the other the
+//! same bytes as a slice. The script adopts (a table image into a fresh
+//! file, one with spare capacity, one after an empty owned append) and
+//! copies an owned buffer into a file that already has bytes; the page
+//! cache is small, so appends stream write-back, commit early and evict.
+//! After every step both sides must give the same instant, counters, dirty
+//! and page-cache state (seen as read costs), journal history and file
+//! bytes; at the end, every crash view on a grid and at every commit-window
+//! boundary must leave the same disk.
+
+use std::collections::BTreeSet;
+
+use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_sim::Nanos;
+
+/// One operation of the script.
+enum Op {
+    Create(&'static str),
+    /// Appends `len` bytes of `fill`, in a buffer of `capacity` when owned.
+    Append {
+        path: &'static str,
+        len: usize,
+        capacity: usize,
+        fill: u8,
+    },
+    Fsync(&'static str),
+    Delete(&'static str),
+    /// Lets `secs` of virtual time pass.
+    Wait(u64),
+    DropCaches,
+}
+
+const SCRIPT: &[Op] = &[
+    Op::Create("t1"),
+    Op::Append { path: "t1", len: 40 << 10, capacity: 40 << 10, fill: 1 },
+    Op::Create("t2"),
+    Op::Append { path: "t2", len: 100, capacity: 100, fill: 2 },
+    // Owned, but the file has bytes already: copied.
+    Op::Append { path: "t2", len: 30 << 10, capacity: 30 << 10, fill: 3 },
+    Op::Create("t3"),
+    // Past the dirty trigger and the page cache: streams, commits, evicts.
+    Op::Append { path: "t3", len: 300 << 10, capacity: 300 << 10, fill: 4 },
+    Op::Fsync("t2"),
+    Op::Wait(6),
+    Op::Create("t4"),
+    // An empty owned buffer leaves the file empty, so the next is adopted.
+    Op::Append { path: "t4", len: 0, capacity: 64, fill: 5 },
+    Op::Append { path: "t4", len: 10 << 10, capacity: 10 << 10, fill: 6 },
+    Op::Create("t5"),
+    // Spare capacity: adopted with it, and used by the later append.
+    Op::Append { path: "t5", len: 5 << 10, capacity: 1 << 20, fill: 7 },
+    Op::Delete("t1"),
+    Op::Wait(6),
+    Op::DropCaches,
+    Op::Append { path: "t5", len: 2 << 10, capacity: 2 << 10, fill: 8 },
+    Op::Fsync("t5"),
+];
+
+/// Runs the script, appending owned buffers or slices, and returns what
+/// was observable after each step and, last, at each crash cut.
+fn run(owned: bool) -> Vec<String> {
+    let cfg = Ext4Config { writeback_chunk: 32 << 10, ..Ext4Config::default() }
+        .with_page_cache(256 << 10);
+    let fs = Ext4Fs::new(cfg.clone());
+    let mut now = Nanos::ZERO;
+    let mut seen = Vec::new();
+    let mut device_reads = 0;
+    for op in SCRIPT {
+        now = match *op {
+            Op::Create(path) => {
+                fs.create(path, now).unwrap();
+                now
+            }
+            Op::Append { path, len, capacity, fill } => {
+                let h = fs.open(path, now).unwrap();
+                let mut bytes = Vec::with_capacity(capacity);
+                bytes.resize(len, fill);
+                if owned {
+                    fs.append(h, bytes, now).unwrap()
+                } else {
+                    fs.append(h, bytes.as_slice(), now).unwrap()
+                }
+            }
+            Op::Fsync(path) => fs.fsync(fs.open(path, now).unwrap(), now).unwrap(),
+            Op::Delete(path) => fs.delete(path, now).unwrap(),
+            Op::Wait(secs) => {
+                let later = now + Nanos::from_secs(secs);
+                fs.tick(later);
+                later
+            }
+            Op::DropCaches => {
+                fs.drop_caches();
+                now
+            }
+        };
+        seen.push(format!(
+            "at {now:?}: {:?} {:?} dirty {} retained {} running {} device {:?}/{:?} {:?}",
+            fs.stats(),
+            fs.io_stats(),
+            fs.dirty_bytes(),
+            fs.retained_bytes(),
+            fs.running_txn_inodes(),
+            fs.device_free_at(),
+            fs.device_background_free_at(),
+            fs.commit_windows(),
+        ));
+        // A cached file reads at memory cost, an evicted one from the device.
+        for path in fs.list("") {
+            let h = fs.open(&path, now).unwrap();
+            let len = fs.file_size(&path).unwrap();
+            let (bytes, done) = fs.read_at(h, 0, len, now).unwrap();
+            device_reads += usize::from(done - now > cfg.ssd.mem_cost(len));
+            seen.push(format!("{path}: {len} bytes, sum {}, read done {done:?}", sum(&bytes)));
+        }
+    }
+    // The script reached what it is meant to: early and timed commits,
+    // streaming write-back and evicted files.
+    let stats = fs.stats();
+    assert!(stats.async_commits >= 2 && stats.bytes_written_back > 0, "{stats:?}");
+    assert!(device_reads > 0, "no read missed the page cache");
+    let windows = fs.commit_windows();
+    let mut cuts: BTreeSet<Nanos> = (0..=24).map(|i| Nanos::from_millis(i * 500)).collect();
+    for w in &windows {
+        cuts.extend([w.start, w.data_done, w.journal_done, w.end]);
+    }
+    for at in cuts {
+        let view = fs.crashed_view(at);
+        let files: Vec<String> = view
+            .list("")
+            .into_iter()
+            .map(|p| {
+                let len = view.file_size(&p).unwrap();
+                let (bytes, _) = view.read_at(view.open(&p, at).unwrap(), 0, len, at).unwrap();
+                format!("{p}:{len}:{}", sum(&bytes))
+            })
+            .collect();
+        seen.push(format!("crash at {at:?}: {files:?}, {:?}", view.stats()));
+    }
+    seen
+}
+
+/// A position-sensitive digest of a file's bytes.
+fn sum(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0u64, |acc, &b| acc.wrapping_mul(31).wrapping_add(u64::from(b)))
+}
+
+#[test]
+fn an_adopted_buffer_is_observed_exactly_as_a_copied_one() {
+    let (owned, copied) = (run(true), run(false));
+    assert_eq!(owned.len(), copied.len());
+    for (i, (o, c)) in owned.iter().zip(&copied).enumerate() {
+        assert_eq!(o, c, "observation {i} differs");
+    }
+}

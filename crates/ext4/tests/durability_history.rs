@@ -239,7 +239,7 @@ fn run_seed(seed: u64, fast_commit: bool) -> Coverage {
                 };
                 let n = n + 1;
                 let issued = now;
-                now = fs.append(h, &vec![seed as u8; n as usize], now).unwrap();
+                now = fs.append(h, vec![seed as u8; n as usize], now).unwrap();
                 run.absorb(len, len + n, issued, synced, true);
                 len += n;
             }

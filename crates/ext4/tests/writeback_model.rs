@@ -15,7 +15,7 @@ fn streaming_writeback_drains_dirty_pages_without_commits() {
     let h = fs.create("a", Nanos::ZERO).unwrap();
     let mut now = Nanos::ZERO;
     for _ in 0..16 {
-        now = fs.append(h, &vec![0u8; 32 << 10], now).unwrap();
+        now = fs.append(h, vec![0u8; 32 << 10], now).unwrap();
     }
     // 512 KiB written with a 64 KiB trigger: almost everything streamed.
     assert!(fs.dirty_bytes() < 64 << 10, "dirty residue: {}", fs.dirty_bytes());
@@ -29,7 +29,7 @@ fn streaming_writeback_drains_dirty_pages_without_commits() {
 fn writeback_below_chunk_stays_dirty() {
     let fs = Ext4Fs::new(cfg(1 << 20));
     let h = fs.create("a", Nanos::ZERO).unwrap();
-    let now = fs.append(h, &vec![0u8; 100 << 10], Nanos::ZERO).unwrap();
+    let now = fs.append(h, vec![0u8; 100 << 10], Nanos::ZERO).unwrap();
     assert_eq!(fs.dirty_bytes(), 100 << 10);
     let _ = now;
 }
@@ -42,7 +42,7 @@ fn fsync_after_streaming_waits_for_inflight_data() {
     let fs = Ext4Fs::new(cfg(4 << 10));
     let h = fs.create("a", Nanos::ZERO).unwrap();
     let size = 64u64 << 20; // 64 MiB ≈ 123 ms of device time
-    let now = fs.append(h, &vec![0u8; size as usize], Nanos::ZERO).unwrap();
+    let now = fs.append(h, vec![0u8; size as usize], Nanos::ZERO).unwrap();
     let done = fs.fsync(h, now).unwrap();
     let min_transfer = Nanos::for_transfer(size, fs.config().ssd.seq_write_bw);
     assert!(
@@ -70,11 +70,11 @@ fn fsync_entanglement_with_fresh_txn_data_is_real_but_bounded() {
         if with_backlog {
             for i in 0..8 {
                 let h = fs.create(&format!("big{i}"), now).unwrap();
-                now = fs.append(h, &vec![0u8; 16 << 20], now).unwrap();
+                now = fs.append(h, vec![0u8; 16 << 20], now).unwrap();
             }
         }
         let h = fs.create("small", now).unwrap();
-        let t = fs.append(h, &vec![0u8; 64 << 10], now).unwrap();
+        let t = fs.append(h, vec![0u8; 64 << 10], now).unwrap();
         let done = fs.fsync(h, t).unwrap();
         (done - t, fs)
     };
@@ -99,7 +99,7 @@ fn fsync_entanglement_with_fresh_txn_data_is_real_but_bounded() {
 fn crash_between_stream_and_commit_loses_only_metadata() {
     let fs = Ext4Fs::new(cfg(4 << 10));
     let h = fs.create("a", Nanos::ZERO).unwrap();
-    let now = fs.append(h, &vec![7u8; 256 << 10], Nanos::ZERO).unwrap();
+    let now = fs.append(h, vec![7u8; 256 << 10], Nanos::ZERO).unwrap();
     // Give the device time to complete the streamed write-back, but stay
     // before the 5 s commit.
     let mid = now + Nanos::from_secs(2);
@@ -121,7 +121,7 @@ fn deleted_files_elide_remaining_writeback() {
     // page cache never cost device bandwidth for their un-streamed tail.
     let fs = Ext4Fs::new(cfg(u64::MAX)); // streaming off: all dirt retained
     let h = fs.create("wal", Nanos::ZERO).unwrap();
-    let now = fs.append(h, &vec![0u8; 8 << 20], Nanos::ZERO).unwrap();
+    let now = fs.append(h, vec![0u8; 8 << 20], Nanos::ZERO).unwrap();
     let written_before = fs.io_stats().bytes_written;
     fs.delete("wal", now).unwrap();
     fs.tick(now + Nanos::from_secs(6)); // commit fires; nothing to write back

@@ -3,9 +3,14 @@
 # top-down tree of this repository's functions — the profiler for a sandbox
 # that has `cc` and `addr2line` but no perf.
 #
-#     scripts/hostprof/hostprof.sh [--min-pct P] <command> [args...]
+#     scripts/hostprof/hostprof.sh [--min-pct P] [--self] <command> [args...]
 #     scripts/hostprof/hostprof.sh bench/ledger/target/release/bench_ledger \
 #         --workload scan --seed 7 --seconds 10 --trace 0
+#
+# --self prints a flat self-time table instead of the tree: samples by
+# innermost repository frame, with its [memcpy] / [malloc] / [free] /
+# [realloc] leaf — which function does the work, where the tree says who
+# asked for it.
 #
 # Builds the LD_PRELOAD shim (hostprof.c) into target/hostprof/, runs the
 # command under it — its output goes to stderr, so stdout is the tree alone —
@@ -22,10 +27,16 @@ here=$(cd "$(dirname "$0")" && pwd)
 cd "$here/../.."
 
 min_pct=1
-if [[ ${1:-} == --min-pct ]]; then
-    min_pct=${2:?--min-pct needs a value}
-    shift 2
-fi
+view=()
+while [[ ${1:-} == --min-pct || ${1:-} == --self ]]; do
+    if [[ $1 == --self ]]; then
+        view=(--self)
+        shift
+    else
+        min_pct=${2:?--min-pct needs a value}
+        shift 2
+    fi
+done
 if [[ $# -eq 0 ]]; then
     sed -n '2,/^set -euo/{/^set -euo/!s/^# \{0,1\}//p}' "$0" >&2
     exit 2
@@ -42,4 +53,4 @@ mkdir -p "$out"
 cc -O2 -fPIC -shared -o "$out/hostprof.so" "$here/hostprof.c" -ldl
 samples=$out/samples.$$
 HOSTPROF_OUT=$samples LD_PRELOAD=$PWD/$out/hostprof.so "$@" >&2
-python3 "$here/report.py" "$samples" --min-pct "$min_pct"
+python3 "$here/report.py" "$samples" --min-pct "$min_pct" "${view[@]}"

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Turns a hostprof sample file into a top-down tree.
+"""Turns a hostprof sample file into a top-down tree, or a self-time table.
 
-    report.py SAMPLES [--min-pct P]
+    report.py SAMPLES [--min-pct P] [--self]
 
 SAMPLES is what the hostprof shim wrote: the process's memory map (`M`
 lines), where memcpy and memmove resolved to (`C`) and one raw stack per
@@ -17,6 +17,12 @@ hence the copy routines are recognised by address instead. Every line is
 inclusive: the share of all samples taken in that function or anything it
 called. Inlined frames only show when the binary carries line tables
 (`CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`).
+
+With `--self` the tree becomes a flat table: every sample counted once, under
+its innermost repository frame and the leaf below it, if any
+(`nob_ext4::fs::Ext4Fs::append [memcpy]`): where the time is spent, not who
+asked for it. Samples with no repository frame on their stack are counted
+under `(outside this repository)`.
 """
 
 import argparse
@@ -90,6 +96,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("samples")
     ap.add_argument("--min-pct", type=float, default=1.0, help="hide lines below this share")
+    ap.add_argument("--self", action="store_true", help="flat self-time table instead of the tree")
     args = ap.parse_args()
 
     maps, bases, stacks, copies = load(args.samples)
@@ -122,6 +129,7 @@ def main():
 
     tree = lambda: [0, collections.defaultdict(tree)]  # noqa: E731
     root = tree()
+    flat = collections.Counter()
     for frames in located:
         path, leaf = [], None
         for at in frames:  # innermost first
@@ -135,6 +143,10 @@ def main():
                         leaf = label
                         break
             path[:0] = ours
+        if path:
+            flat[path[-1] + (f" {leaf}" if leaf else "")] += 1
+        else:
+            flat["(outside this repository)"] += 1
         node = root
         node[0] += 1
         for name in path + ([leaf] if leaf and path else []):
@@ -142,6 +154,12 @@ def main():
             node[0] += 1
 
     total = root[0]
+    if args.self:
+        print(f"{total} samples; self share of all of them, lines under {args.min_pct} % hidden")
+        for name, n in flat.most_common():
+            if 100.0 * n / total >= args.min_pct:
+                print(f"{100.0 * n / total:6.1f} %  {name}")
+        return
     print(f"{total} samples; inclusive share of all of them, lines under {args.min_pct} % hidden")
 
     def show(node, depth):

@@ -18,12 +18,12 @@
 
 use std::path::{Path, PathBuf};
 
-/// The largest source file allowed: `server/src/core.rs` (1 543 lines) is
+/// The largest source file allowed: `server/src/core.rs` (1 538 lines) is
 /// the current maximum, now that `ext4/src/fs.rs` gave its crash
 /// reconstruction and gauges to `fs/crash.rs` and `fs/metrics.rs`. Lower it
 /// as the largest file shrinks; the engine's 2 064-line `db/mod.rs` is
 /// what this keeps from coming back unnoticed.
-const MAX_SOURCE_LINES: usize = 1_543;
+const MAX_SOURCE_LINES: usize = 1_538;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
