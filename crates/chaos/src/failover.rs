@@ -386,9 +386,9 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
     let acked_records: u64 = {
         let core = core.borrow();
         (0..case.shards)
-            .map(|s| match core.leader().log().records_from(s, 1) {
-                Ok(recs) => recs.iter().filter(|r| r.last_seq <= acked[s]).count() as u64,
-                Err(_) => 0,
+            .map(|s| {
+                let recs = core.leader().log().records_from(s, 1);
+                recs.iter().filter(|r| r.last_seq <= acked[s]).count() as u64
             })
             .sum()
     };

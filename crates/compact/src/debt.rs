@@ -50,13 +50,8 @@ impl DebtLedger {
     }
 
     /// Bytes currently claimed against `level`.
-    pub fn claimed(&self, level: usize) -> u64 {
+    pub(crate) fn claimed(&self, level: usize) -> u64 {
         self.claims.iter().filter(|(_, l, _)| *l == level).map(|(_, _, b)| *b).sum()
-    }
-
-    /// True when no claims are live.
-    pub fn is_empty(&self) -> bool {
-        self.claims.is_empty()
     }
 
     /// The unified debt: per-level raw over-threshold bytes minus what
@@ -102,7 +97,7 @@ mod tests {
         let a = ledger.claim(0, 10);
         ledger.release(a);
         ledger.release(a);
-        assert!(ledger.is_empty());
+        assert!(ledger.claims.is_empty());
         assert_eq!(ledger.unified(&[10]), 10);
     }
 }

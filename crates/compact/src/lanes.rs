@@ -55,13 +55,8 @@ impl LaneSet {
     }
 
     /// Number of lanes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Always false — a lane set holds at least one lane.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Grows or shrinks the set to `n` lanes. New lanes are free at `now`;
@@ -71,7 +66,7 @@ impl LaneSet {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn resize(&mut self, n: usize, now: Nanos) {
+    pub(crate) fn resize(&mut self, n: usize, now: Nanos) {
         assert!(n > 0, "at least one compaction lane is required");
         self.lanes.resize(n, LaneStats { free: now, ..LaneStats::default() });
     }
@@ -99,12 +94,12 @@ impl LaneSet {
     }
 
     /// Number of lanes whose free instant is at or before `now`.
-    pub fn idle_at(&self, now: Nanos) -> usize {
+    pub(crate) fn idle_at(&self, now: Nanos) -> usize {
         self.lanes.iter().filter(|s| s.free <= now).count()
     }
 
     /// Per-lane attribution snapshot.
-    pub fn stats(&self) -> &[LaneStats] {
+    pub(crate) fn stats(&self) -> &[LaneStats] {
         &self.lanes
     }
 }

@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 mod debt;
 mod lanes;

@@ -33,11 +33,11 @@ pub enum Stage {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Granule {
     /// Input read I/O charged to this granule.
-    pub read: Nanos,
+    pub(crate) read: Nanos,
     /// Merge CPU charged to this granule.
-    pub merge: Nanos,
+    pub(crate) merge: Nanos,
     /// Output write I/O charged to this granule.
-    pub write: Nanos,
+    pub(crate) write: Nanos,
     /// Bytes this granule wrote.
     pub bytes: u64,
 }
@@ -67,7 +67,7 @@ pub struct StageInterval {
 
 impl StageInterval {
     /// The interval clipped to `[lo, hi]`, or `None` if disjoint or empty.
-    pub fn clip(self, lo: Nanos, hi: Nanos) -> Option<StageInterval> {
+    pub(crate) fn clip(self, lo: Nanos, hi: Nanos) -> Option<StageInterval> {
         let start = self.start.max(lo);
         let end = self.end.min(hi);
         if start >= end {
@@ -87,16 +87,6 @@ impl StagePlan {
     /// Appends a granule (one output table's worth of work).
     pub fn push(&mut self, g: Granule) {
         self.granules.push(g);
-    }
-
-    /// Number of granules.
-    pub fn len(&self) -> usize {
-        self.granules.len()
-    }
-
-    /// True when no granules were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.granules.is_empty()
     }
 
     /// Serial (unpipelined) duration: every stage back to back.
@@ -219,7 +209,7 @@ mod tests {
         let end = iv.iter().map(|i| i.end).max().unwrap();
         assert_eq!(end, p.pipelined_end(start));
         // Within a granule: a stage starts only after its input stage ends.
-        for g in 0..p.len() {
+        for g in 0..p.granules.len() {
             let of = |st: Stage| iv.iter().find(|i| i.granule == g && i.stage == st).unwrap();
             assert!(of(Stage::Merge).start >= of(Stage::Read).end);
             assert!(of(Stage::Write).start >= of(Stage::Merge).end);

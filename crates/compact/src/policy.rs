@@ -25,11 +25,11 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PriorityPolicy {
     /// L0 file count that makes L0 eligible for compaction.
-    pub l0_compaction_trigger: usize,
+    pub(crate) l0_compaction_trigger: usize,
     /// L0 file count at which writes are slowed (1 ms delay).
-    pub l0_slowdown_trigger: usize,
+    pub(crate) l0_slowdown_trigger: usize,
     /// L0 file count at which writes stop.
-    pub l0_stop_trigger: usize,
+    pub(crate) l0_stop_trigger: usize,
 }
 
 impl PriorityPolicy {
@@ -52,7 +52,7 @@ impl PriorityPolicy {
 
     /// Write pressure in `[0, 1]`: zero at (or below) the compaction
     /// trigger, one at the stop trigger. Reported via `compact.pressure`.
-    pub fn pressure(&self, l0: usize) -> f64 {
+    pub(crate) fn pressure(&self, l0: usize) -> f64 {
         let span = (self.l0_stop_trigger - self.l0_compaction_trigger) as f64;
         let over = l0.saturating_sub(self.l0_compaction_trigger) as f64;
         (over / span).clamp(0.0, 1.0)
@@ -63,7 +63,7 @@ impl PriorityPolicy {
     /// compaction) latency out of the majors' queue — a flush that waits
     /// behind a major stalls the next memtable switch, which is exactly
     /// the foreground pause the lanes exist to remove.
-    pub fn major_capacity(&self, lanes: usize) -> usize {
+    pub(crate) fn major_capacity(&self, lanes: usize) -> usize {
         if lanes <= 1 {
             lanes
         } else {
@@ -73,7 +73,7 @@ impl PriorityPolicy {
 
     /// How many of `lanes` may hold major compactions at this L0 count:
     /// one lane while calm, scaling linearly to the full major capacity
-    /// ([`PriorityPolicy::major_capacity`]) at the stop trigger (integer
+    /// (a single lane, or all lanes but the flush lane) at the stop trigger (integer
     /// arithmetic, so deterministic).
     pub fn max_active(&self, l0: usize, lanes: usize) -> usize {
         let cap = self.major_capacity(lanes);

@@ -66,7 +66,7 @@ impl Scheduler {
         self.lanes.len()
     }
 
-    /// Grows or shrinks the lane set (see [`LaneSet::resize`]). A major
+    /// Grows or shrinks the lane set. A major
     /// in flight on a dropped lane still completes; its books close
     /// normally in [`Scheduler::finish`].
     ///
@@ -99,7 +99,8 @@ impl Scheduler {
         &self.busy_levels
     }
 
-    /// L0 write pressure in `[0, 1]` (see [`PriorityPolicy::pressure`]).
+    /// L0 write pressure in `[0, 1]`: zero at (or below) the compaction
+    /// trigger, one at the stop trigger.
     pub fn pressure(&self, l0: usize) -> f64 {
         self.policy.pressure(l0)
     }

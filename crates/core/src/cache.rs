@@ -31,7 +31,7 @@ struct Lru {
 }
 
 impl BlockCache {
-    pub fn new(capacity: u64) -> Arc<Self> {
+    pub(crate) fn new(capacity: u64) -> Arc<Self> {
         Arc::new(BlockCache {
             inner: Mutex::new(Lru {
                 map: HashMap::new(),
@@ -45,7 +45,7 @@ impl BlockCache {
         })
     }
 
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Block>> {
+    pub(crate) fn get(&self, key: BlockKey) -> Option<Arc<Block>> {
         let mut g = self.inner.lock();
         if !g.map.contains_key(&key) {
             g.misses += 1;
@@ -62,7 +62,7 @@ impl BlockCache {
         Some(block)
     }
 
-    pub fn insert(&self, key: BlockKey, block: Arc<Block>) {
+    pub(crate) fn insert(&self, key: BlockKey, block: Arc<Block>) {
         let mut g = self.inner.lock();
         let size = block.bytes() as u64;
         g.generation += 1;
@@ -84,7 +84,7 @@ impl BlockCache {
     }
 
     /// (hits, misses) so far.
-    pub fn hit_stats(&self) -> (u64, u64) {
+    pub(crate) fn hit_stats(&self) -> (u64, u64) {
         let g = self.inner.lock();
         (g.hits, g.misses)
     }
@@ -114,7 +114,7 @@ pub(crate) struct TableCache {
 }
 
 impl TableCache {
-    pub fn new(
+    pub(crate) fn new(
         fs: nob_ext4::Ext4Fs,
         dir: String,
         block_cache_bytes: u64,
@@ -130,13 +130,13 @@ impl TableCache {
     }
 
     /// The shared block cache.
-    pub fn block_cache(&self) -> &Arc<BlockCache> {
+    pub(crate) fn block_cache(&self) -> &Arc<BlockCache> {
         &self.blocks
     }
 
     /// Opens (or returns the cached reader of) the table described by
     /// `meta`, charging any footer/index reads to `now`.
-    pub fn table(
+    pub(crate) fn table(
         &self,
         meta: &crate::version::FileMetaData,
         now: &mut nob_sim::Nanos,
@@ -162,7 +162,7 @@ impl TableCache {
     }
 
     /// Drops the cached reader for a table (after deletion).
-    pub fn evict(&self, number: u64) {
+    pub(crate) fn evict(&self, number: u64) {
         self.tables.lock().remove(&number);
     }
 }

@@ -19,29 +19,29 @@ use crate::{DbError, InternalKey, Result, SequenceNumber, ValueType};
 /// One table produced by a compaction.
 #[derive(Debug, Clone)]
 pub(crate) struct CompactionOutput {
-    pub meta: FileMetaData,
+    pub(crate) meta: FileMetaData,
     /// Path of the physical file holding this (logical) table.
-    pub physical_path: String,
+    pub(crate) physical_path: String,
     /// Inode of that physical file (for NobLSM `check_commit`).
-    pub inode: InodeId,
+    pub(crate) inode: InodeId,
 }
 
 /// Everything a finished major compaction hands back to the engine.
 #[derive(Debug, Clone)]
 pub(crate) struct MajorOutcome {
     /// Tables destined for `level + 1`.
-    pub outputs: Vec<CompactionOutput>,
+    pub(crate) outputs: Vec<CompactionOutput>,
     /// Hot tables kept at `level` (L2SM mode only).
-    pub hot_outputs: Vec<CompactionOutput>,
+    pub(crate) hot_outputs: Vec<CompactionOutput>,
     /// Bytes written to output files.
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
     /// The largest key processed (becomes the level's compact pointer).
-    pub largest_compacted: Option<InternalKey>,
+    pub(crate) largest_compacted: Option<InternalKey>,
     /// Per-output-granule read / merge / write stage durations, priced on
     /// the serial device timeline. The scheduler completes the job at the
     /// plan's *pipelined* end (stages overlap across granules), which is
     /// never later than the serial sum.
-    pub stages: StagePlan,
+    pub(crate) stages: StagePlan,
 }
 
 /// Tells the major-compaction loop whether a user key is currently hot.
@@ -354,14 +354,14 @@ pub(crate) struct PhysicalRefs {
 
 impl PhysicalRefs {
     /// Registers one more logical table living in `physical`.
-    pub fn acquire(&mut self, physical: u64, path: &str) {
+    pub(crate) fn acquire(&mut self, physical: u64, path: &str) {
         let entry = self.refs.entry(physical).or_insert_with(|| (0, path.to_string()));
         entry.0 += 1;
     }
 
     /// Releases one logical table; returns the physical path to delete
     /// when this was the last reference.
-    pub fn release(&mut self, physical: u64) -> Option<String> {
+    pub(crate) fn release(&mut self, physical: u64) -> Option<String> {
         let entry = self.refs.get_mut(&physical)?;
         entry.0 -= 1;
         if entry.0 == 0 {
@@ -374,7 +374,7 @@ impl PhysicalRefs {
 
     /// Number of tracked physical files.
     #[cfg(test)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.refs.len()
     }
 }

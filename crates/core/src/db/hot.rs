@@ -28,7 +28,7 @@ fn hash_key(key: &[u8]) -> u64 {
 
 impl HotTracker {
     /// Creates a tracker whose window holds `window` updates.
-    pub fn new(window: usize) -> Self {
+    pub(crate) fn new(window: usize) -> Self {
         HotTracker {
             current: HashMap::new(),
             previous: HashMap::new(),
@@ -38,7 +38,7 @@ impl HotTracker {
     }
 
     /// Records one update of `key`.
-    pub fn record(&mut self, key: &[u8]) {
+    pub(crate) fn record(&mut self, key: &[u8]) {
         *self.current.entry(hash_key(key)).or_insert(0) += 1;
         self.recorded += 1;
         if self.recorded >= self.window {

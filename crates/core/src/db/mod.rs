@@ -148,7 +148,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The pinned sequence number.
-    pub fn sequence(&self) -> crate::SequenceNumber {
+    pub(crate) fn sequence(&self) -> crate::SequenceNumber {
         self.seq
     }
 }

@@ -29,7 +29,7 @@ struct SalvagedTable {
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RepairReport {
     /// Table files scanned end to end and re-registered at `L0`.
-    pub tables_salvaged: u64,
+    pub(crate) tables_salvaged: u64,
     /// Table files that failed to parse and were discarded.
     pub tables_skipped: u64,
     /// WAL batches replayed into fresh tables.
@@ -57,7 +57,12 @@ pub struct RepairReport {
 ///
 /// Propagates filesystem errors; fails if a fresh MANIFEST cannot be
 /// written.
-pub fn repair(fs: &Ext4Fs, dir: &str, opts: &Options, now: Nanos) -> Result<(Nanos, RepairReport)> {
+pub(crate) fn repair(
+    fs: &Ext4Fs,
+    dir: &str,
+    opts: &Options,
+    now: Nanos,
+) -> Result<(Nanos, RepairReport)> {
     let mut t = now;
     let mut report = RepairReport::default();
     let mut tables: Vec<SalvagedTable> = Vec::new();

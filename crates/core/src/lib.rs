@@ -20,19 +20,23 @@
 //!   iterators, and the NobLSM mode.
 //! * [`noblsm`] — the global predecessor/successor dependency tracker and
 //!   shadow-SSTable reclamation described in §4 of the paper.
+//! * [`iterator`] — the user-facing [`DbIterator`] over a merged,
+//!   snapshot-filtered view of memtables and tables.
+//! * [`util`] — the CRC32C checksum the on-disk formats share.
 //!
 //! All I/O flows through [`nob_ext4::Ext4Fs`] and is priced in virtual
 //! time. Every operation is timed on the engine's shared
 //! [`nob_sim::SharedClock`]; the canonical entry points are
 //! [`Db::write`]`(&WriteOptions, WriteBatch)` and
-//! [`Db::get`]`(&ReadOptions, key)`. The methods that take an explicit
-//! `now` are not leftovers of an older API: [`Db::get_at_time`] and
-//! [`Db::iter_at`] let a multi-threaded driver read at one thread's
-//! instant *behind* the shared clock, and the lifecycle calls ([`Db::open`],
-//! [`Db::flush`], [`Db::wait_idle`], [`Db::settle`], [`Db::compact_range`],
-//! [`Db::tick`], [`Db::repair`]) run at an instant their harness chooses —
-//! a crash instant, the end of a load phase. Those that return an instant
-//! leave the shared clock at or past it.
+//! [`Db::get`]`(&ReadOptions, key)`. [`Db::flush`], [`Db::settle`] and
+//! [`Db::tick`] run at the shared clock's present. The methods that take
+//! an explicit `now` are not leftovers of an older API:
+//! [`Db::write_at`], [`Db::get_at_time`] and [`Db::iter_at`] let a
+//! multi-threaded driver act at one thread's own instant, and the
+//! lifecycle calls ([`Db::open`], [`Db::wait_idle`],
+//! [`Db::compact_range`], [`Db::repair`]) run at an instant their harness
+//! chooses — a crash instant, the end of a load phase. Those that return
+//! an instant leave the shared clock at or past it.
 //!
 //! # Examples
 //!
@@ -55,6 +59,7 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod db;
 pub mod iterator;
@@ -76,11 +81,12 @@ pub use db::{Db, RepairReport, ScanCollector, ScanResult, Snapshot, WriteBatch};
 pub use error::{DbError, Error};
 pub use iterator::{DbIterator, IterState};
 pub use options::{
-    prefix_successor, CompactionStyle, CompressionType, CpuCosts, Options, ReadOptions,
-    ScanOptions, SyncMode, WriteOptions,
+    CompactionStyle, CompressionType, CpuCosts, Options, ReadOptions, ScanOptions, SyncMode,
+    WriteOptions,
 };
 pub use stats::{DbStats, LevelCompactionStats};
-pub use types::{InternalKey, SequenceNumber, ValueType};
+pub(crate) use types::SequenceNumber;
+pub use types::{InternalKey, ValueType};
 
 /// Convenient alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, DbError>;

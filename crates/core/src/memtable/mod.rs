@@ -70,40 +70,30 @@ impl MemTable {
     }
 
     /// Approximate memory footprint in bytes.
-    pub fn approximate_bytes(&self) -> u64 {
+    pub(crate) fn approximate_bytes(&self) -> u64 {
         self.bytes
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.list.len()
-    }
-
     /// Whether the memtable holds no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.list.is_empty()
     }
 
     /// Iterates all entries in internal-key order as
     /// `(internal_key, value)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> + '_ {
         self.list.iter()
     }
 
-    /// The first entry at or after `target` (an encoded internal key).
-    pub fn seek(&self, target: &[u8]) -> Option<(&[u8], &[u8])> {
-        self.list.seek(target)
-    }
-
     /// Creates an [`InternalIterator`] borrowing this memtable.
-    pub fn internal_iter(&self) -> MemIter<'_> {
+    pub(crate) fn internal_iter(&self) -> MemIter<'_> {
         MemIter { cursor: self.list.cursor() }
     }
 }
 
 /// An [`InternalIterator`] over a [`MemTable`] (zero-copy).
 #[derive(Debug)]
-pub struct MemIter<'a> {
+pub(crate) struct MemIter<'a> {
     cursor: Cursor<'a>,
 }
 
@@ -232,6 +222,6 @@ mod tests {
         assert_eq!(mem.approximate_bytes(), 0);
         mem.add(1, ValueType::Value, b"key", b"value");
         assert!(mem.approximate_bytes() > 8);
-        assert_eq!(mem.len(), 1);
+        assert_eq!(mem.list.iter().count(), 1);
     }
 }

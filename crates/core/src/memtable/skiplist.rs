@@ -53,13 +53,8 @@ impl SkipList {
         }
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -150,11 +145,6 @@ impl SkipList {
         self.len += 1;
     }
 
-    /// The first entry with key >= `target`, if any.
-    pub fn seek(&self, target: &[u8]) -> Option<(&[u8], &[u8])> {
-        self.entry(self.first_at_or_after(|k| compare_internal(k, target)))
-    }
-
     /// The first entry with key >= `user_key ++ trailer`, found without
     /// building that key.
     pub(crate) fn seek_parts(&self, user_key: &[u8], trailer: u64) -> Option<(&[u8], &[u8])> {
@@ -166,12 +156,12 @@ impl SkipList {
     }
 
     /// Iterates entries in key order.
-    pub fn iter(&self) -> Iter<'_> {
+    pub(crate) fn iter(&self) -> Iter<'_> {
         Iter { list: self, node: self.next(0, 0) }
     }
 
     /// Creates a positionable cursor (initially invalid).
-    pub fn cursor(&self) -> Cursor<'_> {
+    pub(crate) fn cursor(&self) -> Cursor<'_> {
         Cursor { list: self, node: 0 }
     }
 
@@ -202,34 +192,34 @@ pub struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     /// Whether the cursor points at an entry.
-    pub fn valid(&self) -> bool {
+    pub(crate) fn valid(&self) -> bool {
         self.node != 0
     }
 
     /// Positions at the first entry.
-    pub fn seek_to_first(&mut self) {
+    pub(crate) fn seek_to_first(&mut self) {
         self.node = self.list.next(0, 0);
     }
 
     /// Positions at the first entry with key ≥ `target`.
-    pub fn seek(&mut self, target: &[u8]) {
+    pub(crate) fn seek(&mut self, target: &[u8]) {
         self.node = self.list.first_at_or_after(|k| compare_internal(k, target));
     }
 
     /// Advances one entry (no-op when invalid).
-    pub fn next(&mut self) {
+    pub(crate) fn next(&mut self) {
         if self.node != 0 {
             self.node = self.list.next(self.node, 0);
         }
     }
 
     /// Positions at the last entry.
-    pub fn seek_to_last(&mut self) {
+    pub(crate) fn seek_to_last(&mut self) {
         self.node = self.list.find_last();
     }
 
     /// Steps back to the previous entry (invalid before the first).
-    pub fn prev(&mut self) {
+    pub(crate) fn prev(&mut self) {
         if self.node == 0 {
             return;
         }
@@ -244,7 +234,7 @@ impl<'a> Cursor<'a> {
     /// # Panics
     ///
     /// Panics if the cursor is not [`valid`](Cursor::valid).
-    pub fn key(&self) -> &'a [u8] {
+    pub(crate) fn key(&self) -> &'a [u8] {
         assert!(self.valid(), "cursor not valid");
         self.list.key(self.node)
     }
@@ -254,7 +244,7 @@ impl<'a> Cursor<'a> {
     /// # Panics
     ///
     /// Panics if the cursor is not [`valid`](Cursor::valid).
-    pub fn value(&self) -> &'a [u8] {
+    pub(crate) fn value(&self) -> &'a [u8] {
         assert!(self.valid(), "cursor not valid");
         self.list.value(self.node)
     }
@@ -268,7 +258,7 @@ impl Default for SkipList {
 
 /// Iterator over a [`SkipList`] in key order.
 #[derive(Debug)]
-pub struct Iter<'a> {
+pub(crate) struct Iter<'a> {
     list: &'a SkipList,
     node: u32,
 }
@@ -310,10 +300,12 @@ mod tests {
         let mut l = SkipList::new();
         l.insert(ik("b", 1), b"vb".to_vec());
         l.insert(ik("d", 1), b"vd".to_vec());
-        let (k, v) = l.seek(&ik("c", u64::MAX >> 8)).unwrap();
-        assert_eq!(crate::types::user_key(k), b"d");
-        assert_eq!(v, b"vd");
-        assert!(l.seek(&ik("e", 1)).is_none());
+        let mut c = l.cursor();
+        c.seek(&ik("c", u64::MAX >> 8));
+        assert_eq!(crate::types::user_key(c.key()), b"d");
+        assert_eq!(c.value(), b"vd");
+        c.seek(&ik("e", 1));
+        assert!(!c.valid());
     }
 
     #[test]
@@ -328,7 +320,7 @@ mod tests {
             l.insert(ik(&key, i), i.to_le_bytes().to_vec());
             model.insert((key, u64::MAX - i), i);
         }
-        assert_eq!(l.len(), 2000);
+        assert_eq!(l.len, 2000);
         let got: Vec<(String, u64)> = l
             .iter()
             .map(|(k, _)| {
@@ -400,7 +392,7 @@ mod tests {
             }
             model.insert((key.into_bytes(), std::cmp::Reverse(seq)), value);
         }
-        assert_eq!(l.len(), model.len());
+        assert_eq!(l.len, model.len());
         let want: Vec<(Vec<u8>, Vec<u8>)> = model
             .iter()
             .map(|((k, s), v)| (ik(std::str::from_utf8(k).unwrap(), s.0), v.clone()))
@@ -427,7 +419,6 @@ mod tests {
             let target = ik(&key, seq);
             let expect = want.partition_point(|(k, _)| compare_internal(k, &target).is_lt());
             let expect_entry = want.get(expect).map(|(k, v)| (k.as_slice(), v.as_slice()));
-            assert_eq!(l.seek(&target), expect_entry, "probe {probe}");
             let trailer = u64::from_le_bytes(target[target.len() - 8..].try_into().unwrap());
             assert_eq!(l.seek_parts(key.as_bytes(), trailer), expect_entry, "probe {probe}");
             let mut c = l.cursor();

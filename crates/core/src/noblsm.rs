@@ -14,8 +14,6 @@
 //! them, so no search request is ever directed to them — they exist only
 //! for crash recoverability.
 
-use std::collections::HashMap;
-
 use nob_ext4::{Ext4Fs, InodeId};
 use nob_sim::Nanos;
 
@@ -76,7 +74,7 @@ impl DependencyTracker {
     /// Polls Ext4 (the `is_committed` syscall) and returns every
     /// predecessor whose dependency is fully committed; those are removed
     /// from the tracker.
-    pub fn poll(&mut self, fs: &Ext4Fs, now: Nanos) -> Vec<Predecessor> {
+    pub(crate) fn poll(&mut self, fs: &Ext4Fs, now: Nanos) -> Vec<Predecessor> {
         let mut ready = Vec::new();
         self.deps.retain_mut(|dep| {
             dep.waiting.retain(|ino| !fs.is_committed(*ino, now));
@@ -98,16 +96,6 @@ impl DependencyTracker {
     /// Number of shadow (retained predecessor) files.
     pub fn shadow_count(&self) -> usize {
         self.deps.iter().map(|d| d.predecessors.len()).sum()
-    }
-
-    /// Logical table numbers of every retained predecessor (protected
-    /// from garbage collection).
-    pub fn shadow_numbers(&self) -> HashMap<u64, u64> {
-        self.deps
-            .iter()
-            .flat_map(|d| d.predecessors.iter())
-            .map(|p| (p.number, p.physical))
-            .collect()
     }
 }
 
@@ -167,8 +155,6 @@ mod tests {
         let ready = t.poll(&fs, t1);
         assert_eq!(ready, vec![pred(10)]);
         assert_eq!(t.pending_dependencies(), 1);
-        assert_eq!(t.shadow_numbers().len(), 1);
-        assert!(t.shadow_numbers().contains_key(&20));
     }
 
     #[test]

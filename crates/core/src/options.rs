@@ -55,11 +55,11 @@ pub enum CompressionType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuCosts {
     /// Fixed cost of a `put`/`delete` (WAL encode + memtable insert).
-    pub put: Nanos,
+    pub(crate) put: Nanos,
     /// Fixed cost of a `get` (memtable probe + version walk).
-    pub get: Nanos,
+    pub(crate) get: Nanos,
     /// Cost per SSTable probed during a `get` (index + bloom checks).
-    pub table_probe: Nanos,
+    pub(crate) table_probe: Nanos,
     /// Cost of advancing an iterator one entry.
     pub next: Nanos,
     /// Cost per KiB of block parsed or built.
@@ -127,11 +127,6 @@ impl Default for ReadOptions<'_> {
 }
 
 impl<'a> ReadOptions<'a> {
-    /// Options reading the latest state, filling the cache — the default.
-    pub fn latest() -> Self {
-        ReadOptions::default()
-    }
-
     /// Options pinned at `snapshot`.
     pub fn at(snapshot: &'a crate::Snapshot) -> Self {
         ReadOptions { snapshot: Some(snapshot), ..ReadOptions::default() }
@@ -268,7 +263,7 @@ impl<'a> ScanOptions<'a> {
 /// The smallest byte string greater than every string carrying `prefix`:
 /// the prefix with its last non-0xff byte incremented and the tail cut.
 /// `None` when every byte is 0xff (no successor exists).
-pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
+pub(crate) fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
     let mut out = prefix.to_vec();
     while let Some(last) = out.last_mut() {
         if *last < 0xff {
@@ -358,7 +353,7 @@ pub struct Options {
 
 impl Options {
     /// LevelDB-flavoured defaults (2 MB tables, sync always, one lane).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Options {
             table_size: 2 << 20,
             write_buffer_size: 2 << 20,
@@ -385,12 +380,6 @@ impl Options {
             extra_op_cpu: Nanos::ZERO,
             paranoid_checks: false,
         }
-    }
-
-    /// Sets whether WAL corruption fails recovery instead of truncating.
-    pub fn with_paranoid_checks(mut self, on: bool) -> Self {
-        self.paranoid_checks = on;
-        self
     }
 
     /// Sets the sync discipline.
@@ -421,7 +410,7 @@ impl Options {
     }
 
     /// Byte budget of level `n` (`n >= 1`).
-    pub fn max_bytes_for_level(&self, level: usize) -> u64 {
+    pub(crate) fn max_bytes_for_level(&self, level: usize) -> u64 {
         debug_assert!(level >= 1);
         let mut bytes = self.level1_max_bytes;
         for _ in 1..level {
@@ -464,7 +453,7 @@ mod tests {
     fn read_options_staleness_defaults_unbounded() {
         let r = ReadOptions::default();
         assert_eq!(r.max_staleness, None);
-        let r = ReadOptions::latest().with_max_staleness(Nanos::from_millis(50));
+        let r = ReadOptions::default().with_max_staleness(Nanos::from_millis(50));
         assert_eq!(r.max_staleness, Some(Nanos::from_millis(50)));
     }
 

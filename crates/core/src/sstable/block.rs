@@ -98,7 +98,7 @@ impl BlockBuilder {
     }
 
     /// Current encoded size estimate (including the restart array).
-    pub fn size_estimate(&self) -> usize {
+    pub(crate) fn size_estimate(&self) -> usize {
         self.buf.len() - self.start + self.restarts.len() * 4 + 4
     }
 
@@ -108,13 +108,8 @@ impl BlockBuilder {
         self.start
     }
 
-    /// Number of entries added.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// Whether no entries have been added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries == 0
     }
 
@@ -254,7 +249,7 @@ impl Block {
 
     /// In-memory footprint, for cache accounting: the entries and the
     /// restart array (the count word is not charged).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.entries_end + self.n_restarts * 4
     }
 
@@ -630,7 +625,7 @@ mod tests {
                     reused.add(k, v);
                 }
                 assert_eq!(reused.size_estimate(), fresh.size_estimate());
-                assert_eq!(reused.entries(), fresh.entries());
+                assert_eq!(reused.entries, fresh.entries);
                 assert_eq!(reused.offset(), image.len());
                 let handle = reused.finish_block(compression);
                 assert!(reused.is_empty());

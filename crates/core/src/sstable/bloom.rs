@@ -99,21 +99,16 @@ impl BloomFilter {
     }
 
     /// Serializes to `bits ++ k`.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = self.bits.clone();
         out.push(self.k);
         out
     }
 
     /// Deserializes a filter; returns `None` on empty input.
-    pub fn decode(data: &[u8]) -> Option<BloomFilter> {
+    pub(crate) fn decode(data: &[u8]) -> Option<BloomFilter> {
         let (&k, bits) = data.split_last()?;
         Some(BloomFilter { bits: bits.to_vec(), k })
-    }
-
-    /// Size of the encoded filter in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.bits.len() + 1
     }
 }
 
@@ -144,7 +139,6 @@ mod tests {
         let keys: Vec<&[u8]> = vec![b"a", b"b", b"c"];
         let f = BloomFilter::build(&keys, 10);
         let enc = f.encode();
-        assert_eq!(enc.len(), f.encoded_len());
         let g = BloomFilter::decode(&enc).unwrap();
         assert_eq!(f, g);
         assert!(BloomFilter::decode(&[]).is_none());

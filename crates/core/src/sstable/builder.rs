@@ -96,27 +96,22 @@ impl TableBuilder {
     }
 
     /// Estimated current size of the finished table.
-    pub fn size_estimate(&self) -> u64 {
+    pub(crate) fn size_estimate(&self) -> u64 {
         (self.data.offset() + self.data.size_estimate()) as u64
     }
 
-    /// Number of entries added so far.
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
-
     /// Whether nothing has been added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries == 0
     }
 
     /// The smallest internal key added, if any.
-    pub fn smallest(&self) -> Option<&[u8]> {
+    pub(crate) fn smallest(&self) -> Option<&[u8]> {
         self.smallest.as_deref()
     }
 
     /// The largest internal key added, if any.
-    pub fn largest(&self) -> Option<&[u8]> {
+    pub(crate) fn largest(&self) -> Option<&[u8]> {
         if self.entries == 0 {
             None
         } else {
@@ -174,7 +169,7 @@ mod tests {
         b.add(&ik("aaa", 9), b"1");
         b.add(&ik("mmm", 5), b"2");
         b.add(&ik("zzz", 2), b"3");
-        assert_eq!(b.entries(), 3);
+        assert_eq!(b.entries, 3);
         assert_eq!(b.smallest().unwrap(), ik("aaa", 9).as_slice());
         assert_eq!(b.largest().unwrap(), ik("zzz", 2).as_slice());
     }

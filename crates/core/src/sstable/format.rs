@@ -15,9 +15,9 @@ pub const FOOTER_SIZE: usize = 48;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockHandle {
     /// Byte offset of the block.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Payload size in bytes (trailer excluded).
-    pub size: u64,
+    pub(crate) size: u64,
 }
 
 impl BlockHandle {
@@ -27,7 +27,7 @@ impl BlockHandle {
     }
 
     /// Appends the varint encoding.
-    pub fn encode_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_to(&self, out: &mut Vec<u8>) {
         let (bytes, len) = self.encoded();
         out.extend_from_slice(&bytes[..len]);
     }
@@ -46,7 +46,7 @@ impl BlockHandle {
     /// # Errors
     ///
     /// Returns [`DbError::Corruption`] on truncated input.
-    pub fn decode_from(data: &[u8], pos: &mut usize) -> Result<BlockHandle> {
+    pub(crate) fn decode_from(data: &[u8], pos: &mut usize) -> Result<BlockHandle> {
         let offset = decode_u64(data, pos)
             .ok_or_else(|| DbError::Corruption("truncated block handle".into()))?;
         let size = decode_u64(data, pos)

@@ -8,11 +8,11 @@ pub struct LevelCompactionStats {
     /// Major compactions whose parent was this level.
     pub count: u64,
     /// Input bytes read.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Output bytes written.
     pub bytes_written: u64,
     /// Total background time spent.
-    pub duration: Nanos,
+    pub(crate) duration: Nanos,
 }
 
 /// Counters accumulated by a [`Db`](crate::Db).
@@ -79,20 +79,8 @@ pub struct DbStats {
 
 impl DbStats {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DbStats::default()
-    }
-
-    /// Write amplification so far: compaction bytes written per byte of
-    /// user write, given the user payload volume.
-    ///
-    /// Returns 0.0 when `user_bytes` is zero.
-    pub fn write_amplification(&self, user_bytes: u64) -> f64 {
-        if user_bytes == 0 {
-            0.0
-        } else {
-            self.compaction_bytes_written as f64 / user_bytes as f64
-        }
     }
 
     /// Read amplification so far: SSTable files probed per completed get.
@@ -111,7 +99,7 @@ impl DbStats {
     /// and the [`per_level`](DbStats::per_level) breakdown move together,
     /// so no trigger path (size, seek, manual) can under-report one of
     /// them.
-    pub fn record_major_compaction(
+    pub(crate) fn record_major_compaction(
         &mut self,
         level: usize,
         from_seek: bool,
@@ -139,13 +127,6 @@ impl DbStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn write_amplification_handles_zero() {
-        let s = DbStats { compaction_bytes_written: 100, ..DbStats::new() };
-        assert_eq!(s.write_amplification(0), 0.0);
-        assert!((s.write_amplification(50) - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn read_amplification_handles_zero_gets() {

@@ -9,10 +9,10 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// A monotonically increasing sequence number assigned to every write.
-pub type SequenceNumber = u64;
+pub(crate) type SequenceNumber = u64;
 
 /// The largest valid sequence number (56 bits, as in LevelDB).
-pub const MAX_SEQUENCE: SequenceNumber = (1 << 56) - 1;
+pub(crate) const MAX_SEQUENCE: SequenceNumber = (1 << 56) - 1;
 
 /// Whether an entry is a value or a tombstone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,7 +25,7 @@ pub enum ValueType {
 
 impl ValueType {
     /// Decodes the low trailer byte.
-    pub fn from_u8(b: u8) -> Option<ValueType> {
+    pub(crate) fn from_u8(b: u8) -> Option<ValueType> {
         match b {
             0 => Some(ValueType::Deletion),
             1 => Some(ValueType::Value),
@@ -52,7 +52,7 @@ impl InternalKey {
     /// # Panics
     ///
     /// Panics if `encoded` is shorter than the 8-byte trailer.
-    pub fn from_encoded(encoded: &[u8]) -> Self {
+    pub(crate) fn from_encoded(encoded: &[u8]) -> Self {
         assert!(encoded.len() >= 8, "internal key must include an 8-byte trailer");
         InternalKey(encoded.to_vec())
     }
@@ -68,12 +68,12 @@ impl InternalKey {
     }
 
     /// The sequence number in the trailer.
-    pub fn sequence(&self) -> SequenceNumber {
+    pub(crate) fn sequence(&self) -> SequenceNumber {
         trailer(&self.0) >> 8
     }
 
     /// The value type in the trailer.
-    pub fn value_type(&self) -> ValueType {
+    pub(crate) fn value_type(&self) -> ValueType {
         ValueType::from_u8((trailer(&self.0) & 0xff) as u8).expect("valid trailer")
     }
 }
@@ -100,7 +100,7 @@ pub(crate) fn pack_trailer(seq: SequenceNumber, vt: ValueType) -> u64 {
 /// # Panics
 ///
 /// Panics if `ikey` is shorter than 8 bytes.
-pub fn user_key(ikey: &[u8]) -> &[u8] {
+pub(crate) fn user_key(ikey: &[u8]) -> &[u8] {
     assert!(ikey.len() >= 8, "internal key too short");
     &ikey[..ikey.len() - 8]
 }
@@ -112,18 +112,18 @@ fn trailer(ikey: &[u8]) -> u64 {
 }
 
 /// The sequence number of an encoded internal key.
-pub fn sequence_of(ikey: &[u8]) -> SequenceNumber {
+pub(crate) fn sequence_of(ikey: &[u8]) -> SequenceNumber {
     trailer(ikey) >> 8
 }
 
 /// The value type of an encoded internal key, if valid.
-pub fn value_type_of(ikey: &[u8]) -> Option<ValueType> {
+pub(crate) fn value_type_of(ikey: &[u8]) -> Option<ValueType> {
     ValueType::from_u8((trailer(ikey) & 0xff) as u8)
 }
 
 /// Compares two encoded internal keys: user key ascending, then sequence
 /// descending, then type descending (LevelDB's `InternalKeyComparator`).
-pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
+pub(crate) fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
     compare_internal_to_parts(a, user_key(b), trailer(b))
 }
 
@@ -140,7 +140,7 @@ pub(crate) fn compare_internal_to_parts(a: &[u8], b_user_key: &[u8], b_trailer: 
 /// what it held: the internal key that sorts *before* every entry of
 /// `user_key` newer than `seq` and *at or after* the newest visible entry.
 /// Readers keep one buffer and look up through it again and again.
-pub fn lookup_key(buf: &mut Vec<u8>, user_key: &[u8], seq: SequenceNumber) {
+pub(crate) fn lookup_key(buf: &mut Vec<u8>, user_key: &[u8], seq: SequenceNumber) {
     buf.clear();
     buf.reserve(user_key.len() + 8);
     buf.extend_from_slice(user_key);

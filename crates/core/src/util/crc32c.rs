@@ -261,12 +261,12 @@ pub(crate) fn crc32c_mask(crc: u32) -> u32 {
 }
 
 /// Computes the CRC32C of `data`, masked for storage.
-pub fn crc32c_masked(data: &[u8]) -> u32 {
+pub(crate) fn crc32c_masked(data: &[u8]) -> u32 {
     crc32c_mask(crc32c(data))
 }
 
 /// Unmasks a stored CRC back to the raw value.
-pub fn crc32c_unmask(masked: u32) -> u32 {
+pub(crate) fn crc32c_unmask(masked: u32) -> u32 {
     masked.wrapping_sub(MASK_DELTA).rotate_left(15)
 }
 

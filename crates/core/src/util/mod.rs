@@ -1,9 +1,13 @@
-//! Small utilities shared across the engine: CRC32C and varints.
+//! Small utilities shared across the engine: CRC32C, run-length coding
+//! and varints. Only the checksum is public.
 
-pub mod crc32c;
-pub mod rle;
-pub mod varint;
+mod crc32c;
+pub(crate) mod rle;
+pub(crate) mod varint;
 
-pub use crc32c::{crc32c, crc32c_masked, crc32c_unmask};
+pub use crc32c::crc32c;
 pub(crate) use crc32c::{crc32c_extend, crc32c_mask};
-pub use varint::{decode_bytes, decode_u32, decode_u64, encode_bytes, encode_u32, encode_u64};
+pub(crate) use crc32c::{crc32c_masked, crc32c_unmask};
+pub(crate) use varint::{
+    decode_bytes, decode_u32, decode_u64, encode_bytes, encode_u32, encode_u64,
+};

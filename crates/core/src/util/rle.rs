@@ -7,7 +7,7 @@
 
 /// Compresses `data`; returns `None` when the output would not be
 /// smaller (store raw instead).
-pub fn compress(data: &[u8]) -> Option<Vec<u8>> {
+pub(crate) fn compress(data: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len() / 2);
     let mut i = 0;
     let mut literal_start = 0;
@@ -53,7 +53,7 @@ fn flush_literals(out: &mut Vec<u8>, mut lit: &[u8]) {
 /// Decompresses a [`compress`]ed buffer.
 ///
 /// Returns `None` on malformed input.
-pub fn decompress(data: &[u8]) -> Option<Vec<u8>> {
+pub(crate) fn decompress(data: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len() * 2);
     let mut i = 0;
     while i < data.len() {

@@ -1,7 +1,7 @@
 //! LEB128-style varint encoding (LevelDB's on-disk integer format).
 
 /// Appends `v` to `out` as a varint (1–5 bytes).
-pub fn encode_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn encode_u32(out: &mut Vec<u8>, v: u32) {
     encode_u64(out, v as u64);
 }
 
@@ -9,7 +9,7 @@ pub fn encode_u32(out: &mut Vec<u8>, v: u32) {
 pub(crate) const MAX_VARINT_LEN: usize = 10;
 
 /// Appends `v` to `out` as a varint (1–10 bytes).
-pub fn encode_u64(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn encode_u64(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         out.push((v as u8 & 0x7f) | 0x80);
         v >>= 7;
@@ -37,7 +37,7 @@ pub(crate) fn write_u64(out: &mut [u8], mut v: u64) -> usize {
 /// Decodes a varint `u64` from `data[*pos..]`, advancing `pos`.
 ///
 /// Returns `None` on truncated or overlong input.
-pub fn decode_u64(data: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn decode_u64(data: &[u8], pos: &mut usize) -> Option<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -57,19 +57,19 @@ pub fn decode_u64(data: &[u8], pos: &mut usize) -> Option<u64> {
 /// Decodes a varint `u32` from `data[*pos..]`, advancing `pos`.
 ///
 /// Returns `None` on truncated input or values exceeding `u32`.
-pub fn decode_u32(data: &[u8], pos: &mut usize) -> Option<u32> {
+pub(crate) fn decode_u32(data: &[u8], pos: &mut usize) -> Option<u32> {
     let v = decode_u64(data, pos)?;
     u32::try_from(v).ok()
 }
 
 /// Appends a length-prefixed byte string.
-pub fn encode_bytes(out: &mut Vec<u8>, data: &[u8]) {
+pub(crate) fn encode_bytes(out: &mut Vec<u8>, data: &[u8]) {
     encode_u64(out, data.len() as u64);
     out.extend_from_slice(data);
 }
 
 /// Decodes a length-prefixed byte string, advancing `pos`.
-pub fn decode_bytes<'a>(data: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
+pub(crate) fn decode_bytes<'a>(data: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
     let len = decode_u64(data, pos)? as usize;
     let end = pos.checked_add(len)?;
     if end > data.len() {

@@ -34,15 +34,15 @@ pub struct VersionEdit {
     /// New WAL number: logs older than this are obsolete.
     pub log_number: Option<u64>,
     /// Next file number to allocate.
-    pub next_file_number: Option<u64>,
+    pub(crate) next_file_number: Option<u64>,
     /// Largest sequence number used.
-    pub last_sequence: Option<u64>,
+    pub(crate) last_sequence: Option<u64>,
     /// Per-level compaction cursors.
-    pub compact_pointers: Vec<(usize, InternalKey)>,
+    pub(crate) compact_pointers: Vec<(usize, InternalKey)>,
     /// Files removed: `(level, table number)`.
     pub deleted_files: Vec<(usize, u64)>,
     /// Files added: `(level, metadata)`.
-    pub new_files: Vec<(usize, FileMetaData)>,
+    pub(crate) new_files: Vec<(usize, FileMetaData)>,
 }
 
 impl VersionEdit {
@@ -57,17 +57,17 @@ impl VersionEdit {
     }
 
     /// Sets the next-file counter.
-    pub fn set_next_file_number(&mut self, n: u64) {
+    pub(crate) fn set_next_file_number(&mut self, n: u64) {
         self.next_file_number = Some(n);
     }
 
     /// Sets the last sequence number.
-    pub fn set_last_sequence(&mut self, s: u64) {
+    pub(crate) fn set_last_sequence(&mut self, s: u64) {
         self.last_sequence = Some(s);
     }
 
     /// Records a compaction cursor for `level`.
-    pub fn set_compact_pointer(&mut self, level: usize, key: InternalKey) {
+    pub(crate) fn set_compact_pointer(&mut self, level: usize, key: InternalKey) {
         self.compact_pointers.push((level, key));
     }
 
@@ -77,7 +77,7 @@ impl VersionEdit {
     }
 
     /// Adds a table to `level`.
-    pub fn add_file(&mut self, level: usize, meta: FileMetaData) {
+    pub(crate) fn add_file(&mut self, level: usize, meta: FileMetaData) {
         self.new_files.push((level, meta));
     }
 

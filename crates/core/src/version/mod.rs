@@ -2,7 +2,7 @@
 //! and compaction picking.
 //!
 //! A [`Version`] is an immutable snapshot of the level structure; the
-//! [`VersionSet`] owns the current version, the MANIFEST file that
+//! `VersionSet` owns the current version, the MANIFEST file that
 //! persists [`VersionEdit`]s, and the allocation counters (file numbers,
 //! sequence numbers).
 
@@ -12,12 +12,13 @@ mod set;
 mod version;
 
 pub use edit::VersionEdit;
-pub use set::{CompactionInputs, VersionSet};
-pub use version::{FileMetaData, GetResult, Version, MAX_FREE_HOT_FILES};
+pub(crate) use set::{CompactionInputs, VersionSet};
+pub use version::{FileMetaData, Version};
+pub(crate) use version::{GetResult, MAX_FREE_HOT_FILES};
 
 /// Database file kinds and naming.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
+pub(crate) enum FileKind {
     /// A write-ahead log: `NNNNNN.log`.
     Wal,
     /// An SSTable: `NNNNNN.ldb`.
@@ -29,7 +30,7 @@ pub enum FileKind {
 }
 
 /// Builds the path of a numbered database file.
-pub fn file_path(dir: &str, kind: FileKind, number: u64) -> String {
+pub(crate) fn file_path(dir: &str, kind: FileKind, number: u64) -> String {
     match kind {
         FileKind::Wal => format!("{dir}/{number:06}.log"),
         FileKind::Table => format!("{dir}/{number:06}.ldb"),
@@ -39,7 +40,7 @@ pub fn file_path(dir: &str, kind: FileKind, number: u64) -> String {
 }
 
 /// Parses a database file name (without directory) into its kind/number.
-pub fn parse_file_name(name: &str) -> Option<(FileKind, u64)> {
+pub(crate) fn parse_file_name(name: &str) -> Option<(FileKind, u64)> {
     if name == "CURRENT" {
         return Some((FileKind::Current, 0));
     }

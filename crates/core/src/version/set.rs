@@ -17,36 +17,36 @@ use super::{file_path, FileKind, FileMetaData, Version, VersionEdit};
 /// The inputs of one major compaction, chosen by
 /// [`VersionSet::pick_compaction`].
 #[derive(Debug, Clone)]
-pub struct CompactionInputs {
+pub(crate) struct CompactionInputs {
     /// Parent level (`n`); outputs go to `n+1`.
-    pub level: usize,
+    pub(crate) level: usize,
     /// Files from level `n`.
-    pub inputs0: Vec<Arc<FileMetaData>>,
+    pub(crate) inputs0: Vec<Arc<FileMetaData>>,
     /// Files from level `n+1` (always empty in fragmented mode).
-    pub inputs1: Vec<Arc<FileMetaData>>,
+    pub(crate) inputs1: Vec<Arc<FileMetaData>>,
     /// Whether a read-miss budget (seek compaction) triggered this.
-    pub from_seek: bool,
+    pub(crate) from_seek: bool,
 }
 
 impl CompactionInputs {
     /// Total input bytes.
-    pub fn input_bytes(&self) -> u64 {
+    pub(crate) fn input_bytes(&self) -> u64 {
         self.inputs0.iter().chain(&self.inputs1).map(|f| f.size).sum()
     }
 }
 
 /// Owns the current [`Version`], the MANIFEST, and allocation counters.
 #[derive(Debug)]
-pub struct VersionSet {
+pub(crate) struct VersionSet {
     fs: Ext4Fs,
     opts: Options,
     current: Arc<Version>,
     /// Next file number to allocate (tables, WALs, manifests).
-    pub next_file_number: u64,
+    pub(crate) next_file_number: u64,
     /// Largest sequence number assigned.
-    pub last_sequence: u64,
+    pub(crate) last_sequence: u64,
     /// Number of the live WAL; older logs are obsolete.
-    pub log_number: u64,
+    pub(crate) log_number: u64,
     manifest_handle: FileHandle,
     manifest_log: LogWriter,
     manifest_path: String,
@@ -60,7 +60,12 @@ impl VersionSet {
     /// # Errors
     ///
     /// Fails if the directory already contains a database or on I/O error.
-    pub fn create(fs: Ext4Fs, dir: &str, opts: Options, now: Nanos) -> Result<(Self, Nanos)> {
+    pub(crate) fn create(
+        fs: Ext4Fs,
+        dir: &str,
+        opts: Options,
+        now: Nanos,
+    ) -> Result<(Self, Nanos)> {
         let current_path = file_path(dir, FileKind::Current, 0);
         if fs.exists(&current_path) {
             return Err(DbError::InvalidDb(format!("database already exists in {dir}")));
@@ -103,7 +108,12 @@ impl VersionSet {
     ///
     /// Returns [`DbError::InvalidDb`] when `CURRENT` or the manifest is
     /// missing, [`DbError::Corruption`] on malformed records.
-    pub fn recover(fs: Ext4Fs, dir: &str, opts: Options, now: Nanos) -> Result<(Self, Nanos)> {
+    pub(crate) fn recover(
+        fs: Ext4Fs,
+        dir: &str,
+        opts: Options,
+        now: Nanos,
+    ) -> Result<(Self, Nanos)> {
         let current_path = file_path(dir, FileKind::Current, 0);
         let ch = fs
             .open(&current_path, now)
@@ -160,7 +170,7 @@ impl VersionSet {
     }
 
     /// The current version.
-    pub fn current(&self) -> Arc<Version> {
+    pub(crate) fn current(&self) -> Arc<Version> {
         Arc::clone(&self.current)
     }
 
@@ -170,19 +180,14 @@ impl VersionSet {
     }
 
     /// Allocates a file number.
-    pub fn new_file_number(&mut self) -> u64 {
+    pub(crate) fn new_file_number(&mut self) -> u64 {
         let n = self.next_file_number;
         self.next_file_number += 1;
         n
     }
 
-    /// The filesystem handle of the live MANIFEST (for fsync decisions).
-    pub fn manifest_handle(&self) -> FileHandle {
-        self.manifest_handle
-    }
-
     /// Path of the live MANIFEST (kept during garbage collection).
-    pub fn manifest_path(&self) -> &str {
+    pub(crate) fn manifest_path(&self) -> &str {
         &self.manifest_path
     }
 
@@ -193,7 +198,7 @@ impl VersionSet {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn log_and_apply(
+    pub(crate) fn log_and_apply(
         &mut self,
         mut edit: VersionEdit,
         now: Nanos,
@@ -218,7 +223,7 @@ impl VersionSet {
     }
 
     /// Per-level compaction score: ≥ 1.0 means the level needs compaction.
-    pub fn level_score(&self, level: usize) -> f64 {
+    pub(crate) fn level_score(&self, level: usize) -> f64 {
         if level == 0 {
             self.current.num_files(0) as f64 / self.opts.l0_compaction_trigger as f64
         } else {
@@ -227,14 +232,9 @@ impl VersionSet {
         }
     }
 
-    /// Whether any level is over budget.
-    pub fn needs_compaction(&self) -> bool {
-        (0..self.opts.max_levels - 1).any(|l| self.level_score(l) >= 1.0)
-    }
-
     /// Picks the inputs of the next size-triggered major compaction,
     /// skipping levels in `busy` (levels already being compacted).
-    pub fn pick_compaction(&self, busy: &HashSet<usize>) -> Option<CompactionInputs> {
+    pub(crate) fn pick_compaction(&self, busy: &HashSet<usize>) -> Option<CompactionInputs> {
         let mut best: Option<(usize, f64)> = None;
         for level in 0..self.opts.max_levels - 1 {
             if busy.contains(&level) || busy.contains(&(level + 1)) {
@@ -252,7 +252,7 @@ impl VersionSet {
     /// Picks a size-triggered compaction of `level` specifically — the
     /// lane scheduler's L0-preemption path — provided the level is over
     /// budget and neither it nor its child is busy.
-    pub fn pick_level_compaction(
+    pub(crate) fn pick_level_compaction(
         &self,
         level: usize,
         busy: &HashSet<usize>,
@@ -268,7 +268,7 @@ impl VersionSet {
     }
 
     /// Builds inputs for a seek-triggered compaction of `file` at `level`.
-    pub fn pick_seek_compaction(
+    pub(crate) fn pick_seek_compaction(
         &self,
         level: usize,
         file: &Arc<FileMetaData>,
@@ -502,7 +502,6 @@ mod tests {
         }
         set.log_and_apply(edit, t, false).unwrap();
         assert!(set.level_score(0) >= 1.0);
-        assert!(set.needs_compaction());
         let c = set.pick_compaction(&HashSet::new()).unwrap();
         assert_eq!(c.level, 0);
         assert_eq!(c.inputs0.len(), 4, "all overlapping L0 files picked");

@@ -14,18 +14,18 @@ use crate::{InternalKey, Result, ValueType};
 #[derive(Debug)]
 pub struct FileMetaData {
     /// Logical table number (unique).
-    pub number: u64,
+    pub(crate) number: u64,
     /// Physical file number; differs from `number` only for BoLT-style
     /// grouped outputs, where several logical tables share one file.
-    pub physical: u64,
+    pub(crate) physical: u64,
     /// Byte offset of the logical table within the physical file.
-    pub offset: u64,
+    pub(crate) offset: u64,
     /// Size of the logical table in bytes.
-    pub size: u64,
+    pub(crate) size: u64,
     /// Smallest internal key in the table.
-    pub smallest: InternalKey,
+    pub(crate) smallest: InternalKey,
     /// Largest internal key in the table.
-    pub largest: InternalKey,
+    pub(crate) largest: InternalKey,
     /// Whether this is an L2SM-style hot file: it lives outside its
     /// level's byte budget and is only compacted via range overlap.
     pub hot: bool,
@@ -39,7 +39,7 @@ impl FileMetaData {
     /// floor is 4 so that the budget keeps scaling with the harness's
     /// shrunken table sizes (at real table sizes the divisor dominates
     /// and the floor never binds).
-    pub fn new(
+    pub(crate) fn new(
         number: u64,
         physical: u64,
         offset: u64,
@@ -62,17 +62,17 @@ impl FileMetaData {
 
     /// Consumes one allowed seek; returns `true` when the budget is
     /// exhausted (exactly once).
-    pub fn consume_seek(&self) -> bool {
+    pub(crate) fn consume_seek(&self) -> bool {
         self.allowed_seeks.fetch_sub(1, AtomicOrdering::Relaxed) == 1
     }
 
     /// Whether `key` (a user key) falls within this file's range.
-    pub fn contains_user_key(&self, key: &[u8]) -> bool {
+    pub(crate) fn contains_user_key(&self, key: &[u8]) -> bool {
         key >= user_key(self.smallest.as_bytes()) && key <= user_key(self.largest.as_bytes())
     }
 
     /// Whether this file's user-key range overlaps `[lo, hi]`.
-    pub fn overlaps(&self, lo: &[u8], hi: &[u8]) -> bool {
+    pub(crate) fn overlaps(&self, lo: &[u8], hi: &[u8]) -> bool {
         user_key(self.smallest.as_bytes()) <= hi && user_key(self.largest.as_bytes()) >= lo
     }
 }
@@ -105,11 +105,11 @@ impl PartialEq for FileMetaData {
 
 /// Hot (L2SM-style) files per level that may sit outside the compaction
 /// budget before the level is forced to consolidate.
-pub const MAX_FREE_HOT_FILES: usize = 8;
+pub(crate) const MAX_FREE_HOT_FILES: usize = 8;
 
 /// Outcome of a point lookup through a version.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GetResult {
+pub(crate) enum GetResult {
     /// A live value.
     Found(Vec<u8>),
     /// A tombstone shadows the key.
@@ -186,22 +186,22 @@ impl<'a> Lookup<'a> {
 
 impl Version {
     /// Creates an empty version with `levels` levels.
-    pub fn new(levels: usize) -> Self {
+    pub(crate) fn new(levels: usize) -> Self {
         Version { files: vec![Vec::new(); levels] }
     }
 
     /// Number of levels.
-    pub fn levels(&self) -> usize {
+    pub(crate) fn levels(&self) -> usize {
         self.files.len()
     }
 
     /// Number of files at `level`.
-    pub fn num_files(&self, level: usize) -> usize {
+    pub(crate) fn num_files(&self, level: usize) -> usize {
         self.files.get(level).map_or(0, Vec::len)
     }
 
     /// Total bytes at `level`.
-    pub fn level_bytes(&self, level: usize) -> u64 {
+    pub(crate) fn level_bytes(&self, level: usize) -> u64 {
         self.files.get(level).map_or(0, |fs| fs.iter().map(|f| f.size).sum())
     }
 
@@ -210,7 +210,7 @@ impl Version {
     /// but once more than [`MAX_FREE_HOT_FILES`] accumulate they count
     /// again, forcing a consolidating compaction (otherwise reads would
     /// degrade without bound under sustained skew).
-    pub fn scored_level_bytes(&self, level: usize) -> u64 {
+    pub(crate) fn scored_level_bytes(&self, level: usize) -> u64 {
         let Some(files) = self.files.get(level) else { return 0 };
         let hot_count = files.iter().filter(|f| f.hot).count();
         if hot_count > MAX_FREE_HOT_FILES {
@@ -220,13 +220,13 @@ impl Version {
         }
     }
 
-    /// Total files across all levels.
-    pub fn total_files(&self) -> usize {
-        self.files.iter().map(Vec::len).sum()
-    }
-
     /// All files at `level` whose user-key range overlaps `[lo, hi]`.
-    pub fn overlapping_inputs(&self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<Arc<FileMetaData>> {
+    pub(crate) fn overlapping_inputs(
+        &self,
+        level: usize,
+        lo: &[u8],
+        hi: &[u8],
+    ) -> Vec<Arc<FileMetaData>> {
         let Some(files) = self.files.get(level) else { return Vec::new() };
         files.iter().filter(|f| f.overlaps(lo, hi)).cloned().collect()
     }
@@ -290,7 +290,7 @@ impl Version {
     /// Checks structural invariants (used by tests): `L0` sorted
     /// newest-first; deeper levels sorted by smallest key and, in leveled
     /// mode, non-overlapping.
-    pub fn check_invariants(&self, style: CompactionStyle) -> Result<()> {
+    pub(crate) fn check_invariants(&self, style: CompactionStyle) -> Result<()> {
         use crate::DbError;
         for (level, files) in self.files.iter().enumerate() {
             if level == 0 {
@@ -400,7 +400,6 @@ mod tests {
         v.files[0] = vec![meta(2, "a", "c"), meta(1, "b", "d")];
         assert_eq!(v.num_files(0), 2);
         assert_eq!(v.level_bytes(0), 2 << 20);
-        assert_eq!(v.total_files(), 2);
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::wal::LogReader;
 /// An iterator over a WAL image's batches.
 ///
 /// A torn tail is a clean end of iteration (as in recovery); a CRC-valid
-/// record whose payload is not a batch stops iteration with
-/// [`ReplayCursor::payload_corruption_detected`] set.
+/// record whose payload is not a batch stops iteration too, and the
+/// cursor remembers why.
 ///
 /// # Examples
 ///
@@ -71,22 +71,22 @@ impl ReplayCursor {
     }
 
     /// Whether a CRC-valid record failed to decode as a batch.
-    pub fn payload_corruption_detected(&self) -> bool {
+    pub(crate) fn payload_corruption_detected(&self) -> bool {
         self.payload_corrupt
     }
 
     /// Whether the underlying reader hit a checksum mismatch.
-    pub fn record_corruption_detected(&self) -> bool {
+    pub(crate) fn record_corruption_detected(&self) -> bool {
         self.reader.corruption_detected()
     }
 
     /// Bytes at the tail that could not be replayed (torn or corrupt).
-    pub fn bytes_dropped(&self) -> u64 {
+    pub(crate) fn bytes_dropped(&self) -> u64 {
         self.reader.bytes_total() - self.reader.bytes_consumed()
     }
 
     /// Batches yielded so far.
-    pub fn records_replayed(&self) -> u64 {
+    pub(crate) fn records_replayed(&self) -> u64 {
         self.records_replayed
     }
 }

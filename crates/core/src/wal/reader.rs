@@ -30,12 +30,12 @@ impl LogReader {
     /// Bytes of the log consumed by successfully decoded fragments; the
     /// remainder (`data.len() - bytes_consumed()`) was dropped as a torn
     /// tail or damaged records.
-    pub fn bytes_consumed(&self) -> u64 {
+    pub(crate) fn bytes_consumed(&self) -> u64 {
         self.pos.min(self.data.len()) as u64
     }
 
     /// Total bytes the reader was given.
-    pub fn bytes_total(&self) -> u64 {
+    pub(crate) fn bytes_total(&self) -> u64 {
         self.data.len() as u64
     }
 

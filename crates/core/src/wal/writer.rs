@@ -31,7 +31,7 @@ impl LogWriter {
     }
 
     /// Creates a writer resuming at `file_len` bytes (reopening a log).
-    pub fn resume_at(file_len: u64) -> Self {
+    pub(crate) fn resume_at(file_len: u64) -> Self {
         LogWriter { block_offset: (file_len as usize) % BLOCK_SIZE }
     }
 

@@ -58,7 +58,7 @@ fn corrupt_wal_is_counted_not_silently_skipped() {
 #[test]
 fn paranoid_checks_turn_wal_corruption_into_typed_error() {
     let (view, at) = crashed_fs_with_corrupt_wal();
-    let err = Db::open(view, "db", opts().with_paranoid_checks(true), at).unwrap_err();
+    let err = Db::open(view, "db", Options { paranoid_checks: true, ..opts() }, at).unwrap_err();
     assert!(matches!(err, DbError::Corruption(_)), "got {err:?}");
 }
 

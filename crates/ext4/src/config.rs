@@ -52,7 +52,7 @@ pub struct Ext4Config {
 
 impl Ext4Config {
     /// The kernel-default configuration over a PM883-class SSD.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Ext4Config {
             commit_interval: Nanos::from_secs(5),
             dirty_ratio: 0.10,
@@ -74,7 +74,7 @@ impl Ext4Config {
     }
 
     /// The dirty-byte count at which an early commit fires.
-    pub fn dirty_trigger_bytes(&self) -> u64 {
+    pub(crate) fn dirty_trigger_bytes(&self) -> u64 {
         (self.page_cache_capacity as f64 * self.dirty_ratio) as u64
     }
 }

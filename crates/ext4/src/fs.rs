@@ -145,11 +145,6 @@ impl Ext4Fs {
         self.inner.lock().ssd.set_injector(injector);
     }
 
-    /// Removes the fault injector, restoring the perfect device.
-    pub fn clear_fault_injector(&self) {
-        self.inner.lock().ssd.clear_injector();
-    }
-
     /// Installs a trace sink on the filesystem *and* its device: journal
     /// commits, checkpoints, fast-commits and write-back emit spans, and
     /// the device underneath emits its own command spans into the same
@@ -393,17 +388,6 @@ impl Ext4Fs {
         Ok(done)
     }
 
-    /// `fdatasync(2)` — modelled identically to [`fsync`](Ext4Fs::fsync)
-    /// (LevelDB's appends always change the inode size, so the metadata
-    /// commit cannot be skipped).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::StaleHandle`] if the file was deleted.
-    pub fn fdatasync(&self, h: FileHandle, now: Nanos) -> Result<Nanos> {
-        self.fsync(h, now)
-    }
-
     /// Renames `old` to `new`, replacing `new` if it exists (the atomic
     /// `CURRENT` update pattern). A metadata-only operation.
     ///
@@ -541,7 +525,7 @@ impl Ext4Fs {
 
     /// Completion instant of the device's most recently issued FLUSH
     /// ([`Nanos::ZERO`] before the first).
-    pub fn device_flush_frontier(&self) -> Nanos {
+    pub(crate) fn device_flush_frontier(&self) -> Nanos {
         self.inner.lock().ssd.flush_frontier()
     }
 }
@@ -1386,7 +1370,7 @@ mod tests {
             let now = fs.fsync(b, now).unwrap();
             // Third commit is clean again, but sits after the break: JBD2
             // replay stops at the bad record and never reaches it.
-            fs.clear_fault_injector();
+            fs.set_fault_injector(nob_ssd::InjectorHandle::new(DropFlushes(0)));
             let c = fs.create("c", now).unwrap();
             let now = fs.append(c, b"cccc", now).unwrap();
             let now = fs.fsync(c, now).unwrap();
@@ -1469,7 +1453,7 @@ mod tests {
             fs.fsync(h, now).unwrap();
             assert!(fs.io_stats().dropped_flushes >= 1);
             assert!(fs.io_stats().faults_injected() >= 1);
-            assert!(fs.stats().fault_consequences() >= 1);
+            assert!(fs.stats().commits_unsettled_flush >= 1);
         }
     }
 

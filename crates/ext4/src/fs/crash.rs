@@ -33,7 +33,7 @@ pub struct CommitWindow {
     /// Synchronous (fsync/fast-commit) rather than timer/threshold commit.
     pub sync: bool,
     /// Number of inodes the transaction covered.
-    pub inodes: usize,
+    pub(crate) inodes: usize,
     /// Whether an injected fault hit this commit's journal write or FLUSH.
     pub faulted: bool,
 }

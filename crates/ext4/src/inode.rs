@@ -11,8 +11,8 @@ use crate::InodeId;
 /// monotone prefix, which keeps crash reconstruction exact and cheap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PersistEvent {
-    pub len: u64,
-    pub at: Nanos,
+    pub(crate) len: u64,
+    pub(crate) at: Nanos,
 }
 
 /// The durable-data history of one inode, kept as a Pareto staircase.
@@ -35,7 +35,7 @@ pub(crate) struct PersistHistory {
 
 impl PersistHistory {
     /// Records one write-back completion.
-    pub fn record(&mut self, ev: PersistEvent) {
+    pub(crate) fn record(&mut self, ev: PersistEvent) {
         self.last_at = Some(ev.at);
         let pos = self.steps.partition_point(|s| s.at < ev.at);
         if pos > 0 && self.steps[pos - 1].len >= ev.len {
@@ -51,13 +51,13 @@ impl PersistHistory {
     }
 
     /// The longest prefix durable as of `at`.
-    pub fn len_at(&self, at: Nanos) -> u64 {
+    pub(crate) fn len_at(&self, at: Nanos) -> u64 {
         let after = self.steps.partition_point(|s| s.at <= at);
         after.checked_sub(1).map_or(0, |i| self.steps[i].len)
     }
 
     /// Completion instant of the most recently recorded write-back.
-    pub fn last_at(&self) -> Option<Nanos> {
+    pub(crate) fn last_at(&self) -> Option<Nanos> {
         self.last_at
     }
 }
@@ -74,10 +74,10 @@ impl PersistHistory {
 /// forever (the record is garbage on media).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CommitEvent {
-    pub at: Nanos,
-    pub durable_at: Option<Nanos>,
-    pub len: u64,
-    pub path: Option<String>,
+    pub(crate) at: Nanos,
+    pub(crate) durable_at: Option<Nanos>,
+    pub(crate) len: u64,
+    pub(crate) path: Option<String>,
 }
 
 /// A byte range of this inode's on-media content that an injected fault
@@ -86,44 +86,44 @@ pub(crate) struct CommitEvent {
 /// append-only, so a damaged range is never rewritten and stays damaged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DamageEvent {
-    pub start: u64,
-    pub end: u64,
-    pub at: Nanos,
+    pub(crate) start: u64,
+    pub(crate) end: u64,
+    pub(crate) at: Nanos,
 }
 
 /// The full state of one inode.
 #[derive(Debug, Clone)]
 pub(crate) struct Inode {
-    pub id: InodeId,
+    pub(crate) id: InodeId,
     /// Current (in-memory) path; `None` once deleted.
-    pub path: Option<String>,
+    pub(crate) path: Option<String>,
     /// Logical content as user space sees it (page cache view).
-    pub content: Vec<u8>,
+    pub(crate) content: Vec<u8>,
     /// `content[..written_back]` has been handed to the device already
     /// (write-back issued); the remainder is dirty page-cache data.
-    pub written_back: u64,
+    pub(crate) written_back: u64,
     /// Whether the inode's metadata changed since the last commit capture.
-    pub metadata_dirty: bool,
+    pub(crate) metadata_dirty: bool,
     /// Bumped on every mutation (data or metadata).
-    pub epoch: u64,
+    pub(crate) epoch: u64,
     /// The epoch covered by the most recent completed commit.
-    pub committed_epoch: u64,
+    pub(crate) committed_epoch: u64,
     /// Completion instant of the most recent commit covering this inode.
-    pub committed_at: Option<Nanos>,
+    pub(crate) committed_at: Option<Nanos>,
     /// Durable-data history (monotone prefix lengths).
-    pub persisted: PersistHistory,
+    pub(crate) persisted: PersistHistory,
     /// Journal history for this inode.
-    pub commit_events: Vec<CommitEvent>,
+    pub(crate) commit_events: Vec<CommitEvent>,
     /// On-media ranges silently damaged by injected faults.
-    pub damage_events: Vec<DamageEvent>,
+    pub(crate) damage_events: Vec<DamageEvent>,
     /// Whether the (clean part of the) content is resident in page cache.
-    pub cached: bool,
+    pub(crate) cached: bool,
     /// Deleted in the in-memory view (deletion may not be committed yet).
-    pub deleted: bool,
+    pub(crate) deleted: bool,
 }
 
 impl Inode {
-    pub fn new(id: InodeId, path: String) -> Self {
+    pub(crate) fn new(id: InodeId, path: String) -> Self {
         Inode {
             id,
             path: Some(path),
@@ -142,23 +142,23 @@ impl Inode {
     }
 
     /// Bytes sitting dirty in the page cache.
-    pub fn dirty_bytes(&self) -> u64 {
+    pub(crate) fn dirty_bytes(&self) -> u64 {
         self.content.len() as u64 - self.written_back
     }
 
     /// Whether anything (data or metadata) is not covered by a completed
     /// commit.
-    pub fn needs_commit(&self) -> bool {
+    pub(crate) fn needs_commit(&self) -> bool {
         self.epoch > self.committed_epoch
     }
 
     /// Marks a mutation.
-    pub fn touch(&mut self) {
+    pub(crate) fn touch(&mut self) {
         self.epoch += 1;
     }
 
     /// The durable prefix length as of `at`.
-    pub fn persisted_len_at(&self, at: Nanos) -> u64 {
+    pub(crate) fn persisted_len_at(&self, at: Nanos) -> u64 {
         self.persisted.len_at(at)
     }
 
@@ -167,7 +167,7 @@ impl Inode {
     /// before any torn transaction (`broken_from`) — JBD2 recovery scans
     /// the journal in order and stops at the first damaged commit record,
     /// so everything journalled after the tear is unreachable.
-    pub fn commit_at(&self, at: Nanos, broken_from: Option<Nanos>) -> Option<&CommitEvent> {
+    pub(crate) fn commit_at(&self, at: Nanos, broken_from: Option<Nanos>) -> Option<&CommitEvent> {
         let horizon = broken_from.unwrap_or(Nanos::MAX);
         self.commit_events
             .iter()
@@ -176,7 +176,7 @@ impl Inode {
     }
 
     /// Byte ranges damaged on media by `at`, clipped to `[0, len)`.
-    pub fn damage_within(&self, len: u64, at: Nanos) -> Vec<(u64, u64)> {
+    pub(crate) fn damage_within(&self, len: u64, at: Nanos) -> Vec<(u64, u64)> {
         self.damage_events
             .iter()
             .filter(|d| d.at <= at && d.start < len)

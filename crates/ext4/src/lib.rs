@@ -49,6 +49,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 mod config;
 mod error;

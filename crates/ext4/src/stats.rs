@@ -23,17 +23,17 @@ pub struct FsStats {
     /// Bytes appended through the buffered path.
     pub bytes_buffered: u64,
     /// Bytes written through the direct-I/O path.
-    pub bytes_direct: u64,
+    pub(crate) bytes_direct: u64,
     /// Journal commits whose commit record was torn/corrupted on media;
     /// the transaction (and everything journalled after it) is
     /// unrecoverable even though the kernel saw the commit complete.
-    pub commits_lost_torn_journal: u64,
+    pub(crate) commits_lost_torn_journal: u64,
     /// Journal commits acknowledged behind a FLUSH the device dropped;
     /// the commit record stays volatile until the next real FLUSH.
-    pub commits_unsettled_flush: u64,
+    pub(crate) commits_unsettled_flush: u64,
     /// Data write-back commands torn by the injector (durable prefix
     /// only; the tail range is damaged on media).
-    pub data_writebacks_torn: u64,
+    pub(crate) data_writebacks_torn: u64,
     /// Data write-back commands silently corrupted by the injector.
     pub data_writebacks_corrupted: u64,
     /// Crash reconstructions that found a committed inode without its
@@ -46,7 +46,7 @@ pub struct FsStats {
 
 impl FsStats {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FsStats::default()
     }
 
@@ -84,14 +84,6 @@ impl FsStats {
             ),
             ordered_violations: sub(self.ordered_violations, earlier.ordered_violations),
         }
-    }
-
-    /// Total fault consequences recorded at the filesystem layer.
-    pub fn fault_consequences(&self) -> u64 {
-        self.commits_lost_torn_journal
-            + self.commits_unsettled_flush
-            + self.data_writebacks_torn
-            + self.data_writebacks_corrupted
     }
 }
 

@@ -28,6 +28,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -49,7 +50,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// Lower-case name, as used in JSON and Prometheus `# TYPE` lines.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -63,9 +64,9 @@ pub struct Series {
     /// Dotted metric name, `<layer>.<metric>` (e.g. `ext4.dirty_bytes`).
     pub name: String,
     /// Counter or gauge.
-    pub kind: MetricKind,
+    pub(crate) kind: MetricKind,
     /// One-line human description (Prometheus `# HELP`).
-    pub help: String,
+    pub(crate) help: String,
     /// One value per grid instant, aligned across all series.
     pub values: Vec<f64>,
 }
@@ -83,9 +84,9 @@ impl Series {
 #[derive(Debug, Clone)]
 pub struct Timeline {
     /// First grid instant.
-    pub start: Nanos,
+    pub(crate) start: Nanos,
     /// Grid spacing in virtual time.
-    pub period: Nanos,
+    pub(crate) period: Nanos,
     /// Number of grid instants sampled so far.
     pub samples: usize,
     /// Per-metric sample vectors, in registration/first-push order.
@@ -100,11 +101,6 @@ impl Timeline {
     /// Looks up a series by name.
     pub fn series(&self, name: &str) -> Option<&Series> {
         self.series.iter().find(|s| s.name == name)
-    }
-
-    /// The grid instant of sample index `i`.
-    pub fn instant(&self, i: usize) -> Nanos {
-        self.start + self.period * i as u64
     }
 
     /// Grid index covering instant `t` (clamped to the sampled range), or
@@ -198,7 +194,7 @@ fn prom_help(s: &str) -> String {
 
 /// `noblsm_`-prefixed Prometheus metric name: dots and dashes become
 /// underscores, anything else non-alphanumeric is dropped.
-pub fn prom_name(name: &str) -> String {
+pub(crate) fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 7);
     out.push_str("noblsm_");
     for c in name.chars() {
@@ -393,11 +389,6 @@ impl MetricsHub {
         self
     }
 
-    /// The configured sampling period.
-    pub fn period(&self) -> Nanos {
-        self.lock().period
-    }
-
     fn lock(&self) -> MutexGuard<'_, HubState> {
         // Metrics must never take the database down: recover from a
         // poisoned lock (a panicking sampler thread) instead of cascading.
@@ -415,11 +406,6 @@ impl MetricsHub {
             inner: Arc::clone(&self.inner),
             prefix: format!("{}{prefix}", self.prefix).into(),
         }
-    }
-
-    /// The name prefix this handle applies ("" for an unscoped hub).
-    pub fn prefix(&self) -> &str {
-        &self.prefix
     }
 
     fn full_name(&self, name: &str) -> String {
@@ -669,7 +655,7 @@ mod tests {
         let tl = hub.timeline();
         assert_eq!(tl.series("shard1.ext4.dirty_bytes").unwrap().values, vec![20.0, 20.0]);
         // Scopes nest and report their prefix.
-        assert_eq!(hub.scoped("a.").scoped("b.").prefix(), "a.b.");
+        assert_eq!(&*hub.scoped("a.").scoped("b.").prefix, "a.b.");
     }
 
     #[test]

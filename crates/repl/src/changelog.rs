@@ -28,20 +28,20 @@ pub struct LogRecord {
     /// The group's batch as logged (`noblsm::WriteBatch::payload`).
     pub payload: Vec<u8>,
     /// The group's durable instant on the leader clock.
-    pub committed_at: Nanos,
+    pub(crate) committed_at: Nanos,
     /// Causal context this record rides under ([`TraceCtx::NONE`] when
     /// untraced). On a leader's log this is the `repl_ship` span's
     /// identity (whose parent is the group-commit span); a follower
     /// stores the identity it received over the wire and parents its
     /// `repl_apply` span beneath it.
-    pub ctx: TraceCtx,
+    pub(crate) ctx: TraceCtx,
 }
 
 impl LogRecord {
     /// Tags a store-shipped record with its epoch, carrying the group's
     /// causal context (the leader's absorb replaces it with the ship
     /// span's identity once that span is minted).
-    pub fn from_shipped(rec: ShippedRecord, epoch: u64) -> LogRecord {
+    pub(crate) fn from_shipped(rec: ShippedRecord, epoch: u64) -> LogRecord {
         LogRecord {
             shard: rec.shard,
             epoch,
@@ -59,40 +59,17 @@ impl LogRecord {
 #[derive(Debug, Clone, Default)]
 pub struct ChangeLog {
     shards: Vec<Vec<LogRecord>>,
-    /// Lowest sequence still retained per shard (1 until truncated).
-    base: Vec<u64>,
 }
 
 impl ChangeLog {
     /// An empty log over `shards` shards.
-    pub fn new(shards: usize) -> ChangeLog {
-        ChangeLog { shards: vec![Vec::new(); shards], base: vec![1; shards] }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Records retained for `shard`.
-    pub fn len(&self, shard: usize) -> usize {
-        self.shards[shard].len()
-    }
-
-    /// Whether no shard retains any record.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
+    pub(crate) fn new(shards: usize) -> ChangeLog {
+        ChangeLog { shards: vec![Vec::new(); shards] }
     }
 
     /// The last appended sequence on `shard` (0 before the first record).
-    pub fn last_seq(&self, shard: usize) -> u64 {
-        self.shards[shard].last().map_or(self.base[shard] - 1, |r| r.last_seq)
-    }
-
-    /// The lowest sequence still retained on `shard` — a subscriber
-    /// resuming below this has fallen off the log.
-    pub fn base_seq(&self, shard: usize) -> u64 {
-        self.base[shard]
+    pub(crate) fn last_seq(&self, shard: usize) -> u64 {
+        self.shards[shard].last().map_or(0, |r| r.last_seq)
     }
 
     /// Appends `rec` to its shard's chain.
@@ -102,7 +79,7 @@ impl ChangeLog {
     /// [`noblsm::Error::Replication`] when `rec` does not extend the
     /// chain contiguously (`first_seq` must be the chain's
     /// `last_seq + 1`) or its range is inverted.
-    pub fn append(&mut self, rec: LogRecord) -> Result<()> {
+    pub(crate) fn append(&mut self, rec: LogRecord) -> Result<()> {
         if rec.shard >= self.shards.len() {
             return Err(Error::Replication(format!(
                 "record for shard {} but the log has {} shards",
@@ -127,36 +104,14 @@ impl ChangeLog {
         Ok(())
     }
 
-    /// The retained records on `shard` containing sequence `from_seq` and
+    /// The records on `shard` containing sequence `from_seq` and
     /// everything after it. `from_seq` past the chain's end is an empty
-    /// slice (nothing new yet), not an error.
-    ///
-    /// # Errors
-    ///
-    /// [`noblsm::Error::Replication`] when `from_seq` predates the
-    /// retained base — the subscriber must re-seed from a snapshot.
-    pub fn records_from(&self, shard: usize, from_seq: u64) -> Result<&[LogRecord]> {
-        let from_seq = from_seq.max(1);
-        if from_seq < self.base[shard] {
-            return Err(Error::Replication(format!(
-                "shard {shard} seq {from_seq} already truncated (log starts at {})",
-                self.base[shard]
-            )));
-        }
+    /// slice (nothing new yet).
+    pub fn records_from(&self, shard: usize, from_seq: u64) -> &[LogRecord] {
         let chain = &self.shards[shard];
         // First record whose range reaches from_seq.
         let at = chain.partition_point(|r| r.last_seq < from_seq);
-        Ok(&chain[at..])
-    }
-
-    /// Drops records on `shard` wholly below `seq` (retention). Returns
-    /// how many records were dropped.
-    pub fn truncate_below(&mut self, shard: usize, seq: u64) -> usize {
-        let chain = &mut self.shards[shard];
-        let keep = chain.partition_point(|r| r.last_seq < seq);
-        chain.drain(..keep);
-        self.base[shard] = chain.first().map_or(seq.max(self.base[shard]), |r| r.first_seq);
-        keep
+        &chain[at..]
     }
 }
 
@@ -197,32 +152,16 @@ mod tests {
         log.append(rec(0, 4, 4)).unwrap();
         log.append(rec(0, 5, 9)).unwrap();
         // Sequence 4 starts at the second record.
-        let tail = log.records_from(0, 4).unwrap();
+        let tail = log.records_from(0, 4);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].first_seq, 4);
         // Mid-record sequence lands on the record containing it.
-        let tail = log.records_from(0, 7).unwrap();
+        let tail = log.records_from(0, 7);
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].first_seq, 5);
         // Past the end: nothing new, not an error.
-        assert!(log.records_from(0, 10).unwrap().is_empty());
+        assert!(log.records_from(0, 10).is_empty());
         // Zero normalizes to "from the beginning".
-        assert_eq!(log.records_from(0, 0).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn truncation_moves_the_base_and_fails_stale_resumes() {
-        let mut log = ChangeLog::new(1);
-        log.append(rec(0, 1, 3)).unwrap();
-        log.append(rec(0, 4, 6)).unwrap();
-        log.append(rec(0, 7, 9)).unwrap();
-        assert_eq!(log.truncate_below(0, 5), 1, "only the wholly-below record drops");
-        assert_eq!(log.base_seq(0), 4);
-        assert!(log.records_from(0, 4).is_ok());
-        let err = log.records_from(0, 2).unwrap_err();
-        assert!(matches!(err, Error::Replication(_)), "{err}");
-        // Appends continue from the untouched tail.
-        log.append(rec(0, 10, 10)).unwrap();
-        assert_eq!(log.last_seq(0), 10);
+        assert_eq!(log.records_from(0, 0).len(), 3);
     }
 }

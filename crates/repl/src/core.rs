@@ -108,7 +108,7 @@ impl ReplCore {
         let epoch = self.leader.epoch();
         for shard in 0..c.cursors.len() {
             let Some(cursor) = c.cursors[shard] else { continue };
-            let records = self.leader.log().records_from(shard, cursor)?;
+            let records = self.leader.log().records_from(shard, cursor);
             for rec in records {
                 encode(
                     &Frame::Record {

@@ -4,9 +4,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nob_metrics::{MetricKind, MetricsHub};
 use nob_sim::Nanos;
-use nob_store::{Store, StoreOptions};
+use nob_store::Store;
 use nob_trace::{EventClass, TraceSink};
 use noblsm::{Error, ReadOptions, Result, WriteBatch, WriteOptions};
 
@@ -55,15 +54,6 @@ impl Follower {
         }
     }
 
-    /// Opens a fresh store and wraps it as a follower.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Store::open`].
-    pub fn open(opts: StoreOptions, epoch: u64) -> Result<Follower> {
-        Ok(Follower::new(Store::open(opts)?, epoch))
-    }
-
     /// The epoch this follower believes is current.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -74,51 +64,15 @@ impl Follower {
         &self.store
     }
 
-    /// Mutable access to the wrapped store (ticking, crash injection).
-    pub fn store_mut(&mut self) -> &mut Store {
-        &mut self.store
-    }
-
-    /// The follower's retained copy of the change stream.
-    pub fn log(&self) -> &ChangeLog {
-        &self.log
-    }
-
     /// The next sequence this follower needs on `shard` — what it
     /// subscribes from.
-    pub fn next_seq(&self, shard: usize) -> u64 {
+    pub(crate) fn next_seq(&self, shard: usize) -> u64 {
         self.store.shard_db(shard).last_sequence() + 1
     }
 
     /// Last applied sequence per shard, in shard order.
     pub fn shard_seqs(&self) -> Vec<u64> {
         self.store.shard_seqs()
-    }
-
-    /// Records applied from the leader's stream (the
-    /// `repl.applied_records` counter).
-    pub fn applied_records(&self) -> u64 {
-        self.applied_total.load(Ordering::Relaxed)
-    }
-
-    /// Registers the follower's apply-throughput counters on `hub`
-    /// (under its scope): `repl.applied_records` and
-    /// `repl.applied_bytes`.
-    pub fn install_metrics(&self, hub: &MetricsHub) {
-        let applied = Arc::clone(&self.applied_total);
-        hub.register(
-            MetricKind::Counter,
-            "repl.applied_records",
-            "WAL records applied from the leader's stream",
-            move |_| applied.load(Ordering::Relaxed) as f64,
-        );
-        let bytes = Arc::clone(&self.applied_bytes);
-        hub.register(
-            MetricKind::Counter,
-            "repl.applied_bytes",
-            "WAL payload bytes applied from the leader's stream",
-            move |_| bytes.load(Ordering::Relaxed) as f64,
-        );
     }
 
     /// Applies one shipped record. Returns `Ok(false)` when the record is
@@ -131,7 +85,7 @@ impl Follower {
     /// epoch, leaves a sequence gap, fails to decode, or the engine's
     /// sequence assignment diverges from the record's tags; engine write
     /// errors pass through.
-    pub fn apply(&mut self, rec: &LogRecord) -> Result<bool> {
+    pub(crate) fn apply(&mut self, rec: &LogRecord) -> Result<bool> {
         if rec.epoch < self.epoch {
             return Err(Error::Replication(format!(
                 "record from stale epoch {} (follower is at epoch {})",
@@ -212,7 +166,7 @@ impl Follower {
     ///
     /// [`noblsm::Error::Replication`] when the heartbeat carries a stale
     /// epoch — a fenced ex-leader is still talking and must be ignored.
-    pub fn observe_heartbeat(&mut self, epoch: u64, leader_now: Nanos) -> Result<()> {
+    pub(crate) fn observe_heartbeat(&mut self, epoch: u64, leader_now: Nanos) -> Result<()> {
         if epoch < self.epoch {
             return Err(Error::Replication(format!(
                 "heartbeat from stale epoch {epoch} (follower is at epoch {})",
@@ -238,7 +192,7 @@ impl Follower {
     ///
     /// [`noblsm::Error::Replication`] when the owning shard's staleness
     /// exceeds the requested bound; store/engine errors pass through.
-    pub fn get(&mut self, ropts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    pub(crate) fn get(&mut self, ropts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
         if let Some(bound) = ropts.max_staleness {
             let shard = self.store.shard_of(key);
             let lag = self.staleness(shard);
@@ -269,11 +223,5 @@ impl Follower {
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.store.set_trace_sink(sink.clone());
         self.trace = Some(sink);
-    }
-
-    /// Removes the trace sink everywhere.
-    pub fn clear_trace_sink(&mut self) {
-        self.store.clear_trace_sink();
-        self.trace = None;
     }
 }

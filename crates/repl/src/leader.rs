@@ -5,16 +5,15 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nob_metrics::{MetricKind, MetricsHub};
 use nob_sim::Nanos;
-use nob_store::{ShippedRecord, Store, StoreOptions};
+use nob_store::{ShippedRecord, Store};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
 use noblsm::{Error, Result, WriteBatch, WriteOptions};
 
 use crate::changelog::{ChangeLog, LogRecord};
 
 /// A leader wraps a store with shipping enabled. Every committed group is
-/// [`absorb`](Leader::absorb)ed into the change log under the leader's
+/// absorbed into the change log under the leader's
 /// current epoch; [`fence`](Leader::fence)d leaders refuse writes, which
 /// is the safety half of failover (the liveness half is
 /// [`Follower::promote`](crate::Follower::promote)).
@@ -57,15 +56,6 @@ impl Leader {
         }
     }
 
-    /// Opens a fresh store and wraps it as the epoch-`epoch` leader.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Store::open`].
-    pub fn open(opts: StoreOptions, epoch: u64) -> Result<Leader> {
-        Ok(Leader::new(Store::open(opts)?, epoch))
-    }
-
     /// Re-wraps a promoted follower's store and log under `epoch`
     /// (internal to [`Follower::promote`](crate::Follower::promote)).
     pub(crate) fn with_log(mut store: Store, log: ChangeLog, epoch: u64) -> Leader {
@@ -101,7 +91,7 @@ impl Leader {
 
     /// Mutable access to the wrapped store, for reads, ticking and crash
     /// injection. Writes issued directly are still captured — the next
-    /// [`absorb`](Leader::absorb) folds them into the change log — but
+    /// `absorb` folds them into the change log — but
     /// they bypass the fencing check, so route writes through
     /// [`write`](Leader::write) whenever the epoch matters.
     pub fn store_mut(&mut self) -> &mut Store {
@@ -121,18 +111,6 @@ impl Leader {
     /// The most recently measured per-record replication lag.
     pub fn replication_lag(&self) -> Nanos {
         Nanos::from_nanos(self.lag_nanos.load(Ordering::Relaxed))
-    }
-
-    /// Records absorbed into the change log since this leader was
-    /// created (the `repl.shipped_records` counter).
-    pub fn shipped_records(&self) -> u64 {
-        self.shipped_total.load(Ordering::Relaxed)
-    }
-
-    /// Highest acknowledged sequence across shards (the `repl.acked_seq`
-    /// gauge).
-    pub fn acked_seq(&self) -> u64 {
-        self.acked_seq_max.load(Ordering::Relaxed)
     }
 
     fn check_fenced(&self) -> Result<()> {
@@ -159,8 +137,8 @@ impl Leader {
         Ok(end)
     }
 
-    /// Enqueues without committing (group-commit experiments drive
-    /// [`pump`](Leader::pump) themselves).
+    /// Enqueues without committing; [`drain`](Leader::drain) commits
+    /// what is queued.
     ///
     /// # Errors
     ///
@@ -174,24 +152,12 @@ impl Leader {
         Ok(self.store.enqueue(wopts, batch))
     }
 
-    /// One scheduler round over the store, absorbing whatever committed.
-    ///
-    /// # Errors
-    ///
-    /// [`noblsm::Error::Replication`] when fenced; engine errors pass
-    /// through.
-    pub fn pump(&mut self) -> Result<usize> {
-        self.check_fenced()?;
-        let n = self.store.pump()?;
-        self.absorb()?;
-        Ok(n)
-    }
-
     /// Drains the store queue entirely, absorbing every committed group.
     ///
     /// # Errors
     ///
-    /// As for [`pump`](Leader::pump).
+    /// [`noblsm::Error::Replication`] when fenced; store errors pass
+    /// through.
     pub fn drain(&mut self) -> Result<Nanos> {
         self.check_fenced()?;
         let end = self.store.drain()?;
@@ -207,7 +173,7 @@ impl Leader {
     /// [`noblsm::Error::Replication`] if a shipped record does not extend
     /// its shard's chain (cannot happen unless the store was mutated
     /// behind the leader's back between absorbs after a promotion).
-    pub fn absorb(&mut self) -> Result<()> {
+    pub(crate) fn absorb(&mut self) -> Result<()> {
         let records = self.store.take_shipped();
         self.absorb_shipped(records)
     }
@@ -259,18 +225,14 @@ impl Leader {
     /// and returns the acked record's replication lag (commit → ack on
     /// the leader clock), emitting a `repl_ack` span. `None` when the ack
     /// is stale (at or below a previous ack) or unknown.
-    pub fn ack(&mut self, shard: usize, last_seq: u64) -> Option<Nanos> {
+    pub(crate) fn ack(&mut self, shard: usize, last_seq: u64) -> Option<Nanos> {
         if shard >= self.acked.len() || last_seq <= self.acked[shard] {
             return None;
         }
         self.acked[shard] = last_seq;
         self.acked_seq_max.fetch_max(last_seq, Ordering::Relaxed);
-        let rec = self
-            .log
-            .records_from(shard, last_seq)
-            .ok()
-            .and_then(|tail| tail.first())
-            .filter(|r| r.last_seq == last_seq)?;
+        let rec =
+            self.log.records_from(shard, last_seq).first().filter(|r| r.last_seq == last_seq)?;
         let now = self.store.clock().now();
         let lag = now.saturating_sub(rec.committed_at);
         self.lag_nanos.store(lag.as_nanos(), Ordering::Relaxed);
@@ -297,7 +259,7 @@ impl Leader {
     /// The heartbeat triple subscribers key staleness off: current epoch,
     /// the leader clock's instant, and the last committed sequence per
     /// shard.
-    pub fn heartbeat(&self) -> (u64, Nanos, Vec<u64>) {
+    pub(crate) fn heartbeat(&self) -> (u64, Nanos, Vec<u64>) {
         (self.epoch, self.store.clock().now(), self.store.shard_seqs())
     }
 
@@ -306,39 +268,5 @@ impl Leader {
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
         self.store.set_trace_sink(sink.clone());
         self.trace = Some(sink);
-    }
-
-    /// Removes the trace sink everywhere.
-    pub fn clear_trace_sink(&mut self) {
-        self.store.clear_trace_sink();
-        self.trace = None;
-    }
-
-    /// Registers the leader's replication metrics on `hub` (under its
-    /// scope): `repl.lag_nanos` (most recent commit→ack lag),
-    /// `repl.shipped_records` (records absorbed into the change log) and
-    /// `repl.acked_seq` (highest acknowledged sequence across shards).
-    pub fn install_metrics(&self, hub: &MetricsHub) {
-        let lag = Arc::clone(&self.lag_nanos);
-        hub.register(
-            MetricKind::Gauge,
-            "repl.lag_nanos",
-            "Most recent per-record replication lag (commit to ack), nanoseconds",
-            move |_| lag.load(Ordering::Relaxed) as f64,
-        );
-        let shipped = Arc::clone(&self.shipped_total);
-        hub.register(
-            MetricKind::Counter,
-            "repl.shipped_records",
-            "WAL records absorbed into the change log for shipping",
-            move |_| shipped.load(Ordering::Relaxed) as f64,
-        );
-        let acked = Arc::clone(&self.acked_seq_max);
-        hub.register(
-            MetricKind::Gauge,
-            "repl.acked_seq",
-            "Highest subscriber-acknowledged sequence across shards",
-            move |_| acked.load(Ordering::Relaxed) as f64,
-        );
     }
 }

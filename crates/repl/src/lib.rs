@@ -66,8 +66,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
-pub mod changelog;
+mod changelog;
 pub mod core;
 pub mod follower;
 pub mod leader;
@@ -86,7 +87,6 @@ pub use tcp::ReplTcpServer;
 
 #[cfg(test)]
 mod tests {
-    use nob_metrics::MetricsHub;
     use nob_sim::Nanos;
     use nob_store::{Store, StoreOptions};
     use nob_trace::{EventClass, TraceSink};
@@ -171,7 +171,7 @@ mod tests {
         // the lag window by feeding the heartbeat state directly.
         put(&core, b"k", b"v2");
         let (_, leader_now, _) = core.borrow().leader().heartbeat();
-        link.follower_mut().observe_heartbeat(1, leader_now).unwrap();
+        link.follower.observe_heartbeat(1, leader_now).unwrap();
         let bound = ReadOptions::default().with_max_staleness(Nanos::from_nanos(1));
         let err = link.get(&bound, b"k").unwrap_err();
         assert!(matches!(err, Error::Replication(_)), "{err}");
@@ -220,7 +220,7 @@ mod tests {
             b.put(format!("k{i}").as_bytes(), b"v");
             leader.write(&WriteOptions::default(), b).unwrap();
         }
-        let recs = leader.log().records_from(0, 1).unwrap().to_vec();
+        let recs = leader.log().records_from(0, 1).to_vec();
         follower.apply(&recs[0]).unwrap();
         // Skip recs[1]: gap.
         let err = follower.apply(&recs[2]).unwrap_err();
@@ -331,11 +331,9 @@ mod tests {
     #[test]
     fn repl_spans_and_lag_gauge_flow() {
         let sink = TraceSink::new();
-        let hub = MetricsHub::new().with_period(Nanos::from_millis(1));
         let (core, mut link) = pair(1);
         core.borrow_mut().leader_mut().set_trace_sink(sink.clone());
-        core.borrow().leader().install_metrics(&hub);
-        link.follower_mut().set_trace_sink(sink.clone());
+        link.follower.set_trace_sink(sink.clone());
         for i in 0..10u64 {
             put(&core, format!("k{i}").as_bytes(), &[0u8; 64]);
         }
@@ -344,10 +342,6 @@ mod tests {
         assert!(sink.histogram(EventClass::ReplApply).count() > 0, "apply spans");
         assert!(sink.histogram(EventClass::ReplAck).count() > 0, "ack spans");
         assert!(core.borrow().leader().replication_lag() >= Nanos::ZERO);
-        let now = core.borrow().leader().store().clock().now();
-        hub.sample_due(now, &[]);
-        let tl = hub.timeline();
-        assert!(tl.series.iter().any(|s| s.name == "repl.lag_nanos"), "lag gauge registered");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::wire::{encode, Frame, FrameReader};
 /// the follower's applied position, applies incoming records, and acks.
 pub struct FollowerLink<T: Transport> {
     transport: T,
-    follower: Follower,
+    pub(crate) follower: Follower,
     reader: FrameReader,
 }
 
@@ -129,7 +129,8 @@ impl<T: Transport> FollowerLink<T> {
     ///
     /// # Errors
     ///
-    /// As for [`Follower::get`].
+    /// [`noblsm::Error::Replication`] when the owning shard's staleness
+    /// exceeds the requested bound; store/engine errors pass through.
     pub fn get(&mut self, ropts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
         self.follower.get(ropts, key)
     }
@@ -137,11 +138,6 @@ impl<T: Transport> FollowerLink<T> {
     /// The driven follower.
     pub fn follower(&self) -> &Follower {
         &self.follower
-    }
-
-    /// Mutable access to the driven follower.
-    pub fn follower_mut(&mut self) -> &mut Follower {
-        &mut self.follower
     }
 
     /// Unpairs, returning the follower (promotion after the leader died).

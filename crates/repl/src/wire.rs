@@ -2,7 +2,7 @@
 //!
 //! Every frame is `u32 length ++ u8 kind ++ body`, where `length` counts
 //! the kind byte plus the body. The codec is encode/decode symmetric and
-//! incremental: [`FrameReader`] buffers partial frames across `recv`
+//! incremental: a `FrameReader` buffers partial frames across `recv`
 //! boundaries, so the same parser serves the loopback transport (whole
 //! frames per call) and TCP (arbitrary splits).
 //!
@@ -84,7 +84,7 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 /// Appends `frame`'s encoding to `out`.
-pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
+pub(crate) fn encode(frame: &Frame, out: &mut Vec<u8>) {
     let at = out.len();
     put_u32(out, 0); // length backpatched below
     match frame {
@@ -201,7 +201,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame> {
 /// arrive, [`next_frame`](FrameReader::next_frame) complete frames as they become
 /// available. Partial frames are buffered across feeds.
 #[derive(Debug, Default)]
-pub struct FrameReader {
+pub(crate) struct FrameReader {
     buf: Vec<u8>,
     at: usize,
 }
@@ -209,16 +209,16 @@ pub struct FrameReader {
 /// The largest frame a peer may send (guards against a corrupt length
 /// prefix allocating unbounded memory). Generous next to the store's
 /// default 1 MiB group budget.
-pub const MAX_FRAME: usize = 64 << 20;
+pub(crate) const MAX_FRAME: usize = 64 << 20;
 
 impl FrameReader {
     /// An empty reader.
-    pub fn new() -> FrameReader {
+    pub(crate) fn new() -> FrameReader {
         FrameReader::default()
     }
 
     /// Buffers newly received bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
+    pub(crate) fn feed(&mut self, bytes: &[u8]) {
         // Compact lazily so a long-lived subscription doesn't grow without
         // bound while staying O(1) amortized.
         if self.at > 0 && self.at == self.buf.len() {
@@ -239,7 +239,7 @@ impl FrameReader {
     /// [`noblsm::Error::Replication`] on a malformed frame; the reader is
     /// then poisoned-by-construction (the buffer no longer aligns with a
     /// frame boundary) and the connection should be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>> {
         let avail = self.buf.len() - self.at;
         if avail < 4 {
             return Ok(None);
@@ -257,11 +257,6 @@ impl FrameReader {
         let frame = decode_body(kind, body)?;
         self.at += 4 + len;
         Ok(Some(frame))
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.at
     }
 }
 
@@ -301,7 +296,6 @@ mod tests {
             out.push(f);
         }
         assert_eq!(out, samples());
-        assert_eq!(r.buffered(), 0);
     }
 
     #[test]

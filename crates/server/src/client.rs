@@ -121,50 +121,6 @@ impl<T: Transport> Client<T> {
         Ok(())
     }
 
-    /// Round-trip DEL.
-    ///
-    /// # Errors
-    ///
-    /// Server error replies and transport failures.
-    pub fn del(&mut self, key: &[u8]) -> Result<()> {
-        self.send(&Request::Del(key.to_vec()))?;
-        Self::expect(self.recv_reply()?)?;
-        Ok(())
-    }
-
-    /// Round-trip MGET.
-    ///
-    /// # Errors
-    ///
-    /// Server error replies and transport failures.
-    pub fn mget(&mut self, keys: &[Vec<u8>]) -> Result<Vec<Option<Vec<u8>>>> {
-        self.send(&Request::MGet(keys.to_vec()))?;
-        match Self::expect(self.recv_reply()?)? {
-            Frame::Array(items) => items
-                .into_iter()
-                .map(|f| match f {
-                    Frame::Bulk(v) => Ok(Some(v)),
-                    Frame::Nil => Ok(None),
-                    other => Err(Error::Usage(format!("unexpected MGET element: {other:?}"))),
-                })
-                .collect(),
-            other => Err(Error::Usage(format!("unexpected MGET reply: {other:?}"))),
-        }
-    }
-
-    /// Round-trip BATCH; returns the operation count the server applied.
-    ///
-    /// # Errors
-    ///
-    /// Server error replies and transport failures.
-    pub fn batch(&mut self, ops: Vec<crate::proto::BatchOp>) -> Result<i64> {
-        self.send(&Request::Batch(ops))?;
-        match Self::expect(self.recv_reply()?)? {
-            Frame::Integer(n) => Ok(n),
-            other => Err(Error::Usage(format!("unexpected BATCH reply: {other:?}"))),
-        }
-    }
-
     /// Round-trip PING.
     ///
     /// # Errors
@@ -200,20 +156,6 @@ impl<T: Transport> Client<T> {
         Ok((*cursor as u64, rows))
     }
 
-    /// Decodes one counting scan page reply: `(cursor, count)`.
-    fn parse_count_reply(frame: Frame) -> Result<(u64, u64)> {
-        let Frame::Array(items) = frame else {
-            return Err(Error::Usage("unexpected SCAN reply: not an array".into()));
-        };
-        let [Frame::Integer(cursor), Frame::Integer(count)] = items.as_slice() else {
-            return Err(Error::Usage("unexpected SCAN COUNT reply shape".into()));
-        };
-        if *cursor < 0 || *count < 0 {
-            return Err(Error::Usage("unexpected SCAN COUNT reply shape".into()));
-        }
-        Ok((*cursor as u64, *count as u64))
-    }
-
     /// Round-trip SCAN: opens a scan over `[start, end)` (empty slices =
     /// unbounded) and returns the first page as `(cursor, rows)`. A
     /// non-zero cursor means more rows remain — fetch them with
@@ -230,28 +172,11 @@ impl<T: Transport> Client<T> {
         end: &[u8],
         limit: u64,
     ) -> Result<(u64, Vec<(Vec<u8>, Vec<u8>)>)> {
-        self.scan_page_filtered(start, end, limit, None)
-    }
-
-    /// As [`scan_page`](Client::scan_page), with an optional server-side
-    /// key-prefix filter: non-matching rows never cross the wire.
-    ///
-    /// # Errors
-    ///
-    /// Server error replies (including BUSY) and transport failures.
-    #[allow(clippy::type_complexity)]
-    pub fn scan_page_filtered(
-        &mut self,
-        start: &[u8],
-        end: &[u8],
-        limit: u64,
-        prefix: Option<&[u8]>,
-    ) -> Result<(u64, Vec<(Vec<u8>, Vec<u8>)>)> {
         self.send(&Request::Scan {
             start: start.to_vec(),
             end: end.to_vec(),
             limit,
-            prefix: prefix.map(<[u8]>::to_vec),
+            prefix: None,
             count_only: false,
         })?;
         Self::parse_scan_reply(Self::expect(self.recv_reply()?)?)
@@ -292,61 +217,6 @@ impl<T: Transport> Client<T> {
         Ok(rows)
     }
 
-    /// Streams every row of `[start, end)` carrying `prefix`, filtering
-    /// server-side so only matching rows cross the wire.
-    ///
-    /// # Errors
-    ///
-    /// As for [`scan_page`](Client::scan_page).
-    #[allow(clippy::type_complexity)]
-    pub fn scan_all_filtered(
-        &mut self,
-        start: &[u8],
-        end: &[u8],
-        page_size: u64,
-        prefix: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let (mut cursor, mut rows) = self.scan_page_filtered(start, end, page_size, prefix)?;
-        while cursor != 0 {
-            let (next, page) = self.scan_next(cursor)?;
-            rows.extend(page);
-            cursor = next;
-        }
-        Ok(rows)
-    }
-
-    /// Counts the rows of `[start, end)` (optionally narrowed to
-    /// `prefix`) without shipping any row payloads: the server tallies
-    /// each page (`SCAN ... COUNT`) and replies `*2 [:cursor, :count]`.
-    /// Visits at most `page_size` rows per round trip.
-    ///
-    /// # Errors
-    ///
-    /// As for [`scan_page`](Client::scan_page).
-    pub fn scan_count(
-        &mut self,
-        start: &[u8],
-        end: &[u8],
-        page_size: u64,
-        prefix: Option<&[u8]>,
-    ) -> Result<u64> {
-        self.send(&Request::Scan {
-            start: start.to_vec(),
-            end: end.to_vec(),
-            limit: page_size,
-            prefix: prefix.map(<[u8]>::to_vec),
-            count_only: true,
-        })?;
-        let (mut cursor, mut total) = Self::parse_count_reply(Self::expect(self.recv_reply()?)?)?;
-        while cursor != 0 {
-            self.send(&Request::ScanNext(cursor))?;
-            let (next, count) = Self::parse_count_reply(Self::expect(self.recv_reply()?)?)?;
-            total += count;
-            cursor = next;
-        }
-        Ok(total)
-    }
-
     /// Round-trip INFO; returns the server's stats text.
     ///
     /// # Errors
@@ -364,7 +234,6 @@ impl<T: Transport> Client<T> {
 #[cfg(test)]
 mod tests {
     use crate::core::{ServerCore, ServerOptions};
-    use crate::proto::BatchOp;
     use crate::transport::{shared, LoopbackTransport};
 
     use super::*;
@@ -382,16 +251,6 @@ mod tests {
         assert_eq!(c.get(b"missing").unwrap(), None);
         c.set(b"k", b"v").unwrap();
         assert_eq!(c.get(b"k").unwrap(), Some(b"v".to_vec()));
-        c.del(b"k").unwrap();
-        assert_eq!(c.get(b"k").unwrap(), None);
-        let n = c
-            .batch(vec![BatchOp::Put(b"a".to_vec(), b"1".to_vec()), BatchOp::Del(b"z".to_vec())])
-            .unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(
-            c.mget(&[b"a".to_vec(), b"z".to_vec()]).unwrap(),
-            vec![Some(b"1".to_vec()), None]
-        );
         assert!(c.info().unwrap().contains("# server"));
     }
 
@@ -454,17 +313,51 @@ mod tests {
             c.set(format!("a{i:02}").into_bytes().as_slice(), b"v").unwrap();
             c.set(format!("b{i:02}").into_bytes().as_slice(), b"v").unwrap();
         }
+        // Every page of one SCAN, chained through its cursor: each reply
+        // is `[:cursor, payload]`.
+        let mut pages = |start: &[u8], end: &[u8], limit, prefix: Option<&[u8]>, count_only| {
+            let (start, end, prefix) = (start.to_vec(), end.to_vec(), prefix.map(<[u8]>::to_vec));
+            c.send(&Request::Scan { start, end, limit, prefix, count_only }).unwrap();
+            let mut payloads = Vec::new();
+            loop {
+                let Frame::Array(reply) = c.recv_reply().unwrap() else { panic!("not an array") };
+                let [Frame::Integer(cursor), payload] = <[Frame; 2]>::try_from(reply).unwrap()
+                else {
+                    panic!("not a cursor page")
+                };
+                payloads.push(payload);
+                if cursor == 0 {
+                    return payloads;
+                }
+                c.send(&Request::ScanNext(cursor as u64)).unwrap();
+            }
+        };
         // Prefix filter: only `a*` rows come back, across multiple pages.
-        let rows = c.scan_all_filtered(b"", b"", 8, Some(b"a")).unwrap();
+        let rows: Vec<Frame> = pages(b"", b"", 8, Some(b"a"), false)
+            .into_iter()
+            .flat_map(|p| match p {
+                Frame::Array(flat) => flat.into_iter().step_by(2),
+                other => panic!("rows expected, got {other:?}"),
+            })
+            .collect();
         assert_eq!(rows.len(), 30);
-        assert!(rows.iter().all(|(k, _)| k.starts_with(b"a")));
+        assert!(rows.iter().all(|k| matches!(k, Frame::Bulk(k) if k.starts_with(b"a"))));
         // Counting scan: the tally pages through the whole range without
         // shipping a single row payload.
-        assert_eq!(c.scan_count(b"", b"", 8, None).unwrap(), 60);
-        assert_eq!(c.scan_count(b"", b"", 8, Some(b"b")).unwrap(), 30);
-        assert_eq!(c.scan_count(b"a10", b"a20", 4, Some(b"a")).unwrap(), 10);
+        let mut count = |start: &[u8], end: &[u8], limit, prefix: Option<&[u8]>| -> i64 {
+            pages(start, end, limit, prefix, true)
+                .into_iter()
+                .map(|p| match p {
+                    Frame::Integer(n) => n,
+                    other => panic!("a count expected, got {other:?}"),
+                })
+                .sum()
+        };
+        assert_eq!(count(b"", b"", 8, None), 60);
+        assert_eq!(count(b"", b"", 8, Some(b"b")), 30);
+        assert_eq!(count(b"a10", b"a20", 4, Some(b"a")), 10);
         // Prefix disjoint from the range: nothing matches.
-        assert_eq!(c.scan_count(b"b", b"", 8, Some(b"a")).unwrap(), 0);
+        assert_eq!(count(b"b", b"", 8, Some(b"a")), 0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! 2. [`flush`](ServerCore::flush) — drains the store's group-commit
 //!    queue and resolves every parked write reply with its durable
 //!    outcome.
-//! 3. [`take_output`](ServerCore::take_output) — hands out the resolved
+//! 3. `take_output` — hands out the resolved
 //!    prefix of a connection's reply queue, whose ready replies are held
 //!    as the bytes that go on the wire. Replies never overtake each
 //!    other: a BUSY rejection or read reply queued behind a parked write
@@ -102,7 +102,7 @@ pub enum ReplRole {
 
 impl ReplRole {
     /// Stable lower-case name, as printed in `INFO`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ReplRole::Standalone => "standalone",
             ReplRole::Leader => "leader",
@@ -344,7 +344,7 @@ impl ServerCore {
 
     /// Removes a connection. Its enqueued writes still commit (they are
     /// already in the group-commit queue) but their replies are dropped.
-    pub fn disconnect(&mut self, id: ConnId) {
+    pub(crate) fn disconnect(&mut self, id: ConnId) {
         if let Some(conn) = self.conns.remove(&id) {
             self.inflight -= conn.inflight;
             self.counters.inflight.store(self.inflight as u64, Ordering::Relaxed);
@@ -361,11 +361,6 @@ impl ServerCore {
         self.conns.len()
     }
 
-    /// Unresolved write tickets across all connections.
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
     /// Replies queued (resolved or not) on `id`.
     pub fn pending_replies(&self, id: ConnId) -> usize {
         self.conns.get(&id).map_or(0, |c| c.replies.len())
@@ -373,7 +368,7 @@ impl ServerCore {
 
     /// Whether `id` hit a frame-level protocol error and should be closed
     /// once its output drains.
-    pub fn is_poisoned(&self, id: ConnId) -> bool {
+    pub(crate) fn is_poisoned(&self, id: ConnId) -> bool {
         self.conns.get(&id).is_some_and(|c| c.poisoned)
     }
 
@@ -552,7 +547,7 @@ impl ServerCore {
     /// wire bytes: a lone reply's own buffer, several replies joined.
     /// Returns an empty buffer when the front reply is still awaiting its
     /// ticket (call [`flush`](ServerCore::flush) first).
-    pub fn take_output(&mut self, id: ConnId) -> Vec<u8> {
+    pub(crate) fn take_output(&mut self, id: ConnId) -> Vec<u8> {
         let Some(conn) = self.conns.get_mut(&id) else { return Vec::new() };
         let mut out = Vec::new();
         while let Some(PendingReply::Ready(_)) = conn.replies.front() {
@@ -569,10 +564,8 @@ impl ServerCore {
         out
     }
 
-    /// Whether `id` has replies queued that [`take_output`] cannot yet
-    /// return (the front of the queue awaits a group-commit ticket).
-    ///
-    /// [`take_output`]: ServerCore::take_output
+    /// Whether `id` has replies queued that cannot be handed out yet (the
+    /// front of the queue awaits a group-commit ticket).
     pub fn output_blocked(&self, id: ConnId) -> bool {
         self.conns
             .get(&id)
@@ -1113,7 +1106,7 @@ mod tests {
         feed_req(&mut core, c, &Request::Set(b"a".to_vec(), b"1".to_vec()));
         feed_req(&mut core, c, &Request::Set(b"b".to_vec(), b"2".to_vec()));
         core.flush().unwrap();
-        assert_eq!(core.inflight(), 0);
+        assert_eq!(core.inflight, 0);
         feed_req(&mut core, c, &Request::Set(b"c".to_vec(), b"3".to_vec()));
         core.flush().unwrap();
         let replies = decode_all(&core.take_output(c));
@@ -1373,9 +1366,9 @@ mod tests {
         let c1 = core.connect();
         feed_req(&mut core, c1, &Request::Set(b"a".to_vec(), b"1".to_vec()));
         feed_req(&mut core, c1, &Request::Set(b"b".to_vec(), b"2".to_vec()));
-        assert_eq!(core.inflight(), 2);
+        assert_eq!(core.inflight, 2);
         core.disconnect(c1);
-        assert_eq!(core.inflight(), 0);
+        assert_eq!(core.inflight, 0);
         let c2 = core.connect();
         feed_req(&mut core, c2, &Request::Set(b"c".to_vec(), b"3".to_vec()));
         core.flush().unwrap();
@@ -1398,7 +1391,7 @@ mod tests {
             }
             core.disconnect(c);
         }
-        assert_eq!(core.inflight(), 0, "a disconnect hands its budget back at once");
+        assert_eq!(core.inflight, 0, "a disconnect hands its budget back at once");
         core.flush().unwrap();
         assert_eq!(core.store().stats().unredeemed, 0, "one entry leaked per orphaned write");
         assert_eq!(info_counter(&core, "unredeemed"), 0);

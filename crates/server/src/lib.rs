@@ -40,6 +40,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod client;
 pub mod core;

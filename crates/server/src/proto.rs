@@ -20,13 +20,13 @@
 use std::fmt;
 
 /// Hard cap on one bulk string's declared length (16 MiB).
-pub const MAX_BULK: usize = 16 << 20;
+pub(crate) const MAX_BULK: usize = 16 << 20;
 /// Hard cap on one array's declared arity.
-pub const MAX_ARRAY: usize = 4096;
+pub(crate) const MAX_ARRAY: usize = 4096;
 /// Hard cap on array nesting depth.
-pub const MAX_DEPTH: usize = 4;
+pub(crate) const MAX_DEPTH: usize = 4;
 /// Hard cap on a simple-string / error line length.
-pub const MAX_LINE: usize = 4096;
+pub(crate) const MAX_LINE: usize = 4096;
 
 /// A decoded protocol frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +52,7 @@ impl Frame {
     }
 
     /// An admission-control pushback reply; see [`Frame::is_busy`].
-    pub fn busy() -> Frame {
+    pub(crate) fn busy() -> Frame {
         Frame::Error("BUSY server in-flight budget exhausted, retry".into())
     }
 
@@ -165,8 +165,8 @@ pub enum ProtoError {
     BadType(u8),
     /// A `$`/`*`/`:` length or integer field failed to parse.
     BadLength,
-    /// A declared length exceeds [`MAX_BULK`], [`MAX_ARRAY`] or
-    /// [`MAX_LINE`], or arrays nest past [`MAX_DEPTH`].
+    /// A declared length exceeds `MAX_BULK`, `MAX_ARRAY` or `MAX_LINE`,
+    /// or arrays nest past `MAX_DEPTH`.
     Oversize(&'static str),
     /// A bulk payload was not terminated by `\r\n`.
     BadTerminator,
@@ -220,11 +220,6 @@ impl Decoder {
     /// can receive straight into it.
     pub(crate) fn inbox(&mut self) -> &mut Vec<u8> {
         &mut self.buf
-    }
-
-    /// Bytes buffered but not yet consumed by a returned frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Decodes the next complete frame, `Ok(None)` when more bytes are
@@ -395,17 +390,7 @@ pub enum RequestClass {
     Scan,
 }
 
-impl RequestClass {
-    /// Stable snake_case name, used in metric names.
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestClass::Read => "read",
-            RequestClass::Write => "write",
-            RequestClass::Control => "control",
-            RequestClass::Scan => "scan",
-        }
-    }
-}
+impl RequestClass {}
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -460,7 +445,7 @@ impl Request {
     }
 
     /// The request's admission/trace class.
-    pub fn class(&self) -> RequestClass {
+    pub(crate) fn class(&self) -> RequestClass {
         match self {
             Request::Get(_) | Request::MGet(_) => RequestClass::Read,
             Request::Set(..) | Request::Del(_) | Request::Batch(_) => RequestClass::Write,
@@ -471,7 +456,7 @@ impl Request {
 
     /// Approximate payload bytes carried by the request (keys + values),
     /// the unit the trace span's `bytes` field reports.
-    pub fn payload_bytes(&self) -> u64 {
+    pub(crate) fn payload_bytes(&self) -> u64 {
         match self {
             Request::Get(k) | Request::Del(k) => k.len() as u64,
             Request::Set(k, v) => (k.len() + v.len()) as u64,
@@ -690,14 +675,14 @@ mod tests {
         for _ in 0..whole {
             d.push(&past.to_bytes());
             assert_eq!(d.next_frame().unwrap(), Some(past.clone()));
-            assert_eq!(d.buffered(), 0);
+            assert_eq!(d.buf.len() - d.pos, 0);
         }
         let fed = usize::from(pending).min(stream.len());
         if pending {
             d.push(&past.to_bytes());
             d.push(&stream[..fed]);
             assert_eq!(d.next_frame().unwrap(), Some(past));
-            assert_eq!(d.buffered(), fed);
+            assert_eq!(d.buf.len() - d.pos, fed);
         }
         (d, fed)
     }
@@ -731,7 +716,7 @@ mod tests {
                 assert_eq!(got, Some(frame.clone()));
             }
         }
-        assert_eq!(d.buffered(), 0);
+        assert_eq!(d.buf.len() - d.pos, 0);
     }
 
     #[test]
@@ -977,7 +962,7 @@ mod tests {
                 None => d.next_frame().unwrap().expect("complete after full feed"),
             };
             prop_assert_eq!(Request::parse(&frame).unwrap(), req);
-            prop_assert_eq!(d.buffered(), 0);
+            prop_assert_eq!(d.buf.len() - d.pos, 0);
             prop_assert_eq!(d.next_frame(), Ok(None));
         }
 

@@ -92,21 +92,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
         self.heap.pop().map(|Reverse(e)| (e.at, e.payload))
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 #[cfg(test)]
@@ -141,17 +126,6 @@ mod tests {
         q.push(Nanos::from_secs(5), ());
         assert_eq!(q.pop_due(Nanos::from_secs(4)), None);
         assert_eq!(q.pop_due(Nanos::from_secs(5)), Some((Nanos::from_secs(5), ())));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.push(Nanos::ZERO, ());
-        q.push(Nanos::from_secs(1), ());
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
         assert_eq!(q.next_at(), None);
     }
 }

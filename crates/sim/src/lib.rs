@@ -33,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 mod clock;
 mod events;

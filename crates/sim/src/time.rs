@@ -54,11 +54,6 @@ impl Nanos {
         self.0
     }
 
-    /// Value in microseconds, truncating.
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Value in milliseconds, truncating.
     pub const fn as_millis(self) -> u64 {
         self.0 / 1_000_000
@@ -75,7 +70,7 @@ impl Nanos {
     }
 
     /// Saturating addition.
-    pub const fn saturating_add(self, rhs: Nanos) -> Nanos {
+    pub(crate) const fn saturating_add(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_add(rhs.0))
     }
 
@@ -85,17 +80,8 @@ impl Nanos {
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: Nanos) -> Nanos {
+    pub(crate) fn max(self, other: Nanos) -> Nanos {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: Nanos) -> Nanos {
-        if self.0 <= other.0 {
             self
         } else {
             other

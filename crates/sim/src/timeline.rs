@@ -40,7 +40,6 @@ impl Reservation {
 pub struct Timeline {
     free_at: Nanos,
     busy: Nanos,
-    commands: u64,
 }
 
 impl Timeline {
@@ -55,7 +54,6 @@ impl Timeline {
         let end = start + duration;
         self.free_at = end;
         self.busy += duration;
-        self.commands += 1;
         Reservation { start, end }
     }
 
@@ -67,11 +65,6 @@ impl Timeline {
     /// Total busy time accumulated so far.
     pub fn busy_time(&self) -> Nanos {
         self.busy
-    }
-
-    /// Number of commands served.
-    pub fn commands(&self) -> u64 {
-        self.commands
     }
 }
 
@@ -95,7 +88,6 @@ mod tests {
         let c = t.reserve(Nanos::ZERO, Nanos::from_micros(10));
         assert_eq!(a.end, b.start);
         assert_eq!(b.end, c.start);
-        assert_eq!(t.commands(), 3);
         assert_eq!(t.busy_time(), Nanos::from_micros(30));
     }
 

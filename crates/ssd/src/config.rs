@@ -22,7 +22,7 @@ pub struct SsdConfig {
     /// Sequential write bandwidth of the device (bytes/s).
     pub seq_write_bw: u64,
     /// Sequential read bandwidth of the device (bytes/s).
-    pub seq_read_bw: u64,
+    pub(crate) seq_read_bw: u64,
     /// Fixed per-command setup latency.
     pub cmd_latency: Nanos,
     /// Latency of a FLUSH command (drain + NAND program barrier).
@@ -50,13 +50,13 @@ impl SsdConfig {
 
     /// Duration of a data write of `bytes` at device bandwidth
     /// (command latency included).
-    pub fn write_cost(&self, bytes: u64) -> Nanos {
+    pub(crate) fn write_cost(&self, bytes: u64) -> Nanos {
         self.cmd_latency + Nanos::for_transfer(bytes, self.seq_write_bw)
     }
 
     /// Duration of a data read of `bytes` at device bandwidth
     /// (command latency included).
-    pub fn read_cost(&self, bytes: u64) -> Nanos {
+    pub(crate) fn read_cost(&self, bytes: u64) -> Nanos {
         self.cmd_latency + Nanos::for_transfer(bytes, self.seq_read_bw)
     }
 

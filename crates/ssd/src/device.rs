@@ -85,11 +85,6 @@ impl Ssd {
         self.injector = Some(injector);
     }
 
-    /// Removes the fault injector, restoring the perfect device.
-    pub fn clear_injector(&mut self) {
-        self.injector = None;
-    }
-
     /// Consults the injector about a write and accounts the verdict.
     fn write_verdict(
         &mut self,
@@ -121,11 +116,6 @@ impl Ssd {
             self.stats.dropped_flushes += 1;
         }
         verdict
-    }
-
-    /// The device's configuration.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
     }
 
     /// Accumulated I/O counters.
@@ -241,7 +231,7 @@ impl Ssd {
         (r, verdict)
     }
 
-    /// [`flush_background`](Self::flush_background) plus the injector's
+    /// A background-class FLUSH (write-back traffic) plus the injector's
     /// verdict.
     pub fn flush_background_checked(&mut self, issue: Nanos) -> (Reservation, FlushFault) {
         let verdict = self.flush_verdict(issue, true);
@@ -278,7 +268,7 @@ impl Ssd {
 
     /// Issues a background FLUSH at `issue` (asynchronous journal commit
     /// records).
-    pub fn flush_background(&mut self, issue: Nanos) -> Reservation {
+    pub(crate) fn flush_background(&mut self, issue: Nanos) -> Reservation {
         self.stats.flush_commands += 1;
         let start = issue.max(self.bg_tail).max(self.timeline.free_at());
         let end = start + self.cfg.flush_latency;
@@ -372,6 +362,6 @@ mod tests {
     fn zero_byte_write_still_pays_command_latency() {
         let mut d = ssd();
         let r = d.write(Nanos::ZERO, 0);
-        assert_eq!(r.duration(), d.config().cmd_latency);
+        assert_eq!(r.duration(), d.cfg.cmd_latency);
     }
 }

@@ -117,12 +117,6 @@ pub trait FaultInjector: Send {
     }
 }
 
-/// The zero-cost default: never injects anything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
 /// Shared, clonable handle to an injector.
 ///
 /// The device is `Clone` (snapshots of the timeline are cheap and the
@@ -140,12 +134,12 @@ impl InjectorHandle {
     }
 
     /// Asks the injector for a write verdict.
-    pub fn on_write(&self, cmd: &WriteCmd) -> WriteFault {
+    pub(crate) fn on_write(&self, cmd: &WriteCmd) -> WriteFault {
         self.0.lock().unwrap_or_else(|p| p.into_inner()).on_write(cmd)
     }
 
     /// Asks the injector for a flush verdict.
-    pub fn on_flush(&self, cmd: &FlushCmd) -> FlushFault {
+    pub(crate) fn on_flush(&self, cmd: &FlushCmd) -> FlushFault {
         self.0.lock().unwrap_or_else(|p| p.into_inner()).on_flush(cmd)
     }
 }

@@ -32,6 +32,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 mod config;
 mod device;
@@ -41,6 +42,6 @@ mod stats;
 pub use config::SsdConfig;
 pub use device::Ssd;
 pub use fault::{
-    FaultInjector, FlushCmd, FlushFault, InjectorHandle, NoFaults, WriteClass, WriteCmd, WriteFault,
+    FaultInjector, FlushCmd, FlushFault, InjectorHandle, WriteClass, WriteCmd, WriteFault,
 };
 pub use stats::IoStats;

@@ -17,16 +17,16 @@ pub struct IoStats {
     /// Number of FLUSH commands issued.
     pub flush_commands: u64,
     /// Write commands the injector tore (prefix durable, tail lost).
-    pub torn_writes: u64,
+    pub(crate) torn_writes: u64,
     /// Write commands the injector silently corrupted on media.
-    pub corrupt_writes: u64,
+    pub(crate) corrupt_writes: u64,
     /// FLUSH commands the injector acknowledged without draining.
     pub dropped_flushes: u64,
 }
 
 impl IoStats {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         IoStats::default()
     }
 

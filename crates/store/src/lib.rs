@@ -60,6 +60,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -297,18 +298,6 @@ impl Store {
         self.shards.iter().map(|s| s.db.compaction_lanes()).collect()
     }
 
-    /// Reconfigures every shard to `n` compaction lanes at runtime
-    /// (in-flight jobs still complete; see [`Db::set_compaction_lanes`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn set_compaction_lanes(&mut self, n: usize) {
-        for shard in &mut self.shards {
-            shard.db.set_compaction_lanes(n);
-        }
-    }
-
     /// Batches still queued across all shards.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.queue.len()).sum()
@@ -326,11 +315,6 @@ impl Store {
     /// a leader enables shipping at open, before accepting writes.
     pub fn enable_shipping(&mut self) {
         self.shipping = true;
-    }
-
-    /// Whether group shipping capture is on.
-    pub fn shipping_enabled(&self) -> bool {
-        self.shipping
     }
 
     /// Drains the shipped records captured since the last call, in commit
@@ -805,13 +789,6 @@ impl Store {
             shard.db.set_metrics_hub(hub.scoped(&format!("shard{i}.")));
         }
     }
-
-    /// Detaches the hub from every shard.
-    pub fn clear_metrics_hub(&mut self) {
-        for shard in &mut self.shards {
-            shard.db.clear_metrics_hub();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1258,13 +1235,11 @@ mod tests {
             tl.series.iter().any(|s| s.name.starts_with("shard1.")),
             "expected shard1.* series"
         );
-        store.clear_metrics_hub();
     }
 
     #[test]
     fn shipping_is_off_by_default() {
         let mut store = Store::open(small_opts(2)).unwrap();
-        assert!(!store.shipping_enabled());
         let mut b = WriteBatch::new();
         b.put(b"k", b"v");
         store.write(&WriteOptions::default(), b).unwrap();

@@ -22,7 +22,7 @@ use nob_sim::json::Json;
 use nob_sim::Nanos;
 
 /// Number of critical-path segments.
-pub const N_SEGMENTS: usize = 10;
+pub(crate) const N_SEGMENTS: usize = 10;
 
 /// Segment names, in reporting order. `admission` is the request's own
 /// self-time (queueing before the group picked it up, reply resolution),
@@ -85,7 +85,7 @@ pub struct TraceNode {
     /// Whether this subtree was grafted in via a cross-trace link (the
     /// group-commit span a follower request waited on, owned by the
     /// leader's trace).
-    pub grafted: bool,
+    pub(crate) grafted: bool,
     /// Child spans, by start instant then emission order.
     pub children: Vec<TraceNode>,
 }
@@ -95,18 +95,6 @@ impl TraceNode {
     /// ack ends after the root's durable instant).
     pub fn max_end(&self) -> Nanos {
         self.children.iter().map(TraceNode::max_end).fold(self.event.end, Nanos::max)
-    }
-
-    /// Number of spans in the subtree.
-    pub fn len(&self) -> usize {
-        1 + self.children.iter().map(TraceNode::len).sum::<usize>()
-    }
-
-    /// Whether the subtree is a lone span. Always false (a node holds
-    /// at least its own span); present for clippy's `len`-without-
-    /// `is_empty` convention.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Indented one-line-per-span rendering of the subtree.
@@ -148,7 +136,7 @@ pub struct TraceForest {
 
 impl TraceForest {
     /// Indexes a snapshot (see [`TraceSink::snapshot`]).
-    pub fn new(events: Vec<SpanEvent>, links: Vec<SpanLink>) -> Self {
+    pub(crate) fn new(events: Vec<SpanEvent>, links: Vec<SpanLink>) -> Self {
         let mut by_span = HashMap::new();
         let mut children: HashMap<u64, Vec<usize>> = HashMap::new();
         for (i, e) in events.iter().enumerate() {
@@ -213,11 +201,11 @@ impl TraceForest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CriticalPath {
     /// The request's trace id.
-    pub trace: u64,
+    pub(crate) trace: u64,
     /// Class of the root span (usually `server_write`).
-    pub root_class: EventClass,
+    pub(crate) root_class: EventClass,
     /// Request receipt instant.
-    pub start: Nanos,
+    pub(crate) start: Nanos,
     /// Receipt → latest completion anywhere in the tree (the replicated
     /// ack when replication is traced, the durable instant otherwise).
     pub total_ns: u64,
@@ -310,15 +298,15 @@ fn flatten(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentStats {
     /// Segment name (one of [`SEGMENTS`]).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Paths in which the segment is non-zero.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Total nanoseconds across all paths.
     pub total_ns: u64,
     /// Median of the non-zero per-path values.
-    pub p50_ns: u64,
+    pub(crate) p50_ns: u64,
     /// 99th percentile of the non-zero per-path values.
-    pub p99_ns: u64,
+    pub(crate) p99_ns: u64,
 }
 
 /// The critical-path decomposition of every traced request a sink still
@@ -340,7 +328,7 @@ pub struct CriticalSummary {
 impl CriticalSummary {
     /// Decomposes every root in the forest, keeping the `top_n` slowest
     /// trees for display.
-    pub fn collect(forest: &TraceForest, top_n: usize) -> CriticalSummary {
+    pub(crate) fn collect(forest: &TraceForest, top_n: usize) -> CriticalSummary {
         let mut paths: Vec<CriticalPath> = Vec::new();
         let mut trees: HashMap<u64, TraceNode> = HashMap::new();
         for root in forest.roots() {
@@ -533,7 +521,7 @@ mod tests {
         let root = commit_chain(&sink);
         let tree = sink.tree(root.trace).expect("root retained");
         assert_eq!(tree.event.class, EventClass::ServerWrite);
-        assert_eq!(tree.len(), 5);
+        assert_eq!(tree.render().lines().count(), 5);
         let mut classes = Vec::new();
         fn walk(n: &TraceNode, out: &mut Vec<EventClass>) {
             out.push(n.event.class);
@@ -586,7 +574,7 @@ mod tests {
         sink.emit_ctx(EventClass::ServerWrite, ns(0), ns(60), 32, leader);
         sink.emit_ctx(EventClass::ServerWrite, ns(5), ns(58), 32, follower);
         let ftree = sink.tree(follower.trace).expect("follower tree");
-        assert_eq!(ftree.len(), 2);
+        assert_eq!(ftree.render().lines().count(), 2);
         assert!(ftree.children[0].grafted);
         assert_eq!(ftree.children[0].event.class, EventClass::GroupCommit);
         assert!(ftree.render().contains("(via link)"));

@@ -84,7 +84,7 @@ pub enum EventClass {
 }
 
 /// Number of event classes (length of [`EventClass::ALL`]).
-pub const N_CLASSES: usize = 28;
+pub(crate) const N_CLASSES: usize = 28;
 
 impl EventClass {
     /// Every class, in discriminant order.
@@ -155,7 +155,7 @@ impl EventClass {
 
     /// Which layer of the stack emits this class (the Chrome-trace
     /// "thread" the span renders on).
-    pub fn layer(self) -> &'static str {
+    pub(crate) fn layer(self) -> &'static str {
         match self {
             EventClass::SsdRead
             | EventClass::SsdWrite
@@ -189,7 +189,7 @@ impl EventClass {
     /// Chrome-trace tid for the class's layer (4 = repl, 3 = server,
     /// 0 = engine, 1 = ext4, 2 = ssd), so the layers stack naturally in
     /// `chrome://tracing`.
-    pub fn tid(self) -> u32 {
+    pub(crate) fn tid(self) -> u32 {
         match self.layer() {
             "engine" => 0,
             "ext4" => 1,
@@ -223,11 +223,6 @@ impl TraceCtx {
     pub fn is_none(&self) -> bool {
         self.span == 0
     }
-
-    /// Whether this context is the root of its trace.
-    pub fn is_root(&self) -> bool {
-        self.span != 0 && self.parent == 0
-    }
 }
 
 /// One recorded span: a class plus its `[start, end]` window and an
@@ -243,7 +238,7 @@ pub struct SpanEvent {
     /// Completion instant.
     pub end: Nanos,
     /// Bytes moved, where the class has a payload.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Trace id this span belongs to (0 = untraced).
     pub trace: u64,
     /// This span's id (0 = untraced).
@@ -258,13 +253,8 @@ impl SpanEvent {
         self.end - self.start
     }
 
-    /// The span's causal identity.
-    pub fn ctx(&self) -> TraceCtx {
-        TraceCtx { trace: self.trace, span: self.span, parent: self.parent }
-    }
-
     /// Whether the span is the root of a trace.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.span != 0 && self.parent == 0
     }
 }
@@ -370,12 +360,8 @@ mod tests {
     #[test]
     fn ctx_roundtrips_and_classifies() {
         assert!(TraceCtx::NONE.is_none());
-        assert!(!TraceCtx::NONE.is_root());
         let root = TraceCtx { trace: 7, span: 7, parent: 0 };
-        assert!(root.is_root());
         assert!(!root.is_none());
-        let child = TraceCtx { trace: 7, span: 9, parent: 7 };
-        assert!(!child.is_root());
         let e = SpanEvent {
             seq: 0,
             class: EventClass::EnginePut,
@@ -386,7 +372,6 @@ mod tests {
             span: 9,
             parent: 7,
         };
-        assert_eq!(e.ctx(), child);
         assert!(!e.is_root());
     }
 }

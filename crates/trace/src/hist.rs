@@ -115,17 +115,8 @@ impl Histogram {
         }
     }
 
-    /// Mean of recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.count as f64
-        }
-    }
-
     /// Sum of recorded values, saturating at `u64::MAX`.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.total.min(u64::MAX as u128) as u64
     }
 
@@ -287,8 +278,6 @@ mod tests {
         let mut h = Histogram::new();
         h.record(10);
         h.record(20);
-        assert!((h.mean() - 15.0).abs() < 1e-9);
         assert_eq!(h.total(), 30);
-        assert_eq!(Histogram::new().mean(), 0.0);
     }
 }

@@ -11,7 +11,7 @@
 //! * [`Histogram`] — HDR-style log-bucketed latency histograms
 //!   (p50/p95/p99/p999/max, ≤ 3.1% bucketing error over the full `u64`
 //!   nanosecond range) kept per event class;
-//! * [`TraceRing`] — a bounded ring of recent spans for JSON and
+//! * a bounded ring of recent spans, kept by the sink, for JSON and
 //!   Chrome-trace (`chrome://tracing`) export;
 //! * [`TraceSink`] — the cloneable handle the SSD, Ext4 and engine
 //!   layers emit into; layers hold `Option<TraceSink>` so the disabled
@@ -32,19 +32,17 @@
 //! golden-file tests and exact CI baselines possible.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 
 pub mod critical;
 pub mod event;
-pub mod hist;
-pub mod ring;
+mod hist;
+mod ring;
 pub mod sink;
 pub mod summary;
 
-pub use critical::{
-    CriticalPath, CriticalSummary, SegmentStats, TraceForest, TraceNode, N_SEGMENTS, SEGMENTS,
-};
-pub use event::{EventClass, SpanEvent, StallKind, StallRecord, TraceCtx, N_CLASSES};
+pub use critical::{CriticalPath, CriticalSummary, SegmentStats, TraceForest, TraceNode, SEGMENTS};
+pub use event::{EventClass, SpanEvent, StallKind, StallRecord, TraceCtx};
 pub use hist::Histogram;
-pub use ring::TraceRing;
 pub use sink::{SpanLink, TraceSink};
 pub use summary::{ClassStats, TraceSummary};

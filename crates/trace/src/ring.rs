@@ -5,7 +5,7 @@ use crate::event::SpanEvent;
 /// Keeps the most recent `capacity` spans; older spans are overwritten
 /// and counted in [`TraceRing::overwritten`].
 #[derive(Debug, Clone)]
-pub struct TraceRing {
+pub(crate) struct TraceRing {
     buf: Vec<SpanEvent>,
     capacity: usize,
     /// Index of the next write slot once the buffer is full.
@@ -16,13 +16,13 @@ pub struct TraceRing {
 
 impl TraceRing {
     /// Creates a ring that retains up to `capacity` spans (minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         TraceRing { buf: Vec::with_capacity(capacity), capacity, head: 0, pushed: 0 }
     }
 
     /// Appends a span, evicting the oldest once full.
-    pub fn push(&mut self, ev: SpanEvent) {
+    pub(crate) fn push(&mut self, ev: SpanEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -32,33 +32,23 @@ impl TraceRing {
         self.pushed += 1;
     }
 
-    /// Number of spans currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no spans are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Maximum number of retained spans.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Total spans ever pushed, including evicted ones.
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.pushed
     }
 
     /// Spans evicted to make room for newer ones.
-    pub fn overwritten(&self) -> u64 {
+    pub(crate) fn overwritten(&self) -> u64 {
         self.pushed - self.buf.len() as u64
     }
 
     /// Retained spans, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &SpanEvent> {
         let (newer, older) = self.buf.split_at(self.head);
         older.iter().chain(newer.iter())
     }
@@ -89,7 +79,7 @@ mod tests {
         for s in 0..3 {
             r.push(ev(s));
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.iter().count(), 3);
         assert_eq!(r.overwritten(), 0);
         let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
@@ -101,7 +91,7 @@ mod tests {
         for s in 0..10 {
             r.push(ev(s));
         }
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.iter().count(), 4);
         assert_eq!(r.pushed(), 10);
         assert_eq!(r.overwritten(), 6);
         let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
@@ -126,7 +116,7 @@ mod tests {
         let mut r = TraceRing::new(0);
         r.push(ev(0));
         r.push(ev(1));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.iter().count(), 1);
         assert_eq!(r.iter().next().unwrap().seq, 1);
     }
 }

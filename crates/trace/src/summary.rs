@@ -11,15 +11,15 @@ use nob_sim::Nanos;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassStats {
     /// The class these stats describe.
-    pub class: EventClass,
+    pub(crate) class: EventClass,
     /// Spans recorded.
     pub count: u64,
     /// Total payload bytes across the class's spans.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Sum of span durations.
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
     /// Exact minimum span duration.
-    pub min_ns: u64,
+    pub(crate) min_ns: u64,
     /// Exact maximum span duration.
     pub max_ns: u64,
     /// Median (log-bucketed, ≤ 3.1% high).
@@ -33,22 +33,22 @@ pub struct ClassStats {
     /// Trace id of the slowest *traced* span of this class (0 when the
     /// class recorded no traced spans) — the exemplar linking the
     /// histogram tail to a concrete span tree.
-    pub exemplar_trace: u64,
+    pub(crate) exemplar_trace: u64,
 }
 
 /// A complete, serialisable snapshot of a sink at end of run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
     /// Total spans emitted.
-    pub events: u64,
+    pub(crate) events: u64,
     /// Spans evicted from the ring (still counted in histograms).
     pub dropped: u64,
     /// Non-empty classes, in discriminant order.
-    pub classes: Vec<ClassStats>,
+    pub(crate) classes: Vec<ClassStats>,
     /// Total foreground stalls.
     pub stall_count: u64,
     /// Total time spent stalled.
-    pub stall_total_ns: u64,
+    pub(crate) stall_total_ns: u64,
     /// Longest stalls, longest first (at most [`TraceSummary::TOP_STALLS`]).
     pub top_stalls: Vec<StallRecord>,
 }

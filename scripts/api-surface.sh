@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Checks (default) or reblesses (--bless) the public-API golden file
-# tests/golden/api_surface.txt: the rustdoc-visible surface of nob-core,
-# nob-store and nob-server, pinned so unreviewed API drift fails CI.
+# tests/golden/api_surface.txt: the rustdoc-visible surface of every crate
+# listed in `CRATES` (tests/lex/mod.rs), pinned so unreviewed API drift
+# fails CI. tests/dep_graph.rs caps the file at MAX_SURFACE_LINES.
 #
 #     scripts/api-surface.sh            # compare against the golden file
 #     scripts/api-surface.sh --bless    # regenerate after an intentional

@@ -1,12 +1,13 @@
-//! Public-API golden test: the rustdoc-visible surface of `nob-core`
-//! (the engine) and `nob-store` (the sharded front-end) is dumped to
+//! Public-API golden test: the rustdoc-visible surface of every crate
+//! another crate builds on (`lex::CRATES`) is dumped to
 //! `tests/golden/api_surface.txt` and compared byte-for-byte, so an
 //! unreviewed API change fails CI the same way an unreviewed figure
-//! change does.
+//! change does. `tests/dep_graph.rs` caps the file's length, so the
+//! surface only shrinks unless a PR raises the cap on purpose.
 //!
-//! The dump is a lexical scan of the two crates' sources: every `pub`
-//! declaration (functions, structs and their public fields, enums,
-//! traits, consts, type aliases, modules and re-exports) outside
+//! The dump is a lexical scan of the crates' sources (`lex::surface`):
+//! every `pub` declaration (functions, structs and their public fields,
+//! enums, traits, consts, type aliases, modules and re-exports) outside
 //! `#[cfg(test)]` blocks, with signatures truncated at the body. It is a
 //! drift detector, not a compiler — if the surface changed *on purpose*,
 //! rebless and review the diff like any other golden update:
@@ -14,194 +15,19 @@
 //! ```sh
 //! NOB_BLESS=1 cargo test --test api_surface     # or scripts/api-surface.sh --bless
 //! ```
+//!
+//! `scripts/api-unused.sh` prints the declarations no file outside their
+//! crate names, found by the same scanner.
 
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+mod lex;
+
+use std::path::PathBuf;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/api_surface.txt");
 
-/// The crates whose surface the golden file pins, as (label, source root).
-const CRATES: [(&str, &str); 4] = [
-    ("nob-core", "crates/core/src"),
-    ("nob-store", "crates/store/src"),
-    ("nob-server", "crates/server/src"),
-    ("nob-repl", "crates/repl/src"),
-];
-
-/// All `.rs` files under `dir`, in sorted (stable) order.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else { continue };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                files.push(p);
-            }
-        }
-    }
-    files.sort();
-    files
-}
-
-fn brace_delta(line: &str) -> i64 {
-    line.matches('{').count() as i64 - line.matches('}').count() as i64
-}
-
-/// What kind of declaration a trimmed line begins, if any. `pub(…)`
-/// restricted visibility is excluded — it is not part of the external
-/// surface.
-#[derive(PartialEq)]
-enum Decl {
-    /// An item (`pub fn` …): the signature may span lines and ends at
-    /// its body brace or semicolon.
-    Item,
-    /// A public struct field: always one line, ends with the line.
-    Field,
-}
-
-fn classify(line: &str) -> Option<Decl> {
-    let rest = line.strip_prefix("pub ")?;
-    for kw in [
-        "fn ",
-        "struct ",
-        "enum ",
-        "trait ",
-        "const ",
-        "static ",
-        "type ",
-        "mod ",
-        "use ",
-        "unsafe fn ",
-    ] {
-        if rest.starts_with(kw) {
-            return Some(Decl::Item);
-        }
-    }
-    // A public struct field: `pub name: Type,` — the ident directly
-    // followed by a colon (never the case for item keywords above).
-    let ident: String =
-        rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect();
-    (!ident.is_empty()
-        && rest[ident.len()..].starts_with(':')
-        && !rest[ident.len()..].starts_with("::"))
-    .then_some(Decl::Field)
-}
-
-/// Collapses runs of whitespace so a reformat alone never shows as drift.
-fn normalize(sig: &str) -> String {
-    let mut out = String::with_capacity(sig.len());
-    let mut last_space = false;
-    for c in sig.chars() {
-        if c.is_whitespace() {
-            if !last_space && !out.is_empty() {
-                out.push(' ');
-            }
-            last_space = true;
-        } else {
-            out.push(c);
-            last_space = false;
-        }
-    }
-    out.trim_end_matches([',', ' ']).to_string()
-}
-
-/// Extracts the declarations of one source file, skipping
-/// `#[cfg(test)]` blocks and truncating each signature at its body.
-fn extract(src: &str, out: &mut Vec<String>) {
-    let mut skip_depth: i64 = 0;
-    let mut awaiting_test_block = false;
-    let mut sig: Option<String> = None;
-    for raw in src.lines() {
-        let line = raw.trim();
-        if awaiting_test_block {
-            // Skip the item the #[cfg(test)] attribute gates (further
-            // attributes may sit between the two).
-            if line.starts_with("#[") {
-                continue;
-            }
-            let d = brace_delta(line);
-            if line.contains('{') {
-                awaiting_test_block = false;
-                skip_depth = d.max(0);
-            } else if line.ends_with(';') {
-                awaiting_test_block = false;
-            }
-            continue;
-        }
-        if skip_depth > 0 {
-            skip_depth = (skip_depth + brace_delta(line)).max(0);
-            continue;
-        }
-        if line.starts_with("#[cfg(test)]") {
-            awaiting_test_block = true;
-            continue;
-        }
-        if sig.is_none() {
-            match classify(line) {
-                Some(Decl::Field) => {
-                    out.push(normalize(line));
-                    continue;
-                }
-                Some(Decl::Item) => sig = Some(String::new()),
-                None => continue,
-            }
-        }
-        if let Some(acc) = sig.as_mut() {
-            if !acc.is_empty() {
-                acc.push(' ');
-            }
-            acc.push_str(line);
-            // A signature ends at its body brace or semicolon; `pub use`
-            // lists contain braces and end at the semicolon instead.
-            let is_use = acc.starts_with("pub use ");
-            let done =
-                if is_use { acc.contains(';') } else { acc.contains('{') || acc.contains(';') };
-            if done {
-                let cut = if is_use {
-                    acc.find(';').map(|i| i + 1).unwrap_or(acc.len())
-                } else {
-                    acc.find(['{', ';']).unwrap_or(acc.len())
-                };
-                out.push(normalize(&acc[..cut]));
-                sig = None;
-            }
-        }
-    }
-}
-
-/// Renders the full surface document.
-fn surface() -> String {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut doc = String::from(
-        "# Rustdoc-visible surface of nob-core, nob-store and nob-server.\n\
-         # Regenerate with: NOB_BLESS=1 cargo test --test api_surface\n",
-    );
-    for (label, src_dir) in CRATES {
-        let _ = writeln!(doc, "\n== {label} ==");
-        for file in rust_files(&root.join(src_dir)) {
-            let rel = file.strip_prefix(root).unwrap_or(&file);
-            let Ok(src) = std::fs::read_to_string(&file) else { continue };
-            let mut items = Vec::new();
-            extract(&src, &mut items);
-            if items.is_empty() {
-                continue;
-            }
-            let _ = writeln!(doc, "\n-- {} --", rel.display());
-            for item in items {
-                let _ = writeln!(doc, "{item}");
-            }
-        }
-    }
-    doc
-}
-
 #[test]
 fn public_api_surface_matches_golden_file() {
-    let got = surface();
+    let got = lex::surface();
     if std::env::var_os("NOB_BLESS").is_some() {
         std::fs::write(GOLDEN, &got).expect("bless golden file");
         return;
@@ -209,18 +35,19 @@ fn public_api_surface_matches_golden_file() {
     let want = std::fs::read_to_string(GOLDEN)
         .expect("missing golden fixture; generate with NOB_BLESS=1 cargo test --test api_surface");
     assert_eq!(
-        got, want,
-        "the public API surface of nob-core/nob-store drifted from \
-         tests/golden/api_surface.txt; if the change is intentional, \
-         rebless with NOB_BLESS=1 and review the diff"
+        got,
+        want,
+        "the public API surface of {} drifted from tests/golden/api_surface.txt; if the change \
+         is intentional, rebless with NOB_BLESS=1 and review the diff",
+        lex::crate_list()
     );
 }
 
 #[test]
 fn surface_extraction_sees_the_canonical_entry_points() {
-    // Self-check that the lexical scan actually captures the API this PR
-    // standardises — guards against the extractor silently going blind.
-    let doc = surface();
+    // Self-check that the lexical scan actually captures the canonical
+    // API — guards against the extractor silently going blind.
+    let doc = lex::surface();
     for needle in [
         "pub fn write(&mut self, wopts: &WriteOptions, batch: WriteBatch) -> Result<Nanos>",
         "pub struct ReadOptions<'a>",
@@ -231,6 +58,44 @@ fn surface_extraction_sees_the_canonical_entry_points() {
     ] {
         assert!(doc.contains(needle), "surface dump must contain `{needle}`");
     }
-    // And that test-module internals never leak into the surface.
+    for (label, _) in lex::CRATES {
+        assert!(doc.contains(&format!("\n== {label} ==\n")), "surface dump must pin {label}");
+    }
+    // And that test-module internals and restricted visibility never leak
+    // into the surface.
     assert!(!doc.contains("mod tests"), "cfg(test) modules must be excluded");
+    assert!(!doc.contains("pub("), "pub(crate) and pub(super) are not surface");
+    let restricted = "pub(crate) fn a() {}\npub(super) struct B;\n\
+                      pub struct C {\n    pub(crate) d: u8,\n    pub e: u8,\n}\n\
+                      #[cfg(test)]\n#[allow(unused)]\npub fn f() {}\npub fn g() {}\n";
+    assert_eq!(lex::declarations(restricted), ["pub struct C", "pub e: u8", "pub fn g()"]);
+}
+
+#[test]
+fn the_candidate_search_reports_exactly_the_uncalled_item() {
+    let source =
+        |path: &str, text: &str| lex::Source { path: PathBuf::from(path), text: text.into() };
+    let own = [source(
+        "crates/fixture/src/lib.rs",
+        "/// ```\n/// fixture::named_in_a_doctest();\n/// ```\npub fn named_in_a_doctest() {}\n\
+         pub fn named_by_the_ledger() {}\n\
+         // never_called_fixture() is mentioned here, inside its own crate only.\n\
+         pub fn never_called_fixture() { named_by_the_ledger() }\n\
+         pub(crate) fn restricted_fixture() {}\n",
+    )];
+    let outside =
+        [source("bench/ledger/src/main.rs", "fn main() { fixture::named_by_the_ledger(); }")];
+    assert_eq!(
+        lex::unused(&own, &outside),
+        ["crates/fixture/src/lib.rs: pub fn never_called_fixture()  [`never_called_fixture`]"]
+    );
+    assert_eq!(lex::declared_names("pub use a::{b::C, D as E, self};"), ["C", "E"]);
+    assert_eq!(lex::declared_names("pub const fn len(&self) -> usize"), ["len"]);
+    assert_eq!(lex::declared_names("pub seq: u64"), ["seq"]);
+}
+
+/// The search `scripts/api-unused.sh` prints (run with `--nocapture`).
+#[test]
+fn lists_the_unused_candidates() {
+    print!("{}", lex::unused_candidates());
 }

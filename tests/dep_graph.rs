@@ -1,5 +1,6 @@
-//! Structural lint, lexical like `api_surface.rs`: the dependency graph
-//! says what the code says, and no module grows back into a monolith.
+//! Structural lint, on the lexical scanner `api_surface.rs` shares
+//! (`lex`): the dependency graph says what the code says, no module grows
+//! back into a monolith, and the public surface only shrinks.
 //!
 //! * Every `[dependencies]` entry of a workspace crate must be named by
 //!   some non-comment line under that crate's `src/` — an edge no source
@@ -11,23 +12,29 @@
 //!   member's: an entry or a vendored crate nobody depends on is dead
 //!   weight that still builds, still tests and still reads as architecture.
 //! * No `crates/*/src/**/*.rs` may exceed [`MAX_SOURCE_LINES`].
+//! * `tests/golden/api_surface.txt`, and the surface it pins, may not
+//!   exceed [`MAX_SURFACE_LINES`].
 //! * One JSON writer: outside `crates/sim/src/json.rs` and `#[cfg(test)]`
 //!   items, no `crates/*/src` line may hold a string literal with an
 //!   escaped JSON key (`\"name\": `) — a document is a `nob_sim::json`
 //!   value printed by its one layout rule, never hand-assembled text.
 
+mod lex;
+
+use lex::{names, non_test_lines, root, rust_files};
 use std::path::{Path, PathBuf};
 
-/// The largest source file allowed: `server/src/core.rs` (1 538 lines) is
+/// The largest source file allowed: `server/src/core.rs` (1 531 lines) is
 /// the current maximum, now that `ext4/src/fs.rs` gave its crash
 /// reconstruction and gauges to `fs/crash.rs` and `fs/metrics.rs`. Lower it
 /// as the largest file shrinks; the engine's 2 064-line `db/mod.rs` is
 /// what this keeps from coming back unnoticed.
-const MAX_SOURCE_LINES: usize = 1_538;
+const MAX_SOURCE_LINES: usize = 1_531;
 
-fn root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-}
+/// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
+/// it and fails here. Lower it whenever the surface shrinks — never raise
+/// it without saying in the PR which new item is API and why.
+const MAX_SURFACE_LINES: usize = 1_097;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
@@ -49,24 +56,6 @@ fn crate_dirs() -> Vec<PathBuf> {
 
 fn manifest_of(dir: &Path) -> String {
     std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest reads")
-}
-
-/// All `.rs` files under `dir`, sorted.
-fn rust_files(dir: &Path) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for e in std::fs::read_dir(&d).into_iter().flatten().flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                files.push(p);
-            }
-        }
-    }
-    files.sort();
-    files
 }
 
 /// The keys listed under the table `header` (`[dependencies]`, …) in a
@@ -95,15 +84,6 @@ fn all_dependencies(manifest: &str) -> Vec<String> {
         .iter()
         .flat_map(|header| table_keys(manifest, header))
         .collect()
-}
-
-/// Whether `ident` occurs in `line` as a whole identifier.
-fn names(line: &str, ident: &str) -> bool {
-    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    line.match_indices(ident).any(|(i, _)| {
-        !line[..i].chars().next_back().is_some_and(is_ident)
-            && !line[i + ident.len()..].chars().next().is_some_and(is_ident)
-    })
 }
 
 #[test]
@@ -198,29 +178,6 @@ fn no_source_file_outgrows_the_line_budget() {
     );
 }
 
-fn brace_delta(line: &str) -> i64 {
-    line.matches('{').count() as i64 - line.matches('}').count() as i64
-}
-
-/// The numbered lines of `source` outside `#[cfg(test)]` items and `//`
-/// comments: the attribute skips the item after it, to the `;` or the
-/// brace that closes it.
-fn non_test_lines(source: &str) -> Vec<(usize, &str)> {
-    let (mut out, mut skipping, mut depth) = (Vec::new(), false, 0);
-    for (n, line) in source.lines().enumerate() {
-        let trimmed = line.trim();
-        if skipping {
-            depth += brace_delta(trimmed);
-            skipping = depth > 0 || !(trimmed.ends_with(';') || trimmed.ends_with('}'));
-        } else if trimmed == "#[cfg(test)]" {
-            (skipping, depth) = (true, 0);
-        } else if !trimmed.starts_with("//") {
-            out.push((n + 1, line));
-        }
-    }
-    out
-}
-
 /// Whether `line` holds an escaped JSON key, `\"key\": `, as the text of a
 /// hand-assembled document does.
 fn escaped_json_key(line: &str) -> bool {
@@ -258,4 +215,20 @@ fn json_documents_have_one_writer() {
         "hand-assembled JSON — build a `nob_sim::json::Json` value and print it instead:\n  {}",
         emitters.join("\n  ")
     );
+}
+
+#[test]
+fn the_public_surface_stays_within_its_ratchet() {
+    let golden = root().join("tests/golden/api_surface.txt");
+    let pinned = std::fs::read_to_string(golden).expect("golden reads").lines().count();
+    let current = lex::surface().lines().count();
+    for (what, lines) in
+        [("tests/golden/api_surface.txt", pinned), ("the current surface", current)]
+    {
+        assert!(
+            lines <= MAX_SURFACE_LINES,
+            "{what} is {lines} lines, over MAX_SURFACE_LINES = {MAX_SURFACE_LINES}: make the new \
+             items pub(crate) (scripts/api-unused.sh lists the candidates)"
+        );
+    }
 }
