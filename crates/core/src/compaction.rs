@@ -9,6 +9,7 @@ use nob_ext4::{Ext4Fs, InodeId};
 use nob_sim::Nanos;
 
 use crate::cache::TableCache;
+use crate::db::HotTracker;
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::options::{Options, SyncMode};
 use crate::sstable::TableBuilder;
@@ -42,11 +43,6 @@ pub(crate) struct MajorOutcome {
     /// plan's *pipelined* end (stages overlap across granules), which is
     /// never later than the serial sum.
     pub(crate) stages: StagePlan,
-}
-
-/// Tells the major-compaction loop whether a user key is currently hot.
-pub(crate) trait HotnessOracle {
-    fn is_hot(&self, user_key: &[u8]) -> bool;
 }
 
 /// Writes `entries` (sorted internal keys) as one new table file, synced
@@ -90,7 +86,8 @@ pub(crate) fn write_table<'a>(
 /// Runs a major compaction: merges the inputs, deduplicates entries below
 /// `snapshot`, drops dead tombstones, splits outputs at
 /// `opts.table_size`, and writes them (grouped into one physical file when
-/// `opts.grouped_output`).
+/// `opts.grouped_output`). Given `hot`, a key it calls hot goes to the
+/// hot outputs kept at the input level (L2SM).
 ///
 /// `alloc` hands out fresh file numbers. Syncing is the caller's concern.
 #[allow(clippy::too_many_arguments)]
@@ -102,8 +99,7 @@ pub(crate) fn run_major(
     version: &Version,
     inputs: &CompactionInputs,
     snapshot: SequenceNumber,
-    hot: &dyn HotnessOracle,
-    allow_hot: bool,
+    hot: Option<&HotTracker>,
     alloc: &mut dyn FnMut() -> u64,
     now: &mut Nanos,
 ) -> Result<MajorOutcome> {
@@ -188,7 +184,8 @@ pub(crate) fn run_major(
             && !deeper_has_key(uk);
         let mut full = None;
         if !shadowed && !dead_tombstone {
-            let stream = if allow_hot && hot.is_hot(uk) { &mut hot_stream } else { &mut cold };
+            let stream =
+                if hot.is_some_and(|h| h.is_hot(uk)) { &mut hot_stream } else { &mut cold };
             stream.add(ikey, merged.value(), opts);
             if stream.builder.as_ref().is_some_and(|b| b.size_estimate() >= opts.table_size) {
                 full = Some(stream);

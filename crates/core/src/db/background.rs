@@ -471,11 +471,12 @@ impl Db {
         // room for more hot files; at the cap, everything is pushed down
         // cold so consolidation makes progress.
         let hot_level = if inputs.level == 0 { 1 } else { inputs.level };
-        let allow_hot = self.opts.hot_cold
-            && version
+        let hot = self.hot.as_ref().filter(|_| {
+            version
                 .files
                 .get(hot_level)
-                .is_some_and(|fs| fs.iter().filter(|f| f.hot).count() < MAX_FREE_HOT_FILES);
+                .is_some_and(|fs| fs.iter().filter(|f| f.hot).count() < MAX_FREE_HOT_FILES)
+        });
         let outcome = run_major(
             &self.fs,
             &self.dir,
@@ -484,8 +485,7 @@ impl Db {
             &version,
             inputs,
             snapshot,
-            &self.hot,
-            allow_hot,
+            hot,
             &mut alloc,
             &mut t,
         )?;

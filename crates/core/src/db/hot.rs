@@ -9,8 +9,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use crate::compaction::HotnessOracle;
-
 /// Rotating-window update counter.
 #[derive(Debug)]
 pub(crate) struct HotTracker {
@@ -52,10 +50,9 @@ impl HotTracker {
         let h = hash_key(key);
         self.current.get(&h).copied().unwrap_or(0) + self.previous.get(&h).copied().unwrap_or(0)
     }
-}
 
-impl HotnessOracle for HotTracker {
-    fn is_hot(&self, user_key: &[u8]) -> bool {
+    /// Whether `user_key` was updated at least twice within the window.
+    pub(crate) fn is_hot(&self, user_key: &[u8]) -> bool {
         self.count(user_key) >= 2
     }
 }

@@ -35,6 +35,7 @@ mod repair;
 mod write;
 
 pub use batch::WriteBatch;
+pub(crate) use hot::HotTracker;
 pub(crate) use level_iter::TableChild;
 pub use repair::RepairReport;
 
@@ -55,8 +56,6 @@ use crate::options::{Options, ScanOptions};
 use crate::version::{CompactionInputs, FileMetaData, Version, VersionSet};
 use crate::wal::LogWriter;
 use crate::{DbError, DbStats, Result};
-
-use hot::HotTracker;
 
 /// The physical files (number, path, inode) holding a major's outputs.
 type PhysicalFiles = Vec<(u64, String, InodeId)>;
@@ -108,7 +107,9 @@ pub struct Db {
     minor_inflight: bool,
     deps: DependencyTracker,
     refs: PhysicalRefs,
-    hot: HotTracker,
+    /// Recent update counts, kept only when compactions route hot keys
+    /// (`Options::hot_cold`).
+    hot: Option<HotTracker>,
     pending_seek: Option<(usize, Arc<FileMetaData>)>,
     /// Scratch for the lookup key of a point read, reused across gets.
     lookup_buf: Vec<u8>,

@@ -77,6 +77,7 @@ impl Db {
         }
 
         let hot_window = (opts.write_buffer_size / 256).clamp(1024, 1 << 20) as usize;
+        let hot = opts.hot_cold.then(|| HotTracker::new(hot_window));
         let policy = PriorityPolicy::new(
             opts.l0_compaction_trigger,
             opts.l0_slowdown_trigger,
@@ -100,7 +101,7 @@ impl Db {
             minor_inflight: false,
             deps: DependencyTracker::new(),
             refs,
-            hot: HotTracker::new(hot_window),
+            hot,
             pending_seek: None,
             lookup_buf: Vec::new(),
             reclaim_armed: false,

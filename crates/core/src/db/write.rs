@@ -82,8 +82,10 @@ impl Db {
             now = self.fs.fsync(self.wal_handle, now)?;
         }
         batch.insert_into(&mut self.mem);
-        for (_, key, _) in batch.ops() {
-            self.hot.record(key);
+        if let Some(hot) = &mut self.hot {
+            for (_, key, _) in batch.ops() {
+                hot.record(key);
+            }
         }
         now = now + self.opts.cpu.put + self.opts.extra_op_cpu;
         self.stats.writes += batch.len() as u64;

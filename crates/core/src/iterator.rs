@@ -133,10 +133,21 @@ enum Direction {
 /// borrow (an engine's memtables) and a *tail* that owns what it reads
 /// (tables and levels), so the tail can leave the iterator where it stands
 /// and be continued by a later one ([`DbIterator::detach`]).
+///
+/// The current child is the winner of a loser tree: a seek or a direction
+/// switch, which move every child, plays the whole tournament again (k − 1
+/// matches); a step, which moves only the winner, replays the winner's
+/// path to the root (⌈log₂ k⌉ matches).
 pub struct MergingIterator<'a> {
     front: Vec<Box<dyn InternalIterator + 'a>>,
     tail: Vec<TableChild>,
-    /// Index into `front` followed by `tail`.
+    /// The tournament over the children, each an index into `front`
+    /// followed by `tail`: `tree[0]` is the winner and `tree[n]`, for
+    /// `0 < n < k`, the loser of the match at node `n`, played between the
+    /// winners of nodes `2n` and `2n + 1`. Child `i` is the leaf at node
+    /// `k + i`.
+    tree: Vec<usize>,
+    /// The winner, when it is valid.
     current: Option<usize>,
     direction: Direction,
 }
@@ -161,7 +172,8 @@ impl<'a> MergingIterator<'a> {
         front: Vec<Box<dyn InternalIterator + 'a>>,
         tail: Vec<TableChild>,
     ) -> Self {
-        MergingIterator { front, tail, current: None, direction: Direction::Forward }
+        let tree = vec![0; front.len() + tail.len()];
+        MergingIterator { front, tail, tree, current: None, direction: Direction::Forward }
     }
 
     /// The tail children, each where the merge left it.
@@ -176,7 +188,7 @@ impl<'a> MergingIterator<'a> {
             c.seek(target, now)?;
         }
         self.direction = Direction::Forward;
-        self.find(Ordering::Less);
+        self.rebuild();
         Ok(())
     }
 
@@ -185,10 +197,7 @@ impl<'a> MergingIterator<'a> {
     }
 
     fn child(&self, i: usize) -> &dyn InternalIterator {
-        match i.checked_sub(self.front.len()) {
-            None => &*self.front[i],
-            Some(t) => self.tail[t].as_dyn(),
-        }
+        child_of(&self.front, &self.tail, i)
     }
 
     fn child_mut(&mut self, i: usize) -> &mut (dyn InternalIterator + 'a) {
@@ -198,10 +207,44 @@ impl<'a> MergingIterator<'a> {
         }
     }
 
-    /// Makes the valid child whose key compares `want` to every other's
-    /// current: `Less` finds the smallest, `Greater` the largest; the
-    /// earliest child wins a tie.
-    fn find(&mut self, want: Ordering) {
+    /// Plays every match again, for when every child may have moved.
+    fn rebuild(&mut self) {
+        if self.tree.is_empty() {
+            return;
+        }
+        let forward = self.direction == Direction::Forward;
+        let entrant = |i| entrant(&self.front, &self.tail, i);
+        let winner = play(&mut self.tree, 1, &entrant, forward);
+        self.tree[0] = winner.0;
+        self.current = winner.1.map(|_| winner.0);
+    }
+
+    /// Replays the matches on the path from the winner's leaf to the root,
+    /// for when the winner alone moved: every other match stands.
+    fn replay(&mut self) {
+        let forward = self.direction == Direction::Forward;
+        let entrant = |i| entrant(&self.front, &self.tail, i);
+        let tree = &mut self.tree;
+        let mut winner = entrant(tree[0]);
+        let mut n = (tree.len() + winner.0) / 2;
+        while n > 0 {
+            let other = entrant(tree[n]);
+            if beats(other, winner, forward) {
+                tree[n] = winner.0;
+                winner = other;
+            }
+            n /= 2;
+        }
+        tree[0] = winner.0;
+        self.current = winner.1.map(|_| winner.0);
+    }
+
+    /// The merge's pick before the tournament, kept as the tests' reference:
+    /// the valid child whose key compares `want` to every other's, `Less`
+    /// for the smallest and `Greater` for the largest; the earliest child
+    /// wins a tie.
+    #[cfg(test)]
+    fn find(&self, want: Ordering) -> Option<usize> {
         let mut best: Option<usize> = None;
         for i in 0..self.len() {
             let c = self.child(i);
@@ -212,8 +255,66 @@ impl<'a> MergingIterator<'a> {
                 best = Some(i);
             }
         }
-        self.current = best;
+        best
     }
+}
+
+/// Child `i` of a merge's `front` followed by its `tail`.
+fn child_of<'s>(
+    front: &'s [Box<dyn InternalIterator + '_>],
+    tail: &'s [TableChild],
+    i: usize,
+) -> &'s dyn InternalIterator {
+    match i.checked_sub(front.len()) {
+        None => &*front[i],
+        Some(t) => tail[t].as_dyn(),
+    }
+}
+
+/// A child as it enters a match: its index, and its key if it is valid.
+type Entrant<'s> = (usize, Option<&'s [u8]>);
+
+fn entrant<'s>(
+    front: &'s [Box<dyn InternalIterator + '_>],
+    tail: &'s [TableChild],
+    i: usize,
+) -> Entrant<'s> {
+    let c = child_of(front, tail, i);
+    (i, c.valid().then(|| c.key()))
+}
+
+/// Whether `a` wins its match against `b`. A valid child beats an invalid
+/// one; of two valid ones, the key that compares `Less` to the other's
+/// moving `forward`, `Greater` moving backward. A tie goes to the lower
+/// index, so the earliest child wins.
+fn beats(a: Entrant<'_>, b: Entrant<'_>, forward: bool) -> bool {
+    match (a.1, b.1) {
+        (Some(x), Some(y)) => match compare_internal(x, y) {
+            Ordering::Equal => a.0 < b.0,
+            order => (order == Ordering::Less) == forward,
+        },
+        (None, None) => a.0 < b.0,
+        (key, _) => key.is_some(),
+    }
+}
+
+/// Plays the matches below node `n` of `tree`, records each loser there
+/// and returns the winner. A valid child beats every invalid one, so an
+/// invalid winner means every child is exhausted.
+fn play<'s>(
+    tree: &mut [usize],
+    n: usize,
+    entrant: &impl Fn(usize) -> Entrant<'s>,
+    forward: bool,
+) -> Entrant<'s> {
+    let k = tree.len();
+    if n >= k {
+        return entrant(n - k);
+    }
+    let (a, b) = (play(tree, 2 * n, entrant, forward), play(tree, 2 * n + 1, entrant, forward));
+    let (winner, loser) = if beats(a, b, forward) { (a, b) } else { (b, a) };
+    tree[n] = loser.0;
+    winner
 }
 
 impl<'a> InternalIterator for MergingIterator<'a> {
@@ -226,7 +327,7 @@ impl<'a> InternalIterator for MergingIterator<'a> {
             self.child_mut(i).seek_to_first(now)?;
         }
         self.direction = Direction::Forward;
-        self.find(Ordering::Less);
+        self.rebuild();
         Ok(())
     }
 
@@ -235,13 +336,14 @@ impl<'a> InternalIterator for MergingIterator<'a> {
             self.child_mut(i).seek(target, now)?;
         }
         self.direction = Direction::Forward;
-        self.find(Ordering::Less);
+        self.rebuild();
         Ok(())
     }
 
     fn next(&mut self, now: &mut Nanos) -> Result<()> {
         let Some(i) = self.current else { return Ok(()) };
-        if self.direction == Direction::Backward {
+        let switch = self.direction == Direction::Backward;
+        if switch {
             // Non-current children sit at entries <= key(); move each to
             // the first entry after it.
             let key = self.child(i).key().to_vec();
@@ -253,7 +355,11 @@ impl<'a> InternalIterator for MergingIterator<'a> {
             self.direction = Direction::Forward;
         }
         self.child_mut(i).next(now)?;
-        self.find(Ordering::Less);
+        if switch {
+            self.rebuild();
+        } else {
+            self.replay();
+        }
         Ok(())
     }
 
@@ -262,13 +368,14 @@ impl<'a> InternalIterator for MergingIterator<'a> {
             self.child_mut(i).seek_to_last(now)?;
         }
         self.direction = Direction::Backward;
-        self.find(Ordering::Greater);
+        self.rebuild();
         Ok(())
     }
 
     fn prev(&mut self, now: &mut Nanos) -> Result<()> {
         let Some(i) = self.current else { return Ok(()) };
-        if self.direction == Direction::Forward {
+        let switch = self.direction == Direction::Forward;
+        if switch {
             // Non-current children sit at entries >= key(); move each to
             // the last entry before it.
             let key = self.child(i).key().to_vec();
@@ -284,7 +391,11 @@ impl<'a> InternalIterator for MergingIterator<'a> {
             self.direction = Direction::Backward;
         }
         self.child_mut(i).prev(now)?;
-        self.find(Ordering::Greater);
+        if switch {
+            self.rebuild();
+        } else {
+            self.replay();
+        }
         Ok(())
     }
 
@@ -613,6 +724,9 @@ fn replace(buf: &mut Vec<u8>, bytes: &[u8]) {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::types::InternalKey;
 
@@ -674,6 +788,179 @@ mod tests {
         assert_eq!(m.value(), b"new");
         m.next(&mut now).unwrap();
         assert_eq!(m.value(), b"old");
+    }
+
+    /// A positioning call one child received.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Call {
+        First,
+        Last,
+        Seek(Vec<u8>),
+        Next,
+        Prev,
+    }
+
+    type Log = Rc<RefCell<Vec<(usize, Call)>>>;
+
+    /// A child that logs every positioning call into a log it shares with
+    /// its siblings.
+    struct Recording {
+        id: usize,
+        inner: VecIterator,
+        log: Log,
+    }
+
+    impl Recording {
+        fn record(&self, call: Call) {
+            self.log.borrow_mut().push((self.id, call));
+        }
+    }
+
+    impl InternalIterator for Recording {
+        fn valid(&self) -> bool {
+            self.inner.valid()
+        }
+        fn seek_to_first(&mut self, now: &mut Nanos) -> Result<()> {
+            self.record(Call::First);
+            self.inner.seek_to_first(now)
+        }
+        fn seek(&mut self, target: &[u8], now: &mut Nanos) -> Result<()> {
+            self.record(Call::Seek(target.to_vec()));
+            self.inner.seek(target, now)
+        }
+        fn next(&mut self, now: &mut Nanos) -> Result<()> {
+            self.record(Call::Next);
+            self.inner.next(now)
+        }
+        fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
+            self.record(Call::Last);
+            self.inner.seek_to_last(now)
+        }
+        fn prev(&mut self, now: &mut Nanos) -> Result<()> {
+            self.record(Call::Prev);
+            self.inner.prev(now)
+        }
+        fn key(&self) -> &[u8] {
+            self.inner.key()
+        }
+        fn value(&self) -> &[u8] {
+            self.inner.value()
+        }
+    }
+
+    /// One step of a random walk.
+    #[derive(Debug)]
+    enum Step {
+        First,
+        Last,
+        Seek(Vec<u8>),
+        SeekFront(Vec<u8>),
+        Next,
+        Prev,
+    }
+
+    fn take(m: &mut MergingIterator<'_>, step: &Step) {
+        let mut clock = Nanos::ZERO;
+        let now = &mut clock;
+        match step {
+            Step::First => m.seek_to_first(now),
+            Step::Last => m.seek_to_last(now),
+            Step::Seek(target) => m.seek(target, now),
+            Step::SeekFront(target) => m.seek_front(target, now),
+            Step::Next => m.next(now),
+            Step::Prev => m.prev(now),
+        }
+        .unwrap();
+    }
+
+    /// A merge over `children`, each a recording child of one shared log.
+    fn recorded(children: &[Vec<(Vec<u8>, Vec<u8>)>]) -> (MergingIterator<'static>, Log) {
+        let log = Log::default();
+        let boxed = children.iter().enumerate().map(|(id, entries)| {
+            let inner = VecIterator::new(entries.clone());
+            Box::new(Recording { id, inner, log: Rc::clone(&log) }) as Box<dyn InternalIterator>
+        });
+        (MergingIterator::new(boxed.collect()), log)
+    }
+
+    /// The tournament picks what the linear merge it replaced picked, and
+    /// so moves the same children in the same order: for k from 0 to 40,
+    /// over children that are empty, run out at different keys and share
+    /// internal keys (a tie the earliest child must win), random walks of
+    /// every positioning call give the same entries and the same log of
+    /// child calls as the same merge with the linear pick.
+    #[test]
+    fn the_tournament_picks_what_the_linear_merge_picked() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let ikey = |user: usize, seq: u64| {
+            let user = format!("k{user:02}");
+            InternalKey::new(user.as_bytes(), seq, ValueType::Value).as_bytes().to_vec()
+        };
+        let mut pool: Vec<Vec<u8>> =
+            (0..30).flat_map(|u| (1..=3).map(move |s| ikey(u, s))).collect();
+        pool.sort_by(|a, b| compare_internal(a, b));
+        let mut rng = SmallRng::seed_from_u64(32);
+        let mut ties = 0;
+        for k in [0, 1, 2, 3, 5, 8, 17, 28, 40] {
+            for _ in 0..12 {
+                // Each child keeps a share of the pool between none and
+                // all of it; its value names the child.
+                let children: Vec<Vec<(Vec<u8>, Vec<u8>)>> = (0..k)
+                    .map(|id| {
+                        let keep = [0.0, 0.05, 0.3, 0.9][rng.gen_range(0..4usize)];
+                        let value = id.to_string().into_bytes();
+                        let mut entries: Vec<_> = pool
+                            .iter()
+                            .filter(|_| rng.gen_bool(keep))
+                            .map(|key| (key.clone(), value.clone()))
+                            .collect();
+                        // Some children end early, some start late.
+                        match rng.gen_range(0..3usize) {
+                            0 => entries.truncate(entries.len() / 2),
+                            1 => drop(entries.drain(..entries.len() / 2)),
+                            _ => {}
+                        }
+                        entries
+                    })
+                    .collect();
+                let (mut tree, tree_log) = recorded(&children);
+                let (mut linear, linear_log) = recorded(&children);
+                for _ in 0..80 {
+                    let target = |rng: &mut SmallRng| {
+                        ikey(rng.gen_range(0..32usize), rng.gen_range(0..5u64))
+                    };
+                    let step = match rng.gen_range(0..10usize) {
+                        0 => Step::First,
+                        1 => Step::Last,
+                        2 => Step::Seek(target(&mut rng)),
+                        3 => Step::SeekFront(target(&mut rng)),
+                        4..=6 => Step::Next,
+                        _ => Step::Prev,
+                    };
+                    take(&mut tree, &step);
+                    take(&mut linear, &step);
+                    // The reference overrules its own tree's pick, so the
+                    // next step moves the child the linear pick chose.
+                    let want = match linear.direction {
+                        Direction::Forward => Ordering::Less,
+                        Direction::Backward => Ordering::Greater,
+                    };
+                    linear.current = linear.find(want);
+                    assert_eq!(tree.valid(), linear.valid(), "k {k}, after {step:?}");
+                    if linear.valid() {
+                        assert_eq!(tree.key(), linear.key(), "k {k}, after {step:?}");
+                        assert_eq!(tree.value(), linear.value(), "k {k}, after {step:?}");
+                        let key = linear.key();
+                        ties +=
+                            children.iter().filter(|c| c.iter().any(|e| e.0 == key)).count() - 1;
+                    }
+                    assert_eq!(*tree_log.borrow(), *linear_log.borrow(), "k {k}, after {step:?}");
+                }
+            }
+        }
+        assert!(ties > 1000, "the walks met only {ties} tied entries");
     }
 
     #[test]

@@ -44,7 +44,8 @@
 //! can keep, apart — the boxed memtable child, the seek probe and the key
 //! buffers of the index and data block iterators; before, also the cloned
 //! level, its cold remainder and a copy each of the surfaced key and
-//! value). The counts are
+//! value; 7 since the merge keeps its loser tree in one vector of its own,
+//! and a second one would fail the budget). The counts are
 //! exact, so the same binary gives the same numbers on every run.
 //!
 //! The counters are this test binary's own `#[global_allocator]`, and the one
