@@ -300,8 +300,8 @@ impl Db {
 
     /// Reconfigures the number of compaction lanes at runtime. New lanes
     /// are free immediately; shrinking drops the highest-indexed lanes
-    /// (their in-flight jobs still complete and apply). Exposed over the
-    /// wire as `COMPACT LANES <n>`.
+    /// (their in-flight jobs still complete and apply). `noblsm-cli`'s
+    /// `compact lanes <n>` shell command calls it.
     ///
     /// # Panics
     ///

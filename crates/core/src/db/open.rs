@@ -29,9 +29,12 @@ impl Db {
     ///
     /// # Errors
     ///
-    /// Returns [`DbError::Corruption`]/[`DbError::InvalidDb`] on damaged
-    /// metadata or filesystem errors.
+    /// Returns [`DbError::Usage`], before touching `dir`, when `opts` has
+    /// no compaction lane or misordered `L0` triggers, and
+    /// [`DbError::Corruption`]/[`DbError::InvalidDb`] on damaged metadata
+    /// or filesystem errors.
     pub fn open(fs: Ext4Fs, dir: &str, opts: Options, now: Nanos) -> Result<Db> {
+        check_options(&opts)?;
         let exists = fs.exists(&file_path(dir, FileKind::Current, 0));
         let (mut versions, mut t) = if exists {
             VersionSet::recover(fs.clone(), dir, opts.clone(), now)?
@@ -135,6 +138,24 @@ impl Db {
         db.clock = clock;
         Ok(db)
     }
+}
+
+/// Rejects the options the compaction scheduler cannot run with: no lane,
+/// or `L0` triggers out of the order compaction ≤ slowdown ≤ stop with
+/// compaction < stop.
+fn check_options(opts: &Options) -> Result<()> {
+    if opts.compaction_lanes == 0 {
+        return Err(DbError::Usage("at least one compaction lane is required".into()));
+    }
+    let (compaction, slowdown, stop) =
+        (opts.l0_compaction_trigger, opts.l0_slowdown_trigger, opts.l0_stop_trigger);
+    if !(compaction <= slowdown && slowdown <= stop && compaction < stop) {
+        return Err(DbError::Usage(format!(
+            "L0 triggers must be ordered compaction <= slowdown <= stop with compaction < stop, \
+             got {compaction}, {slowdown}, {stop}"
+        )));
+    }
+    Ok(())
 }
 
 /// The one directory pass of a recovery: deletes what no committed

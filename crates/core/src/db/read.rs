@@ -103,10 +103,8 @@ impl Db {
         )?;
         self.stats.files_read_per_get += probes as u64;
         if let Some(sf) = seek {
-            if self.opts.seek_compaction {
-                self.pending_seek = Some(sf);
-                self.maybe_schedule(now);
-            }
+            self.pending_seek = Some(sf);
+            self.maybe_schedule(now);
         }
         match result {
             GetResult::Found(v) => {

@@ -12,6 +12,10 @@ use crate::{DbError, Result, SequenceNumber};
 use super::background::stage_class;
 use super::{Db, Snapshot, WriteBatch};
 
+/// LevelDB's foreground delay, once per write, while `L0` is at the
+/// slowdown trigger.
+const SLOWDOWN_DELAY: Nanos = Nanos::from_millis(1);
+
 impl Db {
     /// Applies `batch` atomically — the canonical write entry point.
     ///
@@ -124,10 +128,9 @@ impl Db {
             self.check_background()?;
             let l0 = self.versions.current().num_files(0);
             if !slowed && l0 >= self.opts.l0_slowdown_trigger {
-                // LevelDB's 1 ms write delay at the slowdown trigger.
                 slowed = true;
                 self.stats.slowdowns += 1;
-                let until = now + self.opts.slowdown_delay;
+                let until = now + SLOWDOWN_DELAY;
                 self.trace_stall(StallKind::Slowdown, now, until);
                 now = until;
                 self.pump(now)?;

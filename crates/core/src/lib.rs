@@ -81,8 +81,7 @@ pub use db::{Db, RepairReport, ScanCollector, ScanResult, Snapshot, WriteBatch};
 pub use error::{DbError, Error};
 pub use iterator::{DbIterator, IterState};
 pub use options::{
-    CompactionStyle, CompressionType, CpuCosts, Options, ReadOptions, ScanOptions, SyncMode,
-    WriteOptions,
+    CompactionStyle, CpuCosts, Options, ReadOptions, ScanOptions, SyncMode, WriteOptions,
 };
 pub use stats::{DbStats, LevelCompactionStats};
 pub(crate) use types::SequenceNumber;

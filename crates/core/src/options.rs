@@ -35,19 +35,6 @@ pub enum CompactionStyle {
     Fragmented,
 }
 
-/// Block compression applied by the table builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompressionType {
-    /// Store blocks raw (the harness default: benchmark values are
-    /// pseudo-random and incompressible, as in the paper's db_bench use).
-    #[default]
-    None,
-    /// Run-length compression (a stand-in for LevelDB's snappy): blocks
-    /// that shrink are stored compressed; incompressible blocks stay raw,
-    /// exactly like snappy's fallback.
-    Rle,
-}
-
 /// Per-operation CPU costs charged to the virtual clock.
 ///
 /// These model the host-side work that the paper's microsecond-scale
@@ -293,26 +280,16 @@ pub struct Options {
     pub table_size: u64,
     /// Memtable capacity; a full memtable triggers a minor compaction.
     pub write_buffer_size: u64,
-    /// Uncompressed data-block size.
-    pub block_size: usize,
-    /// Keys between restart points within a block.
-    pub block_restart_interval: usize,
-    /// Bloom filter bits per key (0 disables the filter).
-    pub bloom_bits_per_key: usize,
-    /// Block compression.
-    pub compression: CompressionType,
     /// Capacity of the block cache in bytes.
     pub block_cache_bytes: u64,
     /// `L0` file count that triggers a compaction.
     pub l0_compaction_trigger: usize,
-    /// `L0` file count at which writes are slowed by `slowdown_delay`.
+    /// `L0` file count at which writes are slowed by 1 ms each.
     pub l0_slowdown_trigger: usize,
     /// `L0` file count at which writes stop until compaction catches up.
     pub l0_stop_trigger: usize,
-    /// Byte budget of `L1`; each deeper level is `level_multiplier`×.
+    /// Byte budget of `L1`; each deeper level is 10×.
     pub level1_max_bytes: u64,
-    /// Growth factor between adjacent levels.
-    pub level_multiplier: u64,
     /// Number of on-disk levels.
     pub max_levels: usize,
     /// Sync discipline.
@@ -321,8 +298,6 @@ pub struct Options {
     pub style: CompactionStyle,
     /// Parallel background compaction lanes (1 = LevelDB's single thread).
     pub compaction_lanes: usize,
-    /// Whether read-triggered (seek) compactions are enabled.
-    pub seek_compaction: bool,
     /// BoLT: bundle all outputs of one major compaction into a single
     /// physical file synced once; logical tables address into it.
     pub grouped_output: bool,
@@ -332,9 +307,6 @@ pub struct Options {
     /// NobLSM's reclamation-poll interval (matched to the Ext4 commit
     /// interval in the paper).
     pub reclaim_interval: Nanos,
-    /// Foreground delay injected per write while `L0` is at the slowdown
-    /// threshold.
-    pub slowdown_delay: Nanos,
     /// CPU cost model.
     pub cpu: CpuCosts,
     /// Additional per-operation CPU charged on every put and get. The
@@ -351,31 +323,27 @@ pub struct Options {
     pub paranoid_checks: bool,
 }
 
+/// Growth factor between the byte budgets of adjacent levels (LevelDB's).
+const LEVEL_MULTIPLIER: u64 = 10;
+
 impl Options {
     /// LevelDB-flavoured defaults (2 MB tables, sync always, one lane).
     pub(crate) fn new() -> Self {
         Options {
             table_size: 2 << 20,
             write_buffer_size: 2 << 20,
-            block_size: 4096,
-            block_restart_interval: 16,
-            bloom_bits_per_key: 10,
-            compression: CompressionType::None,
             block_cache_bytes: 8 << 20,
             l0_compaction_trigger: 4,
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 12,
             level1_max_bytes: 10 << 20,
-            level_multiplier: 10,
             max_levels: 7,
             sync_mode: SyncMode::Always,
             style: CompactionStyle::Leveled,
             compaction_lanes: 1,
-            seek_compaction: true,
             grouped_output: false,
             hot_cold: false,
             reclaim_interval: Nanos::from_secs(5),
-            slowdown_delay: Nanos::from_millis(1),
             cpu: CpuCosts::default(),
             extra_op_cpu: Nanos::ZERO,
             paranoid_checks: false,
@@ -396,12 +364,6 @@ impl Options {
         self
     }
 
-    /// Sets the structural compaction model.
-    pub fn with_style(mut self, style: CompactionStyle) -> Self {
-        self.style = style;
-        self
-    }
-
     /// Sets the number of parallel compaction lanes.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         assert!(lanes >= 1, "at least one compaction lane is required");
@@ -414,7 +376,7 @@ impl Options {
         debug_assert!(level >= 1);
         let mut bytes = self.level1_max_bytes;
         for _ in 1..level {
-            bytes = bytes.saturating_mul(self.level_multiplier);
+            bytes = bytes.saturating_mul(LEVEL_MULTIPLIER);
         }
         bytes
     }

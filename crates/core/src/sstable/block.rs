@@ -3,14 +3,13 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use crate::options::CompressionType;
 use crate::types::compare_internal;
 use crate::util::{crc32c, crc32c_masked, crc32c_unmask, decode_u32, encode_u32};
 use crate::{DbError, Result};
 
 use super::BlockHandle;
 
-/// Size of a block trailer: compression type (1) + masked CRC (4).
+/// Size of a block trailer: type byte (1, always 0) + masked CRC (4).
 pub(crate) const BLOCK_TRAILER_SIZE: usize = 5;
 
 /// Builds one block: entries with shared-prefix compression, restart
@@ -127,22 +126,13 @@ impl BlockBuilder {
         self.buf.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
     }
 
-    /// Completes the block where it lies: restart array, compression
-    /// when configured and profitable, then the `type + masked CRC`
-    /// trailer. Returns the block's handle and starts the next block right
-    /// after it, keeping every buffer.
-    pub(crate) fn finish_block(&mut self, compression: CompressionType) -> BlockHandle {
+    /// Completes the block where it lies: restart array, then the
+    /// `type + masked CRC` trailer. Returns the block's handle and starts
+    /// the next block right after it, keeping every buffer.
+    pub(crate) fn finish_block(&mut self) -> BlockHandle {
         self.append_restarts();
-        let packed = match compression {
-            CompressionType::Rle => crate::util::rle::compress(&self.buf[self.start..]),
-            CompressionType::None => None,
-        };
-        if let Some(c) = &packed {
-            self.buf.truncate(self.start);
-            self.buf.extend_from_slice(c);
-        }
         let handle = BlockHandle::new(self.start as u64, (self.buf.len() - self.start) as u64);
-        append_trailer_typed(&mut self.buf, self.start, u8::from(packed.is_some()));
+        append_trailer(&mut self.buf, self.start);
         self.start = self.buf.len();
         self.restarts.clear();
         self.restarts.push(0);
@@ -162,7 +152,7 @@ impl BlockBuilder {
     /// Finishes the block with its `type + masked CRC` trailer appended.
     pub fn finish(self) -> Vec<u8> {
         let mut payload = self.finish_without_trailer();
-        append_trailer(&mut payload);
+        append_trailer(&mut payload, 0);
         payload
     }
 }
@@ -171,27 +161,21 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
 }
 
-/// Appends the 5-byte trailer (compression type 0 + masked CRC) in place.
-pub(crate) fn append_trailer(payload: &mut Vec<u8>) {
-    append_trailer_typed(payload, 0, 0);
-}
-
-/// Appends the trailer of the block occupying `out[start..]`, with an
-/// explicit compression-type byte (0 = raw, 1 = RLE): a table builder
+/// Appends the 5-byte trailer (type 0 + masked CRC over the block and the
+/// type byte) of the block occupying `out[start..]`: a table builder
 /// writes each block straight into the table image.
-pub(crate) fn append_trailer_typed(out: &mut Vec<u8>, start: usize, compression: u8) {
-    out.push(compression);
+pub(crate) fn append_trailer(out: &mut Vec<u8>, start: usize) {
+    out.push(0);
     let crc = crc32c_masked(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Verifies and strips a block trailer, decompressing if the type byte
-/// says so.
+/// Verifies and strips a block trailer.
 ///
 /// # Errors
 ///
 /// Returns [`DbError::Corruption`] on checksum mismatch, short input, or
-/// undecodable compressed payload.
+/// a type byte other than 0 (blocks are stored raw).
 pub(crate) fn strip_trailer(mut data: Vec<u8>) -> Result<Vec<u8>> {
     if data.len() < BLOCK_TRAILER_SIZE {
         return Err(DbError::Corruption("block shorter than trailer".into()));
@@ -202,14 +186,12 @@ pub(crate) fn strip_trailer(mut data: Vec<u8>) -> Result<Vec<u8>> {
     if crc32c(body) != crc32c_unmask(stored) {
         return Err(DbError::Corruption("block checksum mismatch".into()));
     }
-    let compression = data[crc_pos - 1];
-    data.truncate(crc_pos - 1); // drop type byte too
-    match compression {
-        0 => Ok(data),
-        1 => crate::util::rle::decompress(&data)
-            .ok_or_else(|| DbError::Corruption("undecodable compressed block".into())),
-        other => Err(DbError::Corruption(format!("unknown compression type {other}"))),
+    let block_type = data[crc_pos - 1];
+    if block_type != 0 {
+        return Err(DbError::Corruption(format!("unknown block type {block_type}")));
     }
+    data.truncate(crc_pos - 1); // drop type byte too
+    Ok(data)
 }
 
 /// A parsed, immutable block.
@@ -564,11 +546,22 @@ mod tests {
         b.add(&ik("a", 1), b"v");
         let with_trailer = b.finish();
         let stripped = strip_trailer(with_trailer.clone()).unwrap();
-        assert!(Block::parse(stripped).is_ok());
+        assert!(Block::parse(stripped.clone()).is_ok());
 
-        let mut corrupt = with_trailer;
-        corrupt[0] ^= 0x40;
-        assert!(matches!(strip_trailer(corrupt), Err(DbError::Corruption(_))));
+        let mut flipped = with_trailer;
+        flipped[0] ^= 0x40;
+        // A type byte other than 0 under a valid checksum: blocks are
+        // stored raw, so any other type is damage.
+        let typed = |ty: u8| {
+            let mut block = stripped.clone();
+            block.push(ty);
+            let crc = crc32c_masked(&block);
+            block.extend_from_slice(&crc.to_le_bytes());
+            block
+        };
+        for corrupt in [flipped, typed(1), typed(2)] {
+            assert!(matches!(strip_trailer(corrupt), Err(DbError::Corruption(_))));
+        }
     }
 
     #[test]
@@ -613,34 +606,27 @@ mod tests {
             })
             .collect();
         // One builder encodes every block into one image, after bytes that
-        // were there first; each block must be a fresh builder's, raw or
-        // compressed as `rle::compress` would, with its trailer.
-        for compression in [CompressionType::None, CompressionType::Rle] {
-            let mut reused = BlockBuilder::in_image(4, b"before".to_vec());
-            let mut image = b"before".to_vec();
-            for entries in &blocks {
-                let mut fresh = BlockBuilder::new(4);
-                for (k, v) in entries {
-                    fresh.add(k, v);
-                    reused.add(k, v);
-                }
-                assert_eq!(reused.size_estimate(), fresh.size_estimate());
-                assert_eq!(reused.entries, fresh.entries);
-                assert_eq!(reused.offset(), image.len());
-                let handle = reused.finish_block(compression);
-                assert!(reused.is_empty());
-                let raw = fresh.finish_without_trailer();
-                let packed = match compression {
-                    CompressionType::Rle => crate::util::rle::compress(&raw),
-                    CompressionType::None => None,
-                };
-                let offset = image.len();
-                image.extend_from_slice(packed.as_deref().unwrap_or(&raw));
-                assert_eq!(handle, BlockHandle::new(offset as u64, (image.len() - offset) as u64));
-                append_trailer_typed(&mut image, offset, u8::from(packed.is_some()));
+        // were there first; each block must be a fresh builder's, with its
+        // trailer.
+        let mut reused = BlockBuilder::in_image(4, b"before".to_vec());
+        let mut image = b"before".to_vec();
+        for entries in &blocks {
+            let mut fresh = BlockBuilder::new(4);
+            for (k, v) in entries {
+                fresh.add(k, v);
+                reused.add(k, v);
             }
-            assert_eq!(reused.into_image(), image, "{compression:?}");
+            assert_eq!(reused.size_estimate(), fresh.size_estimate());
+            assert_eq!(reused.entries, fresh.entries);
+            assert_eq!(reused.offset(), image.len());
+            let handle = reused.finish_block();
+            assert!(reused.is_empty());
+            let offset = image.len();
+            image.extend_from_slice(&fresh.finish_without_trailer());
+            assert_eq!(handle, BlockHandle::new(offset as u64, (image.len() - offset) as u64));
+            append_trailer(&mut image, offset);
         }
+        assert_eq!(reused.into_image(), image);
     }
 
     #[test]

@@ -1,11 +1,19 @@
 //! Table builder: turns a sorted entry stream into table bytes.
 
-use crate::options::{CompressionType, Options};
+use crate::options::Options;
 use crate::types::compare_internal;
 
-use super::block::{append_trailer_typed, BlockBuilder};
+use super::block::{append_trailer, BlockBuilder};
 use super::bloom::bloom_hash;
 use super::{BlockHandle, BloomFilter, Footer};
+
+/// Size a data block is cut at, before its restart array and trailer
+/// (LevelDB's default).
+const BLOCK_SIZE: usize = 4096;
+/// Keys between restart points within a data block.
+const BLOCK_RESTART_INTERVAL: usize = 16;
+/// Bloom filter bits per key.
+const BLOOM_BITS_PER_KEY: usize = 10;
 
 /// Builds the bytes of one SSTable.
 ///
@@ -29,9 +37,6 @@ use super::{BlockHandle, BloomFilter, Footer};
 /// ```
 #[derive(Debug)]
 pub struct TableBuilder {
-    block_size: usize,
-    bloom_bits: usize,
-    compression: CompressionType,
     /// The one data-block builder; it holds the table image and encodes
     /// each block at its end.
     data: BlockBuilder,
@@ -44,14 +49,12 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Creates a builder with the options' block parameters.
+    /// Creates a builder whose image is reserved for the options' table
+    /// size.
     pub fn new(opts: &Options) -> Self {
         TableBuilder {
-            block_size: opts.block_size,
-            bloom_bits: opts.bloom_bits_per_key,
-            compression: opts.compression,
             data: BlockBuilder::in_image(
-                opts.block_restart_interval,
+                BLOCK_RESTART_INTERVAL,
                 Vec::with_capacity(image_capacity(opts)),
             ),
             index: BlockBuilder::new(1),
@@ -76,13 +79,11 @@ impl TableBuilder {
             self.smallest = Some(ikey.to_vec());
         }
         self.data.add(ikey, value);
-        if self.bloom_bits > 0 {
-            self.key_hashes.push(bloom_hash(crate::types::user_key(ikey)));
-        }
+        self.key_hashes.push(bloom_hash(crate::types::user_key(ikey)));
         self.last_key.clear();
         self.last_key.extend_from_slice(ikey);
         self.entries += 1;
-        if self.data.size_estimate() >= self.block_size {
+        if self.data.size_estimate() >= BLOCK_SIZE {
             self.flush_data_block();
         }
     }
@@ -91,7 +92,7 @@ impl TableBuilder {
         if self.data.is_empty() {
             return;
         }
-        let (handle, handle_len) = self.data.finish_block(self.compression).encoded();
+        let (handle, handle_len) = self.data.finish_block().encoded();
         self.index.add(&self.last_key, &handle[..handle_len]);
     }
 
@@ -123,15 +124,10 @@ impl TableBuilder {
     pub fn finish(mut self) -> Vec<u8> {
         self.flush_data_block();
         let mut image = self.data.into_image();
-        // Bloom filter area.
-        let filter_handle = if self.bloom_bits > 0 {
-            let filter = BloomFilter::from_hashes(&self.key_hashes, self.bloom_bits);
-            append_block(&mut image, &filter.encode())
-        } else {
-            BlockHandle::default()
-        };
+        let filter = BloomFilter::from_hashes(&self.key_hashes, BLOOM_BITS_PER_KEY);
+        let filter = append_block(&mut image, &filter.encode());
         let index = append_block(&mut image, &self.index.finish_without_trailer());
-        image.extend_from_slice(&Footer { filter: filter_handle, index }.encode());
+        image.extend_from_slice(&Footer { filter, index }.encode());
         image
     }
 }
@@ -140,7 +136,7 @@ impl TableBuilder {
 fn append_block(image: &mut Vec<u8>, payload: &[u8]) -> BlockHandle {
     let offset = image.len();
     image.extend_from_slice(payload);
-    append_trailer_typed(image, offset, 0);
+    append_trailer(image, offset);
     BlockHandle::new(offset as u64, payload.len() as u64)
 }
 
@@ -151,7 +147,7 @@ fn append_block(image: &mut Vec<u8>, payload: &[u8]) -> BlockHandle {
 /// flush bigger than a table grows it.)
 fn image_capacity(opts: &Options) -> usize {
     let cut = opts.table_size as usize;
-    cut + cut / 16 + opts.block_size
+    cut + cut / 16 + BLOCK_SIZE
 }
 
 #[cfg(test)]
@@ -176,14 +172,13 @@ mod tests {
 
     #[test]
     fn multiple_data_blocks_are_flushed() {
-        let opts = Options { block_size: 256, ..Options::default() };
-        let mut b = TableBuilder::new(&opts);
-        for i in 0..100 {
+        let mut b = TableBuilder::new(&Options::default());
+        for i in 0..1000 {
             b.add(&ik(&format!("key{i:04}"), 1), &[7u8; 40]);
         }
         let bytes = b.finish();
-        // 100 × ~55-byte entries with 256-byte blocks → many blocks.
-        assert!(bytes.len() > 4000);
+        // 1 000 × ~55-byte entries with 4 KiB blocks → many blocks.
+        assert!(bytes.len() > 40_000);
         let footer = Footer::decode(&bytes[bytes.len() - super::super::FOOTER_SIZE..]).unwrap();
         assert!(footer.index.size > 0);
         assert!(footer.filter.size > 0);

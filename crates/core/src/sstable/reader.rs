@@ -299,9 +299,9 @@ mod tests {
     }
 
     /// Builds a table in the fs and opens it.
-    fn build_and_open(entries: &[(String, u64, String)], opts: &Options) -> (Arc<Table>, Nanos) {
+    fn build_and_open(entries: &[(String, u64, String)]) -> (Arc<Table>, Nanos) {
         let fs = Ext4Fs::new(Ext4Config::default());
-        let mut builder = TableBuilder::new(opts);
+        let mut builder = TableBuilder::new(&Options::default());
         for (k, s, v) in entries {
             builder.add(&ik(k, *s), v.as_bytes());
         }
@@ -348,9 +348,8 @@ mod tests {
 
     #[test]
     fn get_finds_present_keys() {
-        let entries = sample(500);
-        let opts = Options { block_size: 512, ..Options::default() };
-        let (table, mut now) = build_and_open(&entries, &opts);
+        let entries = sample(2000);
+        let (table, mut now) = build_and_open(&entries);
         for (k, _, v) in entries.iter().step_by(37) {
             let probe = ik(k, u64::MAX >> 9);
             let got = table.get(&probe, &mut now, true).unwrap().expect("present");
@@ -361,29 +360,27 @@ mod tests {
     #[test]
     fn get_misses_absent_keys() {
         let entries = sample(200);
-        let (table, mut now) = build_and_open(&entries, &Options::default());
+        let (table, mut now) = build_and_open(&entries);
         assert!(table.get(&ik("missing", u64::MAX >> 9), &mut now, true).unwrap().is_none());
         assert!(table.get(&ik("key99999", u64::MAX >> 9), &mut now, true).unwrap().is_none());
     }
 
     #[test]
     fn iterator_walks_everything_in_order() {
-        let entries = sample(777);
-        let opts = Options { block_size: 300, ..Options::default() };
-        let (table, mut now) = build_and_open(&entries, &opts);
+        let entries = sample(3001);
+        let (table, mut now) = build_and_open(&entries);
         let n = verify_table_ordering(&table, &mut now).unwrap();
-        assert_eq!(n, 777);
+        assert_eq!(n, 3001);
     }
 
     #[test]
     fn iterator_seek_mid_table() {
-        let entries = sample(100);
-        let opts = Options { block_size: 256, ..Options::default() };
-        let (table, mut now) = build_and_open(&entries, &opts);
+        let entries = sample(1000);
+        let (table, mut now) = build_and_open(&entries);
         let mut it = table.iter(true);
-        it.seek(&ik("key00050", u64::MAX >> 9), &mut now).unwrap();
+        it.seek(&ik("key00500", u64::MAX >> 9), &mut now).unwrap();
         assert!(it.valid());
-        assert_eq!(user_key(it.key()), b"key00050");
+        assert_eq!(user_key(it.key()), b"key00500");
         it.seek(&ik("zzz", 1), &mut now).unwrap();
         assert!(!it.valid());
     }
@@ -391,8 +388,7 @@ mod tests {
     #[test]
     fn block_cache_makes_second_read_cheap() {
         let entries = sample(2000);
-        let opts = Options { block_size: 1024, ..Options::default() };
-        let (table, now0) = build_and_open(&entries, &opts);
+        let (table, now0) = build_and_open(&entries);
         // Drop the page cache so reads are device-priced on miss.
         table.fs.drop_caches();
         let mut now = now0;

@@ -1,8 +1,7 @@
-//! Small utilities shared across the engine: CRC32C, run-length coding
-//! and varints. Only the checksum is public.
+//! Small utilities shared across the engine: CRC32C and varints. Only
+//! the checksum is public.
 
 mod crc32c;
-pub(crate) mod rle;
 pub(crate) mod varint;
 
 pub use crc32c::crc32c;

@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn fragmented_pick_has_no_child_inputs() {
         let fs = Ext4Fs::new(Ext4Config::default());
-        let opts = Options::default().with_style(CompactionStyle::Fragmented);
+        let opts = Options { style: CompactionStyle::Fragmented, ..Options::default() };
         let (mut set, t) = VersionSet::create(fs, "db", opts, Nanos::ZERO).unwrap();
         let mut edit = VersionEdit::new();
         edit.add_file(1, meta(20, "c", "k", 20 << 20));

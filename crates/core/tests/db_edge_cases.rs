@@ -92,9 +92,7 @@ fn double_open_same_directory_recovers_not_clobbers() {
 #[test]
 fn seek_compactions_fire_under_repeated_misses() {
     let fs = fs();
-    let mut o = opts(SyncMode::Always);
-    o.seek_compaction = true;
-    let mut db = Db::open(fs, "db", o, Nanos::ZERO).unwrap();
+    let mut db = Db::open(fs, "db", opts(SyncMode::Always), Nanos::ZERO).unwrap();
     // Two overlapping generations with DISJOINT keys over the same range:
     // a lookup of an even key probes the odd-key table first (range
     // match, bloom miss) and only then hits — charging the first file's
@@ -135,9 +133,7 @@ fn seek_compactions_land_in_the_per_level_breakdown() {
     // per-level counts must sum to the global counter — with seek
     // compactions included.
     let fs = fs();
-    let mut o = opts(SyncMode::Always);
-    o.seek_compaction = true;
-    let mut db = Db::open(fs, "db", o, Nanos::ZERO).unwrap();
+    let mut db = Db::open(fs, "db", opts(SyncMode::Always), Nanos::ZERO).unwrap();
     let mut now = Nanos::ZERO;
     for i in (0..400u64).filter(|i| i % 2 == 0) {
         now = common::put(&mut db, now, &key(i), &[1u8; 64]).unwrap();
@@ -238,70 +234,6 @@ fn values_of_every_size_round_trip() {
         now = t;
         assert_eq!(got, Some(vec![i as u8; *len]), "size {len}");
     }
-}
-
-#[test]
-fn compressed_tables_round_trip() {
-    // RLE compression on: highly compressible values shrink the tables
-    // and every read still returns exact bytes.
-    let fs = fs();
-    let mut o = opts(SyncMode::Always);
-    o.compression = noblsm::CompressionType::Rle;
-    let mut db = Db::open(fs.clone(), "db", o, Nanos::ZERO).unwrap();
-    let mut now = Nanos::ZERO;
-    for i in 0..2000u64 {
-        // Mostly-zero values compress very well.
-        let mut v = vec![0u8; 256];
-        v[0] = (i % 251) as u8;
-        now = common::put(&mut db, now, &key(i), &v).unwrap();
-    }
-    now = db.flush().unwrap();
-    now = db.wait_idle(now).unwrap();
-    for i in (0..2000).step_by(97) {
-        let (got, t) = db.get_at_time(now, &key(i)).unwrap();
-        now = t;
-        let mut want = vec![0u8; 256];
-        want[0] = (i % 251) as u8;
-        assert_eq!(got, Some(want), "key {i}");
-    }
-    // On-disk footprint shrinks well below the raw payload volume.
-    let disk: u64 = fs
-        .list("db/")
-        .iter()
-        .filter(|p| p.ends_with(".ldb"))
-        .map(|p| fs.file_size(p).unwrap())
-        .sum();
-    assert!(disk < 2000 * 256 / 2, "compression should halve the footprint: {disk}");
-    // Scans decompress transparently too.
-    let r = db
-        .scan(&ReadOptions::default(), &ScanOptions::starting_at(&key(0)).with_limit(50))
-        .unwrap();
-    assert_eq!(r.rows.len(), 50);
-}
-
-#[test]
-fn compressed_and_uncompressed_dbs_hold_same_data() {
-    let dump = |compression: noblsm::CompressionType| {
-        let fs = fs();
-        let mut o = opts(SyncMode::NobLsm);
-        o.compression = compression;
-        let mut db = Db::open(fs, "db", o, Nanos::ZERO).unwrap();
-        let mut now = Nanos::ZERO;
-        for i in 0..800u64 {
-            now = common::put(&mut db, now, &key(i), format!("v{}", i % 10).repeat(20).as_bytes())
-                .unwrap();
-        }
-        now = db.wait_idle(now).unwrap();
-        let mut it = db.iter_at(now).unwrap();
-        it.seek_to_first().unwrap();
-        let mut all = Vec::new();
-        while it.valid() {
-            all.push((it.key().to_vec(), it.value().to_vec()));
-            it.next().unwrap();
-        }
-        all
-    };
-    assert_eq!(dump(noblsm::CompressionType::None), dump(noblsm::CompressionType::Rle));
 }
 
 #[test]

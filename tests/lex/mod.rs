@@ -224,6 +224,34 @@ pub fn declared_names(decl: &str) -> Vec<&str> {
     identifiers(rest).find(|w| !QUALIFIERS.contains(w)).into_iter().collect()
 }
 
+/// The settable values `source` declares outside test code, as
+/// `Struct.field`: every `pub` field of a `pub struct` named `*Options` or
+/// `*Config`, or of `CpuCosts`.
+pub fn knobs(source: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut within: Option<&str> = None;
+    for (_, raw) in non_test_lines(source) {
+        let line = raw.trim();
+        if let Some(name) = within {
+            if line.starts_with('}') {
+                within = None;
+            } else if classify(line) == Some(Decl::Field) {
+                out.extend(declared_names(line).first().map(|field| format!("{name}.{field}")));
+            }
+            continue;
+        }
+        let Some(name) = line.strip_prefix("pub struct ").and_then(|r| identifiers(r).next())
+        else {
+            continue;
+        };
+        let config = name.ends_with("Options") || name.ends_with("Config") || name == "CpuCosts";
+        if config && line.ends_with('{') {
+            within = Some(name);
+        }
+    }
+    out
+}
+
 /// Lines of the doc-comment code blocks in `src`: the crate's doctests,
 /// which exercise its public surface from outside the crate.
 fn doctest_lines(src: &str) -> String {

@@ -113,7 +113,7 @@ fn properties_pass_through_all_three_layers() {
     let _ = dirty;
     assert!(db.property("noblsm.ext4.stats").unwrap().contains("journal_bytes="));
     let free: u64 = db.property("noblsm.ext4.journal-free-bytes").unwrap().parse().unwrap();
-    assert!(free <= db.fs().config().journal_capacity);
+    assert!(free <= 128 << 20, "free journal space is bounded by the 128 MiB mkfs default");
     // SSD passthroughs.
     assert!(db.property("noblsm.ssd.stats").unwrap().contains("flush_commands="));
     assert!(db.property("noblsm.ssd.busy-time").unwrap().parse::<u64>().is_ok());
