@@ -1,14 +1,18 @@
 //! A byte-bounded LRU block cache shared by all table readers of a DB.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::sstable::Block;
 
 /// Cache key: (physical file number, block offset within that file).
 pub(crate) type BlockKey = (u64, u64);
+
+/// Locks `m`, absorbing poison: a panic that held the lock must not turn
+/// every later cache access into a second panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A shared LRU cache of parsed blocks.
 ///
@@ -46,7 +50,7 @@ impl BlockCache {
     }
 
     pub(crate) fn get(&self, key: BlockKey) -> Option<Arc<Block>> {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         if !g.map.contains_key(&key) {
             g.misses += 1;
             return None;
@@ -63,7 +67,7 @@ impl BlockCache {
     }
 
     pub(crate) fn insert(&self, key: BlockKey, block: Arc<Block>) {
-        let mut g = self.inner.lock();
+        let mut g = lock(&self.inner);
         let size = block.bytes() as u64;
         g.generation += 1;
         let generation = g.generation;
@@ -85,7 +89,7 @@ impl BlockCache {
 
     /// (hits, misses) so far.
     pub(crate) fn hit_stats(&self) -> (u64, u64) {
-        let g = self.inner.lock();
+        let g = lock(&self.inner);
         (g.hits, g.misses)
     }
 }
@@ -141,7 +145,7 @@ impl TableCache {
         meta: &crate::version::FileMetaData,
         now: &mut nob_sim::Nanos,
     ) -> crate::Result<Arc<crate::sstable::Table>> {
-        if let Some(t) = self.tables.lock().get(&meta.number) {
+        if let Some(t) = lock(&self.tables).get(&meta.number) {
             return Ok(Arc::clone(t));
         }
         let path =
@@ -157,13 +161,13 @@ impl TableCache {
             self.cpu,
             now,
         )?);
-        self.tables.lock().insert(meta.number, Arc::clone(&table));
+        lock(&self.tables).insert(meta.number, Arc::clone(&table));
         Ok(table)
     }
 
     /// Drops the cached reader for a table (after deletion).
     pub(crate) fn evict(&self, number: u64) {
-        self.tables.lock().remove(&number);
+        lock(&self.tables).remove(&number);
     }
 }
 
@@ -178,6 +182,19 @@ mod tests {
         let key = InternalKey::new(&[tag], 1, ValueType::Value);
         b.add(key.as_bytes(), &vec![tag; bytes]);
         Block::parse(b.finish_without_trailer()).unwrap()
+    }
+
+    #[test]
+    fn poison_is_absorbed() {
+        let c = BlockCache::new(1 << 20);
+        let clone = Arc::clone(&c);
+        let _ = std::thread::spawn(move || {
+            let _g = lock(&clone.inner);
+            panic!("poison it");
+        })
+        .join();
+        assert!(c.inner.is_poisoned());
+        assert!(c.get((1, 0)).is_none(), "a poisoned lock must not fail later calls");
     }
 
     #[test]
@@ -207,7 +224,7 @@ mod tests {
         let c = BlockCache::new(10_000);
         c.insert((1, 0), block(1, 1000));
         c.insert((1, 0), block(1, 2000));
-        let g = c.inner.lock();
+        let g = lock(&c.inner);
         assert!(g.bytes >= 2000 && g.bytes < 3500, "bytes={}", g.bytes);
     }
 }

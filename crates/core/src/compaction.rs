@@ -4,7 +4,6 @@
 
 use std::collections::HashSet;
 
-use nob_compact::{Granule, StagePlan};
 use nob_ext4::{Ext4Fs, InodeId};
 use nob_sim::Nanos;
 
@@ -12,6 +11,7 @@ use crate::cache::TableCache;
 use crate::db::HotTracker;
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::options::{Options, SyncMode};
+use crate::sched::{Granule, StagePlan};
 use crate::sstable::TableBuilder;
 use crate::types::{compare_internal, sequence_of, user_key, value_type_of};
 use crate::version::{file_path, CompactionInputs, FileKind, FileMetaData, Version};

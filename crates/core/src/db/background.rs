@@ -2,7 +2,6 @@
 //! scheduling of minor and major compactions onto the lanes, and the
 //! entry points that wait for them.
 
-use nob_compact::Stage;
 use nob_ext4::InodeId;
 use nob_sim::Nanos;
 use nob_trace::EventClass;
@@ -425,8 +424,8 @@ impl Db {
         // output granules, so the *job* finishes at the pipelined end —
         // never later than the serial end — plus the final group sync,
         // which cannot overlap anything.
-        let done = outcome.stages.pipelined_end(job.start) + sync_cost;
-        let intervals = outcome.stages.intervals(job.start);
+        let (pipelined_end, intervals) = outcome.stages.pipeline(job.start);
+        let done = pipelined_end + sync_cost;
         let (read_t, merge_t, write_t) = outcome.stages.stage_totals();
         self.stats.compact_read_time += read_t;
         self.stats.compact_merge_time += merge_t;
@@ -436,7 +435,7 @@ impl Db {
         if let Some(sink) = &self.trace {
             sink.emit(EventClass::MajorCompaction, now, done, outcome.bytes_written);
             for iv in &intervals {
-                sink.emit(stage_class(iv.stage), iv.start, iv.end, iv.bytes);
+                sink.emit(iv.class, iv.start, iv.end, iv.bytes);
             }
         }
         self.sched.occupy_major(&job, done, outcome.bytes_written, intervals);
@@ -503,14 +502,5 @@ impl Db {
             }
         }
         Ok((outcome, succ_files, t - serial_end))
-    }
-}
-
-/// The trace class a pipeline stage's spans carry.
-pub(super) fn stage_class(stage: Stage) -> EventClass {
-    match stage {
-        Stage::Read => EventClass::CompactRead,
-        Stage::Merge => EventClass::CompactMerge,
-        Stage::Write => EventClass::CompactWrite,
     }
 }

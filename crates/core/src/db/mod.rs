@@ -42,7 +42,6 @@ pub use repair::RepairReport;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nob_compact::{LaneStats, MajorJob, Scheduler};
 use nob_ext4::{Ext4Fs, FileHandle, InodeId};
 use nob_metrics::MetricsHub;
 use nob_sim::{EventQueue, Nanos, SharedClock};
@@ -53,9 +52,10 @@ use crate::compaction::{CompactionOutput, MajorOutcome, PhysicalRefs};
 use crate::memtable::MemTable;
 use crate::noblsm::DependencyTracker;
 use crate::options::{Options, ScanOptions};
+use crate::sched::{MajorJob, Scheduler};
 use crate::version::{CompactionInputs, FileMetaData, Version, VersionSet};
 use crate::wal::LogWriter;
-use crate::{DbError, DbStats, Result};
+use crate::{DbError, DbStats, LaneStats, Result};
 
 /// The physical files (number, path, inode) holding a major's outputs.
 type PhysicalFiles = Vec<(u64, String, InodeId)>;

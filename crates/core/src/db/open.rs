@@ -4,7 +4,6 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use nob_compact::{PriorityPolicy, Scheduler};
 use nob_ext4::Ext4Fs;
 use nob_sim::{EventQueue, Nanos, SharedClock};
 
@@ -13,6 +12,7 @@ use crate::compaction::{write_table, CompactionOutput, PhysicalRefs};
 use crate::memtable::MemTable;
 use crate::noblsm::DependencyTracker;
 use crate::options::{Options, SyncMode};
+use crate::sched::Scheduler;
 use crate::version::{file_path, list_dir, FileKind, VersionEdit, VersionSet};
 use crate::wal::{LogWriter, ReplayCursor};
 use crate::{DbError, DbStats, Result};
@@ -81,12 +81,7 @@ impl Db {
 
         let hot_window = (opts.write_buffer_size / 256).clamp(1024, 1 << 20) as usize;
         let hot = opts.hot_cold.then(|| HotTracker::new(hot_window));
-        let policy = PriorityPolicy::new(
-            opts.l0_compaction_trigger,
-            opts.l0_slowdown_trigger,
-            opts.l0_stop_trigger,
-        );
-        let sched = Scheduler::new(policy, opts.compaction_lanes, t);
+        let sched = Scheduler::new(&opts, t);
         let mut db = Db {
             fs,
             dir: dir.to_string(),

@@ -9,7 +9,6 @@ use crate::version::{file_path, FileKind};
 use crate::wal::LogWriter;
 use crate::{DbError, Result, SequenceNumber};
 
-use super::background::stage_class;
 use super::{Db, Snapshot, WriteBatch};
 
 /// LevelDB's foreground delay, once per write, while `L0` is at the
@@ -177,7 +176,7 @@ impl Db {
             return;
         }
         for iv in self.sched.stall_activity(from, until) {
-            sink.emit_ctx(stage_class(iv.stage), iv.start, iv.end, iv.bytes, sink.child_ctx(ctx));
+            sink.emit_ctx(iv.class, iv.start, iv.end, iv.bytes, sink.child_ctx(ctx));
         }
     }
 

@@ -73,6 +73,7 @@ mod cache;
 mod compaction;
 mod error;
 mod options;
+mod sched;
 mod stats;
 mod types;
 pub mod util;
@@ -83,6 +84,7 @@ pub use iterator::{DbIterator, IterState};
 pub use options::{
     CompactionStyle, CpuCosts, Options, ReadOptions, ScanOptions, SyncMode, WriteOptions,
 };
+pub use sched::LaneStats;
 pub use stats::{DbStats, LevelCompactionStats};
 pub(crate) use types::SequenceNumber;
 pub use types::{InternalKey, ValueType};

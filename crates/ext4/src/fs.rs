@@ -10,9 +10,7 @@ pub use crash::CommitWindow;
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nob_sim::Nanos;
 use nob_ssd::{FlushFault, InjectorHandle, IoStats, Ssd, WriteClass, WriteFault};
@@ -121,37 +119,44 @@ impl Ext4Fs {
         }
     }
 
+    /// Locks the filesystem state, absorbing poison: a panic that held
+    /// the lock must not turn every later call on a clone into a second
+    /// panic.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The filesystem's configuration.
     pub fn config(&self) -> Ext4Config {
-        self.inner.lock().cfg.clone()
+        self.lock().cfg.clone()
     }
 
     /// Filesystem-level counters (syncs, write-back, journal traffic).
     pub fn stats(&self) -> FsStats {
-        self.inner.lock().stats
+        self.lock().stats
     }
 
     /// Device-level counters.
     pub fn io_stats(&self) -> IoStats {
-        *self.inner.lock().ssd.stats()
+        *self.lock().ssd.stats()
     }
 
     /// Instant at which the device queue drains.
     pub fn device_free_at(&self) -> Nanos {
-        self.inner.lock().ssd.free_at()
+        self.lock().ssd.free_at()
     }
 
     /// Resets filesystem and device counters (not state); used between
     /// benchmark phases.
     pub fn reset_stats(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.stats = FsStats::new();
         g.ssd.reset_stats();
     }
 
     /// Installs a device fault injector; subsequent I/O consults it.
     pub fn set_fault_injector(&self, injector: InjectorHandle) {
-        self.inner.lock().ssd.set_injector(injector);
+        self.lock().ssd.set_injector(injector);
     }
 
     /// Installs a trace sink on the filesystem *and* its device: journal
@@ -159,14 +164,14 @@ impl Ext4Fs {
     /// the device underneath emits its own command spans into the same
     /// sink.
     pub fn set_trace_sink(&self, sink: TraceSink) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.ssd.set_trace_sink(sink.clone());
         g.trace = Some(sink);
     }
 
     /// Removes the trace sink from the filesystem and its device.
     pub fn clear_trace_sink(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.ssd.clear_trace_sink();
         g.trace = None;
     }
@@ -177,7 +182,7 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::AlreadyExists`] if `path` is taken.
     pub fn create(&self, path: &str, now: Nanos) -> Result<FileHandle> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         if g.names.contains_key(path) {
             return Err(FsError::AlreadyExists(path.to_string()));
@@ -197,7 +202,7 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::NotFound`] if `path` does not exist.
     pub fn open(&self, path: &str, now: Nanos) -> Result<FileHandle> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         let id = *g.names.get(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
         Ok(FileHandle { ino: id })
@@ -205,7 +210,7 @@ impl Ext4Fs {
 
     /// Whether `path` exists in the (in-memory) namespace.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.lock().names.contains_key(path)
+        self.lock().names.contains_key(path)
     }
 
     /// Size of the file at `path`.
@@ -214,14 +219,14 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::NotFound`] if `path` does not exist.
     pub fn file_size(&self, path: &str) -> Result<u64> {
-        let g = self.inner.lock();
+        let g = self.lock();
         let id = g.names.get(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
         Ok(g.inodes[id].content.len() as u64)
     }
 
     /// All live paths with the given prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let g = self.inner.lock();
+        let g = self.lock();
         let mut v: Vec<String> =
             g.names.keys().filter(|p| p.starts_with(prefix)).cloned().collect();
         v.sort();
@@ -231,7 +236,7 @@ impl Ext4Fs {
     /// The inode number behind a live path, if any. NobLSM's user-space
     /// tracker records these for `check_commit`.
     pub fn inode_of(&self, path: &str) -> Option<InodeId> {
-        self.inner.lock().names.get(path).copied()
+        self.lock().names.get(path).copied()
     }
 
     /// Buffered (page-cache) append. Returns the caller's new `now`.
@@ -254,7 +259,7 @@ impl Ext4Fs {
     ) -> Result<Nanos> {
         let data = data.into();
         let len = data.len() as u64;
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         let cost = g.cfg.ssd.mem_cost(len);
         let resident = {
@@ -294,7 +299,7 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::StaleHandle`] if the file was deleted.
     pub fn append_direct(&self, h: FileHandle, data: &[u8], now: Nanos) -> Result<Nanos> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         let (base, target) = {
             let inode = g.live_inode_mut(h)?;
@@ -329,7 +334,7 @@ impl Ext4Fs {
         len: u64,
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos)> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         let cached = {
             let inode = g.live_inode(h)?;
@@ -375,7 +380,7 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::StaleHandle`] if the file was deleted.
     pub fn fsync(&self, h: FileHandle, now: Nanos) -> Result<Nanos> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         g.stats.sync_calls += 1;
         let (needs, pending) = {
@@ -404,7 +409,7 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::NotFound`] if `old` does not exist.
     pub fn rename(&self, old: &str, new: &str, now: Nanos) -> Result<Nanos> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         let id = g.names.remove(old).ok_or_else(|| FsError::NotFound(old.to_string()))?;
         if let Some(victim) = g.names.remove(new) {
@@ -427,7 +432,7 @@ impl Ext4Fs {
     ///
     /// Returns [`FsError::NotFound`] if `path` does not exist.
     pub fn delete(&self, path: &str, now: Nanos) -> Result<Nanos> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         let id = g.names.remove(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
         g.delete_inode(id);
@@ -440,14 +445,14 @@ impl Ext4Fs {
     /// Every public operation ticks implicitly; drivers may also tick
     /// explicitly when virtual time passes without filesystem activity.
     pub fn tick(&self, now: Nanos) {
-        self.inner.lock().tick(now);
+        self.lock().tick(now);
     }
 
     /// The `check_commit` syscall: registers inodes in the kernel Pending
     /// Table. Inodes that are already fully committed go straight to the
     /// Committed Table.
     pub fn check_commit(&self, inos: &[InodeId], now: Nanos) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         for &ino in inos {
             let Some(inode) = g.inodes.get(&ino) else { continue };
@@ -467,7 +472,7 @@ impl Ext4Fs {
     /// The `is_committed` syscall: whether the inode has moved to the
     /// Committed Table by `now`.
     pub fn is_committed(&self, ino: InodeId, now: Nanos) -> bool {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         g.tick(now);
         g.committed.get(&ino).is_some_and(|&t| t <= now)
     }
@@ -476,7 +481,7 @@ impl Ext4Fs {
     /// `echo 3 > /proc/sys/vm/drop_caches`); benchmarks call this between a
     /// load phase and a read phase.
     pub fn drop_caches(&self) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let cached: Vec<InodeId> = g
             .inodes
             .values()
@@ -494,20 +499,20 @@ impl Ext4Fs {
 
     /// Total dirty page-cache bytes right now.
     pub fn dirty_bytes(&self) -> u64 {
-        self.inner.lock().dirty_bytes
+        self.lock().dirty_bytes
     }
 
     /// Number of inodes joined to the running (uncommitted) JBD2
     /// transaction.
     pub fn running_txn_inodes(&self) -> usize {
-        self.inner.lock().running.len()
+        self.lock().running.len()
     }
 
     /// Sizes of the NobLSM kernel tables: `(pending, committed)` entry
     /// counts (`check_commit` registrations awaiting a commit, and inodes
     /// whose registered epoch has committed).
     pub fn kernel_table_sizes(&self) -> (usize, usize) {
-        let g = self.inner.lock();
+        let g = self.lock();
         (g.pending.len(), g.committed.len())
     }
 
@@ -516,25 +521,25 @@ impl Ext4Fs {
     /// `capacity - (journal_bytes mod capacity)` — the headroom an
     /// implicit checkpoint-on-wrap would leave.
     pub fn journal_free_bytes(&self) -> u64 {
-        let g = self.inner.lock();
+        let g = self.lock();
         JOURNAL_CAPACITY - g.stats.journal_bytes % JOURNAL_CAPACITY
     }
 
     /// Instant at which pending background (write-back) device work
     /// drains; the distance from "now" is the checkpoint backlog.
     pub fn device_background_free_at(&self) -> Nanos {
-        self.inner.lock().ssd.background_free_at()
+        self.lock().ssd.background_free_at()
     }
 
     /// Total foreground busy time of the device underneath.
     pub fn device_busy_time(&self) -> Nanos {
-        self.inner.lock().ssd.busy_time()
+        self.lock().ssd.busy_time()
     }
 
     /// Completion instant of the device's most recently issued FLUSH
     /// ([`Nanos::ZERO`] before the first).
     pub(crate) fn device_flush_frontier(&self) -> Nanos {
-        self.inner.lock().ssd.flush_frontier()
+        self.lock().ssd.flush_frontier()
     }
 }
 
@@ -983,6 +988,19 @@ mod tests {
     }
 
     #[test]
+    fn poison_is_absorbed() {
+        let fs = fs();
+        let clone = fs.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = clone.lock();
+            panic!("poison it");
+        })
+        .join();
+        assert!(fs.inner.is_poisoned());
+        assert_eq!(fs.dirty_bytes(), 0, "a poisoned lock must not fail later calls");
+    }
+
+    #[test]
     fn create_append_read_round_trip() {
         let fs = fs();
         let h = fs.create("a", Nanos::ZERO).unwrap();
@@ -1265,7 +1283,7 @@ mod tests {
         // Dirty-threshold commits have cleaned most files, and eviction
         // keeps residency within capacity (the files are clean).
         fs.tick(now + Nanos::from_secs(6));
-        let g = fs.inner.lock();
+        let g = fs.lock();
         assert!(g.cache_used <= g.cfg.page_cache_capacity + (300 << 10));
         drop(g);
         // Cold reads still return correct data (device-priced).

@@ -42,13 +42,13 @@ impl Ext4Fs {
     /// Instant of the first torn/corrupted journal commit record, if any.
     /// Recovery cannot see past this point in the journal.
     pub fn journal_broken(&self) -> Option<Nanos> {
-        self.inner.lock().journal_broken_at
+        self.lock().journal_broken_at
     }
 
     /// Timing of every journal commit so far, in completion order. The
     /// chaos harness derives its crash instants from these windows.
     pub fn commit_windows(&self) -> Vec<CommitWindow> {
-        self.inner.lock().commit_log.clone()
+        self.lock().commit_log.clone()
     }
 
     /// Raises the crash horizon — the earliest instant
@@ -63,7 +63,7 @@ impl Ext4Fs {
     /// completes before `to`: a torn commit record there would cut the
     /// journal ahead of a deletion already forgotten.
     pub fn advance_crash_horizon(&self, to: Nanos) {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         if !g.horizon_pinned && to > g.horizon {
             g.horizon = to;
             g.forget_durable_deletions();
@@ -76,14 +76,14 @@ impl Ext4Fs {
     /// driver that rewinds — cuts power at an instant it has already
     /// passed — pins before its run.
     pub fn pin_crash_horizon(&self) {
-        self.inner.lock().horizon_pinned = true;
+        self.lock().horizon_pinned = true;
     }
 
     /// Content bytes of every inode the filesystem still holds: the live
     /// files plus the deleted ones not yet forgotten. Without a crash
     /// horizon this grows with every byte ever written.
     pub fn retained_bytes(&self) -> u64 {
-        self.inner.lock().inodes.values().map(|i| i.content.len() as u64).sum()
+        self.lock().inodes.values().map(|i| i.content.len() as u64).sum()
     }
 
     /// Reconstructs the filesystem a power failure at `at` would leave,
@@ -114,7 +114,7 @@ impl Ext4Fs {
     /// Panics if `at` is below the crash horizon: the inodes forgotten
     /// since may have been on that disk.
     pub fn crashed_view(&self, at: Nanos) -> Ext4Fs {
-        let g = self.inner.lock();
+        let g = self.lock();
         assert!(
             at >= g.horizon,
             "crashed_view({at:?}) is below the crash horizon {:?}: a driver that rewinds must \
@@ -123,7 +123,7 @@ impl Ext4Fs {
         );
         let fresh = Ext4Fs::new(g.cfg.clone());
         {
-            let mut n = fresh.inner.lock();
+            let mut n = fresh.lock();
             n.next_commit_at = at + n.cfg.commit_interval;
             n.next_ino = g.next_ino;
             let broken = g.journal_broken_at;

@@ -2,11 +2,11 @@
 //! (`lex`): the dependency graph says what the code says, no module grows
 //! back into a monolith, and the public surface only shrinks.
 //!
-//! * Every `[dependencies]` entry of a workspace crate must be named by
-//!   some non-comment line under that crate's `src/` — an edge no source
-//!   file uses is a lie about the architecture and a needless rebuild
-//!   trigger. (`[dev-dependencies]` are out of scope: tests and examples
-//!   live outside `src/`.)
+//! * Every `[dependencies]` entry of a workspace crate, the root package
+//!   included, must be named by some non-comment line under that
+//!   package's `src/` — an edge no source file uses is a lie about the
+//!   architecture and a needless rebuild trigger. (`[dev-dependencies]`
+//!   are out of scope: tests and examples live outside `src/`.)
 //! * Every root `[workspace.dependencies]` entry must be depended on by some
 //!   member's manifest, and every `shims/*` stand-in by some *other*
 //!   member's: an entry or a vendored crate nobody depends on is dead
@@ -41,7 +41,7 @@ const MAX_SOURCE_LINES: usize = 1_531;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why.
-const MAX_SURFACE_LINES: usize = 1_083;
+const MAX_SURFACE_LINES: usize = 1_015;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
@@ -96,7 +96,7 @@ fn all_dependencies(manifest: &str) -> Vec<String> {
 #[test]
 fn every_dependency_edge_is_named_by_the_source() {
     let mut unused = Vec::new();
-    for dir in crate_dirs() {
+    for dir in crate_dirs().into_iter().chain([root().to_path_buf()]) {
         let manifest = manifest_of(&dir);
         let code: String = rust_files(&dir.join("src"))
             .iter()

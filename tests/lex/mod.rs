@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 /// The crates other crates build on, whose surface
 /// `tests/golden/api_surface.txt` pins, as (package name, package
 /// directory).
-pub const CRATES: [(&str, &str); 10] = [
+pub const CRATES: [(&str, &str); 9] = [
     ("nob-core", "crates/core"),
     ("nob-store", "crates/store"),
     ("nob-server", "crates/server"),
@@ -24,7 +24,6 @@ pub const CRATES: [(&str, &str); 10] = [
     ("nob-sim", "crates/sim"),
     ("nob-trace", "crates/trace"),
     ("nob-metrics", "crates/metrics"),
-    ("nob-compact", "crates/compact"),
     ("nob-ssd", "crates/ssd"),
 ];
 
