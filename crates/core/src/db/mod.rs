@@ -339,8 +339,7 @@ impl Db {
     /// in commit order. This is the resume point for WAL shipping — a
     /// replica that has applied batches through `last_sequence()` is
     /// byte-identical in logical content, and a changefeed subscription
-    /// resumes at `last_sequence() + 1`. Also exposed as
-    /// `property("noblsm.seq")`.
+    /// resumes at `last_sequence() + 1`.
     pub fn last_sequence(&self) -> crate::SequenceNumber {
         self.versions.last_sequence
     }

@@ -3,44 +3,23 @@
 
 use nob_sim::Nanos;
 
-use crate::memtable::MemTable;
-
 use super::Db;
 
 impl Db {
-    /// Engine introspection, LevelDB-style (`GetProperty`). Supported
-    /// names:
+    /// Engine introspection, LevelDB-style (`GetProperty`). Two names
+    /// answer; every other name is `None`:
     ///
     /// * `"noblsm.stats"` — one-line engine counters, including read and
     ///   write amplification inputs;
     /// * `"noblsm.compaction-stats"` — the classic `leveldb.stats`-style
-    ///   per-level table (files, size, compaction reads/writes/time);
-    /// * `"noblsm.sstables"` — per-level file listing;
-    /// * `"noblsm.seq"` — the last committed sequence number (see
-    ///   [`Db::last_sequence`]);
-    /// * `"noblsm.num-files-at-level<N>"`;
-    /// * `"noblsm.approximate-memory"` (alias
-    ///   `"noblsm.approximate-memory-usage"`) — memtable bytes;
-    /// * `"noblsm.ext4.*"` — filesystem passthroughs: `dirty-bytes`,
-    ///   `running-txn-inodes`, `pending-inodes`, `committed-inodes`,
-    ///   `journal-free-bytes`, `retained-bytes` (content of every inode the
-    ///   simulated disk still holds, deleted ones not yet past the crash
-    ///   horizon included), `stats`;
-    /// * `"noblsm.ssd.*"` — device passthroughs: `free-at`, `busy-time`,
-    ///   `stats`.
+    ///   per-level table (files, size, compaction reads/writes/time).
+    ///
+    /// Single numbers have typed accessors instead:
+    /// [`Db::last_sequence`], [`Db::level_file_counts`],
+    /// [`Db::current_version`], and [`Db::fs`] for the filesystem and
+    /// device below (`dirty_bytes`, `retained_bytes`, `stats`, `io_stats`).
     pub fn property(&self, name: &str) -> Option<String> {
-        if let Some(level) = name.strip_prefix("noblsm.num-files-at-level") {
-            let level: usize = level.parse().ok()?;
-            return Some(self.versions.current().num_files(level).to_string());
-        }
-        if let Some(rest) = name.strip_prefix("noblsm.ext4.") {
-            return self.ext4_property(rest);
-        }
-        if let Some(rest) = name.strip_prefix("noblsm.ssd.") {
-            return self.ssd_property(rest);
-        }
         match name {
-            "noblsm.seq" => Some(self.versions.last_sequence.to_string()),
             "noblsm.stats" => {
                 let s = &self.stats;
                 let mut line = format!(
@@ -106,77 +85,6 @@ shadows={} reclaimed={} files_read={} read_amp={:.2}",
                     ));
                 }
                 Some(out)
-            }
-            "noblsm.sstables" => {
-                let v = self.versions.current();
-                let mut out = String::new();
-                for (level, files) in v.files.iter().enumerate() {
-                    if files.is_empty() {
-                        continue;
-                    }
-                    out.push_str(&format!("--- level {level} ---\n"));
-                    for f in files {
-                        out.push_str(&format!(
-                            "{}{}: {} bytes\n",
-                            f.number,
-                            if f.hot { " (hot)" } else { "" },
-                            f.size
-                        ));
-                    }
-                }
-                Some(out)
-            }
-            "noblsm.approximate-memory" | "noblsm.approximate-memory-usage" => {
-                let bytes = self.mem.approximate_bytes()
-                    + self.imm.as_ref().map_or(0, MemTable::approximate_bytes);
-                Some(bytes.to_string())
-            }
-            _ => None,
-        }
-    }
-
-    /// `noblsm.ext4.*` property passthroughs.
-    fn ext4_property(&self, name: &str) -> Option<String> {
-        match name {
-            "dirty-bytes" => Some(self.fs.dirty_bytes().to_string()),
-            "running-txn-inodes" => Some(self.fs.running_txn_inodes().to_string()),
-            "pending-inodes" => Some(self.fs.kernel_table_sizes().0.to_string()),
-            "committed-inodes" => Some(self.fs.kernel_table_sizes().1.to_string()),
-            "journal-free-bytes" => Some(self.fs.journal_free_bytes().to_string()),
-            "retained-bytes" => Some(self.fs.retained_bytes().to_string()),
-            "stats" => {
-                let s = self.fs.stats();
-                Some(format!(
-                    "sync_calls={} bytes_synced={} async_commits={} sync_commits={} \
-journal_bytes={} bytes_written_back={}",
-                    s.sync_calls,
-                    s.bytes_synced,
-                    s.async_commits,
-                    s.sync_commits,
-                    s.journal_bytes,
-                    s.bytes_written_back
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    /// `noblsm.ssd.*` property passthroughs.
-    fn ssd_property(&self, name: &str) -> Option<String> {
-        match name {
-            "free-at" => Some(self.fs.device_free_at().as_nanos().to_string()),
-            "busy-time" => Some(self.fs.device_busy_time().as_nanos().to_string()),
-            "stats" => {
-                let io = self.fs.io_stats();
-                Some(format!(
-                    "read_commands={} write_commands={} flush_commands={} bytes_read={} \
-bytes_written={}",
-                    io.read_commands,
-                    io.write_commands,
-                    io.flush_commands,
-                    io.bytes_read,
-                    io.bytes_written
-                ))
             }
             _ => None,
         }

@@ -326,7 +326,7 @@ fn overwriting_the_key_space_keeps_retained_bytes_near_the_live_files() {
     db.clock().advance_to(now);
     db.tick().unwrap();
     let live: u64 = fs.list("").iter().map(|p| fs.file_size(p).unwrap()).sum();
-    let retained: u64 = db.property("noblsm.ext4.retained-bytes").unwrap().parse().unwrap();
+    let retained = fs.retained_bytes();
     let written = fs.stats().bytes_buffered;
     assert!(written > 20 * live, "the run must write far more than it keeps: {written} vs {live}");
     assert!(

@@ -5,6 +5,7 @@
 mod common;
 
 use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_metrics::MetricsHub;
 use nob_sim::Nanos;
 use noblsm::{Db, Options, ReadOptions, SyncMode, WriteBatch, WriteOptions};
 
@@ -161,22 +162,23 @@ fn compact_range_respects_bounds() {
 #[test]
 fn properties_report_engine_state() {
     let (mut db, _fs) = small_db(SyncMode::NobLsm);
+    let hub = MetricsHub::new().with_period(Nanos::from_millis(1));
+    db.set_metrics_hub(hub.clone());
     let mut now = Nanos::ZERO;
     for i in 0..500u64 {
         now = common::put(&mut db, now, &key(i), &[1u8; 64]).unwrap();
     }
     now = db.flush().unwrap();
-    assert_eq!(
-        db.property("noblsm.num-files-at-level0").unwrap(),
-        db.level_file_counts()[0].to_string()
-    );
+    // Single numbers come from typed accessors and the metrics hub.
+    let l0 = db.level_file_counts()[0];
+    assert!(l0 > 0);
+    assert_eq!(db.current_version().files[0].len(), l0);
+    let mem = hub.timeline().series("engine.mem_bytes").expect("sampled").values.clone();
+    assert!(!mem.is_empty() && mem.iter().all(|&m| m < f64::from(1 << 20)), "{mem:?}");
     let stats = db.property("noblsm.stats").unwrap();
     assert!(stats.contains("writes=500"), "{stats}");
-    let tables = db.property("noblsm.sstables").unwrap();
-    assert!(tables.contains("level 0"), "{tables}");
-    let mem: u64 = db.property("noblsm.approximate-memory").unwrap().parse().unwrap();
-    assert!(mem < 1 << 20);
     assert_eq!(db.property("noblsm.nope"), None);
+    assert_eq!(db.property("noblsm.seq"), None, "a typed accessor's number has no name");
     // Force some majors, then the compaction-stats table must show them.
     for i in 0..3000u64 {
         now = common::put(&mut db, now, &key(i % 700), &[2u8; 64]).unwrap();

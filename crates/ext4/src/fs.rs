@@ -511,7 +511,7 @@ impl Ext4Fs {
     /// Sizes of the NobLSM kernel tables: `(pending, committed)` entry
     /// counts (`check_commit` registrations awaiting a commit, and inodes
     /// whose registered epoch has committed).
-    pub fn kernel_table_sizes(&self) -> (usize, usize) {
+    pub(crate) fn kernel_table_sizes(&self) -> (usize, usize) {
         let g = self.lock();
         (g.pending.len(), g.committed.len())
     }
@@ -520,7 +520,7 @@ impl Ext4Fs {
     /// simulation does not model wrap-checkpoint stalls, so this reports
     /// `capacity - (journal_bytes mod capacity)` — the headroom an
     /// implicit checkpoint-on-wrap would leave.
-    pub fn journal_free_bytes(&self) -> u64 {
+    pub(crate) fn journal_free_bytes(&self) -> u64 {
         let g = self.lock();
         JOURNAL_CAPACITY - g.stats.journal_bytes % JOURNAL_CAPACITY
     }

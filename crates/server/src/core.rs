@@ -28,7 +28,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use nob_metrics::{MetricKind, MetricsHub};
+use nob_metrics::MetricKind::{self, Counter, Gauge};
+use nob_metrics::MetricsHub;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions, Ticket};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
@@ -207,39 +208,110 @@ fn put_value(out: &mut Vec<u8>, value: Option<&[u8]>) {
     }
 }
 
-/// Shared monotone counters surfaced as `server.*` metrics.
-#[derive(Debug, Default, Clone)]
+/// One `server.*` instrument; its discriminant indexes [`STATS`].
+#[derive(Debug, Clone, Copy)]
+enum Stat {
+    Conns,
+    Inflight,
+    RequestsRead,
+    RequestsWrite,
+    RequestsControl,
+    RequestsScan,
+    ScanRows,
+    CursorsOpen,
+    CursorsOpened,
+    CursorsExpired,
+    ScanResumesHeld,
+    ScanResumesRebuilt,
+    BusyRejections,
+    ReadonlyRejections,
+    ProtocolErrors,
+    BytesIn,
+    BytesOut,
+}
+
+/// Every `server.*` instrument in INFO's `# server` order: INFO prints a
+/// `name:value` line for each row and the metrics registry samples a
+/// `server.name` series, both off the row's one cell.
+const STATS: [(Stat, MetricKind, &str, &str); 17] = [
+    (Stat::Conns, Gauge, "conns", "Open connections"),
+    (Stat::Inflight, Gauge, "inflight", "Unresolved write tickets across all connections"),
+    (Stat::RequestsRead, Counter, "requests_read", "Read-class requests served (GET/MGET)"),
+    (
+        Stat::RequestsWrite,
+        Counter,
+        "requests_write",
+        "Write-class requests admitted (SET/DEL/BATCH)",
+    ),
+    (Stat::RequestsControl, Counter, "requests_control", "Control requests served (PING/INFO)"),
+    (Stat::RequestsScan, Counter, "requests_scan", "Scan requests served (SCAN/SCAN NEXT)"),
+    (Stat::ScanRows, Counter, "scan_rows", "Rows returned across all scan pages"),
+    (Stat::CursorsOpen, Gauge, "cursors_open", "Scan cursors currently open"),
+    (Stat::CursorsOpened, Counter, "cursors_opened", "Scan cursors opened"),
+    (Stat::CursorsExpired, Counter, "cursors_expired", "Scan cursors expired by the lease sweep"),
+    (
+        Stat::ScanResumesHeld,
+        Counter,
+        "scan_resumes_held",
+        "SCAN NEXT pages that continued every shard's held iterator",
+    ),
+    (
+        Stat::ScanResumesRebuilt,
+        Counter,
+        "scan_resumes_rebuilt",
+        "SCAN NEXT pages that rebuilt and re-sought an iterator (a shard changed version)",
+    ),
+    (
+        Stat::BusyRejections,
+        Counter,
+        "busy_rejections",
+        "Requests rejected with -BUSY by admission control",
+    ),
+    (
+        Stat::ReadonlyRejections,
+        Counter,
+        "readonly_rejections",
+        "Write-class requests rejected with -READONLY on a follower",
+    ),
+    (
+        Stat::ProtocolErrors,
+        Counter,
+        "protocol_errors",
+        "Frame-level protocol errors (connection poisoned)",
+    ),
+    (Stat::BytesIn, Counter, "bytes_in", "Raw request bytes received"),
+    (Stat::BytesOut, Counter, "bytes_out", "Raw reply bytes sent"),
+];
+
+/// The cells behind [`STATS`], shared with the registry's readers.
+#[derive(Debug, Default)]
 struct Counters {
-    requests_read: Arc<AtomicU64>,
-    requests_write: Arc<AtomicU64>,
-    requests_control: Arc<AtomicU64>,
-    requests_scan: Arc<AtomicU64>,
-    scan_rows: Arc<AtomicU64>,
-    cursors_opened: Arc<AtomicU64>,
-    cursors_expired: Arc<AtomicU64>,
-    cursors_open: Arc<AtomicU64>,
-    scan_resumes_held: Arc<AtomicU64>,
-    scan_resumes_rebuilt: Arc<AtomicU64>,
-    busy_rejections: Arc<AtomicU64>,
-    readonly_rejections: Arc<AtomicU64>,
-    protocol_errors: Arc<AtomicU64>,
-    bytes_in: Arc<AtomicU64>,
-    bytes_out: Arc<AtomicU64>,
-    conns: Arc<AtomicU64>,
-    inflight: Arc<AtomicU64>,
+    cells: Arc<[AtomicU64; STATS.len()]>,
     /// `StoreStats::unredeemed` as of the last flush.
     unredeemed: Arc<AtomicU64>,
 }
 
 impl Counters {
+    fn get(&self, stat: Stat) -> u64 {
+        self.cells[stat as usize].load(Ordering::Relaxed)
+    }
+
+    fn add(&self, stat: Stat, n: u64) {
+        self.cells[stat as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn set(&self, stat: Stat, value: usize) {
+        self.cells[stat as usize].store(value as u64, Ordering::Relaxed);
+    }
+
     fn bump(&self, class: RequestClass) {
-        let cell = match class {
-            RequestClass::Read => &self.requests_read,
-            RequestClass::Write => &self.requests_write,
-            RequestClass::Control => &self.requests_control,
-            RequestClass::Scan => &self.requests_scan,
+        let stat = match class {
+            RequestClass::Read => Stat::RequestsRead,
+            RequestClass::Write => Stat::RequestsWrite,
+            RequestClass::Control => Stat::RequestsControl,
+            RequestClass::Scan => Stat::RequestsScan,
         };
-        cell.fetch_add(1, Ordering::Relaxed);
+        self.add(stat, 1);
     }
 }
 
@@ -338,7 +410,7 @@ impl ServerCore {
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
         self.conns.insert(id, Conn::default());
-        self.counters.conns.store(self.conns.len() as u64, Ordering::Relaxed);
+        self.counters.set(Stat::Conns, self.conns.len());
         id
     }
 
@@ -347,13 +419,13 @@ impl ServerCore {
     pub(crate) fn disconnect(&mut self, id: ConnId) {
         if let Some(conn) = self.conns.remove(&id) {
             self.inflight -= conn.inflight;
-            self.counters.inflight.store(self.inflight as u64, Ordering::Relaxed);
+            self.counters.set(Stat::Inflight, self.inflight);
             self.orphans.extend(conn.replies.iter().filter_map(|slot| match slot {
                 PendingReply::Await { ticket, .. } => Some(*ticket),
                 PendingReply::Ready(_) => None,
             }));
         }
-        self.counters.conns.store(self.conns.len() as u64, Ordering::Relaxed);
+        self.counters.set(Stat::Conns, self.conns.len());
     }
 
     /// Open connections.
@@ -384,81 +456,10 @@ impl ServerCore {
     pub fn set_metrics_hub(&mut self, hub: &MetricsHub) {
         self.store.set_metrics_hub(hub);
         let scoped = hub.scoped("server.");
-        let counters = [
-            (
-                "requests_read",
-                "Read-class requests served (GET/MGET)",
-                &self.counters.requests_read,
-            ),
-            (
-                "requests_write",
-                "Write-class requests admitted (SET/DEL/BATCH)",
-                &self.counters.requests_write,
-            ),
-            (
-                "requests_control",
-                "Control requests served (PING/INFO)",
-                &self.counters.requests_control,
-            ),
-            (
-                "requests_scan",
-                "Scan requests served (SCAN/SCAN NEXT)",
-                &self.counters.requests_scan,
-            ),
-            ("scan_rows", "Rows returned across all scan pages", &self.counters.scan_rows),
-            ("cursors_opened", "Scan cursors opened", &self.counters.cursors_opened),
-            (
-                "cursors_expired",
-                "Scan cursors expired by the lease sweep",
-                &self.counters.cursors_expired,
-            ),
-            (
-                "scan_resumes_held",
-                "SCAN NEXT pages that continued every shard's held iterator",
-                &self.counters.scan_resumes_held,
-            ),
-            (
-                "scan_resumes_rebuilt",
-                "SCAN NEXT pages that rebuilt and re-sought an iterator (a shard changed version)",
-                &self.counters.scan_resumes_rebuilt,
-            ),
-            (
-                "busy_rejections",
-                "Requests rejected with -BUSY by admission control",
-                &self.counters.busy_rejections,
-            ),
-            (
-                "readonly_rejections",
-                "Write-class requests rejected with -READONLY on a follower",
-                &self.counters.readonly_rejections,
-            ),
-            (
-                "protocol_errors",
-                "Frame-level protocol errors (connection poisoned)",
-                &self.counters.protocol_errors,
-            ),
-            ("bytes_in", "Raw request bytes received", &self.counters.bytes_in),
-            ("bytes_out", "Raw reply bytes sent", &self.counters.bytes_out),
-        ];
-        for (name, help, cell) in counters {
-            let cell = Arc::clone(cell);
-            scoped.register(MetricKind::Counter, name, help, move |_| {
-                cell.load(Ordering::Relaxed) as f64
-            });
-        }
-        let gauges = [
-            ("conns", "Open connections", &self.counters.conns),
-            (
-                "inflight",
-                "Unresolved write tickets across all connections",
-                &self.counters.inflight,
-            ),
-            ("cursors_open", "Scan cursors currently open", &self.counters.cursors_open),
-        ];
-        for (name, help, cell) in gauges {
-            let cell = Arc::clone(cell);
-            scoped.register(MetricKind::Gauge, name, help, move |_| {
-                cell.load(Ordering::Relaxed) as f64
+        for (stat, kind, name, help) in STATS {
+            let cells = Arc::clone(&self.counters.cells);
+            scoped.register(kind, name, help, move |_| {
+                cells[stat as usize].load(Ordering::Relaxed) as f64
             });
         }
         let cell = Arc::clone(&self.counters.unredeemed);
@@ -479,7 +480,7 @@ impl ServerCore {
     /// in-band `-ERR` replies (frame-level ones additionally poison the
     /// connection).
     pub fn feed(&mut self, id: ConnId, bytes: &[u8]) -> Result<()> {
-        self.counters.bytes_in.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.counters.add(Stat::BytesIn, bytes.len() as u64);
         let Some(conn) = self.conns.get_mut(&id) else {
             return Err(noblsm::Error::Usage("feed on unknown connection".into()));
         };
@@ -497,7 +498,7 @@ impl ServerCore {
                 },
                 Ok(None) => break,
                 Err(e) => {
-                    self.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    self.counters.add(Stat::ProtocolErrors, 1);
                     conn.poisoned = true;
                     self.push_frame(id, &Frame::Error(format!("ERR {e}")));
                     break;
@@ -536,7 +537,7 @@ impl ServerCore {
                 self.inflight -= 1;
             }
         }
-        self.counters.inflight.store(self.inflight as u64, Ordering::Relaxed);
+        self.counters.set(Stat::Inflight, self.inflight);
         let store = &mut self.store;
         self.orphans.retain(|ticket| store.take_outcome(*ticket).is_none());
         self.counters.unredeemed.store(store.stats().unredeemed, Ordering::Relaxed);
@@ -560,7 +561,7 @@ impl ServerCore {
                 out.extend_from_slice(&wire);
             }
         }
-        self.counters.bytes_out.fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.counters.add(Stat::BytesOut, out.len() as u64);
         out
     }
 
@@ -576,33 +577,10 @@ impl ServerCore {
     /// The INFO payload: server counters, store group-commit stats and
     /// per-shard engine stats via [`Db::property`](noblsm::Db::property).
     pub fn info_text(&self) -> String {
-        let c = &self.counters;
-        let mut out = String::new();
-        out.push_str("# server\n");
-        out.push_str(&format!("conns:{}\n", self.conns.len()));
-        out.push_str(&format!("inflight:{}\n", self.inflight));
-        out.push_str(&format!("requests_read:{}\n", c.requests_read.load(Ordering::Relaxed)));
-        out.push_str(&format!("requests_write:{}\n", c.requests_write.load(Ordering::Relaxed)));
-        out.push_str(&format!("requests_control:{}\n", c.requests_control.load(Ordering::Relaxed)));
-        out.push_str(&format!("requests_scan:{}\n", c.requests_scan.load(Ordering::Relaxed)));
-        out.push_str(&format!("scan_rows:{}\n", c.scan_rows.load(Ordering::Relaxed)));
-        out.push_str(&format!("cursors_open:{}\n", self.cursors.len()));
-        out.push_str(&format!("cursors_opened:{}\n", c.cursors_opened.load(Ordering::Relaxed)));
-        out.push_str(&format!("cursors_expired:{}\n", c.cursors_expired.load(Ordering::Relaxed)));
-        out.push_str(&format!(
-            "scan_resumes_held:{}\n",
-            c.scan_resumes_held.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "scan_resumes_rebuilt:{}\n",
-            c.scan_resumes_rebuilt.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!("busy_rejections:{}\n", c.busy_rejections.load(Ordering::Relaxed)));
-        out.push_str(&format!(
-            "readonly_rejections:{}\n",
-            c.readonly_rejections.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!("protocol_errors:{}\n", c.protocol_errors.load(Ordering::Relaxed)));
+        let mut out = String::from("# server\n");
+        for (stat, _, name, _) in STATS {
+            out.push_str(&format!("{name}:{}\n", self.counters.get(stat)));
+        }
         out.push_str("# replication\n");
         out.push_str(&format!("role:{}\n", self.repl.role.name()));
         out.push_str(&format!("epoch:{}\n", self.repl.epoch));
@@ -663,12 +641,12 @@ impl ServerCore {
         let over_pipeline = queued >= self.pipeline_per_conn;
         let over_budget = class == RequestClass::Write && self.inflight >= self.max_inflight;
         if over_pipeline || over_budget {
-            self.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(Stat::BusyRejections, 1);
             self.push_frame(id, &Frame::busy());
             return Ok(());
         }
         if class == RequestClass::Write && self.repl.role == ReplRole::Follower {
-            self.counters.readonly_rejections.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(Stat::ReadonlyRejections, 1);
             self.push_frame(
                 id,
                 &Frame::Error("READONLY replica; route writes to the leader".into()),
@@ -768,9 +746,9 @@ impl ServerCore {
         for id in dead {
             let cur = self.cursors.remove(&id).expect("id came from the map");
             self.store.release_snapshots(cur.snaps);
-            self.counters.cursors_expired.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(Stat::CursorsExpired, 1);
         }
-        self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
+        self.counters.set(Stat::CursorsOpen, self.cursors.len());
     }
 
     /// `SCAN start end limit [PREFIX p] [COUNT]`: settle the queue
@@ -788,7 +766,7 @@ impl ServerCore {
     ) -> Result<()> {
         self.sweep_cursors();
         if self.cursors.len() >= self.max_cursors {
-            self.counters.busy_rejections.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(Stat::BusyRejections, 1);
             self.push_frame(id, &Frame::busy());
             return Ok(());
         }
@@ -837,7 +815,7 @@ impl ServerCore {
             Ok(p) => p,
             Err(e) => {
                 self.store.release_snapshots(cur.snaps);
-                self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
+                self.counters.set(Stat::CursorsOpen, self.cursors.len());
                 return Err(e);
             }
         };
@@ -845,18 +823,18 @@ impl ServerCore {
             // A page kept its place only if every shard continued the
             // iterator the last page left it.
             let continued = self.iters_resumed() - resumed_before;
-            let cell = if continued == self.store.shards() as u64 {
-                &self.counters.scan_resumes_held
+            let stat = if continued == self.store.shards() as u64 {
+                Stat::ScanResumesHeld
             } else {
-                &self.counters.scan_resumes_rebuilt
+                Stat::ScanResumesRebuilt
             };
-            cell.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(stat, 1);
         }
         let count_only = cur.count_only;
         let cursor = match scanned.resume.take() {
             Some(resume) => {
                 let cid = cid.unwrap_or_else(|| {
-                    self.counters.cursors_opened.fetch_add(1, Ordering::Relaxed);
+                    self.counters.add(Stat::CursorsOpened, 1);
                     self.next_cursor += 1;
                     self.next_cursor - 1
                 });
@@ -870,7 +848,7 @@ impl ServerCore {
                 0
             }
         };
-        self.counters.cursors_open.store(self.cursors.len() as u64, Ordering::Relaxed);
+        self.counters.set(Stat::CursorsOpen, self.cursors.len());
         self.finish_scan_reply(id, cursor, scanned, count_only, t0, root);
         Ok(())
     }
@@ -923,7 +901,7 @@ impl ServerCore {
         start: Nanos,
         root: TraceCtx,
     ) {
-        self.counters.scan_rows.fetch_add(page.count, Ordering::Relaxed);
+        self.counters.add(Stat::ScanRows, page.count);
         self.emit(EventClass::ServerScan, start, page.payload, root);
         let mut wire = page.wire;
         if count_only {
@@ -966,7 +944,7 @@ impl ServerCore {
             conn.replies.push_back(PendingReply::Await { ticket, start, bytes, reply, ctx });
             conn.inflight += 1;
             self.inflight += 1;
-            self.counters.inflight.store(self.inflight as u64, Ordering::Relaxed);
+            self.counters.set(Stat::Inflight, self.inflight);
         }
     }
 
@@ -1180,6 +1158,13 @@ mod tests {
         assert!(text.contains("# replication\nrole:standalone\nepoch:0\n"), "{text}");
         assert!(text.contains("seqs:"), "{text}");
         assert!(text.contains("shipped_records:0"), "{text}");
+    }
+
+    #[test]
+    fn every_stat_row_sits_at_its_discriminant() {
+        for (i, (stat, ..)) in STATS.iter().enumerate() {
+            assert_eq!(*stat as usize, i, "{stat:?}");
+        }
     }
 
     #[test]

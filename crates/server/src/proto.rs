@@ -390,8 +390,6 @@ pub enum RequestClass {
     Scan,
 }
 
-impl RequestClass {}
-
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {

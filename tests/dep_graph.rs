@@ -31,17 +31,16 @@ use std::path::{Path, PathBuf};
 /// benchmarks must cover; lower it whenever a knob becomes a constant.
 const MAX_KNOBS: usize = 50;
 
-/// The largest source file allowed: `server/src/core.rs` (1 531 lines) is
-/// the current maximum, now that `ext4/src/fs.rs` gave its crash
-/// reconstruction and gauges to `fs/crash.rs` and `fs/metrics.rs`. Lower it
-/// as the largest file shrinks; the engine's 2 064-line `db/mod.rs` is
-/// what this keeps from coming back unnoticed.
-const MAX_SOURCE_LINES: usize = 1_531;
+/// The largest source file allowed: `server/src/core.rs` (1 516 lines) is
+/// the current maximum, `ext4/src/fs.rs` (1 497) the next. Lower it as the
+/// largest file shrinks; the engine's 2 064-line `db/mod.rs` is what this
+/// keeps from coming back unnoticed.
+const MAX_SOURCE_LINES: usize = 1_516;
 
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why.
-const MAX_SURFACE_LINES: usize = 1_015;
+const MAX_SURFACE_LINES: usize = 1_013;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {

@@ -101,23 +101,31 @@ fn detaching_the_hub_stops_sampling_but_keeps_the_timeline() {
 #[test]
 fn properties_pass_through_all_three_layers() {
     let mut db = open(Variant::NobLsm, &small());
+    let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
+    db.set_metrics_hub(hub.clone());
     let fill = dbbench::fillrandom(&mut db, 2000, 256, 5, Nanos::ZERO).unwrap();
     db.wait_idle(fill.finished).unwrap();
-    // Engine.
+    let timeline = hub.timeline();
+    let last = |name: &str| timeline.series(name).unwrap_or_else(|| panic!("{name}")).last();
+    // Engine: the two named properties, and the memtable gauge.
     assert!(db.property("noblsm.stats").unwrap().contains("read_amp="));
-    assert!(db.property("noblsm.approximate-memory-usage").is_some());
     let table = db.property("noblsm.compaction-stats").unwrap();
     assert!(table.contains("level") && table.contains("size(MB)"), "{table}");
-    // Ext4 passthroughs.
-    let dirty: u64 = db.property("noblsm.ext4.dirty-bytes").unwrap().parse().unwrap();
-    let _ = dirty;
-    assert!(db.property("noblsm.ext4.stats").unwrap().contains("journal_bytes="));
-    let free: u64 = db.property("noblsm.ext4.journal-free-bytes").unwrap().parse().unwrap();
-    assert!(free <= 128 << 20, "free journal space is bounded by the 128 MiB mkfs default");
-    // SSD passthroughs.
-    assert!(db.property("noblsm.ssd.stats").unwrap().contains("flush_commands="));
-    assert!(db.property("noblsm.ssd.busy-time").unwrap().parse::<u64>().is_ok());
-    // Unknown names stay None.
-    assert_eq!(db.property("noblsm.ext4.nope"), None);
-    assert_eq!(db.property("noblsm.ssd.nope"), None);
+    assert!(last("engine.mem_bytes") >= 0.0);
+    // Ext4, through the handle the engine runs on.
+    let fs = db.fs();
+    assert!(fs.stats().journal_bytes > 0);
+    assert!(fs.retained_bytes() > 0);
+    let free = last("ext4.journal_free_bytes");
+    assert!(
+        free <= f64::from(128 << 20),
+        "free journal space is bounded by the 128 MiB mkfs default"
+    );
+    // SSD.
+    let io = fs.io_stats();
+    assert!(io.flush_commands > 0 && io.bytes_written > 0, "{io:?}");
+    assert!(fs.device_busy_time() > Nanos::ZERO);
+    // Numbers with typed accessors have no property name.
+    assert_eq!(db.property("noblsm.ext4.dirty-bytes"), None);
+    assert_eq!(db.property("noblsm.ssd.stats"), None);
 }

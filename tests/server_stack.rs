@@ -255,20 +255,28 @@ fn a_cursor_carries_its_iterators_across_connections_and_frees_them_with_its_lea
     assert!(err.to_string().contains("not found or expired"), "{err}");
     assert_eq!(counters(), (1, 1), "a page that was not served is not counted");
     assert_eq!(b.scan_all(b"", b"", 8).expect("scan after expiry").len(), 80);
-    // The registry reads what INFO reads, at the next grid instant an
-    // engine crosses.
+    // The registry reads what INFO reads: once traffic stops, every field
+    // of `# server` is the last sample of its `server.*` series, and the
+    // registry has no `server.*` series INFO leaves out.
     let later = core.borrow().clock().now() + nob_sim::Nanos::from_secs(1);
     core.borrow().clock().advance_to(later);
     assert_eq!(b.get(b"key00").expect("GET"), Some(b"late".to_vec()));
+    let rest = later + nob_sim::Nanos::from_secs(1);
+    core.borrow().clock().advance_to(rest);
+    assert!(hub.sample_due(rest, &[]) > 0, "a grid instant passed at rest");
     let (timeline, info) = (hub.timeline(), core.borrow().info_text());
-    for (series, counter) in [
-        ("server.scan_resumes_held", "scan_resumes_held"),
-        ("server.scan_resumes_rebuilt", "scan_resumes_rebuilt"),
-        ("store.unredeemed", "unredeemed"),
-    ] {
-        let last = timeline.series(series).map(|s| s.last());
-        assert_eq!(last, Some(info_counter(&info, counter) as f64), "{series}");
+    let section = info.strip_prefix("# server\n").and_then(|s| s.split('#').next());
+    let fields: Vec<&str> = section.expect("INFO opens with # server").lines().collect();
+    for field in &fields {
+        let (name, value) = field.split_once(':').expect("name:value");
+        let last = timeline.series(&format!("server.{name}")).map(|s| s.last());
+        assert_eq!(last, value.parse().ok(), "server.{name}");
     }
+    let registered = timeline.series.iter().filter(|s| s.name.starts_with("server."));
+    assert_eq!(registered.count(), fields.len(), "{info}");
+    let unredeemed = timeline.series("store.unredeemed").map(|s| s.last());
+    assert_eq!(unredeemed, Some(info_counter(&info, "unredeemed") as f64));
+    assert!(info_counter(&info, "bytes_in") > 0 && info_counter(&info, "bytes_out") > 0);
     assert_eq!(info_counter(&info, "scan_resumes_held"), 1 + 9, "the scan after expiry: 9 pages");
 }
 
