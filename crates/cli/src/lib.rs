@@ -1,25 +1,31 @@
 //! The command interpreter behind `noblsm-cli`: a scriptable driver for a
-//! simulated NobLSM database — open a store, write, read, scan, advance
-//! virtual time, pull the power cable, and inspect engine internals.
+//! simulated NobLSM deployment — open a store of one or more shards, write,
+//! read, scan, advance virtual time, pull the power cable, and inspect
+//! engine internals.
 //!
 //! # Commands
 //!
 //! ```text
-//! open <mode>            noblsm | leveldb | volatile | bolt | pebbles …
-//! put <key> <value>      insert/overwrite
-//! get <key>              point read
+//! open <mode> [shards]   noblsm | leveldb | volatile | bolt | pebblesdb …
+//!                        on 1 shard unless told; each shard is its own
+//!                        engine + ext4 + SSD stack, all on one clock
+//! put <key> <value>      insert/overwrite (group-committed)
+//! get <key>              point read, routed to the key's shard
 //! del <key>              delete
-//! scan <start> <n> [reverse] [count]   range scan (optionally reversed
-//!                        or counting rows without materialising them)
-//! fill <n> <value_size>  bulk-load n random records
+//! scan <start> <n> [reverse] [count]   range scan merged across every
+//!                        shard (reversed, or counting rows only)
+//! fill <n> <value_size> [writers]   n records from W logical writers
+//!                        per group-commit round (default 1)
 //! advance <ms>           advance virtual time (journal timers fire)
-//! crash <percent>        power-off at a fraction of elapsed time + reopen
-//! flush                  force the memtable to L0
-//! compact                full manual compaction
-//! compact status         lane occupancy, pressure, debt, stage split
-//! compact lanes <n>      reconfigure the compaction lane count
-//! stats                  engine + filesystem counters
-//! levels                 files per level
+//! crash <percent>        cut power to every shard at once, that far into
+//!                        the time since the store opened or last
+//!                        recovered, and recover
+//! flush                  force every shard's memtable to L0
+//! compact                full manual compaction of every shard
+//! compact lanes <n>      reconfigure every shard's compaction lanes
+//! stats                  group-commit counters, then per shard the
+//!                        engine's noblsm.stats and filesystem counters
+//! levels                 files per level, per shard
 //! time                   current virtual instant
 //! chaos <seed> [pm] [fseed]   one fault-injected crash/recovery case
 //! chaos sweep [seeds] [points]  campaign over seeds × crash points
@@ -29,18 +35,11 @@
 //! trace tree [trace_id]  render recorded span trees (all roots, or one)
 //! trace critical [n]     critical-path decomposition + n slowest trees
 //! trace export json|chrome <path>   dump raw spans to a file
-//! metrics                the leveldb.stats-style per-level table
-//! metrics on|off         start/stop gauge sampling (100 ms virtual grid)
+//! metrics                the leveldb.stats-style per-level table, per shard
+//! metrics on|off         start/stop gauge sampling (100 ms virtual grid;
+//!                        series are named per shard: shard0.engine.mem_bytes)
 //! metrics timeline       sampled gauges as ASCII sparklines
 //! metrics export [--format] prom|json [path]   exposition / raw timeline
-//! store open <shards> [mode]     open a sharded store (own stacks)
-//! store put <key> <value>        enqueue + group-commit one write
-//! store get <key>                routed point read
-//! store scan <start> <n> [reverse] [count]  snapshot-pinned merge scan
-//!                                across every shard
-//! store fill <n> <vsize> [writers]  n records from W logical writers
-//! store stats                    group-commit counters + shard levels
-//! store close                    drop the store
 //! repl open [shards]             leader + loopback follower pair
 //! repl put <key> <value>         committed write on the leader
 //! repl follow                    ship -> apply -> ack until the link idles
@@ -51,6 +50,9 @@
 //! repl close                     drop the replication pair
 //! help                   this text
 //! ```
+//!
+//! A word starting with `#` begins a comment that runs to the end of the
+//! line.
 //!
 //! # Examples
 //!
@@ -69,7 +71,6 @@ pub mod net;
 use std::fmt::Write as _;
 
 use nob_baselines::Variant;
-use nob_ext4::Ext4Fs;
 use nob_metrics::{MetricsHub, DEFAULT_PERIOD};
 use nob_repl::{
     shared as shared_repl, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, SharedRepl,
@@ -78,21 +79,21 @@ use nob_repl::{
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
 use nob_trace::TraceSink;
-use nob_workloads::dbbench;
 use noblsm::{Db, Error, Options, ReadOptions, ScanOptions, WriteBatch, WriteOptions};
 
-/// One interactive session: a filesystem, an optional open database, and
-/// the session's shared virtual clock.
+/// One interactive session: an optional open store and the session's
+/// shared virtual clock.
 pub struct Session {
-    fs: Ext4Fs,
-    db: Option<Db>,
-    variant: Variant,
-    /// The session's clock, shared with the open database: commands no
-    /// longer thread `now` by hand, they read and advance this.
-    clock: SharedClock,
-    /// Optional sharded store, independent of the session's single `db`.
+    /// The open store: one shard or several, each its own stack.
     store: Option<Store>,
-    /// Optional replication pair, independent of `db` and `store`.
+    variant: Variant,
+    /// The session's clock, shared with the open store: commands read
+    /// and advance it.
+    clock: SharedClock,
+    /// The instant the store finished opening or recovering: `crash`
+    /// cuts power no earlier than this.
+    opened_at: Nanos,
+    /// Optional replication pair, independent of `store`.
     repl: Option<ReplSession>,
     /// Live trace sink, kept across `open`/`crash` reattachments.
     trace: Option<TraceSink>,
@@ -103,7 +104,7 @@ pub struct Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("open", &self.db.is_some())
+            .field("open", &self.store.is_some())
             .field("now", &self.clock.now())
             .finish()
     }
@@ -125,18 +126,29 @@ fn base_options() -> Options {
     o
 }
 
+/// Parses `s` as a number, naming it `what` in the error.
+fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, Error> {
+    s.parse().map_err(|_| format!("{what} must be a number").into())
+}
+
+/// Parses the optional argument `args[i]` with [`num`], else `default`.
+fn arg_or<T: std::str::FromStr>(
+    args: &[&str],
+    i: usize,
+    what: &str,
+    default: T,
+) -> Result<T, Error> {
+    args.get(i).map_or(Ok(default), |a| num(a, what))
+}
+
 impl Session {
-    /// Creates a session over a fresh simulated filesystem. `crash <pct>`
-    /// rewinds, so the filesystem's crash horizon is pinned.
+    /// Creates a session with no store open, at virtual time zero.
     pub fn new() -> Self {
-        let fs = Ext4Fs::new(nob_ext4::Ext4Config::default());
-        fs.pin_crash_horizon();
         Session {
-            fs,
-            db: None,
+            store: None,
             variant: Variant::NobLsm,
             clock: SharedClock::new(),
-            store: None,
+            opened_at: Nanos::ZERO,
             repl: None,
             trace: None,
             metrics: None,
@@ -149,14 +161,11 @@ impl Session {
         if let Err(e) = self.dispatch(line.trim(), &mut out) {
             // Usage errors carry a ready-made message; engine errors keep
             // their full Display (layer prefix included).
-            match e {
-                Error::Usage(m) => {
-                    let _ = writeln!(out, "error: {m}");
-                }
-                e => {
-                    let _ = writeln!(out, "error: {e}");
-                }
-            }
+            let msg = match e {
+                Error::Usage(m) => m,
+                e => e.to_string(),
+            };
+            let _ = writeln!(out, "error: {msg}");
         }
         out
     }
@@ -173,14 +182,10 @@ impl Session {
         out
     }
 
-    fn db(&mut self) -> Result<&mut Db, Error> {
-        self.db.as_mut().ok_or_else(|| Error::Usage("no database open (use `open <mode>`)".into()))
-    }
-
     fn store(&mut self) -> Result<&mut Store, Error> {
         self.store
             .as_mut()
-            .ok_or_else(|| Error::Usage("no store open (use `store open <shards>`)".into()))
+            .ok_or_else(|| Error::Usage("no database open (use `open <mode> [shards]`)".into()))
     }
 
     fn repl(&mut self) -> Result<&mut ReplSession, Error> {
@@ -189,232 +194,249 @@ impl Session {
             .ok_or_else(|| Error::Usage("no replication pair (use `repl open [shards]`)".into()))
     }
 
+    fn follower_link(&mut self) -> Result<&mut FollowerLink<ReplLoopback>, Error> {
+        let link = self.repl()?.link.as_mut();
+        link.ok_or_else(|| "follower was promoted (use `repl open` for a new pair)".into())
+    }
+
+    /// Makes `store` the session's: every shard's crash horizon is pinned
+    /// (`crash` cuts power in the past), the live sink and hub move over
+    /// from the store it replaces, and the session runs on its clock.
+    fn install(&mut self, mut store: Store) {
+        self.detach_metrics();
+        for i in 0..store.shards() {
+            store.shard_db(i).fs().pin_crash_horizon();
+        }
+        if let Some(sink) = &self.trace {
+            store.set_trace_sink(sink.clone());
+        }
+        if let Some(hub) = &self.metrics {
+            store.set_metrics_hub(hub);
+        }
+        self.clock = store.clock().clone();
+        self.opened_at = self.clock.now();
+        self.store = Some(store);
+    }
+
+    /// Stops the open store's shards sampling into the hub; the hub keeps
+    /// its timeline.
+    fn detach_metrics(&mut self) {
+        if let Some(store) = self.store.as_mut() {
+            for i in 0..store.shards() {
+                store.shard_db_mut(i).clear_metrics_hub();
+            }
+        }
+    }
+
+    /// Runs `op` on every shard's engine in shard order, handing it the
+    /// clock's instant; returns the latest instant an `op` returned.
+    fn on_every_shard(
+        &mut self,
+        mut op: impl FnMut(&mut Db, Nanos) -> Result<Nanos, Error>,
+    ) -> Result<Nanos, Error> {
+        let store = self.store()?;
+        let mut end = store.clock().now();
+        for i in 0..store.shards() {
+            let now = store.clock().now();
+            end = end.max(op(store.shard_db_mut(i), now)?);
+        }
+        Ok(end)
+    }
+
     fn dispatch(&mut self, line: &str, out: &mut String) -> Result<(), Error> {
-        let mut parts = line.split_whitespace();
+        let mut parts = line.split_whitespace().take_while(|w| !w.starts_with('#'));
         let Some(cmd) = parts.next() else { return Ok(()) };
         let args: Vec<&str> = parts.collect();
         match cmd {
             "open" => {
-                let mode = args.first().copied().unwrap_or("noblsm");
-                let variant = parse_variant(mode)?;
-                let opts = variant.options(&base_options());
-                let mut db = Db::open_with_clock(self.fs.clone(), "db", opts, self.clock.clone())?;
-                if let Some(sink) = &self.trace {
-                    db.set_trace_sink(sink.clone());
-                }
-                if let Some(hub) = &self.metrics {
-                    db.set_metrics_hub(hub.clone());
-                }
-                self.db = Some(db);
+                let variant = parse_variant(args.first().copied().unwrap_or("noblsm"))?;
+                let shards: usize = arg_or(&args, 1, "shards", 1)?;
+                let opts = StoreOptions {
+                    shards,
+                    db: variant.options(&base_options()),
+                    ..StoreOptions::default()
+                };
+                let store = Store::open_with_clock(opts, self.clock.clone())?;
+                self.install(store);
                 self.variant = variant;
-                let _ = writeln!(out, "opened {} at {}", variant.name(), self.clock.now());
+                let (name, now) = (variant.name(), self.clock.now());
+                let _ = writeln!(out, "opened {name} on {shards} shards at {now}");
             }
-            "put" => {
-                let [k, v] = args[..] else { return Err("usage: put <key> <value>".into()) };
+            "put" | "del" => {
                 let mut batch = WriteBatch::new();
-                batch.put(k.as_bytes(), v.as_bytes());
-                let t = self.db()?.write(&WriteOptions::default(), batch)?;
+                match (cmd, &args[..]) {
+                    ("put", [k, v]) => batch.put(k.as_bytes(), v.as_bytes()),
+                    ("del", [k]) => batch.delete(k.as_bytes()),
+                    ("put", _) => return Err("usage: put <key> <value>".into()),
+                    _ => return Err("usage: del <key>".into()),
+                }
+                let t = self.store()?.write(&WriteOptions::default(), batch)?;
                 let _ = writeln!(out, "OK ({t})");
             }
             "get" => {
                 let [k] = args[..] else { return Err("usage: get <key>".into()) };
-                let k = k.as_bytes().to_vec();
-                let got = self.db()?.get(&ReadOptions::default(), &k)?;
-                let t = self.clock.now();
-                match got {
-                    Some(v) => {
-                        let _ = writeln!(out, "{} ({t})", String::from_utf8_lossy(&v));
-                    }
-                    None => {
-                        let _ = writeln!(out, "<not found> ({t})");
-                    }
-                }
-            }
-            "del" => {
-                let [k] = args[..] else { return Err("usage: del <key>".into()) };
-                let mut batch = WriteBatch::new();
-                batch.delete(k.as_bytes());
-                let t = self.db()?.write(&WriteOptions::default(), batch)?;
-                let _ = writeln!(out, "OK ({t})");
+                let store = self.store()?;
+                let shard = store.shard_of(k.as_bytes());
+                let got = store.get(&ReadOptions::default(), k.as_bytes())?;
+                let t = store.clock().now();
+                let _ = writeln!(out, "{} (shard {shard}, {t})", shown(got));
             }
             "scan" => {
-                let [start, n, flags @ ..] = &args[..] else {
-                    return Err("usage: scan <start> <n> [reverse] [count]".into());
-                };
-                let n: usize = n.parse().map_err(|_| "n must be a number")?;
-                let start = start.as_bytes().to_vec();
-                let mut sopts = ScanOptions::starting_at(&start).with_limit(n);
+                const USAGE: &str = "usage: scan <start> <n> [reverse] [count]";
+                let [start, n, flags @ ..] = &args[..] else { return Err(USAGE.into()) };
+                let mut sopts =
+                    ScanOptions::starting_at(start.as_bytes()).with_limit(num(n, "n")?);
                 for f in flags {
                     match *f {
                         "reverse" => sopts = sopts.reversed(),
                         "count" => sopts = sopts.counting(),
-                        _ => return Err("usage: scan <start> <n> [reverse] [count]".into()),
+                        _ => return Err(USAGE.into()),
                     }
                 }
-                let r = self.db()?.scan(&ReadOptions::default(), &sopts)?;
-                let t = self.clock.now();
+                let store = self.store()?;
+                let r = store.scan(&ReadOptions::default(), &sopts)?;
+                let t = store.clock().now();
                 for (k, v) in &r.rows {
-                    let _ = writeln!(
-                        out,
-                        "{} = {}",
-                        String::from_utf8_lossy(k),
-                        String::from_utf8_lossy(v)
-                    );
+                    let (k, v) = (String::from_utf8_lossy(k), String::from_utf8_lossy(v));
+                    let _ = writeln!(out, "{k} = {v}");
                 }
-                let _ = writeln!(out, "({} rows, {t})", r.count);
+                let more = r.resume.map_or(String::new(), |k| {
+                    format!("more from {}, ", String::from_utf8_lossy(&k))
+                });
+                let _ = writeln!(out, "({} rows, {more}{t})", r.count);
             }
             "fill" => {
-                let [n, vs] = args[..] else { return Err("usage: fill <n> <value_size>".into()) };
-                let n: u64 = n.parse().map_err(|_| "n must be a number")?;
-                let vs: usize = vs.parse().map_err(|_| "value_size must be a number")?;
-                let now = self.clock.now();
-                let r = dbbench::fillrandom(self.db()?, n, vs, 42, now)?;
+                let ([n, vs] | [n, vs, _]) = args[..] else {
+                    return Err("usage: fill <n> <value_size> [writers]".into());
+                };
+                let n: u64 = num(n, "n")?;
+                let value = vec![b'x'; num(vs, "value_size")?];
+                let writers: u64 = arg_or(&args, 2, "writers", 1)?.max(1);
+                let store = self.store()?;
+                let (before, start) = (store.stats(), store.clock().now());
+                // Keys 0..n, zero-padded, in a shuffled order: a
+                // full-period LCG modulo a power of two (multiplier ≡ 1
+                // mod 4, odd increment) visits every residue once; those
+                // ≥ n are skipped. Each round, every writer enqueues one
+                // record and the pump lets shard leaders coalesce them.
+                let mask = n.checked_next_power_of_two().ok_or("n is too large")?.max(4) - 1;
+                let (mut x, mut tickets) = (0u64, Vec::new());
+                while (tickets.len() as u64) < n {
+                    for _ in 0..writers.min(n - tickets.len() as u64) {
+                        loop {
+                            x = x.wrapping_mul(5).wrapping_add(0x9e37_79b9) & mask;
+                            if x < n {
+                                break;
+                            }
+                        }
+                        let mut batch = WriteBatch::new();
+                        batch.put(format!("{x:016}").as_bytes(), &value);
+                        tickets.push(store.enqueue(&WriteOptions::default(), &batch));
+                    }
+                    store.pump()?;
+                }
+                store.drain()?;
+                for t in tickets {
+                    store.take_outcome(t);
+                }
+                let s = store.stats();
+                let (groups, batches) = (s.groups - before.groups, s.batches - before.batches);
+                let wall = store.clock().now() - start;
                 let _ = writeln!(
                     out,
-                    "filled {} records in {} ({:.2} us/op)",
-                    n,
-                    r.wall(),
-                    r.mean_us_per_op()
+                    "filled {n} records in {wall} ({:.2} us/op): {groups} groups for {batches} \
+                     batches ({:.2} batches/group)",
+                    wall.as_nanos() as f64 / 1e3 / n.max(1) as f64,
+                    batches as f64 / groups.max(1) as f64
                 );
             }
             "advance" => {
                 let [ms] = args[..] else { return Err("usage: advance <ms>".into()) };
-                let ms: u64 = ms.parse().map_err(|_| "ms must be a number")?;
-                self.clock.advance(Nanos::from_millis(ms));
-                if let Ok(db) = self.db() {
-                    db.tick()?;
-                } else {
-                    self.fs.tick(self.clock.now());
+                // `Nanos::MAX` is where saturating time sticks: a journal
+                // timer loop chasing it would never finish.
+                let end = num::<u64>(ms, "ms")?
+                    .checked_mul(1_000_000)
+                    .and_then(|ns| self.clock.now().as_nanos().checked_add(ns))
+                    .filter(|&end| end < u64::MAX)
+                    .ok_or("usage: advance <ms> (the end overflows the virtual clock)")?;
+                self.clock.advance_to(Nanos::from_nanos(end));
+                if let Some(store) = self.store.as_mut() {
+                    store.tick()?;
                 }
                 let _ = writeln!(out, "now {}", self.clock.now());
             }
             "flush" => {
-                let t = self.db()?.flush()?;
+                let t = self.on_every_shard(|db, _| db.flush())?;
                 let _ = writeln!(out, "flushed ({t})");
             }
-            "compact" => match args.first().copied() {
-                None => {
-                    let now = self.clock.now();
-                    let t = self.db()?.compact_range(now, None, None)?;
+            "compact" => match args[..] {
+                [] => {
+                    let t = self.on_every_shard(|db, now| db.compact_range(now, None, None))?;
                     let _ = writeln!(out, "compacted ({t})");
                 }
-                Some("status") => {
-                    let now = self.clock.now();
-                    let db = self.db()?;
-                    let s = db.stats();
-                    let _ = writeln!(
-                        out,
-                        "lanes={} active={} pressure={:.2} debt={} preempt_l0={} backoff={}",
-                        db.compaction_lanes(),
-                        db.active_majors(),
-                        db.l0_pressure(),
-                        db.compaction_debt_bytes(),
-                        s.l0_preempts,
-                        s.lane_backoffs,
-                    );
-                    let _ = writeln!(
-                        out,
-                        "stages: read={} merge={} write={}",
-                        s.compact_read_time, s.compact_merge_time, s.compact_write_time,
-                    );
-                    for (i, ls) in db.lane_stats().iter().enumerate() {
-                        let idle = if ls.free <= now { "idle" } else { "busy" };
-                        let _ = writeln!(
-                            out,
-                            "lane{i}: jobs={} busy={} bytes={} {idle}",
-                            ls.jobs, ls.busy, ls.bytes_written,
-                        );
-                    }
-                }
-                Some("lanes") => {
-                    let n: usize = args
-                        .get(1)
-                        .ok_or("usage: compact lanes <n>")?
-                        .parse()
-                        .map_err(|_| "n must be a number")?;
+                ["lanes", n] => {
+                    let n: usize = num(n, "n")?;
                     if n == 0 {
                         return Err("n must be at least 1".into());
                     }
-                    self.db()?.set_compaction_lanes(n);
+                    self.on_every_shard(|db, now| {
+                        db.set_compaction_lanes(n);
+                        Ok(now)
+                    })?;
                     let _ = writeln!(out, "lanes {n}");
                 }
-                Some(sub) => return Err(format!("unknown compact subcommand: {sub}").into()),
+                _ => return Err("usage: compact [lanes <n>]".into()),
             },
             "crash" => {
-                let pct: u64 = args
-                    .first()
-                    .map(|p| p.parse().map_err(|_| "percent must be a number"))
-                    .transpose()?
-                    .unwrap_or(100);
-                let at = Nanos::from_nanos(self.clock.now().as_nanos() * pct.min(100) / 100);
-                let crashed = self.fs.crashed_view(at);
-                crashed.pin_crash_horizon();
-                let variant = self.variant;
-                // A crash rewinds the session to `at`; the shared clock is
-                // monotone, so the recovered stack gets a fresh one.
-                self.clock = SharedClock::at(at);
-                let opts = variant.options(&base_options());
-                let mut db = Db::open_with_clock(crashed.clone(), "db", opts, self.clock.clone())?;
-                // The crash view is a new stack; the sink and hub survive
-                // it so recovery I/O lands in the same trace and the
-                // timeline keeps its pre-crash history.
-                if let Some(sink) = &self.trace {
-                    db.set_trace_sink(sink.clone());
-                }
-                if let Some(hub) = &self.metrics {
-                    db.set_metrics_hub(hub.clone());
-                }
-                self.fs = crashed;
-                self.db = Some(db);
-                let _ = writeln!(out, "power failed at {at}; recovered {}", variant.name());
+                let pct: u64 = arg_or(&args, 0, "percent", 100)?;
+                // Measured from the instant this stack finished opening or
+                // recovering: a cut before it would rewind past the
+                // recovery whose files the stack now runs on.
+                let ran = u128::from((self.clock.now() - self.opened_at).as_nanos());
+                let cut = ran * u128::from(pct.min(100)) / 100;
+                let at = self.opened_at + Nanos::from_nanos(cut as u64);
+                let recovered = self.store()?.crashed_view(at)?;
+                let shards = recovered.shards();
+                self.install(recovered);
+                let name = self.variant.name();
+                let _ = writeln!(out, "power failed at {at}; recovered {name} on {shards} shards");
             }
             "levels" => {
-                let counts = self.db()?.level_file_counts();
-                let _ = writeln!(out, "{counts:?}");
+                let store = self.store()?;
+                for i in 0..store.shards() {
+                    let _ = writeln!(out, "shard{i}: {:?}", store.shard_db(i).level_file_counts());
+                }
             }
             "stats" => {
-                let fs_stats = self.fs.stats();
-                let db = self.db()?;
-                let s = db.stats();
+                let store = self.store()?;
+                let (s, shards, pending) = (store.stats(), store.shards(), store.pending());
                 let _ = writeln!(
                     out,
-                    "writes={} gets={} minor={} major={} stalls={} stall_time={} shadows={}",
-                    s.writes,
-                    s.gets,
-                    s.minor_compactions,
-                    s.major_compactions,
-                    s.stalls,
-                    s.stall_time,
-                    s.shadow_files
+                    "shards={shards} groups={} batches={} merged_bytes={} pending={pending}",
+                    s.groups, s.batches, s.merged_bytes
                 );
-                let _ = writeln!(
-                    out,
-                    "syncs={} bytes_synced={} async_commits={} journal_bytes={}",
-                    fs_stats.sync_calls,
-                    fs_stats.bytes_synced,
-                    fs_stats.async_commits,
-                    fs_stats.journal_bytes
-                );
+                for i in 0..shards {
+                    let db = store.shard_db(i);
+                    let engine = db.property("noblsm.stats").unwrap_or_default();
+                    let _ = writeln!(out, "shard{i}: {engine}");
+                    let f = db.fs().stats();
+                    let _ = writeln!(
+                        out,
+                        "shard{i}: syncs={} bytes_synced={} async_commits={} journal_bytes={}",
+                        f.sync_calls, f.bytes_synced, f.async_commits, f.journal_bytes
+                    );
+                }
             }
             "time" => {
                 let _ = writeln!(out, "{}", self.clock.now());
             }
-            "store" => self.dispatch_store(&args, out)?,
             "repl" => self.dispatch_repl(&args, out)?,
             // Self-contained: runs against its own fresh simulated stack,
-            // leaving the session's filesystem and database untouched.
+            // leaving the session's store untouched.
             "chaos" => match args.first().copied() {
                 Some("sweep") => {
-                    let seeds: u64 = args
-                        .get(1)
-                        .map(|s| s.parse().map_err(|_| "seeds must be a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(2);
-                    let points: u32 = args
-                        .get(2)
-                        .map(|s| s.parse().map_err(|_| "points must be a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(3);
+                    let seeds: u64 = arg_or(&args, 1, "seeds", 2)?;
+                    let points: u32 = arg_or(&args, 2, "points", 3)?;
                     let mut spec = nob_chaos::CampaignSpec::smoke();
                     spec.seeds = (1..=seeds.max(1)).collect();
                     let m = points.max(1);
@@ -431,18 +453,9 @@ impl Session {
                     );
                 }
                 Some(seed) => {
-                    let seed: u64 =
-                        seed.parse().map_err(|_| "seed must be a number".to_string())?;
-                    let crash_pm: u32 = args
-                        .get(1)
-                        .map(|s| s.parse().map_err(|_| "pm must be a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(500);
-                    let fault_seed: u64 = args
-                        .get(2)
-                        .map(|s| s.parse().map_err(|_| "fseed must be a number".to_string()))
-                        .transpose()?
-                        .unwrap_or(seed);
+                    let seed: u64 = num(seed, "seed")?;
+                    let crash_pm: u32 = arg_or(&args, 1, "pm", 500)?;
+                    let fault_seed: u64 = arg_or(&args, 2, "fseed", seed)?;
                     let mut case = nob_chaos::ChaosCase::new(seed, 1);
                     case.crash_pm = crash_pm.min(1000);
                     case.plan = nob_chaos::FaultPlan::seeded(fault_seed);
@@ -481,16 +494,14 @@ impl Session {
             "trace" => match args.first().copied() {
                 Some("on") => {
                     let sink = self.trace.get_or_insert_with(TraceSink::new).clone();
-                    match self.db.as_mut() {
-                        Some(db) => db.set_trace_sink(sink),
-                        None => self.fs.set_trace_sink(sink),
+                    if let Some(store) = self.store.as_mut() {
+                        store.set_trace_sink(sink);
                     }
                     let _ = writeln!(out, "tracing on");
                 }
                 Some("off") => {
-                    match self.db.as_mut() {
-                        Some(db) => db.clear_trace_sink(),
-                        None => self.fs.clear_trace_sink(),
+                    if let Some(store) = self.store.as_mut() {
+                        store.clear_trace_sink();
                     }
                     self.trace = None;
                     let _ = writeln!(out, "tracing off");
@@ -531,8 +542,7 @@ impl Session {
                     let sink = self.trace.as_ref().ok_or("tracing is off (use `trace on`)")?;
                     match args.get(1) {
                         Some(id) => {
-                            let id: u64 =
-                                id.parse().map_err(|_| "trace_id must be a number")?;
+                            let id: u64 = num(id, "trace_id")?;
                             let tree = sink
                                 .tree(id)
                                 .ok_or_else(|| format!("no recorded trace with id {id}"))?;
@@ -554,11 +564,7 @@ impl Session {
                 }
                 Some("critical") => {
                     let sink = self.trace.as_ref().ok_or("tracing is off (use `trace on`)")?;
-                    let top_n: usize = args
-                        .get(1)
-                        .map(|n| n.parse().map_err(|_| "n must be a number"))
-                        .transpose()?
-                        .unwrap_or(3);
+                    let top_n: usize = arg_or(&args, 1, "n", 3)?;
                     out.push_str(&sink.critical_summary(top_n).render());
                 }
                 Some("export") => {
@@ -584,21 +590,13 @@ impl Session {
             "metrics" => match args.first().copied() {
                 Some("on") => {
                     let hub = self.metrics.get_or_insert_with(MetricsHub::new).clone();
-                    match self.db.as_mut() {
-                        Some(db) => db.set_metrics_hub(hub),
-                        None => self.fs.register_metrics(&hub),
+                    if let Some(store) = self.store.as_mut() {
+                        store.set_metrics_hub(&hub);
                     }
                     let _ = writeln!(out, "metrics on (period {})", DEFAULT_PERIOD);
                 }
                 Some("off") => {
-                    match self.db.as_mut() {
-                        Some(db) => db.clear_metrics_hub(),
-                        None => {
-                            if let Some(hub) = &self.metrics {
-                                Ext4Fs::unregister_metrics(hub);
-                            }
-                        }
-                    }
+                    self.detach_metrics();
                     self.metrics = None;
                     let _ = writeln!(out, "metrics off");
                 }
@@ -639,13 +637,10 @@ impl Session {
                     }
                 }
                 None => {
-                    let db = self.db.as_ref().ok_or("no database open")?;
-                    let table = db
-                        .property("noblsm.compaction-stats")
-                        .ok_or("property noblsm.compaction-stats unavailable")?;
-                    out.push_str(&table);
-                    if let Some(stats) = db.property("noblsm.stats") {
-                        let _ = writeln!(out, "{stats}");
+                    let store = self.store()?;
+                    for i in 0..store.shards() {
+                        let table = store.shard_db(i).property("noblsm.compaction-stats");
+                        let _ = write!(out, "shard{i}:\n{}", table.unwrap_or_default());
                     }
                 }
                 _ => {
@@ -658,176 +653,11 @@ impl Session {
             "help" => {
                 let _ = writeln!(
                     out,
-                    "commands: open put get del scan fill advance flush compact [status|lanes <n>] crash chaos trace metrics store repl levels stats time help quit"
+                    "commands: open put get del scan fill advance flush compact [lanes <n>] crash chaos trace metrics repl levels stats time help quit"
                 );
             }
             "quit" | "exit" => {}
             other => return Err(format!("unknown command {other} (try `help`)").into()),
-        }
-        Ok(())
-    }
-
-    /// The `store` command family: a sharded group-commit store living
-    /// beside the session's single database, on its own stacks.
-    fn dispatch_store(&mut self, args: &[&str], out: &mut String) -> Result<(), Error> {
-        match args.first().copied() {
-            Some("open") => {
-                let shards: usize = args
-                    .get(1)
-                    .ok_or("usage: store open <shards> [mode]")?
-                    .parse()
-                    .map_err(|_| "shards must be a number")?;
-                let variant = parse_variant(args.get(2).copied().unwrap_or("noblsm"))?;
-                let mut store = Store::open(StoreOptions {
-                    shards,
-                    db: variant.options(&base_options()),
-                    ..StoreOptions::default()
-                })?;
-                if let Some(sink) = &self.trace {
-                    store.set_trace_sink(sink.clone());
-                }
-                if let Some(hub) = &self.metrics {
-                    store.set_metrics_hub(hub);
-                }
-                self.store = Some(store);
-                let _ = writeln!(out, "store open: {shards} shards of {}", variant.name());
-            }
-            Some("put") => {
-                let [_, k, v] = args[..] else {
-                    return Err("usage: store put <key> <value>".into());
-                };
-                let mut batch = WriteBatch::new();
-                batch.put(k.as_bytes(), v.as_bytes());
-                let t = self.store()?.write(&WriteOptions::default(), batch)?;
-                let _ = writeln!(out, "OK ({t})");
-            }
-            Some("get") => {
-                let [_, k] = args[..] else { return Err("usage: store get <key>".into()) };
-                let k = k.as_bytes().to_vec();
-                let store = self.store()?;
-                let shard = store.shard_of(&k);
-                match store.get(&ReadOptions::default(), &k)? {
-                    Some(v) => {
-                        let _ = writeln!(out, "{} (shard {shard})", String::from_utf8_lossy(&v));
-                    }
-                    None => {
-                        let _ = writeln!(out, "<not found> (shard {shard})");
-                    }
-                }
-            }
-            Some("scan") => {
-                let [_, start, n, flags @ ..] = args else {
-                    return Err("usage: store scan <start> <n> [reverse] [count]".into());
-                };
-                let n: usize = n.parse().map_err(|_| "n must be a number")?;
-                let start = start.as_bytes().to_vec();
-                let mut sopts = ScanOptions::starting_at(&start).with_limit(n);
-                for f in flags {
-                    match *f {
-                        "reverse" => sopts = sopts.reversed(),
-                        "count" => sopts = sopts.counting(),
-                        _ => return Err("usage: store scan <start> <n> [reverse] [count]".into()),
-                    }
-                }
-                let store = self.store()?;
-                let r = store.scan(&ReadOptions::default(), &sopts)?;
-                let t = store.clock().now();
-                for (k, v) in &r.rows {
-                    let _ = writeln!(
-                        out,
-                        "{} = {}",
-                        String::from_utf8_lossy(k),
-                        String::from_utf8_lossy(v)
-                    );
-                }
-                match &r.resume {
-                    Some(next) => {
-                        let _ = writeln!(
-                            out,
-                            "({} rows, more from {}, {t})",
-                            r.count,
-                            String::from_utf8_lossy(next)
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "({} rows, {t})", r.count);
-                    }
-                }
-            }
-            Some("fill") => {
-                let n: u64 = args
-                    .get(1)
-                    .ok_or("usage: store fill <n> <value_size> [writers]")?
-                    .parse()
-                    .map_err(|_| "n must be a number")?;
-                let vs: usize = args
-                    .get(2)
-                    .ok_or("usage: store fill <n> <value_size> [writers]")?
-                    .parse()
-                    .map_err(|_| "value_size must be a number")?;
-                let writers: usize = args
-                    .get(3)
-                    .map(|w| w.parse().map_err(|_| "writers must be a number"))
-                    .transpose()?
-                    .unwrap_or(1)
-                    .max(1);
-                let store = self.store()?;
-                let start = store.clock().now();
-                // W logical writers each enqueue one single-record batch
-                // per round; the pump after each round lets shard leaders
-                // coalesce that round's arrivals into groups.
-                let mut key_state = 0x9e37_79b9_7f4a_7c15u64;
-                let mut i = 0u64;
-                while i < n {
-                    for _ in 0..writers.min((n - i) as usize) {
-                        key_state = key_state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let mut batch = WriteBatch::new();
-                        batch.put(format!("key{:016x}", key_state).as_bytes(), &vec![b'x'; vs]);
-                        store.enqueue(&WriteOptions::synced(), &batch);
-                        i += 1;
-                    }
-                    store.pump()?;
-                }
-                store.drain()?;
-                let s = store.stats();
-                let wall = store.clock().now() - start;
-                let _ = writeln!(
-                    out,
-                    "store filled {n} records in {wall}: {} groups for {} batches ({:.2} batches/group)",
-                    s.groups,
-                    s.batches,
-                    s.batches as f64 / s.groups.max(1) as f64
-                );
-            }
-            Some("stats") => {
-                let store = self.store()?;
-                let s = store.stats();
-                let _ = writeln!(
-                    out,
-                    "shards={} groups={} batches={} merged_bytes={} pending={}",
-                    store.shards(),
-                    s.groups,
-                    s.batches,
-                    s.merged_bytes,
-                    store.pending()
-                );
-                for i in 0..store.shards() {
-                    let _ = writeln!(
-                        out,
-                        "  shard{i}: levels {:?}",
-                        store.shard_db(i).level_file_counts()
-                    );
-                }
-            }
-            Some("close") => {
-                self.store = None;
-                let _ = writeln!(out, "store closed");
-            }
-            _ => {
-                return Err("usage: store open|put|get|scan|fill|stats|close".into());
-            }
         }
         Ok(())
     }
@@ -839,11 +669,7 @@ impl Session {
     fn dispatch_repl(&mut self, args: &[&str], out: &mut String) -> Result<(), Error> {
         match args.first().copied() {
             Some("open") => {
-                let shards: usize = args
-                    .get(1)
-                    .map(|s| s.parse().map_err(|_| "shards must be a number"))
-                    .transpose()?
-                    .unwrap_or(2);
+                let shards: usize = arg_or(args, 1, "shards", 2)?;
                 let opts = StoreOptions { shards, db: base_options(), ..StoreOptions::default() };
                 let clock = SharedClock::new();
                 let leader = Store::open_with_clock(opts.clone(), clock.clone())?;
@@ -868,20 +694,12 @@ impl Session {
                 };
                 let mut batch = WriteBatch::new();
                 batch.put(k.as_bytes(), v.as_bytes());
-                let t = self
-                    .repl()?
-                    .core
-                    .borrow_mut()
-                    .leader_mut()
-                    .write(&WriteOptions::default(), batch)?;
+                let core = &self.repl()?.core;
+                let t = core.borrow_mut().leader_mut().write(&WriteOptions::default(), batch)?;
                 let _ = writeln!(out, "OK ({t})");
             }
             Some("follow") => {
-                let r = self.repl()?;
-                let link = r
-                    .link
-                    .as_mut()
-                    .ok_or("follower was promoted (use `repl open` for a new pair)")?;
+                let link = self.follower_link()?;
                 let applied = link.poll_until_idle()?;
                 let _ = writeln!(
                     out,
@@ -891,36 +709,13 @@ impl Session {
             }
             Some("get") => {
                 let k = args.get(1).ok_or("usage: repl get <key> [staleness_ms]")?;
-                let ms: u64 = args
-                    .get(2)
-                    .map(|s| s.parse().map_err(|_| "staleness_ms must be a number"))
-                    .transpose()?
-                    .unwrap_or(60_000);
-                let key = k.as_bytes().to_vec();
+                let ms: u64 = arg_or(args, 2, "staleness_ms", 60_000)?;
                 let ropts = ReadOptions::default().with_max_staleness(Nanos::from_millis(ms));
-                let r = self.repl()?;
-                let link = r
-                    .link
-                    .as_mut()
-                    .ok_or("follower was promoted (use `repl open` for a new pair)")?;
-                match link.get(&ropts, &key)? {
-                    Some(v) => {
-                        let _ = writeln!(
-                            out,
-                            "{} (follower, bound {ms} ms)",
-                            String::from_utf8_lossy(&v)
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "<not found> (follower, bound {ms} ms)");
-                    }
-                }
+                let got = self.follower_link()?.get(&ropts, k.as_bytes())?;
+                let _ = writeln!(out, "{} (follower, bound {ms} ms)", shown(got));
             }
             Some("subscribe") => {
-                let from: Option<u64> = args
-                    .get(1)
-                    .map(|s| s.parse().map_err(|_| "from_seq must be a number"))
-                    .transpose()?;
+                let from: Option<u64> = args.get(1).map(|s| num(s, "from_seq")).transpose()?;
                 let r = self.repl()?;
                 let conn = ReplLoopback::connect(&r.core);
                 // An explicit sequence starts a fresh feed; otherwise an
@@ -977,35 +772,18 @@ impl Session {
                         l.replication_lag()
                     );
                 }
-                match &r.link {
-                    Some(link) => {
-                        let f = link.follower();
-                        let seqs = f.shard_seqs();
-                        let stale: Vec<String> =
-                            (0..seqs.len()).map(|s| f.staleness(s).to_string()).collect();
-                        let _ = writeln!(
-                            out,
-                            "follower: epoch={} seqs={seqs:?} staleness={stale:?}",
-                            f.epoch()
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "follower: promoted");
-                    }
-                }
-                match &r.sub {
-                    Some(sub) => {
-                        let _ = writeln!(
-                            out,
-                            "changefeed: shard {} next seq {}",
-                            sub.shard(),
-                            sub.next_seq()
-                        );
-                    }
-                    None => {
-                        let _ = writeln!(out, "changefeed: none");
-                    }
-                }
+                let follower = r.link.as_ref().map_or("promoted".into(), |link| {
+                    let f = link.follower();
+                    let seqs = f.shard_seqs();
+                    let stale: Vec<String> =
+                        (0..seqs.len()).map(|s| f.staleness(s).to_string()).collect();
+                    format!("epoch={} seqs={seqs:?} staleness={stale:?}", f.epoch())
+                });
+                let _ = writeln!(out, "follower: {follower}");
+                let feed = r.sub.as_ref().map_or("none".into(), |sub| {
+                    format!("shard {} next seq {}", sub.shard(), sub.next_seq())
+                });
+                let _ = writeln!(out, "changefeed: {feed}");
             }
             Some("close") => {
                 self.repl = None;
@@ -1019,7 +797,12 @@ impl Session {
     }
 }
 
-/// Parses a variant name shared by `open` and `store open`.
+/// A read's value as text, or `<not found>`.
+fn shown(value: Option<Vec<u8>>) -> String {
+    value.map_or("<not found>".into(), |v| String::from_utf8_lossy(&v).into_owned())
+}
+
+/// Parses the variant name `open` takes.
 fn parse_variant(mode: &str) -> Result<Variant, Error> {
     match mode {
         "noblsm" => Ok(Variant::NobLsm),
@@ -1050,9 +833,24 @@ mod tests {
     fn put_get_del_cycle() {
         let mut s = Session::new();
         let out = s.run_script("open noblsm\nput name noblsm\nget name\ndel name\nget name\n");
-        assert!(out.contains("opened NobLSM"));
-        assert!(out.contains("name") || out.contains("noblsm"));
+        assert!(out.contains("opened NobLSM on 1 shards"), "{out}");
+        assert!(out.contains("noblsm (shard 0,"), "{out}");
         assert!(out.contains("<not found>"));
+    }
+
+    #[test]
+    fn store_commands_group_commit_and_read_back() {
+        let mut s = Session::new();
+        let out =
+            s.run_script("open noblsm 4\nput alpha 1\nget alpha\nfill 200 64 4\nstats\nlevels\n");
+        assert!(out.contains("opened NobLSM on 4 shards"), "{out}");
+        assert!(out.contains("1 (shard"), "{out}");
+        assert!(out.contains("filled 200 records"), "{out}");
+        assert!(out.contains("batches/group"), "{out}");
+        assert!(out.contains("shards=4"), "{out}");
+        assert!(out.contains("shard3: writes="), "{out}");
+        assert!(out.contains("shard3: syncs="), "{out}");
+        assert!(out.contains("shard3: ["), "{out}");
     }
 
     #[test]
@@ -1067,8 +865,25 @@ mod tests {
         let mut s = Session::new();
         let out = s.run_script("open leveldb\nfill 2000 100\nflush\nlevels\nscan 00 3\nstats\n");
         assert!(out.contains("filled 2000 records"));
+        assert!(out.contains("0000000000000002 = x"), "fill writes keys 0..n: {out}");
         assert!(out.contains("rows,"));
         assert!(out.contains("syncs="), "{out}");
+    }
+
+    #[test]
+    fn store_scan_merges_shards_and_pages_with_a_resume_key() {
+        let mut s = Session::new();
+        let out = s.run_script(
+            "open noblsm 4\nput b 2\nput a 1\nput d 4\nput c 3\n\
+             scan a 3\nscan a 10 count\nscan a 10 reverse\n",
+        );
+        // Three rows from four shards, globally sorted, with the resume
+        // key pointing at the truncated remainder.
+        assert!(out.contains("a = 1\nb = 2\nc = 3\n(3 rows, more from d,"), "{out}");
+        assert!(out.contains("(4 rows,"), "{out}");
+        let d = out.find("d = 4").expect("reverse scan emits d");
+        let a = out.rfind("a = 1").expect("reverse scan emits a");
+        assert!(d < a, "reverse order: {out}");
     }
 
     #[test]
@@ -1078,6 +893,25 @@ mod tests {
             s.run_script("open noblsm\nput k persisted\nflush\nadvance 11000\ncrash 100\nget k\n");
         assert!(out.contains("power failed"));
         assert!(out.contains("persisted"), "{out}");
+        // The next cut is measured from the recovery, never before it.
+        let out = s.run_script("put a b\nadvance 3000\ncrash 10\nget k\n");
+        assert!(out.lines().last().is_some_and(|l| l.starts_with("persisted")), "{out}");
+    }
+
+    #[test]
+    fn every_crash_keeps_a_flushed_key_at_any_shard_count() {
+        for shards in [1, 4] {
+            let mut s = Session::new();
+            let _ = s.run_script(&format!("open noblsm {shards}\nput k persisted\nflush\n"));
+            for (round, pct) in [100, 0, 37, 10, 100, 0, 64, 1, 90, 100].into_iter().enumerate() {
+                let out = s.run_script(&format!(
+                    "put r{round} x\nfill 40 32 2\nadvance {}\ncrash {pct}\nget k\n",
+                    round * 1700
+                ));
+                assert!(out.contains("power failed"), "{shards} shards, crash {pct}: {out}");
+                assert!(out.contains("persisted ("), "{shards} shards, crash {pct}: {out}");
+            }
+        }
     }
 
     #[test]
@@ -1087,7 +921,20 @@ mod tests {
         let _ = s.run_line("open noblsm");
         assert!(s.run_line("put onlykey").contains("usage: put"));
         assert!(s.run_line("scan a notanumber").contains("must be a number"));
+        assert!(s.run_line("compact status").contains("usage: compact"));
+        assert!(s.run_line("store open 2").contains("unknown command"));
+        assert!(s.run_line("advance 18446744073709").contains("usage: advance"), "end of time");
+    }
+
+    #[test]
+    fn store_usage_errors_are_reported() {
+        let mut s = Session::new();
+        assert!(s.run_line("get k").contains("no database open"), "get before open");
         assert!(s.run_line("open alienDB").contains("unknown mode"));
+        assert!(s.run_line("open noblsm 0").contains("at least one shard"));
+        assert!(s.run_line("open noblsm many").contains("shards must be a number"));
+        assert!(s.run_line("scan").contains("usage: scan"));
+        assert!(s.run_line("scan a 3 sideways").contains("usage: scan"));
     }
 
     #[test]
@@ -1195,14 +1042,14 @@ mod tests {
         ));
         assert!(out.contains("metrics on"), "{out}");
         assert!(out.contains("size(MB)"), "compaction table header: {out}");
-        assert!(out.contains("engine.mem_bytes"), "timeline sparklines: {out}");
+        assert!(out.contains("shard0.engine.mem_bytes"), "timeline sparklines: {out}");
         let inline = Json::parse(&s.run_line("metrics export json")).expect("inline export parses");
         let series = inline.get("series").and_then(Json::as_array).map(<[Json]>::len);
         let hub = s.metrics.as_ref().expect("metrics are on").timeline().series.len();
         assert_eq!(series, Some(hub), "one entry per series the hub samples");
         assert!(s.run_line("metrics off").contains("metrics off"));
         let text = std::fs::read_to_string(&prom).unwrap();
-        assert!(text.contains("# TYPE noblsm_engine_mem_bytes gauge"), "{text}");
+        assert!(text.contains("# TYPE noblsm_shard0_engine_mem_bytes gauge"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1227,48 +1074,6 @@ mod tests {
         let _ = s.run_line("metrics on");
         assert!(s.run_line("metrics export gif").contains("unknown export format"));
         assert!(s.run_line("metrics export").contains("usage: metrics export"));
-    }
-
-    #[test]
-    fn store_commands_group_commit_and_read_back() {
-        let mut s = Session::new();
-        let out = s.run_script(
-            "store open 4\nstore put alpha 1\nstore get alpha\nstore fill 200 64 4\n\
-             store stats\nstore close\n",
-        );
-        assert!(out.contains("store open: 4 shards of NobLSM"), "{out}");
-        assert!(out.contains("1 (shard"), "{out}");
-        assert!(out.contains("store filled 200 records"), "{out}");
-        assert!(out.contains("batches/group"), "{out}");
-        assert!(out.contains("shards=4"), "{out}");
-        assert!(out.contains("store closed"), "{out}");
-    }
-
-    #[test]
-    fn store_scan_merges_shards_and_pages_with_a_resume_key() {
-        let mut s = Session::new();
-        let out = s.run_script(
-            "store open 4\nstore put b 2\nstore put a 1\nstore put d 4\nstore put c 3\n\
-             store scan a 3\nstore scan a 10 count\nstore scan a 10 reverse\n",
-        );
-        // Three rows from four shards, globally sorted, with the resume
-        // key pointing at the truncated remainder.
-        assert!(out.contains("a = 1\nb = 2\nc = 3\n(3 rows, more from d,"), "{out}");
-        assert!(out.contains("(4 rows,"), "{out}");
-        let d = out.find("d = 4").expect("reverse scan emits d");
-        let a = out.rfind("a = 1").expect("reverse scan emits a");
-        assert!(d < a, "reverse order: {out}");
-    }
-
-    #[test]
-    fn store_usage_errors_are_reported() {
-        let mut s = Session::new();
-        assert!(s.run_line("store get k").contains("no store open"), "store get before open");
-        assert!(s.run_line("store").contains("usage: store"));
-        assert!(s.run_line("store open").contains("usage: store open"));
-        assert!(s.run_line("store open 0").contains("at least one shard"));
-        assert!(s.run_line("store open 2 alienDB").contains("unknown mode"));
-        assert!(s.run_line("store scan").contains("usage: store scan"));
     }
 
     #[test]
@@ -1324,5 +1129,22 @@ mod tests {
         assert!(out.contains("compacted"));
         // After a full compaction L0 is empty: the levels line starts [0, …
         assert!(out.contains("[0,"), "{out}");
+    }
+
+    #[test]
+    fn readme_shell_transcript_runs_without_errors() {
+        let readme = include_str!("../../../README.md");
+        let block = readme.split("```sh\n").find(|b| b.contains("\n> open")).expect("a transcript");
+        let script: String = block
+            .split("```")
+            .next()
+            .unwrap_or_default()
+            .lines()
+            .filter_map(|l| l.strip_prefix("> "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let out = Session::new().run_script(&script);
+        assert!(out.contains("power failed"), "{out}");
+        assert!(!out.lines().any(|l| l.starts_with("error:")), "{out}");
     }
 }

@@ -53,13 +53,13 @@ use crate::options::Options;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneStats {
     /// Instant the lane becomes free.
-    pub free: Nanos,
+    pub(crate) free: Nanos,
     /// Jobs this lane has run (minor + major compactions).
-    pub jobs: u64,
+    pub(crate) jobs: u64,
     /// Total virtual time the lane spent occupied.
     pub busy: Nanos,
     /// Total bytes the lane's jobs wrote.
-    pub bytes_written: u64,
+    pub(crate) bytes_written: u64,
 }
 
 /// One output granule's stage durations and the bytes it wrote.

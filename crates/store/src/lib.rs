@@ -220,18 +220,50 @@ impl Store {
             let db = Db::open_with_clock(fs, &format!("shard{i}"), opts.db.clone(), clock.clone())?;
             shards.push(Shard { db, queue: VecDeque::new() });
         }
-        Ok(Store {
+        Ok(Store::assemble(clock, shards, opts.group_budget_count))
+    }
+
+    /// The store a power cut at `at` leaves behind, recovered: every shard
+    /// reopens on its filesystem's [`Ext4Fs::crashed_view`] at that one
+    /// instant, with its own engine options and this store's group budget,
+    /// on a fresh clock starting at `at`. Queued batches, counters,
+    /// shipping and the trace sink are not carried over; `self` is left
+    /// as it was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is below a shard filesystem's crash horizon: a
+    /// driver that cuts power in its past pins every shard's horizon
+    /// ([`Ext4Fs::pin_crash_horizon`]) first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates engine recovery errors.
+    pub fn crashed_view(&self, at: Nanos) -> Result<Store> {
+        let clock = SharedClock::at(at);
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let fs = shard.db.fs().crashed_view(at);
+            let opts = shard.db.options().clone();
+            let db = Db::open_with_clock(fs, &format!("shard{i}"), opts, clock.clone())?;
+            shards.push(Shard { db, queue: VecDeque::new() });
+        }
+        Ok(Store::assemble(clock, shards, self.budget_count))
+    }
+
+    fn assemble(clock: SharedClock, shards: Vec<Shard>, budget_count: usize) -> Store {
+        Store {
             clock,
             shards,
             trace: None,
-            budget_count: opts.group_budget_count,
+            budget_count,
             next_ticket: 0,
             parts: BTreeMap::new(),
             outcomes: BTreeMap::new(),
             stats: StoreStats::default(),
             shipping: false,
             shipped: Vec::new(),
-        })
+        }
     }
 
     /// The shard index `key` routes to.

@@ -292,6 +292,53 @@ fn routed_key(store: &Store, shard: usize, probe: &mut u32) -> Vec<u8> {
     }
 }
 
+/// `Store::crashed_view` cuts every shard at one instant: what any shard
+/// made durable by then comes back, nothing written after it does, every
+/// shard keeps its own engine options and the store its group budget.
+#[test]
+fn crashed_view_cuts_every_shard_at_one_instant() {
+    let mut store = Store::open(StoreOptions {
+        shards: 3,
+        group_budget_count: 5,
+        db: small_db(),
+        ..StoreOptions::default()
+    })
+    .unwrap();
+    store.shard_db_mut(1).set_compaction_lanes(2);
+    for shard in 0..3 {
+        store.shard_db(shard).fs().pin_crash_horizon();
+    }
+    let batch = |prefix: &str| {
+        let mut b = WriteBatch::new();
+        for i in 0..30u64 {
+            b.put(format!("{prefix}{i}").as_bytes(), b"v");
+        }
+        b
+    };
+    let at = store.write(&WriteOptions::synced(), batch("a")).unwrap();
+    assert!(store.write(&WriteOptions::synced(), batch("b")).unwrap() > at);
+    let mut view = store.crashed_view(at).unwrap();
+    assert_eq!(view.compaction_lanes(), vec![1, 2, 1], "each shard keeps its own options");
+    assert!(view.clock().now() >= at, "recovery runs on a clock that starts at the cut");
+    for i in 0..30u64 {
+        let durable = view.get(&ReadOptions::default(), format!("a{i}").as_bytes()).unwrap();
+        assert!(durable.is_some(), "a{i} was durable at the cut");
+        let after = view.get(&ReadOptions::default(), format!("b{i}").as_bytes()).unwrap();
+        assert!(after.is_none(), "b{i} was written after the cut");
+    }
+    // Six batches queued on one shard commit as groups of 5 and 1.
+    let mut probe = 0;
+    for _ in 0..6 {
+        let mut b = WriteBatch::new();
+        b.put(&routed_key(&view, 0, &mut probe), b"v");
+        view.enqueue(&WriteOptions::synced(), &b);
+    }
+    view.drain().unwrap();
+    assert_eq!(view.stats().groups, 2, "the group budget carries over");
+    let kept = store.get(&ReadOptions::default(), b"b0").unwrap();
+    assert_eq!(kept.as_deref(), Some(&b"v"[..]), "the crashed store is left as it was");
+}
+
 /// Crash mid-group-commit: the leader and its followers become ONE WAL
 /// record, so no crash instant may surface a follower's write without the
 /// leader's. We build several groups on one shard (keys chosen to route

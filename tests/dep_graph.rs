@@ -40,7 +40,7 @@ const MAX_SOURCE_LINES: usize = 1_516;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why.
-const MAX_SURFACE_LINES: usize = 1_013;
+const MAX_SURFACE_LINES: usize = 1_011;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
