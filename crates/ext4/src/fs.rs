@@ -1,8 +1,16 @@
-//! The simulated filesystem: namespace, page cache, JBD2 journal and the
-//! NobLSM syscalls. Crash reconstruction and the crash horizon live in
-//! `crash`, the gauge registration in `metrics`.
+//! The simulated filesystem: `Ext4Fs`, its namespace and the NobLSM
+//! syscalls. The concerns behind them live in four children:
+//!
+//! * `cache` — the page cache: LRU, eviction, `drop_caches` and the one
+//!   write-back step that hands an inode's dirty tail to the device;
+//! * `journal` — the running transaction, the commit timer and the one
+//!   commit routine behind the full and the fast commit;
+//! * `crash` — crash reconstruction and the crash horizon;
+//! * `metrics` — the gauge registration.
 
+mod cache;
 mod crash;
+mod journal;
 mod metrics;
 
 pub use crash::CommitWindow;
@@ -13,20 +21,11 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use nob_sim::Nanos;
-use nob_ssd::{FlushFault, InjectorHandle, IoStats, Ssd, WriteClass, WriteFault};
-use nob_trace::{EventClass, TraceSink};
+use nob_ssd::{InjectorHandle, IoStats, Ssd};
+use nob_trace::TraceSink;
 
-use crate::inode::{CommitEvent, DamageEvent, Inode, PersistEvent};
+use crate::inode::Inode;
 use crate::{Ext4Config, FileHandle, FsError, FsStats, InodeId, Result};
-
-/// Size of one journal metadata block.
-const JOURNAL_BLOCK: u64 = 4096;
-
-/// Capacity of the circular JBD2 journal area in bytes (mkfs default for
-/// large filesystems: 128 MiB). The simulation does not model journal
-/// wrap-checkpointing; the metrics layer uses this to report free journal
-/// space modulo the wrap.
-const JOURNAL_CAPACITY: u64 = 128 << 20;
 
 /// A simulated Ext4 filesystem mounted in `data=ordered` mode.
 ///
@@ -262,7 +261,7 @@ impl Ext4Fs {
         let mut g = self.lock();
         g.tick(now);
         let cost = g.cfg.ssd.mem_cost(len);
-        let resident = {
+        let (resident, dirty) = {
             let inode = g.live_inode_mut(h)?;
             // Re-caching an uncached inode makes its whole content
             // resident again, not just the appended bytes.
@@ -274,21 +273,25 @@ impl Ext4Fs {
                 Cow::Owned(bytes) if inode.content.is_empty() => inode.content = bytes,
                 data => inode.content.extend_from_slice(&data),
             }
-            inode.metadata_dirty = true;
             inode.touch();
             inode.cached = true;
-            resident
+            (resident, inode.dirty_bytes())
         };
         g.dirty_bytes += len;
         g.cache_used += len + resident;
         g.stats.bytes_buffered += len;
         g.join_txn(h.ino);
         g.lru_touch(h.ino);
-        g.stream_writeback(h.ino, now);
+        // The kernel flusher: once a file holds `writeback_chunk` dirty
+        // bytes they go to the background class, so commits wait only for
+        // the in-flight tail rather than whole bursts.
+        if dirty >= g.cfg.writeback_chunk {
+            g.write_back(h.ino, now, false);
+        }
         if g.dirty_bytes >= g.cfg.dirty_trigger_bytes() {
             g.commit(now, false);
         }
-        g.evict(now);
+        g.evict();
         Ok(now + cost)
     }
 
@@ -305,7 +308,6 @@ impl Ext4Fs {
             let inode = g.live_inode_mut(h)?;
             let base = inode.content.len() as u64;
             inode.content.extend_from_slice(data);
-            inode.metadata_dirty = true;
             inode.touch();
             (base, inode.content.len() as u64)
         };
@@ -336,10 +338,6 @@ impl Ext4Fs {
     ) -> Result<(Vec<u8>, Nanos)> {
         let mut g = self.lock();
         g.tick(now);
-        let cached = {
-            let inode = g.live_inode(h)?;
-            inode.cached
-        };
         let inode = g.live_inode(h)?;
         let total = inode.content.len() as u64;
         let start = offset.min(total);
@@ -347,7 +345,8 @@ impl Ext4Fs {
         let end = offset.saturating_add(len).min(total);
         let data = inode.content[start as usize..end as usize].to_vec();
         let got = end - start;
-        let done = if cached { now + g.cfg.ssd.mem_cost(got) } else { g.ssd.read(now, got).end };
+        let done =
+            if inode.cached { now + g.cfg.ssd.mem_cost(got) } else { g.ssd.read(now, got).end };
         Ok((data, done))
     }
 
@@ -383,20 +382,16 @@ impl Ext4Fs {
         let mut g = self.lock();
         g.tick(now);
         g.stats.sync_calls += 1;
-        let (needs, pending) = {
-            let inode = g.live_inode(h)?;
-            // Bytes this sync is responsible for making durable: dirty
-            // pages plus write-back still in flight.
-            let pending = inode.content.len() as u64
-                - inode.persisted_len_at(now).min(inode.content.len() as u64);
-            (inode.needs_commit(), pending)
-        };
-        if !needs {
+        let inode = g.live_inode(h)?;
+        if !inode.needs_commit() {
             // Nothing newer than the last commit: a real fsync would find
             // nothing to do (both data and metadata are durable).
             return Ok(now);
         }
-        g.stats.bytes_synced += pending;
+        // Bytes this sync is responsible for making durable: dirty pages
+        // plus write-back still in flight.
+        let len = inode.content.len() as u64;
+        g.stats.bytes_synced += len - inode.persisted_len_at(now).min(len);
         let done =
             if g.cfg.fast_commit { g.fast_commit_inode(h.ino, now) } else { g.commit(now, true) };
         Ok(done)
@@ -417,7 +412,6 @@ impl Ext4Fs {
         }
         let inode = g.inodes.get_mut(&id).expect("live name maps to live inode");
         inode.path = Some(new.to_string());
-        inode.metadata_dirty = true;
         inode.touch();
         g.names.insert(new.to_string(), id);
         g.join_txn(id);
@@ -455,16 +449,13 @@ impl Ext4Fs {
         let mut g = self.lock();
         g.tick(now);
         for &ino in inos {
-            let Some(inode) = g.inodes.get(&ino) else { continue };
-            if inode.deleted {
-                continue;
-            }
-            if !inode.needs_commit() {
-                let at = inode.committed_at.expect("committed epoch implies an instant");
-                g.committed.insert(ino, at);
-            } else {
+            let Some(inode) = g.inodes.get(&ino).filter(|i| !i.deleted) else { continue };
+            if inode.needs_commit() {
                 let epoch = inode.epoch;
                 g.pending.insert(ino, epoch);
+            } else {
+                let at = inode.committed_at.expect("committed epoch implies an instant");
+                g.committed.insert(ino, at);
             }
         }
     }
@@ -481,20 +472,7 @@ impl Ext4Fs {
     /// `echo 3 > /proc/sys/vm/drop_caches`); benchmarks call this between a
     /// load phase and a read phase.
     pub fn drop_caches(&self) {
-        let mut g = self.lock();
-        let cached: Vec<InodeId> = g
-            .inodes
-            .values()
-            .filter(|i| i.cached && i.dirty_bytes() == 0 && !i.deleted)
-            .map(|i| i.id)
-            .collect();
-        for id in cached {
-            let len = g.inodes[&id].content.len() as u64;
-            g.inodes.get_mut(&id).expect("listed above").cached = false;
-            g.cache_used -= len;
-        }
-        g.lru.clear();
-        g.lru_touch.clear();
+        self.lock().drop_caches();
     }
 
     /// Total dirty page-cache bytes right now.
@@ -506,23 +484,6 @@ impl Ext4Fs {
     /// transaction.
     pub fn running_txn_inodes(&self) -> usize {
         self.lock().running.len()
-    }
-
-    /// Sizes of the NobLSM kernel tables: `(pending, committed)` entry
-    /// counts (`check_commit` registrations awaiting a commit, and inodes
-    /// whose registered epoch has committed).
-    pub(crate) fn kernel_table_sizes(&self) -> (usize, usize) {
-        let g = self.lock();
-        (g.pending.len(), g.committed.len())
-    }
-
-    /// Free space in the circular journal area, modulo wrap: the
-    /// simulation does not model wrap-checkpoint stalls, so this reports
-    /// `capacity - (journal_bytes mod capacity)` — the headroom an
-    /// implicit checkpoint-on-wrap would leave.
-    pub(crate) fn journal_free_bytes(&self) -> u64 {
-        let g = self.lock();
-        JOURNAL_CAPACITY - g.stats.journal_bytes % JOURNAL_CAPACITY
     }
 
     /// Instant at which pending background (write-back) device work
@@ -558,402 +519,6 @@ impl Inner {
         }
     }
 
-    /// Issues one data write-back covering `content[base..target]` of
-    /// inode `id` and applies the device's verdict to the durability
-    /// history: a clean write persists the prefix `target`; a torn write
-    /// persists only `base + keep` and marks the torn tail as damaged
-    /// media; a corrupt write persists `target` but marks the whole
-    /// payload damaged. Returns the command's completion instant. The
-    /// caller keeps `written_back`, `dirty_bytes` and byte accounting.
-    fn data_write(
-        &mut self,
-        id: InodeId,
-        base: u64,
-        target: u64,
-        at: Nanos,
-        foreground: bool,
-        credit: bool,
-    ) -> Nanos {
-        let bytes = target - base;
-        let (res, fault) = if foreground {
-            self.ssd.write_checked(at, bytes, WriteClass::Data)
-        } else {
-            self.ssd.write_background_checked(at, bytes, WriteClass::Data)
-        };
-        if credit {
-            self.ssd.credit_background(res.duration());
-        }
-        if let Some(sink) = &self.trace {
-            sink.emit(EventClass::Writeback, at, res.end, bytes);
-        }
-        let inode = self.inodes.get_mut(&id).expect("caller verified the inode is live");
-        match fault {
-            WriteFault::None => {
-                inode.persisted.record(PersistEvent { len: target, at: res.end });
-            }
-            WriteFault::Torn { keep } => {
-                let keep = keep.min(bytes);
-                inode.persisted.record(PersistEvent { len: base + keep, at: res.end });
-                if base + keep < target {
-                    // The kernel believes write-back reached `target`, so
-                    // the torn tail is never reissued: record it as a
-                    // damaged media range rather than relying on the
-                    // persisted prefix (later writes extend past it and
-                    // would silently cover the hole).
-                    inode.damage_events.push(DamageEvent {
-                        start: base + keep,
-                        end: target,
-                        at: res.end,
-                    });
-                }
-                self.stats.data_writebacks_torn += 1;
-            }
-            WriteFault::Corrupt => {
-                inode.persisted.record(PersistEvent { len: target, at: res.end });
-                inode.damage_events.push(DamageEvent { start: base, end: target, at: res.end });
-                self.stats.data_writebacks_corrupted += 1;
-            }
-        }
-        res.end
-    }
-
-    /// A real FLUSH completed at `at`: every commit record that was
-    /// acknowledged behind a dropped FLUSH is now actually on media.
-    fn settle_unsettled(&mut self, at: Nanos) {
-        for (id, idx) in std::mem::take(&mut self.unsettled) {
-            let Some(inode) = self.inodes.get_mut(&id) else { continue };
-            let Some(ev) = inode.commit_events.get_mut(idx) else { continue };
-            if ev.durable_at.is_none() {
-                ev.durable_at = Some(at);
-                if ev.path.is_none() {
-                    self.deletion_durable(id, at);
-                }
-            }
-        }
-    }
-
-    fn join_txn(&mut self, id: InodeId) {
-        if !self.running.contains(&id) {
-            self.running.push(id);
-        }
-    }
-
-    fn lru_touch(&mut self, id: InodeId) {
-        self.lru_gen += 1;
-        let lru_gen = self.lru_gen;
-        self.lru_touch.insert(id, lru_gen);
-        self.lru.push_back((id, lru_gen));
-        // Drop superseded entries so the queue stays proportional to the
-        // number of cached files even when the cache never fills.
-        if self.lru.len() > (self.lru_touch.len() * 4).max(64) {
-            let touch = &self.lru_touch;
-            self.lru.retain(|(k, g)| touch.get(k) == Some(g));
-        }
-    }
-
-    /// Evicts clean cached files LRU until within capacity.
-    fn evict(&mut self, _now: Nanos) {
-        while self.cache_used > self.cfg.page_cache_capacity {
-            let Some((id, entry_gen)) = self.lru.pop_front() else { break };
-            if self.lru_touch.get(&id) != Some(&entry_gen) {
-                continue; // superseded entry
-            }
-            let Some(inode) = self.inodes.get_mut(&id) else {
-                self.lru_touch.remove(&id);
-                continue;
-            };
-            if inode.deleted || !inode.cached {
-                self.lru_touch.remove(&id);
-                continue;
-            }
-            if inode.dirty_bytes() > 0 {
-                // Cannot evict dirty data; re-queue behind everything else.
-                self.lru_gen += 1;
-                let lru_gen = self.lru_gen;
-                self.lru_touch.insert(id, lru_gen);
-                self.lru.push_back((id, lru_gen));
-                // If only dirty files remain cached, stop rather than spin.
-                if self.lru.len() <= 1 {
-                    break;
-                }
-                // Heuristic: if everything cached is dirty we also stop;
-                // detect by checking whether any clean resident remains.
-                if !self.inodes.values().any(|i| i.cached && !i.deleted && i.dirty_bytes() == 0) {
-                    break;
-                }
-                continue;
-            }
-            inode.cached = false;
-            self.cache_used -= inode.content.len() as u64;
-            self.lru_touch.remove(&id);
-        }
-    }
-
-    fn tick(&mut self, now: Nanos) {
-        while self.next_commit_at <= now {
-            let at = self.next_commit_at;
-            self.next_commit_at += self.cfg.commit_interval;
-            if !self.running.is_empty() {
-                self.commit(at, false);
-            }
-        }
-    }
-
-    /// The fast-commit path: durably commits *one* inode without touching
-    /// the rest of the running transaction. Write back the inode's dirty
-    /// data in the foreground, append one fast-commit journal block, and
-    /// FLUSH. The inode leaves the running transaction; other inodes keep
-    /// waiting for the normal timer commit.
-    fn fast_commit_inode(&mut self, id: InodeId, at: Nanos) -> Nanos {
-        self.stats.sync_commits += 1;
-        let Some(inode) = self.inodes.get(&id) else { return at };
-        // Open the fast-commit causal scope: the write-back, journal
-        // write and FLUSH below nest under this span in the trace tree.
-        if let Some(sink) = &self.trace {
-            sink.begin_span();
-        }
-        let mut data_done = at;
-        if let Some(last) = inode.persisted.last_at() {
-            data_done = data_done.max(last);
-        }
-        let dirty = inode.dirty_bytes();
-        let base = inode.written_back;
-        let target = inode.content.len() as u64;
-        if dirty > 0 {
-            let end = self.data_write(id, base, target, at, true, false);
-            self.inodes.get_mut(&id).expect("checked above").written_back = target;
-            self.dirty_bytes -= dirty;
-            self.stats.bytes_written_back += dirty;
-            data_done = data_done.max(end);
-        }
-        let jbytes = JOURNAL_BLOCK; // one fast-commit record
-        let (jres, jfault) = self.ssd.write_checked(data_done, jbytes, WriteClass::FastCommit);
-        self.stats.journal_bytes += jbytes;
-        let (flush, ffault) = self.ssd.flush_checked(jres.end);
-        let t_commit = flush.end;
-        // A damaged fast-commit record is garbage on media but does NOT
-        // break the main journal chain — fast-commit records live in a
-        // separate self-checksummed area that replay skips over.
-        let record_lost = jfault != WriteFault::None;
-        let flush_dropped = ffault == FlushFault::DroppedAcked;
-        let durable_at = if record_lost {
-            self.stats.commits_lost_torn_journal += 1;
-            None
-        } else if flush_dropped {
-            self.stats.commits_unsettled_flush += 1;
-            None
-        } else {
-            Some(t_commit)
-        };
-        let inode = self.inodes.get_mut(&id).expect("checked above");
-        let event = CommitEvent {
-            at: t_commit,
-            durable_at,
-            len: inode.content.len() as u64,
-            path: inode.path.clone(),
-        };
-        inode.commit_events.push(event);
-        if !record_lost && flush_dropped {
-            let idx = inode.commit_events.len() - 1;
-            self.unsettled.push((id, idx));
-        }
-        // The kernel believes the device's acknowledgements: epochs and
-        // the NobLSM tables advance even when the record never landed.
-        let inode = self.inodes.get_mut(&id).expect("checked above");
-        inode.committed_epoch = inode.epoch;
-        inode.committed_at = Some(t_commit);
-        inode.metadata_dirty = false;
-        self.running.retain(|&r| r != id);
-        if let Some(&reg_epoch) = self.pending.get(&id) {
-            if inode.committed_epoch >= reg_epoch && !inode.deleted {
-                self.pending.remove(&id);
-                self.committed.insert(id, t_commit);
-            }
-        }
-        if !flush_dropped {
-            self.settle_unsettled(t_commit);
-        }
-        self.commit_log.push(CommitWindow {
-            start: at,
-            data_done,
-            journal_done: jres.end,
-            end: t_commit,
-            sync: true,
-            inodes: 1,
-            faulted: record_lost || flush_dropped,
-        });
-        if let Some(sink) = &self.trace {
-            sink.end_span(EventClass::FastCommit, at, t_commit, jbytes);
-        }
-        t_commit
-    }
-
-    /// Commits the running transaction, starting at `at`. Returns the
-    /// commit's completion instant (FLUSH end).
-    fn commit(&mut self, at: Nanos, sync: bool) -> Nanos {
-        let txn = std::mem::take(&mut self.running);
-        if txn.is_empty() {
-            return at;
-        }
-        // Open the commit's causal scope (after the empty-transaction
-        // early return): ordered write-back, journal blocks and the
-        // FLUSH barrier all become children of this span.
-        if let Some(sink) = &self.trace {
-            sink.begin_span();
-        }
-        if sync {
-            self.stats.sync_commits += 1;
-        } else {
-            self.stats.async_commits += 1;
-        }
-        // Phase 1 — data=ordered: write back all dirty data of the
-        // transaction's inodes before any journal block. A synchronous
-        // (fsync-driven) commit writes back in the foreground class; the
-        // timer/threshold commits use the background class (the kernel's
-        // throttled write-back that never delays synchronous I/O).
-        let mut data_done = at;
-        for &id in &txn {
-            let Some(inode) = self.inodes.get(&id) else { continue };
-            if inode.deleted {
-                continue;
-            }
-            // The ordered contract covers write-back issued by *earlier*
-            // commits or the flusher that may still be in flight.
-            let written_back = inode.written_back;
-            let dirty = inode.dirty_bytes();
-            let target = inode.content.len() as u64;
-            if sync {
-                // A synchronous commit does not wait behind the flusher's
-                // queue: it promotes the inode's in-flight pages and
-                // submits them itself in the foreground class, crediting
-                // the background queue for the moved work.
-                let p_now = inode.persisted_len_at(at).min(written_back);
-                let in_flight = written_back - p_now;
-                if in_flight > 0 {
-                    let end = self.data_write(id, p_now, written_back, at, true, true);
-                    data_done = data_done.max(end);
-                }
-            } else if let Some(last) = inode.persisted.last_at() {
-                data_done = data_done.max(last);
-            }
-            if dirty > 0 {
-                let end = self.data_write(id, written_back, target, at, sync, false);
-                self.inodes.get_mut(&id).expect("checked above").written_back = target;
-                self.dirty_bytes -= dirty;
-                self.stats.bytes_written_back += dirty;
-                data_done = data_done.max(end);
-            }
-        }
-        // Phase 2 — journal blocks (descriptor + one metadata block per
-        // inode + commit record), strictly after the ordered data.
-        let jbytes = (txn.len() as u64 + 2) * JOURNAL_BLOCK;
-        let (jres, jfault) = if sync {
-            self.ssd.write_checked(data_done, jbytes, WriteClass::Journal)
-        } else {
-            self.ssd.write_background_checked(data_done, jbytes, WriteClass::Journal)
-        };
-        self.stats.journal_bytes += jbytes;
-        // Phase 3 — FLUSH: the commit record's barrier.
-        let (flush, ffault) = if sync {
-            self.ssd.flush_checked(jres.end)
-        } else {
-            self.ssd.flush_background_checked(jres.end)
-        };
-        let t_commit = flush.end;
-        // A torn/corrupt journal write damages this transaction's commit
-        // record on media: replay stops here, so this commit and every
-        // later one in the main journal is unrecoverable.
-        let record_lost = jfault != WriteFault::None;
-        let flush_dropped = ffault == FlushFault::DroppedAcked;
-        if record_lost {
-            self.stats.commits_lost_torn_journal += 1;
-            let broken = self.journal_broken_at.map_or(t_commit, |b| b.min(t_commit));
-            self.journal_broken_at = Some(broken);
-        } else if flush_dropped {
-            self.stats.commits_unsettled_flush += 1;
-        }
-        let durable_at = if record_lost || flush_dropped { None } else { Some(t_commit) };
-        // Finalize: record per-inode commit events and serve the NobLSM
-        // Pending Table. The kernel believes the acknowledgements, so the
-        // tables advance even when the record never landed — exactly the
-        // lie the chaos harness probes NobLSM's shadow scheme against.
-        for &id in &txn {
-            let Some(inode) = self.inodes.get_mut(&id) else { continue };
-            let deleted = inode.deleted;
-            let event = if deleted {
-                CommitEvent { at: t_commit, durable_at, len: 0, path: None }
-            } else {
-                CommitEvent {
-                    at: t_commit,
-                    durable_at,
-                    len: inode.content.len() as u64,
-                    path: inode.path.clone(),
-                }
-            };
-            inode.commit_events.push(event);
-            if !record_lost && flush_dropped {
-                let idx = inode.commit_events.len() - 1;
-                self.unsettled.push((id, idx));
-            }
-            if let Some(durable) = durable_at.filter(|_| deleted) {
-                self.deletion_durable(id, durable);
-            }
-            let inode = self.inodes.get_mut(&id).expect("looked up above");
-            inode.committed_epoch = inode.epoch;
-            inode.committed_at = Some(t_commit);
-            inode.metadata_dirty = false;
-            if let Some(&reg_epoch) = self.pending.get(&id) {
-                let inode = &self.inodes[&id];
-                if inode.committed_epoch >= reg_epoch {
-                    self.pending.remove(&id);
-                    if !inode.deleted {
-                        self.committed.insert(id, t_commit);
-                    }
-                }
-            }
-        }
-        if !flush_dropped {
-            self.settle_unsettled(t_commit);
-        }
-        self.commit_log.push(CommitWindow {
-            start: at,
-            data_done,
-            journal_done: jres.end,
-            end: t_commit,
-            sync,
-            inodes: txn.len(),
-            faulted: record_lost || flush_dropped,
-        });
-        if let Some(sink) = &self.trace {
-            // Synchronous (fsync-driven) commits and asynchronous
-            // timer/threshold commits are distinct tail-latency stories.
-            let class = if sync { EventClass::JournalCommit } else { EventClass::Checkpoint };
-            sink.end_span(class, at, t_commit, jbytes);
-        }
-        t_commit
-    }
-
-    /// Kernel-flusher model: once a file accumulates `writeback_chunk`
-    /// dirty bytes, issue them to the device's background class. Commits
-    /// then wait only for the in-flight tail rather than whole bursts.
-    fn stream_writeback(&mut self, id: InodeId, now: Nanos) {
-        let chunk = self.cfg.writeback_chunk;
-        let Some(inode) = self.inodes.get(&id) else { return };
-        if inode.deleted {
-            return;
-        }
-        let dirty = inode.dirty_bytes();
-        if dirty < chunk {
-            return;
-        }
-        let base = inode.written_back;
-        let target = inode.content.len() as u64;
-        self.data_write(id, base, target, now, false, false);
-        self.inodes.get_mut(&id).expect("checked above").written_back = target;
-        self.dirty_bytes -= dirty;
-        self.stats.bytes_written_back += dirty;
-    }
-
     /// Marks an inode deleted and erases it from the NobLSM tables.
     fn delete_inode(&mut self, id: InodeId) {
         let Some(inode) = self.inodes.get_mut(&id) else { return };
@@ -962,7 +527,6 @@ impl Inner {
         let was_cached = inode.cached;
         inode.deleted = true;
         inode.path = None;
-        inode.metadata_dirty = true;
         inode.written_back = inode.content.len() as u64;
         inode.touch();
         inode.cached = false;
@@ -981,10 +545,6 @@ mod tests {
 
     fn fs() -> Ext4Fs {
         Ext4Fs::new(Ext4Config::default())
-    }
-
-    fn small_cache_fs(bytes: u64) -> Ext4Fs {
-        Ext4Fs::new(Ext4Config::default().with_page_cache(bytes))
     }
 
     #[test]
@@ -1076,38 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn async_commit_fires_on_timer() {
-        let fs = fs();
-        let h = fs.create("a", Nanos::ZERO).unwrap();
-        fs.append(h, b"payload", Nanos::ZERO).unwrap();
-        // Just before the 5 s timer: nothing durable.
-        let before = Nanos::from_secs(5) - Nanos::from_nanos(1);
-        assert!(!fs.crashed_view(before).exists("a"));
-        // Tick past the timer; the async commit persists the file without
-        // any fsync.
-        let after = Nanos::from_secs(6);
-        fs.tick(after);
-        assert_eq!(fs.stats().sync_calls, 0);
-        assert_eq!(fs.stats().async_commits, 1);
-        let view = fs.crashed_view(after);
-        assert!(view.exists("a"));
-        assert_eq!(view.file_size("a").unwrap(), 7);
-    }
-
-    #[test]
-    fn commit_completion_lags_trigger_under_device_load() {
-        let fs = fs();
-        let h = fs.create("a", Nanos::ZERO).unwrap();
-        let now = fs.append(h, vec![1u8; 64 << 20].as_slice(), Nanos::ZERO).unwrap();
-        fs.tick(Nanos::from_secs(5));
-        // 64 MiB of write-back takes ≈0.12 s; immediately "after" the
-        // trigger the commit has not completed yet.
-        assert!(!fs.crashed_view(Nanos::from_secs(5)).exists("a"));
-        assert!(fs.crashed_view(Nanos::from_secs(6)).exists("a"));
-        let _ = now;
-    }
-
-    #[test]
     fn dirty_threshold_triggers_early_commit() {
         // 10 MiB page cache → 1 MiB dirty trigger. Disable streaming
         // write-back so dirt actually accumulates to the threshold.
@@ -1120,26 +648,6 @@ mod tests {
         assert!(now < Nanos::from_secs(5), "caller did not wait for the timer");
         // The commit eventually makes the data durable.
         assert!(fs.crashed_view(Nanos::from_secs(1)).exists("a"));
-    }
-
-    #[test]
-    fn ordered_mode_contract_committed_implies_durable_data() {
-        let fs = fs();
-        let h = fs.create("a", Nanos::ZERO).unwrap();
-        let now = fs.append(h, vec![9u8; 123_456].as_slice(), Nanos::ZERO).unwrap();
-        fs.tick(Nanos::from_secs(5));
-        let ino = fs.inode_of("a").unwrap();
-        fs.check_commit(&[ino], Nanos::from_secs(5));
-        // Find the first instant where is_committed turns true; the full
-        // data must be readable in the crash view at that same instant.
-        let mut t = Nanos::from_secs(5);
-        while !fs.is_committed(ino, t) {
-            t += Nanos::from_micros(100);
-            assert!(t < Nanos::from_secs(7), "commit never completed");
-        }
-        let view = fs.crashed_view(t);
-        assert_eq!(view.file_size("a").unwrap(), 123_456);
-        let _ = now;
     }
 
     #[test]
@@ -1271,28 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_capacity_and_dirtiness() {
-        let fs = small_cache_fs(1 << 20); // 1 MiB capacity, 100 KiB trigger
-        let mut now = Nanos::ZERO;
-        let mut handles = Vec::new();
-        for i in 0..8 {
-            let h = fs.create(&format!("f{i}"), now).unwrap();
-            now = fs.append(h, vec![0u8; 300 << 10].as_slice(), now).unwrap();
-            handles.push(h);
-        }
-        // Dirty-threshold commits have cleaned most files, and eviction
-        // keeps residency within capacity (the files are clean).
-        fs.tick(now + Nanos::from_secs(6));
-        let g = fs.lock();
-        assert!(g.cache_used <= g.cfg.page_cache_capacity + (300 << 10));
-        drop(g);
-        // Cold reads still return correct data (device-priced).
-        let (data, end) = fs.read_at(handles[0], 0, 16, now + Nanos::from_secs(6)).unwrap();
-        assert_eq!(data, vec![0u8; 16]);
-        assert!(end > now + Nanos::from_secs(6));
-    }
-
-    #[test]
     fn drop_caches_makes_reads_cold() {
         let fs = fs();
         let h = fs.create("a", Nanos::ZERO).unwrap();
@@ -1326,7 +812,7 @@ mod tests {
     mod faults {
         use super::*;
         use crate::fs::crash::DAMAGE_MASK;
-        use nob_ssd::{FaultInjector, FlushCmd, WriteCmd};
+        use nob_ssd::{FaultInjector, FlushCmd, FlushFault, WriteClass, WriteCmd, WriteFault};
 
         /// Tears every journal-class write, leaving data and FLUSH alone.
         struct TearJournal;

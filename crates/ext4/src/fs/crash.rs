@@ -169,7 +169,6 @@ impl Ext4Fs {
                     }
                 }
                 inode.written_back = len as u64;
-                inode.metadata_dirty = false;
                 inode.committed_epoch = inode.epoch;
                 inode.committed_at = Some(at);
                 inode.persisted.record(PersistEvent { len: len as u64, at });

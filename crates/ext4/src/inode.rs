@@ -102,8 +102,6 @@ pub(crate) struct Inode {
     /// `content[..written_back]` has been handed to the device already
     /// (write-back issued); the remainder is dirty page-cache data.
     pub(crate) written_back: u64,
-    /// Whether the inode's metadata changed since the last commit capture.
-    pub(crate) metadata_dirty: bool,
     /// Bumped on every mutation (data or metadata).
     pub(crate) epoch: u64,
     /// The epoch covered by the most recent completed commit.
@@ -129,7 +127,6 @@ impl Inode {
             path: Some(path),
             content: Vec::new(),
             written_back: 0,
-            metadata_dirty: true, // creation itself is a metadata change
             epoch: 1,
             committed_epoch: 0,
             committed_at: None,
@@ -197,7 +194,6 @@ mod tests {
     fn new_inode_is_dirty_metadata_only() {
         let i = inode();
         assert!(i.needs_commit());
-        assert!(i.metadata_dirty);
         assert_eq!(i.dirty_bytes(), 0);
     }
 
