@@ -311,6 +311,7 @@ impl Db {
     fn release_table(&mut self, number: u64, physical: u64, t: Nanos) {
         self.tables.evict(number);
         if let Some(path) = self.refs.release(physical) {
+            self.tables.block_cache().forget_file(physical);
             let _ = self.fs.delete(&path, t);
         }
     }

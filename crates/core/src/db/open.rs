@@ -217,7 +217,7 @@ fn replay_logs(
         let size = fs.file_size(&path)?;
         let (data, t2) = fs.read_at(h, 0, size, *t)?;
         *t = t2;
-        let mut cursor = ReplayCursor::new(data);
+        let mut cursor = ReplayCursor::new(data.to_vec());
         while let Some(batch) = cursor.next_batch() {
             max_seq = max_seq.max(batch.insert_into(&mut mem));
             if mem.approximate_bytes() >= opts.write_buffer_size {

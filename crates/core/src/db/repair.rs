@@ -112,7 +112,7 @@ pub(crate) fn repair(
         let (data, t2) = fs.read_at(h, 0, size, t)?;
         t = t2;
         let mut mem = MemTable::new();
-        let mut cursor = ReplayCursor::new(data);
+        let mut cursor = ReplayCursor::new(data.to_vec());
         while let Some(batch) = cursor.next_batch() {
             max_seq = max_seq.max(batch.insert_into(&mut mem));
         }

@@ -3,6 +3,8 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
+use nob_ext4::Extent;
+
 use crate::types::compare_internal;
 use crate::util::{crc32c, crc32c_masked, crc32c_unmask, decode_u32, encode_u32};
 use crate::{DbError, Result};
@@ -170,13 +172,14 @@ pub(crate) fn append_trailer(out: &mut Vec<u8>, start: usize) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Verifies and strips a block trailer.
+/// Verifies a block trailer where the block lies, and narrows the view
+/// to the payload.
 ///
 /// # Errors
 ///
 /// Returns [`DbError::Corruption`] on checksum mismatch, short input, or
 /// a type byte other than 0 (blocks are stored raw).
-pub(crate) fn strip_trailer(mut data: Vec<u8>) -> Result<Vec<u8>> {
+pub(crate) fn strip_trailer(mut data: Extent) -> Result<Extent> {
     if data.len() < BLOCK_TRAILER_SIZE {
         return Err(DbError::Corruption("block shorter than trailer".into()));
     }
@@ -196,11 +199,12 @@ pub(crate) fn strip_trailer(mut data: Vec<u8>) -> Result<Vec<u8>> {
 
 /// A parsed, immutable block.
 ///
-/// The payload stays as it was read: entries, then the restart array,
-/// then the restart count. Restart offsets are decoded where they lie.
+/// The payload stays where it was read: a block read from a table is a
+/// view of the file's bytes, not a copy. Entries, then the restart array,
+/// then the restart count; restart offsets are decoded where they lie.
 #[derive(Debug)]
 pub struct Block {
-    data: Vec<u8>,
+    data: Extent,
     /// Where the entries end and the restart array begins.
     entries_end: usize,
     n_restarts: usize,
@@ -212,7 +216,8 @@ impl Block {
     /// # Errors
     ///
     /// Returns [`DbError::Corruption`] if the restart array is malformed.
-    pub fn parse(data: Vec<u8>) -> Result<Arc<Block>> {
+    pub fn parse(data: impl Into<Extent>) -> Result<Arc<Block>> {
+        let data = data.into();
         if data.len() < 4 {
             return Err(DbError::Corruption("block too small".into()));
         }
@@ -545,7 +550,7 @@ mod tests {
         let mut b = BlockBuilder::new(16);
         b.add(&ik("a", 1), b"v");
         let with_trailer = b.finish();
-        let stripped = strip_trailer(with_trailer.clone()).unwrap();
+        let stripped = strip_trailer(with_trailer.clone().into()).unwrap();
         assert!(Block::parse(stripped.clone()).is_ok());
 
         let mut flipped = with_trailer;
@@ -553,14 +558,14 @@ mod tests {
         // A type byte other than 0 under a valid checksum: blocks are
         // stored raw, so any other type is damage.
         let typed = |ty: u8| {
-            let mut block = stripped.clone();
+            let mut block = stripped.to_vec();
             block.push(ty);
             let crc = crc32c_masked(&block);
             block.extend_from_slice(&crc.to_le_bytes());
             block
         };
         for corrupt in [flipped, typed(1), typed(2)] {
-            assert!(matches!(strip_trailer(corrupt), Err(DbError::Corruption(_))));
+            assert!(matches!(strip_trailer(corrupt.into()), Err(DbError::Corruption(_))));
         }
     }
 
@@ -573,14 +578,14 @@ mod tests {
             i += 1;
         }
         let block = b.finish();
-        assert!(strip_trailer(block.clone()).is_ok());
+        assert!(strip_trailer(block.clone().into()).is_ok());
         // Payload, type byte and stored CRC alike: a CRC detects every
         // single-bit error.
         for bit in 0..block.len() * 8 {
             let mut flipped = block.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert!(
-                matches!(strip_trailer(flipped), Err(DbError::Corruption(_))),
+                matches!(strip_trailer(flipped.into()), Err(DbError::Corruption(_))),
                 "flip of bit {bit} passed verification"
             );
         }

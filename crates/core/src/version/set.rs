@@ -120,8 +120,8 @@ impl VersionSet {
             .map_err(|_| DbError::InvalidDb(format!("missing CURRENT in {dir}")))?;
         let size = fs.file_size(&current_path)?;
         let (name_bytes, mut t) = fs.read_exact_at(ch, 0, size, now)?;
-        let manifest_name =
-            String::from_utf8(name_bytes).map_err(|_| DbError::Corruption("bad CURRENT".into()))?;
+        let manifest_name = String::from_utf8(name_bytes.to_vec())
+            .map_err(|_| DbError::Corruption("bad CURRENT".into()))?;
         let manifest_path = format!("{dir}/{}", manifest_name.trim());
         let mh = fs
             .open(&manifest_path, t)
@@ -135,7 +135,7 @@ impl VersionSet {
         let mut last_seq = 0u64;
         let mut log_number = 0u64;
         let mut compact_pointers: Vec<Option<InternalKey>> = vec![None; opts.max_levels];
-        let mut reader = LogReader::new(data);
+        let mut reader = LogReader::new(data.to_vec());
         while let Some(record) = reader.next_record() {
             let edit = VersionEdit::decode(&record)?;
             version = apply_edit(&version, &edit, &opts);

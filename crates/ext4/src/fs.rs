@@ -25,7 +25,7 @@ use nob_ssd::{InjectorHandle, IoStats, Ssd};
 use nob_trace::TraceSink;
 
 use crate::inode::Inode;
-use crate::{Ext4Config, FileHandle, FsError, FsStats, InodeId, Result};
+use crate::{Ext4Config, Extent, FileHandle, FsError, FsStats, InodeId, Result};
 
 /// A simulated Ext4 filesystem mounted in `data=ordered` mode.
 ///
@@ -243,6 +243,8 @@ impl Ext4Fs {
     /// An owned buffer appended to an empty file becomes its content as
     /// it is, spare capacity included; a slice, or any append to a
     /// non-empty file, is copied. Nothing else depends on which happened.
+    /// An append to a file that a live [`Extent`] views copies the content
+    /// first, so the extent keeps showing the bytes it was read as.
     ///
     /// May trigger an early asynchronous commit if the dirty-page threshold
     /// is crossed; the caller does not wait for that commit.
@@ -270,8 +272,8 @@ impl Ext4Fs {
                 // Spare capacity is kept: releasing it (`shrink_to_fit`)
                 // lowered peak RSS on a write-heavy load but raised it
                 // more on read-heavy ones, and cost page faults.
-                Cow::Owned(bytes) if inode.content.is_empty() => inode.content = bytes,
-                data => inode.content.extend_from_slice(&data),
+                Cow::Owned(bytes) if inode.content.is_empty() => inode.content = Arc::new(bytes),
+                data => Arc::make_mut(&mut inode.content).extend_from_slice(&data),
             }
             inode.touch();
             inode.cached = true;
@@ -307,7 +309,7 @@ impl Ext4Fs {
         let (base, target) = {
             let inode = g.live_inode_mut(h)?;
             let base = inode.content.len() as u64;
-            inode.content.extend_from_slice(data);
+            Arc::make_mut(&mut inode.content).extend_from_slice(data);
             inode.touch();
             (base, inode.content.len() as u64)
         };
@@ -318,8 +320,9 @@ impl Ext4Fs {
         Ok(end)
     }
 
-    /// Positional read of up to `len` bytes at `offset`. Returns the bytes
-    /// and the caller's new `now`.
+    /// Positional read of up to `len` bytes at `offset`. Returns the bytes,
+    /// as an [`Extent`] sharing the file's content rather than a copy, and
+    /// the caller's new `now`.
     ///
     /// Cached (recently written, unevicted) content costs DRAM time; cold
     /// content costs a synchronous device read. Reads do not populate the
@@ -335,7 +338,7 @@ impl Ext4Fs {
         offset: u64,
         len: u64,
         now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos)> {
+    ) -> Result<(Extent, Nanos)> {
         let mut g = self.lock();
         g.tick(now);
         let inode = g.live_inode(h)?;
@@ -343,7 +346,7 @@ impl Ext4Fs {
         let start = offset.min(total);
         // Saturating: no `offset`/`len` pair may wrap `end` below `start`.
         let end = offset.saturating_add(len).min(total);
-        let data = inode.content[start as usize..end as usize].to_vec();
+        let data = Extent::new(Arc::clone(&inode.content), start as usize..end as usize);
         let got = end - start;
         let done =
             if inode.cached { now + g.cfg.ssd.mem_cost(got) } else { g.ssd.read(now, got).end };
@@ -363,7 +366,7 @@ impl Ext4Fs {
         offset: u64,
         len: u64,
         now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos)> {
+    ) -> Result<(Extent, Nanos)> {
         let (data, done) = self.read_at(h, offset, len, now)?;
         if (data.len() as u64) < len {
             return Err(FsError::ShortRead { wanted: len, available: data.len() as u64 });
@@ -567,7 +570,7 @@ mod tests {
         let now = fs.append(h, b"hello ", Nanos::ZERO).unwrap();
         let now = fs.append(h, b"world", now).unwrap();
         let (data, _) = fs.read_at(h, 0, 64, now).unwrap();
-        assert_eq!(data, b"hello world");
+        assert_eq!(&*data, b"hello world");
         assert_eq!(fs.file_size("a").unwrap(), 11);
     }
 
@@ -620,7 +623,7 @@ mod tests {
         assert_eq!(view.file_size("a").unwrap(), 1 << 20);
         let h2 = view.open("a", done).unwrap();
         let (data, _) = view.read_at(h2, 0, 4, done).unwrap();
-        assert_eq!(data, vec![7u8; 4]);
+        assert_eq!(*data, vec![7u8; 4]);
     }
 
     #[test]
@@ -721,14 +724,14 @@ mod tests {
         let view = fs.crashed_view(now);
         let h = view.open("CURRENT", now).unwrap();
         let (data, _) = view.read_at(h, 0, 64, now).unwrap();
-        assert_eq!(data, b"MANIFEST-1");
+        assert_eq!(&*data, b"MANIFEST-1");
         // After a commit: the new CURRENT, exactly one claimant.
         let later = now + Nanos::from_secs(6);
         fs.tick(later);
         let view = fs.crashed_view(later);
         let h = view.open("CURRENT", later).unwrap();
         let (data, _) = view.read_at(h, 0, 64, later).unwrap();
-        assert_eq!(data, b"MANIFEST-2");
+        assert_eq!(&*data, b"MANIFEST-2");
         assert!(!view.exists("CURRENT.tmp"));
     }
 
@@ -927,7 +930,7 @@ mod tests {
             assert!(view.exists("a"), "metadata commit itself was clean");
             let vh = view.open("a", done).unwrap();
             let (data, _) = view.read_at(vh, 0, 4096, done).unwrap();
-            assert_eq!(data, vec![7u8 ^ DAMAGE_MASK; 4096], "payload is detectably damaged");
+            assert_eq!(*data, vec![7u8 ^ DAMAGE_MASK; 4096], "payload is detectably damaged");
             assert_eq!(fs.stats().data_writebacks_corrupted, 1);
         }
 
@@ -978,6 +981,6 @@ mod tests {
         // Original filesystem still fully functional.
         assert!(fs.exists("a"));
         let (data, _) = fs.read_at(h, 0, 1, now).unwrap();
-        assert_eq!(data, b"x");
+        assert_eq!(&*data, b"x");
     }
 }

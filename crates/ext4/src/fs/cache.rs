@@ -178,7 +178,7 @@ mod tests {
         drop(g);
         // Cold reads still return correct data (device-priced).
         let (data, end) = fs.read_at(handles[0], 0, 16, now + Nanos::from_secs(6)).unwrap();
-        assert_eq!(data, vec![0u8; 16]);
+        assert_eq!(*data, vec![0u8; 16]);
         assert!(end > now + Nanos::from_secs(6));
     }
 

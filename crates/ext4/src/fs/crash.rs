@@ -4,6 +4,7 @@
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nob_sim::Nanos;
 
@@ -162,12 +163,13 @@ impl Ext4Fs {
                 }
                 let len = ev.len.min(persisted) as usize;
                 let mut inode = Inode::new(id, path.clone());
-                inode.content = old.content[..len].to_vec();
+                let mut content = old.content[..len].to_vec();
                 for (s, e) in old.damage_within(len as u64, at) {
-                    for b in &mut inode.content[s as usize..e as usize] {
+                    for b in &mut content[s as usize..e as usize] {
                         *b ^= DAMAGE_MASK;
                     }
                 }
+                inode.content = Arc::new(content);
                 inode.written_back = len as u64;
                 inode.committed_epoch = inode.epoch;
                 inode.committed_at = Some(at);

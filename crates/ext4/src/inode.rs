@@ -1,6 +1,8 @@
 //! In-memory inode records, including the durability history that crash
 //! reconstruction is built from.
 
+use std::sync::Arc;
+
 use nob_sim::Nanos;
 
 use crate::InodeId;
@@ -97,8 +99,10 @@ pub(crate) struct Inode {
     pub(crate) id: InodeId,
     /// Current (in-memory) path; `None` once deleted.
     pub(crate) path: Option<String>,
-    /// Logical content as user space sees it (page cache view).
-    pub(crate) content: Vec<u8>,
+    /// Logical content as user space sees it (page cache view), shared
+    /// with every [`Extent`](crate::Extent) read from it: appends go
+    /// through `Arc::make_mut`, so they copy only while one is alive.
+    pub(crate) content: Arc<Vec<u8>>,
     /// `content[..written_back]` has been handed to the device already
     /// (write-back issued); the remainder is dirty page-cache data.
     pub(crate) written_back: u64,
@@ -125,7 +129,7 @@ impl Inode {
         Inode {
             id,
             path: Some(path),
-            content: Vec::new(),
+            content: Arc::default(),
             written_back: 0,
             epoch: 1,
             committed_epoch: 0,

@@ -62,7 +62,7 @@ pub use config::Ext4Config;
 pub use error::FsError;
 pub use fs::{CommitWindow, Ext4Fs};
 pub use stats::FsStats;
-pub use types::{FileHandle, InodeId};
+pub use types::{Extent, FileHandle, InodeId};
 
 /// Convenient alias for results returned by this crate.
 pub type Result<T> = std::result::Result<T, FsError>;

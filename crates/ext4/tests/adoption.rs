@@ -11,6 +11,11 @@
 //! and page-cache state (seen as read costs), journal history and file
 //! bytes; at the end, every crash view on a grid and at every commit-window
 //! boundary must leave the same disk.
+//!
+//! A read hands back the same bytes without copying them: an adopted image
+//! is read where it lies, an append under a live read copies the file
+//! first so the read keeps what it saw, and with no read alive an append
+//! into spare capacity moves nothing.
 
 use std::collections::BTreeSet;
 
@@ -155,4 +160,39 @@ fn an_adopted_buffer_is_observed_exactly_as_a_copied_one() {
     for (i, (o, c)) in owned.iter().zip(&copied).enumerate() {
         assert_eq!(o, c, "observation {i} differs");
     }
+}
+
+#[test]
+fn a_read_is_a_snapshot_that_shares_the_file_bytes() {
+    let fs = Ext4Fs::new(Ext4Config::default());
+    let h = fs.create("t", Nanos::ZERO).unwrap();
+    let mut image = Vec::with_capacity(8 << 10);
+    image.resize(4 << 10, 1u8);
+    let adopted = image.as_ptr();
+    let now = fs.append(h, image, Nanos::ZERO).unwrap();
+
+    // The adopted image is read where it lies, not copied out.
+    let (first, _) = fs.read_at(h, 0, 4 << 10, now).unwrap();
+    assert_eq!(first.as_ptr(), adopted, "the read copied the file");
+    let (tail, _) = fs.read_exact_at(h, 1 << 10, 16, now).unwrap();
+    assert_eq!(tail.as_ptr(), adopted.wrapping_add(1 << 10));
+
+    // An append while an extent is alive leaves the extent's bytes as
+    // they were read; the file moves to a copy.
+    let now = fs.append(h, [2u8; 100].as_slice(), now).unwrap();
+    assert_eq!(first.len(), 4 << 10);
+    assert!(first.iter().all(|&b| b == 1), "an extent saw a later append");
+    assert_eq!(first.as_ptr(), adopted);
+    let (grown, _) = fs.read_at(h, 0, (4 << 10) + 100, now).unwrap();
+    assert_ne!(grown.as_ptr(), adopted, "the append wrote under a live extent");
+    assert_eq!(&grown[4 << 10..], &[2u8; 100][..]);
+
+    // With no extent alive, an append that fits the spare capacity the
+    // copy grew leaves the bytes where they are.
+    let moved = grown.as_ptr();
+    drop((first, tail, grown));
+    let now = fs.append(h, [3u8; 10].as_slice(), now).unwrap();
+    let (last, _) = fs.read_at(h, 0, (4 << 10) + 110, now).unwrap();
+    assert_eq!(last.as_ptr(), moved, "an append with no extent alive moved the bytes");
+    assert_eq!(&last[(4 << 10) + 100..], &[3u8; 10][..]);
 }

@@ -166,7 +166,7 @@ fn disk(fs: &Ext4Fs, at: Nanos) -> (Vec<(String, Vec<u8>)>, u64) {
             let h = view.open(&p, at).unwrap();
             let len = view.file_size(&p).unwrap();
             let (bytes, _) = view.read_at(h, 0, len, at).unwrap();
-            (p, bytes)
+            (p, bytes.to_vec())
         })
         .collect();
     (files, view.stats().ordered_violations)

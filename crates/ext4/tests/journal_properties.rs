@@ -157,7 +157,7 @@ proptest! {
                 if size < want.len() as u64 { return false; }
                 let h = view.open(q, end).unwrap();
                 let (data, _) = view.read_at(h, 0, want.len() as u64, end).unwrap();
-                &data == want
+                *data == want[..]
             });
             prop_assert!(found, "acked content for {} not recoverable", p);
         }

@@ -112,7 +112,7 @@ fn crash_between_stream_and_commit_loses_only_metadata() {
     // And the committed data is exactly what was written.
     let h2 = view.open("a", late).unwrap();
     let (data, _) = view.read_at(h2, 100, 8, late).unwrap();
-    assert_eq!(data, vec![7u8; 8]);
+    assert_eq!(*data, vec![7u8; 8]);
 }
 
 #[test]

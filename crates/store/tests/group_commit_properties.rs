@@ -275,7 +275,7 @@ fn wal_bytes(store: &Store, shard: usize) -> Vec<u8> {
         if path.ends_with(".log") {
             let size = fs.file_size(&path).expect("listed");
             let handle = fs.open(&path, now).expect("listed");
-            bytes.extend(fs.read_at(handle, 0, size, now).expect("read").0);
+            bytes.extend_from_slice(&fs.read_at(handle, 0, size, now).expect("read").0);
         }
     }
     bytes

@@ -3,14 +3,19 @@
 # top-down tree of this repository's functions — the profiler for a sandbox
 # that has `cc` and `addr2line` but no perf.
 #
-#     scripts/hostprof/hostprof.sh [--min-pct P] [--self] <command> [args...]
+#     scripts/hostprof/hostprof.sh [--min-pct P] [--self] [--under FRAME] \
+#         <command> [args...]
 #     scripts/hostprof/hostprof.sh bench/ledger/target/release/bench_ledger \
 #         --workload scan --seed 7 --seconds 10 --trace 0
 #
 # --self prints a flat self-time table instead of the tree: samples by
 # innermost repository frame, with its [memcpy] / [malloc] / [free] /
 # [realloc] leaf — which function does the work, where the tree says who
-# asked for it.
+# asked for it. --under FRAME keeps only the samples whose stack passes
+# through a function whose name contains FRAME, with shares of those
+# samples: `--under '::timed'` leaves a ledger workload's setup out, and
+# `--under 'Db>::get'` keeps the engine's GETs (methods resolve as
+# `<impl noblsm::db::Db>::get`).
 #
 # Builds the LD_PRELOAD shim (hostprof.c) into target/hostprof/, runs the
 # command under it — its output goes to stderr, so stdout is the tree alone —
@@ -28,14 +33,21 @@ cd "$here/../.."
 
 min_pct=1
 view=()
-while [[ ${1:-} == --min-pct || ${1:-} == --self ]]; do
-    if [[ $1 == --self ]]; then
-        view=(--self)
-        shift
-    else
-        min_pct=${2:?--min-pct needs a value}
-        shift 2
-    fi
+while [[ ${1:-} == --min-pct || ${1:-} == --self || ${1:-} == --under ]]; do
+    case $1 in
+        --self)
+            view+=(--self)
+            shift
+            ;;
+        --under)
+            view+=(--under "${2:?--under needs a frame name}")
+            shift 2
+            ;;
+        *)
+            min_pct=${2:?--min-pct needs a value}
+            shift 2
+            ;;
+    esac
 done
 if [[ $# -eq 0 ]]; then
     sed -n '2,/^set -euo/{/^set -euo/!s/^# \{0,1\}//p}' "$0" >&2

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turns a hostprof sample file into a top-down tree, or a self-time table.
 
-    report.py SAMPLES [--min-pct P] [--self]
+    report.py SAMPLES [--min-pct P] [--self] [--under FRAME]
 
 SAMPLES is what the hostprof shim wrote: the process's memory map (`M`
 lines), where memcpy and memmove resolved to (`C`) and one raw stack per
@@ -23,6 +23,12 @@ its innermost repository frame and the leaf below it, if any
 (`nob_ext4::fs::Ext4Fs::append [memcpy]`): where the time is spent, not who
 asked for it. Samples with no repository frame on their stack are counted
 under `(outside this repository)`.
+
+`--under FRAME` keeps only the samples whose stack passes through a function
+whose name contains FRAME, and gives every share, in the tree or the table,
+of those samples: `--under '::timed'` leaves a ledger workload's setup out,
+`--under 'Db>::get'` keeps the engine's GETs (a method of `Db` resolves as
+`noblsm::db::read::<impl noblsm::db::Db>::get`).
 """
 
 import argparse
@@ -97,6 +103,7 @@ def main():
     ap.add_argument("samples")
     ap.add_argument("--min-pct", type=float, default=1.0, help="hide lines below this share")
     ap.add_argument("--self", action="store_true", help="flat self-time table instead of the tree")
+    ap.add_argument("--under", metavar="FRAME", help="only samples with a frame naming FRAME")
     args = ap.parse_args()
 
     maps, bases, stacks, copies = load(args.samples)
@@ -131,9 +138,11 @@ def main():
     root = tree()
     flat = collections.Counter()
     for frames in located:
+        funcs_of = [[at] if at == "memcpy" else names.get(at, ["??"]) for at in frames]
+        if args.under and not any(args.under in f for funcs in funcs_of for f in funcs):
+            continue
         path, leaf = [], None
-        for at in frames:  # innermost first
-            funcs = [at] if at == "memcpy" else names.get(at, ["??"])
+        for funcs in funcs_of:  # innermost first
             ours = [f for f in funcs if OURS.search(f)]
             if not ours and not path:
                 # Still above our code: an allocator or copy frame names the leaf;
@@ -154,6 +163,10 @@ def main():
             node[0] += 1
 
     total = root[0]
+    if args.under:
+        print(f"{total} of {len(located)} samples pass through a frame naming `{args.under}`")
+        if not total:
+            return
     if args.self:
         print(f"{total} samples; self share of all of them, lines under {args.min_pct} % hidden")
         for name, n in flat.most_common():

@@ -39,8 +39,13 @@ const MAX_SOURCE_LINES: usize = 1_516;
 
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
-/// it without saying in the PR which new item is API and why.
-const MAX_SURFACE_LINES: usize = 1_011;
+/// it without saying in the PR which new item is API and why. Last raised
+/// by two, from 1 011, for `nob_ext4::Extent` and its `truncate`: a read
+/// returns a view of the file's bytes instead of a copy, and a block
+/// narrows that view to its payload. Narrowing `BlockIter` or `TableIter`
+/// instead would leave `Block::iter` / `Table::iter` returning a private
+/// type (a `private_interfaces` warning).
+const MAX_SURFACE_LINES: usize = 1_013;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
