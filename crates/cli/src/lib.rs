@@ -1,19 +1,17 @@
 //! The command interpreter behind `noblsm-cli`: a scriptable driver for a
-//! simulated NobLSM deployment — open a store of one or more shards, write,
-//! read, scan, advance virtual time, pull the power cable, and inspect
-//! engine internals.
+//! simulated NobLSM deployment — open a store of one or more shards, talk
+//! to it as a wire client, advance virtual time, pull the power cable,
+//! and inspect engine internals.
 //!
 //! # Commands
 //!
 //! ```text
 //! open <mode> [shards]   noblsm | leveldb | volatile | bolt | pebblesdb …
-//!                        on 1 shard unless told; each shard is its own
-//!                        engine + ext4 + SSD stack, all on one clock
-//! put <key> <value>      insert/overwrite (group-committed)
-//! get <key>              point read, routed to the key's shard
-//! del <key>              delete
-//! scan <start> <n> [reverse] [count]   range scan merged across every
-//!                        shard (reversed, or counting rows only)
+//!                        on 1 shard unless told, served in process; each
+//!                        shard is its own engine + ext4 + SSD stack, all
+//!                        on one clock
+//! connect <addr>         send the wire verbs to a `noblsm-cli serve` over
+//!                        TCP instead (the local store closes)
 //! fill <n> <value_size> [writers]   n records from W logical writers
 //!                        per group-commit round (default 1)
 //! advance <ms>           advance virtual time (journal timers fire)
@@ -23,15 +21,12 @@
 //! flush                  force every shard's memtable to L0
 //! compact                full manual compaction of every shard
 //! compact lanes <n>      reconfigure every shard's compaction lanes
-//! stats                  group-commit counters, then per shard the
-//!                        engine's noblsm.stats and filesystem counters
 //! levels                 files per level, per shard
 //! time                   current virtual instant
 //! chaos <seed> [pm] [fseed]   one fault-injected crash/recovery case
 //! chaos sweep [seeds] [points]  campaign over seeds × crash points
 //! trace on|off           start/stop recording spans from all layers
 //! trace summary          per-class latency percentiles + top stalls
-//! trace stalls           the recorded stalls with causal attribution
 //! trace tree [trace_id]  render recorded span trees (all roots, or one)
 //! trace critical [n]     critical-path decomposition + n slowest trees
 //! trace export json|chrome <path>   dump raw spans to a file
@@ -51,6 +46,20 @@
 //! help                   this text
 //! ```
 //!
+//! Any other line is a request of the server's wire protocol, its words
+//! the request's arguments (`""` is the empty one), and prints the reply
+//! as redis-cli does:
+//!
+//! ```text
+//! set <key> <value> | get <key> | del <key> | mget <key>…
+//! batch set <k> <v> | del <k> …            one atomic write
+//! scan <start> <end> <n> [PREFIX <p>] [COUNT]   a page: cursor (0 when
+//!                        done) and rows; `""` leaves a bound open
+//! scan next <cursor>     the cursor's next page
+//! ping | info            liveness; server, store and per-shard counters
+//!                        (engine stats, syncs, journal bytes)
+//! ```
+//!
 //! A word starting with `#` begins a comment that runs to the end of the
 //! line.
 //!
@@ -60,7 +69,7 @@
 //! use nob_cli::Session;
 //!
 //! let mut s = Session::new();
-//! let out = s.run_script("open noblsm\nput k hello\nget k\n");
+//! let out = s.run_script("open noblsm\nset k hello\nget k\n");
 //! assert!(out.contains("hello"));
 //! ```
 
@@ -68,6 +77,7 @@
 
 pub mod net;
 
+use std::cell::RefMut;
 use std::fmt::Write as _;
 
 use nob_baselines::Variant;
@@ -76,16 +86,25 @@ use nob_repl::{
     shared as shared_repl, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, SharedRepl,
     Subscription,
 };
+use nob_server::{
+    shared, Client, Frame, LoopbackTransport, Request, ServerCore, ServerOptions, SharedCore,
+    TcpTransport, Transport,
+};
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
 use nob_trace::TraceSink;
-use noblsm::{Db, Error, Options, ReadOptions, ScanOptions, WriteBatch, WriteOptions};
+use noblsm::{Db, Error, Options, ReadOptions, WriteBatch, WriteOptions};
 
-/// One interactive session: an optional open store and the session's
-/// shared virtual clock.
+/// One interactive session: an optional store served in process, the
+/// client the wire verbs go through, and the session's shared virtual
+/// clock.
 pub struct Session {
-    /// The open store: one shard or several, each its own stack.
-    store: Option<Store>,
+    /// The open store (one shard or several, each its own stack), behind
+    /// the in-process server the loopback client talks to.
+    local: Option<SharedCore>,
+    /// The client every wire verb goes through: a loopback to `local`,
+    /// or TCP after `connect`.
+    client: Option<Client<Link>>,
     variant: Variant,
     /// The session's clock, shared with the open store: commands read
     /// and advance it.
@@ -93,7 +112,7 @@ pub struct Session {
     /// The instant the store finished opening or recovering: `crash`
     /// cuts power no earlier than this.
     opened_at: Nanos,
-    /// Optional replication pair, independent of `store`.
+    /// Optional replication pair, independent of `local`.
     repl: Option<ReplSession>,
     /// Live trace sink, kept across `open`/`crash` reattachments.
     trace: Option<TraceSink>,
@@ -104,9 +123,32 @@ pub struct Session {
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("open", &self.store.is_some())
+            .field("open", &self.local.is_some())
             .field("now", &self.clock.now())
             .finish()
+    }
+}
+
+/// The transport under the session's client: the local server in
+/// process, or a remote one over TCP.
+enum Link {
+    Loopback(LoopbackTransport),
+    Tcp(TcpTransport),
+}
+
+impl Transport for Link {
+    fn send(&mut self, bytes: &[u8]) -> Result<(), Error> {
+        match self {
+            Link::Loopback(t) => t.send(bytes),
+            Link::Tcp(t) => t.send(bytes),
+        }
+    }
+
+    fn recv(&mut self, out: &mut Vec<u8>) -> Result<usize, Error> {
+        match self {
+            Link::Loopback(t) => t.recv(out),
+            Link::Tcp(t) => t.recv(out),
+        }
     }
 }
 
@@ -124,6 +166,10 @@ fn base_options() -> Options {
     let mut o = Options::default().with_table_size(256 << 10);
     o.level1_max_bytes = 1 << 20;
     o
+}
+
+fn no_database() -> Error {
+    Error::Usage("no database open (use `open <mode> [shards]` or `connect <addr>`)".into())
 }
 
 /// Parses `s` as a number, naming it `what` in the error.
@@ -145,7 +191,8 @@ impl Session {
     /// Creates a session with no store open, at virtual time zero.
     pub fn new() -> Self {
         Session {
-            store: None,
+            local: None,
+            client: None,
             variant: Variant::NobLsm,
             clock: SharedClock::new(),
             opened_at: Nanos::ZERO,
@@ -172,20 +219,13 @@ impl Session {
 
     /// Executes a newline-separated script; returns concatenated output.
     pub fn run_script(&mut self, script: &str) -> String {
-        let mut out = String::new();
-        for line in script.lines() {
-            if line.trim().is_empty() || line.trim_start().starts_with('#') {
-                continue;
-            }
-            out.push_str(&self.run_line(line));
-        }
-        out
+        script.lines().map(|line| self.run_line(line)).collect()
     }
 
-    fn store(&mut self) -> Result<&mut Store, Error> {
-        self.store
-            .as_mut()
-            .ok_or_else(|| Error::Usage("no database open (use `open <mode> [shards]`)".into()))
+    /// The local store, borrowed out of the server that serves it.
+    fn store(&self) -> Result<RefMut<'_, Store>, Error> {
+        let core = self.local.as_ref().ok_or_else(no_database)?;
+        Ok(RefMut::map(core.borrow_mut(), ServerCore::store_mut))
     }
 
     fn repl(&mut self) -> Result<&mut ReplSession, Error> {
@@ -199,10 +239,11 @@ impl Session {
         link.ok_or_else(|| "follower was promoted (use `repl open` for a new pair)".into())
     }
 
-    /// Makes `store` the session's: every shard's crash horizon is pinned
-    /// (`crash` cuts power in the past), the live sink and hub move over
-    /// from the store it replaces, and the session runs on its clock.
-    fn install(&mut self, mut store: Store) {
+    /// Makes `store` the session's, served in process: every shard's
+    /// crash horizon is pinned (`crash` cuts power in the past), the live
+    /// sink and hub move over from the store it replaces, and the session
+    /// runs on its clock.
+    fn install(&mut self, mut store: Store) -> Result<(), Error> {
         self.detach_metrics();
         for i in 0..store.shards() {
             store.shard_db(i).fs().pin_crash_horizon();
@@ -215,13 +256,16 @@ impl Session {
         }
         self.clock = store.clock().clone();
         self.opened_at = self.clock.now();
-        self.store = Some(store);
+        let core = shared(ServerCore::new(store, ServerOptions::default())?);
+        self.client = Some(Client::new(Link::Loopback(LoopbackTransport::connect(&core))));
+        self.local = Some(core);
+        Ok(())
     }
 
     /// Stops the open store's shards sampling into the hub; the hub keeps
     /// its timeline.
-    fn detach_metrics(&mut self) {
-        if let Some(store) = self.store.as_mut() {
+    fn detach_metrics(&self) {
+        if let Ok(mut store) = self.store() {
             for i in 0..store.shards() {
                 store.shard_db_mut(i).clear_metrics_hub();
             }
@@ -231,10 +275,10 @@ impl Session {
     /// Runs `op` on every shard's engine in shard order, handing it the
     /// clock's instant; returns the latest instant an `op` returned.
     fn on_every_shard(
-        &mut self,
+        &self,
         mut op: impl FnMut(&mut Db, Nanos) -> Result<Nanos, Error>,
     ) -> Result<Nanos, Error> {
-        let store = self.store()?;
+        let mut store = self.store()?;
         let mut end = store.clock().now();
         for i in 0..store.shards() {
             let now = store.clock().now();
@@ -243,67 +287,50 @@ impl Session {
         Ok(end)
     }
 
+    /// Sends `words` as one wire request and prints the reply. The
+    /// request is parsed here first, so a bad one reads the same whether
+    /// or not there is a server to send it to.
+    fn request(&mut self, words: &[&str], out: &mut String) -> Result<(), Error> {
+        let word = |&w: &&str| Frame::Bulk(if w == "\"\"" { Vec::new() } else { w.into() });
+        let frame = Frame::Array(words.iter().map(word).collect());
+        let req = Request::parse(&frame).map_err(|e| format!("ERR {e}"))?;
+        let client = self.client.as_mut().ok_or_else(no_database)?;
+        client.send(&req)?;
+        match client.recv_reply()? {
+            Frame::Error(m) => Err(m.into()),
+            reply => {
+                render(&reply, 0, out);
+                Ok(())
+            }
+        }
+    }
+
     fn dispatch(&mut self, line: &str, out: &mut String) -> Result<(), Error> {
-        let mut parts = line.split_whitespace().take_while(|w| !w.starts_with('#'));
-        let Some(cmd) = parts.next() else { return Ok(()) };
-        let args: Vec<&str> = parts.collect();
+        let words: Vec<&str> =
+            line.split_whitespace().take_while(|w| !w.starts_with('#')).collect();
+        let Some((&cmd, args)) = words.split_first() else { return Ok(()) };
         match cmd {
             "open" => {
                 let variant = parse_variant(args.first().copied().unwrap_or("noblsm"))?;
-                let shards: usize = arg_or(&args, 1, "shards", 1)?;
+                let shards: usize = arg_or(args, 1, "shards", 1)?;
                 let opts = StoreOptions {
                     shards,
                     db: variant.options(&base_options()),
                     ..StoreOptions::default()
                 };
                 let store = Store::open_with_clock(opts, self.clock.clone())?;
-                self.install(store);
+                self.install(store)?;
                 self.variant = variant;
                 let (name, now) = (variant.name(), self.clock.now());
                 let _ = writeln!(out, "opened {name} on {shards} shards at {now}");
             }
-            "put" | "del" => {
-                let mut batch = WriteBatch::new();
-                match (cmd, &args[..]) {
-                    ("put", [k, v]) => batch.put(k.as_bytes(), v.as_bytes()),
-                    ("del", [k]) => batch.delete(k.as_bytes()),
-                    ("put", _) => return Err("usage: put <key> <value>".into()),
-                    _ => return Err("usage: del <key>".into()),
-                }
-                let t = self.store()?.write(&WriteOptions::default(), batch)?;
-                let _ = writeln!(out, "OK ({t})");
-            }
-            "get" => {
-                let [k] = args[..] else { return Err("usage: get <key>".into()) };
-                let store = self.store()?;
-                let shard = store.shard_of(k.as_bytes());
-                let got = store.get(&ReadOptions::default(), k.as_bytes())?;
-                let t = store.clock().now();
-                let _ = writeln!(out, "{} (shard {shard}, {t})", shown(got));
-            }
-            "scan" => {
-                const USAGE: &str = "usage: scan <start> <n> [reverse] [count]";
-                let [start, n, flags @ ..] = &args[..] else { return Err(USAGE.into()) };
-                let mut sopts =
-                    ScanOptions::starting_at(start.as_bytes()).with_limit(num(n, "n")?);
-                for f in flags {
-                    match *f {
-                        "reverse" => sopts = sopts.reversed(),
-                        "count" => sopts = sopts.counting(),
-                        _ => return Err(USAGE.into()),
-                    }
-                }
-                let store = self.store()?;
-                let r = store.scan(&ReadOptions::default(), &sopts)?;
-                let t = store.clock().now();
-                for (k, v) in &r.rows {
-                    let (k, v) = (String::from_utf8_lossy(k), String::from_utf8_lossy(v));
-                    let _ = writeln!(out, "{k} = {v}");
-                }
-                let more = r.resume.map_or(String::new(), |k| {
-                    format!("more from {}, ", String::from_utf8_lossy(&k))
-                });
-                let _ = writeln!(out, "({} rows, {more}{t})", r.count);
+            "connect" => {
+                let [addr] = args[..] else { return Err("usage: connect <addr>".into()) };
+                let link = Link::Tcp(TcpTransport::connect(addr)?);
+                self.detach_metrics();
+                self.local = None;
+                self.client = Some(Client::new(link));
+                let _ = writeln!(out, "connected to {addr}");
             }
             "fill" => {
                 let ([n, vs] | [n, vs, _]) = args[..] else {
@@ -311,8 +338,8 @@ impl Session {
                 };
                 let n: u64 = num(n, "n")?;
                 let value = vec![b'x'; num(vs, "value_size")?];
-                let writers: u64 = arg_or(&args, 2, "writers", 1)?.max(1);
-                let store = self.store()?;
+                let writers: u64 = arg_or(args, 2, "writers", 1)?.max(1);
+                let mut store = self.store()?;
                 let (before, start) = (store.stats(), store.clock().now());
                 // Keys 0..n, zero-padded, in a shuffled order: a
                 // full-period LCG modulo a power of two (multiplier ≡ 1
@@ -360,7 +387,7 @@ impl Session {
                     .filter(|&end| end < u64::MAX)
                     .ok_or("usage: advance <ms> (the end overflows the virtual clock)")?;
                 self.clock.advance_to(Nanos::from_nanos(end));
-                if let Some(store) = self.store.as_mut() {
+                if let Ok(mut store) = self.store() {
                     store.tick()?;
                 }
                 let _ = writeln!(out, "now {}", self.clock.now());
@@ -388,7 +415,7 @@ impl Session {
                 _ => return Err("usage: compact [lanes <n>]".into()),
             },
             "crash" => {
-                let pct: u64 = arg_or(&args, 0, "percent", 100)?;
+                let pct: u64 = arg_or(args, 0, "percent", 100)?;
                 // Measured from the instant this stack finished opening or
                 // recovering: a cut before it would rewind past the
                 // recovery whose files the stack now runs on.
@@ -397,7 +424,7 @@ impl Session {
                 let at = self.opened_at + Nanos::from_nanos(cut as u64);
                 let recovered = self.store()?.crashed_view(at)?;
                 let shards = recovered.shards();
-                self.install(recovered);
+                self.install(recovered)?;
                 let name = self.variant.name();
                 let _ = writeln!(out, "power failed at {at}; recovered {name} on {shards} shards");
             }
@@ -407,36 +434,16 @@ impl Session {
                     let _ = writeln!(out, "shard{i}: {:?}", store.shard_db(i).level_file_counts());
                 }
             }
-            "stats" => {
-                let store = self.store()?;
-                let (s, shards, pending) = (store.stats(), store.shards(), store.pending());
-                let _ = writeln!(
-                    out,
-                    "shards={shards} groups={} batches={} merged_bytes={} pending={pending}",
-                    s.groups, s.batches, s.merged_bytes
-                );
-                for i in 0..shards {
-                    let db = store.shard_db(i);
-                    let engine = db.property("noblsm.stats").unwrap_or_default();
-                    let _ = writeln!(out, "shard{i}: {engine}");
-                    let f = db.fs().stats();
-                    let _ = writeln!(
-                        out,
-                        "shard{i}: syncs={} bytes_synced={} async_commits={} journal_bytes={}",
-                        f.sync_calls, f.bytes_synced, f.async_commits, f.journal_bytes
-                    );
-                }
-            }
             "time" => {
                 let _ = writeln!(out, "{}", self.clock.now());
             }
-            "repl" => self.dispatch_repl(&args, out)?,
+            "repl" => self.dispatch_repl(args, out)?,
             // Self-contained: runs against its own fresh simulated stack,
             // leaving the session's store untouched.
             "chaos" => match args.first().copied() {
                 Some("sweep") => {
-                    let seeds: u64 = arg_or(&args, 1, "seeds", 2)?;
-                    let points: u32 = arg_or(&args, 2, "points", 3)?;
+                    let seeds: u64 = arg_or(args, 1, "seeds", 2)?;
+                    let points: u32 = arg_or(args, 2, "points", 3)?;
                     let mut spec = nob_chaos::CampaignSpec::smoke();
                     spec.seeds = (1..=seeds.max(1)).collect();
                     let m = points.max(1);
@@ -454,8 +461,8 @@ impl Session {
                 }
                 Some(seed) => {
                     let seed: u64 = num(seed, "seed")?;
-                    let crash_pm: u32 = arg_or(&args, 1, "pm", 500)?;
-                    let fault_seed: u64 = arg_or(&args, 2, "fseed", seed)?;
+                    let crash_pm: u32 = arg_or(args, 1, "pm", 500)?;
+                    let fault_seed: u64 = arg_or(args, 2, "fseed", seed)?;
                     let mut case = nob_chaos::ChaosCase::new(seed, 1);
                     case.crash_pm = crash_pm.min(1000);
                     case.plan = nob_chaos::FaultPlan::seeded(fault_seed);
@@ -494,13 +501,13 @@ impl Session {
             "trace" => match args.first().copied() {
                 Some("on") => {
                     let sink = self.trace.get_or_insert_with(TraceSink::new).clone();
-                    if let Some(store) = self.store.as_mut() {
+                    if let Ok(mut store) = self.store() {
                         store.set_trace_sink(sink);
                     }
                     let _ = writeln!(out, "tracing on");
                 }
                 Some("off") => {
-                    if let Some(store) = self.store.as_mut() {
+                    if let Ok(mut store) = self.store() {
                         store.clear_trace_sink();
                     }
                     self.trace = None;
@@ -509,34 +516,6 @@ impl Session {
                 Some("summary") => {
                     let sink = self.trace.as_ref().ok_or("tracing is off (use `trace on`)")?;
                     out.push_str(&sink.summary().render());
-                }
-                Some("stalls") => {
-                    let sink = self.trace.as_ref().ok_or("tracing is off (use `trace on`)")?;
-                    let s = sink.summary();
-                    if s.top_stalls.is_empty() {
-                        let _ = writeln!(out, "no write stalls recorded");
-                    }
-                    for (i, st) in s.top_stalls.iter().enumerate() {
-                        let _ = write!(
-                            out,
-                            "{:>3}. {:<9} {} at t={}",
-                            i + 1,
-                            st.kind.name(),
-                            st.duration(),
-                            st.start
-                        );
-                        for cause in [&st.cause_commit, &st.cause_flush].into_iter().flatten() {
-                            let _ = write!(
-                                out,
-                                "  <- {} #{} [t={}, {}]",
-                                cause.class.name(),
-                                cause.seq,
-                                cause.start,
-                                cause.duration()
-                            );
-                        }
-                        let _ = writeln!(out);
-                    }
                 }
                 Some("tree") => {
                     let sink = self.trace.as_ref().ok_or("tracing is off (use `trace on`)")?;
@@ -564,7 +543,7 @@ impl Session {
                 }
                 Some("critical") => {
                     let sink = self.trace.as_ref().ok_or("tracing is off (use `trace on`)")?;
-                    let top_n: usize = arg_or(&args, 1, "n", 3)?;
+                    let top_n: usize = arg_or(args, 1, "n", 3)?;
                     out.push_str(&sink.critical_summary(top_n).render());
                 }
                 Some("export") => {
@@ -577,12 +556,11 @@ impl Session {
                         "chrome" => sink.chrome_trace().to_string(),
                         other => return Err(format!("unknown export format {other}").into()),
                     };
-                    std::fs::write(path, &body).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    let _ = writeln!(out, "wrote {path} ({} bytes)", body.len());
+                    write_file(path, &body, out)?;
                 }
                 _ => {
                     return Err(
-                        "usage: trace on|off|summary|stalls|tree [trace_id]|critical [n]|export <json|chrome> <path>"
+                        "usage: trace on|off|summary|tree [trace_id]|critical [n]|export <json|chrome> <path>"
                             .into()
                     )
                 }
@@ -590,7 +568,7 @@ impl Session {
             "metrics" => match args.first().copied() {
                 Some("on") => {
                     let hub = self.metrics.get_or_insert_with(MetricsHub::new).clone();
-                    if let Some(store) = self.store.as_mut() {
+                    if let Ok(mut store) = self.store() {
                         store.set_metrics_hub(&hub);
                     }
                     let _ = writeln!(out, "metrics on (period {})", DEFAULT_PERIOD);
@@ -628,11 +606,7 @@ impl Session {
                         other => return Err(format!("unknown export format {other}").into()),
                     };
                     match path {
-                        Some(p) => {
-                            std::fs::write(p, &body)
-                                .map_err(|e| format!("cannot write {p}: {e}"))?;
-                            let _ = writeln!(out, "wrote {p} ({} bytes)", body.len());
-                        }
+                        Some(p) => write_file(p, &body, out)?,
                         None => out.push_str(&body),
                     }
                 }
@@ -653,11 +627,12 @@ impl Session {
             "help" => {
                 let _ = writeln!(
                     out,
-                    "commands: open put get del scan fill advance flush compact [lanes <n>] crash chaos trace metrics repl levels stats time help quit"
+                    "commands: open connect fill advance flush compact [lanes <n>] crash levels time chaos trace metrics repl help quit\n\
+                     wire requests: set get del mget batch scan [next] ping info"
                 );
             }
             "quit" | "exit" => {}
-            other => return Err(format!("unknown command {other} (try `help`)").into()),
+            _ => self.request(&words, out)?,
         }
         Ok(())
     }
@@ -712,7 +687,9 @@ impl Session {
                 let ms: u64 = arg_or(args, 2, "staleness_ms", 60_000)?;
                 let ropts = ReadOptions::default().with_max_staleness(Nanos::from_millis(ms));
                 let got = self.follower_link()?.get(&ropts, k.as_bytes())?;
-                let _ = writeln!(out, "{} (follower, bound {ms} ms)", shown(got));
+                let got =
+                    got.map_or("<not found>".into(), |v| String::from_utf8_lossy(&v).into_owned());
+                let _ = writeln!(out, "{got} (follower, bound {ms} ms)");
             }
             Some("subscribe") => {
                 let from: Option<u64> = args.get(1).map(|s| num(s, "from_seq")).transpose()?;
@@ -797,9 +774,35 @@ impl Session {
     }
 }
 
-/// A read's value as text, or `<not found>`.
-fn shown(value: Option<Vec<u8>>) -> String {
-    value.map_or("<not found>".into(), |v| String::from_utf8_lossy(&v).into_owned())
+/// Writes an export's `body` to `path` and says so.
+fn write_file(path: &str, body: &str, out: &mut String) -> Result<(), Error> {
+    std::fs::write(path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
+    let _ = writeln!(out, "wrote {path} ({} bytes)", body.len());
+    Ok(())
+}
+
+/// Appends `frame` as redis-cli prints a reply: a bulk string quoted
+/// (one ending in a newline, INFO's text, as it is), an array one
+/// numbered element a line, a nested array's elements aligned under its
+/// first.
+fn render(frame: &Frame, indent: usize, out: &mut String) {
+    let _ = match frame {
+        Frame::Simple(s) => writeln!(out, "{s}"),
+        Frame::Error(m) => writeln!(out, "(error) {m}"),
+        Frame::Integer(n) => writeln!(out, "(integer) {n}"),
+        Frame::Bulk(b) if b.ends_with(b"\n") => write!(out, "{}", String::from_utf8_lossy(b)),
+        Frame::Bulk(b) => writeln!(out, "{:?}", String::from_utf8_lossy(b)),
+        Frame::Nil => writeln!(out, "(nil)"),
+        Frame::Array(items) if items.is_empty() => writeln!(out, "(empty array)"),
+        Frame::Array(items) => {
+            for (i, item) in items.iter().enumerate() {
+                let tag = format!("{}) ", i + 1);
+                let _ = write!(out, "{:pad$}{tag}", "", pad = if i == 0 { 0 } else { indent });
+                render(item, indent + tag.len(), out);
+            }
+            Ok(())
+        }
+    };
 }
 
 /// Parses the variant name `open` takes.
@@ -832,84 +835,84 @@ mod tests {
     #[test]
     fn put_get_del_cycle() {
         let mut s = Session::new();
-        let out = s.run_script("open noblsm\nput name noblsm\nget name\ndel name\nget name\n");
+        let out = s.run_script("open noblsm\nset name noblsm\nget name\ndel name\nget name\n");
         assert!(out.contains("opened NobLSM on 1 shards"), "{out}");
-        assert!(out.contains("noblsm (shard 0,"), "{out}");
-        assert!(out.contains("<not found>"));
+        assert!(out.contains("OK\n\"noblsm\"\nOK\n(nil)\n"), "{out}");
     }
 
     #[test]
     fn store_commands_group_commit_and_read_back() {
         let mut s = Session::new();
         let out =
-            s.run_script("open noblsm 4\nput alpha 1\nget alpha\nfill 200 64 4\nstats\nlevels\n");
+            s.run_script("open noblsm 4\nset alpha 1\nget alpha\nfill 200 64 4\ninfo\nlevels\n");
         assert!(out.contains("opened NobLSM on 4 shards"), "{out}");
-        assert!(out.contains("1 (shard"), "{out}");
+        assert!(out.contains("\"1\"\n"), "{out}");
         assert!(out.contains("filled 200 records"), "{out}");
         assert!(out.contains("batches/group"), "{out}");
-        assert!(out.contains("shards=4"), "{out}");
-        assert!(out.contains("shard3: writes="), "{out}");
-        assert!(out.contains("shard3: syncs="), "{out}");
+        assert!(out.contains("shards:4"), "{out}");
+        assert!(out.contains("# shard3\nnoblsm.stats:writes="), "{out}");
+        assert!(out.contains("\nfs:syncs="), "{out}");
         assert!(out.contains("shard3: ["), "{out}");
     }
 
     #[test]
     fn commands_require_open_db() {
         let mut s = Session::new();
-        let out = s.run_line("put a b");
+        let out = s.run_line("set a b");
         assert!(out.contains("no database open"), "{out}");
     }
 
     #[test]
     fn fill_scan_and_levels() {
         let mut s = Session::new();
-        let out = s.run_script("open leveldb\nfill 2000 100\nflush\nlevels\nscan 00 3\nstats\n");
+        let out =
+            s.run_script("open leveldb\nfill 2000 100\nflush\nlevels\nscan 00 \"\" 3\ninfo\n");
         assert!(out.contains("filled 2000 records"));
-        assert!(out.contains("0000000000000002 = x"), "fill writes keys 0..n: {out}");
-        assert!(out.contains("rows,"));
-        assert!(out.contains("syncs="), "{out}");
+        assert!(out.contains("5) \"0000000000000002\""), "fill writes keys 0..n: {out}");
+        assert!(out.contains("1) (integer) 1\n"), "a cursor for the rest: {out}");
+        assert!(out.contains("fs:syncs="), "{out}");
     }
 
     #[test]
     fn store_scan_merges_shards_and_pages_with_a_resume_key() {
         let mut s = Session::new();
         let out = s.run_script(
-            "open noblsm 4\nput b 2\nput a 1\nput d 4\nput c 3\n\
-             scan a 3\nscan a 10 count\nscan a 10 reverse\n",
+            "open noblsm 4\nset b 2\nset a 1\nset d 4\nset c 3\n\
+             scan a \"\" 3\nscan next 1\nscan a \"\" 10 COUNT\n",
         );
-        // Three rows from four shards, globally sorted, with the resume
-        // key pointing at the truncated remainder.
-        assert!(out.contains("a = 1\nb = 2\nc = 3\n(3 rows, more from d,"), "{out}");
-        assert!(out.contains("(4 rows,"), "{out}");
-        let d = out.find("d = 4").expect("reverse scan emits d");
-        let a = out.rfind("a = 1").expect("reverse scan emits a");
-        assert!(d < a, "reverse order: {out}");
+        // Three rows from four shards, globally sorted, with a cursor
+        // for the truncated remainder; its page ends the range.
+        let first = "1) (integer) 1\n2) 1) \"a\"\n   2) \"1\"\n   3) \"b\"\n   4) \"2\"\n   \
+                     5) \"c\"\n   6) \"3\"\n";
+        assert!(out.contains(first), "{out}");
+        assert!(out.contains("1) (integer) 0\n2) 1) \"d\"\n   2) \"4\"\n"), "{out}");
+        assert!(out.ends_with("1) (integer) 0\n2) (integer) 4\n"), "{out}");
     }
 
     #[test]
     fn crash_recovers_flushed_data() {
         let mut s = Session::new();
         let out =
-            s.run_script("open noblsm\nput k persisted\nflush\nadvance 11000\ncrash 100\nget k\n");
+            s.run_script("open noblsm\nset k persisted\nflush\nadvance 11000\ncrash 100\nget k\n");
         assert!(out.contains("power failed"));
         assert!(out.contains("persisted"), "{out}");
         // The next cut is measured from the recovery, never before it.
-        let out = s.run_script("put a b\nadvance 3000\ncrash 10\nget k\n");
-        assert!(out.lines().last().is_some_and(|l| l.starts_with("persisted")), "{out}");
+        let out = s.run_script("set a b\nadvance 3000\ncrash 10\nget k\n");
+        assert_eq!(out.lines().last(), Some("\"persisted\""), "{out}");
     }
 
     #[test]
     fn every_crash_keeps_a_flushed_key_at_any_shard_count() {
         for shards in [1, 4] {
             let mut s = Session::new();
-            let _ = s.run_script(&format!("open noblsm {shards}\nput k persisted\nflush\n"));
+            let _ = s.run_script(&format!("open noblsm {shards}\nset k persisted\nflush\n"));
             for (round, pct) in [100, 0, 37, 10, 100, 0, 64, 1, 90, 100].into_iter().enumerate() {
                 let out = s.run_script(&format!(
-                    "put r{round} x\nfill 40 32 2\nadvance {}\ncrash {pct}\nget k\n",
+                    "set r{round} x\nfill 40 32 2\nadvance {}\ncrash {pct}\nget k\n",
                     round * 1700
                 ));
                 assert!(out.contains("power failed"), "{shards} shards, crash {pct}: {out}");
-                assert!(out.contains("persisted ("), "{shards} shards, crash {pct}: {out}");
+                assert!(out.ends_with("\n\"persisted\"\n"), "{shards} shards, crash {pct}: {out}");
             }
         }
     }
@@ -919,8 +922,8 @@ mod tests {
         let mut s = Session::new();
         assert!(s.run_line("frobnicate").contains("unknown command"));
         let _ = s.run_line("open noblsm");
-        assert!(s.run_line("put onlykey").contains("usage: put"));
-        assert!(s.run_line("scan a notanumber").contains("must be a number"));
+        assert!(s.run_line("set onlykey").contains("wrong arity: SET"));
+        assert!(s.run_line("scan a \"\" notanumber").contains("must be a decimal integer"));
         assert!(s.run_line("compact status").contains("usage: compact"));
         assert!(s.run_line("store open 2").contains("unknown command"));
         assert!(s.run_line("advance 18446744073709").contains("usage: advance"), "end of time");
@@ -933,8 +936,8 @@ mod tests {
         assert!(s.run_line("open alienDB").contains("unknown mode"));
         assert!(s.run_line("open noblsm 0").contains("at least one shard"));
         assert!(s.run_line("open noblsm many").contains("shards must be a number"));
-        assert!(s.run_line("scan").contains("usage: scan"));
-        assert!(s.run_line("scan a 3 sideways").contains("usage: scan"));
+        assert!(s.run_line("scan").contains("wrong arity: SCAN"));
+        assert!(s.run_line("scan a \"\" 3 sideways").contains("SCAN options are PREFIX"));
     }
 
     #[test]
@@ -963,7 +966,7 @@ mod tests {
         let chrome = dir.join("spans.chrome.json");
         let mut s = Session::new();
         let out = s.run_script(&format!(
-            "open leveldb\ntrace on\nfill 2000 100\nflush\ntrace summary\ntrace stalls\n\
+            "open leveldb\ntrace on\nfill 2000 100\nflush\ntrace summary\n\
              trace export json {}\ntrace export chrome {}\n",
             json.display(),
             chrome.display()
@@ -991,7 +994,7 @@ mod tests {
     fn trace_survives_a_crash_reopen() {
         let mut s = Session::new();
         let out = s.run_script(
-            "open noblsm\ntrace on\nput k v\nflush\nadvance 11000\ncrash 100\nget k\ntrace summary\n",
+            "open noblsm\ntrace on\nset k v\nflush\nadvance 11000\ncrash 100\nget k\ntrace summary\n",
         );
         assert!(out.contains("power failed"), "{out}");
         // Reads issued after recovery land in the same trace.
@@ -1132,19 +1135,55 @@ mod tests {
     }
 
     #[test]
+    fn wire_verbs_print_the_same_over_loopback_and_tcp() {
+        const SCRIPT: &str = "set b 2\nset a 1\nset d 4\nset c 3\ndel c\nget a\nget c\n\
+                              mget a c d\nbatch set e 5 del b\nscan a \"\" 2\nscan next 1\n\
+                              scan a \"\" 10 COUNT\nping\n";
+        let mut local = Session::new();
+        let _ = local.run_line("open noblsm 2");
+        let server = net::serve("127.0.0.1:0", 2).expect("bind");
+        let mut remote = Session::new();
+        let connected = remote.run_line(&format!("connect {}", server.local_addr()));
+        assert!(connected.starts_with("connected to"), "{connected}");
+        let (here, there) = (local.run_script(SCRIPT), remote.run_script(SCRIPT));
+        // The simulation verbs need a local store.
+        assert!(remote.run_line("flush").contains("no database open"));
+        assert!(remote.run_line("connect").contains("usage: connect"));
+        drop(remote);
+        server.shutdown().expect("graceful shutdown");
+        assert_eq!(here, there);
+        assert!(!here.contains("error:"), "{here}");
+        assert!(here.contains("1) \"1\"\n2) (nil)\n3) \"4\"\n"), "MGET: {here}");
+        assert!(here.contains("(integer) 2\n"), "BATCH counts its operations: {here}");
+        assert!(here.ends_with("1) (integer) 0\n2) (integer) 3\nPONG\n"), "{here}");
+    }
+
+    #[test]
     fn readme_shell_transcript_runs_without_errors() {
+        let dir = std::env::temp_dir().join(format!("nob-cli-readme-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let readme = include_str!("../../../README.md");
-        let block = readme.split("```sh\n").find(|b| b.contains("\n> open")).expect("a transcript");
-        let script: String = block
-            .split("```")
-            .next()
-            .unwrap_or_default()
-            .lines()
-            .filter_map(|l| l.strip_prefix("> "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let out = Session::new().run_script(&script);
-        assert!(out.contains("power failed"), "{out}");
-        assert!(!out.lines().any(|l| l.starts_with("error:")), "{out}");
+        let mut outs = Vec::new();
+        for block in readme.split("```sh\n").skip(1) {
+            let script: String = block
+                .split("```")
+                .next()
+                .unwrap_or_default()
+                .lines()
+                .filter_map(|l| l.strip_prefix("> "))
+                .map(|l| format!("{l}\n"))
+                .collect();
+            if script.is_empty() {
+                continue;
+            }
+            // Each transcript runs alone, its files kept out of /tmp.
+            let script = script.replace("/tmp/", &format!("{}/", dir.display()));
+            let out = Session::new().run_script(&script);
+            assert!(!out.lines().any(|l| l.starts_with("error:")), "{script}\n{out}");
+            outs.push(out);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(outs.len(), 4, "the shell, trace, repl and metrics transcripts");
+        assert!(outs[0].contains("power failed"), "{}", outs[0]);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! ```sh
 //! noblsm-cli                 # interactive
-//! noblsm-cli script.txt      # run a command script
+//! noblsm-cli script.txt      # run a command script; one that starts with
+//!                            # `connect <addr>` is a client of a `serve`
 //! noblsm-cli serve --addr 127.0.0.1:6380 --shards 4
 //! noblsm-cli bench-net --clients 8 --ops 4000 [--addr host:port]
 //! ```
@@ -12,14 +13,20 @@ use std::io::{BufRead, Write};
 
 use nob_cli::Session;
 
-/// Reads `--flag value` from an argument list, else the default.
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.windows(2).find(|w| w[0] == name).and_then(|w| w[1].parse().ok()).unwrap_or(default)
+/// Reads `--flag value` from an argument list, `None` if the flag is
+/// absent. A missing or unparsable value is a usage error (exit 2).
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let value = args.get(args.iter().position(|a| a == name)? + 1);
+    if let Some(parsed) = value.and_then(|v| v.parse().ok()) {
+        return Some(parsed);
+    }
+    eprintln!("bad value for {name}: `{}`", value.map_or("", String::as_str));
+    std::process::exit(2);
 }
 
 fn serve_cmd(args: &[String]) {
-    let addr: String = flag(args, "--addr", "127.0.0.1:6380".to_string());
-    let shards: usize = flag(args, "--shards", 2);
+    let addr: String = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:6380".to_string());
+    let shards: usize = flag(args, "--shards").unwrap_or(2);
     let server = nob_cli::net::serve(&addr, shards).unwrap_or_else(|e| {
         eprintln!("cannot serve on {addr}: {e}");
         std::process::exit(1);
@@ -40,10 +47,10 @@ fn serve_cmd(args: &[String]) {
 }
 
 fn bench_net_cmd(args: &[String]) {
-    let clients: usize = flag(args, "--clients", 8);
-    let ops: u64 = flag(args, "--ops", 4_000);
-    let value_size: usize = flag(args, "--value-size", 100);
-    let addr: Option<String> = args.windows(2).find(|w| w[0] == "--addr").map(|w| w[1].clone());
+    let clients: usize = flag(args, "--clients").unwrap_or(8);
+    let ops: u64 = flag(args, "--ops").unwrap_or(4_000);
+    let value_size: usize = flag(args, "--value-size").unwrap_or(100);
+    let addr: Option<String> = flag(args, "--addr");
     match nob_cli::net::bench_net(addr.as_deref(), clients, ops, value_size) {
         Ok(report) => print!("{report}"),
         Err(e) => {

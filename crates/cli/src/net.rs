@@ -53,15 +53,10 @@ pub fn bench_net(
     value_size: usize,
 ) -> Result<String, Error> {
     let clients = clients.max(1);
-    let own_server = match addr {
-        Some(_) => None,
-        None => Some(serve("127.0.0.1:0", 2)?),
-    };
-    let target = match (&own_server, addr) {
-        (Some(s), _) => s.local_addr().to_string(),
-        (None, Some(a)) => a.to_string(),
-        (None, None) => unreachable!("either an address or an own server"),
-    };
+    let own_server = if addr.is_none() { Some(serve("127.0.0.1:0", 2)?) } else { None };
+    let target = own_server
+        .as_ref()
+        .map_or_else(|| addr.unwrap_or_default().to_string(), |s| s.local_addr().to_string());
 
     let per_client = (ops / clients as u64).max(1);
     let started = std::time::Instant::now();

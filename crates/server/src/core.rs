@@ -23,13 +23,14 @@
 //! (`pipeline_per_conn`). Either limit exhausted yields an explicit
 //! `-BUSY` reply — never a hang, never a dropped request.
 
+mod stats;
+
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nob_metrics::MetricKind::{self, Counter, Gauge};
-use nob_metrics::MetricsHub;
+use nob_metrics::{MetricKind, MetricsHub};
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions, Ticket};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
@@ -40,10 +41,12 @@ use crate::proto::{
     Request, RequestClass, NIL_WIRE, NUMBER_LINE_MAX, OK_WIRE,
 };
 
+use stats::{Counters, Stat, STATS};
+
 /// The longest header of a scan page carrying rows: `*2`, `:cursor`, `*2n`.
 const PAGE_HEADER_MAX: usize = 4 + 2 * NUMBER_LINE_MAX;
 
-/// Configuration for [`ServerCore::open`].
+/// Configuration for [`ServerCore::open`] and [`ServerCore::new`].
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
     /// The sharded store the server fronts.
@@ -208,113 +211,6 @@ fn put_value(out: &mut Vec<u8>, value: Option<&[u8]>) {
     }
 }
 
-/// One `server.*` instrument; its discriminant indexes [`STATS`].
-#[derive(Debug, Clone, Copy)]
-enum Stat {
-    Conns,
-    Inflight,
-    RequestsRead,
-    RequestsWrite,
-    RequestsControl,
-    RequestsScan,
-    ScanRows,
-    CursorsOpen,
-    CursorsOpened,
-    CursorsExpired,
-    ScanResumesHeld,
-    ScanResumesRebuilt,
-    BusyRejections,
-    ReadonlyRejections,
-    ProtocolErrors,
-    BytesIn,
-    BytesOut,
-}
-
-/// Every `server.*` instrument in INFO's `# server` order: INFO prints a
-/// `name:value` line for each row and the metrics registry samples a
-/// `server.name` series, both off the row's one cell.
-const STATS: [(Stat, MetricKind, &str, &str); 17] = [
-    (Stat::Conns, Gauge, "conns", "Open connections"),
-    (Stat::Inflight, Gauge, "inflight", "Unresolved write tickets across all connections"),
-    (Stat::RequestsRead, Counter, "requests_read", "Read-class requests served (GET/MGET)"),
-    (
-        Stat::RequestsWrite,
-        Counter,
-        "requests_write",
-        "Write-class requests admitted (SET/DEL/BATCH)",
-    ),
-    (Stat::RequestsControl, Counter, "requests_control", "Control requests served (PING/INFO)"),
-    (Stat::RequestsScan, Counter, "requests_scan", "Scan requests served (SCAN/SCAN NEXT)"),
-    (Stat::ScanRows, Counter, "scan_rows", "Rows returned across all scan pages"),
-    (Stat::CursorsOpen, Gauge, "cursors_open", "Scan cursors currently open"),
-    (Stat::CursorsOpened, Counter, "cursors_opened", "Scan cursors opened"),
-    (Stat::CursorsExpired, Counter, "cursors_expired", "Scan cursors expired by the lease sweep"),
-    (
-        Stat::ScanResumesHeld,
-        Counter,
-        "scan_resumes_held",
-        "SCAN NEXT pages that continued every shard's held iterator",
-    ),
-    (
-        Stat::ScanResumesRebuilt,
-        Counter,
-        "scan_resumes_rebuilt",
-        "SCAN NEXT pages that rebuilt and re-sought an iterator (a shard changed version)",
-    ),
-    (
-        Stat::BusyRejections,
-        Counter,
-        "busy_rejections",
-        "Requests rejected with -BUSY by admission control",
-    ),
-    (
-        Stat::ReadonlyRejections,
-        Counter,
-        "readonly_rejections",
-        "Write-class requests rejected with -READONLY on a follower",
-    ),
-    (
-        Stat::ProtocolErrors,
-        Counter,
-        "protocol_errors",
-        "Frame-level protocol errors (connection poisoned)",
-    ),
-    (Stat::BytesIn, Counter, "bytes_in", "Raw request bytes received"),
-    (Stat::BytesOut, Counter, "bytes_out", "Raw reply bytes sent"),
-];
-
-/// The cells behind [`STATS`], shared with the registry's readers.
-#[derive(Debug, Default)]
-struct Counters {
-    cells: Arc<[AtomicU64; STATS.len()]>,
-    /// `StoreStats::unredeemed` as of the last flush.
-    unredeemed: Arc<AtomicU64>,
-}
-
-impl Counters {
-    fn get(&self, stat: Stat) -> u64 {
-        self.cells[stat as usize].load(Ordering::Relaxed)
-    }
-
-    fn add(&self, stat: Stat, n: u64) {
-        self.cells[stat as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn set(&self, stat: Stat, value: usize) {
-        self.cells[stat as usize].store(value as u64, Ordering::Relaxed);
-    }
-
-    fn bump(&self, class: RequestClass) {
-        let stat = match class {
-            RequestClass::Read => Stat::RequestsRead,
-            RequestClass::Write => Stat::RequestsWrite,
-            RequestClass::Control => Stat::RequestsControl,
-            RequestClass::Scan => Stat::RequestsScan,
-        };
-        self.add(stat, 1);
-    }
-}
-
 /// The transport-independent serving core. See the module docs.
 pub struct ServerCore {
     store: Store,
@@ -352,18 +248,26 @@ impl ServerCore {
     /// Propagates [`Store::open`] failures; rejects zero budgets as
     /// [`noblsm::Error::Usage`].
     pub fn open(opts: ServerOptions) -> Result<ServerCore> {
-        if opts.max_inflight == 0 || opts.pipeline_per_conn == 0 {
+        ServerCore::new(Store::open(opts.store.clone())?, opts)
+    }
+
+    /// Serves an already opened `store` with an empty connection
+    /// registry; `opts.store` is not read.
+    ///
+    /// # Errors
+    ///
+    /// Rejects zero budgets as [`noblsm::Error::Usage`].
+    pub fn new(store: Store, opts: ServerOptions) -> Result<ServerCore> {
+        if [opts.max_inflight, opts.pipeline_per_conn, opts.max_scan_page, opts.max_cursors]
+            .contains(&0)
+        {
             return Err(noblsm::Error::Usage(
-                "max_inflight and pipeline_per_conn must be at least 1".into(),
-            ));
-        }
-        if opts.max_scan_page == 0 || opts.max_cursors == 0 {
-            return Err(noblsm::Error::Usage(
-                "max_scan_page and max_cursors must be at least 1".into(),
+                "max_inflight, pipeline_per_conn, max_scan_page and max_cursors must be at least 1"
+                    .into(),
             ));
         }
         Ok(ServerCore {
-            store: Store::open(opts.store)?,
+            store,
             wopts: opts.write,
             max_inflight: opts.max_inflight,
             pipeline_per_conn: opts.pipeline_per_conn,
@@ -575,7 +479,8 @@ impl ServerCore {
     }
 
     /// The INFO payload: server counters, store group-commit stats and
-    /// per-shard engine stats via [`Db::property`](noblsm::Db::property).
+    /// per shard the engine stats via [`Db::property`](noblsm::Db::property)
+    /// and the filesystem's sync and journal counters.
     pub fn info_text(&self) -> String {
         let mut out = String::from("# server\n");
         for (stat, _, name, _) in STATS {
@@ -615,9 +520,14 @@ impl ServerCore {
             .fold(0.0f64, f64::max);
         out.push_str(&format!("max_pressure:{pressure:.2}\n"));
         for i in 0..self.store.shards() {
-            if let Some(s) = self.store.shard_db(i).property("noblsm.stats") {
-                out.push_str(&format!("# shard{i}\nnoblsm.stats:{s}\n"));
-            }
+            let db = self.store.shard_db(i);
+            let engine = db.property("noblsm.stats").unwrap_or_default();
+            let f = db.fs().stats();
+            out.push_str(&format!(
+                "# shard{i}\nnoblsm.stats:{engine}\n\
+                 fs:syncs={} bytes_synced={} async_commits={} journal_bytes={}\n",
+                f.sync_calls, f.bytes_synced, f.async_commits, f.journal_bytes
+            ));
         }
         out
     }

@@ -31,21 +31,24 @@ use std::path::{Path, PathBuf};
 /// benchmarks must cover; lower it whenever a knob becomes a constant.
 const MAX_KNOBS: usize = 50;
 
-/// The largest source file allowed: `server/src/core.rs` (1 516 lines) is
+/// The largest source file allowed: `server/src/core.rs` (1 426 lines) is
 /// the current maximum, `store/src/lib.rs` (1 320) the next. Lower it as the
 /// largest file shrinks; the engine's 2 064-line `db/mod.rs` is what this
 /// keeps from coming back unnoticed.
-const MAX_SOURCE_LINES: usize = 1_516;
+const MAX_SOURCE_LINES: usize = 1_426;
 
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last raised
-/// by two, from 1 011, for `nob_ext4::Extent` and its `truncate`: a read
-/// returns a view of the file's bytes instead of a copy, and a block
-/// narrows that view to its payload. Narrowing `BlockIter` or `TableIter`
-/// instead would leave `Block::iter` / `Table::iter` returning a private
-/// type (a `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 1_013;
+/// by one, from 1 013, for `ServerCore::new`: it serves a `Store` that is
+/// already open, which `noblsm-cli` needs to put its store behind the
+/// wire, and `ServerCore::open` delegates to it. Before that by two, from
+/// 1 011, for `nob_ext4::Extent` and its `truncate`: a read returns a view
+/// of the file's bytes instead of a copy, and a block narrows that view to
+/// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
+/// `Block::iter` / `Table::iter` returning a private type (a
+/// `private_interfaces` warning).
+const MAX_SURFACE_LINES: usize = 1_014;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
