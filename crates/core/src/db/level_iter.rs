@@ -105,21 +105,6 @@ impl LevelIter {
         }
         Ok(())
     }
-
-    fn skip_exhausted_backward(&mut self, now: &mut Nanos) -> Result<()> {
-        while self.cur.as_ref().is_some_and(|c| !c.valid()) {
-            if self.index == 0 {
-                self.cur = None;
-                return Ok(());
-            }
-            self.index -= 1;
-            self.open_index(now)?;
-            if let Some(c) = self.cur.as_mut() {
-                c.seek_to_last(now)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 impl InternalIterator for LevelIter {
@@ -154,26 +139,6 @@ impl InternalIterator for LevelIter {
             c.next(now)?;
         }
         self.skip_exhausted(now)
-    }
-
-    fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
-        let Some(last) = self.run.files().len().checked_sub(1) else {
-            self.cur = None;
-            return Ok(());
-        };
-        self.index = last;
-        self.open_index(now)?;
-        if let Some(c) = self.cur.as_mut() {
-            c.seek_to_last(now)?;
-        }
-        self.skip_exhausted_backward(now)
-    }
-
-    fn prev(&mut self, now: &mut Nanos) -> Result<()> {
-        if let Some(c) = self.cur.as_mut() {
-            c.prev(now)?;
-        }
-        self.skip_exhausted_backward(now)
     }
 
     fn key(&self) -> &[u8] {

@@ -166,11 +166,8 @@ pub struct ScanResult {
     /// took them.
     pub count: u64,
     /// When the scan stopped at [`ScanOptions::limit`] with more matching
-    /// rows beyond it, the user key of the next row in scan direction;
-    /// `None` when the range was exhausted. A forward scan resumes with
-    /// `start = resume`; a reverse scan resumes with
-    /// `end = resume ++ 0x00` (the immediate successor keeps the resume
-    /// key itself in the next page).
+    /// rows beyond it, the user key of the next row; `None` when the range
+    /// was exhausted. The next page starts with `start = resume`.
     pub resume: Option<Vec<u8>>,
 }
 

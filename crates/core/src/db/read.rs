@@ -174,7 +174,7 @@ impl Db {
         let now = self.clock.now();
         let seq = ropts.snapshot.map_or(self.versions.last_sequence, Snapshot::sequence);
         self.pump(now)?;
-        let held = state.forward
+        let held = state.positioned
             && Arc::ptr_eq(&state.version, self.versions.current_ref())
             && state.snapshot == seq
             && state.fill_cache == ropts.fill_cache;
@@ -306,44 +306,18 @@ impl Db {
         let fill = sopts.fill_cache && ropts.fill_cache;
         let mut collector = ScanCollector::new(sopts, sink);
         let mut it = self.iter_internal(now, seq, fill)?;
-        if sopts.reverse {
-            match end.as_deref() {
-                // `seek` lands on the first key >= end (out of range), so
-                // one `prev` yields the largest in-range key; an invalid
-                // seek means nothing >= end exists and the last key is it.
-                Some(e) => {
-                    it.seek(e)?;
-                    if it.valid() {
-                        it.prev()?;
-                    } else {
-                        it.seek_to_last()?;
-                    }
-                }
-                None => it.seek_to_last()?,
+        match start {
+            Some(s) => it.seek(s)?,
+            None => it.seek_to_first()?,
+        }
+        while it.valid() {
+            if end.as_deref().is_some_and(|e| it.key() >= e) {
+                break;
             }
-            while it.valid() {
-                if start.is_some_and(|s| it.key() < s) {
-                    break;
-                }
-                if !collector.offer(it.key(), it.value()) {
-                    break;
-                }
-                it.prev()?;
+            if !collector.offer(it.key(), it.value()) {
+                break;
             }
-        } else {
-            match start {
-                Some(s) => it.seek(s)?,
-                None => it.seek_to_first()?,
-            }
-            while it.valid() {
-                if end.as_deref().is_some_and(|e| it.key() >= e) {
-                    break;
-                }
-                if !collector.offer(it.key(), it.value()) {
-                    break;
-                }
-                it.next()?;
-            }
+            it.next()?;
         }
         let end_t = it.now();
         drop(it);

@@ -1,15 +1,12 @@
 //! Iterator abstractions: the internal-key iterator trait, the merging
 //! iterator, and the user-facing [`DbIterator`].
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use nob_sim::Nanos;
 
 use crate::db::TableChild;
-use crate::types::{
-    compare_internal, lookup_key, pack_trailer, sequence_of, user_key, value_type_of,
-};
+use crate::types::{compare_internal, lookup_key, sequence_of, user_key, value_type_of};
 use crate::version::Version;
 use crate::{Result, SequenceNumber, ValueType};
 
@@ -39,18 +36,6 @@ pub trait InternalIterator {
     ///
     /// Propagates read failures from the underlying storage.
     fn next(&mut self, now: &mut Nanos) -> Result<()>;
-    /// Positions at the last entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read failures from the underlying storage.
-    fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()>;
-    /// Steps back one entry (invalid before the first entry).
-    ///
-    /// # Errors
-    ///
-    /// Propagates read failures from the underlying storage.
-    fn prev(&mut self, now: &mut Nanos) -> Result<()>;
     /// The current internal key.
     fn key(&self) -> &[u8];
     /// The current value.
@@ -96,20 +81,6 @@ impl InternalIterator for VecIterator {
         Ok(())
     }
 
-    fn seek_to_last(&mut self, _now: &mut Nanos) -> Result<()> {
-        // `pos == entries.len()` is the single invalid state.
-        self.pos = if self.entries.is_empty() { 0 } else { self.entries.len() - 1 };
-        Ok(())
-    }
-
-    fn prev(&mut self, _now: &mut Nanos) -> Result<()> {
-        if self.valid() {
-            // Stepping before the first entry lands on the invalid state.
-            self.pos = if self.pos == 0 { self.entries.len() } else { self.pos - 1 };
-        }
-        Ok(())
-    }
-
     fn key(&self) -> &[u8] {
         &self.entries[self.pos].0
     }
@@ -119,25 +90,17 @@ impl InternalIterator for VecIterator {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Backward,
-}
-
-/// Merges several internal iterators into one sorted stream (both
-/// directions; switching direction repositions the non-current children,
-/// as in LevelDB).
+/// Merges several internal iterators into one sorted stream.
 ///
 /// The children come in two lists, merged as one: a *front* that may
 /// borrow (an engine's memtables) and a *tail* that owns what it reads
 /// (tables and levels), so the tail can leave the iterator where it stands
 /// and be continued by a later one ([`DbIterator::detach`]).
 ///
-/// The current child is the winner of a loser tree: a seek or a direction
-/// switch, which move every child, plays the whole tournament again (k − 1
-/// matches); a step, which moves only the winner, replays the winner's
-/// path to the root (⌈log₂ k⌉ matches).
+/// The current child is the winner of a loser tree: a seek, which moves
+/// every child, plays the whole tournament again (k − 1 matches); a step,
+/// which moves only the winner, replays the winner's path to the root
+/// (⌈log₂ k⌉ matches).
 pub struct MergingIterator<'a> {
     front: Vec<Box<dyn InternalIterator + 'a>>,
     tail: Vec<TableChild>,
@@ -149,7 +112,6 @@ pub struct MergingIterator<'a> {
     tree: Vec<usize>,
     /// The winner, when it is valid.
     current: Option<usize>,
-    direction: Direction,
 }
 
 impl<'a> std::fmt::Debug for MergingIterator<'a> {
@@ -173,7 +135,7 @@ impl<'a> MergingIterator<'a> {
         tail: Vec<TableChild>,
     ) -> Self {
         let tree = vec![0; front.len() + tail.len()];
-        MergingIterator { front, tail, tree, current: None, direction: Direction::Forward }
+        MergingIterator { front, tail, tree, current: None }
     }
 
     /// The tail children, each where the merge left it.
@@ -182,12 +144,11 @@ impl<'a> MergingIterator<'a> {
     }
 
     /// Seeks the front children only and merges them with a tail that
-    /// already rests at or after `target`, moving forward.
+    /// already rests at or after `target`.
     pub(crate) fn seek_front(&mut self, target: &[u8], now: &mut Nanos) -> Result<()> {
         for c in &mut self.front {
             c.seek(target, now)?;
         }
-        self.direction = Direction::Forward;
         self.rebuild();
         Ok(())
     }
@@ -212,9 +173,8 @@ impl<'a> MergingIterator<'a> {
         if self.tree.is_empty() {
             return;
         }
-        let forward = self.direction == Direction::Forward;
         let entrant = |i| entrant(&self.front, &self.tail, i);
-        let winner = play(&mut self.tree, 1, &entrant, forward);
+        let winner = play(&mut self.tree, 1, &entrant);
         self.tree[0] = winner.0;
         self.current = winner.1.map(|_| winner.0);
     }
@@ -222,14 +182,13 @@ impl<'a> MergingIterator<'a> {
     /// Replays the matches on the path from the winner's leaf to the root,
     /// for when the winner alone moved: every other match stands.
     fn replay(&mut self) {
-        let forward = self.direction == Direction::Forward;
         let entrant = |i| entrant(&self.front, &self.tail, i);
         let tree = &mut self.tree;
         let mut winner = entrant(tree[0]);
         let mut n = (tree.len() + winner.0) / 2;
         while n > 0 {
             let other = entrant(tree[n]);
-            if beats(other, winner, forward) {
+            if beats(other, winner) {
                 tree[n] = winner.0;
                 winner = other;
             }
@@ -240,18 +199,16 @@ impl<'a> MergingIterator<'a> {
     }
 
     /// The merge's pick before the tournament, kept as the tests' reference:
-    /// the valid child whose key compares `want` to every other's, `Less`
-    /// for the smallest and `Greater` for the largest; the earliest child
-    /// wins a tie.
+    /// the valid child with the smallest key; the earliest child wins a tie.
     #[cfg(test)]
-    fn find(&self, want: Ordering) -> Option<usize> {
+    fn find_smallest(&self) -> Option<usize> {
         let mut best: Option<usize> = None;
         for i in 0..self.len() {
             let c = self.child(i);
             if !c.valid() {
                 continue;
             }
-            if best.is_none_or(|b| compare_internal(c.key(), self.child(b).key()) == want) {
+            if best.is_none_or(|b| compare_internal(c.key(), self.child(b).key()).is_lt()) {
                 best = Some(i);
             }
         }
@@ -284,15 +241,11 @@ fn entrant<'s>(
 }
 
 /// Whether `a` wins its match against `b`. A valid child beats an invalid
-/// one; of two valid ones, the key that compares `Less` to the other's
-/// moving `forward`, `Greater` moving backward. A tie goes to the lower
-/// index, so the earliest child wins.
-fn beats(a: Entrant<'_>, b: Entrant<'_>, forward: bool) -> bool {
+/// one; of two valid ones, the smaller key. A tie goes to the lower index,
+/// so the earliest child wins.
+fn beats(a: Entrant<'_>, b: Entrant<'_>) -> bool {
     match (a.1, b.1) {
-        (Some(x), Some(y)) => match compare_internal(x, y) {
-            Ordering::Equal => a.0 < b.0,
-            order => (order == Ordering::Less) == forward,
-        },
+        (Some(x), Some(y)) => compare_internal(x, y).then(a.0.cmp(&b.0)).is_lt(),
         (None, None) => a.0 < b.0,
         (key, _) => key.is_some(),
     }
@@ -301,18 +254,13 @@ fn beats(a: Entrant<'_>, b: Entrant<'_>, forward: bool) -> bool {
 /// Plays the matches below node `n` of `tree`, records each loser there
 /// and returns the winner. A valid child beats every invalid one, so an
 /// invalid winner means every child is exhausted.
-fn play<'s>(
-    tree: &mut [usize],
-    n: usize,
-    entrant: &impl Fn(usize) -> Entrant<'s>,
-    forward: bool,
-) -> Entrant<'s> {
+fn play<'s>(tree: &mut [usize], n: usize, entrant: &impl Fn(usize) -> Entrant<'s>) -> Entrant<'s> {
     let k = tree.len();
     if n >= k {
         return entrant(n - k);
     }
-    let (a, b) = (play(tree, 2 * n, entrant, forward), play(tree, 2 * n + 1, entrant, forward));
-    let (winner, loser) = if beats(a, b, forward) { (a, b) } else { (b, a) };
+    let (a, b) = (play(tree, 2 * n, entrant), play(tree, 2 * n + 1, entrant));
+    let (winner, loser) = if beats(a, b) { (a, b) } else { (b, a) };
     tree[n] = loser.0;
     winner
 }
@@ -326,7 +274,6 @@ impl<'a> InternalIterator for MergingIterator<'a> {
         for i in 0..self.len() {
             self.child_mut(i).seek_to_first(now)?;
         }
-        self.direction = Direction::Forward;
         self.rebuild();
         Ok(())
     }
@@ -335,67 +282,14 @@ impl<'a> InternalIterator for MergingIterator<'a> {
         for i in 0..self.len() {
             self.child_mut(i).seek(target, now)?;
         }
-        self.direction = Direction::Forward;
         self.rebuild();
         Ok(())
     }
 
     fn next(&mut self, now: &mut Nanos) -> Result<()> {
         let Some(i) = self.current else { return Ok(()) };
-        let switch = self.direction == Direction::Backward;
-        if switch {
-            // Non-current children sit at entries <= key(); move each to
-            // the first entry after it.
-            let key = self.child(i).key().to_vec();
-            for j in (0..self.len()).filter(|&j| j != i) {
-                // Internal keys are unique, so a child positioned exactly
-                // at `key` cannot occur; `seek` already lands after it.
-                self.child_mut(j).seek(&key, now)?;
-            }
-            self.direction = Direction::Forward;
-        }
         self.child_mut(i).next(now)?;
-        if switch {
-            self.rebuild();
-        } else {
-            self.replay();
-        }
-        Ok(())
-    }
-
-    fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
-        for i in 0..self.len() {
-            self.child_mut(i).seek_to_last(now)?;
-        }
-        self.direction = Direction::Backward;
-        self.rebuild();
-        Ok(())
-    }
-
-    fn prev(&mut self, now: &mut Nanos) -> Result<()> {
-        let Some(i) = self.current else { return Ok(()) };
-        let switch = self.direction == Direction::Forward;
-        if switch {
-            // Non-current children sit at entries >= key(); move each to
-            // the last entry before it.
-            let key = self.child(i).key().to_vec();
-            for j in (0..self.len()).filter(|&j| j != i) {
-                let c = self.child_mut(j);
-                c.seek(&key, now)?;
-                if c.valid() {
-                    c.prev(now)?;
-                } else {
-                    c.seek_to_last(now)?;
-                }
-            }
-            self.direction = Direction::Backward;
-        }
-        self.child_mut(i).prev(now)?;
-        if switch {
-            self.rebuild();
-        } else {
-            self.replay();
-        }
+        self.replay();
         Ok(())
     }
 
@@ -411,10 +305,8 @@ impl<'a> InternalIterator for MergingIterator<'a> {
 /// The user-facing iterator: walks live user keys in ascending order,
 /// hiding tombstones and entries newer than the read snapshot.
 ///
-/// Moving forward, the inner iterator rests on the surfaced entry and
-/// [`key`](DbIterator::key) / [`value`](DbIterator::value) borrow from it;
-/// only reverse motion, which has to walk past an entry to know it was the
-/// newest visible one, keeps a saved copy of the pair (LevelDB's rule).
+/// The inner iterator rests on the surfaced entry, and
+/// [`key`](DbIterator::key) / [`value`](DbIterator::value) borrow from it.
 ///
 /// `DbIterator` owns its virtual clock; read the accumulated time with
 /// [`now`](DbIterator::now) when done.
@@ -427,12 +319,11 @@ pub struct DbIterator<'a> {
     now: Nanos,
     valid: bool,
     per_entry_cpu: Nanos,
-    direction: Direction,
-    /// Backward: the current user key. Forward: scratch — the user key
-    /// whose older versions are being skipped, or a seek probe.
+    /// A seek has positioned the children.
+    positioned: bool,
+    /// Scratch: the user key whose older versions are being skipped, or a
+    /// seek probe.
     saved_key: Vec<u8>,
-    /// Backward: the current value.
-    saved_value: Vec<u8>,
 }
 
 impl<'a> std::fmt::Debug for DbIterator<'a> {
@@ -461,12 +352,8 @@ impl<'a> DbIterator<'a> {
             now,
             valid: false,
             per_entry_cpu,
-            // Nothing reads the direction of an iterator that is not valid,
-            // so until a seek positions it, it reads as "not at rest moving
-            // forward" — the one thing `detach` asks.
-            direction: Direction::Backward,
+            positioned: false,
             saved_key: Vec::new(),
-            saved_value: Vec::new(),
         }
     }
 
@@ -476,7 +363,7 @@ impl<'a> DbIterator<'a> {
     /// which borrow the engine, are dropped.
     pub fn detach(self) -> IterState {
         IterState {
-            forward: self.direction == Direction::Forward,
+            positioned: self.positioned,
             tables: self.inner.into_tail(),
             version: self.version,
             snapshot: self.snapshot,
@@ -491,7 +378,7 @@ impl<'a> DbIterator<'a> {
         let mut now = self.now;
         self.inner.seek_front(&self.saved_key, &mut now)?;
         self.now = now;
-        self.direction = Direction::Forward;
+        self.positioned = true;
         self.advance_to_visible(false)
     }
 
@@ -512,10 +399,7 @@ impl<'a> DbIterator<'a> {
     /// Panics if not [`valid`](DbIterator::valid).
     pub fn key(&self) -> &[u8] {
         assert!(self.valid, "iterator not valid");
-        match self.direction {
-            Direction::Forward => user_key(self.inner.key()),
-            Direction::Backward => &self.saved_key,
-        }
+        user_key(self.inner.key())
     }
 
     /// The current value.
@@ -525,10 +409,7 @@ impl<'a> DbIterator<'a> {
     /// Panics if not [`valid`](DbIterator::valid).
     pub fn value(&self) -> &[u8] {
         assert!(self.valid, "iterator not valid");
-        match self.direction {
-            Direction::Forward => self.inner.value(),
-            Direction::Backward => &self.saved_value,
-        }
+        self.inner.value()
     }
 
     /// Positions at the first live user key.
@@ -541,22 +422,8 @@ impl<'a> DbIterator<'a> {
         let mut now = self.now;
         self.inner.seek_to_first(&mut now)?;
         self.now = now;
-        self.direction = Direction::Forward;
+        self.positioned = true;
         self.advance_to_visible(false)
-    }
-
-    /// Positions at the last live user key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage read failures.
-    pub fn seek_to_last(&mut self) -> Result<()> {
-        self.valid = false;
-        let mut now = self.now;
-        self.inner.seek_to_last(&mut now)?;
-        self.now = now;
-        self.direction = Direction::Backward;
-        self.retreat_to_visible()
     }
 
     /// Positions at the first live user key ≥ `target`.
@@ -570,7 +437,7 @@ impl<'a> DbIterator<'a> {
         let mut now = self.now;
         self.inner.seek(&self.saved_key, &mut now)?;
         self.now = now;
-        self.direction = Direction::Forward;
+        self.positioned = true;
         self.advance_to_visible(false)
     }
 
@@ -583,57 +450,14 @@ impl<'a> DbIterator<'a> {
     pub fn next(&mut self) -> Result<()> {
         let skipping = std::mem::take(&mut self.valid);
         if skipping {
-            match self.direction {
-                Direction::Backward => {
-                    // After backward motion the inner iterator sits before
-                    // the current group; jump to the first entry after it
-                    // (the group's last possible internal key), keeping
-                    // `saved_key` to skip by.
-                    let len = self.saved_key.len();
-                    let last = pack_trailer(0, ValueType::Deletion);
-                    self.saved_key.extend_from_slice(&last.to_le_bytes());
-                    let mut now = self.now;
-                    let sought = self.inner.seek(&self.saved_key, &mut now);
-                    self.saved_key.truncate(len);
-                    sought?;
-                    self.now = now;
-                    self.direction = Direction::Forward;
-                }
-                Direction::Forward => {
-                    // The entry about to be left lends out the current
-                    // key; keep a copy to skip its older versions by.
-                    replace(&mut self.saved_key, user_key(self.inner.key()));
-                    let mut now = self.now;
-                    self.inner.next(&mut now)?;
-                    self.now = now;
-                }
-            }
+            // The entry about to be left lends out the current key; keep a
+            // copy to skip its older versions by.
+            replace(&mut self.saved_key, user_key(self.inner.key()));
+            let mut now = self.now;
+            self.inner.next(&mut now)?;
+            self.now = now;
         }
         self.advance_to_visible(skipping)
-    }
-
-    /// Retreats to the previous live user key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage read failures.
-    pub fn prev(&mut self) -> Result<()> {
-        if !std::mem::take(&mut self.valid) {
-            return Ok(());
-        }
-        let mut now = self.now;
-        if self.direction == Direction::Forward {
-            // The inner iterator sits on the surfaced entry; walk backward
-            // past the rest of its group.
-            replace(&mut self.saved_key, user_key(self.inner.key()));
-            while self.inner.valid() && user_key(self.inner.key()) == self.saved_key.as_slice() {
-                now += self.per_entry_cpu;
-                self.inner.prev(&mut now)?;
-            }
-            self.direction = Direction::Backward;
-        }
-        self.now = now;
-        self.retreat_to_visible()
     }
 
     /// Skips entries invisible at the snapshot, tombstoned keys, and —
@@ -660,34 +484,6 @@ impl<'a> DbIterator<'a> {
         self.now = now;
         Ok(())
     }
-
-    /// Backward counterpart of `advance_to_visible`: the inner iterator
-    /// moves through each user-key group in ascending sequence order, so
-    /// the newest entry visible at the snapshot is the last one accepted
-    /// before the group ends. It is saved, because by then the inner
-    /// iterator has moved past it.
-    fn retreat_to_visible(&mut self) -> Result<()> {
-        let mut now = self.now;
-        while self.inner.valid() {
-            replace(&mut self.saved_key, user_key(self.inner.key()));
-            let mut newest_visible = None;
-            while self.inner.valid() && user_key(self.inner.key()) == self.saved_key.as_slice() {
-                now += self.per_entry_cpu;
-                if sequence_of(self.inner.key()) <= self.snapshot {
-                    newest_visible = value_type_of(self.inner.key());
-                    replace(&mut self.saved_value, self.inner.value());
-                }
-                self.inner.prev(&mut now)?;
-            }
-            // Tombstoned or fully invisible: keep retreating.
-            if newest_visible == Some(ValueType::Value) {
-                self.valid = true;
-                break;
-            }
-        }
-        self.now = now;
-        Ok(())
-    }
 }
 
 /// What is left of a [`DbIterator`] after [`detach`](DbIterator::detach):
@@ -702,9 +498,9 @@ pub struct IterState {
     pub(crate) tables: Vec<TableChild>,
     pub(crate) snapshot: SequenceNumber,
     pub(crate) fill_cache: bool,
-    /// The iterator was at rest moving forward, the only position
-    /// `iter_resume` can continue from.
-    pub(crate) forward: bool,
+    /// A seek had positioned the children, so `iter_resume` can continue
+    /// them.
+    pub(crate) positioned: bool,
 }
 
 impl std::fmt::Debug for IterState {
@@ -794,10 +590,8 @@ mod tests {
     #[derive(Debug, Clone, PartialEq)]
     enum Call {
         First,
-        Last,
         Seek(Vec<u8>),
         Next,
-        Prev,
     }
 
     type Log = Rc<RefCell<Vec<(usize, Call)>>>;
@@ -832,14 +626,6 @@ mod tests {
             self.record(Call::Next);
             self.inner.next(now)
         }
-        fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
-            self.record(Call::Last);
-            self.inner.seek_to_last(now)
-        }
-        fn prev(&mut self, now: &mut Nanos) -> Result<()> {
-            self.record(Call::Prev);
-            self.inner.prev(now)
-        }
         fn key(&self) -> &[u8] {
             self.inner.key()
         }
@@ -852,11 +638,9 @@ mod tests {
     #[derive(Debug)]
     enum Step {
         First,
-        Last,
         Seek(Vec<u8>),
         SeekFront(Vec<u8>),
         Next,
-        Prev,
     }
 
     fn take(m: &mut MergingIterator<'_>, step: &Step) {
@@ -864,11 +648,9 @@ mod tests {
         let now = &mut clock;
         match step {
             Step::First => m.seek_to_first(now),
-            Step::Last => m.seek_to_last(now),
             Step::Seek(target) => m.seek(target, now),
             Step::SeekFront(target) => m.seek_front(target, now),
             Step::Next => m.next(now),
-            Step::Prev => m.prev(now),
         }
         .unwrap();
     }
@@ -933,21 +715,15 @@ mod tests {
                     };
                     let step = match rng.gen_range(0..10usize) {
                         0 => Step::First,
-                        1 => Step::Last,
-                        2 => Step::Seek(target(&mut rng)),
-                        3 => Step::SeekFront(target(&mut rng)),
-                        4..=6 => Step::Next,
-                        _ => Step::Prev,
+                        1 => Step::Seek(target(&mut rng)),
+                        2 => Step::SeekFront(target(&mut rng)),
+                        _ => Step::Next,
                     };
                     take(&mut tree, &step);
                     take(&mut linear, &step);
                     // The reference overrules its own tree's pick, so the
                     // next step moves the child the linear pick chose.
-                    let want = match linear.direction {
-                        Direction::Forward => Ordering::Less,
-                        Direction::Backward => Ordering::Greater,
-                    };
-                    linear.current = linear.find(want);
+                    linear.current = linear.find_smallest();
                     assert_eq!(tree.valid(), linear.valid(), "k {k}, after {step:?}");
                     if linear.valid() {
                         assert_eq!(tree.key(), linear.key(), "k {k}, after {step:?}");

@@ -117,16 +117,6 @@ impl<'a> InternalIterator for MemIter<'a> {
         Ok(())
     }
 
-    fn seek_to_last(&mut self, _now: &mut Nanos) -> crate::Result<()> {
-        self.cursor.seek_to_last();
-        Ok(())
-    }
-
-    fn prev(&mut self, _now: &mut Nanos) -> crate::Result<()> {
-        self.cursor.prev();
-        Ok(())
-    }
-
     fn key(&self) -> &[u8] {
         self.cursor.key()
     }

@@ -164,22 +164,6 @@ impl SkipList {
     pub(crate) fn cursor(&self) -> Cursor<'_> {
         Cursor { list: self, node: 0 }
     }
-
-    /// The last node (0 when empty).
-    fn find_last(&self) -> u32 {
-        let mut x = 0u32;
-        for level in (0..self.height).rev() {
-            loop {
-                let nxt = self.next(x, level);
-                if nxt != 0 {
-                    x = nxt;
-                } else {
-                    break;
-                }
-            }
-        }
-        x
-    }
 }
 
 /// A positionable cursor over a [`SkipList`]; node 0 (the head sentinel)
@@ -211,22 +195,6 @@ impl<'a> Cursor<'a> {
         if self.node != 0 {
             self.node = self.list.next(self.node, 0);
         }
-    }
-
-    /// Positions at the last entry.
-    pub(crate) fn seek_to_last(&mut self) {
-        self.node = self.list.find_last();
-    }
-
-    /// Steps back to the previous entry (invalid before the first).
-    pub(crate) fn prev(&mut self) {
-        if self.node == 0 {
-            return;
-        }
-        let key = self.list.key(self.node);
-        // find_prevs yields the last node with key < current at level 0;
-        // equal keys cannot occur (sequence numbers are unique).
-        self.node = self.list.find_prevs(|k| compare_internal(k, key))[0];
     }
 
     /// The current key.
@@ -335,25 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn cursor_walks_backwards() {
-        let mut l = SkipList::new();
-        for i in 0..50u64 {
-            l.insert(ik(&format!("{i:03}"), i + 1), vec![i as u8]);
-        }
-        let mut c = l.cursor();
-        c.seek_to_last();
-        for i in (0..50u64).rev() {
-            assert!(c.valid());
-            assert_eq!(c.value(), &[i as u8]);
-            c.prev();
-        }
-        assert!(!c.valid());
-        // prev on invalid stays invalid.
-        c.prev();
-        assert!(!c.valid());
-    }
-
-    #[test]
     fn deterministic_across_instances() {
         let build = || {
             let mut l = SkipList::new();
@@ -366,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn twenty_thousand_random_inserts_match_the_btree_model_in_both_directions() {
+    fn twenty_thousand_random_inserts_match_the_btree_model_in_both_key_forms() {
         use std::collections::BTreeMap;
         // The model orders as the comparator does: user key ascending,
         // sequence descending.
@@ -402,17 +351,8 @@ mod tests {
             l.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
         assert_eq!(forward, want);
 
-        let mut c = l.cursor();
-        c.seek_to_last();
-        for (k, v) in want.iter().rev() {
-            assert!(c.valid());
-            assert_eq!((c.key(), c.value()), (k.as_slice(), v.as_slice()));
-            c.prev();
-        }
-        assert!(!c.valid());
-
         // Seeks — by joined key and by parts — land where the model's
-        // range does; stepping back from there brackets the target.
+        // range does; stepping on from there brackets the target.
         for probe in 0..2_000u64 {
             let key = format!("k{:0width$}", draw() % 6_500, width = 1 + (draw() % 9) as usize);
             let seq = draw() % 21_000;
@@ -425,9 +365,9 @@ mod tests {
             c.seek(&target);
             assert_eq!(c.valid().then(|| c.key()), expect_entry.map(|(k, _)| k));
             if c.valid() {
-                c.prev();
-                let before = expect.checked_sub(1).map(|i| want[i].0.as_slice());
-                assert_eq!(c.valid().then(|| c.key()), before);
+                c.next();
+                let after = want.get(expect + 1).map(|(k, _)| k.as_slice());
+                assert_eq!(c.valid().then(|| c.key()), after);
             }
         }
     }

@@ -133,15 +133,15 @@ impl<'a> ReadOptions<'a> {
 }
 
 /// Per-scan options, consumed by the canonical
-/// [`Db::scan`](crate::Db::scan) entry point (and by
-/// `Store::scan` / the server's SCAN command, which thread it through
-/// unchanged).
+/// [`Db::scan`](crate::Db::scan) entry point and by `Store::scan`. The
+/// server's SCAN builds its own from the command's arguments, with
+/// `fill_cache` off.
 ///
-/// Bounds are user keys: `start` is inclusive, `end` exclusive. A
-/// `prefix` narrows the effective bounds to keys sharing it. `reverse`
-/// visits the same key range in descending order. `limit` caps the rows
-/// returned (the scan reports a resume key when it truncates), and
-/// `count_only` suppresses row materialisation for cardinality queries.
+/// A scan visits keys in ascending order. Bounds are user keys: `start` is
+/// inclusive, `end` exclusive. A `prefix` narrows the effective bounds to
+/// keys sharing it. `limit` caps the rows returned (the scan reports a
+/// resume key when it truncates), and `count_only` suppresses row
+/// materialisation for cardinality queries.
 #[derive(Debug, Clone, Copy)]
 pub struct ScanOptions<'a> {
     /// Inclusive lower bound; `None` scans from the first key.
@@ -151,8 +151,6 @@ pub struct ScanOptions<'a> {
     /// Restrict the scan to keys carrying this prefix (combined with
     /// `start`/`end`: the tighter bound wins).
     pub prefix: Option<&'a [u8]>,
-    /// Visit the range in descending key order.
-    pub reverse: bool,
     /// Maximum rows to return; `usize::MAX` (the default) is unbounded.
     pub limit: usize,
     /// Count matching rows without materialising keys or values.
@@ -169,7 +167,6 @@ impl Default for ScanOptions<'_> {
             start: None,
             end: None,
             prefix: None,
-            reverse: false,
             limit: usize::MAX,
             count_only: false,
             fill_cache: true,
@@ -178,7 +175,7 @@ impl Default for ScanOptions<'_> {
 }
 
 impl<'a> ScanOptions<'a> {
-    /// A full-range, ascending, unbounded scan — the default.
+    /// A full-range, unbounded scan — the default.
     pub fn all() -> Self {
         ScanOptions::default()
     }
@@ -196,12 +193,6 @@ impl<'a> ScanOptions<'a> {
     /// Restricts the scan to keys carrying `prefix`.
     pub fn with_prefix(mut self, prefix: &'a [u8]) -> Self {
         self.prefix = Some(prefix);
-        self
-    }
-
-    /// Visits the range in descending key order.
-    pub fn reversed(mut self) -> Self {
-        self.reverse = true;
         self
     }
 
@@ -425,7 +416,7 @@ mod tests {
         assert_eq!(s.effective_start(), None);
         assert_eq!(s.effective_end(), None);
         assert_eq!(s.limit, usize::MAX);
-        assert!(s.fill_cache && !s.reverse && !s.count_only);
+        assert!(s.fill_cache && !s.count_only);
 
         let s = ScanOptions::range(b"b", b"d");
         assert_eq!(s.effective_start(), Some(&b"b"[..]));

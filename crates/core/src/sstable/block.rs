@@ -355,63 +355,6 @@ impl BlockIter {
         self.advance_from(self.value_range.1);
     }
 
-    /// Positions at the last entry of the block.
-    pub fn seek_to_last(&mut self) {
-        let n = self.block.n_restarts;
-        if n == 0 {
-            self.pos = usize::MAX;
-            return;
-        }
-        self.seek_to_restart(n - 1);
-        if !self.valid() {
-            // The final restart may point at the block end (no entries).
-            if n >= 2 {
-                self.seek_to_restart(n - 2);
-            }
-            if !self.valid() {
-                return;
-            }
-        }
-        loop {
-            let next = self.value_range.1;
-            if self.block.decode_entry(next).is_none() {
-                return; // current is the last entry
-            }
-            self.advance_from(next);
-        }
-    }
-
-    /// Steps back to the previous entry (invalid before the first entry).
-    pub fn prev(&mut self) {
-        if !self.valid() {
-            return;
-        }
-        let target = self.pos;
-        // The last restart strictly before the current entry.
-        let (mut lo, mut hi) = (0usize, self.block.n_restarts);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.block.restart(mid) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo == 0 {
-            self.pos = usize::MAX;
-            return;
-        }
-        self.seek_to_restart(lo - 1);
-        // A malformed block can leave the iterator invalid at any step.
-        while self.valid() {
-            let next = self.value_range.1;
-            if next >= target {
-                return; // current is the entry just before `target`
-            }
-            self.advance_from(next);
-        }
-    }
-
     /// Positions at the first entry with key >= `target`.
     pub fn seek(&mut self, target: &[u8]) {
         // Binary search the restart array for the last restart whose key
@@ -511,38 +454,6 @@ mod tests {
         it.seek(&ik("prefix_abcc", 1));
         assert_eq!(it.value(), b"3");
         assert_eq!(crate::types::user_key(it.key()), b"prefix_abcc");
-    }
-
-    #[test]
-    fn seek_to_last_and_prev_walk_backwards() {
-        let entries: Vec<(String, u64, String)> =
-            (0..40).map(|i| (format!("key{i:03}"), 1u64, format!("v{i}"))).collect();
-        let mut b = BlockBuilder::new(3);
-        for (k, s, v) in &entries {
-            b.add(&ik(k, *s), v.as_bytes());
-        }
-        let block = Block::parse(b.finish_without_trailer()).unwrap();
-        let mut it = block.iter();
-        it.seek_to_last();
-        for (k, s, v) in entries.iter().rev() {
-            assert!(it.valid());
-            assert_eq!(it.key(), ik(k, *s).as_slice());
-            assert_eq!(it.value(), v.as_bytes());
-            it.prev();
-        }
-        assert!(!it.valid());
-    }
-
-    #[test]
-    fn prev_after_seek_brackets_target() {
-        let block = build(&[("b", 9, "1"), ("d", 9, "2"), ("f", 9, "3")]);
-        let mut it = block.iter();
-        it.seek(&ik("d", 9));
-        assert_eq!(it.value(), b"2");
-        it.prev();
-        assert_eq!(it.value(), b"1");
-        it.prev();
-        assert!(!it.valid());
     }
 
     #[test]

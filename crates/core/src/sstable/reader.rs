@@ -207,24 +207,12 @@ impl TableIter {
     }
 
     /// Advances past exhausted data blocks.
-    fn skip_empty_forward(&mut self, now: &mut Nanos) -> Result<()> {
+    fn skip_empty_blocks(&mut self, now: &mut Nanos) -> Result<()> {
         while self.data_iter.as_ref().is_some_and(|d| !d.valid()) {
             self.index_iter.next();
             self.load_current_data_block(now)?;
             if let Some(d) = self.data_iter.as_mut() {
                 d.seek_to_first();
-            }
-        }
-        Ok(())
-    }
-
-    /// Retreats past exhausted data blocks.
-    fn skip_empty_backward(&mut self, now: &mut Nanos) -> Result<()> {
-        while self.data_iter.as_ref().is_some_and(|d| !d.valid()) {
-            self.index_iter.prev();
-            self.load_current_data_block(now)?;
-            if let Some(d) = self.data_iter.as_mut() {
-                d.seek_to_last();
             }
         }
         Ok(())
@@ -242,7 +230,7 @@ impl InternalIterator for TableIter {
         if let Some(d) = self.data_iter.as_mut() {
             d.seek_to_first();
         }
-        self.skip_empty_forward(now)
+        self.skip_empty_blocks(now)
     }
 
     fn seek(&mut self, target: &[u8], now: &mut Nanos) -> Result<()> {
@@ -251,30 +239,14 @@ impl InternalIterator for TableIter {
         if let Some(d) = self.data_iter.as_mut() {
             d.seek(target);
         }
-        self.skip_empty_forward(now)
+        self.skip_empty_blocks(now)
     }
 
     fn next(&mut self, now: &mut Nanos) -> Result<()> {
         if let Some(d) = self.data_iter.as_mut() {
             d.next();
         }
-        self.skip_empty_forward(now)
-    }
-
-    fn seek_to_last(&mut self, now: &mut Nanos) -> Result<()> {
-        self.index_iter.seek_to_last();
-        self.load_current_data_block(now)?;
-        if let Some(d) = self.data_iter.as_mut() {
-            d.seek_to_last();
-        }
-        self.skip_empty_backward(now)
-    }
-
-    fn prev(&mut self, now: &mut Nanos) -> Result<()> {
-        if let Some(d) = self.data_iter.as_mut() {
-            d.prev();
-        }
-        self.skip_empty_backward(now)
+        self.skip_empty_blocks(now)
     }
 
     fn key(&self) -> &[u8] {

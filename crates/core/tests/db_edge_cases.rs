@@ -259,14 +259,9 @@ fn only_an_iterator_at_rest_moving_forward_on_the_same_view_is_continued() {
     }
     let from_10: Vec<Vec<u8>> = (10..300).map(key).collect();
 
-    // Never positioned, and at rest moving backward: built and sought anew.
+    // Never positioned: built and sought anew.
     let unpositioned = db.iter(&ropts).unwrap().detach();
     assert_eq!(rest(&mut db, &ropts, unpositioned), (from_10.clone(), 0));
-    let mut it = db.iter(&ropts).unwrap();
-    it.seek_to_last().unwrap();
-    it.prev().unwrap();
-    let backward = it.detach();
-    assert_eq!(rest(&mut db, &ropts, backward), (from_10.clone(), 0));
 
     // At rest on the resume key: continued — unless the read options name
     // another view than the one the state read. A write moves the latest

@@ -72,9 +72,7 @@ proptest! {
                 it.next();
             }
             it.seek(&probe);
-            it.seek_to_last();
-            it.prev();
-            it.prev();
+            it.next();
         }
     }
 

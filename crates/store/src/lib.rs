@@ -601,13 +601,12 @@ impl Store {
     /// server encodes rows straight into its reply this way. The returned
     /// [`ScanResult`] carries `count` and `resume`; its `rows` stay empty.
     ///
-    /// `held` lets a paged scan keep its place. When a forward page stops
-    /// at its limit, every shard's iterator is [detached] into it, in shard
-    /// order; handed back with the next page — the same snapshots and
-    /// options, `start` the `resume` key — each shard [continues] its own
-    /// instead of building and seeking a new one. It is left empty when the
-    /// range was exhausted (and by a reverse scan); a first page passes it
-    /// empty.
+    /// `held` lets a paged scan keep its place. When a page stops at its
+    /// limit, every shard's iterator is [detached] into it, in shard order;
+    /// handed back with the next page — the same snapshots and options,
+    /// `start` the `resume` key — each shard [continues] its own instead of
+    /// building and seeking a new one. It is left empty when the range was
+    /// exhausted; a first page passes it empty.
     ///
     /// [detached]: noblsm::DbIterator::detach
     /// [continues]: Db::iter_resume
@@ -631,8 +630,8 @@ impl Store {
         let end = sopts.effective_end();
         let fallback = self.clock.now();
         let mut collector = ScanCollector::new(sopts, sink);
-        // States continue a forward scan from its resume key, one per shard.
-        if sopts.reverse || held.len() != self.shards.len() {
+        // States continue a scan from its resume key, one per shard.
+        if held.len() != self.shards.len() {
             held.clear();
         }
         let mut states = held.drain(..);
@@ -648,23 +647,9 @@ impl Store {
                 continue;
             }
             let mut it = shard.db.iter(&ropts)?;
-            if sopts.reverse {
-                match end.as_deref() {
-                    Some(e) => {
-                        it.seek(e)?;
-                        if it.valid() {
-                            it.prev()?;
-                        } else {
-                            it.seek_to_last()?;
-                        }
-                    }
-                    None => it.seek_to_last()?,
-                }
-            } else {
-                match start {
-                    Some(s) => it.seek(s)?,
-                    None => it.seek_to_first()?,
-                }
+            match start {
+                Some(s) => it.seek(s)?,
+                None => it.seek_to_first()?,
             }
             iters.push(it);
         }
@@ -672,41 +657,25 @@ impl Store {
         loop {
             let mut best: Option<usize> = None;
             for (i, it) in iters.iter().enumerate() {
-                if !it.valid() {
+                // An iterator past `end` is exhausted for this scan: moving
+                // on only takes it further past.
+                if !it.valid() || end.as_deref().is_some_and(|e| it.key() >= e) {
                     continue;
                 }
-                // An iterator past its bound is exhausted for this scan:
-                // forward motion only moves it further past `end`, reverse
-                // motion further below `start`.
-                let in_bounds = if sopts.reverse {
-                    start.is_none_or(|s| it.key() >= s)
-                } else {
-                    end.as_deref().is_none_or(|e| it.key() < e)
-                };
-                if !in_bounds {
-                    continue;
+                // Strict comparison keeps the lowest shard on ties.
+                if best.is_none_or(|b| it.key() < iters[b].key()) {
+                    best = Some(i);
                 }
-                best = match best {
-                    None => Some(i),
-                    // Strict comparison keeps the lowest shard on ties.
-                    Some(b) if sopts.reverse && it.key() > iters[b].key() => Some(i),
-                    Some(b) if !sopts.reverse && it.key() < iters[b].key() => Some(i),
-                    keep => keep,
-                };
             }
             let Some(b) = best else { break };
             if !collector.offer(iters[b].key(), iters[b].value()) {
                 break;
             }
-            if sopts.reverse {
-                iters[b].prev()?;
-            } else {
-                iters[b].next()?;
-            }
+            iters[b].next()?;
         }
         let end_t = iters.iter().map(|it| it.now()).max().unwrap_or(fallback);
         let result = collector.finish();
-        if result.resume.is_some() && !sopts.reverse {
+        if result.resume.is_some() {
             held.extend(iters.into_iter().map(DbIterator::detach));
         }
         self.clock.advance_to(end_t);
@@ -1059,7 +1028,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_supports_reverse_limit_prefix_and_resume() {
+    fn scan_supports_limit_prefix_and_resume() {
         let mut store = Store::open(small_opts(3)).unwrap();
         for i in 0..100u64 {
             let mut b = WriteBatch::new();
@@ -1080,11 +1049,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 100);
         assert!(seen.windows(2).all(|w| w[0] < w[1]), "strictly ascending, no repeats");
-        // Reverse visits the same rows backwards.
-        let rev = store.scan(&ReadOptions::default(), &ScanOptions::all().reversed()).unwrap();
-        let mut back: Vec<Vec<u8>> = rev.rows.iter().map(|(k, _)| k.clone()).collect();
-        back.reverse();
-        assert_eq!(back, seen);
         // Prefix narrows the range; count_only suppresses rows.
         let p = store
             .scan(&ReadOptions::default(), &ScanOptions::all().with_prefix(b"key1").counting())

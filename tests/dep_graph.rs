@@ -29,17 +29,23 @@ use std::path::{Path, PathBuf};
 /// The settable values of the config structs under `crates/*/src` (see
 /// [`lex::knobs`]). Each one doubles the configurations tests and
 /// benchmarks must cover; lower it whenever a knob becomes a constant.
-const MAX_KNOBS: usize = 50;
+/// Last lowered from 50 when scans became ascending only and
+/// `ScanOptions.reverse` went.
+const MAX_KNOBS: usize = 49;
 
-/// The largest source file allowed: `server/src/core.rs` (1 426 lines) is
-/// the current maximum, `store/src/lib.rs` (1 320) the next. Lower it as the
-/// largest file shrinks; the engine's 2 064-line `db/mod.rs` is what this
-/// keeps from coming back unnoticed.
-const MAX_SOURCE_LINES: usize = 1_426;
+/// The largest source file allowed: `store/src/lib.rs` (1 284 lines) is
+/// the current maximum, `server/src/core.rs` (1 205, its scan cursors in
+/// `core/cursor.rs`) the next. Lower it as the largest file shrinks; the
+/// engine's 2 064-line `db/mod.rs` is what this keeps from coming back
+/// unnoticed.
+const MAX_SOURCE_LINES: usize = 1_284;
 
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
-/// it without saying in the PR which new item is API and why. Last raised
+/// it without saying in the PR which new item is API and why. Last lowered
+/// by six, from 1 014, when iteration became forward-only:
+/// `DbIterator::{seek_to_last, prev}`, `ScanOptions::{reverse, reversed}`
+/// and `BlockIter::{seek_to_last, prev}` went. Last raised
 /// by one, from 1 013, for `ServerCore::new`: it serves a `Store` that is
 /// already open, which `noblsm-cli` needs to put its store behind the
 /// wire, and `ServerCore::open` delegates to it. Before that by two, from
@@ -48,7 +54,7 @@ const MAX_SOURCE_LINES: usize = 1_426;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 1_014;
+const MAX_SURFACE_LINES: usize = 1_008;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
