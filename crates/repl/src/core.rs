@@ -1,11 +1,11 @@
-//! The leader-side replication endpoint: connection state and frame
+//! The leader-side replication endpoint: connection state and message
 //! dispatch.
 //!
 //! [`ReplCore`] implements the serving crate's [`Endpoint`] — request
 //! bytes in through `feed`, record and heartbeat bytes out through
-//! `drain`, no I/O of its own — so the serving crate's two front-ends
-//! drive it unchanged: the loopback ([`ReplLoopback`], deterministic
-//! tests on virtual time) and the TCP thread set
+//! `drain`, all of them RESP, no I/O of its own — so the serving crate's
+//! two front-ends drive it unchanged: the loopback ([`ReplLoopback`],
+//! deterministic tests on virtual time) and the TCP thread set
 //! ([`ReplTcpServer`](crate::ReplTcpServer), real runs), byte for byte.
 
 use std::cell::RefCell;
@@ -13,18 +13,19 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Duration;
 
-use nob_server::{Endpoint, Loopback};
+use nob_server::{Decoder, Endpoint, Loopback};
 use noblsm::{Error, Result};
 
+use crate::changelog::LogRecord;
 use crate::leader::Leader;
-use crate::wire::{encode, Frame, FrameReader};
+use crate::wire::{next_msg, Msg};
 
 /// Server-side handle for one replication connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReplConnId(u64);
 
 struct Conn {
-    reader: FrameReader,
+    decoder: Decoder,
     outbox: Vec<u8>,
     /// Per-shard subscription cursor: the next sequence to stream, `None`
     /// while not subscribed to that shard.
@@ -35,7 +36,7 @@ struct Conn {
 }
 
 /// The leader-side endpoint: owns the [`Leader`] and serves any number of
-/// subscriber connections over the frame protocol.
+/// subscriber connections.
 pub struct ReplCore {
     leader: Leader,
     conns: BTreeMap<u64, Conn>,
@@ -64,10 +65,9 @@ impl ReplCore {
         self.conns.len()
     }
 
-    fn dispatch(&mut self, conn: ReplConnId, frame: Frame) -> Result<()> {
-        match frame {
-            Frame::Subscribe { shard, from_seq } => {
-                let shard = shard as usize;
+    fn dispatch(&mut self, conn: ReplConnId, msg: Msg) -> Result<()> {
+        match msg {
+            Msg::Subscribe { shard, from_seq } => {
                 let c = self.conns.get_mut(&conn.0).expect("dispatch on a live conn");
                 if shard >= c.cursors.len() {
                     return Err(Error::Replication(format!(
@@ -78,16 +78,13 @@ impl ReplCore {
                 c.cursors[shard] = Some(from_seq.max(1));
                 Ok(())
             }
-            Frame::Ack { shard, last_seq } => {
-                self.leader.ack(shard as usize, last_seq);
-                Ok(())
-            }
-            Frame::Fence { epoch } => {
+            Msg::Ack { shard, last_seq } => self.leader.ack(shard, last_seq),
+            Msg::Fence { epoch } => {
                 self.leader.fence(epoch);
                 Ok(())
             }
-            Frame::Record { .. } | Frame::Heartbeat { .. } => {
-                Err(Error::Replication("client sent a server-side frame".into()))
+            Msg::Record(_) | Msg::Heartbeat { .. } => {
+                Err(Error::Replication("client sent a server-side message".into()))
             }
         }
     }
@@ -110,29 +107,18 @@ impl ReplCore {
             let Some(cursor) = c.cursors[shard] else { continue };
             let records = self.leader.log().records_from(shard, cursor);
             for rec in records {
-                encode(
-                    &Frame::Record {
-                        shard: shard as u32,
-                        epoch,
-                        first_seq: rec.first_seq,
-                        last_seq: rec.last_seq,
-                        committed_at: rec.committed_at.as_nanos(),
-                        trace: rec.ctx.trace,
-                        span: rec.ctx.span,
-                        payload: rec.payload.clone(),
-                    },
-                    &mut c.outbox,
-                );
+                // Streamed under the leader's current epoch, not the one
+                // the record was logged under.
+                Msg::Record(LogRecord { epoch, ..rec.clone() }).encode(&mut c.outbox);
             }
             if let Some(last) = records.last() {
                 c.cursors[shard] = Some(last.last_seq + 1);
             }
         }
-        let (epoch, leader_now, shard_seqs) = self.leader.heartbeat();
-        encode(
-            &Frame::Heartbeat { epoch, leader_now: leader_now.as_nanos(), shard_seqs },
-            &mut c.outbox,
-        );
+        // Subscribers key staleness off the leader clock's instant.
+        let store = self.leader.store();
+        let (leader_now, shard_seqs) = (store.clock().now(), store.shard_seqs());
+        Msg::Heartbeat { epoch, leader_now, shard_seqs }.encode(&mut c.outbox);
         Ok(())
     }
 }
@@ -155,7 +141,7 @@ impl Endpoint for ReplCore {
         self.conns.insert(
             id,
             Conn {
-                reader: FrameReader::new(),
+                decoder: Decoder::new(),
                 outbox: Vec::new(),
                 cursors: vec![None; shards],
                 poisoned: None,
@@ -164,8 +150,8 @@ impl Endpoint for ReplCore {
         ReplConnId(id)
     }
 
-    /// Decodes and dispatches complete frames (SUBSCRIBE moves the
-    /// cursor, ACK records progress, FENCE fences the leader). A frame
+    /// Decodes and dispatches complete messages (SUBSCRIBE moves the
+    /// cursor, ACK records progress, FENCE fences the leader). A message
     /// that fails to decode or dispatch poisons the connection — a bad
     /// peer is dropped, never fatal to the endpoint.
     fn feed(&mut self, conn: ReplConnId, bytes: &[u8]) -> Result<()> {
@@ -175,19 +161,16 @@ impl Endpoint for ReplCore {
         if c.poisoned.is_some() {
             return Ok(()); // drain-only: ignore further input
         }
-        c.reader.feed(bytes);
-        loop {
+        c.decoder.push(bytes);
+        let poison = loop {
             let c = self.conns.get_mut(&conn.0).expect("checked above");
-            let served = match c.reader.next_frame() {
-                Ok(Some(frame)) => self.dispatch(conn, frame),
-                Ok(None) => return Ok(()),
-                Err(e) => Err(e),
-            };
-            if let Err(e) = served {
-                self.conns.get_mut(&conn.0).expect("checked above").poisoned = Some(e);
-                return Ok(());
+            let Some(msg) = next_msg(&mut c.decoder).transpose() else { return Ok(()) };
+            if let Err(e) = msg.and_then(|msg| self.dispatch(conn, msg)) {
+                break e;
             }
-        }
+        };
+        self.conns.get_mut(&conn.0).expect("checked above").poisoned = Some(poison);
+        Ok(())
     }
 
     /// Pumps `conn`, then takes its outbox. A poisoned connection reports

@@ -39,21 +39,9 @@ pub struct Leader {
 impl Leader {
     /// Wraps `store` as the epoch-`epoch` leader, enabling group shipping.
     /// Groups committed before this call are not in the change log.
-    pub fn new(mut store: Store, epoch: u64) -> Leader {
-        store.enable_shipping();
-        let shards = store.shards();
-        let log = ChangeLog::new(shards);
-        Leader {
-            store,
-            log,
-            epoch,
-            fenced: false,
-            acked: vec![0; shards],
-            lag_nanos: Arc::new(AtomicU64::new(0)),
-            shipped_total: Arc::new(AtomicU64::new(0)),
-            acked_seq_max: Arc::new(AtomicU64::new(0)),
-            trace: None,
-        }
+    pub fn new(store: Store, epoch: u64) -> Leader {
+        let log = ChangeLog::new(store.shards());
+        Leader::with_log(store, log, epoch)
     }
 
     /// Re-wraps a promoted follower's store and log under `epoch`
@@ -222,17 +210,30 @@ impl Leader {
     }
 
     /// Records a subscriber acknowledgement up to `last_seq` on `shard`
-    /// and returns the acked record's replication lag (commit → ack on
-    /// the leader clock), emitting a `repl_ack` span. `None` when the ack
-    /// is stale (at or below a previous ack) or unknown.
-    pub(crate) fn ack(&mut self, shard: usize, last_seq: u64) -> Option<Nanos> {
-        if shard >= self.acked.len() || last_seq <= self.acked[shard] {
-            return None;
+    /// and measures the acked record's replication lag (commit → ack on
+    /// the leader clock), emitting a `repl_ack` span. A stale ack (at or
+    /// below a previous one) changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`noblsm::Error::Replication`] when `shard` does not exist or
+    /// `last_seq` does not end a record in the log: a peer acking what
+    /// was never shipped must not move the bookkeeping.
+    pub(crate) fn ack(&mut self, shard: usize, last_seq: u64) -> Result<()> {
+        let rec = (shard < self.acked.len())
+            .then(|| self.log.records_from(shard, last_seq).first())
+            .flatten()
+            .filter(|r| r.last_seq == last_seq);
+        let Some(rec) = rec else {
+            return Err(Error::Replication(format!(
+                "ack of seq {last_seq} on shard {shard} ends no shipped record"
+            )));
+        };
+        if last_seq <= self.acked[shard] {
+            return Ok(());
         }
         self.acked[shard] = last_seq;
         self.acked_seq_max.fetch_max(last_seq, Ordering::Relaxed);
-        let rec =
-            self.log.records_from(shard, last_seq).first().filter(|r| r.last_seq == last_seq)?;
         let now = self.store.clock().now();
         let lag = now.saturating_sub(rec.committed_at);
         self.lag_nanos.store(lag.as_nanos(), Ordering::Relaxed);
@@ -253,14 +254,7 @@ impl Leader {
                 ack,
             );
         }
-        Some(lag)
-    }
-
-    /// The heartbeat triple subscribers key staleness off: current epoch,
-    /// the leader clock's instant, and the last committed sequence per
-    /// shard.
-    pub(crate) fn heartbeat(&self) -> (u64, Nanos, Vec<u64>) {
-        (self.epoch, self.store.clock().now(), self.store.shard_seqs())
+        Ok(())
     }
 
     /// Installs `sink` on the store stack and the leader's own

@@ -15,9 +15,11 @@
 //! record.
 //!
 //! Records flow over the serving crate's [`nob_server::Transport`]
-//! abstraction: [`ReplLoopback`] runs the whole pipeline in-process on
-//! virtual time (deterministic tests), [`ReplTcpServer`] serves the same
-//! byte protocol over real sockets.
+//! abstraction and its RESP codec — each message is an array led by a
+//! verb (`SUBSCRIBE`, `RECORD`, `ACK`, `HEARTBEAT`, `FENCE`), so
+//! replication has no codec of its own: [`ReplLoopback`] runs the whole
+//! pipeline in-process on virtual time (deterministic tests),
+//! [`ReplTcpServer`] serves the same bytes over real sockets.
 //!
 //! # Consistency contract
 //!
@@ -74,7 +76,7 @@ pub mod follower;
 pub mod leader;
 pub mod subscriber;
 pub mod tcp;
-pub mod wire;
+mod wire;
 
 pub use changelog::{ChangeLog, LogRecord};
 pub use core::{ReplConnId, ReplCore, ReplLoopback, SharedRepl};
@@ -93,6 +95,7 @@ mod tests {
     use noblsm::{ReadOptions, WriteBatch, WriteOptions};
 
     use super::*;
+    use crate::wire::{send, Msg};
 
     fn opts(shards: usize) -> StoreOptions {
         StoreOptions { shards, ..StoreOptions::default() }
@@ -170,7 +173,7 @@ mod tests {
         // advanced past the unapplied commit) once it polls — so simulate
         // the lag window by feeding the heartbeat state directly.
         put(&core, b"k", b"v2");
-        let (_, leader_now, _) = core.borrow().leader().heartbeat();
+        let leader_now = core.borrow().leader().store().clock().now();
         link.follower.observe_heartbeat(1, leader_now).unwrap();
         let bound = ReadOptions::default().with_max_staleness(Nanos::from_nanos(1));
         let err = link.get(&bound, b"k").unwrap_err();
@@ -197,17 +200,33 @@ mod tests {
         // follower's resume point): the server replays everything the
         // follower already applied, and apply() skips every duplicate
         // instead of double-writing.
-        use nob_server::Transport;
         let mut transport = ReplLoopback::connect(&core);
-        let mut wire = Vec::new();
-        for shard in 0..2u32 {
-            crate::wire::encode(&crate::wire::Frame::Subscribe { shard, from_seq: 1 }, &mut wire);
-        }
-        transport.send(&wire).unwrap();
+        send(&mut transport, (0..2).map(|shard| Msg::Subscribe { shard, from_seq: 1 })).unwrap();
         let mut link = FollowerLink::new(transport, link.into_follower());
         let applied = link.poll_until_idle().unwrap();
         assert_eq!(applied, 0, "every replayed record is a skipped duplicate");
         assert_eq!(link.follower().shard_seqs(), seqs);
+    }
+
+    #[test]
+    fn a_forged_ack_poisons_its_connection_and_moves_nothing() {
+        use nob_server::Transport;
+        let (core, mut link) = pair(1);
+        put(&core, b"k", b"v");
+        // An ack that ends no shipped record, then one for a shard the
+        // leader does not have: each is a protocol error on its own
+        // connection, and neither moves the leader's bookkeeping.
+        for (shard, last_seq) in [(0, u64::MAX), (1, 1)] {
+            let mut forger = ReplLoopback::connect(&core);
+            send(&mut forger, [Msg::Ack { shard, last_seq }]).unwrap();
+            let err = forger.recv(&mut Vec::new()).unwrap_err();
+            assert!(matches!(err, Error::Replication(_)), "{err}");
+            assert_eq!(core.borrow().leader().acked_seqs(), [0]);
+        }
+        // A real follower's acks still land and measure a lag.
+        link.poll_until_idle().unwrap();
+        assert_eq!(core.borrow().leader().acked_seqs(), link.follower().shard_seqs().as_slice());
+        assert!(core.borrow().leader().replication_lag() > Nanos::ZERO);
     }
 
     #[test]

@@ -5,28 +5,53 @@
 //! Both are generic over [`nob_server::Transport`], so the identical
 //! logic runs over the deterministic loopback and real TCP.
 
-use nob_server::Transport;
-use nob_sim::Nanos;
-use nob_trace::TraceCtx;
+use nob_server::{Decoder, Transport};
 use noblsm::{Error, ReadOptions, Result};
 
 use crate::changelog::LogRecord;
 use crate::follower::Follower;
-use crate::wire::{encode, Frame, FrameReader};
+use crate::wire::{next_msg, send, Msg};
+
+/// One receive round, shared by both subscribers: pulls what `transport`
+/// has, hands every complete message to `on`, and acknowledges each
+/// record `on` accepts (returns `true` for). A leader that sends a
+/// client-side message is [`noblsm::Error::Replication`].
+fn receive<T: Transport>(
+    transport: &mut T,
+    decoder: &mut Decoder,
+    mut on: impl FnMut(Msg) -> Result<bool>,
+) -> Result<()> {
+    let mut bytes = Vec::new();
+    transport.recv(&mut bytes)?;
+    decoder.push(&bytes);
+    let mut acks = Vec::new();
+    while let Some(msg) = next_msg(decoder)? {
+        let ack = match &msg {
+            Msg::Record(rec) => Some(Msg::Ack { shard: rec.shard, last_seq: rec.last_seq }),
+            Msg::Heartbeat { .. } => None,
+            other => {
+                return Err(Error::Replication(format!("a subscriber received {other:?}")));
+            }
+        };
+        let accepted = on(msg)?;
+        acks.extend(ack.filter(|_| accepted));
+    }
+    send(transport, acks)
+}
 
 /// Drives a [`Follower`] over a transport: subscribes every shard from
 /// the follower's applied position, applies incoming records, and acks.
 pub struct FollowerLink<T: Transport> {
     transport: T,
     pub(crate) follower: Follower,
-    reader: FrameReader,
+    decoder: Decoder,
 }
 
 impl<T: Transport> FollowerLink<T> {
     /// Pairs `follower` with `transport`. Call
     /// [`subscribe`](FollowerLink::subscribe) before polling.
     pub fn new(transport: T, follower: Follower) -> FollowerLink<T> {
-        FollowerLink { transport, follower, reader: FrameReader::new() }
+        FollowerLink { transport, follower, decoder: Decoder::new() }
     }
 
     /// Subscribes every shard from the follower's next needed sequence —
@@ -36,12 +61,10 @@ impl<T: Transport> FollowerLink<T> {
     ///
     /// Transport failures pass through.
     pub fn subscribe(&mut self) -> Result<()> {
-        let mut wire = Vec::new();
-        for shard in 0..self.follower.store().shards() {
-            let from_seq = self.follower.next_seq(shard);
-            encode(&Frame::Subscribe { shard: shard as u32, from_seq }, &mut wire);
-        }
-        self.transport.send(&wire)
+        let follower = &self.follower;
+        let shards = 0..follower.store().shards();
+        let subscribe = |shard| Msg::Subscribe { shard, from_seq: follower.next_seq(shard) };
+        send(&mut self.transport, shards.map(subscribe))
     }
 
     /// One receive round: pulls available bytes, applies every complete
@@ -53,57 +76,20 @@ impl<T: Transport> FollowerLink<T> {
     /// Transport, protocol and apply failures pass through (a sequence
     /// gap or stale epoch is [`noblsm::Error::Replication`]).
     pub fn poll(&mut self) -> Result<usize> {
-        let mut bytes = Vec::new();
-        self.transport.recv(&mut bytes)?;
-        self.reader.feed(&bytes);
+        let follower = &mut self.follower;
         let mut applied = 0;
-        let mut acks = Vec::new();
-        while let Some(frame) = self.reader.next_frame()? {
-            match frame {
-                Frame::Record {
-                    shard,
-                    epoch,
-                    first_seq,
-                    last_seq,
-                    committed_at,
-                    trace,
-                    span,
-                    payload,
-                } => {
-                    let rec = LogRecord {
-                        shard: shard as usize,
-                        epoch,
-                        first_seq,
-                        last_seq,
-                        payload,
-                        committed_at: Nanos::from_nanos(committed_at),
-                        // The wire carries the ship span's identity; its
-                        // parent lives on the leader and is not needed to
-                        // parent the apply span beneath it.
-                        ctx: TraceCtx { trace, span, parent: 0 },
-                    };
-                    if self.follower.apply(&rec)? {
-                        applied += 1;
-                        acks.push(Frame::Ack { shard, last_seq });
-                    }
-                }
-                Frame::Heartbeat { epoch, leader_now, .. } => {
-                    self.follower.observe_heartbeat(epoch, Nanos::from_nanos(leader_now))?;
-                }
-                other => {
-                    return Err(Error::Replication(format!(
-                        "unexpected frame on a follower link: {other:?}"
-                    )));
-                }
+        receive(&mut self.transport, &mut self.decoder, |msg| match msg {
+            Msg::Record(rec) => {
+                let fresh = follower.apply(&rec)?;
+                applied += usize::from(fresh);
+                Ok(fresh)
             }
-        }
-        if !acks.is_empty() {
-            let mut wire = Vec::new();
-            for ack in &acks {
-                encode(ack, &mut wire);
+            Msg::Heartbeat { epoch, leader_now, .. } => {
+                follower.observe_heartbeat(epoch, leader_now)?;
+                Ok(false)
             }
-            self.transport.send(&wire)?;
-        }
+            _ => Ok(false),
+        })?;
         Ok(applied)
     }
 
@@ -154,7 +140,7 @@ pub struct Subscription<T: Transport> {
     shard: usize,
     /// The next sequence this subscriber has not delivered.
     next: u64,
-    reader: FrameReader,
+    decoder: Decoder,
 }
 
 impl<T: Transport> Subscription<T> {
@@ -166,10 +152,8 @@ impl<T: Transport> Subscription<T> {
     /// Transport failures pass through.
     pub fn start(mut transport: T, shard: usize, from_seq: u64) -> Result<Subscription<T>> {
         let next = from_seq.max(1);
-        let mut wire = Vec::new();
-        encode(&Frame::Subscribe { shard: shard as u32, from_seq: next }, &mut wire);
-        transport.send(&wire)?;
-        Ok(Subscription { transport, shard, next, reader: FrameReader::new() })
+        send(&mut transport, [Msg::Subscribe { shard, from_seq: next }])?;
+        Ok(Subscription { transport, shard, next, decoder: Decoder::new() })
     }
 
     /// Re-opens this changefeed over a new transport — after a
@@ -203,59 +187,23 @@ impl<T: Transport> Subscription<T> {
     /// Transport and protocol failures pass through; a delivered record
     /// that would leave a gap is [`noblsm::Error::Replication`].
     pub fn poll(&mut self) -> Result<Vec<LogRecord>> {
-        let mut bytes = Vec::new();
-        self.transport.recv(&mut bytes)?;
-        self.reader.feed(&bytes);
+        let (shard, next) = (self.shard, &mut self.next);
         let mut out = Vec::new();
-        let mut acks = Vec::new();
-        while let Some(frame) = self.reader.next_frame()? {
-            match frame {
-                Frame::Record {
-                    shard,
-                    epoch,
-                    first_seq,
-                    last_seq,
-                    committed_at,
-                    trace,
-                    span,
-                    payload,
-                } => {
-                    if shard as usize != self.shard || last_seq < self.next {
-                        continue; // other shard, or a redelivered duplicate
-                    }
-                    if first_seq > self.next {
-                        return Err(Error::Replication(format!(
-                            "changefeed gap on shard {shard}: expected seq {}, got {first_seq}",
-                            self.next
-                        )));
-                    }
-                    self.next = last_seq + 1;
-                    acks.push(Frame::Ack { shard, last_seq });
-                    out.push(LogRecord {
-                        shard: shard as usize,
-                        epoch,
-                        first_seq,
-                        last_seq,
-                        payload,
-                        committed_at: Nanos::from_nanos(committed_at),
-                        ctx: TraceCtx { trace, span, parent: 0 },
-                    });
-                }
-                Frame::Heartbeat { .. } => {}
-                other => {
-                    return Err(Error::Replication(format!(
-                        "unexpected frame on a changefeed: {other:?}"
-                    )));
-                }
+        receive(&mut self.transport, &mut self.decoder, |msg| {
+            let Msg::Record(rec) = msg else { return Ok(false) };
+            if rec.shard != shard || rec.last_seq < *next {
+                return Ok(false); // other shard, or a redelivered duplicate
             }
-        }
-        if !acks.is_empty() {
-            let mut wire = Vec::new();
-            for ack in &acks {
-                encode(ack, &mut wire);
+            if rec.first_seq > *next {
+                return Err(Error::Replication(format!(
+                    "changefeed gap on shard {shard}: expected seq {next}, got {}",
+                    rec.first_seq
+                )));
             }
-            self.transport.send(&wire)?;
-        }
+            *next = rec.last_seq + 1;
+            out.push(rec);
+            Ok(true)
+        })?;
         Ok(out)
     }
 }

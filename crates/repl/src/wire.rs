@@ -1,350 +1,295 @@
-//! The replication wire protocol: length-prefixed little-endian frames.
+//! The replication messages on the serving crate's wire.
 //!
-//! Every frame is `u32 length ++ u8 kind ++ body`, where `length` counts
-//! the kind byte plus the body. The codec is encode/decode symmetric and
-//! incremental: a `FrameReader` buffers partial frames across `recv`
-//! boundaries, so the same parser serves the loopback transport (whole
-//! frames per call) and TCP (arbitrary splits).
+//! Replication has no codec of its own: every message is a RESP array
+//! that starts with a verb bulk, written by [`Frame::encode`] and read by
+//! the serving crate's incremental [`Decoder`], so one set of size caps
+//! and one malformed-input corpus guard both protocols.
 //!
-//! A malformed frame — unknown kind, truncated body, trailing bytes — is
-//! a protocol error ([`noblsm::Error::Replication`]), never a silent
-//! skip: replication peers share a versioned format, and disagreement
-//! means the stream cannot be trusted.
+//! ```text
+//! SUBSCRIBE shard from_seq
+//! RECORD    shard epoch first_seq last_seq committed_at trace span <payload bulk>
+//! ACK       shard last_seq
+//! HEARTBEAT epoch leader_now seq...
+//! FENCE     epoch
+//! ```
+//!
+//! Every number is a RESP integer holding the `u64`'s bit pattern, so
+//! every `u64` round-trips exactly. A frame the decoder rejects, or a
+//! well-formed frame that is not one of these messages, is
+//! [`noblsm::Error::Replication`]: peers share one format, and
+//! disagreement means the stream cannot be trusted.
 
+use nob_server::{Decoder, Frame, Transport};
+use nob_sim::Nanos;
+use nob_trace::TraceCtx;
 use noblsm::{Error, Result};
 
+use crate::changelog::LogRecord;
+
 /// One replication protocol message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// Client → leader: stream shard `shard`'s records starting at the
-    /// first record containing `from_seq`.
-    Subscribe {
-        /// Shard to subscribe to.
-        shard: u32,
-        /// First sequence number the subscriber has not seen.
-        from_seq: u64,
-    },
-    /// Leader → client: one shipped group-commit record.
-    Record {
-        /// Shard the group committed on.
-        shard: u32,
-        /// Leadership epoch the record was shipped under.
-        epoch: u64,
-        /// Sequence of the record's first entry.
-        first_seq: u64,
-        /// Sequence of the record's last entry.
-        last_seq: u64,
-        /// The group's durable instant on the leader clock, in nanos.
-        committed_at: u64,
-        /// Trace id of the record's `repl_ship` span (0 when untraced).
-        trace: u64,
-        /// Span id of the record's `repl_ship` span (0 when untraced).
-        span: u64,
-        /// The group's batch as logged (`noblsm::WriteBatch::payload`).
-        payload: Vec<u8>,
-    },
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Msg {
+    /// Client → leader: stream `shard`'s records starting at the first
+    /// record containing `from_seq`.
+    Subscribe { shard: usize, from_seq: u64 },
+    /// Leader → client: one shipped group-commit record, tagged with the
+    /// leader's current epoch. Only the ship span's identity crosses the
+    /// wire (`ctx.parent` arrives as 0).
+    Record(LogRecord),
     /// Client → leader: everything up to `last_seq` on `shard` is applied
-    /// durably on the subscriber's side.
-    Ack {
-        /// Shard being acknowledged.
-        shard: u32,
-        /// Highest applied sequence on that shard.
-        last_seq: u64,
-    },
+    /// on the subscriber's side.
+    Ack { shard: usize, last_seq: u64 },
     /// Leader → client: liveness plus the leader's view of time and
-    /// progress; the staleness clock for bounded follower reads.
-    Heartbeat {
-        /// The leader's current epoch.
-        epoch: u64,
-        /// The leader clock's current instant, in nanos.
-        leader_now: u64,
-        /// Last committed sequence per shard, in shard order.
-        shard_seqs: Vec<u64>,
-    },
+    /// progress (last committed sequence per shard); the staleness clock
+    /// for bounded follower reads.
+    Heartbeat { epoch: u64, leader_now: Nanos, shard_seqs: Vec<u64> },
     /// Peer → leader: a higher epoch exists; stop accepting writes.
-    Fence {
-        /// The epoch of the new leadership.
-        epoch: u64,
-    },
+    Fence { epoch: u64 },
 }
 
-/// Frame kind tags (the byte after the length prefix).
-const KIND_SUBSCRIBE: u8 = 1;
-const KIND_RECORD: u8 = 2;
-const KIND_ACK: u8 = 3;
-const KIND_HEARTBEAT: u8 = 4;
-const KIND_FENCE: u8 = 5;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn int(n: u64) -> Frame {
+    Frame::Integer(n as i64)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn bad(what: impl std::fmt::Display) -> Error {
+    Error::Replication(format!("not a replication message: {what}"))
 }
 
-/// Appends `frame`'s encoding to `out`.
-pub(crate) fn encode(frame: &Frame, out: &mut Vec<u8>) {
-    let at = out.len();
-    put_u32(out, 0); // length backpatched below
-    match frame {
-        Frame::Subscribe { shard, from_seq } => {
-            out.push(KIND_SUBSCRIBE);
-            put_u32(out, *shard);
-            put_u64(out, *from_seq);
-        }
-        Frame::Record { shard, epoch, first_seq, last_seq, committed_at, trace, span, payload } => {
-            out.push(KIND_RECORD);
-            put_u32(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, *first_seq);
-            put_u64(out, *last_seq);
-            put_u64(out, *committed_at);
-            put_u64(out, *trace);
-            put_u64(out, *span);
-            put_u32(out, payload.len() as u32);
-            out.extend_from_slice(payload);
-        }
-        Frame::Ack { shard, last_seq } => {
-            out.push(KIND_ACK);
-            put_u32(out, *shard);
-            put_u64(out, *last_seq);
-        }
-        Frame::Heartbeat { epoch, leader_now, shard_seqs } => {
-            out.push(KIND_HEARTBEAT);
-            put_u64(out, *epoch);
-            put_u64(out, *leader_now);
-            put_u32(out, shard_seqs.len() as u32);
-            for s in shard_seqs {
-                put_u64(out, *s);
+impl Msg {
+    /// Appends this message's wire encoding to `out`.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        let verb = |v: &[u8]| Frame::Bulk(v.to_vec());
+        let items = match self {
+            Msg::Subscribe { shard, from_seq } => {
+                vec![verb(b"SUBSCRIBE"), int(shard as u64), int(from_seq)]
             }
-        }
-        Frame::Fence { epoch } => {
-            out.push(KIND_FENCE);
-            put_u64(out, *epoch);
-        }
-    }
-    let len = (out.len() - at - 4) as u32;
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// A strict little-endian cursor over one frame body.
-struct Body<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Body<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.at.checked_add(n).filter(|&e| e <= self.bytes.len());
-        let Some(end) = end else {
-            return Err(Error::Replication("truncated replication frame body".into()));
+            Msg::Record(rec) => vec![
+                verb(b"RECORD"),
+                int(rec.shard as u64),
+                int(rec.epoch),
+                int(rec.first_seq),
+                int(rec.last_seq),
+                int(rec.committed_at.as_nanos()),
+                int(rec.ctx.trace),
+                int(rec.ctx.span),
+                Frame::Bulk(rec.payload),
+            ],
+            Msg::Ack { shard, last_seq } => vec![verb(b"ACK"), int(shard as u64), int(last_seq)],
+            Msg::Heartbeat { epoch, leader_now, shard_seqs } => {
+                [verb(b"HEARTBEAT"), int(epoch), int(leader_now.as_nanos())]
+                    .into_iter()
+                    .chain(shard_seqs.into_iter().map(int))
+                    .collect()
+            }
+            Msg::Fence { epoch } => vec![verb(b"FENCE"), int(epoch)],
         };
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
+        Frame::Array(items).encode(out);
     }
 
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    /// Reads one message out of a decoded frame: an array that starts
+    /// with a known verb and holds exactly that verb's arguments, or else
+    /// [`noblsm::Error::Replication`].
+    pub(crate) fn parse(frame: Frame) -> Result<Msg> {
+        let Frame::Array(items) = frame else { return Err(bad("not an array")) };
+        let mut args = Args(items.into_iter());
+        let verb = args.bulk()?;
+        let msg = match &verb[..] {
+            b"SUBSCRIBE" => Msg::Subscribe { shard: args.shard()?, from_seq: args.u64()? },
+            b"RECORD" => Msg::Record(LogRecord {
+                shard: args.shard()?,
+                epoch: args.u64()?,
+                first_seq: args.u64()?,
+                last_seq: args.u64()?,
+                committed_at: Nanos::from_nanos(args.u64()?),
+                ctx: TraceCtx { trace: args.u64()?, span: args.u64()?, parent: 0 },
+                payload: args.bulk()?,
+            }),
+            b"ACK" => Msg::Ack { shard: args.shard()?, last_seq: args.u64()? },
+            b"HEARTBEAT" => {
+                let epoch = args.u64()?;
+                let leader_now = Nanos::from_nanos(args.u64()?);
+                let mut shard_seqs = Vec::new();
+                while !args.done() {
+                    shard_seqs.push(args.u64()?);
+                }
+                Msg::Heartbeat { epoch, leader_now, shard_seqs }
+            }
+            b"FENCE" => Msg::Fence { epoch: args.u64()? },
+            other => return Err(bad(format!("verb {:?}", String::from_utf8_lossy(other)))),
+        };
+        if !args.done() {
+            return Err(bad("trailing arguments"));
+        }
+        Ok(msg)
+    }
+}
+
+/// A message's arguments, taken front to back.
+struct Args(std::vec::IntoIter<Frame>);
+
+impl Args {
+    fn done(&self) -> bool {
+        self.0.as_slice().is_empty()
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        match self.0.next() {
+            Some(Frame::Integer(n)) => Ok(n as u64),
+            other => Err(bad(format!("expected an integer, got {other:?}"))),
+        }
     }
 
-    fn done(&self) -> Result<()> {
-        if self.at != self.bytes.len() {
-            return Err(Error::Replication("trailing bytes in replication frame".into()));
+    fn shard(&mut self) -> Result<usize> {
+        let n = self.u64()?;
+        usize::try_from(n).map_err(|_| bad(format!("shard {n}")))
+    }
+
+    fn bulk(&mut self) -> Result<Vec<u8>> {
+        match self.0.next() {
+            Some(Frame::Bulk(b)) => Ok(b),
+            other => Err(bad(format!("expected a bulk, got {other:?}"))),
         }
-        Ok(())
     }
 }
 
-fn decode_body(kind: u8, body: &[u8]) -> Result<Frame> {
-    let mut b = Body { bytes: body, at: 0 };
-    let frame = match kind {
-        KIND_SUBSCRIBE => Frame::Subscribe { shard: b.u32()?, from_seq: b.u64()? },
-        KIND_RECORD => {
-            let shard = b.u32()?;
-            let epoch = b.u64()?;
-            let first_seq = b.u64()?;
-            let last_seq = b.u64()?;
-            let committed_at = b.u64()?;
-            let trace = b.u64()?;
-            let span = b.u64()?;
-            let n = b.u32()? as usize;
-            let payload = b.take(n)?.to_vec();
-            Frame::Record { shard, epoch, first_seq, last_seq, committed_at, trace, span, payload }
-        }
-        KIND_ACK => Frame::Ack { shard: b.u32()?, last_seq: b.u64()? },
-        KIND_HEARTBEAT => {
-            let epoch = b.u64()?;
-            let leader_now = b.u64()?;
-            let n = b.u32()? as usize;
-            let mut shard_seqs = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                shard_seqs.push(b.u64()?);
-            }
-            Frame::Heartbeat { epoch, leader_now, shard_seqs }
-        }
-        KIND_FENCE => Frame::Fence { epoch: b.u64()? },
-        other => {
-            return Err(Error::Replication(format!("unknown replication frame kind {other}")));
-        }
-    };
-    b.done()?;
-    Ok(frame)
+/// The next complete message `decoder` holds, `Ok(None)` when more bytes
+/// are needed. A frame the decoder rejects (it keeps failing from then
+/// on) or one that is not a message is [`noblsm::Error::Replication`].
+pub(crate) fn next_msg(decoder: &mut Decoder) -> Result<Option<Msg>> {
+    match decoder.next_frame() {
+        Ok(frame) => frame.map(Msg::parse).transpose(),
+        Err(e) => Err(Error::Replication(format!("replication stream: {e}"))),
+    }
 }
 
-/// Incremental frame parser: [`feed`](FrameReader::feed) bytes as they
-/// arrive, [`next_frame`](FrameReader::next_frame) complete frames as they become
-/// available. Partial frames are buffered across feeds.
-#[derive(Debug, Default)]
-pub(crate) struct FrameReader {
-    buf: Vec<u8>,
-    at: usize,
-}
-
-/// The largest frame a peer may send (guards against a corrupt length
-/// prefix allocating unbounded memory). Generous next to the store's
-/// default 1 MiB group budget.
-pub(crate) const MAX_FRAME: usize = 64 << 20;
-
-impl FrameReader {
-    /// An empty reader.
-    pub(crate) fn new() -> FrameReader {
-        FrameReader::default()
+/// Sends `msgs` in one write (none when there are none); transport
+/// failures pass through.
+pub(crate) fn send<T: Transport>(
+    transport: &mut T,
+    msgs: impl IntoIterator<Item = Msg>,
+) -> Result<()> {
+    let mut wire = Vec::new();
+    msgs.into_iter().for_each(|msg| msg.encode(&mut wire));
+    if wire.is_empty() {
+        return Ok(());
     }
-
-    /// Buffers newly received bytes.
-    pub(crate) fn feed(&mut self, bytes: &[u8]) {
-        // Compact lazily so a long-lived subscription doesn't grow without
-        // bound while staying O(1) amortized.
-        if self.at > 0 && self.at == self.buf.len() {
-            self.buf.clear();
-            self.at = 0;
-        } else if self.at > 64 << 10 {
-            self.buf.drain(..self.at);
-            self.at = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Parses the next complete frame, `Ok(None)` when more bytes are
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// [`noblsm::Error::Replication`] on a malformed frame; the reader is
-    /// then poisoned-by-construction (the buffer no longer aligns with a
-    /// frame boundary) and the connection should be dropped.
-    pub(crate) fn next_frame(&mut self) -> Result<Option<Frame>> {
-        let avail = self.buf.len() - self.at;
-        if avail < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[self.at..self.at + 4].try_into().expect("4 bytes"))
-            as usize;
-        if len == 0 || len > MAX_FRAME {
-            return Err(Error::Replication(format!("invalid replication frame length {len}")));
-        }
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let kind = self.buf[self.at + 4];
-        let body = &self.buf[self.at + 5..self.at + 4 + len];
-        let frame = decode_body(kind, body)?;
-        self.at += 4 + len;
-        Ok(Some(frame))
-    }
+    transport.send(&wire)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn samples() -> Vec<Frame> {
+    fn samples() -> Vec<Msg> {
         vec![
-            Frame::Subscribe { shard: 3, from_seq: 42 },
-            Frame::Record {
+            Msg::Subscribe { shard: 3, from_seq: 42 },
+            Msg::Record(LogRecord {
                 shard: 1,
                 epoch: 2,
                 first_seq: 10,
                 last_seq: 12,
-                committed_at: 9_999,
-                trace: 77,
-                span: 81,
                 payload: b"abcdef".to_vec(),
+                committed_at: Nanos::from_nanos(9_999),
+                ctx: TraceCtx { trace: 77, span: 81, parent: 0 },
+            }),
+            Msg::Record(LogRecord {
+                shard: 0,
+                epoch: u64::MAX,
+                first_seq: 1 << 63,
+                last_seq: u64::MAX,
+                payload: Vec::new(),
+                committed_at: Nanos::from_nanos(u64::MAX),
+                ctx: TraceCtx { trace: u64::MAX, span: 1 << 63, parent: 0 },
+            }),
+            Msg::Ack { shard: 0, last_seq: u64::MAX },
+            Msg::Heartbeat {
+                epoch: 2,
+                leader_now: Nanos::from_nanos(10_000),
+                shard_seqs: vec![12, 7, u64::MAX],
             },
-            Frame::Ack { shard: 0, last_seq: 12 },
-            Frame::Heartbeat { epoch: 2, leader_now: 10_000, shard_seqs: vec![12, 7] },
-            Frame::Fence { epoch: 3 },
+            Msg::Heartbeat { epoch: 0, leader_now: Nanos::ZERO, shard_seqs: Vec::new() },
+            Msg::Fence { epoch: u64::MAX },
         ]
+    }
+
+    /// Encodes every sample, delivers the bytes `chunk` at a time and
+    /// decodes what arrives.
+    fn deliver(chunk: usize) -> Vec<Msg> {
+        let mut wire = Vec::new();
+        samples().into_iter().for_each(|msg| msg.encode(&mut wire));
+        let (mut decoder, mut out) = (Decoder::new(), Vec::new());
+        for bytes in wire.chunks(chunk) {
+            decoder.push(bytes);
+            while let Some(msg) = next_msg(&mut decoder).unwrap() {
+                out.push(msg);
+            }
+        }
+        out
     }
 
     #[test]
     fn frames_round_trip() {
-        let mut wire = Vec::new();
-        for f in &samples() {
-            encode(f, &mut wire);
-        }
-        let mut r = FrameReader::new();
-        r.feed(&wire);
-        let mut out = Vec::new();
-        while let Some(f) = r.next_frame().unwrap() {
-            out.push(f);
-        }
-        assert_eq!(out, samples());
+        assert_eq!(deliver(usize::MAX), samples());
     }
 
     #[test]
     fn split_delivery_reassembles() {
-        let mut wire = Vec::new();
-        for f in &samples() {
-            encode(f, &mut wire);
+        // One byte at a time — the worst TCP fragmentation possible.
+        assert_eq!(deliver(1), samples());
+    }
+
+    /// Asserts every case is rejected as a replication error, both as
+    /// a parsed frame and as bytes through the decoder.
+    fn assert_rejected(cases: Vec<(&str, Frame)>) {
+        for (what, frame) in cases {
+            let mut wire = Vec::new();
+            frame.encode(&mut wire);
+            let mut decoder = Decoder::new();
+            decoder.push(&wire);
+            let err = next_msg(&mut decoder).unwrap_err();
+            assert!(matches!(err, Error::Replication(_)), "{what} (decoded): {err}");
+            let err = Msg::parse(frame).unwrap_err();
+            assert!(matches!(err, Error::Replication(_)), "{what}: {err}");
         }
-        // Feed one byte at a time — the worst TCP fragmentation possible.
-        let mut r = FrameReader::new();
-        let mut out = Vec::new();
-        for b in &wire {
-            r.feed(std::slice::from_ref(b));
-            while let Some(f) = r.next_frame().unwrap() {
-                out.push(f);
-            }
-        }
-        assert_eq!(out, samples());
+    }
+
+    fn bulk(s: &[u8]) -> Frame {
+        Frame::Bulk(s.to_vec())
+    }
+
+    /// `verb` followed by `n` integer arguments.
+    fn ints(verb: &[u8], n: u64) -> Frame {
+        Frame::Array([bulk(verb)].into_iter().chain((0..n).map(int)).collect())
     }
 
     #[test]
     fn unknown_kind_is_a_protocol_error() {
-        let mut wire = Vec::new();
-        encode(&Frame::Fence { epoch: 1 }, &mut wire);
-        wire[4] = 99; // corrupt the kind byte
-        let mut r = FrameReader::new();
-        r.feed(&wire);
-        let err = r.next_frame().unwrap_err();
-        assert!(matches!(err, Error::Replication(_)), "{err}");
+        assert_rejected(vec![
+            ("wrong verb", ints(b"PING", 0)),
+            ("lower-case verb", ints(b"fence", 1)),
+            ("integer verb", Frame::Array(vec![int(1), int(1)])),
+        ]);
     }
 
     #[test]
     fn truncated_body_is_a_protocol_error() {
-        let mut wire = Vec::new();
-        encode(&Frame::Ack { shard: 0, last_seq: 7 }, &mut wire);
-        // Shrink the body but fix up the length prefix so the frame
-        // "completes" with too few bytes for its kind.
-        let short = (wire.len() - 4 - 2) as u32;
-        wire.truncate(wire.len() - 2);
-        wire[..4].copy_from_slice(&short.to_le_bytes());
-        let mut r = FrameReader::new();
-        r.feed(&wire);
-        assert!(r.next_frame().is_err());
+        assert_rejected(vec![
+            ("too few arguments", ints(b"ACK", 1)),
+            ("no arguments", ints(b"SUBSCRIBE", 0)),
+            ("missing payload", ints(b"RECORD", 7)),
+            ("heartbeat without its clock", ints(b"HEARTBEAT", 1)),
+        ]);
     }
 
     #[test]
-    fn zero_length_prefix_is_rejected() {
-        let mut r = FrameReader::new();
-        r.feed(&0u32.to_le_bytes());
-        assert!(r.next_frame().is_err());
+    fn non_messages_are_protocol_errors() {
+        assert_rejected(vec![
+            ("too many arguments", ints(b"FENCE", 2)),
+            ("bulk where an integer belongs", Frame::Array(vec![bulk(b"FENCE"), bulk(b"1")])),
+            ("integer where the payload belongs", ints(b"RECORD", 8)),
+            ("empty array", Frame::Array(Vec::new())),
+            ("not an array", bulk(b"FENCE")),
+            ("nil", Frame::Nil),
+        ]);
     }
 }

@@ -1,6 +1,7 @@
-//! A subscriber that breaks the frame protocol is dropped by the TCP
-//! endpoint without disturbing it: well-behaved followers connected
-//! before and after keep streaming.
+//! A subscriber that breaks the protocol — bytes the RESP decoder
+//! rejects, or a well-formed RESP frame that is not a replication
+//! message — is dropped by the TCP endpoint without disturbing it: a
+//! well-behaved follower connected after them keeps streaming.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -21,13 +22,19 @@ fn poisoned_subscriber_is_reaped_and_the_endpoint_keeps_streaming() {
     let server = ReplTcpServer::serve("127.0.0.1:0", ReplCore::new(leader)).unwrap();
     let addr = server.local_addr().to_string();
 
-    // A zero-length frame is a protocol error: the endpoint hangs up on
-    // this peer (EOF, possibly after heartbeats already in flight).
-    let mut bad = TcpStream::connect(&addr).unwrap();
-    bad.write_all(&0u32.to_le_bytes()).unwrap();
-    bad.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut sink = Vec::new();
-    bad.read_to_end(&mut sink).expect("the endpoint closes a poisoned connection");
+    // Each is a protocol error: the endpoint hangs up on that peer (EOF,
+    // possibly after heartbeats already in flight).
+    let zero_length_prefix: &[u8] = &[0; 4];
+    let not_a_message: &[u8] = b"*1\r\n$4\r\nPING\r\n";
+    let mut bad = Vec::new();
+    for bytes in [zero_length_prefix, not_a_message] {
+        let mut peer = TcpStream::connect(&addr).unwrap();
+        peer.write_all(bytes).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut sink = Vec::new();
+        peer.read_to_end(&mut sink).expect("the endpoint closes a poisoned connection");
+        bad.push(peer);
+    }
 
     let follower = Follower::new(Store::open(opts).unwrap(), 1);
     let mut link = FollowerLink::new(TcpTransport::connect(&addr).unwrap(), follower);

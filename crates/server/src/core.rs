@@ -89,50 +89,6 @@ impl Default for ServerOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(u64);
 
-/// The serving node's replication role, enforced on the write path and
-/// surfaced in `INFO`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplRole {
-    /// Not part of a replication pair (the default).
-    #[default]
-    Standalone,
-    /// Accepting writes and shipping them to subscribers.
-    Leader,
-    /// Applying a leader's stream; write-class requests are rejected
-    /// with `-READONLY` so clients redirect to the leader.
-    Follower,
-}
-
-impl ReplRole {
-    /// Stable lower-case name, as printed in `INFO`.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            ReplRole::Standalone => "standalone",
-            ReplRole::Leader => "leader",
-            ReplRole::Follower => "follower",
-        }
-    }
-}
-
-/// Replication posture the embedding layer (`nob-repl`) pushes into the
-/// serving core: the role routes writes, the rest is reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplStatus {
-    /// This node's role.
-    pub role: ReplRole,
-    /// Current leadership epoch (0 while standalone).
-    pub epoch: u64,
-    /// Most recent commit→ack replication lag in nanoseconds (leaders),
-    /// or applied staleness (followers).
-    pub lag_nanos: u64,
-    /// WAL records shipped to subscribers (leaders; 0 otherwise).
-    pub shipped_records: u64,
-    /// Highest subscriber-acknowledged sequence across shards (leaders).
-    pub acked_seq: u64,
-    /// WAL records applied from the leader's stream (followers).
-    pub applied_records: u64,
-}
-
 /// What a parked write replies with once its ticket resolves.
 #[derive(Debug, Clone, Copy)]
 enum WriteReply {
@@ -200,7 +156,6 @@ pub struct ServerCore {
     scan_reply_hint: usize,
     trace: Option<TraceSink>,
     counters: Counters,
-    repl: ReplStatus,
 }
 
 impl ServerCore {
@@ -246,15 +201,7 @@ impl ServerCore {
             scan_reply_hint: 0,
             trace: None,
             counters: Counters::default(),
-            repl: ReplStatus::default(),
         })
-    }
-
-    /// Updates the replication posture. A [`ReplRole::Follower`] role
-    /// makes every write-class request answer `-READONLY` from the next
-    /// request on; in-flight writes already enqueued still resolve.
-    pub fn set_repl_status(&mut self, status: ReplStatus) {
-        self.repl = status;
     }
 
     /// The deployment's shared virtual clock.
@@ -449,13 +396,6 @@ impl ServerCore {
         for (stat, _, name, _) in STATS {
             out.push_str(&format!("{name}:{}\n", self.counters.get(stat)));
         }
-        out.push_str("# replication\n");
-        out.push_str(&format!("role:{}\n", self.repl.role.name()));
-        out.push_str(&format!("epoch:{}\n", self.repl.epoch));
-        out.push_str(&format!("lag_nanos:{}\n", self.repl.lag_nanos));
-        out.push_str(&format!("shipped_records:{}\n", self.repl.shipped_records));
-        out.push_str(&format!("acked_seq:{}\n", self.repl.acked_seq));
-        out.push_str(&format!("applied_records:{}\n", self.repl.applied_records));
         let stats = self.store.stats();
         out.push_str("# store\n");
         out.push_str(&format!("shards:{}\n", self.store.shards()));
@@ -516,14 +456,6 @@ impl ServerCore {
         if over_pipeline || over_budget {
             self.counters.add(Stat::BusyRejections, 1);
             self.push_frame(id, &Frame::busy());
-            return Ok(());
-        }
-        if class == RequestClass::Write && self.repl.role == ReplRole::Follower {
-            self.counters.add(Stat::ReadonlyRejections, 1);
-            self.push_frame(
-                id,
-                &Frame::Error("READONLY replica; route writes to the leader".into()),
-            );
             return Ok(());
         }
         self.counters.bump(class);
@@ -844,7 +776,6 @@ mod tests {
         assert!(text.contains("requests_write:1"), "{text}");
         assert!(text.contains("shards:2"), "{text}");
         assert!(text.contains("noblsm.stats:"), "{text}");
-        assert!(text.contains("# replication\nrole:standalone\nepoch:0\n"), "{text}");
         assert!(text.contains("seqs:"), "{text}");
         assert!(text.contains("shipped_records:0"), "{text}");
     }
@@ -854,43 +785,6 @@ mod tests {
         for (i, (stat, ..)) in STATS.iter().enumerate() {
             assert_eq!(*stat as usize, i, "{stat:?}");
         }
-    }
-
-    #[test]
-    fn follower_role_rejects_writes_but_serves_reads() {
-        let mut core = small_core(64, 64);
-        let c = core.connect();
-        feed_req(&mut core, c, &Request::Set(b"k".to_vec(), b"v".to_vec()));
-        core.flush().unwrap();
-        assert_eq!(decode_all(&core.take_output(c)), vec![Frame::ok()]);
-        core.set_repl_status(ReplStatus {
-            role: ReplRole::Follower,
-            epoch: 3,
-            lag_nanos: 42,
-            ..ReplStatus::default()
-        });
-        feed_req(&mut core, c, &Request::Set(b"k".to_vec(), b"v2".to_vec()));
-        feed_req(&mut core, c, &Request::Get(b"k".to_vec()));
-        feed_req(&mut core, c, &Request::Info);
-        core.flush().unwrap();
-        let replies = decode_all(&core.take_output(c));
-        let Frame::Error(msg) = &replies[0] else { panic!("write must be rejected: {replies:?}") };
-        assert!(msg.starts_with("READONLY"), "{msg}");
-        assert_eq!(replies[1], Frame::Bulk(b"v".to_vec()), "reads still serve");
-        let Frame::Bulk(text) = &replies[2] else { panic!("INFO must reply bulk") };
-        let text = String::from_utf8_lossy(text);
-        assert!(text.contains("role:follower\nepoch:3\nlag_nanos:42\n"), "{text}");
-        assert!(text.contains("readonly_rejections:1"), "{text}");
-        // Promotion flips the role and writes flow again.
-        core.set_repl_status(ReplStatus {
-            role: ReplRole::Leader,
-            epoch: 4,
-            lag_nanos: 0,
-            ..ReplStatus::default()
-        });
-        feed_req(&mut core, c, &Request::Set(b"k".to_vec(), b"v3".to_vec()));
-        core.flush().unwrap();
-        assert_eq!(decode_all(&core.take_output(c)), vec![Frame::ok()]);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub(super) enum Stat {
     ScanResumesHeld,
     ScanResumesRebuilt,
     BusyRejections,
-    ReadonlyRejections,
     ProtocolErrors,
     BytesIn,
     BytesOut,
@@ -33,7 +32,7 @@ pub(super) enum Stat {
 /// Every `server.*` instrument in INFO's `# server` order: INFO prints a
 /// `name:value` line for each row and the metrics registry samples a
 /// `server.name` series, both off the row's one cell.
-pub(super) const STATS: [(Stat, MetricKind, &str, &str); 17] = [
+pub(super) const STATS: [(Stat, MetricKind, &str, &str); 16] = [
     (Stat::Conns, Gauge, "conns", "Open connections"),
     (Stat::Inflight, Gauge, "inflight", "Unresolved write tickets across all connections"),
     (Stat::RequestsRead, Counter, "requests_read", "Read-class requests served (GET/MGET)"),
@@ -66,12 +65,6 @@ pub(super) const STATS: [(Stat, MetricKind, &str, &str); 17] = [
         Counter,
         "busy_rejections",
         "Requests rejected with -BUSY by admission control",
-    ),
-    (
-        Stat::ReadonlyRejections,
-        Counter,
-        "readonly_rejections",
-        "Write-class requests rejected with -READONLY on a follower",
     ),
     (
         Stat::ProtocolErrors,

@@ -50,7 +50,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use client::{is_busy_error, Client};
-pub use core::{ConnId, ReplRole, ReplStatus, ServerCore, ServerOptions};
+pub use core::{ConnId, ServerCore, ServerOptions};
 pub use endpoint::Endpoint;
 pub use noblsm::{Error, Result};
 pub use proto::{BatchOp, Decoder, Frame, ProtoError, Request, RequestClass};

@@ -281,17 +281,19 @@ fn parse_int(body: &[u8]) -> Result<i64, ProtoError> {
     if digits.is_empty() {
         return Err(ProtoError::BadLength);
     }
+    // Accumulate toward the sign so that `i64::MIN` parses too.
     let mut n: i64 = 0;
     for &b in digits {
         if !b.is_ascii_digit() {
             return Err(ProtoError::BadLength);
         }
+        let d = i64::from(b - b'0');
         n = n
             .checked_mul(10)
-            .and_then(|n| n.checked_add(i64::from(b - b'0')))
+            .and_then(|n| if neg { n.checked_sub(d) } else { n.checked_add(d) })
             .ok_or(ProtoError::BadLength)?;
     }
-    Ok(if neg { -n } else { n })
+    Ok(n)
 }
 
 /// Recursive-descent frame parser over `buf`, `Ok(None)` if incomplete.
@@ -691,6 +693,8 @@ mod tests {
             Frame::Simple("OK".into()),
             Frame::Error("ERR boom".into()),
             Frame::Integer(-42),
+            Frame::Integer(i64::MIN),
+            Frame::Integer(i64::MAX),
             Frame::Bulk(b"hello\r\nworld".to_vec()),
             Frame::Nil,
             Frame::Array(vec![Frame::Bulk(b"GET".to_vec()), Frame::Nil, Frame::Integer(7)]),

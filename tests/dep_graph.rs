@@ -34,8 +34,7 @@ use std::path::{Path, PathBuf};
 const MAX_KNOBS: usize = 49;
 
 /// The largest source file allowed: `store/src/lib.rs` (1 284 lines) is
-/// the current maximum, `server/src/core.rs` (1 205, its scan cursors in
-/// `core/cursor.rs`) the next. Lower it as the largest file shrinks; the
+/// the current maximum, `cli/src/lib.rs` (1 189) the next. Lower it as the largest file shrinks; the
 /// engine's 2 064-line `db/mod.rs` is what this keeps from coming back
 /// unnoticed.
 const MAX_SOURCE_LINES: usize = 1_284;
@@ -43,9 +42,16 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last lowered
-/// by six, from 1 014, when iteration became forward-only:
-/// `DbIterator::{seek_to_last, prev}`, `ScanOptions::{reverse, reversed}`
-/// and `BlockIter::{seek_to_last, prev}` went. Last raised
+/// by thirteen, from 1 008, when replication moved onto the serving
+/// crate's RESP codec and the server stopped carrying a replication
+/// posture: `ReplRole`, `ReplStatus` with its six fields (`role`, `epoch`,
+/// `lag_nanos`, `shipped_records`, `acked_seq`, `applied_records`),
+/// `ServerCore::set_repl_status` and `nob_repl::wire::Frame` (with
+/// `pub mod wire` and its file header) went, and the two types left
+/// `nob_server`'s re-export line. Before that by six, from 1 014, when iteration became
+/// forward-only: `DbIterator::{seek_to_last, prev}`,
+/// `ScanOptions::{reverse, reversed}` and `BlockIter::{seek_to_last, prev}`
+/// went. Last raised
 /// by one, from 1 013, for `ServerCore::new`: it serves a `Store` that is
 /// already open, which `noblsm-cli` needs to put its store behind the
 /// wire, and `ServerCore::open` delegates to it. Before that by two, from
@@ -54,7 +60,7 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 1_008;
+const MAX_SURFACE_LINES: usize = 995;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {

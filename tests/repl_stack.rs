@@ -1,8 +1,8 @@
 //! Workspace-level replication-stack integration: WAL shipping from a
 //! leader store to a loopback follower on one shared virtual clock,
-//! through the frame protocol, the change log, bounded-staleness
-//! follower reads, changefeeds and leader-kill failover — plus the
-//! serving layer's replica-aware behaviour on top.
+//! over the serving crate's RESP wire, through the change log,
+//! bounded-staleness follower reads, changefeeds and leader-kill
+//! failover.
 //!
 //! Pins the consistency contract end to end: acked writes survive
 //! promotion, follower reads honour `max_staleness`, changefeeds deliver
@@ -10,10 +10,6 @@
 //! identical.
 
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, Subscription};
-use nob_server::{
-    shared as shared_server, Client, LoopbackTransport, ReplRole, ReplStatus, ServerCore,
-    ServerOptions,
-};
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
 use noblsm::{ReadOptions, WriteBatch, WriteOptions};
@@ -141,24 +137,6 @@ fn changefeed_survives_leader_kill_with_no_gap_or_duplicate() {
         core.borrow().leader().store().shard_seqs()[0] + 1,
         "the feed must end at shard 0's last committed sequence"
     );
-}
-
-#[test]
-fn follower_fronted_server_rejects_writes_and_reports_replication() {
-    let server = shared_server(ServerCore::open(ServerOptions::default()).expect("open server"));
-    server.borrow_mut().set_repl_status(ReplStatus {
-        role: ReplRole::Follower,
-        epoch: 2,
-        lag_nanos: 1234,
-        ..ReplStatus::default()
-    });
-    let mut client = Client::new(LoopbackTransport::connect(&server));
-    let err = client.set(b"k", b"v").expect_err("followers must refuse writes");
-    assert!(err.to_string().contains("READONLY"), "got: {err}");
-    assert_eq!(client.get(b"k").expect("reads still served"), None);
-    let info = client.info().expect("INFO");
-    assert!(info.contains("# replication\nrole:follower\nepoch:2\nlag_nanos:1234\n"), "{info}");
-    assert!(info.contains("readonly_rejections:1\n"), "{info}");
 }
 
 #[test]
