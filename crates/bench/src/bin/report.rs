@@ -1,11 +1,11 @@
 //! Consolidates every result JSON under `target/nob-results/` into one
-//! markdown report (`target/nob-results/REPORT.md`): the tables of all
-//! figures and sweeps, Table 1, the ablations, and any chaos sweeps
-//! (written by `chaos sweep --out target/nob-results/<name>.json`).
+//! markdown report (`target/nob-results/REPORT.md`): the tables of every
+//! sweep document `fig` wrote there — the paper's figures, the
+//! extensions, and the crash and failover sweeps.
 //!
-//! Usage: run `fig` (and any chaos sweep) first, then `report`. Exits 1
-//! if any file could not be rendered — a renderer that fell behind a
-//! schema must fail CI, not shrink the report.
+//! Usage: run `fig` first, then `report`. Exits 1 if any file could not
+//! be rendered — a renderer that fell behind a schema must fail CI, not
+//! shrink the report.
 
 fn main() {
     let dir = std::path::Path::new("target/nob-results");

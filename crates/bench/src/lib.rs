@@ -20,6 +20,7 @@ use nob_sim::Nanos;
 use noblsm::Options;
 
 pub mod breakdown;
+pub mod campaign;
 pub mod compact;
 pub mod output;
 pub mod paper;

@@ -19,7 +19,7 @@ use nob_trace::{EventClass, TraceSink};
 use nob_workloads::dbbench;
 
 use crate::output::Pivot;
-use crate::report::{class_table, fmt_ns};
+use crate::report::fmt_ns;
 use crate::shards::store_options;
 use crate::sweep::{Axis, Grid, Row, Sweep};
 use crate::Scale;
@@ -268,6 +268,29 @@ fn stall_cause(s: &Json, key: &str) -> String {
         }
         _ => String::new(),
     }
+}
+
+/// The per-class latency percentile table (nothing for no classes).
+fn class_table(classes: &[(String, Json)], out: &mut String) {
+    if classes.is_empty() {
+        return;
+    }
+    let _ = writeln!(out, "| class | count | p50 | p95 | p99 | p999 | max |");
+    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
+    for (name, c) in classes {
+        let ns = |k: &str| fmt_ns(c.num(k).unwrap_or(0.0));
+        let _ = writeln!(
+            out,
+            "| {name} | {} | {} | {} | {} | {} | {} |",
+            c.num("count").unwrap_or(0.0) as u64,
+            ns("p50_ns"),
+            ns("p95_ns"),
+            ns("p99_ns"),
+            ns("p999_ns"),
+            ns("max_ns"),
+        );
+    }
+    let _ = writeln!(out);
 }
 
 /// Renders an embedded nob-trace summary: the per-class latency

@@ -4,8 +4,9 @@
 //! stdout/markdown rendering and the golden compare/bless.
 //!
 //! A sweep module (`shards`, `server`, `repl`, `breakdown`, `scan`,
-//! `compact`, `timeline`, `scenarios` for the smoke scenarios, and
-//! `paper` for the paper's own figures) keeps only what is particular
+//! `compact`, `timeline`, `scenarios` for the smoke scenarios, `chaos`
+//! for the crash and failover cases, and `paper` for the paper's own
+//! figures) keeps only what is particular
 //! to it: why it exists, its workload (`run_cell`), how its cells read
 //! as tables (`tables`) and the properties its grid must show
 //! (`invariants`). Adding a sweep is adding one entry to
@@ -80,7 +81,7 @@ pub struct Sweep {
 
 /// Every golden-pinned document, in `fig all` and report order: the
 /// paper's figures (`fig paper`), then the extensions.
-pub const SWEEPS: [&Sweep; 16] = [
+pub const SWEEPS: [&Sweep; 18] = [
     &crate::paper::FIG2A,
     &crate::paper::FIG2B,
     &crate::paper::FIG4,
@@ -97,6 +98,8 @@ pub const SWEEPS: [&Sweep; 16] = [
     &crate::compact::SWEEP,
     &crate::timeline::SWEEP,
     &crate::scenarios::SWEEP,
+    &crate::campaign::CRASH,
+    &crate::campaign::FAILOVER,
 ];
 
 impl Sweep {

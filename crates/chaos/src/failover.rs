@@ -1,8 +1,8 @@
-//! Leader-kill failover campaigns over the replication stack.
+//! Leader-kill failover cases over the replication stack.
 //!
 //! Each case drives a seeded workload through a `nob-repl` leader with a
 //! loopback follower and a raw changefeed on the same virtual clock,
-//! kills the leader at a swept instant (expressed as a per-mille of the
+//! kills the leader at a chosen instant (expressed as a per-mille of the
 //! workload), promotes the follower, fences the old epoch, and checks
 //! the failover contract:
 //!
@@ -20,12 +20,11 @@
 //!
 //! Writes issued after the last poll round before the kill are lost with
 //! the leader — they were never acknowledged, so their loss is
-//! *explained*, and the campaign counts them separately from failures.
-//! Reports are JSON with a stable field order and no wall-clock
-//! timestamps, so a fixed spec is bit-for-bit reproducible.
+//! *explained*, and the outcome counts them separately from failures.
+//! Everything runs over virtual time, so a fixed case is bit-for-bit
+//! reproducible.
 
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, Subscription};
-use nob_sim::json::Json;
 use nob_sim::oracle::Oracle;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
@@ -44,62 +43,6 @@ pub struct FailoverCase {
     pub ops: usize,
     /// Padding size of generated values, bytes.
     pub value_size: usize,
-}
-
-/// A sweep: seeds × kill points at a fixed shape.
-#[derive(Debug, Clone)]
-pub struct FailoverSpec {
-    /// Workload seeds.
-    pub seeds: Vec<u64>,
-    /// Kill instants, per-mille of the op count.
-    pub kill_points_pm: Vec<u32>,
-    /// Store shards on both sides.
-    pub shards: usize,
-    /// Write ops per case.
-    pub ops: usize,
-    /// Value padding, bytes.
-    pub value_size: usize,
-}
-
-impl FailoverSpec {
-    /// CI-sized sweep: 3 seeds × 4 kill points = 12 cases.
-    pub fn smoke() -> FailoverSpec {
-        FailoverSpec {
-            seeds: vec![1, 2, 3],
-            kill_points_pm: vec![125, 500, 875, 1000],
-            shards: 2,
-            ops: 80,
-            value_size: 24,
-        }
-    }
-
-    /// Overnight sweep: 10 seeds × 8 kill points = 80 cases.
-    pub fn full() -> FailoverSpec {
-        FailoverSpec {
-            seeds: (1..=10).collect(),
-            kill_points_pm: (1..=8).map(|i| i * 125).collect(),
-            shards: 4,
-            ops: 200,
-            value_size: 64,
-        }
-    }
-
-    /// The cartesian case list, in sweep order (seed-major).
-    pub fn cases(&self) -> Vec<FailoverCase> {
-        let mut out = Vec::with_capacity(self.seeds.len() * self.kill_points_pm.len());
-        for &seed in &self.seeds {
-            for &kill_pm in &self.kill_points_pm {
-                out.push(FailoverCase {
-                    seed,
-                    kill_pm,
-                    shards: self.shards,
-                    ops: self.ops,
-                    value_size: self.value_size,
-                });
-            }
-        }
-        out
-    }
 }
 
 /// What one case observed; `pass` is `failures.is_empty()`.
@@ -131,63 +74,6 @@ impl FailoverOutcome {
     pub fn pass(&self) -> bool {
         self.failures.is_empty()
     }
-}
-
-/// A finished sweep.
-#[derive(Debug, Clone)]
-pub struct FailoverCampaignResult {
-    /// One outcome per case, in sweep order.
-    pub results: Vec<FailoverOutcome>,
-}
-
-impl FailoverCampaignResult {
-    /// Cases with no violated invariant.
-    pub fn passed(&self) -> usize {
-        self.results.iter().filter(|r| r.pass()).count()
-    }
-
-    /// Cases with at least one violated invariant.
-    pub fn failed(&self) -> usize {
-        self.results.len() - self.passed()
-    }
-
-    /// Deterministic JSON: stable field order, no timestamps — a fixed
-    /// spec renders bit-for-bit identically on every run.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("campaign", "failover".into()),
-            ("cases", self.results.len().into()),
-            ("passed", self.passed().into()),
-            ("failed", self.failed().into()),
-            ("results", Json::Array(self.results.iter().map(FailoverOutcome::to_json).collect())),
-        ])
-    }
-}
-
-impl FailoverOutcome {
-    /// The outcome as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::object([
-            ("seed", self.case.seed.into()),
-            ("kill_pm", self.case.kill_pm.into()),
-            ("shards", self.case.shards.into()),
-            ("ops", self.case.ops.into()),
-            ("pass", self.pass().into()),
-            ("acked_records", self.acked_records.into()),
-            ("applied_seq_total", self.applied_seq_total.into()),
-            ("lost_unacked", self.lost_unacked.into()),
-            ("recovered_keys", self.recovered_keys.into()),
-            ("feed_records", self.feed_records.into()),
-            ("old_epoch", self.old_epoch.into()),
-            ("new_epoch", self.new_epoch.into()),
-            ("failures", Json::Array(self.failures.iter().map(|f| f.as_str().into()).collect())),
-        ])
-    }
-}
-
-/// Runs every case in `spec`, in order.
-pub fn run_failover_campaign(spec: &FailoverSpec) -> FailoverCampaignResult {
-    FailoverCampaignResult { results: spec.cases().iter().map(run_failover_case).collect() }
 }
 
 /// Splitmix-style step, same generator family as the crash harness.
@@ -461,21 +347,25 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
 mod tests {
     use super::*;
 
-    /// The 12-case smoke sweep and the 80-case full one.
+    /// A two-shard sweep, 3 seeds × 4 kill instants, beside the 4-shard
+    /// one that `nob-bench`'s `fig_failover` pins.
     #[test]
     fn smoke_sweep_is_green() {
-        for (spec, cases) in [(FailoverSpec::smoke(), 12), (FailoverSpec::full(), 80)] {
-            let result = run_failover_campaign(&spec);
-            let bad: Vec<_> = result.results.iter().filter(|r| !r.pass()).collect();
-            assert!(bad.is_empty(), "failing cases: {bad:?}");
-            assert_eq!(result.results.len(), cases);
-            // The sweep must actually exercise the machinery.
-            assert!(result.results.iter().all(|r| r.recovered_keys > 0));
-            assert!(result.results.iter().all(|r| r.feed_records > 0));
-            assert!(result.results.iter().all(|r| r.new_epoch == 2));
-            // At least one seed leaves in-flight writes behind (explained loss).
-            assert!(result.results.iter().any(|r| r.lost_unacked > 0));
+        let mut results = Vec::new();
+        for seed in [1, 2, 3] {
+            for kill_pm in [125, 500, 875, 1000] {
+                let case = FailoverCase { seed, kill_pm, shards: 2, ops: 80, value_size: 24 };
+                results.push(run_failover_case(&case));
+            }
         }
+        let bad: Vec<_> = results.iter().filter(|r| !r.pass()).collect();
+        assert!(bad.is_empty(), "failing cases: {bad:?}");
+        // The sweep must actually exercise the machinery.
+        assert!(results.iter().all(|r| r.recovered_keys > 0));
+        assert!(results.iter().all(|r| r.feed_records > 0));
+        assert!(results.iter().all(|r| r.new_epoch == 2));
+        // At least one seed leaves in-flight writes behind (explained loss).
+        assert!(results.iter().any(|r| r.lost_unacked > 0));
     }
 
     #[test]
@@ -488,20 +378,21 @@ mod tests {
         }
     }
 
+    /// A fixed case's whole outcome, every field, repeats exactly.
     #[test]
     fn report_is_bit_for_bit_reproducible() {
-        let spec = FailoverSpec {
-            seeds: vec![11, 12],
-            kill_points_pm: vec![300, 700],
-            shards: 2,
-            ops: 48,
-            value_size: 16,
-        };
-        let a = run_failover_campaign(&spec).to_json().to_string();
-        let b = run_failover_campaign(&spec).to_json().to_string();
-        assert_eq!(a, b, "fixed-spec failover sweep must be bit-for-bit stable");
-        let doc = Json::parse(&a).expect("the report parses");
-        assert_eq!(doc.text("campaign"), Some("failover"));
-        assert_eq!(doc.num("passed"), Some(4.0));
+        for seed in [11, 12] {
+            for kill_pm in [300, 700] {
+                let case = FailoverCase { seed, kill_pm, shards: 2, ops: 48, value_size: 16 };
+                let a = run_failover_case(&case);
+                assert!(a.pass(), "seed={seed} kill_pm={kill_pm}: {:?}", a.failures);
+                let b = run_failover_case(&case);
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "a fixed case is bit-for-bit stable"
+                );
+            }
+        }
     }
 }

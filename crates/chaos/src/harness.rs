@@ -8,6 +8,7 @@
 //! case unconditionally.
 
 use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_sim::json::Json;
 use nob_sim::oracle::Oracle;
 use nob_sim::Nanos;
 use nob_trace::TraceSink;
@@ -119,7 +120,7 @@ pub struct PreparedRun {
     /// First broken journal commit, if a fault severed the chain.
     pub journal_broken: Option<Nanos>,
     /// Trace of the whole run (all three layers, fault classes
-    /// included); campaigns merge these into per-class histograms.
+    /// included).
     pub trace: TraceSink,
 }
 
@@ -259,6 +260,52 @@ pub struct CaseResult {
     pub explained: bool,
     /// Overall verdict.
     pub pass: bool,
+}
+
+impl CaseResult {
+    /// The case as a JSON object.
+    pub fn to_json(&self) -> Json {
+        let error = |e: &Option<String>| e.as_deref().map_or(Json::Null, Json::from);
+        Json::object([
+            ("seed", self.seed.into()),
+            ("config", config_name(self.config).into()),
+            ("crash_pm", self.crash_pm.into()),
+            ("crash_at_ns", self.crash_at.as_nanos().into()),
+            ("run_end_ns", self.run_end.as_nanos().into()),
+            ("faulted_plan", self.faulted_plan.into()),
+            ("injections", Json::Array(self.injections.iter().map(Injection::to_json).collect())),
+            ("acked_pairs", self.acked_pairs.into()),
+            ("lost_acked", self.lost_acked.into()),
+            ("undetected_values", self.undetected_values.into()),
+            ("recovered_keys", self.recovered_keys.into()),
+            ("repaired", self.repaired.into()),
+            ("open_error", error(&self.open_error)),
+            ("recovery_failed", error(&self.recovery_failed)),
+            ("invariant_error", error(&self.invariant_error)),
+            ("wal_corruptions_detected", self.wal_corruptions_detected.into()),
+            ("wal_bytes_dropped", self.wal_bytes_dropped.into()),
+            ("wal_records_recovered", self.wal_records_recovered.into()),
+            ("tables_skipped", self.tables_skipped.into()),
+            ("ordered_violations", self.ordered_violations.into()),
+            ("journal_broken", self.journal_broken.into()),
+            ("shadow_files", self.shadow_files.into()),
+            ("reclaimed_files", self.reclaimed_files.into()),
+            ("explained", self.explained.into()),
+            ("pass", self.pass.into()),
+        ])
+    }
+}
+
+impl Injection {
+    /// The injection as a JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::object([
+            ("at_ns", self.at.as_nanos().into()),
+            ("kind", self.kind.name().into()),
+            ("bytes", self.bytes.into()),
+            ("keep", self.keep.into()),
+        ])
+    }
 }
 
 /// Snaps `raw` to the latest commit-phase boundary at or before it, if

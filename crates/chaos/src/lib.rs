@@ -14,13 +14,15 @@
 //!   `Db::repair`, and check the recovered rows with [`nob_sim::oracle`]:
 //!   fabricated data is *never* tolerated; lost acknowledged-durable data
 //!   must be explained by the injection log.
-//! * [`campaign`] — sweeps (seeds × crash points × configurations) with
-//!   bit-for-bit reproducible JSON reports.
-//! * [`failover`] — leader-kill sweeps over the replication stack: kill
-//!   the leader at swept instants, promote the follower, and check that
-//!   it holds exactly the acked writes (the same oracle), follower reads
+//! * [`failover`] — leader kills over the replication stack: kill the
+//!   leader at a chosen instant, promote the follower, and check that it
+//!   holds exactly the acked writes (the same oracle), follower reads
 //!   never go backwards, and changefeeds resume across the failover
 //!   without gaps or duplicates.
+//!
+//! The sweeps over these cases (seeds × crash points × configurations,
+//! seeds × kill points) are `nob-bench`'s `fig_chaos` and `fig_failover`
+//! documents, golden-pinned like every other sweep.
 //!
 //! # Example
 //!
@@ -37,16 +39,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod campaign;
 pub mod failover;
 pub mod harness;
 pub mod plan;
 
-pub use campaign::{run_campaign, CampaignResult, CampaignSpec, FaultProfile};
-pub use failover::{
-    run_failover_campaign, run_failover_case, FailoverCampaignResult, FailoverCase,
-    FailoverOutcome, FailoverSpec,
-};
+pub use failover::{run_failover_case, FailoverCase, FailoverOutcome};
 pub use harness::{
     config_name, config_options, prepare_run, run_case, validate_crash, CaseResult, ChaosCase,
     PreparedRun, CONFIGS,

@@ -23,8 +23,6 @@
 //! compact lanes <n>      reconfigure every shard's compaction lanes
 //! levels                 files per level, per shard
 //! time                   current virtual instant
-//! chaos <seed> [pm] [fseed]   one fault-injected crash/recovery case
-//! chaos sweep [seeds] [points]  campaign over seeds × crash points
 //! trace on|off           start/stop recording spans from all layers
 //! trace summary          per-class latency percentiles + top stalls
 //! trace tree [trace_id]  render recorded span trees (all roots, or one)
@@ -155,7 +153,7 @@ impl Transport for Link {
 /// The `repl` command family's state: the leader behind the shared
 /// core, the follower link (absent once promoted), and at most one
 /// changefeed. The pair lives on its own shared virtual clock, like the
-/// chaos and bench harnesses.
+/// bench harnesses.
 struct ReplSession {
     core: SharedRepl,
     link: Option<FollowerLink<ReplLoopback>>,
@@ -438,66 +436,6 @@ impl Session {
                 let _ = writeln!(out, "{}", self.clock.now());
             }
             "repl" => self.dispatch_repl(args, out)?,
-            // Self-contained: runs against its own fresh simulated stack,
-            // leaving the session's store untouched.
-            "chaos" => match args.first().copied() {
-                Some("sweep") => {
-                    let seeds: u64 = arg_or(args, 1, "seeds", 2)?;
-                    let points: u32 = arg_or(args, 2, "points", 3)?;
-                    let mut spec = nob_chaos::CampaignSpec::smoke();
-                    spec.seeds = (1..=seeds.max(1)).collect();
-                    let m = points.max(1);
-                    spec.crash_points_pm = (1..=m).map(|i| i * 1000 / m).collect();
-                    let r = nob_chaos::run_campaign(&spec);
-                    let _ = writeln!(
-                        out,
-                        "chaos sweep: {} cases, {} passed, {} failed, {} undetected values, {} unexplained losses",
-                        r.results.len(),
-                        r.passed(),
-                        r.failed(),
-                        r.undetected_total(),
-                        r.unexplained_losses()
-                    );
-                }
-                Some(seed) => {
-                    let seed: u64 = num(seed, "seed")?;
-                    let crash_pm: u32 = arg_or(args, 1, "pm", 500)?;
-                    let fault_seed: u64 = arg_or(args, 2, "fseed", seed)?;
-                    let mut case = nob_chaos::ChaosCase::new(seed, 1);
-                    case.crash_pm = crash_pm.min(1000);
-                    case.plan = nob_chaos::FaultPlan::seeded(fault_seed);
-                    let r = nob_chaos::run_case(&case);
-                    let _ = writeln!(
-                        out,
-                        "chaos case seed={seed} crash@{} of {}: {}",
-                        r.crash_at,
-                        r.run_end,
-                        if r.pass { "PASS" } else { "FAIL" }
-                    );
-                    let _ = writeln!(
-                        out,
-                        "  injections={} acked={} lost={} explained={} undetected={}",
-                        r.injections.len(),
-                        r.acked_pairs,
-                        r.lost_acked,
-                        r.explained,
-                        r.undetected_values
-                    );
-                    let _ = writeln!(
-                        out,
-                        "  wal_corruptions={} wal_dropped_bytes={} repaired={} ordered_violations={} journal_broken={}",
-                        r.wal_corruptions_detected,
-                        r.wal_bytes_dropped,
-                        r.repaired,
-                        r.ordered_violations,
-                        r.journal_broken
-                    );
-                }
-                None => return Err(
-                    "usage: chaos <seed> [crash_pm] [fault_seed] | chaos sweep [seeds] [points]"
-                        .into(),
-                ),
-            },
             "trace" => match args.first().copied() {
                 Some("on") => {
                     let sink = self.trace.get_or_insert_with(TraceSink::new).clone();
@@ -627,7 +565,7 @@ impl Session {
             "help" => {
                 let _ = writeln!(
                     out,
-                    "commands: open connect fill advance flush compact [lanes <n>] crash levels time chaos trace metrics repl help quit\n\
+                    "commands: open connect fill advance flush compact [lanes <n>] crash levels time trace metrics repl help quit\n\
                      wire requests: set get del mget batch scan [next] ping info"
                 );
             }
@@ -945,17 +883,6 @@ mod tests {
         let mut s = Session::new();
         let out = s.run_script("# a comment\n\nopen volatile\n# another\ntime\n");
         assert!(out.contains("opened LevelDB-nosync"));
-    }
-
-    #[test]
-    fn chaos_command_runs_case_and_sweep() {
-        let mut s = Session::new();
-        let out = s.run_line("chaos 7 600");
-        assert!(out.contains("chaos case seed=7"), "{out}");
-        assert!(out.contains("PASS") || out.contains("FAIL"));
-        let out = s.run_line("chaos sweep 1 2");
-        assert!(out.contains("chaos sweep: 8 cases"), "{out}");
-        assert!(s.run_line("chaos").contains("usage: chaos"));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use nob_trace::EventClass;
 
 use crate::compaction::{physical_files, run_major, write_table, CompactionOutput, MajorOutcome};
 use crate::noblsm::Predecessor;
-use crate::options::SyncMode;
+use crate::options::{SyncMode, NUM_LEVELS};
 use crate::types::user_key;
 use crate::version::{CompactionInputs, VersionEdit, MAX_FREE_HOT_FILES};
 use crate::Result;
@@ -134,7 +134,7 @@ impl Db {
                 lo_ok && hi_ok
             })
         };
-        for level in 0..self.opts.max_levels - 1 {
+        for level in 0..NUM_LEVELS - 1 {
             let mut guard = 0;
             while overlaps(self, level) {
                 let Some(inputs) = self.versions.manual_compaction(

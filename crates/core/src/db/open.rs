@@ -228,12 +228,6 @@ fn replay_logs(
         recovery.wal_corruptions_detected += u64::from(cursor.payload_corruption_detected())
             + u64::from(cursor.record_corruption_detected());
         recovery.wal_bytes_dropped += cursor.bytes_dropped();
-        if recovery.wal_corruptions_detected > 0 && opts.paranoid_checks {
-            return Err(DbError::Corruption(format!(
-                "checksum mismatch in {path} during recovery ({} bytes unreplayable)",
-                cursor.bytes_dropped()
-            )));
-        }
     }
     if !mem.is_empty() {
         flush(mem, versions, t)?;

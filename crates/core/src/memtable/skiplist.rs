@@ -147,6 +147,11 @@ impl SkipList {
 
     /// The first entry with key >= `user_key ++ trailer`, found without
     /// building that key.
+    // Every memtable GET, like `Cursor::seek` and `Cursor::key` every scan
+    // step: `#[inline]` keeps the three inlined into their callers whatever
+    // the crate's codegen-unit split (a split that left them out of line
+    // cost the ledger's `scan` ≈ 10 % of its host time).
+    #[inline]
     pub(crate) fn seek_parts(&self, user_key: &[u8], trailer: u64) -> Option<(&[u8], &[u8])> {
         self.entry(self.first_at_or_after(|k| compare_internal_to_parts(k, user_key, trailer)))
     }
@@ -186,6 +191,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Positions at the first entry with key ≥ `target`.
+    #[inline]
     pub(crate) fn seek(&mut self, target: &[u8]) {
         self.node = self.list.first_at_or_after(|k| compare_internal(k, target));
     }
@@ -202,6 +208,7 @@ impl<'a> Cursor<'a> {
     /// # Panics
     ///
     /// Panics if the cursor is not [`valid`](Cursor::valid).
+    #[inline]
     pub(crate) fn key(&self) -> &'a [u8] {
         assert!(self.valid(), "cursor not valid");
         self.list.key(self.node)

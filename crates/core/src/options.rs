@@ -281,8 +281,6 @@ pub struct Options {
     pub l0_stop_trigger: usize,
     /// Byte budget of `L1`; each deeper level is 10×.
     pub level1_max_bytes: u64,
-    /// Number of on-disk levels.
-    pub max_levels: usize,
     /// Sync discipline.
     pub sync_mode: SyncMode,
     /// Structural compaction model.
@@ -305,17 +303,13 @@ pub struct Options {
     /// the structural simulation does not produce by itself (guard
     /// maintenance, logical-SSTable indirection, fine-grained locking).
     pub extra_op_cpu: Nanos,
-    /// LevelDB's `paranoid_checks`: when `true`, a checksum mismatch in a
-    /// WAL during recovery fails [`Db::open`](crate::Db::open) with
-    /// [`DbError::Corruption`](crate::DbError::Corruption) instead of
-    /// truncating replay at the damaged record. Either way the detection
-    /// is counted in [`DbStats`](crate::DbStats); nothing is skipped
-    /// silently.
-    pub paranoid_checks: bool,
 }
 
 /// Growth factor between the byte budgets of adjacent levels (LevelDB's).
 const LEVEL_MULTIPLIER: u64 = 10;
+
+/// Number of on-disk levels (LevelDB's `kNumLevels`).
+pub(crate) const NUM_LEVELS: usize = 7;
 
 impl Options {
     /// LevelDB-flavoured defaults (2 MB tables, sync always, one lane).
@@ -328,7 +322,6 @@ impl Options {
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 12,
             level1_max_bytes: 10 << 20,
-            max_levels: 7,
             sync_mode: SyncMode::Always,
             style: CompactionStyle::Leveled,
             compaction_lanes: 1,
@@ -337,7 +330,6 @@ impl Options {
             reclaim_interval: Nanos::from_secs(5),
             cpu: CpuCosts::default(),
             extra_op_cpu: Nanos::ZERO,
-            paranoid_checks: false,
         }
     }
 

@@ -51,7 +51,7 @@ pub struct DbStats {
     pub wal_records_recovered: u64,
     /// Checksum mismatches (or malformed CRC-valid records) detected in
     /// WALs during the last recovery. Replay stops at the first damaged
-    /// record of a log; with `paranoid_checks` the open fails instead.
+    /// record of a log.
     pub wal_corruptions_detected: u64,
     /// WAL bytes dropped by the last recovery: everything after a torn
     /// tail or a damaged record, across all replayed logs.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use nob_ext4::{Ext4Fs, FileHandle};
 use nob_sim::Nanos;
 
-use crate::options::{CompactionStyle, Options};
+use crate::options::{CompactionStyle, Options, NUM_LEVELS};
 use crate::types::user_key;
 use crate::wal::{LogReader, LogWriter};
 use crate::{DbError, InternalKey, Result};
@@ -73,7 +73,7 @@ impl VersionSet {
         let manifest_number = 1;
         let mut set = VersionSet {
             fs: fs.clone(),
-            current: Arc::new(Version::new(opts.max_levels)),
+            current: Arc::new(Version::new(NUM_LEVELS)),
             next_file_number: 2,
             last_sequence: 0,
             log_number: 0,
@@ -81,7 +81,7 @@ impl VersionSet {
                 .create(&file_path(dir, FileKind::Manifest, manifest_number), now)?,
             manifest_log: LogWriter::new(),
             manifest_path: file_path(dir, FileKind::Manifest, manifest_number),
-            compact_pointers: vec![None; opts.max_levels],
+            compact_pointers: vec![None; NUM_LEVELS],
             opts,
         };
         let mut edit = VersionEdit::new();
@@ -130,15 +130,15 @@ impl VersionSet {
         let (data, t2) = fs.read_at(mh, 0, msize, t)?;
         t = t2;
 
-        let mut version = Version::new(opts.max_levels);
+        let mut version = Version::new(NUM_LEVELS);
         let mut next_file = 2u64;
         let mut last_seq = 0u64;
         let mut log_number = 0u64;
-        let mut compact_pointers: Vec<Option<InternalKey>> = vec![None; opts.max_levels];
+        let mut compact_pointers: Vec<Option<InternalKey>> = vec![None; NUM_LEVELS];
         let mut reader = LogReader::new(data.to_vec());
         while let Some(record) = reader.next_record() {
             let edit = VersionEdit::decode(&record)?;
-            version = apply_edit(&version, &edit, &opts);
+            version = apply_edit(&version, &edit);
             if let Some(n) = edit.next_file_number {
                 next_file = next_file.max(n);
             }
@@ -212,7 +212,7 @@ impl VersionSet {
                 self.compact_pointers[*level] = Some(key.clone());
             }
         }
-        let next = apply_edit(&self.current, &edit, &self.opts);
+        let next = apply_edit(&self.current, &edit);
         let record = self.manifest_log.encode_record(&edit.encode());
         let mut t = self.fs.append(self.manifest_handle, &record, now)?;
         if sync {
@@ -236,7 +236,7 @@ impl VersionSet {
     /// skipping levels in `busy` (levels already being compacted).
     pub(crate) fn pick_compaction(&self, busy: &HashSet<usize>) -> Option<CompactionInputs> {
         let mut best: Option<(usize, f64)> = None;
-        for level in 0..self.opts.max_levels - 1 {
+        for level in 0..NUM_LEVELS - 1 {
             if busy.contains(&level) || busy.contains(&(level + 1)) {
                 continue;
             }
@@ -257,7 +257,7 @@ impl VersionSet {
         level: usize,
         busy: &HashSet<usize>,
     ) -> Option<CompactionInputs> {
-        if level + 1 >= self.opts.max_levels
+        if level + 1 >= NUM_LEVELS
             || busy.contains(&level)
             || busy.contains(&(level + 1))
             || self.level_score(level) < 1.0
@@ -274,8 +274,7 @@ impl VersionSet {
         file: &Arc<FileMetaData>,
         busy: &HashSet<usize>,
     ) -> Option<CompactionInputs> {
-        if level + 1 >= self.opts.max_levels || busy.contains(&level) || busy.contains(&(level + 1))
-        {
+        if level + 1 >= NUM_LEVELS || busy.contains(&level) || busy.contains(&(level + 1)) {
             return None;
         }
         // The file must still be live at that level.
@@ -296,8 +295,7 @@ impl VersionSet {
         hi: Option<&[u8]>,
         busy: &HashSet<usize>,
     ) -> Option<CompactionInputs> {
-        if level + 1 >= self.opts.max_levels || busy.contains(&level) || busy.contains(&(level + 1))
-        {
+        if level + 1 >= NUM_LEVELS || busy.contains(&level) || busy.contains(&(level + 1)) {
             return None;
         }
         let picked: Vec<Arc<FileMetaData>> = self.current.files[level]
@@ -342,7 +340,7 @@ impl VersionSet {
         level: usize,
         mut inputs0: Vec<Arc<FileMetaData>>,
     ) -> Option<CompactionInputs> {
-        if inputs0.is_empty() || level + 1 >= self.opts.max_levels {
+        if inputs0.is_empty() || level + 1 >= NUM_LEVELS {
             return None;
         }
         let range = |files: &[Arc<FileMetaData>]| -> (Vec<u8>, Vec<u8>) {
@@ -396,9 +394,9 @@ impl VersionSet {
 }
 
 /// Applies an edit to a version, producing the next version.
-pub(crate) fn apply_edit(base: &Version, edit: &VersionEdit, opts: &Options) -> Version {
+pub(crate) fn apply_edit(base: &Version, edit: &VersionEdit) -> Version {
     let mut files = base.files.clone();
-    files.resize(opts.max_levels, Vec::new());
+    files.resize(NUM_LEVELS, Vec::new());
     for (level, number) in &edit.deleted_files {
         if let Some(level_files) = files.get_mut(*level) {
             level_files.retain(|f| f.number != *number);

@@ -43,6 +43,7 @@ const READ_TICK: Duration = Duration::from_millis(25);
 
 /// Reader/accept → engine messages. `u64` is the per-process connection
 /// token minted by the accept thread.
+#[derive(Debug)]
 enum Msg {
     /// New connection; the sender half feeds its writer thread.
     Open(u64, mpsc::Sender<Vec<u8>>),
@@ -124,7 +125,8 @@ impl<E: Endpoint + Send + 'static> TcpServer<E> {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        // Readers exit on the flag (bounded by READ_TICK), dropping their
+        // Readers drain what their peers already sent and exit on the
+        // flag (one READ_TICK after the last byte), dropping their
         // engine senders; the engine then drains, replies and returns;
         // writers exit once the engine drops their channels.
         let engine = self.engine.take().expect("shutdown runs once");
@@ -172,13 +174,14 @@ fn accept_loop(
     // reader has wound down too.
 }
 
+/// Forwards the connection's bytes to the engine until EOF, an error, or
+/// a read that times out after `stop` is set: bytes the peer sent before
+/// the shutdown are still in the socket then, and are forwarded first.
 fn reader_loop(token: u64, mut stream: TcpStream, tx: mpsc::Sender<Msg>, stop: Arc<AtomicBool>) {
-    use std::io::Read;
+    use std::io::{ErrorKind, Read};
     let mut buf = vec![0u8; 64 << 10];
     loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+        let stopping = stop.load(Ordering::SeqCst);
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
@@ -186,11 +189,10 @@ fn reader_loop(token: u64, mut stream: TcpStream, tx: mpsc::Sender<Msg>, stop: A
                     return;
                 }
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stopping {
+                    break;
+                }
             }
             Err(_) => break,
         }
@@ -319,5 +321,31 @@ mod tests {
         drop(c);
         let core = server.shutdown().unwrap();
         assert_eq!(core.store().pending(), 0, "shutdown drains the queue");
+    }
+
+    /// A reader that sees the stop flag still forwards the bytes its
+    /// peer already sent, then reports the close.
+    #[test]
+    fn a_stopped_reader_forwards_bytes_already_sent() {
+        use std::io::Write;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(READ_TICK)).unwrap();
+        let request = b"*1\r\n$4\r\nPING\r\n";
+        peer.write_all(request).unwrap();
+        // Wait until every byte sits in the socket, without consuming any.
+        let mut probe = [0u8; 64];
+        while stream.peek(&mut probe).unwrap() < request.len() {}
+
+        let (tx, rx) = mpsc::channel();
+        reader_loop(7, stream, tx, Arc::new(AtomicBool::new(true)));
+        let msgs: Vec<Msg> = rx.try_iter().collect();
+        assert!(
+            matches!(&msgs[..], [Msg::Data(7, bytes), Msg::Closed(7)] if bytes == request),
+            "{msgs:?}"
+        );
+        drop(peer);
     }
 }

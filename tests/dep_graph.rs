@@ -29,12 +29,14 @@ use std::path::{Path, PathBuf};
 /// The settable values of the config structs under `crates/*/src` (see
 /// [`lex::knobs`]). Each one doubles the configurations tests and
 /// benchmarks must cover; lower it whenever a knob becomes a constant.
-/// Last lowered from 50 when scans became ascending only and
-/// `ScanOptions.reverse` went.
-const MAX_KNOBS: usize = 49;
+/// Last lowered from 49 when the two engine options only tests set went:
+/// `Options.max_levels` became the constant `NUM_LEVELS` and
+/// `Options.paranoid_checks` was deleted. Before that from 50 when scans
+/// became ascending only and `ScanOptions.reverse` went.
+const MAX_KNOBS: usize = 47;
 
 /// The largest source file allowed: `store/src/lib.rs` (1 284 lines) is
-/// the current maximum, `cli/src/lib.rs` (1 189) the next. Lower it as the largest file shrinks; the
+/// the current maximum, `cli/src/lib.rs` (1 116) the next. Lower it as the largest file shrinks; the
 /// engine's 2 064-line `db/mod.rs` is what this keeps from coming back
 /// unnoticed.
 const MAX_SOURCE_LINES: usize = 1_284;
@@ -42,7 +44,9 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last lowered
-/// by thirteen, from 1 008, when replication moved onto the serving
+/// by two, from 995, when `Options::max_levels` and
+/// `Options::paranoid_checks` went. Before that by thirteen, from 1 008,
+/// when replication moved onto the serving
 /// crate's RESP codec and the server stopped carrying a replication
 /// posture: `ReplRole`, `ReplStatus` with its six fields (`role`, `epoch`,
 /// `lag_nanos`, `shipped_records`, `acked_seq`, `applied_records`),
@@ -60,7 +64,7 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 995;
+const MAX_SURFACE_LINES: usize = 993;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
