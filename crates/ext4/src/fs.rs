@@ -112,7 +112,7 @@ impl Ext4Fs {
                 horizon: Nanos::ZERO,
                 horizon_pinned: false,
                 forgettable: BinaryHeap::new(),
-                stats: FsStats::new(),
+                stats: FsStats::default(),
                 trace: None,
             })),
         }
@@ -149,7 +149,7 @@ impl Ext4Fs {
     /// benchmark phases.
     pub fn reset_stats(&self) {
         let mut g = self.lock();
-        g.stats = FsStats::new();
+        g.stats = FsStats::default();
         g.ssd.reset_stats();
     }
 

@@ -89,11 +89,7 @@ impl Inner {
         credit: bool,
     ) -> Nanos {
         let bytes = target - base;
-        let (res, fault) = if foreground {
-            self.ssd.write_checked(at, bytes, WriteClass::Data)
-        } else {
-            self.ssd.write_background_checked(at, bytes, WriteClass::Data)
-        };
+        let (res, fault) = self.ssd.write(at, bytes, WriteClass::Data, !foreground);
         if credit {
             self.ssd.credit_background(res.duration());
         }

@@ -121,18 +121,10 @@ impl Inner {
         let (class, blocks) =
             if fast { (WriteClass::FastCommit, 1) } else { (WriteClass::Journal, txn.len() + 2) };
         let jbytes = blocks as u64 * JOURNAL_BLOCK;
-        let (jres, jfault) = if sync {
-            self.ssd.write_checked(data_done, jbytes, class)
-        } else {
-            self.ssd.write_background_checked(data_done, jbytes, class)
-        };
+        let (jres, jfault) = self.ssd.write(data_done, jbytes, class, !sync);
         self.stats.journal_bytes += jbytes;
         // Phase 3 — FLUSH: the commit record's barrier.
-        let (flush, ffault) = if sync {
-            self.ssd.flush_checked(jres.end)
-        } else {
-            self.ssd.flush_background_checked(jres.end)
-        };
+        let (flush, ffault) = self.ssd.flush(jres.end, !sync);
         let t_commit = flush.end;
         let record_lost = jfault != WriteFault::None;
         let flush_dropped = ffault == FlushFault::DroppedAcked;

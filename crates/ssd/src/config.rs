@@ -12,10 +12,12 @@ use nob_sim::Nanos;
 /// # Examples
 ///
 /// ```
+/// use nob_sim::Nanos;
 /// use nob_ssd::SsdConfig;
 ///
 /// let cfg = SsdConfig::pm883();
-/// assert!(cfg.host_mem_bw > cfg.seq_write_bw);
+/// // Host DRAM absorbs a buffered write faster than the device writes it.
+/// assert!(cfg.mem_cost(1 << 20) < Nanos::for_transfer(1 << 20, cfg.seq_write_bw));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsdConfig {
@@ -28,7 +30,7 @@ pub struct SsdConfig {
     /// Latency of a FLUSH command (drain + NAND program barrier).
     pub flush_latency: Nanos,
     /// Host DRAM bandwidth for page-cache (buffered) writes (bytes/s).
-    pub host_mem_bw: u64,
+    pub(crate) host_mem_bw: u64,
 }
 
 impl SsdConfig {

@@ -8,11 +8,16 @@ use crate::{IoStats, SsdConfig};
 
 /// A simulated SSD with two service classes.
 ///
+/// The device has one command per operation — [`read`](Self::read),
+/// [`write`](Self::write) and [`flush`](Self::flush) — and a write or
+/// FLUSH names its service class as an argument. Every write and FLUSH
+/// passes the installed fault injector, whichever its class.
+///
 /// *Foreground* commands (reads, direct writes, fsync write-back and
 /// FLUSH) pass through a FIFO [`Timeline`]; a foreground command issued at
-/// `now` starts when the foreground queue is free — it is never delayed by
-/// queued background work, modelling the kernel's write-back throttling
-/// and NCQ prioritization of synchronous I/O.
+/// `issue` starts when the foreground queue is free — it is never delayed
+/// by queued background work, modelling the kernel's write-back
+/// throttling and NCQ prioritization of synchronous I/O.
 ///
 /// *Background* commands (asynchronous journal-commit write-back) drain in
 /// the capacity foreground work leaves over: every foreground reservation
@@ -24,14 +29,14 @@ use crate::{IoStats, SsdConfig};
 ///
 /// ```
 /// use nob_sim::Nanos;
-/// use nob_ssd::{Ssd, SsdConfig};
+/// use nob_ssd::{Ssd, SsdConfig, WriteClass};
 ///
 /// let mut ssd = Ssd::new(SsdConfig::pm883());
-/// let a = ssd.write(Nanos::ZERO, 1 << 20);
-/// let b = ssd.write(Nanos::ZERO, 1 << 20);
+/// let (a, _) = ssd.write(Nanos::ZERO, 1 << 20, WriteClass::Data, false);
+/// let (b, _) = ssd.write(Nanos::ZERO, 1 << 20, WriteClass::Data, false);
 /// assert_eq!(b.start, a.end); // FIFO: b queues behind a
 /// // A large background write-back does not delay a later foreground read…
-/// let wb = ssd.write_background(b.end, 256 << 20);
+/// let (wb, _) = ssd.write(b.end, 256 << 20, WriteClass::Data, true);
 /// let r = ssd.read(b.end, 4096);
 /// assert!(r.end < wb.end);
 /// ```
@@ -54,7 +59,7 @@ impl Ssd {
             timeline: Timeline::new(),
             bg_tail: Nanos::ZERO,
             last_flush_end: Nanos::ZERO,
-            stats: IoStats::new(),
+            stats: IoStats::default(),
             injector: None,
             trace: None,
         }
@@ -85,39 +90,6 @@ impl Ssd {
         self.injector = Some(injector);
     }
 
-    /// Consults the injector about a write and accounts the verdict.
-    fn write_verdict(
-        &mut self,
-        at: Nanos,
-        bytes: u64,
-        background: bool,
-        class: WriteClass,
-    ) -> WriteFault {
-        let Some(injector) = &self.injector else { return WriteFault::None };
-        let verdict = injector.on_write(&WriteCmd { at, bytes, background, class });
-        match verdict {
-            WriteFault::None => WriteFault::None,
-            WriteFault::Torn { keep } => {
-                self.stats.torn_writes += 1;
-                WriteFault::Torn { keep: keep.min(bytes) }
-            }
-            WriteFault::Corrupt => {
-                self.stats.corrupt_writes += 1;
-                WriteFault::Corrupt
-            }
-        }
-    }
-
-    /// Consults the injector about a FLUSH and accounts the verdict.
-    fn flush_verdict(&mut self, at: Nanos, background: bool) -> FlushFault {
-        let Some(injector) = &self.injector else { return FlushFault::None };
-        let verdict = injector.on_flush(&FlushCmd { at, background });
-        if verdict == FlushFault::DroppedAcked {
-            self.stats.dropped_flushes += 1;
-        }
-        verdict
-    }
-
     /// Accumulated I/O counters.
     pub fn stats(&self) -> &IoStats {
         &self.stats
@@ -146,10 +118,18 @@ impl Ssd {
         self.last_flush_end
     }
 
-    /// Reserves a foreground window and displaces pending background work
-    /// by the same duration (preemption).
-    fn reserve_fg(&mut self, now: Nanos, dur: Nanos) -> Reservation {
-        let r = self.timeline.reserve(now, dur);
+    /// Reserves `dur` at `issue` in one service class. A foreground
+    /// window queues FIFO on the timeline and displaces pending background
+    /// work by its own duration (preemption); a background window starts
+    /// after earlier background work and never while the foreground queue
+    /// is busy.
+    fn reserve(&mut self, issue: Nanos, dur: Nanos, background: bool) -> Reservation {
+        if background {
+            let start = issue.max(self.bg_tail).max(self.timeline.free_at());
+            self.bg_tail = start + dur;
+            return Reservation { start, end: self.bg_tail };
+        }
+        let r = self.timeline.reserve(issue, dur);
         if self.bg_tail > r.start {
             // Background work was pending during this window: push it back.
             self.bg_tail += dur;
@@ -157,126 +137,78 @@ impl Ssd {
         r
     }
 
-    /// Issues a foreground write of `bytes` at `now`.
-    pub fn write(&mut self, now: Nanos, bytes: u64) -> Reservation {
-        self.stats.bytes_written += bytes;
-        self.stats.write_commands += 1;
-        let r = self.reserve_fg(now, self.cfg.write_cost(bytes));
-        self.trace_span(EventClass::SsdWrite, now, r, bytes);
-        r
-    }
-
-    /// Issues a foreground read of `bytes` at `now`.
-    pub fn read(&mut self, now: Nanos, bytes: u64) -> Reservation {
+    /// Issues a foreground read of `bytes` at `issue`.
+    pub fn read(&mut self, issue: Nanos, bytes: u64) -> Reservation {
         self.stats.bytes_read += bytes;
         self.stats.read_commands += 1;
-        let r = self.reserve_fg(now, self.cfg.read_cost(bytes));
-        self.trace_span(EventClass::SsdRead, now, r, bytes);
+        let r = self.reserve(issue, self.cfg.read_cost(bytes), false);
+        self.trace_span(EventClass::SsdRead, issue, r, bytes);
         r
     }
 
-    /// Issues a FLUSH at `now` (foreground).
-    ///
-    /// FIFO ordering within the foreground class guarantees the flush
-    /// starts only after every previously issued foreground command
-    /// completed — the "barrier" the paper attributes to syncs. The flush
-    /// itself costs [`SsdConfig::flush_latency`].
-    pub fn flush(&mut self, now: Nanos) -> Reservation {
-        self.stats.flush_commands += 1;
-        let r = self.reserve_fg(now, self.cfg.flush_latency);
-        self.last_flush_end = self.last_flush_end.max(r.end);
-        self.trace_span(EventClass::SsdFlush, now, r, 0);
-        r
-    }
-
-    /// [`write`](Self::write) plus the injector's verdict for the
-    /// command. The caller (the filesystem layer) decides what a torn or
+    /// Issues a write of `bytes` carrying `class` at `issue`, in the
+    /// background class (asynchronous write-back) if `background`, else
+    /// in the foreground class, and returns it with the injector's
+    /// verdict. The caller (the filesystem layer) decides what a torn or
     /// corrupt payload means for durability.
-    pub fn write_checked(
-        &mut self,
-        now: Nanos,
-        bytes: u64,
-        class: WriteClass,
-    ) -> (Reservation, WriteFault) {
-        let verdict = self.write_verdict(now, bytes, false, class);
-        let r = self.write(now, bytes);
-        self.trace_fault_write(&verdict, now, r, bytes);
-        (r, verdict)
-    }
-
-    /// [`flush`](Self::flush) plus the injector's verdict. A
-    /// [`FlushFault::DroppedAcked`] verdict means the returned
-    /// reservation is when the device *acknowledged* — nothing actually
-    /// became durable.
-    pub fn flush_checked(&mut self, now: Nanos) -> (Reservation, FlushFault) {
-        let verdict = self.flush_verdict(now, false);
-        let r = self.flush(now);
-        if verdict == FlushFault::DroppedAcked {
-            self.trace_span(EventClass::FaultDroppedFlush, now, r, 0);
-        }
-        (r, verdict)
-    }
-
-    /// [`write_background`](Self::write_background) plus the injector's
-    /// verdict for the command.
-    pub fn write_background_checked(
+    pub fn write(
         &mut self,
         issue: Nanos,
         bytes: u64,
         class: WriteClass,
+        background: bool,
     ) -> (Reservation, WriteFault) {
-        let verdict = self.write_verdict(issue, bytes, true, class);
-        let r = self.write_background(issue, bytes);
-        self.trace_fault_write(&verdict, issue, r, bytes);
-        (r, verdict)
-    }
-
-    /// A background-class FLUSH (write-back traffic) plus the injector's
-    /// verdict.
-    pub fn flush_background_checked(&mut self, issue: Nanos) -> (Reservation, FlushFault) {
-        let verdict = self.flush_verdict(issue, true);
-        let r = self.flush_background(issue);
-        if verdict == FlushFault::DroppedAcked {
-            self.trace_span(EventClass::FaultDroppedFlush, issue, r, 0);
-        }
-        (r, verdict)
-    }
-
-    /// Emits the fault-class span matching a write verdict, if any.
-    fn trace_fault_write(&self, verdict: &WriteFault, issue: Nanos, r: Reservation, bytes: u64) {
-        match verdict {
+        let cmd = WriteCmd { at: issue, bytes, background, class };
+        let fault = match self.injector.as_ref().map_or(WriteFault::None, |i| i.on_write(&cmd)) {
+            WriteFault::None => WriteFault::None,
+            WriteFault::Torn { keep } => {
+                self.stats.torn_writes += 1;
+                WriteFault::Torn { keep: keep.min(bytes) }
+            }
+            WriteFault::Corrupt => {
+                self.stats.corrupt_writes += 1;
+                WriteFault::Corrupt
+            }
+        };
+        self.stats.bytes_written += bytes;
+        self.stats.write_commands += 1;
+        let r = self.reserve(issue, self.cfg.write_cost(bytes), background);
+        let span = if background { EventClass::SsdBgWrite } else { EventClass::SsdWrite };
+        self.trace_span(span, issue, r, bytes);
+        match fault {
             WriteFault::None => {}
             WriteFault::Torn { .. } => self.trace_span(EventClass::FaultTornWrite, issue, r, bytes),
             WriteFault::Corrupt => self.trace_span(EventClass::FaultCorruptWrite, issue, r, bytes),
         }
+        (r, fault)
     }
 
-    /// Issues a background write of `bytes` at `issue` (asynchronous
-    /// write-back). It runs in leftover capacity: after any earlier
-    /// background work and never while the foreground queue is busy.
-    pub fn write_background(&mut self, issue: Nanos, bytes: u64) -> Reservation {
-        self.stats.bytes_written += bytes;
-        self.stats.write_commands += 1;
-        let dur = self.cfg.write_cost(bytes);
-        let start = issue.max(self.bg_tail).max(self.timeline.free_at());
-        let end = start + dur;
-        self.bg_tail = end;
-        let r = Reservation { start, end };
-        self.trace_span(EventClass::SsdBgWrite, issue, r, bytes);
-        r
-    }
-
-    /// Issues a background FLUSH at `issue` (asynchronous journal commit
-    /// records).
-    pub(crate) fn flush_background(&mut self, issue: Nanos) -> Reservation {
+    /// Issues a FLUSH at `issue`, in the background class (asynchronous
+    /// journal commit records) if `background`, else in the foreground
+    /// class, and returns it with the injector's verdict.
+    ///
+    /// FIFO ordering within a class guarantees the flush starts only
+    /// after every previously issued command of its class completed — in
+    /// the foreground, the "barrier" the paper attributes to syncs. The
+    /// flush itself costs [`SsdConfig::flush_latency`]. A
+    /// [`FlushFault::DroppedAcked`] verdict means the returned reservation
+    /// is when the device *acknowledged* — nothing actually became
+    /// durable.
+    pub fn flush(&mut self, issue: Nanos, background: bool) -> (Reservation, FlushFault) {
+        let cmd = FlushCmd { at: issue, background };
+        let fault = self.injector.as_ref().map_or(FlushFault::None, |i| i.on_flush(&cmd));
+        if fault == FlushFault::DroppedAcked {
+            self.stats.dropped_flushes += 1;
+        }
         self.stats.flush_commands += 1;
-        let start = issue.max(self.bg_tail).max(self.timeline.free_at());
-        let end = start + self.cfg.flush_latency;
-        self.bg_tail = end;
-        self.last_flush_end = self.last_flush_end.max(end);
-        let r = Reservation { start, end };
-        self.trace_span(EventClass::SsdBgFlush, issue, r, 0);
-        r
+        let r = self.reserve(issue, self.cfg.flush_latency, background);
+        self.last_flush_end = self.last_flush_end.max(r.end);
+        let span = if background { EventClass::SsdBgFlush } else { EventClass::SsdFlush };
+        self.trace_span(span, issue, r, 0);
+        if fault == FlushFault::DroppedAcked {
+            self.trace_span(EventClass::FaultDroppedFlush, issue, r, 0);
+        }
+        (r, fault)
     }
 
     /// Removes `dur` of queued background work (it was promoted to the
@@ -290,7 +222,7 @@ impl Ssd {
     /// Resets the I/O counters (not the timelines); used between
     /// benchmark phases.
     pub fn reset_stats(&mut self) {
-        self.stats = IoStats::new();
+        self.stats = IoStats::default();
     }
 }
 
@@ -302,10 +234,15 @@ mod tests {
         Ssd::new(SsdConfig::pm883())
     }
 
+    /// A clean foreground data write.
+    fn write(d: &mut Ssd, issue: Nanos, bytes: u64) -> Reservation {
+        d.write(issue, bytes, WriteClass::Data, false).0
+    }
+
     #[test]
     fn write_accounts_bytes_and_time() {
         let mut d = ssd();
-        let r = d.write(Nanos::ZERO, 520 * 1_000_000); // 1 second of data
+        let r = write(&mut d, Nanos::ZERO, 520 * 1_000_000); // 1 second of data
         assert_eq!(d.stats().bytes_written, 520 * 1_000_000);
         assert_eq!(d.stats().write_commands, 1);
         let secs = r.duration().as_secs_f64();
@@ -317,8 +254,8 @@ mod tests {
         let mut d = ssd();
         // Issue a long write, then a flush "from the future is not possible":
         // the flush queues behind the write even if issued at t=0.
-        let w = d.write(Nanos::ZERO, 100 << 20);
-        let f = d.flush(Nanos::ZERO);
+        let w = write(&mut d, Nanos::ZERO, 100 << 20);
+        let f = d.flush(Nanos::ZERO, false).0;
         assert_eq!(f.start, w.end);
         // And a subsequent read queues behind the flush.
         let r = d.read(Nanos::ZERO, 4096);
@@ -328,7 +265,7 @@ mod tests {
     #[test]
     fn read_and_write_costs_differ_by_bandwidth() {
         let mut d = ssd();
-        let w = d.write(Nanos::ZERO, 1 << 30);
+        let w = write(&mut d, Nanos::ZERO, 1 << 30);
         let r = d.read(w.end, 1 << 30);
         // Read bandwidth is higher, so the read is shorter.
         assert!(r.duration() < w.duration());
@@ -337,10 +274,10 @@ mod tests {
     #[test]
     fn reset_stats_zeroes_counters_only() {
         let mut d = ssd();
-        d.write(Nanos::ZERO, 4096);
+        write(&mut d, Nanos::ZERO, 4096);
         let free = d.free_at();
         d.reset_stats();
-        assert_eq!(*d.stats(), IoStats::new());
+        assert_eq!(*d.stats(), IoStats::default());
         assert_eq!(d.free_at(), free);
     }
 
@@ -348,20 +285,20 @@ mod tests {
     fn flush_frontier_tracks_latest_flush_completion() {
         let mut d = ssd();
         assert_eq!(d.flush_frontier(), Nanos::ZERO);
-        let f = d.flush(Nanos::ZERO);
+        let f = d.flush(Nanos::ZERO, false).0;
         assert_eq!(d.flush_frontier(), f.end);
         // A background flush queued later advances the frontier…
-        let bg = d.flush_background(f.end);
+        let bg = d.flush(f.end, true).0;
         assert_eq!(d.flush_frontier(), bg.end);
         // …and an earlier-completing command never moves it backwards.
-        d.flush(Nanos::ZERO);
+        d.flush(Nanos::ZERO, false);
         assert!(d.flush_frontier() >= bg.end);
     }
 
     #[test]
     fn zero_byte_write_still_pays_command_latency() {
         let mut d = ssd();
-        let r = d.write(Nanos::ZERO, 0);
+        let r = write(&mut d, Nanos::ZERO, 0);
         assert_eq!(r.duration(), d.cfg.cmd_latency);
     }
 }

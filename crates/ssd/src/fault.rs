@@ -175,12 +175,10 @@ mod tests {
         let mut a = Ssd::new(SsdConfig::pm883());
         a.set_injector(InjectorHandle::new(EveryOtherWriteTorn { n: 0 }));
         let mut b = a.clone();
-        let cmd = |at, bytes| WriteCmd { at, bytes, background: false, class: WriteClass::Data };
-        let (_, f1) = a.write_checked(Nanos::ZERO, 100, WriteClass::Data);
-        let (_, f2) = b.write_checked(Nanos::ZERO, 100, WriteClass::Data);
+        let (_, f1) = a.write(Nanos::ZERO, 100, WriteClass::Data, false);
+        let (_, f2) = b.write(Nanos::ZERO, 100, WriteClass::Data, false);
         assert_eq!(f1, WriteFault::None);
         assert_eq!(f2, WriteFault::Torn { keep: 50 });
-        let _ = cmd(Nanos::ZERO, 0);
     }
 
     #[test]
@@ -196,8 +194,8 @@ mod tests {
         }
         let mut d = Ssd::new(SsdConfig::pm883());
         d.set_injector(InjectorHandle::new(AlwaysBad));
-        d.write_checked(Nanos::ZERO, 64, WriteClass::Journal);
-        d.flush_checked(Nanos::ZERO);
+        d.write(Nanos::ZERO, 64, WriteClass::Journal, false);
+        d.flush(Nanos::ZERO, false);
         assert_eq!(d.stats().corrupt_writes, 1);
         assert_eq!(d.stats().dropped_flushes, 1);
         assert_eq!(d.stats().faults_injected(), 2);
@@ -206,8 +204,8 @@ mod tests {
     #[test]
     fn no_injector_means_no_faults() {
         let mut d = Ssd::new(SsdConfig::pm883());
-        let (_, wf) = d.write_checked(Nanos::ZERO, 64, WriteClass::Data);
-        let (_, ff) = d.flush_checked(Nanos::ZERO);
+        let (_, wf) = d.write(Nanos::ZERO, 64, WriteClass::Data, false);
+        let (_, ff) = d.flush(Nanos::ZERO, false);
         assert_eq!(wf, WriteFault::None);
         assert_eq!(ff, FlushFault::None);
         assert_eq!(d.stats().faults_injected(), 0);
@@ -223,7 +221,7 @@ mod tests {
         }
         let mut d = Ssd::new(SsdConfig::pm883());
         d.set_injector(InjectorHandle::new(KeepTooMuch));
-        let (_, wf) = d.write_checked(Nanos::ZERO, 512, WriteClass::Data);
+        let (_, wf) = d.write(Nanos::ZERO, 512, WriteClass::Data, false);
         assert_eq!(wf, WriteFault::Torn { keep: 512 });
     }
 }

@@ -7,6 +7,12 @@
 //! * **Command latency** — every command pays a fixed setup cost.
 //! * **FIFO queue** — commands serialize in issue order on a
 //!   [`nob_sim::Timeline`], so a slow command delays everything behind it.
+//! * **Two service classes** — a write or FLUSH names its class as an
+//!   argument: foreground (syncs, direct I/O) or background
+//!   (asynchronous write-back), which drains in the capacity the
+//!   foreground leaves over.
+//! * **Faults** — every write and FLUSH asks the installed
+//!   [`FaultInjector`] for a verdict and returns it to the caller.
 //! * **FLUSH barriers** — a flush cannot start before all previously issued
 //!   writes complete (guaranteed by FIFO order) and adds a large fixed
 //!   latency. This is what makes `fsync` expensive and what NobLSM removes
@@ -22,11 +28,12 @@
 //!
 //! ```
 //! use nob_sim::Nanos;
-//! use nob_ssd::{Ssd, SsdConfig};
+//! use nob_ssd::{Ssd, SsdConfig, WriteClass};
 //!
 //! let mut ssd = Ssd::new(SsdConfig::pm883());
-//! let w = ssd.write(Nanos::ZERO, 2 << 20); // 2 MiB sequential write
-//! let f = ssd.flush(w.end);
+//! // A 2 MiB sequential foreground write, then a foreground FLUSH.
+//! let (w, _) = ssd.write(Nanos::ZERO, 2 << 20, WriteClass::Data, false);
+//! let (f, _) = ssd.flush(w.end, false);
 //! assert!(f.end > w.end); // the flush costs real time
 //! assert_eq!(ssd.stats().bytes_written, 2 << 20);
 //! ```

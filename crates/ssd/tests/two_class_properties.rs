@@ -2,8 +2,8 @@
 //! independent of background backlog, background work is conserved (never
 //! lost, only deferred), and ordering holds within each class.
 
-use nob_sim::Nanos;
-use nob_ssd::{Ssd, SsdConfig};
+use nob_sim::{Nanos, Reservation};
+use nob_ssd::{Ssd, SsdConfig, WriteClass};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -12,6 +12,10 @@ enum Cmd {
     FgRead(u32),
     Flush,
     BgWrite(u32),
+    BgFlush,
+    /// A foreground write that takes over queued background work and
+    /// credits the background queue for it, as a sync's write-back does.
+    PromotedWrite(u32),
 }
 
 fn cmd() -> impl Strategy<Value = Cmd> {
@@ -20,14 +24,22 @@ fn cmd() -> impl Strategy<Value = Cmd> {
         (1u32..4_000_000).prop_map(Cmd::FgRead),
         Just(Cmd::Flush),
         (1u32..64_000_000).prop_map(Cmd::BgWrite),
+        Just(Cmd::BgFlush),
+        (1u32..4_000_000).prop_map(Cmd::PromotedWrite),
     ]
+}
+
+/// A clean data write of `bytes` in the given class.
+fn write(ssd: &mut Ssd, now: Nanos, bytes: u64, background: bool) -> Reservation {
+    ssd.write(now, bytes, WriteClass::Data, background).0
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Foreground completions are identical whether or not background
-    /// traffic exists (perfect preemption), and per-class ordering holds.
+    /// traffic exists (perfect preemption), per-class ordering holds, and
+    /// the FLUSH frontier never moves back.
     #[test]
     fn foreground_is_immune_to_background(
         cmds in proptest::collection::vec(cmd(), 1..80),
@@ -38,12 +50,17 @@ proptest! {
         let mut now = Nanos::ZERO;
         let mut prev_fg_end = Nanos::ZERO;
         let mut prev_bg_end = Nanos::ZERO;
+        let mut frontier = Nanos::ZERO;
         for c in &cmds {
             now += Nanos::from_nanos(gap);
             match c {
-                Cmd::FgWrite(b) => {
-                    let a = with_bg.write(now, *b as u64);
-                    let b2 = without_bg.write(now, *b as u64);
+                Cmd::FgWrite(b) | Cmd::PromotedWrite(b) => {
+                    let a = write(&mut with_bg, now, *b as u64, false);
+                    let b2 = write(&mut without_bg, now, *b as u64, false);
+                    if matches!(c, Cmd::PromotedWrite(_)) {
+                        with_bg.credit_background(a.duration());
+                        without_bg.credit_background(b2.duration());
+                    }
                     prop_assert_eq!(a, b2, "fg write must not see bg traffic");
                     prop_assert!(a.start >= prev_fg_end);
                     prev_fg_end = a.end;
@@ -56,18 +73,26 @@ proptest! {
                     prev_fg_end = a.end;
                 }
                 Cmd::Flush => {
-                    let a = with_bg.flush(now);
-                    let b2 = without_bg.flush(now);
+                    let (a, _) = with_bg.flush(now, false);
+                    let (b2, _) = without_bg.flush(now, false);
                     prop_assert_eq!(a, b2);
                     prev_fg_end = a.end;
                 }
                 Cmd::BgWrite(b) => {
-                    let r = with_bg.write_background(now, *b as u64);
+                    let r = write(&mut with_bg, now, *b as u64, true);
                     prop_assert!(r.start >= prev_bg_end, "bg order preserved");
                     prop_assert!(r.end > r.start);
                     prev_bg_end = r.end;
                 }
+                Cmd::BgFlush => {
+                    let (r, _) = with_bg.flush(now, true);
+                    prop_assert!(r.start >= prev_bg_end, "bg flush order preserved");
+                    prop_assert!(r.end > r.start);
+                    prev_bg_end = r.end;
+                }
             }
+            prop_assert!(with_bg.flush_frontier() >= frontier, "flush frontier moved back");
+            frontier = with_bg.flush_frontier();
         }
     }
 
@@ -81,18 +106,18 @@ proptest! {
     ) {
         let cfg = SsdConfig::pm883();
         let mut ssd = Ssd::new(cfg.clone());
-        let bg = ssd.write_background(Nanos::ZERO, bg_bytes);
+        let bg = write(&mut ssd, Nanos::ZERO, bg_bytes, true);
         let ideal_end = bg.end;
         // Foreground arrives while the background write is in flight.
         let mut fg_busy = Nanos::ZERO;
         for b in &fg_bytes {
-            let r = ssd.write(Nanos::ZERO, *b);
+            let r = write(&mut ssd, Nanos::ZERO, *b, false);
             if r.start < ssd.background_free_at() {
                 fg_busy += r.duration();
             }
         }
         // A second background write lands after all the deferral.
-        let bg2 = ssd.write_background(Nanos::ZERO, 1);
+        let bg2 = write(&mut ssd, Nanos::ZERO, 1, true);
         prop_assert!(
             bg2.start.as_nanos() + 1 >= ideal_end.as_nanos(),
             "bg2 cannot start before bg1 would have finished"
@@ -112,11 +137,11 @@ proptest! {
         let mut ssd = Ssd::new(SsdConfig::pm883());
         let mut total = 0u64;
         for b in &fg {
-            ssd.write(Nanos::ZERO, *b);
+            write(&mut ssd, Nanos::ZERO, *b, false);
             total += b;
         }
         for b in &bg {
-            ssd.write_background(Nanos::ZERO, *b);
+            write(&mut ssd, Nanos::ZERO, *b, true);
             total += b;
         }
         prop_assert_eq!(ssd.stats().bytes_written, total);

@@ -29,11 +29,13 @@ use std::path::{Path, PathBuf};
 /// The settable values of the config structs under `crates/*/src` (see
 /// [`lex::knobs`]). Each one doubles the configurations tests and
 /// benchmarks must cover; lower it whenever a knob becomes a constant.
-/// Last lowered from 49 when the two engine options only tests set went:
+/// Last lowered from 47 when `SsdConfig::host_mem_bw`, which only
+/// `SsdConfig::pm883` sets, became crate-private. Before that from 49
+/// when the two engine options only tests set went:
 /// `Options.max_levels` became the constant `NUM_LEVELS` and
 /// `Options.paranoid_checks` was deleted. Before that from 50 when scans
 /// became ascending only and `ScanOptions.reverse` went.
-const MAX_KNOBS: usize = 47;
+const MAX_KNOBS: usize = 46;
 
 /// The largest source file allowed: `store/src/lib.rs` (1 284 lines) is
 /// the current maximum, `cli/src/lib.rs` (1 116) the next. Lower it as the largest file shrinks; the
@@ -44,8 +46,13 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last lowered
-/// by two, from 995, when `Options::max_levels` and
-/// `Options::paranoid_checks` went. Before that by thirteen, from 1 008,
+/// by eight, from 993, when the SSD took one command per operation with
+/// the service class as an argument: `Ssd::{write_checked, flush_checked,
+/// write_background_checked, flush_background_checked, write_background}`
+/// went into `Ssd::{write, flush}`, `IoStats::since`, `FsStats::since` and
+/// the `pub` of `SsdConfig::host_mem_bw` went. Before that by two, from
+/// 995, when `Options::max_levels` and `Options::paranoid_checks` went.
+/// Before that by thirteen, from 1 008,
 /// when replication moved onto the serving
 /// crate's RESP codec and the server stopped carrying a replication
 /// posture: `ReplRole`, `ReplStatus` with its six fields (`role`, `epoch`,
@@ -64,7 +71,7 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 993;
+const MAX_SURFACE_LINES: usize = 985;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
