@@ -83,6 +83,11 @@ impl Ext4Fs {
     /// Content bytes of every inode the filesystem still holds: the live
     /// files plus the deleted ones not yet forgotten. Without a crash
     /// horizon this grows with every byte ever written.
+    ///
+    /// A [`crashed_view`](Ext4Fs::crashed_view) counts the files it keeps
+    /// whole here too, but their bytes are shared with the filesystem it
+    /// was cut from until either side appends: the sum over a filesystem
+    /// and its views can exceed the memory they hold.
     pub fn retained_bytes(&self) -> u64 {
         self.lock().inodes.values().map(|i| i.content.len() as u64).sum()
     }
@@ -92,9 +97,17 @@ impl Ext4Fs {
     ///
     /// The returned filesystem contains, for every inode whose metadata was
     /// committed by `at` (and whose committed state is not "deleted"), a
-    /// clean file at its committed path holding its committed length of
-    /// data. The NobLSM kernel tables are empty — they live in kernel DRAM
-    /// and do not survive a reboot.
+    /// file at its committed path, with nothing dirty, holding as much of
+    /// its committed length of data as was durable. The NobLSM kernel
+    /// tables are empty — they live in kernel DRAM and do not survive a
+    /// reboot.
+    ///
+    /// A file that survives whole and undamaged shares its bytes with this
+    /// filesystem, as an [`Extent`](crate::Extent) does: an append on
+    /// either side afterwards copies the file first, so neither sees the
+    /// other's writes. A file cut to a shorter prefix, or with a damaged
+    /// range to mask, is a copy. Cutting a view costs what its number of
+    /// files costs, not what their bytes do.
     ///
     /// Injected device faults shape the reconstruction:
     ///
@@ -163,13 +176,21 @@ impl Ext4Fs {
                 }
                 let len = ev.len.min(persisted) as usize;
                 let mut inode = Inode::new(id, path.clone());
-                let mut content = old.content[..len].to_vec();
-                for (s, e) in old.damage_within(len as u64, at) {
-                    for b in &mut content[s as usize..e as usize] {
-                        *b ^= DAMAGE_MASK;
+                let damage = old.damage_within(len as u64, at);
+                inode.content = if len == old.content.len() && damage.is_empty() {
+                    // The whole file survived clean: share its bytes. An
+                    // append on either side goes through `Arc::make_mut`,
+                    // so the view and this filesystem split copy-on-write.
+                    Arc::clone(&old.content)
+                } else {
+                    let mut content = old.content[..len].to_vec();
+                    for (s, e) in damage {
+                        for b in &mut content[s as usize..e as usize] {
+                            *b ^= DAMAGE_MASK;
+                        }
                     }
-                }
-                inode.content = Arc::new(content);
+                    Arc::new(content)
+                };
                 inode.written_back = len as u64;
                 inode.committed_epoch = inode.epoch;
                 inode.committed_at = Some(at);

@@ -16,11 +16,19 @@
 //! is read where it lies, an append under a live read copies the file
 //! first so the read keeps what it saw, and with no read alive an append
 //! into spare capacity moves nothing.
+//!
+//! A crash view shares the bytes it keeps the same way: a file that
+//! survives whole and clean is the live file's bytes, and an append on
+//! either side afterwards splits them copy-on-write. A file cut to its
+//! committed prefix, or with a damaged range to mask, is a copy.
 
 use std::collections::BTreeSet;
 
-use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_ext4::{Ext4Config, Ext4Fs, Extent};
 use nob_sim::Nanos;
+use nob_ssd::{
+    FaultInjector, FlushCmd, FlushFault, InjectorHandle, WriteClass, WriteCmd, WriteFault,
+};
 
 /// One operation of the script.
 enum Op {
@@ -195,4 +203,80 @@ fn a_read_is_a_snapshot_that_shares_the_file_bytes() {
     let (last, _) = fs.read_at(h, 0, (4 << 10) + 110, now).unwrap();
     assert_eq!(last.as_ptr(), moved, "an append with no extent alive moved the bytes");
     assert_eq!(&last[(4 << 10) + 100..], &[3u8; 10][..]);
+}
+
+/// Reads all of `path` from `fs`.
+fn whole(fs: &Ext4Fs, path: &str, now: Nanos) -> Extent {
+    let len = fs.file_size(path).unwrap();
+    fs.read_exact_at(fs.open(path, now).unwrap(), 0, len, now).unwrap().0
+}
+
+/// Corrupts every data write-back; journal writes and FLUSHes succeed.
+struct CorruptData;
+
+impl FaultInjector for CorruptData {
+    fn on_write(&mut self, cmd: &WriteCmd) -> WriteFault {
+        if cmd.class == WriteClass::Data {
+            WriteFault::Corrupt
+        } else {
+            WriteFault::None
+        }
+    }
+
+    fn on_flush(&mut self, _cmd: &FlushCmd) -> FlushFault {
+        FlushFault::None
+    }
+}
+
+#[test]
+fn a_crash_view_shares_the_bytes_it_keeps() {
+    let fs = Ext4Fs::new(Ext4Config::default());
+    let mut now = Nanos::ZERO;
+    for (path, fill) in [("a", 1u8), ("b", 2), ("c", 3)] {
+        let h = fs.create(path, now).unwrap();
+        now = fs.append(h, vec![fill; 8 << 10], now).unwrap();
+        now = fs.fsync(h, now).unwrap();
+    }
+    // `c` gains a tail no commit covers.
+    now = fs.append(fs.open("c", now).unwrap(), [4u8; 100].as_slice(), now).unwrap();
+
+    // A settled file is the live file's bytes, not a copy of them.
+    let view = fs.crashed_view(now);
+    for path in ["a", "b"] {
+        let (kept, live) = (whole(&view, path, now), whole(&fs, path, now));
+        assert_eq!(kept.as_ptr(), live.as_ptr(), "{path}: the view copied a settled file");
+        assert_eq!(kept.len(), 8 << 10);
+    }
+
+    // An append on either side leaves the other's bytes and length alone.
+    now = view.append(view.open("a", now).unwrap(), [9u8; 10].as_slice(), now).unwrap();
+    now = fs.append(fs.open("b", now).unwrap(), [9u8; 10].as_slice(), now).unwrap();
+    for (grown, other, path, fill) in [(&view, &fs, "a", 1u8), (&fs, &view, "b", 2)] {
+        let bytes = whole(other, path, now);
+        assert_eq!(bytes.len(), 8 << 10, "{path}: an append on one side grew the other");
+        assert!(bytes.iter().all(|&b| b == fill), "{path}: an append on one side wrote the other");
+        let bytes = whole(grown, path, now);
+        assert_eq!(&bytes[8 << 10..], &[9u8; 10][..]);
+        assert_ne!(bytes.as_ptr(), whole(other, path, now).as_ptr());
+    }
+
+    // A file with an uncommitted tail comes back as its committed prefix,
+    // in bytes of its own.
+    let (prefix, live) = (whole(&view, "c", now), whole(&fs, "c", now));
+    assert_eq!((prefix.len(), live.len()), (8 << 10, (8 << 10) + 100));
+    assert!(prefix.iter().all(|&b| b == 3));
+    assert_ne!(prefix.as_ptr(), live.as_ptr(), "a committed prefix shares the live file");
+
+    // A damaged range comes back masked in the view and clean in the live
+    // filesystem.
+    let fs = Ext4Fs::new(Ext4Config::default());
+    fs.set_fault_injector(InjectorHandle::new(CorruptData));
+    let h = fs.create("d", Nanos::ZERO).unwrap();
+    let now = fs.append(h, vec![5u8; 8 << 10], Nanos::ZERO).unwrap();
+    let now = fs.fsync(h, now).unwrap();
+    let view = fs.crashed_view(now);
+    let (masked, live) = (whole(&view, "d", now), whole(&fs, "d", now));
+    assert!(live.iter().all(|&b| b == 5), "masking reached the live filesystem");
+    assert_eq!(masked.len(), live.len());
+    assert!(masked.iter().all(|&b| b == 5 ^ 0x5A), "the damaged range was not masked");
 }

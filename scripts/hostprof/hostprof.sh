@@ -3,8 +3,8 @@
 # top-down tree of this repository's functions — the profiler for a sandbox
 # that has `cc` and `addr2line` but no perf.
 #
-#     scripts/hostprof/hostprof.sh [--min-pct P] [--self] [--under FRAME] \
-#         <command> [args...]
+#     scripts/hostprof/hostprof.sh [--min-pct P] [--self | --peak] \
+#         [--under FRAME] <command> [args...]
 #     scripts/hostprof/hostprof.sh bench/ledger/target/release/bench_ledger \
 #         --workload scan --seed 7 --seconds 10 --trace 0
 #
@@ -16,6 +16,17 @@
 # samples: `--under '::timed'` leaves a ledger workload's setup out, and
 # `--under 'Db>::get'` keeps the engine's GETs (methods resolve as
 # `<impl noblsm::db::Db>::get`).
+#
+# --peak asks where the peak resident set is reached rather than where the
+# CPU time goes: every sample also records getrusage's ru_maxrss, and the
+# table ranks repository functions by the KB that high-water mark rose
+# while they were on the stack — the phase that sets a run's peak RSS
+# (`host_peak_rss_mb` of the ledger) without instrumenting the program.
+# `hostprof.sh --peak bench/ledger/target/release/bench_ledger --workload
+# serve --seed 1 --seconds 10 --trace 0` names the functions that drove
+# serve's peak. A rise is charged to the thread the timer interrupted, and
+# only a new mark counts: memory a phase allocates and keeps shows where it
+# pushed the mark up, and otherwise as a higher floor for later phases.
 #
 # Builds the LD_PRELOAD shim (hostprof.c) into target/hostprof/, runs the
 # command under it — its output goes to stderr, so stdout is the tree alone —
@@ -33,10 +44,10 @@ cd "$here/../.."
 
 min_pct=1
 view=()
-while [[ ${1:-} == --min-pct || ${1:-} == --self || ${1:-} == --under ]]; do
+while [[ ${1:-} == --min-pct || ${1:-} == --self || ${1:-} == --peak || ${1:-} == --under ]]; do
     case $1 in
-        --self)
-            view+=(--self)
+        --self | --peak)
+            view+=("$1")
             shift
             ;;
         --under)

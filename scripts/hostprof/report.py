@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Turns a hostprof sample file into a top-down tree, or a self-time table.
 
-    report.py SAMPLES [--min-pct P] [--self] [--under FRAME]
+    report.py SAMPLES [--min-pct P] [--self | --peak] [--under FRAME]
 
 SAMPLES is what the hostprof shim wrote: the process's memory map (`M`
-lines), where memcpy and memmove resolved to (`C`) and one raw stack per
-SIGPROF (`S` lines, innermost frame first). Addresses are resolved with
-`addr2line -f -C -i`, return addresses at `pc - 1` so that a call in the last
+lines), where memcpy and memmove resolved to (`C`), its peak resident set
+in KB when the shim started (`R`) and one raw stack per SIGPROF (`S` lines:
+the peak resident set so far, then the stack, innermost frame first).
+Addresses are resolved with `addr2line -f -C -i`, return addresses at `pc - 1` so that a call in the last
 instruction of a function is not charged to the next one. The tree keeps this repository's frames (`nob_*::` and
 `noblsm::` paths) and hangs one synthetic leaf under them when the sample
 was taken inside the allocator or a memory copy: `[malloc]`, `[free]`,
@@ -23,6 +24,15 @@ its innermost repository frame and the leaf below it, if any
 (`nob_ext4::fs::Ext4Fs::append [memcpy]`): where the time is spent, not who
 asked for it. Samples with no repository frame on their stack are counted
 under `(outside this repository)`.
+
+With `--peak` the table ranks repository functions by how far the process's
+peak resident set (`ru_maxrss`) rose while they were on the stack: each
+sample is charged the rise since the one before it, and every distinct
+function on its stack gets that charge once. The top lines name the phases
+that set the peak. Only a new mark counts: memory a phase allocates and
+keeps shows where it pushed the mark up, and otherwise as a higher floor for
+the phases after it. A rise is charged to the thread the timer interrupted,
+so with several busy threads a line can hold another thread's rise.
 
 `--under FRAME` keeps only the samples whose stack passes through a function
 whose name contains FRAME, and gives every share, in the tree or the table,
@@ -50,15 +60,19 @@ LEAVES = (
 
 
 def load(path):
-    """-> executable mappings, each object's load address, stacks, copy routines"""
-    maps, bases, stacks, copies = [], {}, [], set()
+    """-> executable mappings, each object's load address, stacks, copy routines,
+    the starting peak RSS and the peak RSS at each sample (KB)"""
+    maps, bases, stacks, copies, start, peaks = [], {}, [], set(), 0, []
     with open(path) as f:
         for line in f:
             kind, *fields = line.split()
             if kind == "C":
                 copies = {int(x, 16) for x in fields}
+            elif kind == "R":
+                start = int(fields[0])
             elif kind == "S":
-                stacks.append([int(x, 16) for x in fields])
+                peaks.append(int(fields[0]))
+                stacks.append([int(x, 16) for x in fields[1:]])
             elif kind == "M" and len(fields) >= 6:
                 lo, hi = (int(x, 16) for x in fields[0].split("-"))
                 obj = fields[5]
@@ -66,7 +80,7 @@ def load(path):
                 bases[obj] = min(lo, bases.get(obj, lo))
                 if "x" in fields[1]:
                     maps.append((lo, hi, obj))
-    return sorted(maps), bases, stacks, copies
+    return sorted(maps), bases, stacks, copies, start, peaks
 
 
 def is_pie(path):
@@ -102,11 +116,13 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("samples")
     ap.add_argument("--min-pct", type=float, default=1.0, help="hide lines below this share")
-    ap.add_argument("--self", action="store_true", help="flat self-time table instead of the tree")
+    view = ap.add_mutually_exclusive_group()
+    view.add_argument("--self", action="store_true", help="flat self-time table instead of the tree")
+    view.add_argument("--peak", action="store_true", help="rank functions by peak-RSS rise")
     ap.add_argument("--under", metavar="FRAME", help="only samples with a frame naming FRAME")
     args = ap.parse_args()
 
-    maps, bases, stacks, copies = load(args.samples)
+    maps, bases, stacks, copies, start, peaks = load(args.samples)
     starts = [m[0] for m in maps]
     pie = {}
 
@@ -137,10 +153,15 @@ def main():
     tree = lambda: [0, collections.defaultdict(tree)]  # noqa: E731
     root = tree()
     flat = collections.Counter()
-    for frames in located:
+    rises, rose, high = collections.Counter(), 0, start
+    for frames, peak in zip(located, peaks):
+        rise, high = max(0, peak - high), max(high, peak)
         funcs_of = [[at] if at == "memcpy" else names.get(at, ["??"]) for at in frames]
         if args.under and not any(args.under in f for funcs in funcs_of for f in funcs):
             continue
+        for name in {f for funcs in funcs_of for f in funcs if OURS.search(f)}:
+            rises[name] += rise
+        rose += rise
         path, leaf = [], None
         for funcs in funcs_of:  # innermost first
             ours = [f for f in funcs if OURS.search(f)]
@@ -167,6 +188,16 @@ def main():
         print(f"{total} of {len(located)} samples pass through a frame naming `{args.under}`")
         if not total:
             return
+    if args.peak:
+        print(
+            f"peak RSS {high / 1024:.1f} MB ({start / 1024:.1f} MB at start); it rose "
+            f"{rose / 1024:.1f} MB during {total} samples; rise while each function was on "
+            f"the stack, lines under {args.min_pct} % of that hidden"
+        )
+        for name, kb in rises.most_common():
+            if rose and 100.0 * kb / rose >= args.min_pct:
+                print(f"{kb:9d} KB {100.0 * kb / rose:6.1f} %  {name}")
+        return
     if args.self:
         print(f"{total} samples; self share of all of them, lines under {args.min_pct} % hidden")
         for name, n in flat.most_common():
