@@ -20,7 +20,6 @@
 
 use nob_server::{shared, Client, LoopbackTransport, Request, ServerCore, ServerOptions};
 use nob_sim::json::Json;
-use nob_workloads::LatencyHistogram;
 
 use crate::output::Pivot;
 use crate::shards::{disciplines, store_options};
@@ -79,7 +78,7 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
     let rounds = OPS / clients;
     assert_eq!(rounds * clients, OPS, "sweep shape must divide the op count");
     let started = clock.now();
-    let mut latencies = LatencyHistogram::new();
+    let mut latencies = Vec::with_capacity(OPS as usize);
     let mut stream = KeyStream::new(KEYSPACE);
     for round in 0..rounds {
         let sent_at = clock.now();
@@ -107,9 +106,7 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
             }
         }
         let durable = clock.now();
-        for _ in 0..clients {
-            latencies.record(durable - sent_at);
-        }
+        latencies.extend((0..clients).map(|_| (durable - sent_at).as_nanos()));
     }
     let elapsed = clock.now() - started;
     let stats = core.borrow().store().stats();
@@ -118,10 +115,10 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
         ("clients", clients.into()),
         ("ops", OPS.into()),
         ("throughput_ops_s", Json::fixed(OPS as f64 / elapsed.as_secs_f64(), 3)),
-        // SET latency, send → durable reply, from the power-of-two
-        // histogram (so p50/p99 sit on bucket bounds).
-        ("p50_us", Json::fixed(latencies.quantile(0.50).as_micros_f64(), 3)),
-        ("p99_us", Json::fixed(latencies.quantile(0.99).as_micros_f64(), 3)),
+        // SET latency, send → durable reply: the nearest-rank sample of
+        // every client's latency in every round.
+        ("p50_us", Json::fixed(sweep::quantile_ns(&mut latencies, 50) as f64 / 1e3, 3)),
+        ("p99_us", Json::fixed(sweep::quantile_ns(&mut latencies, 99) as f64 / 1e3, 3)),
         ("groups", stats.groups.into()),
         ("batches", stats.batches.into()),
     ]

@@ -324,26 +324,6 @@ impl Db {
         self.clock.advance_to(end_t);
         Ok(collector.finish())
     }
-
-    /// Estimates the on-disk bytes holding keys in `[begin, end]`
-    /// (LevelDB's `GetApproximateSizes`): each overlapping table
-    /// contributes its size scaled by the key-range fraction it overlaps
-    /// (byte-lexicographic interpolation).
-    pub fn approximate_size(&self, begin: &[u8], end: &[u8]) -> u64 {
-        let v = self.versions.current();
-        let mut total = 0u64;
-        for files in &v.files {
-            for f in files {
-                let lo = user_key(f.smallest.as_bytes());
-                let hi = user_key(f.largest.as_bytes());
-                if hi < begin || lo > end {
-                    continue;
-                }
-                total += (f.size as f64 * overlap_fraction(lo, hi, begin, end)) as u64;
-            }
-        }
-        total
-    }
 }
 
 /// Partitions possibly-overlapping files into sorted non-overlapping runs
@@ -414,47 +394,5 @@ mod run_tests {
     #[test]
     fn empty_input_yields_no_runs() {
         assert!(sorted_runs(Vec::new()).is_empty());
-    }
-}
-
-/// Fraction of `[lo, hi]` covered by `[begin, end]`, interpolating keys
-/// as big-endian fractions of their first 8 bytes.
-fn overlap_fraction(lo: &[u8], hi: &[u8], begin: &[u8], end: &[u8]) -> f64 {
-    fn frac(key: &[u8]) -> f64 {
-        let mut buf = [0u8; 8];
-        for (i, b) in key.iter().take(8).enumerate() {
-            buf[i] = *b;
-        }
-        u64::from_be_bytes(buf) as f64 / u64::MAX as f64
-    }
-    let (l, h) = (frac(lo), frac(hi));
-    if h <= l {
-        return 1.0; // degenerate single-point range: all or nothing
-    }
-    let b = frac(begin).max(l);
-    let e = frac(end).min(h);
-    ((e - b) / (h - l)).clamp(0.0, 1.0)
-}
-
-#[cfg(test)]
-mod overlap_tests {
-    use super::overlap_fraction;
-
-    #[test]
-    fn full_containment_is_one() {
-        assert!((overlap_fraction(b"b", b"c", b"a", b"z") - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn half_overlap_is_half() {
-        // file spans [0x20, 0x40]; query [0x30, 0xff] covers the top half.
-        let f = overlap_fraction(&[0x20], &[0x40], &[0x30], &[0xff]);
-        assert!((f - 0.5).abs() < 0.01, "{f}");
-    }
-
-    #[test]
-    fn disjoint_is_zero() {
-        let f = overlap_fraction(&[0x20], &[0x40], &[0x50], &[0x60]);
-        assert!(f.abs() < 1e-9);
     }
 }

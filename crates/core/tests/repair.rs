@@ -1,5 +1,5 @@
 //! Tests for `Db::repair`: rebuilding metadata from surviving files after
-//! the MANIFEST/CURRENT are lost, and for `approximate_size`.
+//! the MANIFEST/CURRENT are lost.
 
 mod common;
 
@@ -147,23 +147,4 @@ fn corrupt_current_is_reported_then_repairable() {
     let mut db = Db::open(fs, "db", opts(), now).unwrap();
     let (got, _) = db.get_at_time(now, &key(7)).unwrap();
     assert!(got.is_some());
-}
-
-#[test]
-fn approximate_size_tracks_range_width() {
-    let fs = fs();
-    let mut db = Db::open(fs, "db", opts(), Nanos::ZERO).unwrap();
-    let mut now = Nanos::ZERO;
-    for i in 0..2000u64 {
-        now = common::put(&mut db, now, &key(i), &val(i, 0)).unwrap();
-    }
-    now = db.flush().unwrap();
-    db.wait_idle(now).unwrap();
-    let all = db.approximate_size(b"key00000000", b"key99999999");
-    let half = db.approximate_size(b"key00000000", &key(1000));
-    let none = db.approximate_size(b"zzz", b"zzzz");
-    assert!(all > 100_000, "{all}");
-    assert!(half < all, "half ({half}) must be under all ({all})");
-    assert!(half * 4 > all, "half ({half}) should be a sizable fraction of all ({all})");
-    assert_eq!(none, 0);
 }

@@ -29,13 +29,6 @@ pub struct FileHandle {
     pub(crate) ino: InodeId,
 }
 
-impl FileHandle {
-    /// The inode this handle refers to.
-    pub fn inode(&self) -> InodeId {
-        self.ino
-    }
-}
-
 /// Bytes returned by [`read_at`](crate::Ext4Fs::read_at): a view of the
 /// file's content, shared rather than copied, as an mmap'd read would be.
 ///
@@ -109,11 +102,5 @@ mod tests {
         assert_eq!(e.len(), 2);
         assert_eq!(format!("{e:?}"), "[2, 3]");
         assert_eq!(&*Extent::from(vec![1, 2]), &[1, 2]);
-    }
-
-    #[test]
-    fn handle_exposes_inode() {
-        let h = FileHandle { ino: InodeId(7) };
-        assert_eq!(h.inode(), InodeId(7));
     }
 }

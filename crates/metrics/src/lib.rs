@@ -483,14 +483,6 @@ impl MetricsHub {
     pub fn samples(&self) -> usize {
         self.lock().timeline.samples
     }
-
-    /// Drops all samples (series definitions and probes survive).
-    pub fn reset(&self) {
-        let mut st = self.lock();
-        st.next = None;
-        let period = st.period;
-        st.timeline = Timeline::new(period);
-    }
 }
 
 #[cfg(test)]
@@ -621,19 +613,6 @@ mod tests {
         assert!(text.contains("a "), "{text}");
         assert!(text.contains("b.long_name"), "{text}");
         assert!(text.contains("1 samples x 2 series"), "{text}");
-    }
-
-    #[test]
-    fn reset_drops_samples_but_keeps_probes() {
-        let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
-        hub.register(MetricKind::Gauge, "g", "", |_| 1.0);
-        hub.sample_due(Nanos::ZERO, &[]);
-        hub.reset();
-        assert_eq!(hub.samples(), 0);
-        hub.sample_due(Nanos::from_secs(1), &[]);
-        let tl = hub.timeline();
-        assert_eq!(tl.start, Nanos::from_secs(1), "grid re-anchors after reset");
-        assert_eq!(tl.series("g").unwrap().values, vec![1.0]);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl TraceRing {
         self.pushed += 1;
     }
 
-    /// Maximum number of retained spans.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total spans ever pushed, including evicted ones.
     pub(crate) fn pushed(&self) -> u64 {
         self.pushed

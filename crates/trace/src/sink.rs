@@ -326,12 +326,6 @@ impl TraceSink {
         self.lock().hists[class as usize].clone()
     }
 
-    /// Drops all recorded state, keeping the ring capacity.
-    pub fn reset(&self) {
-        let mut st = self.lock();
-        *st = TraceState::new(st.ring.capacity());
-    }
-
     /// Summarises everything recorded so far.
     pub fn summary(&self) -> TraceSummary {
         let st = self.lock();
@@ -568,17 +562,5 @@ mod tests {
         assert_eq!(slices[2].get("ts"), Some(&Json::fixed(1.0, 3)));
         assert_eq!(slices[2].get("dur"), Some(&Json::fixed(2.5, 3)));
         assert_eq!(trace.iter().filter(|e| e.text("name") == Some("causal")).count(), 2);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let sink = TraceSink::with_ring_capacity(16);
-        sink.emit(EventClass::SsdRead, ns(0), ns(5), 512);
-        sink.emit_stall(StallKind::Memtable, ns(0), ns(9));
-        sink.reset();
-        let s = sink.summary();
-        assert_eq!(s.events, 0);
-        assert_eq!(s.stall_count, 0);
-        assert!(s.classes.is_empty());
     }
 }

@@ -39,7 +39,7 @@ pub mod keys;
 pub mod report;
 pub mod ycsb;
 
-pub use report::{LatencyHistogram, Report};
+pub use report::Report;
 
 /// A driver thread's single-key write, issued at the thread's own instant
 /// `now` through [`noblsm::Db::write_at`]: a thread that lags the shared

@@ -3,7 +3,7 @@
 # top-down tree of this repository's functions — the profiler for a sandbox
 # that has `cc` and `addr2line` but no perf.
 #
-#     scripts/hostprof/hostprof.sh [--min-pct P] [--self | --peak] \
+#     scripts/hostprof/hostprof.sh [--min-pct P] [--self | --peak | --lines FRAME] \
 #         [--under FRAME] <command> [args...]
 #     scripts/hostprof/hostprof.sh bench/ledger/target/release/bench_ledger \
 #         --workload scan --seed 7 --seconds 10 --trace 0
@@ -16,6 +16,13 @@
 # samples: `--under '::timed'` leaves a ledger workload's setup out, and
 # `--under 'Db>::get'` keeps the engine's GETs (methods resolve as
 # `<impl noblsm::db::Db>::get`).
+#
+# --lines FRAME splits one function's self time by source line: the samples
+# --self counts under a frame naming FRAME, grouped by the innermost
+# file:line of that frame's address and the leaf below it. With line tables
+# (below) the line is often code inlined into FRAME, so a decoder's time
+# falls apart into its `?` conversions, its `Vec::push`es and its [malloc]
+# calls: `hostprof.sh --lines parse_frame <bench_ledger> --workload scan …`.
 #
 # --peak asks where the peak resident set is reached rather than where the
 # CPU time goes: every sample also records getrusage's ru_maxrss, and the
@@ -44,14 +51,15 @@ cd "$here/../.."
 
 min_pct=1
 view=()
-while [[ ${1:-} == --min-pct || ${1:-} == --self || ${1:-} == --peak || ${1:-} == --under ]]; do
+while [[ ${1:-} == --min-pct || ${1:-} == --self || ${1:-} == --peak || ${1:-} == --under ||
+    ${1:-} == --lines ]]; do
     case $1 in
         --self | --peak)
             view+=("$1")
             shift
             ;;
-        --under)
-            view+=(--under "${2:?--under needs a frame name}")
+        --under | --lines)
+            view+=("$1" "${2:?$1 needs a frame name}")
             shift 2
             ;;
         *)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Turns a hostprof sample file into a top-down tree, or a self-time table.
 
-    report.py SAMPLES [--min-pct P] [--self | --peak] [--under FRAME]
+    report.py SAMPLES [--min-pct P] [--self | --peak | --lines FRAME] [--under FRAME]
 
 SAMPLES is what the hostprof shim wrote: the process's memory map (`M`
 lines), where memcpy and memmove resolved to (`C`), its peak resident set
@@ -24,6 +24,14 @@ its innermost repository frame and the leaf below it, if any
 (`nob_ext4::fs::Ext4Fs::append [memcpy]`): where the time is spent, not who
 asked for it. Samples with no repository frame on their stack are counted
 under `(outside this repository)`.
+
+With `--lines FRAME` the table narrows to FRAME's own samples, those
+whose innermost repository frame names FRAME (the samples `--self` counts
+under it), and groups them by the innermost `file:line` of that frame's
+address, leaf included (`library/alloc/src/raw_vec/mod.rs:433 [malloc]`). With
+line tables that line is often in code the compiler inlined into FRAME — a
+`Vec::push`, a `?`'s conversion — which is the point: it splits one
+function's self time by what it does. Shares are of FRAME's samples.
 
 With `--peak` the table ranks repository functions by how far the process's
 peak resident set (`ru_maxrss`) rose while they were on the stack: each
@@ -88,9 +96,17 @@ def is_pie(path):
         return f.read(18)[16] == 3  # e_type == ET_DYN
 
 
+def short(where):
+    """A repository or toolchain path relative to its root, without addr2line's
+    discriminator note."""
+    where = where.split(" (discriminator")[0]
+    return re.sub(r"^.*?/(?=(crates|bench|shims|src|tests|library)/)", "", where)
+
+
 def resolve(by_object):
-    """{object: {vaddr}} -> {(object, vaddr): [outermost .. innermost function]}"""
-    names = {}
+    """{object: {vaddr}} -> ({(object, vaddr): [outermost .. innermost function]},
+    {(object, vaddr): innermost file:line})"""
+    names, lines = {}, {}
     for obj, vaddrs in by_object.items():
         vaddrs = sorted(vaddrs)
         out = subprocess.run(
@@ -105,11 +121,14 @@ def resolve(by_object):
         # inlining level, innermost first.
         for i, line in enumerate(out):
             if line.startswith("0x"):
-                current = names.setdefault((obj, int(line, 16)), [])
+                at = (obj, int(line, 16))
+                current = names.setdefault(at, [])
                 start = i + 1
             elif (i - start) % 2 == 0:
                 current.insert(0, HASH.sub("", line))
-    return names
+            elif i == start + 1:
+                lines[at] = short(line)
+    return names, lines
 
 
 def main():
@@ -119,6 +138,7 @@ def main():
     view = ap.add_mutually_exclusive_group()
     view.add_argument("--self", action="store_true", help="flat self-time table instead of the tree")
     view.add_argument("--peak", action="store_true", help="rank functions by peak-RSS rise")
+    view.add_argument("--lines", metavar="FRAME", help="FRAME's self samples by file:line")
     ap.add_argument("--under", metavar="FRAME", help="only samples with a frame naming FRAME")
     args = ap.parse_args()
 
@@ -148,11 +168,11 @@ def main():
                 frames.append(at)
                 by_object[at[0]].add(at[1])
         located.append(frames)
-    names = resolve(by_object)
+    names, lines = resolve(by_object)
 
     tree = lambda: [0, collections.defaultdict(tree)]  # noqa: E731
     root = tree()
-    flat = collections.Counter()
+    flat, by_line = collections.Counter(), collections.Counter()
     rises, rose, high = collections.Counter(), 0, start
     for frames, peak in zip(located, peaks):
         rise, high = max(0, peak - high), max(high, peak)
@@ -162,9 +182,11 @@ def main():
         for name in {f for funcs in funcs_of for f in funcs if OURS.search(f)}:
             rises[name] += rise
         rose += rise
-        path, leaf = [], None
-        for funcs in funcs_of:  # innermost first
+        path, leaf, self_at = [], None, None
+        for at, funcs in zip(frames, funcs_of):  # innermost first
             ours = [f for f in funcs if OURS.search(f)]
+            if ours and not path:
+                self_at = at
             if not ours and not path:
                 # Still above our code: an allocator or copy frame names the leaf;
                 # the outermost such frame wins (malloc called by realloc is realloc).
@@ -175,6 +197,8 @@ def main():
             path[:0] = ours
         if path:
             flat[path[-1] + (f" {leaf}" if leaf else "")] += 1
+            if args.lines and args.lines in path[-1]:
+                by_line[lines.get(self_at, "??") + (f" {leaf}" if leaf else "")] += 1
         else:
             flat["(outside this repository)"] += 1
         node = root
@@ -197,6 +221,16 @@ def main():
         for name, kb in rises.most_common():
             if rose and 100.0 * kb / rose >= args.min_pct:
                 print(f"{kb:9d} KB {100.0 * kb / rose:6.1f} %  {name}")
+        return
+    if args.lines:
+        own = sum(by_line.values())
+        print(
+            f"{own} of {total} samples are self samples of a frame naming `{args.lines}`; "
+            f"share of those by innermost file:line, lines under {args.min_pct} % hidden"
+        )
+        for where, n in by_line.most_common():
+            if 100.0 * n / own >= args.min_pct:
+                print(f"{100.0 * n / own:6.1f} %  {where}")
         return
     if args.self:
         print(f"{total} samples; self share of all of them, lines under {args.min_pct} % hidden")

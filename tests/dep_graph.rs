@@ -46,7 +46,9 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last lowered
-/// by eight, from 993, when the SSD took one command per operation with
+/// by four, from 985, when four methods only their own tests called went:
+/// `Db::approximate_size`, `FileHandle::inode`, `MetricsHub::reset` and
+/// `TraceSink::reset`. Before that by eight, from 993, when the SSD took one command per operation with
 /// the service class as an argument: `Ssd::{write_checked, flush_checked,
 /// write_background_checked, flush_background_checked, write_background}`
 /// went into `Ssd::{write, flush}`, `IoStats::since`, `FsStats::since` and
@@ -71,7 +73,7 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 985;
+const MAX_SURFACE_LINES: usize = 981;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
