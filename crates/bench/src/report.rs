@@ -54,4 +54,28 @@ mod tests {
         assert!(failover.contains("kill 125 ‰") && !failover.contains("FAIL"), "{failover}");
         assert_eq!(render(r#"{"campaign": "chaos", "cases": 24, "results": []}"#), None);
     }
+
+    /// 100 each of 1, 2, 4, 10, 100 and 1000 µs, as fig_server collects
+    /// its SET latencies: the quantiles are ordered and each is a recorded
+    /// sample, where log₂ buckets would report 4.096 µs and 1.049 ms.
+    #[test]
+    fn histogram_quantiles_are_monotone_and_bracketing() {
+        let mut mix: Vec<u64> =
+            [1u64, 2, 4, 10, 100, 1000].iter().flat_map(|&us| [us * 1000; 100]).collect();
+        let p50 = sweep::quantile_ns(&mut mix, 50);
+        let p99 = sweep::quantile_ns(&mut mix, 99);
+        assert!(p50 <= p99);
+        assert_eq!((p50, p99), (4_000, 1_000_000));
+        assert_eq!((fmt_ns(p50 as f64), fmt_ns(p99 as f64)), ("4.00us".into(), "1.00ms".into()));
+    }
+
+    /// A sweep cell that recorded no latency reports zero at every
+    /// quantile rather than panicking.
+    #[test]
+    fn empty_histogram_is_zero() {
+        for pct in [0, 50, 99, 100] {
+            assert_eq!(sweep::quantile_ns(&mut [], pct), 0);
+        }
+        assert_eq!(fmt_ns(0.0), "0ns");
+    }
 }
