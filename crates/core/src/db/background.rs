@@ -42,17 +42,18 @@ impl Db {
             now = self.wait_for_flush(now)?;
             self.switch_memtable(now);
         }
-        now = self.wait_for_flush(now)?;
-        self.clock.advance_to(now);
-        Ok(now)
+        self.wait_for_flush(now)
     }
 
-    /// Advances time until the immutable memtable, if any, has reached `L0`.
+    /// Advances time until the immutable memtable, if any, has reached `L0`,
+    /// moving the shared clock to each instant it drains to before it
+    /// pumps there (see [`Db::wait_idle`]).
     fn wait_for_flush(&mut self, mut now: Nanos) -> Result<Nanos> {
         self.check_background()?;
         while self.imm.is_some() {
             let Some(t) = self.imm_done_at.or_else(|| self.events.next_at()) else { break };
             now = now.max(t);
+            self.clock.advance_to(now);
             self.pump(now)?;
             self.check_background()?;
         }
@@ -64,6 +65,14 @@ impl Db {
     /// idle. NobLSM's pending reclamation polls are left armed — they are
     /// housekeeping, not work a benchmark should wait for.
     ///
+    /// The shared clock follows the drain: it moves up to each instant the
+    /// drain reaches just before the pump applies what is due there, and
+    /// so ends at least at the returned instant. The pump raises the
+    /// filesystem's crash horizon to the clock once it has applied that,
+    /// so a deleted table is forgotten as soon as its deletion is durable,
+    /// not only once the whole drain is over. Inside a drain the engine is
+    /// the only actor, so nothing else sees the clock move.
+    ///
     /// # Errors
     ///
     /// Propagates filesystem errors. Once a background job has failed —
@@ -74,18 +83,17 @@ impl Db {
     /// version, and reopening (or [`Db::repair`]) is the way forward.
     pub fn wait_idle(&mut self, now: Nanos) -> Result<Nanos> {
         let mut now = now;
-        let end = loop {
+        loop {
+            self.clock.advance_to(now);
             self.pump(now)?;
             self.check_background()?;
             self.maybe_schedule(now);
             if self.sched.active_majors() == 0 && !self.minor_inflight {
-                break now;
+                return Ok(now);
             }
-            let Some(t) = self.events.next_at() else { break now };
+            let Some(t) = self.events.next_at() else { return Ok(now) };
             now = now.max(t);
-        };
-        self.clock.advance_to(end);
-        Ok(end)
+        }
     }
 
     /// Drains compactions *and* NobLSM reclamation from the shared clock's
@@ -107,7 +115,6 @@ impl Db {
             guard += 1;
             assert!(guard < 10_000, "reclamation failed to converge");
         }
-        self.clock.advance_to(now);
         Ok(now)
     }
 
@@ -158,13 +165,16 @@ impl Db {
     /// that fails to apply is a background failure like a job that failed
     /// to run.
     ///
-    /// Also raises the filesystem's crash horizon to the shared clock's
-    /// present: a power cut cannot happen in the past. Not to `now` or the
-    /// filesystem's tick instant, which stalls and compaction lanes run
-    /// ahead of the clock.
+    /// Then raises the filesystem's crash horizon to the shared clock's
+    /// present: a power cut cannot happen in the past. Only after the
+    /// completions due by `now` are applied, because applying one can
+    /// issue a journal commit (a MANIFEST fsync, a deletion's) at its own
+    /// instant, and a drain ([`Db::wait_idle`]) has already moved the
+    /// clock to `now`. Not to `now` itself, which a writer's stall runs
+    /// ahead of the clock, nor to the filesystem's tick instant, which
+    /// compaction lanes run ahead of it.
     pub(super) fn pump(&mut self, now: Nanos) -> Result<()> {
         self.fs.tick(now);
-        self.fs.advance_crash_horizon(self.clock.now());
         while let Some((t, ev)) = self.events.pop_due(now) {
             // Sample grid instants the event predates, so a gauge reads
             // its pre-completion value (e.g. L0 count before the merge
@@ -189,6 +199,7 @@ impl Db {
                 return Err(e);
             }
         }
+        self.fs.advance_crash_horizon(self.clock.now());
         self.sample_metrics(now);
         Ok(())
     }

@@ -1,5 +1,8 @@
 //! The shared virtual clock.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use crate::Nanos;
 
 /// The one virtual clock: the scheduler owns one and hands the same
@@ -22,7 +25,9 @@ use crate::Nanos;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock {
-    inner: std::sync::Arc<std::sync::Mutex<Nanos>>,
+    /// The instant in nanoseconds. Only ever raised, so a reader needs no
+    /// lock: `Acquire` loads see every advance published before them.
+    inner: Arc<AtomicU64>,
 }
 
 impl SharedClock {
@@ -33,32 +38,29 @@ impl SharedClock {
 
     /// Creates a shared clock already advanced to `start`.
     pub fn at(start: Nanos) -> Self {
-        SharedClock { inner: std::sync::Arc::new(std::sync::Mutex::new(start)) }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Nanos> {
-        // A panic while holding the lock cannot corrupt a Copy instant;
-        // recover instead of cascading the poison.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+        SharedClock { inner: Arc::new(AtomicU64::new(start.as_nanos())) }
     }
 
     /// The current virtual instant.
     pub fn now(&self) -> Nanos {
-        *self.lock()
+        Nanos::from_nanos(self.inner.load(Ordering::Acquire))
     }
 
-    /// Advances the clock by a duration.
+    /// Advances the clock by a duration, saturating as [`Nanos`] addition
+    /// does.
     pub fn advance(&self, by: Nanos) {
-        *self.lock() += by;
+        let by = by.as_nanos();
+        // The closure never returns `None`, so the update cannot fail.
+        let _ = self
+            .inner
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |ns| Some(ns.saturating_add(by)));
     }
 
     /// Advances the clock to an instant, if it is in the future. Returns
     /// the stall duration (zero if `to` was not in the future).
     pub fn advance_to(&self, to: Nanos) -> Nanos {
-        let mut now = self.lock();
-        let stall = to.saturating_sub(*now);
-        *now = (*now).max(to);
-        stall
+        let before = self.inner.fetch_max(to.as_nanos(), Ordering::AcqRel);
+        to.saturating_sub(Nanos::from_nanos(before))
     }
 }
 

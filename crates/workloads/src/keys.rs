@@ -1,8 +1,22 @@
 //! Key and value generation (16-byte keys, deterministic values).
 
-/// Encodes record number `i` as the paper's 16-byte key.
+/// Encodes record number `i` as the paper's 16-byte key: its decimal
+/// digits, zero-padded to 16 (a number of 17 to 20 digits is not padded),
+/// the bytes `format!("{i:016}")` gives.
 pub fn key(i: u64) -> Vec<u8> {
-    format!("{i:016}").into_bytes()
+    // u64::MAX has 20 digits; the buffer starts as the padding.
+    let mut digits = [b'0'; 20];
+    let mut start = digits.len();
+    let mut n = i;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    digits[start.min(digits.len() - 16)..].to_vec()
 }
 
 /// Deterministic value of `len` bytes for record `i`: a seeded xorshift
@@ -43,6 +57,19 @@ mod tests {
         assert_eq!(key(123).len(), 16);
         assert!(key(1) < key(2));
         assert!(key(9) < key(10), "zero padding preserves numeric order");
+    }
+
+    #[test]
+    fn keys_match_the_zero_padded_format() {
+        use rand::{Rng, SeedableRng};
+        let edges = [0, 9, 10u64.pow(15), 10u64.pow(16) - 1, 10u64.pow(16), u64::MAX];
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
+        // Uniform u64s are almost all 19–20 digits; shifting by a random
+        // amount spreads them over every digit count.
+        let seeded = (0..10_000).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64));
+        for i in edges.into_iter().chain(seeded) {
+            assert_eq!(key(i), format!("{i:016}").into_bytes(), "key({i})");
+        }
     }
 
     #[test]
