@@ -67,11 +67,16 @@ impl Db {
     ///
     /// The shared clock follows the drain: it moves up to each instant the
     /// drain reaches just before the pump applies what is due there, and
-    /// so ends at least at the returned instant. The pump raises the
-    /// filesystem's crash horizon to the clock once it has applied that,
-    /// so a deleted table is forgotten as soon as its deletion is durable,
-    /// not only once the whole drain is over. Inside a drain the engine is
-    /// the only actor, so nothing else sees the clock move.
+    /// so ends at least at the returned instant. A drain asked for an
+    /// instant past pending completions — a settle that jumped the clock —
+    /// first pumps at each of their instants in order, so the journal
+    /// commits due by one are issued before it is applied, and a deletion
+    /// it makes joins the commit that follows it, not the one after the
+    /// jump. Each pump raises the filesystem's crash horizon to its own
+    /// instant once it has applied what is due there, so a deleted table
+    /// is forgotten as soon as its deletion is durable, not only once the
+    /// whole drain is over. Inside a drain the engine is the only actor,
+    /// so nothing else sees the clock move.
     ///
     /// # Errors
     ///
@@ -85,6 +90,9 @@ impl Db {
         let mut now = now;
         loop {
             self.clock.advance_to(now);
+            while let Some(t) = self.events.next_at().filter(|&t| t < now) {
+                self.pump(t)?;
+            }
             self.pump(now)?;
             self.check_background()?;
             self.maybe_schedule(now);
@@ -165,14 +173,19 @@ impl Db {
     /// that fails to apply is a background failure like a job that failed
     /// to run.
     ///
-    /// Then raises the filesystem's crash horizon to the shared clock's
-    /// present: a power cut cannot happen in the past. Only after the
-    /// completions due by `now` are applied, because applying one can
-    /// issue a journal commit (a MANIFEST fsync, a deletion's) at its own
-    /// instant, and a drain ([`Db::wait_idle`]) has already moved the
-    /// clock to `now`. Not to `now` itself, which a writer's stall runs
-    /// ahead of the clock, nor to the filesystem's tick instant, which
-    /// compaction lanes run ahead of it.
+    /// Then raises the filesystem's crash horizon to the earlier of `now`
+    /// and the shared clock's present: a power cut cannot happen in the
+    /// past. Only after the completions due by `now` are applied, because
+    /// applying one can issue a journal commit (a MANIFEST fsync, a
+    /// deletion's) at its own instant, and a drain ([`Db::wait_idle`]) has
+    /// already moved the clock to `now`. Not past `now`: a drain that
+    /// steps through completions below the clock has not yet issued the
+    /// commits due between `now` and the clock, and raising the horizon
+    /// over them would break the promise
+    /// [`Ext4Fs::advance_crash_horizon`](nob_ext4::Ext4Fs::advance_crash_horizon)
+    /// asks for. Not past the clock either: a writer's stall pumps at a
+    /// `now` ahead of it. Nor to the filesystem's tick instant, which
+    /// compaction lanes run ahead of the clock.
     pub(super) fn pump(&mut self, now: Nanos) -> Result<()> {
         self.fs.tick(now);
         while let Some((t, ev)) = self.events.pop_due(now) {
@@ -199,7 +212,7 @@ impl Db {
                 return Err(e);
             }
         }
-        self.fs.advance_crash_horizon(self.clock.now());
+        self.fs.advance_crash_horizon(now.min(self.clock.now()));
         self.sample_metrics(now);
         Ok(())
     }

@@ -5,7 +5,8 @@
 //! horizon to the clock once the completions due there are applied, so a
 //! table deleted early in the drain is forgotten before the drain ends.
 //! Two NobLSM engines run one seeded script — a load in rounds, a
-//! `compact_range` over each quarter of the key space, then `settle` —
+//! `compact_range` over each quarter of the key space, a jump of the clock
+//! past the pending reclamation polls and a drain there, then `settle` —
 //! one on a filesystem whose horizon is pinned, which forgets nothing, and
 //! one whose horizon follows its engine. Both must return the same
 //! instants, and after every step every crash view at or after the
@@ -13,6 +14,11 @@
 //! boundary — must hold the same paths and the same bytes. The script runs
 //! without faults, with one main-journal commit record torn and with
 //! dropped FLUSHes.
+//!
+//! The jump is the ledger's settle: the drain steps through every
+//! completion below the instant it was asked for, in order, and raises the
+//! horizon only to each step's instant, so the views must also agree after
+//! a drain that stepped across journal commits.
 
 use std::collections::BTreeSet;
 
@@ -163,6 +169,14 @@ fn summary(files: &[(String, Vec<u8>)]) -> String {
     files.iter().map(|(p, b)| format!("{p}:{}", b.len())).collect::<Vec<_>>().join(" ")
 }
 
+/// Moves the clock two journal-commit plus reclamation intervals on, past
+/// the pending reclamation polls, and drains there.
+fn jump(db: &mut Db) -> Nanos {
+    let wait = db.fs().config().commit_interval + db.options().reclaim_interval;
+    db.clock().advance(wait + wait);
+    db.wait_idle(db.clock().now()).unwrap()
+}
+
 fn key(i: u64) -> Vec<u8> {
     format!("key{i:08}").into_bytes()
 }
@@ -191,6 +205,15 @@ fn run(seed: u64, faults: Faults) -> (Twin, usize) {
         twin.both(|db| db.compact_range(db.clock().now(), Some(&lo), Some(&hi)).unwrap());
         cuts += twin.compare(&format!("compact_range quarter {q}"));
     }
+    let shadows = twin.db[1].stats().shadow_files;
+    assert!(shadows > 0, "{}: the jump must pass pending reclamation polls", twin.what);
+    twin.both(jump);
+    assert!(
+        twin.db[1].stats().shadow_files < shadows,
+        "{}: the jump reclaimed no shadow",
+        twin.what
+    );
+    cuts += twin.compare("jump");
     twin.both(|db| db.settle().unwrap());
     cuts += twin.compare("settle");
     (twin, cuts)

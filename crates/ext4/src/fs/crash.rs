@@ -57,15 +57,16 @@ impl Ext4Fs {
     /// `to`, and forgets every deleted inode whose deletion record is
     /// durable by then. A no-op once the horizon is pinned.
     ///
-    /// The engine advances it to its shared clock's present once it has
-    /// applied every completion due by then, and its drains move that
-    /// clock as they go: a power cut cannot happen in the past. The
-    /// filesystem's own tick instant is not a safe horizon, because
-    /// compaction lanes issue I/O ahead of the clock. Advancing also
-    /// promises that no commit issued later completes before `to`: a torn
-    /// commit record there would cut the journal ahead of a deletion
-    /// already forgotten. So a caller raises it only after issuing every
-    /// commit it has due at or before `to`.
+    /// The engine advances it, each time it has applied every completion
+    /// due by an instant, to that instant or its shared clock's present,
+    /// whichever is earlier; its drains move that clock as they go and
+    /// step through pending completions in time order: a power cut cannot
+    /// happen in the past. The filesystem's own tick instant is not a safe
+    /// horizon, because compaction lanes issue I/O ahead of the clock.
+    /// Advancing also promises that no commit issued later completes
+    /// before `to`: a torn commit record there would cut the journal ahead
+    /// of a deletion already forgotten. So a caller raises it only after
+    /// issuing every commit it has due at or before `to`.
     pub fn advance_crash_horizon(&self, to: Nanos) {
         let mut g = self.lock();
         if !g.horizon_pinned && to > g.horizon {
