@@ -788,8 +788,8 @@ mod tests {
         assert!(out.contains("filled 200 records"), "{out}");
         assert!(out.contains("batches/group"), "{out}");
         assert!(out.contains("shards:4"), "{out}");
-        assert!(out.contains("# shard3\nnoblsm.stats:writes="), "{out}");
-        assert!(out.contains("\nfs:syncs="), "{out}");
+        assert!(out.contains("# shard3\nnoblsm.stats:engine.writes="), "{out}");
+        assert!(out.contains("\nfs:ext4.sync_calls="), "{out}");
         assert!(out.contains("shard3: ["), "{out}");
     }
 
@@ -808,7 +808,7 @@ mod tests {
         assert!(out.contains("filled 2000 records"));
         assert!(out.contains("5) \"0000000000000002\""), "fill writes keys 0..n: {out}");
         assert!(out.contains("1) (integer) 1\n"), "a cursor for the rest: {out}");
-        assert!(out.contains("fs:syncs="), "{out}");
+        assert!(out.contains("fs:ext4.sync_calls="), "{out}");
     }
 
     #[test]

@@ -37,6 +37,7 @@ mod write;
 pub use batch::WriteBatch;
 pub(crate) use hot::HotTracker;
 pub(crate) use level_iter::TableChild;
+pub use property::METRICS;
 pub use repair::RepairReport;
 
 use std::collections::BTreeMap;
@@ -284,8 +285,7 @@ impl Db {
     /// already claimed: with N concurrent majors the inputs sit in the
     /// version until each job *applies*, so a raw over-threshold sum would
     /// count the same bytes once per lane. Surfaced as the
-    /// `compact.debt_bytes` gauge and the `debt=` field of
-    /// `property("noblsm.stats")`.
+    /// `compact.debt_bytes` row of [`METRICS`].
     pub fn compaction_debt_bytes(&self) -> u64 {
         self.sched.unified_debt(&self.raw_debt_per_level())
     }

@@ -1,16 +1,130 @@
-//! Introspection: `GetProperty`-style strings and the gauges pushed to the
-//! metrics hub.
+//! Introspection: the engine's instrument table, which the metrics hub
+//! and the `noblsm.stats` property both read, and `GetProperty`-style
+//! strings.
 
+use nob_metrics::MetricKind::{self, Counter, Gauge};
 use nob_sim::Nanos;
 
 use super::Db;
+
+/// Reads one instrument off the engine at an instant.
+type Reader = fn(&Db, Nanos) -> f64;
+
+/// Every engine instrument: kind, name, help text, reader. The hub
+/// samples a series per row and `noblsm.stats` prints a `name=value`
+/// field per row, both in this order. The per-level `engine.lN.*` gauges
+/// are the only engine series outside it.
+pub const METRICS: [(MetricKind, &str, &str, Reader); 33] = [
+    (Counter, "engine.writes", "Completed puts and deletes", |db, _| db.stats.writes as f64),
+    (Counter, "engine.gets", "Completed gets", |db, _| db.stats.gets as f64),
+    (Counter, "engine.get_hits", "Gets that found a value", |db, _| db.stats.hits as f64),
+    (Counter, "engine.minor_compactions", "Memtable flushes to L0", |db, _| {
+        db.stats.minor_compactions as f64
+    }),
+    (Counter, "engine.major_compactions", "Level n to n+1 compactions", |db, _| {
+        db.stats.major_compactions as f64
+    }),
+    (Counter, "engine.seek_compactions", "Major compactions triggered by read misses", |db, _| {
+        db.stats.seek_compactions as f64
+    }),
+    (Counter, "engine.compaction_bytes_read", "Bytes read by compactions", |db, _| {
+        db.stats.compaction_bytes_read as f64
+    }),
+    (Counter, "engine.compaction_bytes_written", "Bytes written by compactions", |db, _| {
+        db.stats.compaction_bytes_written as f64
+    }),
+    (Counter, "engine.stalls", "Foreground write stalls", |db, _| db.stats.stalls as f64),
+    (Counter, "engine.stall_ns", "Foreground stall time", |db, _| {
+        db.stats.stall_time.as_nanos() as f64
+    }),
+    (Counter, "engine.slowdowns", "Writes delayed by the L0 slowdown trigger", |db, _| {
+        db.stats.slowdowns as f64
+    }),
+    (
+        Counter,
+        "engine.reclaimed_files",
+        "Predecessor files reclaimed by the NobLSM poll",
+        |db, _| db.stats.reclaimed_files as f64,
+    ),
+    (
+        Counter,
+        "engine.wal_records_recovered",
+        "WAL batches replayed by the last recovery",
+        |db, _| db.stats.wal_records_recovered as f64,
+    ),
+    (
+        Counter,
+        "engine.wal_corruptions_detected",
+        "Damaged WAL records the last recovery stopped at",
+        |db, _| db.stats.wal_corruptions_detected as f64,
+    ),
+    (Counter, "engine.wal_bytes_dropped", "WAL bytes the last recovery dropped", |db, _| {
+        db.stats.wal_bytes_dropped as f64
+    }),
+    (Counter, "engine.files_read", "SSTable files probed across all gets", |db, _| {
+        db.stats.files_read_per_get as f64
+    }),
+    (Counter, "engine.iters_resumed", "Iterators continued from a detached state", |db, _| {
+        db.stats.iters_resumed as f64
+    }),
+    (Counter, "compact.read_ns", "Major-compaction time in the read stage", |db, _| {
+        db.stats.compact_read_time.as_nanos() as f64
+    }),
+    (Counter, "compact.merge_ns", "Major-compaction time in the merge stage", |db, _| {
+        db.stats.compact_merge_time.as_nanos() as f64
+    }),
+    (Counter, "compact.write_ns", "Major-compaction time in the write stage", |db, _| {
+        db.stats.compact_write_time.as_nanos() as f64
+    }),
+    (Counter, "compact.preempt_l0", "Lane preemptions toward L0 work", |db, _| {
+        db.stats.l0_preempts as f64
+    }),
+    (Counter, "compact.backoffs", "Rounds admission held lanes idle", |db, _| {
+        db.stats.lane_backoffs as f64
+    }),
+    (Gauge, "engine.mem_bytes", "Active memtable bytes", |db, _| db.mem.approximate_bytes() as f64),
+    (Gauge, "engine.imm_bytes", "Immutable memtable bytes awaiting flush", |db, _| {
+        db.imm.as_ref().map_or(0.0, |m| m.approximate_bytes() as f64)
+    }),
+    (Gauge, "engine.l0_slowdown_distance", "L0 files left before the slowdown trigger", |db, _| {
+        db.opts.l0_slowdown_trigger.saturating_sub(db.versions.current_ref().num_files(0)) as f64
+    }),
+    (Gauge, "engine.l0_stop_distance", "L0 files left before the stop trigger", |db, _| {
+        db.opts.l0_stop_trigger.saturating_sub(db.versions.current_ref().num_files(0)) as f64
+    }),
+    (Gauge, "engine.shadow_files", "SSTables retained as NobLSM shadows", |db, _| {
+        db.deps.shadow_count() as f64
+    }),
+    (Gauge, "engine.inflight_compactions", "Minor and major compactions in flight", |db, _| {
+        (db.sched.active_majors() + usize::from(db.minor_inflight)) as f64
+    }),
+    (Gauge, "compact.lanes", "Compaction lanes", |db, _| db.sched.lanes() as f64),
+    (Gauge, "compact.active_majors", "Lanes running a major compaction", |db, _| {
+        db.sched.active_majors() as f64
+    }),
+    (Gauge, "compact.idle_lanes", "Lanes free at this instant", |db, t| {
+        db.sched.idle_lanes(t) as f64
+    }),
+    (
+        Gauge,
+        "compact.pressure",
+        "L0 write pressure, 0 at the compaction trigger to 1 at the stop trigger",
+        |db, _| db.l0_pressure(),
+    ),
+    // Over-threshold work net of in-flight claims, so the gauge never
+    // double-counts with concurrent lanes.
+    (Gauge, "compact.debt_bytes", "Compaction debt net of in-flight claims", |db, _| {
+        db.compaction_debt_bytes() as f64
+    }),
+];
 
 impl Db {
     /// Engine introspection, LevelDB-style (`GetProperty`). Two names
     /// answer; every other name is `None`:
     ///
-    /// * `"noblsm.stats"` — one-line engine counters, including read and
-    ///   write amplification inputs;
+    /// * `"noblsm.stats"` — one line: a `name=value` field per [`METRICS`]
+    ///   row, then `laneN=jobs:busy_ns:bytes` per compaction lane and, with
+    ///   a trace sink, `trace_dropped=`;
     /// * `"noblsm.compaction-stats"` — the classic `leveldb.stats`-style
     ///   per-level table (files, size, compaction reads/writes/time).
     ///
@@ -21,42 +135,23 @@ impl Db {
     pub fn property(&self, name: &str) -> Option<String> {
         match name {
             "noblsm.stats" => {
-                let s = &self.stats;
-                let mut line = format!(
-                    "writes={} gets={} minor={} major={} seek={} stalls={} stall_time={} \
-shadows={} reclaimed={} files_read={} read_amp={:.2}",
-                    s.writes,
-                    s.gets,
-                    s.minor_compactions,
-                    s.major_compactions,
-                    s.seek_compactions,
-                    s.stalls,
-                    s.stall_time,
-                    s.shadow_files,
-                    s.reclaimed_files,
-                    s.files_read_per_get,
-                    s.read_amplification()
-                );
-                line.push_str(&format!(
-                    " debt={} lanes={}/{} preempt_l0={} backoff={}",
-                    self.compaction_debt_bytes(),
-                    self.sched.active_majors(),
-                    self.sched.lanes(),
-                    s.l0_preempts,
-                    s.lane_backoffs,
-                ));
+                let now = self.clock.now();
+                let mut fields: Vec<String> = METRICS
+                    .iter()
+                    .map(|(_, name, _, read)| format!("{name}={}", read(self, now)))
+                    .collect();
                 for (i, ls) in self.sched.lane_stats().iter().enumerate() {
-                    line.push_str(&format!(
-                        " lane{i}={}:{}:{}",
+                    fields.push(format!(
+                        "lane{i}={}:{}:{}",
                         ls.jobs,
                         ls.busy.as_nanos(),
                         ls.bytes_written
                     ));
                 }
                 if let Some(sink) = &self.trace {
-                    line.push_str(&format!(" trace_dropped={}", sink.dropped()));
+                    fields.push(format!("trace_dropped={}", sink.dropped()));
                 }
-                Some(line)
+                Some(fields.join(" "))
             }
             "noblsm.compaction-stats" => {
                 let v = self.versions.current();
@@ -90,8 +185,8 @@ shadows={} reclaimed={} files_read={} read_amp={:.2}",
         }
     }
 
-    /// Samples every due grid instant with the engine's pushed gauges.
-    /// One branch when no hub is installed.
+    /// Samples every due grid instant with the per-level gauges and one
+    /// value per [`METRICS`] row. One branch when no hub is installed.
     pub(super) fn sample_metrics(&self, now: Nanos) {
         // Per-level gauge names are static so the disabled path stays
         // allocation-free and the enabled path allocates only the vector.
@@ -105,48 +200,15 @@ shadows={} reclaimed={} files_read={} read_amp={:.2}",
             ("engine.l6.files", "engine.l6.bytes"),
         ];
         let Some(hub) = &self.metrics else { return };
-        let v = self.versions.current();
-        let l0 = v.num_files(0);
-        // Unified debt: over-threshold work net of in-flight claims, so
-        // the gauge never double-counts with concurrent lanes.
-        let debt = self.compaction_debt_bytes() as f64;
-        let mut pushed: Vec<(&str, f64)> = Vec::with_capacity(26 + 2 * v.levels());
+        let v = self.versions.current_ref();
+        let mut pushed = Vec::with_capacity(METRICS.len() + 2 * v.levels());
         for (level, (files, bytes)) in LEVEL_GAUGES.iter().enumerate().take(v.levels()) {
-            pushed.push((files, v.num_files(level) as f64));
-            pushed.push((bytes, v.level_bytes(level) as f64));
+            pushed.push((Gauge, *files, "", v.num_files(level) as f64));
+            pushed.push((Gauge, *bytes, "", v.level_bytes(level) as f64));
         }
-        pushed.extend_from_slice(&[
-            ("engine.mem_bytes", self.mem.approximate_bytes() as f64),
-            ("engine.imm_bytes", self.imm.as_ref().map_or(0.0, |m| m.approximate_bytes() as f64)),
-            (
-                "engine.l0_slowdown_distance",
-                self.opts.l0_slowdown_trigger.saturating_sub(l0) as f64,
-            ),
-            ("engine.l0_stop_distance", self.opts.l0_stop_trigger.saturating_sub(l0) as f64),
-            ("engine.compaction_debt_bytes", debt),
-            ("engine.shadow_files", self.deps.shadow_count() as f64),
-            ("engine.reclaimed_files", self.stats.reclaimed_files as f64),
-            (
-                "engine.inflight_compactions",
-                (self.sched.active_majors() + usize::from(self.minor_inflight)) as f64,
-            ),
-            ("engine.writes", self.stats.writes as f64),
-            ("engine.stall_ns", self.stats.stall_time.as_nanos() as f64),
-        ]);
-        // Lane-scheduler state: admission pressure, occupancy, and the
-        // cumulative per-stage time split of the staged pipeline.
-        pushed.extend_from_slice(&[
-            ("compact.lanes", self.sched.lanes() as f64),
-            ("compact.active_majors", self.sched.active_majors() as f64),
-            ("compact.idle_lanes", self.sched.idle_lanes(now) as f64),
-            ("compact.pressure", self.sched.pressure(l0)),
-            ("compact.debt_bytes", debt),
-            ("compact.read_ns", self.stats.compact_read_time.as_nanos() as f64),
-            ("compact.merge_ns", self.stats.compact_merge_time.as_nanos() as f64),
-            ("compact.write_ns", self.stats.compact_write_time.as_nanos() as f64),
-            ("compact.preempt_l0", self.stats.l0_preempts as f64),
-            ("compact.backoffs", self.stats.lane_backoffs as f64),
-        ]);
+        pushed.extend(
+            METRICS.iter().map(|&(kind, name, help, read)| (kind, name, help, read(self, now))),
+        );
         hub.sample_due(now, &pushed);
     }
 }

@@ -4,7 +4,7 @@
 //! `Db::compaction_debt_bytes` must report over-threshold work *net of
 //! what in-flight lanes have already claimed* — a naive gauge would
 //! count a major's input bytes once in the version and again per lane
-//! working them off, inflating `debt=` in `noblsm.stats` whenever more
+//! working them off, inflating `compact.debt_bytes=` in `noblsm.stats` whenever more
 //! than one major is in flight.
 //!
 //! Synchronous single-writer workloads self-pace (each level is drained
@@ -48,7 +48,7 @@ struct Observed {
 
 /// Two-phase fixed workload: settle a deep tree, reopen with tight
 /// thresholds and `lanes` lanes, write hot while sampling the gauge.
-/// Also asserts, at every op, that the `debt=` field of `noblsm.stats`
+/// Also asserts, at every op, that the `compact.debt_bytes=` field of `noblsm.stats`
 /// agrees with the gauge — including while several majors hold claims.
 fn run(lanes: usize) -> Observed {
     let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(8 << 20));
@@ -69,8 +69,8 @@ fn run(lanes: usize) -> Observed {
         let stats = db.property("noblsm.stats").unwrap();
         let debt_field: u64 = stats
             .split_whitespace()
-            .find_map(|tok| tok.strip_prefix("debt="))
-            .expect("stats exposes debt=")
+            .find_map(|tok| tok.strip_prefix("compact.debt_bytes="))
+            .expect("stats exposes compact.debt_bytes=")
             .parse()
             .unwrap();
         assert_eq!(debt_field, db.compaction_debt_bytes(), "lanes {lanes}, op {i}: {stats}");

@@ -168,7 +168,7 @@ fn seek_compactions_land_in_the_per_level_breakdown() {
     assert!(s.files_read_per_get > 0, "gets probed SSTables");
     assert!(s.read_amplification() > 0.0);
     let stats_line = db.property("noblsm.stats").unwrap();
-    assert!(stats_line.contains("read_amp="), "{stats_line}");
+    assert!(stats_line.contains("engine.files_read="), "{stats_line}");
 }
 
 #[test]

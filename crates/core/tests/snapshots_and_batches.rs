@@ -176,7 +176,7 @@ fn properties_report_engine_state() {
     let mem = hub.timeline().series("engine.mem_bytes").expect("sampled").values.clone();
     assert!(!mem.is_empty() && mem.iter().all(|&m| m < f64::from(1 << 20)), "{mem:?}");
     let stats = db.property("noblsm.stats").unwrap();
-    assert!(stats.contains("writes=500"), "{stats}");
+    assert!(stats.contains("engine.writes=500"), "{stats}");
     assert_eq!(db.property("noblsm.nope"), None);
     assert_eq!(db.property("noblsm.seq"), None, "a typed accessor's number has no name");
     // Force some majors, then the compaction-stats table must show them.

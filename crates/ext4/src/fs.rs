@@ -14,6 +14,7 @@ mod journal;
 mod metrics;
 
 pub use crash::CommitWindow;
+pub use metrics::METRICS;
 
 use std::borrow::Cow;
 use std::cmp::Reverse;

@@ -1,4 +1,6 @@
-//! The filesystem's and device's live gauges on a metrics hub.
+//! The filesystem's and device's instrument table: live gauges and one
+//! counter per `FsStats` and `IoStats` field, read by the metrics hub
+//! and by the serving layer's INFO.
 
 use nob_metrics::MetricKind::{self, Counter, Gauge};
 use nob_metrics::MetricsHub;
@@ -9,9 +11,59 @@ use super::Ext4Fs;
 /// Reads one instrument off the filesystem at a grid instant.
 type Reader = fn(&Ext4Fs, Nanos) -> f64;
 
-/// Every instrument [`Ext4Fs::register_metrics`] installs, in
-/// registration order: kind, name, help text, reader.
-const METRICS: [(MetricKind, &str, &str, Reader); 12] = [
+/// Every filesystem and device instrument: kind, name, help text,
+/// reader. [`Ext4Fs::register_metrics`] installs a probe per row, in
+/// this order.
+pub const METRICS: [(MetricKind, &str, &str, Reader); 29] = [
+    (Counter, "ext4.sync_calls", "fsync/fdatasync calls", |fs, _| fs.stats().sync_calls as f64),
+    (Counter, "ext4.bytes_synced", "sync targets' data bytes written back by syncs", |fs, _| {
+        fs.stats().bytes_synced as f64
+    }),
+    (Counter, "ext4.async_commits", "timer or dirty-threshold journal commits", |fs, _| {
+        fs.stats().async_commits as f64
+    }),
+    (Counter, "ext4.sync_commits", "fsync-triggered journal commits", |fs, _| {
+        fs.stats().sync_commits as f64
+    }),
+    (Counter, "ext4.bytes_written_back", "data bytes written back by any trigger", |fs, _| {
+        fs.stats().bytes_written_back as f64
+    }),
+    (Counter, "ext4.journal_bytes", "bytes written through the journal", |fs, _| {
+        fs.stats().journal_bytes as f64
+    }),
+    (Counter, "ext4.bytes_buffered", "bytes appended through the buffered path", |fs, _| {
+        fs.stats().bytes_buffered as f64
+    }),
+    (Counter, "ext4.bytes_direct", "bytes written through the direct-I/O path", |fs, _| {
+        fs.stats().bytes_direct as f64
+    }),
+    (
+        Counter,
+        "ext4.commits_lost_torn_journal",
+        "journal commits whose commit record tore on media",
+        |fs, _| fs.stats().commits_lost_torn_journal as f64,
+    ),
+    (
+        Counter,
+        "ext4.commits_unsettled_flush",
+        "journal commits acknowledged behind a dropped FLUSH",
+        |fs, _| fs.stats().commits_unsettled_flush as f64,
+    ),
+    (Counter, "ext4.data_writebacks_torn", "data write-backs the injector tore", |fs, _| {
+        fs.stats().data_writebacks_torn as f64
+    }),
+    (
+        Counter,
+        "ext4.data_writebacks_corrupted",
+        "data write-backs the injector corrupted",
+        |fs, _| fs.stats().data_writebacks_corrupted as f64,
+    ),
+    (
+        Counter,
+        "ext4.ordered_violations",
+        "committed inodes a crash view found without their data",
+        |fs, _| fs.stats().ordered_violations as f64,
+    ),
     (Gauge, "ext4.dirty_bytes", "dirty page-cache bytes in the running txn", |fs, _| {
         fs.dirty_bytes() as f64
     }),
@@ -36,9 +88,27 @@ const METRICS: [(MetricKind, &str, &str, Reader); 12] = [
         "time until queued background write-back drains",
         |fs, t| fs.device_background_free_at().saturating_sub(t).as_nanos() as f64,
     ),
-    (Counter, "ext4.journal_bytes", "bytes written through the journal", |fs, _| {
-        fs.stats().journal_bytes as f64
+    (Counter, "ssd.bytes_written", "bytes transferred by write commands", |fs, _| {
+        fs.io_stats().bytes_written as f64
     }),
+    (Counter, "ssd.bytes_read", "bytes transferred by read commands", |fs, _| {
+        fs.io_stats().bytes_read as f64
+    }),
+    (Counter, "ssd.write_commands", "write commands issued to the device", |fs, _| {
+        fs.io_stats().write_commands as f64
+    }),
+    (Counter, "ssd.read_commands", "read commands issued to the device", |fs, _| {
+        fs.io_stats().read_commands as f64
+    }),
+    (Counter, "ssd.flush_commands", "FLUSH commands issued to the device", |fs, _| {
+        fs.io_stats().flush_commands as f64
+    }),
+    (
+        Counter,
+        "ssd.dropped_flushes",
+        "FLUSH commands the injector acknowledged undrained",
+        |fs, _| fs.io_stats().dropped_flushes as f64,
+    ),
     (Gauge, "ssd.queue_ns", "foreground command-queue backlog", |fs, t| {
         fs.device_free_at().saturating_sub(t).as_nanos() as f64
     }),
@@ -56,20 +126,17 @@ const METRICS: [(MetricKind, &str, &str, Reader); 12] = [
             0.0
         }
     }),
-    (Counter, "ssd.flush_commands", "FLUSH commands issued to the device", |fs, _| {
-        fs.io_stats().flush_commands as f64
-    }),
 ];
 
 impl Ext4Fs {
-    /// Registers the filesystem's and device's live gauges with a metrics
-    /// hub (the observability twin of [`Ext4Fs::set_trace_sink`]): dirty
-    /// pages vs. the commit threshold, running-transaction membership, the
-    /// NobLSM Pending/Committed kernel tables, journal free space,
-    /// checkpoint backlog, and the device's queue/busy/FLUSH state. The
-    /// closures capture a clone of this handle, so they observe all future
-    /// activity; re-registering after crash recovery replaces the closures
-    /// but keeps sampled history.
+    /// Registers every [`METRICS`] row with a metrics hub (the
+    /// observability twin of [`Ext4Fs::set_trace_sink`]): dirty pages vs.
+    /// the commit threshold, running-transaction membership, the NobLSM
+    /// Pending/Committed kernel tables, journal free space, checkpoint
+    /// backlog, the device's queue/busy/FLUSH state, and the `FsStats` and
+    /// `IoStats` counters. The closures capture a clone of this handle, so
+    /// they observe all future activity; re-registering after crash
+    /// recovery replaces the closures but keeps sampled history.
     pub fn register_metrics(&self, hub: &MetricsHub) {
         for (kind, name, help, read) in METRICS {
             let fs = self.clone();
@@ -77,7 +144,7 @@ impl Ext4Fs {
         }
     }
 
-    /// Removes every gauge [`Ext4Fs::register_metrics`] installed.
+    /// Removes every probe [`Ext4Fs::register_metrics`] installed.
     pub fn unregister_metrics(hub: &MetricsHub) {
         for (_, name, ..) in METRICS {
             hub.unregister(name);

@@ -60,7 +60,7 @@ mod types;
 
 pub use config::Ext4Config;
 pub use error::FsError;
-pub use fs::{CommitWindow, Ext4Fs};
+pub use fs::{CommitWindow, Ext4Fs, METRICS};
 pub use stats::FsStats;
 pub use types::{Extent, FileHandle, InodeId};
 

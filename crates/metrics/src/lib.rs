@@ -20,8 +20,9 @@
 //! hub.register(MetricKind::Gauge, "demo.queue_ns", "queue backlog", |t| {
 //!     t.as_nanos() as f64 / 2.0
 //! });
-//! hub.sample_due(Nanos::ZERO, &[("demo.pushed", 7.0)]);
-//! hub.sample_due(Nanos::from_millis(25), &[("demo.pushed", 9.0)]);
+//! let pushed = |v| [(MetricKind::Counter, "demo.pushed", "pushed count", v)];
+//! hub.sample_due(Nanos::ZERO, &pushed(7.0));
+//! hub.sample_due(Nanos::from_millis(25), &pushed(9.0));
 //! let tl = hub.timeline();
 //! assert_eq!(tl.samples, 3); // grid instants 0ms, 10ms, 20ms
 //! assert!(tl.to_json().to_string().contains("\"demo.queue_ns\""));
@@ -276,6 +277,10 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 
 type ProbeFn = Box<dyn Fn(Nanos) -> f64 + Send>;
 
+/// One value a layer pushes at [`MetricsHub::sample_due`]: the kind,
+/// name and help a registered probe carries, plus the value.
+type Pushed<'a> = (MetricKind, &'a str, &'a str, f64);
+
 struct Probe {
     name: String,
     kind: MetricKind,
@@ -306,7 +311,7 @@ impl HubState {
         self.timeline.series.len() - 1
     }
 
-    fn sample_at(&mut self, t: Nanos, pushed: &[(&str, f64)]) {
+    fn sample_at(&mut self, t: Nanos, pushed: &[Pushed<'_>]) {
         for p in 0..self.probes.len() {
             let v = (self.probes[p].read)(t);
             let (name, kind) = (self.probes[p].name.clone(), self.probes[p].kind);
@@ -314,8 +319,8 @@ impl HubState {
             let i = self.series_index(&name, kind, &help);
             self.timeline.series[i].values.push(v);
         }
-        for &(name, v) in pushed {
-            let i = self.series_index(name, MetricKind::Gauge, "");
+        for &(kind, name, help, v) in pushed {
+            let i = self.series_index(name, kind, help);
             self.timeline.series[i].values.push(v);
         }
         self.timeline.samples += 1;
@@ -334,7 +339,7 @@ impl HubState {
 ///
 /// Layers that can be captured by a closure (the filesystem and device,
 /// which live behind `Arc`s) call [`MetricsHub::register`]; the engine,
-/// which owns its state directly, pushes its gauges as the `pushed`
+/// which owns its state directly, pushes its instruments as the `pushed`
 /// argument of [`MetricsHub::sample_due`]. Both land on the same grid.
 ///
 /// A handle may carry a name prefix (see [`MetricsHub::scoped`]): every
@@ -442,21 +447,25 @@ impl MetricsHub {
 
     /// Samples every grid instant that is due at virtual time `now`:
     /// evaluates all registered probes at each instant and appends the
-    /// caller's `pushed` values alongside. The first call anchors the grid
-    /// at `now`. Returns how many grid instants were sampled.
-    pub fn sample_due(&self, now: Nanos, pushed: &[(&str, f64)]) -> usize {
+    /// caller's `pushed` values alongside, each under its own kind and
+    /// help. The first call anchors the grid at `now`. Returns how many
+    /// grid instants were sampled.
+    pub fn sample_due(&self, now: Nanos, pushed: &[(MetricKind, &str, &str, f64)]) -> usize {
         // Scoped handles prefix pushed names too; the unscoped path stays
         // allocation-free.
         if !self.prefix.is_empty() {
-            let named: Vec<(String, f64)> =
-                pushed.iter().map(|&(n, v)| (self.full_name(n), v)).collect();
-            let borrowed: Vec<(&str, f64)> = named.iter().map(|(n, v)| (n.as_str(), *v)).collect();
+            let named: Vec<String> = pushed.iter().map(|p| self.full_name(p.1)).collect();
+            let borrowed: Vec<Pushed<'_>> = pushed
+                .iter()
+                .zip(&named)
+                .map(|(&(kind, _, help, v), name)| (kind, name.as_str(), help, v))
+                .collect();
             return self.sample_due_raw(now, &borrowed);
         }
         self.sample_due_raw(now, pushed)
     }
 
-    fn sample_due_raw(&self, now: Nanos, pushed: &[(&str, f64)]) -> usize {
+    fn sample_due_raw(&self, now: Nanos, pushed: &[Pushed<'_>]) -> usize {
         let mut st = self.lock();
         if st.next.is_none() {
             st.next = Some(now);
@@ -506,11 +515,14 @@ mod tests {
     fn pushed_values_land_on_the_same_grid() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "probe", "", |_| 1.0);
-        hub.sample_due(Nanos::ZERO, &[("pushed", 41.0)]);
-        hub.sample_due(Nanos::from_millis(10), &[("pushed", 42.0)]);
+        let pushed = |v| [(MetricKind::Counter, "pushed", "pushed count", v)];
+        hub.sample_due(Nanos::ZERO, &pushed(41.0));
+        hub.sample_due(Nanos::from_millis(10), &pushed(42.0));
         let tl = hub.timeline();
         assert_eq!(tl.series("probe").unwrap().values.len(), 2);
-        assert_eq!(tl.series("pushed").unwrap().values, vec![41.0, 42.0]);
+        let series = tl.series("pushed").unwrap();
+        assert_eq!(series.values, vec![41.0, 42.0]);
+        assert_eq!((series.kind, series.help.as_str()), (MetricKind::Counter, "pushed count"));
     }
 
     #[test]
@@ -544,8 +556,8 @@ mod tests {
             let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
             hub.register(MetricKind::Gauge, "a.b", "bytes", |t| t.as_nanos() as f64);
             hub.register(MetricKind::Counter, "c", "", |_| 0.5);
-            hub.sample_due(Nanos::from_millis(7), &[("p", 3.0)]);
-            hub.sample_due(Nanos::from_millis(17), &[("p", 4.0)]);
+            hub.sample_due(Nanos::from_millis(7), &[(MetricKind::Gauge, "p", "", 3.0)]);
+            hub.sample_due(Nanos::from_millis(17), &[(MetricKind::Gauge, "p", "", 4.0)]);
             hub.timeline().to_json().to_string()
         };
         let (j1, j2) = (mk(), mk());
@@ -608,7 +620,7 @@ mod tests {
     fn render_lists_every_series() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "a", "", |t| t.as_millis() as f64);
-        hub.sample_due(Nanos::from_millis(30), &[("b.long_name", 2.0)]);
+        hub.sample_due(Nanos::from_millis(30), &[(MetricKind::Gauge, "b.long_name", "", 2.0)]);
         let text = hub.timeline().render(32);
         assert!(text.contains("a "), "{text}");
         assert!(text.contains("b.long_name"), "{text}");
@@ -622,11 +634,12 @@ mod tests {
         let s1 = hub.scoped("shard1.");
         s0.register(MetricKind::Gauge, "ext4.dirty_bytes", "", |_| 10.0);
         s1.register(MetricKind::Gauge, "ext4.dirty_bytes", "", |_| 20.0);
-        s0.sample_due(Nanos::ZERO, &[("engine.writes", 3.0)]);
+        s0.sample_due(Nanos::ZERO, &[(MetricKind::Counter, "engine.writes", "user writes", 3.0)]);
         let tl = hub.timeline();
         assert_eq!(tl.series("shard0.ext4.dirty_bytes").unwrap().values, vec![10.0]);
         assert_eq!(tl.series("shard1.ext4.dirty_bytes").unwrap().values, vec![20.0]);
-        assert_eq!(tl.series("shard0.engine.writes").unwrap().values, vec![3.0]);
+        let writes = tl.series("shard0.engine.writes").unwrap();
+        assert_eq!((writes.values.as_slice(), writes.kind), (&[3.0][..], MetricKind::Counter));
         assert!(tl.series("ext4.dirty_bytes").is_none(), "no unscoped collision");
         // Unregister through the same scope removes only that shard's probe.
         s0.unregister("ext4.dirty_bytes");

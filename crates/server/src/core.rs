@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use nob_metrics::{MetricKind, MetricsHub};
+use nob_metrics::MetricsHub;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions, Ticket};
 use nob_trace::{EventClass, TraceCtx, TraceSink};
@@ -43,7 +43,8 @@ use crate::proto::{
 };
 
 use cursor::Cursor;
-use stats::{Counters, Stat, STATS};
+use stats::Counters;
+pub use stats::{Stat, STATS};
 
 /// Configuration for [`ServerCore::open`] and [`ServerCore::new`].
 #[derive(Debug, Clone)]
@@ -242,11 +243,6 @@ impl ServerCore {
         self.counters.set(Stat::Conns, self.conns.len());
     }
 
-    /// Open connections.
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
-    }
-
     /// Replies queued (resolved or not) on `id`.
     pub fn pending_replies(&self, id: ConnId) -> usize {
         self.conns.get(&id).map_or(0, |c| c.replies.len())
@@ -265,8 +261,9 @@ impl ServerCore {
         self.trace = Some(sink);
     }
 
-    /// Registers the `server.*` counter/gauge family on `hub` and wires
-    /// the store's per-shard gauges beneath the same hub.
+    /// Registers a `server.*` series per [`STATS`] row and a `store.*`
+    /// series per [`nob_store::METRICS`] row (as of the last flush) on
+    /// `hub`, and wires the store's per-shard instruments beneath it.
     pub fn set_metrics_hub(&mut self, hub: &MetricsHub) {
         self.store.set_metrics_hub(hub);
         let scoped = hub.scoped("server.");
@@ -276,13 +273,11 @@ impl ServerCore {
                 cells[stat as usize].load(Ordering::Relaxed) as f64
             });
         }
-        let cell = Arc::clone(&self.counters.unredeemed);
-        hub.scoped("store.").register(
-            MetricKind::Gauge,
-            "unredeemed",
-            "Committed write tickets nobody has redeemed, as of the last flush",
-            move |_| cell.load(Ordering::Relaxed) as f64,
-        );
+        let scoped = hub.scoped("store.");
+        for (i, (kind, name, help, _)) in nob_store::METRICS.into_iter().enumerate() {
+            let cells = Arc::clone(&self.counters.store);
+            scoped.register(kind, name, help, move |_| cells[i].load(Ordering::Relaxed) as f64);
+        }
     }
 
     /// Feeds raw transport bytes into `id`'s decoder and executes every
@@ -354,7 +349,7 @@ impl ServerCore {
         self.counters.set(Stat::Inflight, self.inflight);
         let store = &mut self.store;
         self.orphans.retain(|ticket| store.take_outcome(*ticket).is_none());
-        self.counters.unredeemed.store(store.stats().unredeemed, Ordering::Relaxed);
+        self.counters.refresh_store(&store.stats());
         Ok(())
     }
 
@@ -388,9 +383,11 @@ impl ServerCore {
             .is_some_and(|r| matches!(r, PendingReply::Await { .. }))
     }
 
-    /// The INFO payload: server counters, store group-commit stats and
-    /// per shard the engine stats via [`Db::property`](noblsm::Db::property)
-    /// and the filesystem's sync and journal counters.
+    /// The INFO payload: a `# server` field per [`STATS`] row, a
+    /// `# store` field per [`nob_store::METRICS`] row, the compaction
+    /// lanes, and per shard the engine stats via
+    /// [`Db::property`](noblsm::Db::property) and a `name=value` field per
+    /// [`nob_ext4::METRICS`] row on its `fs:` line.
     pub fn info_text(&self) -> String {
         let mut out = String::from("# server\n");
         for (stat, _, name, _) in STATS {
@@ -402,11 +399,9 @@ impl ServerCore {
         let seqs: Vec<String> = self.store.shard_seqs().iter().map(|s| s.to_string()).collect();
         out.push_str(&format!("seqs:{}\n", seqs.join(",")));
         out.push_str(&format!("pending:{}\n", self.store.pending()));
-        out.push_str(&format!("groups:{}\n", stats.groups));
-        out.push_str(&format!("batches:{}\n", stats.batches));
-        out.push_str(&format!("merged_bytes:{}\n", stats.merged_bytes));
-        out.push_str(&format!("shipped_records:{}\n", stats.shipped_records));
-        out.push_str(&format!("unredeemed:{}\n", stats.unredeemed));
+        for (_, name, _, read) in nob_store::METRICS {
+            out.push_str(&format!("{name}:{}\n", read(&stats)));
+        }
         out.push_str("# compaction\n");
         let lanes: Vec<String> =
             self.store.compaction_lanes().iter().map(|n| n.to_string()).collect();
@@ -422,15 +417,15 @@ impl ServerCore {
             .map(|i| self.store.shard_db(i).l0_pressure())
             .fold(0.0f64, f64::max);
         out.push_str(&format!("max_pressure:{pressure:.2}\n"));
+        let now = self.clock().now();
         for i in 0..self.store.shards() {
             let db = self.store.shard_db(i);
             let engine = db.property("noblsm.stats").unwrap_or_default();
-            let f = db.fs().stats();
-            out.push_str(&format!(
-                "# shard{i}\nnoblsm.stats:{engine}\n\
-                 fs:syncs={} bytes_synced={} async_commits={} journal_bytes={}\n",
-                f.sync_calls, f.bytes_synced, f.async_commits, f.journal_bytes
-            ));
+            let fs: Vec<String> = nob_ext4::METRICS
+                .iter()
+                .map(|(_, name, _, read)| format!("{name}={}", read(db.fs(), now)))
+                .collect();
+            out.push_str(&format!("# shard{i}\nnoblsm.stats:{engine}\nfs:{}\n", fs.join(" ")));
         }
         out
     }
@@ -535,11 +530,6 @@ impl ServerCore {
             Request::ScanNext(cursor) => self.resume_scan(id, cursor)?,
         }
         Ok(())
-    }
-
-    /// Open scan cursors (leases on pinned cross-shard snapshots).
-    pub fn open_cursors(&self) -> usize {
-        self.cursors.len()
     }
 
     /// Read-your-writes: settle the group-commit queue before serving a
@@ -775,7 +765,7 @@ mod tests {
         assert!(text.contains("# server"), "{text}");
         assert!(text.contains("requests_write:1"), "{text}");
         assert!(text.contains("shards:2"), "{text}");
-        assert!(text.contains("noblsm.stats:"), "{text}");
+        assert!(text.contains("noblsm.stats:engine.writes="), "{text}");
         assert!(text.contains("seqs:"), "{text}");
         assert!(text.contains("shipped_records:0"), "{text}");
     }
@@ -802,7 +792,7 @@ mod tests {
             feed_req(&mut core, c, &Request::Set(format!("k{i:02}").into_bytes(), b"new".to_vec()));
         }
         core.flush().unwrap();
-        assert_eq!(core.open_cursors(), 1);
+        assert_eq!(info_counter(&core, "cursors_open"), 1);
         let replies = decode_all(&core.take_output(c));
         let Frame::Array(first) = &replies[0] else { panic!("scan reply: {replies:?}") };
         let Frame::Integer(cursor) = first[0] else { panic!("no cursor: {first:?}") };
@@ -825,7 +815,7 @@ mod tests {
             cur = next as u64;
         }
         assert_eq!(rows + 10, 30, "exactly the pinned keyspace, once");
-        assert_eq!(core.open_cursors(), 0, "exhausted cursor released its lease");
+        assert_eq!(info_counter(&core, "cursors_open"), 0, "exhausted cursor released its lease");
     }
 
     #[test]
@@ -837,12 +827,12 @@ mod tests {
         }
         core.flush().unwrap();
         feed_req(&mut core, c, &Request::scan(Vec::new(), Vec::new(), 5));
-        assert_eq!(core.open_cursors(), 1);
+        assert_eq!(info_counter(&core, "cursors_open"), 1);
         // Let the lease lapse on the virtual clock; the next flush sweeps.
         let deadline = core.clock().now() + Nanos::from_secs(61);
         core.clock().advance_to(deadline);
         core.flush().unwrap();
-        assert_eq!(core.open_cursors(), 0);
+        assert_eq!(info_counter(&core, "cursors_open"), 0);
         core.take_output(c);
         feed_req(&mut core, c, &Request::ScanNext(1));
         let replies = decode_all(&core.take_output(c));
@@ -1029,7 +1019,7 @@ mod tests {
                 // a row is left for it; cursor ids count up from 1.
                 let cursor = u64::from(!expected.is_empty());
                 prop_assert_eq!(&wire, &page_frame(cursor, &page, count_only).to_bytes());
-                prop_assert_eq!(core.open_cursors() as u64, cursor);
+                prop_assert_eq!(info_counter(&core, "cursors_open"), cursor);
                 if cursor == 0 {
                     break;
                 }

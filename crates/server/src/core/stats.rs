@@ -1,16 +1,19 @@
 //! The `server.*` instruments: one table names each counter and gauge
-//! once, and INFO and the metrics registry both read its cells.
+//! once, and INFO and the metrics registry both read its cells. The
+//! store's rows ([`nob_store::METRICS`]) get cells here too, refreshed at
+//! every flush, so the registry reads them without the store.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use nob_metrics::MetricKind::{self, Counter, Gauge};
+use nob_store::StoreStats;
 
 use crate::proto::RequestClass;
 
 /// One `server.*` instrument; its discriminant indexes [`STATS`].
 #[derive(Debug, Clone, Copy)]
-pub(super) enum Stat {
+pub enum Stat {
     Conns,
     Inflight,
     RequestsRead,
@@ -32,7 +35,7 @@ pub(super) enum Stat {
 /// Every `server.*` instrument in INFO's `# server` order: INFO prints a
 /// `name:value` line for each row and the metrics registry samples a
 /// `server.name` series, both off the row's one cell.
-pub(super) const STATS: [(Stat, MetricKind, &str, &str); 16] = [
+pub const STATS: [(Stat, MetricKind, &str, &str); 16] = [
     (Stat::Conns, Gauge, "conns", "Open connections"),
     (Stat::Inflight, Gauge, "inflight", "Unresolved write tickets across all connections"),
     (Stat::RequestsRead, Counter, "requests_read", "Read-class requests served (GET/MGET)"),
@@ -76,12 +79,13 @@ pub(super) const STATS: [(Stat, MetricKind, &str, &str); 16] = [
     (Stat::BytesOut, Counter, "bytes_out", "Raw reply bytes sent"),
 ];
 
-/// The cells behind [`STATS`], shared with the registry's readers.
+/// The cells behind [`STATS`] and [`nob_store::METRICS`], shared with
+/// the registry's readers.
 #[derive(Debug, Default)]
 pub(super) struct Counters {
     pub(super) cells: Arc<[AtomicU64; STATS.len()]>,
-    /// `StoreStats::unredeemed` as of the last flush.
-    pub(super) unredeemed: Arc<AtomicU64>,
+    /// The store's rows as of the last flush.
+    pub(super) store: Arc<[AtomicU64; nob_store::METRICS.len()]>,
 }
 
 impl Counters {
@@ -95,6 +99,13 @@ impl Counters {
 
     pub(super) fn set(&self, stat: Stat, value: usize) {
         self.cells[stat as usize].store(value as u64, Ordering::Relaxed);
+    }
+
+    /// Copies every store row out of `stats`.
+    pub(super) fn refresh_store(&self, stats: &StoreStats) {
+        for (cell, (.., read)) in self.store.iter().zip(nob_store::METRICS) {
+            cell.store(read(stats), Ordering::Relaxed);
+        }
     }
 
     pub(super) fn bump(&self, class: RequestClass) {

@@ -62,6 +62,8 @@
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 
+mod stats;
+
 use std::collections::{BTreeMap, VecDeque};
 
 use nob_ext4::{Ext4Config, Ext4Fs};
@@ -74,6 +76,7 @@ use noblsm::{
 };
 
 pub use noblsm::{Error, Result};
+pub use stats::{StoreStats, METRICS};
 
 /// Byte budget per coalesced group: a follower joins only while the
 /// merged payload stays within this budget. The leader always commits,
@@ -108,26 +111,6 @@ impl Default for StoreOptions {
 /// [`Store::take_outcome`] after the queue has been pumped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ticket(u64);
-
-/// Aggregate group-commit counters, for benches asserting amortization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Coalesced groups committed (engine writes issued).
-    pub groups: u64,
-    /// Writer batches retired (leaders + followers).
-    pub batches: u64,
-    /// Total merged payload bytes across all groups.
-    pub merged_bytes: u64,
-    /// Committed groups captured for WAL shipping (0 while shipping is
-    /// disabled); equals `groups` committed since
-    /// [`Store::enable_shipping`].
-    pub shipped_records: u64,
-    /// Tickets holding a durable instant nobody has redeemed yet with
-    /// [`Store::take_outcome`] — a gauge, not a counter. It returns to 0
-    /// whenever every writer has collected; one that only grows is a
-    /// writer that went away with its tickets.
-    pub unredeemed: u64,
-}
 
 /// One committed group captured for WAL shipping: the exact batch payload
 /// the shard's engine logged, tagged with the contiguous sequence range

@@ -37,15 +37,24 @@ use std::path::{Path, PathBuf};
 /// became ascending only and `ScanOptions.reverse` went.
 const MAX_KNOBS: usize = 46;
 
-/// The largest source file allowed: `store/src/lib.rs` (1 284 lines) is
+/// The largest source file allowed: `store/src/lib.rs` (1 267 lines, since
+/// `StoreStats` and its instrument table moved to `store/src/stats.rs`) is
 /// the current maximum, `cli/src/lib.rs` (1 116) the next. Lower it as the largest file shrinks; the
 /// engine's 2 064-line `db/mod.rs` is what this keeps from coming back
 /// unnoticed.
-const MAX_SOURCE_LINES: usize = 1_284;
+const MAX_SOURCE_LINES: usize = 1_267;
 
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
-/// it without saying in the PR which new item is API and why. Last lowered
+/// it without saying in the PR which new item is API and why. Last raised
+/// by eleven, from 981, for the instrument tables, one per layer, which
+/// the hub, INFO and `noblsm.stats` read and `tests/instrument_tables.rs`
+/// checks across crates: `noblsm::db::METRICS`, `nob_ext4::METRICS`,
+/// `nob_store::METRICS` and `nob_server::core::{Stat, STATS}` (five
+/// items, four re-export lines, and the headers of the two files the
+/// store's and server's tables live in), net of
+/// `ServerCore::{conn_count, open_cursors}`, which went as second
+/// spellings of the `conns` and `cursors_open` rows. Before that lowered
 /// by four, from 985, when four methods only their own tests called went:
 /// `Db::approximate_size`, `FileHandle::inode`, `MetricsHub::reset` and
 /// `TraceSink::reset`. Before that by eight, from 993, when the SSD took one command per operation with
@@ -73,7 +82,7 @@ const MAX_SOURCE_LINES: usize = 1_284;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 981;
+const MAX_SURFACE_LINES: usize = 992;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {

@@ -108,7 +108,7 @@ fn properties_pass_through_all_three_layers() {
     let timeline = hub.timeline();
     let last = |name: &str| timeline.series(name).unwrap_or_else(|| panic!("{name}")).last();
     // Engine: the two named properties, and the memtable gauge.
-    assert!(db.property("noblsm.stats").unwrap().contains("read_amp="));
+    assert!(db.property("noblsm.stats").unwrap().contains("engine.files_read="));
     let table = db.property("noblsm.compaction-stats").unwrap();
     assert!(table.contains("level") && table.contains("size(MB)"), "{table}");
     assert!(last("engine.mem_bytes") >= 0.0);

@@ -246,7 +246,7 @@ fn a_cursor_carries_its_iterators_across_connections_and_frees_them_with_its_lea
     let deadline = core.borrow().clock().now() + nob_sim::Nanos::from_secs(61);
     core.borrow().clock().advance_to(deadline);
     core.borrow_mut().flush().expect("sweep");
-    assert_eq!(core.borrow().open_cursors(), 0);
+    assert_eq!(info_counter(&core.borrow().info_text(), "cursors_open"), 0);
     // The flush above replaced one shard's version; the other's is the one
     // the cursor read, and nothing holds it any more.
     let after = version_refs();
@@ -298,5 +298,5 @@ fn info_reaches_every_shard_property() {
             "INFO must carry shard {shard}'s section: {info}"
         );
     }
-    assert!(info.contains("noblsm.stats:writes="), "Db::property mapped into INFO: {info}");
+    assert!(info.contains("noblsm.stats:engine.writes="), "Db::property mapped into INFO: {info}");
 }
