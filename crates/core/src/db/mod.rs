@@ -52,7 +52,7 @@ use crate::cache::TableCache;
 use crate::compaction::{CompactionOutput, MajorOutcome, PhysicalRefs};
 use crate::memtable::MemTable;
 use crate::noblsm::DependencyTracker;
-use crate::options::{Options, ScanOptions};
+use crate::options::{Options, ScanOptions, NUM_LEVELS};
 use crate::sched::{MajorJob, Scheduler};
 use crate::version::{CompactionInputs, FileMetaData, Version, VersionSet};
 use crate::wal::LogWriter;
@@ -120,7 +120,8 @@ pub struct Db {
     next_snapshot_id: u64,
     stats: DbStats,
     trace: Option<TraceSink>,
-    metrics: Option<MetricsHub>,
+    /// The installed hub and the cells its engine probes read.
+    metrics: Option<(MetricsHub, property::Cells)>,
     /// First failure of a background job, returned by every later write,
     /// flush and wait; reads keep working.
     bg_error: Option<DbError>,
@@ -248,33 +249,36 @@ impl Db {
     }
 
     /// Installs a metrics hub on the whole stack (the sampling twin of
-    /// [`Db::set_trace_sink`]): the filesystem and device register live
-    /// gauge closures, and the engine pushes its own gauges every time
-    /// the foreground clock crosses a grid instant. Sampling is
+    /// [`Db::set_trace_sink`]): the filesystem and device register a probe
+    /// per `nob_ext4::METRICS` row, and the engine one per per-level gauge
+    /// and [`METRICS`] row over a cell it refreshes, then samples the hub,
+    /// every time the foreground clock crosses a grid instant. Sampling is
     /// observation only — it never changes virtual time.
     pub fn set_metrics_hub(&mut self, hub: MetricsHub) {
         self.fs.register_metrics(&hub);
-        self.metrics = Some(hub);
+        let cells = property::register_metrics(&hub);
+        self.publish_metrics(&cells, self.clock.now());
+        self.metrics = Some((hub, cells));
     }
 
-    /// Detaches the metrics hub; the sample path becomes a dead branch
-    /// again. The hub (and its accumulated timeline) stays usable.
+    /// Detaches the metrics hub and removes every probe the stack
+    /// registered; the sample path becomes a dead branch again. The hub
+    /// (and its accumulated timeline) stays usable.
     pub fn clear_metrics_hub(&mut self) {
-        if let Some(hub) = self.metrics.take() {
+        if let Some((hub, _)) = self.metrics.take() {
             Ext4Fs::unregister_metrics(&hub);
+            property::unregister_metrics(&hub);
         }
     }
 
     /// Raw per-level compaction debt: one table's worth per L0 file beyond
     /// the compaction trigger, and bytes over quota on scored levels —
     /// the work the background must retire before scores drop below 1.
-    fn raw_debt_per_level(&self) -> Vec<u64> {
-        let v = self.versions.current();
-        let mut raw = vec![0u64; v.levels()];
-        if let Some(r0) = raw.first_mut() {
-            *r0 = (v.num_files(0).saturating_sub(self.opts.l0_compaction_trigger) as u64)
-                .saturating_mul(self.opts.table_size);
-        }
+    fn raw_debt_per_level(&self) -> [u64; NUM_LEVELS] {
+        let v = self.versions.current_ref();
+        let mut raw = [0u64; NUM_LEVELS];
+        raw[0] = (v.num_files(0).saturating_sub(self.opts.l0_compaction_trigger) as u64)
+            .saturating_mul(self.opts.table_size);
         for (level, r) in raw.iter_mut().enumerate().skip(1) {
             *r = v.scored_level_bytes(level).saturating_sub(self.opts.max_bytes_for_level(level));
         }
@@ -322,8 +326,8 @@ impl Db {
 
     /// Current L0 write pressure in `[0, 1]`: zero at the compaction
     /// trigger, one at the stop trigger.
-    pub fn l0_pressure(&self) -> f64 {
-        self.sched.pressure(self.versions.current().num_files(0))
+    pub(crate) fn l0_pressure(&self) -> f64 {
+        self.sched.pressure(self.versions.current_ref().num_files(0))
     }
 
     /// Engine statistics.

@@ -2,10 +2,15 @@
 //! and the `noblsm.stats` property both read, and `GetProperty`-style
 //! strings.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use nob_metrics::MetricKind::{self, Counter, Gauge};
+use nob_metrics::MetricsHub;
 use nob_sim::Nanos;
 
 use super::Db;
+use crate::options::NUM_LEVELS;
 
 /// Reads one instrument off the engine at an instant.
 type Reader = fn(&Db, Nanos) -> f64;
@@ -185,30 +190,58 @@ impl Db {
         }
     }
 
-    /// Samples every due grid instant with the per-level gauges and one
-    /// value per [`METRICS`] row. One branch when no hub is installed.
+    /// Publishes the engine's values and samples every due grid instant.
+    /// One branch when no hub is installed; no allocation either way.
     pub(super) fn sample_metrics(&self, now: Nanos) {
-        // Per-level gauge names are static so the disabled path stays
-        // allocation-free and the enabled path allocates only the vector.
-        const LEVEL_GAUGES: [(&str, &str); 7] = [
-            ("engine.l0.files", "engine.l0.bytes"),
-            ("engine.l1.files", "engine.l1.bytes"),
-            ("engine.l2.files", "engine.l2.bytes"),
-            ("engine.l3.files", "engine.l3.bytes"),
-            ("engine.l4.files", "engine.l4.bytes"),
-            ("engine.l5.files", "engine.l5.bytes"),
-            ("engine.l6.files", "engine.l6.bytes"),
-        ];
-        let Some(hub) = &self.metrics else { return };
-        let v = self.versions.current_ref();
-        let mut pushed = Vec::with_capacity(METRICS.len() + 2 * v.levels());
-        for (level, (files, bytes)) in LEVEL_GAUGES.iter().enumerate().take(v.levels()) {
-            pushed.push((Gauge, *files, "", v.num_files(level) as f64));
-            pushed.push((Gauge, *bytes, "", v.level_bytes(level) as f64));
-        }
-        pushed.extend(
-            METRICS.iter().map(|&(kind, name, help, read)| (kind, name, help, read(self, now))),
-        );
-        hub.sample_due(now, &pushed);
+        let Some((hub, cells)) = &self.metrics else { return };
+        self.publish_metrics(cells, now);
+        hub.sample_due(now);
     }
+
+    /// Writes every engine series' value as of `now` into its cell.
+    pub(super) fn publish_metrics(&self, cells: &Cells, now: Nanos) {
+        let v = self.versions.current_ref();
+        let levels = (0..NUM_LEVELS).flat_map(|l| [v.num_files(l) as f64, v.level_bytes(l) as f64]);
+        let values = levels.chain(METRICS.iter().map(|row| row.3(self, now)));
+        for (cell, value) in cells.iter().zip(values) {
+            cell.store(value.to_bits(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The per-level gauges, `(files, bytes)` per level.
+const LEVEL_GAUGES: [(&str, &str); NUM_LEVELS] = [
+    ("engine.l0.files", "engine.l0.bytes"),
+    ("engine.l1.files", "engine.l1.bytes"),
+    ("engine.l2.files", "engine.l2.bytes"),
+    ("engine.l3.files", "engine.l3.bytes"),
+    ("engine.l4.files", "engine.l4.bytes"),
+    ("engine.l5.files", "engine.l5.bytes"),
+    ("engine.l6.files", "engine.l6.bytes"),
+];
+
+/// One cell per engine series, in [`series`] order, holding the `f64`
+/// bits last published.
+pub(super) type Cells = Arc<[AtomicU64; 2 * NUM_LEVELS + METRICS.len()]>;
+
+/// The engine's series in registration order — the per-level gauges
+/// level by level, then the [`METRICS`] rows: kind, name, help.
+fn series() -> impl Iterator<Item = (MetricKind, &'static str, &'static str)> {
+    let levels = LEVEL_GAUGES.iter().flat_map(|&(files, bytes)| [files, bytes]);
+    levels.map(|name| (Gauge, name, "")).chain(METRICS.iter().map(|row| (row.0, row.1, row.2)))
+}
+
+/// Registers a probe per engine series with `hub`, each reading its cell.
+pub(super) fn register_metrics(hub: &MetricsHub) -> Cells {
+    let cells: Cells = Arc::new(std::array::from_fn(|_| AtomicU64::new(0)));
+    for (i, (kind, name, help)) in series().enumerate() {
+        let cells = Arc::clone(&cells);
+        hub.register(kind, name, help, move |_| f64::from_bits(cells[i].load(Ordering::Relaxed)));
+    }
+    cells
+}
+
+/// Removes every probe [`register_metrics`] installed.
+pub(super) fn unregister_metrics(hub: &MetricsHub) {
+    series().for_each(|(_, name, _)| hub.unregister(name));
 }

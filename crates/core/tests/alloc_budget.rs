@@ -53,6 +53,13 @@
 //! value, the key buffers of the index and data block iterators), 5.00 and
 //! 4 354.4 at the parent of the change that added it, which copied each ≈ 4
 //! KiB block out of the file; its allocation budget is rounded down to 5.0.
+//!
+//! A `Db::tick` at which no grid instant is due allocates no more with a
+//! scoped metrics hub installed than with none: 0 and 0 here; 0 and 98 at
+//! the parent of the change that added the check, where every tick pushed
+//! its 47 engine values to the hub in a fresh vector and, under a scope,
+//! formatted a prefixed name for each.
+//!
 //! The counts are exact, so the same binary gives the same numbers on every
 //! run.
 //!
@@ -63,6 +70,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nob_ext4::{Ext4Config, Ext4Fs};
+use nob_metrics::MetricsHub;
 use nob_sim::Nanos;
 use noblsm::{Db, Options, ReadOptions, ScanOptions, SyncMode, WriteBatch, WriteOptions};
 
@@ -240,4 +248,22 @@ fn write_flush_and_major_stay_inside_their_allocation_budgets() {
     assert!(get_absent <= 0.022, "Db::get, bloom-rejected: {get_absent:.4} allocations");
     assert!(scan_row <= 0.0008, "Db::scan_with: {scan_row:.4} allocations per row");
     assert!(seek <= 7.5, "Db::iter + seek: {seek:.4} allocations");
+
+    // A tick at which no grid instant is due: a scoped hub adds nothing
+    // to what the same tick allocates with no hub. The first tick drains
+    // whatever was due, and the hub's first tick anchors its grid.
+    let idle_tick = |db: &mut Db| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        db.tick().expect("tick");
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    idle_tick(&mut db);
+    let bare = idle_tick(&mut db);
+    let hub = MetricsHub::new();
+    db.set_metrics_hub(hub.scoped("shard0."));
+    idle_tick(&mut db);
+    let sampled = idle_tick(&mut db);
+    assert_eq!(hub.samples(), 1, "only the anchoring tick took an instant");
+    eprintln!("allocations per idle tick: no hub {bare}, scoped hub {sampled}");
+    assert!(sampled <= bare, "an idle tick with a hub: {sampled} allocations, {bare} without");
 }

@@ -161,14 +161,14 @@ mod tests {
         let fs = Ext4Fs::new(crate::Ext4Config::default());
         let registered = MetricsHub::new();
         fs.register_metrics(&registered);
-        registered.sample_due(Nanos::ZERO, &[]);
+        registered.sample_due(Nanos::ZERO);
         let names: Vec<_> = registered.timeline().series.iter().map(|s| s.name.clone()).collect();
         assert_eq!(names, METRICS.map(|(_, name, ..)| name), "one series per row, in order");
 
         let removed = MetricsHub::new();
         fs.register_metrics(&removed);
         Ext4Fs::unregister_metrics(&removed);
-        removed.sample_due(Nanos::ZERO, &[]);
+        removed.sample_due(Nanos::ZERO);
         assert!(removed.timeline().series.is_empty());
     }
 }

@@ -1,12 +1,11 @@
 //! `nob-metrics`: cross-layer gauge timelines on the virtual clock.
 //!
 //! The trace layer (`nob-trace`) records *events* — spans with a start and
-//! an end. This crate records *state*: each layer registers live gauge
-//! closures (or pushes values it alone can compute), and a sampler
-//! snapshots every metric on one shared virtual-time grid into a compact
-//! [`Timeline`]. The timeline serializes to deterministic JSON, renders as
-//! ASCII sparklines, and exposes its latest sample in Prometheus text
-//! format.
+//! an end. This crate records *state*: each layer registers live probe
+//! closures, and a sampler snapshots every metric on one shared
+//! virtual-time grid into a compact [`Timeline`]. The timeline serializes
+//! to deterministic JSON, renders as ASCII sparklines, and exposes its
+//! latest sample in Prometheus text format.
 //!
 //! Like tracing, metrics are observation, not behaviour: a [`MetricsHub`]
 //! hangs off each layer as an `Option<_>` hook, the disabled path is one
@@ -20,12 +19,11 @@
 //! hub.register(MetricKind::Gauge, "demo.queue_ns", "queue backlog", |t| {
 //!     t.as_nanos() as f64 / 2.0
 //! });
-//! let pushed = |v| [(MetricKind::Counter, "demo.pushed", "pushed count", v)];
-//! hub.sample_due(Nanos::ZERO, &pushed(7.0));
-//! hub.sample_due(Nanos::from_millis(25), &pushed(9.0));
+//! hub.sample_due(Nanos::ZERO);
+//! hub.sample_due(Nanos::from_millis(25));
 //! let tl = hub.timeline();
 //! assert_eq!(tl.samples, 3); // grid instants 0ms, 10ms, 20ms
-//! assert!(tl.to_json().to_string().contains("\"demo.queue_ns\""));
+//! assert_eq!(tl.series("demo.queue_ns").unwrap().values, [0.0, 5e6, 1e7]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,7 +88,8 @@ pub struct Timeline {
     pub(crate) period: Nanos,
     /// Number of grid instants sampled so far.
     pub samples: usize,
-    /// Per-metric sample vectors, in registration/first-push order.
+    /// Per-metric sample vectors, in the order their probes were first
+    /// sampled.
     pub series: Vec<Series>,
 }
 
@@ -277,10 +276,6 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 
 type ProbeFn = Box<dyn Fn(Nanos) -> f64 + Send>;
 
-/// One value a layer pushes at [`MetricsHub::sample_due`]: the kind,
-/// name and help a registered probe carries, plus the value.
-type Pushed<'a> = (MetricKind, &'a str, &'a str, f64);
-
 struct Probe {
     name: String,
     kind: MetricKind,
@@ -297,34 +292,24 @@ struct HubState {
 }
 
 impl HubState {
-    fn series_index(&mut self, name: &str, kind: MetricKind, help: &str) -> usize {
-        if let Some(i) = self.timeline.series.iter().position(|s| s.name == name) {
-            return i;
-        }
-        // A series born mid-run backfills zeros so the grid stays shared.
-        self.timeline.series.push(Series {
-            name: name.to_string(),
-            kind,
-            help: help.to_string(),
-            values: vec![0.0; self.timeline.samples],
-        });
-        self.timeline.series.len() - 1
-    }
-
-    fn sample_at(&mut self, t: Nanos, pushed: &[Pushed<'_>]) {
-        for p in 0..self.probes.len() {
-            let v = (self.probes[p].read)(t);
-            let (name, kind) = (self.probes[p].name.clone(), self.probes[p].kind);
-            let help = self.probes[p].help.clone();
-            let i = self.series_index(&name, kind, &help);
-            self.timeline.series[i].values.push(v);
-        }
-        for &(kind, name, help, v) in pushed {
-            let i = self.series_index(name, kind, help);
-            self.timeline.series[i].values.push(v);
+    fn sample_at(&mut self, t: Nanos) {
+        let HubState { probes, timeline, .. } = self;
+        for p in probes.iter() {
+            let v = (p.read)(t);
+            match timeline.series.iter_mut().find(|s| s.name == p.name) {
+                Some(s) => s.values.push(v),
+                // A series born mid-run backfills zeros so the grid stays
+                // shared.
+                None => {
+                    let mut values = vec![0.0; timeline.samples];
+                    values.push(v);
+                    let (name, help) = (p.name.clone(), p.help.clone());
+                    timeline.series.push(Series { name, kind: p.kind, help, values });
+                }
+            }
         }
         self.timeline.samples += 1;
-        // Series absent this round (e.g. a probe unregistered by a crash)
+        // Series of unregistered probes (e.g. a stack a crash took down)
         // repeat their last value to stay grid-aligned.
         for s in &mut self.timeline.series {
             if s.values.len() < self.timeline.samples {
@@ -337,13 +322,15 @@ impl HubState {
 
 /// Cloneable handle to a shared metric registry + virtual-time sampler.
 ///
-/// Layers that can be captured by a closure (the filesystem and device,
-/// which live behind `Arc`s) call [`MetricsHub::register`]; the engine,
-/// which owns its state directly, pushes its instruments as the `pushed`
-/// argument of [`MetricsHub::sample_due`]. Both land on the same grid.
+/// [`MetricsHub::register`] is the one way in: every layer installs a
+/// probe per instrument, and [`MetricsHub::sample_due`] evaluates every
+/// probe at every due grid instant, whichever layer calls it. Layers
+/// behind `Arc`s (the filesystem and device) read their state directly;
+/// the engine and the server, which own theirs, publish it into cells
+/// their probes read.
 ///
 /// A handle may carry a name prefix (see [`MetricsHub::scoped`]): every
-/// name it registers, unregisters, or pushes is prefixed transparently,
+/// name it registers or unregisters is prefixed transparently,
 /// which is how N shards share one hub without their fixed gauge names
 /// (`ext4.dirty_bytes`, `engine.writes`, …) colliding.
 #[derive(Clone)]
@@ -445,27 +432,12 @@ impl MetricsHub {
         st.probes.retain(|p| p.name != name);
     }
 
-    /// Samples every grid instant that is due at virtual time `now`:
-    /// evaluates all registered probes at each instant and appends the
-    /// caller's `pushed` values alongside, each under its own kind and
-    /// help. The first call anchors the grid at `now`. Returns how many
-    /// grid instants were sampled.
-    pub fn sample_due(&self, now: Nanos, pushed: &[(MetricKind, &str, &str, f64)]) -> usize {
-        // Scoped handles prefix pushed names too; the unscoped path stays
-        // allocation-free.
-        if !self.prefix.is_empty() {
-            let named: Vec<String> = pushed.iter().map(|p| self.full_name(p.1)).collect();
-            let borrowed: Vec<Pushed<'_>> = pushed
-                .iter()
-                .zip(&named)
-                .map(|(&(kind, _, help, v), name)| (kind, name.as_str(), help, v))
-                .collect();
-            return self.sample_due_raw(now, &borrowed);
-        }
-        self.sample_due_raw(now, pushed)
-    }
-
-    fn sample_due_raw(&self, now: Nanos, pushed: &[Pushed<'_>]) -> usize {
+    /// Samples every grid instant that is due at virtual time `now`,
+    /// evaluating every registered probe — under any scope — at each
+    /// instant. The first call anchors the grid at `now`. Returns how
+    /// many grid instants were sampled; with none due it allocates
+    /// nothing.
+    pub fn sample_due(&self, now: Nanos) -> usize {
         let mut st = self.lock();
         if st.next.is_none() {
             st.next = Some(now);
@@ -476,7 +448,7 @@ impl MetricsHub {
             if t > now {
                 break;
             }
-            st.sample_at(t, pushed);
+            st.sample_at(t);
             st.next = Some(t + st.period);
             taken += 1;
         }
@@ -502,8 +474,8 @@ mod tests {
     fn grid_is_anchored_at_first_sample_and_spaced_by_period() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "t_ms", "grid instant in ms", |t| t.as_millis() as f64);
-        assert_eq!(hub.sample_due(Nanos::from_millis(5), &[]), 1);
-        assert_eq!(hub.sample_due(Nanos::from_millis(36), &[]), 3);
+        assert_eq!(hub.sample_due(Nanos::from_millis(5)), 1);
+        assert_eq!(hub.sample_due(Nanos::from_millis(36)), 3);
         let tl = hub.timeline();
         assert_eq!(tl.start, Nanos::from_millis(5));
         assert_eq!(tl.samples, 4);
@@ -513,11 +485,17 @@ mod tests {
 
     #[test]
     fn pushed_values_land_on_the_same_grid() {
+        // A layer that owns its state publishes it into a cell its probe
+        // reads, then samples.
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "probe", "", |_| 1.0);
-        let pushed = |v| [(MetricKind::Counter, "pushed", "pushed count", v)];
-        hub.sample_due(Nanos::ZERO, &pushed(41.0));
-        hub.sample_due(Nanos::from_millis(10), &pushed(42.0));
+        let cell = Arc::new(Mutex::new(0.0));
+        let read = Arc::clone(&cell);
+        hub.register(MetricKind::Counter, "pushed", "pushed count", move |_| *read.lock().unwrap());
+        for (t, v) in [(0, 41.0), (10, 42.0)] {
+            *cell.lock().unwrap() = v;
+            hub.sample_due(Nanos::from_millis(t));
+        }
         let tl = hub.timeline();
         assert_eq!(tl.series("probe").unwrap().values.len(), 2);
         let series = tl.series("pushed").unwrap();
@@ -529,11 +507,11 @@ mod tests {
     fn late_series_backfills_and_absent_series_repeats() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "early", "", |_| 1.0);
-        hub.sample_due(Nanos::ZERO, &[]);
+        hub.sample_due(Nanos::ZERO);
         hub.register(MetricKind::Counter, "late", "", |_| 2.0);
-        hub.sample_due(Nanos::from_millis(10), &[]);
+        hub.sample_due(Nanos::from_millis(10));
         hub.unregister("early");
-        hub.sample_due(Nanos::from_millis(20), &[]);
+        hub.sample_due(Nanos::from_millis(20));
         let tl = hub.timeline();
         assert_eq!(tl.series("late").unwrap().values, vec![0.0, 2.0, 2.0]);
         assert_eq!(tl.series("early").unwrap().values, vec![1.0, 1.0, 1.0]);
@@ -544,9 +522,9 @@ mod tests {
     fn reregistration_replaces_the_closure_but_keeps_history() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "g", "", |_| 1.0);
-        hub.sample_due(Nanos::ZERO, &[]);
+        hub.sample_due(Nanos::ZERO);
         hub.register(MetricKind::Gauge, "g", "", |_| 9.0);
-        hub.sample_due(Nanos::from_millis(10), &[]);
+        hub.sample_due(Nanos::from_millis(10));
         assert_eq!(hub.timeline().series("g").unwrap().values, vec![1.0, 9.0]);
     }
 
@@ -556,8 +534,8 @@ mod tests {
             let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
             hub.register(MetricKind::Gauge, "a.b", "bytes", |t| t.as_nanos() as f64);
             hub.register(MetricKind::Counter, "c", "", |_| 0.5);
-            hub.sample_due(Nanos::from_millis(7), &[(MetricKind::Gauge, "p", "", 3.0)]);
-            hub.sample_due(Nanos::from_millis(17), &[(MetricKind::Gauge, "p", "", 4.0)]);
+            hub.sample_due(Nanos::from_millis(7));
+            hub.sample_due(Nanos::from_millis(17));
             hub.timeline().to_json().to_string()
         };
         let (j1, j2) = (mk(), mk());
@@ -571,8 +549,8 @@ mod tests {
     fn grid_index_maps_instants_onto_samples() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "g", "", |_| 0.0);
-        hub.sample_due(Nanos::from_millis(55), &[]); // start = 55ms
-        hub.sample_due(Nanos::from_millis(85), &[]); // samples at 55,65,75,85
+        hub.sample_due(Nanos::from_millis(55)); // start = 55ms
+        hub.sample_due(Nanos::from_millis(85)); // samples at 55,65,75,85
         let tl = hub.timeline();
         assert_eq!(tl.grid_index(Nanos::from_millis(55)), Some(0));
         assert_eq!(tl.grid_index(Nanos::from_millis(64)), Some(0));
@@ -587,7 +565,7 @@ mod tests {
         let hub = MetricsHub::new();
         hub.register(MetricKind::Counter, "engine.writes", "user writes", |_| 12.0);
         hub.register(MetricKind::Gauge, "ssd.busy-permille", "", |_| 1.5);
-        hub.sample_due(Nanos::ZERO, &[]);
+        hub.sample_due(Nanos::ZERO);
         let text = hub.timeline().prometheus();
         assert!(text.contains("# HELP noblsm_engine_writes user writes\n"));
         assert!(text.contains("# TYPE noblsm_engine_writes counter\n"));
@@ -620,7 +598,8 @@ mod tests {
     fn render_lists_every_series() {
         let hub = MetricsHub::new().with_period(Nanos::from_millis(10));
         hub.register(MetricKind::Gauge, "a", "", |t| t.as_millis() as f64);
-        hub.sample_due(Nanos::from_millis(30), &[(MetricKind::Gauge, "b.long_name", "", 2.0)]);
+        hub.register(MetricKind::Gauge, "b.long_name", "", |_| 2.0);
+        hub.sample_due(Nanos::from_millis(30));
         let text = hub.timeline().render(32);
         assert!(text.contains("a "), "{text}");
         assert!(text.contains("b.long_name"), "{text}");
@@ -634,16 +613,18 @@ mod tests {
         let s1 = hub.scoped("shard1.");
         s0.register(MetricKind::Gauge, "ext4.dirty_bytes", "", |_| 10.0);
         s1.register(MetricKind::Gauge, "ext4.dirty_bytes", "", |_| 20.0);
-        s0.sample_due(Nanos::ZERO, &[(MetricKind::Counter, "engine.writes", "user writes", 3.0)]);
+        s1.register(MetricKind::Counter, "engine.writes", "user writes", |_| 3.0);
+        // Any handle samples every scope's probes.
+        s0.sample_due(Nanos::ZERO);
         let tl = hub.timeline();
         assert_eq!(tl.series("shard0.ext4.dirty_bytes").unwrap().values, vec![10.0]);
         assert_eq!(tl.series("shard1.ext4.dirty_bytes").unwrap().values, vec![20.0]);
-        let writes = tl.series("shard0.engine.writes").unwrap();
+        let writes = tl.series("shard1.engine.writes").unwrap();
         assert_eq!((writes.values.as_slice(), writes.kind), (&[3.0][..], MetricKind::Counter));
         assert!(tl.series("ext4.dirty_bytes").is_none(), "no unscoped collision");
         // Unregister through the same scope removes only that shard's probe.
         s0.unregister("ext4.dirty_bytes");
-        s0.sample_due(Nanos::from_millis(10), &[]);
+        s0.sample_due(Nanos::from_millis(10));
         let tl = hub.timeline();
         assert_eq!(tl.series("shard1.ext4.dirty_bytes").unwrap().values, vec![20.0, 20.0]);
         // Scopes nest and report their prefix.
@@ -727,7 +708,7 @@ mod format_properties {
             let value = f64::from_bits(value_bits);
             let hub = MetricsHub::new();
             hub.register(MetricKind::Gauge, &name, &help, move |_| value);
-            hub.sample_due(Nanos::ZERO, &[]);
+            hub.sample_due(Nanos::ZERO);
             let text = hub.timeline().prometheus();
             let lines: Vec<&str> = text.lines().collect();
             prop_assert_eq!(lines.len(), 3, "series must expose exactly 3 lines: {:?}", text);

@@ -384,8 +384,8 @@ impl ServerCore {
     }
 
     /// The INFO payload: a `# server` field per [`STATS`] row, a
-    /// `# store` field per [`nob_store::METRICS`] row, the compaction
-    /// lanes, and per shard the engine stats via
+    /// `# store` field per [`nob_store::METRICS`] row, and per shard the
+    /// engine stats (compaction lanes included) via
     /// [`Db::property`](noblsm::Db::property) and a `name=value` field per
     /// [`nob_ext4::METRICS`] row on its `fs:` line.
     pub fn info_text(&self) -> String {
@@ -402,21 +402,6 @@ impl ServerCore {
         for (_, name, _, read) in nob_store::METRICS {
             out.push_str(&format!("{name}:{}\n", read(&stats)));
         }
-        out.push_str("# compaction\n");
-        let lanes: Vec<String> =
-            self.store.compaction_lanes().iter().map(|n| n.to_string()).collect();
-        out.push_str(&format!("lanes:{}\n", lanes.join(",")));
-        let active: Vec<String> = (0..self.store.shards())
-            .map(|i| self.store.shard_db(i).active_majors().to_string())
-            .collect();
-        out.push_str(&format!("active_majors:{}\n", active.join(",")));
-        let debt: u64 =
-            (0..self.store.shards()).map(|i| self.store.shard_db(i).compaction_debt_bytes()).sum();
-        out.push_str(&format!("debt_bytes:{debt}\n"));
-        let pressure = (0..self.store.shards())
-            .map(|i| self.store.shard_db(i).l0_pressure())
-            .fold(0.0f64, f64::max);
-        out.push_str(&format!("max_pressure:{pressure:.2}\n"));
         let now = self.clock().now();
         for i in 0..self.store.shards() {
             let db = self.store.shard_db(i);

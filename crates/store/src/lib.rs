@@ -287,11 +287,6 @@ impl Store {
         &mut self.shards[i].db
     }
 
-    /// Per-shard compaction lane counts, in shard order.
-    pub fn compaction_lanes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.db.compaction_lanes()).collect()
-    }
-
     /// Batches still queued across all shards.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.queue.len()).sum()

@@ -318,7 +318,8 @@ fn crashed_view_cuts_every_shard_at_one_instant() {
     let at = store.write(&WriteOptions::synced(), batch("a")).unwrap();
     assert!(store.write(&WriteOptions::synced(), batch("b")).unwrap() > at);
     let mut view = store.crashed_view(at).unwrap();
-    assert_eq!(view.compaction_lanes(), vec![1, 2, 1], "each shard keeps its own options");
+    let lanes: Vec<usize> = (0..3).map(|i| view.shard_db(i).compaction_lanes()).collect();
+    assert_eq!(lanes, vec![1, 2, 1], "each shard keeps its own options");
     assert!(view.clock().now() >= at, "recovery runs on a clock that starts at the cut");
     for i in 0..30u64 {
         let durable = view.get(&ReadOptions::default(), format!("a{i}").as_bytes()).unwrap();

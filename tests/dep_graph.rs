@@ -46,8 +46,13 @@ const MAX_SOURCE_LINES: usize = 1_267;
 
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
-/// it without saying in the PR which new item is API and why. Last raised
-/// by eleven, from 981, for the instrument tables, one per layer, which
+/// it without saying in the PR which new item is API and why. Last
+/// lowered by two, from 992, when every value reached the metrics hub
+/// through a registered probe and INFO's `# compaction` section went:
+/// `Db::l0_pressure`, whose last outside caller that section was, became
+/// crate-private, and `Store::compaction_lanes`, which only it and one
+/// test read, went (`MetricsHub::sample_due` lost its pushed values, a
+/// line that changed but stayed). Last raised by eleven, from 981, for the instrument tables, one per layer, which
 /// the hub, INFO and `noblsm.stats` read and `tests/instrument_tables.rs`
 /// checks across crates: `noblsm::db::METRICS`, `nob_ext4::METRICS`,
 /// `nob_store::METRICS` and `nob_server::core::{Stat, STATS}` (five
@@ -82,7 +87,7 @@ const MAX_SOURCE_LINES: usize = 1_267;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 992;
+const MAX_SURFACE_LINES: usize = 990;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {

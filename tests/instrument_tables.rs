@@ -73,17 +73,21 @@ fn served() -> (SharedCore, MetricsHub) {
     assert_eq!(c.scan_all(b"", b"", 16).expect("SCAN").len(), 64);
     drop(c);
     core.borrow_mut().flush().expect("flush");
-    // Shards share the grid, and a grid instant takes only the pushes of
-    // the first engine that reaches it: give each engine an instant of
-    // its own, then sample the probes once more at rest.
-    for shard in 0..SHARDS {
-        let next = core.borrow().clock().now() + nob_metrics::DEFAULT_PERIOD;
-        core.borrow().clock().advance_to(next);
-        core.borrow_mut().store_mut().shard_db_mut(shard).tick().expect("tick");
-    }
+    // Shards share the grid: whoever takes an instant samples every
+    // shard's engine rows, so one sample at rest sees them all.
     let rest = core.borrow().clock().now() + nob_metrics::DEFAULT_PERIOD;
     core.borrow().clock().advance_to(rest);
-    assert!(hub.sample_due(rest, &[]) > 0, "a grid instant passed at rest");
+    assert!(hub.sample_due(rest) > 0, "a grid instant passed at rest");
+    let timeline = hub.timeline();
+    for name in rows().iter().filter(|r| r.per_shard).flat_map(sampled_names) {
+        assert!(timeline.series(&name).is_some(), "no series `{name}`");
+    }
+    // Both shards took SETs. A write is counted after the pump that
+    // publishes it, so the sampled value may trail `noblsm.stats`.
+    for shard in 0..SHARDS {
+        let writes = timeline.series(&format!("shard{shard}.engine.writes"));
+        assert!(writes.is_some_and(|s| s.last() > 0.0), "shard{shard} sampled no writes");
+    }
     (core, hub)
 }
 

@@ -263,7 +263,7 @@ fn a_cursor_carries_its_iterators_across_connections_and_frees_them_with_its_lea
     assert_eq!(b.get(b"key00").expect("GET"), Some(b"late".to_vec()));
     let rest = later + nob_sim::Nanos::from_secs(1);
     core.borrow().clock().advance_to(rest);
-    assert!(hub.sample_due(rest, &[]) > 0, "a grid instant passed at rest");
+    assert!(hub.sample_due(rest) > 0, "a grid instant passed at rest");
     let (timeline, info) = (hub.timeline(), core.borrow().info_text());
     let section = info.strip_prefix("# server\n").and_then(|s| s.split('#').next());
     let fields: Vec<&str> = section.expect("INFO opens with # server").lines().collect();
