@@ -38,9 +38,6 @@ const SHARDS: u64 = 4;
 const WRITES: u64 = 200;
 /// The crash instants probed in every run, per-mille of its duration.
 const CRASH_POINTS_PM: [u32; 10] = [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000];
-/// The fields of a crash case that its run fixes: a cell holds them once.
-const RUN_FIELDS: [&str; 6] =
-    ["seed", "config", "run_end_ns", "faulted_plan", "shadow_files", "reclaimed_files"];
 
 /// The crash sweep: configuration × workload seed, ten cuts per cell.
 pub const CRASH: Sweep = Sweep {
@@ -116,12 +113,10 @@ fn crash_cell(point: &[u64], _: Scale) -> Row {
     ]
 }
 
-/// One cut's verdict: the case's fields without those of its run, and
-/// the injections before the cut as a count.
+/// One cut's verdict, with the injections before the cut as a count.
 fn crash_point(r: &CaseResult) -> Json {
-    let Json::Object(fields) = r.to_json() else { unreachable!("a case is an object") };
-    let fields = fields.into_iter().filter(|(key, _)| !RUN_FIELDS.contains(&key.as_str()));
-    Json::object(fields.map(|(key, value)| match key.as_str() {
+    let Json::Object(fields) = r.to_json() else { unreachable!("a cut is an object") };
+    Json::object(fields.into_iter().map(|(key, value)| match key.as_str() {
         "injections" => (key, r.injections.len().into()),
         _ => (key, value),
     }))
@@ -176,6 +171,19 @@ fn crash_invariants(g: &Grid<'_>) {
                     p.num("lost_acked") == Some(0.0) || is_true(p, "explained"),
                     "{at}: the crash at {pm} ‰ lost acked writes no injection explains"
                 );
+                // Without device lies the first open recovers, as the
+                // crash property tests demand.
+                if !is_true(cell, "faulted") {
+                    assert!(
+                        !is_true(p, "repaired"),
+                        "{at}: the clean crash at {pm} ‰ needed repair"
+                    );
+                    assert_eq!(
+                        p.num("wal_corruptions_detected"),
+                        Some(0.0),
+                        "{at}: the clean crash at {pm} ‰ found a corrupt WAL"
+                    );
+                }
             }
             let Some(Json::Object(classes)) = cell.get("trace").and_then(|t| t.get("classes"))
             else {
@@ -314,6 +322,17 @@ mod tests {
         let golden = include_str!("../tests/golden/fig_chaos.json");
         let torn = "\"fault_torn_write\": {\"count\": 1}, \"engine_put\": {";
         check_doctored(&CRASH, golden, "\"engine_put\": {", torn, 1);
+    }
+
+    /// The second cell, seed 2, runs clean: its first cut must open
+    /// without repair.
+    #[test]
+    #[should_panic(expected = "fig_chaos config=0 seed=2: the clean crash at 100 ‰ needed repair")]
+    fn a_repaired_clean_cut_is_named_by_its_cell() {
+        let golden = include_str!("../tests/golden/fig_chaos.json");
+        let (from, to) = ("\"repaired\": false", "\"repaired\": true");
+        let seed2 = golden.find("\"seed\": 2,").expect("the golden has seed 2");
+        check_doctored(&CRASH, golden, from, to, golden[..seed2].matches(from).count());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use nob_sim::json::Json;
 use nob_sim::SharedClock;
 use nob_store::{Store, StoreOptions};
 use nob_trace::TraceSink;
-use noblsm::{ReadOptions, WriteOptions};
+use noblsm::WriteOptions;
 
 use crate::output::Pivot;
 use crate::report::fmt_ns;
@@ -127,7 +127,7 @@ pub fn replicate(
     let started = clock.now();
     let mut keys = KeyStream::new(KEYSPACE);
     for _ in 0..reads {
-        link.get(&ReadOptions::default(), &sweep::key(keys.draw(), 8)).expect("follower read");
+        link.get(&sweep::key(keys.draw(), 8), None).expect("follower read");
     }
     let elapsed = clock.now() - started;
     ReplRun {

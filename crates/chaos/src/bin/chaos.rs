@@ -8,11 +8,15 @@
 //!                                     one case, its full JSON to stdout
 //! ```
 //!
+//! The JSON holds the run's fields (`seed` … `reclaimed_files`), then the
+//! cut's (`crash_pm` … `pass`).
+//!
 //! Exit status is non-zero if the case fails its invariants.
 
 use std::process::ExitCode;
 
-use nob_chaos::{run_case, ChaosCase, FaultPlan, CONFIGS};
+use nob_chaos::{config_name, prepare_run, validate_crash, ChaosCase, FaultPlan, CONFIGS};
+use nob_sim::json::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -50,12 +54,23 @@ fn run_one(args: &[String]) -> Result<ExitCode, ExitCode> {
     };
     let mut case =
         ChaosCase::new(seed, parse_flag(args, "--config")?.unwrap_or(1) as usize % CONFIGS);
-    set(args, "--crash-pm", &mut case.crash_pm, |p| p as u32)?;
+    let mut crash_pm = 500;
+    set(args, "--crash-pm", &mut crash_pm, |p| p as u32)?;
     set(args, "--ops", &mut case.ops, |k| k as usize)?;
     set(args, "--fault-seed", &mut case.plan, FaultPlan::seeded)?;
-    case.snap_to_commit_phase = args.iter().any(|a| a == "--snap");
-    let r = run_case(&case);
-    println!("{}", r.to_json());
+    let run = prepare_run(&case);
+    let r = validate_crash(&run, crash_pm, args.iter().any(|a| a == "--snap"));
+    let Json::Object(cut) = r.to_json() else { unreachable!("a cut is an object") };
+    let fields = [
+        ("seed", case.seed.into()),
+        ("config", config_name(case.config).into()),
+        ("run_end_ns", run.end.as_nanos().into()),
+        ("faulted_plan", (!case.plan.is_none()).into()),
+        ("shadow_files", run.final_stats.shadow_files.into()),
+        ("reclaimed_files", run.final_stats.reclaimed_files.into()),
+    ];
+    let fields = fields.into_iter().map(|(key, value)| (key.to_string(), value));
+    println!("{}", Json::object(fields.chain(cut)));
     Ok(if r.pass { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 

@@ -235,7 +235,7 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
     let tail_silence = (case.seed % 4) as usize;
     let last_poll_op = kill_op.saturating_sub(tail_silence);
 
-    let loose = ReadOptions::default().with_max_staleness(Nanos::from_secs(3600));
+    let loose = Some(Nanos::from_secs(3600));
     for i in 0..kill_op {
         issue_op(core.borrow_mut().leader_mut(), &mut t, &mut rng, i, case.value_size)?;
         // Poll every third op, plus one full round at the horizon; the
@@ -244,7 +244,7 @@ fn run_failover_case_inner(case: &FailoverCase) -> Result<FailoverOutcome> {
             link.poll_until_idle()?;
             t.oracle.ack(.., clock.now());
             drain_feed(&mut sub, &mut feed_next, &mut feed_records, None, &mut t.failures);
-            t.observe_hot(link.get(&loose, HOT)?, "follower");
+            t.observe_hot(link.get(HOT, loose)?, "follower");
         }
     }
 

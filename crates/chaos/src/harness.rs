@@ -6,13 +6,21 @@
 //! meta-invariant that *no* loss is ever silent: a lost acked pair must
 //! be explained by the injection log, and a fabricated value fails the
 //! case unconditionally.
+//!
+//! Every crash check of the engine drives its writes through one op
+//! stream ([`Op`], [`run_ops`]) and recovers through one step
+//! ([`recover`]): the seeded runs here, the crash property tests and the
+//! lane crash tests.
 
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::json::Json;
 use nob_sim::oracle::Oracle;
 use nob_sim::Nanos;
 use nob_trace::TraceSink;
-use noblsm::{CompactionStyle, Db, DbStats, Options, ReadOptions, ScanOptions, SyncMode};
+use noblsm::{
+    CompactionStyle, Db, DbStats, Options, ReadOptions, ScanOptions, SyncMode, WriteBatch,
+    WriteOptions,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,8 +30,8 @@ use nob_ssd::InjectorHandle;
 /// Directory the harness keeps its database under.
 const DB_DIR: &str = "db";
 
-/// The four sync/layout configurations the sweeps cover, mirroring the
-/// crash property tests: 0 = Always, 1 = NobLsm, 2 = Always+Fragmented,
+/// The four sync/layout configurations the sweeps and the crash property
+/// tests cover: 0 = Always, 1 = NobLsm, 2 = Always+Fragmented,
 /// 3 = NobLsm+grouped-output.
 pub const CONFIGS: usize = 4;
 
@@ -58,7 +66,8 @@ pub fn config_options(sel: usize) -> Options {
     o
 }
 
-/// One fully specified chaos experiment.
+/// One chaos workload run: what is driven and under which faults. Where
+/// it is cut is [`validate_crash`]'s business.
 #[derive(Debug, Clone)]
 pub struct ChaosCase {
     /// Workload seed; also salts the fault plan.
@@ -69,12 +78,6 @@ pub struct ChaosCase {
     pub ops: usize,
     /// Value payload size in bytes.
     pub value_size: usize,
-    /// Crash instant as per-mille of the run's virtual duration.
-    pub crash_pm: u32,
-    /// Snap the crash instant to the nearest earlier journal-commit phase
-    /// boundary (start / data-done / journal-done / end), to aim the cut
-    /// precisely at the windows the Ext4 ordered contract protects.
-    pub snap_to_commit_phase: bool,
     /// Compaction lanes for the engine under test; >1 aims crashes at
     /// runs with several majors in flight at once.
     pub lanes: usize,
@@ -83,19 +86,23 @@ pub struct ChaosCase {
 }
 
 impl ChaosCase {
-    /// A baseline case: moderate workload, mid-run crash, no faults.
+    /// A baseline case: moderate workload, no faults.
     pub fn new(seed: u64, config: usize) -> Self {
-        ChaosCase {
-            seed,
-            config,
-            ops: 120,
-            value_size: 64,
-            crash_pm: 500,
-            snap_to_commit_phase: false,
-            lanes: 1,
-            plan: FaultPlan::none(),
-        }
+        ChaosCase { seed, config, ops: 120, value_size: 64, lanes: 1, plan: FaultPlan::none() }
     }
+}
+
+/// One workload operation on slot keys `key{k:05}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// Puts version `v` of slot `k`.
+    Put(u16, u16),
+    /// Deletes slot `k`.
+    Delete(u16),
+    /// Flushes: acknowledges every write issued so far.
+    Flush,
+    /// Advances the clock by this many microseconds and ticks.
+    Sleep(u32),
 }
 
 /// A workload run held open so several crash points can be probed
@@ -137,16 +144,82 @@ fn vname(k: u16, v: u16, size: usize) -> Vec<u8> {
     out
 }
 
+/// A fresh filesystem and a database opened on it at instant zero.
+pub fn fresh_db(opts: &Options) -> (Ext4Fs, Db) {
+    let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(4 << 20));
+    let db =
+        Db::open(fs.clone(), DB_DIR, opts.clone(), Nanos::ZERO).expect("fresh open cannot fail");
+    (fs, db)
+}
+
+/// Applies `ops` from `now` with values of `value_size` bytes, logging
+/// every write in `oracle` and acknowledging what is logged at the end of
+/// each flush; returns the instant after the last op.
+pub fn run_ops(
+    db: &mut Db,
+    ops: &[Op],
+    value_size: usize,
+    oracle: &mut Oracle,
+    mut now: Nanos,
+) -> Nanos {
+    for &op in ops {
+        let mut batch = WriteBatch::new();
+        match op {
+            Op::Put(k, v) => {
+                let (key, value) = (kname(k), vname(k, v, value_size));
+                batch.put(&key, &value);
+                oracle.put(now, &key, &value);
+            }
+            Op::Delete(k) => {
+                let key = kname(k);
+                batch.delete(&key);
+                oracle.delete(now, &key);
+            }
+            Op::Flush => {
+                now = db.flush().expect("live flush cannot fail");
+                oracle.ack(.., now);
+                continue;
+            }
+            Op::Sleep(us) => {
+                now += Nanos::from_micros(us.into());
+                db.clock().advance_to(now);
+                db.tick().expect("live tick cannot fail");
+                continue;
+            }
+        }
+        now = db.write_at(now, &WriteOptions::default(), batch).expect("live write cannot fail");
+    }
+    now
+}
+
+/// The case's `ops` operations, drawn from its seed: 8 puts, 2 deletes,
+/// 1 flush and 1 sleep in 12, over 200 slots and 1 000 versions.
+fn draw_ops(case: &ChaosCase) -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(case.seed);
+    (0..case.ops)
+        .map(|_| {
+            let roll: u32 = rng.gen_range(0..12);
+            let k: u16 = rng.gen_range(0..200);
+            let v: u16 = rng.gen_range(0..1000);
+            let us: u64 = rng.gen_range(1..3_000_000);
+            match roll {
+                0..=7 => Op::Put(k, v),
+                8 | 9 => Op::Delete(k),
+                10 => Op::Flush,
+                _ => Op::Sleep(us as u32), // < 3 000 000: lossless
+            }
+        })
+        .collect()
+}
+
 /// Replays the case's workload against a fresh stack with the fault plan
 /// live on the device, logging every write and its acknowledgement.
 pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
-    let fs = Ext4Fs::new(Ext4Config::default().with_page_cache(4 << 20));
-    // Every crash point is probed after the run: keep every instant.
-    fs.pin_crash_horizon();
     let mut opts = config_options(case.config);
     opts.compaction_lanes = case.lanes.max(1);
-    let mut db =
-        Db::open(fs.clone(), DB_DIR, opts.clone(), Nanos::ZERO).expect("fresh open cannot fail");
+    let (fs, mut db) = fresh_db(&opts);
+    // Every crash point is probed after the run: keep every instant.
+    fs.pin_crash_horizon();
     let trace = TraceSink::new();
     db.set_trace_sink(trace.clone());
     let log = new_log();
@@ -157,46 +230,14 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
         )));
     }
 
-    let mut rng = SmallRng::seed_from_u64(case.seed);
     let mut oracle = Oracle::default();
-    let mut now = Nanos::ZERO;
-    for _ in 0..case.ops {
-        let roll: u32 = rng.gen_range(0..12);
-        let k: u16 = rng.gen_range(0..200);
-        let v: u16 = rng.gen_range(0..1000);
-        let us: u64 = rng.gen_range(1..3_000_000);
-        match roll {
-            0..=9 => {
-                let (key, mut batch) = (kname(k), noblsm::WriteBatch::new());
-                if roll < 8 {
-                    let value = vname(k, v, case.value_size);
-                    batch.put(&key, &value);
-                    oracle.put(now, &key, &value);
-                } else {
-                    batch.delete(&key);
-                    oracle.delete(now, &key);
-                }
-                now = db
-                    .write_at(now, &noblsm::WriteOptions::default(), batch)
-                    .expect("live write cannot fail");
-            }
-            10 => {
-                now = db.flush().expect("live flush cannot fail");
-                oracle.ack(.., now);
-            }
-            _ => {
-                now += Nanos::from_micros(us);
-                db.clock().advance_to(now);
-                db.tick().expect("live tick cannot fail");
-            }
-        }
-    }
+    let end = run_ops(&mut db, &draw_ops(case), case.value_size, &mut oracle, Nanos::ZERO);
     let final_stats = db.stats().clone();
     drop(db);
     PreparedRun {
         opts,
         oracle,
-        end: now,
+        end,
         log,
         final_stats,
         windows: fs.commit_windows(),
@@ -206,22 +247,14 @@ pub fn prepare_run(case: &ChaosCase) -> PreparedRun {
     }
 }
 
-/// How a crash point was validated, with everything needed to audit the
-/// verdict.
+/// How one cut of a run was validated, with everything needed to audit
+/// the verdict.
 #[derive(Debug, Clone, Default)]
 pub struct CaseResult {
-    /// Workload seed.
-    pub seed: u64,
-    /// Configuration selector.
-    pub config: usize,
     /// Requested crash point (per-mille of run).
     pub crash_pm: u32,
     /// Actual crash instant after optional phase snapping.
     pub crash_at: Nanos,
-    /// Virtual end of the run.
-    pub run_end: Nanos,
-    /// Whether the case carried a fault plan at all.
-    pub faulted_plan: bool,
     /// Injections whose command predates the crash.
     pub injections: Vec<Injection>,
     /// Durable-acked pairs expected to survive this crash point.
@@ -252,10 +285,6 @@ pub struct CaseResult {
     pub ordered_violations: u64,
     /// The journal chain was severed before the crash instant.
     pub journal_broken: bool,
-    /// Shadow SSTables still held at end of run (NobLSM accounting).
-    pub shadow_files: u64,
-    /// Shadow SSTables reclaimed during the run.
-    pub reclaimed_files: u64,
     /// Any acked loss is explained by pre-crash injections.
     pub explained: bool,
     /// Overall verdict.
@@ -263,16 +292,12 @@ pub struct CaseResult {
 }
 
 impl CaseResult {
-    /// The case as a JSON object.
+    /// The cut as a JSON object.
     pub fn to_json(&self) -> Json {
         let error = |e: &Option<String>| e.as_deref().map_or(Json::Null, Json::from);
         Json::object([
-            ("seed", self.seed.into()),
-            ("config", config_name(self.config).into()),
             ("crash_pm", self.crash_pm.into()),
             ("crash_at_ns", self.crash_at.as_nanos().into()),
-            ("run_end_ns", self.run_end.as_nanos().into()),
-            ("faulted_plan", self.faulted_plan.into()),
             ("injections", Json::Array(self.injections.iter().map(Injection::to_json).collect())),
             ("acked_pairs", self.acked_pairs.into()),
             ("lost_acked", self.lost_acked.into()),
@@ -288,11 +313,19 @@ impl CaseResult {
             ("tables_skipped", self.tables_skipped.into()),
             ("ordered_violations", self.ordered_violations.into()),
             ("journal_broken", self.journal_broken.into()),
-            ("shadow_files", self.shadow_files.into()),
-            ("reclaimed_files", self.reclaimed_files.into()),
             ("explained", self.explained.into()),
             ("pass", self.pass.into()),
         ])
+    }
+
+    /// Whether the first open recovered a consistent database that keeps
+    /// the crash contract: no repair, invariants hold, nothing acked lost
+    /// and nothing fabricated. A cut of a fault-free run must meet it.
+    pub fn recovered_cleanly(&self) -> bool {
+        self.open_error.is_none()
+            && self.invariant_error.is_none()
+            && self.lost_acked == 0
+            && self.undetected_values == 0
     }
 }
 
@@ -331,30 +364,15 @@ fn try_recover(view: &Ext4Fs, opts: &Options, at: Nanos) -> noblsm::Result<Recov
     Ok((db.stats().clone(), inv, rows))
 }
 
-/// Cuts power at the case's crash point and validates recovery.
-pub fn validate_crash(run: &PreparedRun, crash_pm: u32, snap: bool) -> CaseResult {
-    let raw = Nanos::from_nanos((run.end.as_nanos() as u128 * crash_pm as u128 / 1000) as u64);
-    let crash_at = if snap { snap_to_phase(&run.windows, raw) } else { raw };
-    let view = run.fs.crashed_view(crash_at);
-    let log = run.log.lock().unwrap_or_else(|p| p.into_inner());
-    let injections = log.iter().filter(|i| i.at <= crash_at).copied().collect();
-    drop(log);
-    let mut r = CaseResult {
-        crash_pm,
-        crash_at,
-        run_end: run.end,
-        injections,
-        ordered_violations: view.stats().ordered_violations,
-        journal_broken: run.journal_broken.is_some_and(|b| b <= crash_at),
-        shadow_files: run.final_stats.shadow_files,
-        reclaimed_files: run.final_stats.reclaimed_files,
-        ..CaseResult::default() // seed and config: stamped by the caller
-    };
-
-    // Recovery: the normal open path first; any failure engages repair,
-    // exactly as an operator would.
+/// Recovers the database a crash at `at` left in `view` and checks the
+/// recovered rows against `oracle`: the normal open path first; any
+/// failure engages repair, exactly as an operator would. Fills the cut's
+/// instant and everything recovery found; the per-mille point, the
+/// injections and the verdict are [`validate_crash`]'s.
+pub fn recover(view: &Ext4Fs, opts: &Options, oracle: &Oracle, at: Nanos) -> CaseResult {
+    let mut r = CaseResult { crash_at: at, ..CaseResult::default() };
     let mut rows = Vec::new();
-    match try_recover(&view, &run.opts, crash_at) {
+    match try_recover(view, opts, at) {
         Ok((stats, inv, state)) => {
             r.wal_corruptions_detected = stats.wal_corruptions_detected;
             r.wal_bytes_dropped = stats.wal_bytes_dropped;
@@ -365,13 +383,13 @@ pub fn validate_crash(run: &PreparedRun, crash_pm: u32, snap: bool) -> CaseResul
         Err(first) => {
             r.open_error = Some(first.to_string());
             r.repaired = true;
-            match Db::repair(&view, DB_DIR, &run.opts, crash_at) {
+            match Db::repair(view, DB_DIR, opts, at) {
                 Ok((t, report)) => {
                     r.tables_skipped = report.tables_skipped;
                     r.wal_corruptions_detected = report.wal_corruptions_detected;
                     r.wal_bytes_dropped = report.wal_bytes_dropped;
                     r.wal_records_recovered = report.wal_records_recovered;
-                    match try_recover(&view, &run.opts, t) {
+                    match try_recover(view, opts, t) {
                         Ok((_, inv, state)) => {
                             r.invariant_error = inv;
                             rows = state;
@@ -383,27 +401,34 @@ pub fn validate_crash(run: &PreparedRun, crash_pm: u32, snap: bool) -> CaseResul
             }
         }
     }
-
-    let verdict = run.oracle.check(&rows, crash_at);
+    let verdict = oracle.check(&rows, at);
     r.acked_pairs = verdict.acked.len();
     r.lost_acked = verdict.lost.len();
     r.undetected_values = verdict.fabricated.len();
     r.recovered_keys = rows.len();
+    r
+}
+
+/// Cuts power `crash_pm` per-mille of the way through the run (snapped
+/// to the latest journal-commit phase boundary before it when `snap`
+/// holds) and validates recovery.
+pub fn validate_crash(run: &PreparedRun, crash_pm: u32, snap: bool) -> CaseResult {
+    let raw = Nanos::from_nanos((run.end.as_nanos() as u128 * crash_pm as u128 / 1000) as u64);
+    let crash_at = if snap { snap_to_phase(&run.windows, raw) } else { raw };
+    let view = run.fs.crashed_view(crash_at);
+    let ordered_violations = view.stats().ordered_violations;
+    let mut r = recover(&view, &run.opts, &run.oracle, crash_at);
+    let log = run.log.lock().unwrap_or_else(|p| p.into_inner());
+    r.injections = log.iter().filter(|i| i.at <= crash_at).copied().collect();
+    drop(log);
+    r.crash_pm = crash_pm;
+    r.ordered_violations = ordered_violations;
+    r.journal_broken = run.journal_broken.is_some_and(|b| b <= crash_at);
     r.explained = !r.injections.is_empty();
     r.pass = r.recovery_failed.is_none()
         && r.invariant_error.is_none()
         && r.undetected_values == 0
         && (r.lost_acked == 0 || r.explained);
-    r
-}
-
-/// Runs one complete case end to end.
-pub fn run_case(case: &ChaosCase) -> CaseResult {
-    let run = prepare_run(case);
-    let mut r = validate_crash(&run, case.crash_pm, case.snap_to_commit_phase);
-    r.seed = case.seed;
-    r.config = case.config;
-    r.faulted_plan = !case.plan.is_none();
     r
 }
 
@@ -416,7 +441,7 @@ mod tests {
     fn faultless_mid_crash_passes_durability() {
         for config in 0..CONFIGS {
             let case = ChaosCase { ops: 80, ..ChaosCase::new(11, config) };
-            let r = run_case(&case);
+            let r = validate_crash(&prepare_run(&case), 500, false);
             assert!(r.pass, "config {} failed: {r:?}", config_name(config));
             assert_eq!(r.undetected_values, 0);
             assert_eq!(r.lost_acked, 0, "pure power-cut may not lose acked data");
@@ -426,9 +451,8 @@ mod tests {
     #[test]
     fn faultless_end_crash_recovers_everything_acked() {
         let mut case = ChaosCase::new(3, 1);
-        case.crash_pm = 1000;
         case.ops = 100;
-        let r = run_case(&case);
+        let r = validate_crash(&prepare_run(&case), 1000, false);
         assert!(r.pass, "{r:?}");
         assert!(r.recovered_keys > 0, "a 100-op run must leave durable data");
     }
@@ -438,9 +462,8 @@ mod tests {
         for seed in [5u64, 6, 7] {
             let mut case = ChaosCase::new(seed, 1);
             case.ops = 100;
-            case.crash_pm = 900;
             case.plan = FaultPlan::seeded(seed);
-            let r = run_case(&case);
+            let r = validate_crash(&prepare_run(&case), 900, false);
             assert!(r.pass, "seed {seed}: {r:?}");
             assert_eq!(r.undetected_values, 0, "seed {seed}: fabricated data recovered");
             if r.lost_acked > 0 {
@@ -453,14 +476,13 @@ mod tests {
     fn scheduled_dropped_flush_is_logged_and_explained() {
         let mut case = ChaosCase::new(9, 0);
         case.ops = 100;
-        case.crash_pm = 1000;
         // Drop the first few FLUSHes outright: any durability ack in that
         // span is a device lie.
         case.plan = FaultPlan::none()
             .with_scheduled(0, FaultKind::DroppedFlush)
             .with_scheduled(1, FaultKind::DroppedFlush)
             .with_scheduled(2, FaultKind::DroppedFlush);
-        let r = run_case(&case);
+        let r = validate_crash(&prepare_run(&case), 1000, false);
         assert!(!r.injections.is_empty(), "scheduled flush faults must fire");
         assert!(r.pass, "{r:?}");
         // `chaos case` prints this document: it lists every injection.
@@ -471,8 +493,7 @@ mod tests {
 
     #[test]
     fn phase_snapped_crash_points_land_on_boundaries() {
-        let case = ChaosCase { snap_to_commit_phase: true, ..ChaosCase::new(21, 0) };
-        let run = prepare_run(&case);
+        let run = prepare_run(&ChaosCase::new(21, 0));
         assert!(!run.windows.is_empty(), "a run with flushes must log commit windows");
         let r = validate_crash(&run, 700, true);
         let on_boundary = run
@@ -488,8 +509,8 @@ mod tests {
         let mut case = ChaosCase::new(33, 3);
         case.plan = FaultPlan::seeded(33);
         case.ops = 90;
-        let a = run_case(&case);
-        let b = run_case(&case);
+        let a = validate_crash(&prepare_run(&case), 500, false);
+        let b = validate_crash(&prepare_run(&case), 500, false);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

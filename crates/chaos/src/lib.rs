@@ -8,12 +8,15 @@
 //! * [`plan`] — [`FaultPlan`]s (seeded probabilities or explicit
 //!   schedules) executed by a [`ChaosInjector`] installed on the device,
 //!   every injected lie recorded in an [`InjectionLog`].
-//! * [`harness`] — replay a deterministic workload with faults live, cut
-//!   power at any virtual instant (optionally snapped to journal-commit
-//!   phase boundaries), recover through `Db::open` with fallback to
-//!   `Db::repair`, and check the recovered rows with [`nob_sim::oracle`]:
-//!   fabricated data is *never* tolerated; lost acknowledged-durable data
-//!   must be explained by the injection log.
+//! * [`harness`] — replay a deterministic workload with faults live
+//!   ([`prepare_run`], one run), cut power at any virtual instant of it
+//!   (optionally snapped to journal-commit phase boundaries), recover
+//!   through `Db::open` with fallback to `Db::repair`, and check the
+//!   recovered rows with [`nob_sim::oracle`] ([`validate_crash`], one
+//!   cut): fabricated data is *never* tolerated; lost
+//!   acknowledged-durable data must be explained by the injection log.
+//!   Its op stream ([`run_ops`]) and recovery step ([`recover`]) are the
+//!   ones the crash property tests drive too.
 //! * [`failover`] — leader kills over the replication stack: kill the
 //!   leader at a chosen instant, promote the follower, and check that it
 //!   holds exactly the acked writes (the same oracle), follower reads
@@ -27,12 +30,13 @@
 //! # Example
 //!
 //! ```
-//! use nob_chaos::{ChaosCase, FaultPlan, run_case};
+//! use nob_chaos::{prepare_run, validate_crash, ChaosCase, FaultPlan};
 //!
 //! let mut case = ChaosCase::new(42, 1); // seed 42, NobLSM mode
 //! case.ops = 60;
 //! case.plan = FaultPlan::seeded(42);
-//! let result = run_case(&case);
+//! let run = prepare_run(&case);
+//! let result = validate_crash(&run, 500, false); // cut half-way through
 //! assert_eq!(result.undetected_values, 0, "no silent corruption");
 //! assert!(result.pass);
 //! ```
@@ -45,8 +49,8 @@ pub mod plan;
 
 pub use failover::{run_failover_case, FailoverCase, FailoverOutcome};
 pub use harness::{
-    config_name, config_options, prepare_run, run_case, validate_crash, CaseResult, ChaosCase,
-    PreparedRun, CONFIGS,
+    config_name, config_options, fresh_db, prepare_run, recover, run_ops, validate_crash,
+    CaseResult, ChaosCase, Op, PreparedRun, CONFIGS,
 };
 pub use plan::{
     new_log, ChaosInjector, FaultKind, FaultPlan, Injection, InjectionLog, ScheduledFault,

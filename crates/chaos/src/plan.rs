@@ -56,7 +56,7 @@ pub struct ScheduledFault {
 /// 2. **Seeded probabilities** — per-mille rates drawn from the plan's
 ///    own RNG, for campaign-scale coverage.
 ///
-/// `class`, `window` and `max_faults` constrain both sources.
+/// `max_faults` caps both sources.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed for the probability draws.
@@ -67,10 +67,6 @@ pub struct FaultPlan {
     pub corrupt_write_pm: u32,
     /// Per-mille chance a matching FLUSH is dropped-but-acked.
     pub dropped_flush_pm: u32,
-    /// Restrict write faults to one command class (`None` = any class).
-    pub class: Option<WriteClass>,
-    /// Only inject inside this virtual-time window (`None` = always).
-    pub window: Option<(Nanos, Nanos)>,
     /// Stop injecting after this many faults (0 = unlimited).
     pub max_faults: u64,
     /// Explicitly scheduled faults.
@@ -85,8 +81,6 @@ impl FaultPlan {
             torn_write_pm: 0,
             corrupt_write_pm: 0,
             dropped_flush_pm: 0,
-            class: None,
-            window: None,
             max_faults: 0,
             scheduled: Vec::new(),
         }
@@ -100,8 +94,6 @@ impl FaultPlan {
             torn_write_pm: 8,
             corrupt_write_pm: 8,
             dropped_flush_pm: 20,
-            class: None,
-            window: None,
             max_faults: 6,
             scheduled: Vec::new(),
         }
@@ -168,13 +160,6 @@ impl ChaosInjector {
         self.plan.max_faults != 0 && self.injected >= self.plan.max_faults
     }
 
-    fn in_window(&self, at: Nanos) -> bool {
-        match self.plan.window {
-            Some((from, to)) => at >= from && at < to,
-            None => true,
-        }
-    }
-
     fn record(&mut self, inj: Injection) {
         self.injected += 1;
         self.log.lock().unwrap_or_else(|p| p.into_inner()).push(inj);
@@ -189,17 +174,14 @@ impl FaultInjector for ChaosInjector {
         // never shift the RNG stream for later commands.
         let roll: u32 = self.rng.gen_range(0..1000);
         let tear_keep: u64 = if cmd.bytes > 0 { self.rng.gen_range(0..cmd.bytes) } else { 0 };
-        if self.capped() || !self.in_window(cmd.at) {
+        if self.capped() {
             return WriteFault::None;
         }
-        let class_ok = self.plan.class.is_none_or(|c| c == cmd.class);
         let scheduled = self.plan.scheduled.iter().find(|s| {
             s.nth == idx && matches!(s.kind, FaultKind::TornWrite | FaultKind::CorruptWrite)
         });
         let kind = if let Some(s) = scheduled {
             Some(s.kind)
-        } else if !class_ok {
-            None
         } else if roll < self.plan.torn_write_pm {
             Some(FaultKind::TornWrite)
         } else if roll < self.plan.torn_write_pm + self.plan.corrupt_write_pm {
@@ -236,7 +218,7 @@ impl FaultInjector for ChaosInjector {
         let idx = self.flushes_seen;
         self.flushes_seen += 1;
         let roll: u32 = self.rng.gen_range(0..1000);
-        if self.capped() || !self.in_window(cmd.at) {
+        if self.capped() {
             return FlushFault::None;
         }
         let scheduled =
@@ -311,33 +293,5 @@ mod tests {
             inj.on_flush(&fcmd(i));
         }
         assert_eq!(log.lock().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn window_gates_injection() {
-        let log = new_log();
-        let mut plan = FaultPlan::none();
-        plan.dropped_flush_pm = 1000;
-        plan.window = Some((Nanos::from_nanos(5), Nanos::from_nanos(7)));
-        let mut inj = ChaosInjector::new(plan, log.clone());
-        for i in 0..10 {
-            inj.on_flush(&fcmd(i));
-        }
-        let injections = log.lock().unwrap().clone();
-        assert_eq!(injections.len(), 2);
-        assert!(injections.iter().all(|j| j.at >= Nanos::from_nanos(5)));
-    }
-
-    #[test]
-    fn class_filter_limits_targets() {
-        let log = new_log();
-        let mut plan = FaultPlan::none();
-        plan.corrupt_write_pm = 1000;
-        plan.class = Some(WriteClass::Journal);
-        let mut inj = ChaosInjector::new(plan, log.clone());
-        assert_eq!(inj.on_write(&wcmd(0, 64)), WriteFault::None, "Data writes exempt");
-        let j =
-            WriteCmd { at: Nanos::ZERO, bytes: 64, background: false, class: WriteClass::Journal };
-        assert_eq!(inj.on_write(&j), WriteFault::Corrupt);
     }
 }

@@ -91,7 +91,7 @@ use nob_server::{
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
 use nob_trace::TraceSink;
-use noblsm::{Db, Error, Options, ReadOptions, WriteBatch, WriteOptions};
+use noblsm::{Db, Error, Options, WriteBatch, WriteOptions};
 
 /// One interactive session: an optional store served in process, the
 /// client the wire verbs go through, and the session's shared virtual
@@ -623,8 +623,8 @@ impl Session {
             Some("get") => {
                 let k = args.get(1).ok_or("usage: repl get <key> [staleness_ms]")?;
                 let ms: u64 = arg_or(args, 2, "staleness_ms", 60_000)?;
-                let ropts = ReadOptions::default().with_max_staleness(Nanos::from_millis(ms));
-                let got = self.follower_link()?.get(&ropts, k.as_bytes())?;
+                let bound = Some(Nanos::from_millis(ms));
+                let got = self.follower_link()?.get(k.as_bytes(), bound)?;
                 let got =
                     got.map_or("<not found>".into(), |v| String::from_utf8_lossy(&v).into_owned());
                 let _ = writeln!(out, "{got} (follower, bound {ms} ms)");

@@ -96,7 +96,7 @@ impl Db {
             self.pump(now)?;
             self.check_background()?;
             self.maybe_schedule(now);
-            if self.sched.active_majors() == 0 && !self.minor_inflight {
+            if self.sched.active_majors() == 0 && self.imm_done_at.is_none() {
                 return Ok(now);
             }
             let Some(t) = self.events.next_at() else { return Ok(now) };
@@ -239,7 +239,6 @@ impl Db {
         let _ = self.fs.delete(&old_wal.1, t);
         self.imm = None;
         self.imm_done_at = None;
-        self.minor_inflight = false;
         self.maybe_schedule(t);
         Ok(())
     }
@@ -352,7 +351,7 @@ impl Db {
         old_wal: (u64, String),
         new_log_number: u64,
     ) {
-        debug_assert!(!self.minor_inflight);
+        debug_assert!(self.imm_done_at.is_none());
         let number = self.versions.new_file_number();
         let (lane, start) = self.sched.pick(now);
         let mut t = start;
@@ -369,7 +368,6 @@ impl Db {
         };
         let bytes = output.as_ref().map_or(0, |o| o.meta.size);
         self.sched.occupy(lane, start, t, bytes);
-        self.minor_inflight = true;
         self.imm_done_at = Some(t);
         self.stats.minor_compactions += 1;
         if let Some(sink) = &self.trace {

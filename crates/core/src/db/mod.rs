@@ -92,6 +92,8 @@ pub struct Db {
     opts: Options,
     mem: MemTable,
     imm: Option<MemTable>,
+    /// When the in-flight minor compaction completes; `Some` exactly
+    /// while one is in flight.
     imm_done_at: Option<Nanos>,
     wal_handle: FileHandle,
     wal_number: u64,
@@ -105,7 +107,6 @@ pub struct Db {
     /// majors: *whether* and *where* a job runs (the engine only picks
     /// *which*).
     sched: Scheduler,
-    minor_inflight: bool,
     deps: DependencyTracker,
     refs: PhysicalRefs,
     /// Recent update counts, kept only when compactions route hot keys

@@ -96,7 +96,6 @@ impl Db {
             tables: Arc::new(tables),
             events: EventQueue::new(),
             sched,
-            minor_inflight: false,
             deps: DependencyTracker::new(),
             refs,
             hot,

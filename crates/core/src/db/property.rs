@@ -101,7 +101,7 @@ pub const METRICS: [(MetricKind, &str, &str, Reader); 33] = [
         db.deps.shadow_count() as f64
     }),
     (Gauge, "engine.inflight_compactions", "Minor and major compactions in flight", |db, _| {
-        (db.sched.active_majors() + usize::from(db.minor_inflight)) as f64
+        (db.sched.active_majors() + usize::from(db.imm_done_at.is_some())) as f64
     }),
     (Gauge, "compact.lanes", "Compaction lanes", |db, _| db.sched.lanes() as f64),
     (Gauge, "compact.active_majors", "Lanes running a major compaction", |db, _| {

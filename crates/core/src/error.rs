@@ -30,7 +30,7 @@ pub enum DbError {
     Io(Arc<std::io::Error>),
     /// A replication-contract violation surfaced by `nob-repl`: a fenced
     /// leader refusing writes, a follower read exceeding its
-    /// `max_staleness` bound, or a subscription gap that requires a
+    /// staleness bound, or a subscription gap that requires a
     /// re-subscribe. Carried here (not as a repl-local enum) so `?`
     /// propagates it through the store/server layers like every other
     /// engine error.

@@ -97,19 +97,11 @@ pub struct ReadOptions<'a> {
     /// cache (LevelDB's `fill_cache`; scans set it `false` to avoid
     /// evicting the point-read working set).
     pub fill_cache: bool,
-    /// Bounded-staleness budget for replicated follower reads: the read
-    /// may be served by a replica whose applied state lags the leader by
-    /// at most this much virtual time. `None` (the default) accepts any
-    /// lag. The engine itself ignores the field — a single `Db` is never
-    /// stale against itself; `nob-repl`'s follower enforces it and fails
-    /// the read with [`DbError::Replication`](crate::DbError::Replication)
-    /// when its lag exceeds the bound.
-    pub max_staleness: Option<Nanos>,
 }
 
 impl Default for ReadOptions<'_> {
     fn default() -> Self {
-        ReadOptions { snapshot: None, fill_cache: true, max_staleness: None }
+        ReadOptions { snapshot: None, fill_cache: true }
     }
 }
 
@@ -122,12 +114,6 @@ impl<'a> ReadOptions<'a> {
     /// Disables block-cache population for this read.
     pub fn without_fill_cache(mut self) -> Self {
         self.fill_cache = false;
-        self
-    }
-
-    /// Bounds the staleness a replicated follower may serve this read at.
-    pub fn with_max_staleness(mut self, bound: Nanos) -> Self {
-        self.max_staleness = Some(bound);
         self
     }
 }
@@ -392,14 +378,6 @@ mod tests {
         assert_eq!(o.max_bytes_for_level(1), 10 << 20);
         assert_eq!(o.max_bytes_for_level(2), 100 << 20);
         assert_eq!(o.max_bytes_for_level(3), 1000 << 20);
-    }
-
-    #[test]
-    fn read_options_staleness_defaults_unbounded() {
-        let r = ReadOptions::default();
-        assert_eq!(r.max_staleness, None);
-        let r = ReadOptions::default().with_max_staleness(Nanos::from_millis(50));
-        assert_eq!(r.max_staleness, Some(Nanos::from_millis(50)));
     }
 
     #[test]

@@ -246,7 +246,7 @@ impl VersionSet {
             }
         }
         let (level, _) = best?;
-        self.build_inputs(level, None)
+        self.build_inputs(level)
     }
 
     /// Picks a size-triggered compaction of `level` specifically — the
@@ -264,7 +264,7 @@ impl VersionSet {
         {
             return None;
         }
-        self.build_inputs(level, None)
+        self.build_inputs(level)
     }
 
     /// Builds inputs for a seek-triggered compaction of `file` at `level`.
@@ -310,7 +310,7 @@ impl VersionSet {
         self.build_inputs_for_files(level, picked)
     }
 
-    fn build_inputs(&self, level: usize, _seek: Option<()>) -> Option<CompactionInputs> {
+    fn build_inputs(&self, level: usize) -> Option<CompactionInputs> {
         let files = &self.current.files[level];
         if files.is_empty() {
             return None;

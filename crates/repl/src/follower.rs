@@ -186,14 +186,19 @@ impl Follower {
     }
 
     /// Follower read: a point lookup against the follower's own store,
-    /// honouring [`ReadOptions::max_staleness`].
+    /// served only while the owning shard lags the leader by at most
+    /// `max_staleness` (`None` accepts any lag).
     ///
     /// # Errors
     ///
     /// [`noblsm::Error::Replication`] when the owning shard's staleness
     /// exceeds the requested bound; store/engine errors pass through.
-    pub(crate) fn get(&mut self, ropts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if let Some(bound) = ropts.max_staleness {
+    pub(crate) fn get(
+        &mut self,
+        key: &[u8],
+        max_staleness: Option<Nanos>,
+    ) -> Result<Option<Vec<u8>>> {
+        if let Some(bound) = max_staleness {
             let shard = self.store.shard_of(key);
             let lag = self.staleness(shard);
             if lag > bound {
@@ -202,7 +207,7 @@ impl Follower {
                 )));
             }
         }
-        self.store.get(ropts, key)
+        self.store.get(&ReadOptions::default(), key)
     }
 
     /// Promotes this follower to leader at `epoch() + 1`, carrying its

@@ -26,9 +26,9 @@
 //! * **Writes** go to the leader only; a fenced leader (one that has
 //!   observed a higher epoch) refuses them with
 //!   [`noblsm::Error::Replication`].
-//! * **Follower reads** are bounded-staleness: pass
-//!   [`ReadOptions::max_staleness`](noblsm::ReadOptions::max_staleness)
-//!   and the read fails rather than serve data older than the bound,
+//! * **Follower reads** are bounded-staleness: pass a bound to
+//!   [`FollowerLink::get`] and the read fails rather than serve data
+//!   older than it,
 //!   measured on the *leader's* clock (heartbeat instant minus the
 //!   commit instant of the last applied record).
 //! * **Changefeeds** ([`Subscription`]) deliver each committed record
@@ -46,7 +46,7 @@
 //! ```
 //! use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback};
 //! use nob_store::{Store, StoreOptions};
-//! use noblsm::{ReadOptions, WriteBatch, WriteOptions};
+//! use noblsm::{WriteBatch, WriteOptions};
 //!
 //! # fn main() -> noblsm::Result<()> {
 //! let opts = StoreOptions { shards: 2, ..StoreOptions::default() };
@@ -62,7 +62,7 @@
 //! core.borrow_mut().leader_mut().write(&WriteOptions::default(), batch)?;
 //!
 //! link.poll_until_idle()?;
-//! assert_eq!(link.get(&ReadOptions::default(), b"k")?.as_deref(), Some(&b"v"[..]));
+//! assert_eq!(link.get(b"k", None)?.as_deref(), Some(&b"v"[..]));
 //! # Ok(())
 //! # }
 //! ```
@@ -126,7 +126,7 @@ mod tests {
         let applied = link.poll_until_idle().unwrap();
         assert_eq!(applied as u64, core.borrow().leader().store().stats().groups);
         for i in 0..100u64 {
-            let got = link.get(&ReadOptions::default(), format!("key{i:03}").as_bytes()).unwrap();
+            let got = link.get(format!("key{i:03}").as_bytes(), None).unwrap();
             assert_eq!(got.as_deref(), Some(format!("val{i}").as_bytes()), "key{i:03}");
         }
         // The follower's engines converged on the leader's sequences.
@@ -143,7 +143,7 @@ mod tests {
         b.delete(b"doomed");
         core.borrow_mut().leader_mut().write(&WriteOptions::default(), b).unwrap();
         link.poll_until_idle().unwrap();
-        assert_eq!(link.get(&ReadOptions::default(), b"doomed").unwrap(), None);
+        assert_eq!(link.get(b"doomed", None).unwrap(), None);
     }
 
     #[test]
@@ -156,12 +156,12 @@ mod tests {
         // instant, and the heartbeat in the same poll carries the leader
         // clock — staleness is the gap between them, which a generous
         // bound satisfies.
-        let strict = ReadOptions::default().with_max_staleness(Nanos::from_secs(1));
-        assert_eq!(link.get(&strict, b"k").unwrap().as_deref(), Some(&b"v2"[..]));
+        let strict = Some(Nanos::from_secs(1));
+        assert_eq!(link.get(b"k", strict).unwrap().as_deref(), Some(&b"v2"[..]));
         // More writes, another catch-up: still satisfiable.
         put(&core, b"k", b"v3");
         link.poll_until_idle().unwrap();
-        assert_eq!(link.get(&strict, b"k").unwrap().as_deref(), Some(&b"v3"[..]));
+        assert_eq!(link.get(b"k", strict).unwrap().as_deref(), Some(&b"v3"[..]));
     }
 
     #[test]
@@ -175,17 +175,17 @@ mod tests {
         put(&core, b"k", b"v2");
         let leader_now = core.borrow().leader().store().clock().now();
         link.follower.observe_heartbeat(1, leader_now).unwrap();
-        let bound = ReadOptions::default().with_max_staleness(Nanos::from_nanos(1));
-        let err = link.get(&bound, b"k").unwrap_err();
+        let bound = Some(Nanos::from_nanos(1));
+        let err = link.get(b"k", bound).unwrap_err();
         assert!(matches!(err, Error::Replication(_)), "{err}");
         // Unbounded reads still serve the old value.
-        assert_eq!(link.get(&ReadOptions::default(), b"k").unwrap().as_deref(), Some(&b"v1"[..]));
+        assert_eq!(link.get(b"k", None).unwrap().as_deref(), Some(&b"v1"[..]));
         // After catching up, a bound covering the heartbeat round-trip is
         // satisfiable again (staleness never reaches zero exactly: the
         // heartbeat instant trails the last commit by the ship latency).
         link.poll_until_idle().unwrap();
-        let loose = ReadOptions::default().with_max_staleness(Nanos::from_millis(1));
-        assert_eq!(link.get(&loose, b"k").unwrap().as_deref(), Some(&b"v2"[..]));
+        let loose = Some(Nanos::from_millis(1));
+        assert_eq!(link.get(b"k", loose).unwrap().as_deref(), Some(&b"v2"[..]));
     }
 
     #[test]

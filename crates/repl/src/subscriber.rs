@@ -6,7 +6,8 @@
 //! logic runs over the deterministic loopback and real TCP.
 
 use nob_server::{Decoder, Transport};
-use noblsm::{Error, ReadOptions, Result};
+use nob_sim::Nanos;
+use noblsm::{Error, Result};
 
 use crate::changelog::LogRecord;
 use crate::follower::Follower;
@@ -110,15 +111,16 @@ impl<T: Transport> FollowerLink<T> {
         }
     }
 
-    /// Follower read through the link, honouring
-    /// [`ReadOptions::max_staleness`].
+    /// Follower read through the link, served only while the owning
+    /// shard lags the leader by at most `max_staleness` (`None` accepts
+    /// any lag).
     ///
     /// # Errors
     ///
     /// [`noblsm::Error::Replication`] when the owning shard's staleness
     /// exceeds the requested bound; store/engine errors pass through.
-    pub fn get(&mut self, ropts: &ReadOptions<'_>, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.follower.get(ropts, key)
+    pub fn get(&mut self, key: &[u8], max_staleness: Option<Nanos>) -> Result<Option<Vec<u8>>> {
+        self.follower.get(key, max_staleness)
     }
 
     /// The driven follower.

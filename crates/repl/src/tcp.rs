@@ -20,7 +20,7 @@ mod tests {
 
     use nob_server::TcpTransport;
     use nob_store::{Store, StoreOptions};
-    use noblsm::{ReadOptions, WriteBatch, WriteOptions};
+    use noblsm::{WriteBatch, WriteOptions};
 
     use crate::core::ReplCore;
     use crate::follower::Follower;
@@ -57,7 +57,7 @@ mod tests {
         }
         assert_eq!(link.follower().shard_seqs().iter().sum::<u64>(), 20);
         for i in 0..20u64 {
-            let got = link.get(&ReadOptions::default(), format!("key{i:02}").as_bytes()).unwrap();
+            let got = link.get(format!("key{i:02}").as_bytes(), None).unwrap();
             assert_eq!(got.as_deref(), Some(format!("val{i}").as_bytes()), "key{i:02}");
         }
         drop(link);

@@ -17,16 +17,7 @@ use proptest::prelude::*;
 const LANE_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn case(seed: u64, config: usize, lanes: usize) -> ChaosCase {
-    ChaosCase {
-        seed,
-        config,
-        ops: 160,
-        value_size: 256,
-        crash_pm: 0, // probed per crash point below
-        snap_to_commit_phase: false,
-        lanes,
-        plan: FaultPlan::none(),
-    }
+    ChaosCase { seed, config, ops: 160, value_size: 256, lanes, plan: FaultPlan::none() }
 }
 
 /// Fails the test if a crash at `pm` per-mille of the run violates the

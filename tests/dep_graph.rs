@@ -29,13 +29,15 @@ use std::path::{Path, PathBuf};
 /// The settable values of the config structs under `crates/*/src` (see
 /// [`lex::knobs`]). Each one doubles the configurations tests and
 /// benchmarks must cover; lower it whenever a knob becomes a constant.
-/// Last lowered from 47 when `SsdConfig::host_mem_bw`, which only
+/// Last lowered from 46 when `ReadOptions.max_staleness`, which the
+/// engine never read, went: a follower read takes its staleness bound as
+/// an argument of `FollowerLink::get`. Before that from 47 when `SsdConfig::host_mem_bw`, which only
 /// `SsdConfig::pm883` sets, became crate-private. Before that from 49
 /// when the two engine options only tests set went:
 /// `Options.max_levels` became the constant `NUM_LEVELS` and
 /// `Options.paranoid_checks` was deleted. Before that from 50 when scans
 /// became ascending only and `ScanOptions.reverse` went.
-const MAX_KNOBS: usize = 46;
+const MAX_KNOBS: usize = 45;
 
 /// The largest source file allowed: `store/src/lib.rs` (1 267 lines, since
 /// `StoreStats` and its instrument table moved to `store/src/stats.rs`) is
@@ -47,7 +49,11 @@ const MAX_SOURCE_LINES: usize = 1_267;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last
-/// lowered by two, from 992, when every value reached the metrics hub
+/// lowered by two, from 990, when replication's staleness bound left the
+/// engine's read options: `ReadOptions::{max_staleness,
+/// with_max_staleness}` went (`FollowerLink::get` takes the bound as an
+/// argument, a line that changed but stayed). Before that lowered by
+/// two, from 992, when every value reached the metrics hub
 /// through a registered probe and INFO's `# compaction` section went:
 /// `Db::l0_pressure`, whose last outside caller that section was, became
 /// crate-private, and `Store::compaction_lanes`, which only it and one
@@ -87,7 +93,7 @@ const MAX_SOURCE_LINES: usize = 1_267;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 990;
+const MAX_SURFACE_LINES: usize = 988;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {

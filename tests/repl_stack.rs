@@ -5,14 +5,14 @@
 //! failover.
 //!
 //! Pins the consistency contract end to end: acked writes survive
-//! promotion, follower reads honour `max_staleness`, changefeeds deliver
+//! promotion, follower reads honour their staleness bound, changefeeds deliver
 //! exactly once across a failover, and identical runs are bit-for-bit
 //! identical.
 
 use nob_repl::{shared, Follower, FollowerLink, Leader, ReplCore, ReplLoopback, Subscription};
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions};
-use noblsm::{ReadOptions, WriteBatch, WriteOptions};
+use noblsm::{WriteBatch, WriteOptions};
 
 const SHARDS: usize = 2;
 const OPS: u64 = 240;
@@ -56,14 +56,14 @@ fn shipping_applies_every_write_and_bounds_staleness() {
 
     // Bounded-staleness reads: a generous bound serves every key with
     // the leader's value; an impossible 1 ns bound is refused.
-    let loose = ReadOptions::default().with_max_staleness(Nanos::from_secs(3600));
+    let loose = Some(Nanos::from_secs(3600));
     for i in 0..OPS {
-        let got = link.get(&loose, format!("key{i:04}").as_bytes()).expect("follower read");
+        let got = link.get(format!("key{i:04}").as_bytes(), loose).expect("follower read");
         assert_eq!(got.as_deref(), Some(format!("val{i}").as_bytes()), "key{i:04}");
     }
-    let tight = ReadOptions::default().with_max_staleness(Nanos::from_nanos(1));
+    let tight = Some(Nanos::from_nanos(1));
     assert!(
-        link.get(&tight, b"key0000").is_err(),
+        link.get(b"key0000", tight).is_err(),
         "a 1 ns staleness bound cannot be satisfiable after shipping"
     );
 }
