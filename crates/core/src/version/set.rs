@@ -107,7 +107,9 @@ impl VersionSet {
     /// # Errors
     ///
     /// Returns [`DbError::InvalidDb`] when `CURRENT` or the manifest is
-    /// missing, [`DbError::Corruption`] on malformed records.
+    /// missing, [`DbError::Corruption`] on malformed records or a record
+    /// whose checksum fails. A torn last record is not corruption: replay
+    /// stops before it.
     pub(crate) fn recover(
         fs: Ext4Fs,
         dir: &str,
@@ -153,6 +155,11 @@ impl VersionSet {
                     compact_pointers[level] = Some(key);
                 }
             }
+        }
+        // A checksum failure is not a torn tail: the records behind it are
+        // lost, and opening the older version would drop them silently.
+        if reader.corruption_detected() {
+            return Err(DbError::Corruption(format!("corrupt record in {manifest_path}")));
         }
         let set = VersionSet {
             fs,

@@ -33,8 +33,6 @@ pub struct CommitWindow {
     pub end: Nanos,
     /// Synchronous (fsync/fast-commit) rather than timer/threshold commit.
     pub sync: bool,
-    /// Number of inodes the transaction covered.
-    pub(crate) inodes: usize,
     /// Whether an injected fault hit this commit's journal write or FLUSH.
     pub faulted: bool,
 }

@@ -176,7 +176,6 @@ impl Inner {
             journal_done: jres.end,
             end: t_commit,
             sync,
-            inodes: txn.len(),
             faulted: record_lost || flush_dropped,
         });
         if let Some(sink) = &self.trace {

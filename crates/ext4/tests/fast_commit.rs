@@ -4,7 +4,6 @@
 
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_sim::Nanos;
-use nob_ssd::{FaultInjector, InjectorHandle, WriteClass, WriteCmd, WriteFault};
 
 fn fc_fs() -> Ext4Fs {
     // Disable streaming write-back so entanglement effects are visible.
@@ -91,34 +90,4 @@ fn timer_commits_still_cover_everything_in_fast_commit_mode() {
     let later = Nanos::from_secs(6);
     fs.tick(later);
     assert!(fs.crashed_view(later).exists("a"), "the 5 s compound commit still runs");
-}
-
-/// Tears every fast-commit record, leaving the main journal alone.
-struct TearFastCommits;
-
-impl FaultInjector for TearFastCommits {
-    fn on_write(&mut self, cmd: &WriteCmd) -> WriteFault {
-        if cmd.class == WriteClass::FastCommit {
-            WriteFault::Torn { keep: 0 }
-        } else {
-            WriteFault::None
-        }
-    }
-}
-
-#[test]
-fn torn_fast_commit_loses_only_that_fsync() {
-    let fs = fc_fs();
-    fs.set_fault_injector(InjectorHandle::new(TearFastCommits));
-    let h = fs.create("a", Nanos::ZERO).unwrap();
-    let now = fs.append(h, b"aaaa", Nanos::ZERO).unwrap();
-    let done = fs.fsync(h, now).unwrap();
-    assert!(!fs.crashed_view(done).exists("a"), "the torn record's fsync is lost");
-    // The fast-commit area is separate from the main journal: replay
-    // still reaches every later main-journal commit.
-    assert_eq!(fs.journal_broken(), None);
-    fs.append(h, b"bbbb", done).unwrap();
-    let later = Nanos::from_secs(6);
-    fs.tick(later);
-    assert_eq!(fs.crashed_view(later).file_size("a").unwrap(), 8, "the timer commit recovers");
 }
