@@ -90,7 +90,7 @@ fn run_cell(point: &[u64], scale: Scale) -> Row {
             let (key, value) = sweep::record(keys.draw(), 8, VALUE);
             let mut batch = WriteBatch::new();
             batch.put(&key, &value);
-            let ctx = sink.mint_root();
+            let ctx = sink.child_ctx(TraceCtx::NONE);
             let start = store.clock().now();
             let bytes = (key.len() + VALUE) as u64;
             inflight.push((store.enqueue_ctx(&wopts, &batch, ctx), ctx, start, bytes));

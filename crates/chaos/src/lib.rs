@@ -14,7 +14,9 @@
 //!   through `Db::open` with fallback to `Db::repair`, and check the
 //!   recovered rows with [`nob_sim::oracle`] ([`validate_crash`], one
 //!   cut): fabricated data is *never* tolerated; lost
-//!   acknowledged-durable data must be explained by the injection log.
+//!   acknowledged-durable data must have a cause recovery detected (a
+//!   repair, WAL corruption) or the device stack exposed (a broken
+//!   journal chain, a dropped FLUSH).
 //!   Its op stream ([`run_ops`]) and recovery step ([`recover`]) are the
 //!   ones the crash property tests drive too.
 //! * [`failover`] — leader kills over the replication stack: kill the

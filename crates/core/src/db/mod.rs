@@ -365,7 +365,8 @@ impl Db {
     /// Runs `op` inside a causal trace scope: the spans it emits nest
     /// under one `class` span running from `issued` to the end instant
     /// (and carrying the byte count) that `measure` reads off its result.
-    /// A plain call when no sink is installed.
+    /// A failed `op` records no span. A plain call when no sink is
+    /// installed.
     fn traced<T>(
         &mut self,
         class: EventClass,
@@ -373,22 +374,13 @@ impl Db {
         op: impl FnOnce(&mut Db) -> Result<T>,
         measure: impl FnOnce(&T) -> (Nanos, u64),
     ) -> Result<T> {
-        if let Some(sink) = &self.trace {
-            sink.begin_span();
+        let scope = self.trace.as_ref().map(|sink| sink.open(None));
+        let done = op(self)?;
+        if let Some(scope) = scope {
+            let (end, bytes) = measure(&done);
+            scope.close(class, issued, end, bytes);
         }
-        let res = op(self);
-        if let Some(sink) = &self.trace {
-            match &res {
-                Ok(done) => {
-                    let (end, bytes) = measure(done);
-                    sink.end_span(class, issued, end, bytes);
-                }
-                Err(_) => {
-                    sink.pop_ctx();
-                }
-            }
-        }
-        res
+        Ok(done)
     }
 
     /// The recorded background failure, if any, as the error every

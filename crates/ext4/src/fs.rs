@@ -412,7 +412,7 @@ impl Ext4Fs {
         g.tick(now);
         let id = g.names.remove(old).ok_or_else(|| FsError::NotFound(old.to_string()))?;
         if let Some(victim) = g.names.remove(new) {
-            g.delete_inode(victim);
+            g.unlink(victim);
         }
         let inode = g.inodes.get_mut(&id).expect("live name maps to live inode");
         inode.path = Some(new.to_string());
@@ -433,8 +433,7 @@ impl Ext4Fs {
         let mut g = self.lock();
         g.tick(now);
         let id = g.names.remove(path).ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        g.delete_inode(id);
-        g.join_txn(id);
+        g.unlink(id);
         Ok(now)
     }
 
@@ -523,8 +522,10 @@ impl Inner {
         }
     }
 
-    /// Marks an inode deleted and erases it from the NobLSM tables.
-    fn delete_inode(&mut self, id: InodeId) {
+    /// Marks an inode deleted, erases it from the NobLSM tables and joins
+    /// it to the running transaction, whose commit makes the deletion
+    /// durable: `delete`'s step, and a rename's over an existing name.
+    fn unlink(&mut self, id: InodeId) {
         let Some(inode) = self.inodes.get_mut(&id) else { return };
         let dirty = inode.dirty_bytes();
         let len = inode.content.len() as u64;
@@ -540,6 +541,7 @@ impl Inner {
         }
         self.pending.remove(&id);
         self.committed.remove(&id);
+        self.join_txn(id);
     }
 }
 

@@ -82,9 +82,7 @@ impl Inner {
     fn commit_inodes(&mut self, txn: &[InodeId], at: Nanos, sync: bool, fast: bool) -> Nanos {
         // Open the commit's causal scope: ordered write-back, journal
         // blocks and the FLUSH barrier all become children of this span.
-        if let Some(sink) = &self.trace {
-            sink.begin_span();
-        }
+        let scope = self.trace.as_ref().map(|sink| sink.open(None));
         if sync {
             self.stats.sync_commits += 1;
         } else {
@@ -178,7 +176,7 @@ impl Inner {
             sync,
             faulted: record_lost || flush_dropped,
         });
-        if let Some(sink) = &self.trace {
+        if let Some(scope) = scope {
             // Fast commits, synchronous (fsync-driven) commits and
             // asynchronous timer/threshold commits are distinct
             // tail-latency stories.
@@ -187,7 +185,7 @@ impl Inner {
                 (false, true) => EventClass::JournalCommit,
                 (false, false) => EventClass::Checkpoint,
             };
-            sink.end_span(class, at, t_commit, jbytes);
+            scope.close(class, at, t_commit, jbytes);
         }
         t_commit
     }

@@ -316,6 +316,37 @@ proptest! {
     }
 }
 
+/// A file renamed over is deleted, and its deletion is journalled like
+/// any other: once a commit covers it, no crash view brings the old file
+/// back at its path, and the crash horizon forgets its bytes.
+#[test]
+fn renamed_over_file_is_deleted_durably() {
+    // Write `p` and fsync; rename `a` over `p` and fsync; rename `p` to
+    // `q` and fsync; then sleep past the timer commit.
+    let (p, a, q) = (0, 1, 2);
+    let ops = [
+        Op::Create(p),
+        Op::Append(p, 4),
+        Op::Fsync(p),
+        Op::Create(a),
+        Op::Append(a, 2),
+        Op::Rename(a, p),
+        Op::Fsync(p),
+        Op::Rename(p, q),
+        Op::Fsync(q),
+        Op::Sleep(6_000_000),
+    ];
+    for fast_commit in [false, true] {
+        let (fs, model, end) = run(fast_commit, &ops);
+        let view = fs.crashed_view(end);
+        check_view(&view, end, &model);
+        assert_eq!(view.list(""), [path(q)], "fast_commit {fast_commit}: the old `p` is back");
+        assert_eq!(fs.retained_bytes(), 6, "nothing is forgotten below the horizon");
+        fs.advance_crash_horizon(end);
+        assert_eq!(fs.retained_bytes(), 2, "fast_commit {fast_commit}: the old `p` is kept");
+    }
+}
+
 /// Tears every write of one class: a torn commit record dies on the media
 /// while the kernel keeps believing it.
 struct TearClass(WriteClass);

@@ -128,22 +128,12 @@ impl Follower {
         // carries its identity), so the engine write it provokes — and
         // its journal/FLUSH children — extend the originating request's
         // tree across the replica boundary.
-        if let Some(sink) = &self.trace {
-            sink.begin_span_with_parent(Some(rec.ctx));
+        let scope = self.trace.as_ref().map(|sink| sink.open(Some(rec.ctx)));
+        self.store.shard_db_mut(rec.shard).write(&WriteOptions::default(), batch)?;
+        if let Some(scope) = scope {
+            let end = self.store.clock().now();
+            scope.close(EventClass::ReplApply, start, end, rec.payload.len() as u64);
         }
-        let wrote = self.store.shard_db_mut(rec.shard).write(&WriteOptions::default(), batch);
-        let end = self.store.clock().now();
-        if let Some(sink) = &self.trace {
-            match &wrote {
-                Ok(_) => {
-                    sink.end_span(EventClass::ReplApply, start, end, rec.payload.len() as u64);
-                }
-                Err(_) => {
-                    sink.pop_ctx();
-                }
-            }
-        }
-        wrote?;
         let landed = self.store.shard_db(rec.shard).last_sequence();
         if landed != rec.last_seq {
             return Err(Error::Replication(format!(

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use nob_metrics::MetricsHub;
 use nob_sim::{Nanos, SharedClock};
 use nob_store::{Store, StoreOptions, Ticket};
-use nob_trace::{EventClass, TraceCtx, TraceSink};
+use nob_trace::{EventClass, SpanScope, TraceCtx, TraceSink};
 use noblsm::{ReadOptions, Result, WriteBatch, WriteOptions};
 
 use crate::proto::{
@@ -443,34 +443,22 @@ impl ServerCore {
         match req {
             Request::Get(key) => {
                 let start = self.read_barrier()?;
-                let root = self.begin_request();
-                let got = self.store.get(&ReadOptions::default(), &key);
-                self.end_request();
+                let scope = self.open_request();
+                let got = self.store.get(&ReadOptions::default(), &key)?;
                 let mut reply = Vec::new();
-                put_value(&mut reply, got?.as_deref());
-                self.emit(EventClass::ServerRead, start, bytes, root);
+                put_value(&mut reply, got.as_deref());
+                self.close_request(scope, EventClass::ServerRead, start, bytes);
                 self.push_ready(id, reply);
             }
             Request::MGet(keys) => {
                 let start = self.read_barrier()?;
-                let root = self.begin_request();
+                let scope = self.open_request();
                 let mut reply = Vec::new();
                 put_array_header(&mut reply, keys.len());
-                let mut failed = None;
                 for key in &keys {
-                    match self.store.get(&ReadOptions::default(), key) {
-                        Ok(got) => put_value(&mut reply, got.as_deref()),
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
+                    put_value(&mut reply, self.store.get(&ReadOptions::default(), key)?.as_deref());
                 }
-                self.end_request();
-                if let Some(e) = failed {
-                    return Err(e);
-                }
-                self.emit(EventClass::ServerRead, start, bytes, root);
+                self.close_request(scope, EventClass::ServerRead, start, bytes);
                 self.push_ready(id, reply);
             }
             Request::Set(key, value) => {
@@ -495,16 +483,15 @@ impl ServerCore {
                 self.enqueue_write(id, batch, bytes, WriteReply::Count(count));
             }
             Request::Ping => {
-                let now = self.clock().now();
-                let root = self.mint_root();
-                self.emit_span(EventClass::ServerControl, now, now, 0, root);
+                let scope = self.open_request();
+                self.close_request(scope, EventClass::ServerControl, self.clock().now(), 0);
                 self.push_frame(id, &Frame::Simple("PONG".into()));
             }
             Request::Info => {
                 let start = self.read_barrier()?;
-                let root = self.mint_root();
+                let scope = self.open_request();
                 let text = self.info_text();
-                self.emit(EventClass::ServerControl, start, text.len() as u64, root);
+                self.close_request(scope, EventClass::ServerControl, start, text.len() as u64);
                 let mut reply = Vec::with_capacity(text.len() + NUMBER_LINE_MAX + 2);
                 put_bulk(&mut reply, text.as_bytes());
                 self.push_ready(id, reply);
@@ -534,7 +521,7 @@ impl ServerCore {
         // emitted at ticket resolution carries it, and the group commit
         // that eventually lands the batch parents under it (leader) or
         // links to it (coalesced follower).
-        let ctx = self.mint_root();
+        let ctx = self.trace.as_ref().map_or(TraceCtx::NONE, |t| t.child_ctx(TraceCtx::NONE));
         let ticket = self.store.enqueue_ctx(&self.wopts, &batch, ctx);
         if let Some(conn) = self.conns.get_mut(&id) {
             conn.replies.push_back(PendingReply::Await { ticket, start, bytes, reply, ctx });
@@ -544,40 +531,18 @@ impl ServerCore {
         }
     }
 
-    /// A fresh trace root for one request ([`TraceCtx::NONE`] when
-    /// tracing is off).
-    fn mint_root(&self) -> TraceCtx {
-        self.trace.as_ref().map_or(TraceCtx::NONE, |t| t.mint_root())
+    /// Opens a request's trace root as the ambient scope, so every span
+    /// the request's synchronous work provokes nests under it (`None`
+    /// when tracing is off). A request that fails drops it unrecorded.
+    fn open_request(&self) -> Option<SpanScope> {
+        self.trace.as_ref().map(|t| t.open(Some(TraceCtx::NONE)))
     }
 
-    /// Mints a request root and makes it the ambient context, so every
-    /// span the request's synchronous work provokes nests under it.
-    /// Balance with [`ServerCore::end_request`] on all paths.
-    fn begin_request(&self) -> TraceCtx {
-        match &self.trace {
-            Some(t) => {
-                let root = t.mint_root();
-                t.push_ctx(root);
-                root
-            }
-            None => TraceCtx::NONE,
-        }
-    }
-
-    fn end_request(&self) {
-        if let Some(t) = &self.trace {
-            t.pop_ctx();
-        }
-    }
-
-    fn emit(&self, class: EventClass, start: Nanos, bytes: u64, ctx: TraceCtx) {
-        let end = self.clock().now();
-        self.emit_span(class, start, end, bytes, ctx);
-    }
-
-    fn emit_span(&self, class: EventClass, start: Nanos, end: Nanos, bytes: u64, ctx: TraceCtx) {
-        if let Some(t) = &self.trace {
-            t.emit_ctx(class, start, end, bytes, ctx);
+    /// Records the request's `class` span, from `start` to now, under the
+    /// root [`ServerCore::open_request`] minted.
+    fn close_request(&self, scope: Option<SpanScope>, class: EventClass, start: Nanos, bytes: u64) {
+        if let Some(scope) = scope {
+            scope.close(class, start, self.clock().now(), bytes);
         }
     }
 }

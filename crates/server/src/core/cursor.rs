@@ -2,7 +2,7 @@
 //! cross-shard snapshot between pages, and every page after it.
 
 use nob_sim::Nanos;
-use nob_trace::{EventClass, TraceCtx};
+use nob_trace::{EventClass, SpanScope};
 use noblsm::{IterState, Result, ScanOptions, Snapshot};
 
 use super::{ConnId, ServerCore, Stat};
@@ -120,11 +120,9 @@ impl ServerCore {
         mut cur: Cursor,
         t0: Nanos,
     ) -> Result<()> {
-        let root = self.begin_request();
+        let scope = self.open_request();
         let resumed_before = self.iters_resumed();
-        let scanned = self.scan_one_page(&mut cur);
-        self.end_request();
-        let mut scanned = match scanned {
+        let mut scanned = match self.scan_one_page(&mut cur) {
             Ok(p) => p,
             Err(e) => {
                 self.store.release_snapshots(cur.snaps);
@@ -162,7 +160,7 @@ impl ServerCore {
             }
         };
         self.counters.set(Stat::CursorsOpen, self.cursors.len());
-        self.finish_scan_reply(id, cursor, scanned, count_only, t0, root);
+        self.finish_scan_reply(id, cursor, scanned, count_only, t0, scope);
         Ok(())
     }
 
@@ -211,10 +209,10 @@ impl ServerCore {
         page: ScannedPage,
         count_only: bool,
         start: Nanos,
-        root: TraceCtx,
+        scope: Option<SpanScope>,
     ) {
         self.counters.add(Stat::ScanRows, page.count);
-        self.emit(EventClass::ServerScan, start, page.payload, root);
+        self.close_request(scope, EventClass::ServerScan, start, page.payload);
         let mut wire = page.wire;
         if count_only {
             put_array_header(&mut wire, 2);

@@ -69,7 +69,7 @@ use std::collections::{BTreeMap, VecDeque};
 use nob_ext4::{Ext4Config, Ext4Fs};
 use nob_metrics::MetricsHub;
 use nob_sim::{fnv1a, Nanos, SharedClock};
-use nob_trace::{EventClass, TraceCtx, TraceSink};
+use nob_trace::{EventClass, SpanScope, TraceCtx, TraceSink};
 use noblsm::{
     Db, DbIterator, IterState, Options, ReadOptions, ScanCollector, ScanOptions, ScanResult,
     Snapshot, ValueType, WriteBatch, WriteOptions,
@@ -455,19 +455,9 @@ impl Store {
         // ext4 / SSD spans it provokes nest under it. The leader's
         // request context (if any) parents the group; coalesced
         // followers' contexts are grafted in as links.
-        let group_ctx = match &self.trace {
-            Some(sink) => sink.begin_span_with_parent(Some(leader_ctx)),
-            None => TraceCtx::NONE,
-        };
-        let end = match shard.db.write_at(start, &wopts, merged) {
-            Ok(end) => end,
-            Err(e) => {
-                if let Some(sink) = &self.trace {
-                    sink.pop_ctx();
-                }
-                return Err(e);
-            }
-        };
+        let scope = self.trace.as_ref().map(|sink| sink.open(Some(leader_ctx)));
+        let group_ctx = scope.as_ref().map_or(TraceCtx::NONE, SpanScope::ctx);
+        let end = shard.db.write_at(start, &wopts, merged)?;
         if self.shipping {
             let last_seq = self.shards[idx].db.last_sequence();
             self.shipped.push(ShippedRecord {
@@ -480,8 +470,8 @@ impl Store {
             });
             self.stats.shipped_records += 1;
         }
-        if let Some(sink) = &self.trace {
-            sink.end_span(EventClass::GroupCommit, start, end, bytes);
+        if let (Some(sink), Some(scope)) = (&self.trace, scope) {
+            scope.close(EventClass::GroupCommit, start, end, bytes);
             for fctx in &follower_ctxs {
                 sink.link(*fctx, group_ctx);
             }
@@ -1142,8 +1132,8 @@ mod tests {
         let sink = TraceSink::new();
         let mut store = Store::open(small_opts(1)).unwrap();
         store.set_trace_sink(sink.clone());
-        let leader_root = sink.mint_root();
-        let follower_root = sink.mint_root();
+        let leader_root = sink.child_ctx(TraceCtx::NONE);
+        let follower_root = sink.child_ctx(TraceCtx::NONE);
         let mut b1 = WriteBatch::new();
         b1.put(b"a", b"1");
         let mut b2 = WriteBatch::new();
@@ -1174,7 +1164,7 @@ mod tests {
         let mut store = Store::open(small_opts(1)).unwrap();
         store.set_trace_sink(sink.clone());
         store.enable_shipping();
-        let root = sink.mint_root();
+        let root = sink.child_ctx(TraceCtx::NONE);
         let mut b = WriteBatch::new();
         b.put(b"k", b"v");
         store.enqueue_ctx(&WriteOptions::default(), &b, root);

@@ -16,7 +16,7 @@ use nob_ext4::Ext4Fs;
 use nob_sim::oracle::Oracle;
 use nob_sim::Nanos;
 use nob_store::{Store, StoreOptions, Ticket};
-use nob_trace::{EventClass, TraceSink};
+use nob_trace::{EventClass, TraceCtx, TraceSink};
 use noblsm::{Db, Options, ReadOptions, ScanOptions, SyncMode, WriteBatch, WriteOptions};
 use proptest::prelude::*;
 
@@ -172,7 +172,7 @@ proptest! {
         for (bi, (ops, synced)) in batches.iter().enumerate() {
             let (wb, writes) = logged_batch(&store, &mut oracle, ops);
             let wopts = if *synced { WriteOptions::synced() } else { WriteOptions::buffered() };
-            let root = sink.mint_root();
+            let root = sink.child_ctx(TraceCtx::NONE);
             tickets.push((store.enqueue_ctx(&wopts, &wb, root), root, *synced, writes));
             if bi % pump_every == 0 {
                 round(&mut store);

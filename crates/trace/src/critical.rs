@@ -499,19 +499,17 @@ mod tests {
     /// One synthetic traced commit: server_write [0,100] → group [10,80]
     /// → engine_put [20,70] → journal [30,60] → flush [40,55].
     fn commit_chain(sink: &TraceSink) -> TraceCtx {
-        let root = sink.mint_root();
-        sink.push_ctx(root);
-        let group = sink.begin_span();
-        let put = sink.begin_span();
-        let jc = sink.begin_span();
+        let request = sink.open(Some(TraceCtx::NONE));
+        let group = sink.open(None);
+        let put = sink.open(None);
+        let jc = sink.open(None);
         sink.emit(EventClass::SsdFlush, ns(40), ns(55), 0);
-        let _ = (put, jc);
-        sink.end_span(EventClass::JournalCommit, ns(30), ns(60), 4096);
-        sink.end_span(EventClass::EnginePut, ns(20), ns(70), 512);
-        sink.end_span(EventClass::GroupCommit, ns(10), ns(80), 512);
-        assert_eq!(sink.pop_ctx(), Some(root));
+        jc.close(EventClass::JournalCommit, ns(30), ns(60), 4096);
+        put.close(EventClass::EnginePut, ns(20), ns(70), 512);
+        group.close(EventClass::GroupCommit, ns(10), ns(80), 512);
+        let root = request.ctx();
+        drop(request);
         sink.emit_ctx(EventClass::ServerWrite, ns(0), ns(100), 64, root);
-        let _ = group;
         root
     }
 
@@ -566,11 +564,11 @@ mod tests {
     fn links_graft_the_group_into_follower_trees() {
         let sink = TraceSink::new();
         // Leader request owns the group span; a follower request links it.
-        let leader = sink.mint_root();
-        let follower = sink.mint_root();
-        let group = sink.begin_span_with_parent(Some(leader));
-        sink.link(follower, group);
-        sink.end_span(EventClass::GroupCommit, ns(10), ns(50), 1024);
+        let leader = sink.child_ctx(TraceCtx::NONE);
+        let follower = sink.child_ctx(TraceCtx::NONE);
+        let group = sink.open(Some(leader));
+        sink.link(follower, group.ctx());
+        group.close(EventClass::GroupCommit, ns(10), ns(50), 1024);
         sink.emit_ctx(EventClass::ServerWrite, ns(0), ns(60), 32, leader);
         sink.emit_ctx(EventClass::ServerWrite, ns(5), ns(58), 32, follower);
         let ftree = sink.tree(follower.trace).expect("follower tree");
@@ -593,12 +591,11 @@ mod tests {
         // A two-shard write: both shards' groups start with the round at
         // t=10 and run side by side, shard 0 to t=60, shard 1 to t=80.
         let sink = TraceSink::new();
-        let root = sink.mint_root();
+        let root = sink.child_ctx(TraceCtx::NONE);
         for (end, put_end) in [(60, 50), (80, 75)] {
-            sink.begin_span_with_parent(Some(root));
-            sink.begin_span();
-            sink.end_span(EventClass::EnginePut, ns(10), ns(put_end), 512);
-            sink.end_span(EventClass::GroupCommit, ns(10), ns(end), 512);
+            let group = sink.open(Some(root));
+            sink.open(None).close(EventClass::EnginePut, ns(10), ns(put_end), 512);
+            group.close(EventClass::GroupCommit, ns(10), ns(end), 512);
         }
         sink.emit_ctx(EventClass::ServerWrite, ns(0), ns(100), 64, root);
         let p = CriticalPath::from_tree(&sink.tree(root.trace).unwrap());
@@ -624,7 +621,7 @@ mod tests {
     #[test]
     fn repl_spans_extend_the_window_past_durable() {
         let sink = TraceSink::new();
-        let root = sink.mint_root();
+        let root = sink.child_ctx(TraceCtx::NONE);
         let group = sink.child_ctx(root);
         sink.emit_ctx(EventClass::GroupCommit, ns(10), ns(40), 256, group);
         let ship = sink.child_ctx(group);
@@ -651,7 +648,7 @@ mod tests {
         let sink = TraceSink::new();
         let a = commit_chain(&sink);
         // A second, slower request.
-        let b = sink.mint_root();
+        let b = sink.child_ctx(TraceCtx::NONE);
         sink.emit_ctx(EventClass::ServerWrite, ns(200), ns(500), 64, b);
         let s = sink.critical_summary(1);
         assert_eq!(s.paths, 2);
@@ -672,7 +669,7 @@ mod tests {
     #[test]
     fn exemplar_trace_reaches_the_summary() {
         let sink = TraceSink::new();
-        let root = sink.mint_root();
+        let root = sink.child_ctx(TraceCtx::NONE);
         sink.emit_ctx(EventClass::EnginePut, ns(0), ns(500), 64, root);
         sink.emit(EventClass::EnginePut, ns(0), ns(900), 64); // untraced, slower
         let s = sink.summary();
@@ -683,8 +680,8 @@ mod tests {
     #[test]
     fn link_capacity_is_bounded() {
         let sink = TraceSink::new();
-        let a = sink.mint_root();
-        let b = sink.mint_root();
+        let a = sink.child_ctx(TraceCtx::NONE);
+        let b = sink.child_ctx(TraceCtx::NONE);
         sink.link(TraceCtx::NONE, a);
         sink.link(a, TraceCtx::NONE);
         let (_, links) = sink.snapshot();

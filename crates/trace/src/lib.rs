@@ -44,5 +44,5 @@ pub mod summary;
 pub use critical::{CriticalPath, CriticalSummary, SegmentStats, TraceForest, TraceNode, SEGMENTS};
 pub use event::{EventClass, SpanEvent, StallKind, StallRecord, TraceCtx};
 pub use hist::Histogram;
-pub use sink::{SpanLink, TraceSink};
+pub use sink::{SpanLink, SpanScope, TraceSink};
 pub use summary::{ClassStats, TraceSummary};

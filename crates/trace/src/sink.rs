@@ -42,10 +42,10 @@ struct TraceState {
     last_flush: Option<SpanEvent>,
     /// Next causal span id (0 is reserved for "untraced").
     next_span: u64,
-    /// Ambient causal-context stack: `emit` parents new spans under the
-    /// top entry, which is how the synchronous commit chain (server →
-    /// store → engine → ext4 → ssd) nests without threading a context
-    /// through every call.
+    /// Ambient causal-context stack, one entry per open [`SpanScope`]:
+    /// `emit` parents new spans under the top entry, which is how the
+    /// synchronous commit chain (server → store → engine → ext4 → ssd)
+    /// nests without threading a context through every call.
     stack: Vec<TraceCtx>,
     /// Cross-trace grafts (group-commit fan-in), bounded by `LINK_KEEP`.
     links: Vec<SpanLink>,
@@ -178,10 +178,9 @@ impl TraceSink {
     }
 
     /// Records one completed span. The span is parented under the
-    /// ambient context (the top of the stack pushed by
-    /// [`TraceSink::begin_span`] / [`TraceSink::push_ctx`]); with no
-    /// active scope it is untraced (all-zero causal ids), exactly as
-    /// before causal tracing existed.
+    /// ambient context (the innermost open [`SpanScope`]); with no open
+    /// scope it is untraced (all-zero causal ids), exactly as before
+    /// causal tracing existed.
     pub fn emit(&self, class: EventClass, start: Nanos, end: Nanos, bytes: u64) {
         let mut st = self.lock();
         let ctx = st.ambient();
@@ -189,74 +188,35 @@ impl TraceSink {
     }
 
     /// Records one completed span under an explicitly minted context
-    /// (from [`TraceSink::mint_root`], [`TraceSink::child_ctx`] or a
-    /// popped scope) instead of the ambient stack.
+    /// (from [`TraceSink::child_ctx`] or [`SpanScope::ctx`]) instead of
+    /// the ambient one.
     pub fn emit_ctx(&self, class: EventClass, start: Nanos, end: Nanos, bytes: u64, ctx: TraceCtx) {
         self.lock().record(class, start, end, bytes, ctx);
     }
 
-    /// Mints a fresh root context (a new trace), without pushing it.
-    /// Callers thread it through asynchronous hand-offs (reply queues,
-    /// group-commit tickets) and later emit with
-    /// [`TraceSink::emit_ctx`] / parent children under it.
-    pub fn mint_root(&self) -> TraceCtx {
-        self.lock().mint(None)
-    }
-
-    /// Mints a fresh child of `parent` (a fresh root if `parent` is
-    /// [`TraceCtx::NONE`]), without pushing it.
+    /// Mints a fresh child of `parent` (a fresh root, a new trace, if
+    /// `parent` is [`TraceCtx::NONE`]) without opening a scope. Callers
+    /// thread it through asynchronous hand-offs (reply queues,
+    /// group-commit tickets) and later emit with [`TraceSink::emit_ctx`].
     pub fn child_ctx(&self, parent: TraceCtx) -> TraceCtx {
+        self.lock().mint(Some(parent))
+    }
+
+    /// Opens a span scope and makes it the ambient context, so spans
+    /// emitted until it ends become its children. With `None` the scope
+    /// is a child of the innermost open scope, or a fresh root when none
+    /// is open; with `Some(p)` it is a child of `p` — for work picked off
+    /// a queue, where the ambient context is no longer the request that
+    /// caused it — or a fresh root when `p` is [`TraceCtx::NONE`].
+    /// [`SpanScope::close`] records the span; dropping the scope cancels
+    /// it, so an error path needs no trace code of its own. Scopes end
+    /// in LIFO order.
+    pub fn open(&self, parent: Option<TraceCtx>) -> SpanScope {
         let mut st = self.lock();
-        if parent.is_none() {
-            st.mint(None)
-        } else {
-            st.mint(Some(parent))
-        }
-    }
-
-    /// Pushes an existing context onto the ambient stack; spans emitted
-    /// until the matching [`TraceSink::pop_ctx`] become its children.
-    pub fn push_ctx(&self, ctx: TraceCtx) {
-        self.lock().stack.push(ctx);
-    }
-
-    /// Pops the ambient stack (the context is returned so the caller can
-    /// emit its span via [`TraceSink::emit_ctx`], or drop it to cancel).
-    pub fn pop_ctx(&self) -> Option<TraceCtx> {
-        self.lock().stack.pop()
-    }
-
-    /// Opens a span scope: mints a child of the current ambient context
-    /// (or a fresh root when none is active) and pushes it. Close with
-    /// [`TraceSink::end_span`] (emits) or [`TraceSink::pop_ctx`]
-    /// (cancels, e.g. on an error path).
-    pub fn begin_span(&self) -> TraceCtx {
-        let mut st = self.lock();
-        let top = st.stack.last().copied();
-        let ctx = st.mint(top);
+        let parent = parent.or_else(|| st.stack.last().copied());
+        let ctx = st.mint(parent);
         st.stack.push(ctx);
-        ctx
-    }
-
-    /// Opens a span scope under an explicit parent — for code that picks
-    /// work off a queue where the ambient stack no longer holds the
-    /// originating request (e.g. a group-commit leader). `None` or
-    /// [`TraceCtx::NONE`] starts a fresh root.
-    pub fn begin_span_with_parent(&self, parent: Option<TraceCtx>) -> TraceCtx {
-        let mut st = self.lock();
-        let ctx = st.mint(parent.filter(|p| !p.is_none()));
-        st.stack.push(ctx);
-        ctx
-    }
-
-    /// Closes the innermost span scope and records its span with the
-    /// scope's pre-minted causal identity (children emitted inside the
-    /// scope already point at it). Falls back to a plain ambient emit if
-    /// no scope is active (a push/pop mismatch, not worth panicking for).
-    pub fn end_span(&self, class: EventClass, start: Nanos, end: Nanos, bytes: u64) {
-        let mut st = self.lock();
-        let ctx = st.stack.pop().unwrap_or(TraceCtx::NONE);
-        st.record(class, start, end, bytes, ctx);
+        SpanScope { sink: self.clone(), ctx }
     }
 
     /// Records that span `from` (one request's tree) also waited on the
@@ -461,6 +421,37 @@ impl TraceSink {
     }
 }
 
+/// One open causal span, from [`TraceSink::open`] until
+/// [`SpanScope::close`] records it or a drop cancels it. Either way the
+/// scope leaves the ambient stack as it found it.
+#[derive(Debug)]
+#[must_use = "a scope dropped at once cancels its span"]
+pub struct SpanScope {
+    sink: TraceSink,
+    ctx: TraceCtx,
+}
+
+impl SpanScope {
+    /// The span's causal identity: the parent of every span emitted
+    /// while the scope is open.
+    pub fn ctx(&self) -> TraceCtx {
+        self.ctx
+    }
+
+    /// Records the scope's span, with the identity its children already
+    /// point at, and ends the scope.
+    pub fn close(self, class: EventClass, start: Nanos, end: Nanos, bytes: u64) {
+        self.sink.lock().record(class, start, end, bytes, self.ctx);
+    }
+}
+
+impl Drop for SpanScope {
+    fn drop(&mut self) {
+        let top = self.sink.lock().stack.pop();
+        debug_assert_eq!(top, Some(self.ctx), "span scopes end in LIFO order");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +472,68 @@ mod tests {
         assert_eq!(c.count, 2);
         assert_eq!(c.bytes, 8192);
         assert_eq!(c.max_ns, 150);
+    }
+
+    /// `(trace, span, parent)` of every retained span, oldest first.
+    fn triples(sink: &TraceSink) -> Vec<(u64, u64, u64)> {
+        sink.snapshot().0.iter().map(|e| (e.trace, e.span, e.parent)).collect()
+    }
+
+    #[test]
+    fn dropped_scope_records_nothing_and_restores_the_parent() {
+        let sink = TraceSink::new();
+        let outer = sink.open(None);
+        drop(sink.open(None));
+        let failed = || -> Result<(), ()> {
+            let _scope = sink.open(None);
+            Err(())
+        };
+        assert!(failed().is_err(), "an early return drops the scope the same way");
+        sink.emit(EventClass::SsdWrite, ns(0), ns(1), 0);
+        outer.close(EventClass::EnginePut, ns(0), ns(2), 0);
+        sink.emit(EventClass::SsdRead, ns(2), ns(3), 0);
+        // The cancelled scopes took ids 2 and 3; no span carries them.
+        assert_eq!(triples(&sink), [(1, 4, 1), (1, 1, 0), (0, 0, 0)]);
+    }
+
+    #[test]
+    fn nested_scopes_close_innermost_first() {
+        let sink = TraceSink::new();
+        let group = sink.open(None);
+        let put = sink.open(None);
+        let commit = sink.open(None);
+        sink.emit(EventClass::SsdFlush, ns(3), ns(4), 0);
+        commit.close(EventClass::JournalCommit, ns(2), ns(5), 0);
+        put.close(EventClass::EnginePut, ns(1), ns(6), 0);
+        group.close(EventClass::GroupCommit, ns(0), ns(7), 0);
+        // Innermost first, each under the scope it opened in.
+        assert_eq!(triples(&sink), [(1, 4, 3), (1, 3, 2), (1, 2, 1), (1, 1, 0)]);
+    }
+
+    #[test]
+    fn one_call_sequence_mints_pinned_ids() {
+        // The ids the context-stack calls this API replaced minted for
+        // the same sequence: the scope changes no span's identity.
+        let sink = TraceSink::new();
+        let root = sink.open(Some(TraceCtx::NONE));
+        let put = sink.open(None);
+        sink.emit(EventClass::SsdWrite, ns(1), ns(2), 0);
+        let fresh = sink.open(Some(TraceCtx::NONE));
+        sink.emit(EventClass::SsdFlush, ns(2), ns(3), 0);
+        fresh.close(EventClass::JournalCommit, ns(2), ns(4), 0);
+        let cancelled = sink.open(None);
+        sink.emit(EventClass::SsdRead, ns(4), ns(5), 0);
+        drop(cancelled);
+        sink.open(Some(root.ctx())).close(EventClass::ReplApply, ns(5), ns(6), 0);
+        let put_ctx = put.ctx();
+        put.close(EventClass::EnginePut, ns(1), ns(7), 0);
+        drop(root);
+        sink.emit_ctx(EventClass::ServerWrite, ns(0), ns(8), 0, sink.child_ctx(put_ctx));
+        sink.emit_ctx(EventClass::ServerRead, ns(8), ns(9), 0, sink.child_ctx(TraceCtx::NONE));
+        sink.emit(EventClass::Writeback, ns(9), ns(10), 0);
+        let pinned = [(1, 3, 2), (4, 5, 4), (4, 4, 0), (1, 7, 6), (1, 8, 1), (1, 2, 1)];
+        assert_eq!(triples(&sink)[..6], pinned);
+        assert_eq!(triples(&sink)[6..], [(1, 9, 2), (10, 10, 0), (0, 0, 0)]);
     }
 
     #[test]
@@ -543,7 +596,7 @@ mod tests {
         for i in 0..3 {
             sink.emit(EventClass::SsdRead, ns(i), ns(i + 1), 512);
         }
-        let root = sink.mint_root();
+        let root = sink.child_ctx(TraceCtx::NONE);
         sink.emit_ctx(EventClass::JournalCommit, ns(1000), ns(3500), 8192, sink.child_ctx(root));
         sink.emit_ctx(EventClass::ServerWrite, ns(900), ns(4000), 64, root);
         let retained = sink.snapshot().0.len();

@@ -49,7 +49,11 @@ const MAX_SOURCE_LINES: usize = 1_267;
 /// The length of `tests/golden/api_surface.txt`: a new `pub` item grows
 /// it and fails here. Lower it whenever the surface shrinks — never raise
 /// it without saying in the PR which new item is API and why. Last
-/// lowered by two, from 990, when replication's staleness bound left the
+/// lowered by two, from 988, when a causal span became one scope:
+/// `TraceSink::{mint_root, push_ctx, pop_ctx, begin_span,
+/// begin_span_with_parent, end_span}` went into `TraceSink::open` and
+/// `SpanScope` with its `ctx` and `close` (a re-export line changed but
+/// stayed). Before that lowered by two, from 990, when replication's staleness bound left the
 /// engine's read options: `ReadOptions::{max_staleness,
 /// with_max_staleness}` went (`FollowerLink::get` takes the bound as an
 /// argument, a line that changed but stayed). Before that lowered by
@@ -93,7 +97,7 @@ const MAX_SOURCE_LINES: usize = 1_267;
 /// its payload. Narrowing `BlockIter` or `TableIter` instead would leave
 /// `Block::iter` / `Table::iter` returning a private type (a
 /// `private_interfaces` warning).
-const MAX_SURFACE_LINES: usize = 988;
+const MAX_SURFACE_LINES: usize = 986;
 
 /// The package directories under `<root>/<sub>`, sorted.
 fn package_dirs(sub: &str) -> Vec<PathBuf> {
